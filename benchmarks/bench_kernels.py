@@ -14,7 +14,7 @@ writes two records under ``benchmarks/results/``:
       prepared operand's stamp invalidates.
 
 ``BENCH_dispatch.json``
-    All 11 kernel ops swept over batch sizes n ∈ {4, 16, 64, 256, 1k,
+    All 10 kernel ops swept over batch sizes n ∈ {4, 16, 64, 256, 1k,
     10k, 50k}, timing size-aware ``auto`` dispatch against every pinned
     backend.  Acceptance: at every swept size the backend auto routes
     to must stay within 5 % (plus a 5 µs timer-noise floor) of the
@@ -47,7 +47,7 @@ from pathlib import Path
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import kernels  # noqa: E402
-from repro.kernels import HAS_NUMBA, PointSet, use_backend  # noqa: E402
+from repro.kernels import PointSet, use_backend  # noqa: E402
 from repro.kernels.dispatch import ARG_BUILDERS  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -184,10 +184,8 @@ DISPATCH_REL_TOL = 1.05
 DISPATCH_ABS_TOL = 5e-6
 
 
-def _dispatch_backends() -> list[str]:
-    pinned = [b for b in ("python", "numpy", "numba")
-              if b in kernels.available_backends()]
-    return pinned + ["auto"]
+#: The two pinned tiers plus the dispatcher that routes between them.
+DISPATCH_BACKENDS = ["python", "numpy", "auto"]
 
 
 def _reps_for(size: int) -> int:
@@ -227,13 +225,11 @@ def _time_backends(fn, args: tuple, backends, reps: int, rounds: int) -> dict:
 
 def bench_dispatch(params: dict, quick: bool) -> dict:
     """Sweep every kernel op across batch sizes under auto + pinned."""
-    # Resolve thresholds deliberately (generous budget, compiled tier
-    # included when importable) so the sweep measures routing quality,
-    # not a half-finished import-time calibration.
-    thresholds = kernels.calibrate_thresholds(
-        budget=2.0 if not quick else 0.5, include_compiled=HAS_NUMBA
-    )
-    backends = _dispatch_backends()
+    # Resolve thresholds deliberately (generous budget) so the sweep
+    # measures routing quality, not a half-finished import-time
+    # calibration.
+    thresholds = kernels.calibrate_thresholds(budget=2.0 if not quick else 0.5)
+    backends = DISPATCH_BACKENDS
     sizes = DISPATCH_QUICK_SIZES if quick else DISPATCH_SIZES
     # One extra rotation per backend so every backend leads a round.
     rounds = params["repeats"] + len(backends)
@@ -251,7 +247,7 @@ def bench_dispatch(params: dict, quick: bool) -> dict:
             reps = _reps_for(size)
             for backend in backends:
                 with use_backend(backend):
-                    fn(*args)  # warm (numba: jit) outside the timers
+                    fn(*args)  # warm outside the timers
             best = _time_backends(fn, args, backends, reps, rounds)
             for backend in backends:
                 timings[backend].append(best[backend])

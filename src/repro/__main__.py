@@ -72,7 +72,7 @@ def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel", choices=kernels.BACKEND_CHOICES, default=None,
         help="point-set kernel: 'auto' dispatches per call by batch size; "
-             "python/numpy/numba pin one backend "
+             "python/numpy pin one tier, process-wide "
              "(default: REPRO_KERNEL env or auto)",
     )
 
@@ -187,10 +187,7 @@ def _run_sharded(args: argparse.Namespace, instance, obs, operator=None) -> int:
     from repro.exec import ExecConfig, ShardedRankJoin
 
     operator = operator if operator is not None else args.operator
-    config = ExecConfig(
-        shards=args.shards, backend=args.exec_backend,
-        kernel=getattr(args, "kernel", None),
-    )
+    config = ExecConfig(shards=args.shards, backend=args.exec_backend)
     started = time.perf_counter()
     with ShardedRankJoin(instance, operator, config=config, obs=obs) as engine:
         results = engine.top_k(instance.k)

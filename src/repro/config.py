@@ -2,17 +2,18 @@
 
 Three global knobs live here:
 
-* the kernel of :mod:`repro.kernels`.  Resolution order, highest
-  priority first: an explicit ``--kernel`` CLI flag /
-  :func:`repro.kernels.set_backend` call / ``ReproConfig(kernel=...)``;
-  the ``REPRO_KERNEL`` environment variable; ``auto`` (size-aware
-  per-call dispatch over the installed backends).  Pinned names
-  (``python``/``numpy``/``numba``) resolve every op at one tier.
+* the kernel of :mod:`repro.kernels`, selected process-wide.
+  Resolution order, highest priority first: an explicit ``--kernel``
+  CLI flag / :func:`repro.kernels.set_backend` call /
+  ``ReproConfig(kernel=...)`` (all three end in ``set_backend``); the
+  ``REPRO_KERNEL`` environment variable; ``auto`` (size-aware per-call
+  dispatch over the two tiers).  Pinned names (``python``/``numpy``)
+  resolve every op at one tier.
 * the dispatcher's crossover thresholds.  ``kernel_thresholds`` names a
   JSON file of per-op minimum batch sizes (same schema as the
-  ``$REPRO_KERNEL_THRESHOLDS`` override and the per-machine cache under
-  ``~/.cache/repro/kernel_thresholds.json``); with neither set the
-  dispatcher calibrates once per machine and caches the result.
+  per-machine cache under ``~/.cache/repro/kernel_thresholds.json``);
+  without it the dispatcher calibrates once per machine and caches the
+  result, and cells neither names keep the shipped defaults.
 * the planner's cost-model coefficients (:mod:`repro.planner.cost`).
   ``planner_coeffs`` names a JSON file of coefficient overrides; the
   ``REPRO_PLANNER_COEFFS`` environment variable provides the same hook,
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.kernels import BACKEND_CHOICES, ENV_VAR, kernel_name, set_backend
-from repro.kernels.dispatch import ENV_VAR as THRESHOLDS_ENV_VAR
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class ReproConfig:
     """Declarative bundle of process-wide settings.
 
     ``kernel`` is one of :data:`repro.kernels.BACKEND_CHOICES`
-    (``auto``/``numpy``/``python``/``numba``); ``kernel_thresholds``
+    (``auto``/``numpy``/``python``); ``kernel_thresholds``
     optionally names a JSON file of per-op dispatch crossovers;
     ``planner_coeffs`` optionally names a JSON file of
     :class:`repro.planner.CostCoefficients` overrides.
@@ -65,7 +65,6 @@ class ReproConfig:
             raw = "auto"
         return cls(
             kernel=raw,
-            kernel_thresholds=os.environ.get(THRESHOLDS_ENV_VAR) or None,
             planner_coeffs=os.environ.get(PLANNER_ENV_VAR) or None,
         )
 

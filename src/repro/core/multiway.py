@@ -25,6 +25,7 @@ import time
 from collections.abc import Sequence
 
 from repro.core.multiway_fr import MultiwayBound, MultiwayCornerBound
+from repro.core.pbrj import SCORE_EPS
 from repro.core.scoring import ScoringFunction
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
@@ -34,7 +35,6 @@ from repro.obs.span import Tracer
 from repro.relation.sources import TupleSource
 
 POS_INF = float("inf")
-SCORE_EPS = 1e-9
 
 
 class MultiwayResult:

@@ -37,8 +37,21 @@ from repro.stats.metrics import (
 )
 from repro.stats.trace import BoundTrace
 
-#: Tolerance for the emit test ``S(O.top()) >= t``.  Scores are sums of a few
-#: floats, so genuine differences are far larger than accumulated error.
+#: Tolerance of every "does this score reach that bound" test in the
+#: package — the one definition; :mod:`repro.core.multiway`,
+#: :mod:`repro.exec.merge` and :mod:`repro.anyk.enumerate` import it.
+#: Scores are sums of a few floats, so genuine differences are far larger
+#: than accumulated error.  Tie semantics: two scores within ``SCORE_EPS``
+#: of each other are a tie, everywhere.  An operator emits
+#: ``O.top()`` once ``S(O.top()) >= t - SCORE_EPS`` (a result tying the
+#: threshold is safe to emit — nothing unseen can beat it); the sharded
+#: merge gate holds a candidate back while any live shard's frontier is
+#: ``>= score - SCORE_EPS`` (a shard that can still tie it may own the
+#: canonical predecessor); the any-k enumerator drains every solution
+#: within ``SCORE_EPS`` of a batch head into one tie batch.  The merge and
+#: the any-k engine order the members of a tie by content only — exact
+#: score descending, then :func:`repro.exec.merge.result_identity`; a
+#: serial operator's own heap breaks exact-score ties by arrival order.
 SCORE_EPS = 1e-9
 
 #: Per-pull span timing: the first ``_TIMING_WARMUP`` pulls are timed

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels import PointSet
-from repro.kernels.pointset import HAS_NUMPY
 
 NEG_INF = float("-inf")
 
@@ -176,29 +175,19 @@ class _AdditivePrepared(PreparedPoints):
         self._weights = (
             None if weights is None else tuple(float(w) for w in weights)
         )
-        self._buffer = np.empty(16, dtype=float) if HAS_NUMPY else []
+        self._buffer = np.empty(16, dtype=float)
         self._size = 0
         self._synced = (-1, 0)  # impossible stamp: first access recomputes
 
-    def _new_rows(self, start: int, stop: int):
-        src = self._source
-        if HAS_NUMPY and src.dimension is not None:
-            return src.array[start:stop]
-        return src.tuples()[start:stop]
-
     def _extend_partials(self, values) -> None:
-        if HAS_NUMPY:
-            values = np.asarray(values, dtype=float)
-            needed = self._size + values.shape[0]
-            if needed > len(self._buffer):
-                self._buffer = np.resize(
-                    self._buffer, max(2 * len(self._buffer), needed)
-                )
-            self._buffer[self._size: needed] = values
-            self._size = needed
-        else:
-            self._buffer.extend(float(v) for v in values)
-            self._size = len(self._buffer)
+        values = np.asarray(values, dtype=float)
+        needed = self._size + values.shape[0]
+        if needed > len(self._buffer):
+            self._buffer = np.resize(
+                self._buffer, max(2 * len(self._buffer), needed)
+            )
+        self._buffer[self._size: needed] = values
+        self._size = needed
 
     def _sync(self) -> None:
         stamp = self._source.stamp
@@ -206,12 +195,10 @@ class _AdditivePrepared(PreparedPoints):
             return
         version, size = stamp
         if version == self._synced[0] and size >= self._synced[1]:
-            fresh = self._new_rows(self._synced[1], size)
+            fresh = self._source.array[self._synced[1]: size]
         else:
             self._size = 0
-            if not HAS_NUMPY:
-                self._buffer = []
-            fresh = self._new_rows(0, size)
+            fresh = self._source.array[:size]
         if len(fresh):
             self._extend_partials(
                 kernels.cover_corner_scores(fresh, self._weights)
@@ -222,9 +209,7 @@ class _AdditivePrepared(PreparedPoints):
     def partials(self):
         """Per-point partial scores, synced with the source (1-D view)."""
         self._sync()
-        if HAS_NUMPY:
-            return self._buffer[: self._size]
-        return self._buffer
+        return self._buffer[: self._size]
 
 
 class SumScore(ScoringFunction):

@@ -82,11 +82,6 @@ class ShardedRankJoin:
         self.operator_name = operator
         self.name = f"sharded[{operator}]x{self.config.shards}"
         self._obs = obs if obs is not None else NULL_OBS
-        if self.config.kernel is not None:
-            # Process-wide: shard operators (and fork-based process-backend
-            # children, which inherit the parent's module state) all compute
-            # through the selected kernel backend.
-            kernels.set_backend(self.config.kernel)
 
         plan = make_plan(
             instance.left,

@@ -28,7 +28,6 @@ from repro.core.operators import make_operator
 from repro.core.stepping import PENDING
 from repro.core.tuples import JoinResult
 from repro.errors import InstanceError
-from repro.kernels import BACKEND_CHOICES as KERNEL_CHOICES
 from repro.relation.relation import RankJoinInstance
 
 #: Backends accepted by :class:`ExecConfig`.
@@ -47,6 +46,10 @@ DEFAULT_QUANTUM = 32
 class ExecConfig:
     """Configuration of a sharded execution run.
 
+    The point-set kernel is not part of it: selection is process-wide
+    (:func:`repro.kernels.set_backend`) and fork-based process children
+    inherit whatever is active when the engine starts them.
+
     Parameters
     ----------
     shards:
@@ -62,12 +65,6 @@ class ExecConfig:
     heavy_fraction:
         Skew partitioner knob: a key is heavy when its estimated result
         share exceeds this fraction (default ``1 / shards``).
-    kernel:
-        Optional :mod:`repro.kernels` selection for the run (``"auto"``
-        dispatches per call by batch size; ``"numpy"`` / ``"python"`` /
-        ``"numba"`` pin one backend).  ``None`` (default) inherits the
-        process-wide selection.  Applied by the engine before workers
-        start; fork-based process children inherit the selection.
     resilience:
         Optional :class:`repro.resilience.ResilienceConfig`.  ``None``
         (default) runs the raw backend with no recovery machinery; any
@@ -82,7 +79,6 @@ class ExecConfig:
     quantum: int = DEFAULT_QUANTUM
     partitioner: str = "hash"
     heavy_fraction: float | None = None
-    kernel: str | None = None
     resilience: object | None = None
 
     def __post_init__(self) -> None:
@@ -98,10 +94,6 @@ class ExecConfig:
             raise InstanceError(
                 f"unknown partitioner {self.partitioner!r}; "
                 f"choose from {PARTITIONERS}"
-            )
-        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
-            raise InstanceError(
-                f"unknown kernel {self.kernel!r}; choose from {KERNEL_CHOICES}"
             )
 
 

@@ -47,9 +47,10 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro import kernels
 from repro.geometry.dominance import Point, as_point
-from repro.kernels.pointset import HAS_NUMPY
 from repro.kernels.types import Cell
 
 #: guard against float fuzz when mapping real coordinates onto grid corners
@@ -153,11 +154,7 @@ class GridTree:
         return sorted(self.upper_corner(row) for row in self._cells)
 
     def cover_array(self):
-        """Cover points as an ``(n, e)`` float array (requires numpy)."""
-        if not HAS_NUMPY:  # pragma: no cover - numpy is a declared dependency
-            raise RuntimeError("GridTree.cover_array requires numpy")
-        import numpy as np
-
+        """Cover points as an ``(n, e)`` float array."""
         cells = np.asarray(self._cells, dtype=np.int64).reshape(
             -1, self.dimension
         )

@@ -3,18 +3,15 @@
 The paper's empirical finding (Figure 2(b)) is that *bound computation*
 dominates rank-join runtime.  This package concentrates that hot path
 into a small batch-kernel interface over columnar :class:`PointSet`
-storage, with three interchangeable implementation tiers behind a
-per-op :class:`~repro.kernels.registry.KernelRegistry`:
+storage, with two interchangeable implementation tiers, both always
+present, behind a per-op :class:`~repro.kernels.registry.KernelRegistry`:
 
 * ``"python"`` — :class:`~repro.kernels.reference.ReferenceBackend`,
-  pure loops, the semantic oracle and dependency-free fallback;
+  pure loops, the semantic oracle the tests compare against;
 * ``"numpy"`` — :class:`~repro.kernels.vectorized.NumpyBackend`,
-  one broadcast per batch, fastest on bulk;
-* ``"numba"`` — :class:`~repro.kernels.compiled.CompiledBackend`,
-  jit-compiled reference loops (lazy compilation, registered only when
-  numba is importable).
+  one broadcast per batch, fastest on bulk.
 
-All tiers are **bit-identical**: same skylines, same cover sets, same
+Both tiers are **bit-identical**: same skylines, same cover sets, same
 partial scores (float additions happen left-to-right in every tier), so
 every operator-level invariant test doubles as a kernel-equivalence
 oracle.
@@ -27,21 +24,20 @@ small batches.  The default ``"auto"`` kernel therefore routes **each
 call** by batch size against per-op crossover thresholds
 (:mod:`repro.kernels.dispatch`: calibrated once per machine, cached to
 ``~/.cache/repro/kernel_thresholds.json``, overridable via
-``$REPRO_KERNEL_THRESHOLDS`` / ``ReproConfig.kernel_thresholds``).
-Pinned names (``python``/``numpy``/``numba``) bypass the size test and
-resolve every op at one tier — with *per-op* fallback down the tier
-order when an implementation is missing, warned once and tallied in the
-``kernel_fallbacks_total`` counter, never a silent process-wide flip.
+:func:`set_thresholds` / ``ReproConfig.kernel_thresholds``).
+Pinned names (``python``/``numpy``) bypass the size test and resolve
+every op at one tier.
 
 Selection
 ---------
-The active kernel is resolved, in priority order, from
+Selection is **process-wide only** — no query, engine or plan carries a
+kernel of its own.  The active kernel is resolved, in priority order,
+from
 
-1. an explicit :func:`set_backend` call (the CLI ``--kernel`` flag and
-   :class:`repro.config.ReproConfig` end here),
-2. the ``REPRO_KERNEL`` environment variable
-   (``auto``/``numpy``/``python``/``numba``),
-3. ``auto``: size-aware per-call dispatch over the installed tiers.
+1. an explicit :func:`set_backend` / :func:`use_backend` call (the CLI
+   ``--kernel`` flag and :class:`repro.config.ReproConfig` end here),
+2. the ``REPRO_KERNEL`` environment variable (``auto``/``numpy``/``python``),
+3. ``auto``: size-aware per-call dispatch over the two tiers.
 
 Observability
 -------------
@@ -49,8 +45,7 @@ Observability
 afterwards every kernel call increments
 ``kernel_calls_total{kernel=…, fn=…}`` labelled with the backend the
 dispatcher actually **chose** for that call (so ``python -m repro
-trace`` shows the dispatch mix under ``auto``), per-op degradations
-increment ``kernel_fallbacks_total{fn=…, requested=…, used=…}``, and a
+trace`` shows the dispatch mix under ``auto``), and a
 deterministic 1-in-16 sample of calls records wall-clock in the
 ``bound_kernel_seconds{kernel=…}`` histogram.  Call counts are exact;
 only the latency histogram is sampled.
@@ -69,7 +64,7 @@ from repro.kernels.dispatch import (
     PinnedDispatcher,
     set_thresholds,
 )
-from repro.kernels.pointset import HAS_NUMPY, PointSet
+from repro.kernels.pointset import PointSet
 from repro.kernels.reference import ReferenceBackend
 from repro.kernels.registry import BACKEND_TIER, KernelRegistry
 from repro.kernels.types import (
@@ -80,11 +75,11 @@ from repro.kernels.types import (
     ones,
     substitute,
 )
+from repro.kernels.vectorized import NumpyBackend
 
 #: The operations every kernel backend must implement.
 KERNEL_OPS = (
     "dominates_any",
-    "weak_dominance_mask",
     "strict_dominance_mask",
     "skyline_filter",
     "cover_corner_scores",
@@ -104,27 +99,16 @@ KERNEL_SECONDS_BUCKETS = (
 #: The per-op implementation registry all dispatchers resolve against.
 REGISTRY = KernelRegistry(KERNEL_OPS)
 REGISTRY.register("reference", ReferenceBackend())
-if HAS_NUMPY:
-    from repro.kernels.vectorized import NumpyBackend
-
-    REGISTRY.register("vectorized", NumpyBackend())
-
-from repro.kernels.compiled import HAS_NUMBA  # noqa: E402  (cheap probe)
-
-if HAS_NUMBA:
-    from repro.kernels.compiled import CompiledBackend
-
-    REGISTRY.register("compiled", CompiledBackend())
+REGISTRY.register("vectorized", NumpyBackend())
 
 #: Names accepted by :func:`set_backend` / ``REPRO_KERNEL`` / ``--kernel``.
-BACKEND_CHOICES = ("auto", "numpy", "python", "numba")
+BACKEND_CHOICES = ("auto", "numpy", "python")
 
 ENV_VAR = "REPRO_KERNEL"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Installed backend names (``python`` always; ``numpy``/``numba``
-    when importable)."""
+    """The backend names (``numpy`` and ``python``, both always present)."""
     return REGISTRY.backend_names()
 
 
@@ -177,10 +161,10 @@ def set_backend(name: str | None) -> str:
     """Select the active kernel; returns the selected name.
 
     ``name`` is one of :data:`BACKEND_CHOICES` (``None`` means ``auto``).
-    ``auto`` dispatches per call by batch size; a pinned name keeps its
-    identity even when some ops degrade (per-op fallback is warned once
-    and tallied in ``kernel_fallbacks_total`` instead of silently
-    renaming the backend).
+    ``auto`` dispatches per call by batch size; a pinned name resolves
+    every op at that tier.  The selection is process-wide and stays
+    until the next call — scope a temporary switch with
+    :func:`use_backend`.
     """
     global _active
     _active = _resolve(name)
@@ -194,8 +178,7 @@ def get_backend():
 
 
 def kernel_name() -> str:
-    """Name of the active kernel (``"auto"``, ``"numpy"``, ``"python"``
-    or ``"numba"``)."""
+    """Name of the active kernel (``"auto"``, ``"numpy"`` or ``"python"``)."""
     return _active.name
 
 
@@ -229,20 +212,10 @@ def dispatch_thresholds() -> dict[str, dict[str, int]]:
     }
 
 
-def calibrate_thresholds(
-    *, budget: float = 0.15, include_compiled: bool = False
-) -> dict[str, dict[str, int]]:
+def calibrate_thresholds(*, budget: float = 0.15) -> dict[str, dict[str, int]]:
     """Re-measure crossover thresholds on this machine and install them."""
-    measured = _dispatch.calibrate(
-        REGISTRY, budget=budget, include_compiled=include_compiled
-    )
-    set_thresholds(measured)
+    set_thresholds(_dispatch.calibrate(REGISTRY, budget=budget))
     return dispatch_thresholds()
-
-
-def kernel_fallbacks() -> dict[tuple[str, str, str], int]:
-    """Resolution-time fallback tally: (op, requested, used) -> count."""
-    return dict(REGISTRY.fallbacks)
 
 
 # ----------------------------------------------------------------------
@@ -282,16 +255,14 @@ class _InstrumentationSink:
     ``handles`` is keyed by the backend the dispatcher *chose* for the
     call plus the op name, and read directly by :func:`_call` — the
     steady-state cost of an instrumented kernel call is one dict lookup
-    plus a counter increment.  ``fallback_handles`` is keyed
-    ``(fn, requested, used)`` and only touched on degraded calls.
+    plus a counter increment.
     """
 
-    __slots__ = ("_metrics", "handles", "fallback_handles")
+    __slots__ = ("_metrics", "handles")
 
     def __init__(self, metrics) -> None:
         self._metrics = metrics
         self.handles: dict[tuple[str, str], _KernelHandle] = {}
-        self.fallback_handles: dict[tuple[str, str, str], object] = {}
 
     def handle(self, backend: str, fn: str) -> _KernelHandle:
         key = (backend, fn)
@@ -305,16 +276,6 @@ class _InstrumentationSink:
                                         kernel=backend),
             )
         return handle
-
-    def fallback(self, fn: str, requested: str, used: str):
-        key = (fn, requested, used)
-        counter = self.fallback_handles.get(key)
-        if counter is None:
-            counter = self.fallback_handles[key] = self._metrics.counter(
-                "kernel_fallbacks_total",
-                fn=fn, requested=requested, used=used,
-            )
-        return counter
 
 
 _sink: _InstrumentationSink | None = None
@@ -347,8 +308,6 @@ def _call(fn: str, *args, **kwargs):
     if handle is None:
         handle = sink.handle(entry.used, fn)
     handle.counter.inc()
-    if entry.fallback:
-        sink.fallback(fn, entry.requested, entry.used).inc()
     if not handle.should_sample():
         return entry.impl(*args, **kwargs)
     start = perf_counter()
@@ -364,11 +323,6 @@ def _call(fn: str, *args, **kwargs):
 def dominates_any(points, q) -> bool:
     """True if some row of ``points`` weakly dominates ``q``."""
     return _call("dominates_any", points, q)
-
-
-def weak_dominance_mask(points, q):
-    """Per-row mask: the row weakly dominates ``q`` (row ``⪰ q``)."""
-    return _call("weak_dominance_mask", points, q)
 
 
 def strict_dominance_mask(points, q):
@@ -427,8 +381,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "BACKEND_TIER",
     "Cell",
-    "HAS_NUMBA",
-    "HAS_NUMPY",
     "KERNEL_OPS",
     "Point",
     "PointSet",
@@ -447,7 +399,6 @@ __all__ = [
     "get_backend",
     "grid_carve",
     "grid_cell_assign",
-    "kernel_fallbacks",
     "kernel_name",
     "mask_any",
     "max_corner_score",
@@ -460,5 +411,4 @@ __all__ = [
     "substitute",
     "unobserve",
     "use_backend",
-    "weak_dominance_mask",
 ]

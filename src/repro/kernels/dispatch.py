@@ -16,9 +16,7 @@ from the call's arguments (row count for most ops, ``|L|·|R|`` for
 ``cross_product_max``, ``|cover| + |observed|`` for ``cover_carve``).
 Selection scans the table for the first entry whose ``min_size`` fits;
 the pure-Python reference tier anchors the table at size 0, so selection
-cannot fail.  The scan is 2–3 comparisons — cheap enough that pinned
-backends route through the same machinery (a one-entry table), keeping
-auto-vs-pinned overhead identical by construction.
+cannot fail.  The scan is one or two comparisons.
 
 Thresholds
 ----------
@@ -26,20 +24,14 @@ Per-op crossover sizes resolve in priority order:
 
 1. an explicit :func:`set_thresholds` call
    (``ReproConfig.kernel_thresholds`` ends here),
-2. a JSON file named by ``$REPRO_KERNEL_THRESHOLDS``,
-3. the per-machine cache ``~/.cache/repro/kernel_thresholds.json``
+2. per-machine calibration: a ~100 ms one-shot measurement à la
+   ``planner/cost.py:measure()`` — synthetic batches per op, doubling
+   size ladder, crossover at the geometric midpoint of the bracketing
+   sizes — memoised in ``~/.cache/repro/kernel_thresholds.json``
    (``$XDG_CACHE_HOME``-aware, invalidated when the Python version or
-   the set of installed backends changes),
-4. a ~100 ms one-shot calibration à la ``planner/cost.py:measure()``
-   — synthetic batches per op, doubling size ladder, crossover at the
-   geometric midpoint of the bracketing sizes — whose result is written
-   to the cache,
-5. library defaults (hand-set from BENCH_kernels.json).
-
-Calibration never touches the compiled tier by default: the first numba
-call pays jit compilation, which would blow the 100 ms budget by two
-orders of magnitude.  ``calibrate(..., include_compiled=True)`` (used by
-``benchmarks/bench_kernels.py``) opts in after warmup.
+   the backend set changes),
+3. library defaults (hand-set from BENCH_kernels.json), for every cell
+   the levels above leave unnamed.
 
 Threshold values are *minimum batch sizes*: ``{"dominates_any":
 {"numpy": 512}}`` means "use numpy for dominates_any once the batch has
@@ -56,15 +48,7 @@ from math import sqrt
 from pathlib import Path
 from time import perf_counter
 
-from repro.kernels.registry import (
-    BACKEND_TIER,
-    TIER_BACKEND,
-    KernelRegistry,
-    ResolvedOp,
-)
-
-#: Environment variable naming a JSON threshold-override file.
-ENV_VAR = "REPRO_KERNEL_THRESHOLDS"
+from repro.kernels.registry import BACKEND_TIER, KernelRegistry, ResolvedOp
 
 #: Cache schema version — bump to invalidate every on-disk cache.
 SCHEMA_VERSION = 1
@@ -74,25 +58,22 @@ NEVER = 1 << 30
 
 #: Hand-set crossover defaults (minimum batch size per backend), tuned
 #: from BENCH_kernels.json: loop ops with early exits keep the reference
-#: tier far longer than streaming ops, and the compiled tier — plain
-#: jitted loops, no broadcast temporaries — takes over earlier than
-#: numpy wherever it is installed.
+#: tier far longer than streaming ops.
 DEFAULT_THRESHOLDS: dict[str, dict[str, int]] = {
-    "dominates_any": {"numpy": 512, "numba": 48},
-    "weak_dominance_mask": {"numpy": 64, "numba": 32},
-    "strict_dominance_mask": {"numpy": 64, "numba": 32},
+    "dominates_any": {"numpy": 512},
+    "strict_dominance_mask": {"numpy": 64},
     # Per-insertion broadcasts never amortize for the incremental
     # skyline (0.2–0.4× at every measured size) and the antichain's
     # dedup-then-pairwise shape (unique cells are bounded by the grid
     # resolution, so the pairwise part never grows) — reference only.
-    "skyline_filter": {"numpy": NEVER, "numba": 48},
-    "cover_corner_scores": {"numpy": 32, "numba": 32},
-    "max_corner_score": {"numpy": 32, "numba": 32},
-    "cross_product_max": {"numpy": 256, "numba": 64},
-    "cover_carve": {"numpy": 128, "numba": 96},
-    "grid_cell_assign": {"numpy": 64, "numba": 48},
-    "antichain": {"numpy": NEVER, "numba": 48},
-    "grid_carve": {"numpy": 128, "numba": 96},
+    "skyline_filter": {"numpy": NEVER},
+    "cover_corner_scores": {"numpy": 32},
+    "max_corner_score": {"numpy": 32},
+    "cross_product_max": {"numpy": 256},
+    "cover_carve": {"numpy": 128},
+    "grid_cell_assign": {"numpy": 64},
+    "antichain": {"numpy": NEVER},
+    "grid_carve": {"numpy": 128},
 }
 
 #: Ops whose vectorized tier structurally never amortizes (see the
@@ -105,7 +86,7 @@ VECTORIZED_NEVER_WINS = frozenset({"skyline_filter", "antichain"})
 
 #: Tie-break rank when two tiers share a crossover size (prefer the
 #: cheaper-per-call tier).
-_TIER_RANK = {"reference": 0, "vectorized": 1, "compiled": 2}
+_TIER_RANK = {"reference": 0, "vectorized": 1}
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +130,11 @@ _EPOCH = 0
 def _merge(
     overrides: Mapping[str, Mapping[str, int]],
 ) -> dict[str, dict[str, int]]:
-    """Overrides layered over the defaults (unknown ops are ignored)."""
+    """Overrides layered over the defaults.
+
+    Unknown ops and backends are ignored, so a file written when the
+    package had more of either still loads.
+    """
     merged = {op: dict(table) for op, table in DEFAULT_THRESHOLDS.items()}
     for op, table in overrides.items():
         if op not in merged or not isinstance(table, Mapping):
@@ -221,8 +206,9 @@ def set_thresholds(
 ) -> None:
     """Install explicit crossover overrides (``None`` → auto-resolution).
 
-    Overrides are partial: only the named ``(op, backend)`` cells change,
-    everything else keeps its resolved value.  Active dispatchers pick
+    Overrides are partial: the named ``(op, backend)`` cells are layered
+    over the shipped defaults, so ``set_thresholds({})`` pins the shipped
+    table and skips the cache and calibration.  Active dispatchers pick
     the change up on their next call.
     """
     global _installed, _resolved, _EPOCH
@@ -250,12 +236,6 @@ def thresholds(registry: KernelRegistry) -> dict[str, dict[str, int]]:
 
 
 def _resolve(registry: KernelRegistry) -> dict[str, dict[str, int]]:
-    path = os.environ.get(ENV_VAR)
-    if path:
-        try:
-            return load_thresholds_file(path)
-        except (OSError, ValueError, TypeError):
-            pass  # unreadable override — fall through to the cache
     cached = _load_cache(registry)
     if cached is not None:
         return cached
@@ -319,7 +299,6 @@ def _side(n: int) -> int:
 #: dominance target sits high so early-exit loops scan realistically.
 ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
     "dominates_any": lambda n: (_point_set(n), (0.99, 0.99, 0.99)),
-    "weak_dominance_mask": lambda n: (_point_set(n), (0.5, 0.5, 0.5)),
     "strict_dominance_mask": lambda n: (_point_set(n), (0.5, 0.5, 0.5)),
     "skyline_filter": lambda n: (_point_set(n),),
     "cover_corner_scores": lambda n: (_point_set(n), (0.6, 0.3, 0.1)),
@@ -419,45 +398,28 @@ def _crossover(
 
 
 def calibrate(
-    registry: KernelRegistry,
-    *,
-    budget: float = 0.15,
-    include_compiled: bool = False,
+    registry: KernelRegistry, *, budget: float = 0.15
 ) -> dict[str, dict[str, int]]:
-    """Measure per-op reference→{numpy,numba} crossover sizes (~100 ms).
+    """Measure per-op reference→numpy crossover sizes (~100 ms).
 
     Ops not reached before the budget expires keep their defaults, and
     the :data:`VECTORIZED_NEVER_WINS` ops record :data:`NEVER` without a
-    probe.  The compiled tier is skipped unless ``include_compiled`` (its
-    first call jit-compiles, which must never happen inside the
-    import-time budget).
+    probe.
     """
     deadline = perf_counter() + budget
-    tiers = [t for t in ("vectorized", "compiled") if t in registry.tiers()]
-    if not include_compiled and "compiled" in tiers:
-        tiers.remove("compiled")
     measured: dict[str, dict[str, int]] = {}
-    if not tiers:
-        return measured
     for op in registry.ops:
         if perf_counter() > deadline:
             break
-        builder = ARG_BUILDERS.get(op)
-        if builder is None:
-            continue
-        base = registry.implementations(op).get("reference")
-        if base is None:
-            continue
-        sizes = _SIZE_LADDERS.get(op, _DEFAULT_LADDER)
-        for tier in tiers:
-            fast = registry.implementations(op).get(tier)
-            if fast is None:
-                continue
-            if tier == "vectorized" and op in VECTORIZED_NEVER_WINS:
-                value = NEVER
-            else:
-                value = _crossover(base, fast, builder, sizes, deadline)
-            measured.setdefault(op, {})[TIER_BACKEND[tier]] = value
+        if op in VECTORIZED_NEVER_WINS:
+            value = NEVER
+        else:
+            impls = registry.implementations(op)
+            value = _crossover(
+                impls["reference"], impls["vectorized"], ARG_BUILDERS[op],
+                _SIZE_LADDERS.get(op, _DEFAULT_LADDER), deadline,
+            )
+        measured[op] = {"numpy": value}
     return measured
 
 
@@ -465,12 +427,8 @@ def calibrate(
 # Dispatchers
 # ----------------------------------------------------------------------
 class PinnedDispatcher:
-    """Every op resolved once at a single tier (``--kernel python|numpy|numba``).
-
-    ``select`` is one dict lookup; per-op fallback (say ``numba``
-    requested without numba installed) was recorded at resolution time
-    and is re-surfaced per call through :attr:`ResolvedOp.fallback`.
-    """
+    """Every op resolved once at a single tier (``--kernel python|numpy``);
+    ``select`` is one dict lookup."""
 
     __slots__ = ("name", "table")
 
@@ -488,7 +446,7 @@ class AutoDispatcher:
     Route tables are built lazily (the first selection triggers threshold
     resolution, possibly calibration) and rebuilt whenever
     :func:`set_thresholds`/:func:`reset` bump the epoch — the steady-state
-    cost per call is one sizer call plus a 2–3 entry scan.
+    cost per call is one sizer call plus a 1–2 entry scan.
     """
 
     __slots__ = ("name", "registry", "_routes", "_epoch")
@@ -508,7 +466,7 @@ class AutoDispatcher:
             ]
             for backend, min_size in table.get(op, {}).items():
                 tier = BACKEND_TIER[backend]
-                if min_size >= NEVER or not self.registry.has(op, tier):
+                if min_size >= NEVER:
                     continue
                 entries.append(
                     (int(min_size), _TIER_RANK[tier],

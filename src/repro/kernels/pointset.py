@@ -1,8 +1,7 @@
 """Columnar point sets: the storage half of the kernel data plane.
 
 A :class:`PointSet` holds ``n`` e-dimensional score vectors contiguously —
-a capacity-doubling ``(capacity, e)`` float64 array when numpy is
-available, a plain list of tuples otherwise — so the batch kernels in
+a capacity-doubling ``(capacity, e)`` float64 array — so the batch kernels in
 :mod:`repro.kernels` can scan whole sets without materializing one tuple
 per row.  Row ids are stable under :meth:`append`/:meth:`extend` (the row
 id is the row index at insertion time); :meth:`replace`, :meth:`compress`
@@ -15,15 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.kernels.types import Point, as_point
-
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
 
 _INITIAL_CAPACITY = 16
 
@@ -60,18 +53,15 @@ class PointSet:
     # Storage plumbing
     # ------------------------------------------------------------------
     def _new_buffer(self, capacity: int):
-        if HAS_NUMPY and self._dimension is not None:
+        if self._dimension is not None:
             return np.empty((capacity, self._dimension), dtype=np.float64)
-        return []  # list mode: no numpy yet, or dimension still unknown
+        return []  # dimension still unknown: nothing to allocate yet
 
     def _settle_dimension(self, dimension: int) -> None:
         """Fix a lazily-inferred dimension on first data."""
         if self._dimension is None:
             self._dimension = dimension
-            if HAS_NUMPY:
-                self._buf = np.empty(
-                    (_INITIAL_CAPACITY, dimension), dtype=np.float64
-                )
+            self._buf = self._new_buffer(_INITIAL_CAPACITY)
         elif dimension != self._dimension:
             raise ValueError(
                 f"dimension mismatch: PointSet is {self._dimension}-d, "
@@ -108,17 +98,11 @@ class PointSet:
         values = as_point(point)
         self._settle_dimension(len(values))
         self._tuple_cache = None
-        if HAS_NUMPY:
-            if self._size == self._buf.shape[0]:
-                grown = np.empty(
-                    (max(2 * self._size, _INITIAL_CAPACITY), self._dimension),
-                    dtype=np.float64,
-                )
-                grown[: self._size] = self._buf[: self._size]
-                self._buf = grown
-            self._buf[self._size] = values
-        else:
-            self._buf.append(values)
+        if self._size == self._buf.shape[0]:
+            grown = self._new_buffer(max(2 * self._size, _INITIAL_CAPACITY))
+            grown[: self._size] = self._buf[: self._size]
+            self._buf = grown
+        self._buf[self._size] = values
         self._size += 1
         return self._size - 1
 
@@ -135,8 +119,8 @@ class PointSet:
         self._version += 1
         self._tuple_cache = None
         if isinstance(points, PointSet):
-            points = points.rows()
-        if HAS_NUMPY and isinstance(points, np.ndarray):
+            points = points.array
+        if isinstance(points, np.ndarray):
             array = np.ascontiguousarray(points, dtype=np.float64)
             if array.ndim != 2:
                 raise ValueError("replace expects an (n, e) array")
@@ -149,19 +133,14 @@ class PointSet:
         if rows:
             self._settle_dimension(len(rows[0]))
         self._buf = self._new_buffer(max(len(rows), _INITIAL_CAPACITY))
-        if HAS_NUMPY and self._dimension is not None:
-            for row in rows:
-                if len(row) != self._dimension:
-                    raise ValueError(
-                        f"dimension mismatch: PointSet is {self._dimension}-d, "
-                        f"point is {len(row)}-d"
-                    )
-                self._buf[self._size] = row
-                self._size += 1
-        else:
-            for row in rows:
-                self.append(row)
-            self._version += 1  # appends above must still read as a rebuild
+        for row in rows:
+            if len(row) != self._dimension:
+                raise ValueError(
+                    f"dimension mismatch: PointSet is {self._dimension}-d, "
+                    f"point is {len(row)}-d"
+                )
+            self._buf[self._size] = row
+            self._size += 1
 
     def compress(self, keep) -> int:
         """Drop rows whose ``keep`` entry is falsy; return rows removed.
@@ -180,20 +159,11 @@ class PointSet:
             return 0
         self._version += 1
         self._tuple_cache = None
-        if HAS_NUMPY:
-            if self._dimension is None:  # pragma: no cover - defensive
-                self._size = 0
-                return removed
-            mask = np.asarray(flags, dtype=bool)
-            survivors = self._buf[: self._size][mask]
-            self._buf = self._new_buffer(
-                max(survivors.shape[0], _INITIAL_CAPACITY)
-            )
-            self._buf[: survivors.shape[0]] = survivors
-            self._size = survivors.shape[0]
-        else:
-            self._buf = [row for row, flag in zip(self._buf, flags) if flag]
-            self._size = len(self._buf)
+        mask = np.asarray(flags, dtype=bool)
+        survivors = self._buf[: self._size][mask]
+        self._buf = self._new_buffer(max(survivors.shape[0], _INITIAL_CAPACITY))
+        self._buf[: survivors.shape[0]] = survivors
+        self._size = survivors.shape[0]
         return removed
 
     def clear(self) -> None:
@@ -209,30 +179,23 @@ class PointSet:
     def array(self):
         """The points as an ``(n, e)`` float64 view (do not mutate).
 
-        Only valid while numpy is available; the view aliases internal
-        storage and is invalidated by the next mutation.
+        The view aliases internal storage and is invalidated by the next
+        mutation.
         """
-        if not HAS_NUMPY:
-            raise RuntimeError("PointSet.array requires numpy")
         if self._dimension is None:
             return np.empty((0, 0), dtype=np.float64)
         return self._buf[: self._size]
 
     def rows(self):
-        """Backend-agnostic row view: ndarray if numpy, tuple list if not."""
-        if HAS_NUMPY:
-            return self.array
-        return list(self._buf)
+        """The rows as :attr:`array` (what :meth:`replace` accepts back)."""
+        return self.array
 
     def tuples(self) -> list[Point]:
         """The points as canonical tuples (cached until the set mutates)."""
         stamp = self.stamp
         if self._tuple_cache is not None and self._tuple_cache[0] == stamp:
             return self._tuple_cache[1]
-        if HAS_NUMPY and self._dimension is not None:
-            rows = [tuple(row) for row in self._buf[: self._size].tolist()]
-        else:
-            rows = list(self._buf)
+        rows = [tuple(row) for row in self.array.tolist()]
         self._tuple_cache = (stamp, rows)
         return rows
 
@@ -240,9 +203,7 @@ class PointSet:
         """One point by row id."""
         if not 0 <= index < self._size:
             raise IndexError(f"row {index} out of range for {self._size} points")
-        if HAS_NUMPY and self._dimension is not None:
-            return tuple(float(v) for v in self._buf[index])
-        return self._buf[index]
+        return tuple(float(v) for v in self._buf[index])
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.tuples())

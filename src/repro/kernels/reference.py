@@ -4,7 +4,7 @@ Every kernel is written as the plainest possible loop over canonical
 tuples — no numpy on the compute path.  This backend is the *semantic
 oracle*: the vectorized backend must produce bit-identical results (same
 point sets, same masks, same scores), which the property-test suite
-enforces.  It is also the automatic fallback when numpy is unavailable.
+enforces.
 
 Floating-point discipline: partial scores are accumulated strictly
 left-to-right (``s = 0.0; s += w*x``).  The vectorized backend sums the
@@ -67,11 +67,6 @@ class ReferenceBackend:
             if _weak_dom(row, q):
                 return True
         return False
-
-    def weak_dominance_mask(self, points, q: Sequence[float]) -> list[bool]:
-        """Per-row mask: row ``⪰ q`` (the row weakly dominates ``q``)."""
-        q = tuple(q)
-        return [_weak_dom(row, q) for row in _rows(points)]
 
     def strict_dominance_mask(self, points, q: Sequence[float]) -> list[bool]:
         """Per-row mask: ``q ≻ row`` (the row is strictly dominated)."""

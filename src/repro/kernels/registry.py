@@ -1,39 +1,25 @@
-"""Per-op kernel implementation registry with per-op fallback.
+"""Per-op kernel implementation registry.
 
-The registry is the factual record of *which* implementation exists for
-*which* kernel op.  Three tiers are defined:
+The registry is the factual record of *which* callable implements
+*which* kernel op at each of the two tiers, both always present:
 
 * ``reference`` — pure-Python loops (:mod:`repro.kernels.reference`),
-  always present, the semantic oracle;
+  the semantic oracle every test compares against;
 * ``vectorized`` — numpy broadcasts (:mod:`repro.kernels.vectorized`),
-  present when numpy is importable;
-* ``compiled`` — numba-jitted loops (:mod:`repro.kernels.compiled`),
-  present when numba is importable (compilation itself is lazy).
+  the bulk tier (numpy is a hard dependency of the package).
 
-Fallback is **per op**, not per process: requesting a tier that lacks an
-implementation of some op resolves that one op down the tier order
-(``compiled → vectorized → reference``) while every other op keeps its
-requested tier.  Each distinct ``(op, requested, used)`` degradation is
-warned about exactly once per process and tallied in
-:attr:`KernelRegistry.fallbacks`, which the instrumentation layer
-publishes as the ``kernel_fallbacks_total{fn,requested,used}`` counter —
-so a missing numpy is a *recorded* event, not a silent process-wide flip.
+Every registered backend implements every op — registration fails
+otherwise — so resolution is a plain lookup with nothing to fall back to.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
-
-#: Tier order, fastest-on-bulk first.  Fallback walks left-to-right from
-#: the requested tier.
-TIER_ORDER = ("compiled", "vectorized", "reference")
 
 #: Canonical backend name per tier (what counters and ``--kernel`` use).
 TIER_BACKEND = {
     "reference": "python",
     "vectorized": "numpy",
-    "compiled": "numba",
 }
 
 #: Inverse: backend name -> tier.
@@ -41,125 +27,52 @@ BACKEND_TIER = {name: tier for tier, name in TIER_BACKEND.items()}
 
 
 class ResolvedOp:
-    """One op's resolved implementation: callable plus provenance.
+    """One op's implementation at one tier: the callable plus the
+    backend name the per-call instrumentation labels it with."""
 
-    ``fallback`` is True when ``used`` differs from the tier the caller
-    asked for — the per-call instrumentation uses it to feed the
-    ``kernel_fallbacks_total`` counter without re-deriving anything.
-    """
+    __slots__ = ("op", "impl", "used")
 
-    __slots__ = ("op", "impl", "requested", "used", "fallback")
-
-    def __init__(
-        self, op: str, impl: Callable, requested: str, used: str
-    ) -> None:
+    def __init__(self, op: str, impl: Callable, used: str) -> None:
         self.op = op
         self.impl = impl
-        self.requested = requested  # backend name, e.g. "numba"
-        self.used = used            # backend name actually implementing
-        self.fallback = requested != used
+        self.used = used  # backend name, e.g. "numpy"
 
 
 class KernelRegistry:
-    """Maps each kernel op to its per-tier implementations.
-
-    Backends register as objects exposing one method per op they
-    implement; a backend may cover only a subset of the op list (the
-    compiled tier, for instance, may omit an op on old numba versions)
-    and the per-op fallback chain fills the gaps.
-    """
+    """Maps each kernel op to its implementation at every tier."""
 
     def __init__(self, ops: tuple[str, ...]) -> None:
         self.ops = ops
         self._impls: dict[str, dict[str, Callable]] = {op: {} for op in ops}
-        self._backends: dict[str, object] = {}
-        #: (op, requested_backend, used_backend) -> resolution count.
-        self.fallbacks: dict[tuple[str, str, str], int] = {}
-        self._warned: set[tuple[str, str]] = set()
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
     def register(self, tier: str, backend: object) -> None:
-        """Bind every op method ``backend`` exposes under ``tier``."""
+        """Bind ``backend``'s method for every op under ``tier``.
+
+        A backend missing an op raises :class:`AttributeError` here, at
+        import time, rather than at some later call.
+        """
         if tier not in TIER_BACKEND:
             raise ValueError(
-                f"unknown kernel tier {tier!r}; choose from {TIER_ORDER}"
+                f"unknown kernel tier {tier!r}; choose from {tuple(TIER_BACKEND)}"
             )
-        self._backends[tier] = backend
-        table = {}
         for op in self.ops:
-            impl = getattr(backend, op, None)
-            if callable(impl):
-                table[op] = impl
-        for op, impl in table.items():
-            self._impls[op][tier] = impl
-
-    def backend(self, tier: str):
-        """The registered backend object for ``tier`` (None if absent)."""
-        return self._backends.get(tier)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def tiers(self) -> tuple[str, ...]:
-        """Registered tiers, in :data:`TIER_ORDER`."""
-        return tuple(t for t in TIER_ORDER if t in self._backends)
+            self._impls[op][tier] = getattr(backend, op)
 
     def backend_names(self) -> tuple[str, ...]:
-        """Canonical backend names with at least one registered op."""
-        return tuple(sorted(TIER_BACKEND[t] for t in self._backends))
-
-    def has(self, op: str, tier: str) -> bool:
-        return tier in self._impls.get(op, ())
+        """Canonical names of the registered backends, sorted."""
+        tiers = set().union(*self._impls.values())
+        return tuple(sorted(TIER_BACKEND[t] for t in tiers))
 
     def implementations(self, op: str) -> dict[str, Callable]:
         """Tier -> callable for one op (a copy)."""
         return dict(self._impls[op])
 
-    # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
     def resolve(self, op: str, tier: str) -> ResolvedOp:
-        """The implementation of ``op`` at ``tier``, falling back per op.
-
-        Walks the tier order starting at ``tier``; the reference tier is
-        always present, so resolution cannot fail for a known op.  Each
-        distinct degradation is warned once per process and tallied in
-        :attr:`fallbacks`.
-        """
+        """The implementation of ``op`` at ``tier``."""
         if op not in self._impls:
             raise KeyError(f"unknown kernel op {op!r}")
-        requested = TIER_BACKEND[tier]
-        start = TIER_ORDER.index(tier)
-        for candidate in TIER_ORDER[start:]:
-            impl = self._impls[op].get(candidate)
-            if impl is None:
-                continue
-            used = TIER_BACKEND[candidate]
-            resolved = ResolvedOp(op, impl, requested, used)
-            if resolved.fallback:
-                self._note_fallback(op, requested, used)
-            return resolved
-        raise RuntimeError(  # pragma: no cover - reference is always there
-            f"no implementation registered for kernel op {op!r}"
-        )
+        return ResolvedOp(op, self._impls[op][tier], TIER_BACKEND[tier])
 
     def resolve_all(self, tier: str) -> dict[str, ResolvedOp]:
         """Every op resolved at ``tier`` (the pinned-backend table)."""
         return {op: self.resolve(op, tier) for op in self.ops}
-
-    def _note_fallback(self, op: str, requested: str, used: str) -> None:
-        key = (op, requested, used)
-        self.fallbacks[key] = self.fallbacks.get(key, 0) + 1
-        warn_key = (requested, used)
-        if warn_key not in self._warned:
-            self._warned.add(warn_key)
-            warnings.warn(
-                f"kernel backend {requested!r} has no implementation for "
-                f"some ops (first: {op!r}); affected calls fall back to "
-                f"{used!r} per op — install the missing dependency to "
-                f"silence this (recorded in kernel_fallbacks_total)",
-                RuntimeWarning,
-                stacklevel=4,
-            )

@@ -77,13 +77,6 @@ class NumpyBackend:
         target = np.asarray(tuple(q), dtype=np.float64)
         return bool((array >= target).all(axis=1).any())
 
-    def weak_dominance_mask(self, points, q: Sequence[float]) -> np.ndarray:
-        array = _arr(points)
-        if not array.shape[0]:
-            return np.zeros(0, dtype=bool)
-        target = np.asarray(tuple(q), dtype=np.float64)
-        return (array >= target).all(axis=1)
-
     def strict_dominance_mask(self, points, q: Sequence[float]) -> np.ndarray:
         array = _arr(points)
         if not array.shape[0]:

@@ -2,7 +2,7 @@
 
 The model predicts wall-clock seconds for one query under one candidate
 configuration (algorithm, operator, shard count, partitioner, exec
-backend, kernel backend) from:
+backend) from:
 
 * a depth estimate ``D`` (:mod:`repro.plan.estimate` — the corner-model
   prediction of total pulls a serial operator needs),
@@ -57,6 +57,9 @@ OPERATOR_FACTORS: dict[str, tuple[float, float]] = {
 }
 DEFAULT_OPERATOR_FACTORS = (1.0, 1.2)
 
+#: Former :class:`CostCoefficients` fields; accepted and ignored on load.
+RETIRED_KEYS = frozenset({"kernel_pin_bulk_penalty", "kernel_pin_small_penalty"})
+
 
 @dataclass(frozen=True)
 class CostCoefficients:
@@ -75,13 +78,6 @@ class CostCoefficients:
     startup_serial: float = 2.0e-5     # one-time per-shard setup
     startup_thread: float = 3.0e-4
     startup_process: float = 4.0e-2
-    # Dispatch-aware kernel terms.  Since the "auto" kernel routes every
-    # call to the winning tier by batch size, only *pinned* backends pay
-    # a penalty: python on bulk inputs (no vectorization), vector tiers
-    # (numpy/numba) on tiny inputs (per-call broadcast overhead).  Auto
-    # rides the cheap side of both crossovers.
-    kernel_pin_bulk_penalty: float = 1.5   # pinned python, bulk inputs
-    kernel_pin_small_penalty: float = 1.05  # pinned numpy/numba, tiny inputs
     kernel_auto_bonus: float = 0.95        # small-batch early-exit win
     kernel_crossover: int = 2000       # input tuples where bulk effects win
     parallelism: int = 1               # usable cores for the process backend
@@ -100,27 +96,24 @@ class CostCoefficients:
             "process": self.startup_process,
         }.get(backend, self.startup_thread)
 
-    def kernel_factor(self, kernel: str | None, total_tuples: int) -> float:
-        """Relative per-pull cost of a kernel choice at this input scale.
+    def kernel_factor(self, total_tuples: int) -> float:
+        """Relative PBRJ per-pull cost at this input scale.
 
-        ``auto`` (and ``None``, which inherits it) models per-call
-        dispatch: the lower envelope of the pinned factors on both sides
-        of the crossover.
+        Below the crossover every kernel call stays on the early-exit
+        reference loops under per-call dispatch, which makes a pull
+        cheaper.
         """
-        small = total_tuples <= self.kernel_crossover
-        if kernel in (None, "auto"):
-            return self.kernel_auto_bonus if small else 1.0
-        if kernel == "python":
-            return (
-                self.kernel_auto_bonus if small else self.kernel_pin_bulk_penalty
-            )
-        return self.kernel_pin_small_penalty if small else 1.0
+        if total_tuples <= self.kernel_crossover:
+            return self.kernel_auto_bonus
+        return 1.0
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CostCoefficients":
+        # Files written by an older to_dict() carry the retired keys.
+        payload = {k: v for k, v in payload.items() if k not in RETIRED_KEYS}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -210,7 +203,6 @@ class PlanCandidate:
     shards: int
     partitioner: str
     backend: str
-    kernel: str
 
     def label(self) -> str:
         if self.algorithm == "anyk" and self.shards == 1:
@@ -218,8 +210,6 @@ class PlanCandidate:
         parts = [f"{self.algorithm}/{self.operator}"]
         if self.shards > 1:
             parts.append(f"x{self.shards} {self.partitioner}/{self.backend}")
-        if self.kernel != "auto":
-            parts.append(f"kernel={self.kernel}")
         return " ".join(parts)
 
 
@@ -250,7 +240,7 @@ def score_pbrj_candidate(
     pull_cost = (
         coeffs.pull_pbrj
         * pull_factor
-        * coeffs.kernel_factor(candidate.kernel, total_tuples)
+        * coeffs.kernel_factor(total_tuples)
     )
     gamma = coeffs.cover_exponent
     live = [s for s in shares if s > 0] or [1.0]

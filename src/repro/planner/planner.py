@@ -51,17 +51,13 @@ class PlannerConfig:
     The default backend list excludes ``process``: per-shard fork startup
     only pays off with real multi-core parallelism, and a user can always
     pin ``exec_backend="process"`` to force it into the candidate set.
-    The default kernel list is ``("auto",)`` because size-aware per-call
-    dispatch is the lower envelope of every pinned backend in the cost
-    model (``CostCoefficients.kernel_factor``) — a pinned kernel can
-    never beat it, so enumerating pins only makes sense when a user adds
-    them here explicitly to compare.
+    The kernel is not an axis: selection is process-wide
+    (:func:`repro.kernels.set_backend`), never part of a plan.
     """
 
     shard_choices: tuple[int, ...] = (1, 2, 4, 8)
     backends: tuple[str, ...] = ("serial", "thread")
     operators: tuple[str, ...] = ("HRJN*", "FRPA")
-    kernels: tuple[str, ...] = ("auto",)
     include_anyk: bool = True
     samples: int = 800
     seed: int = 0
@@ -98,10 +94,6 @@ class PlanDecision:
     @property
     def backend(self) -> str:
         return self.chosen.candidate.backend
-
-    @property
-    def kernel(self) -> str:
-        return self.chosen.candidate.kernel
 
     def summary(self) -> str:
         return self.chosen.candidate.label()
@@ -166,7 +158,6 @@ class Planner:
         operator: str | None = None,
         exec_backend: str | None = None,
         partitioner: str | None = None,
-        kernel: str | None = None,
         join_attrs: tuple[str, ...] = (),
     ) -> PlanDecision:
         """Choose a plan; any non-``auto``/non-``None`` axis is pinned."""
@@ -184,7 +175,6 @@ class Planner:
                 relations, k, scoring,
                 algorithm=algorithm, shards=shards, operator=operator,
                 exec_backend=exec_backend, partitioner=partitioner,
-                kernel=kernel,
             )
         else:
             decision = self._plan_multiway(
@@ -220,7 +210,6 @@ class Planner:
         operator: str | None,
         exec_backend: str | None,
         partitioner: str | None,
-        kernel: str | None,
     ) -> PlanDecision:
         left, right = relations
         profile = collect_join_stats(left, right)
@@ -238,7 +227,6 @@ class Planner:
         else:
             shard_options = (int(shards),)
         operators = (operator,) if operator else config.operators
-        kernels = (kernel,) if kernel else config.kernels
 
         shares_cache: dict[tuple[int, str], tuple[float, ...]] = {}
 
@@ -276,30 +264,27 @@ class Planner:
                                 shards=shard_count,
                                 partitioner=part,
                                 backend=backend,
-                                kernel="auto",
                             )
                             candidates.append(score_anyk_candidate(
                                 candidate, coeffs=coeffs,
                                 total_tuples=total_tuples, k=k, shares=shares,
                                 join_size=float(profile.join_size),
                             ))
-                            break  # kernel axis does not apply to any-k
-                        for kern in kernels:
-                            for op_name in operators:
-                                candidates.append(score_pbrj_candidate(
-                                    PlanCandidate(
-                                        algorithm="pbrj",
-                                        operator=op_name,
-                                        shards=shard_count,
-                                        partitioner=part,
-                                        backend=backend,
-                                        kernel=kern or "auto",
-                                    ),
-                                    coeffs=coeffs,
-                                    depth=depth.sum_depths,
-                                    total_tuples=total_tuples,
-                                    shares=shares,
-                                ))
+                            break  # one any-k candidate per (shards, partitioner)
+                        for op_name in operators:
+                            candidates.append(score_pbrj_candidate(
+                                PlanCandidate(
+                                    algorithm="pbrj",
+                                    operator=op_name,
+                                    shards=shard_count,
+                                    partitioner=part,
+                                    backend=backend,
+                                ),
+                                coeffs=coeffs,
+                                depth=depth.sum_depths,
+                                total_tuples=total_tuples,
+                                shares=shares,
+                            ))
         return self._decide(
             candidates,
             join_size=float(profile.join_size),
@@ -338,7 +323,7 @@ class Planner:
             candidates.append(score_multiway_pbrj(
                 PlanCandidate(
                     algorithm="pbrj", operator="HRJN*", shards=1,
-                    partitioner="hash", backend="serial", kernel="auto",
+                    partitioner="hash", backend="serial",
                 ),
                 coeffs=coeffs, depth=float(sum_depths), arity=len(relations),
             ))
@@ -346,7 +331,7 @@ class Planner:
             candidates.append(score_anyk_candidate(
                 PlanCandidate(
                     algorithm="anyk", operator=ANYK_OPERATOR, shards=1,
-                    partitioner="hash", backend="serial", kernel="auto",
+                    partitioner="hash", backend="serial",
                 ),
                 coeffs=coeffs, total_tuples=total_tuples, k=k,
             ))

@@ -61,6 +61,11 @@ def scoring_fingerprint(scoring: ScoringFunction) -> str:
 class QuerySpec:
     """One top-K rank join query over shared relations.
 
+    A spec carries no kernel selection: that is process-wide
+    (:func:`repro.kernels.set_backend`), and both kernel tiers — and
+    size-aware dispatch across them — are bit-identical by contract, so
+    a cached answer is valid whatever kernel computed it.
+
     Parameters
     ----------
     relations:
@@ -102,13 +107,6 @@ class QuerySpec:
         ``"hash"`` (default) or ``"skew"`` — the partition plan for
         sharded execution.  Excluded from the fingerprint: the merge gate
         makes the emission order partition-independent (test-enforced).
-    kernel:
-        Optional kernel override for this query's execution (``"auto"``
-        per-call dispatch, or a pinned ``python``/``numpy``/``numba``;
-        ``None`` inherits the process default).  Fingerprint-excluded:
-        every tier — and size-aware dispatch across them — is
-        bit-identical by contract, so a pinned run warms the result
-        cache for an auto run and vice versa (test-enforced).
     adaptive:
         Optional :class:`repro.planner.AdaptiveConfig` enabling online
         re-sharding for sharded execution.  Planner-resolved sharded
@@ -126,7 +124,6 @@ class QuerySpec:
     exec_backend: str = "thread"
     resilience: object | None = None
     partitioner: str = "hash"
-    kernel: str | None = None
     adaptive: object | None = None
 
     def __post_init__(self) -> None:
@@ -247,7 +244,6 @@ class QuerySpec:
             shards=decision.shards,
             exec_backend=(decision.backend if sharded else self.exec_backend),
             partitioner=(decision.partitioner if sharded else "hash"),
-            kernel=(decision.kernel if decision.kernel != "auto" else self.kernel),
             resilience=(self.resilience if sharded else None),
             adaptive=(
                 (self.adaptive or AdaptiveConfig()) if sharded else None
@@ -354,7 +350,6 @@ class QuerySpec:
                 shards=self.shards,
                 backend=self.exec_backend,
                 partitioner=self.partitioner,
-                kernel=self.kernel,
                 resilience=self.resilience,
             )
             if self.adaptive is not None:
@@ -377,12 +372,6 @@ class QuerySpec:
                 obs=obs,
                 trace=trace,
             )
-        if self.kernel is not None:
-            # Same process-wide semantics as the sharded engine's kernel
-            # override (repro.kernels is a module-level switch).
-            from repro import kernels
-
-            kernels.set_backend(self.kernel)
         return make_operator(self.operator, instance, obs=obs)
 
     def describe(self) -> str:

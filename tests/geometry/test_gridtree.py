@@ -16,27 +16,15 @@ from hypothesis import strategies as st
 from repro.geometry.dominance import dominates
 from repro.geometry.gridtree import GridTree, _partial_deltas
 from repro.geometry.skyline import is_skyline
-from repro.kernels import HAS_NUMBA, use_backend
-from repro.kernels.pointset import HAS_NUMPY
+from repro.kernels import use_backend
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 vec2 = st.tuples(unit, unit)
 vec3 = st.tuples(unit, unit, unit)
 
-#: Every kernel the grid tree must behave identically under: the three
+#: Every kernel the grid tree must behave identically under: the two
 #: implementation tiers plus size-aware per-call dispatch.
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy"),
-    ),
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(not HAS_NUMBA, reason="requires numba"),
-    ),
-    "auto",
-]
+BACKENDS = ["python", "numpy", "auto"]
 
 
 class TestConstruction:

@@ -2,19 +2,17 @@
 
 Covers the three pillars of the dispatch layer:
 
-* :class:`~repro.kernels.registry.KernelRegistry` — per-op registration
-  and *per-op* fallback (a missing tier degrades one op at a time,
-  warned once, tallied — never a silent process-wide flip);
+* :class:`~repro.kernels.registry.KernelRegistry` — the two-tier
+  contract: every op has exactly a reference and a vectorized
+  implementation, so resolution is a lookup with nothing to fall back to;
 * :mod:`repro.kernels.dispatch` — threshold resolution (explicit >
-  env file > cache > calibration > defaults), sizers, and the
-  auto/pinned dispatcher routing semantics;
+  cache > calibration > defaults), sizers, and the auto/pinned
+  dispatcher routing semantics;
 * the obs contract — ``kernel_calls_total`` labels the backend the
-  dispatcher *chose* per call, ``kernel_fallbacks_total`` records
-  degradations.
+  dispatcher *chose* per call.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -26,11 +24,24 @@ from repro.kernels.dispatch import (
     AutoDispatcher,
     PinnedDispatcher,
 )
-from repro.kernels.pointset import HAS_NUMPY
 from repro.kernels.registry import KernelRegistry
 from repro.obs.metrics import MetricRegistry
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+#: The auto route table under the shipped defaults (``set_thresholds({})``),
+#: copied out by hand: a retune of ``DEFAULT_THRESHOLDS`` must fail a test
+#: (the benchmark pins these routes, so its call counts depend on them).
+SHIPPED_ROUTES = {
+    "dominates_any": [(512, "numpy"), (0, "python")],
+    "strict_dominance_mask": [(64, "numpy"), (0, "python")],
+    "skyline_filter": [(0, "python")],
+    "cover_corner_scores": [(32, "numpy"), (0, "python")],
+    "max_corner_score": [(32, "numpy"), (0, "python")],
+    "cross_product_max": [(256, "numpy"), (0, "python")],
+    "cover_carve": [(128, "numpy"), (0, "python")],
+    "grid_cell_assign": [(64, "numpy"), (0, "python")],
+    "antichain": [(0, "python")],
+    "grid_carve": [(128, "numpy"), (0, "python")],
+}
 
 
 @pytest.fixture(autouse=True)
@@ -50,73 +61,40 @@ def _points(n, e=2):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-class _PartialCompiled:
-    """A fake compiled tier implementing exactly one op."""
-
-    name = "numba"
-
-    def dominates_any(self, points, q):
-        return True  # sentinel: proves this impl was selected
-
-
-def _partial_registry():
-    from repro.kernels.reference import ReferenceBackend
-
-    registry = KernelRegistry(kernels.KERNEL_OPS)
-    registry.register("reference", ReferenceBackend())
-    registry.register("compiled", _PartialCompiled())
-    return registry
-
-
 class TestKernelRegistry:
+    def test_every_op_has_exactly_two_tiers(self):
+        for op in kernels.KERNEL_OPS:
+            assert set(kernels.REGISTRY.implementations(op)) == {
+                "reference", "vectorized",
+            }
+
     def test_resolve_requested_tier(self):
-        registry = _partial_registry()
-        resolved = registry.resolve("dominates_any", "compiled")
-        assert (resolved.requested, resolved.used) == ("numba", "numba")
-        assert not resolved.fallback
-        assert resolved.impl([(0.0,)], (1.0,)) is True
-
-    def test_per_op_fallback_walks_tier_order(self):
-        registry = _partial_registry()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            resolved = registry.resolve("skyline_filter", "compiled")
-        assert resolved.fallback
-        assert (resolved.requested, resolved.used) == ("numba", "python")
-        assert registry.fallbacks[("skyline_filter", "numba", "python")] == 1
-
-    def test_fallback_warns_once_per_pair(self):
-        registry = _partial_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            registry.resolve("skyline_filter", "compiled")
-            registry.resolve("antichain", "compiled")
-        fallback_warnings = [
-            w for w in caught if "kernel_fallbacks_total" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1
-        # ... but every degradation is tallied individually.
-        assert ("antichain", "numba", "python") in registry.fallbacks
+        resolved = kernels.REGISTRY.resolve("dominates_any", "reference")
+        assert (resolved.op, resolved.used) == ("dominates_any", "python")
+        assert resolved.impl([(0.9, 0.9)], (0.5, 0.5)) is True
+        assert kernels.REGISTRY.resolve(
+            "dominates_any", "vectorized"
+        ).used == "numpy"
 
     def test_resolve_all_covers_every_op(self):
-        registry = _partial_registry()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            table = registry.resolve_all("compiled")
+        table = kernels.REGISTRY.resolve_all("vectorized")
         assert set(table) == set(kernels.KERNEL_OPS)
-        assert not table["dominates_any"].fallback
-        assert table["cover_carve"].fallback
+        assert {resolved.used for resolved in table.values()} == {"numpy"}
 
     def test_unknown_op_and_tier_rejected(self):
-        registry = _partial_registry()
         with pytest.raises(KeyError, match="unknown kernel op"):
-            registry.resolve("transmogrify", "reference")
+            kernels.REGISTRY.resolve("transmogrify", "reference")
+        registry = KernelRegistry(kernels.KERNEL_OPS)
         with pytest.raises(ValueError, match="unknown kernel tier"):
             registry.register("gpu", object())
+        # No fallback chain: a backend must implement every op.
+        with pytest.raises(AttributeError):
+            registry.register("vectorized", object())
 
     def test_backend_names(self):
-        assert "python" in kernels.REGISTRY.backend_names()
-        assert ("numpy" in kernels.REGISTRY.backend_names()) == HAS_NUMPY
+        assert kernels.REGISTRY.backend_names() == ("numpy", "python")
+        assert kernels.available_backends() == ("numpy", "python")
+        assert kernels.BACKEND_CHOICES == ("auto", "numpy", "python")
 
 
 # ----------------------------------------------------------------------
@@ -142,14 +120,85 @@ class TestThresholds:
         assert "gpu" not in table["antichain"]
         assert table["antichain"]["numpy"] == 5
 
+    def test_precedence_explicit_cache_calibration_defaults(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        calls = []
+
+        def fake_calibrate(registry, **kwargs):
+            calls.append(1)
+            return {"dominates_any": {"numpy": 77}}
+
+        monkeypatch.setattr(dispatch, "calibrate", fake_calibrate)
+        # No cache: calibration runs once, is memoised on disk, and
+        # cells it does not name keep the shipped defaults.
+        dispatch.reset()
+        table = kernels.dispatch_thresholds()
+        assert table["dominates_any"]["numpy"] == 77
+        assert table["cover_carve"] == dispatch.DEFAULT_THRESHOLDS["cover_carve"]
+        assert calls == [1] and dispatch._cache_path().exists()
+        # Cache beats calibration: a fresh resolution measures nothing.
+        dispatch._store_cache(
+            kernels.REGISTRY, {"dominates_any": {"numpy": 42}}
+        )
+        dispatch.reset()
+        assert kernels.dispatch_thresholds()["dominates_any"]["numpy"] == 42
+        assert calls == [1]
+        # Explicit beats the cache.
+        dispatch.set_thresholds({"dominates_any": {"numpy": 7}})
+        assert kernels.dispatch_thresholds()["dominates_any"]["numpy"] == 7
+
     def test_env_file_override(self, tmp_path, monkeypatch):
+        # The env-file level is retired: the variable is inert, for the
+        # dispatcher and for ReproConfig.from_env() alike.
         path = tmp_path / "thresholds.json"
         path.write_text(json.dumps(
             {"thresholds": {"skyline_filter": {"numpy": 3}}}
         ))
-        monkeypatch.setenv(dispatch.ENV_VAR, str(path))
+        monkeypatch.setenv("REPRO_KERNEL_THRESHOLDS", str(path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(dispatch, "calibrate", lambda registry, **kw: {})
         dispatch.reset()
-        assert kernels.dispatch_thresholds()["skyline_filter"]["numpy"] == 3
+        assert kernels.dispatch_thresholds()["skyline_filter"]["numpy"] == NEVER
+        assert ReproConfig.from_env().kernel_thresholds is None
+
+    def test_shipped_route_table_literal(self):
+        dispatch.set_thresholds({})
+        assert kernels.dispatch_routes() == SHIPPED_ROUTES
+
+    def test_retired_numba_cells_ignored(self, tmp_path, monkeypatch):
+        cells = {"dominates_any": {"numpy": 11, "numba": 48},
+                 "weak_dominance_mask": {"numpy": 64, "numba": 32}}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"thresholds": cells}))
+        assert dispatch.load_thresholds_file(path)["dominates_any"] == {
+            "numpy": 11,
+        }
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        dispatch._store_cache(kernels.REGISTRY, cells)
+        cached = dispatch._load_cache(kernels.REGISTRY)
+        assert cached["dominates_any"] == {"numpy": 11}
+        assert set(cached) == set(kernels.KERNEL_OPS)
+
+    def test_cache_naming_numba_is_stale_and_recalibrates(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        dispatch._store_cache(
+            kernels.REGISTRY, {"dominates_any": {"numpy": 42, "numba": 48}}
+        )
+        payload = json.loads(dispatch._cache_path().read_text())
+        payload["meta"]["backends"] = ["numba", "numpy", "python"]
+        dispatch._cache_path().write_text(json.dumps(payload))
+        monkeypatch.setattr(
+            dispatch, "calibrate",
+            lambda registry, **kwargs: {"dominates_any": {"numpy": 9}},
+        )
+        dispatch.reset()
+        assert kernels.dispatch_thresholds()["dominates_any"] == {"numpy": 9}
+        rewritten = json.loads(dispatch._cache_path().read_text())
+        assert rewritten["meta"]["backends"] == ["numpy", "python"]
 
     def test_load_thresholds_file_bare_mapping(self, tmp_path):
         path = tmp_path / "bare.json"
@@ -170,14 +219,12 @@ class TestThresholds:
         dispatch._cache_path().write_text(json.dumps(payload))
         assert dispatch._load_cache(registry) is None
 
-    @needs_numpy
     def test_calibrate_measures_every_op(self):
         measured = dispatch.calibrate(kernels.REGISTRY, budget=1.0)
         assert set(measured) == set(kernels.KERNEL_OPS)
         for table in measured.values():
             assert all(isinstance(v, int) and v >= 1 for v in table.values())
 
-    @needs_numpy
     def test_calibrate_respects_budget(self):
         # A zero budget measures nothing (every op keeps its defaults).
         assert dispatch.calibrate(kernels.REGISTRY, budget=0.0) == {}
@@ -186,7 +233,6 @@ class TestThresholds:
 # ----------------------------------------------------------------------
 # Dispatcher routing
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestAutoDispatcher:
     def test_small_batches_stay_on_reference(self):
         dispatch.set_thresholds({"cover_corner_scores": {"numpy": 100}})
@@ -247,7 +293,6 @@ class TestPinnedDispatcher:
             "cover_corner_scores", (_points(100_000),)
         ).used == "python"
 
-    @needs_numpy
     def test_numpy_pin_ignores_batch_size(self):
         dispatcher = PinnedDispatcher(kernels.REGISTRY, "numpy")
         assert dispatcher.select(
@@ -256,9 +301,8 @@ class TestPinnedDispatcher:
 
 
 # ----------------------------------------------------------------------
-# Observability: chosen-backend counters and fallback counters
+# Observability: chosen-backend counters
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestDispatchObservability:
     def test_calls_counted_under_chosen_backend(self):
         dispatch.set_thresholds({"cover_corner_scores": {"numpy": 100}})
@@ -273,25 +317,6 @@ class TestDispatchObservability:
         assert metrics.value(
             "kernel_calls_total", kernel="numpy", fn="cover_corner_scores"
         ) == 1
-
-    def test_fallback_counter_on_degraded_pin(self):
-        if kernels.HAS_NUMBA:
-            pytest.skip("needs a missing compiled tier to degrade")
-        metrics = MetricRegistry()
-        kernels.observe(metrics)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with kernels.use_backend("numba"):
-                kernels.dominates_any(_points(4), (0.5, 0.5))
-                kernels.dominates_any(_points(4), (0.5, 0.5))
-        assert metrics.value(
-            "kernel_fallbacks_total",
-            fn="dominates_any", requested="numba", used="numpy",
-        ) == 2
-        # Calls are counted under the backend that actually computed.
-        assert metrics.value(
-            "kernel_calls_total", kernel="numpy", fn="dominates_any"
-        ) == 2
 
     def test_unobserve_detaches(self):
         metrics = MetricRegistry()
@@ -308,8 +333,9 @@ class TestDispatchObservability:
 # Config wiring
 # ----------------------------------------------------------------------
 class TestConfigWiring:
-    def test_numba_is_a_valid_config_kernel(self):
-        assert ReproConfig(kernel="numba").kernel == "numba"
+    def test_numba_is_not_a_config_kernel(self):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            ReproConfig(kernel="numba")
 
     def test_kernel_thresholds_file_applied(self, tmp_path):
         path = tmp_path / "thr.json"
@@ -317,9 +343,3 @@ class TestConfigWiring:
         config = ReproConfig(kernel="auto", kernel_thresholds=str(path))
         assert config.apply() == "auto"
         assert kernels.dispatch_thresholds()["grid_carve"]["numpy"] == 13
-
-    def test_from_env_reads_thresholds_var(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "/tmp/some-thresholds.json")
-        assert ReproConfig.from_env().kernel_thresholds == (
-            "/tmp/some-thresholds.json"
-        )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kernels import PointSet
-from repro.kernels.pointset import HAS_NUMPY
 
 
 class TestConstruction:
@@ -60,7 +59,6 @@ class TestMutation:
         ps.replace(source)
         assert ps.tuples() == [(0.5, 0.5)]
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
     def test_replace_from_array_copies(self):
         import numpy as np
 
@@ -140,13 +138,11 @@ class TestViews:
         assert [0.1, 0.2] in ps  # as_point normalization
         assert (0.9, 0.9) not in ps
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
     def test_array_view_matches_tuples(self):
         ps = PointSet(2, [(0.1, 0.2), (0.3, 0.4)])
         assert ps.array.shape == (2, 2)
         assert [tuple(row) for row in ps.array.tolist()] == ps.tuples()
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
     def test_array_on_dimensionless_empty(self):
         assert PointSet().array.shape == (0, 0)
 

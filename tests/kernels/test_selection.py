@@ -1,4 +1,5 @@
-"""Backend selection: precedence, fallback, env var, config, CLI, exec."""
+"""Backend selection: process-wide only — precedence, env var, config,
+CLI, and the guarantee that running a query never re-pins the process."""
 
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import pytest
 
 from repro import kernels
 from repro.config import ReproConfig
-from repro.errors import InstanceError
-from repro.exec import ExecConfig
-from repro.kernels.pointset import HAS_NUMPY
+from repro.data.workload import random_instance
+from repro.exec import ExecConfig, ShardedRankJoin
+from repro.service import QuerySpec
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -29,7 +30,6 @@ class TestSetBackend:
         assert kernels.kernel_name() == "python"
         assert kernels.get_backend().name == "python"
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
     def test_explicit_numpy(self):
         assert kernels.set_backend("numpy") == "numpy"
 
@@ -43,7 +43,6 @@ class TestSetBackend:
         for entries in routes.values():
             assert entries[-1] == (0, "python")  # reference anchors each op
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
     def test_auto_routes_by_batch_size(self):
         with kernels.use_backend("auto"):
             dispatcher = kernels.get_backend()
@@ -51,18 +50,7 @@ class TestSetBackend:
             assert small.used == "python"
             bulk = [(i / 70000, 1 - i / 70000) for i in range(50_000)]
             large = dispatcher.select("cover_corner_scores", (bulk,))
-            assert large.used in ("numpy", "numba")
-
-    def test_pinned_numba_keeps_its_name(self):
-        # A pinned name never silently renames itself; missing tiers
-        # degrade per op (warned once, tallied) instead.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert kernels.set_backend("numba") == "numba"
-            assert kernels.kernel_name() == "numba"
-            assert kernels.dominates_any([(0.9, 0.9)], (0.5, 0.5)) is True
+            assert large.used == "numpy"
 
     def test_none_means_auto(self):
         assert kernels.set_backend(None) == kernels.set_backend("auto")
@@ -73,11 +61,12 @@ class TestSetBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.set_backend("fortran")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernels.set_backend("numba")  # retired tier
+        assert kernels.kernel_name() != "numba"
 
     def test_available_backends(self):
-        names = kernels.available_backends()
-        assert "python" in names
-        assert ("numpy" in names) == HAS_NUMPY
+        assert kernels.available_backends() == ("numpy", "python")
 
 
 class TestUseBackend:
@@ -119,6 +108,12 @@ class TestEnvVar:
         assert proc.stdout.strip() == "auto"
         assert "REPRO_KERNEL" in proc.stderr  # RuntimeWarning mentions the var
 
+    def test_retired_numba_env_warns_once_and_falls_back_to_auto(self):
+        proc = self._probe("numba")
+        assert proc.stdout.strip() == "auto"
+        assert proc.stderr.count("RuntimeWarning") == 1
+        assert "REPRO_KERNEL='numba'" in proc.stderr
+
 
 class TestReproConfig:
     def test_apply_sets_backend(self):
@@ -138,27 +133,78 @@ class TestReproConfig:
         assert ReproConfig.current().kernel == "python"
 
 
+def _instance():
+    return random_instance(
+        n_left=60, n_right=60, e_left=2, e_right=2,
+        num_keys=10, k=3, seed=7,
+    )
+
+
 class TestExecConfig:
     def test_kernel_field_validated(self):
-        with pytest.raises(InstanceError, match="unknown kernel"):
-            ExecConfig(kernel="fortran")
+        # The config carries no kernel; the name is validated where it
+        # is selected.
+        with pytest.raises(TypeError):
+            ExecConfig(kernel="python")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            with kernels.use_backend("fortran"):
+                pass
 
     def test_kernel_default_inherits(self):
-        assert ExecConfig().kernel is None
+        kernels.set_backend("numpy")
+        config = ExecConfig(shards=2, backend="serial")
+        with ShardedRankJoin(_instance(), "FRPA", config=config) as engine:
+            engine.top_k(3)
+            assert engine.snapshot()["config"]["kernel"] == "numpy"
 
     def test_engine_applies_kernel(self):
-        from repro.data.workload import random_instance
-        from repro.exec import ShardedRankJoin
+        config = ExecConfig(shards=2, backend="serial")
+        kernels.set_backend("numpy")
+        with kernels.use_backend("python"):
+            with ShardedRankJoin(_instance(), "FRPA", config=config) as engine:
+                engine.top_k(3)
+                assert kernels.kernel_name() == "python"
+                assert engine.snapshot()["config"]["kernel"] == "python"
+        assert kernels.kernel_name() == "numpy"
 
-        instance = random_instance(
-            n_left=60, n_right=60, e_left=2, e_right=2,
-            num_keys=10, k=3, seed=7,
-        )
-        config = ExecConfig(shards=2, backend="serial", kernel="python")
+
+class TestSelectionDoesNotLeak:
+    """Running a query leaves the process-wide selection untouched."""
+
+    @pytest.mark.parametrize("active", ["auto", "numpy", "python"])
+    def test_queries_and_engines_leave_selection_alone(self, active):
+        instance = _instance()
+        kernels.set_backend(active)
+        routes = kernels.dispatch_routes()
+
+        def unchanged():
+            return (kernels.kernel_name() == active
+                    and kernels.dispatch_routes() == routes)
+
+        for shards in (1, 2):
+            spec = QuerySpec(
+                relations=(instance.left, instance.right), k=3,
+                shards=shards, exec_backend="serial",
+            )
+            operator = spec.build_operator()
+            try:
+                operator.top_k(3)
+            finally:
+                close = getattr(operator, "close", None)
+                if close is not None:
+                    close()
+            assert unchanged()
+        config = ExecConfig(shards=2, backend="serial")
         with ShardedRankJoin(instance, "FRPA", config=config) as engine:
             engine.top_k(3)
-            assert kernels.kernel_name() == "python"
-            assert engine.snapshot()["config"]["kernel"] == "python"
+        assert unchanged()
+
+    def test_query_spec_has_no_kernel_field(self):
+        instance = _instance()
+        with pytest.raises(TypeError):
+            QuerySpec(
+                relations=(instance.left, instance.right), k=3, kernel="python"
+            )
 
 
 class TestCli:
@@ -173,10 +219,27 @@ class TestCli:
         assert "kernel=python" in out
         assert kernels.kernel_name() == "python"
 
+    def test_retired_numba_flag_exits_2_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "FRPA", "--kernel", "numba"],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 2
+        assert "invalid choice: 'numba'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_info_lists_backends(self, capsys):
         from repro.__main__ import main
 
-        assert main(["info"]) == 0
+        with kernels.use_backend("auto"):  # the route table prints under auto
+            assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "kernels" in out
-        assert "python" in out
+        assert "kernels   : numpy, python" in out
+        # The printed route table names only the two tiers.
+        routed = {
+            entry.split(":")[1].strip(",")
+            for line in out.splitlines() if line.startswith("  ")
+            for entry in line.split()[1:]
+        }
+        assert routed == {"numpy", "python"}

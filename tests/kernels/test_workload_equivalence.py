@@ -4,9 +4,9 @@
 For each of the four seed workloads (tpch / zipf / uniform /
 anticorrelated — see tests/exec/conftest.py) the FR-family operators must
 produce an identical top-K (scores AND emission order) and identical
-sumDepths under the ``python``, ``numpy`` and — when installed —
-``numba`` kernels, and under size-aware ``auto`` dispatch (whose per-call
-tier choices must be invisible in the results).  This is the strongest
+sumDepths under the ``python`` and ``numpy`` kernels, and under
+size-aware ``auto`` dispatch (whose per-call tier choices must be
+invisible in the results).  This is the strongest
 form of the bit-identity claim: a single float divergence anywhere in the
 bound pipeline changes a stopping decision and shows up here as a depth
 mismatch.
@@ -15,14 +15,9 @@ mismatch.
 import pytest
 
 from repro.core.operators import make_operator
-from repro.kernels import HAS_NUMBA, use_backend
-from repro.kernels.pointset import HAS_NUMPY
+from repro.kernels import use_backend
 
 from tests.exec.conftest import WORKLOAD_BUILDERS
-
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="equivalence needs the vectorized tier installed"
-)
 
 #: FR-family operators exercising corner, FR* and adaptive aFR bounds.
 #: (PBRJ_FR^RR re-skylines the full seen set per pull — too slow for the
@@ -31,7 +26,7 @@ pytestmark = pytest.mark.skipif(
 OPERATORS_UNDER_TEST = ("HRJN*", "FRPA", "a-FRPA")
 
 #: Kernels compared against the "python" reference.
-COMPARE = ("numpy",) + (("numba",) if HAS_NUMBA else ()) + ("auto",)
+COMPARE = ("numpy", "auto")
 
 
 def _run(workload_name, operator_name, backend):

@@ -21,7 +21,7 @@ COEFFS = CostCoefficients()
 def pbrj_candidate(**overrides) -> PlanCandidate:
     base = dict(
         algorithm="pbrj", operator="HRJN*", shards=1,
-        partitioner="hash", backend="serial", kernel="auto",
+        partitioner="hash", backend="serial",
     )
     base.update(overrides)
     return PlanCandidate(**base)
@@ -46,25 +46,33 @@ class TestCoefficients:
         assert COEFFS.startup("process") > COEFFS.startup("thread")
 
     def test_kernel_factor_crossover(self):
-        assert COEFFS.kernel_factor("numpy", 10_000) == 1.0
-        assert COEFFS.kernel_factor("python", 100) < 1.0
-        assert COEFFS.kernel_factor("python", 100_000) > 1.0
+        assert COEFFS.kernel_factor(COEFFS.kernel_crossover) == (
+            COEFFS.kernel_auto_bonus
+        )
+        assert COEFFS.kernel_factor(100) < 1.0
+        assert COEFFS.kernel_factor(100_000) == 1.0
 
     def test_kernel_factor_auto_is_lower_envelope(self):
-        # Per-call dispatch rides the winning tier on both sides of the
-        # crossover, so auto is never beaten by any pinned backend.
-        for size in (100, 100_000):
-            auto = COEFFS.kernel_factor("auto", size)
-            assert auto == COEFFS.kernel_factor(None, size)
-            for pinned in ("python", "numpy", "numba"):
-                assert auto <= COEFFS.kernel_factor(pinned, size)
+        # The factor models per-call dispatch only (the kernel is not a
+        # plan axis): it rides the winning tier on both sides of the
+        # crossover, so it never exceeds the neutral bulk cost.
+        for size in (0, 100, 100_000):
+            assert COEFFS.kernel_factor(size) <= 1.0
 
     def test_kernel_factor_pinned_penalties(self):
-        # Pinned vector tiers pay per-call overhead on tiny batches;
-        # pinned python pays the no-vectorization tax on bulk.
-        assert COEFFS.kernel_factor("numpy", 100) > 1.0
-        assert COEFFS.kernel_factor("numba", 100) > 1.0
-        assert COEFFS.kernel_factor("numba", 100_000) == 1.0
+        # The pinned-kernel penalties went with the planner's kernel
+        # axis, but a coefficients file written by an older to_dict()
+        # still carries them: it loads with those two keys ignored,
+        # while any other unknown key still raises.
+        old = dict(
+            CostCoefficients(pull_pbrj=1e-6).to_dict(),
+            kernel_pin_bulk_penalty=1.5, kernel_pin_small_penalty=1.05,
+        )
+        loaded = CostCoefficients.from_dict(old)
+        assert loaded == CostCoefficients(pull_pbrj=1e-6)
+        assert not hasattr(loaded, "kernel_pin_bulk_penalty")
+        with pytest.raises(ValueError, match="kernel_pin_tiny_penalty"):
+            CostCoefficients.from_dict(dict(old, kernel_pin_tiny_penalty=1.0))
 
     def test_env_file_resolution(self, tmp_path, monkeypatch):
         path = tmp_path / "coeffs.json"
@@ -166,7 +174,7 @@ class TestAnykScoring:
     def test_linear_in_input(self):
         candidate = PlanCandidate(
             algorithm="anyk", operator="AnyK", shards=1,
-            partitioner="hash", backend="serial", kernel="auto",
+            partitioner="hash", backend="serial",
         )
         small = score_anyk_candidate(candidate, coeffs=COEFFS, total_tuples=1_000, k=10)
         large = score_anyk_candidate(candidate, coeffs=COEFFS, total_tuples=10_000, k=10)
@@ -177,12 +185,12 @@ class TestAnykScoring:
     def test_label(self):
         candidate = PlanCandidate(
             algorithm="anyk", operator="AnyK", shards=1,
-            partitioner="hash", backend="serial", kernel="auto",
+            partitioner="hash", backend="serial",
         )
         assert candidate.label() == "anyk"
         sharded = PlanCandidate(
             algorithm="pbrj", operator="FRPA", shards=4,
-            partitioner="skew", backend="thread", kernel="auto",
+            partitioner="skew", backend="thread",
         )
         assert sharded.label() == "pbrj/FRPA x4 skew/thread"
 

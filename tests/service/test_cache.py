@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import kernels
 from repro.obs import Observability
 from repro.relation import Relation
 from repro.service import QueryService, QuerySpec, ResultCache, SessionState
@@ -277,9 +278,9 @@ class TestPlanAwareCacheKeys:
 
     A pinned :class:`QuerySpec` and an ``auto`` spec the planner resolves
     to the same plan must hit the same :class:`ResultCache` entry — in
-    both directions.  Likewise a kernel pin: every kernel tier (and
-    size-aware ``auto`` dispatch) is bit-identical by contract, so the
-    kernel axis must be invisible to the cache key.
+    both directions.  Likewise the process-wide kernel: every kernel tier
+    (and size-aware ``auto`` dispatch) is bit-identical by contract, so
+    the active kernel must be invisible to the cache key.
     """
 
     @staticmethod
@@ -333,24 +334,18 @@ class TestPlanAwareCacheKeys:
         assert service.scheduler.finished_sessions[-1].from_cache
 
     def test_kernel_pin_is_cache_invisible(self):
-        # Kernel tiers are bit-identical, so a run pinned to the Python
-        # reference must warm the cache for an auto-dispatch run.
+        # Kernel tiers are bit-identical, so a run under the pinned
+        # Python reference must warm the cache for an auto-dispatch run.
         instance = make_instance()
-        pinned = QuerySpec(
-            relations=(instance.left, instance.right), k=10, kernel="python"
-        )
-        dispatched = QuerySpec(
-            relations=(instance.left, instance.right), k=10, kernel="auto"
-        )
-        inherited = QuerySpec(
-            relations=(instance.left, instance.right), k=10
-        )
-        assert pinned.fingerprint() == dispatched.fingerprint()
-        assert pinned.fingerprint() == inherited.fingerprint()
+        spec = QuerySpec(relations=(instance.left, instance.right), k=10)
         service = QueryService()
-        first = service.run_query(pinned)
+        with kernels.use_backend("python"):
+            fingerprint = spec.fingerprint()
+            first = service.run_query(spec)
         pulls = service.scheduler.stats()["pulls"]
-        second = service.run_query(dispatched)
+        with kernels.use_backend("auto"):
+            assert spec.fingerprint() == fingerprint
+            second = service.run_query(spec)
         assert [r.score for r in second] == [r.score for r in first]
         assert service.scheduler.stats()["pulls"] == pulls
         assert service.scheduler.finished_sessions[-1].from_cache
