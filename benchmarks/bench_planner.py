@@ -60,8 +60,8 @@ SKEWED_Z = 1.0          # the z from which skew must visibly hurt statics
 STATIC_GRID = (
     ("serial/HRJN*", "HRJN*", 1, "hash", "serial"),
     ("serial/FRPA", "FRPA", 1, "hash", "serial"),
-    ("x4 hash/thread", "FRPA", 4, "hash", "thread"),
-    ("x8 skew/thread", "FRPA", 8, "skew", "thread"),
+    ("x4 hash/serial", "FRPA", 4, "hash", "serial"),
+    ("x8 skew/serial", "FRPA", 8, "skew", "serial"),
     ("x8 hash/process", "FRPA", 8, "hash", "process"),
 )
 

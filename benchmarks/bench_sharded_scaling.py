@@ -89,7 +89,7 @@ def run_bench(quick: bool) -> dict:
 
     rows = []
     for shards in SHARD_COUNTS:
-        config = ExecConfig(shards=shards, backend="thread", quantum=QUANTUM)
+        config = ExecConfig(shards=shards, backend="serial", quantum=QUANTUM)
         started = time.perf_counter()
         with ShardedRankJoin(instance, "FRPA", config=config) as engine:
             results = engine.top_k(k)

@@ -95,7 +95,7 @@ def main() -> int:
             client.run(left="lineitem", right="orders", k=5,
                        operator="FRPA", timeout=60.0)
             client.run(left="lineitem", right="orders", k=5,
-                       operator="FRPA", shards=2, backend="thread",
+                       operator="FRPA", shards=2, backend="serial",
                        timeout=60.0)
             repeat = client.run(left="lineitem", right="orders", k=5,
                                 operator="FRPA", timeout=60.0)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI smoke test for sharded execution.
 
-Runs the same zipf-skewed top-K query serially and with 4 shards (thread
-backend, then hash and skew partitioners) and asserts the answers agree
+Runs the same zipf-skewed top-K query serially and with 4 shards (serial
+backend, hash then skew partitioner) and asserts the answers agree
 score-for-score with ties in canonical identity order. Exits nonzero on
 any mismatch; the CI step wraps it in a hard ``timeout``.
 
@@ -66,7 +66,7 @@ def main() -> int:
     errors: list[str] = []
     for partitioner in ("hash", "skew"):
         config = ExecConfig(
-            shards=args.shards, backend="thread", partitioner=partitioner
+            shards=args.shards, backend="serial", partitioner=partitioner
         )
         start = time.perf_counter()
         with ShardedRankJoin(instance, "FRPA", config=config) as engine:

@@ -34,6 +34,7 @@ from repro import kernels
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS
 from repro.data.workload import WorkloadParams, lineitem_orders_instance, load_workload
 from repro.errors import ReproError
+from repro.exec.worker import BACKENDS
 from repro.experiments import figures as figure_module
 from repro.experiments.figures import FigureConfig
 from repro.experiments.harness import run_comparison, run_operator
@@ -587,8 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_kernel_arg(p_run)
     p_run.add_argument("--shards", type=int, default=1,
                        help="hash-partitioned parallel execution (1 = serial)")
-    p_run.add_argument("--exec-backend", default="thread",
-                       choices=["serial", "thread", "process"],
+    p_run.add_argument("--exec-backend", default="serial", choices=BACKENDS,
                        help="sharded execution backend (with --shards > 1)")
     p_run.add_argument("--plan", choices=["static", "auto"], default="static",
                        help="'auto' delegates algorithm/operator/shards/"
@@ -702,8 +702,7 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--shards", nargs="+", type=int, default=[2, 4],
                          help="shard counts in the matrix")
     p_chaos.add_argument("--backends", nargs="+",
-                         default=["thread", "process"],
-                         choices=["serial", "thread", "process"],
+                         default=list(BACKENDS), choices=BACKENDS,
                          help="execution backends to chaos-test")
     p_chaos.add_argument("--kinds", nargs="+",
                          default=["worker-kill", "pipe-drop", "transient"],

@@ -9,6 +9,7 @@ the tuple payload dict (values parsed as int/float when possible).
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from repro.core.tuples import RankTuple
@@ -55,11 +56,60 @@ def save_relation_csv(relation: Relation, path) -> None:
             )
 
 
+def _score_cell(text: str, path, row_number: int, column: str, error) -> float:
+    """A finite score, or a one-line ``path:row: column`` error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise error(
+            f"{path}:{row_number}: score column {column!r} holds {text!r}, "
+            f"not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise error(
+            f"{path}:{row_number}: score column {column!r} must be finite, "
+            f"got {text!r}"
+        )
+    return value
+
+
+def _read_tuples(path, reader, headers, key_index, score_indexes, error):
+    """The CSV row loop both loaders share: ``(row number, tuple)`` per row.
+
+    ``score_indexes`` are header positions in score-dimension order;
+    every column that is neither key nor score becomes payload.
+    Malformed rows raise ``error`` pinpointing ``path:row``.
+    """
+    taken = {key_index, *score_indexes}
+    payload_indexes = [i for i in range(len(headers)) if i not in taken]
+    for row_number, row in enumerate(reader, start=2):
+        if len(row) != len(headers):
+            raise error(
+                f"{path}:{row_number}: expected {len(headers)} cells, "
+                f"got {len(row)}"
+            )
+        payload = {
+            headers[i]: _parse_value(row[i])
+            for i in payload_indexes
+            if row[i] != ""
+        }
+        yield row_number, RankTuple(
+            key=_parse_value(row[key_index]),
+            scores=tuple(
+                _score_cell(row[i], path, row_number, headers[i], error)
+                for i in score_indexes
+            ),
+            payload=payload or None,
+        )
+
+
 def load_relation_csv(path, name: str | None = None) -> Relation:
     """Read a relation written by :func:`save_relation_csv`.
 
     Score columns are recognized by the ``score_`` prefix (in index order);
-    all other non-key columns become the payload dict.
+    all other non-key columns become the payload dict.  A ragged row or a
+    score cell that is not a finite number raises
+    :class:`~repro.errors.InstanceError` pinpointing ``file:row``.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -70,37 +120,15 @@ def load_relation_csv(path, name: str | None = None) -> Relation:
             raise InstanceError(f"{path}: empty file") from None
         if KEY_COLUMN not in headers:
             raise InstanceError(f"{path}: no {KEY_COLUMN!r} column")
-        key_index = headers.index(KEY_COLUMN)
-        score_indexes = sorted(
+        score_indexes = [i for __, i in sorted(
             (int(h[len(SCORE_PREFIX):]), i)
             for i, h in enumerate(headers)
             if h.startswith(SCORE_PREFIX) and h[len(SCORE_PREFIX):].isdigit()
-        )
-        payload_indexes = [
-            i
-            for i, h in enumerate(headers)
-            if i != key_index and i not in {i for __, i in score_indexes}
-        ]
-        tuples = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(headers):
-                raise InstanceError(
-                    f"{path}:{row_number}: expected {len(headers)} cells, "
-                    f"got {len(row)}"
-                )
-            scores = tuple(float(row[i]) for __, i in score_indexes)
-            payload = {
-                headers[i]: _parse_value(row[i])
-                for i in payload_indexes
-                if row[i] != ""
-            }
-            tuples.append(
-                RankTuple(
-                    key=_parse_value(row[key_index]),
-                    scores=scores,
-                    payload=payload or None,
-                )
-            )
+        )]
+        tuples = [tup for __, tup in _read_tuples(
+            path, reader, headers, headers.index(KEY_COLUMN), score_indexes,
+            InstanceError,
+        )]
     return Relation(name or path.stem, tuples)
 
 
@@ -146,48 +174,16 @@ def load_csv(
             raise WorkloadError(
                 f"{path}: missing column(s) {missing}; header has {headers}"
             )
-        key_index = headers.index(key_col)
-        score_indexes = [headers.index(c) for c in score_cols]
-        payload_indexes = [
-            i
-            for i in range(len(headers))
-            if i != key_index and i not in score_indexes
-        ]
         tuples = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(headers):
-                raise WorkloadError(
-                    f"{path}:{row_number}: expected {len(headers)} cells, "
-                    f"got {len(row)}"
-                )
-            scores = []
-            for column, index in zip(score_cols, score_indexes):
-                try:
-                    value = float(row[index])
-                except ValueError:
-                    raise WorkloadError(
-                        f"{path}:{row_number}: score column {column!r} "
-                        f"holds {row[index]!r}, not a number"
-                    ) from None
-                if value != value or value in (float("inf"), float("-inf")):
-                    raise WorkloadError(
-                        f"{path}:{row_number}: score column {column!r} "
-                        f"must be finite, got {row[index]!r}"
-                    )
-                scores.append(value)
-            key = _parse_value(row[key_index])
-            if row[key_index] == "":
+        for row_number, tup in _read_tuples(
+            path, reader, headers, headers.index(key_col),
+            [headers.index(c) for c in score_cols], WorkloadError,
+        ):
+            if tup.key == "":
                 raise WorkloadError(
                     f"{path}:{row_number}: empty join key in column {key_col!r}"
                 )
-            payload = {
-                headers[i]: _parse_value(row[i])
-                for i in payload_indexes
-                if row[i] != ""
-            }
-            tuples.append(
-                RankTuple(key=key, scores=tuple(scores), payload=payload or None)
-            )
+            tuples.append(tup)
     if not tuples:
         raise WorkloadError(f"{path}: no data rows")
     return Relation(name or path.stem, tuples)

@@ -44,9 +44,9 @@ class WorkloadParams:
     #: Shard count for sharded execution: a positive integer, or
     #: ``"auto"`` to let the planner choose (1 = plain serial operator).
     shards: int | str = 1
-    #: Execution backend for sharded runs (``serial``/``thread``/
-    #: ``process``); ignored when ``shards`` is 1.
-    exec_backend: str = "thread"
+    #: Execution backend for sharded runs (``serial``/``process``);
+    #: ignored when ``shards`` is 1.
+    exec_backend: str = "serial"
 
     def tpch_config(self) -> TPCHConfig:
         return TPCHConfig(

@@ -13,11 +13,9 @@ scores bit-for-bit, ties broken by the canonical result identity of
 """
 
 from repro.exec.backends import (
-    DEGRADE_ORDER,
     ExecBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.exec.engine import ShardedRankJoin
@@ -59,7 +57,6 @@ __all__ = [
     "ShardedRankJoin",
     "SkewAwarePlan",
     "TelemetryCapsule",
-    "ThreadBackend",
     "WorkerTelemetry",
     "make_backend",
     "make_plan",

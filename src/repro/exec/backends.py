@@ -5,22 +5,21 @@ and then serves advance rounds through a two-phase protocol:
 ``begin([(shard, quantum), ...])`` launches the round and
 ``collect(shard, quantum)`` retrieves one shard's
 :class:`~repro.exec.worker.AdvanceOutcome`.  ``advance`` composes the two
-for callers that do not need per-shard fault isolation.  Three
-implementations:
+for callers that do not need per-shard fault isolation.  Two
+implementations, one per place a shard operator can live:
 
-* :class:`SerialBackend` — runs advances in-line, one after another.
-  Zero overhead, fully deterministic; the debugging baseline.
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor`` with one slot per
-  shard.  The default: shard operators are pure Python compute sharing
-  nothing, so threads cost no copying and the GIL interleaves them
-  fairly (on free-threaded builds they run truly concurrent).
+* :class:`SerialBackend` — the default: runs advances in-line, one after
+  another, over workers held in this process.  Zero overhead, fully
+  deterministic; sharding still pays because the cover shrink is
+  algorithmic (see :mod:`repro.exec.engine`).
 * :class:`ProcessBackend` — persistent ``multiprocessing`` children, one
   per shard, each running a small command loop over a pipe.  Workers are
   shipped once at start (fork inherits them cheaply); afterwards only
   ``(quantum)`` commands travel down and picklable outcomes travel back.
 
-All backends preserve the per-shard sequential contract: a shard's
-advances never overlap, so worker state needs no locking.
+Both preserve the per-shard sequential contract: a shard's advances
+never overlap, and no two shards ever run in one interpreter at the same
+time, so neither worker state nor process-wide state needs locking.
 
 Telemetry rides the same channel: a worker armed with
 :class:`~repro.exec.telemetry.WorkerTelemetry` attaches its delta
@@ -51,11 +50,15 @@ import multiprocessing as mp
 import os
 import time
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.errors import InstanceError, ShardError, WorkerLost
-from repro.exec.worker import AdvanceOutcome, ShardWorker
+from repro.errors import ShardError, WorkerLost
+from repro.exec.worker import (
+    BACKENDS,
+    AdvanceOutcome,
+    ShardWorker,
+    check_backend,
+)
 
 #: Seconds to wait for a child process to exit before terminating it.
 _JOIN_TIMEOUT = 5.0
@@ -130,49 +133,6 @@ class SerialBackend(ExecBackend):
 
     def replace_worker(self, shard: int, worker, faults: tuple = ()) -> None:
         self._workers[shard] = worker
-
-
-class ThreadBackend(ExecBackend):
-    """One executor slot per shard; advances within a round run concurrently."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._workers: dict[int, ShardWorker] = {}
-        self._pool: ThreadPoolExecutor | None = None
-        self._pending: dict[int, Future] = {}
-
-    def start(self, workers: list[ShardWorker]) -> None:
-        self._workers = {worker.shard: worker for worker in workers}
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(workers)), thread_name_prefix="repro-shard"
-        )
-
-    def begin(self, requests: list[tuple[int, int]]) -> None:
-        if self._pool is None:
-            # Re-open after close(): worker state lives in this process, so
-            # a resumed (e.g. cache-continued) engine just needs new threads.
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, len(self._workers)),
-                thread_name_prefix="repro-shard",
-            )
-        for shard, quantum in requests:
-            self._pending[shard] = self._pool.submit(
-                self._workers[shard].advance, quantum
-            )
-
-    def collect(self, shard: int, quantum: int) -> AdvanceOutcome:
-        future = self._pending.pop(shard)
-        return future.result()
-
-    def replace_worker(self, shard: int, worker, faults: tuple = ()) -> None:
-        self._workers[shard] = worker
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._pending = {}
 
 
 def _due_fault(schedule: list, pulls: int):
@@ -344,23 +304,11 @@ def _shutdown_children(state: dict) -> None:
             pass
 
 
-_BACKENDS = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-}
-
-#: Degradation ladder: on repeated respawn failure the resilience layer
-#: falls from each tier to the next (process → thread → serial).
-DEGRADE_ORDER = ("process", "thread", "serial")
+_BACKENDS = {"serial": SerialBackend, "process": ProcessBackend}
+assert tuple(_BACKENDS) == BACKENDS
 
 
 def make_backend(name: str) -> ExecBackend:
-    """Instantiate a backend by name (``serial`` / ``thread`` / ``process``)."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise InstanceError(
-            f"unknown backend {name!r}; choose from {tuple(_BACKENDS)}"
-        ) from None
-    return factory()
+    """Instantiate a backend by name (one of :data:`BACKENDS`)."""
+    check_backend(name)
+    return _BACKENDS[name]()

@@ -48,7 +48,7 @@ class ShardedRankJoin:
         shard runs a fresh instance of it.
     config:
         :class:`~repro.exec.worker.ExecConfig` (shards, backend, quantum,
-        partitioner).  Defaults to a single-shard thread backend.
+        partitioner).  Defaults to a single shard run in-line.
     obs:
         Optional :class:`~repro.obs.Observability`.  Records per-shard
         pull counters (``exec_shard_pulls_total``), a merge-wait round
@@ -309,7 +309,7 @@ class ShardedRankJoin:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (threads / child processes)."""
+        """Release backend resources (child processes)."""
         if not self._closed:
             self._closed = True
             self._backend.close()

@@ -30,8 +30,17 @@ from repro.core.tuples import JoinResult
 from repro.errors import InstanceError
 from repro.relation.relation import RankJoinInstance
 
-#: Backends accepted by :class:`ExecConfig`.
-BACKENDS = ("serial", "thread", "process")
+#: Where a shard's advance runs: in-line in this process, or in a forked
+#: child.  The one definition every surface reads (``ExecConfig``,
+#: ``QuerySpec``, workload files, the CLI, the chaos suite, the wire).
+BACKENDS = ("serial", "process")
+
+
+def check_backend(name: str) -> None:
+    """Reject anything outside :data:`BACKENDS` with a one-line error."""
+    if name not in BACKENDS:
+        raise InstanceError(f"unknown backend {name!r}; choose from {BACKENDS}")
+
 
 #: Partitioners accepted by :class:`ExecConfig` (see repro.exec.partition).
 PARTITIONERS = ("hash", "skew")
@@ -55,9 +64,9 @@ class ExecConfig:
     shards:
         Number of hash partitions (1 = no sharding benefit, still valid).
     backend:
-        ``"thread"`` (default, ``ThreadPoolExecutor``), ``"process"``
-        (persistent ``multiprocessing`` children over pipes), or
-        ``"serial"`` (in-line loop — deterministic debugging baseline).
+        ``"serial"`` (default: in-line loop over in-process workers) or
+        ``"process"`` (persistent ``multiprocessing`` children over
+        pipes).
     quantum:
         Pulls granted to a shard per advance round.
     partitioner:
@@ -75,7 +84,7 @@ class ExecConfig:
     """
 
     shards: int = 1
-    backend: str = "thread"
+    backend: str = "serial"
     quantum: int = DEFAULT_QUANTUM
     partitioner: str = "hash"
     heavy_fraction: float | None = None
@@ -86,10 +95,7 @@ class ExecConfig:
             raise InstanceError("ExecConfig.shards must be >= 1")
         if self.quantum < 1:
             raise InstanceError("ExecConfig.quantum must be >= 1")
-        if self.backend not in BACKENDS:
-            raise InstanceError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
+        check_backend(self.backend)
         if self.partitioner not in PARTITIONERS:
             raise InstanceError(
                 f"unknown partitioner {self.partitioner!r}; "

@@ -1,7 +1,7 @@
 """Skew-adaptive cost-based planning for rank join evaluation.
 
 The planner closes the loop the ROADMAP calls for: instead of hand-picking
-algorithm / operator / shard count / partitioner / backend per query, a
+algorithm / operator / shard count / partitioner per query, a
 :class:`Planner` derives statistics from the inputs
 (:mod:`repro.planner.stats`), scores every candidate configuration with a
 calibrated cost model (:mod:`repro.planner.cost`), and returns an

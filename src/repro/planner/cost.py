@@ -58,7 +58,10 @@ OPERATOR_FACTORS: dict[str, tuple[float, float]] = {
 DEFAULT_OPERATOR_FACTORS = (1.0, 1.2)
 
 #: Former :class:`CostCoefficients` fields; accepted and ignored on load.
-RETIRED_KEYS = frozenset({"kernel_pin_bulk_penalty", "kernel_pin_small_penalty"})
+RETIRED_KEYS = frozenset({
+    "kernel_pin_bulk_penalty", "kernel_pin_small_penalty",
+    "round_thread", "startup_thread",
+})
 
 
 @dataclass(frozen=True)
@@ -73,28 +76,18 @@ class CostCoefficients:
     multiway_factor: float = 1.0       # extra per-pull cost per chain edge
     partition_per_tuple: float = 4.0e-6  # split/copy both inputs when shards > 1
     round_serial: float = 3.0e-6       # per shard-request dispatch, per round
-    round_thread: float = 6.0e-5
     round_process: float = 3.0e-4
     startup_serial: float = 2.0e-5     # one-time per-shard setup
-    startup_thread: float = 3.0e-4
     startup_process: float = 4.0e-2
     kernel_auto_bonus: float = 0.95        # small-batch early-exit win
     kernel_crossover: int = 2000       # input tuples where bulk effects win
     parallelism: int = 1               # usable cores for the process backend
 
     def round_overhead(self, backend: str) -> float:
-        return {
-            "serial": self.round_serial,
-            "thread": self.round_thread,
-            "process": self.round_process,
-        }.get(backend, self.round_thread)
+        return self.round_process if backend == "process" else self.round_serial
 
     def startup(self, backend: str) -> float:
-        return {
-            "serial": self.startup_serial,
-            "thread": self.startup_thread,
-            "process": self.startup_process,
-        }.get(backend, self.startup_thread)
+        return self.startup_process if backend == "process" else self.startup_serial
 
     def kernel_factor(self, total_tuples: int) -> float:
         """Relative PBRJ per-pull cost at this input scale.

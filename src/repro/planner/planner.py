@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
+from repro.exec.worker import check_backend
 from repro.plan.estimate import (
     DepthEstimate,
     estimate_binary_depths,
@@ -48,15 +49,14 @@ _depth_cache: dict[tuple, DepthEstimate] = {}
 class PlannerConfig:
     """Enumeration bounds and estimator settings for a :class:`Planner`.
 
-    The default backend list excludes ``process``: per-shard fork startup
-    only pays off with real multi-core parallelism, and a user can always
-    pin ``exec_backend="process"`` to force it into the candidate set.
-    The kernel is not an axis: selection is process-wide
+    The exec backend is not an axis: sharded candidates are costed on
+    ``serial`` (per-shard fork startup only pays off with real multi-core
+    parallelism) unless the caller pins ``exec_backend="process"``.
+    Neither is the kernel: selection is process-wide
     (:func:`repro.kernels.set_backend`), never part of a plan.
     """
 
     shard_choices: tuple[int, ...] = (1, 2, 4, 8)
-    backends: tuple[str, ...] = ("serial", "thread")
     operators: tuple[str, ...] = ("HRJN*", "FRPA")
     include_anyk: bool = True
     samples: int = 800
@@ -166,6 +166,8 @@ class Planner:
                 f"unknown algorithm {algorithm!r}; choose from "
                 f"{ALGORITHMS + ('auto',)}"
             )
+        if exec_backend is not None:
+            check_backend(exec_backend)
         if len(relations) < 2:
             raise InstanceError("planning needs at least two relations")
         scoring = scoring or SumScore()
@@ -241,50 +243,47 @@ class Planner:
         for algo in algorithms:
             for shard_count in shard_options:
                 if shard_count == 1:
-                    backend_options = ("serial",)
+                    backend = "serial"
                     partitioner_options = ("hash",)
                 else:
-                    backend_options = (
-                        (exec_backend,) if exec_backend else config.backends
-                    )
+                    backend = exec_backend or "serial"
                     partitioner_options = (
                         (partitioner,) if partitioner else ("hash", "skew")
                     )
                 for part in partitioner_options:
                     shares = shares_for(shard_count, part)
-                    for backend in backend_options:
-                        if algo == "anyk":
-                            # Sharding buys the DP nothing — only cost it
-                            # when the user pinned shards > 1.
-                            if shard_count > 1 and shards == "auto":
-                                continue
-                            candidate = PlanCandidate(
-                                algorithm="anyk",
-                                operator=ANYK_OPERATOR,
+                    if algo == "anyk":
+                        # Sharding buys the DP nothing — only cost it
+                        # when the user pinned shards > 1.
+                        if shard_count > 1 and shards == "auto":
+                            continue
+                        candidate = PlanCandidate(
+                            algorithm="anyk",
+                            operator=ANYK_OPERATOR,
+                            shards=shard_count,
+                            partitioner=part,
+                            backend=backend,
+                        )
+                        candidates.append(score_anyk_candidate(
+                            candidate, coeffs=coeffs,
+                            total_tuples=total_tuples, k=k, shares=shares,
+                            join_size=float(profile.join_size),
+                        ))
+                        continue
+                    for op_name in operators:
+                        candidates.append(score_pbrj_candidate(
+                            PlanCandidate(
+                                algorithm="pbrj",
+                                operator=op_name,
                                 shards=shard_count,
                                 partitioner=part,
                                 backend=backend,
-                            )
-                            candidates.append(score_anyk_candidate(
-                                candidate, coeffs=coeffs,
-                                total_tuples=total_tuples, k=k, shares=shares,
-                                join_size=float(profile.join_size),
-                            ))
-                            break  # one any-k candidate per (shards, partitioner)
-                        for op_name in operators:
-                            candidates.append(score_pbrj_candidate(
-                                PlanCandidate(
-                                    algorithm="pbrj",
-                                    operator=op_name,
-                                    shards=shard_count,
-                                    partitioner=part,
-                                    backend=backend,
-                                ),
-                                coeffs=coeffs,
-                                depth=depth.sum_depths,
-                                total_tuples=total_tuples,
-                                shares=shares,
-                            ))
+                            ),
+                            coeffs=coeffs,
+                            depth=depth.sum_depths,
+                            total_tuples=total_tuples,
+                            shares=shares,
+                        ))
         return self._decide(
             candidates,
             join_size=float(profile.join_size),

@@ -14,7 +14,7 @@ same property that makes operators suspendable — the resumable
   jitter (:class:`RetryPolicy`);
 * :mod:`repro.resilience.supervisor` — :class:`ResilientBackend`:
   transparent retry, process-worker respawn with state replay, and
-  graceful backend degradation (process → thread → serial), reported
+  graceful backend degradation (process → serial), reported
   through ``repro.obs`` counters and the ``degraded`` flag;
 * :mod:`repro.resilience.chaos` — the chaos harness behind
   ``python -m repro chaos``: seed workloads under seeded fault schedules

@@ -25,7 +25,7 @@ from repro.data.workload import (
     lineitem_orders_instance,
     random_instance,
 )
-from repro.exec import ExecConfig, ShardedRankJoin, result_identity
+from repro.exec import BACKENDS, ExecConfig, ShardedRankJoin, result_identity
 from repro.obs import Observability
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -349,7 +349,7 @@ def run_chaos_suite(
     seed: int = 0,
     workloads: tuple[str, ...] = SEED_WORKLOADS,
     shards: tuple[int, ...] = (2, 4),
-    backends: tuple[str, ...] = ("thread", "process"),
+    backends: tuple[str, ...] = BACKENDS,
     kinds: tuple[str, ...] = CHAOS_KINDS,
     operator: str = "FRPA",
     reshard: bool = False,

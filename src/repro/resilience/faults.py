@@ -11,7 +11,7 @@ Fault kinds
 -----------
 ``worker-kill``
     The shard's worker dies before advancing (process child ``_exit``;
-    thread/serial workers raise :class:`~repro.errors.WorkerLost`).
+    in-process workers raise :class:`~repro.errors.WorkerLost`).
     Recovery requires respawn + state replay.
 ``pipe-drop``
     The worker's reply channel drops mid-round (child closes its pipe and
@@ -144,8 +144,8 @@ NO_FAULTS = FaultPlan()
 class InjectingWorker:
     """A :class:`ShardWorker` wrapper firing scheduled faults in-process.
 
-    Used by the thread and serial backends (the process backend enforces
-    schedules inside its children instead).  The wrapper shares its
+    Used by the serial backend (the process backend enforces schedules
+    inside its children instead).  The wrapper shares its
     ``schedule`` list with the resilience supervisor, so faults it
     consumes are visibly consumed — a respawned replacement wrapper picks
     up exactly the remaining schedule.

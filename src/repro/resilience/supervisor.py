@@ -18,11 +18,10 @@ would have produced, in the same order, bit for bit:
   ``ExecBackend.replace_worker``, and the failed advance re-issued.
   Replayed emissions are discarded — the merger already holds them.
 * **Repeated respawn failure** — after ``max_respawns`` respawns of one
-  shard, the whole backend *degrades* one tier along
-  :data:`~repro.exec.backends.DEGRADE_ORDER` (process → thread →
-  serial): every shard is rebuilt by replay on the lower tier and the
-  in-flight round resumes there.  ``serial`` is the floor — in-process
-  replay recovery always completes.
+  shard, the whole backend *degrades* from ``process`` to ``serial``:
+  every shard is rebuilt by replay in this process and the in-flight
+  round resumes there.  ``serial`` is the floor — in-process replay
+  recovery always completes.
 
 Correctness argument, in one paragraph: the merge gate only ever consumes
 ``AdvanceOutcome`` values, and the supervisor guarantees the stream of
@@ -51,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ShardError, WorkerLost
-from repro.exec.backends import DEGRADE_ORDER, ExecBackend, make_backend
+from repro.exec.backends import ExecBackend, SerialBackend
 from repro.exec.telemetry import CapsuleSink
 from repro.exec.worker import AdvanceOutcome, ShardWorker
 from repro.obs import NULL_OBS, Observability, span_record
@@ -247,25 +246,20 @@ class ResilientBackend(ExecBackend):
             )
 
     def _degrade(self) -> bool:
-        """Fall one tier (process → thread → serial); False at the floor."""
-        try:
-            index = DEGRADE_ORDER.index(self._tier)
-        except ValueError:  # pragma: no cover - unknown custom tier
-            index = len(DEGRADE_ORDER) - 1
-        if index >= len(DEGRADE_ORDER) - 1:
+        """Fall from ``process`` to ``serial``; False when already there."""
+        if self._tier == SerialBackend.name:
             return False
-        next_tier = DEGRADE_ORDER[index + 1]
-        replacement = make_backend(next_tier)
+        replacement = SerialBackend()
         workers = [self._rebuild(shard) for shard in sorted(self._recipes)]
         self._install(replacement, workers)
         old = self._inner
         self._inner = replacement
-        self._tier = next_tier
+        self._tier = replacement.name
         old.close()
         self.degraded = True
         self._m_degrades.inc()
         self._obs.event(
-            "resilience_degrade", from_tier=old.name, to_tier=next_tier
+            "resilience_degrade", from_tier=old.name, to_tier=self._tier
         )
         # Resume the in-flight round on the new tier: every uncollected
         # request (including the one that triggered degradation) is

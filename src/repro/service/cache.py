@@ -21,8 +21,8 @@ A second, *shared* tier (``shared_dir``) backs the in-memory cache with
 one pickle file per fingerprint, written atomically — the cross-process
 tier the serve fleet uses so a prefix computed by any worker answers the
 same query on every other worker.  Only the answer prefix travels through
-the shared tier; suspended continuation operators (which own threads and
-child processes) stay memory-local to the worker that built them.
+the shared tier; suspended continuation operators (which own child
+processes) stay memory-local to the worker that built them.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class ResultCache:
     def close(self) -> None:
         """Dispose every retained continuation and empty the cache.
 
-        Suspended sharded operators own backend resources (threads,
-        child processes); a server shutting down must close them or the
+        Suspended sharded operators own backend resources (child
+        processes); a server shutting down must close them or the
         children outlive the service.
         """
         self.clear()
@@ -326,7 +326,7 @@ def _dispose_operator(operator: Any) -> None:
 
     Every path that drops an operator reference (eviction, TTL expiry,
     invalidation, overwrite, shutdown) funnels through here — suspended
-    sharded operators hold threads or child processes that would
+    sharded operators hold child processes that would
     otherwise leak.
     """
     if operator is None:

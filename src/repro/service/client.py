@@ -51,9 +51,6 @@ class ServiceClient:
         self._file = None
         #: Trace id of the most recent submit (for log correlation).
         self.last_trace: str | None = None
-        #: Set False once the server rejects the ``stream`` verb; ``wait``
-        #: then stops attempting the streaming fast path.
-        self._stream_supported = True
 
     # ------------------------------------------------------------------
     # Connection management
@@ -231,54 +228,18 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def wait(
-        self,
-        session_id: str,
-        *,
-        timeout: float = 30.0,
-        interval: float = 0.01,
-        max_interval: float = 0.25,
-        backoff: float = 1.5,
-        sleep=time.sleep,
-    ) -> dict:
+    def wait(self, session_id: str, *, timeout: float = 30.0) -> dict:
         """Block until the session reaches a terminal state.
 
-        Rides the ``stream`` verb when the server supports it: one
-        request, zero polls — the server pushes the ``done`` snapshot the
-        moment the session ends, so completion latency is wire latency,
-        not a poll interval.  Servers without the verb (answering
-        ``unknown verb``) flip the client to the classic poll loop, whose
-        interval backs off geometrically from ``interval`` to
-        ``max_interval`` — O(log) requests early and a bounded steady
-        rate after, never a busy spin against the server.
+        Rides the ``stream`` verb: one request, zero polls — the server
+        pushes the ``done`` snapshot the moment the session ends, so
+        completion latency is wire latency, not a poll interval.
 
         Returns the final snapshot; raises ``TimeoutError`` if the
-        session is still live after ``timeout`` seconds (on the stream
-        path the check runs between pushed events, with the socket
-        timeout as the hard bound on a silent server).
+        session is still live after ``timeout`` seconds (the check runs
+        between pushed events, with the socket timeout as the hard bound
+        on a silent server).
         """
-        if self._stream_supported:
-            try:
-                return self._wait_streaming(session_id, timeout=timeout)
-            except ServiceError as error:
-                if "unknown verb" not in str(error):
-                    raise
-                self._stream_supported = False
-        deadline = time.monotonic() + timeout
-        delay = max(interval, 1e-4)
-        while True:
-            snapshot = self.poll(session_id)
-            if snapshot["state"] in ("DONE", "CANCELLED", "FAILED"):
-                return snapshot
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"session {session_id} still {snapshot['state']} "
-                    f"after {timeout}s"
-                )
-            sleep(delay)
-            delay = min(delay * backoff, max_interval)
-
-    def _wait_streaming(self, session_id: str, *, timeout: float) -> dict:
         deadline = time.monotonic() + timeout
         for event in self.stream(session_id):
             if event.get("event") == "done":

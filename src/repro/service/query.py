@@ -24,6 +24,7 @@ from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS, make_oper
 from repro.core.multiway import multiway_rank_join
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
+from repro.exec.worker import check_backend
 from repro.relation.relation import RankJoinInstance, Relation
 
 
@@ -93,11 +94,12 @@ class QuerySpec:
         Number of hash partitions for sharded execution (binary joins
         only).  ``1`` (the default) runs the plain serial operator;
         ``> 1`` builds a :class:`~repro.exec.engine.ShardedRankJoin`;
-        ``"auto"`` lets the planner choose the shard count, partitioner
-        and exec backend.
+        ``"auto"`` lets the planner choose the shard count and
+        partitioner.
     exec_backend:
-        Backend for sharded execution (``"thread"`` / ``"process"`` /
-        ``"serial"``).  Ignored when ``shards == 1``.
+        Backend for sharded execution, one of
+        :data:`~repro.exec.worker.BACKENDS` (``"serial"`` default,
+        ``"process"``).  Validated always, used only when ``shards > 1``.
     resilience:
         Optional :class:`repro.resilience.ResilienceConfig` wrapping the
         sharded backend in retry/respawn/degrade machinery (sharded
@@ -121,7 +123,7 @@ class QuerySpec:
     algorithm: str = "pbrj"
     join_attrs: tuple[str, ...] = ()
     shards: int | str = 1
-    exec_backend: str = "thread"
+    exec_backend: str = "serial"
     resilience: object | None = None
     partitioner: str = "hash"
     adaptive: object | None = None
@@ -168,6 +170,7 @@ class QuerySpec:
                 f"unknown partitioner {self.partitioner!r}; "
                 f"choose from ('hash', 'skew')"
             )
+        check_backend(self.exec_backend)
         concrete = isinstance(self.shards, int)
         if concrete and self.shards > 1 and self.is_multiway:
             raise InstanceError(

@@ -12,7 +12,8 @@ Verbs (the ``verb`` field selects one):
     optional per-side ``weights`` list selects a weighted-sum scoring
     function instead of the plain sum.  ``shards`` (default: the
     server's ``default_shards``) selects sharded execution and
-    ``backend`` its execution tier (``thread``/``process``/``serial``).
+    ``backend`` its execution tier (``serial``/``process``; anything else
+    is an ``{"ok": false}`` reply).
 ``poll``
     ``{"verb": "poll", "session": "s7"}`` → the session snapshot (state,
     scores so far, pulls, depths, cache provenance).

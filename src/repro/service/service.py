@@ -293,7 +293,7 @@ class QueryService:
     def _release_operator(session: QuerySession) -> None:
         """Close an operator that will not be checked into the cache.
 
-        Sharded operators own backend resources (threads, child
+        Sharded operators own backend resources (child
         processes); dropping a FAILED/CANCELLED session without closing
         them would orphan children mid-respawn.
         """
@@ -310,7 +310,7 @@ class QueryService:
         Closes cached continuations and the operators of any session not
         yet retired (queued or mid-flight at shutdown).  A server tears
         the service down through here so suspended sharded operators —
-        which own threads or child processes — cannot outlive it.
+        which own child processes — cannot outlive it.
         """
         if self.cache is not None:
             self.cache.close()

@@ -21,8 +21,8 @@ ANYK_KINDS = ("worker-kill", "transient")
 @pytest.mark.parametrize("kind", ANYK_KINDS)
 @pytest.mark.parametrize("shards", (2, 4))
 @pytest.mark.parametrize("workload", ("uniform", "zipf"))
-def test_anyk_chaos_matrix_thread(workload, shards, kind):
-    assert_chaos_case(workload, shards, "thread", kind, operator=ANYK_OPERATOR)
+def test_anyk_chaos_matrix_serial(workload, shards, kind):
+    assert_chaos_case(workload, shards, "serial", kind, operator=ANYK_OPERATOR)
 
 
 @pytest.mark.parametrize("kind", ANYK_KINDS)

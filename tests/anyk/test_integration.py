@@ -114,10 +114,7 @@ class TestShardedBitIdentity:
     def test_sharded_equals_serial(self, shards):
         serial_spec = make_spec(k=12, n=120, seed=5)
         serial = serial_spec.build_operator().top_k(12)
-        spec = make_spec(
-            k=12, n=120, seed=5, shards=shards,
-            exec_backend="thread" if shards > 1 else "thread",
-        )
+        spec = make_spec(k=12, n=120, seed=5, shards=shards)
         results = spec.build_operator().top_k(12)
         assert [r.score for r in results] == [r.score for r in serial]
 

@@ -91,6 +91,24 @@ class TestErrors:
             load_relation_csv(path)
 
 
+    @pytest.mark.parametrize("cell,fragment", [
+        ("nan", "must be finite"),
+        ("inf", "must be finite"),
+        ("abc", "not a number"),
+    ])
+    def test_bad_score_cell_is_a_one_line_error(self, tmp_path, cell, fragment):
+        # The round-trip loader shares load_csv's score-cell parser: a
+        # nan score used to load and come back as every operator's top
+        # result; a non-number was a bare ValueError traceback.
+        path = tmp_path / "scores.csv"
+        path.write_text(f"key,score_0,score_1\n1,0.5,0.25\n2,0.5,{cell}\n")
+        with pytest.raises(InstanceError) as err:
+            load_relation_csv(path)
+        message = str(err.value)
+        assert f"scores.csv:3: score column 'score_1'" in message
+        assert fragment in message and "\n" not in message
+
+
 class TestTables:
     def test_save_tables_writes_all(self, tmp_path):
         tables = generate_tpch(TPCHConfig(scale=0.0002), seed=0)

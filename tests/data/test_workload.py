@@ -62,12 +62,13 @@ class TestWorkloadFileExecutionKeys:
         assert "\n" not in message  # one line, CLI-displayable
 
     def test_unknown_exec_backend_rejected(self, tmp_path):
-        with pytest.raises(WorkloadError) as info:
-            self._load(tmp_path, {"exec_backend": "gpu"})
-        message = str(info.value)
-        assert "unknown exec_backend 'gpu'" in message
-        assert "serial" in message and "thread" in message
-        assert "\n" not in message
+        for backend in ("gpu", "thread"):  # unknown and retired alike
+            with pytest.raises(WorkloadError) as info:
+                self._load(tmp_path, {"exec_backend": backend})
+            message = str(info.value)
+            assert f"unknown exec_backend {backend!r}" in message
+            assert "['serial', 'process']" in message
+            assert "\n" not in message
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         with pytest.raises(WorkloadError, match="unknown algorithm"):

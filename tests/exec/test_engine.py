@@ -7,6 +7,7 @@
 import pytest
 
 from repro.core.stepping import PENDING, ResumableOperator
+from repro.errors import InstanceError
 from repro.exec import ExecConfig, ShardedRankJoin
 from repro.obs import Observability
 from repro.service import QuerySession, QueryService, QuerySpec, SessionState
@@ -29,7 +30,7 @@ class TestShardedEqualsSerial:
             sharded = engine.top_k(k)
         assert identity_view(sharded) == identity_view(reference)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backend_never_changes_the_answer(self, workloads, backend):
         instance = workloads["uniform"]
         reference = canonical_top_k(instance, instance.k)
@@ -225,11 +226,28 @@ class TestServiceIntegration:
         )
         assert serial.fingerprint() != sharded.fingerprint()
         # Backend choice must NOT split the cache namespace.
-        threaded = QuerySpec(
+        forked = QuerySpec(
             relations=(instance.left, instance.right), k=8, shards=4,
-            exec_backend="thread",
+            exec_backend="process",
         )
-        assert sharded.fingerprint() == threaded.fingerprint()
+        assert sharded.fingerprint() == forked.fingerprint()
+
+    @pytest.mark.parametrize("shards", [1, 2, "auto"])
+    @pytest.mark.parametrize("backend", ["bogus", "thread"])
+    def test_unknown_and_retired_backends_rejected(
+        self, workloads, backend, shards
+    ):
+        # Validated whatever the shard count: a bad value must not wait
+        # for a planner decision (or a later shards > 1 edit) to surface.
+        instance = workloads["uniform"]
+        with pytest.raises(InstanceError) as err:
+            QuerySpec(
+                relations=(instance.left, instance.right), k=5,
+                shards=shards, exec_backend=backend,
+            )
+        assert f"unknown backend {backend!r}" in str(err.value)
+        assert "('serial', 'process')" in str(err.value)
+        assert "\n" not in str(err.value)
 
     def test_multiway_rejects_shards(self, workloads):
         instance = workloads["uniform"]

@@ -5,6 +5,7 @@ import pytest
 from repro.data.workload import random_instance
 from repro.errors import InstanceError
 from repro.exec import (
+    BACKENDS,
     ExecConfig,
     HashPartitionPlan,
     ShardWorker,
@@ -29,7 +30,7 @@ def make_workers(shard_instances):
 class TestExecConfig:
     def test_defaults(self):
         config = ExecConfig()
-        assert config.shards == 1 and config.backend == "thread"
+        assert config.shards == 1 and config.backend == "serial"
 
     @pytest.mark.parametrize("kwargs", [
         {"shards": 0},
@@ -91,7 +92,7 @@ class TestShardWorker:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_backends_agree(self, shard_instances, name):
         backend = make_backend(name)
         backend.start(make_workers(shard_instances))
@@ -115,21 +116,20 @@ class TestBackends:
         with pytest.raises(InstanceError, match="unknown backend"):
             make_backend("gpu")
 
+    @pytest.mark.parametrize("build", [
+        make_backend, lambda name: ExecConfig(backend=name),
+    ])
+    def test_retired_thread_backend_is_a_one_line_error(self, build):
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(InstanceError) as err:
+            build("thread")
+        message = str(err.value)
+        assert "'serial', 'process'" in message and "\n" not in message
+
     def test_close_is_idempotent(self, shard_instances):
-        for name in ("serial", "thread", "process"):
+        for name in BACKENDS:
             backend = make_backend(name)
             backend.start(make_workers(shard_instances))
             backend.advance([(0, 5)])
             backend.close()
             backend.close()
-
-    def test_thread_backend_reopens_after_close(self, shard_instances):
-        backend = make_backend("thread")
-        backend.start(make_workers(shard_instances))
-        first = backend.advance([(0, 10)])
-        backend.close()
-        second = backend.advance([(0, 10)])
-        assert second[0].pulls > 0
-        assert second[0].depth_left + second[0].depth_right \
-            == first[0].pulls + second[0].pulls
-        backend.close()

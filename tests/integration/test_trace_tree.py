@@ -97,7 +97,7 @@ class TestServerTraceTree:
                 for k in (5, 7):
                     client.run(
                         left="lineitem", right="orders", k=k,
-                        shards=2, backend="thread",
+                        shards=2, backend="serial",
                     )
                     traces.append(client.last_trace)
         tree = TraceTree.from_events(read_events(path))
@@ -117,7 +117,7 @@ class TestRecoveryTraceTree:
             k=10,
             operator="HRJN",
             shards=2,
-            exec_backend="thread",
+            exec_backend="serial",
             resilience=ResilienceConfig(plan=plan, seed=1),
         )
         results = service.run_query(spec)

@@ -43,7 +43,7 @@ class TestCoefficients:
 
     def test_backend_lookups(self):
         assert COEFFS.round_overhead("process") > COEFFS.round_overhead("serial")
-        assert COEFFS.startup("process") > COEFFS.startup("thread")
+        assert COEFFS.startup("process") > COEFFS.startup("serial")
 
     def test_kernel_factor_crossover(self):
         assert COEFFS.kernel_factor(COEFFS.kernel_crossover) == (
@@ -61,16 +61,19 @@ class TestCoefficients:
 
     def test_kernel_factor_pinned_penalties(self):
         # The pinned-kernel penalties went with the planner's kernel
-        # axis, but a coefficients file written by an older to_dict()
-        # still carries them: it loads with those two keys ignored,
-        # while any other unknown key still raises.
+        # axis and the thread costs with the thread backend, but a
+        # coefficients file written by an older to_dict() still carries
+        # them: it loads with those four keys ignored, while any other
+        # unknown key still raises.
         old = dict(
             CostCoefficients(pull_pbrj=1e-6).to_dict(),
             kernel_pin_bulk_penalty=1.5, kernel_pin_small_penalty=1.05,
+            round_thread=6.0e-5, startup_thread=3.0e-4,
         )
         loaded = CostCoefficients.from_dict(old)
         assert loaded == CostCoefficients(pull_pbrj=1e-6)
         assert not hasattr(loaded, "kernel_pin_bulk_penalty")
+        assert not hasattr(loaded, "round_thread")
         with pytest.raises(ValueError, match="kernel_pin_tiny_penalty"):
             CostCoefficients.from_dict(dict(old, kernel_pin_tiny_penalty=1.0))
 
@@ -134,8 +137,8 @@ class TestPbrjScoring:
         assert skewed.detail["imbalance"] > balanced.detail["imbalance"]
 
     def test_process_backend_pays_startup(self):
-        thread = score_pbrj_candidate(
-            pbrj_candidate(shards=4, backend="thread"),
+        serial = score_pbrj_candidate(
+            pbrj_candidate(shards=4, backend="serial"),
             coeffs=COEFFS, depth=1_000, total_tuples=2_000,
             shares=(0.25,) * 4,
         )
@@ -144,7 +147,7 @@ class TestPbrjScoring:
             coeffs=COEFFS, depth=1_000, total_tuples=2_000,
             shares=(0.25,) * 4,
         )
-        assert process.detail["startup"] > thread.detail["startup"]
+        assert process.detail["startup"] > serial.detail["startup"]
 
     def test_process_parallelism_divides_compute(self):
         fast = CostCoefficients(parallelism=4)
@@ -190,9 +193,9 @@ class TestAnykScoring:
         assert candidate.label() == "anyk"
         sharded = PlanCandidate(
             algorithm="pbrj", operator="FRPA", shards=4,
-            partitioner="skew", backend="thread",
+            partitioner="skew", backend="process",
         )
-        assert sharded.label() == "pbrj/FRPA x4 skew/thread"
+        assert sharded.label() == "pbrj/FRPA x4 skew/process"
 
 
 class TestMultiwayScoring:

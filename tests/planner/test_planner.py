@@ -38,10 +38,13 @@ class TestPlanBinary:
     def test_enumerates_all_axes(self, instance):
         decision = Planner().plan([instance.left, instance.right], 10)
         labels = {entry.candidate.label() for entry in decision.candidates}
-        # anyk + 1-shard pbrj + sharded pbrj with both partitioners/backends.
+        # anyk + 1-shard pbrj + sharded pbrj with both partitioners; the
+        # exec backend is not an axis (sharded candidates cost on serial).
         assert "anyk" in labels
         assert "pbrj/HRJN*" in labels
-        assert "pbrj/FRPA x4 skew/thread" in labels
+        assert "pbrj/FRPA x4 skew/serial" in labels
+        assert len(decision.candidates) == 15
+        assert {e.candidate.backend for e in decision.candidates} == {"serial"}
 
     def test_table_is_explainable(self, instance):
         decision = Planner().plan([instance.left, instance.right], 10)
@@ -69,14 +72,20 @@ class TestPlanBinary:
     def test_pin_operator_and_backend(self, instance):
         decision = Planner().plan(
             [instance.left, instance.right], 10,
-            algorithm="pbrj", operator="FRPA", exec_backend="serial",
+            algorithm="pbrj", operator="FRPA", exec_backend="process",
         )
         assert decision.operator == "FRPA"
         pbrj_sharded = [
             e for e in decision.candidates if e.candidate.shards > 1
         ]
         assert pbrj_sharded
-        assert all(e.candidate.backend == "serial" for e in pbrj_sharded)
+        assert all(e.candidate.backend == "process" for e in pbrj_sharded)
+
+    def test_retired_thread_backend_pin_rejected(self, instance):
+        with pytest.raises(InstanceError, match="'serial', 'process'"):
+            Planner().plan(
+                [instance.left, instance.right], 10, exec_backend="thread"
+            )
 
     def test_unknown_algorithm_rejected(self, instance):
         with pytest.raises(InstanceError, match="unknown algorithm"):
@@ -105,10 +114,9 @@ class TestPlanBinary:
         decision = Planner().plan([left, right], 10, algorithm="pbrj", shards=8)
         by_label = {e.candidate.label(): e.cost for e in decision.candidates}
         for operator in ("HRJN*", "FRPA"):
-            for backend in ("serial", "thread"):
-                skew = by_label[f"pbrj/{operator} x8 skew/{backend}"]
-                hash_ = by_label[f"pbrj/{operator} x8 hash/{backend}"]
-                assert skew <= hash_
+            skew = by_label[f"pbrj/{operator} x8 skew/serial"]
+            hash_ = by_label[f"pbrj/{operator} x8 hash/serial"]
+            assert skew <= hash_
 
     def test_planning_time_recorded(self, instance):
         decision = Planner().plan([instance.left, instance.right], 10)
@@ -118,8 +126,7 @@ class TestPlanBinary:
 class TestPlannerConfig:
     def test_restricting_choices_restricts_candidates(self, instance):
         config = PlannerConfig(
-            shard_choices=(1, 2), backends=("serial",),
-            operators=("HRJN*",), include_anyk=False,
+            shard_choices=(1, 2), operators=("HRJN*",), include_anyk=False,
         )
         decision = Planner(config=config).plan(
             [instance.left, instance.right], 10

@@ -15,6 +15,7 @@ chaos tests iterate over, so tests read as one line per axis:
 
 from __future__ import annotations
 
+from repro.exec import BACKENDS
 from repro.resilience import (  # noqa: F401 - re-exported for the suite
     CHAOS_KINDS,
     SEED_WORKLOADS,
@@ -27,10 +28,10 @@ from repro.resilience import (  # noqa: F401 - re-exported for the suite
 )
 
 #: The acceptance matrix: every seed workload × shard counts {2, 4} ×
-#: both parallel backends × every result-affecting fault kind.
+#: both execution backends × every result-affecting fault kind.
 CHAOS_WORKLOADS = SEED_WORKLOADS
 CHAOS_SHARDS = (2, 4)
-CHAOS_BACKENDS = ("thread", "process")
+CHAOS_BACKENDS = BACKENDS
 
 
 def assert_chaos_case(

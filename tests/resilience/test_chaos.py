@@ -1,6 +1,6 @@
 """The chaos acceptance matrix (quarantinable via ``-m chaos``).
 
-Every seed workload × shard counts {2, 4} × both parallel backends ×
+Every seed workload × shard counts {2, 4} × both execution backends ×
 every result-affecting fault kind: the faulted run must be bit-identical
 to the fault-free run with at least one fault actually fired.  These
 tests spawn process children and respawn them on purpose, so they carry
@@ -34,8 +34,8 @@ def test_chaos_matrix(workload, shards, backend, kind):
 
 
 def test_chaos_runs_are_seed_reproducible():
-    a = chaos_run("uniform", 2, "thread", "worker-kill", seed=9)
-    b = chaos_run("uniform", 2, "thread", "worker-kill", seed=9)
+    a = chaos_run("uniform", 2, "serial", "worker-kill", seed=9)
+    b = chaos_run("uniform", 2, "serial", "worker-kill", seed=9)
     assert (a.respawns, a.retries, a.matched) == (b.respawns, b.retries, b.matched)
 
 
@@ -43,7 +43,7 @@ def test_chaos_suite_entrypoint_smoke():
     from repro.resilience import run_chaos_suite
 
     cases = run_chaos_suite(
-        workloads=("uniform",), shards=(2,), backends=("thread",),
+        workloads=("uniform",), shards=(2,), backends=("serial",),
         kinds=("transient",),
     )
     assert len(cases) == 1 and cases[0].ok
@@ -71,14 +71,14 @@ class TestReshardChaos:
     def test_skewed_workload_reshard_under_fault(self):
         from repro.resilience import reshard_chaos_run
 
-        case = reshard_chaos_run("zipf", 4, "thread", "worker-kill", seed=2)
+        case = reshard_chaos_run("zipf", 4, "serial", "worker-kill", seed=2)
         assert case.ok and case.reshards == 1
 
     def test_suite_entrypoint_grows_reshard_leg(self):
         from repro.resilience import run_chaos_suite
 
         cases = run_chaos_suite(
-            workloads=("uniform",), shards=(2,), backends=("thread",),
+            workloads=("uniform",), shards=(2,), backends=("serial",),
             kinds=("transient",), reshard=True,
         )
         assert len(cases) == 2

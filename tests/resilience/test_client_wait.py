@@ -1,4 +1,4 @@
-"""Client-side resilience: backed-off waiting and retryable request chaos."""
+"""Client-side resilience: bounded waiting and retryable request chaos."""
 
 from __future__ import annotations
 
@@ -22,42 +22,37 @@ RELATIONS = {"lineitem": INSTANCE.left, "orders": INSTANCE.right}
 
 
 class FakeClock:
-    """Virtual time: sleeps advance the clock instead of burning CPU."""
+    """Virtual time the scripted stream advances instead of burning CPU."""
 
     def __init__(self) -> None:
         self.now = 0.0
-        self.sleeps: list[float] = []
 
     def monotonic(self) -> float:
         return self.now
 
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
-
 
 class ScriptedClient(ServiceClient):
-    """A client whose ``poll`` is served from a script, not a socket.
-
-    Scripts a *legacy* server: the ``stream`` verb is unknown, so these
-    tests pin down the geometric-backoff fallback path ``wait`` takes
-    when it cannot ride the stream.
-    """
+    """A client whose ``stream_raw`` is served from a script, not a socket:
+    one result event per virtual second until ``done_at``, then ``done``."""
 
     def __init__(self, clock: FakeClock, done_at: float) -> None:
         super().__init__("nowhere", 0)
         self._clock = clock
         self._done_at = done_at
-        self.polls = 0
-
-    def poll(self, session_id: str) -> dict:
-        self.polls += 1
-        state = "DONE" if self._clock.now >= self._done_at else "RUNNING"
-        return {"session": session_id, "state": state}
+        self.closed = False
 
     def stream_raw(self, session_id: str, *, from_index: int = 0):
-        raise ServiceError("unknown verb 'stream'")
-        yield  # pragma: no cover - generator marker
+        index = from_index
+        while self._clock.now < self._done_at:
+            yield {"ok": True, "event": "result", "index": index, "score": 1.0}
+            index += 1
+            self._clock.now += 1.0
+        yield {"ok": True, "event": "done", "session": session_id,
+               "state": "DONE"}
+
+    def close(self) -> None:
+        self.closed = True
+        super().close()
 
 
 @pytest.fixture
@@ -65,43 +60,27 @@ def virtual_time(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(
         "repro.service.client.time",
-        types.SimpleNamespace(monotonic=clock.monotonic, sleep=clock.sleep),
+        types.SimpleNamespace(monotonic=clock.monotonic),
     )
     return clock
 
 
-class TestWaitBackoff:
-    def test_slow_session_costs_logarithmic_then_bounded_polls(self, virtual_time):
-        """A 10-virtual-second session must not be busy-polled.
-
-        With the pre-backoff fixed 10ms interval this session would cost
-        ~1000 poll round-trips; geometric backoff to a 250ms ceiling
-        bounds it to a few dozen.
-        """
-        client = ScriptedClient(virtual_time, done_at=10.0)
-        snapshot = client.wait(
-            "s1", timeout=60.0, interval=0.01, sleep=virtual_time.sleep
-        )
-        assert snapshot["state"] == "DONE"
-        assert client.polls < 80, f"{client.polls} polls — still busy-polling"
-        assert client.polls > 5
-        # Never spins: every sleep is at least the base interval, the
-        # delays ramp monotonically, and the ceiling is respected.
-        assert min(virtual_time.sleeps) >= 0.01
-        assert max(virtual_time.sleeps) <= 0.25
-        assert virtual_time.sleeps == sorted(virtual_time.sleeps)
-
-    def test_fast_session_returns_without_sleeping(self, virtual_time):
-        client = ScriptedClient(virtual_time, done_at=0.0)
-        snapshot = client.wait("s1", timeout=5.0, sleep=virtual_time.sleep)
-        assert snapshot["state"] == "DONE"
-        assert client.polls == 1
-        assert virtual_time.sleeps == []
-
+class TestWaitTimeout:
     def test_timeout_still_raises(self, virtual_time):
         client = ScriptedClient(virtual_time, done_at=1e9)
         with pytest.raises(TimeoutError):
-            client.wait("s1", timeout=2.0, sleep=virtual_time.sleep)
+            client.wait("s1", timeout=2.0)
+        # The abandoned stream is dropped with its connection, so the
+        # next request starts on a clean one.
+        assert client.closed
+
+    def test_session_done_inside_the_timeout_returns_the_snapshot(
+        self, virtual_time
+    ):
+        client = ScriptedClient(virtual_time, done_at=3.0)
+        snapshot = client.wait("s1", timeout=5.0)
+        assert snapshot == {"ok": True, "session": "s1", "state": "DONE"}
+        assert not client.closed
 
 
 @contextlib.contextmanager

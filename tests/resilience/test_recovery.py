@@ -42,7 +42,7 @@ def faulted_run(instance, *, backend, plan, shards=2, max_respawns=3,
         return results, engine.snapshot(), obs
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 class TestRespawnReplay:
     def test_single_kill_preserves_results_and_order(self, backend):
         instance = make_instance()
@@ -97,34 +97,23 @@ class TestRespawnReplay:
 
 
 class TestDegradation:
-    def test_process_degrades_to_thread_and_finishes(self):
+    def test_process_degrades_straight_to_serial_and_finishes(self):
         instance = make_instance()
         reference = emission_view(reference_run(instance, 2))
-        # One more kill than max_respawns allows on shard 0 → exactly one
-        # tier drop, with nothing left to kill on the lower tier.
+        # max_respawns + 1 kills on shard 0 force the one tier drop there
+        # is; the fourth fires on the serial floor, which must respawn in
+        # place rather than look for a lower tier.
         plan = FaultPlan(tuple(
-            FaultSpec("worker-kill", 0, depth) for depth in (0, 5, 10)
+            FaultSpec("worker-kill", 0, depth) for depth in (0, 10, 20, 30)
         ))
         results, snapshot, obs = faulted_run(
             instance, backend="process", plan=plan, max_respawns=2,
         )
         assert emission_view(results) == reference
         assert snapshot["degraded"]
-        assert snapshot["backend_tier"] == "thread"
-        assert obs.metrics.value("resilience_degrades_total") == 1
-
-    def test_thread_degrades_to_serial_floor(self):
-        instance = make_instance()
-        reference = emission_view(reference_run(instance, 2))
-        plan = FaultPlan(tuple(
-            FaultSpec("worker-kill", 0, depth) for depth in (0, 10, 20, 30)
-        ))
-        results, snapshot, _ = faulted_run(
-            instance, backend="thread", plan=plan, max_respawns=2,
-        )
-        assert emission_view(results) == reference
-        assert snapshot["degraded"]
         assert snapshot["backend_tier"] == "serial"
+        assert obs.metrics.value("resilience_degrades_total") == 1
+        assert obs.metrics.value("worker_respawns_total") == 4
 
     def test_degrade_false_keeps_respawning_on_the_same_tier(self):
         instance = make_instance()
@@ -133,12 +122,12 @@ class TestDegradation:
             FaultSpec("worker-kill", 0, depth) for depth in (0, 5, 10, 15, 20)
         ))
         results, snapshot, obs = faulted_run(
-            instance, backend="thread", plan=plan,
+            instance, backend="serial", plan=plan,
             max_respawns=1, degrade=False,
         )
         assert emission_view(results) == reference
         assert not snapshot["degraded"]
-        assert snapshot["backend_tier"] == "thread"
+        assert snapshot["backend_tier"] == "serial"
         assert obs.metrics.value("worker_respawns_total") == 5
 
     def test_transient_storm_exhausts_retry_budget(self):
@@ -163,12 +152,12 @@ class TestResilientBackendDirect:
     def test_no_plan_is_transparent(self):
         instance = make_instance()
         reference = emission_view(reference_run(instance, 2))
-        config = ExecConfig(shards=2, backend="thread",
+        config = ExecConfig(shards=2, backend="serial",
                             resilience=ResilienceConfig())
         with ShardedRankJoin(instance, "FRPA", config=config) as engine:
             assert emission_view(engine.top_k(instance.k)) == reference
             assert not engine.degraded
-            assert engine.snapshot()["backend_tier"] == "thread"
+            assert engine.snapshot()["backend_tier"] == "serial"
 
     def test_replay_log_records_only_successful_quanta(self):
         from repro.exec.backends import make_backend
@@ -200,7 +189,7 @@ class TestResilientBackendDirect:
         ))
         obs = Observability()
         config = ExecConfig(
-            shards=2, backend="thread",
+            shards=2, backend="serial",
             resilience=ResilienceConfig(plan=plan, retry=FAST_RETRY,
                                         max_respawns=5),
         )

@@ -15,8 +15,8 @@ pytestmark = pytest.mark.chaos
 
 
 @pytest.mark.parametrize("backend,kind", [
-    ("thread", "transient"),
-    ("thread", "pipe-drop"),
+    ("serial", "transient"),
+    ("serial", "pipe-drop"),
     ("process", "worker-kill"),
 ])
 def test_stream_is_exactly_once_under_faults(backend, kind):
@@ -31,7 +31,7 @@ def test_dense_request_chaos_is_ridden_through():
     # faults: the client's re-attach loop must absorb a dense schedule,
     # not just a single blip.
     case = stream_chaos_run(
-        "anticorrelated", 2, "thread", "transient", seed=1, error_rate=0.5,
+        "anticorrelated", 2, "serial", "transient", seed=1, error_rate=0.5,
     )
     assert case.matched
     assert case.injected > 0, "request chaos never fired — vacuous case"

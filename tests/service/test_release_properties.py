@@ -19,7 +19,7 @@ from tests.service.conftest import make_instance
     seed=st.integers(min_value=0, max_value=20),
     k=st.integers(min_value=1, max_value=12),
     shards=st.sampled_from([1, 2, 4]),
-    backend=st.sampled_from(["serial", "thread"]),
+    backend=st.sampled_from(["serial", "process"]),
 )
 def test_release_moments_align_with_the_oracle(seed, k, shards, backend):
     instance = make_instance(seed=seed, n=120, num_keys=12, k=k)

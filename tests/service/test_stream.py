@@ -2,7 +2,7 @@
 
 Covers the wire contract (sequential indexes, release-order scores, the
 terminal ``done`` snapshot), cursor resume, and the client-side
-``wait``-rides-the-stream fast path with its poll-loop fallback.
+``wait``-rides-the-stream path (there is no poll-loop fallback).
 """
 
 import threading
@@ -139,18 +139,11 @@ class TestWaitRidesStream:
         assert client.stream_requests >= 1
         assert client.polls == 0, "wait fell back to polling a streaming server"
 
-    def test_wait_falls_back_to_polling_on_legacy_server(self):
+    def test_wait_surfaces_a_missing_stream_verb_instead_of_polling(self):
         with running_server() as server:
             with LegacyServerClient(server.host, server.port) as client:
                 sid = client.submit(left="lineitem", right="orders", k=6)
-                final = client.wait(sid)
-                assert client._stream_supported is False
-                first_attempts = client.stream_requests
-                # A second wait goes straight to the poll loop.
-                again = client.wait(sid)
-        assert final["state"] == "DONE"
-        assert final["scores"] == ROUNDED_REFERENCE[:6]
-        assert client.polls >= 2
-        assert first_attempts == 1
+                with pytest.raises(ServiceError, match="unknown verb"):
+                    client.wait(sid)
         assert client.stream_requests == 1
-        assert again["scores"] == final["scores"]
+        assert client.polls == 0

@@ -29,7 +29,7 @@ class TestMetricsVerb:
             with ServiceClient(server.host, server.port) as client:
                 client.run(
                     left="lineitem", right="orders", k=5,
-                    shards=2, backend="thread",
+                    shards=2, backend="serial",
                 )
                 text = client.metrics()
         assert "exec_shard_pulls_total" in text
@@ -43,7 +43,7 @@ class TestStatsTelemetry:
             with ServiceClient(server.host, server.port) as client:
                 client.run(
                     left="lineitem", right="orders", k=5,
-                    shards=2, backend="thread",
+                    shards=2, backend="serial",
                 )
                 stats = client.stats()
         slo = stats["slo"]

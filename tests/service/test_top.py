@@ -23,7 +23,7 @@ STATS = {
     "sessions": [
         {"session": "q-1", "state": "RUNNING", "label": "hrjn k=10",
          "results": 4, "k": 10, "pulls": 320, "degraded": True,
-         "plan": "pbrj/FRPA x4 skew/thread"},
+         "plan": "pbrj/FRPA x4 skew/serial"},
     ],
 }
 
@@ -56,7 +56,7 @@ class TestRenderDashboard:
     def test_plan_column_rendered_per_session(self):
         screen = render_dashboard(STATS)
         assert "PLAN" in screen
-        assert "pbrj/FRPA x4 skew/thread" in screen
+        assert "pbrj/FRPA x4 skew/serial" in screen
 
     def test_missing_plan_renders_placeholder(self):
         stats = dict(STATS)

@@ -284,11 +284,28 @@ class TestPlanAuto:
 
     def test_workload_file_invalid_exec_backend_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
-        path.write_text(json.dumps({"scale": 0.0003, "exec_backend": "gpu"}))
-        assert main(["run", "FRPA", "--workload", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert "unknown exec_backend 'gpu'" in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
+        for backend in ("gpu", "thread"):  # unknown and retired alike
+            path.write_text(json.dumps(
+                {"scale": 0.0003, "exec_backend": backend}
+            ))
+            assert main(["run", "FRPA", "--workload", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert f"unknown exec_backend {backend!r}" in captured.err
+            assert "['serial', 'process']" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "FRPA", "--shards", "2", "--exec-backend", "thread"],
+        ["chaos", "--backends", "thread"],
+    ])
+    def test_retired_thread_backend_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        assert "'serial', 'process'" in err
+        assert "Traceback" not in err
 
     def test_workload_file_static_shards_adopted(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
