@@ -24,6 +24,7 @@ import threading
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.service import ServiceClient  # noqa: E402
+from service_smoke import hostile_frames_refused  # noqa: E402 - sibling script
 
 
 def start_fleet(scale: float, workers: int) -> tuple[subprocess.Popen, str, int]:
@@ -55,14 +56,17 @@ def main() -> int:
     args = parser.parse_args()
 
     process, host, port = start_fleet(args.scale, args.workers)
+    errors: list[str] = []
 
     def drain():
         for line in process.stdout:
             print(f"[fleet] {line.rstrip()}")
+            if "Traceback" in line:
+                errors.append("fleet printed a traceback")
 
     threading.Thread(target=drain, daemon=True).start()
 
-    errors: list[str] = []
+    errors += hostile_frames_refused(host, port)
     by_k: dict[int, list] = {}
     lock = threading.Lock()
     per_thread = args.sessions // args.threads

@@ -12,8 +12,10 @@ Usage: python scripts/service_smoke.py [--clients 20] [--scale 0.0005]
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -42,6 +44,34 @@ def start_server(scale: float) -> tuple[subprocess.Popen, str, int]:
     raise RuntimeError(f"server exited (rc={process.wait()}) before listening")
 
 
+def hostile_frames_refused(host: str, port: int) -> list[str]:
+    """Send a wrong-typed submit and an over-long line over raw sockets.
+
+    Each must come back as exactly one ``ok: false`` line; the caller's
+    normal traffic afterwards proves the server shrugged them off.
+    """
+    frames = {
+        "wrong-typed submit": json.dumps({
+            "verb": "submit", "left": "lineitem", "right": "orders",
+            "k": 3, "deadline": "soon",
+        }).encode() + b"\n",
+        "over-long line": b'{"verb": "stats", "pad": "' + b"x" * 70000 + b'"}\n',
+    }
+    errors = []
+    for name, frame in frames.items():
+        try:
+            with socket.create_connection((host, port), timeout=30.0) as sock, \
+                    sock.makefile("rwb") as stream:
+                stream.write(frame)
+                stream.flush()
+                reply = json.loads(stream.readline())
+            if reply.get("ok") is not False or not reply.get("error"):
+                errors.append(f"{name}: not refused: {reply}")
+        except (OSError, ValueError) as exc:
+            errors.append(f"{name}: {type(exc).__name__}: {exc}")
+    return errors
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--clients", type=int, default=20)
@@ -49,15 +79,19 @@ def main() -> int:
     args = parser.parse_args()
 
     process, host, port = start_server(args.scale)
+    errors: list[str] = []
+
     # Drain remaining server output in the background so it cannot block.
     def drain():
         for line in process.stdout:
             print(f"[server] {line.rstrip()}")
+            if "Traceback" in line:
+                errors.append("server printed a traceback")
 
     threading.Thread(target=drain, daemon=True).start()
 
     finals: dict[int, dict] = {}
-    errors: list[str] = []
+    errors += hostile_frames_refused(host, port)
 
     def query(index: int) -> None:
         try:

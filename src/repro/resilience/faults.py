@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from repro.errors import ShardError, WorkerLost
 from repro.exec.backends import _due_fault
 from repro.exec.worker import ShardWorker
+from repro.service import wire
 
 #: Fault kinds a plan may schedule (see module docstring).
 FAULT_KINDS = ("worker-kill", "pipe-drop", "delay", "transient")
@@ -223,11 +224,7 @@ class RequestChaos:
         draw = self._rng.random()
         if draw < self.error_rate:
             self.injected_errors += 1
-            return {
-                "ok": False,
-                "error": "injected transient fault; safe to retry",
-                "retryable": True,
-            }
+            return wire.injected_fault()
         if draw < self.error_rate + self.delay_rate:
             self.injected_delays += 1
             self._sleep(self.delay)

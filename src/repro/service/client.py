@@ -1,8 +1,10 @@
 """Thin blocking client for the JSON-lines query service.
 
-Speaks the :mod:`repro.service.server` wire protocol over one persistent
-TCP connection.  Safe to use from multiple threads only if each thread
-owns its own client.  Typical use::
+Speaks :mod:`repro.service.wire` (prose: the "Wire protocol" section of
+``docs/API.md``) over one persistent TCP connection; what this file adds
+is retry on server-marked transient failures and exactly-once stream
+resume.  Safe to use from multiple threads only if each thread owns its
+own client.  Typical use::
 
     with ServiceClient("127.0.0.1", 7411) as client:
         sid = client.submit(left="lineitem", right="orders", k=10)
@@ -12,32 +14,12 @@ owns its own client.  Typical use::
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 
 from repro.obs import TraceContext
-
-
-class ServiceError(RuntimeError):
-    """The server answered ``ok: false``.
-
-    ``retryable`` is True when the server marked the failure transient
-    (e.g. injected request chaos) — resending the same request is safe.
-    ``retry_after`` carries the server's backpressure hint, when present
-    (per-tenant quota rejections): resending sooner is guaranteed futile.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        retryable: bool = False,
-        retry_after: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.retryable = retryable
-        self.retry_after = retry_after
+from repro.service import wire
+from repro.service.wire import ServiceError  # also importable from here
 
 
 class ServiceClient:
@@ -86,6 +68,29 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Protocol
     # ------------------------------------------------------------------
+    def _send(self, payload: dict) -> None:
+        self.connect()
+        try:
+            self._file.write(wire.encode(payload))
+            self._file.flush()
+        except OSError:
+            self.close()
+            raise
+
+    def _receive(self) -> dict:
+        """One reply line.  A failed read (timeout, reset, hang-up) leaves
+        the buffered socket unusable — Python refuses further reads after
+        a timeout — so the connection is dropped before the error
+        propagates and the next request reconnects."""
+        try:
+            line = self._file.readline()
+            if not line:
+                raise ConnectionError("server closed the connection")
+        except OSError:
+            self.close()
+            raise
+        return wire.decode(line)
+
     def request(
         self, payload: dict, *, max_retries: int = 2, sleep=time.sleep
     ) -> dict:
@@ -100,20 +105,11 @@ class ServiceClient:
         hung up mid-exchange.
         """
         for attempt in range(max_retries + 1):
-            self.connect()
-            self._file.write((json.dumps(payload) + "\n").encode())
-            self._file.flush()
-            line = self._file.readline()
-            if not line:
-                raise ConnectionError("server closed the connection")
-            response = json.loads(line)
+            self._send(payload)
+            response = self._receive()
             if response.get("ok", False):
                 return response
-            error = ServiceError(
-                response.get("error", "unknown server error"),
-                retryable=bool(response.get("retryable", False)),
-                retry_after=response.get("retry_after"),
-            )
+            error = ServiceError.from_reply(response)
             if not error.retryable or attempt >= max_retries:
                 raise error
             if error.retry_after:
@@ -168,22 +164,11 @@ class ServiceClient:
         uses this path to prove the *server* never emits a duplicate or
         out-of-order event.
         """
-        self.connect()
-        self._file.write((json.dumps(
-            {"verb": "stream", "session": session_id, "from": from_index}
-        ) + "\n").encode())
-        self._file.flush()
+        self._send({"verb": "stream", "session": session_id, "from": from_index})
         while True:
-            line = self._file.readline()
-            if not line:
-                raise ConnectionError("server closed the connection mid-stream")
-            event = json.loads(line)
+            event = self._receive()
             if not event.get("ok", False):
-                raise ServiceError(
-                    event.get("error", "unknown server error"),
-                    retryable=bool(event.get("retryable", False)),
-                    retry_after=event.get("retry_after"),
-                )
+                raise ServiceError.from_reply(event)
             yield event
             if event.get("event") == "done":
                 return

@@ -4,11 +4,11 @@ One :class:`~repro.service.server.RankJoinServer` is bounded by a single
 scheduler thread; the fleet multiplies it.  ``python -m repro serve
 --workers N`` boots N full server processes — each with its own event
 loop, scheduler, and operators — plus a lightweight asyncio front-end
-that all clients talk to.  The front-end speaks the exact same JSON-lines
-protocol, so every existing client (:class:`~repro.service.client.
-ServiceClient`, ``repro top``, the smoke scripts) works unchanged.
-
-Routing and shared state:
+that all clients talk to.  The front-end is a second
+:class:`~repro.service.wire.LineServer` over the same verb table, so
+every existing client (:class:`~repro.service.client.ServiceClient`,
+``repro top``, the smoke scripts) works unchanged; what this file adds is
+routing and shared state:
 
 * **Admission** is shared: per-tenant token-bucket quotas
   (:class:`~repro.service.quota.TenantQuotas`) are enforced once, at the
@@ -18,8 +18,8 @@ Routing and shared state:
   with the fewest in-flight sessions (ties to the lowest index —
   deterministic).  Tests may pin a submit with a ``"worker": n`` field.
 * **Session ids** are namespaced on the wire: worker 2's ``s7`` is
-  ``w2:s7`` to clients, so poll/cancel/stream route straight back to the
-  owning worker with no session table lookups.
+  ``w2:s7`` to clients, so session-addressed verbs route straight back to
+  the owning worker with no session table lookups.
 * **The result cache** spans processes through the disk-backed shared
   tier (:class:`~repro.service.cache.ResultCache` ``shared_dir``): a
   prefix computed by any worker answers the same fingerprint on every
@@ -36,23 +36,18 @@ front-end stop.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import json
 import multiprocessing as mp
 import shutil
-import signal
 import tempfile
 import threading
 
 from repro.errors import QuotaExceeded
-from repro.obs import Observability
+from repro.obs import Observability, render_prometheus
+from repro.service import wire
 from repro.service.cache import ResultCache
 from repro.service.quota import TenantQuotas
 from repro.service.server import RankJoinServer
 from repro.service.service import QueryService
-
-#: Session states after which a session will never progress again.
-_TERMINAL = ("DONE", "CANCELLED", "FAILED")
 
 
 def _merge_slo(into: dict, worker_slo: dict) -> None:
@@ -124,6 +119,7 @@ class _Worker:
 
     def __init__(self, index: int, process, conn) -> None:
         self.index = index
+        self.name = f"w{index}"  # the session-id namespace on the wire
         self.process = process
         self.conn = conn
         self.port: int | None = None
@@ -135,10 +131,10 @@ class _Worker:
         return not self.dead and self.process.is_alive()
 
 
-class ServeFleet:
+class ServeFleet(wire.LineServer):
     """N server workers behind one protocol-compatible front-end.
 
-    Mirrors the :class:`~repro.service.server.RankJoinServer` lifecycle
+    Shares the :class:`~repro.service.server.RankJoinServer` lifecycle
     surface (``ready``, ``host``/``port``, blocking :meth:`run`,
     :meth:`begin_shutdown`) so the CLI and scripts drive either
     interchangeably.
@@ -159,10 +155,9 @@ class ServeFleet:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        super().__init__(host, port)
         self.relations = dict(relations)
         self.num_workers = workers
-        self.host = host
-        self.port = port  # 0 → ephemeral; updated once bound
         self.quotas = quotas
         self.service_kwargs = dict(service_kwargs or {})
         self.server_kwargs = dict(server_kwargs or {})
@@ -173,16 +168,11 @@ class ServeFleet:
             if shared_cache_dir is not None
             else tempfile.mkdtemp(prefix="repro-fleet-cache-")
         )
-        self.ready = threading.Event()
-        self.draining = False
         self._workers: list[_Worker] = []
         #: Rotation counter for tie-breaking the least-outstanding router.
         self._rr_next = 0
         #: Namespaced session id → owning worker index, while in flight.
         self._pending: dict[str, int] = {}
-        self._shutdown: asyncio.Event | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -191,8 +181,9 @@ class ServeFleet:
         """Spawn the workers, serve until shutdown, tear down (blocking)."""
         self._spawn_workers()
         try:
-            asyncio.run(self._main())
+            super().run()
         finally:
+            self.obs.flush()
             self._join_workers()
             if self._owns_cache_dir:
                 shutil.rmtree(self.shared_cache_dir, ignore_errors=True)
@@ -228,56 +219,26 @@ class ServeFleet:
             self._join_workers()
             raise RuntimeError("no fleet worker became ready")
 
-    async def _main(self) -> None:
-        self._shutdown = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        self._install_signal_handlers()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.ready.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            self._server.close()
-            await self._server.wait_closed()
-            self._remove_signal_handlers()
-            self._loop = None
-            self.obs.flush()
-
-    def begin_shutdown(self) -> None:
-        """Thread-safe shutdown trigger (signal handlers, tests)."""
-        loop = self._loop
-        if loop is None or self._shutdown is None:
-            return
+    async def _stop(self) -> None:
+        """Stop every worker through the shutdown verb, then the front-end."""
         self.draining = True
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self._stop_everything())
-            )
-
-    async def _stop_everything(self) -> None:
-        self.draining = True
-        await self._shutdown_workers()
-        self._shutdown.set()
-
-    async def _shutdown_workers(self) -> None:
         for worker in self._workers:
             if not worker.alive:
                 continue
+            conn = None
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(self.host, worker.port), timeout=5.0
                 )
-                writer.write(b'{"verb": "shutdown"}\n')
-                await writer.drain()
+                conn = wire.Connection(writer)
+                await conn.send({"verb": "shutdown"})
                 await asyncio.wait_for(reader.readline(), timeout=10.0)
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
             except (OSError, asyncio.TimeoutError):
                 worker.dead = True
+            finally:
+                if conn is not None:
+                    await conn.close()
+        await super()._stop()
 
     def _join_workers(self) -> None:
         for worker in self._workers:
@@ -287,30 +248,17 @@ class ServeFleet:
                 worker.process.join(timeout=5.0)
             worker.conn.close()
 
-    def _install_signal_handlers(self) -> None:
-        self._signals_installed = False
-        try:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                self._loop.add_signal_handler(signum, self.begin_shutdown)
-            self._signals_installed = True
-        except (NotImplementedError, ValueError, RuntimeError):
-            pass
-
-    def _remove_signal_handlers(self) -> None:
-        if not getattr(self, "_signals_installed", False):
-            return
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(Exception):
-                self._loop.remove_signal_handler(signum)
-        self._signals_installed = False
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _pick_worker(self, request: dict) -> _Worker | None:
-        pinned = request.get("worker")
+    def _pick_worker(self, pinned: int | None) -> _Worker | None:
         if pinned is not None:
-            worker = self._workers[int(pinned)]
+            if not 0 <= pinned < len(self._workers):
+                raise wire.BadFrame(wire.bad_request(
+                    f"field 'worker' must be in 0..{len(self._workers) - 1}, "
+                    f"got {pinned}"
+                ))
+            worker = self._workers[pinned]
             return worker if worker.alive else None
         candidates = [w for w in self._workers if w.alive]
         if not candidates:
@@ -328,27 +276,23 @@ class ServeFleet:
     def _route_session(self, wire_id: str) -> tuple[_Worker, str] | None:
         """Split a namespaced ``wN:sM`` id into (worker, local id)."""
         prefix, _, local = wire_id.partition(":")
-        if not local or not prefix.startswith("w"):
-            return None
-        try:
-            worker = self._workers[int(prefix[1:])]
-        except (ValueError, IndexError):
-            return None
-        return worker, local
+        for worker in self._workers:
+            if worker.name == prefix and local:
+                return worker, local
+        return None
 
     @staticmethod
     def _rewrite(payload: dict, worker: _Worker) -> dict:
         """Namespace any session id in a relayed worker payload."""
         if isinstance(payload.get("session"), str):
             payload = dict(payload)
-            payload["session"] = f"w{worker.index}:{payload['session']}"
+            payload["session"] = f"{worker.name}:{payload['session']}"
         return payload
 
-    def _settle(self, worker: _Worker, payload: dict) -> None:
+    def _settle(self, worker: _Worker, wire_id, payload: dict) -> None:
         """Retire an in-flight session when a relayed payload ends it."""
-        wire_id = payload.get("session")
         terminal = (
-            payload.get("state") in _TERMINAL
+            payload.get("state") in wire.TERMINAL
             or payload.get("event") == "done"
             or payload.get("cancelled") is True
         )
@@ -357,210 +301,80 @@ class ServeFleet:
             worker.outstanding = max(0, worker.outstanding - 1)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Verbs
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # One lazily-opened upstream connection per worker, owned by this
-        # client connection — requests on one client socket are serial, so
-        # the relays below never interleave on an upstream.
-        upstreams: dict[int, tuple] = {}
-        try:
-            while not reader.at_eof():
-                line = await reader.readline()
-                if not line:
-                    break
-                stop = await self._serve_line(line, writer, upstreams)
-                if stop:
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            # Absorbed at loop teardown (idle keep-alive connections);
-            # see RankJoinServer._handle_connection.
-            pass
-        finally:
-            # Suppress CancelledError too: at loop teardown the cleanup
-            # awaits themselves get cancelled, and the close() calls above
-            # have already done the real work.
-            for up_reader, up_writer in upstreams.values():
-                up_writer.close()
-                with contextlib.suppress(Exception, asyncio.CancelledError):
-                    await up_writer.wait_closed()
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
+    async def _handle(self, verb: wire.Verb, request: dict, conn):
+        if verb.session_addressed:
+            return await self._relay(verb, request, conn)
+        return await getattr(self, f"_verb_{verb.name}")(request, conn)
 
-    async def _serve_line(self, line: bytes, writer, upstreams) -> bool:
-        """Handle one request line; True when the connection should stop."""
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            await self._send(writer, {"ok": False, "error": f"invalid JSON: {exc}"})
-            return False
-        if not isinstance(request, dict):
-            await self._send(
-                writer, {"ok": False, "error": "request must be a JSON object"}
-            )
-            return False
-        verb = request.get("verb")
-        if verb == "submit":
-            await self._front_submit(request, writer, upstreams)
-        elif verb in ("poll", "cancel"):
-            await self._front_relay(request, writer, upstreams)
-        elif verb == "stream":
-            await self._front_stream(request, writer, upstreams)
-        elif verb == "stats":
-            await self._front_stats(writer, upstreams)
-        elif verb == "metrics":
-            await self._front_metrics(writer)
-        elif verb == "shutdown":
-            await self._send(writer, {"ok": True, "shutting_down": True})
-            await self._stop_everything()
-            return True
-        else:
-            await self._send(writer, {"ok": False, "error": f"unknown verb {verb!r}"})
-        return False
-
-    async def _front_submit(self, request: dict, writer, upstreams) -> None:
+    async def _verb_submit(self, request: dict, conn) -> dict:
         if self.draining:
-            await self._send(writer, {
-                "ok": False,
-                "error": "fleet is draining (shutdown in progress); "
-                         "not accepting new queries",
-                "draining": True,
-            })
-            return
-        tenant = str(request.get("tenant", "anonymous"))
+            return wire.draining("fleet")
         if self.quotas is not None:
             try:
-                self.quotas.admit(tenant)
+                self.quotas.admit(request["tenant"])
             except QuotaExceeded as exc:
                 self.obs.metrics.counter(
-                    "service_throttled_total", tenant=tenant
+                    "service_throttled_total", tenant=exc.tenant
                 ).inc()
-                await self._send(writer, {
-                    "ok": False,
-                    "error": f"tenant {tenant!r} is over its admission "
-                             f"quota; retry after {exc.retry_after:.3f}s",
-                    "throttled": True,
-                    "retryable": True,
-                    "retry_after": exc.retry_after,
-                    "tenant": tenant,
-                })
-                return
-        worker = self._pick_worker(request)
+                return wire.throttled(exc)
+        worker = self._pick_worker(request.pop("worker", None))
         if worker is None:
-            await self._send(writer, {
-                "ok": False, "error": "no live fleet worker", "retryable": True,
-            })
-            return
-        forward = {k: v for k, v in request.items() if k != "worker"}
-        response = await self._exchange(worker, forward, upstreams)
+            return wire.no_live_worker()
+        response = await self._exchange(worker, request, conn)
         if response is None:
-            await self._send(writer, {
-                "ok": False,
-                "error": f"worker {worker.index} lost mid-submit",
-                "retryable": True,
-            })
-            return
+            return wire.worker_lost(worker.index, " mid-submit")
         response = self._rewrite(response, worker)
         if response.get("ok") and "session" in response:
             self.obs.metrics.counter(
                 "fleet_routed_total", worker=str(worker.index)
             ).inc()
-            if response.get("state") in _TERMINAL:
-                pass  # born DONE (cache hit): never outstanding
-            else:
+            # Born DONE (cache hit): never outstanding.
+            if response.get("state") not in wire.TERMINAL:
                 worker.outstanding += 1
                 self._pending[response["session"]] = worker.index
-        await self._send(writer, response)
+        return response
 
-    async def _front_relay(self, request: dict, writer, upstreams) -> None:
-        routed = self._route_session(str(request.get("session", "")))
+    async def _relay(self, verb: wire.Verb, request: dict, conn) -> dict:
+        """Forward a session-addressed verb to the session's owner and
+        relay what comes back — one reply, or event lines to a terminal."""
+        wire_id = request["session"]
+        routed = self._route_session(wire_id)
         if routed is None:
-            await self._send(writer, {
-                "ok": False,
-                "error": f"no session {request.get('session')!r}",
-            })
-            return
+            return wire.no_session(wire_id)
         worker, local = routed
         if not worker.alive:
-            await self._send(writer, {
-                "ok": False,
-                "error": f"worker {worker.index} lost",
-                "retryable": True,
-            })
-            return
-        forward = dict(request, session=local)
-        response = await self._exchange(worker, forward, upstreams)
-        if response is None:
-            await self._send(writer, {
-                "ok": False,
-                "error": f"worker {worker.index} lost",
-                "retryable": True,
-            })
-            return
-        response = self._rewrite(response, worker)
-        if request.get("verb") == "cancel":
-            # Cancel responses carry no session id; settle explicitly.
-            wire_id = str(request["session"])
-            if response.get("cancelled") and wire_id in self._pending:
-                del self._pending[wire_id]
-                worker.outstanding = max(0, worker.outstanding - 1)
-        else:
-            self._settle(worker, response)
-        await self._send(writer, response)
-
-    async def _front_stream(self, request: dict, writer, upstreams) -> None:
-        routed = self._route_session(str(request.get("session", "")))
-        if routed is None:
-            await self._send(writer, {
-                "ok": False,
-                "error": f"no session {request.get('session')!r}",
-            })
-            return
-        worker, local = routed
-        if not worker.alive:
-            await self._send(writer, {
-                "ok": False,
-                "error": f"worker {worker.index} lost",
-                "retryable": True,
-            })
-            return
+            return wire.worker_lost(worker.index)
         try:
-            up_reader, up_writer = await self._upstream(worker, upstreams)
-            up_writer.write((json.dumps(
-                dict(request, session=local)
-            ) + "\n").encode())
-            await up_writer.drain()
+            reader, writer = await self._upstream(worker, conn)
+            writer.write(wire.encode(dict(request, session=local)))
+            await writer.drain()
+            # Read in place rather than through _exchange: a stream relays
+            # K+1 lines per request and a coroutine per line shows up in
+            # the benchmark's all-wire workload.
             while True:
-                raw = await up_reader.readline()
+                raw = await reader.readline()
                 if not raw:
                     raise ConnectionError
-                event = json.loads(raw)
-                event = self._rewrite(event, worker)
-                self._settle(worker, event)
-                await self._send(writer, event)
-                if not event.get("ok", False) or event.get("event") == "done":
-                    return
-        except (OSError, ConnectionError, asyncio.TimeoutError):
-            self._mark_dead(worker, upstreams)
-            await self._send(writer, {
-                "ok": False,
-                "error": f"worker {worker.index} lost mid-stream",
-                "retryable": True,
-            })
+                reply = self._rewrite(wire.decode(raw), worker)
+                self._settle(worker, wire_id, reply)
+                ended = not reply.get("ok", False) or reply.get("event") == "done"
+                if not verb.streams or ended:
+                    return reply
+                await conn.send(reply)
+        except (OSError, asyncio.TimeoutError, ValueError):
+            self._drop(worker, conn)
+            return wire.worker_lost(
+                worker.index, " mid-stream" if verb.streams else ""
+            )
 
-    async def _front_stats(self, writer, upstreams) -> None:
+    async def _verb_stats(self, request: dict, conn) -> dict:
         merged = {
             "fleet": {
                 "workers": self.num_workers,
                 "alive": sum(1 for w in self._workers if w.alive),
-                "outstanding": {
-                    f"w{w.index}": w.outstanding for w in self._workers
-                },
+                "outstanding": {w.name: w.outstanding for w in self._workers},
                 "quotas": self.quotas.stats() if self.quotas else None,
                 "shared_cache_dir": self.shared_cache_dir,
             },
@@ -576,15 +390,13 @@ class ServeFleet:
         slo: dict = {}
         sessions: list = []
         for worker in self._workers:
-            if not worker.alive:
-                merged["workers"][f"w{worker.index}"] = {"alive": False}
-                continue
-            stats = await self._exchange(worker, {"verb": "stats"}, upstreams)
+            stats = None
+            if worker.alive:
+                stats = await self._exchange(worker, {"verb": "stats"}, conn)
             if stats is None:
-                self._mark_dead(worker, upstreams)
-                merged["workers"][f"w{worker.index}"] = {"alive": False}
+                merged["workers"][worker.name] = {"alive": False}
                 continue
-            merged["workers"][f"w{worker.index}"] = stats
+            merged["workers"][worker.name] = stats
             wsched = stats.get("scheduler") or {}
             scheduler["live"] += wsched.get("live", 0)
             scheduler["queued"] += wsched.get("queued", 0)
@@ -605,56 +417,53 @@ class ServeFleet:
         merged["cache"] = cache
         merged["slo"] = slo
         merged["sessions"] = sessions
-        await self._send(writer, {"ok": True, **merged})
+        return wire.ok(**merged)
 
-    async def _front_metrics(self, writer) -> None:
+    async def _verb_metrics(self, request: dict, conn) -> dict:
         # The front-end's own registry: throttle counters and routing
         # counts.  Per-worker execution metrics are on each worker's own
         # endpoint (and aggregated numerically by the stats verb) —
         # concatenating N registries would emit duplicate series.
-        from repro.obs import render_prometheus
+        return wire.ok(text=render_prometheus(self.obs.metrics))
 
-        await self._send(
-            writer, {"ok": True, "text": render_prometheus(self.obs.metrics)}
-        )
+    async def _verb_shutdown(self, request: dict, conn) -> dict:
+        return wire.shutting_down()
 
     # ------------------------------------------------------------------
     # Upstream plumbing
     # ------------------------------------------------------------------
-    async def _upstream(self, worker: _Worker, upstreams: dict):
-        pair = upstreams.get(worker.index)
+    async def _upstream(self, worker: _Worker, conn: wire.Connection):
+        """The (reader, writer) to a worker: opened lazily, one per worker,
+        and owned by the client connection — requests on one client socket
+        are serial, so relays never interleave on an upstream."""
+        pair = conn.peers.get(worker.index)
         if pair is None:
-            pair = await asyncio.wait_for(
+            pair = conn.peers[worker.index] = await asyncio.wait_for(
                 asyncio.open_connection(self.host, worker.port), timeout=10.0
             )
-            upstreams[worker.index] = pair
         return pair
 
-    async def _exchange(
-        self, worker: _Worker, request: dict, upstreams: dict
-    ) -> dict | None:
-        """One request/response round trip to a worker; None if it died."""
-        try:
-            up_reader, up_writer = await self._upstream(worker, upstreams)
-            up_writer.write((json.dumps(request) + "\n").encode())
-            await up_writer.drain()
-            raw = await up_reader.readline()
-            if not raw:
-                raise ConnectionError
-            return json.loads(raw)
-        except (OSError, ConnectionError, asyncio.TimeoutError,
-                json.JSONDecodeError):
-            self._mark_dead(worker, upstreams)
-            return None
-
-    def _mark_dead(self, worker: _Worker, upstreams: dict) -> None:
+    def _drop(self, worker: _Worker, conn: wire.Connection) -> None:
+        """An upstream failed: forget it, and the worker too if it died."""
         if not worker.process.is_alive():
             worker.dead = True
-        pair = upstreams.pop(worker.index, None)
+        pair = conn.peers.pop(worker.index, None)
         if pair is not None:
             pair[1].close()
 
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write((json.dumps(payload) + "\n").encode())
-        await writer.drain()
+    async def _exchange(
+        self, worker: _Worker, request: dict, conn: wire.Connection
+    ) -> dict | None:
+        """One request/response round trip to a worker; None if it died."""
+        try:
+            reader, writer = await self._upstream(worker, conn)
+            writer.write(wire.encode(request))
+            await writer.drain()
+            raw = await reader.readline()
+            if not raw:
+                raise ConnectionError
+            return wire.decode(raw)
+        except (OSError, asyncio.TimeoutError, ValueError):
+            # ValueError: a reply that is not one JSON object on one line.
+            self._drop(worker, conn)
+            return None

@@ -1,54 +1,11 @@
 """Asyncio JSON-lines server exposing the query service over a socket.
 
-Wire protocol: one JSON object per line, one JSON object back per line.
-Verbs (the ``verb`` field selects one):
-
-``submit``
-    ``{"verb": "submit", "left": "lineitem", "right": "orders", "k": 10,
-    "operator": "FRPA", "weights": [[...], [...]], "max_pulls": 5000,
-    "priority": 0, "deadline": 12.5}`` →
-    ``{"ok": true, "session": "s7", "state": "PENDING"}``.
-    ``left``/``right`` name relations registered with the server; an
-    optional per-side ``weights`` list selects a weighted-sum scoring
-    function instead of the plain sum.  ``shards`` (default: the
-    server's ``default_shards``) selects sharded execution and
-    ``backend`` its execution tier (``serial``/``process``; anything else
-    is an ``{"ok": false}`` reply).
-``poll``
-    ``{"verb": "poll", "session": "s7"}`` → the session snapshot (state,
-    scores so far, pulls, depths, cache provenance).
-``cancel``
-    ``{"verb": "cancel", "session": "s7"}`` → ``{"ok": true, "cancelled":
-    true}``.
-``stream``
-    ``{"verb": "stream", "session": "s7", "from": 0}`` switches the
-    connection into *event mode*: each result is pushed as its own line
-    ``{"ok": true, "event": "result", "session": "s7", "index": 0,
-    "score": 1.234567, "ts": ...}`` the moment the merge gate (or the
-    serial operator) releases it — in exact final top-K order — and the
-    terminal line ``{"ok": true, "event": "done", ...}`` carries the
-    full session snapshot, after which the connection returns to
-    request/response mode.  ``from`` (default 0) resumes an interrupted
-    stream at a result index: already-released results replay instantly
-    from the session prefix, so a client that lost its connection
-    mid-stream reattaches without recomputation and without duplicates.
-    Errors (unknown session, injected chaos, shutdown) are a single
-    ``{"ok": false, ...}`` line, also returning the connection to
-    request mode.
-``stats``
-    scheduler + cache + relation inventory, plus the live telemetry
-    block: computed SLOs (``slo`` — p50/p95/p99 session latency, queue
-    depth, cache hit ratio, shard imbalance), per-shard cumulative pull
-    counters (``shards``), and one brief line per in-flight session
-    (``sessions``).  This is the payload ``python -m repro top`` polls.
-``metrics``
-    ``{"verb": "metrics"}`` → ``{"ok": true, "text": "..."}`` where
-    ``text`` is the full metric registry in Prometheus text exposition
-    format (``# TYPE`` headers, cumulative ``_bucket{le=...}`` series,
-    ``_sum``/``_count``); also served by ``python -m repro metrics``.
-``shutdown``
-    acknowledges, then stops the server loop (used for clean shutdown in
-    tests and the CI smoke job).
+The protocol — verbs, fields, replies, the connection loop — is
+:mod:`repro.service.wire` (prose: the "Wire protocol" section of
+``docs/API.md``).  This file adds what a single server does with a
+validated request: build the :class:`~repro.service.query.QuerySpec`,
+call the :class:`~repro.service.service.QueryService`, push ``stream``
+events as results are released.
 
 Distributed tracing: a ``submit`` request may carry a ``trace`` field
 (the wire form of :class:`~repro.obs.TraceContext`, minted by
@@ -68,19 +25,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-import signal
-import threading
 
 from repro.core.scoring import SumScore, WeightedSum
 from repro.errors import QuotaExceeded, ReproError
 from repro.obs import TraceContext
 from repro.relation.relation import Relation
+from repro.service import wire
 from repro.service.query import QuerySpec
 from repro.service.service import QueryService
 
 
-class RankJoinServer:
+class RankJoinServer(wire.LineServer):
     """Serves top-K rank join queries over named shared relations.
 
     ``default_shards`` applies sharded execution to every submitted
@@ -105,10 +60,9 @@ class RankJoinServer:
         chaos=None,
         resilience=None,
     ) -> None:
+        super().__init__(host, port)
         self.service = service
         self.relations = dict(relations)
-        self.host = host
-        self.port = port  # 0 → ephemeral; updated once bound
         self.default_shards = default_shards
         #: Evaluation core applied when a request carries no
         #: ``algorithm`` field (``"pbrj"``, ``"anyk"``, or ``"auto"`` to
@@ -119,14 +73,7 @@ class RankJoinServer:
         #: every sharded query this server builds (retry/respawn/degrade,
         #: plus fault injection when the config carries a plan).
         self.resilience = resilience
-        #: Optional :class:`repro.resilience.RequestChaos` — intercepts
-        #: requests before dispatch to inject retryable failures/delays.
         self.chaos = chaos
-        self.ready = threading.Event()  # set once the socket is listening
-        self.draining = False
-        self._shutdown: asyncio.Event | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         #: Edge-triggered progress signal: replaced (not cleared) after
         #: every productive scheduler tick, so stream handlers holding the
         #: *old* event can never miss a wakeup between their emit scan and
@@ -138,27 +85,9 @@ class RankJoinServer:
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Bind, serve until shutdown, and tear down (blocking)."""
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._shutdown = asyncio.Event()
-        self._progress = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        self._install_signal_handlers()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.ready.set()
-        driver = asyncio.create_task(self._drive())
         try:
-            await self._shutdown.wait()
+            super().run()
         finally:
-            driver.cancel()
-            self._server.close()
-            await self._server.wait_closed()
-            self._remove_signal_handlers()
-            self._loop = None
             # Dispose retained operators (cached continuations, undrained
             # sessions) so shard workers never outlive the server.
             self.service.close()
@@ -166,6 +95,14 @@ class RankJoinServer:
             # buffered during the run reach their exporters even when the
             # process exits right after ``run()`` returns.
             self.service.obs.flush()
+
+    async def _serve(self) -> None:
+        self._progress = asyncio.Event()
+        driver = asyncio.create_task(self._drive())
+        try:
+            await self._shutdown.wait()
+        finally:
+            driver.cancel()
 
     async def _drive(self) -> None:
         """Advance the scheduler one quantum at a time, cooperatively."""
@@ -187,9 +124,6 @@ class RankJoinServer:
         scheduler = self.service.scheduler
         return not scheduler.live_sessions and not scheduler.queued_sessions
 
-    # ------------------------------------------------------------------
-    # Graceful shutdown
-    # ------------------------------------------------------------------
     def begin_shutdown(self) -> None:
         """Start draining: finish live sessions, reject new submits.
 
@@ -197,151 +131,31 @@ class RankJoinServer:
         request handlers.  Idempotent; a second call while already
         draining forces an immediate stop.
         """
-        loop = self._loop
-        if loop is None or self._shutdown is None:
-            return
-        if not self.draining:
-            self.draining = True
-            return
-        # Already draining → escalate to immediate stop (thread-safely;
-        # asyncio.Event.set is not safe to call off-loop).
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(self._shutdown.set)
-
-    def _install_signal_handlers(self) -> None:
-        # Only possible from the main thread of the main interpreter;
-        # servers embedded in worker threads (tests) simply skip this and
-        # use begin_shutdown()/the shutdown verb instead.
-        assert self._loop is not None
-        self._signals_installed = False
-        try:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                self._loop.add_signal_handler(signum, self.begin_shutdown)
-            self._signals_installed = True
-        except (NotImplementedError, ValueError, RuntimeError):
-            pass
-
-    def _remove_signal_handlers(self) -> None:
-        if not getattr(self, "_signals_installed", False):
-            return
-        assert self._loop is not None
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(Exception):
-                self._loop.remove_signal_handler(signum)
-        self._signals_installed = False
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while not reader.at_eof():
-                line = await reader.readline()
-                if not line:
-                    break
-                request, error = self._decode(line)
-                if error is not None:
-                    await self._send(writer, error)
-                    continue
-                if self.chaos is not None:
-                    injected = self.chaos.intercept(request)
-                    if injected is not None:
-                        await self._send(writer, injected)
-                        continue
-                if request.get("verb") == "stream":
-                    # Event mode: many lines out for one line in.
-                    await self._verb_stream(request, writer)
-                    continue
-                response = self._dispatch_request(request)
-                await self._send(writer, response)
-                if response.get("shutting_down"):
-                    self._shutdown.set()
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancelled a handler still waiting for its
-            # next request (e.g. an idle keep-alive connection at
-            # shutdown).  Absorb it so asyncio does not log a spurious
-            # "exception in callback" for the cancelled reader.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-            except asyncio.CancelledError:
-                # The cleanup await itself can be cancelled at loop
-                # teardown; close() above already did the real work.
-                pass
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, payload: dict) -> None:
-        """Write one JSON line and drain — the drain is the per-connection
-        backpressure: a slow stream consumer suspends only its own handler
-        task, never the scheduler driver or other connections."""
-        writer.write((json.dumps(payload) + "\n").encode())
-        await writer.drain()
-
-    @staticmethod
-    def _decode(line: bytes) -> tuple[dict | None, dict | None]:
-        """Parse one request line → ``(request, None)`` or ``(None, error)``."""
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return None, {"ok": False, "error": f"invalid JSON: {exc}"}
-        if not isinstance(request, dict):
-            return None, {"ok": False, "error": "request must be a JSON object"}
-        return request, None
-
-    def _dispatch_line(self, line: bytes) -> dict:
-        """Decode + dispatch one request/response line (test convenience)."""
-        request, error = self._decode(line)
-        if error is not None:
-            return error
-        if self.chaos is not None:
-            injected = self.chaos.intercept(request)
-            if injected is not None:
-                return injected
-        return self._dispatch_request(request)
-
-    def _dispatch_request(self, request: dict) -> dict:
-        verb = request.get("verb")
-        handler = {
-            "submit": self._verb_submit,
-            "poll": self._verb_poll,
-            "cancel": self._verb_cancel,
-            "stats": self._verb_stats,
-            "metrics": self._verb_metrics,
-            "shutdown": self._verb_shutdown,
-        }.get(verb)
-        if handler is None:
-            return {"ok": False, "error": f"unknown verb {verb!r}"}
-        try:
-            return handler(request)
-        except ReproError as exc:
-            return {"ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
+        if self._loop is not None and not self.draining:
+            self.draining = True  # the driver stops the loop once idle
+        else:
+            super().begin_shutdown()
 
     # ------------------------------------------------------------------
     # Verbs
     # ------------------------------------------------------------------
+    async def _handle(self, verb: wire.Verb, request: dict, conn):
+        handler = getattr(self, f"_verb_{verb.name}")
+        try:
+            if verb.streams:  # event mode: many lines out for one line in
+                return await handler(request, conn)
+            return handler(request)
+        except ReproError as exc:
+            return wire.error(str(exc))
+        except (KeyError, TypeError, ValueError) as exc:
+            return wire.bad_request(exc)
+
     def _verb_submit(self, request: dict) -> dict:
         if self.draining:
-            return {
-                "ok": False,
-                "error": "server is draining (shutdown in progress); "
-                         "not accepting new queries",
-                "draining": True,
-            }
+            return wire.draining("server")
         spec = self._parse_spec(request)
-        wire = request.get("trace")
-        if wire is not None:
-            ctx = TraceContext.from_wire(wire)
+        if request.get("trace") is not None:
+            ctx = TraceContext.from_wire(request["trace"])
         elif self.service.obs.enabled:
             ctx = TraceContext.root()
         else:
@@ -349,47 +163,34 @@ class RankJoinServer:
         try:
             session_id = self.service.submit(
                 spec,
-                priority=int(request.get("priority", 0)),
+                priority=request["priority"],
                 deadline=request.get("deadline"),
                 max_pulls=request.get("max_pulls"),
-                tenant=str(request.get("tenant", "anonymous")),
+                tenant=request["tenant"],
                 trace=ctx,
             )
         except QuotaExceeded as exc:
-            # Backpressure, not failure: the reject carries the precise
-            # earliest time a resend can succeed.
-            return {
-                "ok": False,
-                "error": str(exc),
-                "throttled": True,
-                "retryable": True,
-                "retry_after": exc.retry_after,
-                "tenant": exc.tenant,
-            }
+            return wire.throttled(exc)
         session = self.service.session(session_id)
-        response = {
-            "ok": True,
-            "session": session_id,
-            "state": session.state.value,
-            "from_cache": session.from_cache,
-        }
+        response = wire.ok(
+            session=session_id,
+            state=session.state.value,
+            from_cache=session.from_cache,
+        )
         if ctx is not None:
             response["trace"] = ctx.trace_id
         return response
 
     def _verb_poll(self, request: dict) -> dict:
-        snapshot = self.service.poll(str(request["session"]))
+        snapshot = self.service.poll(request["session"])
         if snapshot is None:
-            return {"ok": False, "error": f"no session {request['session']!r}"}
-        return {"ok": True, **snapshot}
+            return wire.no_session(request["session"])
+        return wire.ok(**snapshot)
 
     def _verb_cancel(self, request: dict) -> dict:
-        cancelled = self.service.cancel(str(request["session"]))
-        return {"ok": True, "cancelled": cancelled}
+        return wire.ok(cancelled=self.service.cancel(request["session"]))
 
-    async def _verb_stream(
-        self, request: dict, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _verb_stream(self, request: dict, conn: wire.Connection) -> dict:
         """Push each released result as its own event line.
 
         The handler races nothing: it scans the session's result prefix
@@ -399,43 +200,25 @@ class RankJoinServer:
         transitions that report no scheduler progress (deadline sweeps,
         cancellation) so a terminal session always gets its ``done`` line.
         """
-        try:
-            session_id = str(request["session"])
-            cursor = max(0, int(request.get("from", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            await self._send(writer, {"ok": False, "error": f"bad request: {exc}"})
-            return
+        session_id, cursor = request["session"], request["from"]
         while True:
             session = self.service.session(session_id)
             if session is None:
-                await self._send(
-                    writer, {"ok": False, "error": f"no session {session_id!r}"}
-                )
-                return
+                return wire.no_session(session_id)
             limit = min(len(session.results), session.k)
             while cursor < limit:
-                result = session.results[cursor]
-                await self._send(writer, {
-                    "ok": True,
-                    "event": "result",
-                    "session": session_id,
-                    "index": cursor,
-                    "score": round(result.score, 6),
-                    "ts": session.released_at[cursor],
-                })
+                await conn.send(wire.ok(
+                    event="result",
+                    session=session_id,
+                    index=cursor,
+                    score=round(session.results[cursor].score, 6),
+                    ts=session.released_at[cursor],
+                ))
                 cursor += 1
             if session.done:
-                await self._send(
-                    writer, {"ok": True, "event": "done", **session.snapshot()}
-                )
-                return
+                return wire.ok(event="done", **session.snapshot())
             if self._shutdown.is_set():
-                await self._send(writer, {
-                    "ok": False,
-                    "error": "server stopped mid-stream",
-                    "retryable": True,
-                })
-                return
+                return wire.stopped_mid_stream()
             waiter = self._progress
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(waiter.wait(), timeout=0.05)
@@ -448,13 +231,13 @@ class RankJoinServer:
         payload["draining"] = self.draining
         payload["default_shards"] = self.default_shards
         payload["default_algorithm"] = self.default_algorithm
-        return {"ok": True, **payload}
+        return wire.ok(**payload)
 
     def _verb_metrics(self, request: dict) -> dict:
-        return {"ok": True, "text": self.service.metrics_text()}
+        return wire.ok(text=self.service.metrics_text())
 
     def _verb_shutdown(self, request: dict) -> dict:
-        return {"ok": True, "shutting_down": True}
+        return wire.shutting_down()
 
     # ------------------------------------------------------------------
     # Request parsing
@@ -471,26 +254,23 @@ class RankJoinServer:
         relations = tuple(self.relations[n] for n in names)
         weights = request.get("weights")
         if weights is not None:
-            flat = [float(w) for side in weights for w in side]
-            scoring = WeightedSum(flat)
+            scoring = WeightedSum([float(w) for side in weights for w in side])
         else:
             scoring = SumScore()
-        raw_shards = request.get("shards", self.default_shards)
-        shards = "auto" if raw_shards == "auto" else int(raw_shards)
+        shards = request.get("shards") or self.default_shards
         kwargs = {}
         if len(relations) == 2 and (shards == "auto" or shards > 1):
             kwargs["shards"] = shards
-            backend = request.get("backend")
-            if backend is not None:
-                kwargs["exec_backend"] = str(backend)
+            if request.get("backend") is not None:
+                kwargs["exec_backend"] = request["backend"]
             if self.resilience is not None:
                 kwargs["resilience"] = self.resilience
         return QuerySpec(
             relations=relations,
-            k=int(request["k"]),
+            k=request["k"],
             scoring=scoring,
-            operator=str(request.get("operator", "FRPA")),
-            algorithm=str(request.get("algorithm", self.default_algorithm)),
-            join_attrs=tuple(request.get("join_attrs", ())),
+            operator=request["operator"],
+            algorithm=request.get("algorithm") or self.default_algorithm,
+            join_attrs=tuple(request.get("join_attrs") or ()),
             **kwargs,
         )
