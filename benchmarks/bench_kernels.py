@@ -36,6 +36,7 @@ pytest, where ``REPRO_BENCH_KERNELS_QUICK=1`` selects the quick shape.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -48,7 +49,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import kernels  # noqa: E402
 from repro.kernels import PointSet, use_backend  # noqa: E402
-from repro.kernels.dispatch import ARG_BUILDERS  # noqa: E402
+from repro.kernels.dispatch import ARG_BUILDERS, PROBE_KWARGS  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -237,7 +238,7 @@ def bench_dispatch(params: dict, quick: bool) -> dict:
     ops: dict[str, dict] = {}
     for op in kernels.KERNEL_OPS:
         builder = ARG_BUILDERS[op]
-        fn = getattr(kernels, op)
+        fn = functools.partial(getattr(kernels, op), **PROBE_KWARGS.get(op, {}))
         cap = DISPATCH_SIZE_CAPS.get(op)
         swept = [n for n in sizes if cap is None or n <= cap]
         timings: dict[str, list[float]] = {b: [] for b in backends}

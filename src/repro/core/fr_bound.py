@@ -30,7 +30,9 @@ engineering concessions to pure Python (documented in DESIGN.md):
   instead of a Python loop, mirroring the paper's compiled C++ constants.
   The "seen" operands alias the operator's shared score columns
   (:attr:`~repro.core.bounds.BoundContext.columns`) when available and
-  sync incrementally via the column's mutation stamp.
+  sync incrementally via the column's mutation stamp; the cover operands
+  alias their cover's columnar store the same way, so a carve reaches
+  them as one patch (a cover that has left it for the grid is copied in).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext, BoundingScheme
 from repro.core.scoring import NEG_INF, PreparedPoints
 from repro.core.tuples import RankTuple
-from repro.geometry.cover import CoverRegion
+from repro.geometry.cover import CoverRegion, cover_operand
 from repro.kernels import PointSet
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
@@ -88,21 +90,29 @@ class FRBound(BoundingScheme):
         """(Re)build the prepared operand caches from current state."""
         assert self.context is not None
         offsets = (0, self.context.dims[LEFT])
-        scoring = self.context.scoring
         for side in (LEFT, RIGHT):
-            self._seen_prep[side] = scoring.prepare(
+            self._seen_prep[side] = self.context.scoring.prepare(
                 offset=offsets[side], source=self._seen_cols[side]
             )
-            self._cr_prep[side] = scoring.prepare(offset=offsets[side])
-            self._cr_prep[side].replace(self._cover_operand(side))
+            self._cr_prep[side] = None
+            self._sync_cover_operand(side)
 
-    def _cover_operand(self, side: int):
-        """Cover points in the fastest available representation."""
-        cover = self._cr[side]
-        pointset = getattr(cover, "pointset", None)
-        if pointset is not None:
-            return pointset
-        return cover.array if hasattr(cover, "array") else cover.points
+    def _sync_cover_operand(self, side: int) -> None:
+        """Alias a columnar cover's store — a carve then reaches the operand
+        as a patch, through the stamp — or copy a grid-mode cover's points."""
+        assert self.context is not None
+        operand = cover_operand(self._cr[side])
+        prep = self._cr_prep[side]
+        columnar = isinstance(operand, PointSet)
+        if prep is None or (
+            prep.pointset is not operand if columnar else prep.aliased
+        ):
+            prep = self._cr_prep[side] = self.context.scoring.prepare(
+                offset=(0, self.context.dims[LEFT])[side],
+                source=operand if columnar else None,
+            )
+        if not columnar:
+            prep.replace(operand)
 
     # ------------------------------------------------------------------
     # Bookkeeping shared with subclasses
@@ -113,7 +123,7 @@ class FRBound(BoundingScheme):
         sbar = self.context.score_bound(side, tup.scores)
         if sbar < self._g[side]:
             self._cr[side].update(self._group[side])
-            self._cr_prep[side].replace(self._cover_operand(side))
+            self._sync_cover_operand(side)
             self._m_cover_size[side].observe(len(self._cr[side]))
             self._g[side] = sbar
             self._group[side] = [tup.scores]
@@ -168,26 +178,28 @@ class FRBound(BoundingScheme):
     # ------------------------------------------------------------------
     # Bound computation (Figure 3, Function FR::ResultBound)
     # ------------------------------------------------------------------
+    def _pair_max(self, left: PreparedPoints, right: PreparedPoints) -> float:
+        """``max S(c1 ⊕ c2)`` as the literal cross product — the cost the
+        paper's Figure 2 measures on PBRJ_FR^RR; FR* overrides this."""
+        assert self.context is not None
+        return self.context.scoring.max_prepared(left, right)
+
+    def _seen_operand(self, side: int) -> PreparedPoints:
+        """The seen vectors of ``side`` (FR* substitutes their skyline)."""
+        return self._seen_prep[side]
+
     def _cover_bound(self, unseen_side: int) -> float:
         """``t_i^cover`` where ``unseen_side`` contributes the unseen tuple."""
-        assert self.context is not None
         self._recomputations += 1
         self._m_recompute.inc()
         if unseen_side == LEFT:
-            left_prep = self._cr_prep[LEFT]
-            right_prep = self._seen_prep[RIGHT]
-        else:
-            left_prep = self._seen_prep[LEFT]
-            right_prep = self._cr_prep[RIGHT]
-        return self.context.scoring.max_prepared(left_prep, right_prep)
+            return self._pair_max(self._cr_prep[LEFT], self._seen_operand(RIGHT))
+        return self._pair_max(self._seen_operand(LEFT), self._cr_prep[RIGHT])
 
     def _both_cover_bound(self) -> float:
-        assert self.context is not None
         self._recomputations += 1
         self._m_recompute.inc()
-        return self.context.scoring.max_prepared(
-            self._cr_prep[LEFT], self._cr_prep[RIGHT]
-        )
+        return self._pair_max(self._cr_prep[LEFT], self._cr_prep[RIGHT])
 
     def _result_bound(self) -> float:
         t0 = min(self._cover_bound(LEFT), self._g[LEFT])

@@ -12,6 +12,11 @@ FR* keeps the tightness of FR while attacking its two cost sources:
    invalidate ``t_i^cover`` / ``t_both^cover`` only if it closed a group
    (changing ``CR_i`` and ``g_i``).  Everything else is reused.
 
+3. **Patch, don't recompute.**  What a pull did invalidate is refreshed in
+   O(Δ): the carve is a delta applied to the cover's columnar store, the
+   cover operands alias that store, and for additive ``S`` a cover bound is
+   the sum of two maintained maxima — the cross product's bits (DESIGN.md §5).
+
 The result is bit-identical bound values to FR (Theorem 4.1's tightness is
 preserved) at a fraction of the computation.
 """
@@ -100,18 +105,15 @@ class FRStarBound(FRBound):
         return self._bound
 
     # ------------------------------------------------------------------
-    def _cover_bound(self, unseen_side: int) -> float:
-        """Cover bound over skylines only (the FR* redefinition)."""
+    def _seen_operand(self, side: int) -> PreparedPoints:
+        """Cover bounds over skylines only (the FR* redefinition)."""
+        return self._shr_prep[side]
+
+    def _pair_max(self, left: PreparedPoints, right: PreparedPoints) -> float:
+        """The cross-product maximum without the cross product where ``S``
+        allows: two maintained maxima for additive ``S``, same bits."""
         assert self.context is not None
-        self._recomputations += 1
-        self._m_recompute.inc()
-        if unseen_side == LEFT:
-            left_prep = self._cr_prep[LEFT]
-            right_prep = self._shr_prep[RIGHT]
-        else:
-            left_prep = self._shr_prep[LEFT]
-            right_prep = self._cr_prep[RIGHT]
-        return self.context.scoring.max_prepared(left_prep, right_prep)
+        return self.context.scoring.cover_max(left, right)
 
     def _recombine(self) -> float:
         """Assemble the bound from cached covers and current order bounds."""

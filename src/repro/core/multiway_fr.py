@@ -27,17 +27,10 @@ from repro.core.afr_bound import AdaptiveCover
 from repro.core.scoring import NEG_INF, ScoringFunction, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
+from repro.geometry.cover import cover_operand
 from repro.geometry.skyline import IncrementalSkyline
 
 POS_INF = float("inf")
-
-
-def _cover_operand(cover):
-    """A cover's points in the fastest kernel-consumable representation."""
-    pointset = getattr(cover, "pointset", None)
-    if pointset is not None:
-        return pointset
-    return cover.array if hasattr(cover, "array") else cover.points
 
 
 class MultiwayBound(ABC):
@@ -143,7 +136,7 @@ class MultiwayFeasibleBound(MultiwayBound):
     def _max_cover(self, index: int) -> float:
         # One batch kernel call over the cover's columnar view; -inf empty.
         return kernels.max_corner_score(
-            _cover_operand(self._covers[index]), self._weights[index]
+            cover_operand(self._covers[index]), self._weights[index]
         )
 
     def _max_seen(self, index: int) -> float:

@@ -14,10 +14,13 @@ the partial scores and the cross-product maximum through
 constants — mirroring the paper's compiled C++ implementation.  Prepared
 operands (:class:`PreparedPoints`) sit on columnar
 :class:`~repro.kernels.PointSet` storage and stay in sync with externally
-shared columns via the set's mutation stamp.  An *exact separable* shortcut
-(``max_combination_separable``) also exists for additive functions; it is
-deliberately **not** used by the faithful operators and is exercised only by
-the ablation benchmark (see DESIGN.md).
+shared columns via the set's mutation stamp.  The literal cross product
+(:meth:`ScoringFunction.max_prepared`) is what PBRJ_FR^RR — the paper's
+slow baseline — pays on every pull; FR* asks :meth:`ScoringFunction.cover_max`,
+for additive functions the sum of the operands' maintained maxima and
+bit-identical to the cross product (DESIGN.md §5).  The tuple-level
+shortcut ``max_combination_separable`` is exercised only by the ablation
+benchmark.
 """
 
 from __future__ import annotations
@@ -81,8 +84,9 @@ class ScoringFunction(ABC):
     # Prepared point sets: cached representations for repeated cross
     # products.  The FR-family bounds evaluate max S(c1 ⊕ c2) over the same
     # slowly-changing sets on every pull; preparing a set once amortizes
-    # the per-point preprocessing while keeping the cross product itself
-    # (the paper's combinatorial cost) intact.
+    # the per-point preprocessing.  max_prepared keeps the cross product
+    # itself (the cost the paper ascribes to FR) intact; cover_max is what
+    # FR* calls and may skip it.
     # ------------------------------------------------------------------
     def prepare(
         self,
@@ -107,6 +111,11 @@ class ScoringFunction(ABC):
         """``max_combination`` over prepared operands; ``-inf`` if empty."""
         return self.max_combination(left.points, right.points)
 
+    def cover_max(self, left: "PreparedPoints", right: "PreparedPoints") -> float:
+        """The value of :meth:`max_prepared` by the cheapest exact route:
+        the cross product in general; additive functions override it."""
+        return self.max_prepared(left, right)
+
 
 class PreparedPoints:
     """Generic prepared operand: a columnar point source (no acceleration).
@@ -124,6 +133,8 @@ class PreparedPoints:
         source: PointSet | None = None,
     ) -> None:
         self._scoring = scoring
+        #: The store belongs to someone else: never :meth:`replace` through it.
+        self.aliased = source is not None
         if source is not None:
             self._source = source
         else:
@@ -154,12 +165,13 @@ class PreparedPoints:
 class _AdditivePrepared(PreparedPoints):
     """Prepared operand for additive functions: cached partial scores.
 
-    Keeps a capacity-doubling buffer of per-point partial scores, lazily
-    synchronized with the columnar source through its mutation stamp:
-    appended rows extend the buffer incrementally (one batch
-    :func:`repro.kernels.cover_corner_scores` call over the new slice);
-    a replace/compress triggers a full recompute.  The cross-product
-    maximum is then a single :func:`repro.kernels.cross_product_max`.
+    Keeps a capacity-doubling buffer of per-point partial scores and
+    their maximum, lazily synchronized with the columnar source through
+    its mutation stamp: appended rows extend the buffer (one batch
+    :func:`repro.kernels.cover_corner_scores` call over the new slice),
+    one :meth:`~repro.kernels.PointSet.patch` carries the kept rows'
+    partials over and scores only the fresh rows, anything else is a full
+    recompute.  A partial depends on its row alone: same bits every way.
     """
 
     def __init__(
@@ -177,33 +189,34 @@ class _AdditivePrepared(PreparedPoints):
         )
         self._buffer = np.empty(16, dtype=float)
         self._size = 0
+        self._best = NEG_INF
         self._synced = (-1, 0)  # impossible stamp: first access recomputes
-
-    def _extend_partials(self, values) -> None:
-        values = np.asarray(values, dtype=float)
-        needed = self._size + values.shape[0]
-        if needed > len(self._buffer):
-            self._buffer = np.resize(
-                self._buffer, max(2 * len(self._buffer), needed)
-            )
-        self._buffer[self._size: needed] = values
-        self._size = needed
 
     def _sync(self) -> None:
         stamp = self._source.stamp
         if stamp == self._synced:
             return
         version, size = stamp
+        patch = self._source.last_patch
         if version == self._synced[0] and size >= self._synced[1]:
-            fresh = self._source.array[self._synced[1]: size]
+            best = self._best  # rows were appended: the prefix stands
+        elif patch is not None and patch[0] == self._synced:
+            kept = self._buffer[patch[1]]  # one patch behind: carry over
+            self._size = len(kept)
+            self._buffer[: self._size] = kept
+            best = float(kept.max()) if self._size else NEG_INF
         else:
-            self._size = 0
-            fresh = self._source.array[:size]
+            self._size, best = 0, NEG_INF
+        fresh = self._source.array[self._size: size]
         if len(fresh):
-            self._extend_partials(
-                kernels.cover_corner_scores(fresh, self._weights)
-            )
-        self._synced = stamp
+            values = kernels.cover_corner_scores(fresh, self._weights)
+            if size > len(self._buffer):
+                self._buffer = np.resize(
+                    self._buffer, max(2 * len(self._buffer), size)
+                )
+            self._buffer[self._size: size] = values
+            best = max(best, float(self._buffer[self._size: size].max()))
+        self._size, self._best, self._synced = size, best, stamp
 
     @property
     def partials(self):
@@ -211,8 +224,38 @@ class _AdditivePrepared(PreparedPoints):
         self._sync()
         return self._buffer[: self._size]
 
+    @property
+    def best(self) -> float:
+        """``max`` of :attr:`partials`; ``-inf`` on an empty operand."""
+        self._sync()
+        return self._best
 
-class SumScore(ScoringFunction):
+
+def _additive(left: PreparedPoints, right: PreparedPoints) -> bool:
+    return isinstance(left, _AdditivePrepared) and isinstance(right, _AdditivePrepared)
+
+
+class _AdditiveScore(ScoringFunction):
+    """What :class:`SumScore` and :class:`WeightedSum` share: cover
+    bounds over cached partial scores."""
+
+    def max_prepared(self, left: PreparedPoints, right: PreparedPoints) -> float:
+        if not _additive(left, right):
+            return super().max_prepared(left, right)
+        # Full cross product over cached partials — the combinatorial work
+        # the paper ascribes to FR's cover bounds, kernel-backed constants.
+        return kernels.cross_product_max(left.partials, right.partials)
+
+    def cover_max(self, left: PreparedPoints, right: PreparedPoints) -> float:
+        if not _additive(left, right):
+            return super().cover_max(left, right)
+        # IEEE-754 addition is monotone in each argument, so
+        # max_ij fl(l_i + r_j) == fl(max l + max r): the cross product's
+        # bits from two maintained maxima.
+        return left.best + right.best
+
+
+class SumScore(_AdditiveScore):
     """``S(x) = Σ x_i`` — the function used throughout the paper's study."""
 
     def __call__(self, vector: Sequence[float]) -> float:
@@ -246,17 +289,8 @@ class SumScore(ScoringFunction):
     ) -> PreparedPoints:
         return _AdditivePrepared(self, points, source=source)
 
-    def max_prepared(self, left: PreparedPoints, right: PreparedPoints) -> float:
-        if not isinstance(left, _AdditivePrepared) or not isinstance(
-            right, _AdditivePrepared
-        ):
-            return super().max_prepared(left, right)
-        # Full cross product over cached partials — same combinatorial work
-        # the paper ascribes to cover bounds, with kernel-backed constants.
-        return kernels.cross_product_max(left.partials, right.partials)
 
-
-class WeightedSum(ScoringFunction):
+class WeightedSum(_AdditiveScore):
     """``S(x) = Σ w_i x_i`` with non-negative weights (monotone)."""
 
     def __init__(self, weights: Sequence[float]) -> None:
@@ -299,13 +333,6 @@ class WeightedSum(ScoringFunction):
         return _AdditivePrepared(
             self, points, weights=self.weights[offset:], source=source
         )
-
-    def max_prepared(self, left: PreparedPoints, right: PreparedPoints) -> float:
-        if not isinstance(left, _AdditivePrepared) or not isinstance(
-            right, _AdditivePrepared
-        ):
-            return super().max_prepared(left, right)
-        return kernels.cross_product_max(left.partials, right.partials)
 
 
 class AverageScore(ScoringFunction):

@@ -13,14 +13,21 @@ cover points dominating ``y`` are removed and replaced by their projections
 cover nothing and are dropped).  It is a deliberately loop-based oracle; the
 production path is :class:`CoverRegion`, which keeps its points in a columnar
 :class:`~repro.kernels.PointSet` and carves through the batch kernel
-:func:`repro.kernels.cover_carve` — dispatched per call by cover size, so
+:func:`repro.kernels.carve_patch` — dispatched per call by cover size, so
 small covers stay on the early-exit loops and bulk carves go vectorized.
 
-The FR* variant additionally skylines the result.  Note a deliberate
-deviation documented in DESIGN.md: the paper skylines only the new points
-``S⁺``, but for ``e >= 3`` a new point can dominate a surviving old point, so
-we skyline the full union.  Dropping dominated cover points never changes the
-covered region, hence every correctness/tightness property is preserved.
+The FR* variant additionally skylines the result, and — as the paper's
+printed ``FR*::UpdateCR`` does — skylining the new points ``S⁺`` among
+themselves is enough.  **Lemma.**  Let the cover be an antichain, ``y`` the
+carved vector, ``p = s[i ↦ y_i]`` a projection of a removed ``s ⪰ y``, and
+``t`` a survivor, i.e. ``t_k < y_k`` for some ``k``.  (1) ``t ⪰ p`` is
+impossible, for *any* cover: ``t_i ≥ p_i = y_i`` forces ``k ≠ i``, and then
+``t_k ≥ p_k = s_k ≥ y_k`` contradicts ``t_k < y_k``.  (2) ``p ≻ t`` is
+impossible: ``s ⪰ p ≻ t`` would put two comparable points in the antichain.
+So the production carve never compares fresh points with survivors and
+returns a delta (kept rows plus fresh points) that :class:`CoverRegion`
+applies in place.  The loop oracle below still skylines the full union;
+``tests/kernels/test_carve_patch.py`` is the Lemma's executable proof.
 """
 
 from __future__ import annotations
@@ -76,9 +83,9 @@ def update_cover(
                 if all(coord > 0.0 for coord in candidate):
                     projected.add(candidate)
         if skyline_result:
-            # Keep the cover an antichain incrementally: the survivors are
-            # one by induction, so only new-vs-new and new-vs-survivor
-            # dominations need resolving — O(|new|·|cover|), not O(|cover|²).
+            # The oracle resolves new-vs-survivor dominations too; by the
+            # Lemma (module docstring) both passes find nothing, which is
+            # what the production carve relies on and the tests check.
             fresh = [
                 p
                 for p in skyline(projected)
@@ -95,6 +102,15 @@ def update_cover(
     return current
 
 
+def cover_operand(cover):
+    """A cover's points in the fastest kernel-consumable representation:
+    its columnar store (shared — read, never mutate) while it has one."""
+    pointset = getattr(cover, "pointset", None)
+    if pointset is not None:
+        return pointset
+    return cover.array if hasattr(cover, "array") else cover.points
+
+
 class CoverRegion:
     """A maintained cover of the unseen score vectors of one input.
 
@@ -103,9 +119,10 @@ class CoverRegion:
     ``skyline_mode=True`` the point set is kept as a skyline (FR* behaviour).
 
     The point set lives in a columnar :class:`~repro.kernels.PointSet` and
-    each :meth:`update` is a single :func:`repro.kernels.cover_carve` batch
-    call — cover maintenance runs on every pull of the FR-family bounds and
-    is their hottest loop.  The semantics are identical to the reference
+    each :meth:`update` is a single :func:`repro.kernels.carve_patch` batch
+    call whose delta is applied as one :meth:`~repro.kernels.PointSet.patch`
+    — cover maintenance runs on every group close of the FR-family bounds
+    and is their hottest loop.  The semantics are identical to the reference
     :func:`update_cover` under every kernel backend and under size-aware
     auto dispatch (the test suite asserts the equivalence property-based).
     """
@@ -149,8 +166,8 @@ class CoverRegion:
                 )
         if not batch or not len(self._ps):
             return
-        self._ps.replace(
-            kernels.cover_carve(self._ps, batch, skyline_mode=self.skyline_mode)
+        self._ps.patch(
+            *kernels.carve_patch(self._ps, batch, skyline_mode=self.skyline_mode)
         )
 
     def covers(self, point: Sequence[float]) -> bool:

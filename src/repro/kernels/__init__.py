@@ -11,10 +11,12 @@ present, behind a per-op :class:`~repro.kernels.registry.KernelRegistry`:
 * ``"numpy"`` — :class:`~repro.kernels.vectorized.NumpyBackend`,
   one broadcast per batch, fastest on bulk.
 
-Both tiers are **bit-identical**: same skylines, same cover sets, same
+Both tiers are **bit-identical**: same skylines, same cover rows, same
 partial scores (float additions happen left-to-right in every tier), so
 every operator-level invariant test doubles as a kernel-equivalence
-oracle.
+oracle.  The ``cover_carve`` op answers with a *delta* (:func:`carve_patch`:
+kept row ids plus fresh points) that :meth:`PointSet.patch` applies in one
+mutation; :func:`cover_carve` assembles it into the whole cover.
 
 Per-call dispatch
 -----------------
@@ -58,6 +60,8 @@ import warnings
 from contextlib import contextmanager
 from time import perf_counter
 
+import numpy as np
+
 from repro.kernels import dispatch as _dispatch
 from repro.kernels.dispatch import (
     AutoDispatcher,
@@ -65,7 +69,7 @@ from repro.kernels.dispatch import (
     set_thresholds,
 )
 from repro.kernels.pointset import PointSet
-from repro.kernels.reference import ReferenceBackend
+from repro.kernels.reference import ReferenceBackend, _rows
 from repro.kernels.registry import BACKEND_TIER, KernelRegistry
 from repro.kernels.types import (
     Cell,
@@ -75,7 +79,7 @@ from repro.kernels.types import (
     ones,
     substitute,
 )
-from repro.kernels.vectorized import NumpyBackend
+from repro.kernels.vectorized import NumpyBackend, _arr
 
 #: The operations every kernel backend must implement.
 KERNEL_OPS = (
@@ -350,9 +354,20 @@ def cross_product_max(left, right) -> float:
     return _call("cross_product_max", left, right)
 
 
+def carve_patch(cover, observed, *, skyline_mode: bool = False):
+    """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``) as a delta: the
+    ``(keep, fresh)`` that :meth:`PointSet.patch` applies — surviving row
+    ids, then the new points.  Counted as a ``cover_carve`` call."""
+    return _call("cover_carve", cover, observed, skyline_mode=skyline_mode)
+
+
 def cover_carve(cover, observed, *, skyline_mode: bool = False):
     """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points."""
-    return _call("cover_carve", cover, observed, skyline_mode=skyline_mode)
+    keep, fresh = carve_patch(cover, observed, skyline_mode=skyline_mode)
+    if hasattr(fresh, "shape"):  # the numpy tier answers in arrays
+        return np.concatenate([_arr(cover)[keep], fresh], axis=0)
+    rows = _rows(cover)
+    return [rows[i] for i in keep] + fresh
 
 
 def grid_cell_assign(points, resolution: int):
@@ -390,6 +405,7 @@ __all__ = [
     "as_point",
     "available_backends",
     "calibrate_thresholds",
+    "carve_patch",
     "cover_carve",
     "cover_corner_scores",
     "cross_product_max",

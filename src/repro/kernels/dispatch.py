@@ -30,7 +30,7 @@ Per-op crossover sizes resolve in priority order:
    sizes — memoised in ``~/.cache/repro/kernel_thresholds.json``
    (``$XDG_CACHE_HOME``-aware, invalidated when the Python version or
    the backend set changes),
-3. library defaults (hand-set from BENCH_kernels.json), for every cell
+3. library defaults (hand-set from a sweep over the probes), for every cell
    the levels above leave unnamed.
 
 Threshold values are *minimum batch sizes*: ``{"dominates_any":
@@ -44,6 +44,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Mapping
+from functools import partial
 from math import sqrt
 from pathlib import Path
 from time import perf_counter
@@ -56,24 +57,27 @@ SCHEMA_VERSION = 1
 #: Threshold sentinel: "never route this op to this backend".
 NEVER = 1 << 30
 
-#: Hand-set crossover defaults (minimum batch size per backend), tuned
-#: from BENCH_kernels.json: loop ops with early exits keep the reference
-#: tier far longer than streaming ops.
+#: Hand-set crossover defaults (minimum batch size per backend), read off
+#: a fine-ladder sweep of both tiers over the :data:`ARG_BUILDERS` probes:
+#: loop ops with early exits keep the reference tier far longer than
+#: streaming ops (a ``dominates_any`` hit exits within a few rows at any
+#: size; 512 caps what the occasional full-scan miss can cost).
 DEFAULT_THRESHOLDS: dict[str, dict[str, int]] = {
     "dominates_any": {"numpy": 512},
-    "strict_dominance_mask": {"numpy": 64},
+    "strict_dominance_mask": {"numpy": 20},
     # Per-insertion broadcasts never amortize for the incremental
     # skyline (0.2–0.4× at every measured size) and the antichain's
     # dedup-then-pairwise shape (unique cells are bounded by the grid
     # resolution, so the pairwise part never grows) — reference only.
     "skyline_filter": {"numpy": NEVER},
-    "cover_corner_scores": {"numpy": 32},
+    "cover_corner_scores": {"numpy": 12},
     "max_corner_score": {"numpy": 32},
     "cross_product_max": {"numpy": 256},
-    "cover_carve": {"numpy": 128},
-    "grid_cell_assign": {"numpy": 64},
+    # ~0.3 µs a row in the loops against ~85 µs fixed (np.unique) in numpy.
+    "cover_carve": {"numpy": 320},
+    "grid_cell_assign": {"numpy": 8},
     "antichain": {"numpy": NEVER},
-    "grid_carve": {"numpy": 128},
+    "grid_carve": {"numpy": 64},
 }
 
 #: Ops whose vectorized tier structurally never amortizes (see the
@@ -294,27 +298,55 @@ def _side(n: int) -> int:
     return max(1, int(sqrt(n)))
 
 
-#: op -> size -> positional argument tuple for one timed call.  Point
-#: operands are PointSets (as the geometry layer passes them); the
-#: dominance target sits high so early-exit loops scan realistically.
+def _staircase(n: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """An ``n``-cell antichain shaped like a cover — a staircase in the
+    first two coordinates, the third free — and a step that only its two
+    middle cells dominate: a group close as production sees it."""
+    cells = [(i, n - 1 - i, (i * 7) % 11) for i in range(n)]
+    return cells, (n // 2, max(n - n // 2 - 2, 0), 0)
+
+
+def _carve_args(n: int) -> tuple:
+    from repro.kernels.pointset import PointSet
+
+    cells, step = _staircase(max(n - 1, 1))
+    scale = (len(cells) + 1.0, len(cells) + 1.0, 12.0)
+    cover = [tuple((c + 1) / s for c, s in zip(cell, scale)) for cell in cells]
+    return PointSet(3, cover), [tuple((c + 0.5) / s for c, s in zip(step, scale))]
+
+
+def _grid_carve_args(n: int) -> tuple:
+    cells, step = _staircase(n)
+    resolution = 1 << max(n, 16).bit_length()  # a power of two: c / r is exact
+    return cells, tuple(c / resolution for c in step), resolution
+
+
+#: op -> size -> positional argument tuple for one timed call, shaped like
+#: the calls production makes: operands are PointSets (geometry layer) or
+#: array slices (prepared operands), the dominance target is dominated by
+#: an early row (as under decreasing-S̄ access), a carve removes two points
+#: of an antichain.  Worst cases nothing issues (a target nothing dominates,
+#: a vector gutting a non-antichain set) miscalibrate: 3x slower FRPA once.
 ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
-    "dominates_any": lambda n: (_point_set(n), (0.99, 0.99, 0.99)),
+    "dominates_any": lambda n: (
+        _point_set(n), tuple(v / 2 for v in synthetic_points(n)[n // 8]),
+    ),
     "strict_dominance_mask": lambda n: (_point_set(n), (0.5, 0.5, 0.5)),
     "skyline_filter": lambda n: (_point_set(n),),
-    "cover_corner_scores": lambda n: (_point_set(n), (0.6, 0.3, 0.1)),
+    "cover_corner_scores": lambda n: (_point_set(n).array, (0.6, 0.3, 0.1)),
     "max_corner_score": lambda n: (_point_set(n), None),
     "cross_product_max": lambda n: (
         [v / _side(n) for v in range(_side(n))],
         [v / _side(n) for v in range(_side(n))],
     ),
-    "cover_carve": lambda n: (
-        _point_set(max(n - 1, 1)),
-        [(0.5, 0.5, 0.5)],
-    ),
+    "cover_carve": _carve_args,
     "grid_cell_assign": lambda n: (_point_set(n), 8),
     "antichain": lambda n: (synthetic_cells(n),),
-    "grid_carve": lambda n: (synthetic_cells(n), (0.5, 0.5, 0.5), 8),
+    "grid_carve": _grid_carve_args,
 }
+
+#: Keyword arguments production passes with those positional ones.
+PROBE_KWARGS: dict[str, dict] = {"cover_carve": {"skyline_mode": True}}
 
 
 def _time_call(impl: Callable, args: tuple, reps: int) -> float:
@@ -414,7 +446,10 @@ def calibrate(
         if op in VECTORIZED_NEVER_WINS:
             value = NEVER
         else:
-            impls = registry.implementations(op)
+            impls = {
+                tier: partial(impl, **PROBE_KWARGS.get(op, {}))
+                for tier, impl in registry.implementations(op).items()
+            }
             value = _crossover(
                 impls["reference"], impls["vectorized"], ARG_BUILDERS[op],
                 _SIZE_LADDERS.get(op, _DEFAULT_LADDER), deadline,

@@ -137,9 +137,10 @@ class ReferenceBackend:
         """``max(l + r)`` over the full cross product of two score lists.
 
         The nested loop is deliberate: this is the combinatorial cost the
-        paper ascribes to cover bounds, kept intact (only constant-factor
-        acceleration differs between backends).  ``-inf`` if either side
-        is empty.
+        paper ascribes to FR's cover bounds, kept intact for PBRJ_FR^RR
+        (only constant-factor acceleration differs between backends; FR*
+        with an additive ``S`` no longer calls it).  ``-inf`` if either
+        side is empty.
         """
         best = NEG_INF
         right_list = [float(r) for r in right]
@@ -157,45 +158,39 @@ class ReferenceBackend:
     # ------------------------------------------------------------------
     def cover_carve(
         self, cover, observed, *, skyline_mode: bool = False
-    ) -> list[Point]:
+    ) -> tuple[list[int], list[Point]]:
         """Carve the regions dominating each observed vector out of ``cover``.
 
-        Returns the new cover point list.  With ``skyline_mode`` the result
-        is kept an antichain (FR* behaviour); new points are considered in
-        sorted order so both backends emit identical sets deterministically.
+        Returns the carve as a *patch* ``(keep, fresh)``: the ids of the
+        cover rows no vector removed (ascending), then the new points in
+        sorted order per vector, so both backends emit identical rows.
+        ``skyline_mode`` skylines only the projections: over an antichain
+        no survivor compares with one (Lemma, :mod:`repro.geometry.cover`).
         """
-        current = _rows(cover)
+        rows = _rows(cover)
+        keep = list(range(len(rows)))
+        fresh: list[Point] = []
         for raw in observed:
             y = as_point(raw)
-            if not current:
-                break
-            removed = [s for s in current if _weak_dom(s, y)]
-            if not removed:
+            hit = [_weak_dom(rows[i], y) for i in keep]
+            stale = [_weak_dom(p, y) for p in fresh]
+            if not (any(hit) or any(stale)):
                 continue
-            survivors = [s for s in current if not _weak_dom(s, y)]
+            removed = [rows[i] for i, h in zip(keep, hit) if h]
+            removed += [p for p, h in zip(fresh, stale) if h]
+            keep = [i for i, h in zip(keep, hit) if not h]
+            fresh = [p for p, h in zip(fresh, stale) if not h]
             projected: set[Point] = set()
             for s in removed:
                 for axis, value in enumerate(y):
                     candidate = substitute(s, axis, value)
                     if all(coord > 0.0 for coord in candidate):
                         projected.add(candidate)
-            fresh = sorted(projected)
+            new = sorted(projected)
             if skyline_mode:
-                # Survivors are an antichain by induction: only new-vs-new
-                # and new-vs-survivor dominations need resolving.
-                fresh = [fresh[i] for i in self.skyline_filter(fresh)]
-                fresh = [
-                    p
-                    for p in fresh
-                    if not any(_weak_dom(s, p) for s in survivors)
-                ]
-                survivors = [
-                    s
-                    for s in survivors
-                    if not any(_strict_dom(p, s) for p in fresh)
-                ]
-            current = survivors + fresh
-        return current
+                new = [new[i] for i in self.skyline_filter(new)]
+            fresh += new
+        return keep, fresh
 
     # ------------------------------------------------------------------
     # Grid kernels (aFR)
@@ -262,11 +257,12 @@ class ReferenceBackend:
                 slid[axis] = m[axis] - 1
                 if all(coord >= 0 for coord in slid):
                     projected.add(tuple(slid))
-        fresh = self.antichain(sorted(projected))
+        # A survivor can still dominate a projection on the grid
+        # (cells=[(7,4),(5,7)], m=(2,5): fresh (5,4) sits under survivor
+        # (7,4)); the converse cannot happen over an antichain.
         fresh = [
-            c for c in fresh if not any(_weak_dom(s, c) for s in survivors)
-        ]
-        survivors = [
-            s for s in survivors if not any(_strict_dom(c, s) for c in fresh)
+            c
+            for c in self.antichain(sorted(projected))
+            if not any(_weak_dom(s, c) for s in survivors)
         ]
         return survivors + fresh, True

@@ -147,7 +147,7 @@ class NumpyBackend:
         right_vals = np.asarray(right, dtype=np.float64)
         if not left_vals.size or not right_vals.size:
             return NEG_INF
-        # Full cross product, one broadcast — the paper's combinatorial
+        # Full cross product, one broadcast — FR's combinatorial
         # cover-bound cost with compiled constants.
         return float((left_vals[:, None] + right_vals[None, :]).max())
 
@@ -156,10 +156,10 @@ class NumpyBackend:
     # ------------------------------------------------------------------
     def cover_carve(
         self, cover, observed, *, skyline_mode: bool = False
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The carve as a patch ``(keep, fresh)`` — see the reference tier."""
         current = _arr(cover)
-        if current.shape[0]:
-            current = current.copy()
+        keep = np.arange(current.shape[0])
         dimension = current.shape[1]
         for raw in observed:
             y = np.asarray(tuple(raw), dtype=np.float64)
@@ -169,32 +169,19 @@ class NumpyBackend:
             if not removed_mask.any():
                 continue
             removed = current[removed_mask]
-            survivors = current[~removed_mask]
             # Project each removed point one coordinate down onto y.
             projected = np.repeat(removed, dimension, axis=0)
             cols = np.tile(np.arange(dimension), removed.shape[0])
             projected[np.arange(projected.shape[0]), cols] = y[cols]
             projected = projected[(projected > 0.0).all(axis=1)]
             projected = np.unique(projected, axis=0)
-            if skyline_mode and projected.shape[0]:
-                fresh = projected[self.skyline_filter(projected)]
-                if survivors.shape[0] and fresh.shape[0]:
-                    dominated_new = (
-                        (survivors[:, None, :] >= fresh[None, :, :])
-                        .all(axis=2)
-                        .any(axis=0)
-                    )
-                    fresh = fresh[~dominated_new]
-                if survivors.shape[0] and fresh.shape[0]:
-                    strictly = (
-                        (fresh[:, None, :] >= survivors[None, :, :]).all(axis=2)
-                        & (fresh[:, None, :] > survivors[None, :, :]).any(axis=2)
-                    ).any(axis=0)
-                    survivors = survivors[~strictly]
-                current = np.concatenate([survivors, fresh], axis=0)
-            else:
-                current = np.concatenate([survivors, projected], axis=0)
-        return current
+            if skyline_mode and projected.shape[0] > 1:
+                projected = projected[self.skyline_filter(projected)]
+            # Surviving cover rows stay a prefix; new points go behind.
+            survived = ~removed_mask
+            keep = keep[survived[: keep.shape[0]]]
+            current = np.concatenate([current[survived], projected], axis=0)
+        return keep, current[keep.shape[0]:]
 
     # ------------------------------------------------------------------
     # Grid kernels (aFR)
@@ -233,14 +220,9 @@ class NumpyBackend:
         projected = projected[(projected >= 0).all(axis=1)]
         fresh = self.antichain(projected)
         if survivors.shape[0] and fresh.shape[0]:
+            # Live on the grid (see the reference tier's counterexample).
             dominated_new = (
                 (survivors[:, None, :] >= fresh[None, :, :]).all(axis=2).any(axis=0)
             )
             fresh = fresh[~dominated_new]
-        if survivors.shape[0] and fresh.shape[0]:
-            strictly = (
-                (fresh[:, None, :] >= survivors[None, :, :]).all(axis=2)
-                & (fresh[:, None, :] > survivors[None, :, :]).any(axis=2)
-            ).any(axis=0)
-            survivors = survivors[~strictly]
         return np.concatenate([survivors, fresh], axis=0), True

@@ -150,3 +150,43 @@ class TestDecisionMatrix:
         bound.update(LEFT, RankTuple(key=0, scores=(0.9, 0.9)))
         bound.update(LEFT, RankTuple(key=0, scores=(0.5, 0.5)))
         assert bound.seen_skyline_sizes == (1, 0)
+
+
+class TestRefreshIsADelta:
+    """A regression to recompute-everything fails here, not in a benchmark."""
+
+    def test_frpa_patches_instead_of_recomputing(self):
+        from repro import kernels
+        from repro.core.operators import make_operator
+        from repro.data.workload import WorkloadParams, lineitem_orders_instance
+        from repro.obs.metrics import MetricRegistry
+
+        # The cold_fr2 generator settings (benchmarks/harness/workloads.py).
+        instance = lineitem_orders_instance(WorkloadParams(
+            e=2, c=0.5, z=0.5, k=10, scale=0.0005, seed=0
+        ))
+        operator = make_operator("FRPA", instance)
+        registry = MetricRegistry()
+        kernels.observe(registry)
+        try:
+            operator.top_k(10)
+        finally:
+            kernels.unobserve()
+        calls = {}
+        for _, labels, counter in registry.metrics_named("kernel_calls_total"):
+            calls[labels["fn"]] = calls.get(labels["fn"], 0) + counter.value
+        # Additive S: cover bounds come from maintained maxima.
+        assert calls.get("cross_product_max", 0) == 0
+        # One carve per closed group at most: a group closes when the
+        # pulled tuple's score bound drops strictly below its side's last.
+        context = BoundContext(instance.scoring, instance.dims)
+        depths = operator.depths()
+        closed = 0
+        for side, depth in ((LEFT, depths.left), (RIGHT, depths.right)):
+            bounds = [
+                context.score_bound(side, t.scores)
+                for t in instance.sorted_tuples(side)[:depth]
+            ]
+            closed += sum(b < a for a, b in zip(bounds, bounds[1:]))
+        assert 0 < calls["cover_carve"] <= closed
+        assert operator.stats().bound_recomputations > 0

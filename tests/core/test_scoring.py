@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
+from repro.kernels import PointSet
 from repro.core.scoring import (
     NEG_INF,
     AverageScore,
@@ -163,3 +165,108 @@ class TestGenericMaxCombination:
         summed = SumScore()
         generic = ScoringFunction.max_combination(summed, left, right)
         assert summed.max_combination(left, right) == pytest.approx(generic)
+
+
+def _apply(ps, step):
+    """One mutation of an interleaving; ``step`` is ``(kind, payload)``."""
+    kind, payload = step
+    n = len(ps)
+    if kind == "append":
+        ps.append(payload)
+    elif kind == "replace":
+        ps.replace([payload] * (n % 3))
+    elif kind == "compress":
+        ps.compress([(i + len(payload)) % 2 == 0 for i in range(n)])
+    else:  # patch: keep every other row, add the payload twice
+        ps.patch(list(range(0, n, 2)), [payload, payload])
+
+
+class TestPatchedOperands:
+    """An additive operand carried across patches equals one built from
+    scratch, bit for bit, and its maintained maximum gives the cover bound."""
+
+    weights = (0.7, 1.0, 1.3)
+    vec3 = st.tuples(unit, unit, unit)
+    steps = st.lists(
+        st.tuples(
+            st.sampled_from(["append", "patch", "compress", "replace"]),
+            vec3,
+            st.booleans(),  # read the operand after this step?
+        ),
+        max_size=24,
+    )
+
+    @given(steps)
+    @settings(max_examples=200, deadline=None)
+    def test_partials_equal_from_scratch_after_any_interleaving(self, steps):
+        ps = PointSet(3)
+        operand = WeightedSum(self.weights).prepare(source=ps)
+        for kind, payload, read in steps + [("append", (0.5, 0.5, 0.5), True)]:
+            _apply(ps, (kind, payload))
+            if not read:
+                continue  # the view falls one or more mutations behind
+            scratch = [
+                float(v)
+                for v in kernels.cover_corner_scores(ps.array, self.weights)
+            ]
+            assert operand.partials.tolist() == scratch
+            assert operand.best == max(scratch, default=NEG_INF)
+
+    def test_stamp_semantics(self, monkeypatch):
+        scored = []
+        real = kernels.cover_corner_scores
+
+        def counting(points, weights=None):
+            scored.append(len(points))
+            return real(points, weights)
+
+        monkeypatch.setattr(kernels, "cover_corner_scores", counting)
+        ps = PointSet(3, [(0.1 * i, 0.5, 0.5) for i in range(1, 7)])
+        operand = SumScore().prepare(source=ps)
+        operand.partials
+        assert scored == [6]
+        ps.patch([0, 2, 4], [(0.9, 0.9, 0.9)])
+        operand.partials
+        assert scored == [6, 1]  # one patch behind: only the fresh row
+        ps.append((0.2, 0.2, 0.2))
+        operand.partials
+        assert scored == [6, 1, 1]  # appends after a patch extend
+        ps.patch([0, 1], [(0.3, 0.3, 0.3)])
+        ps.append((0.4, 0.4, 0.4))
+        operand.partials
+        assert scored == [6, 1, 1, 2]  # patch then append: still one behind
+        ps.patch([0], [])
+        ps.patch([0], [(0.6, 0.6, 0.6)])
+        operand.partials
+        assert scored[-1] == 2  # two patches behind: rebuild
+        ps.patch([1], [])
+        ps.compress([False])
+        ps.append((0.7, 0.7, 0.7))
+        operand.partials
+        assert scored[-1] == 1 and len(operand.partials) == 1  # across a compress
+        ps.patch([0], [(0.8, 0.8, 0.8)])
+        ps.replace([(0.1, 0.1, 0.1)] * 3)
+        assert operand.partials.tolist() == [0.1 + 0.1 + 0.1] * 3
+        assert scored[-1] == 3  # across a replace: rebuild
+
+    @given(
+        st.lists(vec3, max_size=8),
+        st.lists(st.tuples(unit, unit), max_size=8),
+        st.tuples(*([st.floats(0.0, 2.0)] * 5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sum_of_maxima_is_the_cross_product_max(self, left, right, weights):
+        # Empty sides included: -inf + x == -inf, as the cross product says.
+        for scoring in (SumScore(), WeightedSum(weights)):
+            l_op = scoring.prepare(offset=0, source=PointSet(3, left))
+            r_op = scoring.prepare(offset=3, source=PointSet(2, right))
+            cross = kernels.cross_product_max(l_op.partials, r_op.partials)
+            assert l_op.best + r_op.best == cross
+            assert scoring.cover_max(l_op, r_op) == cross
+            assert scoring.max_prepared(l_op, r_op) == cross
+
+    def test_non_additive_cover_max_is_the_cross_product(self):
+        scoring = MinScore()
+        l_op = scoring.prepare(source=PointSet(1, [(0.2,), (0.9,)]))
+        r_op = scoring.prepare(source=PointSet(1, [(0.5,), (0.7,)]))
+        assert scoring.cover_max(l_op, r_op) == 0.7

@@ -1,0 +1,128 @@
+"""Property tests that fail if the delta carve's shortcut is ever wrong.
+
+``cover_carve`` skylines only the fresh projections and never compares
+them with the surviving cover rows (the Lemma in
+:mod:`repro.geometry.cover`).  The loop oracle
+``update_cover(skyline_result=True)`` still skylines the full union, so
+equality with it — as a point set, and row for row across the tiers —
+is the executable proof.  Dimensions e ∈ 1–5, duplicates, ties and the
+0/1 boundary coordinates are drawn deliberately, and batches carry
+several vectors so that a later one removes an earlier one's fresh point.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.geometry.cover import CoverRegion, update_cover
+from repro.geometry.skyline import is_skyline
+from repro.kernels import use_backend
+
+TIERS = ("python", "numpy", "auto")
+
+coord = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def carve_cases(draw):
+    """``(e, warm-up batch, batch)``; re-sampling forces duplicate vectors."""
+    e = draw(st.integers(1, 5))
+    vector = st.tuples(*([coord] * e))
+    warm = draw(st.lists(vector, max_size=6))
+    batch = draw(st.lists(vector, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        batch += draw(st.lists(st.sampled_from(batch), max_size=3))
+    return e, warm, batch
+
+
+def _carved(e, warm, batch, tier):
+    with use_backend(tier):
+        region = CoverRegion(e, skyline_mode=True)
+        region.update(warm)
+        region.update(batch)
+        return region.points
+
+
+class TestPatchAgainstLoopOracle:
+    @given(carve_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_point_set_as_full_union_skyline(self, case):
+        e, warm, batch = case
+        start = update_cover([kernels.ones(e)], warm, skyline_result=True)
+        oracle = update_cover(start, batch, skyline_result=True)
+        rows = {tier: _carved(e, warm, batch, tier) for tier in TIERS}
+        assert sorted(rows["python"]) == sorted(oracle)  # no duplicates either
+        assert is_skyline(rows["python"])
+        # Row for row: the tiers agree on order, not only on the set.
+        assert rows["numpy"] == rows["python"]
+        assert rows["auto"] == rows["python"]
+
+    @given(carve_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_public_carve_is_the_assembled_patch(self, case):
+        e, warm, batch = case
+        start = update_cover([kernels.ones(e)], warm, skyline_result=True)
+        for tier in TIERS:
+            with use_backend(tier):
+                keep, fresh = kernels.carve_patch(start, batch, skyline_mode=True)
+                carved = kernels.cover_carve(start, batch, skyline_mode=True)
+            assembled = [start[i] for i in keep] + [tuple(p) for p in fresh]
+            assert [tuple(p) for p in carved] == assembled, tier
+            assert list(keep) == sorted(set(int(i) for i in keep)), tier
+
+    def test_later_vector_removes_an_earlier_fresh_point(self):
+        # (0.5, 0.5) leaves (0.5, 1) and (1, 0.5); (0.4, 0.9) then removes
+        # the first of those and projects it.
+        for tier in TIERS:
+            with use_backend(tier):
+                keep, fresh = kernels.carve_patch(
+                    [(1.0, 1.0)], [(0.5, 0.5), (0.4, 0.9)], skyline_mode=True
+                )
+            assert len(keep) == 0, tier
+            assert [tuple(p) for p in fresh] == [
+                (1.0, 0.5), (0.4, 1.0), (0.5, 0.9),
+            ], tier
+
+    def test_untouched_cover_is_an_empty_patch(self):
+        cover = [(0.2, 1.0), (1.0, 0.2)]
+        for tier in TIERS:
+            with use_backend(tier):
+                keep, fresh = kernels.carve_patch(
+                    cover, [(0.5, 0.5)], skyline_mode=True
+                )
+            assert list(keep) == [0, 1] and len(fresh) == 0, tier
+
+
+class TestGridCarveFilters:
+    """The grid keeps the survivor ⪰ fresh filter and drops its converse."""
+
+    def test_survivor_can_dominate_a_projection(self):
+        # m = (2, 5): (5, 7) is removed, its projection (5, 4) sits under
+        # the survivor (7, 4) and must not be marked.
+        for tier in TIERS:
+            with use_backend(tier):
+                cells, changed = kernels.grid_carve(
+                    [(7, 4), (5, 7)], (2 / 8, 5 / 8), 8
+                )
+            assert changed
+            assert sorted(tuple(int(c) for c in cell) for cell in cells) == [
+                (1, 7), (7, 4),
+            ], tier
+
+    @given(
+        st.lists(st.tuples(*([st.integers(0, 7)] * 3)), min_size=1, max_size=12),
+        st.tuples(*([coord] * 3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_result_stays_an_antichain(self, cells, vector):
+        with use_backend("python"):
+            start = kernels.antichain(cells)
+        for tier in TIERS:
+            with use_backend(tier):
+                carved, _ = kernels.grid_carve(start, vector, 8)
+            carved = sorted(tuple(int(c) for c in cell) for cell in carved)
+            with use_backend("python"):
+                assert carved == kernels.antichain(carved), tier
