@@ -36,7 +36,7 @@ from repro.anyk.jointree import (
     JoinTreeNode,
     NodeTuple,
     attr_value,
-    weight_functions,
+    relation_weights,
 )
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
@@ -192,7 +192,7 @@ def _materialize(
     members: tuple[int, ...],
     query: AnyKQuery,
     rel_vars: list[frozenset[str]],
-    weigh,
+    annotated,
 ) -> list[NodeTuple]:
     """Bag tuples: the hash join of the member relations on shared vars."""
     order = [members[0]]
@@ -211,25 +211,27 @@ def _materialize(
 
     first = order[0]
     partial = [
-        ((tup,), weigh[first](tup)) for tup in query.relations[first].tuples
+        ((tup,), weight, (identity,)) for tup, weight, identity in annotated(first)
     ]
     seen_vars = set(rel_vars[first])
     var_pos = {var: 0 for var in rel_vars[first]}
     for position, rel_index in enumerate(order[1:], start=1):
         shared = tuple(sorted(rel_vars[rel_index] & seen_vars))
         table: dict[tuple, list] = {}
-        for tup in query.relations[rel_index].tuples:
-            key = tuple(attr_value(tup, var) for var in shared)
-            table.setdefault(key, []).append(tup)
+        for entry in annotated(rel_index):
+            key = tuple(attr_value(entry[0], var) for var in shared)
+            table.setdefault(key, []).append(entry)
         joined = []
-        for components, weight in partial:
+        for components, weight, identities in partial:
             key = tuple(
                 attr_value(components[var_pos[var]], var) for var in shared
             )
-            for tup in table.get(key, ()):
-                joined.append(
-                    (components + (tup,), weight + weigh[rel_index](tup))
-                )
+            for tup, tuple_weight, identity in table.get(key, ()):
+                joined.append((
+                    components + (tup,),
+                    weight + tuple_weight,
+                    identities + (identity,),
+                ))
         partial = joined
         for var in rel_vars[rel_index]:
             var_pos.setdefault(var, position)
@@ -239,9 +241,12 @@ def _materialize(
     # vectors are independent of the internal join order.
     reorder = sorted(range(len(order)), key=lambda pos: order[pos])
     node_tuples = []
-    for components, weight in partial:
-        ordered = tuple(components[pos] for pos in reorder)
-        node_tuples.append(NodeTuple(ordered, weight))
+    for components, weight, identities in partial:
+        node_tuples.append(NodeTuple(
+            tuple(components[pos] for pos in reorder),
+            weight,
+            tuple(identities[pos] for pos in reorder),
+        ))
     return node_tuples
 
 
@@ -249,9 +254,14 @@ def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinT
     """Build the join tree (decomposition + bag materialization)."""
     scoring = scoring if scoring is not None else SumScore()
     rel_vars = query.variables()
-    weigh = weight_functions(
-        scoring, [relation.dimension for relation in query.relations]
-    )
+    weights = relation_weights(scoring, query.relations)
+
+    def annotated(index: int):
+        """``(tuple, weight, identity)`` of relation ``index``, bag order:
+        weights from one column pass, identities from the relation's cache."""
+        relation = query.relations[index]
+        return zip(relation.tuples, weights[index], relation.identities())
+
     root_edge, ears = _gyo_reduce(query)
 
     nodes: dict[int, JoinTreeNode] = {}
@@ -263,13 +273,12 @@ def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinT
             return existing
         members = edge.members
         if len(members) == 1:
-            index = members[0]
             tuples = [
-                NodeTuple((tup,), weigh[index](tup))
-                for tup in query.relations[index].tuples
+                NodeTuple((tup,), weight, (identity,))
+                for tup, weight, identity in annotated(members[0])
             ]
         else:
-            tuples = _materialize(members, query, rel_vars, weigh)
+            tuples = _materialize(members, query, rel_vars, annotated)
         ordered_members = tuple(sorted(members))
         positions = {}
         for pos, rel_index in enumerate(ordered_members):

@@ -34,10 +34,10 @@ from repro.anyk.dp import DPState
 from repro.anyk.enumerate import Enumerator
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.core.stepping import PENDING
-from repro.core.tuples import JoinResult, RankTuple
+from repro.core.tuples import JoinResult
 from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import NULL_OBS, TraceContext, span_record
-from repro.relation.relation import RankJoinInstance, _canonical_payload
+from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import (
     DepthReport,
     MemoryHighWater,
@@ -48,20 +48,6 @@ from repro.stats.metrics import (
 #: Registry name of the any-k core (resolved by
 #: :func:`repro.core.operators.make_operator` alongside the PBRJ family).
 ANYK_OPERATOR = "AnyK"
-
-
-def _identity(tuples: tuple[RankTuple, ...]) -> tuple:
-    """Canonical content identity of a result's relation-ordered tuples.
-
-    For binary results this flattens to exactly the fields (and order)
-    of :func:`repro.exec.merge.result_identity`, so serial any-k ties
-    sort the way the sharded merge sorts them.
-    """
-    return tuple(
-        part
-        for tup in tuples
-        for part in (repr(tup.key), tuple(tup.scores), _canonical_payload(tup.payload))
-    )
 
 
 class AnyKRankJoin:
@@ -196,13 +182,16 @@ class AnyKRankJoin:
             return None
         # Exact re-scoring + canonical sort: DP scores order the batches,
         # the scoring function (same call as PBRJ/multiway) scores the
-        # emitted results bit-identically across cores.
+        # emitted results bit-identically across cores.  The identities —
+        # per tuple the fields of :func:`repro.exec.merge.result_identity`,
+        # in relation order — sort a tie the way the sharded merge does.
         scored = [
-            (self.scoring(tuple(s for t in tuples for s in t.scores)), tuples)
-            for _, tuples in batch
+            (self.scoring(tuple(s for t in tuples for s in t.scores)),
+             tuples, identity)
+            for _, tuples, identity in batch
         ]
-        scored.sort(key=lambda pair: (-pair[0], _identity(pair[1])))
-        self._batch = scored
+        scored.sort(key=lambda entry: (-entry[0], entry[2]))
+        self._batch = [entry[:2] for entry in scored]
         self._buffer_peak = max(self._buffer_peak, len(scored))
         return self._emit(self._batch.pop(0))
 

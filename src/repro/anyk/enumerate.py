@@ -119,21 +119,29 @@ class Enumerator:
                 )
         return solutions[j - 1] if len(solutions) >= j else None
 
-    def _assignment(self, enum: GroupEnum, j: int) -> list[tuple[int, RankTuple]]:
-        """Flatten the group's ``j``-th solution to (relation, tuple) pairs."""
+    def _assignment(
+        self, enum: GroupEnum, j: int
+    ) -> list[tuple[int, RankTuple, tuple]]:
+        """Flatten the group's ``j``-th solution to (relation, tuple,
+        identity) triples."""
         _, entry_index, ranks = enum.solutions[j - 1]
         entry = enum.group.entries[entry_index]
-        node = enum.group.node
-        pairs = list(zip(node.members, entry.node_tuple.components))
+        node_tuple = entry.node_tuple
+        triples = list(zip(
+            enum.group.node.members, node_tuple.components, node_tuple.identity
+        ))
         for i, child_group in enumerate(entry.child_groups):
-            pairs.extend(self._assignment(self._enums[id(child_group)], ranks[i]))
-        return pairs
+            triples.extend(
+                self._assignment(self._enums[id(child_group)], ranks[i])
+            )
+        return triples
 
     # ------------------------------------------------------------------
     # Root enumeration
     # ------------------------------------------------------------------
-    def next_batch(self) -> list[tuple[float, tuple[RankTuple, ...]]]:
-        """The next tie batch: (DP score, relation-ordered tuples) pairs.
+    def next_batch(self) -> list[tuple[float, tuple[RankTuple, ...], tuple]]:
+        """The next tie batch: (DP score, relation-ordered tuples, their
+        canonical identities) triples.
 
         Empty once the output is fully enumerated.  The batch contains
         every remaining solution within ``SCORE_EPS`` of its head, so
@@ -153,11 +161,13 @@ class Enumerator:
             count += 1
         batch = []
         for rank in range(self._next_rank, self._next_rank + count):
-            pairs = self._assignment(self._root, rank)
-            pairs.sort(key=lambda pair: pair[0])
-            batch.append(
-                (self._root.solutions[rank - 1][0], tuple(t for _, t in pairs))
-            )
+            triples = self._assignment(self._root, rank)
+            triples.sort(key=lambda triple: triple[0])
+            batch.append((
+                self._root.solutions[rank - 1][0],
+                tuple(tup for _, tup, _ in triples),
+                tuple(identity for _, _, identity in triples),
+            ))
         self._next_rank += count
         return batch
 

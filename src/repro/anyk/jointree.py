@@ -16,7 +16,7 @@ operator.
 
 Scores: any-k's dynamic program needs the aggregate to *decompose* over
 the inputs — ``S(b(τ1) ⊕ … ⊕ b(τn)) = Σ_i w_i(τ_i)`` up to float
-rounding.  :func:`weight_functions` derives the per-relation weights for
+rounding.  :func:`relation_weights` derives the per-tuple weights for
 the additive family (:class:`~repro.core.scoring.SumScore`,
 :class:`~repro.core.scoring.WeightedSum`,
 :class:`~repro.core.scoring.AverageScore`) and rejects everything else
@@ -28,12 +28,12 @@ scores are bit-identical across cores.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import numpy as np
 
 from repro.core.scoring import AverageScore, ScoringFunction, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
-from repro.relation.relation import Relation, _canonical_payload
+from repro.relation.relation import Relation
 
 #: Sentinel attribute name resolving to ``RankTuple.key`` (the binary
 #: rank join's join column, which lives outside the payload dict).
@@ -57,55 +57,37 @@ def attr_value(tup: RankTuple, attr: str):
     )
 
 
-def tuple_identity(tup: RankTuple) -> tuple:
-    """Canonical per-tuple identity (key, scores, payload) for tie order.
+def relation_weights(
+    scoring: ScoringFunction, relations: tuple[Relation, ...]
+) -> list[list[float]]:
+    """Per-relation lists of additive tuple weights ``w_i(τ)``, bag order.
 
-    Matches the fields :func:`repro.exec.merge.result_identity` reads, so
-    any-k's tie order over a flattened result equals the sharded merge's.
+    ``w_i(τ) = S(0…0 ⊕ b(τ) ⊕ 0…0)``: one exact ``batch`` pass per relation
+    over its cached score matrix, laid out at the relation's offset in the
+    concatenated vector (which fixes the weight slice it owns under
+    :class:`WeightedSum`).  Adding 0.0 is exact, so these are the bits of
+    the left-to-right partial sum over the relation's own coordinates.
     """
-    return (repr(tup.key), tuple(tup.scores), _canonical_payload(tup.payload))
-
-
-def weight_functions(
-    scoring: ScoringFunction, dimensions: list[int]
-) -> list[Callable[[RankTuple], float]]:
-    """Per-relation additive weight functions ``w_i`` for ``scoring``.
-
-    ``dimensions[i]`` is the score dimension of relation ``i``; the
-    concatenated vector lays relations out in index order, which fixes
-    the weight slice each relation owns under :class:`WeightedSum`.
-    """
+    total = sum(relation.dimension for relation in relations)
     if isinstance(scoring, WeightedSum):
-        total = sum(dimensions)
         if len(scoring.weights) != total:
             raise InstanceError(
                 f"WeightedSum has {len(scoring.weights)} weights but the "
                 f"query concatenates {total} score coordinates"
             )
-        functions = []
-        offset = 0
-        for dim in dimensions:
-            weights = scoring.weights[offset:offset + dim]
-
-            def weigh(tup: RankTuple, weights=weights) -> float:
-                return float(sum(w * s for w, s in zip(weights, tup.scores)))
-
-            functions.append(weigh)
-            offset += dim
-        return functions
-    if isinstance(scoring, AverageScore):
-        total = sum(dimensions) or 1
-
-        def weigh_mean(tup: RankTuple) -> float:
-            return float(sum(tup.scores)) / total
-
-        return [weigh_mean] * len(dimensions)
-    if isinstance(scoring, SumScore):
-        return [lambda tup: float(sum(tup.scores))] * len(dimensions)
-    raise InstanceError(
-        f"any-k needs an additive scoring function (SumScore, WeightedSum "
-        f"or AverageScore); got {type(scoring).__name__}"
-    )
+    elif not isinstance(scoring, (SumScore, AverageScore)):
+        raise InstanceError(
+            f"any-k needs an additive scoring function (SumScore, WeightedSum "
+            f"or AverageScore); got {type(scoring).__name__}"
+        )
+    weights, offset = [], 0
+    for relation in relations:
+        matrix = relation.scored()[1]
+        padded = np.zeros((len(matrix), total))
+        padded[:, offset:offset + relation.dimension] = matrix
+        weights.append(scoring.batch(padded).tolist())
+        offset += relation.dimension
+    return weights
 
 
 class NodeTuple:
@@ -113,11 +95,18 @@ class NodeTuple:
 
     __slots__ = ("components", "weight", "identity")
 
-    def __init__(self, components: tuple[RankTuple, ...], weight: float) -> None:
+    def __init__(
+        self,
+        components: tuple[RankTuple, ...],
+        weight: float,
+        identity: tuple[tuple, ...],
+    ) -> None:
         self.components = components
         self.weight = weight
-        #: Deterministic tie-break key (content only, discovery-free).
-        self.identity = tuple(tuple_identity(t) for t in components)
+        #: Deterministic tie-break key (content only, discovery-free): one
+        #: :func:`~repro.relation.relation.tuple_identity` per component,
+        #: read from :meth:`Relation.identities`, never recomputed per query.
+        self.identity = identity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         keys = ",".join(repr(t.key) for t in self.components)

@@ -290,8 +290,8 @@ class AFRBound(FRStarBound):
         )
         self._m_grid_transfers = metrics.counter("cover_grid_transfers_total", op=op)
 
-    def update(self, side: int, tup: RankTuple) -> float:
-        bound = super().update(side, tup)
+    def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
+        bound = super().update(side, tup, score_bound)
         resolution = self._cr[side].resolution
         previous = self._last_resolution[side]
         if resolution != previous:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.core.scoring import NEG_INF, ScoringFunction
 from repro.core.tuples import RankTuple
 from repro.obs.metrics import MetricRegistry
+from repro.relation import sources
 
 POS_INF = float("inf")
 
@@ -47,10 +48,7 @@ class BoundContext:
 
     def score_bound(self, side: int, scores: tuple[float, ...]) -> float:
         """``S̄`` of a tuple from ``side``: substitute 1 for missing scores."""
-        other = self.dims[1 - side]
-        if side == LEFT:
-            return self.scoring.bound_with_ones(scores, other)
-        return self.scoring((1.0,) * self.dims[LEFT] + tuple(scores))
+        return sources.score_bound(self.scoring, self.dims, side, scores)
 
     def combine(self, left_scores, right_scores) -> float:
         """Score of a (possibly hypothetical) combined vector."""
@@ -78,8 +76,15 @@ class BoundingScheme(ABC):
         """
 
     @abstractmethod
-    def update(self, side: int, tup: RankTuple) -> float:
-        """Process a newly pulled tuple; return the updated bound ``t``."""
+    def update(
+        self, side: int, tup: RankTuple, score_bound: float | None = None
+    ) -> float:
+        """Process a newly pulled tuple; return the updated bound ``t``.
+
+        ``score_bound`` is the tuple's ``S̄`` when the source carried it
+        (sorted access computed it to order the input); without it the
+        scheme computes the same value itself.
+        """
 
     @abstractmethod
     def current(self) -> float:
@@ -114,9 +119,11 @@ class CornerBound(BoundingScheme):
         super().__init__()
         self._thr = [POS_INF, POS_INF]
 
-    def update(self, side: int, tup: RankTuple) -> float:
+    def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
-        self._thr[side] = self.context.score_bound(side, tup.scores)
+        if score_bound is None:
+            score_bound = self.context.score_bound(side, tup.scores)
+        self._thr[side] = score_bound
         return self.current()
 
     def current(self) -> float:

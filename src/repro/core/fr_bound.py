@@ -117,10 +117,11 @@ class FRBound(BoundingScheme):
     # ------------------------------------------------------------------
     # Bookkeeping shared with subclasses
     # ------------------------------------------------------------------
-    def _absorb(self, side: int, tup: RankTuple) -> bool:
+    def _absorb(self, side: int, tup: RankTuple, sbar: float | None) -> bool:
         """Fold a pulled tuple into groups/covers; True iff a group closed."""
         assert self.context is not None
-        sbar = self.context.score_bound(side, tup.scores)
+        if sbar is None:
+            sbar = self.context.score_bound(side, tup.scores)
         if sbar < self._g[side]:
             self._cr[side].update(self._group[side])
             self._sync_cover_operand(side)
@@ -141,9 +142,9 @@ class FRBound(BoundingScheme):
     # ------------------------------------------------------------------
     # BoundingScheme API
     # ------------------------------------------------------------------
-    def update(self, side: int, tup: RankTuple) -> float:
+    def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
-        self._absorb(side, tup)
+        self._absorb(side, tup, score_bound)
         self._bound = self._result_bound()
         return self._bound
 

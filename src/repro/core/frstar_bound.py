@@ -75,14 +75,14 @@ class FRStarBound(FRBound):
         )
 
     # ------------------------------------------------------------------
-    def update(self, side: int, tup: RankTuple) -> float:
+    def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
         skyline_changed = self._shr[side].add(tup.scores)
         if skyline_changed:
             # The prepared operand tracks the skyline's PointSet by stamp;
             # SHR stays small (early freeze), so re-syncs are cheap.
             self._m_skyline_size[side].observe(len(self._shr[side]))
-        group_closed = self._absorb(side, tup)
+        group_closed = self._absorb(side, tup, score_bound)
         other = 1 - side
         # Decision matrix (Table 1): recompute only invalidated components.
         # Of the three cached components (t_cover[0], t_cover[1],

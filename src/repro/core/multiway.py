@@ -32,7 +32,7 @@ from repro.core.tuples import RankTuple
 from repro.errors import InstanceError, PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
-from repro.relation.sources import TupleSource
+from repro.relation.sources import TupleSource, score_bound
 
 POS_INF = float("inf")
 
@@ -101,8 +101,6 @@ class MultiwayRankJoin:
         self._join_attrs = list(join_attrs)
         self._n = len(sources)
         self._dims = [s.dimension for s in sources]
-        self._prefix = [sum(self._dims[:i]) for i in range(self._n)]
-        self._total_dim = sum(self._dims)
         # Buffers: per relation, tuples indexed by left-chain and
         # right-chain attribute values.
         self._buffers: list[list[RankTuple]] = [[] for _ in range(self._n)]
@@ -137,12 +135,7 @@ class MultiwayRankJoin:
     # ------------------------------------------------------------------
     def score_bound(self, index: int, tup: RankTuple) -> float:
         """``S̄`` of a tuple of relation ``index`` (1-substitution)."""
-        vector = (
-            (1.0,) * self._prefix[index]
-            + tup.scores
-            + (1.0,) * (self._total_dim - self._prefix[index] - self._dims[index])
-        )
-        return self.scoring(vector)
+        return score_bound(self.scoring, self._dims, index, tup.scores)
 
     def _bound(self) -> float:
         return self._t
@@ -203,9 +196,10 @@ class MultiwayRankJoin:
                     raise TimeBudgetExceeded(elapsed, self._max_seconds)
             index = self._choose_input()
             with self._tracer.span("pull"):
-                rho = self._sources[index].next()
-            if rho is None:
+                pulled = self._sources[index].next_scored()
+            if pulled is None:
                 continue
+            rho, sbar = pulled
             self._pulls += 1
             pulled_here += 1
             self._m_pulls[index].inc()
@@ -214,9 +208,9 @@ class MultiwayRankJoin:
             with self._tracer.span("join"):
                 self._insert(index, rho)
             with self._tracer.span("bound"):
-                self._t = self._bound_scheme.update(
-                    index, rho, self.score_bound(index, rho)
-                )
+                if sbar is None:
+                    sbar = self.score_bound(index, rho)
+                self._t = self._bound_scheme.update(index, rho, sbar)
         if self._output:
             with self._tracer.span("emit"):
                 self._emitted += 1
@@ -375,27 +369,14 @@ def multiway_rank_join(
     fresh single-pass scan.
     """
     from repro.relation.cost import CostModel
-    from repro.relation.sources import SortedScan
+    from repro.relation.sources import SortedScan, sorted_access
 
     cost_model = cost_model or CostModel.clustered_index()
     dims = [rel.dimension for rel in relations]
-    prefixes = [sum(dims[:i]) for i in range(len(relations))]
-    total = sum(dims)
-
-    def bound_for(index: int):
-        def bound(tup: RankTuple) -> float:
-            vector = (
-                (1.0,) * prefixes[index]
-                + tup.scores
-                + (1.0,) * (total - prefixes[index] - dims[index])
-            )
-            return scoring(vector)
-
-        return bound
-
     sources = []
     for index, rel in enumerate(relations):
-        key = bound_for(index)
-        ordered = sorted(rel.tuples, key=key, reverse=True)
-        sources.append(SortedScan(ordered, cost_model=cost_model))
+        rows, order, bounds = sorted_access(scoring, dims, index, rel)
+        sources.append(
+            SortedScan(rows, order=order, bounds=bounds, cost_model=cost_model)
+        )
     return MultiwayRankJoin(sources, join_attrs, scoring, **kwargs)

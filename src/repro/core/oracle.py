@@ -55,7 +55,7 @@ class OracleBound(BoundingScheme):
         self._suffix = (best_at_left, best_at_right)
         self._depths = [0, 0]
 
-    def update(self, side: int, tup: RankTuple) -> float:
+    def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         self._depths[side] += 1
         return self.current()
 

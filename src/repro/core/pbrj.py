@@ -267,12 +267,13 @@ class PBRJ:
                     self._timer_countdown = self._timer_scale
             if timed:
                 started = time.perf_counter()
-            rho = self._sources[side].next()
+            pulled = self._sources[side].next_scored()
             if timed:
                 now = time.perf_counter()
                 self._s_pull.add_scaled(now - started, scale)
-            if rho is None:  # concurrent exhaustion guard
+            if pulled is None:  # concurrent exhaustion guard
                 continue
+            rho, sbar = pulled
             self._pulls += 1
             pulled_here += 1
             self._pull_tally[side] += 1
@@ -283,7 +284,7 @@ class PBRJ:
                 started = time.perf_counter()
                 self._s_join.add_scaled(started - now, scale)
             self._columns[side].append(rho.scores)
-            self._t = self._bound.update(side, rho)
+            self._t = self._bound.update(side, rho, sbar)
             if timed:
                 self._s_bound.add_scaled(time.perf_counter() - started, scale)
             if self._trace is not None:

@@ -32,8 +32,19 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels import PointSet
+from repro.kernels.vectorized import column_sum
 
 NEG_INF = float("-inf")
+
+
+def _sum(terms) -> float:
+    """Left-to-right float sum.  Builtin ``sum()`` compensates since
+    Python 3.12 and would part from ``batch`` and the kernels' partials
+    in the last ulp; this is the arithmetic all three share."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return float(total)
 
 
 class ScoringFunction(ABC):
@@ -44,11 +55,16 @@ class ScoringFunction(ABC):
         """Evaluate ``S`` on a full concatenated score vector."""
 
     def batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Evaluate ``S`` row-wise on an ``(n, e)`` array.
+        """Evaluate ``S`` row-wise on an ``(n, e)`` array, **exactly**:
+        ``batch(V)[i] == S(tuple(V[i]))`` bit for bit — sorted access
+        orders by these values and the bounds compare against them.
 
-        Subclasses should vectorize; the fallback loops.
+        The default is the scalar loop, exact by definition; an override
+        must repeat the scalar arithmetic in the scalar order (column at a
+        time, left to right), never a reordered reduction.
         """
-        return np.array([self(row) for row in vectors], dtype=float)
+        rows = np.asarray(vectors, dtype=float).tolist()
+        return np.array([self(tuple(row)) for row in rows], dtype=float)
 
     def max_combination(
         self,
@@ -259,10 +275,10 @@ class SumScore(_AdditiveScore):
     """``S(x) = Σ x_i`` — the function used throughout the paper's study."""
 
     def __call__(self, vector: Sequence[float]) -> float:
-        return float(sum(vector))
+        return _sum(vector)
 
     def batch(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors, dtype=float).sum(axis=1)
+        return column_sum(np.asarray(vectors, dtype=float), None)
 
     def max_combination(self, left, right) -> float:
         if not left or not right:
@@ -280,9 +296,6 @@ class SumScore(_AdditiveScore):
         if not left or not right:
             return NEG_INF
         return float(max(sum(c) for c in left) + max(sum(c) for c in right))
-
-    def bound_with_ones(self, vector: Sequence[float], missing: int) -> float:
-        return float(sum(vector)) + missing
 
     def prepare(
         self, points=(), *, offset: int = 0, source: PointSet | None = None
@@ -303,10 +316,18 @@ class WeightedSum(_AdditiveScore):
             raise ValueError(
                 f"expected {len(self.weights)} coordinates, got {len(vector)}"
             )
-        return float(sum(w * x for w, x in zip(self.weights, vector)))
+        total = 0.0  # left to right, as _sum — inline, once per join result
+        for w, x in zip(self.weights, vector):
+            total += w * x
+        return float(total)
 
     def batch(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors, dtype=float) @ np.asarray(self.weights)
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.shape[1] != len(self.weights):
+            raise ValueError(
+                f"expected {len(self.weights)} coordinates, got {vectors.shape[1]}"
+            )
+        return column_sum(vectors, self.weights)
 
     def max_combination(self, left, right) -> float:
         if not left or not right:
@@ -341,10 +362,11 @@ class AverageScore(ScoringFunction):
     def __call__(self, vector: Sequence[float]) -> float:
         if not vector:
             return 0.0
-        return float(sum(vector) / len(vector))
+        return _sum(vector) / len(vector)
 
     def batch(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors, dtype=float).mean(axis=1)
+        vectors = np.asarray(vectors, dtype=float)
+        return column_sum(vectors, None) / max(vectors.shape[1], 1)
 
 
 class MinScore(ScoringFunction):
@@ -356,7 +378,10 @@ class MinScore(ScoringFunction):
         return float(min(vector))
 
     def batch(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors, dtype=float).min(axis=1)
+        vectors = np.asarray(vectors, dtype=float)
+        if not vectors.shape[1]:
+            return np.ones(len(vectors))
+        return vectors.min(axis=1)
 
 
 class ProductScore(ScoringFunction):
@@ -371,7 +396,13 @@ class ProductScore(ScoringFunction):
         return float(result)
 
     def batch(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors, dtype=float).prod(axis=1)
+        vectors = np.asarray(vectors, dtype=float)
+        if (vectors < 0).any():
+            raise ValueError("ProductScore requires non-negative coordinates")
+        result = np.ones(len(vectors))
+        for column in vectors.T:
+            result *= column
+        return result
 
 
 class CallableScore(ScoringFunction):

@@ -22,8 +22,16 @@ class RankTuple:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scores, tuple):
-            object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        # Plain floats only: a numpy scalar would ride through every
+        # scalar ``w * x`` of the query at several times the cost.
+        scores = self.scores
+        if type(scores) is tuple:
+            for score in scores:
+                if type(score) is not float:
+                    break
+            else:
+                return
+        object.__setattr__(self, "scores", tuple(float(s) for s in scores))
 
     @property
     def dimension(self) -> int:

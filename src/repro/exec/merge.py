@@ -33,7 +33,7 @@ from typing import Any
 from repro.core.pbrj import SCORE_EPS
 from repro.core.tuples import JoinResult
 from repro.exec.worker import AdvanceOutcome
-from repro.relation.relation import _canonical_payload
+from repro.relation.relation import tuple_identity
 
 NEG_INF = float("-inf")
 
@@ -45,14 +45,7 @@ def result_identity(result: JoinResult) -> tuple:
     vectors, payloads), so any two executions — serial, sharded, any
     backend — order an exact-score tie group identically.
     """
-    return (
-        repr(result.left.key),
-        tuple(result.left.scores),
-        _canonical_payload(result.left.payload),
-        repr(result.right.key),
-        tuple(result.right.scores),
-        _canonical_payload(result.right.payload),
-    )
+    return tuple_identity(result.left) + tuple_identity(result.right)
 
 
 class GlobalTopKMerger:

@@ -45,7 +45,7 @@ def _cells_arr(cells) -> np.ndarray:
     return array
 
 
-def _column_sum(array: np.ndarray, weights: Sequence[float] | None) -> np.ndarray:
+def column_sum(array: np.ndarray, weights: Sequence[float] | None) -> np.ndarray:
     """Left-to-right per-row sum (optionally weighted), column at a time.
 
     Matches the reference backend's ``s = 0.0; s += w*x`` accumulation
@@ -132,7 +132,7 @@ class NumpyBackend:
     def cover_corner_scores(
         self, points, weights: Sequence[float] | None = None
     ) -> np.ndarray:
-        return _column_sum(_arr(points), weights)
+        return column_sum(_arr(points), weights)
 
     def max_corner_score(
         self, points, weights: Sequence[float] | None = None
@@ -140,7 +140,7 @@ class NumpyBackend:
         array = _arr(points)
         if not array.shape[0]:
             return NEG_INF
-        return float(_column_sum(array, weights).max())
+        return float(column_sum(array, weights).max())
 
     def cross_product_max(self, left, right) -> float:
         left_vals = np.asarray(left, dtype=np.float64)

@@ -20,7 +20,6 @@ the feasible left-deep orders of a chain query by estimated total depth.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.relation.relation import RankJoinInstance, Relation
+from repro.relation.sources import sorted_access
 
 
 def join_cardinality(left: Relation, right: Relation) -> int:
@@ -105,21 +105,16 @@ def estimate_terminal_score(
         if not rel.tuples:
             raise ValueError(f"relation {rel.name} is empty")
         indexes = rng.integers(0, len(rel.tuples), size=samples)
-        vectors = np.array([rel.tuples[i].scores for i in indexes], dtype=float)
-        parts.append(vectors)
+        parts.append(rel.scored()[1][indexes])
     draws = np.concatenate(parts, axis=1)
     scores = scoring.batch(draws)
     quantile = max(0.0, min(1.0, 1.0 - k / join_size))
     return float(np.quantile(scores, quantile))
 
 
-def _depth_at_threshold(
-    sorted_bounds_desc: list[float], threshold: float
-) -> int:
+def _depth_at_threshold(bounds_desc: np.ndarray, threshold: float) -> int:
     """How many leading tuples have score bound >= threshold."""
-    ascending = sorted_bounds_desc[::-1]
-    position = bisect_left(ascending, threshold)
-    return len(ascending) - position
+    return int(np.searchsorted(-bounds_desc, -threshold, side="right"))
 
 
 def estimate_binary_depths(
@@ -150,10 +145,7 @@ def estimate_binary_depths(
     )
     depths = []
     for side in (0, 1):
-        bounds = [
-            instance.score_bound(side, t.scores)
-            for t in instance.sorted_tuples(side)
-        ]
+        bounds = instance.sorted_bounds(side)
         depths.append(min(_depth_at_threshold(bounds, terminal) + 1, len(bounds)))
     return DepthEstimate(tuple(depths), terminal, join_size)
 
@@ -185,17 +177,9 @@ def estimate_chain_depths(
         relations, join_size, k, scoring, samples=samples, seed=seed
     )
     dims = [rel.dimension for rel in relations]
-    prefix = [sum(dims[:i]) for i in range(len(relations))]
-    total = sum(dims)
     depths = []
     for index, rel in enumerate(relations):
-        ones_before = prefix[index]
-        ones_after = total - ones_before - dims[index]
-
-        def bound(t, b=ones_before, a=ones_after):
-            return scoring((1.0,) * b + t.scores + (1.0,) * a)
-
-        bounds = sorted((bound(t) for t in rel.tuples), reverse=True)
+        bounds = sorted_access(scoring, dims, index, rel)[2]
         depths.append(min(_depth_at_threshold(bounds, terminal) + 1, len(bounds)))
     return DepthEstimate(tuple(depths), terminal, join_size)
 

@@ -23,7 +23,7 @@ from repro.core.tuples import JoinResult, RankTuple
 from repro.errors import InstanceError
 from repro.relation.cost import CostModel
 from repro.relation.relation import Relation
-from repro.relation.sources import SortedScan, TupleSource
+from repro.relation.sources import SortedScan, TupleSource, sorted_access
 from repro.stats.metrics import DepthReport, TimingBreakdown
 
 
@@ -153,11 +153,12 @@ class Pipeline:
         self.top = self.stages[-1]
 
     def _scan(self, relation: Relation, cost_model: CostModel) -> SortedScan:
-        """Sort a base relation in decreasing score order (≡ decreasing S̄)."""
-        ordered = sorted(
-            relation.tuples, key=lambda t: self.scoring(t.scores), reverse=True
+        """Scan a base relation in decreasing own score (≡ decreasing S̄);
+        a stage's ``S̄`` depends on its partner, so none is carried."""
+        rows, order, _ = sorted_access(
+            self.scoring, (relation.dimension,), 0, relation
         )
-        return SortedScan(ordered, cost_model=cost_model)
+        return SortedScan(rows, order=order, cost_model=cost_model)
 
     # ------------------------------------------------------------------
     def get_next(self) -> JoinResult | None:

@@ -2,10 +2,16 @@
 
 A :class:`Relation` is a named bag of :class:`~repro.core.tuples.RankTuple`.
 A :class:`RankJoinInstance` bundles the paper's 4-tuple ``(R1, R2, S, K)``:
-it fixes the per-side score dimensionalities, sorts each input in decreasing
-order of its score bound ``S̄`` (Definition 2.1's access model), and hands
-out fresh :class:`~repro.relation.sources.SortedScan` pairs so operators can
-be run repeatedly on identical inputs.
+it fixes the per-side score dimensionalities, orders each input by
+decreasing score bound ``S̄`` (Definition 2.1's access model) through
+:func:`~repro.relation.sources.sorted_access`, and hands out fresh
+:class:`~repro.relation.sources.SortedScan` pairs so operators can be run
+repeatedly on identical inputs.
+
+A relation is *prepared once*: its float64 score matrix and its canonical
+tuple identities depend on content alone, so they are built on first use,
+shared by every query, and dropped by the hook that drops the cached
+fingerprint.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from repro.core.scoring import ScoringFunction
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.relation.cost import CostModel
-from repro.relation.sources import SortedScan
+from repro.relation.sources import SortedScan, score_bound, sorted_access
 
 
 def _canonical_payload(payload: Any) -> str:
@@ -31,6 +37,13 @@ def _canonical_payload(payload: Any) -> str:
         items = sorted((str(k), repr(v)) for k, v in payload.items())
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
     return repr(payload)
+
+
+def tuple_identity(tup: RankTuple) -> tuple:
+    """Canonical per-tuple identity (key, scores, payload) for tie order:
+    content only, so every execution orders an exact-score tie the same
+    way.  :meth:`Relation.identities` caches it per relation."""
+    return (repr(tup.key), tup.scores, _canonical_payload(tup.payload))
 
 
 def _tuple_digest(tup: RankTuple) -> bytes:
@@ -44,12 +57,12 @@ def _tuple_digest(tup: RankTuple) -> bytes:
 
 
 class _TrackedTuples(list):
-    """A tuple list that invalidates its relation's cached fingerprint.
+    """A tuple list that invalidates what its relation derived from it.
 
-    Every mutating list operation clears the owner's cached digest, so a
-    relation edited in place (appends during data loading, test fixtures
-    patching a score) re-fingerprints on next use instead of serving the
-    stale cached hash to the result cache.
+    Every mutating list operation clears the owner's cached digest and
+    views, so a relation edited in place (appends during data loading, test
+    fixtures patching a score) re-fingerprints and re-prepares on next use
+    instead of serving stale state to the result cache or a query.
     """
 
     __slots__ = ("_owner",)
@@ -59,7 +72,7 @@ class _TrackedTuples(list):
         self._owner = owner
 
     def _dirty(self) -> None:
-        self._owner._fingerprint = None
+        self._owner._invalidate()
 
 
 def _tracked_mutator(method_name: str):
@@ -83,7 +96,7 @@ class Relation:
 
     def __init__(self, name: str, tuples: Iterable[RankTuple]) -> None:
         self.name = name
-        self._fingerprint: str | None = None
+        self._invalidate()
         self._tuples = _TrackedTuples(self, tuples)
         dims = {t.dimension for t in self._tuples}
         if len(dims) > 1:
@@ -92,15 +105,56 @@ class Relation:
             )
         self.dimension = dims.pop() if dims else 0
 
+    def _invalidate(self) -> None:
+        """The content changed: drop everything derived from it."""
+        self._fingerprint: str | None = None
+        self._scored: tuple[tuple[RankTuple, ...], np.ndarray] | None = None
+        self._identities: list[tuple] | None = None
+
     @property
     def tuples(self) -> list[RankTuple]:
-        """The tuple bag.  Mutations invalidate the cached fingerprint."""
+        """The tuple bag.  Mutations invalidate the fingerprint and views."""
         return self._tuples
 
     @tuples.setter
     def tuples(self, tuples: Iterable[RankTuple]) -> None:
         self._tuples = _TrackedTuples(self, tuples)
-        self._fingerprint = None
+        self._invalidate()
+
+    def scored(self) -> tuple[tuple[RankTuple, ...], np.ndarray]:
+        """``(rows, matrix)``: a snapshot of the bag and its read-only
+        float64 ``(n, e)`` score matrix, ``matrix[i] == rows[i].scores``.
+
+        Built on first use and kept until the content changes; a query that
+        took it keeps reading the snapshot it started on.  Non-finite scores
+        are refused here — NaN has no place in a sort order.
+        """
+        if self._scored is None:
+            rows = tuple(self._tuples)
+            try:
+                matrix = np.array([t.scores for t in rows], dtype=float)
+                matrix = matrix.reshape(len(rows), self.dimension)
+            except ValueError:
+                raise InstanceError(
+                    f"relation {self.name!r} mixes score dimensions"
+                ) from None
+            bad = np.argwhere(~np.isfinite(matrix))
+            if len(bad):
+                row, column = bad[0].tolist()
+                raise InstanceError(
+                    f"relation {self.name!r}: non-finite score "
+                    f"{matrix[row, column]} at row {row}, column {column}"
+                )
+            matrix.flags.writeable = False
+            self._scored = (rows, matrix)
+        return self._scored
+
+    def identities(self) -> list[tuple]:
+        """:func:`tuple_identity` of every tuple, in bag order; built on
+        first use and kept until the content changes."""
+        if self._identities is None:
+            self._identities = [tuple_identity(t) for t in self._tuples]
+        return self._identities
 
     def fingerprint(self) -> str:
         """Stable content hash over the bag of (key, scores, payload).
@@ -136,9 +190,9 @@ class Relation:
         if payloads is not None and len(payloads) != len(keys):
             raise InstanceError("payloads must parallel keys")
         rows = []
-        for index, key in enumerate(keys):
+        for index, (key, row) in enumerate(zip(keys, scores.tolist())):
             payload = payloads[index] if payloads is not None else None
-            rows.append(RankTuple(key=key, scores=tuple(scores[index]), payload=payload))
+            rows.append(RankTuple(key=key, scores=tuple(row), payload=payload))
         return cls(name, rows)
 
     def __len__(self) -> int:
@@ -154,9 +208,11 @@ class Relation:
 class RankJoinInstance:
     """The paper's problem instance ``I = (R1, R2, S, K)``.
 
-    Inputs are sorted once at construction; :meth:`scans` returns fresh
-    single-pass sources over the sorted data, so the same instance can be
-    evaluated by many operators under identical conditions.
+    Inputs are ordered once at construction — per side one
+    ``(rows, order, bounds)`` triple, two compact arrays over the
+    relation's shared snapshot; :meth:`scans` returns fresh single-pass
+    sources over them, so the same instance can be evaluated by many
+    operators under identical conditions.
     """
 
     def __init__(
@@ -177,10 +233,11 @@ class RankJoinInstance:
         self.k = k
         self.cost_model = cost_model or CostModel.clustered_index()
         self.dims = (left.dimension, right.dimension)
-        self._sorted = (
-            self._sort_side(0, left.tuples),
-            self._sort_side(1, right.tuples),
-        )
+        self._access = [
+            sorted_access(scoring, self.dims, side, relation)
+            for side, relation in enumerate((left, right))
+        ]
+        self._sorted: list[list[RankTuple] | None] = [None, None]
         if validate:
             join_size = self.join_size()
             if k > join_size:
@@ -192,24 +249,25 @@ class RankJoinInstance:
     # ------------------------------------------------------------------
     def score_bound(self, side: int, scores: Sequence[float]) -> float:
         """``S̄`` of a tuple from ``side`` — 1-substitution for missing scores."""
-        if side == 0:
-            return self.scoring(tuple(scores) + (1.0,) * self.dims[1])
-        return self.scoring((1.0,) * self.dims[0] + tuple(scores))
-
-    def _sort_side(self, side: int, tuples: list[RankTuple]) -> list[RankTuple]:
-        return sorted(
-            tuples, key=lambda t: self.score_bound(side, t.scores), reverse=True
-        )
+        return score_bound(self.scoring, self.dims, side, scores)
 
     def sorted_tuples(self, side: int) -> list[RankTuple]:
-        """The sorted input sequence for ``side`` (0 = left, 1 = right)."""
+        """The sorted input sequence for ``side`` (0 = left, 1 = right);
+        materialised on first request, for callers that index into it."""
+        if self._sorted[side] is None:
+            rows, order, _ = self._access[side]
+            self._sorted[side] = [rows[row] for row in order.tolist()]
         return self._sorted[side]
+
+    def sorted_bounds(self, side: int) -> np.ndarray:
+        """``S̄`` of each tuple of :meth:`sorted_tuples`, aligned with it."""
+        return self._access[side][2]
 
     def scans(self) -> tuple[SortedScan, SortedScan]:
         """Fresh single-pass sources over the two sorted inputs."""
-        return (
-            SortedScan(self._sorted[0], cost_model=self.cost_model),
-            SortedScan(self._sorted[1], cost_model=self.cost_model),
+        return tuple(
+            SortedScan(rows, order=order, bounds=bounds, cost_model=self.cost_model)
+            for rows, order, bounds in self._access
         )
 
     # ------------------------------------------------------------------

@@ -12,15 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anyk import AnyKQuery, AnyKRankJoin
-from repro.anyk.engine import _identity
 from repro.core.scoring import SumScore
 from repro.core.tuples import RankTuple
-from repro.relation.relation import Relation
+from repro.relation.relation import Relation, tuple_identity
 
 # Coarse score grid + tiny key/value domains: exact duplicate scores and
 # exact tie groups are the common case, not the corner case.
 score = st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0])
 small = st.integers(0, 2)
+
+
+def _identity(combo):
+    """Canonical content identity of a result's relation-ordered tuples."""
+    return tuple(tuple_identity(t) for t in combo)
 
 
 def binary_query(draw):

@@ -32,9 +32,9 @@ class TestSumScore:
     def test_batch_matches_scalar(self):
         vectors = np.array([[0.1, 0.2], [0.5, 0.5]])
         scoring = SumScore()
-        np.testing.assert_allclose(
-            scoring.batch(vectors), [scoring(tuple(v)) for v in vectors]
-        )
+        assert scoring.batch(vectors).tolist() == [
+            scoring(tuple(v)) for v in vectors.tolist()
+        ]
 
     def test_bound_with_ones(self):
         assert SumScore().bound_with_ones((0.3, 0.4), 2) == pytest.approx(2.7)
@@ -89,9 +89,9 @@ class TestWeightedSum:
     def test_batch_matches_scalar(self):
         scoring = WeightedSum([0.3, 0.7])
         vectors = np.array([[0.1, 0.2], [1.0, 0.0]])
-        np.testing.assert_allclose(
-            scoring.batch(vectors), [scoring(tuple(v)) for v in vectors]
-        )
+        assert scoring.batch(vectors).tolist() == [
+            scoring(tuple(v)) for v in vectors.tolist()
+        ]
 
     def test_max_combination_matches_bruteforce(self):
         scoring = WeightedSum([0.2, 0.3, 0.5])
@@ -123,9 +123,9 @@ class TestOtherAggregates:
     def test_batches_match_scalars(self):
         vectors = np.array([[0.2, 0.9], [0.7, 0.1]])
         for scoring in (AverageScore(), MinScore(), ProductScore()):
-            np.testing.assert_allclose(
-                scoring.batch(vectors), [scoring(tuple(v)) for v in vectors]
-            )
+            assert scoring.batch(vectors).tolist() == [
+                scoring(tuple(v)) for v in vectors.tolist()
+            ]
 
     @pytest.mark.parametrize(
         "scoring", [SumScore(), AverageScore(), MinScore(), ProductScore()]
