@@ -58,14 +58,12 @@ DIMENSION = 3  # the paper's mid-size e; covers stay non-trivial
 FULL_PARAMS = {
     "n": 50_000,       # seen-column rows for the bound refresh
     "micro_n": 20_000,  # rows for linear-scan micro ops
-    "skyline_n": 20_000,
     "carve_n": 400,
     "repeats": 5,
 }
 QUICK_PARAMS = {
     "n": 8_000,
     "micro_n": 4_000,
-    "skyline_n": 3_000,
     "carve_n": 150,
     "repeats": 3,
 }
@@ -102,7 +100,6 @@ def bench_micro(params: dict) -> dict:
     ps = PointSet(DIMENSION, points)
     probe = tuple([0.5] * DIMENSION)
     weights = (0.7, 1.0, 1.3)
-    sky_points = _vectors(params["skyline_n"], seed=13)
     carve_obs = _vectors(params["carve_n"], seed=17)
 
     cases = {
@@ -110,7 +107,6 @@ def bench_micro(params: dict) -> dict:
         "dominates_any": lambda: kernels.dominates_any(ps, probe),
         "cover_corner_scores": lambda: kernels.cover_corner_scores(ps, weights),
         "max_corner_score": lambda: kernels.max_corner_score(ps, weights),
-        "skyline_filter": lambda: kernels.skyline_filter(sky_points),
         "cover_carve": lambda: kernels.cover_carve(
             [kernels.ones(DIMENSION)], carve_obs, skyline_mode=True
         ),
@@ -175,7 +171,6 @@ DISPATCH_QUICK_SIZES = (4, 64, 1024)
 #: above the cap is dropped from the sweep and recorded as ``capped_at``.
 DISPATCH_SIZE_CAPS = {
     "cover_carve": 1024,     # O(|cover|·|observed|) carve cascades
-    "skyline_filter": 10_000,  # O(n·|skyline|) incremental filter
 }
 
 #: Auto must stay within 5 % of the best pinned backend, with a 5 µs
@@ -236,8 +231,8 @@ def bench_dispatch(params: dict, quick: bool) -> dict:
     rounds = params["repeats"] + len(backends)
 
     ops: dict[str, dict] = {}
-    for op in kernels.KERNEL_OPS:
-        builder = ARG_BUILDERS[op]
+    # The ops with a probe are the ops with two tiers to route between.
+    for op, builder in ARG_BUILDERS.items():
         fn = functools.partial(getattr(kernels, op), **PROBE_KWARGS.get(op, {}))
         cap = DISPATCH_SIZE_CAPS.get(op)
         swept = [n for n in sizes if cap is None or n <= cap]
@@ -327,7 +322,7 @@ def check_dispatch(record: dict) -> list[str]:
     # are in the single-µs range, so the absolute floor covers noise
     # and auto's own wall clock (dispatch overhead included) is held to
     # the bound directly.
-    for op in ("dominates_any", "skyline_filter", "cover_carve"):
+    for op in ("dominates_any", "cover_carve"):
         row = record["ops"][op]
         for i, size in enumerate(row["sizes"]):
             if size > 64:

@@ -14,8 +14,9 @@ operator reads several times fewer base tuples than every binary pipeline
 and than the corner-bound multiway variant; all plans agree on the answer.
 """
 
+from repro.core.bounds import CornerBound
 from repro.core.multiway import multiway_rank_join
-from repro.core.multiway_fr import MultiwayCornerBound, MultiwayFeasibleBound
+from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.scoring import SumScore
 from repro.data.workload import WorkloadParams, pipeline_tables
 from repro.experiments.figures import PIPELINE_QUERIES
@@ -39,7 +40,7 @@ def run_comparison() -> tuple[ExperimentTable, dict]:
 
     for label, bound in (
         ("multiway FR (n-ary feasible bound)", MultiwayFeasibleBound()),
-        ("multiway corner", MultiwayCornerBound()),
+        ("multiway corner", CornerBound()),
     ):
         operator = multiway_rank_join(
             relations, ["orderkey", "custkey"], SumScore(), bound=bound

@@ -9,18 +9,10 @@ Environment knobs for bigger runs:
 
 * ``REPRO_BENCH_SCALE`` — data scale factor (default: per-figure).
 * ``REPRO_BENCH_SEEDS`` — seeds averaged per configuration.
-
-Every benchmark session additionally writes
-``benchmarks/results/BENCH_obs.json``: a machine-readable probe run of
-every registered operator on a fixed small workload (sumDepths, the
-Figure 2(b) io/bound/other timing breakdown, span aggregates) so
-successive sessions have a perf trajectory to regress against.  Skip it
-with ``REPRO_BENCH_NO_OBS=1``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from pathlib import Path
@@ -31,49 +23,6 @@ from repro.experiments.figures import FigureConfig
 from repro.experiments.report import ExperimentTable
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Fixed probe workload for BENCH_obs.json — small enough to stay cheap,
-#: big enough that the bound/io split is meaningful.
-OBS_PROBE_PARAMS = dict(e=2, c=0.5, z=0.5, k=10, scale=0.0005, seed=0)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the BENCH_obs.json telemetry probe after every bench run."""
-    if os.environ.get("REPRO_BENCH_NO_OBS"):
-        return
-    if getattr(session.config.option, "collectonly", False):
-        return
-    from repro.core.operators import OPERATORS
-    from repro.data.workload import WorkloadParams, lineitem_orders_instance
-    from repro.experiments.harness import run_comparison
-    from repro.obs import Observability
-
-    obs = Observability()
-    instance = lineitem_orders_instance(WorkloadParams(**OBS_PROBE_PARAMS))
-    results = run_comparison(instance, sorted(OPERATORS), obs=obs)
-    record = {"workload": OBS_PROBE_PARAMS, "operators": {}}
-    for name, result in results.items():
-        stats = result.stats
-        record["operators"][name] = {
-            "sum_depths": stats.sum_depths,
-            "left": stats.depths.left,
-            "right": stats.depths.right,
-            "timing": {
-                "io": stats.timing.io,
-                "bound": stats.timing.bound,
-                "other": stats.timing.other,
-                "total": stats.timing.total,
-            },
-            "io_cost": stats.io_cost,
-            "bound_recomputations": stats.bound_recomputations,
-        }
-    record["spans"] = [
-        event for event in obs.aggregate_events() if event["type"] == "span"
-    ]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_obs.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
 
 
 @pytest.fixture

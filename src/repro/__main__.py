@@ -478,6 +478,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.run()
     except KeyboardInterrupt:
         pass
+    except Exception as exc:  # the scheduler driver died; run() tore down
+        print(f"error: server died: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     print("server stopped", flush=True)
     _finish_obs(obs if getattr(args, "obs_out", None) else None, args)
     return 0

@@ -27,13 +27,12 @@ conservative and correct.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 
 from repro.anyk.decompose import AnyKQuery, decompose
 from repro.anyk.dp import DPState
 from repro.anyk.enumerate import Enumerator
 from repro.core.scoring import ScoringFunction, SumScore
-from repro.core.stepping import PENDING
+from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult
 from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import NULL_OBS, TraceContext, span_record
@@ -50,7 +49,7 @@ from repro.stats.metrics import (
 ANYK_OPERATOR = "AnyK"
 
 
-class AnyKRankJoin:
+class AnyKRankJoin(ResumableBase):
     """Ranked enumeration (any-k) as a resumable rank join operator.
 
     Parameters
@@ -85,6 +84,7 @@ class AnyKRankJoin:
         obs=None,
         trace=None,
     ) -> None:
+        super().__init__()
         self.name = name
         self.query = query
         self.scoring = scoring if scoring is not None else SumScore()
@@ -100,7 +100,6 @@ class AnyKRankJoin:
         self._dp = DPState(self.tree)
         self._enum: Enumerator | None = None
         self._batch: list = []  # buffered (exact score, tuples) pairs
-        self._history: list = []
         self._exhausted = False
         self._pulls = 0
         self._binary = len(query.relations) == 2
@@ -123,14 +122,8 @@ class AnyKRankJoin:
         self._m_emitted = metrics.counter("results_emitted_total", op=name)
 
     # ------------------------------------------------------------------
-    # ResumableOperator interface
+    # ResumableOperator interface (the rest comes from ResumableBase)
     # ------------------------------------------------------------------
-    def get_next(self):
-        """The next result in rank order, or ``None`` when enumerated."""
-        result = self.try_next(max_pulls=None)
-        assert result is not PENDING
-        return result
-
     def try_next(self, max_pulls: int | None = None):
         """Bounded step: a result, ``None`` (exhausted), or ``PENDING``.
 
@@ -195,20 +188,6 @@ class AnyKRankJoin:
         self._buffer_peak = max(self._buffer_peak, len(scored))
         return self._emit(self._batch.pop(0))
 
-    def top_k(self, k: int) -> list:
-        """First ``k`` results; resumable and history-retaining."""
-        while len(self._history) < k:
-            if self.get_next() is None:
-                break
-        return self._history[:k]
-
-    def __iter__(self) -> Iterator:
-        while True:
-            result = self.get_next()
-            if result is None:
-                return
-            yield result
-
     @property
     def pulls(self) -> int:
         """Work units spent: DP tuples processed + successor heap pops."""
@@ -247,11 +226,6 @@ class AnyKRankJoin:
     # Reporting (the PBRJ-compatible surface)
     # ------------------------------------------------------------------
     @property
-    def emitted_results(self) -> list:
-        """All results emitted so far (the retained resumable prefix)."""
-        return self._history
-
-    @property
     def bound_value(self) -> float:
         """Upper bound on any still-unemitted result (exact post-DP)."""
         return self.frontier()
@@ -277,9 +251,8 @@ class AnyKRankJoin:
 
     def depths(self):
         """Per-input depths: a DepthReport (binary) or list (n-ary)."""
-        if self._binary:
-            return DepthReport(self.depth(0), self.depth(1))
-        return [self.depth(i) for i in range(len(self.query.relations))]
+        counts = [self.depth(i) for i in range(len(self.query.relations))]
+        return DepthReport(*counts) if self._binary else counts
 
     def stats(self) -> OperatorStats:
         """Measurement snapshot in the harness's PBRJ vocabulary.
@@ -288,17 +261,11 @@ class AnyKRankJoin:
         the DP build (the analogue of bound maintenance); ``io_cost`` is
         the ingested-tuple count (unit cost per tuple read).
         """
-        if self._binary:
-            depths = DepthReport(self.depth(0), self.depth(1))
-        else:
-            counts = [self.depth(i) for i in range(len(self.query.relations))]
-            depths = DepthReport(counts[0], sum(counts[1:]))
+        first, *rest = (self.depth(i) for i in range(len(self.query.relations)))
         return OperatorStats(
             operator=self.name,
-            depths=depths,
-            timing=TimingBreakdown(
-                io=0.0, bound=self._dp_seconds, total=self._total_seconds
-            ),
+            depths=DepthReport(first, sum(rest)),
+            timing=self.timing(),
             io_cost=float(sum(self._dp.ingested.values())),
             bound_recomputations=0,
             results=len(self._history),

@@ -15,10 +15,8 @@ Three global knobs live here:
   without it the dispatcher calibrates once per machine and caches the
   result, and cells neither names keep the shipped defaults.
 * the planner's cost-model coefficients (:mod:`repro.planner.cost`).
-  ``planner_coeffs`` names a JSON file of coefficient overrides; the
-  ``REPRO_PLANNER_COEFFS`` environment variable provides the same hook,
-  and with neither set the planner micro-benchmarks the machine once per
-  process.
+  ``planner_coeffs`` names a JSON file of coefficient overrides;
+  without it the planner micro-benchmarks the machine once per process.
 """
 
 from __future__ import annotations
@@ -58,15 +56,10 @@ class ReproConfig:
     @classmethod
     def from_env(cls) -> "ReproConfig":
         """Config as the environment would resolve it (invalid → auto)."""
-        from repro.planner.cost import ENV_VAR as PLANNER_ENV_VAR
-
         raw = os.environ.get(ENV_VAR, "auto").strip().lower()
         if raw not in BACKEND_CHOICES:
             raw = "auto"
-        return cls(
-            kernel=raw,
-            planner_coeffs=os.environ.get(PLANNER_ENV_VAR) or None,
-        )
+        return cls(kernel=raw)
 
     @classmethod
     def current(cls) -> "ReproConfig":

@@ -8,9 +8,15 @@ score reaches ``t``.
 
 This module defines the interface plus the **corner bound** of HRJN*: keep a
 per-input threshold ``thr_i = S̄(ρ_i)`` (score bound of the last tuple pulled
-from input ``i``) and report ``max(thr_1, thr_2)``.  The corner bound
+from input ``i``) and report ``max_i thr_i``.  The corner bound
 implicitly assumes the ideal vector ``(1, …, 1)`` may appear in each input,
 which is what makes HRJN* non-robust on inputs with a score cut.
+
+The interface is arity-free: ``side`` indexes one of ``len(context.dims)``
+inputs, so the same scheme serves the binary operators and the n-ary
+:class:`~repro.core.multiway.MultiwayRankJoin` (Section 2.1).  The corner
+bound and :class:`~repro.core.multiway_fr.MultiwayFeasibleBound` accept any
+arity; the FR family is defined for two inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ RIGHT = 1
 class BoundContext:
     """Static problem information handed to a bounding scheme.
 
-    ``dims`` holds the per-input score dimensionalities ``(e_1, e_2)``;
+    ``dims`` holds the per-input score dimensionalities ``(e_1, …, e_n)``;
     ``scoring`` is the monotone aggregate over the concatenated vector.
     ``columns``, when provided by the operator, are the per-side columnar
     score columns (:class:`~repro.kernels.PointSet`) it appends every
@@ -43,7 +49,7 @@ class BoundContext:
     """
 
     scoring: ScoringFunction
-    dims: tuple[int, int]
+    dims: tuple[int, ...]
     columns: tuple | None = None
 
     def score_bound(self, side: int, scores: tuple[float, ...]) -> float:
@@ -119,6 +125,10 @@ class CornerBound(BoundingScheme):
         super().__init__()
         self._thr = [POS_INF, POS_INF]
 
+    def bind(self, context: BoundContext) -> None:
+        super().bind(context)
+        self._thr = [POS_INF] * len(context.dims)
+
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
         if score_bound is None:
@@ -137,6 +147,6 @@ class CornerBound(BoundingScheme):
         return self.current()
 
     @property
-    def thresholds(self) -> tuple[float, float]:
-        """The per-input thresholds ``(thr_1, thr_2)``."""
-        return (self._thr[0], self._thr[1])
+    def thresholds(self) -> tuple[float, ...]:
+        """The per-input thresholds ``(thr_1, …, thr_n)``."""
+        return tuple(self._thr)

@@ -3,38 +3,36 @@
 The paper focuses on binary operators but notes that the n-ary rank join is
 interesting in its own right: Schnaitter & Polyzotis proved that multiway
 operators can be instance-optimal relative to *plans of binary operators*,
-which pay for materializing intermediate orderings.  This module implements
-a multiway PBRJ analogue over a chain of equi-joins:
+which pay for materializing intermediate orderings.  This module runs the
+PBRJ template over a chain of equi-joins:
 
     R_1 ⋈_{a_1} R_2 ⋈_{a_2} … ⋈_{a_{n-1}} R_n
 
-with the corner bound generalized to n inputs (``thr_i`` substitutes 1 for
-every other relation's score attributes) and potential-adaptive pulling.
-New tuples are joined against the already-buffered tuples of the other
-relations by probing hash indexes along the chain in both directions.
-
-This is the HRJN*-style member of the multiway family; it is exact (tested
-against the brute-force oracle) and incremental, and the accompanying
-benchmark compares it against pipelines of binary operators.
+:class:`MultiwayRankJoin` *is* a :class:`~repro.core.pbrj.PBRJ`: the pull
+loop, budgets, bound refresh, emission, timers and reporting are inherited,
+and this module supplies only the **join step** — a new tuple is joined
+against the already-buffered tuples of the other relations by probing hash
+indexes along the chain in both directions.  Pulling is potential-adaptive;
+the bound is any n-ary-capable :class:`~repro.core.bounds.BoundingScheme`
+— by default the corner bound (``thr_i`` substitutes 1 for every other
+relation's score attributes), which makes this the HRJN*-style member of
+the multiway family.  It is exact (tested against the brute-force oracle)
+and incremental, and the accompanying benchmark compares it against
+pipelines of binary operators.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from collections.abc import Sequence
 
-from repro.core.multiway_fr import MultiwayBound, MultiwayCornerBound
-from repro.core.pbrj import SCORE_EPS
+from repro.core.bounds import BoundingScheme, CornerBound
+from repro.core.pbrj import PBRJ
+from repro.core.pulling import PotentialAdaptive
 from repro.core.scoring import ScoringFunction
-from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
-from repro.errors import InstanceError, PullBudgetExceeded, TimeBudgetExceeded
-from repro.obs import NULL_OBS, Observability
-from repro.obs.span import Tracer
-from repro.relation.sources import TupleSource, score_bound
-
-POS_INF = float("inf")
+from repro.errors import InstanceError
+from repro.obs import Observability
+from repro.relation.sources import TupleSource
 
 
 class MultiwayResult:
@@ -58,7 +56,7 @@ class MultiwayResult:
         return f"MultiwayResult(score={self.score:.4f}, n={len(self.tuples)})"
 
 
-class MultiwayRankJoin:
+class MultiwayRankJoin(PBRJ):
     """An n-ary rank join operator over a chain of equi-joins.
 
     Parameters
@@ -73,6 +71,11 @@ class MultiwayRankJoin:
     scoring:
         Monotone aggregate over the concatenation of all score vectors in
         relation order.
+    bound:
+        The bounding scheme (fresh instance, not shared); any scheme that
+        accepts ``n`` inputs.  Defaults to the corner bound.
+
+    The remaining keywords are :class:`~repro.core.pbrj.PBRJ`'s.
     """
 
     def __init__(
@@ -81,7 +84,7 @@ class MultiwayRankJoin:
         join_attrs: Sequence[str],
         scoring: ScoringFunction,
         *,
-        bound: MultiwayBound | None = None,
+        bound: BoundingScheme | None = None,
         name: str = "MW-HRJN*",
         track_time: bool = True,
         max_pulls: int | None = None,
@@ -95,50 +98,24 @@ class MultiwayRankJoin:
                 f"need {len(sources) - 1} join attributes for "
                 f"{len(sources)} inputs, got {len(join_attrs)}"
             )
-        self.name = name
-        self.scoring = scoring
-        self._sources = list(sources)
         self._join_attrs = list(join_attrs)
         self._n = len(sources)
-        self._dims = [s.dimension for s in sources]
-        # Buffers: per relation, tuples indexed by left-chain and
+        # Per relation, buffered tuples indexed by left-chain and
         # right-chain attribute values.
-        self._buffers: list[list[RankTuple]] = [[] for _ in range(self._n)]
         self._by_left_attr: list[dict] = [dict() for _ in range(self._n)]
         self._by_right_attr: list[dict] = [dict() for _ in range(self._n)]
-        self._bound_scheme = bound or MultiwayCornerBound()
-        self._bound_scheme.bind(self._dims, scoring)
-        self._t = POS_INF
-        self._exhausted = [False] * self._n
-        self._output: list[tuple[float, int, MultiwayResult]] = []
-        self._sequence = 0
-        self._pulls = 0
-        self._history: list[MultiwayResult] = []
-        self._emitted = 0
-        self._max_pulls = max_pulls
-        self._max_seconds = max_seconds
-        self._started_at: float | None = None
-        self._obs = obs if obs is not None else NULL_OBS
-        if self._obs.enabled:
-            self._tracer = self._obs.tracer(name)
-        else:
-            self._tracer = Tracer(enabled=track_time)
-        metrics = self._obs.metrics
-        self._m_pulls = tuple(
-            metrics.counter("pulls_total", op=name, side=str(i))
-            for i in range(self._n)
+        self._setup(
+            sources, scoring, bound or CornerBound(), PotentialAdaptive(),
+            name=name, track_time=track_time, max_pulls=max_pulls,
+            max_seconds=max_seconds, trace=None, obs=obs,
         )
-        self._m_emitted = metrics.counter("results_emitted_total", op=name)
 
     # ------------------------------------------------------------------
     # Score-bound helpers
     # ------------------------------------------------------------------
     def score_bound(self, index: int, tup: RankTuple) -> float:
         """``S̄`` of a tuple of relation ``index`` (1-substitution)."""
-        return score_bound(self.scoring, self._dims, index, tup.scores)
-
-    def _bound(self) -> float:
-        return self._t
+        return self._bound.context.score_bound(index, tup.scores)
 
     # ------------------------------------------------------------------
     # Chain attribute access
@@ -161,112 +138,10 @@ class MultiwayRankJoin:
         return payload[attr]
 
     # ------------------------------------------------------------------
-    # Iterator interface
+    # The join step
     # ------------------------------------------------------------------
-    def get_next(self) -> MultiwayResult | None:
-        """Next n-way join result in decreasing score order, or None."""
-        with self._tracer.span("get_next"):
-            return self._get_next_inner(None)
-
-    def try_next(self, max_pulls: int | None = None):
-        """Bounded step: advance by at most ``max_pulls`` pulls.
-
-        Returns the next :class:`MultiwayResult`, ``None`` when exhausted,
-        or :data:`~repro.core.stepping.PENDING` when the quantum elapsed
-        first (state retained; call again to continue).
-        """
-        with self._tracer.span("get_next"):
-            return self._get_next_inner(max_pulls)
-
-    def _get_next_inner(self, pull_quantum: int | None):
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-        pulled_here = 0
-        while True:
-            self._refresh_exhausted()
-            if self._output and -self._output[0][0] >= self._bound() - SCORE_EPS:
-                break
-            if all(self._exhausted):
-                break
-            if pull_quantum is not None and pulled_here >= pull_quantum:
-                return PENDING
-            if self._max_seconds is not None:
-                elapsed = time.perf_counter() - self._started_at
-                if elapsed > self._max_seconds:
-                    raise TimeBudgetExceeded(elapsed, self._max_seconds)
-            index = self._choose_input()
-            with self._tracer.span("pull"):
-                pulled = self._sources[index].next_scored()
-            if pulled is None:
-                continue
-            rho, sbar = pulled
-            self._pulls += 1
-            pulled_here += 1
-            self._m_pulls[index].inc()
-            if self._max_pulls is not None and self._pulls > self._max_pulls:
-                raise PullBudgetExceeded(self._pulls, self._max_pulls)
-            with self._tracer.span("join"):
-                self._insert(index, rho)
-            with self._tracer.span("bound"):
-                if sbar is None:
-                    sbar = self.score_bound(index, rho)
-                self._t = self._bound_scheme.update(index, rho, sbar)
-        if self._output:
-            with self._tracer.span("emit"):
-                self._emitted += 1
-                self._m_emitted.inc()
-                result = heapq.heappop(self._output)[2]
-                self._history.append(result)
-                return result
-        return None
-
-    def top_k(self, k: int) -> list[MultiwayResult]:
-        """The first ``k`` results overall (resumable prefix, as in PBRJ)."""
-        while len(self._history) < k:
-            if self.get_next() is None:
-                break
-        return self._history[:k]
-
-    @property
-    def emitted_results(self) -> list[MultiwayResult]:
-        """All results emitted so far (the retained resumable prefix)."""
-        return self._history
-
-    def __iter__(self):
-        while True:
-            result = self.get_next()
-            if result is None:
-                return
-            yield result
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _refresh_exhausted(self) -> None:
-        for index in range(self._n):
-            if not self._exhausted[index] and not self._sources[index].has_next():
-                self._exhausted[index] = True
-                self._t = self._bound_scheme.notify_exhausted(index)
-
-    def _choose_input(self) -> int:
-        """Potential-adaptive: the live input with the largest threshold.
-
-        Ties break toward the smallest depth, then the smallest index —
-        the same rule as the binary PA strategy.
-        """
-        live = [i for i in range(self._n) if not self._exhausted[i]]
-        return min(
-            live,
-            key=lambda i: (
-                -self._bound_scheme.potential(i),
-                self._sources[i].depth,
-                i,
-            ),
-        )
-
-    def _insert(self, index: int, rho: RankTuple) -> None:
-        """Buffer the tuple and emit all completions it participates in."""
-        self._buffers[index].append(rho)
+    def _join(self, index: int, rho: RankTuple) -> list[MultiwayResult]:
+        """Buffer the tuple; return every full chain it completes."""
         left = self._left_attr(index)
         right = self._right_attr(index)
         if left is not None:
@@ -277,11 +152,13 @@ class MultiwayRankJoin:
             self._by_right_attr[index].setdefault(
                 self._attr_value(rho, right), []
             ).append(rho)
-        for combo in self._complete(index, rho):
-            score = self.scoring(tuple(s for t in combo for s in t.scores))
-            result = MultiwayResult(tuple(combo), score)
-            heapq.heappush(self._output, (-score, self._sequence, result))
-            self._sequence += 1
+        return [
+            MultiwayResult(
+                tuple(combo),
+                self.scoring(tuple(s for t in combo for s in t.scores)),
+            )
+            for combo in self._complete(index, rho)
+        ]
 
     def _complete(self, index: int, rho: RankTuple):
         """All full chains through ``rho`` using buffered tuples."""
@@ -320,14 +197,6 @@ class MultiwayRankJoin:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def pulls(self) -> int:
-        return self._pulls
-
-    @property
-    def bound_value(self) -> float:
-        return self._bound()
-
     def depths(self) -> list[int]:
         """Tuples pulled from each input."""
         return [source.depth for source in self._sources]
@@ -335,20 +204,6 @@ class MultiwayRankJoin:
     @property
     def sum_depths(self) -> int:
         return sum(self.depths())
-
-    def timing(self):
-        from repro.stats.metrics import TimingBreakdown
-
-        return TimingBreakdown(
-            io=self._tracer.seconds("pull"),
-            bound=self._tracer.seconds("bound"),
-            total=self._tracer.seconds("get_next"),
-        )
-
-    @property
-    def tracer(self) -> Tracer:
-        """The operator's span tracer (pull/join/bound/emit aggregates)."""
-        return self._tracer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MultiwayRankJoin(n={self._n}, pulls={self._pulls})"

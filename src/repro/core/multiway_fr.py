@@ -1,16 +1,16 @@
-"""Multiway bounding schemes — the paper's "extends naturally" claim.
+"""The n-ary feasible-region bound — the paper's "extends naturally" claim.
 
 Section 2.1 remarks that some of the paper's techniques extend naturally
-to the n-ary rank join.  This module supplies two bounds for
-:class:`~repro.core.multiway.MultiwayRankJoin`:
-
-* :class:`MultiwayCornerBound` — the HRJN\\*-style generalization:
-  ``thr_i = S̄(ρ_i)`` with 1-substitution for *all* other relations.
-* :class:`MultiwayFeasibleBound` — the feasible-region generalization for
-  **additive** scoring: per-relation covers of the unseen score vectors
-  (size-bounded, reusing the aFR machinery) make each of the ``2^n − 1``
-  unseen-subset cases computable as a sum of per-relation maxima, each
-  capped by the subset's order bound ``min_{i∈U} g_i``.
+to the n-ary rank join.  Bounding schemes are arity-free
+(:mod:`repro.core.bounds`), so :class:`~repro.core.multiway.MultiwayRankJoin`
+takes any scheme that accepts ``n`` inputs: the HRJN\\*-style
+:class:`~repro.core.bounds.CornerBound` (``thr_i = S̄(ρ_i)`` with
+1-substitution for *all* other relations) is its default, and this module
+supplies :class:`MultiwayFeasibleBound` — the feasible-region
+generalization for **additive** scoring: per-relation covers of the unseen
+score vectors (size-bounded, reusing the aFR machinery) make each of the
+``2^n − 1`` unseen-subset cases computable as a sum of per-relation
+maxima, each capped by the subset's order bound ``min_{i∈U} g_i``.
 
 The subset-case structure mirrors the binary FR bound's three cases
 (t_1, t_2, t_both); additivity is what keeps the cover combination from
@@ -20,12 +20,11 @@ exploding combinatorially — the restriction is enforced at construction.
 from __future__ import annotations
 
 import itertools
-from abc import ABC, abstractmethod
 
 from repro import kernels
 from repro.core.afr_bound import AdaptiveCover
-from repro.core.scoring import NEG_INF, ScoringFunction, SumScore, WeightedSum
-from repro.core.tuples import RankTuple
+from repro.core.bounds import BoundContext, BoundingScheme
+from repro.core.scoring import NEG_INF, SumScore, WeightedSum
 from repro.errors import InstanceError
 from repro.geometry.cover import cover_operand
 from repro.geometry.skyline import IncrementalSkyline
@@ -33,52 +32,7 @@ from repro.geometry.skyline import IncrementalSkyline
 POS_INF = float("inf")
 
 
-class MultiwayBound(ABC):
-    """Bound interface for the n-ary operator."""
-
-    @abstractmethod
-    def bind(self, dims: list[int], scoring: ScoringFunction) -> None: ...
-
-    @abstractmethod
-    def update(self, index: int, tup: RankTuple, score_bound: float) -> float:
-        """Process a pulled tuple (with its S̄); return the new bound."""
-
-    @abstractmethod
-    def current(self) -> float: ...
-
-    @abstractmethod
-    def potential(self, index: int) -> float:
-        """Max score of a result using an unseen tuple of relation index."""
-
-    @abstractmethod
-    def notify_exhausted(self, index: int) -> float: ...
-
-
-class MultiwayCornerBound(MultiwayBound):
-    """Per-relation thresholds; bound = max_i S̄(ρ_i)."""
-
-    def __init__(self) -> None:
-        self._thr: list[float] = []
-
-    def bind(self, dims, scoring) -> None:
-        self._thr = [POS_INF] * len(dims)
-
-    def update(self, index, tup, score_bound) -> float:
-        self._thr[index] = score_bound
-        return self.current()
-
-    def current(self) -> float:
-        return max(self._thr) if self._thr else NEG_INF
-
-    def potential(self, index) -> float:
-        return self._thr[index]
-
-    def notify_exhausted(self, index) -> float:
-        self._thr[index] = NEG_INF
-        return self.current()
-
-
-class MultiwayFeasibleBound(MultiwayBound):
+class MultiwayFeasibleBound(BoundingScheme):
     """Additive-scoring feasible-region bound over n inputs.
 
     Per relation: an adaptive cover ``CR_i`` of the unseen score vectors,
@@ -93,7 +47,10 @@ class MultiwayFeasibleBound(MultiwayBound):
     binary FR structure (Figure 3) generalized.
     """
 
+    scheme_name = "multiway-feasible"
+
     def __init__(self, *, max_cr_size: int = 500, resolution: int = 64) -> None:
+        super().__init__()
         self.max_cr_size = max_cr_size
         self.resolution = resolution
         self._n = 0
@@ -104,7 +61,12 @@ class MultiwayFeasibleBound(MultiwayBound):
         self._bound = POS_INF
         self._cases: dict[frozenset, float] = {}
 
-    def bind(self, dims, scoring) -> None:
+    def bind(self, context, scoring=None) -> None:
+        """Attach the problem: a :class:`BoundContext`, or ``dims, scoring``."""
+        if scoring is not None:
+            context = BoundContext(scoring, tuple(context))
+        super().bind(context)
+        dims, scoring = context.dims, context.scoring
         if not isinstance(scoring, (SumScore, WeightedSum)):
             raise InstanceError(
                 "MultiwayFeasibleBound requires an additive scoring function"
@@ -144,7 +106,9 @@ class MultiwayFeasibleBound(MultiwayBound):
             self._seen_sky[index].pointset, self._weights[index]
         )
 
-    def update(self, index, tup, score_bound) -> float:
+    def update(self, index, tup, score_bound=None) -> float:
+        if score_bound is None:
+            score_bound = self.context.score_bound(index, tup.scores)
         self._seen_sky[index].add(tup.scores)
         if score_bound < self._g[index]:
             self._covers[index].update(self._groups[index])

@@ -1,30 +1,17 @@
 """Named rank join operators as PBRJ instantiations.
 
-Factory functions build each operator the paper studies from a
-:class:`~repro.relation.relation.RankJoinInstance` (fresh scans every call,
-so repeated runs are independent):
-
-=============  =====================  =====================
-operator       bounding scheme        pulling strategy
-=============  =====================  =====================
-HRJN           corner                 round-robin
-HRJN*          corner                 threshold-adaptive
-PBRJ_FR^RR     FR (exact, uncached)   round-robin
-FRPA           FR* (skyline, cached)  potential-adaptive
-FRPA_RR        FR*                    round-robin (ablation)
-a-FRPA         aFR (adaptive covers)  potential-adaptive
-=============  =====================  =====================
+Each operator the paper studies is one row of :data:`COMPONENTS` — a
+bounding scheme and a pulling strategy plugged into the
+:class:`~repro.core.pbrj.PBRJ` template.  The factories build an operator
+from a :class:`~repro.relation.relation.RankJoinInstance` (fresh scans
+every call, so repeated runs are independent).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core.afr_bound import (
-    DEFAULT_MAX_CR_SIZE,
-    DEFAULT_RESOLUTION,
-    AFRBound,
-)
+from repro.core.afr_bound import AFRBound
 from repro.core.bounds import BoundingScheme, CornerBound
 from repro.core.fr_bound import FRBound
 from repro.core.frstar_bound import FRStarBound
@@ -34,6 +21,29 @@ from repro.relation.relation import RankJoinInstance
 
 OperatorFactory = Callable[..., PBRJ]
 
+#: The one statement of the six rows: name -> (bounding scheme factory,
+#: pulling strategy factory, summary).  :data:`OPERATORS` and
+#: :func:`make_components` are both read off it.
+COMPONENTS: dict[str, tuple[Callable[..., BoundingScheme], Callable, str]] = {
+    "HRJN": (CornerBound, RoundRobin,
+             "HRJN: corner bound + round-robin pulling (Ilyas et al.)."),
+    "HRJN*": (CornerBound, PotentialAdaptive,
+              "HRJN*: corner bound + threshold-adaptive pulling (Ilyas et al.)."),
+    "PBRJ_FR^RR": (FRBound, RoundRobin,
+                   "PBRJ_FR^RR: exact FR bound + round-robin (Schnaitter & Polyzotis)."),
+    "FRPA": (FRStarBound, PotentialAdaptive,
+             "FRPA: FR* bound + potential-adaptive pulling (this paper, Section 4)."),
+    "FRPA_RR": (FRStarBound, RoundRobin,
+                "FR* bound + round-robin: isolates the PA strategy's contribution."),
+    "a-FRPA": (AFRBound, PotentialAdaptive,
+               "a-FRPA: adaptive feasible-region bound + PA (this paper, Section 5); "
+               "takes ``max_cr_size``, ``resolution`` and ``cover_strategy``."),
+}
+
+#: Factory keywords that tune the bounding scheme (a-FRPA's cover budget);
+#: every other keyword is :func:`build`'s.
+BOUND_OPTIONS = ("max_cr_size", "resolution", "cover_strategy")
+
 
 def build(
     instance: RankJoinInstance,
@@ -41,80 +51,62 @@ def build(
     strategy: PullingStrategy,
     *,
     name: str,
-    track_time: bool = True,
-    max_pulls: int | None = None,
-    max_seconds: float | None = None,
-    trace=None,
-    obs=None,
+    **pbrj_options,
 ) -> PBRJ:
-    """Assemble a PBRJ operator over fresh scans of ``instance``."""
+    """Assemble a PBRJ operator over fresh scans of ``instance``.
+
+    ``pbrj_options`` are :class:`~repro.core.pbrj.PBRJ`'s own keywords
+    (``track_time``, ``max_pulls``, ``max_seconds``, ``trace``, ``obs``),
+    stated and defaulted there.
+    """
     left, right = instance.scans()
     return PBRJ(
-        left,
-        right,
-        instance.scoring,
-        bound,
-        strategy,
-        name=name,
-        track_time=track_time,
-        max_pulls=max_pulls,
-        max_seconds=max_seconds,
-        trace=trace,
-        obs=obs,
+        left, right, instance.scoring, bound, strategy, name=name, **pbrj_options
     )
 
 
-def hrjn(instance: RankJoinInstance, **kwargs) -> PBRJ:
-    """HRJN: corner bound + round-robin pulling (Ilyas et al.)."""
-    return build(instance, CornerBound(), RoundRobin(), name="HRJN", **kwargs)
+def make_components(
+    name: str, **bound_options
+) -> tuple[BoundingScheme, PullingStrategy]:
+    """Fresh (bounding scheme, pulling strategy) for an operator name.
+
+    ``bound_options`` go to the bounding scheme's constructor (a-FRPA's
+    :data:`BOUND_OPTIONS`).  Used by pipelined plans, which assemble PBRJ
+    stages over operator sources rather than over a
+    :class:`RankJoinInstance`.
+    """
+    try:
+        bound_factory, strategy_factory, _ = COMPONENTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown operator {name!r}; choose from {sorted(COMPONENTS)}"
+        ) from None
+    return bound_factory(**bound_options), strategy_factory()
 
 
-def hrjn_star(instance: RankJoinInstance, **kwargs) -> PBRJ:
-    """HRJN*: corner bound + threshold-adaptive pulling (Ilyas et al.)."""
-    return build(instance, CornerBound(), PotentialAdaptive(), name="HRJN*", **kwargs)
+def _factory(name: str) -> OperatorFactory:
+    """The ``factory(instance, **kwargs) -> PBRJ`` of one table row."""
 
+    def factory(instance: RankJoinInstance, **kwargs) -> PBRJ:
+        bound_options = {
+            key: kwargs.pop(key) for key in BOUND_OPTIONS if key in kwargs
+        }
+        bound, strategy = make_components(name, **bound_options)
+        return build(instance, bound, strategy, name=name, **kwargs)
 
-def pbrj_fr_rr(instance: RankJoinInstance, **kwargs) -> PBRJ:
-    """PBRJ_FR^RR: exact FR bound + round-robin (Schnaitter & Polyzotis)."""
-    return build(instance, FRBound(), RoundRobin(), name="PBRJ_FR^RR", **kwargs)
-
-
-def frpa(instance: RankJoinInstance, **kwargs) -> PBRJ:
-    """FRPA: FR* bound + potential-adaptive pulling (this paper, Section 4)."""
-    return build(instance, FRStarBound(), PotentialAdaptive(), name="FRPA", **kwargs)
-
-
-def frpa_rr(instance: RankJoinInstance, **kwargs) -> PBRJ:
-    """FR* bound + round-robin: isolates the PA strategy's contribution."""
-    return build(instance, FRStarBound(), RoundRobin(), name="FRPA_RR", **kwargs)
-
-
-def a_frpa(
-    instance: RankJoinInstance,
-    *,
-    max_cr_size: int = DEFAULT_MAX_CR_SIZE,
-    resolution: int = DEFAULT_RESOLUTION,
-    cover_strategy: str = "adaptive",
-    **kwargs,
-) -> PBRJ:
-    """a-FRPA: adaptive feasible-region bound + PA (this paper, Section 5)."""
-    bound = AFRBound(
-        max_cr_size=max_cr_size,
-        resolution=resolution,
-        cover_strategy=cover_strategy,
-    )
-    return build(instance, bound, PotentialAdaptive(), name="a-FRPA", **kwargs)
+    factory.__doc__ = COMPONENTS[name][2]
+    return factory
 
 
 #: Registry used by the experiment harness and the benchmarks.
-OPERATORS: dict[str, OperatorFactory] = {
-    "HRJN": hrjn,
-    "HRJN*": hrjn_star,
-    "PBRJ_FR^RR": pbrj_fr_rr,
-    "FRPA": frpa,
-    "FRPA_RR": frpa_rr,
-    "a-FRPA": a_frpa,
-}
+OPERATORS: dict[str, OperatorFactory] = {name: _factory(name) for name in COMPONENTS}
+
+hrjn = OPERATORS["HRJN"]
+hrjn_star = OPERATORS["HRJN*"]
+pbrj_fr_rr = OPERATORS["PBRJ_FR^RR"]
+frpa = OPERATORS["FRPA"]
+frpa_rr = OPERATORS["FRPA_RR"]
+a_frpa = OPERATORS["a-FRPA"]
 
 #: Interchangeable evaluation cores selectable via ``QuerySpec.algorithm``
 #: and the ``--algorithm`` CLI flag: the paper's pull-bounded family
@@ -133,38 +125,6 @@ ANYK_OPERATOR = "AnyK"
 def operator_names() -> list[str]:
     """Every name ``make_operator`` resolves (PBRJ family + any-k)."""
     return sorted(OPERATORS) + [ANYK_OPERATOR]
-
-
-def make_components(
-    name: str,
-    *,
-    max_cr_size: int = DEFAULT_MAX_CR_SIZE,
-    resolution: int = DEFAULT_RESOLUTION,
-    cover_strategy: str = "adaptive",
-) -> tuple[BoundingScheme, PullingStrategy]:
-    """Fresh (bounding scheme, pulling strategy) for an operator name.
-
-    Used by pipelined plans, which assemble PBRJ stages over operator
-    sources rather than over a :class:`RankJoinInstance`.
-    """
-    if name == "HRJN":
-        return CornerBound(), RoundRobin()
-    if name == "HRJN*":
-        return CornerBound(), PotentialAdaptive()
-    if name == "PBRJ_FR^RR":
-        return FRBound(), RoundRobin()
-    if name == "FRPA":
-        return FRStarBound(), PotentialAdaptive()
-    if name == "FRPA_RR":
-        return FRStarBound(), RoundRobin()
-    if name == "a-FRPA":
-        bound = AFRBound(
-            max_cr_size=max_cr_size,
-            resolution=resolution,
-            cover_strategy=cover_strategy,
-        )
-        return bound, PotentialAdaptive()
-    raise KeyError(f"unknown operator {name!r}; choose from {sorted(OPERATORS)}")
 
 
 def make_operator(name: str, instance: RankJoinInstance, **kwargs):

@@ -8,27 +8,34 @@ interface: ``get_next()`` returns the next join result in decreasing score
 order, or ``None`` when the output is exhausted.
 
 Per loop iteration: ``P`` chooses an input, one tuple is pulled, joined
-against the opposite hash buffer, the new results enter the ordered output
-buffer, and ``B`` refreshes the bound ``t`` on undiscovered results.  The
-buffered top is emitted once its score reaches ``t``.
+against the buffered tuples of the other inputs, the new results enter the
+ordered output buffer, and ``B`` refreshes the bound ``t`` on undiscovered
+results.  The buffered top is emitted once its score reaches ``t``.
+
+The loop is written once, over ``n`` inputs.  The *join step* —
+:meth:`PBRJ._join`, "buffer this tuple and return the results it completes"
+— is the only per-arity code: :class:`PBRJ` joins two inputs on the tuple
+key, :class:`~repro.core.multiway.MultiwayRankJoin` overrides it to join a
+chain on payload attributes (the paper's Section 2.1 extension).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Iterator
+from collections.abc import Sequence
 
 from repro import kernels
-from repro.core.bounds import LEFT, RIGHT, BoundContext, BoundingScheme
-from repro.core.pulling import PullingStrategy
+from repro.core.bounds import LEFT, BoundContext, BoundingScheme
+from repro.core.pulling import PullingStrategy, side_labels
 from repro.core.scoring import ScoringFunction
-from repro.core.stepping import PENDING
+from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult, RankTuple
 from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.kernels import PointSet
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
+from repro.relation.sources import TupleSource
 from repro.stats.metrics import (
     DepthReport,
     MemoryHighWater,
@@ -63,7 +70,7 @@ _TIMING_WARMUP = 32
 _TIMING_STRIDE = 32
 
 
-class PBRJ:
+class PBRJ(ResumableBase):
     """The Pull-Bound Rank Join operator template.
 
     Parameters
@@ -110,30 +117,54 @@ class PBRJ:
         trace: "BoundTrace | None" = None,
         obs: "Observability | None" = None,
     ) -> None:
+        self._buffers: tuple[dict, dict] = ({}, {})
+        self._setup(
+            (left, right), scoring, bound, strategy, name=name,
+            track_time=track_time, max_pulls=max_pulls,
+            max_seconds=max_seconds, trace=trace, obs=obs,
+        )
+
+    def _setup(
+        self,
+        sources: Sequence[TupleSource],
+        scoring: ScoringFunction,
+        bound: BoundingScheme,
+        strategy: PullingStrategy,
+        *,
+        name: str,
+        track_time: bool,
+        max_pulls: int | None,
+        max_seconds: float | None,
+        trace: "BoundTrace | None",
+        obs: "Observability | None",
+    ) -> None:
+        """Wire the loop over ``sources``; every constructor ends here."""
+        super().__init__()
         self.name = name
         self.scoring = scoring
-        self._sources = (left, right)
+        self._sources = tuple(sources)
+        self._sides = tuple(range(len(self._sources)))
         self._bound = bound
         self._strategy = strategy
         # Columnar per-side score columns: every pulled tuple's score vector
         # is appended here before the bound refresh, so FR-family bounds
         # read contiguous batches instead of re-materializing tuples.
-        self._columns: tuple[PointSet, PointSet] = (
-            PointSet(left.dimension),
-            PointSet(right.dimension),
+        self._columns: tuple[PointSet, ...] = tuple(
+            PointSet(source.dimension) for source in self._sources
         )
         self._bound.bind(
             BoundContext(
-                scoring, (left.dimension, right.dimension), self._columns
+                scoring,
+                tuple(source.dimension for source in self._sources),
+                self._columns,
             )
         )
-        self._buffers: tuple[dict, dict] = ({}, {})
-        self._output: list[tuple[float, int, JoinResult]] = []
+        self._strategy.bind(len(self._sources))
+        self._output: list[tuple[float, int, object]] = []
         self._sequence = 0
         self._t = float("inf")
-        self._exhausted = [False, False]
+        self._exhausted = [False] * len(self._sources)
         self._pulls = 0
-        self._history: list[JoinResult] = []
         self._max_pulls = max_pulls
         self._max_seconds = max_seconds
         self._started_at: float | None = None
@@ -155,9 +186,9 @@ class PBRJ:
             # unregistered tracer driven by ``track_time`` alone.
             self._tracer = Tracer(enabled=track_time)
         metrics = self._obs.metrics
-        self._m_pulls = (
-            metrics.counter("pulls_total", op=name, side="left"),
-            metrics.counter("pulls_total", op=name, side="right"),
+        self._m_pulls = tuple(
+            metrics.counter("pulls_total", op=name, side=label)
+            for label in side_labels(len(self._sources))
         )
         self._m_emitted = metrics.counter("results_emitted_total", op=name)
         self._m_heap_peak = metrics.gauge("output_heap_peak", op=name)
@@ -165,7 +196,7 @@ class PBRJ:
         # Pulls tally into plain ints on the hot path and flush into the
         # counters when get_next returns — the registry is exact at every
         # external observation point (quantum boundaries, snapshots).
-        self._pull_tally = [0, 0]
+        self._pull_tally = [0] * len(self._sources)
         # Pre-resolved span accumulators for the per-pull hot loop: a
         # perf_counter pair + add() per region instead of the full span
         # context-manager protocol.  Paths match what nested spans would
@@ -199,35 +230,29 @@ class PBRJ:
         return self._bound.potential(side)
 
     # ------------------------------------------------------------------
-    # Iterator interface
+    # Iterator interface (get_next / top_k / __iter__ / emitted_results
+    # come from ResumableBase)
     # ------------------------------------------------------------------
-    def get_next(self) -> JoinResult | None:
-        """Return the next result of ``R1 ⋈ R2`` in decreasing score order."""
-        with self._tracer.span("get_next"):
-            return self._get_next_inner(None)
-
     def try_next(self, max_pulls: int | None = None):
         """Bounded step: advance by at most ``max_pulls`` pulls.
 
-        Returns the next :class:`JoinResult`, ``None`` when the output is
-        exhausted, or :data:`~repro.core.stepping.PENDING` when the quantum
-        elapsed before a result could be emitted.  All state is retained
-        between calls, so ``try_next`` interleaves freely with ``get_next``
-        (the resumable execution contract of :mod:`repro.core.stepping`).
+        Returns the next join result in decreasing score order, ``None``
+        when the output is exhausted, or :data:`~repro.core.stepping.PENDING`
+        when the quantum elapsed before a result could be emitted.  All
+        state is retained between calls, so ``try_next`` interleaves freely
+        with ``get_next`` (the resumable execution contract of
+        :mod:`repro.core.stepping`); ``max_pulls=None`` is ``get_next``.
         """
         with self._tracer.span("get_next"):
-            return self._get_next_inner(max_pulls)
-
-    def _get_next_inner(self, pull_quantum: int | None):
-        try:
-            return self._advance(pull_quantum)
-        finally:
-            self._flush_counters()
+            try:
+                return self._advance(max_pulls)
+            finally:
+                self._flush_counters()
 
     def _flush_counters(self) -> None:
         """Ship hot-loop tallies into the metric registry."""
         tally = self._pull_tally
-        for side in (LEFT, RIGHT):
+        for side in self._sides:
             if tally[side]:
                 self._m_pulls[side].inc(tally[side])
                 tally[side] = 0
@@ -279,7 +304,14 @@ class PBRJ:
             self._pull_tally[side] += 1
             if self._max_pulls is not None and self._pulls > self._max_pulls:
                 raise PullBudgetExceeded(self._pulls, self._max_pulls)
-            self._join_and_buffer(side, rho)
+            output = self._output
+            for result in self._join(side, rho):
+                heapq.heappush(output, (-result.score, self._sequence, result))
+                self._sequence += 1
+            if len(output) > self._max_output:
+                # The gauge itself ships lazily in _flush_counters — a new
+                # peak per heap push is too frequent for a registry write.
+                self._max_output = len(output)
             if timed:
                 started = time.perf_counter()
                 self._s_join.add_scaled(started - now, scale)
@@ -303,33 +335,6 @@ class PBRJ:
             return result
         return None
 
-    def __iter__(self) -> Iterator[JoinResult]:
-        while True:
-            result = self.get_next()
-            if result is None:
-                return
-            yield result
-
-    def top_k(self, k: int) -> list[JoinResult]:
-        """The first ``k`` join results overall, in decreasing score order.
-
-        Resumable: emitted results are retained, so after ``top_k(k)`` a
-        later ``top_k(k + m)`` continues pulling from the retained operator
-        state instead of restarting — only the ``m`` extra results cost new
-        work.  ``top_k(k')`` for ``k' <= k`` is answered from the retained
-        prefix with zero pulls.  May return fewer than ``k`` results if the
-        join output is smaller.
-        """
-        while len(self._history) < k:
-            if self.get_next() is None:
-                break
-        return self._history[:k]
-
-    @property
-    def emitted_results(self) -> list[JoinResult]:
-        """All results emitted so far (the retained resumable prefix)."""
-        return self._history
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -337,25 +342,32 @@ class PBRJ:
         return -self._output[0][0]
 
     def _refresh_exhausted(self) -> None:
-        for side in (LEFT, RIGHT):
+        for side in self._sides:
             if not self._exhausted[side] and not self._sources[side].has_next():
                 self._exhausted[side] = True
                 with self._tracer.span("bound"):
                     self._t = self._bound.notify_exhausted(side)
 
-    def _join_and_buffer(self, side: int, rho: RankTuple) -> None:
+    def _join(self, side: int, rho: RankTuple) -> Sequence:
+        """The join step: buffer ``rho``, return the results it completes.
+
+        Each result carries its ``score``; the loop owns the output heap.
+        This is the binary equi-join on the tuple key.
+        """
         matches = self._buffers[1 - side].get(rho.key, ())
-        for partner in matches:
-            left, right = (rho, partner) if side == LEFT else (partner, rho)
-            score = self.scoring(left.scores + right.scores)
-            result = JoinResult.combine(left, right, score)
-            heapq.heappush(self._output, (-score, self._sequence, result))
-            self._sequence += 1
         self._buffers[side].setdefault(rho.key, []).append(rho)
-        if len(self._output) > self._max_output:
-            # The gauge itself ships lazily in _flush_counters — a new
-            # peak per heap push is too frequent for a registry write.
-            self._max_output = len(self._output)
+        if not matches:
+            return ()
+        scoring = self.scoring
+        if side == LEFT:
+            return [
+                JoinResult.combine(rho, partner, scoring(rho.scores + partner.scores))
+                for partner in matches
+            ]
+        return [
+            JoinResult.combine(partner, rho, scoring(partner.scores + rho.scores))
+            for partner in matches
+        ]
 
     # ------------------------------------------------------------------
     # Reporting
@@ -369,8 +381,8 @@ class PBRJ:
         """Upper bound on the score of any result this operator can still emit.
 
         Combines the bounding scheme's bound ``t`` on *undiscovered*
-        results with the best *buffered-but-unemitted* result.  Once both
-        inputs are exhausted ``t`` is vacuous and only the buffer matters.
+        results with the best *buffered-but-unemitted* result.  Once every
+        input is exhausted ``t`` is vacuous and only the buffer matters.
         Non-increasing over the operator's lifetime; ``-inf`` means fully
         drained.  Used by the sharded merge gate
         (:class:`repro.exec.merge.GlobalTopKMerger`) to decide when a
@@ -386,7 +398,7 @@ class PBRJ:
         return self._bound
 
     @property
-    def score_columns(self) -> tuple[PointSet, PointSet]:
+    def score_columns(self) -> tuple[PointSet, ...]:
         """Per-side columnar score columns (one row per pulled tuple)."""
         return self._columns
 
@@ -400,7 +412,13 @@ class PBRJ:
         return self._pulls
 
     def depths(self) -> DepthReport:
-        return DepthReport(self.depth(LEFT), self.depth(RIGHT))
+        return self._depth_report()
+
+    def _depth_report(self) -> DepthReport:
+        """Depths in the reports' two-column vocabulary: the first input,
+        then every other input together (for the binary join: left, right)."""
+        first, *rest = (source.depth for source in self._sources)
+        return DepthReport(first, sum(rest))
 
     def timing(self) -> TimingBreakdown:
         return TimingBreakdown(
@@ -412,19 +430,18 @@ class PBRJ:
     def memory(self) -> MemoryHighWater:
         """Peak buffer occupancy: hash tables grow with depth, the output
         heap with generated-but-unemitted results."""
+        depths = self._depth_report()
         return MemoryHighWater(
-            hash_left=self.depth(LEFT),
-            hash_right=self.depth(RIGHT),
-            output=self._max_output,
+            hash_left=depths.left, hash_right=depths.right, output=self._max_output
         )
 
     def stats(self) -> OperatorStats:
         """Snapshot of all measurements, suitable for reports."""
         return OperatorStats(
             operator=self.name,
-            depths=self.depths(),
+            depths=self._depth_report(),
             timing=self.timing(),
-            io_cost=self._sources[LEFT].cost + self._sources[RIGHT].cost,
+            io_cost=sum(source.cost for source in self._sources),
             bound_recomputations=self._bound.cover_recomputations,
             results=self._emitted,
             memory=self.memory(),

@@ -6,10 +6,14 @@ per-input potentials).
 
 * :class:`RoundRobin` — PBRJ_FR^RR's blind alternation.
 * :class:`PotentialAdaptive` — the paper's PA strategy: pull the input with
-  the larger potential, breaking ties toward the smaller depth and then the
-  smaller index.  Paired with the corner bound (whose potential is ``thr_i``)
+  the largest potential, breaking ties toward the smallest depth and then the
+  smallest index.  Paired with the corner bound (whose potential is ``thr_i``)
   this *is* HRJN*'s threshold-adaptive strategy; paired with FR*/aFR it is
   the PA strategy of FRPA / a-FRPA.
+
+Strategies choose among ``n`` inputs: the operator tells its strategy how
+many through :meth:`PullingStrategy.bind`; unbound, a strategy assumes the
+binary join.
 """
 
 from __future__ import annotations
@@ -17,10 +21,18 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Protocol
 
-from repro.core.bounds import LEFT, RIGHT
 from repro.obs.metrics import MetricRegistry
 
-SIDE_LABELS = ("left", "right")
+
+def side_labels(inputs: int) -> tuple[str, ...]:
+    """Metric labels of an operator's inputs.
+
+    ``left`` / ``right`` for a binary join (the names every dashboard and
+    trace reader already keys on), the input index beyond two.
+    """
+    if inputs == 2:
+        return ("left", "right")
+    return tuple(str(index) for index in range(inputs))
 
 
 class OperatorView(Protocol):
@@ -38,15 +50,21 @@ class PullingStrategy(ABC):
 
     name = "abstract"
 
+    #: Number of inputs chosen among, installed by :meth:`bind`.
+    _inputs = 2
     #: Metric handles, installed by :meth:`observe`; None when unobserved.
     _choice_metrics: "MetricRegistry | None" = None
     _choice_op = ""
-    _choice_counters: "tuple[dict, dict] | None" = None
-    _choice_tallies: "tuple[dict, dict] | None" = None
+    _choice_counters: "tuple[dict, ...] | None" = None
+    _choice_tallies: "tuple[dict, ...] | None" = None
+
+    def bind(self, inputs: int) -> None:
+        """Attach the operator's arity; called once, before :meth:`observe`."""
+        self._inputs = inputs
 
     @abstractmethod
     def choose(self, view: OperatorView) -> int:
-        """Return the side (0 or 1) to read; never an exhausted side."""
+        """Return the index of the input to read; never an exhausted one."""
 
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         """Attach choice counters (``pull_choice_total{side, reason}``).
@@ -61,8 +79,8 @@ class PullingStrategy(ABC):
         # Choices tally into plain ints on the hot path; the operator
         # flushes them into real counters at get_next boundaries via
         # :meth:`flush_choices`, so per-pull cost is one dict update.
-        self._choice_counters = ({}, {})
-        self._choice_tallies = ({}, {})
+        self._choice_counters = tuple({} for _ in range(self._inputs))
+        self._choice_tallies = tuple({} for _ in range(self._inputs))
 
     def _count_choice(self, side: int, reason: str) -> None:
         if self._choice_metrics is None:
@@ -79,6 +97,7 @@ class PullingStrategy(ABC):
         """
         if self._choice_metrics is None:
             return
+        labels = side_labels(self._inputs)
         for side, tally in enumerate(self._choice_tallies):
             if not tally:
                 continue
@@ -90,35 +109,38 @@ class PullingStrategy(ABC):
                         "pull_choice_total",
                         op=self._choice_op,
                         strategy=self.name,
-                        side=SIDE_LABELS[side],
+                        side=labels[side],
                         reason=reason,
                     )
                 counter.inc(count)
             tally.clear()
 
-    @staticmethod
-    def _available(view: OperatorView) -> list[int]:
-        sides = [side for side in (LEFT, RIGHT) if not view.is_exhausted(side)]
+    def _available(self, view: OperatorView) -> list[int]:
+        sides = [
+            side for side in range(self._inputs) if not view.is_exhausted(side)
+        ]
         if not sides:
-            raise RuntimeError("choose() called with both inputs exhausted")
+            raise RuntimeError("choose() called with every input exhausted")
         return sides
 
 
 class RoundRobin(PullingStrategy):
-    """Strict alternation between the inputs, skipping exhausted ones."""
+    """Strict rotation through the inputs, skipping exhausted ones."""
 
     name = "round-robin"
 
     def __init__(self) -> None:
-        self._last = RIGHT  # so that the very first pull hits the left input
+        self._last = -1  # so that the very first pull hits input 0
 
     def choose(self, view: OperatorView) -> int:
         available = self._available(view)
-        preferred = 1 - self._last
+        inputs = self._inputs
+        preferred = (self._last + 1) % inputs
         if preferred in available:
             side, reason = preferred, "alternation"
-        else:
-            side, reason = available[0], "only-available"
+        else:  # the next live input in rotation order
+            side = min(available, key=lambda side: (side - preferred) % inputs)
+            reason = "alternation" if len(available) > 1 else "only-available"
         self._last = side
         if self._choice_metrics is not None:  # inlined _count_choice
             tally = self._choice_tallies[side]
@@ -139,16 +161,14 @@ class PotentialAdaptive(PullingStrategy):
         if len(available) == 1:
             self._count_choice(available[0], "only-available")
             return available[0]
-        # Sort key: maximize potential, then minimize depth, then index.
-        side = min(
-            available,
-            key=lambda side: (-view.potential(side), view.depth(side), side),
+        # Rank key: maximize potential, then minimize depth, then index.
+        ranked = sorted(
+            (-view.potential(side), view.depth(side), side) for side in available
         )
+        side = ranked[0][2]
         if self._choice_metrics is not None:
-            if view.potential(side) > view.potential(1 - side):
-                reason = "potential"
-            else:
-                reason = "tie-break"
+            # The runner-up is ranked too, so the reason costs one compare.
+            reason = "potential" if ranked[0][0] < ranked[1][0] else "tie-break"
             tally = self._choice_tallies[side]  # inlined _count_choice
             tally[reason] = tally.get(reason, 0) + 1
         return side
@@ -167,6 +187,10 @@ class FixedSequence(PullingStrategy):
         self._sequence = list(sequence)
         self._position = 0
         self._fallback = RoundRobin()
+
+    def bind(self, inputs: int) -> None:
+        super().bind(inputs)
+        self._fallback.bind(inputs)
 
     def choose(self, view: OperatorView) -> int:
         available = self._available(view)

@@ -11,8 +11,15 @@ the shared vocabulary:
   when its pull quantum elapsed before a result could be emitted.  The
   caller is expected to call ``try_next`` again later; no state is lost.
 * :class:`ResumableOperator` — the structural protocol the service layer
-  programs against.  :class:`~repro.core.pbrj.PBRJ` and
-  :class:`~repro.core.multiway.MultiwayRankJoin` both satisfy it.
+  programs against.
+* :class:`ResumableBase` — the history-retaining half of that protocol
+  (``get_next`` / ``top_k`` / ``__iter__`` / ``emitted_results``), written
+  once.  :class:`~repro.core.pbrj.PBRJ` (and through it
+  :class:`~repro.core.multiway.MultiwayRankJoin`),
+  :class:`~repro.exec.engine.ShardedRankJoin`,
+  :class:`~repro.planner.adaptive.AdaptiveShardedRankJoin` and
+  :class:`~repro.anyk.engine.AnyKRankJoin` inherit it and supply only
+  ``try_next``.
 
 The contract in one table, for a call ``op.try_next(max_pulls=n)``:
 
@@ -33,6 +40,7 @@ useful for draining an operator whose pull budget is spent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Any, Protocol, runtime_checkable
 
 
@@ -76,3 +84,51 @@ class ResumableOperator(Protocol):
     @property
     def pulls(self) -> int:
         """Total tuples pulled so far across all calls."""
+
+
+class ResumableBase:
+    """The history-retaining scaffold every resumable operator inherits.
+
+    A subclass implements ``try_next(max_pulls)`` and ``pulls``, and appends
+    each result it emits to ``self._history``; everything that only *reads*
+    the retained prefix is defined here, once.
+    """
+
+    def __init__(self) -> None:
+        self._history: list = []
+
+    def try_next(self, max_pulls: int | None = None) -> Any:
+        raise NotImplementedError
+
+    def get_next(self) -> Any:
+        """The next result in decreasing score order, or ``None`` at the end."""
+        result = self.try_next(None)
+        assert result is not PENDING
+        return result
+
+    def __iter__(self) -> Iterator:
+        while True:
+            result = self.get_next()
+            if result is None:
+                return
+            yield result
+
+    def top_k(self, k: int) -> list:
+        """The first ``k`` results overall, in decreasing score order.
+
+        Resumable: emitted results are retained, so after ``top_k(k)`` a
+        later ``top_k(k + m)`` continues from the retained operator state
+        instead of restarting — only the ``m`` extra results cost new
+        work.  ``top_k(k')`` for ``k' <= k`` is answered from the retained
+        prefix with zero pulls.  May return fewer than ``k`` results if the
+        join output is smaller.
+        """
+        while len(self._history) < k:
+            if self.get_next() is None:
+                break
+        return self._history[:k]
+
+    @property
+    def emitted_results(self) -> list:
+        """All results emitted so far (the retained resumable prefix)."""
+        return self._history

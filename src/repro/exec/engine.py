@@ -8,7 +8,8 @@ through the :class:`GlobalTopKMerger` gate (:mod:`repro.exec.merge`).
 
 It satisfies :class:`repro.core.stepping.ResumableOperator` — the same
 ``get_next`` / ``try_next(max_pulls)`` / resumable ``top_k`` contract as
-:class:`~repro.core.pbrj.PBRJ` — so it drops into
+:class:`~repro.core.pbrj.PBRJ`, inherited from the same
+:class:`~repro.core.stepping.ResumableBase` — so it drops into
 :class:`~repro.service.session.QuerySession` and the scheduler unchanged.
 
 Why sharding helps even on one core: the expensive part of tight bounds
@@ -21,11 +22,8 @@ independent of) whatever parallelism the backend provides.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro import kernels
-from repro.core.stepping import PENDING
-from repro.core.tuples import JoinResult
+from repro.core.stepping import PENDING, ResumableBase
 from repro.exec.backends import make_backend
 from repro.exec.merge import GlobalTopKMerger
 from repro.exec.partition import PartitionStats, make_plan, partition_instance
@@ -36,7 +34,7 @@ from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import DepthReport
 
 
-class ShardedRankJoin:
+class ShardedRankJoin(ResumableBase):
     """Hash-partitioned parallel rank join with a provably-correct merge.
 
     Parameters
@@ -78,6 +76,7 @@ class ShardedRankJoin:
         trace: TraceContext | None = None,
         **operator_kwargs,
     ) -> None:
+        super().__init__()
         self.config = config or ExecConfig()
         self.operator_name = operator
         self.name = f"sharded[{operator}]x{self.config.shards}"
@@ -142,7 +141,6 @@ class ShardedRankJoin:
         self._depths: dict[int, tuple[int, int]] = {
             worker.shard: (0, 0) for worker in workers
         }
-        self._history: list[JoinResult] = []
 
         metrics = self._obs.metrics
         self._m_shard_pulls = {
@@ -158,47 +156,17 @@ class ShardedRankJoin:
         )
 
     # ------------------------------------------------------------------
-    # ResumableOperator interface
+    # ResumableOperator interface (the rest comes from ResumableBase)
     # ------------------------------------------------------------------
-    def get_next(self) -> JoinResult | None:
-        """The next global result in decreasing score order, or None."""
-        result = self._step(None)
-        assert result is not PENDING
-        return result
-
     def try_next(self, max_pulls: int | None = None):
-        """Bounded step: result, ``None`` (exhausted), or ``PENDING``.
+        """Bounded step: the next global result, ``None`` (exhausted), or
+        ``PENDING``.
 
         ``max_pulls`` budgets the *total* pulls across all shards this
         call; advance rounds are sized so the budget is never exceeded.
         ``try_next(max_pulls=0)`` releases already-gated candidates
         without pulling, mirroring the PBRJ contract.
         """
-        return self._step(max_pulls)
-
-    def top_k(self, k: int) -> list[JoinResult]:
-        """First ``k`` global results; resumable exactly like PBRJ's."""
-        while len(self._history) < k:
-            if self.get_next() is None:
-                break
-        return self._history[:k]
-
-    def __iter__(self) -> Iterator[JoinResult]:
-        while True:
-            result = self.get_next()
-            if result is None:
-                return
-            yield result
-
-    @property
-    def pulls(self) -> int:
-        """Total pulls across all shards (the sumDepths cost so far)."""
-        return self._pulls
-
-    # ------------------------------------------------------------------
-    # Core loop
-    # ------------------------------------------------------------------
-    def _step(self, max_pulls: int | None):
         spent = 0
         while True:
             ready = self._merger.pop_ready()
@@ -213,6 +181,11 @@ class ShardedRankJoin:
                 return PENDING
             budget = None if max_pulls is None else max_pulls - spent
             spent += self._advance_round(budget)
+
+    @property
+    def pulls(self) -> int:
+        """Total pulls across all shards (the sumDepths cost so far)."""
+        return self._pulls
 
     def _advance_round(self, budget: int | None) -> int:
         """Advance the blocking shards one quantum each; return pulls spent."""
@@ -246,11 +219,6 @@ class ShardedRankJoin:
     # ------------------------------------------------------------------
     # Reporting (PBRJ-compatible where QuerySession needs it)
     # ------------------------------------------------------------------
-    @property
-    def emitted_results(self) -> list[JoinResult]:
-        """All results released so far (the retained resumable prefix)."""
-        return self._history
-
     @property
     def bound_value(self) -> float:
         """The global threshold: max over live shard frontiers."""

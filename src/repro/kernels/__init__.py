@@ -81,7 +81,8 @@ from repro.kernels.types import (
 )
 from repro.kernels.vectorized import NumpyBackend, _arr
 
-#: The operations every kernel backend must implement.
+#: The kernel operations.  The reference tier implements all of them, the
+#: vectorized tier all but ``skyline_filter`` and ``antichain``.
 KERNEL_OPS = (
     "dominates_any",
     "strict_dominance_mask",

@@ -62,31 +62,21 @@ NEVER = 1 << 30
 #: loop ops with early exits keep the reference tier far longer than
 #: streaming ops (a ``dominates_any`` hit exits within a few rows at any
 #: size; 512 caps what the occasional full-scan miss can cost).
+#: ``skyline_filter`` and ``antichain`` have no row: they exist at the
+#: reference tier only (a per-insertion broadcast never amortized for the
+#: incremental skyline, nor the dedup-then-pairwise shape for the
+#: antichain), so there is nothing to route.
 DEFAULT_THRESHOLDS: dict[str, dict[str, int]] = {
     "dominates_any": {"numpy": 512},
     "strict_dominance_mask": {"numpy": 20},
-    # Per-insertion broadcasts never amortize for the incremental
-    # skyline (0.2–0.4× at every measured size) and the antichain's
-    # dedup-then-pairwise shape (unique cells are bounded by the grid
-    # resolution, so the pairwise part never grows) — reference only.
-    "skyline_filter": {"numpy": NEVER},
     "cover_corner_scores": {"numpy": 12},
     "max_corner_score": {"numpy": 32},
     "cross_product_max": {"numpy": 256},
     # ~0.3 µs a row in the loops against ~85 µs fixed (np.unique) in numpy.
     "cover_carve": {"numpy": 320},
     "grid_cell_assign": {"numpy": 8},
-    "antichain": {"numpy": NEVER},
     "grid_carve": {"numpy": 64},
 }
-
-#: Ops whose vectorized tier structurally never amortizes (see the
-#: DEFAULT_THRESHOLDS comment).  Calibration records :data:`NEVER` for
-#: these instead of probing: near the tie a single noisy low-budget
-#: probe can flip every bulk call onto the slower tier, and the full
-#: sweep in BENCH_dispatch.json confirms reference wins at every size.
-#: An explicit :func:`set_thresholds` override still re-enables numpy.
-VECTORIZED_NEVER_WINS = frozenset({"skyline_filter", "antichain"})
 
 #: Tie-break rank when two tiers share a crossover size (prefer the
 #: cheaper-per-call tier).
@@ -258,11 +248,9 @@ def _resolve(registry: KernelRegistry) -> dict[str, dict[str, int]]:
 #: reference timing stays inside the budget.
 _DEFAULT_LADDER = (4, 16, 64, 256, 1024)
 _SIZE_LADDERS: dict[str, tuple[int, ...]] = {
-    "antichain": (4, 16, 64, 256),
     "cross_product_max": (16, 64, 256, 1024),
     "cover_carve": (8, 32, 128, 512),
     "grid_carve": (8, 32, 128, 512),
-    "skyline_filter": (4, 16, 64, 256, 1024),
 }
 
 
@@ -285,13 +273,6 @@ def _point_set(n: int, e: int = 3):
     from repro.kernels.pointset import PointSet
 
     return PointSet(e, synthetic_points(n, e))
-
-
-def synthetic_cells(n: int, e: int = 3, resolution: int = 8) -> list[tuple[int, ...]]:
-    return [
-        tuple((i * (2 * j + 3) + j) % resolution for j in range(e))
-        for i in range(n)
-    ]
 
 
 def _side(n: int) -> int:
@@ -332,7 +313,6 @@ ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
         _point_set(n), tuple(v / 2 for v in synthetic_points(n)[n // 8]),
     ),
     "strict_dominance_mask": lambda n: (_point_set(n), (0.5, 0.5, 0.5)),
-    "skyline_filter": lambda n: (_point_set(n),),
     "cover_corner_scores": lambda n: (_point_set(n).array, (0.6, 0.3, 0.1)),
     "max_corner_score": lambda n: (_point_set(n), None),
     "cross_product_max": lambda n: (
@@ -341,7 +321,6 @@ ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
     ),
     "cover_carve": _carve_args,
     "grid_cell_assign": lambda n: (_point_set(n), 8),
-    "antichain": lambda n: (synthetic_cells(n),),
     "grid_carve": _grid_carve_args,
 }
 
@@ -371,9 +350,9 @@ def _reps_for(size: int) -> int:
 
 #: A candidate tier must beat the reference by this margin to win a
 #: calibration probe.  Near the crossover the two tiers sit within
-#: timer noise of each other; without a margin a single noisy probe on
-#: a never-wins op (antichain, skyline) flips every bulk call onto the
-#: slower tier.  Ties route to the reference — the safe choice.
+#: timer noise of each other; without a margin a single noisy probe
+#: flips every bulk call onto the slower tier.  Ties route to the
+#: reference — the safe choice.
 _WIN_MARGIN = 0.92
 
 
@@ -434,27 +413,24 @@ def calibrate(
 ) -> dict[str, dict[str, int]]:
     """Measure per-op reference→numpy crossover sizes (~100 ms).
 
-    Ops not reached before the budget expires keep their defaults, and
-    the :data:`VECTORIZED_NEVER_WINS` ops record :data:`NEVER` without a
-    probe.
+    Ops not reached before the budget expires keep their defaults; an op
+    with one implementation has no crossover and is not probed.
     """
     deadline = perf_counter() + budget
     measured: dict[str, dict[str, int]] = {}
     for op in registry.ops:
         if perf_counter() > deadline:
             break
-        if op in VECTORIZED_NEVER_WINS:
-            value = NEVER
-        else:
-            impls = {
-                tier: partial(impl, **PROBE_KWARGS.get(op, {}))
-                for tier, impl in registry.implementations(op).items()
-            }
-            value = _crossover(
-                impls["reference"], impls["vectorized"], ARG_BUILDERS[op],
-                _SIZE_LADDERS.get(op, _DEFAULT_LADDER), deadline,
-            )
-        measured[op] = {"numpy": value}
+        impls = {
+            tier: partial(impl, **PROBE_KWARGS.get(op, {}))
+            for tier, impl in registry.implementations(op).items()
+        }
+        if "vectorized" not in impls:
+            continue
+        measured[op] = {"numpy": _crossover(
+            impls["reference"], impls["vectorized"], ARG_BUILDERS[op],
+            _SIZE_LADDERS.get(op, _DEFAULT_LADDER), deadline,
+        )}
     return measured
 
 

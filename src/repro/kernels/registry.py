@@ -4,12 +4,15 @@ The registry is the factual record of *which* callable implements
 *which* kernel op at each of the two tiers, both always present:
 
 * ``reference`` — pure-Python loops (:mod:`repro.kernels.reference`),
-  the semantic oracle every test compares against;
+  the semantic oracle every test compares against; it implements every
+  op — registration fails otherwise;
 * ``vectorized`` — numpy broadcasts (:mod:`repro.kernels.vectorized`),
-  the bulk tier (numpy is a hard dependency of the package).
+  the bulk tier (numpy is a hard dependency of the package); it
+  implements the ops a broadcast can win.
 
-Every registered backend implements every op — registration fails
-otherwise — so resolution is a plain lookup with nothing to fall back to.
+An op the vectorized tier does not implement has one implementation: it
+resolves to the reference at any requested tier (and is counted under
+``kernel="python"``).
 """
 
 from __future__ import annotations
@@ -46,17 +49,19 @@ class KernelRegistry:
         self._impls: dict[str, dict[str, Callable]] = {op: {} for op in ops}
 
     def register(self, tier: str, backend: object) -> None:
-        """Bind ``backend``'s method for every op under ``tier``.
+        """Bind ``backend``'s methods under ``tier``.
 
-        A backend missing an op raises :class:`AttributeError` here, at
-        import time, rather than at some later call.
+        The reference tier must implement every op — one it misses raises
+        :class:`AttributeError` here, at import time, rather than at some
+        later call; the vectorized tier binds the ops it has.
         """
         if tier not in TIER_BACKEND:
             raise ValueError(
                 f"unknown kernel tier {tier!r}; choose from {tuple(TIER_BACKEND)}"
             )
         for op in self.ops:
-            self._impls[op][tier] = getattr(backend, op)
+            if tier == "reference" or hasattr(backend, op):
+                self._impls[op][tier] = getattr(backend, op)
 
     def backend_names(self) -> tuple[str, ...]:
         """Canonical names of the registered backends, sorted."""
@@ -68,9 +73,12 @@ class KernelRegistry:
         return dict(self._impls[op])
 
     def resolve(self, op: str, tier: str) -> ResolvedOp:
-        """The implementation of ``op`` at ``tier``."""
+        """The implementation of ``op`` at ``tier`` (the reference's, for
+        an op ``tier`` does not implement)."""
         if op not in self._impls:
             raise KeyError(f"unknown kernel op {op!r}")
+        if tier not in self._impls[op]:
+            tier = "reference"
         return ResolvedOp(op, self._impls[op][tier], TIER_BACKEND[tier])
 
     def resolve_all(self, tier: str) -> dict[str, ResolvedOp]:

@@ -19,12 +19,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kernels.pointset import PointSet
+from repro.kernels.reference import ReferenceBackend
 
 NEG_INF = float("-inf")
 
-#: Below this many points the skyline uses one pairwise broadcast; above,
-#: an incremental scan keeps memory O(n·s) instead of O(n²).
-_PAIRWISE_LIMIT = 512
+#: ``skyline_filter`` and ``antichain`` exist at the reference tier only —
+#: the loops win at every measured size — so the carves below hand their
+#: (few-row) projection sets to it.
+_REFERENCE = ReferenceBackend()
 
 
 def _arr(points) -> np.ndarray:
@@ -63,7 +65,11 @@ def column_sum(array: np.ndarray, weights: Sequence[float] | None) -> np.ndarray
 
 
 class NumpyBackend:
-    """Vectorized kernels over contiguous float64 rows."""
+    """Vectorized kernels over contiguous float64 rows.
+
+    Implements every kernel op but ``skyline_filter`` and ``antichain``,
+    which resolve to the reference tier under any selection.
+    """
 
     name = "numpy"
 
@@ -83,48 +89,6 @@ class NumpyBackend:
             return np.zeros(0, dtype=bool)
         target = np.asarray(tuple(q), dtype=np.float64)
         return (array <= target).all(axis=1) & (array != target).any(axis=1)
-
-    # ------------------------------------------------------------------
-    # Skylines
-    # ------------------------------------------------------------------
-    def skyline_filter(self, points) -> list[int]:
-        array = _arr(points)
-        n = array.shape[0]
-        if n <= 1:
-            return list(range(n))
-        if n <= _PAIRWISE_LIMIT:
-            # One broadcast: keep j iff nothing strictly dominates it and
-            # no earlier row equals it (first-occurrence dedup).
-            ge = (array[:, None, :] >= array[None, :, :]).all(axis=2)
-            eq = ge & ge.T
-            strict = ge & ~eq
-            dominated = strict.any(axis=0)
-            earlier_dup = np.triu(eq, 1).any(axis=0)
-            return np.flatnonzero(~(dominated | earlier_dup)).tolist()
-        # Incremental scan with a vectorized kept-set check per point.
-        kept_rows = np.empty_like(array)
-        kept_idx: list[int] = []
-        k = 0
-        for i in range(n):
-            p = array[i]
-            if k:
-                view = kept_rows[:k]
-                if (view >= p).all(axis=1).any():
-                    continue
-                strict = (view <= p).all(axis=1) & (view != p).any(axis=1)
-                if strict.any():
-                    keep = ~strict
-                    survivors = view[keep]
-                    m = survivors.shape[0]
-                    kept_rows[:m] = survivors
-                    kept_idx = [
-                        j for j, flag in zip(kept_idx, keep.tolist()) if flag
-                    ]
-                    k = m
-            kept_rows[k] = p
-            kept_idx.append(i)
-            k += 1
-        return kept_idx
 
     # ------------------------------------------------------------------
     # Partial scores
@@ -176,7 +140,7 @@ class NumpyBackend:
             projected = projected[(projected > 0.0).all(axis=1)]
             projected = np.unique(projected, axis=0)
             if skyline_mode and projected.shape[0] > 1:
-                projected = projected[self.skyline_filter(projected)]
+                projected = projected[_REFERENCE.skyline_filter(projected)]
             # Surviving cover rows stay a prefix; new points go behind.
             survived = ~removed_mask
             keep = keep[survived[: keep.shape[0]]]
@@ -192,15 +156,6 @@ class NumpyBackend:
             return np.zeros((0, array.shape[1]), dtype=np.int64)
         cells = np.ceil(array * resolution).astype(np.int64) - 1
         return np.clip(cells, 0, resolution - 1)
-
-    def antichain(self, cells) -> np.ndarray:
-        array = _cells_arr(cells)
-        if array.shape[0] <= 1:
-            return array
-        array = np.unique(array, axis=0)
-        ge = (array[:, None, :] >= array[None, :, :]).all(axis=2)
-        np.fill_diagonal(ge, False)
-        return array[~ge.any(axis=0)]
 
     def grid_carve(
         self, cells, point: Sequence[float], resolution: int
@@ -218,7 +173,7 @@ class NumpyBackend:
         cols = np.tile(np.arange(dimension), removed.shape[0])
         projected[np.arange(projected.shape[0]), cols] = m[cols] - 1
         projected = projected[(projected >= 0).all(axis=1)]
-        fresh = self.antichain(projected)
+        fresh = _cells_arr(_REFERENCE.antichain(projected)).reshape(-1, dimension)
         if survivors.shape[0] and fresh.shape[0]:
             # Live on the grid (see the reference tier's counterexample).
             dominated_new = (

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.tuples import JoinResult
+from repro.core.stepping import PENDING, ResumableBase
 from repro.exec.engine import ShardedRankJoin
 from repro.exec.merge import result_identity
 from repro.exec.worker import ExecConfig
@@ -63,7 +63,7 @@ class AdaptiveConfig:
     migration_resilience: object | None = None
 
 
-class AdaptiveShardedRankJoin:
+class AdaptiveShardedRankJoin(ResumableBase):
     """A sharded rank join that re-partitions itself under observed skew."""
 
     def __init__(
@@ -77,6 +77,7 @@ class AdaptiveShardedRankJoin:
         trace: TraceContext | None = None,
         **operator_kwargs,
     ) -> None:
+        super().__init__()
         self.instance = instance
         self.operator_name = operator
         self.adaptive = adaptive or AdaptiveConfig()
@@ -132,7 +133,7 @@ class AdaptiveShardedRankJoin:
             return
         if (
             engine.pulls < self.adaptive.min_pulls
-            or len(engine.emitted_results) < self.adaptive.min_emitted
+            or len(self._history) < self.adaptive.min_emitted
         ):
             return
         if self.observed_imbalance() <= self.adaptive.threshold:
@@ -155,7 +156,7 @@ class AdaptiveShardedRankJoin:
             obs=self._obs if self._obs.enabled else None, trace=self._trace,
             **self._operator_kwargs,
         )
-        emitted = old.emitted_results
+        emitted = self._history
         replayed = fresh.top_k(len(emitted))
         same = len(replayed) == len(emitted) and all(
             a.score == b.score and result_identity(a) == result_identity(b)
@@ -179,28 +180,21 @@ class AdaptiveShardedRankJoin:
         ).inc()
 
     # ------------------------------------------------------------------
-    # ResumableOperator interface (delegates, monitor hooks first)
+    # ResumableOperator interface (the rest comes from ResumableBase)
     # ------------------------------------------------------------------
-    def get_next(self) -> JoinResult | None:
-        self._maybe_reshard()
-        return self._engine.get_next()
-
     def try_next(self, max_pulls: int | None = None):
-        self._maybe_reshard()
-        return self._engine.try_next(max_pulls)
+        """The current engine's bounded step, monitor hook first.
 
-    def top_k(self, k: int) -> list[JoinResult]:
-        while len(self._engine.emitted_results) < k:
-            if self.get_next() is None:
-                break
-        return self._engine.emitted_results[:k]
-
-    def __iter__(self):
-        while True:
-            result = self.get_next()
-            if result is None:
-                return
-            yield result
+        The history is kept here, not read off the engine, so the
+        retained prefix survives a migration.  A zero-pull call promises
+        no work, so it never migrates (the replay pulls).
+        """
+        if max_pulls != 0:
+            self._maybe_reshard()
+        result = self._engine.try_next(max_pulls)
+        if result is not None and result is not PENDING:
+            self._history.append(result)
+        return result
 
     # ------------------------------------------------------------------
     # Reporting
@@ -221,10 +215,6 @@ class AdaptiveShardedRankJoin:
     @property
     def config(self) -> ExecConfig:
         return self._engine.config
-
-    @property
-    def emitted_results(self) -> list[JoinResult]:
-        return self._engine.emitted_results
 
     @property
     def bound_value(self) -> float:

@@ -24,21 +24,16 @@ The PBRJ formulas encode the two effects the benchmarks establish:
   only pays off when real parallelism exists).
 
 Coefficients resolve in priority order: explicitly installed via
-:func:`set_coefficients` (or ``ReproConfig.planner_coeffs``) → a JSON
-file named by ``REPRO_PLANNER_COEFFS`` → a one-shot micro-benchmark
-(:func:`measure`, ~100 ms, cached for the process) → library defaults.
+:func:`set_coefficients` (or ``ReproConfig.planner_coeffs``) → a one-shot
+micro-benchmark (:func:`measure`, ~100 ms, cached for the process) →
+library defaults.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
-
-#: Environment variable naming a JSON file of coefficient overrides.
-ENV_VAR = "REPRO_PLANNER_COEFFS"
 
 #: Scheduling quantum assumed for round-count prediction (the engine
 #: default; the planner does not enumerate quantum as an axis).
@@ -56,13 +51,6 @@ OPERATOR_FACTORS: dict[str, tuple[float, float]] = {
     "a-FRPA": (0.8, 1.4),
 }
 DEFAULT_OPERATOR_FACTORS = (1.0, 1.2)
-
-#: Former :class:`CostCoefficients` fields; accepted and ignored on load.
-RETIRED_KEYS = frozenset({
-    "kernel_pin_bulk_penalty", "kernel_pin_small_penalty",
-    "round_thread", "startup_thread",
-})
-
 
 @dataclass(frozen=True)
 class CostCoefficients:
@@ -105,8 +93,6 @@ class CostCoefficients:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CostCoefficients":
-        # Files written by an older to_dict() carry the retired keys.
-        payload = {k: v for k, v in payload.items() if k not in RETIRED_KEYS}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -175,12 +161,6 @@ def coefficients() -> CostCoefficients:
 
 
 def _resolve() -> CostCoefficients:
-    path = os.environ.get(ENV_VAR)
-    if path:
-        try:
-            return CostCoefficients.from_dict(json.loads(Path(path).read_text()))
-        except (OSError, ValueError, TypeError):
-            pass  # unreadable override — fall through to calibration
     try:
         return measure()
     except Exception:

@@ -46,6 +46,12 @@ class RankJoinServer(wire.LineServer):
     clean error while live sessions run to completion, then the loop
     stops and observability exporters are flushed.  A second signal skips
     the drain and stops immediately.
+
+    The scheduler driver is the server: anything that escapes
+    ``service.tick()`` ends :meth:`run` — open streams are told
+    ``server stopped mid-stream``, the teardown runs, and the exception is
+    re-raised to the caller — instead of leaving a socket that accepts
+    queries nothing will ever advance.
     """
 
     def __init__(
@@ -79,6 +85,9 @@ class RankJoinServer(wire.LineServer):
         #: *old* event can never miss a wakeup between their emit scan and
         #: their wait.
         self._progress: asyncio.Event | None = None
+        #: One future per ``stream`` request in flight, resolved when its
+        #: handler has sent its last line — what shutdown waits on.
+        self._streams: set[asyncio.Future] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -99,8 +108,18 @@ class RankJoinServer(wire.LineServer):
     async def _serve(self) -> None:
         self._progress = asyncio.Event()
         driver = asyncio.create_task(self._drive())
+        # A dead driver must not leave the socket accepting: however the
+        # task ends, the server stops.
+        driver.add_done_callback(lambda _: self._shutdown.set())
         try:
             await self._shutdown.wait()
+            # Wake every open stream now; each sees the shutdown flag and
+            # says so before the loop tears its connection down.
+            self._progress.set()
+            if self._streams:
+                await asyncio.wait(self._streams, timeout=1.0)
+            if driver.done():
+                driver.result()  # re-raise whatever killed the driver
         finally:
             driver.cancel()
 
@@ -201,27 +220,36 @@ class RankJoinServer(wire.LineServer):
         cancellation) so a terminal session always gets its ``done`` line.
         """
         session_id, cursor = request["session"], request["from"]
-        while True:
-            session = self.service.session(session_id)
-            if session is None:
-                return wire.no_session(session_id)
-            limit = min(len(session.results), session.k)
-            while cursor < limit:
-                await conn.send(wire.ok(
-                    event="result",
-                    session=session_id,
-                    index=cursor,
-                    score=round(session.results[cursor].score, 6),
-                    ts=session.released_at[cursor],
-                ))
-                cursor += 1
-            if session.done:
-                return wire.ok(event="done", **session.snapshot())
-            if self._shutdown.is_set():
-                return wire.stopped_mid_stream()
-            waiter = self._progress
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(waiter.wait(), timeout=0.05)
+        finished = asyncio.get_running_loop().create_future()
+        self._streams.add(finished)
+        try:
+            while True:
+                session = self.service.session(session_id)
+                if session is None:
+                    return wire.no_session(session_id)
+                limit = min(len(session.results), session.k)
+                while cursor < limit:
+                    await conn.send(wire.ok(
+                        event="result",
+                        session=session_id,
+                        index=cursor,
+                        score=round(session.results[cursor].score, 6),
+                        ts=session.released_at[cursor],
+                    ))
+                    cursor += 1
+                if session.done:
+                    return wire.ok(event="done", **session.snapshot())
+                if self._shutdown.is_set():
+                    # Sent here, not returned: the line must be out before
+                    # ``finished`` lets the shutdown proceed.
+                    await conn.send(wire.stopped_mid_stream())
+                    return None
+                waiter = self._progress
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(waiter.wait(), timeout=0.05)
+        finally:
+            self._streams.discard(finished)
+            finished.set_result(None)
 
     def _verb_stats(self, request: dict) -> dict:
         payload = self.service.stats()

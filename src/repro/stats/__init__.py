@@ -8,12 +8,10 @@ from repro.stats.metrics import (
     mean_depths,
     mean_timing,
 )
-from repro.stats.timing import ComponentTimer
 from repro.stats.trace import BoundTrace, TraceEntry
 
 __all__ = [
     "BoundTrace",
-    "ComponentTimer",
     "TraceEntry",
     "DepthReport",
     "MemoryHighWater",

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.bounds import CornerBound
 from repro.core.multiway import multiway_rank_join
-from repro.core.multiway_fr import MultiwayCornerBound, MultiwayFeasibleBound
+from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.scoring import MinScore, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
@@ -80,7 +81,7 @@ class TestCorrectness:
             relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
         )
         corner = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayCornerBound()
+            relations, attrs, SumScore(), bound=CornerBound()
         )
         assert [r.score for r in fr.top_k(5)] == pytest.approx(
             [r.score for r in corner.top_k(5)]
@@ -111,7 +112,7 @@ class TestDepthAdvantage:
             relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
         )
         corner = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayCornerBound()
+            relations, attrs, SumScore(), bound=CornerBound()
         )
         fr.top_k(5)
         corner.top_k(5)
@@ -123,7 +124,7 @@ class TestDepthAdvantage:
             relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
         )
         corner = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayCornerBound()
+            relations, attrs, SumScore(), bound=CornerBound()
         )
         fr.top_k(5)
         corner.top_k(5)
@@ -154,4 +155,4 @@ class TestBoundSemantics:
         )
         operator.get_next()
         for index in range(3):
-            assert operator._bound_scheme.potential(index) < float("inf")
+            assert operator.bound_scheme.potential(index) < float("inf")

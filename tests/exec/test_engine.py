@@ -6,7 +6,7 @@
 
 import pytest
 
-from repro.core.stepping import PENDING, ResumableOperator
+from repro.core.stepping import PENDING
 from repro.errors import InstanceError
 from repro.exec import ExecConfig, ShardedRankJoin
 from repro.obs import Observability
@@ -71,9 +71,9 @@ class TestShardedEqualsSerial:
 
 
 class TestResumableContract:
-    def test_satisfies_resumable_operator_protocol(self, workloads):
-        with ShardedRankJoin(workloads["uniform"], "FRPA") as engine:
-            assert isinstance(engine, ResumableOperator)
+    """Sharding-specific stepping; the contract every operator shares
+    (zero quantum, resumable ``top_k``, terminal exhaustion, protocol) is
+    the matrix in ``tests/core/test_resumable.py`` (row ``sharded``)."""
 
     def test_try_next_budget_is_respected(self, workloads):
         instance = workloads["uniform"]
@@ -92,39 +92,6 @@ class TestResumableContract:
                     results.append(step)
         reference = canonical_top_k(instance, instance.join_size())
         assert identity_view(results) == identity_view(reference)
-
-    def test_try_next_zero_budget_never_pulls(self, workloads):
-        engine = ShardedRankJoin(
-            workloads["uniform"], "FRPA",
-            config=ExecConfig(shards=2, backend="serial"),
-        )
-        with engine:
-            assert engine.try_next(max_pulls=0) is PENDING
-            assert engine.pulls == 0
-
-    def test_top_k_is_resumable(self, workloads):
-        instance = workloads["uniform"]
-        with ShardedRankJoin(
-            instance, "FRPA", config=ExecConfig(shards=4, backend="serial")
-        ) as engine:
-            first = engine.top_k(5)
-            pulls_after_five = engine.pulls
-            extended = engine.top_k(10)
-            assert extended[:5] == first
-            assert engine.pulls >= pulls_after_five
-            # Shrinking k is answered from the retained prefix, zero pulls.
-            pulls_before = engine.pulls
-            assert engine.top_k(3) == extended[:3]
-            assert engine.pulls == pulls_before
-
-    def test_exhaustion_is_terminal(self, workloads):
-        with ShardedRankJoin(
-            workloads["uniform"], "FRPA",
-            config=ExecConfig(shards=2, backend="serial"),
-        ) as engine:
-            list(engine)
-            assert engine.get_next() is None
-            assert engine.try_next(max_pulls=5) is None
 
 
 class TestInstrumentation:

@@ -93,12 +93,6 @@ class TestDominanceOps:
             all(a >= b for a, b in zip(p, q)) for p in ps.tuples()
         )
 
-    @given(point_sets())
-    @settings(max_examples=200, deadline=None)
-    def test_skyline_filter_identical_indices(self, points):
-        # Exact index equality — emission order downstream depends on it.
-        check(list, kernels.skyline_filter, points)
-
 
 class TestScoreOps:
     @given(point_sets())
@@ -160,13 +154,6 @@ class TestGridOps:
             lambda cells: [tuple(int(c) for c in cell) for cell in cells],
             kernels.grid_cell_assign, points, resolution,
         )
-
-    @given(point_sets(min_size=1, max_size=16), resolutions)
-    @settings(max_examples=150, deadline=None)
-    def test_antichain_same_cell_set(self, points, resolution):
-        with use_backend("python"):
-            cells = kernels.grid_cell_assign(points, resolution)
-        check(_cells, kernels.antichain, cells)
 
     @given(point_sets(min_size=2, max_size=10), resolutions, st.data())
     @settings(max_examples=150, deadline=None)

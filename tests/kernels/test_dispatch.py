@@ -3,8 +3,9 @@
 Covers the three pillars of the dispatch layer:
 
 * :class:`~repro.kernels.registry.KernelRegistry` — the two-tier
-  contract: every op has exactly a reference and a vectorized
-  implementation, so resolution is a lookup with nothing to fall back to;
+  contract: every op has a reference implementation, all but
+  ``skyline_filter``/``antichain`` a vectorized one, and those two
+  resolve to the reference under any selection;
 * :mod:`repro.kernels.dispatch` — threshold resolution (explicit >
   cache > calibration > defaults), sizers, and the auto/pinned
   dispatcher routing semantics;
@@ -63,10 +64,21 @@ def _points(n, e=2):
 # ----------------------------------------------------------------------
 class TestKernelRegistry:
     def test_every_op_has_exactly_two_tiers(self):
+        # ... but for the two whose vectorized tier never won at any size.
+        single = {"skyline_filter", "antichain"}
         for op in kernels.KERNEL_OPS:
-            assert set(kernels.REGISTRY.implementations(op)) == {
-                "reference", "vectorized",
-            }
+            tiers = {"reference"} if op in single else {"reference", "vectorized"}
+            assert set(kernels.REGISTRY.implementations(op)) == tiers
+
+    @pytest.mark.parametrize("op", ["skyline_filter", "antichain"])
+    def test_single_tier_op_resolves_to_reference_under_a_numpy_pin(self, op):
+        assert kernels.REGISTRY.resolve(op, "vectorized").used == "python"
+        metrics = MetricRegistry()
+        kernels.observe(metrics)
+        with kernels.use_backend("numpy"):
+            getattr(kernels, op)([(1, 2), (2, 1), (1, 1)])
+        assert metrics.value("kernel_calls_total", kernel="python", fn=op) == 1
+        assert metrics.value("kernel_calls_total", kernel="numpy", fn=op) is None
 
     def test_resolve_requested_tier(self):
         resolved = kernels.REGISTRY.resolve("dominates_any", "reference")
@@ -79,7 +91,9 @@ class TestKernelRegistry:
     def test_resolve_all_covers_every_op(self):
         table = kernels.REGISTRY.resolve_all("vectorized")
         assert set(table) == set(kernels.KERNEL_OPS)
-        assert {resolved.used for resolved in table.values()} == {"numpy"}
+        assert {op for op, resolved in table.items() if resolved.used != "numpy"} == {
+            "skyline_filter", "antichain",
+        }
 
     def test_unknown_op_and_tier_rejected(self):
         with pytest.raises(KeyError, match="unknown kernel op"):
@@ -87,9 +101,9 @@ class TestKernelRegistry:
         registry = KernelRegistry(kernels.KERNEL_OPS)
         with pytest.raises(ValueError, match="unknown kernel tier"):
             registry.register("gpu", object())
-        # No fallback chain: a backend must implement every op.
+        # The reference tier must implement every op.
         with pytest.raises(AttributeError):
-            registry.register("vectorized", object())
+            registry.register("reference", object())
 
     def test_backend_names(self):
         assert kernels.REGISTRY.backend_names() == ("numpy", "python")
@@ -113,12 +127,14 @@ class TestThresholds:
 
     def test_unknown_ops_and_backends_ignored(self):
         dispatch.set_thresholds(
-            {"warp": {"numpy": 1}, "antichain": {"gpu": 1, "numpy": 5}}
+            {"warp": {"numpy": 1}, "antichain": {"numpy": 1},
+             "grid_carve": {"gpu": 1, "numpy": 5}}
         )
         table = kernels.dispatch_thresholds()
         assert "warp" not in table
-        assert "gpu" not in table["antichain"]
-        assert table["antichain"]["numpy"] == 5
+        assert "antichain" not in table  # single-tier op: nothing to route
+        assert "gpu" not in table["grid_carve"]
+        assert table["grid_carve"]["numpy"] == 5
 
     def test_precedence_explicit_cache_calibration_defaults(
         self, tmp_path, monkeypatch
@@ -154,13 +170,13 @@ class TestThresholds:
         # dispatcher and for ReproConfig.from_env() alike.
         path = tmp_path / "thresholds.json"
         path.write_text(json.dumps(
-            {"thresholds": {"skyline_filter": {"numpy": 3}}}
+            {"thresholds": {"dominates_any": {"numpy": 3}}}
         ))
         monkeypatch.setenv("REPRO_KERNEL_THRESHOLDS", str(path))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(dispatch, "calibrate", lambda registry, **kw: {})
         dispatch.reset()
-        assert kernels.dispatch_thresholds()["skyline_filter"]["numpy"] == NEVER
+        assert kernels.dispatch_thresholds()["dominates_any"]["numpy"] == 512
         assert ReproConfig.from_env().kernel_thresholds is None
 
     def test_shipped_route_table_literal(self):
@@ -179,7 +195,7 @@ class TestThresholds:
         dispatch._store_cache(kernels.REGISTRY, cells)
         cached = dispatch._load_cache(kernels.REGISTRY)
         assert cached["dominates_any"] == {"numpy": 11}
-        assert set(cached) == set(kernels.KERNEL_OPS)
+        assert set(cached) == set(dispatch.DEFAULT_THRESHOLDS)
 
     def test_cache_naming_numba_is_stale_and_recalibrates(
         self, tmp_path, monkeypatch
@@ -202,9 +218,9 @@ class TestThresholds:
 
     def test_load_thresholds_file_bare_mapping(self, tmp_path):
         path = tmp_path / "bare.json"
-        path.write_text(json.dumps({"antichain": {"numpy": 11}}))
+        path.write_text(json.dumps({"grid_carve": {"numpy": 11}}))
         table = dispatch.load_thresholds_file(path)
-        assert table["antichain"]["numpy"] == 11
+        assert table["grid_carve"]["numpy"] == 11
 
     def test_cache_roundtrip_and_staleness(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -221,7 +237,10 @@ class TestThresholds:
 
     def test_calibrate_measures_every_op(self):
         measured = dispatch.calibrate(kernels.REGISTRY, budget=1.0)
-        assert set(measured) == set(kernels.KERNEL_OPS)
+        # An op with one implementation has no crossover to measure.
+        assert set(measured) == set(kernels.KERNEL_OPS) - {
+            "skyline_filter", "antichain",
+        }
         for table in measured.values():
             assert all(isinstance(v, int) and v >= 1 for v in table.values())
 
@@ -243,17 +262,17 @@ class TestAutoDispatcher:
         assert large.used == "numpy"
 
     def test_never_sentinel_disables_backend(self):
-        dispatch.set_thresholds({"skyline_filter": {"numpy": NEVER}})
+        dispatch.set_thresholds({"dominates_any": {"numpy": NEVER}})
         dispatcher = AutoDispatcher(kernels.REGISTRY)
-        chosen = dispatcher.select("skyline_filter", (_points(100_000),))
+        chosen = dispatcher.select("dominates_any", (_points(100_000),))
         assert chosen.used == "python"
 
     def test_threshold_change_rebuilds_live_routes(self):
-        dispatch.set_thresholds({"antichain": {"numpy": 5}})
+        dispatch.set_thresholds({"grid_carve": {"numpy": 5}})
         dispatcher = AutoDispatcher(kernels.REGISTRY)
-        assert dispatcher.select("antichain", (_points(10),)).used == "numpy"
-        dispatch.set_thresholds({"antichain": {"numpy": NEVER}})
-        assert dispatcher.select("antichain", (_points(10),)).used == "python"
+        assert dispatcher.select("grid_carve", (_points(10),)).used == "numpy"
+        dispatch.set_thresholds({"grid_carve": {"numpy": NEVER}})
+        assert dispatcher.select("grid_carve", (_points(10),)).used == "python"
 
     def test_cross_product_sizer_multiplies(self):
         dispatch.set_thresholds({"cross_product_max": {"numpy": 100}})

@@ -101,6 +101,13 @@ class TestDisabled:
         assert tracer.span("a") is NULL_SPAN
         assert tracer.span("b") is NULL_SPAN
 
+    def test_enabling_later_starts_recording(self):
+        tracer = Tracer(enabled=False)
+        tracer.enabled = True
+        with tracer.span("work"):
+            pass
+        assert tracer.count("work") == 1
+
 
 class TestReset:
     def test_reset_clears_aggregates(self):

@@ -1,9 +1,11 @@
 """Tests for the calibrated cost model (coefficients + scoring formulas)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.config import ReproConfig
 from repro.planner.cost import (
     CostCoefficients,
     PlanCandidate,
@@ -60,29 +62,26 @@ class TestCoefficients:
             assert COEFFS.kernel_factor(size) <= 1.0
 
     def test_kernel_factor_pinned_penalties(self):
-        # The pinned-kernel penalties went with the planner's kernel
-        # axis and the thread costs with the thread backend, but a
-        # coefficients file written by an older to_dict() still carries
-        # them: it loads with those four keys ignored, while any other
-        # unknown key still raises.
+        # The pinned-kernel penalties went with the planner's kernel axis
+        # and the thread costs with the thread backend; the grace list
+        # that let an old to_dict() file carry them is gone too, so they
+        # are rejected like any other unknown key.
         old = dict(
             CostCoefficients(pull_pbrj=1e-6).to_dict(),
-            kernel_pin_bulk_penalty=1.5, kernel_pin_small_penalty=1.05,
-            round_thread=6.0e-5, startup_thread=3.0e-4,
+            kernel_pin_bulk_penalty=1.5, round_thread=6.0e-5,
         )
-        loaded = CostCoefficients.from_dict(old)
-        assert loaded == CostCoefficients(pull_pbrj=1e-6)
-        assert not hasattr(loaded, "kernel_pin_bulk_penalty")
-        assert not hasattr(loaded, "round_thread")
-        with pytest.raises(ValueError, match="kernel_pin_tiny_penalty"):
-            CostCoefficients.from_dict(dict(old, kernel_pin_tiny_penalty=1.0))
+        with pytest.raises(ValueError, match="kernel_pin_bulk_penalty, round_thread"):
+            CostCoefficients.from_dict(old)
 
-    def test_env_file_resolution(self, tmp_path, monkeypatch):
+    def test_config_file_resolution(self, tmp_path, monkeypatch):
+        # A coefficients file is named by ReproConfig.planner_coeffs only:
+        # the $REPRO_PLANNER_COEFFS level is retired, the variable inert.
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"pull_pbrj": 7.5e-7}))
         monkeypatch.setenv("REPRO_PLANNER_COEFFS", str(path))
-        set_coefficients(None)  # drop the test fixture's explicit install
+        assert ReproConfig.from_env().planner_coeffs is None
         try:
+            replace(ReproConfig.current(), planner_coeffs=str(path)).apply()
             assert coefficients().pull_pbrj == 7.5e-7
         finally:
             set_coefficients(CostCoefficients())

@@ -103,6 +103,49 @@ class TestGracefulShutdown:
         assert flushed.is_set()
 
 
+class TestDriverDeath:
+    def test_a_dead_scheduler_driver_ends_the_server_loudly(self):
+        """Anything escaping ``service.tick()`` must end ``run()``.
+
+        The first session finishing fires a raising ``on_finish`` callback
+        while a second one is still queued (``max_live=1``); the stream on
+        that second session must be told the server stopped, and ``run()``
+        must tear down and re-raise — not leave a socket accepting queries
+        that nothing advances.
+        """
+        class Boom(RuntimeError):
+            pass
+
+        def explode(session):
+            raise Boom("on_finish callback failed")
+
+        service = QueryService(quantum=16, max_live=1)
+        service.scheduler.on_finish(explode)
+        server = RankJoinServer(service, RELATIONS, port=0)
+        raised = []
+
+        def run():
+            try:
+                server.run()
+            except Boom as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        assert server.ready.wait(timeout=10.0), "server never became ready"
+        with ServiceClient(server.host, server.port, timeout=2.0) as client:
+            client.submit(left="lineitem", right="orders", k=3)
+            queued = client.submit(left="lineitem", right="orders", k=20,
+                                   operator="HRJN")
+            # A timeout here (the parent commit: a 50 ms wake-up, forever)
+            # surfaces as an OSError, not the ServiceError asserted.
+            with pytest.raises(ServiceError, match="stopped mid-stream"):
+                list(client.stream_raw(queued))
+        thread.join(timeout=2.0)
+        assert not thread.is_alive(), "run() kept serving without a driver"
+        assert raised, "run() must re-raise what killed the driver"
+
+
 class TestShardsOverTheWire:
     def test_request_level_shards_preserve_the_answer(self):
         with running_server() as (server, _):

@@ -1,7 +1,5 @@
 """Tests for metrics and timing instrumentation."""
 
-import time
-
 import pytest
 
 from repro.stats.metrics import (
@@ -10,7 +8,6 @@ from repro.stats.metrics import (
     mean_depths,
     mean_timing,
 )
-from repro.stats.timing import ComponentTimer
 
 
 class TestDepthReport:
@@ -57,62 +54,3 @@ class TestTimingBreakdown:
     def test_mean_empty_raises(self):
         with pytest.raises(ValueError):
             mean_timing([])
-
-
-class TestComponentTimer:
-    def test_accumulates(self):
-        timer = ComponentTimer()
-        with timer.measure("io"):
-            time.sleep(0.01)
-        with timer.measure("io"):
-            time.sleep(0.01)
-        assert timer.total("io") >= 0.02
-        assert timer.total("bound") == 0.0
-
-    def test_disabled_timer_measures_nothing(self):
-        timer = ComponentTimer(enabled=False)
-        with timer.measure("io"):
-            time.sleep(0.005)
-        assert timer.total("io") == 0.0
-
-    def test_exception_still_accumulates_elapsed(self):
-        timer = ComponentTimer()
-        with pytest.raises(RuntimeError):
-            with timer.measure("io"):
-                time.sleep(0.01)
-                raise RuntimeError("boom")
-        assert timer.total("io") >= 0.01
-        assert "io" in timer.totals()
-
-    def test_disabled_records_nothing_at_all(self):
-        timer = ComponentTimer(enabled=False)
-        with timer.measure("io"):
-            time.sleep(0.002)
-        with timer.measure("bound"):
-            pass
-        assert timer.totals() == {}
-        assert not timer.enabled
-
-    def test_enabled_toggle(self):
-        timer = ComponentTimer(enabled=False)
-        timer.enabled = True
-        with timer.measure("io"):
-            pass
-        assert timer.totals() != {}
-
-    def test_shared_tracer_merges_spans(self):
-        from repro.obs.span import Tracer
-
-        tracer = Tracer()
-        timer = ComponentTimer(tracer=tracer)
-        with timer.measure("io"):
-            pass
-        assert timer.tracer is tracer
-        assert tracer.count("io") == 1
-
-    def test_reset(self):
-        timer = ComponentTimer()
-        with timer.measure("x"):
-            pass
-        timer.reset()
-        assert timer.totals() == {}
