@@ -13,7 +13,7 @@ bound time, confirming the paper's diagnosis of where the time goes.
 """
 
 
-from repro.core.scoring import NEG_INF, SumScore, _AdditivePrepared
+from repro.core.scoring import SumScore
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.experiments.harness import run_operator
 from repro.experiments.report import ExperimentTable
@@ -25,13 +25,8 @@ class SeparableSumScore(SumScore):
     """SumScore with the O(n + m) separable cross-product maximum."""
 
     def max_prepared(self, left, right):
-        if not isinstance(left, _AdditivePrepared) or not isinstance(
-            right, _AdditivePrepared
-        ):
-            return super().max_prepared(left, right)
-        if not len(left) or not len(right):
-            return NEG_INF
-        return float(left.partials.max() + right.partials.max())
+        # What FR* asks for (cover_max): the sum of the operands' maxima.
+        return self.cover_max(left, right)
 
 
 def run_comparison() -> ExperimentTable:

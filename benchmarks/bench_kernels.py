@@ -4,18 +4,18 @@ Times the batch kernels that dominate FR-family bound computation and
 writes two records under ``benchmarks/results/``:
 
 ``BENCH_kernels.json``
-    * ``micro`` — per-op wall-clock (skyline filter, dominance masks,
-      corner scores, cover carve) on synthetic unit vectors;
+    * ``micro`` — per-op wall-clock (dominance test, corner scores, cover
+      carve) on synthetic unit vectors;
     * ``bound_refresh`` — the FR*/aFR bound hot path at e=3 over n-row
       seen columns: a full partial-score recompute on both sides, the
       seen×seen cross-product max, and the capped-cover corner max (the
-      aFR shape, |CR| ≤ 500).  This is exactly the work
-      :class:`repro.core.frstar_bound.FRStarBound` re-does when a
-      prepared operand's stamp invalidates.
+      aFR shape, |CR| ≤ 500).  This is the work a prepared operand
+      (:mod:`repro.core.scoring`) re-does when its column's stamp
+      invalidates — the bulk shape; FR*'s own small sets are list-native.
 
 ``BENCH_dispatch.json``
-    All 10 kernel ops swept over batch sizes n ∈ {4, 16, 64, 256, 1k,
-    10k, 50k}, timing size-aware ``auto`` dispatch against every pinned
+    The 6 two-tier kernel ops (of 8) swept over batch sizes n ∈ {4, 16,
+    64, 256, 1k, 10k, 50k}, timing size-aware ``auto`` dispatch against every pinned
     backend.  Acceptance: at every swept size the backend auto routes
     to must stay within 5 % (plus a 5 µs timer-noise floor) of the
     *best* pinned backend — i.e. per-call routing captures the
@@ -103,10 +103,8 @@ def bench_micro(params: dict) -> dict:
     carve_obs = _vectors(params["carve_n"], seed=17)
 
     cases = {
-        "strict_dominance_mask": lambda: kernels.strict_dominance_mask(ps, probe),
         "dominates_any": lambda: kernels.dominates_any(ps, probe),
         "cover_corner_scores": lambda: kernels.cover_corner_scores(ps, weights),
-        "max_corner_score": lambda: kernels.max_corner_score(ps, weights),
         "cover_carve": lambda: kernels.cover_carve(
             [kernels.ones(DIMENSION)], carve_obs, skyline_mode=True
         ),
@@ -136,7 +134,7 @@ def bench_bound_refresh(params: dict) -> dict:
         # then the three FR cross-product cases — the Figure 3 structure.
         seen_l = kernels.cover_corner_scores(left, weights)
         seen_r = kernels.cover_corner_scores(right, weights)
-        cr_max = kernels.max_corner_score(cover, weights)
+        cr_max = max(kernels.cover_corner_scores(cover, weights))
         t_both = 2 * cr_max
         t_left = cr_max + kernels.cross_product_max([0.0], seen_r)
         t_right = kernels.cross_product_max(seen_l, [0.0]) + cr_max

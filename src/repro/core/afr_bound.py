@@ -10,16 +10,20 @@ morphing.
 
 The two inputs adapt independently: one side can stay exact while the other
 is on a coarse grid.
+
+Every cover here is an FR* cover-bound operand: ``points``, plus — given a
+row scorer — ``best``, the maximum partial score over them.  An exact cover
+carries it across carves (:class:`~repro.geometry.cover.CoverRegion`); a
+grid rescans its marked cells after each update.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
-from repro.core.bounds import LEFT, RIGHT, BoundContext
+from repro.core.bounds import LEFT, RIGHT
 from repro.core.frstar_bound import FRStarBound
+from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
 from repro.geometry.cover import CoverRegion
 from repro.geometry.dominance import Point
@@ -43,14 +47,19 @@ class AdaptiveCover:
         *,
         max_size: int = DEFAULT_MAX_CR_SIZE,
         resolution: int = DEFAULT_RESOLUTION,
+        score=None,
     ) -> None:
         if max_size < 1:
             raise ValueError("max_size must be positive")
         self.dimension = dimension
         self.max_size = max_size
         self.initial_resolution = resolution
-        self._exact: CoverRegion | None = CoverRegion(dimension, skyline_mode=True)
+        self._score = score
+        self._exact: CoverRegion | None = CoverRegion(
+            dimension, skyline_mode=True, score=score
+        )
         self._grid: GridTree | None = None
+        self.best = self._exact.best
 
     # ------------------------------------------------------------------
     @property
@@ -69,24 +78,6 @@ class AdaptiveCover:
             assert self._exact is not None
             return self._exact.points
         return self._grid.cover_points()
-
-    @property
-    def pointset(self):
-        """Columnar cover storage while exact; ``None`` in grid mode."""
-        if self._grid is None:
-            assert self._exact is not None
-            return self._exact.pointset
-        return None
-
-    @property
-    def array(self) -> np.ndarray:
-        """Cover points as an ``(n, e)`` array (fast prepared-operand path)."""
-        if self._grid is None:
-            assert self._exact is not None
-            return self._exact.array
-        return np.array(self._grid.cover_points(), dtype=float).reshape(
-            -1, self.dimension
-        )
 
     def __len__(self) -> int:
         if self._grid is None:
@@ -119,6 +110,10 @@ class AdaptiveCover:
             and self._grid.resolution > 1
         ):
             self._grid.reduce_resolution()
+        self.best = (
+            self._exact.best if self._grid is None
+            else _grid_best(self._grid, self._score)
+        )
 
     def covers(self, point: Sequence[float]) -> bool:
         """True if some cover point weakly dominates ``point``."""
@@ -136,10 +131,12 @@ class FrozenCover:
     region.  Still a correct (ever looser) cover.  Ablation baseline only.
     """
 
-    def __init__(self, dimension: int, *, max_size: int = DEFAULT_MAX_CR_SIZE) -> None:
+    def __init__(
+        self, dimension: int, *, max_size: int = DEFAULT_MAX_CR_SIZE, score=None
+    ) -> None:
         self.dimension = dimension
         self.max_size = max_size
-        self._exact = CoverRegion(dimension, skyline_mode=True)
+        self._exact = CoverRegion(dimension, skyline_mode=True, score=score)
         self.frozen = False
 
     @property
@@ -155,12 +152,8 @@ class FrozenCover:
         return self._exact.points
 
     @property
-    def pointset(self):
-        return self._exact.pointset
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._exact.array
+    def best(self):
+        return self._exact.best
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -193,12 +186,15 @@ class FixedGridCover:
         *,
         max_size: int = DEFAULT_MAX_CR_SIZE,
         resolution: int | None = None,
+        score=None,
     ) -> None:
         self.dimension = dimension
         self.max_size = max_size
         if resolution is None:
             resolution = self._safe_resolution(dimension, max_size)
+        self._score = score
         self._grid = GridTree(dimension, resolution)
+        self.best = _grid_best(self._grid, score)
 
     @staticmethod
     def _safe_resolution(dimension: int, max_size: int) -> int:
@@ -228,12 +224,6 @@ class FixedGridCover:
     def points(self) -> list[Point]:
         return self._grid.cover_points()
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self._grid.cover_points(), dtype=float).reshape(
-            -1, self.dimension
-        )
-
     def __len__(self) -> int:
         return self._grid.num_marked
 
@@ -243,9 +233,17 @@ class FixedGridCover:
     def update(self, observed: Iterable[Sequence[float]]) -> None:
         for vector in observed:
             self._grid.update(vector)
+        self.best = _grid_best(self._grid, self._score)
 
     def covers(self, point: Sequence[float]) -> bool:
         return self._grid.covers(point)
+
+
+def _grid_best(grid: GridTree, score) -> float | None:
+    """A grid-mode cover's ``best``: a rescan of its marked cells' corners."""
+    if score is None:
+        return None
+    return max(map(score, grid.cover_points()), default=NEG_INF)
 
 
 #: Cover strategies selectable on :class:`AFRBound` (ablation study).
@@ -305,24 +303,15 @@ class AFRBound(FRStarBound):
             self._last_resolution[side] = resolution
         return bound
 
-    def _make_cover(self, dimension: int):
+    def _make_cover(self, dimension: int, score):
         if self.cover_strategy == "frozen":
-            return FrozenCover(dimension, max_size=self.max_cr_size)
+            return FrozenCover(dimension, max_size=self.max_cr_size, score=score)
         if self.cover_strategy == "fixed-grid":
-            return FixedGridCover(dimension, max_size=self.max_cr_size)
+            return FixedGridCover(dimension, max_size=self.max_cr_size, score=score)
         return AdaptiveCover(
-            dimension, max_size=self.max_cr_size, resolution=self.resolution
+            dimension, max_size=self.max_cr_size, resolution=self.resolution,
+            score=score,
         )
-
-    def bind(self, context: BoundContext) -> None:
-        super().bind(context)
-        # Replace the exact covers installed by the parent with adaptive ones
-        # and refresh the prepared cross-product operands accordingly.
-        self._cr = [
-            self._make_cover(context.dims[LEFT]),
-            self._make_cover(context.dims[RIGHT]),
-        ]
-        self._rebind_prepared()
 
     @property
     def cover_modes(self) -> tuple[str, str]:

@@ -41,11 +41,11 @@ class BoundContext:
 
     ``dims`` holds the per-input score dimensionalities ``(e_1, …, e_n)``;
     ``scoring`` is the monotone aggregate over the concatenated vector.
-    ``columns``, when provided by the operator, are the per-side columnar
-    score columns (:class:`~repro.kernels.PointSet`) it appends every
-    pulled tuple's score vector to — FR-family bounds alias them as their
-    "seen" sets so bound refreshes never re-materialize tuples; without
-    them a bound keeps private columns.
+    ``columns``, when a caller provides them, are per-side columnar score
+    columns (:class:`~repro.kernels.PointSet`) that the *caller* appends
+    every pulled tuple's score vector to before each ``update`` — the plain
+    FR bound aliases them as its "seen" sets; without them (the operators
+    pass none) it keeps private columns.  No other scheme reads them.
     """
 
     scoring: ScoringFunction

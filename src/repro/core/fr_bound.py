@@ -24,23 +24,24 @@ engineering concessions to pure Python (documented in DESIGN.md):
   monotone ``S``, so bound values — and therefore operator depths — are
   bit-identical (the test suite verifies this equivalence).  Set
   ``prune_covers=False`` for the literal unpruned pseudo-code.
-* Cross-product operands are cached as *prepared* operands over columnar
-  :class:`~repro.kernels.PointSet` storage, so each recomputation is one
-  O(n·m) batch kernel call (:func:`repro.kernels.cross_product_max`)
+* Cross-product operands carry their partial scores, so each recomputation
+  is one O(n·m) batch kernel call (:func:`repro.kernels.cross_product_max`)
   instead of a Python loop, mirroring the paper's compiled C++ constants.
-  The "seen" operands alias the operator's shared score columns
-  (:attr:`~repro.core.bounds.BoundContext.columns`) when available and
-  sync incrementally via the column's mutation stamp; the cover operands
-  alias their cover's columnar store the same way, so a carve reaches
-  them as one patch (a cover that has left it for the grid is copied in).
+  The "seen" operands are *prepared* operands over columnar
+  :class:`~repro.kernels.PointSet` columns — the bound's own, or
+  caller-maintained ones handed in as
+  :attr:`~repro.core.bounds.BoundContext.columns` — synced incrementally via
+  the column's mutation stamp; the cover operands are the covers themselves
+  (:class:`~repro.geometry.cover.CoverRegion`, a list-native scored
+  antichain that carries its partials across carves).
 """
 
 from __future__ import annotations
 
 from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext, BoundingScheme
-from repro.core.scoring import NEG_INF, PreparedPoints
+from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
-from repro.geometry.cover import CoverRegion, cover_operand
+from repro.geometry.cover import CoverRegion
 from repro.kernels import PointSet
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
@@ -54,13 +55,14 @@ class FRBound(BoundingScheme):
         super().__init__()
         self.prune_covers = prune_covers
         self._cr: list = []
+        self._seen: list = []
         self._group: list[list[tuple[float, ...]]] = [[], []]
         self._g: list[float] = [POS_INF, POS_INF]
-        self._seen_cols: tuple[PointSet, PointSet] = (PointSet(), PointSet())
-        self._owns_columns = True
-        self._seen_prep: list[PreparedPoints | None] = [None, None]
-        self._cr_prep: list[PreparedPoints | None] = [None, None]
-        self._components: dict[str, float] = {}
+        #: Seen score columns this bound appends to itself (``None`` for a
+        #: side whose column the caller maintains; FR* keeps none).
+        self._own_columns: list[PointSet | None] = [None, None]
+        #: Last computed ``(t0, t1, t_both)``.
+        self._components = (POS_INF, POS_INF, POS_INF)
         self._bound = POS_INF
         self._recomputations = 0
         self._m_recompute = NULL_METRIC
@@ -77,42 +79,27 @@ class FRBound(BoundingScheme):
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
+        sides = ((LEFT, 0), (RIGHT, context.dims[LEFT]))
         self._cr = [
-            CoverRegion(context.dims[LEFT], skyline_mode=self.prune_covers),
-            CoverRegion(context.dims[RIGHT], skyline_mode=self.prune_covers),
+            self._make_cover(context.dims[side], context.scoring.row_scorer(offset))
+            for side, offset in sides
         ]
-        if context.columns is not None:
-            self._seen_cols = (context.columns[LEFT], context.columns[RIGHT])
-            self._owns_columns = False
-        self._rebind_prepared()
+        self._seen = [self._make_seen(side, offset) for side, offset in sides]
 
-    def _rebind_prepared(self) -> None:
-        """(Re)build the prepared operand caches from current state."""
-        assert self.context is not None
-        offsets = (0, self.context.dims[LEFT])
-        for side in (LEFT, RIGHT):
-            self._seen_prep[side] = self.context.scoring.prepare(
-                offset=offsets[side], source=self._seen_cols[side]
-            )
-            self._cr_prep[side] = None
-            self._sync_cover_operand(side)
+    def _make_cover(self, dimension: int, score):
+        """The cover ``CR_i`` of one input (aFR substitutes a bounded one)."""
+        return CoverRegion(dimension, skyline_mode=self.prune_covers, score=score)
 
-    def _sync_cover_operand(self, side: int) -> None:
-        """Alias a columnar cover's store — a carve then reaches the operand
-        as a patch, through the stamp — or copy a grid-mode cover's points."""
+    def _make_seen(self, side: int, offset: int):
+        """The seen operand of one input: every seen vector, as a prepared
+        operand over a score column only this bound reads — its own unless
+        the caller maintains one (FR* substitutes the seen skyline)."""
         assert self.context is not None
-        operand = cover_operand(self._cr[side])
-        prep = self._cr_prep[side]
-        columnar = isinstance(operand, PointSet)
-        if prep is None or (
-            prep.pointset is not operand if columnar else prep.aliased
-        ):
-            prep = self._cr_prep[side] = self.context.scoring.prepare(
-                offset=(0, self.context.dims[LEFT])[side],
-                source=operand if columnar else None,
-            )
-        if not columnar:
-            prep.replace(operand)
+        if self.context.columns is None:
+            column = self._own_columns[side] = PointSet()
+        else:
+            column = self.context.columns[side]
+        return self.context.scoring.prepare(offset=offset, source=column)
 
     # ------------------------------------------------------------------
     # Bookkeeping shared with subclasses
@@ -124,20 +111,12 @@ class FRBound(BoundingScheme):
             sbar = self.context.score_bound(side, tup.scores)
         if sbar < self._g[side]:
             self._cr[side].update(self._group[side])
-            self._sync_cover_operand(side)
             self._m_cover_size[side].observe(len(self._cr[side]))
             self._g[side] = sbar
             self._group[side] = [tup.scores]
-            closed = True
-        else:
-            self._group[side].append(tup.scores)
-            closed = False
-        if self._owns_columns:
-            # Shared columns are appended by the operator before update();
-            # standalone bounds maintain their own.  Either way the prepared
-            # operand re-syncs lazily from the column's stamp.
-            self._seen_cols[side].append(tup.scores)
-        return closed
+            return True
+        self._group[side].append(tup.scores)
+        return False
 
     # ------------------------------------------------------------------
     # BoundingScheme API
@@ -145,6 +124,9 @@ class FRBound(BoundingScheme):
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
         self._absorb(side, tup, score_bound)
+        column = self._own_columns[side]
+        if column is not None:
+            column.append(tup.scores)
         self._bound = self._result_bound()
         return self._bound
 
@@ -153,9 +135,7 @@ class FRBound(BoundingScheme):
 
     def potential(self, side: int) -> float:
         """``pot_i = max(t_i, t_both)`` — score potential of input ``side``."""
-        t_side = self._components.get(f"t{side}", POS_INF)
-        t_both = self._components.get("t_both", POS_INF)
-        return max(t_side, t_both)
+        return max(self._components[side], self._components[2])
 
     def notify_exhausted(self, side: int) -> float:
         self._g[side] = NEG_INF
@@ -174,37 +154,33 @@ class FRBound(BoundingScheme):
     @property
     def components(self) -> dict[str, float]:
         """Last computed bound components (t0, t1, t_both)."""
-        return dict(self._components)
+        return dict(zip(("t0", "t1", "t_both"), self._components))
 
     # ------------------------------------------------------------------
     # Bound computation (Figure 3, Function FR::ResultBound)
     # ------------------------------------------------------------------
-    def _pair_max(self, left: PreparedPoints, right: PreparedPoints) -> float:
+    def _pair_max(self, left, right) -> float:
         """``max S(c1 ⊕ c2)`` as the literal cross product — the cost the
         paper's Figure 2 measures on PBRJ_FR^RR; FR* overrides this."""
         assert self.context is not None
         return self.context.scoring.max_prepared(left, right)
-
-    def _seen_operand(self, side: int) -> PreparedPoints:
-        """The seen vectors of ``side`` (FR* substitutes their skyline)."""
-        return self._seen_prep[side]
 
     def _cover_bound(self, unseen_side: int) -> float:
         """``t_i^cover`` where ``unseen_side`` contributes the unseen tuple."""
         self._recomputations += 1
         self._m_recompute.inc()
         if unseen_side == LEFT:
-            return self._pair_max(self._cr_prep[LEFT], self._seen_operand(RIGHT))
-        return self._pair_max(self._seen_operand(LEFT), self._cr_prep[RIGHT])
+            return self._pair_max(self._cr[LEFT], self._seen[RIGHT])
+        return self._pair_max(self._seen[LEFT], self._cr[RIGHT])
 
     def _both_cover_bound(self) -> float:
         self._recomputations += 1
         self._m_recompute.inc()
-        return self._pair_max(self._cr_prep[LEFT], self._cr_prep[RIGHT])
+        return self._pair_max(self._cr[LEFT], self._cr[RIGHT])
 
     def _result_bound(self) -> float:
         t0 = min(self._cover_bound(LEFT), self._g[LEFT])
         t1 = min(self._cover_bound(RIGHT), self._g[RIGHT])
         t_both = min(self._both_cover_bound(), min(self._g[LEFT], self._g[RIGHT]))
-        self._components = {"t0": t0, "t1": t1, "t_both": t_both}
+        self._components = (t0, t1, t_both)
         return max(t0, t1, t_both)

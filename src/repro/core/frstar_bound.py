@@ -12,10 +12,13 @@ FR* keeps the tightness of FR while attacking its two cost sources:
    invalidate ``t_i^cover`` / ``t_both^cover`` only if it closed a group
    (changing ``CR_i`` and ``g_i``).  Everything else is reused.
 
-3. **Patch, don't recompute.**  What a pull did invalidate is refreshed in
-   O(Δ): the carve is a delta applied to the cover's columnar store, the
-   cover operands alias that store, and for additive ``S`` a cover bound is
-   the sum of two maintained maxima — the cross product's bits (DESIGN.md §5).
+3. **Patch, don't recompute — and no array on the way.**  What a pull did
+   invalidate is refreshed in O(Δ): covers and seen skylines are list-native
+   scored antichains (:mod:`repro.geometry.antichain`), the skyline insert is
+   one loop, the carve one kernel call whose delta is applied in place with
+   the kept partial scores carried over, and for additive ``S`` a cover bound
+   is the sum of two maintained maxima — the cross product's bits
+   (DESIGN.md §5).
 
 The result is bit-identical bound values to FR (Theorem 4.1's tightness is
 preserved) at a fraction of the computation.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext
 from repro.core.fr_bound import FRBound
-from repro.core.scoring import NEG_INF, PreparedPoints
+from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
 from repro.geometry.dominance import ones
 from repro.geometry.skyline import IncrementalSkyline
@@ -39,8 +42,6 @@ class FRStarBound(FRBound):
 
     def __init__(self) -> None:
         super().__init__(prune_covers=True)
-        self._shr = [IncrementalSkyline(), IncrementalSkyline()]
-        self._shr_prep: list[PreparedPoints | None] = [None, None]
         self._t_cover = [NEG_INF, NEG_INF]
         self._t_both_cover = POS_INF
         self._m_cache_hit = NULL_METRIC
@@ -62,26 +63,22 @@ class FRStarBound(FRBound):
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
-        offsets = (0, context.dims[LEFT])
-        for side in (LEFT, RIGHT):
-            # Alias the skyline's columnar storage: SHR mutations (appends
-            # and dominated-point compressions) reach the prepared operand
-            # through the PointSet stamp, no explicit rebuilds needed.
-            self._shr_prep[side] = context.scoring.prepare(
-                offset=offsets[side], source=self._shr[side].pointset
-            )
         self._t_both_cover = context.combine(
             ones(context.dims[LEFT]), ones(context.dims[RIGHT])
         )
 
+    def _make_seen(self, side: int, offset: int) -> IncrementalSkyline:
+        """Cover bounds over skylines only (the FR* redefinition): the seen
+        operand is ``SHR_i``, maintained incrementally, scored row by row."""
+        assert self.context is not None
+        return IncrementalSkyline(score=self.context.scoring.row_scorer(offset))
+
     # ------------------------------------------------------------------
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
-        skyline_changed = self._shr[side].add(tup.scores)
+        skyline_changed = self._seen[side].add(tup.scores)
         if skyline_changed:
-            # The prepared operand tracks the skyline's PointSet by stamp;
-            # SHR stays small (early freeze), so re-syncs are cheap.
-            self._m_skyline_size[side].observe(len(self._shr[side]))
+            self._m_skyline_size[side].observe(len(self._seen[side]))
         group_closed = self._absorb(side, tup, score_bound)
         other = 1 - side
         # Decision matrix (Table 1): recompute only invalidated components.
@@ -105,11 +102,7 @@ class FRStarBound(FRBound):
         return self._bound
 
     # ------------------------------------------------------------------
-    def _seen_operand(self, side: int) -> PreparedPoints:
-        """Cover bounds over skylines only (the FR* redefinition)."""
-        return self._shr_prep[side]
-
-    def _pair_max(self, left: PreparedPoints, right: PreparedPoints) -> float:
+    def _pair_max(self, left, right) -> float:
         """The cross-product maximum without the cross product where ``S``
         allows: two maintained maxima for additive ``S``, same bits."""
         assert self.context is not None
@@ -120,7 +113,7 @@ class FRStarBound(FRBound):
         t0 = min(self._t_cover[LEFT], self._g[LEFT])
         t1 = min(self._t_cover[RIGHT], self._g[RIGHT])
         t_both = min(self._t_both_cover, min(self._g[LEFT], self._g[RIGHT]))
-        self._components = {"t0": t0, "t1": t1, "t_both": t_both}
+        self._components = (t0, t1, t_both)
         return max(t0, t1, t_both)
 
     # FR* never calls the eager full recomputation of the parent class.
@@ -130,4 +123,4 @@ class FRStarBound(FRBound):
     @property
     def seen_skyline_sizes(self) -> tuple[int, int]:
         """Current ``(|SHR_1|, |SHR_2|)`` — early-freeze diagnostics."""
-        return (len(self._shr[LEFT]), len(self._shr[RIGHT]))
+        return (len(self._seen[LEFT]), len(self._seen[RIGHT]))

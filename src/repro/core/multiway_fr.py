@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import itertools
 
-from repro import kernels
 from repro.core.afr_bound import AdaptiveCover
 from repro.core.bounds import BoundContext, BoundingScheme
-from repro.core.scoring import NEG_INF, SumScore, WeightedSum
+from repro.core.scoring import NEG_INF
 from repro.errors import InstanceError
-from repro.geometry.cover import cover_operand
 from repro.geometry.skyline import IncrementalSkyline
 
 POS_INF = float("inf")
@@ -35,9 +33,9 @@ POS_INF = float("inf")
 class MultiwayFeasibleBound(BoundingScheme):
     """Additive-scoring feasible-region bound over n inputs.
 
-    Per relation: an adaptive cover ``CR_i`` of the unseen score vectors,
-    the seen-side skyline max-sum, the group buffer ``G_i`` and frontier
-    ``g_i``.  For each non-empty subset ``U`` of "unseen" relations the
+    Per relation: an adaptive cover ``CR_i`` of the unseen score vectors
+    and the skyline of the seen ones — each carrying the maximum partial
+    score over its points — the group buffer ``G_i`` and frontier ``g_i``.  For each non-empty subset ``U`` of "unseen" relations the
     case bound is::
 
         min(  Σ_{i∈U} maxsum(CR_i) + Σ_{i∉U} maxsum(seen_i),
@@ -67,45 +65,23 @@ class MultiwayFeasibleBound(BoundingScheme):
             context = BoundContext(scoring, tuple(context))
         super().bind(context)
         dims, scoring = context.dims, context.scoring
-        if not isinstance(scoring, (SumScore, WeightedSum)):
+        scorers = [scoring.row_scorer(sum(dims[:i])) for i in range(len(dims))]
+        if None in scorers:
             raise InstanceError(
                 "MultiwayFeasibleBound requires an additive scoring function"
             )
-        if isinstance(scoring, WeightedSum):
-            offsets = [sum(dims[:i]) for i in range(len(dims))]
-            self._weights = [
-                scoring.weights[offsets[i]: offsets[i] + dims[i]]
-                for i in range(len(dims))
-            ]
-        else:
-            self._weights = [None] * len(dims)
         self._n = len(dims)
         self._covers = [
-            AdaptiveCover(d, max_size=self.max_cr_size, resolution=self.resolution)
-            for d in dims
+            AdaptiveCover(
+                d, max_size=self.max_cr_size, resolution=self.resolution, score=score
+            )
+            for d, score in zip(dims, scorers)
         ]
-        self._seen_sky = [IncrementalSkyline() for __ in dims]
+        self._seen_sky = [IncrementalSkyline(score=score) for score in scorers]
         self._groups = [[] for __ in dims]
         self._g = [POS_INF] * self._n
 
     # ------------------------------------------------------------------
-    def _partial(self, index: int, scores) -> float:
-        weights = self._weights[index]
-        if weights is None:
-            return float(sum(scores))
-        return float(sum(w * s for w, s in zip(weights, scores)))
-
-    def _max_cover(self, index: int) -> float:
-        # One batch kernel call over the cover's columnar view; -inf empty.
-        return kernels.max_corner_score(
-            cover_operand(self._covers[index]), self._weights[index]
-        )
-
-    def _max_seen(self, index: int) -> float:
-        return kernels.max_corner_score(
-            self._seen_sky[index].pointset, self._weights[index]
-        )
-
     def update(self, index, tup, score_bound=None) -> float:
         if score_bound is None:
             score_bound = self.context.score_bound(index, tup.scores)
@@ -120,8 +96,8 @@ class MultiwayFeasibleBound(BoundingScheme):
         return self._bound
 
     def _recompute(self) -> float:
-        unseen_max = [self._max_cover(i) for i in range(self._n)]
-        seen_max = [self._max_seen(i) for i in range(self._n)]
+        unseen_max = [cover.best for cover in self._covers]
+        seen_max = [seen.best for seen in self._seen_sky]
         best = NEG_INF
         self._cases = {}
         for size in range(1, self._n + 1):

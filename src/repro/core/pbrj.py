@@ -32,7 +32,6 @@ from repro.core.scoring import ScoringFunction
 from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult, RankTuple
 from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
-from repro.kernels import PointSet
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
 from repro.relation.sources import TupleSource
@@ -146,18 +145,8 @@ class PBRJ(ResumableBase):
         self._sides = tuple(range(len(self._sources)))
         self._bound = bound
         self._strategy = strategy
-        # Columnar per-side score columns: every pulled tuple's score vector
-        # is appended here before the bound refresh, so FR-family bounds
-        # read contiguous batches instead of re-materializing tuples.
-        self._columns: tuple[PointSet, ...] = tuple(
-            PointSet(source.dimension) for source in self._sources
-        )
         self._bound.bind(
-            BoundContext(
-                scoring,
-                tuple(source.dimension for source in self._sources),
-                self._columns,
-            )
+            BoundContext(scoring, tuple(source.dimension for source in self._sources))
         )
         self._strategy.bind(len(self._sources))
         self._output: list[tuple[float, int, object]] = []
@@ -315,7 +304,6 @@ class PBRJ(ResumableBase):
             if timed:
                 started = time.perf_counter()
                 self._s_join.add_scaled(started - now, scale)
-            self._columns[side].append(rho.scores)
             self._t = self._bound.update(side, rho, sbar)
             if timed:
                 self._s_bound.add_scaled(time.perf_counter() - started, scale)
@@ -396,11 +384,6 @@ class PBRJ(ResumableBase):
     @property
     def bound_scheme(self) -> BoundingScheme:
         return self._bound
-
-    @property
-    def score_columns(self) -> tuple[PointSet, ...]:
-        """Per-side columnar score columns (one row per pulled tuple)."""
-        return self._columns
 
     @property
     def tracer(self) -> Tracer:

@@ -11,16 +11,20 @@ the default implementation enumerates all pairs (exactly the combinatorial
 cost the paper attributes to the FR bound), and additive functions route
 the partial scores and the cross-product maximum through
 :mod:`repro.kernels` (vectorized under the numpy backend) for reasonable
-constants — mirroring the paper's compiled C++ implementation.  Prepared
-operands (:class:`PreparedPoints`) sit on columnar
-:class:`~repro.kernels.PointSet` storage and stay in sync with externally
-shared columns via the set's mutation stamp.  The literal cross product
-(:meth:`ScoringFunction.max_prepared`) is what PBRJ_FR^RR — the paper's
-slow baseline — pays on every pull; FR* asks :meth:`ScoringFunction.cover_max`,
-for additive functions the sum of the operands' maintained maxima and
-bit-identical to the cross product (DESIGN.md §5).  The tuple-level
-shortcut ``max_combination_separable`` is exercised only by the ablation
-benchmark.
+constants — mirroring the paper's compiled C++ implementation.
+
+A cross-product *operand* is anything with ``points`` and, for an additive
+``S``, ``partials`` and their maximum ``best``: a bulk, append-only set (the
+seen columns of PBRJ_FR^RR) is a :class:`PreparedPoints` on columnar
+:class:`~repro.kernels.PointSet` storage, synced through the set's mutation
+stamp; the small, constantly mutated sets of FR* (covers, seen skylines) are
+list-native (:class:`~repro.geometry.antichain.ScoredAntichain`) and score
+a row at a time with :meth:`ScoringFunction.row_scorer`.  The literal cross
+product (:meth:`ScoringFunction.max_prepared`) is what PBRJ_FR^RR — the
+paper's slow baseline — pays on every pull; FR* asks
+:meth:`ScoringFunction.cover_max`, for additive functions the sum of the
+operands' maintained maxima and bit-identical to the cross product
+(DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -123,11 +127,20 @@ class ScoringFunction(ABC):
         """
         return PreparedPoints(self, points, source=source)
 
-    def max_prepared(self, left: "PreparedPoints", right: "PreparedPoints") -> float:
-        """``max_combination`` over prepared operands; ``-inf`` if empty."""
+    def row_scorer(self, offset: int = 0) -> Callable[[Sequence[float]], float] | None:
+        """The partial score of one operand row starting at coordinate
+        ``offset`` of the concatenated vector, as a function of the row —
+        or ``None`` (the default) if ``S`` does not decompose into a sum of
+        per-operand partials.  Must repeat the kernels' arithmetic (a
+        left-to-right weighted sum) so a carried partial has a rescan's bits.
+        """
+        return None
+
+    def max_prepared(self, left, right) -> float:
+        """``max_combination`` over two operands; ``-inf`` if empty."""
         return self.max_combination(left.points, right.points)
 
-    def cover_max(self, left: "PreparedPoints", right: "PreparedPoints") -> float:
+    def cover_max(self, left, right) -> float:
         """The value of :meth:`max_prepared` by the cheapest exact route:
         the cross product in general; additive functions override it."""
         return self.max_prepared(left, right)
@@ -141,6 +154,9 @@ class PreparedPoints:
     component appends to.
     """
 
+    #: Partial scores and their maximum: additive operands only.
+    partials = best = None
+
     def __init__(
         self,
         scoring: "ScoringFunction",
@@ -149,13 +165,7 @@ class PreparedPoints:
         source: PointSet | None = None,
     ) -> None:
         self._scoring = scoring
-        #: The store belongs to someone else: never :meth:`replace` through it.
-        self.aliased = source is not None
-        if source is not None:
-            self._source = source
-        else:
-            self._source = PointSet()
-            self._source.extend(points)
+        self._source = PointSet(points=points) if source is None else source
 
     @property
     def pointset(self) -> PointSet:
@@ -170,13 +180,6 @@ class PreparedPoints:
     def __len__(self) -> int:
         return len(self._source)
 
-    def append(self, point: Sequence[float]) -> None:
-        self._source.append(point)
-
-    def replace(self, points) -> None:
-        """Swap in a new point set (accepts an ``(n, e)`` array or tuples)."""
-        self._source.replace(points)
-
 
 class _AdditivePrepared(PreparedPoints):
     """Prepared operand for additive functions: cached partial scores.
@@ -185,9 +188,8 @@ class _AdditivePrepared(PreparedPoints):
     their maximum, lazily synchronized with the columnar source through
     its mutation stamp: appended rows extend the buffer (one batch
     :func:`repro.kernels.cover_corner_scores` call over the new slice),
-    one :meth:`~repro.kernels.PointSet.patch` carries the kept rows'
-    partials over and scores only the fresh rows, anything else is a full
-    recompute.  A partial depends on its row alone: same bits every way.
+    anything else is a full recompute.  A partial depends on its row alone:
+    same bits either way.
     """
 
     def __init__(
@@ -213,14 +215,8 @@ class _AdditivePrepared(PreparedPoints):
         if stamp == self._synced:
             return
         version, size = stamp
-        patch = self._source.last_patch
         if version == self._synced[0] and size >= self._synced[1]:
             best = self._best  # rows were appended: the prefix stands
-        elif patch is not None and patch[0] == self._synced:
-            kept = self._buffer[patch[1]]  # one patch behind: carry over
-            self._size = len(kept)
-            self._buffer[: self._size] = kept
-            best = float(kept.max()) if self._size else NEG_INF
         else:
             self._size, best = 0, NEG_INF
         fresh = self._source.array[self._size: size]
@@ -247,23 +243,20 @@ class _AdditivePrepared(PreparedPoints):
         return self._best
 
 
-def _additive(left: PreparedPoints, right: PreparedPoints) -> bool:
-    return isinstance(left, _AdditivePrepared) and isinstance(right, _AdditivePrepared)
-
-
 class _AdditiveScore(ScoringFunction):
     """What :class:`SumScore` and :class:`WeightedSum` share: cover
-    bounds over cached partial scores."""
+    bounds over carried partial scores."""
 
-    def max_prepared(self, left: PreparedPoints, right: PreparedPoints) -> float:
-        if not _additive(left, right):
+    def max_prepared(self, left, right) -> float:
+        lefts, rights = left.partials, right.partials
+        if lefts is None or rights is None:
             return super().max_prepared(left, right)
         # Full cross product over cached partials — the combinatorial work
         # the paper ascribes to FR's cover bounds, kernel-backed constants.
-        return kernels.cross_product_max(left.partials, right.partials)
+        return kernels.cross_product_max(lefts, rights)
 
-    def cover_max(self, left: PreparedPoints, right: PreparedPoints) -> float:
-        if not _additive(left, right):
+    def cover_max(self, left, right) -> float:
+        if left.best is None or right.best is None:
             return super().cover_max(left, right)
         # IEEE-754 addition is monotone in each argument, so
         # max_ij fl(l_i + r_j) == fl(max l + max r): the cross product's
@@ -285,22 +278,19 @@ class SumScore(_AdditiveScore):
             return NEG_INF
         # Full cross product via the kernel layer: faithful to the paper's
         # general implementation (see module docstring); the separable
-        # shortcut is exposed separately for the ablation study.
+        # identity is cover_max, over operands that carry their partials.
         return kernels.cross_product_max(
             kernels.cover_corner_scores(list(left)),
             kernels.cover_corner_scores(list(right)),
         )
 
-    def max_combination_separable(self, left, right) -> float:
-        """Exact O(n + m) shortcut valid only for additive functions."""
-        if not left or not right:
-            return NEG_INF
-        return float(max(sum(c) for c in left) + max(sum(c) for c in right))
-
     def prepare(
         self, points=(), *, offset: int = 0, source: PointSet | None = None
     ) -> PreparedPoints:
         return _AdditivePrepared(self, points, source=source)
+
+    def row_scorer(self, offset: int = 0):
+        return _sum
 
 
 class WeightedSum(_AdditiveScore):
@@ -338,22 +328,23 @@ class WeightedSum(_AdditiveScore):
             kernels.cover_corner_scores(list(right), self.weights[split:]),
         )
 
-    def max_combination_separable(self, left, right) -> float:
-        """Exact additive shortcut (ablation only)."""
-        if not left or not right:
-            return NEG_INF
-        split = len(left[0])
-        w_left, w_right = self.weights[:split], self.weights[split:]
-        best_left = max(sum(w * x for w, x in zip(w_left, c)) for c in left)
-        best_right = max(sum(w * x for w, x in zip(w_right, c)) for c in right)
-        return float(best_left + best_right)
-
     def prepare(
         self, points=(), *, offset: int = 0, source: PointSet | None = None
     ) -> PreparedPoints:
         return _AdditivePrepared(
             self, points, weights=self.weights[offset:], source=source
         )
+
+    def row_scorer(self, offset: int = 0):
+        weights = self.weights[offset:]
+
+        def score(row: Sequence[float]) -> float:
+            total = 0.0  # left to right, as the kernels' partial scores
+            for w, x in zip(weights, row):
+                total += w * x
+            return total
+
+        return score
 
 
 class AverageScore(ScoringFunction):

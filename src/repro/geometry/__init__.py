@@ -2,9 +2,9 @@
 
 These data structures implement the feasible-region machinery that the FR,
 FR* and aFR bounding schemes are built on (Sections 4 and 5 of the paper).
-The batch forms of these operations (and the columnar storage behind
-``CoverRegion``/``IncrementalSkyline``/``GridTree``) live in
-:mod:`repro.kernels`.
+``CoverRegion`` and ``IncrementalSkyline`` are list-native: each is a
+:class:`~repro.geometry.antichain.ScoredAntichain`.  The batch forms of
+these operations live in :mod:`repro.kernels`.
 """
 
 from repro.geometry.dominance import (
@@ -16,6 +16,7 @@ from repro.geometry.dominance import (
     strongly_dominates,
     substitute,
 )
+from repro.geometry.antichain import ScoredAntichain
 from repro.geometry.skyline import IncrementalSkyline, is_skyline, skyline
 from repro.geometry.cover import CoverRegion, covers, update_cover
 from repro.geometry.gridtree import GridTree
@@ -31,6 +32,7 @@ __all__ = [
     "skyline",
     "is_skyline",
     "IncrementalSkyline",
+    "ScoredAntichain",
     "CoverRegion",
     "covers",
     "update_cover",

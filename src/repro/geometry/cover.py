@@ -11,10 +11,12 @@ region ``{x : x ⪰ y}`` is carved out of the feasible region (Figure 4(b)).
 cover points dominating ``y`` are removed and replaced by their projections
 ``s[i ↦ y_i]``, clipped to ``(0, 1]^e`` (projections with a zero coordinate
 cover nothing and are dropped).  It is a deliberately loop-based oracle; the
-production path is :class:`CoverRegion`, which keeps its points in a columnar
-:class:`~repro.kernels.PointSet` and carves through the batch kernel
-:func:`repro.kernels.carve_patch` — dispatched per call by cover size, so
-small covers stay on the early-exit loops and bulk carves go vectorized.
+production path is :class:`CoverRegion`, a list-native
+:class:`~repro.geometry.antichain.ScoredAntichain` that carves through the
+batch kernel :func:`repro.kernels.carve_patch` — dispatched per call by
+cover size.  The loops work on the list itself; the numpy tier has to build
+an array from it first, which on the shipped thresholds never pays
+(:data:`repro.kernels.dispatch.DEFAULT_THRESHOLDS`).
 
 The FR* variant additionally skylines the result, and — as the paper's
 printed ``FR*::UpdateCR`` does — skylining the new points ``S⁺`` among
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro import kernels
+from repro.geometry.antichain import ScoredAntichain
 from repro.geometry.dominance import (
     Point,
     as_point,
@@ -44,7 +46,7 @@ from repro.geometry.dominance import (
     substitute,
 )
 from repro.geometry.skyline import skyline
-from repro.kernels import PointSet
+from repro.kernels.types import dimension_mismatch
 
 
 def covers(cover: Iterable[Sequence[float]], point: Sequence[float]) -> bool:
@@ -69,9 +71,7 @@ def update_cover(
     for raw in observed:
         y = as_point(raw)
         if current and len(y) != len(current[0]):
-            raise ValueError(
-                f"dimension mismatch: cover is {len(current[0])}-d, point is {len(y)}-d"
-            )
+            raise dimension_mismatch("cover", len(current[0]), len(y))
         removed = [s for s in current if dominates(s, y)]
         if not removed:
             continue
@@ -102,79 +102,43 @@ def update_cover(
     return current
 
 
-def cover_operand(cover):
-    """A cover's points in the fastest kernel-consumable representation:
-    its columnar store (shared — read, never mutate) while it has one."""
-    pointset = getattr(cover, "pointset", None)
-    if pointset is not None:
-        return pointset
-    return cover.array if hasattr(cover, "array") else cover.points
-
-
-class CoverRegion:
+class CoverRegion(ScoredAntichain):
     """A maintained cover of the unseen score vectors of one input.
 
     Starts as ``{(1, …, 1)}`` — everything is feasible before any group
     completes — and shrinks through :meth:`update` calls.  With
     ``skyline_mode=True`` the point set is kept as a skyline (FR* behaviour).
 
-    The point set lives in a columnar :class:`~repro.kernels.PointSet` and
-    each :meth:`update` is a single :func:`repro.kernels.carve_patch` batch
-    call whose delta is applied as one :meth:`~repro.kernels.PointSet.patch`
-    — cover maintenance runs on every group close of the FR-family bounds
-    and is their hottest loop.  The semantics are identical to the reference
-    :func:`update_cover` under every kernel backend and under size-aware
-    auto dispatch (the test suite asserts the equivalence property-based).
+    The points live in a plain list (:class:`ScoredAntichain`) and each
+    :meth:`update` is a single :func:`repro.kernels.carve_patch` batch call
+    whose delta is applied in place — cover maintenance runs on every group
+    close of the FR-family bounds and is their hottest loop.  With a row
+    scorer (``score=``) the cover carries its points' partial scores and
+    their maximum, :attr:`best`, across carves.  The semantics are identical
+    to the reference :func:`update_cover` under every kernel backend and
+    under size-aware auto dispatch (the test suite asserts the equivalence
+    property-based).
     """
 
-    def __init__(self, dimension: int, *, skyline_mode: bool = False) -> None:
+    __slots__ = ("dimension", "skyline_mode")
+
+    def __init__(
+        self, dimension: int, *, skyline_mode: bool = False, score=None
+    ) -> None:
         if dimension < 0:
             raise ValueError("dimension must be non-negative")
+        super().__init__([ones(dimension)], score=score)
         self.dimension = dimension
         self.skyline_mode = skyline_mode
-        self._ps = PointSet(dimension, [ones(dimension)])
-
-    @property
-    def pointset(self) -> PointSet:
-        """The columnar cover storage (shared; do not mutate)."""
-        return self._ps
-
-    @property
-    def array(self):
-        """Current cover points as an ``(n, e)`` array (do not mutate)."""
-        return self._ps.array
-
-    @property
-    def points(self) -> list[Point]:
-        """Current cover points as tuples (a fresh list)."""
-        return list(self._ps.tuples())
-
-    def __len__(self) -> int:
-        return len(self._ps)
-
-    def __iter__(self):
-        return iter(self._ps.tuples())
 
     def update(self, observed: Iterable[Sequence[float]]) -> None:
         """Carve out the regions dominating each vector in ``observed``."""
         batch = [as_point(raw) for raw in observed]
         for y in batch:
             if len(y) != self.dimension:
-                raise ValueError(
-                    f"dimension mismatch: cover is {self.dimension}-d, "
-                    f"point is {(len(y),)}-d"
-                )
-        if not batch or not len(self._ps):
-            return
-        self._ps.patch(
-            *kernels.carve_patch(self._ps, batch, skyline_mode=self.skyline_mode)
-        )
-
-    def covers(self, point: Sequence[float]) -> bool:
-        """True if ``point`` lies inside the covered (feasible) region."""
-        if not len(self._ps):
-            return False
-        return kernels.dominates_any(self._ps, as_point(point))
+                raise dimension_mismatch("cover", self.dimension, len(y))
+        if batch and self._points:
+            self.carve(batch, skyline_mode=self.skyline_mode)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CoverRegion(dim={self.dimension}, points={len(self)})"

@@ -8,14 +8,9 @@ relies on the "early freeze" property: because inputs arrive in decreasing
 score-bound order, dominating points tend to arrive first and the skyline
 stabilizes quickly.
 
-The data plane is columnar: :class:`IncrementalSkyline` holds its points
-in a :class:`~repro.kernels.PointSet` and filters candidates in one
-kernel call per insertion (:func:`repro.kernels.dominates_any` +
-:func:`repro.kernels.strict_dominance_mask`).  Calls go through the
-size-aware dispatcher: under the default ``auto`` kernel each insertion
-is routed to the early-exit loops while the skyline is small and to the
-vectorized/compiled tiers once it grows past the calibrated crossover —
-all tiers are bit-identical, so the choice is purely a speed matter.
+The data plane is list-native: :class:`IncrementalSkyline` is a
+:class:`~repro.geometry.antichain.ScoredAntichain` — a list of tuples,
+one loop per insertion, no kernel call — that also counts insertions.
 """
 
 from __future__ import annotations
@@ -23,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro import kernels
-from repro.kernels import PointSet
+from repro.geometry.antichain import ScoredAntichain
+from repro.geometry.dominance import strictly_dominates
 from repro.kernels.types import Point, as_point
 
 
@@ -42,26 +38,26 @@ def skyline(points: Iterable[Sequence[float]]) -> list[Point]:
 def is_skyline(points: Iterable[Sequence[float]]) -> bool:
     """Check that no point in ``points`` strictly dominates another."""
     normalized = [as_point(p) for p in points]
-    for i, p in enumerate(normalized):
-        mask = kernels.strict_dominance_mask(normalized, p)
-        for j, dominated in enumerate(mask):
-            if j != i and dominated:
-                return False
-    return True
+    return not any(
+        strictly_dominates(p, q) for p in normalized for q in normalized
+    )
 
 
-class IncrementalSkyline:
+class IncrementalSkyline(ScoredAntichain):
     """Maintains the skyline of a growing point set.
 
-    ``add`` runs in time linear to the current skyline size (one batch
-    kernel call against the columnar point set).  The structure also
-    exposes :attr:`frozen_since` — the number of consecutive ``add`` calls
-    that left the skyline unchanged — which quantifies the paper's
-    early-freeze property and is handy for diagnostics.
+    ``add`` runs in time linear to the current skyline size.  The
+    structure also exposes :attr:`frozen_since` — the number of
+    consecutive ``add`` calls that left the skyline unchanged — which
+    quantifies the paper's early-freeze property and is handy for
+    diagnostics.  With a row scorer (``score=``) it carries the points'
+    partial scores and their maximum, :attr:`best`.
     """
 
-    def __init__(self, points: Iterable[Sequence[float]] = ()) -> None:
-        self._ps = PointSet()
+    __slots__ = ("_inserted", "frozen_since")
+
+    def __init__(self, points: Iterable[Sequence[float]] = (), *, score=None) -> None:
+        super().__init__(score=score)
         self._inserted = 0
         self.frozen_since = 0
         for point in points:
@@ -69,48 +65,12 @@ class IncrementalSkyline:
 
     def add(self, raw: Sequence[float]) -> bool:
         """Insert a point; return True iff the skyline changed."""
-        point = as_point(raw)
         self._inserted += 1
-        if len(self._ps):
-            if kernels.dominates_any(self._ps, point):
-                self.frozen_since += 1
-                return False
-            dominated = kernels.strict_dominance_mask(self._ps, point)
-            if kernels.mask_any(dominated):
-                self._ps.compress([not d for d in dominated])
-        self._ps.append(point)
-        self.frozen_since = 0
-        return True
-
-    @property
-    def pointset(self) -> PointSet:
-        """The columnar skyline storage (shared; do not mutate)."""
-        return self._ps
-
-    @property
-    def points(self) -> list[Point]:
-        """The current skyline points (a copy; safe to mutate)."""
-        return list(self._ps.tuples())
+        changed = super().add(raw)
+        self.frozen_since = 0 if changed else self.frozen_since + 1
+        return changed
 
     @property
     def inserted(self) -> int:
         """Total number of points ever inserted."""
         return self._inserted
-
-    def __len__(self) -> int:
-        return len(self._ps)
-
-    def __iter__(self):
-        return iter(self._ps.tuples())
-
-    def __contains__(self, raw: Sequence[float]) -> bool:
-        return as_point(raw) in self._ps
-
-    def covers(self, raw: Sequence[float]) -> bool:
-        """True if some skyline point weakly dominates ``raw``."""
-        if not len(self._ps):
-            return False
-        return kernels.dominates_any(self._ps, as_point(raw))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IncrementalSkyline({self._ps.tuples()!r})"

@@ -15,8 +15,10 @@ Both tiers are **bit-identical**: same skylines, same cover rows, same
 partial scores (float additions happen left-to-right in every tier), so
 every operator-level invariant test doubles as a kernel-equivalence
 oracle.  The ``cover_carve`` op answers with a *delta* (:func:`carve_patch`:
-kept row ids plus fresh points) that :meth:`PointSet.patch` applies in one
-mutation; :func:`cover_carve` assembles it into the whole cover.
+kept row ids plus fresh points) that the geometry layer's list-native
+:class:`~repro.geometry.antichain.ScoredAntichain` applies in place — the
+one op on the FR* pull path; :func:`cover_carve` assembles it into the
+whole cover.
 
 Per-call dispatch
 -----------------
@@ -85,10 +87,8 @@ from repro.kernels.vectorized import NumpyBackend, _arr
 #: vectorized tier all but ``skyline_filter`` and ``antichain``.
 KERNEL_OPS = (
     "dominates_any",
-    "strict_dominance_mask",
     "skyline_filter",
     "cover_corner_scores",
-    "max_corner_score",
     "cross_product_max",
     "cover_carve",
     "grid_cell_assign",
@@ -330,11 +330,6 @@ def dominates_any(points, q) -> bool:
     return _call("dominates_any", points, q)
 
 
-def strict_dominance_mask(points, q):
-    """Per-row mask: the row is strictly dominated by ``q`` (``q ≻`` row)."""
-    return _call("strict_dominance_mask", points, q)
-
-
 def skyline_filter(points) -> list[int]:
     """Indices (input order, first-occurrence dedup) of the skyline."""
     return _call("skyline_filter", points)
@@ -345,20 +340,15 @@ def cover_corner_scores(points, weights=None):
     return _call("cover_corner_scores", points, weights)
 
 
-def max_corner_score(points, weights=None) -> float:
-    """Max partial score over the rows; ``-inf`` on an empty set."""
-    return _call("max_corner_score", points, weights)
-
-
 def cross_product_max(left, right) -> float:
     """Max of ``l + r`` over the full cross product of two score lists."""
     return _call("cross_product_max", left, right)
 
 
 def carve_patch(cover, observed, *, skyline_mode: bool = False):
-    """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``) as a delta: the
-    ``(keep, fresh)`` that :meth:`PointSet.patch` applies — surviving row
-    ids, then the new points.  Counted as a ``cover_carve`` call."""
+    """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``) as a delta
+    ``(keep, fresh)`` — surviving row ids, then the new points — in lists
+    from the reference tier, arrays from numpy.  Counted as ``cover_carve``."""
     return _call("cover_carve", cover, observed, skyline_mode=skyline_mode)
 
 
@@ -386,13 +376,6 @@ def grid_carve(cells, point, resolution: int):
     return _call("grid_carve", cells, point, resolution)
 
 
-def mask_any(mask) -> bool:
-    """Truthiness of a backend-native mask (ndarray or plain list)."""
-    if hasattr(mask, "any"):
-        return bool(mask.any())
-    return any(mask)
-
-
 __all__ = [
     "BACKEND_CHOICES",
     "BACKEND_TIER",
@@ -417,14 +400,11 @@ __all__ = [
     "grid_carve",
     "grid_cell_assign",
     "kernel_name",
-    "mask_any",
-    "max_corner_score",
     "observe",
     "ones",
     "set_backend",
     "set_thresholds",
     "skyline_filter",
-    "strict_dominance_mask",
     "substitute",
     "unobserve",
     "use_backend",

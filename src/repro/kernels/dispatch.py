@@ -51,8 +51,10 @@ from time import perf_counter
 
 from repro.kernels.registry import BACKEND_TIER, KernelRegistry, ResolvedOp
 
-#: Cache schema version — bump to invalidate every on-disk cache.
-SCHEMA_VERSION = 1
+#: Cache schema version — bump to invalidate every on-disk cache.  2: the
+#: ``cover_carve`` probe hands the tiers a list of tuples; a crossover
+#: measured on a columnar operand misroutes every cover above it.
+SCHEMA_VERSION = 2
 
 #: Threshold sentinel: "never route this op to this backend".
 NEVER = 1 << 30
@@ -68,12 +70,13 @@ NEVER = 1 << 30
 #: antichain), so there is nothing to route.
 DEFAULT_THRESHOLDS: dict[str, dict[str, int]] = {
     "dominates_any": {"numpy": 512},
-    "strict_dominance_mask": {"numpy": 20},
     "cover_corner_scores": {"numpy": 12},
-    "max_corner_score": {"numpy": 32},
     "cross_product_max": {"numpy": 256},
-    # ~0.3 µs a row in the loops against ~85 µs fixed (np.unique) in numpy.
-    "cover_carve": {"numpy": 320},
+    # A cover reaches the carve as a list of tuples.  The loops cost ~0.08 µs
+    # a row on it; numpy pays ~0.2 µs a row for the list→array conversion
+    # alone, plus ~85 µs fixed (np.unique): 3x slower at 2 048 rows and never
+    # ahead.  Calibration still probes the op; a pin still runs it.
+    "cover_carve": {"numpy": NEVER},
     "grid_cell_assign": {"numpy": 8},
     "grid_carve": {"numpy": 64},
 }
@@ -288,12 +291,12 @@ def _staircase(n: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
 
 
 def _carve_args(n: int) -> tuple:
-    from repro.kernels.pointset import PointSet
-
+    """The cover as the geometry layer holds it — a list of tuples — so the
+    numpy tier is charged the list→array conversion it pays in production."""
     cells, step = _staircase(max(n - 1, 1))
     scale = (len(cells) + 1.0, len(cells) + 1.0, 12.0)
     cover = [tuple((c + 1) / s for c, s in zip(cell, scale)) for cell in cells]
-    return PointSet(3, cover), [tuple((c + 0.5) / s for c, s in zip(step, scale))]
+    return cover, [tuple((c + 0.5) / s for c, s in zip(step, scale))]
 
 
 def _grid_carve_args(n: int) -> tuple:
@@ -303,18 +306,16 @@ def _grid_carve_args(n: int) -> tuple:
 
 
 #: op -> size -> positional argument tuple for one timed call, shaped like
-#: the calls production makes: operands are PointSets (geometry layer) or
-#: array slices (prepared operands), the dominance target is dominated by
-#: an early row (as under decreasing-S̄ access), a carve removes two points
-#: of an antichain.  Worst cases nothing issues (a target nothing dominates,
+#: the calls production makes: operands are PointSets or array slices
+#: (prepared operands), a cover is the geometry layer's list of tuples, the
+#: dominance target is dominated by an early row (as under decreasing-S̄
+#: access), a carve removes two points of an antichain.  Worst cases nothing issues (a target nothing dominates,
 #: a vector gutting a non-antichain set) miscalibrate: 3x slower FRPA once.
 ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
     "dominates_any": lambda n: (
         _point_set(n), tuple(v / 2 for v in synthetic_points(n)[n // 8]),
     ),
-    "strict_dominance_mask": lambda n: (_point_set(n), (0.5, 0.5, 0.5)),
     "cover_corner_scores": lambda n: (_point_set(n).array, (0.6, 0.3, 0.1)),
-    "max_corner_score": lambda n: (_point_set(n), None),
     "cross_product_max": lambda n: (
         [v / _side(n) for v in range(_side(n))],
         [v / _side(n) for v in range(_side(n))],

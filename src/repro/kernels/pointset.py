@@ -4,12 +4,12 @@ A :class:`PointSet` holds ``n`` e-dimensional score vectors contiguously —
 a capacity-doubling ``(capacity, e)`` float64 array — so the batch kernels in
 :mod:`repro.kernels` can scan whole sets without materializing one tuple
 per row.  Row ids are stable under :meth:`append`/:meth:`extend` (the row
-id is the row index at insertion time); :meth:`replace`, :meth:`compress`,
-:meth:`patch` and :meth:`clear` renumber and bump :attr:`version` so cached
-views (e.g. the prepared partial-score operands in
-:mod:`repro.core.scoring`) know to rebuild instead of extending — except
-across one :meth:`patch`, whose delta (:attr:`last_patch`) lets a view
-carry the kept rows' state over.
+id is the row index at insertion time); :meth:`replace`, :meth:`compress`
+and :meth:`clear` renumber and bump :attr:`version` so cached views (e.g.
+the prepared partial-score operands in :mod:`repro.core.scoring`) know to
+rebuild instead of extending.  This is the *bulk* representation — seen
+score columns, kernel probes; the small, constantly carved sets of the FR*
+pull path live in :class:`repro.geometry.antichain.ScoredAntichain`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.kernels.types import Point, as_point
+from repro.kernels.types import Point, as_point, dimension_mismatch
 
 _INITIAL_CAPACITY = 16
 
@@ -35,9 +35,7 @@ class PointSet:
         Optional initial contents.
     """
 
-    __slots__ = (
-        "_dimension", "_buf", "_size", "_version", "_tuple_cache", "_patch",
-    )
+    __slots__ = ("_dimension", "_buf", "_size", "_version", "_tuple_cache")
 
     def __init__(
         self,
@@ -50,7 +48,6 @@ class PointSet:
         self._size = 0
         self._version = 0
         self._tuple_cache: tuple[tuple[int, int], list[Point]] | None = None
-        self._patch: tuple[tuple[int, int], np.ndarray] | None = None
         self._buf = self._new_buffer(_INITIAL_CAPACITY)
         self.extend(points)
 
@@ -68,10 +65,7 @@ class PointSet:
             self._dimension = dimension
             self._buf = self._new_buffer(_INITIAL_CAPACITY)
         elif dimension != self._dimension:
-            raise ValueError(
-                f"dimension mismatch: PointSet is {self._dimension}-d, "
-                f"point is {dimension}-d"
-            )
+            raise dimension_mismatch("PointSet", self._dimension, dimension)
 
     @property
     def dimension(self) -> int | None:
@@ -80,7 +74,7 @@ class PointSet:
 
     @property
     def version(self) -> int:
-        """Bumped by every non-append mutation (replace/compress/patch/clear)."""
+        """Bumped by every non-append mutation (replace/compress/clear)."""
         return self._version
 
     @property
@@ -88,15 +82,9 @@ class PointSet:
         """``(version, size)`` — cheap cache-validity token for views.
 
         Same version, larger size means "rows were appended, prefix
-        unchanged"; a version change means "start over", unless
-        :attr:`last_patch` leads here from the view's own stamp.
+        unchanged"; a version change means "start over".
         """
         return (self._version, self._size)
-
-    @property
-    def last_patch(self) -> tuple[tuple[int, int], np.ndarray] | None:
-        """``(stamp before, kept row ids)`` if a :meth:`patch` made this version."""
-        return self._patch
 
     def __len__(self) -> int:
         return self._size
@@ -128,7 +116,7 @@ class PointSet:
         any iterable of coordinate sequences.
         """
         self._version += 1
-        self._tuple_cache = self._patch = None
+        self._tuple_cache = None
         if isinstance(points, PointSet):
             points = points.array
         if isinstance(points, np.ndarray):
@@ -146,10 +134,7 @@ class PointSet:
         self._buf = self._new_buffer(max(len(rows), _INITIAL_CAPACITY))
         for row in rows:
             if len(row) != self._dimension:
-                raise ValueError(
-                    f"dimension mismatch: PointSet is {self._dimension}-d, "
-                    f"point is {len(row)}-d"
-                )
+                raise dimension_mismatch("PointSet", self._dimension, len(row))
             self._buf[self._size] = row
             self._size += 1
 
@@ -169,7 +154,7 @@ class PointSet:
         if not removed:
             return 0
         self._version += 1
-        self._tuple_cache = self._patch = None
+        self._tuple_cache = None
         mask = np.asarray(flags, dtype=bool)
         survivors = self._buf[: self._size][mask]
         self._buf = self._new_buffer(max(survivors.shape[0], _INITIAL_CAPACITY))
@@ -177,37 +162,9 @@ class PointSet:
         self._size = survivors.shape[0]
         return removed
 
-    def patch(self, keep, fresh) -> None:
-        """Keep the rows ``keep`` (ascending row ids), then add ``fresh``.
-
-        One mutation and one version bump for a carve's whole delta.  It
-        is remembered as :attr:`last_patch` and a valid tuple cache is
-        carried over, so neither a view nor the loop tier rescans the kept
-        rows.  Keeping everything and adding nothing changes nothing.
-        """
-        index = np.asarray(keep, dtype=np.intp)
-        kept, size = len(index), len(index) + len(fresh)
-        if kept == self._size and size == kept:
-            return
-        if size > kept:
-            self._settle_dimension(len(fresh[0]))
-        before, cache = self.stamp, self._tuple_cache
-        buf = self._new_buffer(max(size, _INITIAL_CAPACITY))
-        buf[:kept] = self._buf[index]
-        if size > kept:
-            buf[kept:size] = fresh
-        self._buf, self._size = buf, size
-        self._version += 1
-        self._patch = (before, index)
-        self._tuple_cache = None
-        if cache is not None and cache[0] == before:
-            rows = [cache[1][i] for i in index.tolist()]
-            rows += [tuple(row) for row in buf[kept:size].tolist()]
-            self._tuple_cache = (self.stamp, rows)
-
     def clear(self) -> None:
         self._version += 1
-        self._tuple_cache = self._patch = None
+        self._tuple_cache = None
         self._size = 0
         self._buf = self._new_buffer(_INITIAL_CAPACITY)
 

@@ -1,10 +1,12 @@
 """The pure-Python reference kernel backend.
 
-Every kernel is written as the plainest possible loop over canonical
-tuples — no numpy on the compute path.  This backend is the *semantic
-oracle*: the vectorized backend must produce bit-identical results (same
-point sets, same masks, same scores), which the property-test suite
-enforces.
+Every kernel is a plain loop over canonical tuples — no numpy on the
+compute path.  This backend is the *semantic oracle*: the vectorized backend
+must produce bit-identical results (same point sets, same rows, same
+scores), which the property-test suite enforces.  It is also the tier the
+FR* pull path runs on, so ``cover_carve`` — the one op left there — is
+written for speed on a list of tuples; its own oracle is the literal
+pseudo-code loop :func:`repro.geometry.cover.update_cover`.
 
 Floating-point discipline: partial scores are accumulated strictly
 left-to-right (``s = 0.0; s += w*x``).  The vectorized backend sums the
@@ -17,15 +19,19 @@ from __future__ import annotations
 
 from math import ceil
 from collections.abc import Sequence
+from operator import ge
 
 from repro.kernels.pointset import PointSet
-from repro.kernels.types import Cell, Point, as_point, substitute
+from repro.kernels.types import Cell, Point, as_point
 
 NEG_INF = float("-inf")
 
 
 def _rows(points) -> list[Point]:
-    """Materialize any supported operand as a list of tuples."""
+    """Any supported operand as a list of tuples; a list that already holds
+    tuples — what the geometry layer keeps — is handed back uncopied."""
+    if type(points) is list and (not points or type(points[0]) is tuple):
+        return points
     if isinstance(points, PointSet):
         return points.tuples()
     if hasattr(points, "tolist"):  # numpy array
@@ -35,21 +41,7 @@ def _rows(points) -> list[Point]:
 
 def _weak_dom(a: Sequence[float], b: Sequence[float]) -> bool:
     """``a ⪰ b`` componentwise (NaN anywhere ⇒ False, like numpy ``>=``)."""
-    for ai, bi in zip(a, b):
-        if not ai >= bi:
-            return False
-    return True
-
-
-def _strict_dom(a: Sequence[float], b: Sequence[float]) -> bool:
-    """``a ≻ b``: weakly dominates and differs somewhere."""
-    strict = False
-    for ai, bi in zip(a, b):
-        if not ai >= bi:
-            return False
-        if ai != bi:
-            strict = True
-    return strict
+    return all(map(ge, a, b))
 
 
 class ReferenceBackend:
@@ -64,14 +56,9 @@ class ReferenceBackend:
         """True if some row of ``points`` weakly dominates ``q``."""
         q = tuple(q)
         for row in _rows(points):
-            if _weak_dom(row, q):
+            if all(map(ge, row, q)):
                 return True
         return False
-
-    def strict_dominance_mask(self, points, q: Sequence[float]) -> list[bool]:
-        """Per-row mask: ``q ≻ row`` (the row is strictly dominated)."""
-        q = tuple(q)
-        return [_strict_dom(q, row) for row in _rows(points)]
 
     # ------------------------------------------------------------------
     # Skylines
@@ -87,15 +74,13 @@ class ReferenceBackend:
         rows = _rows(points)
         kept: list[int] = []
         for i, point in enumerate(rows):
-            dominated = False
             for j in kept:
-                if _weak_dom(rows[j], point):
-                    dominated = True
+                if all(map(ge, rows[j], point)):
                     break
-            if dominated:
-                continue
-            kept = [j for j in kept if not _strict_dom(point, rows[j])]
-            kept.append(i)
+            else:
+                # No kept row equals ``point`` here, so ⪰ is already ≻.
+                kept = [j for j in kept if not all(map(ge, point, rows[j]))]
+                kept.append(i)
         return kept
 
     # ------------------------------------------------------------------
@@ -119,19 +104,6 @@ class ReferenceBackend:
                     s += w * v
                 scores.append(s)
         return scores
-
-    def max_corner_score(
-        self, points, weights: Sequence[float] | None = None
-    ) -> float:
-        """``max`` of :meth:`cover_corner_scores`; ``-inf`` on empty."""
-        scores = self.cover_corner_scores(points, weights)
-        if not scores:
-            return NEG_INF
-        best = NEG_INF
-        for s in scores:
-            if s > best:
-                best = s
-        return best
 
     def cross_product_max(self, left, right) -> float:
         """``max(l + r)`` over the full cross product of two score lists.
@@ -166,31 +138,52 @@ class ReferenceBackend:
         sorted order per vector, so both backends emit identical rows.
         ``skyline_mode`` skylines only the projections: over an antichain
         no survivor compares with one (Lemma, :mod:`repro.geometry.cover`).
+        Works on the caller's own row list (no copy of a list of tuples).
         """
         rows = _rows(cover)
-        keep = list(range(len(rows)))
+        keep = range(len(rows))
         fresh: list[Point] = []
         for raw in observed:
             y = as_point(raw)
-            hit = [_weak_dom(rows[i], y) for i in keep]
-            stale = [_weak_dom(p, y) for p in fresh]
-            if not (any(hit) or any(stale)):
+            # The rows ⪰ y, narrowed one coordinate at a time: over an
+            # antichain the first comparison already drops most of them.
+            hit = keep
+            for axis, value in enumerate(y):
+                hit = [i for i in hit if rows[i][axis] >= value]
+            stale = [p for p in fresh if all(map(ge, p, y))]
+            if not (hit or stale):
                 continue
-            removed = [rows[i] for i, h in zip(keep, hit) if h]
-            removed += [p for p, h in zip(fresh, stale) if h]
-            keep = [i for i, h in zip(keep, hit) if not h]
-            fresh = [p for p, h in zip(fresh, stale) if not h]
+            removed = [rows[i] for i in hit]
+            if hit:
+                gone = set(hit)
+                keep = [i for i in keep if i not in gone]
+            if stale:
+                fresh = [p for p in fresh if not all(map(ge, p, y))]
+                removed += stale
+            # Project each removed point one coordinate down onto y; a
+            # projection with a zero coordinate covers nothing.
             projected: set[Point] = set()
             for s in removed:
                 for axis, value in enumerate(y):
-                    candidate = substitute(s, axis, value)
-                    if all(coord > 0.0 for coord in candidate):
+                    candidate = s[:axis] + (value,) + s[axis + 1:]
+                    if min(candidate) > 0.0:
                         projected.add(candidate)
-            new = sorted(projected)
+            # Largest first, a projection can only be dominated by one
+            # already seen (a dominator is lexicographically larger): the
+            # skyline of distinct points in one sweep, nothing ever evicted.
+            new = sorted(projected, reverse=True)
             if skyline_mode:
-                new = [new[i] for i in self.skyline_filter(new)]
+                top: list[Point] = []
+                for p in new:
+                    for q in top:
+                        if all(map(ge, q, p)):
+                            break
+                    else:
+                        top.append(p)
+                new = top
+            new.reverse()
             fresh += new
-        return keep, fresh
+        return list(keep), fresh
 
     # ------------------------------------------------------------------
     # Grid kernels (aFR)

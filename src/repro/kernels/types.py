@@ -22,12 +22,20 @@ Cell = tuple[int, ...]
 
 def as_point(values: Sequence[float]) -> Point:
     """Normalize any sequence of floats into the canonical tuple form."""
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 def as_cell(values: Sequence[int]) -> Cell:
     """Normalize any sequence of ints into the canonical cell form."""
     return tuple(int(v) for v in values)
+
+
+def dimension_mismatch(kind: str, expected: int, got: int) -> ValueError:
+    """The one wording for a point of the wrong arity reaching a ``kind``
+    (cover, skyline, PointSet)."""
+    return ValueError(
+        f"dimension mismatch: {kind} is {expected}-d, point is {got}-d"
+    )
 
 
 def ones(dimension: int) -> Point:

@@ -83,13 +83,6 @@ class NumpyBackend:
         target = np.asarray(tuple(q), dtype=np.float64)
         return bool((array >= target).all(axis=1).any())
 
-    def strict_dominance_mask(self, points, q: Sequence[float]) -> np.ndarray:
-        array = _arr(points)
-        if not array.shape[0]:
-            return np.zeros(0, dtype=bool)
-        target = np.asarray(tuple(q), dtype=np.float64)
-        return (array <= target).all(axis=1) & (array != target).any(axis=1)
-
     # ------------------------------------------------------------------
     # Partial scores
     # ------------------------------------------------------------------
@@ -97,14 +90,6 @@ class NumpyBackend:
         self, points, weights: Sequence[float] | None = None
     ) -> np.ndarray:
         return column_sum(_arr(points), weights)
-
-    def max_corner_score(
-        self, points, weights: Sequence[float] | None = None
-    ) -> float:
-        array = _arr(points)
-        if not array.shape[0]:
-            return NEG_INF
-        return float(column_sum(array, weights).max())
 
     def cross_product_max(self, left, right) -> float:
         left_vals = np.asarray(left, dtype=np.float64)

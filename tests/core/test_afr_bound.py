@@ -13,7 +13,7 @@ from repro.core.afr_bound import (
 )
 from repro.core.bounds import LEFT, RIGHT, BoundContext
 from repro.core.frstar_bound import FRStarBound
-from repro.core.scoring import SumScore
+from repro.core.scoring import SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline
@@ -80,11 +80,17 @@ class TestAdaptiveCover:
             cover.update([y])
         assert is_skyline(cover.points)
 
-    def test_array_matches_points(self):
-        cover = AdaptiveCover(2, max_size=3, resolution=8)
+    def test_best_matches_points_through_transition(self):
+        """Carried while exact, a rescan of the marked cells on the grid."""
+        score = WeightedSum((0.5, 2.0)).row_scorer(0)
+        cover = AdaptiveCover(2, max_size=3, resolution=8, score=score)
+        modes = set()
         for i in range(1, 8):
             cover.update([(i / 9, 1.0 - i / 9)])
-        assert sorted(map(tuple, cover.array.tolist())) == sorted(cover.points)
+            modes.add(cover.mode)
+            assert cover.best == max(score(p) for p in cover.points)
+        assert modes == {"exact", "grid"}
+        assert AdaptiveCover(2, max_size=3).best is None  # no scorer, no best
 
 
 class TestFrozenCover:

@@ -153,9 +153,11 @@ class TestDecisionMatrix:
 
 
 class TestRefreshIsADelta:
-    """A regression to recompute-everything fails here, not in a benchmark."""
+    """A regression to recompute-everything — or to arrays and dispatched
+    glue on the pull path — fails here, not in a benchmark."""
 
-    def test_frpa_patches_instead_of_recomputing(self):
+    @staticmethod
+    def _kernel_calls(operator_name):
         from repro import kernels
         from repro.core.operators import make_operator
         from repro.data.workload import WorkloadParams, lineitem_orders_instance
@@ -165,7 +167,7 @@ class TestRefreshIsADelta:
         instance = lineitem_orders_instance(WorkloadParams(
             e=2, c=0.5, z=0.5, k=10, scale=0.0005, seed=0
         ))
-        operator = make_operator("FRPA", instance)
+        operator = make_operator(operator_name, instance)
         registry = MetricRegistry()
         kernels.observe(registry)
         try:
@@ -175,6 +177,10 @@ class TestRefreshIsADelta:
         calls = {}
         for _, labels, counter in registry.metrics_named("kernel_calls_total"):
             calls[labels["fn"]] = calls.get(labels["fn"], 0) + counter.value
+        return instance, operator, calls
+
+    def test_frpa_patches_instead_of_recomputing(self):
+        instance, operator, calls = self._kernel_calls("FRPA")
         # Additive S: cover bounds come from maintained maxima.
         assert calls.get("cross_product_max", 0) == 0
         # One carve per closed group at most: a group closes when the
@@ -190,3 +196,26 @@ class TestRefreshIsADelta:
             closed += sum(b < a for a, b in zip(bounds, bounds[1:]))
         assert 0 < calls["cover_carve"] <= closed
         assert operator.stats().bound_recomputations > 0
+        # ... and the carve is the only kernel a pull dispatches: the skyline
+        # insert, the partial scores and the maxima are plain loops over lists.
+        assert sum(calls.values()) == calls["cover_carve"]
+
+    def test_hrjn_star_dispatches_nothing(self):
+        _, operator, calls = self._kernel_calls("HRJN*")
+        assert operator.pulls > 0 and calls == {}
+
+    @pytest.mark.parametrize("operator_name", ["FRPA", "HRJN*"])
+    def test_no_operator_keeps_score_columns(self, operator_name, monkeypatch):
+        """Only plain FR reads seen columns, and it keeps its own."""
+        from repro.kernels import PointSet
+
+        appended = []
+        real = PointSet.append
+        monkeypatch.setattr(
+            PointSet, "append",
+            lambda self, point: appended.append(point) or real(self, point),
+        )
+        _, operator, _ = self._kernel_calls(operator_name)
+        assert operator.pulls > 0 and appended == []
+        assert not hasattr(operator, "score_columns")
+        assert operator.bound_scheme.context.columns is None

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.geometry import ScoredAntichain
 from repro.kernels import PointSet
 from repro.core.scoring import (
     NEG_INF,
@@ -20,6 +21,14 @@ from repro.core.scoring import (
 )
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def _cover_max(scoring, left, right):
+    """``cover_max`` over the operand kind FR* holds: scored antichains."""
+    return scoring.cover_max(
+        ScoredAntichain(left, score=scoring.row_scorer(0)),
+        ScoredAntichain(right, score=scoring.row_scorer(len(left[0]))),
+    )
 
 
 class TestSumScore:
@@ -63,9 +72,8 @@ class TestSumScore:
         rng = np.random.default_rng(1)
         left = [tuple(v) for v in rng.random((6, 2))]
         right = [tuple(v) for v in rng.random((6, 2))]
-        assert scoring.max_combination_separable(left, right) == pytest.approx(
-            scoring.max_combination(left, right)
-        )
+        # cover_max is the production form of the separable identity.
+        assert _cover_max(scoring, left, right) == scoring.max_combination(left, right)
 
     def test_zero_dimensional_operand(self):
         scoring = SumScore()
@@ -100,7 +108,7 @@ class TestWeightedSum:
         right = [tuple(v) for v in rng.random((4, 2))]
         brute = max(scoring(a + b) for a in left for b in right)
         assert scoring.max_combination(left, right) == pytest.approx(brute)
-        assert scoring.max_combination_separable(left, right) == pytest.approx(brute)
+        assert _cover_max(scoring, left, right) == pytest.approx(brute)
 
     def test_monotone(self):
         assert check_monotone(WeightedSum([0.3, 0.7]), 2)
@@ -175,21 +183,21 @@ def _apply(ps, step):
         ps.append(payload)
     elif kind == "replace":
         ps.replace([payload] * (n % 3))
-    elif kind == "compress":
+    else:
         ps.compress([(i + len(payload)) % 2 == 0 for i in range(n)])
-    else:  # patch: keep every other row, add the payload twice
-        ps.patch(list(range(0, n, 2)), [payload, payload])
 
 
 class TestPatchedOperands:
-    """An additive operand carried across patches equals one built from
-    scratch, bit for bit, and its maintained maximum gives the cover bound."""
+    """An additive operand synced through the stamp equals one built from
+    scratch, bit for bit, and its maintained maximum gives the cover bound.
+    (A carve's patch no longer reaches a ``PointSet``: the carried-partials
+    half of this lives in ``tests/geometry/test_antichain.py``.)"""
 
     weights = (0.7, 1.0, 1.3)
     vec3 = st.tuples(unit, unit, unit)
     steps = st.lists(
         st.tuples(
-            st.sampled_from(["append", "patch", "compress", "replace"]),
+            st.sampled_from(["append", "compress", "replace"]),
             vec3,
             st.booleans(),  # read the operand after this step?
         ),
@@ -225,26 +233,15 @@ class TestPatchedOperands:
         operand = SumScore().prepare(source=ps)
         operand.partials
         assert scored == [6]
-        ps.patch([0, 2, 4], [(0.9, 0.9, 0.9)])
-        operand.partials
-        assert scored == [6, 1]  # one patch behind: only the fresh row
         ps.append((0.2, 0.2, 0.2))
-        operand.partials
-        assert scored == [6, 1, 1]  # appends after a patch extend
-        ps.patch([0, 1], [(0.3, 0.3, 0.3)])
         ps.append((0.4, 0.4, 0.4))
         operand.partials
-        assert scored == [6, 1, 1, 2]  # patch then append: still one behind
-        ps.patch([0], [])
-        ps.patch([0], [(0.6, 0.6, 0.6)])
-        operand.partials
-        assert scored[-1] == 2  # two patches behind: rebuild
-        ps.patch([1], [])
-        ps.compress([False])
+        operand.best
+        assert scored == [6, 2]  # appends extend: only the new rows
+        ps.compress([True, False] * 4)
         ps.append((0.7, 0.7, 0.7))
         operand.partials
-        assert scored[-1] == 1 and len(operand.partials) == 1  # across a compress
-        ps.patch([0], [(0.8, 0.8, 0.8)])
+        assert scored[-1] == 5 and len(operand.partials) == 5  # across a compress
         ps.replace([(0.1, 0.1, 0.1)] * 3)
         assert operand.partials.tolist() == [0.1 + 0.1 + 0.1] * 3
         assert scored[-1] == 3  # across a replace: rebuild
@@ -264,6 +261,11 @@ class TestPatchedOperands:
             assert l_op.best + r_op.best == cross
             assert scoring.cover_max(l_op, r_op) == cross
             assert scoring.max_prepared(l_op, r_op) == cross
+            # Operand kinds mix: plain FR pairs a cover (list-native) with
+            # its seen column (prepared), FR* two list-native sets.
+            chain = ScoredAntichain(left, score=scoring.row_scorer(0))
+            assert scoring.max_prepared(chain, r_op) == cross
+            assert scoring.cover_max(chain, r_op) == cross
 
     def test_non_additive_cover_max_is_the_cross_product(self):
         scoring = MinScore()

@@ -118,60 +118,6 @@ class TestStampProtocol:
         assert ps.version > v0
 
 
-class TestPatch:
-    """One mutation for a carve's delta: kept row ids, then fresh rows."""
-
-    def test_keeps_then_adds_with_one_version_bump(self):
-        ps = PointSet(2, [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)])
-        before = ps.stamp
-        ps.patch([0, 2], [(0.4, 0.6), (0.6, 0.4)])
-        assert ps.tuples() == [(0.1, 0.9), (0.9, 0.1), (0.4, 0.6), (0.6, 0.4)]
-        assert ps.stamp == (before[0] + 1, 4)
-        stamp, keep = ps.last_patch
-        assert stamp == before and keep.tolist() == [0, 2]
-
-    def test_accepts_arrays_and_grows_past_capacity(self):
-        ps = PointSet(1, [(0.5,)])
-        fresh = np.arange(1, 41, dtype=float).reshape(-1, 1) / 100
-        ps.patch(np.array([0]), fresh)
-        assert len(ps) == 41 and ps.row(40) == (0.4,)
-        ps.patch(np.array([], dtype=int), fresh[:0])
-        assert len(ps) == 0 and ps.tuples() == []
-
-    def test_noop_patch_changes_nothing(self):
-        ps = PointSet(2, [(0.1, 0.9), (0.9, 0.1)])
-        ps.patch([1], [])
-        stamp, delta = ps.stamp, ps.last_patch
-        ps.patch([0], [])
-        assert ps.stamp == stamp and ps.last_patch is delta
-
-    def test_tuple_cache_carried_over(self):
-        ps = PointSet(2, [(0.1, 0.9), (0.9, 0.1)])
-        first = ps.tuples()
-        ps.patch([1], [(0.3, 0.3)])
-        carried = ps.tuples()
-        assert carried == [(0.9, 0.1), (0.3, 0.3)]
-        assert carried[0] is first[1]  # not rebuilt from the array
-        assert carried == [tuple(row) for row in ps.array.tolist()]
-
-    def test_other_mutations_forget_the_delta(self):
-        for mutate in (
-            lambda ps: ps.replace([(0.2, 0.2)]),
-            lambda ps: ps.compress([True, False]),
-            lambda ps: ps.clear(),
-        ):
-            ps = PointSet(2, [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)])
-            ps.patch([0, 1], [])
-            assert ps.last_patch is not None
-            mutate(ps)
-            assert ps.last_patch is None
-        ps = PointSet(2, [(0.1, 0.9), (0.9, 0.1)])
-        ps.patch([0], [])
-        delta = ps.last_patch
-        ps.append((0.3, 0.3))  # appends extend the patched version
-        assert ps.last_patch is delta and ps.version == delta[0][0] + 1
-
-
 class TestViews:
     def test_tuples_cached_until_mutation(self):
         ps = PointSet(2, [(0.1, 0.2)])
