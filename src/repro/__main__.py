@@ -72,8 +72,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel", choices=kernels.BACKEND_CHOICES, default=None,
-        help="point-set kernel: 'auto' dispatches per call by batch size; "
-             "python/numpy pin one tier, process-wide "
+        help="point-set kernel: 'auto' routes each call by batch size; "
+             "python/numpy pin one form, process-wide "
              "(default: REPRO_KERNEL env or auto)",
     )
 
@@ -553,7 +553,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"kernels   : {', '.join(kernels.available_backends())} "
           f"(active: {kernels.kernel_name()})")
     if kernels.kernel_name() == "auto":
-        print("dispatch  : op -> [(min batch size, backend)], scanned high→low")
+        print("dispatch  : op -> [(min batch size, form)], scanned high→low")
         for op, entries in sorted(kernels.dispatch_routes().items()):
             table = ", ".join(f"{size}:{name}" for size, name in entries)
             print(f"  {op:<22} {table}")

@@ -1,19 +1,14 @@
 """Process-wide configuration knobs (:class:`ReproConfig`).
 
-Three global knobs live here:
+Two global knobs live here:
 
 * the kernel of :mod:`repro.kernels`, selected process-wide.
   Resolution order, highest priority first: an explicit ``--kernel``
   CLI flag / :func:`repro.kernels.set_backend` call /
   ``ReproConfig(kernel=...)`` (all three end in ``set_backend``); the
-  ``REPRO_KERNEL`` environment variable; ``auto`` (size-aware per-call
-  dispatch over the two tiers).  Pinned names (``python``/``numpy``)
-  resolve every op at one tier.
-* the dispatcher's crossover thresholds.  ``kernel_thresholds`` names a
-  JSON file of per-op minimum batch sizes (same schema as the
-  per-machine cache under ``~/.cache/repro/kernel_thresholds.json``);
-  without it the dispatcher calibrates once per machine and caches the
-  result, and cells neither names keep the shipped defaults.
+  ``REPRO_KERNEL`` environment variable; ``auto`` (each call routed by
+  its batch size).  Pinned names (``python``/``numpy``) force that form
+  wherever an op has it.
 * the planner's cost-model coefficients (:mod:`repro.planner.cost`).
   ``planner_coeffs`` names a JSON file of coefficient overrides;
   without it the planner micro-benchmarks the machine once per process.
@@ -34,16 +29,13 @@ class ReproConfig:
     """Declarative bundle of process-wide settings.
 
     ``kernel`` is one of :data:`repro.kernels.BACKEND_CHOICES`
-    (``auto``/``numpy``/``python``); ``kernel_thresholds``
-    optionally names a JSON file of per-op dispatch crossovers;
-    ``planner_coeffs`` optionally names a JSON file of
-    :class:`repro.planner.CostCoefficients` overrides.
+    (``auto``/``numpy``/``python``); ``planner_coeffs`` optionally names a
+    JSON file of :class:`repro.planner.CostCoefficients` overrides.
     Construct-and-:meth:`apply`, or use :meth:`from_env` to mirror the
     environment.
     """
 
     kernel: str = "auto"
-    kernel_thresholds: str | None = None
     planner_coeffs: str | None = None
 
     def __post_init__(self) -> None:
@@ -68,12 +60,6 @@ class ReproConfig:
 
     def apply(self) -> str:
         """Install these settings; returns the selected kernel name."""
-        if self.kernel_thresholds is not None:
-            from repro.kernels import dispatch, set_thresholds
-
-            set_thresholds(
-                dispatch.load_thresholds_file(self.kernel_thresholds)
-            )
         if self.planner_coeffs is not None:
             # Imported lazily — the planner is an optional consumer.
             from repro.planner.cost import CostCoefficients, set_coefficients

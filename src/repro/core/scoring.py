@@ -16,7 +16,7 @@ constants — mirroring the paper's compiled C++ implementation.
 A cross-product *operand* is anything with ``points`` and, for an additive
 ``S``, ``partials`` and their maximum ``best``: a bulk, append-only set (the
 seen columns of PBRJ_FR^RR) is a :class:`PreparedPoints` on columnar
-:class:`~repro.kernels.PointSet` storage, synced through the set's mutation
+:class:`~repro.kernels.PointSet` storage, synced through the set's size
 stamp; the small, constantly mutated sets of FR* (covers, seen skylines) are
 list-native (:class:`~repro.geometry.antichain.ScoredAntichain`) and score
 a row at a time with :meth:`ScoringFunction.row_scorer`.  The literal cross
@@ -122,7 +122,7 @@ class ScoringFunction(ABC):
         right-input sets); additive functions use it to select weights.
         ``source`` binds the operand to an externally maintained columnar
         :class:`~repro.kernels.PointSet` (e.g. a PBRJ score column): the
-        operand tracks the set through its mutation stamp instead of
+        operand tracks the set through its stamp instead of
         keeping its own copy.
         """
         return PreparedPoints(self, points, source=source)
@@ -185,11 +185,11 @@ class _AdditivePrepared(PreparedPoints):
     """Prepared operand for additive functions: cached partial scores.
 
     Keeps a capacity-doubling buffer of per-point partial scores and
-    their maximum, lazily synchronized with the columnar source through
-    its mutation stamp: appended rows extend the buffer (one batch
-    :func:`repro.kernels.cover_corner_scores` call over the new slice),
-    anything else is a full recompute.  A partial depends on its row alone:
-    same bits either way.
+    their maximum, lazily synchronized with the append-only columnar
+    source through its stamp: the rows appended since the last read extend
+    the buffer (one batch :func:`repro.kernels.cover_corner_scores` call
+    over the new slice).  A partial depends on its row alone: the bits of
+    a from-scratch pass.
     """
 
     def __init__(
@@ -208,27 +208,22 @@ class _AdditivePrepared(PreparedPoints):
         self._buffer = np.empty(16, dtype=float)
         self._size = 0
         self._best = NEG_INF
-        self._synced = (-1, 0)  # impossible stamp: first access recomputes
 
     def _sync(self) -> None:
-        stamp = self._source.stamp
-        if stamp == self._synced:
+        size = self._source.stamp
+        if size == self._size:
             return
-        version, size = stamp
-        if version == self._synced[0] and size >= self._synced[1]:
-            best = self._best  # rows were appended: the prefix stands
-        else:
-            self._size, best = 0, NEG_INF
         fresh = self._source.array[self._size: size]
-        if len(fresh):
-            values = kernels.cover_corner_scores(fresh, self._weights)
-            if size > len(self._buffer):
-                self._buffer = np.resize(
-                    self._buffer, max(2 * len(self._buffer), size)
-                )
-            self._buffer[self._size: size] = values
-            best = max(best, float(self._buffer[self._size: size].max()))
-        self._size, self._best, self._synced = size, best, stamp
+        values = kernels.cover_corner_scores(fresh, self._weights)
+        if size > len(self._buffer):
+            self._buffer = np.resize(
+                self._buffer, max(2 * len(self._buffer), size)
+            )
+        self._buffer[self._size: size] = values
+        self._best = max(
+            self._best, float(self._buffer[self._size: size].max())
+        )
+        self._size = size
 
     @property
     def partials(self):

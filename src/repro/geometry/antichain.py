@@ -13,10 +13,9 @@ carrying it across a mutation gives the bits a rescan would.
 
 Its two mutations: :meth:`~ScoredAntichain.add`, the skyline insert, is a
 loop with no kernel call; :meth:`~ScoredAntichain.carve`, ``FR*::UpdateCR``,
-is one size-dispatched :func:`repro.kernels.carve_patch` call on the list
-itself (an array exists only if the call is routed to the numpy tier)
-whose delta is applied in place: kept rows first, ascending, with their
-partials, then the fresh rows, scored.
+is one :func:`repro.kernels.carve_patch` call on the list itself whose
+delta is applied in place: kept rows first, ascending, with their partials,
+then the fresh rows, scored.
 """
 
 from __future__ import annotations
@@ -105,12 +104,9 @@ class ScoredAntichain:
     def carve(self, observed: list[Point], *, skyline_mode: bool = True) -> None:
         """Carve the regions dominating each observed vector out of the set
         (``FR::UpdateCR``; ``FR*::UpdateCR`` with ``skyline_mode``)."""
-        keep, fresh = kernels.carve_patch(
+        self._patch(*kernels.carve_patch(
             self._points, observed, skyline_mode=skyline_mode
-        )
-        if hasattr(fresh, "tolist"):  # the numpy tier answers in arrays
-            keep, fresh = keep.tolist(), [tuple(row) for row in fresh.tolist()]
-        self._patch(keep, fresh)
+        ))
 
     def _patch(self, keep: list[int], fresh: list[Point]) -> None:
         """Keep the rows ``keep`` (ascending ids) with their partials, then

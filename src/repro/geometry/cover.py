@@ -13,10 +13,8 @@ cover points dominating ``y`` are removed and replaced by their projections
 cover nothing and are dropped).  It is a deliberately loop-based oracle; the
 production path is :class:`CoverRegion`, a list-native
 :class:`~repro.geometry.antichain.ScoredAntichain` that carves through the
-batch kernel :func:`repro.kernels.carve_patch` — dispatched per call by
-cover size.  The loops work on the list itself; the numpy tier has to build
-an array from it first, which on the shipped thresholds never pays
-(:data:`repro.kernels.dispatch.DEFAULT_THRESHOLDS`).
+batch kernel :func:`repro.kernels.carve_patch`, a loop over the list itself
+(an array form had to build its operand from the list first and never won).
 
 The FR* variant additionally skylines the result, and — as the paper's
 printed ``FR*::UpdateCR`` does — skylining the new points ``S⁺`` among
@@ -115,9 +113,8 @@ class CoverRegion(ScoredAntichain):
     close of the FR-family bounds and is their hottest loop.  With a row
     scorer (``score=``) the cover carries its points' partial scores and
     their maximum, :attr:`best`, across carves.  The semantics are identical
-    to the reference :func:`update_cover` under every kernel backend and
-    under size-aware auto dispatch (the test suite asserts the equivalence
-    property-based).
+    to the reference :func:`update_cover` (the test suite asserts the
+    equivalence property-based).
     """
 
     __slots__ = ("dimension", "skyline_mode")

@@ -23,9 +23,8 @@ Implementation notes (see DESIGN.md):
   are delegated to :mod:`repro.kernels` — :func:`~repro.kernels.grid_carve`,
   :func:`~repro.kernels.antichain` and
   :func:`~repro.kernels.grid_cell_assign` — so the grid tree runs on
-  whichever tier the per-call dispatcher picks for the batch at hand
-  (loops for small marked sets, vectorized/compiled for bulk), with
-  identical marked sets under every backend.
+  loops for small marked sets and on numpy for bulk, with identical
+  marked sets either way.
 * ``UpdateGridCR``'s recursive unmark-and-slide (which walks the grid cell
   by cell) is implemented as an equivalent *batch carve*: a marked cell is
   unmarked iff its corner strictly dominates the up-quantized vector, and

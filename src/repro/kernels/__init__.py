@@ -1,36 +1,29 @@
-"""Columnar point-set kernels: the compute plane of the FR-family bounds.
+"""Point-set kernels: the compute plane of the FR-family bounds.
 
 The paper's empirical finding (Figure 2(b)) is that *bound computation*
-dominates rank-join runtime.  This package concentrates that hot path
-into a small batch-kernel interface over columnar :class:`PointSet`
-storage, with two interchangeable implementation tiers, both always
-present, behind a per-op :class:`~repro.kernels.registry.KernelRegistry`:
+dominates rank-join runtime.  This package is the small set of batch
+operations that computation is made of — eight plain functions
+(:data:`KERNEL_OPS`) over lists of tuples, columnar :class:`PointSet`
+storage or arrays — with one implementation per op unless numpy
+measurably wins:
 
-* ``"python"`` — :class:`~repro.kernels.reference.ReferenceBackend`,
-  pure loops, the semantic oracle the tests compare against;
-* ``"numpy"`` — :class:`~repro.kernels.vectorized.NumpyBackend`,
-  one broadcast per batch, fastest on bulk.
+* ``cover_carve``, ``dominates_any``, ``skyline_filter`` and ``antichain``
+  *are* their Python loops (:mod:`repro.kernels.reference`).  The carve is
+  the one op on the FR* pull path: it answers with a *delta*
+  (:func:`carve_patch`: kept row ids plus fresh points) that the geometry
+  layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`
+  applies in place; :func:`cover_carve` assembles it into the whole cover.
+* ``cover_corner_scores``, ``cross_product_max``, ``grid_cell_assign`` and
+  ``grid_carve`` — the bulk ops of PBRJ_FR^RR's seen columns and aFR's grid
+  mode — also have a numpy form (:mod:`repro.kernels.vectorized`, one
+  broadcast per batch, 57–89× faster on bulk, slower on a handful of rows).
+  Each call takes the numpy form from the op's size threshold up: one
+  integer comparison against the four-row table in
+  :mod:`repro.kernels.dispatch`, the only place that knows the policy.
 
-Both tiers are **bit-identical**: same skylines, same cover rows, same
-partial scores (float additions happen left-to-right in every tier), so
-every operator-level invariant test doubles as a kernel-equivalence
-oracle.  The ``cover_carve`` op answers with a *delta* (:func:`carve_patch`:
-kept row ids plus fresh points) that the geometry layer's list-native
-:class:`~repro.geometry.antichain.ScoredAntichain` applies in place — the
-one op on the FR* pull path; :func:`cover_carve` assembles it into the
-whole cover.
-
-Per-call dispatch
------------------
-BENCH_kernels.json showed that no tier wins at every batch size — numpy
-is 59–73× faster on bulk ops but *loses* to the early-exit loops on
-small batches.  The default ``"auto"`` kernel therefore routes **each
-call** by batch size against per-op crossover thresholds
-(:mod:`repro.kernels.dispatch`: calibrated once per machine, cached to
-``~/.cache/repro/kernel_thresholds.json``, overridable via
-:func:`set_thresholds` / ``ReproConfig.kernel_thresholds``).
-Pinned names (``python``/``numpy``) bypass the size test and resolve
-every op at one tier.
+The two forms of an op are **bit-identical**: same cells, same partial
+scores (float additions happen left-to-right in both), so every
+operator-level invariant test doubles as a kernel-equivalence oracle.
 
 Selection
 ---------
@@ -41,18 +34,23 @@ from
 1. an explicit :func:`set_backend` / :func:`use_backend` call (the CLI
    ``--kernel`` flag and :class:`repro.config.ReproConfig` end here),
 2. the ``REPRO_KERNEL`` environment variable (``auto``/``numpy``/``python``),
-3. ``auto``: size-aware per-call dispatch over the two tiers.
+3. ``auto``: each call routed by its batch size.
+
+A pin (``python``/``numpy``) forces the named form wherever an op has it —
+how the suite cross-checks the two forms and how CI runs its pure-Python
+leg.  The thresholds are the shipped ones unless :func:`set_thresholds`
+or an explicit :func:`calibrate_thresholds` call replaces them, for this
+process only: nothing is timed, read or written that was not asked for.
 
 Observability
 -------------
 :func:`observe` attaches a :class:`~repro.obs.metrics.MetricRegistry`;
 afterwards every kernel call increments
-``kernel_calls_total{kernel=…, fn=…}`` labelled with the backend the
-dispatcher actually **chose** for that call (so ``python -m repro
-trace`` shows the dispatch mix under ``auto``), and a
-deterministic 1-in-16 sample of calls records wall-clock in the
-``bound_kernel_seconds{kernel=…}`` histogram.  Call counts are exact;
-only the latency histogram is sampled.
+``kernel_calls_total{kernel=…, fn=…}`` labelled with the form that
+actually **ran** (so ``python -m repro trace`` shows the mix under
+``auto``), and a deterministic 1-in-16 sample of calls records wall-clock
+in the ``bound_kernel_seconds{kernel=…}`` histogram.  Call counts are
+exact; only the latency histogram is sampled.
 """
 
 from __future__ import annotations
@@ -62,17 +60,11 @@ import warnings
 from contextlib import contextmanager
 from time import perf_counter
 
-import numpy as np
-
 from repro.kernels import dispatch as _dispatch
-from repro.kernels.dispatch import (
-    AutoDispatcher,
-    PinnedDispatcher,
-    set_thresholds,
-)
+from repro.kernels import reference as _loops
+from repro.kernels import vectorized as _numpy
+from repro.kernels.dispatch import set_thresholds
 from repro.kernels.pointset import PointSet
-from repro.kernels.reference import ReferenceBackend, _rows
-from repro.kernels.registry import BACKEND_TIER, KernelRegistry
 from repro.kernels.types import (
     Cell,
     Point,
@@ -81,10 +73,9 @@ from repro.kernels.types import (
     ones,
     substitute,
 )
-from repro.kernels.vectorized import NumpyBackend, _arr
 
-#: The kernel operations.  The reference tier implements all of them, the
-#: vectorized tier all but ``skyline_filter`` and ``antichain``.
+#: The kernel operations: every one has a loop, the four named in
+#: :data:`repro.kernels.dispatch.SHIPPED` a numpy form as well.
 KERNEL_OPS = (
     "dominates_any",
     "skyline_filter",
@@ -101,10 +92,11 @@ KERNEL_SECONDS_BUCKETS = (
     1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 1.0,
 )
 
-#: The per-op implementation registry all dispatchers resolve against.
-REGISTRY = KernelRegistry(KERNEL_OPS)
-REGISTRY.register("reference", ReferenceBackend())
-REGISTRY.register("vectorized", NumpyBackend())
+#: The two forms of the bulk ops, under the names counters label them with.
+_FORMS = {
+    "python": {op: getattr(_loops, op) for op in _dispatch.SHIPPED},
+    "numpy": {op: getattr(_numpy, op) for op in _dispatch.SHIPPED},
+}
 
 #: Names accepted by :func:`set_backend` / ``REPRO_KERNEL`` / ``--kernel``.
 BACKEND_CHOICES = ("auto", "numpy", "python")
@@ -113,41 +105,21 @@ ENV_VAR = "REPRO_KERNEL"
 
 
 def available_backends() -> tuple[str, ...]:
-    """The backend names (``numpy`` and ``python``, both always present)."""
-    return REGISTRY.backend_names()
+    """The form names (``numpy`` and ``python``, both always present)."""
+    return tuple(sorted(_FORMS))
 
 
-#: Dispatcher instances are cached per name so route tables and resolved
-#: op tables survive backend switches (tests flip constantly).
-_DISPATCHERS: dict[str, object] = {}
-
-
-def _dispatcher(name: str):
-    cached = _DISPATCHERS.get(name)
-    if cached is None:
-        if name == "auto":
-            cached = AutoDispatcher(REGISTRY)
-        else:
-            cached = PinnedDispatcher(REGISTRY, name)
-        _DISPATCHERS[name] = cached
-    return cached
-
-
-def _resolve(name: str | None):
-    if name is None:
-        name = "auto"
-    name = str(name).strip().lower()
+def _resolve(name: str | None) -> str:
+    name = "auto" if name is None else str(name).strip().lower()
     if name not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown kernel backend {name!r}; choose from {BACKEND_CHOICES}"
         )
-    return _dispatcher(name)
+    return name
 
 
-def _from_env():
+def _from_env() -> str:
     raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return _resolve("auto")
     try:
         return _resolve(raw)
     except ValueError:
@@ -156,7 +128,7 @@ def _from_env():
             f"(choose from {BACKEND_CHOICES})",
             RuntimeWarning,
         )
-        return _resolve("auto")
+        return "auto"
 
 
 _active = _from_env()
@@ -166,25 +138,19 @@ def set_backend(name: str | None) -> str:
     """Select the active kernel; returns the selected name.
 
     ``name`` is one of :data:`BACKEND_CHOICES` (``None`` means ``auto``).
-    ``auto`` dispatches per call by batch size; a pinned name resolves
-    every op at that tier.  The selection is process-wide and stays
+    ``auto`` routes each call by batch size; a pinned name forces that
+    form wherever an op has it.  The selection is process-wide and stays
     until the next call — scope a temporary switch with
     :func:`use_backend`.
     """
     global _active
     _active = _resolve(name)
-    return _active.name
-
-
-def get_backend():
-    """The active dispatcher (``auto`` routes per call; pinned names
-    resolve every op at one tier)."""
     return _active
 
 
 def kernel_name() -> str:
     """Name of the active kernel (``"auto"``, ``"numpy"`` or ``"python"``)."""
-    return _active.name
+    return _active
 
 
 @contextmanager
@@ -200,26 +166,28 @@ def use_backend(name: str):
 
 
 def dispatch_routes() -> dict[str, list[tuple[int, str]]]:
-    """The auto dispatcher's live route table: op -> [(min_size, backend)].
+    """The routing table ``auto`` follows: op -> [(min_size, form)].
 
     Entries are scanned high-to-low; the first whose ``min_size`` fits
     the batch wins.  Shown by ``python -m repro info``.
     """
-    return _dispatcher("auto").routes_snapshot()
+    routes = {op: [(0, "python")] for op in KERNEL_OPS}
+    for op, size in _dispatch.table.items():
+        if size < _dispatch.NEVER:
+            routes[op].insert(0, (size, "numpy"))
+    return routes
 
 
 def dispatch_thresholds() -> dict[str, dict[str, int]]:
-    """The resolved per-op crossover thresholds (min batch size per
-    backend; ``dispatch.NEVER`` disables a backend for an op)."""
-    return {
-        op: dict(table)
-        for op, table in _dispatch.thresholds(REGISTRY).items()
-    }
+    """The live size thresholds, in the shape :func:`set_thresholds` takes
+    (smallest batch the numpy form serves; ``dispatch.NEVER``: none)."""
+    return {op: {"numpy": size} for op, size in _dispatch.table.items()}
 
 
 def calibrate_thresholds(*, budget: float = 0.15) -> dict[str, dict[str, int]]:
-    """Re-measure crossover thresholds on this machine and install them."""
-    set_thresholds(_dispatch.calibrate(REGISTRY, budget=budget))
+    """Measure the four crossovers on this machine and install them, for
+    this process only."""
+    set_thresholds(_dispatch.calibrate(budget=budget))
     return dispatch_thresholds()
 
 
@@ -237,7 +205,7 @@ _SAMPLE = 16
 
 
 class _KernelHandle:
-    """Pre-resolved metric handles for one (chosen backend, fn) series."""
+    """Pre-resolved metric handles for one (form, fn) series."""
 
     __slots__ = ("counter", "hist", "tick")
 
@@ -257,10 +225,9 @@ class _KernelHandle:
 class _InstrumentationSink:
     """Resolves and caches metric handles for kernel-call accounting.
 
-    ``handles`` is keyed by the backend the dispatcher *chose* for the
-    call plus the op name, and read directly by :func:`_call` — the
-    steady-state cost of an instrumented kernel call is one dict lookup
-    plus a counter increment.
+    ``handles`` is keyed by the form that serves the call plus the op
+    name, and read directly by :func:`_run` — the steady-state cost of an
+    instrumented kernel call is one dict lookup plus a counter increment.
     """
 
     __slots__ = ("_metrics", "handles")
@@ -269,17 +236,14 @@ class _InstrumentationSink:
         self._metrics = metrics
         self.handles: dict[tuple[str, str], _KernelHandle] = {}
 
-    def handle(self, backend: str, fn: str) -> _KernelHandle:
-        key = (backend, fn)
-        handle = self.handles.get(key)
-        if handle is None:
-            handle = self.handles[key] = _KernelHandle(
-                self._metrics.counter("kernel_calls_total",
-                                      kernel=backend, fn=fn),
-                self._metrics.histogram("bound_kernel_seconds",
-                                        buckets=KERNEL_SECONDS_BUCKETS,
-                                        kernel=backend),
-            )
+    def handle(self, form: str, fn: str) -> _KernelHandle:
+        """Create (first call of a series) the handle of ``(form, fn)``."""
+        handle = self.handles[form, fn] = _KernelHandle(
+            self._metrics.counter("kernel_calls_total", kernel=form, fn=fn),
+            self._metrics.histogram("bound_kernel_seconds",
+                                    buckets=KERNEL_SECONDS_BUCKETS,
+                                    kernel=form),
+        )
         return handle
 
 
@@ -299,91 +263,101 @@ def observe(metrics) -> None:
 
 
 def unobserve() -> None:
-    """Detach kernel instrumentation (zero-overhead dispatch again)."""
+    """Detach kernel instrumentation (a kernel call is a plain call again)."""
     global _sink
     _sink = None
 
 
-def _call(fn: str, *args, **kwargs):
-    entry = _active.select(fn, args)
+def _run(form: str, fn: str, impl, *args):
+    """Call ``impl`` — op ``fn`` in form ``form`` — counted if observed."""
     sink = _sink
     if sink is None:
-        return entry.impl(*args, **kwargs)
-    handle = sink.handles.get((entry.used, fn))
+        return impl(*args)
+    handle = sink.handles.get((form, fn))
     if handle is None:
-        handle = sink.handle(entry.used, fn)
+        handle = sink.handle(form, fn)
     handle.counter.inc()
     if not handle.should_sample():
-        return entry.impl(*args, **kwargs)
+        return impl(*args)
     start = perf_counter()
     try:
-        return entry.impl(*args, **kwargs)
+        return impl(*args)
     finally:
         handle.hist.observe(perf_counter() - start)
 
 
+def _sized(fn: str, size: int, *args):
+    """Run a two-form op: on the pinned form, or under ``auto`` on numpy
+    from the op's threshold up — the one routing decision there is."""
+    if _active == "auto":
+        form = "numpy" if size >= _dispatch.table[fn] else "python"
+    else:
+        form = _active
+    return _run(form, fn, _FORMS[form][fn], *args)
+
+
 # ----------------------------------------------------------------------
-# Dispatch surface — one thin wrapper per kernel op
+# The eight ops
 # ----------------------------------------------------------------------
 def dominates_any(points, q) -> bool:
     """True if some row of ``points`` weakly dominates ``q``."""
-    return _call("dominates_any", points, q)
+    return _run("python", "dominates_any", _loops.dominates_any, points, q)
 
 
 def skyline_filter(points) -> list[int]:
     """Indices (input order, first-occurrence dedup) of the skyline."""
-    return _call("skyline_filter", points)
+    return _run("python", "skyline_filter", _loops.skyline_filter, points)
 
 
 def cover_corner_scores(points, weights=None):
     """Per-row partial score: plain or weighted left-to-right sum."""
-    return _call("cover_corner_scores", points, weights)
+    return _sized("cover_corner_scores", len(points), points, weights)
 
 
 def cross_product_max(left, right) -> float:
-    """Max of ``l + r`` over the full cross product of two score lists."""
-    return _call("cross_product_max", left, right)
+    """Max of ``l + r`` over the full cross product of two score lists
+    (routed by the number of pairs)."""
+    return _sized("cross_product_max", len(left) * len(right), left, right)
 
 
 def carve_patch(cover, observed, *, skyline_mode: bool = False):
     """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``) as a delta
-    ``(keep, fresh)`` — surviving row ids, then the new points — in lists
-    from the reference tier, arrays from numpy.  Counted as ``cover_carve``."""
-    return _call("cover_carve", cover, observed, skyline_mode=skyline_mode)
+    ``(keep, fresh)`` — surviving row ids, then the new points.  Counted
+    as ``cover_carve``."""
+    return _run(
+        "python", "cover_carve", _loops.cover_carve, cover, observed,
+        skyline_mode,
+    )
 
 
 def cover_carve(cover, observed, *, skyline_mode: bool = False):
     """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points."""
     keep, fresh = carve_patch(cover, observed, skyline_mode=skyline_mode)
-    if hasattr(fresh, "shape"):  # the numpy tier answers in arrays
-        return np.concatenate([_arr(cover)[keep], fresh], axis=0)
-    rows = _rows(cover)
+    rows = _loops._rows(cover)
     return [rows[i] for i in keep] + fresh
 
 
 def grid_cell_assign(points, resolution: int):
     """Cell containing each point (coordinates rounded up onto the grid)."""
-    return _call("grid_cell_assign", points, resolution)
+    return _sized("grid_cell_assign", len(points), points, resolution)
 
 
 def antichain(cells):
     """Reduce integer grid cells to their dominance antichain."""
-    return _call("antichain", cells)
+    return _run("python", "antichain", _loops.antichain, cells)
 
 
 def grid_carve(cells, point, resolution: int):
     """``aFR::UpdateGridCR`` for one vector: ``(new_cells, changed)``."""
-    return _call("grid_carve", cells, point, resolution)
+    return _sized("grid_carve", len(cells), cells, point, resolution)
 
 
 __all__ = [
     "BACKEND_CHOICES",
-    "BACKEND_TIER",
     "Cell",
     "KERNEL_OPS",
     "Point",
     "PointSet",
-    "REGISTRY",
     "antichain",
     "as_cell",
     "as_point",
@@ -396,7 +370,6 @@ __all__ = [
     "dispatch_routes",
     "dispatch_thresholds",
     "dominates_any",
-    "get_backend",
     "grid_carve",
     "grid_cell_assign",
     "kernel_name",

@@ -1,18 +1,18 @@
-"""The pure-Python reference kernel backend.
+"""The kernels as plain Python loops over canonical tuples.
 
-Every kernel is a plain loop over canonical tuples — no numpy on the
-compute path.  This backend is the *semantic oracle*: the vectorized backend
-must produce bit-identical results (same point sets, same rows, same
-scores), which the property-test suite enforces.  It is also the tier the
-FR* pull path runs on, so ``cover_carve`` — the one op left there — is
-written for speed on a list of tuples; its own oracle is the literal
-pseudo-code loop :func:`repro.geometry.cover.update_cover`.
+Four ops *are* these loops (``cover_carve``, ``dominates_any``,
+``skyline_filter``, ``antichain``: numpy never won them at any size seen);
+for the other four the loop serves the small batches and is the *semantic
+oracle* of the numpy form in :mod:`repro.kernels.vectorized`, which must
+produce bit-identical results (same point sets, same rows, same scores) —
+the property-test suite enforces it.  ``cover_carve`` is the one op on the
+FR* pull path, so it is written for speed on a list of tuples; its own
+oracle is the literal pseudo-code loop
+:func:`repro.geometry.cover.update_cover`.
 
 Floating-point discipline: partial scores are accumulated strictly
-left-to-right (``s = 0.0; s += w*x``).  The vectorized backend sums the
-same way (numpy's reduction is sequential for rows of <= 8 elements, and
-the wide-row path falls back to explicit loops), so the two backends
-agree bit-for-bit, not just approximately.
+left-to-right (``s = 0.0; s += w*x``).  The numpy forms sum the same way
+(column at a time), so the two agree bit-for-bit, not just approximately.
 """
 
 from __future__ import annotations
@@ -44,218 +44,205 @@ def _weak_dom(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(map(ge, a, b))
 
 
-class ReferenceBackend:
-    """Loop-based kernels with oracle semantics."""
+def dominates_any(points, q: Sequence[float]) -> bool:
+    """True if some row of ``points`` weakly dominates ``q``."""
+    q = tuple(q)
+    for row in _rows(points):
+        if all(map(ge, row, q)):
+            return True
+    return False
 
-    name = "python"
 
-    # ------------------------------------------------------------------
-    # Dominance primitives
-    # ------------------------------------------------------------------
-    def dominates_any(self, points, q: Sequence[float]) -> bool:
-        """True if some row of ``points`` weakly dominates ``q``."""
-        q = tuple(q)
-        for row in _rows(points):
-            if all(map(ge, row, q)):
-                return True
-        return False
+def skyline_filter(points) -> list[int]:
+    """Indices (input order) of the skyline of ``points``.
 
-    # ------------------------------------------------------------------
-    # Skylines
-    # ------------------------------------------------------------------
-    def skyline_filter(self, points) -> list[int]:
-        """Indices (input order) of the skyline of ``points``.
-
-        A point survives iff no other point strictly dominates it and no
-        earlier point equals it (duplicates collapse to their first
-        occurrence) — exactly the result of the classic incremental
-        insertion loop.
-        """
-        rows = _rows(points)
-        kept: list[int] = []
-        for i, point in enumerate(rows):
-            for j in kept:
-                if all(map(ge, rows[j], point)):
-                    break
-            else:
-                # No kept row equals ``point`` here, so ⪰ is already ≻.
-                kept = [j for j in kept if not all(map(ge, point, rows[j]))]
-                kept.append(i)
-        return kept
-
-    # ------------------------------------------------------------------
-    # Partial scores
-    # ------------------------------------------------------------------
-    def cover_corner_scores(
-        self, points, weights: Sequence[float] | None = None
-    ) -> list[float]:
-        """Per-row partial score: plain sum, or weighted sum if given."""
-        scores: list[float] = []
-        if weights is None:
-            for row in _rows(points):
-                s = 0.0
-                for v in row:
-                    s += v
-                scores.append(s)
+    A point survives iff no other point strictly dominates it and no
+    earlier point equals it (duplicates collapse to their first
+    occurrence) — exactly the result of the classic incremental
+    insertion loop.
+    """
+    rows = _rows(points)
+    kept: list[int] = []
+    for i, point in enumerate(rows):
+        for j in kept:
+            if all(map(ge, rows[j], point)):
+                break
         else:
-            for row in _rows(points):
-                s = 0.0
-                for w, v in zip(weights, row):
-                    s += w * v
-                scores.append(s)
-        return scores
+            # No kept row equals ``point`` here, so ⪰ is already ≻.
+            kept = [j for j in kept if not all(map(ge, point, rows[j]))]
+            kept.append(i)
+    return kept
 
-    def cross_product_max(self, left, right) -> float:
-        """``max(l + r)`` over the full cross product of two score lists.
 
-        The nested loop is deliberate: this is the combinatorial cost the
-        paper ascribes to FR's cover bounds, kept intact for PBRJ_FR^RR
-        (only constant-factor acceleration differs between backends; FR*
-        with an additive ``S`` no longer calls it).  ``-inf`` if either
-        side is empty.
-        """
-        best = NEG_INF
-        right_list = [float(r) for r in right]
-        if not right_list:
-            return best
-        for l_val in left:
-            l_val = float(l_val)
-            for r_val in right_list:
-                if l_val + r_val > best:
-                    best = l_val + r_val
-        return best
-
-    # ------------------------------------------------------------------
-    # Cover maintenance (FR::UpdateCR / FR*::UpdateCR)
-    # ------------------------------------------------------------------
-    def cover_carve(
-        self, cover, observed, *, skyline_mode: bool = False
-    ) -> tuple[list[int], list[Point]]:
-        """Carve the regions dominating each observed vector out of ``cover``.
-
-        Returns the carve as a *patch* ``(keep, fresh)``: the ids of the
-        cover rows no vector removed (ascending), then the new points in
-        sorted order per vector, so both backends emit identical rows.
-        ``skyline_mode`` skylines only the projections: over an antichain
-        no survivor compares with one (Lemma, :mod:`repro.geometry.cover`).
-        Works on the caller's own row list (no copy of a list of tuples).
-        """
-        rows = _rows(cover)
-        keep = range(len(rows))
-        fresh: list[Point] = []
-        for raw in observed:
-            y = as_point(raw)
-            # The rows ⪰ y, narrowed one coordinate at a time: over an
-            # antichain the first comparison already drops most of them.
-            hit = keep
-            for axis, value in enumerate(y):
-                hit = [i for i in hit if rows[i][axis] >= value]
-            stale = [p for p in fresh if all(map(ge, p, y))]
-            if not (hit or stale):
-                continue
-            removed = [rows[i] for i in hit]
-            if hit:
-                gone = set(hit)
-                keep = [i for i in keep if i not in gone]
-            if stale:
-                fresh = [p for p in fresh if not all(map(ge, p, y))]
-                removed += stale
-            # Project each removed point one coordinate down onto y; a
-            # projection with a zero coordinate covers nothing.
-            projected: set[Point] = set()
-            for s in removed:
-                for axis, value in enumerate(y):
-                    candidate = s[:axis] + (value,) + s[axis + 1:]
-                    if min(candidate) > 0.0:
-                        projected.add(candidate)
-            # Largest first, a projection can only be dominated by one
-            # already seen (a dominator is lexicographically larger): the
-            # skyline of distinct points in one sweep, nothing ever evicted.
-            new = sorted(projected, reverse=True)
-            if skyline_mode:
-                top: list[Point] = []
-                for p in new:
-                    for q in top:
-                        if all(map(ge, q, p)):
-                            break
-                    else:
-                        top.append(p)
-                new = top
-            new.reverse()
-            fresh += new
-        return list(keep), fresh
-
-    # ------------------------------------------------------------------
-    # Grid kernels (aFR)
-    # ------------------------------------------------------------------
-    def grid_cell_assign(self, points, resolution: int) -> list[Cell]:
-        """Cell containing each point: coordinates rounded *up* onto the grid.
-
-        Matches ``GridTree.cell_containing``: exact ``ceil`` so float fuzz
-        can only push a corner upward (the corner keeps weakly dominating
-        the point).
-        """
-        cells: list[Cell] = []
+def cover_corner_scores(
+    points, weights: Sequence[float] | None = None
+) -> list[float]:
+    """Per-row partial score: plain sum, or weighted sum if given."""
+    scores: list[float] = []
+    if weights is None:
         for row in _rows(points):
-            cell = []
-            for value in row:
-                index = ceil(value * resolution) - 1
-                cell.append(min(max(index, 0), resolution - 1))
-            cells.append(tuple(cell))
-        return cells
+            s = 0.0
+            for v in row:
+                s += v
+            scores.append(s)
+    else:
+        for row in _rows(points):
+            s = 0.0
+            for w, v in zip(weights, row):
+                s += w * v
+            scores.append(s)
+    return scores
 
-    def antichain(self, cells) -> list[Cell]:
-        """Reduce integer cells to their dominance antichain (dedup'd).
 
-        Result is in sorted order — cell sets are order-insensitive (the
-        grid tree exposes them as a set), and sorting keeps the two
-        backends trivially comparable.
-        """
-        unique = sorted({tuple(int(v) for v in row) for row in _rows(cells)})
-        kept = []
-        for i, cell in enumerate(unique):
-            dominated = False
-            for j, other in enumerate(unique):
-                if i != j and _weak_dom(other, cell) and other != cell:
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(cell)
-        return kept
+def cross_product_max(left, right) -> float:
+    """``max(l + r)`` over the full cross product of two score lists.
 
-    def grid_carve(
-        self, cells, point: Sequence[float], resolution: int
-    ) -> tuple[list[Cell], bool]:
-        """``aFR::UpdateGridCR`` for one observed vector.
+    The nested loop is deliberate: this is the combinatorial cost the
+    paper ascribes to FR's cover bounds, kept intact for PBRJ_FR^RR
+    (only constant-factor acceleration differs between the two forms; FR*
+    with an additive ``S`` no longer calls it).  ``-inf`` if either
+    side is empty.
+    """
+    best = NEG_INF
+    right_list = [float(r) for r in right]
+    if not right_list:
+        return best
+    for l_val in left:
+        l_val = float(l_val)
+        for r_val in right_list:
+            if l_val + r_val > best:
+                best = l_val + r_val
+    return best
 
-        Returns ``(new_cells, changed)``.  The observed vector is
-        up-quantized to integer grid coordinates ``m``; a marked cell is
-        unmarked iff its corner strictly dominates the quantized point
-        (``cell >= m`` componentwise), and its replacements are the
-        single-coordinate projections onto ``m - 1``.
-        """
-        m = tuple(
-            min(max(ceil(v * resolution), 0), resolution) for v in point
-        )
-        rows = [tuple(int(v) for v in row) for row in _rows(cells)]
-        dimension = len(m)
-        removed = [c for c in rows if _weak_dom(c, m)]
-        if not removed:
-            return rows, False
-        survivors = [c for c in rows if not _weak_dom(c, m)]
-        projected: set[Cell] = set()
-        for cell in removed:
-            for axis in range(dimension):
-                slid = list(cell)
-                slid[axis] = m[axis] - 1
-                if all(coord >= 0 for coord in slid):
-                    projected.add(tuple(slid))
-        # A survivor can still dominate a projection on the grid
-        # (cells=[(7,4),(5,7)], m=(2,5): fresh (5,4) sits under survivor
-        # (7,4)); the converse cannot happen over an antichain.
-        fresh = [
-            c
-            for c in self.antichain(sorted(projected))
-            if not any(_weak_dom(s, c) for s in survivors)
-        ]
-        return survivors + fresh, True
+
+def cover_carve(
+    cover, observed, skyline_mode: bool = False
+) -> tuple[list[int], list[Point]]:
+    """Carve the regions dominating each observed vector out of ``cover``.
+
+    Returns the carve as a *patch* ``(keep, fresh)``: the ids of the
+    cover rows no vector removed (ascending), then the new points in
+    sorted order per vector.
+    ``skyline_mode`` skylines only the projections: over an antichain
+    no survivor compares with one (Lemma, :mod:`repro.geometry.cover`).
+    Works on the caller's own row list (no copy of a list of tuples).
+    """
+    rows = _rows(cover)
+    keep = range(len(rows))
+    fresh: list[Point] = []
+    for raw in observed:
+        y = as_point(raw)
+        # The rows ⪰ y, narrowed one coordinate at a time: over an
+        # antichain the first comparison already drops most of them.
+        hit = keep
+        for axis, value in enumerate(y):
+            hit = [i for i in hit if rows[i][axis] >= value]
+        stale = [p for p in fresh if all(map(ge, p, y))]
+        if not (hit or stale):
+            continue
+        removed = [rows[i] for i in hit]
+        if hit:
+            gone = set(hit)
+            keep = [i for i in keep if i not in gone]
+        if stale:
+            fresh = [p for p in fresh if not all(map(ge, p, y))]
+            removed += stale
+        # Project each removed point one coordinate down onto y; a
+        # projection with a zero coordinate covers nothing.
+        projected: set[Point] = set()
+        for s in removed:
+            for axis, value in enumerate(y):
+                candidate = s[:axis] + (value,) + s[axis + 1:]
+                if min(candidate) > 0.0:
+                    projected.add(candidate)
+        # Largest first, a projection can only be dominated by one
+        # already seen (a dominator is lexicographically larger): the
+        # skyline of distinct points in one sweep, nothing ever evicted.
+        new = sorted(projected, reverse=True)
+        if skyline_mode:
+            top: list[Point] = []
+            for p in new:
+                for q in top:
+                    if all(map(ge, q, p)):
+                        break
+                else:
+                    top.append(p)
+            new = top
+        new.reverse()
+        fresh += new
+    return list(keep), fresh
+
+
+def grid_cell_assign(points, resolution: int) -> list[Cell]:
+    """Cell containing each point: coordinates rounded *up* onto the grid.
+
+    Matches ``GridTree.cell_containing``: exact ``ceil`` so float fuzz
+    can only push a corner upward (the corner keeps weakly dominating
+    the point).
+    """
+    cells: list[Cell] = []
+    for row in _rows(points):
+        cell = []
+        for value in row:
+            index = ceil(value * resolution) - 1
+            cell.append(min(max(index, 0), resolution - 1))
+        cells.append(tuple(cell))
+    return cells
+
+
+def antichain(cells) -> list[Cell]:
+    """Reduce integer cells to their dominance antichain (dedup'd).
+
+    Result is in sorted order — cell sets are order-insensitive (the
+    grid tree exposes them as a set), and sorting keeps results
+    trivially comparable.
+    """
+    unique = sorted({tuple(int(v) for v in row) for row in _rows(cells)})
+    kept = []
+    for i, cell in enumerate(unique):
+        dominated = False
+        for j, other in enumerate(unique):
+            if i != j and _weak_dom(other, cell) and other != cell:
+                dominated = True
+                break
+        if not dominated:
+            kept.append(cell)
+    return kept
+
+
+def grid_carve(
+    cells, point: Sequence[float], resolution: int
+) -> tuple[list[Cell], bool]:
+    """``aFR::UpdateGridCR`` for one observed vector.
+
+    Returns ``(new_cells, changed)``.  The observed vector is
+    up-quantized to integer grid coordinates ``m``; a marked cell is
+    unmarked iff its corner strictly dominates the quantized point
+    (``cell >= m`` componentwise), and its replacements are the
+    single-coordinate projections onto ``m - 1``.
+    """
+    m = tuple(
+        min(max(ceil(v * resolution), 0), resolution) for v in point
+    )
+    rows = [tuple(int(v) for v in row) for row in _rows(cells)]
+    dimension = len(m)
+    removed = [c for c in rows if _weak_dom(c, m)]
+    if not removed:
+        return rows, False
+    survivors = [c for c in rows if not _weak_dom(c, m)]
+    projected: set[Cell] = set()
+    for cell in removed:
+        for axis in range(dimension):
+            slid = list(cell)
+            slid[axis] = m[axis] - 1
+            if all(coord >= 0 for coord in slid):
+                projected.add(tuple(slid))
+    # A survivor can still dominate a projection on the grid
+    # (cells=[(7,4),(5,7)], m=(2,5): fresh (5,4) sits under survivor
+    # (7,4)); the converse cannot happen over an antichain.
+    fresh = [
+        c
+        for c in antichain(sorted(projected))
+        if not any(_weak_dom(s, c) for s in survivors)
+    ]
+    return survivors + fresh, True

@@ -67,8 +67,6 @@ class CostCoefficients:
     round_process: float = 3.0e-4
     startup_serial: float = 2.0e-5     # one-time per-shard setup
     startup_process: float = 4.0e-2
-    kernel_auto_bonus: float = 0.95        # small-batch early-exit win
-    kernel_crossover: int = 2000       # input tuples where bulk effects win
     parallelism: int = 1               # usable cores for the process backend
 
     def round_overhead(self, backend: str) -> float:
@@ -76,17 +74,6 @@ class CostCoefficients:
 
     def startup(self, backend: str) -> float:
         return self.startup_process if backend == "process" else self.startup_serial
-
-    def kernel_factor(self, total_tuples: int) -> float:
-        """Relative PBRJ per-pull cost at this input scale.
-
-        Below the crossover every kernel call stays on the early-exit
-        reference loops under per-call dispatch, which makes a pull
-        cheaper.
-        """
-        if total_tuples <= self.kernel_crossover:
-            return self.kernel_auto_bonus
-        return 1.0
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -105,7 +92,7 @@ def measure(*, seed: int = 0) -> CostCoefficients:
 
     Times a serial HRJN*/FRPA run and an any-k run over one small synthetic
     instance (~600 tuples per side) — roughly 100 ms total.  Coordination
-    and kernel coefficients keep their defaults: they only tilt choices
+    coefficients keep their defaults: they only tilt choices
     between configurations whose compute costs are already close.
     """
     from repro.core.operators import make_operator
@@ -210,11 +197,7 @@ def score_pbrj_candidate(
     """Predict wall-clock seconds for a (possibly sharded) PBRJ plan."""
     depth_factor, pull_factor = _operator_factors(candidate.operator)
     effective_depth = max(float(depth) * depth_factor, 1.0)
-    pull_cost = (
-        coeffs.pull_pbrj
-        * pull_factor
-        * coeffs.kernel_factor(total_tuples)
-    )
+    pull_cost = coeffs.pull_pbrj * pull_factor
     gamma = coeffs.cover_exponent
     live = [s for s in shares if s > 0] or [1.0]
     compute = effective_depth * pull_cost * sum(s ** (1.0 + gamma) for s in live)

@@ -63,9 +63,9 @@ class QuerySpec:
     """One top-K rank join query over shared relations.
 
     A spec carries no kernel selection: that is process-wide
-    (:func:`repro.kernels.set_backend`), and both kernel tiers — and
-    size-aware dispatch across them — are bit-identical by contract, so
-    a cached answer is valid whatever kernel computed it.
+    (:func:`repro.kernels.set_backend`), and the two forms of a kernel
+    op are bit-identical by contract, so a cached answer is valid
+    whatever kernel computed it.
 
     Parameters
     ----------

@@ -11,7 +11,6 @@ scorer on ``points[i]`` (and the kernels' partial score of that row),
 ``best`` their maximum.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,5 +204,3 @@ class TestTheStructuresOnTop:
             assert str(raised.value) == wording.format(kind)
         with pytest.raises(ValueError, match="cover is 2-d, point is 3-d"):
             update_cover([(1.0, 1.0)], [vector])
-        with pytest.raises(ValueError, match="PointSet is 2-d, point is 3-d"):
-            PointSet(2).replace(np.zeros((1, 3)))

@@ -1,46 +1,39 @@
-"""Size-aware per-call dispatch: registry, thresholds, routing, obs.
+"""Routing: four size thresholds, one selection knob, counters by form.
 
-Covers the three pillars of the dispatch layer:
-
-* :class:`~repro.kernels.registry.KernelRegistry` — the two-tier
-  contract: every op has a reference implementation, all but
-  ``skyline_filter``/``antichain`` a vectorized one, and those two
-  resolve to the reference under any selection;
-* :mod:`repro.kernels.dispatch` — threshold resolution (explicit >
-  cache > calibration > defaults), sizers, and the auto/pinned
-  dispatcher routing semantics;
-* the obs contract — ``kernel_calls_total`` labels the backend the
-  dispatcher *chose* per call.
+* the threshold table — :func:`~repro.kernels.set_thresholds` (partial,
+  strict), the explicit :func:`~repro.kernels.calibrate_thresholds`;
+* routing, observed the only way a caller can — ``kernel_calls_total``
+  labels every call with the form that *ran*: at the shipped thresholds
+  (the golden: a retune must fail here, the benchmark's call counts depend
+  on them), under installed thresholds, under a pin;
+* no hidden state — a fresh process reads, writes and times nothing it was
+  not asked to.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import kernels
 from repro.config import ReproConfig
-from repro.kernels import dispatch
-from repro.kernels.dispatch import (
-    NEVER,
-    AutoDispatcher,
-    PinnedDispatcher,
+from repro.core.operators import make_operator
+from repro.core.scoring import WeightedSum
+from repro.data.workload import (
+    WorkloadParams,
+    anti_correlated_instance,
+    lineitem_orders_instance,
+    random_instance,
 )
-from repro.kernels.registry import KernelRegistry
+from repro.kernels import dispatch
+from repro.kernels.dispatch import NEVER
 from repro.obs.metrics import MetricRegistry
+from repro.relation.relation import RankJoinInstance
 
-#: The auto route table under the shipped defaults (``set_thresholds({})``),
-#: copied out by hand: a retune of ``DEFAULT_THRESHOLDS`` must fail a test
-#: (the benchmark pins these routes, so its call counts depend on them).
-SHIPPED_ROUTES = {
-    "dominates_any": [(512, "numpy"), (0, "python")],
-    "skyline_filter": [(0, "python")],
-    "cover_corner_scores": [(12, "numpy"), (0, "python")],
-    "cross_product_max": [(256, "numpy"), (0, "python")],
-    "cover_carve": [(0, "python")],  # NEVER: conversion outweighs the loop
-    "grid_cell_assign": [(8, "numpy"), (0, "python")],
-    "antichain": [(0, "python")],
-    "grid_carve": [(64, "numpy"), (0, "python")],
-}
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -48,7 +41,7 @@ def _restore_dispatch_state():
     """Leave backend selection, thresholds and obs sink as found."""
     previous = kernels.kernel_name()
     yield
-    dispatch.reset()
+    kernels.set_thresholds({})
     kernels.unobserve()
     kernels.set_backend(previous)
 
@@ -57,272 +50,277 @@ def _points(n, e=2):
     return [((i % 9 + 1) / 10.0,) * e for i in range(n)]
 
 
+def _staircase(n):
+    return [(i, n - 1 - i) for i in range(n)]
+
+
+def _counted(call, kernel="auto"):
+    """``{(kernel, fn): calls}`` of one call under one selection."""
+    metrics = MetricRegistry()
+    kernels.observe(metrics)
+    try:
+        with kernels.use_backend(kernel):
+            call()
+    finally:
+        kernels.unobserve()
+    return {
+        (labels["kernel"], labels["fn"]): counter.value
+        for _, labels, counter in metrics.metrics_named("kernel_calls_total")
+    }
+
+
+#: The shipped policy, copied out by hand: op -> (smallest batch numpy
+#: serves, a call one below it, a call at it).  ``cross_product_max``
+#: counts pairs: 15 x 17 = 255, 16 x 16 = 256 — neither side has 256 rows.
+SHIPPED = {
+    "cover_corner_scores": (
+        12,
+        lambda: kernels.cover_corner_scores(_points(11)),
+        lambda: kernels.cover_corner_scores(_points(12)),
+    ),
+    "cross_product_max": (
+        256,
+        lambda: kernels.cross_product_max([0.5] * 15, [0.25] * 17),
+        lambda: kernels.cross_product_max([0.5] * 16, [0.25] * 16),
+    ),
+    "grid_cell_assign": (
+        8,
+        lambda: kernels.grid_cell_assign(_points(7), 8),
+        lambda: kernels.grid_cell_assign(_points(8), 8),
+    ),
+    "grid_carve": (
+        64,
+        lambda: kernels.grid_carve(_staircase(63), (0.5, 0.5), 64),
+        lambda: kernels.grid_carve(_staircase(64), (0.5, 0.5), 64),
+    ),
+}
+
+#: The ops that are their loops, on batches past any threshold there was.
+ONE_FORM = {
+    "dominates_any": lambda: kernels.dominates_any(_points(600), (0.95, 0.95)),
+    "skyline_filter": lambda: kernels.skyline_filter(_points(600)),
+    "cover_carve": lambda: kernels.cover_carve(_points(600), [(0.5, 0.5)]),
+    "antichain": lambda: kernels.antichain(_staircase(600)),
+}
+
+
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-class TestKernelRegistry:
-    def test_every_op_has_exactly_two_tiers(self):
-        # ... but for the two whose vectorized tier never won at any size.
-        single = {"skyline_filter", "antichain"}
-        for op in kernels.KERNEL_OPS:
-            tiers = {"reference"} if op in single else {"reference", "vectorized"}
-            assert set(kernels.REGISTRY.implementations(op)) == tiers
-
-    @pytest.mark.parametrize("op", ["skyline_filter", "antichain"])
-    def test_single_tier_op_resolves_to_reference_under_a_numpy_pin(self, op):
-        assert kernels.REGISTRY.resolve(op, "vectorized").used == "python"
-        metrics = MetricRegistry()
-        kernels.observe(metrics)
-        with kernels.use_backend("numpy"):
-            getattr(kernels, op)([(1, 2), (2, 1), (1, 1)])
-        assert metrics.value("kernel_calls_total", kernel="python", fn=op) == 1
-        assert metrics.value("kernel_calls_total", kernel="numpy", fn=op) is None
-
-    def test_resolve_requested_tier(self):
-        resolved = kernels.REGISTRY.resolve("dominates_any", "reference")
-        assert (resolved.op, resolved.used) == ("dominates_any", "python")
-        assert resolved.impl([(0.9, 0.9)], (0.5, 0.5)) is True
-        assert kernels.REGISTRY.resolve(
-            "dominates_any", "vectorized"
-        ).used == "numpy"
-
-    def test_resolve_all_covers_every_op(self):
-        table = kernels.REGISTRY.resolve_all("vectorized")
-        assert set(table) == set(kernels.KERNEL_OPS)
-        assert {op for op, resolved in table.items() if resolved.used != "numpy"} == {
-            "skyline_filter", "antichain",
-        }
-
-    def test_unknown_op_and_tier_rejected(self):
-        with pytest.raises(KeyError, match="unknown kernel op"):
-            kernels.REGISTRY.resolve("transmogrify", "reference")
-        registry = KernelRegistry(kernels.KERNEL_OPS)
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            registry.register("gpu", object())
-        # The reference tier must implement every op.
-        with pytest.raises(AttributeError):
-            registry.register("reference", object())
-
-    def test_backend_names(self):
-        assert kernels.REGISTRY.backend_names() == ("numpy", "python")
-        assert kernels.available_backends() == ("numpy", "python")
-        assert kernels.BACKEND_CHOICES == ("auto", "numpy", "python")
-
-
-# ----------------------------------------------------------------------
-# Threshold resolution
+# The threshold table
 # ----------------------------------------------------------------------
 class TestThresholds:
-    def test_set_thresholds_partial_override(self):
-        dispatch.set_thresholds({"dominates_any": {"numpy": 7}})
-        table = kernels.dispatch_thresholds()
-        assert table["dominates_any"]["numpy"] == 7
-        # Unnamed cells keep their defaults.
-        assert (
-            table["cover_corner_scores"]
-            == dispatch.DEFAULT_THRESHOLDS["cover_corner_scores"]
-        )
-
-    def test_unknown_ops_and_backends_ignored(self):
-        dispatch.set_thresholds(
-            {"warp": {"numpy": 1}, "antichain": {"numpy": 1},
-             "grid_carve": {"gpu": 1, "numpy": 5}}
-        )
-        table = kernels.dispatch_thresholds()
-        assert "warp" not in table
-        assert "antichain" not in table  # single-tier op: nothing to route
-        assert "gpu" not in table["grid_carve"]
-        assert table["grid_carve"]["numpy"] == 5
-
-    def test_precedence_explicit_cache_calibration_defaults(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        calls = []
-
-        def fake_calibrate(registry, **kwargs):
-            calls.append(1)
-            return {"dominates_any": {"numpy": 77}}
-
-        monkeypatch.setattr(dispatch, "calibrate", fake_calibrate)
-        # No cache: calibration runs once, is memoised on disk, and
-        # cells it does not name keep the shipped defaults.
-        dispatch.reset()
-        table = kernels.dispatch_thresholds()
-        assert table["dominates_any"]["numpy"] == 77
-        assert table["cover_carve"] == dispatch.DEFAULT_THRESHOLDS["cover_carve"]
-        assert calls == [1] and dispatch._cache_path().exists()
-        # Cache beats calibration: a fresh resolution measures nothing.
-        dispatch._store_cache(
-            kernels.REGISTRY, {"dominates_any": {"numpy": 42}}
-        )
-        dispatch.reset()
-        assert kernels.dispatch_thresholds()["dominates_any"]["numpy"] == 42
-        assert calls == [1]
-        # Explicit beats the cache.
-        dispatch.set_thresholds({"dominates_any": {"numpy": 7}})
-        assert kernels.dispatch_thresholds()["dominates_any"]["numpy"] == 7
-
-    def test_env_file_override(self, tmp_path, monkeypatch):
-        # The env-file level is retired: the variable is inert, for the
-        # dispatcher and for ReproConfig.from_env() alike.
-        path = tmp_path / "thresholds.json"
-        path.write_text(json.dumps(
-            {"thresholds": {"dominates_any": {"numpy": 3}}}
-        ))
-        monkeypatch.setenv("REPRO_KERNEL_THRESHOLDS", str(path))
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(dispatch, "calibrate", lambda registry, **kw: {})
-        dispatch.reset()
-        assert kernels.dispatch_thresholds()["dominates_any"]["numpy"] == 512
-        assert ReproConfig.from_env().kernel_thresholds is None
-
     def test_shipped_route_table_literal(self):
-        dispatch.set_thresholds({})
-        assert kernels.dispatch_routes() == SHIPPED_ROUTES
-
-    def test_retired_numba_cells_ignored(self, tmp_path, monkeypatch):
-        cells = {"dominates_any": {"numpy": 11, "numba": 48},
-                 "weak_dominance_mask": {"numpy": 64, "numba": 32}}
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"thresholds": cells}))
-        assert dispatch.load_thresholds_file(path)["dominates_any"] == {
-            "numpy": 11,
+        assert kernels.dispatch_thresholds() == {
+            op: {"numpy": size} for op, (size, _, _) in SHIPPED.items()
         }
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        dispatch._store_cache(kernels.REGISTRY, cells)
-        cached = dispatch._load_cache(kernels.REGISTRY)
-        assert cached["dominates_any"] == {"numpy": 11}
-        assert set(cached) == set(dispatch.DEFAULT_THRESHOLDS)
+        assert kernels.dispatch_routes() == {
+            **{op: [(0, "python")] for op in ONE_FORM},
+            **{op: [(size, "numpy"), (0, "python")]
+               for op, (size, _, _) in SHIPPED.items()},
+        }
+        assert len(kernels.KERNEL_OPS) == 8
 
-    def test_cache_naming_numba_is_stale_and_recalibrates(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        dispatch._store_cache(
-            kernels.REGISTRY, {"dominates_any": {"numpy": 42, "numba": 48}}
-        )
-        payload = json.loads(dispatch._cache_path().read_text())
-        payload["meta"]["backends"] = ["numba", "numpy", "python"]
-        dispatch._cache_path().write_text(json.dumps(payload))
-        monkeypatch.setattr(
-            dispatch, "calibrate",
-            lambda registry, **kwargs: {"dominates_any": {"numpy": 9}},
-        )
-        dispatch.reset()
-        assert kernels.dispatch_thresholds()["dominates_any"] == {"numpy": 9}
-        rewritten = json.loads(dispatch._cache_path().read_text())
-        assert rewritten["meta"]["backends"] == ["numpy", "python"]
+    def test_set_thresholds_partial_override(self):
+        kernels.set_thresholds({"grid_carve": {"numpy": 7}})
+        table = kernels.dispatch_thresholds()
+        assert table["grid_carve"] == {"numpy": 7}
+        # Unnamed cells keep their shipped value.
+        assert table["cover_corner_scores"] == {"numpy": 12}
 
-    def test_load_thresholds_file_bare_mapping(self, tmp_path):
-        path = tmp_path / "bare.json"
-        path.write_text(json.dumps({"grid_carve": {"numpy": 11}}))
-        table = dispatch.load_thresholds_file(path)
-        assert table["grid_carve"]["numpy"] == 11
+    @pytest.mark.parametrize("restore", [{}, None])
+    def test_empty_and_none_restore_the_shipped_table(self, restore):
+        shipped = kernels.dispatch_thresholds()
+        kernels.set_thresholds({"grid_carve": {"numpy": 7}})
+        kernels.set_thresholds(restore)
+        assert kernels.dispatch_thresholds() == shipped
 
-    def test_cache_roundtrip_and_staleness(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        registry = kernels.REGISTRY
-        dispatch._store_cache(registry, {"dominates_any": {"numpy": 42}})
-        cached = dispatch._load_cache(registry)
-        assert cached is not None
-        assert cached["dominates_any"]["numpy"] == 42
-        # A cache written under a different backend set must be ignored.
-        payload = json.loads(dispatch._cache_path().read_text())
-        payload["meta"]["backends"] = ["python", "cuda"]
-        dispatch._cache_path().write_text(json.dumps(payload))
-        assert dispatch._load_cache(registry) is None
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="'cover_crave'"):
+            kernels.set_thresholds({"cover_crave": {"numpy": 1}})
+
+    @pytest.mark.parametrize("op", sorted(ONE_FORM))
+    def test_one_form_op_rejected(self, op):
+        with pytest.raises(ValueError, match=repr(op)):
+            kernels.set_thresholds({op: {"numpy": 1}})
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match=r"grid_carve\.numba"):
+            kernels.set_thresholds({"grid_carve": {"numba": 1}})
+
+    @pytest.mark.parametrize("size", [-1, 2.5, "64", None, True])
+    def test_size_must_be_a_non_negative_integer(self, size):
+        with pytest.raises(ValueError, match=r"grid_carve\.numpy"):
+            kernels.set_thresholds({"grid_carve": {"numpy": size}})
+        # A refused table installs nothing.
+        assert kernels.dispatch_thresholds()["grid_carve"] == {"numpy": 64}
 
     def test_calibrate_measures_every_op(self):
-        measured = dispatch.calibrate(kernels.REGISTRY, budget=1.0)
+        measured = dispatch.calibrate(budget=1.0)
         # An op with one implementation has no crossover to measure.
-        assert set(measured) == set(kernels.KERNEL_OPS) - {
-            "skyline_filter", "antichain",
-        }
-        for table in measured.values():
-            assert all(isinstance(v, int) and v >= 1 for v in table.values())
+        assert set(measured) == set(SHIPPED)
+        for op in ("cover_corner_scores", "cross_product_max"):
+            assert 1 <= measured[op]["numpy"] < NEVER  # numpy does win on bulk
 
     def test_calibrate_respects_budget(self):
-        # A zero budget measures nothing (every op keeps its defaults).
-        assert dispatch.calibrate(kernels.REGISTRY, budget=0.0) == {}
+        # A zero budget measures nothing (every op keeps its shipped cell).
+        assert dispatch.calibrate(budget=0.0) == {}
+        shipped = kernels.dispatch_thresholds()
+        assert kernels.calibrate_thresholds(budget=0.0) == shipped
+
+    def test_calibrate_thresholds_installs_what_it_measured(self, monkeypatch):
+        monkeypatch.setattr(
+            dispatch, "calibrate", lambda budget: {"grid_carve": {"numpy": 9}}
+        )
+        assert kernels.calibrate_thresholds()["grid_carve"] == {"numpy": 9}
+        assert kernels.dispatch_routes()["grid_carve"][0] == (9, "numpy")
 
 
 # ----------------------------------------------------------------------
-# Dispatcher routing
+# Routing, by counters
 # ----------------------------------------------------------------------
 class TestAutoDispatcher:
+    """``auto``: numpy from the op's threshold up, the loop below it."""
+
+    @pytest.mark.parametrize("op", sorted(SHIPPED))
+    def test_shipped_threshold_is_the_boundary(self, op):
+        _, below, at = SHIPPED[op]
+        assert _counted(below) == {("python", op): 1}
+        assert _counted(at) == {("numpy", op): 1}
+
     def test_small_batches_stay_on_reference(self):
-        dispatch.set_thresholds({"cover_corner_scores": {"numpy": 100}})
-        dispatcher = AutoDispatcher(kernels.REGISTRY)
-        small = dispatcher.select("cover_corner_scores", (_points(4),))
-        assert small.used == "python"
-        large = dispatcher.select("cover_corner_scores", (_points(200),))
-        assert large.used == "numpy"
+        # The smallest there are: an empty operand, then a single row.
+        for n in (0, 1):
+            for op, call in {
+                "cover_corner_scores": lambda: kernels.cover_corner_scores(_points(n)),
+                "cross_product_max": lambda: kernels.cross_product_max([0.5] * n, [0.25]),
+                "grid_cell_assign": lambda: kernels.grid_cell_assign(_points(n), 8),
+                "grid_carve": lambda: kernels.grid_carve(_staircase(n), (0.5, 0.5), 8),
+            }.items():
+                assert _counted(call) == {("python", op): 1}, n
 
     def test_never_sentinel_disables_backend(self):
-        dispatch.set_thresholds({"dominates_any": {"numpy": NEVER}})
-        dispatcher = AutoDispatcher(kernels.REGISTRY)
-        chosen = dispatcher.select("dominates_any", (_points(100_000),))
-        assert chosen.used == "python"
+        kernels.set_thresholds({"cover_corner_scores": {"numpy": NEVER}})
+        assert _counted(
+            lambda: kernels.cover_corner_scores(_points(2_000))
+        ) == {("python", "cover_corner_scores"): 1}
+        assert kernels.dispatch_routes()["cover_corner_scores"] == [(0, "python")]
 
     def test_threshold_change_rebuilds_live_routes(self):
-        dispatch.set_thresholds({"grid_carve": {"numpy": 5}})
-        dispatcher = AutoDispatcher(kernels.REGISTRY)
-        assert dispatcher.select("grid_carve", (_points(10),)).used == "numpy"
-        dispatch.set_thresholds({"grid_carve": {"numpy": NEVER}})
-        assert dispatcher.select("grid_carve", (_points(10),)).used == "python"
+        def carve():
+            kernels.grid_carve(_staircase(10), (0.5, 0.5), 16)
+
+        kernels.set_thresholds({"grid_carve": {"numpy": 5}})
+        assert _counted(carve) == {("numpy", "grid_carve"): 1}
+        kernels.set_thresholds({"grid_carve": {"numpy": NEVER}})
+        assert _counted(carve) == {("python", "grid_carve"): 1}
 
     def test_cross_product_sizer_multiplies(self):
-        dispatch.set_thresholds({"cross_product_max": {"numpy": 100}})
-        dispatcher = AutoDispatcher(kernels.REGISTRY)
+        kernels.set_thresholds({"cross_product_max": {"numpy": 100}})
         scores = [0.1] * 20
-        assert dispatcher.select(
-            "cross_product_max", (scores, scores)
-        ).used == "numpy"  # 20 * 20 = 400 >= 100
-        assert dispatcher.select(
-            "cross_product_max", (scores[:4], scores[:4])
-        ).used == "python"  # 16 < 100
-
-    def test_cover_carve_sizer_sums_cover_and_observed(self):
-        dispatch.set_thresholds({"cover_carve": {"numpy": 30}})
-        dispatcher = AutoDispatcher(kernels.REGISTRY)
-        cover, observed = _points(20), _points(20)
-        assert dispatcher.select(
-            "cover_carve", (cover, observed)
-        ).used == "numpy"  # 20 + 20 >= 30
-        assert dispatcher.select(
-            "cover_carve", (cover[:5], observed[:5])
-        ).used == "python"
+        assert _counted(  # 20 * 20 = 400 >= 100
+            lambda: kernels.cross_product_max(scores, scores)
+        ) == {("numpy", "cross_product_max"): 1}
+        assert _counted(  # 16 < 100
+            lambda: kernels.cross_product_max(scores[:4], scores[:4])
+        ) == {("python", "cross_product_max"): 1}
 
     def test_routes_snapshot_anchor(self):
-        routes = AutoDispatcher(kernels.REGISTRY).routes_snapshot()
+        routes = kernels.dispatch_routes()
         assert set(routes) == set(kernels.KERNEL_OPS)
-        for entries in routes.values():
-            sizes = [size for size, _ in entries]
-            assert sizes == sorted(sizes, reverse=True)
+        for op, entries in routes.items():
             assert entries[-1] == (0, "python")
+            assert len(entries) == (2 if op in SHIPPED else 1)
 
 
 class TestPinnedDispatcher:
+    """A pin forces the named form wherever an op has it."""
+
     def test_python_pin_ignores_batch_size(self):
-        dispatcher = PinnedDispatcher(kernels.REGISTRY, "python")
-        assert dispatcher.select(
-            "cover_corner_scores", (_points(100_000),)
-        ).used == "python"
+        for op, (_, below, at) in SHIPPED.items():
+            assert _counted(below, "python") == {("python", op): 1}
+            assert _counted(at, "python") == {("python", op): 1}
 
     def test_numpy_pin_ignores_batch_size(self):
-        dispatcher = PinnedDispatcher(kernels.REGISTRY, "numpy")
-        assert dispatcher.select(
-            "cover_corner_scores", (_points(1),)
-        ).used == "numpy"
+        for op, (_, below, at) in SHIPPED.items():
+            assert _counted(below, "numpy") == {("numpy", op): 1}
+            assert _counted(at, "numpy") == {("numpy", op): 1}
+
+    def test_one_form_ops_always_run_their_loop(self):
+        for op, call in ONE_FORM.items():
+            for kernel in kernels.BACKEND_CHOICES:
+                assert _counted(call, kernel) == {("python", op): 1}, kernel
+
+
+def _cold(instance):
+    """The harness's first cold query over ``instance``'s relations."""
+    return RankJoinInstance(
+        instance.left, instance.right,
+        WeightedSum([1.0, 1.0, 1.0, 1.0 + 1e-6]), 10,
+    )
+
+
+def _cold_fr2():
+    return _cold(lineitem_orders_instance(WorkloadParams(
+        e=2, c=0.5, z=0.5, k=10, scale=0.0005, seed=0)))
+
+
+def _cold_frwide():
+    return _cold(anti_correlated_instance(
+        n_left=1000, n_right=1000, num_keys=250, k=10, seed=0))
+
+
+def _staircases():
+    return anti_correlated_instance(
+        n_left=600, n_right=600, num_keys=60, k=10, seed=1)
+
+
+def _small():
+    return random_instance(n_left=300, n_right=300, e_left=2, e_right=2,
+                           num_keys=30, k=10, seed=5)
+
+
+#: ``{(kernel, fn): calls}`` of one top-10, recorded from PR 19 (the last
+#: commit with the registry and the dispatchers) under ``set_thresholds({})``:
+#: (operator, instance, operator options) -> counters.
+OPERATOR_CALLS = [
+    ("FRPA", _cold_fr2, {}, {("python", "cover_carve"): 380}),
+    ("HRJN*", _cold_fr2, {}, {}),
+    ("a-FRPA", _cold_frwide, {}, {("python", "cover_carve"): 824}),
+    # Both covers outgrow 70 points and move onto the grid, whose carves
+    # land on either side of the 64-cell threshold.
+    ("a-FRPA", _staircases, {"max_cr_size": 70, "resolution": 1024}, {
+        ("python", "antichain"): 7,
+        ("python", "cover_carve"): 361,
+        ("numpy", "grid_carve"): 145,
+        ("python", "grid_carve"): 98,
+        ("numpy", "grid_cell_assign"): 2,
+    }),
+    ("PBRJ_FR^RR", _small, {}, {
+        ("python", "cover_carve"): 111,
+        ("python", "cover_corner_scores"): 118,
+        ("numpy", "cross_product_max"): 133,
+        ("python", "cross_product_max"): 221,
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, options, expected", OPERATOR_CALLS,
+    ids=["FRPA-cold_fr2", "HRJN*-cold_fr2", "a-FRPA-cold_frwide",
+         "a-FRPA-grid", "PBRJ_FR^RR"],
+)
+def test_operator_routing_golden(name, build, options, expected):
+    instance = build()
+    assert _counted(
+        lambda: make_operator(name, instance, **options).top_k(instance.k)
+    ) == expected
 
 
 # ----------------------------------------------------------------------
-# Observability: chosen-backend counters
+# Observability: counters by the form that ran
 # ----------------------------------------------------------------------
 class TestDispatchObservability:
     def test_calls_counted_under_chosen_backend(self):
-        dispatch.set_thresholds({"cover_corner_scores": {"numpy": 100}})
+        kernels.set_thresholds({"cover_corner_scores": {"numpy": 100}})
         metrics = MetricRegistry()
         kernels.observe(metrics)
         with kernels.use_backend("auto"):
@@ -346,17 +344,88 @@ class TestDispatchObservability:
         ) is None
 
 
-# ----------------------------------------------------------------------
-# Config wiring
-# ----------------------------------------------------------------------
 class TestConfigWiring:
     def test_numba_is_not_a_config_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             ReproConfig(kernel="numba")
 
-    def test_kernel_thresholds_file_applied(self, tmp_path):
-        path = tmp_path / "thr.json"
-        path.write_text(json.dumps({"grid_carve": {"numpy": 13}}))
-        config = ReproConfig(kernel="auto", kernel_thresholds=str(path))
-        assert config.apply() == "auto"
-        assert kernels.dispatch_thresholds()["grid_carve"]["numpy"] == 13
+
+# ----------------------------------------------------------------------
+# No hidden state
+# ----------------------------------------------------------------------
+_FRESH_PROCESS = """
+import json
+import repro
+from repro import kernels
+from repro.core.naive import naive_top_k
+from repro.core.operators import make_operator
+from repro.data.workload import anti_correlated_instance
+from repro.obs.metrics import MetricRegistry
+
+
+def unasked(*args, **kwargs):
+    raise AssertionError("calibration nobody asked for")
+
+
+kernels.calibrate_thresholds = kernels._dispatch.calibrate = unasked
+before = kernels.dispatch_thresholds()
+instance = anti_correlated_instance(
+    n_left=200, n_right=200, num_keys=20, k=10, seed=1)
+oracle = [r.score for r in naive_top_k(
+    instance.left.tuples, instance.right.tuples, instance.scoring, 10)]
+metrics = MetricRegistry()
+kernels.observe(metrics)
+answers = [
+    [r.score for r in make_operator(name, instance, **options).top_k(10)] == oracle
+    for name, options in (
+        ("FRPA", {}),
+        ("a-FRPA", {"max_cr_size": 8, "resolution": 64}),
+        ("PBRJ_FR^RR", {}),
+    )
+]
+print(json.dumps({
+    "answers": answers, "before": before,
+    "after": kernels.dispatch_thresholds(), "routes": repro.dispatch_routes(),
+    "grid_carves": metrics.value("kernel_calls_total",
+                                 kernel="python", fn="grid_carve"),
+}))
+"""
+
+
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def test_a_fresh_process_reads_writes_and_times_nothing(tmp_path):
+    """The parent calibrated inside the first kernel call and cached the
+    result under ``$XDG_CACHE_HOME`` — or routed by whatever it found there."""
+    cache = tmp_path / ".cache"  # $XDG_CACHE_HOME and $HOME/.cache alike
+    decoy = cache / "repro" / "kernel_thresholds.json"
+    decoy.parent.mkdir(parents=True)
+    absurd = {op: {"numpy": 0} for op in kernels.KERNEL_OPS}
+    decoy.write_text(json.dumps({
+        "meta": {"version": 2, "backends": ["numpy", "python"],
+                 "python": f"{sys.version_info[0]}.{sys.version_info[1]}"},
+        "thresholds": absurd,
+    }))
+    found = _tree(tmp_path)
+    env = {
+        "PYTHONPATH": SRC, "PATH": os.environ.get("PATH", ""),
+        "HOME": str(tmp_path), "XDG_CACHE_HOME": str(cache),
+        "REPRO_KERNEL_THRESHOLDS": str(decoy),  # retired long ago: inert
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["answers"] == [True, True, True]
+    assert report["grid_carves"]  # the a-FRPA run did move onto the grid
+    shipped = {op: {"numpy": size} for op, (size, _, _) in SHIPPED.items()}
+    assert report["before"] == report["after"] == shipped
+    assert report["routes"]["grid_carve"] == [[64, "numpy"], [0, "python"]]
+    assert _tree(tmp_path) == found  # decoy byte-identical, nothing new

@@ -11,6 +11,7 @@ from repro import kernels
 from repro.config import ReproConfig
 from repro.data.workload import random_instance
 from repro.exec import ExecConfig, ShardedRankJoin
+from repro.obs.metrics import MetricRegistry
 from repro.service import QuerySpec
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -28,29 +29,34 @@ class TestSetBackend:
     def test_explicit_python(self):
         assert kernels.set_backend("python") == "python"
         assert kernels.kernel_name() == "python"
-        assert kernels.get_backend().name == "python"
 
     def test_explicit_numpy(self):
         assert kernels.set_backend("numpy") == "numpy"
 
     def test_auto_is_the_dispatcher(self):
-        # "auto" is per-call dispatch now, not a numpy alias: the active
+        # "auto" is per-call dispatch, not a numpy alias: the active
         # kernel keeps the name "auto" and routes by batch size.
         assert kernels.set_backend("auto") == "auto"
         assert kernels.kernel_name() == "auto"
         routes = kernels.dispatch_routes()
         assert set(routes) == set(kernels.KERNEL_OPS)
         for entries in routes.values():
-            assert entries[-1] == (0, "python")  # reference anchors each op
+            assert entries[-1] == (0, "python")  # the loop anchors each op
 
     def test_auto_routes_by_batch_size(self):
-        with kernels.use_backend("auto"):
-            dispatcher = kernels.get_backend()
-            small = dispatcher.select("cover_corner_scores", ([(0.5, 0.5)],))
-            assert small.used == "python"
-            bulk = [(i / 70000, 1 - i / 70000) for i in range(50_000)]
-            large = dispatcher.select("cover_corner_scores", (bulk,))
-            assert large.used == "numpy"
+        metrics = MetricRegistry()
+        kernels.observe(metrics)
+        try:
+            with kernels.use_backend("auto"):
+                kernels.cover_corner_scores([(0.5, 0.5)])
+                bulk = [(i / 70000, 1 - i / 70000) for i in range(50_000)]
+                kernels.cover_corner_scores(bulk)
+        finally:
+            kernels.unobserve()
+        calls = {kernel: metrics.value(
+            "kernel_calls_total", kernel=kernel, fn="cover_corner_scores",
+        ) for kernel in ("python", "numpy")}
+        assert calls == {"python": 1, "numpy": 1}
 
     def test_none_means_auto(self):
         assert kernels.set_backend(None) == kernels.set_backend("auto")
@@ -67,6 +73,7 @@ class TestSetBackend:
 
     def test_available_backends(self):
         assert kernels.available_backends() == ("numpy", "python")
+        assert kernels.BACKEND_CHOICES == ("auto", "numpy", "python")
 
 
 class TestUseBackend:

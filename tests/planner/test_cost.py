@@ -37,6 +37,11 @@ class TestCoefficients:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown cost coefficient"):
             CostCoefficients.from_dict({"pull_pbrj": 1e-6, "warp_speed": 9})
+        # ... as a file written when the model had a kernel factor is.
+        with pytest.raises(ValueError, match="kernel_auto_bonus, kernel_crossover"):
+            CostCoefficients.from_dict(
+                {"kernel_auto_bonus": 0.95, "kernel_crossover": 2000}
+            )
 
     def test_partial_dict_keeps_defaults(self):
         coeffs = CostCoefficients.from_dict({"pull_anyk": 5e-6})
@@ -46,32 +51,6 @@ class TestCoefficients:
     def test_backend_lookups(self):
         assert COEFFS.round_overhead("process") > COEFFS.round_overhead("serial")
         assert COEFFS.startup("process") > COEFFS.startup("serial")
-
-    def test_kernel_factor_crossover(self):
-        assert COEFFS.kernel_factor(COEFFS.kernel_crossover) == (
-            COEFFS.kernel_auto_bonus
-        )
-        assert COEFFS.kernel_factor(100) < 1.0
-        assert COEFFS.kernel_factor(100_000) == 1.0
-
-    def test_kernel_factor_auto_is_lower_envelope(self):
-        # The factor models per-call dispatch only (the kernel is not a
-        # plan axis): it rides the winning tier on both sides of the
-        # crossover, so it never exceeds the neutral bulk cost.
-        for size in (0, 100, 100_000):
-            assert COEFFS.kernel_factor(size) <= 1.0
-
-    def test_kernel_factor_pinned_penalties(self):
-        # The pinned-kernel penalties went with the planner's kernel axis
-        # and the thread costs with the thread backend; the grace list
-        # that let an old to_dict() file carry them is gone too, so they
-        # are rejected like any other unknown key.
-        old = dict(
-            CostCoefficients(pull_pbrj=1e-6).to_dict(),
-            kernel_pin_bulk_penalty=1.5, round_thread=6.0e-5,
-        )
-        with pytest.raises(ValueError, match="kernel_pin_bulk_penalty, round_thread"):
-            CostCoefficients.from_dict(old)
 
     def test_config_file_resolution(self, tmp_path, monkeypatch):
         # A coefficients file is named by ReproConfig.planner_coeffs only:
