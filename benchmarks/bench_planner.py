@@ -17,9 +17,9 @@ Acceptance bars (checked by ``check``; CI runs ``--quick``):
 * **the skew partitioner earns its keep** — at z = 1.0 the 8-shard skew
   partition imbalance (max/mean shard share) is lower than plain hash.
 
-Times include engine construction: a static 8-shard process plan pays
-worker fork on every query, which is exactly the cost a planner must
-learn to avoid on a box where parallelism cannot pay for it.  Planning
+Times include engine construction: a static sharded plan pays the O(n)
+partition of both inputs on every query, which is exactly the cost a
+planner must learn to avoid on small joins.  Planning
 time is recorded separately (``planning_seconds``) — statistics are
 content-addressed, so repeated queries over the same relations amortize
 it to ~zero.
@@ -56,13 +56,12 @@ MIN_WORST_RATIO = 2.0   # worst static >= 2x auto on every z >= 1.0 point
 SKEWED_Z = 1.0          # the z from which skew must visibly hurt statics
 
 #: The static grid: plausible fixed choices a user might hard-code.
-#: (label, operator, shards, partitioner, backend)
+#: (label, operator, shards, partitioner)
 STATIC_GRID = (
-    ("serial/HRJN*", "HRJN*", 1, "hash", "serial"),
-    ("serial/FRPA", "FRPA", 1, "hash", "serial"),
-    ("x4 hash/serial", "FRPA", 4, "hash", "serial"),
-    ("x8 skew/serial", "FRPA", 8, "skew", "serial"),
-    ("x8 hash/process", "FRPA", 8, "hash", "process"),
+    ("serial/HRJN*", "HRJN*", 1, "hash"),
+    ("serial/FRPA", "FRPA", 1, "hash"),
+    ("x4 hash/serial", "FRPA", 4, "hash"),
+    ("x8 skew/serial", "FRPA", 8, "skew"),
 )
 
 FULL = {"n": 2000, "num_keys": 24, "k": 10, "repeats": 3}
@@ -98,11 +97,11 @@ def hot_key_instance(n: int, num_keys: int, k: int, seed: int):
     return RankJoinInstance(left, right, SumScore(), k)
 
 
-def run_static(instance, operator, shards, partitioner, backend, repeats):
+def run_static(instance, operator, shards, partitioner, repeats):
     """Best-of-``repeats`` wall time for one static configuration.
 
-    Construction is inside the timed region — fork/start-up cost is part
-    of what a static plan charges per query.
+    Construction is inside the timed region — partitioning is part of
+    what a static plan charges per query.
     """
     best = None
     for _ in range(repeats):
@@ -110,15 +109,10 @@ def run_static(instance, operator, shards, partitioner, backend, repeats):
         engine = ShardedRankJoin(
             instance,
             operator=operator,
-            config=ExecConfig(
-                shards=shards, partitioner=partitioner, backend=backend
-            ),
+            config=ExecConfig(shards=shards, partitioner=partitioner),
         )
-        try:
-            results = engine.top_k(instance.k)
-            seconds = time.perf_counter() - started
-        finally:
-            engine.close()
+        results = engine.top_k(instance.k)
+        seconds = time.perf_counter() - started
         sample = {
             "seconds": seconds,
             "results": len(results),
@@ -151,14 +145,8 @@ def run_auto(instance, repeats):
     best = None
     for _ in range(repeats):
         started = time.perf_counter()
-        operator = resolved.build_operator()
-        try:
-            results = operator.top_k(instance.k)
-            seconds = time.perf_counter() - started
-        finally:
-            close = getattr(operator, "close", None)
-            if close is not None:
-                close()
+        results = resolved.build_operator().top_k(instance.k)
+        seconds = time.perf_counter() - started
         sample = {
             "seconds": seconds,
             "results": len(results),
@@ -176,22 +164,17 @@ def partition_imbalance(instance, partitioner, shards=8):
     engine = ShardedRankJoin(
         instance,
         operator="FRPA",
-        config=ExecConfig(
-            shards=shards, partitioner=partitioner, backend="serial"
-        ),
+        config=ExecConfig(shards=shards, partitioner=partitioner),
     )
-    try:
-        engine.top_k(instance.k)
-        return engine.partition_stats.imbalance
-    finally:
-        engine.close()
+    engine.top_k(instance.k)
+    return engine.partition_stats.imbalance
 
 
 def bench_workload(name, z, instance, repeats):
     row = {"name": name, "z": z, "k": instance.k, "static": {}}
-    for label, operator, shards, partitioner, backend in STATIC_GRID:
+    for label, operator, shards, partitioner in STATIC_GRID:
         row["static"][label] = run_static(
-            instance, operator, shards, partitioner, backend, repeats
+            instance, operator, shards, partitioner, repeats
         )
     row["auto"] = run_auto(instance, repeats)
 

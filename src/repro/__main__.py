@@ -13,8 +13,8 @@ Commands
               Prometheus text exposition format
 ``top``       live terminal dashboard over a running server (SLO
               percentiles, shard pull rates, in-flight sessions)
-``chaos``     run the seed workloads under seeded fault schedules and
-              verify bit-identity with the fault-free run
+``chaos``     stream the seed workloads off a server under seeded request
+              faults and verify bit-identity with the fault-free run
 ``info``      print the library inventory (operators, figures, defaults)
 
 ``run`` and ``compare`` accept ``--workload params.json`` to load the
@@ -34,7 +34,6 @@ from repro import kernels
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS
 from repro.data.workload import WorkloadParams, lineitem_orders_instance, load_workload
 from repro.errors import ReproError
-from repro.exec.worker import BACKENDS
 from repro.experiments import figures as figure_module
 from repro.experiments.figures import FigureConfig
 from repro.experiments.harness import run_comparison, run_operator
@@ -188,23 +187,22 @@ def _run_sharded(args: argparse.Namespace, instance, obs, operator=None) -> int:
     from repro.exec import ExecConfig, ShardedRankJoin
 
     operator = operator if operator is not None else args.operator
-    config = ExecConfig(shards=args.shards, backend=args.exec_backend)
+    config = ExecConfig(shards=args.shards)
     started = time.perf_counter()
-    with ShardedRankJoin(instance, operator, config=config, obs=obs) as engine:
-        results = engine.top_k(instance.k)
-        elapsed = time.perf_counter() - started
-        depths = engine.depths()
-        print(f"operator     : {operator} "
-              f"(sharded x{config.shards}, backend={config.backend}, "
-              f"kernel={kernels.kernel_name()})")
-        print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
-              f"K={instance.k}")
-        print(f"top scores   : {[round(r.score, 4) for r in results]}")
-        print(f"depths       : left={depths.left} right={depths.right} "
-              f"sum={depths.left + depths.right}")
-        print(f"rounds       : {engine.rounds} "
-              f"(imbalance {engine.partition_stats.imbalance:.2f})")
-        print(f"time         : total={elapsed:.4f}s")
+    engine = ShardedRankJoin(instance, operator, config=config, obs=obs)
+    results = engine.top_k(instance.k)
+    elapsed = time.perf_counter() - started
+    depths = engine.depths()
+    print(f"operator     : {operator} "
+          f"(sharded x{config.shards}, kernel={kernels.kernel_name()})")
+    print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
+          f"K={instance.k}")
+    print(f"top scores   : {[round(r.score, 4) for r in results]}")
+    print(f"depths       : left={depths.left} right={depths.right} "
+          f"sum={depths.left + depths.right}")
+    print(f"rounds       : {engine.rounds} "
+          f"(imbalance {engine.partition_stats.imbalance:.2f})")
+    print(f"time         : total={elapsed:.4f}s")
     _finish_obs(obs, args)
     return 0
 
@@ -223,30 +221,24 @@ def _run_planned(args: argparse.Namespace, instance, obs,
         operator=args.operator if args.operator in OPERATORS else "FRPA",
         algorithm=algorithm,
         shards=shards,
-        exec_backend=args.exec_backend,
     )
     resolved = spec.resolve(obs=obs)
     print(resolved.decision.table())
     print()
     started = time.perf_counter()
     operator = resolved.build_operator(obs=obs)
-    try:
-        results = operator.top_k(instance.k)
-        elapsed = time.perf_counter() - started
-        reshards = getattr(operator, "reshards", 0)
-        print(f"plan         : {resolved.plan_summary()} "
-              f"(kernel={kernels.kernel_name()})")
-        print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
-              f"K={instance.k}")
-        print(f"top scores   : {[round(r.score, 4) for r in results]}")
-        print(f"pulls        : {operator.pulls}"
-              + (f" (re-sharded x{reshards})" if reshards else ""))
-        print(f"time         : total={elapsed:.4f}s "
-              f"(planning {resolved.decision.planning_seconds:.4f}s)")
-    finally:
-        close = getattr(operator, "close", None)
-        if callable(close):
-            close()
+    results = operator.top_k(instance.k)
+    elapsed = time.perf_counter() - started
+    reshards = getattr(operator, "reshards", 0)
+    print(f"plan         : {resolved.plan_summary()} "
+          f"(kernel={kernels.kernel_name()})")
+    print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
+          f"K={instance.k}")
+    print(f"top scores   : {[round(r.score, 4) for r in results]}")
+    print(f"pulls        : {operator.pulls}"
+          + (f" (re-sharded x{reshards})" if reshards else ""))
+    print(f"time         : total={elapsed:.4f}s "
+          f"(planning {resolved.decision.planning_seconds:.4f}s)")
     _finish_obs(obs, args)
     return 0
 
@@ -264,7 +256,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The workload file owns the whole execution shape when given.
         algorithm = params.algorithm
         shards = params.shards
-        args.exec_backend = params.exec_backend
     if args.plan == "auto":
         algorithm = "auto"
         shards = "auto"
@@ -514,31 +505,18 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos suite: seeded faults, bit-identity verification."""
-    from repro.resilience import (
-        CHAOS_KINDS,
-        SEED_WORKLOADS,
-        render_report,
-        run_chaos_suite,
-    )
+    """Run the chaos suite: seeded request faults, bit-identity verification."""
+    from repro.resilience import SEED_WORKLOADS, render_report, run_chaos_suite
 
     unknown = [w for w in args.workloads if w not in SEED_WORKLOADS]
     if unknown:
         print(f"unknown workloads {unknown}; choose from {sorted(SEED_WORKLOADS)}")
         return 2
-    unknown = [k for k in args.kinds if k not in CHAOS_KINDS]
-    if unknown:
-        print(f"unknown fault kinds {unknown}; choose from {sorted(CHAOS_KINDS)}")
-        return 2
     cases = run_chaos_suite(
         seed=args.seed,
         workloads=tuple(args.workloads),
         shards=tuple(args.shards),
-        backends=tuple(args.backends),
-        kinds=tuple(args.kinds),
         operator=args.operator,
-        reshard=args.reshard,
-        stream=args.stream,
     )
     print(render_report(cases))
     return 0 if all(case.ok for case in cases) else 1
@@ -590,13 +568,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_obs_args(p_run)
     _add_kernel_arg(p_run)
     p_run.add_argument("--shards", type=int, default=1,
-                       help="hash-partitioned parallel execution (1 = serial)")
-    p_run.add_argument("--exec-backend", default="serial", choices=BACKENDS,
-                       help="sharded execution backend (with --shards > 1)")
+                       help="hash-partitioned sharded execution (1 = unsharded)")
     p_run.add_argument("--plan", choices=["static", "auto"], default="static",
                        help="'auto' delegates algorithm/operator/shards/"
-                            "backend to the cost-based planner and prints "
-                            "its candidate table")
+                            "partitioner to the cost-based planner and "
+                            "prints its candidate table")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run every operator on a workload")
@@ -695,30 +671,18 @@ def main(argv: list[str] | None = None) -> int:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="run seed workloads under seeded faults; verify bit-identity",
+        help="stream seed workloads under seeded request faults; "
+             "verify bit-identity",
     )
     p_chaos.add_argument("--seed", type=int, default=0,
-                         help="fault-schedule seed")
+                         help="request-chaos RNG seed")
     p_chaos.add_argument("--workloads", nargs="+",
                          default=["tpch", "zipf", "uniform", "anticorrelated"],
                          help="seed workloads to run")
     p_chaos.add_argument("--shards", nargs="+", type=int, default=[2, 4],
                          help="shard counts in the matrix")
-    p_chaos.add_argument("--backends", nargs="+",
-                         default=list(BACKENDS), choices=BACKENDS,
-                         help="execution backends to chaos-test")
-    p_chaos.add_argument("--kinds", nargs="+",
-                         default=["worker-kill", "pipe-drop", "transient"],
-                         help="fault kinds to schedule")
     p_chaos.add_argument("--operator", default="FRPA",
                          help="operator every shard runs")
-    p_chaos.add_argument("--reshard", action="store_true",
-                         help="also fire each fault DURING a live re-shard "
-                              "migration (planner adaptivity path)")
-    p_chaos.add_argument("--stream", action="store_true",
-                         help="also consume each case over the server's "
-                              "stream verb under request-level chaos "
-                              "(event-sequence bit-identity)")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_info = sub.add_parser("info", help="library inventory")

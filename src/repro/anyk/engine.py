@@ -4,11 +4,10 @@ The facade glues decomposition (:mod:`repro.anyk.decompose`), the
 budgeted DP pass (:mod:`repro.anyk.dp`) and ranked enumeration
 (:mod:`repro.anyk.enumerate`) into a :class:`~repro.core.stepping.
 ResumableOperator`: ``try_next(max_pulls)`` / ``get_next`` /
-history-retaining ``top_k`` / ``frontier()`` / ``clone_fresh()`` — the
-exact surface :class:`~repro.service.session.QuerySession`,
-:class:`~repro.exec.worker.ShardWorker`, the resilient backend and the
-chaos harness already drive, so the whole service/exec/resilience stack
-runs any-k with zero changes.
+history-retaining ``top_k`` / ``frontier()`` — the exact surface
+:class:`~repro.service.session.QuerySession`,
+:class:`~repro.exec.worker.ShardWorker` and the chaos harness already
+drive, so the whole service/exec stack runs any-k with zero changes.
 
 Cost accounting: a *pull* is one unit of work — one bag tuple processed
 by the DP or one candidate heap pop during enumeration.  ``try_next``
@@ -92,10 +91,6 @@ class AnyKRankJoin(ResumableBase):
         self._track_time = track_time
         self._max_pulls = max_pulls
         self._max_seconds = max_seconds
-        self._ctor_kwargs = dict(
-            name=name, track_time=track_time, max_pulls=max_pulls,
-            max_seconds=max_seconds, obs=obs, trace=trace,
-        )
         self.tree = decompose(query, self.scoring)
         self._dp = DPState(self.tree)
         self._enum: Enumerator | None = None
@@ -280,13 +275,6 @@ class AnyKRankJoin(ResumableBase):
         return TimingBreakdown(
             io=0.0, bound=self._dp_seconds, total=self._total_seconds
         )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def clone_fresh(self) -> "AnyKRankJoin":
-        """A pristine operator over the same query (the respawn recipe)."""
-        return AnyKRankJoin(self.query, self.scoring, **self._ctor_kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

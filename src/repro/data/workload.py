@@ -44,9 +44,6 @@ class WorkloadParams:
     #: Shard count for sharded execution: a positive integer, or
     #: ``"auto"`` to let the planner choose (1 = plain serial operator).
     shards: int | str = 1
-    #: Execution backend for sharded runs (``serial``/``process``);
-    #: ignored when ``shards`` is 1.
-    exec_backend: str = "serial"
 
     def tpch_config(self) -> TPCHConfig:
         return TPCHConfig(
@@ -63,10 +60,9 @@ def load_workload(path: str | Path) -> WorkloadParams:
 
     The file must hold one JSON object whose keys are a subset of the
     ``WorkloadParams`` fields (``e``, ``c``, ``z``, ``k``, ``scale``,
-    ``join_skew``, ``seed``, ``algorithm``, ``shards``,
-    ``exec_backend``).  Any problem — missing file, invalid JSON, unknown
-    keys, non-numeric values, an unknown ``algorithm``, an invalid
-    ``shards``/``exec_backend`` combination — raises
+    ``join_skew``, ``seed``, ``algorithm``, ``shards``).  Any problem —
+    missing file, invalid JSON, unknown keys, non-numeric values, an
+    unknown ``algorithm``, an invalid ``shards`` — raises
     :class:`~repro.errors.WorkloadError` with a one-line message suitable
     for direct CLI display (the CLI exits 2), instead of failing deep
     inside engine construction.
@@ -108,15 +104,6 @@ def load_workload(path: str | Path) -> WorkloadParams:
                 raise WorkloadError(
                     f"workload file {path}: shards must be a positive "
                     f"integer or 'auto', got {value!r}"
-                )
-            continue
-        if key == "exec_backend":
-            from repro.exec.worker import BACKENDS
-
-            if value not in BACKENDS:
-                raise WorkloadError(
-                    f"workload file {path}: unknown exec_backend {value!r}; "
-                    f"choose from {list(BACKENDS)}"
                 )
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):

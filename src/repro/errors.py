@@ -51,35 +51,6 @@ class WorkloadError(ReproError):
     """
 
 
-class ShardError(ReproError):
-    """A shard advance failed transiently and may be retried.
-
-    Raised by execution backends when a shard reports a recoverable
-    failure (e.g. an injected transient fault, or a flaky remote call in a
-    future distributed backend).  The worker's operator state is intact:
-    retrying the same advance is safe and side-effect free.  The
-    :class:`~repro.resilience.ResilientBackend` retries these with
-    exponential backoff before giving up.
-    """
-
-    def __init__(self, message: str, *, shard: int | None = None) -> None:
-        super().__init__(message)
-        self.shard = shard
-
-
-class WorkerLost(ShardError):
-    """A shard worker died mid-round and its in-flight state is gone.
-
-    Unlike a plain :class:`ShardError`, the advance cannot simply be
-    retried: the worker (e.g. a child process) must be respawned and its
-    operator state replayed first.  Subclasses :class:`ShardError` so a
-    bare ``except ShardError`` treats both as shard-level faults.
-    """
-
-    def __init__(self, shard: int, detail: str = "worker process died mid-round") -> None:
-        super().__init__(f"shard {shard} {detail}", shard=shard)
-
-
 class QuotaExceeded(ReproError):
     """A tenant's token bucket is empty; the submission was rejected.
 

@@ -1,4 +1,4 @@
-"""Sharded parallel execution for rank joins.
+"""Sharded execution for rank joins.
 
 Hash-partition both inputs by join key, run an independent PBRJ-family
 operator per shard in bounded pull quanta, and merge shard outputs
@@ -7,17 +7,11 @@ or tie it.  The public facade is :class:`ShardedRankJoin`, a drop-in
 :class:`~repro.core.stepping.ResumableOperator`.
 
 Correctness invariant (test-enforced): for any instance, operator, shard
-count and backend, the sharded top-K equals the serial top-K — same
+count and partitioner, the sharded top-K equals the serial top-K — same
 scores bit-for-bit, ties broken by the canonical result identity of
 :func:`repro.exec.merge.result_identity`.
 """
 
-from repro.exec.backends import (
-    ExecBackend,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-)
 from repro.exec.engine import ShardedRankJoin
 from repro.exec.merge import GlobalTopKMerger, result_identity
 from repro.exec.partition import (
@@ -30,7 +24,6 @@ from repro.exec.partition import (
     skew_aware_plan,
     stable_key_hash,
 )
-from repro.exec.telemetry import CapsuleSink, TelemetryCapsule, WorkerTelemetry
 from repro.exec.worker import (
     BACKENDS,
     DEFAULT_QUANTUM,
@@ -43,22 +36,15 @@ from repro.exec.worker import (
 __all__ = [
     "AdvanceOutcome",
     "BACKENDS",
-    "CapsuleSink",
     "DEFAULT_QUANTUM",
-    "ExecBackend",
     "ExecConfig",
     "GlobalTopKMerger",
     "HashPartitionPlan",
     "PARTITIONERS",
     "PartitionStats",
-    "ProcessBackend",
-    "SerialBackend",
     "ShardWorker",
     "ShardedRankJoin",
     "SkewAwarePlan",
-    "TelemetryCapsule",
-    "WorkerTelemetry",
-    "make_backend",
     "make_plan",
     "partition_instance",
     "partition_relation",

@@ -2,9 +2,10 @@
 
 The facade wires the subsystem together: partition the instance
 (:mod:`repro.exec.partition`), build one :class:`ShardWorker` per
-non-trivial shard (:mod:`repro.exec.worker`), run advance rounds on the
-configured backend (:mod:`repro.exec.backends`), and release results
-through the :class:`GlobalTopKMerger` gate (:mod:`repro.exec.merge`).
+non-trivial shard (:mod:`repro.exec.worker`), advance the blocking shards
+one quantum each per round — ``worker.advance(quantum)``, in request
+order, in this process — and release results through the
+:class:`GlobalTopKMerger` gate (:mod:`repro.exec.merge`).
 
 It satisfies :class:`repro.core.stepping.ResumableOperator` — the same
 ``get_next`` / ``try_next(max_pulls)`` / resumable ``top_k`` contract as
@@ -16,26 +17,25 @@ Why sharding helps even on one core: the expensive part of tight bounds
 is cover/skyline maintenance, whose per-pull cost grows superlinearly
 with the discovered-region size (FR* recombination is O(|CR|·|SHR|)).
 Each shard sees ~1/S of the data, so its cover stays ~S× smaller and the
-per-pull bound cost drops ~S²× — an algorithmic speedup on top of (and
-independent of) whatever parallelism the backend provides.
+per-pull bound cost drops ~S²× — an algorithmic speedup; there is no
+parallelism here, and none was ever measured to pay (EXPERIMENTS.md,
+"Sharding: serial vs process").
 """
 
 from __future__ import annotations
 
 from repro import kernels
 from repro.core.stepping import PENDING, ResumableBase
-from repro.exec.backends import make_backend
 from repro.exec.merge import GlobalTopKMerger
 from repro.exec.partition import PartitionStats, make_plan, partition_instance
-from repro.exec.telemetry import CapsuleSink, WorkerTelemetry
-from repro.exec.worker import AdvanceOutcome, ExecConfig, ShardWorker
+from repro.exec.worker import ExecConfig, ShardWorker
 from repro.obs import NULL_OBS, Observability, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import DepthReport
 
 
 class ShardedRankJoin(ResumableBase):
-    """Hash-partitioned parallel rank join with a provably-correct merge.
+    """Hash-partitioned rank join with a provably-correct merge.
 
     Parameters
     ----------
@@ -45,17 +45,15 @@ class ShardedRankJoin(ResumableBase):
         Any name from :data:`repro.core.operators.OPERATORS` — every
         shard runs a fresh instance of it.
     config:
-        :class:`~repro.exec.worker.ExecConfig` (shards, backend, quantum,
-        partitioner).  Defaults to a single shard run in-line.
+        :class:`~repro.exec.worker.ExecConfig` (shards, quantum,
+        partitioner).  Defaults to a single shard.
     obs:
         Optional :class:`~repro.obs.Observability`.  Records per-shard
         pull counters (``exec_shard_pulls_total``), a merge-wait round
         histogram (``exec_merge_wait_rounds``), the partition imbalance
         gauge (``exec_shard_imbalance``) — and, with an enabled
-        pipeline, arms every worker with its own
-        :class:`~repro.exec.telemetry.WorkerTelemetry` whose relayed
-        capsules (``worker_*`` metrics, quantum trace records) merge
-        back here.
+        pipeline, every worker records its quanta into it (``worker_*``
+        metrics, one ``quantum`` trace record per advance).
     trace:
         Optional :class:`~repro.obs.TraceContext` this execution hangs
         under (the session span, for service-submitted queries).  With
@@ -92,62 +90,47 @@ class ShardedRankJoin(ResumableBase):
         shard_instances, self._partition_stats = partition_instance(instance, plan)
         # One trace context per execution: a child of the caller's span
         # (service session) or a fresh root for standalone runs.  Each
-        # worker gets a child context + its own telemetry pipeline, so
-        # quanta recorded inside forked children still parent correctly.
+        # worker gets a child context its quanta parent under.
         if self._obs.enabled:
             self.trace = trace.child() if trace is not None else TraceContext.root()
             self._obs.trace(span_record(
-                self.trace, "exec", op=self.name,
-                shards=self.config.shards, backend=self.config.backend,
+                self.trace, "exec", op=self.name, shards=self.config.shards,
             ))
         else:
             self.trace = None
-        self._sink = CapsuleSink(self._obs, self.name)
         # Shards with an empty side can never produce a join result; they
         # are excluded entirely (an empty relation also has no score
         # dimension, which the bound plumbing could not digest).
-        workers = []
+        self._workers: dict[int, ShardWorker] = {}
         for index, shard in enumerate(shard_instances):
             if not (len(shard.left) and len(shard.right)):
                 continue
-            telemetry = None
+            shard_ctx = None
             if self.trace is not None:
                 shard_ctx = self.trace.child()
                 self._obs.trace(span_record(
                     shard_ctx, "shard", op=self.name, shard=index,
                     left=len(shard.left), right=len(shard.right),
                 ))
-                telemetry = WorkerTelemetry(index, shard_ctx)
-            workers.append(
-                ShardWorker(index, shard, operator, telemetry=telemetry,
-                            **operator_kwargs)
+            self._workers[index] = ShardWorker(
+                index, shard, operator, obs=self._obs, trace=shard_ctx,
+                **operator_kwargs,
             )
-        self._merger = GlobalTopKMerger([worker.shard for worker in workers])
-        backend = make_backend(self.config.backend)
-        if self.config.resilience is not None:
-            # Imported lazily: repro.resilience builds on this package.
-            from repro.resilience import ResilientBackend
-
-            backend = ResilientBackend(
-                backend, config=self.config.resilience, obs=self._obs
-            )
-        self._backend = backend
-        self._backend.start(workers)
-        self._closed = False
+        self._merger = GlobalTopKMerger(list(self._workers))
 
         self._pulls = 0
         self._rounds = 0
         self._rounds_at_last_emit = 0
         self._depths: dict[int, tuple[int, int]] = {
-            worker.shard: (0, 0) for worker in workers
+            shard: (0, 0) for shard in self._workers
         }
 
         metrics = self._obs.metrics
         self._m_shard_pulls = {
-            worker.shard: metrics.counter(
-                "exec_shard_pulls_total", op=self.name, shard=str(worker.shard)
+            shard: metrics.counter(
+                "exec_shard_pulls_total", op=self.name, shard=str(shard)
             )
-            for worker in workers
+            for shard in self._workers
         }
         self._m_merge_wait = metrics.histogram("exec_merge_wait_rounds", op=self.name)
         self._m_rounds = metrics.counter("exec_rounds_total", op=self.name)
@@ -189,32 +172,25 @@ class ShardedRankJoin(ResumableBase):
 
     def _advance_round(self, budget: int | None) -> int:
         """Advance the blocking shards one quantum each; return pulls spent."""
-        targets = self._merger.blocking_shards()
-        requests: list[tuple[int, int]] = []
-        granted = 0
-        for shard in targets:
+        granted = spent = 0
+        for shard in self._merger.blocking_shards():
             quantum = self.config.quantum
             if budget is not None:
+                # Grants are sized against the quanta handed out, not the
+                # pulls used, so the round is fixed before any shard runs.
                 quantum = min(quantum, budget - granted)
                 if quantum <= 0:
                     break
-            requests.append((shard, quantum))
             granted += quantum
-        outcomes = self._backend.advance(requests)
+            outcome = self._workers[shard].advance(quantum)
+            self._merger.offer(outcome)
+            self._depths[shard] = (outcome.depth_left, outcome.depth_right)
+            self._m_shard_pulls[shard].inc(outcome.pulls)
+            spent += outcome.pulls
+        self._pulls += spent
         self._rounds += 1
         self._m_rounds.inc()
-        spent = 0
-        for outcome in outcomes:
-            self._absorb(outcome)
-            spent += outcome.pulls
         return spent
-
-    def _absorb(self, outcome: AdvanceOutcome) -> None:
-        self._merger.offer(outcome)
-        self._pulls += outcome.pulls
-        self._depths[outcome.shard] = (outcome.depth_left, outcome.depth_right)
-        self._m_shard_pulls[outcome.shard].inc(outcome.pulls)
-        self._sink.absorb(outcome.telemetry)
 
     # ------------------------------------------------------------------
     # Reporting (PBRJ-compatible where QuerySession needs it)
@@ -247,17 +223,11 @@ class ShardedRankJoin(ResumableBase):
         """Advance rounds driven so far."""
         return self._rounds
 
-    @property
-    def degraded(self) -> bool:
-        """True once the resilient backend fell to a lower execution tier."""
-        return bool(getattr(self._backend, "degraded", False))
-
     def snapshot(self) -> dict:
         return {
             "operator": self.name,
             "config": {
                 "shards": self.config.shards,
-                "backend": self.config.backend,
                 "quantum": self.config.quantum,
                 "partitioner": self.config.partitioner,
                 "kernel": kernels.kernel_name(),
@@ -266,10 +236,6 @@ class ShardedRankJoin(ResumableBase):
             "rounds": self._rounds,
             "emitted": len(self._history),
             "imbalance": self._partition_stats.imbalance,
-            "degraded": self.degraded,
-            "backend_tier": getattr(
-                self._backend, "tier", getattr(self._backend, "name", "?")
-            ),
             "merge": self._merger.snapshot(),
         }
 
@@ -277,10 +243,9 @@ class ShardedRankJoin(ResumableBase):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (child processes)."""
-        if not self._closed:
-            self._closed = True
-            self._backend.close()
+        """Nothing to release: the workers are plain objects.  Kept, with
+        ``with`` support, for callers written against the engine that
+        owned child processes (the frozen benchmark harness among them)."""
 
     def __enter__(self) -> "ShardedRankJoin":
         return self
@@ -291,6 +256,5 @@ class ShardedRankJoin(ResumableBase):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedRankJoin({self.operator_name!r}, shards={self.config.shards}, "
-            f"backend={self.config.backend!r}, pulls={self._pulls}, "
-            f"live={self._merger.live_shards})"
+            f"pulls={self._pulls}, live={self._merger.live_shards})"
         )

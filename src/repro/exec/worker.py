@@ -5,18 +5,16 @@ A :class:`ShardWorker` owns a shard-local operator (any entry of
 bounds and RR/PA pulling) and advances it in bounded *pull quanta*.  Each
 :meth:`ShardWorker.advance` call performs at most ``quantum`` pulls,
 collects every result the operator emitted along the way, and returns an
-:class:`AdvanceOutcome` — a picklable snapshot the merge layer consumes.
+:class:`AdvanceOutcome` — the snapshot the merge layer consumes.
 Workers never talk to each other; all coordination happens through the
 outcomes (the global threshold is ``max`` over shard frontiers, computed
 by :class:`repro.exec.merge.GlobalTopKMerger`).
 
-Workers optionally carry their own telemetry pipeline
-(:class:`~repro.exec.telemetry.WorkerTelemetry`): a real metric registry
-and tracer running *inside* the worker — and therefore inside the forked
-child on the process backend — whose delta snapshots ride home
-piggybacked on the outcome (:attr:`AdvanceOutcome.telemetry`).  The pipe
-still only ever carries outcomes; telemetry costs zero extra round
-trips, and workers without telemetry behave exactly as before.
+A worker is an object in the engine's process.  Given the engine's
+:class:`~repro.obs.Observability` and its shard's
+:class:`~repro.obs.TraceContext` it records every advance straight into
+them: the ``worker_*`` metric families and one ``quantum`` trace record
+per advance, parented under the shard span.
 """
 
 from __future__ import annotations
@@ -28,19 +26,15 @@ from repro.core.operators import make_operator
 from repro.core.stepping import PENDING
 from repro.core.tuples import JoinResult
 from repro.errors import InstanceError
+from repro.obs import Observability, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 
-#: Where a shard's advance runs: in-line in this process, or in a forked
-#: child.  The one definition every surface reads (``ExecConfig``,
-#: ``QuerySpec``, workload files, the CLI, the chaos suite, the wire).
-BACKENDS = ("serial", "process")
-
-
-def check_backend(name: str) -> None:
-    """Reject anything outside :data:`BACKENDS` with a one-line error."""
-    if name not in BACKENDS:
-        raise InstanceError(f"unknown backend {name!r}; choose from {BACKENDS}")
-
+#: Where a shard's advance runs.  There is one place — in-line in the
+#: engine's process — and the tuple is read by :class:`ExecConfig` alone.
+#: It survives only because the frozen benchmark harness
+#: (``benchmarks/harness/layers.py``) passes ``backend="serial"``; the next
+#: harness-only PR removes the field and this with it.
+BACKENDS = ("serial",)
 
 #: Partitioners accepted by :class:`ExecConfig` (see repro.exec.partition).
 PARTITIONERS = ("hash", "skew")
@@ -50,23 +44,33 @@ PARTITIONERS = ("hash", "skew")
 #: large enough to amortize scheduling.
 DEFAULT_QUANTUM = 32
 
+#: Buckets for per-advance wall clock (seconds): quanta are sub-second.
+ADVANCE_SECONDS_BUCKETS = (
+    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
+    0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
+)
+
+#: Buckets for pulls actually spent inside one advance quantum.
+QUANTUM_PULLS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
 
 @dataclass(frozen=True)
 class ExecConfig:
     """Configuration of a sharded execution run.
 
     The point-set kernel is not part of it: selection is process-wide
-    (:func:`repro.kernels.set_backend`) and fork-based process children
-    inherit whatever is active when the engine starts them.
+    (:func:`repro.kernels.set_backend`).
 
     Parameters
     ----------
     shards:
         Number of hash partitions (1 = no sharding benefit, still valid).
     backend:
-        ``"serial"`` (default: in-line loop over in-process workers) or
-        ``"process"`` (persistent ``multiprocessing`` children over
-        pipes).
+        ``"serial"``, the only value (see :data:`BACKENDS`).
     quantum:
         Pulls granted to a shard per advance round.
     partitioner:
@@ -74,13 +78,6 @@ class ExecConfig:
     heavy_fraction:
         Skew partitioner knob: a key is heavy when its estimated result
         share exceeds this fraction (default ``1 / shards``).
-    resilience:
-        Optional :class:`repro.resilience.ResilienceConfig`.  ``None``
-        (default) runs the raw backend with no recovery machinery; any
-        config wraps the backend in a
-        :class:`~repro.resilience.ResilientBackend` (retry with backoff,
-        worker respawn with state replay, graceful degradation), with
-        fault injection only when the config carries a non-empty plan.
     """
 
     shards: int = 1
@@ -88,18 +85,34 @@ class ExecConfig:
     quantum: int = DEFAULT_QUANTUM
     partitioner: str = "hash"
     heavy_fraction: float | None = None
-    resilience: object | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise InstanceError("ExecConfig.shards must be >= 1")
-        if self.quantum < 1:
-            raise InstanceError("ExecConfig.quantum must be >= 1")
-        check_backend(self.backend)
+        if not _positive_int(self.shards):
+            raise InstanceError(
+                f"ExecConfig.shards must be an integer >= 1, got {self.shards!r}"
+            )
+        if not _positive_int(self.quantum):
+            raise InstanceError(
+                f"ExecConfig.quantum must be an integer >= 1, got {self.quantum!r}"
+            )
+        if self.backend not in BACKENDS:
+            raise InstanceError(
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+            )
         if self.partitioner not in PARTITIONERS:
             raise InstanceError(
                 f"unknown partitioner {self.partitioner!r}; "
                 f"choose from {PARTITIONERS}"
+            )
+        fraction = self.heavy_fraction
+        if fraction is not None and not (
+            isinstance(fraction, (int, float))
+            and not isinstance(fraction, bool)
+            and 0.0 < fraction <= 1.0
+        ):
+            raise InstanceError(
+                f"ExecConfig.heavy_fraction must be None or in (0, 1], "
+                f"got {fraction!r}"
             )
 
 
@@ -111,15 +124,7 @@ class AdvanceOutcome:
     emit (see :meth:`repro.core.pbrj.PBRJ.frontier`) — non-increasing,
     ``-inf`` once drained.  ``exhausted`` means the shard's operator
     returned ``None``: the shard is complete and will never be advanced
-    again.  The dataclass is pickle-friendly so the process backend can
-    ship it over a pipe unchanged.
-
-    ``telemetry`` is an optional :class:`~repro.exec.telemetry.
-    TelemetryCapsule` — the worker's metric/span/trace delta since its
-    previous outcome, piggybacked here so the process backend relays
-    child-side telemetry with no extra IPC.  Excluded from equality:
-    two outcomes that advance the merge identically *are* equal, with
-    or without the telemetry payload.
+    again.
     """
 
     shard: int
@@ -129,11 +134,15 @@ class AdvanceOutcome:
     depth_right: int
     frontier: float
     exhausted: bool = field(default=False)
-    telemetry: object | None = field(default=None, compare=False)
 
 
 class ShardWorker:
-    """One shard's operator plus the bounded-advance protocol around it."""
+    """One shard's operator plus the bounded-advance protocol around it.
+
+    ``obs`` and ``trace`` (the shard's span context) arm the worker's
+    telemetry; without a ``trace`` the worker records nothing and reads
+    no clock.
+    """
 
     def __init__(
         self,
@@ -141,13 +150,13 @@ class ShardWorker:
         instance: RankJoinInstance,
         operator: str = "FRPA",
         *,
-        telemetry=None,
+        obs: Observability | None = None,
+        trace: TraceContext | None = None,
         **operator_kwargs,
     ) -> None:
         self.shard = shard
         self.instance = instance
         self.operator_name = operator
-        self._operator_kwargs = dict(operator_kwargs)
         # ``track_time=False``: per-pull span timing on every shard is pure
         # overhead — the worker times whole quanta instead (one clock pair
         # per advance), and the engine reports facade-level wall clock.
@@ -155,28 +164,20 @@ class ShardWorker:
             operator, instance, track_time=False, **operator_kwargs
         )
         self._exhausted = False
-        #: Optional :class:`~repro.exec.telemetry.WorkerTelemetry`; when
-        #: set, every advance records a timed quantum and the outcome
-        #: carries the drained delta capsule.
-        self._telemetry = telemetry
-
-    def clone_fresh(self) -> "ShardWorker":
-        """A pristine worker over the same partition, zero pulls performed.
-
-        The respawn recipe: the resilience layer rebuilds a lost worker
-        from this and fast-forwards it by replaying the shard's recorded
-        advance history (deterministic operators make the replayed state
-        bit-identical to the state that died).  The clone keeps the
-        shard's trace context (fresh counters, same span in the tree).
-        """
-        telemetry = self._telemetry.clone() if self._telemetry is not None else None
-        return ShardWorker(
-            self.shard,
-            self.instance,
-            self.operator_name,
-            telemetry=telemetry,
-            **self._operator_kwargs,
-        )
+        self._obs = obs
+        self._trace = trace if obs is not None else None
+        if self._trace is not None:
+            metrics, label = obs.metrics, str(shard)
+            self._m_pulls = metrics.counter("worker_pulls_total", shard=label)
+            self._m_results = metrics.counter("worker_results_total", shard=label)
+            self._m_quanta = metrics.counter("worker_quanta_total", shard=label)
+            self._m_quantum_pulls = metrics.histogram(
+                "worker_quantum_pulls", buckets=QUANTUM_PULLS_BUCKETS, shard=label
+            )
+            self._m_advance_seconds = metrics.histogram(
+                "worker_advance_seconds", buckets=ADVANCE_SECONDS_BUCKETS,
+                shard=label,
+            )
 
     @property
     def exhausted(self) -> bool:
@@ -185,11 +186,6 @@ class ShardWorker:
     @property
     def pulls(self) -> int:
         return self._operator.pulls
-
-    @property
-    def trace_ctx(self):
-        """The shard's trace context, or None for untraced workers."""
-        return self._telemetry.ctx if self._telemetry is not None else None
 
     def advance(self, quantum: int) -> AdvanceOutcome:
         """Spend at most ``quantum`` pulls; return everything emitted.
@@ -201,8 +197,8 @@ class ShardWorker:
         returning an empty outcome.
         """
         operator = self._operator
-        telemetry = self._telemetry
-        started = time.perf_counter() if telemetry is not None else 0.0
+        traced = self._trace is not None
+        started = time.perf_counter() if traced else 0.0
         start_pulls = operator.pulls
         results: list[JoinResult] = []
         while not self._exhausted:
@@ -215,12 +211,10 @@ class ShardWorker:
                 break
             results.append(step)
         pulls = operator.pulls - start_pulls
-        capsule = None
-        if telemetry is not None:
-            telemetry.record_quantum(
+        if traced:
+            self._record_quantum(
                 quantum, pulls, len(results), time.perf_counter() - started
             )
-            capsule = telemetry.drain()
         return AdvanceOutcome(
             shard=self.shard,
             results=tuple(results),
@@ -229,5 +223,17 @@ class ShardWorker:
             depth_right=operator.depth(1),
             frontier=operator.frontier(),
             exhausted=self._exhausted,
-            telemetry=capsule,
         )
+
+    def _record_quantum(
+        self, quantum: int, pulls: int, results: int, seconds: float
+    ) -> None:
+        self._m_pulls.inc(pulls)
+        self._m_results.inc(results)
+        self._m_quanta.inc()
+        self._m_quantum_pulls.observe(pulls)
+        self._m_advance_seconds.observe(seconds)
+        self._obs.trace(span_record(
+            self._trace.child(), "quantum", seconds=seconds, shard=self.shard,
+            quantum=quantum, pulls=pulls, results=results,
+        ))

@@ -208,42 +208,5 @@ class MetricRegistry:
             out.append((metric_kind, dict(label_key), metric))
         return out
 
-    def merge_snapshot(self, records, **extra_labels: str) -> None:
-        """Fold snapshot records from another registry into this one.
-
-        The worker-telemetry relay path: child processes ship *delta*
-        snapshots (see :class:`repro.exec.telemetry.WorkerTelemetry`)
-        and the supervisor merges them here, adding ``extra_labels``
-        (typically ``shard=`` and ``replay=``) to every series.
-        Counters and histograms accumulate; gauges take the incoming
-        value (last write wins, matching gauge semantics).
-        """
-        if not self.enabled:
-            return
-        for record in records:
-            if record.get("type") != "metric":
-                continue
-            labels = {**record.get("labels", {}), **extra_labels}
-            kind = record["kind"]
-            name = record["name"]
-            if kind == "counter":
-                self.counter(name, **labels).inc(record["value"])
-            elif kind == "gauge":
-                if record.get("value") is not None:
-                    self.gauge(name, **labels).set(record["value"])
-            elif kind == "histogram":
-                boundaries = tuple(
-                    bucket["le"]
-                    for bucket in record["buckets"]
-                    if bucket["le"] is not None
-                )
-                histogram = self.histogram(name, buckets=boundaries, **labels)
-                if histogram.boundaries != boundaries:  # pragma: no cover
-                    continue  # defensively skip incompatible layouts
-                for index, bucket in enumerate(record["buckets"]):
-                    histogram.counts[index] += bucket["count"]
-                histogram.sum += record["sum"]
-                histogram.count += record["count"]
-
     def reset(self) -> None:
         self._metrics.clear()

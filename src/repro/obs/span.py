@@ -29,7 +29,7 @@ class SpanStats:
     dict lookup instead of materialising and hashing a path tuple per
     span exit.  ``registered`` marks nodes present in the tracer's
     canonical path index (intermediate nodes created by
-    :meth:`Tracer.record` stay invisible to queries until entered).
+    :meth:`Tracer.handle` stay invisible to queries until entered).
     """
 
     __slots__ = ("count", "seconds", "children", "registered")
@@ -145,20 +145,6 @@ class Tracer:
         elif span.entered:
             return _Span(self, name)
         return span
-
-    def record(self, path, seconds: float, count: int = 1) -> None:
-        """Merge an externally-measured aggregate into this tracer.
-
-        ``path`` is a span path as a tuple of names or a ``"/"``-joined
-        string.  This is how relayed worker span deltas (measured in a
-        child process by that worker's own tracer) fold into a
-        supervisor-side tracer without re-timing anything.
-        """
-        if not self.enabled:
-            return
-        stats = self._resolve(path)
-        stats.count += count
-        stats.seconds += seconds
 
     def handle(self, path) -> SpanStats:
         """A pre-resolved accumulator for a fixed *absolute* span path.

@@ -12,15 +12,12 @@ the tree shape mirrors the call shape::
                 ├─ shard 0 (ShardWorker)          trace=T span=d parent=c
                 │    ├─ quantum …                 trace=T span=e parent=d
                 │    └─ quantum …
-                ├─ shard 1 …
-                ├─ retry / respawn (resilience)   parent=shard span
-                └─ replayed quantum (replay=true)
+                └─ shard 1 …
 
-Span ids are random (``os.urandom``), which makes them unique across
-forked process-backend children without any coordination — exactly the
-property the worker telemetry relay needs.  Contexts serialize to plain
-dicts (:meth:`to_wire` / :meth:`from_wire`) so they ride the JSON-lines
-protocol and the process-backend pickles unchanged.
+Span ids are random (``os.urandom``), which makes them unique across the
+client, the fleet front-end and its worker processes without any
+coordination.  Contexts serialize to plain dicts (:meth:`to_wire` /
+:meth:`from_wire`) so they ride the JSON-lines protocol unchanged.
 
 Trace *records* (``{"type": "trace", ...}``, built by :func:`span_record`)
 are exported immediately through :meth:`repro.obs.Observability.trace`;
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 
 
 def _new_id() -> str:
-    """A 64-bit random hex id (collision-safe across forked children)."""
+    """A 64-bit random hex id (collision-safe across processes)."""
     return os.urandom(8).hex()
 
 

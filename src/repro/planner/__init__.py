@@ -11,8 +11,8 @@ observed shard imbalance and live-migrates a running query to a
 re-partitioned layout without changing a single emitted result.
 
 Entry points: ``QuerySpec(algorithm="auto", shards="auto")``, the
-``--plan auto`` CLI flag on ``run``/``serve``, and the ``shards`` /
-``exec_backend`` workload-file keys.
+``--plan auto`` CLI flag on ``run``/``serve``, and the ``shards``
+workload-file key.
 """
 
 from repro.planner.adaptive import AdaptiveConfig, AdaptiveShardedRankJoin

@@ -9,9 +9,8 @@ threshold, the query is live-migrated to a re-partitioned layout:
 
 1. build a fresh engine over the same instance with the skew-aware
    partitioner (and optionally a new shard count),
-2. fast-forward it through the results already emitted — the replay
-   primitive the resilience layer uses for respawned workers, applied to
-   a whole engine, and
+2. fast-forward it through the results already emitted (deterministic
+   operators make the replayed prefix the emitted one), and
 3. swap engines and continue from the exact emission point.
 
 Correctness rests on the merge gate's emission-order invariance: the
@@ -21,11 +20,6 @@ frontier is below its score), so the replayed prefix is bit-identical to
 the history by construction.  The wrapper still verifies the prefix
 (content identity, not object identity) and aborts the migration — keeps
 the old engine — on any mismatch, so adaptivity can never change answers.
-
-A fault *during* migration is absorbed by the new engine's own
-resilience config (``AdaptiveConfig.migration_resilience``): the replay
-pulls run under the respawn-with-replay machinery like any other pulls,
-which is exactly what the chaos suite's re-shard leg exercises.
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ class AdaptiveConfig:
     target_partitioner: str = "skew"
     shards: int | None = None
     heavy_fraction: float | None = None
-    migration_resilience: object | None = None
 
 
 class AdaptiveShardedRankJoin(ResumableBase):
@@ -117,11 +110,6 @@ class AdaptiveShardedRankJoin(ResumableBase):
                 if adaptive.heavy_fraction is not None
                 else self._engine.config.heavy_fraction
             ),
-            resilience=(
-                adaptive.migration_resilience
-                if adaptive.migration_resilience is not None
-                else self._engine.config.resilience
-            ),
         )
 
     def _maybe_reshard(self) -> None:
@@ -163,7 +151,6 @@ class AdaptiveShardedRankJoin(ResumableBase):
             for a, b in zip(replayed, emitted)
         )
         if not same:  # pragma: no cover - safety net, unreachable by design
-            fresh.close()
             self._disabled = True
             self._obs.metrics.counter(
                 "planner_reshard_aborts_total", op=old.operator_name
@@ -172,7 +159,6 @@ class AdaptiveShardedRankJoin(ResumableBase):
         self._pulls_base += old.pulls
         self._engine = fresh
         self._reshards += 1
-        old.close()
         self._obs.metrics.counter(
             "planner_reshards_total",
             op=self.operator_name,
@@ -236,10 +222,6 @@ class AdaptiveShardedRankJoin(ResumableBase):
     @property
     def rounds(self) -> int:
         return self._engine.rounds
-
-    @property
-    def degraded(self) -> bool:
-        return self._engine.degraded
 
     def snapshot(self) -> dict:
         snap = self._engine.snapshot()

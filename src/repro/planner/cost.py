@@ -1,8 +1,7 @@
 """Calibrated cost model for candidate rank-join plans.
 
 The model predicts wall-clock seconds for one query under one candidate
-configuration (algorithm, operator, shard count, partitioner, exec
-backend) from:
+configuration (algorithm, operator, shard count, partitioner) from:
 
 * a depth estimate ``D`` (:mod:`repro.plan.estimate` — the corner-model
   prediction of total pulls a serial operator needs),
@@ -16,12 +15,12 @@ The PBRJ formulas encode the two effects the benchmarks establish:
   roughly ``D · s`` tuples *and* pays a per-pull cost that shrinks with
   shard size (smaller feasible-region covers, fewer bound candidates), so
   total work ``≈ D · Σ sᵢ^(1+γ)`` — for balanced shards an ``S^γ``
-  algorithmic speedup even on one CPU (BENCH_sharded measures ~5× at 4
-  shards), but under skew the hot shard's large share eats the win, which
-  is exactly what steers the planner to the skew-aware partitioner.
+  algorithmic speedup on one CPU (EXPERIMENTS.md, "Sharding: serial vs
+  process": ~5× at 4 shards on uniform e=5), but under skew the hot
+  shard's large share eats the win, which is exactly what steers the
+  planner to the skew-aware partitioner.
 * **Coordination overhead** — per-round dispatch and per-shard startup
-  costs per backend (process startup ≈ a fork, so the process backend
-  only pays off when real parallelism exists).
+  costs, plus the O(n) split of both inputs.
 
 Coefficients resolve in priority order: explicitly installed via
 :func:`set_coefficients` (or ``ReproConfig.planner_coeffs``) → a one-shot
@@ -31,7 +30,6 @@ library defaults.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -64,16 +62,7 @@ class CostCoefficients:
     multiway_factor: float = 1.0       # extra per-pull cost per chain edge
     partition_per_tuple: float = 4.0e-6  # split/copy both inputs when shards > 1
     round_serial: float = 3.0e-6       # per shard-request dispatch, per round
-    round_process: float = 3.0e-4
     startup_serial: float = 2.0e-5     # one-time per-shard setup
-    startup_process: float = 4.0e-2
-    parallelism: int = 1               # usable cores for the process backend
-
-    def round_overhead(self, backend: str) -> float:
-        return self.round_process if backend == "process" else self.round_serial
-
-    def startup(self, backend: str) -> float:
-        return self.startup_process if backend == "process" else self.startup_serial
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -118,12 +107,7 @@ def measure(*, seed: int = 0) -> CostCoefficients:
     pull_anyk = max(
         (anyk_seconds - instance.k * coeffs.anyk_result - pairs) / total, 1e-8
     )
-    return replace(
-        coeffs,
-        pull_pbrj=pull_pbrj,
-        pull_anyk=pull_anyk,
-        parallelism=max(1, os.cpu_count() or 1),
-    )
+    return replace(coeffs, pull_pbrj=pull_pbrj, pull_anyk=pull_anyk)
 
 
 _installed: CostCoefficients | None = None
@@ -162,14 +146,15 @@ class PlanCandidate:
     operator: str
     shards: int
     partitioner: str
-    backend: str
 
     def label(self) -> str:
         if self.algorithm == "anyk" and self.shards == 1:
             return "anyk"
         parts = [f"{self.algorithm}/{self.operator}"]
         if self.shards > 1:
-            parts.append(f"x{self.shards} {self.partitioner}/{self.backend}")
+            # "/serial" is part of the label: stats briefs, ``top`` and the
+            # planner tests match plan labels byte for byte.
+            parts.append(f"x{self.shards} {self.partitioner}/serial")
         return " ".join(parts)
 
 
@@ -202,32 +187,23 @@ def score_pbrj_candidate(
     live = [s for s in shares if s > 0] or [1.0]
     compute = effective_depth * pull_cost * sum(s ** (1.0 + gamma) for s in live)
     hottest = max(live)
-    critical = effective_depth * hottest * pull_cost * hottest ** gamma
-    workers = 1
-    if candidate.backend == "process":
-        workers = min(len(live), max(1, coeffs.parallelism))
-    wall = max(compute / workers, critical)
-    rounds = 0.0
-    startup = 0.0
-    partition = 0.0
+    rounds_cost = startup = partition = 0.0
     if candidate.shards > 1:
         rounds = effective_depth * hottest / ASSUMED_QUANTUM
-        rounds_cost = rounds * len(live) * coeffs.round_overhead(candidate.backend)
-        startup = len(live) * coeffs.startup(candidate.backend)
+        rounds_cost = rounds * len(live) * coeffs.round_serial
+        startup = len(live) * coeffs.startup_serial
         # Splitting both inputs into per-shard sub-relations is a full
         # O(n) scan-and-copy — at small input sizes it dwarfs the cover
         # shrink, which is what keeps the planner serial on small joins.
         partition = total_tuples * coeffs.partition_per_tuple
-    else:
-        rounds_cost = 0.0
-    cost = wall + rounds_cost + startup + partition
+    cost = compute + rounds_cost + startup + partition
     return CandidateCost(
         candidate=candidate,
         cost=cost,
         detail={
             "depth": effective_depth,
             "imbalance": hottest * len(shares),
-            "compute": wall,
+            "compute": compute,
             "rounds": rounds_cost,
             "startup": startup,
             "partition": partition,
@@ -258,7 +234,7 @@ def score_anyk_candidate(
     startup = 0.0
     partition = 0.0
     if candidate.shards > 1:
-        startup = len(live) * coeffs.startup(candidate.backend)
+        startup = len(live) * coeffs.startup_serial
         partition = total_tuples * coeffs.partition_per_tuple
     cost = build + enumerate_cost + startup + partition
     return CandidateCost(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
-from repro.exec.worker import check_backend
 from repro.plan.estimate import (
     DepthEstimate,
     estimate_binary_depths,
@@ -49,10 +48,7 @@ _depth_cache: dict[tuple, DepthEstimate] = {}
 class PlannerConfig:
     """Enumeration bounds and estimator settings for a :class:`Planner`.
 
-    The exec backend is not an axis: sharded candidates are costed on
-    ``serial`` (per-shard fork startup only pays off with real multi-core
-    parallelism) unless the caller pins ``exec_backend="process"``.
-    Neither is the kernel: selection is process-wide
+    The kernel is not an axis: selection is process-wide
     (:func:`repro.kernels.set_backend`), never part of a plan.
     """
 
@@ -93,7 +89,10 @@ class PlanDecision:
 
     @property
     def backend(self) -> str:
-        return self.chosen.candidate.backend
+        """Always ``"serial"``.  Read by the frozen benchmark harness
+        (``benchmarks/harness/layers.py``) alone; the next harness-only PR
+        removes it together with ``ExecConfig.backend``."""
+        return "serial"
 
     def summary(self) -> str:
         return self.chosen.candidate.label()
@@ -156,7 +155,6 @@ class Planner:
         algorithm: str = "auto",
         shards: int | str = "auto",
         operator: str | None = None,
-        exec_backend: str | None = None,
         partitioner: str | None = None,
         join_attrs: tuple[str, ...] = (),
     ) -> PlanDecision:
@@ -166,8 +164,6 @@ class Planner:
                 f"unknown algorithm {algorithm!r}; choose from "
                 f"{ALGORITHMS + ('auto',)}"
             )
-        if exec_backend is not None:
-            check_backend(exec_backend)
         if len(relations) < 2:
             raise InstanceError("planning needs at least two relations")
         scoring = scoring or SumScore()
@@ -176,7 +172,7 @@ class Planner:
             decision = self._plan_binary(
                 relations, k, scoring,
                 algorithm=algorithm, shards=shards, operator=operator,
-                exec_backend=exec_backend, partitioner=partitioner,
+                partitioner=partitioner,
             )
         else:
             decision = self._plan_multiway(
@@ -210,7 +206,6 @@ class Planner:
         algorithm: str,
         shards: int | str,
         operator: str | None,
-        exec_backend: str | None,
         partitioner: str | None,
     ) -> PlanDecision:
         left, right = relations
@@ -243,10 +238,8 @@ class Planner:
         for algo in algorithms:
             for shard_count in shard_options:
                 if shard_count == 1:
-                    backend = "serial"
                     partitioner_options = ("hash",)
                 else:
-                    backend = exec_backend or "serial"
                     partitioner_options = (
                         (partitioner,) if partitioner else ("hash", "skew")
                     )
@@ -262,7 +255,6 @@ class Planner:
                             operator=ANYK_OPERATOR,
                             shards=shard_count,
                             partitioner=part,
-                            backend=backend,
                         )
                         candidates.append(score_anyk_candidate(
                             candidate, coeffs=coeffs,
@@ -277,7 +269,6 @@ class Planner:
                                 operator=op_name,
                                 shards=shard_count,
                                 partitioner=part,
-                                backend=backend,
                             ),
                             coeffs=coeffs,
                             depth=depth.sum_depths,
@@ -322,7 +313,7 @@ class Planner:
             candidates.append(score_multiway_pbrj(
                 PlanCandidate(
                     algorithm="pbrj", operator="HRJN*", shards=1,
-                    partitioner="hash", backend="serial",
+                    partitioner="hash",
                 ),
                 coeffs=coeffs, depth=float(sum_depths), arity=len(relations),
             ))
@@ -330,7 +321,7 @@ class Planner:
             candidates.append(score_anyk_candidate(
                 PlanCandidate(
                     algorithm="anyk", operator=ANYK_OPERATOR, shards=1,
-                    partitioner="hash", backend="serial",
+                    partitioner="hash",
                 ),
                 coeffs=coeffs, total_tuples=total_tuples, k=k,
             ))

@@ -21,8 +21,8 @@ A second, *shared* tier (``shared_dir``) backs the in-memory cache with
 one pickle file per fingerprint, written atomically — the cross-process
 tier the serve fleet uses so a prefix computed by any worker answers the
 same query on every other worker.  Only the answer prefix travels through
-the shared tier; suspended continuation operators (which own child
-processes) stay memory-local to the worker that built them.
+the shared tier; suspended continuation operators stay memory-local to the
+worker that built them.
 """
 
 from __future__ import annotations
@@ -119,9 +119,7 @@ class ResultCache:
                 # shorter prefix; extending from it after adopting the
                 # longer shared prefix would re-emit results it already
                 # produced.  Drop it — correctness over resumability.
-                if entry.operator is not None:
-                    _dispose_operator(entry.operator)
-                    entry.operator = None
+                entry.operator = None
             entry.exhausted = entry.exhausted or shared.exhausted
             entry.hits += 1
             self._entries.move_to_end(key)
@@ -174,10 +172,7 @@ class ResultCache:
         if len(results) > len(entry.results) or exhausted:
             entry.results = list(results)
             entry.exhausted = entry.exhausted or exhausted
-            replacement = None if exhausted else operator
-            if entry.operator is not None and entry.operator is not replacement:
-                _dispose_operator(entry.operator)
-            entry.operator = replacement
+            entry.operator = None if exhausted else operator
         elif entry.operator is None and operator is not None \
                 and len(results) == len(entry.results) and not entry.exhausted:
             entry.operator = operator
@@ -187,31 +182,19 @@ class ResultCache:
 
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            _dispose_operator(evicted.operator)
+            self._entries.popitem(last=False)
             self._m_evictions.inc()
         self._m_size.set(len(self._entries))
 
     def invalidate(self, key: str) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        _dispose_operator(entry.operator)
-        return True
+        return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
-        for entry in self._entries.values():
-            _dispose_operator(entry.operator)
         self._entries.clear()
         self._m_size.set(0)
 
     def close(self) -> None:
-        """Dispose every retained continuation and empty the cache.
-
-        Suspended sharded operators own backend resources (child
-        processes); a server shutting down must close them or the
-        children outlive the service.
-        """
+        """Empty the cache (continuations included)."""
         self.clear()
 
     # ------------------------------------------------------------------
@@ -246,7 +229,6 @@ class ResultCache:
             return None
         if self.ttl is not None and self._clock() - entry.created_at > self.ttl:
             del self._entries[key]
-            _dispose_operator(entry.operator)
             self._m_expirations.inc()
             self._m_size.set(len(self._entries))
             return None
@@ -319,18 +301,3 @@ class ResultCache:
         except (OSError, pickle.PickleError):
             with contextlib.suppress(OSError):
                 tmp.unlink()
-
-
-def _dispose_operator(operator: Any) -> None:
-    """Close a continuation operator falling out of the cache.
-
-    Every path that drops an operator reference (eviction, TTL expiry,
-    invalidation, overwrite, shutdown) funnels through here — suspended
-    sharded operators hold child processes that would
-    otherwise leak.
-    """
-    if operator is None:
-        return
-    close = getattr(operator, "close", None)
-    if callable(close):
-        close()

@@ -202,9 +202,11 @@ class ServeFleet(wire.LineServer):
                     dict(self.server_kwargs),
                     self.shared_cache_dir,
                 ),
-                # Not daemonic: workers must be allowed children of their
-                # own (the process execution backend forks shard workers).
-                daemon=False,
+                # Daemonic: a worker must never outlive its front-end.  The
+                # normal stop is still graceful (``_stop`` sends each worker
+                # the shutdown verb and ``_join_workers`` waits); this only
+                # covers a front-end that dies without getting there.
+                daemon=True,
                 name=f"repro-fleet-w{index}",
             )
             process.start()

@@ -24,7 +24,6 @@ from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS, make_oper
 from repro.core.multiway import multiway_rank_join
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
-from repro.exec.worker import check_backend
 from repro.relation.relation import RankJoinInstance, Relation
 
 
@@ -96,15 +95,6 @@ class QuerySpec:
         ``> 1`` builds a :class:`~repro.exec.engine.ShardedRankJoin`;
         ``"auto"`` lets the planner choose the shard count and
         partitioner.
-    exec_backend:
-        Backend for sharded execution, one of
-        :data:`~repro.exec.worker.BACKENDS` (``"serial"`` default,
-        ``"process"``).  Validated always, used only when ``shards > 1``.
-    resilience:
-        Optional :class:`repro.resilience.ResilienceConfig` wrapping the
-        sharded backend in retry/respawn/degrade machinery (sharded
-        queries only).  Excluded from the fingerprint: recovery never
-        changes the answer (chaos-suite-enforced).
     partitioner:
         ``"hash"`` (default) or ``"skew"`` — the partition plan for
         sharded execution.  Excluded from the fingerprint: the merge gate
@@ -113,7 +103,7 @@ class QuerySpec:
         Optional :class:`repro.planner.AdaptiveConfig` enabling online
         re-sharding for sharded execution.  Planner-resolved sharded
         specs get one by default.  Fingerprint-excluded: migration
-        preserves the emission sequence (test- and chaos-enforced).
+        preserves the emission sequence (test-enforced).
     """
 
     relations: tuple[Relation, ...]
@@ -123,8 +113,6 @@ class QuerySpec:
     algorithm: str = "pbrj"
     join_attrs: tuple[str, ...] = ()
     shards: int | str = 1
-    exec_backend: str = "serial"
-    resilience: object | None = None
     partitioner: str = "hash"
     adaptive: object | None = None
 
@@ -170,17 +158,10 @@ class QuerySpec:
                 f"unknown partitioner {self.partitioner!r}; "
                 f"choose from ('hash', 'skew')"
             )
-        check_backend(self.exec_backend)
-        concrete = isinstance(self.shards, int)
-        if concrete and self.shards > 1 and self.is_multiway:
+        if isinstance(self.shards, int) and self.shards > 1 and self.is_multiway:
             raise InstanceError(
                 "sharded execution supports binary joins only; "
                 "multiway queries must use shards=1"
-            )
-        if self.resilience is not None and concrete and self.shards == 1:
-            raise InstanceError(
-                "resilience config applies to sharded execution only; "
-                "set shards > 1"
             )
 
     @property
@@ -245,9 +226,7 @@ class QuerySpec:
                 else self.operator
             ),
             shards=decision.shards,
-            exec_backend=(decision.backend if sharded else self.exec_backend),
             partitioner=(decision.partitioner if sharded else "hash"),
-            resilience=(self.resilience if sharded else None),
             adaptive=(
                 (self.adaptive or AdaptiveConfig()) if sharded else None
             ),
@@ -266,7 +245,7 @@ class QuerySpec:
             return f"{self.algorithm}/multiway"
         label = f"{self.algorithm}/{self.effective_operator}"
         if isinstance(self.shards, int) and self.shards > 1:
-            label += f" x{self.shards} {self.partitioner}/{self.exec_backend}"
+            label += f" x{self.shards} {self.partitioner}/serial"
         return label
 
     def fingerprint(self) -> str:
@@ -303,8 +282,7 @@ class QuerySpec:
         if self.shards > 1:
             # Sharded runs order exact-score ties canonically, which may
             # differ from the serial operator's discovery order — keep the
-            # cache namespaces separate.  The backend is deliberately
-            # excluded: it never changes the answer (test-enforced).
+            # cache namespaces separate.
             digest.update(f";shards={self.shards}".encode())
         return digest.hexdigest()
 
@@ -349,12 +327,7 @@ class QuerySpec:
         if self.shards > 1:
             from repro.exec import ExecConfig, ShardedRankJoin
 
-            config = ExecConfig(
-                shards=self.shards,
-                backend=self.exec_backend,
-                partitioner=self.partitioner,
-                resilience=self.resilience,
-            )
+            config = ExecConfig(shards=self.shards, partitioner=self.partitioner)
             if self.adaptive is not None:
                 from repro.planner import AdaptiveShardedRankJoin
 

@@ -11,9 +11,9 @@ Distributed tracing: a ``submit`` request may carry a ``trace`` field
 (the wire form of :class:`~repro.obs.TraceContext`, minted by
 :class:`~repro.service.client.ServiceClient`); the server threads it
 through the service so every span of the query's execution — session,
-exec, shards, worker quanta, retries, respawns — parents back to that
-client request.  Requests without one get a server-minted root.  The
-submit response echoes the trace id.
+exec, shards, worker quanta — parents back to that client request.
+Requests without one get a server-minted root.  The submit response
+echoes the trace id.
 
 The server drives the scheduler from a single background task — one pull
 quantum per loop iteration, yielding to the event loop between quanta — so
@@ -64,7 +64,6 @@ class RankJoinServer(wire.LineServer):
         default_shards: int | str = 1,
         default_algorithm: str = "pbrj",
         chaos=None,
-        resilience=None,
     ) -> None:
         super().__init__(host, port)
         self.service = service
@@ -75,10 +74,6 @@ class RankJoinServer(wire.LineServer):
         #: let the cost-based planner choose; ``default_shards`` may be
         #: ``"auto"`` likewise — both set by ``serve --plan auto``).
         self.default_algorithm = default_algorithm
-        #: Optional :class:`repro.resilience.ResilienceConfig` applied to
-        #: every sharded query this server builds (retry/respawn/degrade,
-        #: plus fault injection when the config carries a plan).
-        self.resilience = resilience
         self.chaos = chaos
         #: Edge-triggered progress signal: replaced (not cleared) after
         #: every productive scheduler tick, so stream handlers holding the
@@ -97,9 +92,6 @@ class RankJoinServer(wire.LineServer):
         try:
             super().run()
         finally:
-            # Dispose retained operators (cached continuations, undrained
-            # sessions) so shard workers never outlive the server.
-            self.service.close()
             # Flush (don't close) the obs pipeline so spans/metrics
             # buffered during the run reach their exporters even when the
             # process exits right after ``run()`` returns.
@@ -289,10 +281,6 @@ class RankJoinServer(wire.LineServer):
         kwargs = {}
         if len(relations) == 2 and (shards == "auto" or shards > 1):
             kwargs["shards"] = shards
-            if request.get("backend") is not None:
-                kwargs["exec_backend"] = request["backend"]
-            if self.resilience is not None:
-                kwargs["resilience"] = self.resilience
         return QuerySpec(
             relations=relations,
             k=request["k"],

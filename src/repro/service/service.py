@@ -118,7 +118,7 @@ class QueryService:
         ``trace`` is the request's root span context (minted by the
         server/client, or here for in-process callers with an enabled
         pipeline); the whole execution — session, exec, shards, worker
-        quanta, retries — parents back to it.
+        quanta — parents back to it.
         """
         if self.quotas is not None:
             try:
@@ -259,7 +259,6 @@ class QueryService:
             "results": len(session.results),
             "k": session.k,
             "pulls": session.pulls,
-            "degraded": bool(getattr(session.operator, "degraded", False)),
         }
 
     # ------------------------------------------------------------------
@@ -286,35 +285,12 @@ class QueryService:
                 exhausted=session.exhausted,
                 operator=session.operator,
             )
-        elif not session.from_cache:
-            self._release_operator(session)
-
-    @staticmethod
-    def _release_operator(session: QuerySession) -> None:
-        """Close an operator that will not be checked into the cache.
-
-        Sharded operators own backend resources (child
-        processes); dropping a FAILED/CANCELLED session without closing
-        them would orphan children mid-respawn.
-        """
-        close = getattr(session.operator, "close", None)
-        if callable(close):
-            close()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release every operator the service still holds.
-
-        Closes cached continuations and the operators of any session not
-        yet retired (queued or mid-flight at shutdown).  A server tears
-        the service down through here so suspended sharded operators —
-        which own child processes — cannot outlive it.
-        """
+        """Drop every cached answer and continuation.  No operator owns
+        anything outside this process, so there is nothing else to do."""
         if self.cache is not None:
             self.cache.close()
-        for session in (*self.scheduler.live_sessions,
-                        *self.scheduler.queued_sessions):
-            if not session.from_cache:
-                self._release_operator(session)

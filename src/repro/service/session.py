@@ -312,7 +312,6 @@ class QuerySession:
             "complete": len(self.results) >= self.k or self.exhausted,
             "budget_exhausted": self.budget_exhausted,
             "deadline_exceeded": self.deadline_exceeded,
-            "degraded": bool(getattr(self.operator, "degraded", False)),
             "from_cache": self.from_cache,
             "error": self.error,
             "latency": self.latency,

@@ -3,9 +3,9 @@
 Polls a running :class:`~repro.service.server.RankJoinServer`'s ``stats``
 verb and renders the live telemetry plane as plain text: SLO percentiles,
 scheduler and cache state, per-shard pull counters with rates (diffed
-between polls), and one line per in-flight session with its degraded
-flag.  The screen is refreshed with a single ANSI clear — no curses, so
-it works in any terminal, under tee, and inside CI logs.
+between polls), and one line per in-flight session.  The screen is
+refreshed with a single ANSI clear — no curses, so it works in any
+terminal, under tee, and inside CI logs.
 
 The renderer (:func:`render_dashboard`) is a pure function of two stats
 payloads, which is what the tests drive; :func:`run_top` owns the
@@ -121,16 +121,15 @@ def render_dashboard(
     if sessions:
         lines.append(
             f"{'SESSION':<9} {'STATE':<9} {'RESULTS':>8} {'PULLS':>9} "
-            f"{'FLAGS':<9} {'PLAN':<28} LABEL"
+            f"{'PLAN':<28} LABEL"
         )
         for session in sessions:
-            flags = "degraded" if session.get("degraded") else ""
             lines.append(
                 f"{session.get('session', '?'):<9} "
                 f"{session.get('state', '?'):<9} "
                 f"{session.get('results', 0):>4}/{session.get('k', 0):<3} "
                 f"{session.get('pulls', 0):>9,} "
-                f"{flags:<9} {session.get('plan', '?'):<28} "
+                f"{session.get('plan', '?'):<28} "
                 f"{session.get('label', '')}"
             )
     else:

@@ -219,7 +219,10 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
               _list_of(_list_of(_is_number))),
         Field("shards", 'a positive integer or "auto"',
               lambda v: v == "auto" or (_is_int(v) and v >= 1)),
-        Field("backend", *_STR),
+        # One value — shards run in the server's process.  The row exists so
+        # clients that send the field keep working and any other value is
+        # refused here, at the edge.
+        Field("backend", 'the string "serial"', lambda v: v == "serial"),
         Field("priority", *_INT, default=0),
         Field("max_pulls", *_INT),
         Field("deadline", "a finite non-negative number",

@@ -212,13 +212,6 @@ class TestResumability:
             if result is None:
                 break
 
-    def test_clone_fresh_restarts_from_scratch(self):
-        __, op = self.make()
-        expected = [r.score for r in op.top_k(6)]
-        clone = op.clone_fresh()
-        assert clone.pulls == 0
-        assert [r.score for r in clone.top_k(6)] == expected
-
     def test_max_pulls_budget_raises(self):
         instance, __ = self.make()
         op = anyk_operator(instance, max_pulls=10)

@@ -31,7 +31,7 @@ class TestWorkloadParams:
 
 
 class TestWorkloadFileExecutionKeys:
-    """Execution-shape keys (shards / exec_backend / algorithm) validate
+    """Execution-shape keys (shards / algorithm) validate
     at load time with one-line errors — not deep inside engine setup."""
 
     def _load(self, tmp_path, payload):
@@ -42,10 +42,9 @@ class TestWorkloadFileExecutionKeys:
     def test_valid_execution_shape(self, tmp_path):
         params = self._load(
             tmp_path,
-            {"shards": 4, "exec_backend": "serial", "algorithm": "anyk"},
+            {"shards": 4, "algorithm": "anyk"},
         )
         assert params.shards == 4
-        assert params.exec_backend == "serial"
         assert params.algorithm == "anyk"
 
     def test_auto_values_accepted(self, tmp_path):
@@ -62,12 +61,12 @@ class TestWorkloadFileExecutionKeys:
         assert "\n" not in message  # one line, CLI-displayable
 
     def test_unknown_exec_backend_rejected(self, tmp_path):
-        for backend in ("gpu", "thread"):  # unknown and retired alike
+        # The key went with the process backend; even "serial" is refused.
+        for backend in ("serial", "process"):
             with pytest.raises(WorkloadError) as info:
                 self._load(tmp_path, {"exec_backend": backend})
             message = str(info.value)
-            assert f"unknown exec_backend {backend!r}" in message
-            assert "['serial', 'process']" in message
+            assert "unknown keys ['exec_backend']" in message
             assert "\n" not in message
 
     def test_unknown_algorithm_rejected(self, tmp_path):

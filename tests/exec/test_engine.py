@@ -7,7 +7,6 @@
 import pytest
 
 from repro.core.stepping import PENDING
-from repro.errors import InstanceError
 from repro.exec import ExecConfig, ShardedRankJoin
 from repro.obs import Observability
 from repro.service import QuerySession, QueryService, QuerySpec, SessionState
@@ -30,7 +29,7 @@ class TestShardedEqualsSerial:
             sharded = engine.top_k(k)
         assert identity_view(sharded) == identity_view(reference)
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_backend_never_changes_the_answer(self, workloads, backend):
         instance = workloads["uniform"]
         reference = canonical_top_k(instance, instance.k)
@@ -173,14 +172,13 @@ class TestServiceIntegration:
         service = QueryService()
         spec = QuerySpec(
             relations=(instance.left, instance.right), k=8,
-            shards=4, exec_backend="serial",
+            shards=4,
         )
         answer = service.run_query(spec)
         assert identity_view(answer) == identity_view(canonical_top_k(instance, 8))
         # Repeat is a cache hit (sharded specs have their own namespace).
         again = service.run_query(QuerySpec(
-            relations=(instance.left, instance.right), k=8,
-            shards=4, exec_backend="serial",
+            relations=(instance.left, instance.right), k=8, shards=4,
         ))
         assert identity_view(again) == identity_view(answer)
         assert service.cache.stats()["hits"] == 1
@@ -192,29 +190,12 @@ class TestServiceIntegration:
             relations=(instance.left, instance.right), k=8, shards=4
         )
         assert serial.fingerprint() != sharded.fingerprint()
-        # Backend choice must NOT split the cache namespace.
-        forked = QuerySpec(
+        # The partitioner must NOT split the cache namespace.
+        skewed = QuerySpec(
             relations=(instance.left, instance.right), k=8, shards=4,
-            exec_backend="process",
+            partitioner="skew",
         )
-        assert sharded.fingerprint() == forked.fingerprint()
-
-    @pytest.mark.parametrize("shards", [1, 2, "auto"])
-    @pytest.mark.parametrize("backend", ["bogus", "thread"])
-    def test_unknown_and_retired_backends_rejected(
-        self, workloads, backend, shards
-    ):
-        # Validated whatever the shard count: a bad value must not wait
-        # for a planner decision (or a later shards > 1 edit) to surface.
-        instance = workloads["uniform"]
-        with pytest.raises(InstanceError) as err:
-            QuerySpec(
-                relations=(instance.left, instance.right), k=5,
-                shards=shards, exec_backend=backend,
-            )
-        assert f"unknown backend {backend!r}" in str(err.value)
-        assert "('serial', 'process')" in str(err.value)
-        assert "\n" not in str(err.value)
+        assert sharded.fingerprint() == skewed.fingerprint()
 
     def test_multiway_rejects_shards(self, workloads):
         instance = workloads["uniform"]

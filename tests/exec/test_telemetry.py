@@ -1,106 +1,55 @@
-"""Tests for the worker telemetry relay: capsules, deltas, sink merging."""
+"""A shard worker records its quanta straight into the engine's pipeline."""
 
-import pickle
-
-from repro.exec import CapsuleSink, WorkerTelemetry
+from repro.data.workload import random_instance
+from repro.exec import ShardWorker
 from repro.obs import JsonlExporter, Observability, TraceContext, read_events
 
-
-def _telemetry(shard: int = 0) -> WorkerTelemetry:
-    return WorkerTelemetry(shard, TraceContext.root().child())
+INSTANCE = random_instance(
+    n_left=80, n_right=80, e_left=2, e_right=2, num_keys=8, k=5, seed=7
+)
 
 
 class TestWorkerTelemetry:
     def test_record_quantum_updates_counters(self):
-        telemetry = _telemetry()
-        telemetry.record_quantum(0, pulls=32, results=3, seconds=0.01)
-        capsule = telemetry.drain()
-        metrics = {
-            (r["name"], r["labels"].get("shard")): r for r in capsule.metrics
-        }
-        assert metrics[("worker_pulls_total", "0")]["value"] == 32
-        assert metrics[("worker_results_total", "0")]["value"] == 3
-        assert metrics[("worker_quanta_total", "0")]["value"] == 1
+        obs = Observability(enabled=True)
+        worker = ShardWorker(0, INSTANCE, "FRPA", obs=obs,
+                             trace=TraceContext.root().child())
+        first = worker.advance(16)
+        second = worker.advance(16)
+        value = obs.metrics.value
+        assert value("worker_pulls_total", shard="0") \
+            == first.pulls + second.pulls == worker.pulls > 0
+        assert value("worker_results_total", shard="0") \
+            == len(first.results) + len(second.results)
+        assert value("worker_quanta_total", shard="0") == 2
+        (_, _, histogram), = obs.metrics.metrics_named("worker_quantum_pulls")
+        assert histogram.count == 2 and histogram.sum == worker.pulls
 
-    def test_drain_is_delta(self):
-        telemetry = _telemetry()
-        telemetry.record_quantum(0, pulls=10, results=1, seconds=0.01)
-        first = telemetry.drain()
-        assert first is not None and not first.empty
-        # Nothing recorded since: the next drain ships nothing.
-        assert telemetry.drain() is None
-        telemetry.record_quantum(1, pulls=5, results=0, seconds=0.01)
-        second = telemetry.drain()
-        pulls = [
-            r for r in second.metrics if r["name"] == "worker_pulls_total"
-        ]
-        assert pulls and pulls[0]["value"] == 5  # delta, not cumulative 15
-
-    def test_capsule_pickles(self):
-        telemetry = _telemetry()
-        telemetry.record_quantum(0, pulls=8, results=2, seconds=0.001)
-        capsule = telemetry.drain()
-        clone = pickle.loads(pickle.dumps(capsule))
-        assert clone.shard == capsule.shard
-        assert clone.metrics == capsule.metrics
-        assert clone.traces == capsule.traces
-
-    def test_trace_records_parent_to_context(self):
+    def test_trace_records_parent_to_context(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        obs = Observability(enabled=True, exporters=[JsonlExporter(path)])
         ctx = TraceContext.root().child()
-        telemetry = WorkerTelemetry(2, ctx)
-        telemetry.record_quantum(0, pulls=4, results=0, seconds=0.001)
-        (record,) = telemetry.drain().traces
-        assert record["name"] == "quantum"
+        worker = ShardWorker(2, INSTANCE, "FRPA", obs=obs, trace=ctx)
+        outcome = worker.advance(4)
+        obs.close()
+        (record,) = [e for e in read_events(path) if e.get("name") == "quantum"]
         assert record["trace"] == ctx.trace_id
         assert record["parent"] == ctx.span_id
-        assert record["shard"] == 2
+        assert record["shard"] == 2 and record["quantum"] == 4
+        assert record["pulls"] == outcome.pulls
+        assert record["results"] == len(outcome.results)
+        assert "replay" not in record
 
-    def test_clone_keeps_identity_resets_counters(self):
-        telemetry = _telemetry()
-        telemetry.record_quantum(0, pulls=10, results=1, seconds=0.01)
-        fresh = telemetry.clone()
-        assert fresh.shard == telemetry.shard
-        assert fresh.ctx == telemetry.ctx
-        assert fresh.drain() is None
-
-
-class TestCapsuleSink:
-    def test_absorb_merges_with_shard_labels(self):
+    def test_workers_share_a_registry_under_shard_labels(self):
         obs = Observability(enabled=True)
-        sink = CapsuleSink(obs, "hrjn")
         for shard in (0, 1):
-            telemetry = _telemetry(shard)
-            telemetry.record_quantum(0, pulls=16, results=1, seconds=0.001)
-            sink.absorb(telemetry.drain())
+            ShardWorker(shard, INSTANCE, "FRPA", obs=obs,
+                        trace=TraceContext.root().child()).advance(16)
         registry = obs.metrics
         assert registry.counter("worker_pulls_total", shard="0").value == 16
         assert registry.counter("worker_pulls_total", shard="1").value == 16
 
-    def test_absorb_none_is_noop(self):
+    def test_untraced_worker_records_nothing(self):
         obs = Observability(enabled=True)
-        CapsuleSink(obs, "hrjn").absorb(None)
+        ShardWorker(0, INSTANCE, "FRPA", obs=obs).advance(16)
         assert obs.metrics.snapshot() == []
-
-    def test_replayed_capsules_labelled(self):
-        obs = Observability(enabled=True)
-        sink = CapsuleSink(obs, "hrjn")
-        telemetry = _telemetry()
-        telemetry.record_quantum(0, pulls=16, results=1, seconds=0.001)
-        sink.absorb(telemetry.drain(), replayed=True)
-        registry = obs.metrics
-        assert registry.counter(
-            "worker_pulls_total", shard="0", replay="1"
-        ).value == 16
-        # The unlabelled series stays untouched.
-        assert registry.counter("worker_pulls_total", shard="0").value == 0
-
-    def test_replayed_trace_records_flagged(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        obs = Observability(enabled=True, exporters=[JsonlExporter(path)])
-        sink = CapsuleSink(obs, "hrjn")
-        telemetry = _telemetry()
-        telemetry.record_quantum(0, pulls=4, results=0, seconds=0.001)
-        sink.absorb(telemetry.drain(), replayed=True)
-        obs.close()
-        quanta = [e for e in read_events(path) if e.get("name") == "quantum"]
-        assert quanta and all(e.get("replay") for e in quanta)

@@ -1,4 +1,4 @@
-"""Worker and backend tests: quantum accounting, backend equivalence."""
+"""Worker tests: quantum accounting, config validation."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.exec import (
     ExecConfig,
     HashPartitionPlan,
     ShardWorker,
-    make_backend,
     partition_instance,
 )
 
@@ -21,10 +20,6 @@ def shard_instances():
     )
     shards, _ = partition_instance(instance, HashPartitionPlan(3))
     return [s for s in shards if len(s.left) and len(s.right)]
-
-
-def make_workers(shard_instances):
-    return [ShardWorker(i, inst, "FRPA") for i, inst in enumerate(shard_instances)]
 
 
 class TestExecConfig:
@@ -41,6 +36,35 @@ class TestExecConfig:
     def test_validation(self, kwargs):
         with pytest.raises(InstanceError):
             ExecConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("shards", 2.0), ("shards", True), ("shards", "2"),
+        ("quantum", True), ("quantum", 1.5),
+        ("heavy_fraction", -1.0), ("heavy_fraction", 0.0),
+        ("heavy_fraction", 2.0), ("heavy_fraction", True),
+        ("heavy_fraction", "half"),
+    ])
+    def test_bad_values_are_one_line_errors_naming_the_field(self, field, value):
+        # At the parent all of these constructed; shards=2.0 then died with
+        # a TypeError inside partitioning.
+        with pytest.raises(InstanceError) as err:
+            ExecConfig(**{field: value})
+        message = str(err.value)
+        assert f"ExecConfig.{field}" in message and "\n" not in message
+
+    @pytest.mark.parametrize("fraction", [None, 0.25, 1.0, 1])
+    def test_heavy_fraction_accepts_none_and_the_half_open_unit_interval(
+        self, fraction
+    ):
+        assert ExecConfig(heavy_fraction=fraction).heavy_fraction == fraction
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_retired_backends_are_a_one_line_error(self, backend):
+        assert BACKENDS == ("serial",)
+        with pytest.raises(InstanceError) as err:
+            ExecConfig(backend=backend)
+        message = str(err.value)
+        assert "('serial',)" in message and "\n" not in message
 
 
 class TestShardWorker:
@@ -89,47 +113,3 @@ class TestShardWorker:
             while not worker.exhausted:
                 total += len(worker.advance(100).results)
             assert total == shard.join_size()
-
-
-class TestBackends:
-    @pytest.mark.parametrize("name", ["serial", "process"])
-    def test_backends_agree(self, shard_instances, name):
-        backend = make_backend(name)
-        backend.start(make_workers(shard_instances))
-        reference = make_backend("serial")
-        reference.start(make_workers(shard_instances))
-        try:
-            for _ in range(5):
-                requests = [(i, 20) for i in range(len(shard_instances))]
-                got = backend.advance(requests)
-                want = reference.advance(requests)
-                assert [o.pulls for o in got] == [o.pulls for o in want]
-                assert [
-                    [r.score for r in o.results] for o in got
-                ] == [[r.score for r in o.results] for o in want]
-                assert [o.frontier for o in got] == [o.frontier for o in want]
-        finally:
-            backend.close()
-            reference.close()
-
-    def test_unknown_backend(self):
-        with pytest.raises(InstanceError, match="unknown backend"):
-            make_backend("gpu")
-
-    @pytest.mark.parametrize("build", [
-        make_backend, lambda name: ExecConfig(backend=name),
-    ])
-    def test_retired_thread_backend_is_a_one_line_error(self, build):
-        assert BACKENDS == ("serial", "process")
-        with pytest.raises(InstanceError) as err:
-            build("thread")
-        message = str(err.value)
-        assert "'serial', 'process'" in message and "\n" not in message
-
-    def test_close_is_idempotent(self, shard_instances):
-        for name in BACKENDS:
-            backend = make_backend(name)
-            backend.start(make_workers(shard_instances))
-            backend.advance([(0, 5)])
-            backend.close()
-            backend.close()

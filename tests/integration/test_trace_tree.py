@@ -1,23 +1,18 @@
 """End-to-end distributed-trace reconstruction from a single JSONL stream.
 
 The tentpole acceptance test: a sharded query served through the full
-stack (client -> server -> scheduler -> sharded engine -> worker
-processes) must leave behind one *connected* trace tree — every span,
-including worker quanta shipped back over process pipes and quanta
-replayed after a worker respawn, parents transitively back to the single
-request root span minted by the client.
+stack (client -> server -> scheduler -> sharded engine -> shard workers)
+must leave behind one *connected* trace tree — every span, worker quanta
+included, parents transitively back to the single request root span
+minted by the client.
 """
 
 import contextlib
 import threading
 
-import pytest
-
 from repro.obs import JsonlExporter, Observability, TraceTree, read_events
-from repro.resilience import FaultPlan, ResilienceConfig
 from repro.service import (
     QueryService,
-    QuerySpec,
     RankJoinServer,
     ServiceClient,
     ServiceError,
@@ -30,12 +25,12 @@ RELATIONS = {"lineitem": INSTANCE.left, "orders": INSTANCE.right}
 
 
 @contextlib.contextmanager
-def traced_server(tmp_path, **server_kwargs):
+def traced_server(tmp_path):
     """A live server whose observability pipeline writes to a JSONL file."""
     path = tmp_path / "events.jsonl"
     obs = Observability(enabled=True, exporters=[JsonlExporter(path)])
     service = QueryService(quantum=16, obs=obs)
-    server = RankJoinServer(service, RELATIONS, port=0, **server_kwargs)
+    server = RankJoinServer(service, RELATIONS, port=0)
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
     assert server.ready.wait(timeout=10.0), "server never became ready"
@@ -56,12 +51,11 @@ def _span_names(tree: TraceTree, trace_id: str) -> set:
 
 
 class TestServerTraceTree:
-    def test_process_backend_query_yields_one_connected_tree(self, tmp_path):
+    def test_sharded_query_yields_one_connected_tree(self, tmp_path):
         with traced_server(tmp_path) as (server, path):
             with ServiceClient(server.host, server.port) as client:
                 final = client.run(
-                    left="lineitem", right="orders", k=10,
-                    shards=4, backend="process",
+                    left="lineitem", right="orders", k=10, shards=4,
                 )
                 trace_id = client.last_trace
         assert final["state"] == "DONE"
@@ -76,8 +70,8 @@ class TestServerTraceTree:
         names = _span_names(tree, trace_id)
         assert {"request", "session", "exec", "shard", "quantum"} <= names
 
-        # Every worker quantum (shipped over a process pipe) chains back
-        # to the request root through its shard and exec spans.
+        # Every worker quantum chains back to the request root through its
+        # shard and exec spans.
         quanta = tree.named("quantum", trace_id=trace_id)
         assert len(quanta) >= 4
         for quantum in quanta:
@@ -86,7 +80,8 @@ class TestServerTraceTree:
             assert chain[-1] == "request"
             assert "shard" in chain and "exec" in chain
 
-        # Per-shard attribution survives the relay.
+        # Quanta are attributed per shard, and none is a replay.
+        assert not any("replay" in q for q in quanta)
         shards_seen = {q["shard"] for q in quanta}
         assert shards_seen == {0, 1, 2, 3}
 
@@ -104,62 +99,3 @@ class TestServerTraceTree:
         assert set(tree.trace_ids()) == set(traces)
         for trace_id in traces:
             assert tree.connected(trace_id), tree.orphans(trace_id)
-
-
-class TestRecoveryTraceTree:
-    def test_respawned_worker_replays_into_the_same_tree(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        obs = Observability(enabled=True, exporters=[JsonlExporter(path)])
-        service = QueryService(quantum=16, obs=obs)
-        plan = FaultPlan.single("worker-kill", shard=0, at_pull=20)
-        spec = QuerySpec(
-            relations=(INSTANCE.left, INSTANCE.right),
-            k=10,
-            operator="HRJN",
-            shards=2,
-            exec_backend="serial",
-            resilience=ResilienceConfig(plan=plan, seed=1),
-        )
-        results = service.run_query(spec)
-        obs.close()
-        assert len(results) == 10
-
-        tree = TraceTree.from_events(read_events(path))
-        (trace_id,) = tree.trace_ids()
-        assert tree.connected(trace_id), tree.orphans(trace_id)
-
-        # The kill shows up as a respawn span under the killed shard's
-        # context, still inside the one request trace.
-        respawns = tree.named("respawn", trace_id=trace_id)
-        assert len(respawns) == 1
-        assert respawns[0]["shard"] == 0
-        chain = [r["name"] for r in tree.path_to_root(respawns[0]["span"])]
-        assert chain[-1] == "request"
-
-        # The replayed quanta are flagged but parent into the same tree.
-        replayed = [
-            q for q in tree.named("quantum", trace_id=trace_id)
-            if q.get("replay")
-        ]
-        assert replayed
-        for quantum in replayed:
-            chain = [r["name"] for r in tree.path_to_root(quantum["span"])]
-            assert chain[-1] == "request"
-
-
-@pytest.mark.chaos
-class TestServerRecoveryTraceTree:
-    def test_server_side_worker_kill_stays_connected(self, tmp_path):
-        plan = FaultPlan.single("worker-kill", shard=0, at_pull=20)
-        resilience = ResilienceConfig(plan=plan, seed=1)
-        with traced_server(tmp_path, resilience=resilience) as (server, path):
-            with ServiceClient(server.host, server.port) as client:
-                final = client.run(
-                    left="lineitem", right="orders", k=10,
-                    operator="HRJN", shards=2, backend="process",
-                )
-                trace_id = client.last_trace
-        assert final["state"] == "DONE"
-        tree = TraceTree.from_events(read_events(path))
-        assert tree.connected(trace_id), tree.orphans(trace_id)
-        assert tree.named("respawn", trace_id=trace_id)

@@ -191,15 +191,9 @@ class TestSelectionDoesNotLeak:
         for shards in (1, 2):
             spec = QuerySpec(
                 relations=(instance.left, instance.right), k=3,
-                shards=shards, exec_backend="serial",
+                shards=shards,
             )
-            operator = spec.build_operator()
-            try:
-                operator.top_k(3)
-            finally:
-                close = getattr(operator, "close", None)
-                if close is not None:
-                    close()
+            spec.build_operator().top_k(3)
             assert unchanged()
         config = ExecConfig(shards=2, backend="serial")
         with ShardedRankJoin(instance, "FRPA", config=config) as engine:

@@ -155,46 +155,3 @@ class TestHistogramPercentile:
         histogram = self._histogram()
         histogram.observe(100.0)
         assert histogram.percentile(0.99) == pytest.approx(10.0)
-
-
-class TestMergeSnapshot:
-    def test_counter_delta_added(self):
-        source = MetricRegistry()
-        source.counter("pulls_total", shard="0").inc(5)
-        target = MetricRegistry()
-        target.counter("pulls_total", shard="0").inc(2)
-        target.merge_snapshot(source.snapshot())
-        assert target.counter("pulls_total", shard="0").value == 7
-
-    def test_extra_labels_applied(self):
-        source = MetricRegistry()
-        source.counter("pulls_total").inc(3)
-        target = MetricRegistry()
-        target.merge_snapshot(source.snapshot(), shard="2")
-        assert target.counter("pulls_total", shard="2").value == 3
-        assert target.counter("pulls_total").value == 0
-
-    def test_gauge_last_write_wins(self):
-        source = MetricRegistry()
-        source.gauge("depth").set(9)
-        target = MetricRegistry()
-        target.gauge("depth").set(1)
-        target.merge_snapshot(source.snapshot())
-        assert target.gauge("depth").value == 9
-
-    def test_histogram_buckets_added(self):
-        source = MetricRegistry()
-        source.histogram("sizes", buckets=(1, 2)).observe(2)
-        target = MetricRegistry()
-        target.histogram("sizes", buckets=(1, 2)).observe(1)
-        target.merge_snapshot(source.snapshot())
-        merged = target.histogram("sizes", buckets=(1, 2))
-        assert merged.count == 2
-        assert merged.sum == 3
-
-    def test_merge_into_empty_registry_creates_series(self):
-        source = MetricRegistry()
-        source.histogram("sizes", buckets=(1, 2)).observe(2)
-        target = MetricRegistry()
-        target.merge_snapshot(source.snapshot())
-        assert target.histogram("sizes", buckets=(1, 2)).count == 1

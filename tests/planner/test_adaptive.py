@@ -141,4 +141,3 @@ class TestReporting:
             depths = engine.depths()
             assert depths.left > 0
             assert len(engine.shard_depths()) == 2
-            assert engine.degraded is False

@@ -106,7 +106,6 @@ class TestFingerprint:
             operator=resolved.operator,
             algorithm=resolved.algorithm,
             shards=resolved.shards,
-            exec_backend=resolved.exec_backend,
             partitioner=resolved.partitioner,
         )
         assert spec.fingerprint() == static.fingerprint()
@@ -135,7 +134,6 @@ class TestBitIdentity:
             operator=resolved.operator,
             algorithm=resolved.algorithm,
             shards=resolved.shards,
-            exec_backend=resolved.exec_backend,
             partitioner=resolved.partitioner,
         )
         assert run_spec(static) == auto_results

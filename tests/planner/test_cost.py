@@ -22,8 +22,7 @@ COEFFS = CostCoefficients()
 
 def pbrj_candidate(**overrides) -> PlanCandidate:
     base = dict(
-        algorithm="pbrj", operator="HRJN*", shards=1,
-        partitioner="hash", backend="serial",
+        algorithm="pbrj", operator="HRJN*", shards=1, partitioner="hash",
     )
     base.update(overrides)
     return PlanCandidate(**base)
@@ -31,8 +30,9 @@ def pbrj_candidate(**overrides) -> PlanCandidate:
 
 class TestCoefficients:
     def test_round_trip(self):
-        coeffs = CostCoefficients(pull_pbrj=1e-6, parallelism=4)
+        coeffs = CostCoefficients(pull_pbrj=1e-6, cover_exponent=0.5)
         assert CostCoefficients.from_dict(coeffs.to_dict()) == coeffs
+        assert len(coeffs.to_dict()) == 9
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown cost coefficient"):
@@ -42,15 +42,18 @@ class TestCoefficients:
             CostCoefficients.from_dict(
                 {"kernel_auto_bonus": 0.95, "kernel_crossover": 2000}
             )
+        # ... or when shards could run in forked children.
+        with pytest.raises(
+            ValueError, match="parallelism, round_process, startup_process"
+        ):
+            CostCoefficients.from_dict({
+                "round_process": 3e-4, "startup_process": 4e-2, "parallelism": 2,
+            })
 
     def test_partial_dict_keeps_defaults(self):
         coeffs = CostCoefficients.from_dict({"pull_anyk": 5e-6})
         assert coeffs.pull_anyk == 5e-6
         assert coeffs.pull_pbrj == CostCoefficients().pull_pbrj
-
-    def test_backend_lookups(self):
-        assert COEFFS.round_overhead("process") > COEFFS.round_overhead("serial")
-        assert COEFFS.startup("process") > COEFFS.startup("serial")
 
     def test_config_file_resolution(self, tmp_path, monkeypatch):
         # A coefficients file is named by ReproConfig.planner_coeffs only:
@@ -69,7 +72,6 @@ class TestCoefficients:
         measured = measure(seed=0)
         assert measured.pull_pbrj > 0
         assert measured.pull_anyk > 0
-        assert measured.parallelism >= 1
 
 
 class TestPbrjScoring:
@@ -81,7 +83,7 @@ class TestPbrjScoring:
             total_tuples=5_000, shares=(1.0,),
         )
         sharded = score_pbrj_candidate(
-            pbrj_candidate(shards=8, backend="serial"),
+            pbrj_candidate(shards=8),
             coeffs=COEFFS, depth=200, total_tuples=5_000,
             shares=(0.125,) * 8,
         )
@@ -95,7 +97,7 @@ class TestPbrjScoring:
             total_tuples=5_000, shares=(1.0,),
         )
         sharded = score_pbrj_candidate(
-            pbrj_candidate(shards=4, backend="serial"),
+            pbrj_candidate(shards=4),
             coeffs=COEFFS, depth=10_000, total_tuples=5_000,
             shares=(0.25, 0.25, 0.25, 0.25),
         )
@@ -114,29 +116,6 @@ class TestPbrjScoring:
         assert skewed.cost > balanced.cost
         assert skewed.detail["imbalance"] > balanced.detail["imbalance"]
 
-    def test_process_backend_pays_startup(self):
-        serial = score_pbrj_candidate(
-            pbrj_candidate(shards=4, backend="serial"),
-            coeffs=COEFFS, depth=1_000, total_tuples=2_000,
-            shares=(0.25,) * 4,
-        )
-        process = score_pbrj_candidate(
-            pbrj_candidate(shards=4, backend="process"),
-            coeffs=COEFFS, depth=1_000, total_tuples=2_000,
-            shares=(0.25,) * 4,
-        )
-        assert process.detail["startup"] > serial.detail["startup"]
-
-    def test_process_parallelism_divides_compute(self):
-        fast = CostCoefficients(parallelism=4)
-        slow = CostCoefficients(parallelism=1)
-        kwargs = dict(depth=100_000, total_tuples=2_000, shares=(0.25,) * 4)
-        candidate = pbrj_candidate(shards=4, backend="process")
-        assert (
-            score_pbrj_candidate(candidate, coeffs=fast, **kwargs).detail["compute"]
-            < score_pbrj_candidate(candidate, coeffs=slow, **kwargs).detail["compute"]
-        )
-
     def test_tighter_bound_reads_shallower_pays_more_per_pull(self):
         kwargs = dict(coeffs=COEFFS, depth=10_000, total_tuples=5_000, shares=(1.0,))
         hrjn = score_pbrj_candidate(pbrj_candidate(operator="HRJN*"), **kwargs)
@@ -154,8 +133,7 @@ class TestPbrjScoring:
 class TestAnykScoring:
     def test_linear_in_input(self):
         candidate = PlanCandidate(
-            algorithm="anyk", operator="AnyK", shards=1,
-            partitioner="hash", backend="serial",
+            algorithm="anyk", operator="AnyK", shards=1, partitioner="hash",
         )
         small = score_anyk_candidate(candidate, coeffs=COEFFS, total_tuples=1_000, k=10)
         large = score_anyk_candidate(candidate, coeffs=COEFFS, total_tuples=10_000, k=10)
@@ -165,15 +143,13 @@ class TestAnykScoring:
 
     def test_label(self):
         candidate = PlanCandidate(
-            algorithm="anyk", operator="AnyK", shards=1,
-            partitioner="hash", backend="serial",
+            algorithm="anyk", operator="AnyK", shards=1, partitioner="hash",
         )
         assert candidate.label() == "anyk"
         sharded = PlanCandidate(
-            algorithm="pbrj", operator="FRPA", shards=4,
-            partitioner="skew", backend="process",
+            algorithm="pbrj", operator="FRPA", shards=4, partitioner="skew",
         )
-        assert sharded.label() == "pbrj/FRPA x4 skew/process"
+        assert sharded.label() == "pbrj/FRPA x4 skew/serial"
 
 
 class TestMultiwayScoring:

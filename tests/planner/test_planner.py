@@ -38,13 +38,12 @@ class TestPlanBinary:
     def test_enumerates_all_axes(self, instance):
         decision = Planner().plan([instance.left, instance.right], 10)
         labels = {entry.candidate.label() for entry in decision.candidates}
-        # anyk + 1-shard pbrj + sharded pbrj with both partitioners; the
-        # exec backend is not an axis (sharded candidates cost on serial).
+        # anyk + 1-shard pbrj + sharded pbrj with both partitioners.
         assert "anyk" in labels
         assert "pbrj/HRJN*" in labels
         assert "pbrj/FRPA x4 skew/serial" in labels
         assert len(decision.candidates) == 15
-        assert {e.candidate.backend for e in decision.candidates} == {"serial"}
+        assert decision.backend == "serial"  # the frozen harness reads it
 
     def test_table_is_explainable(self, instance):
         decision = Planner().plan([instance.left, instance.right], 10)
@@ -69,23 +68,17 @@ class TestPlanBinary:
         )
         assert decision.shards == 4
 
-    def test_pin_operator_and_backend(self, instance):
+    def test_pin_operator_and_partitioner(self, instance):
         decision = Planner().plan(
             [instance.left, instance.right], 10,
-            algorithm="pbrj", operator="FRPA", exec_backend="process",
+            algorithm="pbrj", operator="FRPA", partitioner="skew",
         )
         assert decision.operator == "FRPA"
         pbrj_sharded = [
             e for e in decision.candidates if e.candidate.shards > 1
         ]
         assert pbrj_sharded
-        assert all(e.candidate.backend == "process" for e in pbrj_sharded)
-
-    def test_retired_thread_backend_pin_rejected(self, instance):
-        with pytest.raises(InstanceError, match="'serial', 'process'"):
-            Planner().plan(
-                [instance.left, instance.right], 10, exec_backend="thread"
-            )
+        assert all(e.candidate.partitioner == "skew" for e in pbrj_sharded)
 
     def test_unknown_algorithm_rejected(self, instance):
         with pytest.raises(InstanceError, match="unknown algorithm"):
@@ -135,7 +128,6 @@ class TestPlannerConfig:
             assert entry.candidate.algorithm == "pbrj"
             assert entry.candidate.operator == "HRJN*"
             assert entry.candidate.shards in (1, 2)
-            assert entry.candidate.backend == "serial"
 
 
 class TestPlanMultiway:

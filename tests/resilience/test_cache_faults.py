@@ -2,26 +2,24 @@
 
 from __future__ import annotations
 
-from repro.errors import ShardError
+from repro.errors import ReproError
 from repro.service import QueryService
 from repro.service.session import QuerySession, SessionState
 from tests.service.conftest import make_spec
 
 
 class DyingOperator:
-    """Emits a few real results, then dies with a transient-looking error.
+    """Emits a few real results, then dies with a library error.
 
-    Models an operator whose backend lost a worker and exhausted its
-    recovery budget mid-query: the prefix it produced is genuine, but the
-    query did not complete — caching that prefix as if it were the
-    longest-known answer would poison later lookups.
+    Models an operator that fails mid-query: the prefix it produced is
+    genuine, but the query did not complete — caching that prefix as if
+    it were the longest-known answer would poison later lookups.
     """
 
     def __init__(self, inner, die_after: int) -> None:
         self._inner = inner
         self._die_after = die_after
         self._emitted = 0
-        self.closed = False
 
     @property
     def pulls(self) -> int:
@@ -29,7 +27,7 @@ class DyingOperator:
 
     def try_next(self, max_pulls=None):
         if self._emitted >= self._die_after:
-            raise ShardError("shard 0 lost beyond recovery", shard=0)
+            raise ReproError("operator died mid-query")
         outcome = self._inner.try_next(max_pulls=max_pulls)
         if outcome is not None and outcome.__class__.__name__ == "JoinResult":
             self._emitted += 1
@@ -37,9 +35,6 @@ class DyingOperator:
 
     def depths(self):
         return self._inner.depths()
-
-    def close(self) -> None:
-        self.closed = True
 
 
 def test_failed_session_writes_nothing_to_the_cache():
@@ -57,7 +52,6 @@ def test_failed_session_writes_nothing_to_the_cache():
     assert session.results, "the dying operator emitted a real prefix"
     assert len(service.cache) == 0, "a FAILED session must not write the cache"
     assert service.cache.lookup(key, 1) is None
-    assert dying.closed, "an uncached operator must be released"
 
 
 def test_retried_query_caches_only_the_clean_run():

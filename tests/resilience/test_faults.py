@@ -1,181 +1,10 @@
-"""Unit tests for the fault-injection primitives."""
+"""Unit tests for the request-level fault injector."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.data.workload import random_instance
-from repro.errors import ShardError, WorkerLost
-from repro.exec.worker import ShardWorker
-from repro.resilience import (
-    FAULT_KINDS,
-    NO_FAULTS,
-    FaultPlan,
-    FaultSpec,
-    InjectingWorker,
-    RequestChaos,
-    RetryPolicy,
-    call_with_retry,
-)
-
-
-def make_worker(shard: int = 0) -> ShardWorker:
-    instance = random_instance(
-        n_left=80, n_right=80, e_left=2, e_right=2, num_keys=8, k=5, seed=7
-    )
-    return ShardWorker(shard, instance, "FRPA")
-
-
-class TestFaultSpec:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec("meteor-strike", 0)
-
-    def test_rejects_negative_depth_and_delay(self):
-        with pytest.raises(ValueError):
-            FaultSpec("delay", 0, at_pull=-1)
-        with pytest.raises(ValueError):
-            FaultSpec("delay", 0, delay=-0.1)
-
-    def test_all_declared_kinds_construct(self):
-        for kind in FAULT_KINDS:
-            assert FaultSpec(kind, 0).kind == kind
-
-
-class TestFaultPlan:
-    def test_empty_plan_is_falsy_and_schedules_nothing(self):
-        assert not NO_FAULTS
-        assert NO_FAULTS.for_shard(0) == ()
-
-    def test_for_shard_filters_and_orders_by_depth(self):
-        plan = FaultPlan((
-            FaultSpec("transient", 1, 30),
-            FaultSpec("worker-kill", 0, 10),
-            FaultSpec("transient", 0, 5),
-        ))
-        schedule = plan.for_shard(0)
-        assert [f.at_pull for f in schedule] == [5, 10]
-        assert all(f.shard == 0 for f in schedule)
-
-    def test_random_plan_is_seed_deterministic(self):
-        a = FaultPlan.random(42, shards=4)
-        b = FaultPlan.random(42, shards=4)
-        c = FaultPlan.random(43, shards=4)
-        assert a == b
-        assert a != c
-
-    def test_random_plan_guarantees_a_depth_zero_fault(self):
-        for seed in range(5):
-            plan = FaultPlan.random(seed, shards=3)
-            assert any(f.shard == 0 and f.at_pull == 0 for f in plan.faults)
-
-    def test_plans_are_picklable(self):
-        import pickle
-
-        plan = FaultPlan.random(1, shards=2)
-        assert pickle.loads(pickle.dumps(plan)) == plan
-
-
-class TestInjectingWorker:
-    def test_no_schedule_is_transparent(self):
-        plain, wrapped = make_worker(), InjectingWorker(make_worker(), [])
-        a, b = plain.advance(16), wrapped.advance(16)
-        assert a == b
-        assert wrapped.pulls == plain.pulls
-
-    def test_lost_kinds_raise_worker_lost_before_advancing(self):
-        for kind in ("worker-kill", "pipe-drop"):
-            worker = InjectingWorker(make_worker(), [FaultSpec(kind, 0, 0)])
-            with pytest.raises(WorkerLost):
-                worker.advance(8)
-            assert worker.pulls == 0  # fault fired pre-advance
-
-    def test_transient_raises_shard_error_and_consumes_the_fault(self):
-        schedule = [FaultSpec("transient", 0, 0)]
-        worker = InjectingWorker(make_worker(), schedule)
-        with pytest.raises(ShardError):
-            worker.advance(8)
-        assert schedule == []  # consumed: a clean re-issue succeeds
-        outcome = worker.advance(8)
-        assert outcome.pulls > 0
-
-    def test_delay_fires_through_injected_sleep(self):
-        slept = []
-        worker = InjectingWorker(
-            make_worker(),
-            [FaultSpec("delay", 0, 0, delay=0.5)],
-            sleep=slept.append,
-        )
-        worker.advance(8)
-        assert slept == [0.5]
-
-    def test_fault_waits_for_its_pull_depth(self):
-        schedule = [FaultSpec("transient", 0, 10)]
-        worker = InjectingWorker(make_worker(), schedule)
-        worker.advance(4)   # checked at pulls=0 < 10: nothing fires
-        worker.advance(8)   # checked at pulls=4 < 10: still nothing
-        assert schedule
-        assert worker.pulls >= 10
-        with pytest.raises(ShardError):
-            worker.advance(8)  # checked at pulls >= 10: fires
-
-
-class TestRetryPolicy:
-    def test_delays_grow_then_cap(self):
-        import random
-
-        policy = RetryPolicy(
-            max_attempts=8, base_delay=0.01, multiplier=2.0,
-            max_delay=0.05, jitter=0.0,
-        )
-        rng = random.Random(0)
-        delays = [policy.delay(a, rng) for a in range(1, 6)]
-        assert delays == [0.01, 0.02, 0.04, 0.05, 0.05]
-
-    def test_jitter_stays_within_fraction(self):
-        import random
-
-        policy = RetryPolicy(base_delay=0.01, jitter=0.25)
-        rng = random.Random(0)
-        for attempt in range(1, 20):
-            delay = policy.delay(1, rng)
-            assert 0.0075 <= delay <= 0.0125
-
-    def test_call_with_retry_retries_then_succeeds(self):
-        import random
-
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ShardError("transient")
-            return "ok"
-
-        slept = []
-        result = call_with_retry(
-            flaky,
-            policy=RetryPolicy(max_attempts=5, jitter=0.0),
-            rng=random.Random(0),
-            sleep=slept.append,
-        )
-        assert result == "ok"
-        assert len(attempts) == 3
-        assert len(slept) == 2
-
-    def test_call_with_retry_reraises_at_the_cap(self):
-        import random
-
-        def always_fails():
-            raise ShardError("still broken")
-
-        with pytest.raises(ShardError):
-            call_with_retry(
-                always_fails,
-                policy=RetryPolicy(max_attempts=3, jitter=0.0),
-                rng=random.Random(0),
-                sleep=lambda _: None,
-            )
+from repro.resilience import RequestChaos
 
 
 class TestRequestChaos:

@@ -94,18 +94,20 @@ class TestProtocol:
                 with pytest.raises(ServiceError, match="unknown relations"):
                     client.submit(left="nope", right="orders", k=3)
 
-    def test_retired_thread_backend_is_clean_error(self):
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_retired_backends_are_the_tables_bad_request(self, backend):
         with running_server() as server:
             with ServiceClient(server.host, server.port) as client:
                 with pytest.raises(ServiceError) as err:
                     client.submit(left="lineitem", right="orders", k=3,
-                                  shards=2, backend="thread")
-                assert "unknown backend 'thread'" in str(err.value)
-                assert "('serial', 'process')" in str(err.value)
-                assert "\n" not in str(err.value)
+                                  shards=2, backend=backend)
+                assert str(err.value) == (
+                    "bad request: field 'backend' must be the string "
+                    f"\"serial\", got {backend!r}"
+                )
                 # The rejection is an ok:false line, not a dead server.
                 final = client.run(left="lineitem", right="orders", k=3,
-                                   shards=2)
+                                   shards=2, backend="serial")
         assert final["state"] == "DONE"
 
     def test_unknown_session_is_clean_error(self):

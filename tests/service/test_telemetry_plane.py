@@ -68,8 +68,8 @@ class TestStatsTelemetry:
         listed = {s["session"] for s in stats["sessions"]}
         assert session_id in listed
         (brief,) = [s for s in stats["sessions"] if s["session"] == session_id]
-        assert set(brief) >= {"session", "state", "label", "results", "k",
-                              "pulls", "degraded"}
+        assert set(brief) == {"session", "state", "label", "plan", "results",
+                              "k", "pulls"}
 
 
 class TestSubmitTrace:

@@ -22,7 +22,7 @@ STATS = {
     "shards": {"0": 320, "1": 320},
     "sessions": [
         {"session": "q-1", "state": "RUNNING", "label": "hrjn k=10",
-         "results": 4, "k": 10, "pulls": 320, "degraded": True,
+         "results": 4, "k": 10, "pulls": 320,
          "plan": "pbrj/FRPA x4 skew/serial"},
     ],
 }
@@ -36,7 +36,7 @@ class TestRenderDashboard:
         assert "p99=1.50s" in screen
         assert "hit-rate=50%" in screen
         assert "imbalance-max=1.25" in screen
-        assert "q-1" in screen and "degraded" in screen
+        assert "q-1" in screen and "degraded" not in screen
 
     def test_rates_diffed_against_previous_poll(self):
         previous = {"shards": {"0": 120, "1": 320}}
@@ -62,7 +62,7 @@ class TestRenderDashboard:
         stats = dict(STATS)
         stats["sessions"] = [
             {"session": "q-2", "state": "RUNNING", "label": "x",
-             "results": 0, "k": 5, "pulls": 0, "degraded": False},
+             "results": 0, "k": 5, "pulls": 0},
         ]
         screen = render_dashboard(stats)
         assert "?" in screen

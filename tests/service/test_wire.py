@@ -203,8 +203,11 @@ def hand_frames():
     yield "submit-k-negative", line({**submit, "k": -5}), ""
     yield "submit-unknown-operator", line({**submit, "operator": "nope"}), "nope"
     yield "submit-unknown-algorithm", line({**submit, "algorithm": "nope"}), "nope"
-    yield ("submit-retired-backend",
-           line({**submit, "shards": 2, "backend": "thread"}), "thread")
+    for backend in ("process", "thread"):  # retired; the table's own refusal
+        yield (f"submit-retired-backend-{backend}",
+               line({**submit, "shards": 2, "backend": backend}),
+               f"bad request: field 'backend' must be the string \"serial\", "
+               f"got {backend!r}")
     yield "submit-ragged-weights", line({**submit, "weights": [[1.0]]}), ""
     yield ("submit-negative-weights",
            line({**submit, "weights": [[-1.0, 1.0], [1.0, 1.0]]}), "")

@@ -10,6 +10,9 @@ recorded by running this very file against the parent commit::
 
     PYTHONPATH=<parent>/src:. python tests/service/test_wire_golden.py
 
+(The one edit since: the ``degraded`` key was struck from the ten recorded
+snapshots when the field left the protocol with the process backend.)
+
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
 """

@@ -284,33 +284,34 @@ class TestPlanAuto:
 
     def test_workload_file_invalid_exec_backend_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
-        for backend in ("gpu", "thread"):  # unknown and retired alike
+        for backend in ("serial", "process"):  # the key is gone, whatever it says
             path.write_text(json.dumps(
                 {"scale": 0.0003, "exec_backend": backend}
             ))
             assert main(["run", "FRPA", "--workload", str(path)]) == 2
             captured = capsys.readouterr()
-            assert f"unknown exec_backend {backend!r}" in captured.err
-            assert "['serial', 'process']" in captured.err
+            assert "unknown keys ['exec_backend']" in captured.err
             assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["run", "FRPA", "--shards", "2", "--exec-backend", "thread"],
-        ["chaos", "--backends", "thread"],
+        ["run", "FRPA", "--shards", "2", "--exec-backend", "serial"],
+        ["chaos", "--backends", "serial"],
+        ["chaos", "--kinds", "transient"],
+        ["chaos", "--reshard"],
+        ["chaos", "--stream"],
     ])
-    def test_retired_thread_backend_flag_exits_2(self, argv, capsys):
+    def test_retired_backend_and_fault_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'thread'" in err
-        assert "'serial', 'process'" in err
+        assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
     def test_workload_file_static_shards_adopted(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
         path.write_text(json.dumps({
-            "scale": 0.0003, "k": 3, "shards": 2, "exec_backend": "serial",
+            "scale": 0.0003, "k": 3, "shards": 2,
         }))
         assert main(["run", "FRPA", "--workload", str(path)]) == 0
         out = capsys.readouterr().out
