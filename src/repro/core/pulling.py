@@ -157,21 +157,38 @@ class PotentialAdaptive(PullingStrategy):
     name = "potential-adaptive"
 
     def choose(self, view: OperatorView) -> int:
-        available = self._available(view)
-        if len(available) == 1:
-            self._count_choice(available[0], "only-available")
-            return available[0]
-        # Rank key: maximize potential, then minimize depth, then index.
-        ranked = sorted(
-            (-view.potential(side), view.depth(side), side) for side in available
-        )
-        side = ranked[0][2]
+        # One pass, nothing allocated: this runs once per pull.  Scanning
+        # in index order with strict comparisons leaves ties on the
+        # smallest index; depths are read only on a potential tie.
+        best = -1
+        best_potential = best_depth = 0
+        live = 0
+        tied = False  # another live input has the best's potential
+        for side in range(self._inputs):
+            if view.is_exhausted(side):
+                continue
+            live += 1
+            potential = view.potential(side)
+            if best < 0 or potential > best_potential:
+                best, best_potential, best_depth = side, potential, None
+                tied = False
+            elif potential == best_potential:
+                tied = True
+                if best_depth is None:
+                    best_depth = view.depth(best)
+                depth = view.depth(side)
+                if depth < best_depth:
+                    best, best_depth = side, depth
+        if best < 0:
+            raise RuntimeError("choose() called with every input exhausted")
         if self._choice_metrics is not None:
-            # The runner-up is ranked too, so the reason costs one compare.
-            reason = "potential" if ranked[0][0] < ranked[1][0] else "tie-break"
-            tally = self._choice_tallies[side]  # inlined _count_choice
+            if live == 1:
+                reason = "only-available"
+            else:
+                reason = "tie-break" if tied else "potential"
+            tally = self._choice_tallies[best]  # inlined _count_choice
             tally[reason] = tally.get(reason, 0) + 1
-        return side
+        return best
 
 
 class FixedSequence(PullingStrategy):

@@ -13,6 +13,18 @@ operator state; further submissions queue FIFO and are admitted as live
 sessions finish or are cancelled.  Per-session pull budgets are enforced
 inside the sessions themselves (graceful partial answers).
 
+Every session the scheduler knows sits in one ``id → session`` table, so
+:meth:`Scheduler.find` is a dict lookup whatever the session's state.  A
+session that ends is *retired*: counted in the cumulative
+``service_sessions_total{state}`` counters (which is what ``stats()``
+reports — a tally, not a scan), shown to the ``on_finish`` callbacks
+(the service's cache store among them) and then stripped of its
+operator — it keeps its answer, its release times and its final
+``pulls`` / ``depths()``, frozen at that moment, so ``poll`` and a late
+``stream`` read exactly what a client attached at the finish saw.  Only
+the newest :data:`FINISHED_RETENTION` retired sessions stay in the
+table; an older id is unknown again (the wire's ``no_session`` reply).
+
 Policies
 --------
 ``round-robin``
@@ -34,6 +46,15 @@ from collections.abc import Sequence
 
 from repro.obs import Observability, span_record
 from repro.service.session import QuerySession, SessionState
+
+#: Retired sessions kept findable, oldest dropped first.  A finished
+#: session is only read again by a client that reconnects to resume its
+#: stream or polls after the fact, both within moments of the finish;
+#: 1 024 sessions is seconds of traffic even on an all-cache-hit mix and
+#: about a megabyte of answers, and without a bound a worker grows by
+#: every query it ever answered.  A constant, not a parameter: no caller
+#: needs another value.
+FINISHED_RETENTION = 1024
 
 #: Histogram boundaries for session latency in seconds.
 LATENCY_BUCKETS = (
@@ -149,10 +170,14 @@ class Scheduler:
             raise ValueError("max_live must be at least 1")
         self.policy = make_policy(policy)
         self.max_live = max_live
+        #: Every session the scheduler can still answer for, by id: the
+        #: live, the queued and the retained retired ones.
+        self._sessions: dict[str, QuerySession] = {}
         self._live: list[QuerySession] = []
         self._queue: deque[QuerySession] = deque()
-        self._finished: list[QuerySession] = []
+        self._finished: deque[QuerySession] = deque()  # retire order
         self._on_finish = []
+        self._on_release = []
         # Default to an enabled exporter-less pipeline so the pull counter
         # backing stats() works even without a caller-supplied obs.
         self._obs = obs if obs is not None else Observability()
@@ -184,6 +209,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     def submit(self, session: QuerySession) -> QuerySession:
         """Admit a session (live if a slot is free, else queued FIFO)."""
+        self._sessions[session.session_id] = session
         if session.done:
             # Pre-answered (cache hit): bypass admission entirely.
             self._retire(session)
@@ -199,21 +225,23 @@ class Scheduler:
         """Register ``callback(session)`` to run when a session ends."""
         self._on_finish.append(callback)
 
+    def on_release(self, callback) -> None:
+        """Register ``callback(session)`` to run after a quantum in which
+        the session released at least one new result."""
+        self._on_release.append(callback)
+
     def cancel(self, session_id: str) -> bool:
         """Cancel a live or queued session, freeing its admission slot."""
-        for index, session in enumerate(self._queue):
-            if session.session_id == session_id:
-                del self._queue[index]
-                session.cancel()
-                self._retire(session)
-                self._export_gauges()
-                return True
-        for session in list(self._live):
-            if session.session_id == session_id:
-                session.cancel()
-                self._reap(session)
-                return True
-        return False
+        session = self._sessions.get(session_id)
+        if session is None or not session.cancel():
+            return False
+        if session in self._live:
+            self._reap(session)
+        else:
+            self._queue.remove(session)
+            self._retire(session)
+            self._export_gauges()
+        return True
 
     # ------------------------------------------------------------------
     # Execution
@@ -229,8 +257,12 @@ class Scheduler:
             self._admit()
         session = self.policy.choose(self._live)
         pulls_before = session.pulls
+        released_before = len(session.results)
         session.step()
         self._m_pulls.inc(session.pulls - pulls_before)
+        if len(session.results) > released_before:
+            for callback in self._on_release:
+                callback(session)
         if session.done:
             self._reap(session)
         return True
@@ -239,7 +271,7 @@ class Scheduler:
         """Drive ticks until every admitted session has ended."""
         while self.tick():
             pass
-        return self._finished
+        return self.finished_sessions
 
     def drain(self, session_id: str) -> QuerySession | None:
         """Tick until the named session ends (other sessions share ticks)."""
@@ -254,11 +286,7 @@ class Scheduler:
     # Introspection
     # ------------------------------------------------------------------
     def find(self, session_id: str) -> QuerySession | None:
-        for pool in (self._live, self._queue, self._finished):
-            for session in pool:
-                if session.session_id == session_id:
-                    return session
-        return None
+        return self._sessions.get(session_id)
 
     @property
     def live_sessions(self) -> list[QuerySession]:
@@ -270,18 +298,21 @@ class Scheduler:
 
     @property
     def finished_sessions(self) -> list[QuerySession]:
+        """The retained retired sessions, oldest first."""
         return list(self._finished)
 
     def stats(self) -> dict:
-        by_state: dict[str, int] = {}
-        for session in self._finished:
-            by_state[session.state.value] = by_state.get(session.state.value, 0) + 1
         return {
             "policy": self.policy.name,
             "max_live": self.max_live,
             "live": len(self._live),
             "queued": len(self._queue),
-            "finished": by_state,
+            # Cumulative since start, not what the table still holds.
+            "finished": {
+                state.value: counter.value
+                for state, counter in self._m_finished.items()
+                if counter.value
+            },
             "pulls": self._m_pulls.value,
         }
 
@@ -313,6 +344,8 @@ class Scheduler:
 
     def _retire(self, session: QuerySession) -> None:
         self._finished.append(session)
+        if len(self._finished) > FINISHED_RETENTION:
+            self._sessions.pop(self._finished.popleft().session_id, None)
         self._m_finished.get(session.state, self._m_finished[SessionState.DONE]).inc()
         if session.latency is not None:
             self._m_latency.observe(session.latency)
@@ -333,6 +366,9 @@ class Scheduler:
             ))
         for callback in self._on_finish:
             callback(session)
+        # After the callbacks: the cache store above is what takes over
+        # the operator; the session keeps only its final numbers.
+        session.release_operator()
         self._export_gauges()
 
     def _export_gauges(self) -> None:

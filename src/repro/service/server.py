@@ -19,6 +19,29 @@ The server drives the scheduler from a single background task — one pull
 quantum per loop iteration, yielding to the event loop between quanta — so
 any number of client connections share one cooperative executor and
 results stay deterministic.
+
+Nothing between the socket and the operator is discovered by a timer or
+a scan:
+
+* **The driver sleeps on an event.**  ``tick()`` returns False only when
+  nothing is live or queued, so "no progress" *is* "idle" and no deadline
+  can be pending; the driver then clears its wake event and waits on it,
+  with no ``await`` between the idle tick and the clear.  Only a submit
+  can end that state, so the submit that admits a live or queued session
+  sets the event (as does :meth:`RankJoinServer.begin_shutdown`, which
+  the parked driver has to notice); an idle server executes nothing.
+* **Streams wake on release and on finish, per session.**  The scheduler
+  reports both (``on_release`` / ``on_finish``); the server keeps one
+  edge-triggered event per *streamed* session, popped and set by those
+  callbacks.  A quantum that releases nothing wakes nobody, a release
+  wakes only its own session's streams, and every other way a session
+  can end — ``cancel`` from another connection, a deadline swept inside
+  ``tick`` — goes through the scheduler's retire step and so through
+  ``on_finish``; shutdown sets every event.
+* **A wake-up's frames are written one by one**, each followed by a
+  drain.  Batching them into one write was measured and lost: on two
+  vCPUs it serialises worker → front-end → client, which otherwise
+  overlap (EXPERIMENTS.md, "Serving loop without timers").
 """
 
 from __future__ import annotations
@@ -52,6 +75,15 @@ class RankJoinServer(wire.LineServer):
     ``server stopped mid-stream``, the teardown runs, and the exception is
     re-raised to the caller — instead of leaving a socket that accepts
     queries nothing will ever advance.
+
+    The driver ticks while the scheduler has work and otherwise sleeps on
+    an event set by the next admitting ``submit`` or by
+    :meth:`begin_shutdown`; ``stream`` handlers sleep on their session's
+    event, set by the scheduler's release / finish callbacks and by
+    shutdown (module docstring: the wake-up rules, and why result frames
+    are not batched).  The service must not be ticked or submitted to
+    from another thread while the server runs — a session admitted
+    behind the server's back would not wake the driver.
     """
 
     def __init__(
@@ -75,11 +107,15 @@ class RankJoinServer(wire.LineServer):
         #: ``"auto"`` likewise — both set by ``serve --plan auto``).
         self.default_algorithm = default_algorithm
         self.chaos = chaos
-        #: Edge-triggered progress signal: replaced (not cleared) after
-        #: every productive scheduler tick, so stream handlers holding the
-        #: *old* event can never miss a wakeup between their emit scan and
-        #: their wait.
-        self._progress: asyncio.Event | None = None
+        #: What the idle driver sleeps on; exists whenever ``_loop`` does.
+        self._wake: asyncio.Event | None = None
+        #: Session id → the event its parked ``stream`` handlers wait on.
+        #: Edge-triggered: a release or finish *pops* the event and sets
+        #: it, and a handler registers a fresh one in the same no-``await``
+        #: stretch as its scan, so no wake-up falls between the two.
+        self._parked: dict[str, asyncio.Event] = {}
+        service.scheduler.on_release(self._wake_streams)
+        service.scheduler.on_finish(self._wake_streams)
         #: One future per ``stream`` request in flight, resolved when its
         #: handler has sent its last line — what shutdown waits on.
         self._streams: set[asyncio.Future] = set()
@@ -97,8 +133,11 @@ class RankJoinServer(wire.LineServer):
             # process exits right after ``run()`` returns.
             self.service.obs.flush()
 
+    async def _main(self) -> None:
+        self._wake = asyncio.Event()
+        await super()._main()
+
     async def _serve(self) -> None:
-        self._progress = asyncio.Event()
         driver = asyncio.create_task(self._drive())
         # A dead driver must not leave the socket accepting: however the
         # task ends, the server stops.
@@ -107,7 +146,8 @@ class RankJoinServer(wire.LineServer):
             await self._shutdown.wait()
             # Wake every open stream now; each sees the shutdown flag and
             # says so before the loop tears its connection down.
-            self._progress.set()
+            while self._parked:
+                self._parked.popitem()[1].set()
             if self._streams:
                 await asyncio.wait(self._streams, timeout=1.0)
             if driver.done():
@@ -118,22 +158,23 @@ class RankJoinServer(wire.LineServer):
     async def _drive(self) -> None:
         """Advance the scheduler one quantum at a time, cooperatively."""
         while True:
-            progressed = self.service.tick()
-            if progressed:
-                # Wake every waiting stream, then arm a fresh event for
-                # the next round (edge-triggered fan-out).
-                self._progress.set()
-                self._progress = asyncio.Event()
-            if self.draining and not progressed and self._idle():
+            if self.service.tick():
+                # Yield to the event loop after every quantum.
+                await asyncio.sleep(0)
+            elif self.draining:
                 self._shutdown.set()
                 return
-            # Yield to the event loop after every quantum; back off briefly
-            # when idle so an idle server does not spin.
-            await asyncio.sleep(0 if progressed else 0.005)
+            else:
+                # Idle.  No await between the tick above and this clear,
+                # so a submit cannot slip in unseen.
+                self._wake.clear()
+                await self._wake.wait()
 
-    def _idle(self) -> bool:
-        scheduler = self.service.scheduler
-        return not scheduler.live_sessions and not scheduler.queued_sessions
+    def _wake_streams(self, session) -> None:
+        """Scheduler callback: ``session`` released a result or ended."""
+        parked = self._parked.pop(session.session_id, None)
+        if parked is not None:
+            parked.set()
 
     def begin_shutdown(self) -> None:
         """Start draining: finish live sessions, reject new submits.
@@ -142,8 +183,12 @@ class RankJoinServer(wire.LineServer):
         request handlers.  Idempotent; a second call while already
         draining forces an immediate stop.
         """
-        if self._loop is not None and not self.draining:
+        loop = self._loop
+        if loop is not None and not self.draining:
             self.draining = True  # the driver stops the loop once idle
+            # Off-loop: asyncio primitives are not thread-safe.
+            with contextlib.suppress(RuntimeError):  # the loop just closed
+                loop.call_soon_threadsafe(self._wake.set)
         else:
             super().begin_shutdown()
 
@@ -183,6 +228,8 @@ class RankJoinServer(wire.LineServer):
         except QuotaExceeded as exc:
             return wire.throttled(exc)
         session = self.service.session(session_id)
+        if session.live:  # not a cache hit, born DONE: there is work
+            self._wake.set()
         response = wire.ok(
             session=session_id,
             state=session.state.value,
@@ -206,21 +253,22 @@ class RankJoinServer(wire.LineServer):
 
         The handler races nothing: it scans the session's result prefix
         from a cursor (so reattaching clients replay instantly and never
-        see duplicates), emits anything new, and waits on the driver's
-        edge-triggered progress event.  The short wait timeout guards the
-        transitions that report no scheduler progress (deadline sweeps,
-        cancellation) so a terminal session always gets its ``done`` line.
+        see duplicates), emits anything new, and parks on the session's
+        event until the scheduler reports a release or the finish.  There
+        is no ``await`` from the last look at the prefix to the park, so a
+        terminal session always gets its ``done`` line.
         """
         session_id, cursor = request["session"], request["from"]
+        session = self.service.session(session_id)
+        if session is None:
+            return wire.no_session(session_id)
         finished = asyncio.get_running_loop().create_future()
         self._streams.add(finished)
         try:
             while True:
-                session = self.service.session(session_id)
-                if session is None:
-                    return wire.no_session(session_id)
-                limit = min(len(session.results), session.k)
-                while cursor < limit:
+                # The prefix is re-read after every send: results released
+                # during one are emitted here, not waited for below.
+                while cursor < min(len(session.results), session.k):
                     await conn.send(wire.ok(
                         event="result",
                         session=session_id,
@@ -236,9 +284,10 @@ class RankJoinServer(wire.LineServer):
                     # ``finished`` lets the shutdown proceed.
                     await conn.send(wire.stopped_mid_stream())
                     return None
-                waiter = self._progress
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(waiter.wait(), timeout=0.05)
+                parked = self._parked.get(session_id)
+                if parked is None:
+                    parked = self._parked[session_id] = asyncio.Event()
+                await parked.wait()
         finally:
             self._streams.discard(finished)
             finished.set_result(None)

@@ -90,8 +90,10 @@ class QueryService:
         self.default_max_pulls = default_max_pulls
         self.quotas = quotas
         self._ids = itertools.count(1)
+        #: Specs of the live and queued sessions (what :meth:`stats`
+        #: describes); a session's entry goes when it finishes.
         self._specs: dict[str, QuerySpec] = {}
-        self.scheduler.on_finish(self._store_in_cache)
+        self.scheduler.on_finish(self._session_finished)
 
     # ------------------------------------------------------------------
     # Submission
@@ -210,6 +212,8 @@ class QueryService:
         return self.scheduler.run_until_complete()
 
     def session(self, session_id: str) -> QuerySession | None:
+        """The session by id — live, queued, or one of the scheduler's
+        retained finished ones; None for an unknown or aged-out id."""
         return self.scheduler.find(session_id)
 
     def poll(self, session_id: str) -> dict | None:
@@ -264,14 +268,16 @@ class QueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _store_in_cache(self, session: QuerySession) -> None:
-        """Feed a finished session's prefix (and continuation) back.
+    def _session_finished(self, session: QuerySession) -> None:
+        """Forget the session's spec; feed its prefix (and continuation)
+        back to the cache.
 
         Only ``DONE`` sessions write: a FAILED session may hold a prefix
         computed by an operator that died mid-advance, and a CANCELLED
         one was abandoned before its prefix was proven useful — caching
         either could poison later queries with a partial entry.
         """
+        self._specs.pop(session.session_id, None)
         storable = (
             self.cache is not None
             and session.cache_key is not None

@@ -25,6 +25,7 @@ for callers that need all-or-nothing semantics.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import time
 from typing import Any
@@ -125,6 +126,10 @@ class QuerySession:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self._pulls_at_attach = operator.pulls if operator is not None else 0
+        #: What :attr:`pulls` and :meth:`depths` answer once the operator
+        #: is gone (:meth:`release_operator`, or a cache hit's None).
+        self._final_pulls = 0
+        self._final_depths: list[int] = []
         self.steps = 0
 
     # ------------------------------------------------------------------
@@ -142,7 +147,7 @@ class QuerySession:
     def pulls(self) -> int:
         """Pulls charged to this session (excludes inherited prefix work)."""
         if self.operator is None:
-            return 0
+            return self._final_pulls
         return self.operator.pulls - self._pulls_at_attach
 
     @property
@@ -273,6 +278,21 @@ class QuerySession:
         self.state = state
         self.finished_at = self._clock()
 
+    def release_operator(self) -> None:
+        """Freeze :attr:`pulls` and :meth:`depths` and let the operator go.
+
+        The scheduler calls this once a finished session's operator has
+        been offered to the cache: the session keeps its answer and its
+        final numbers, while the operator — and everything it buffered —
+        is the cache's to keep, extend under a later session, or free.
+        """
+        self._final_pulls = self.pulls
+        # The isolation step() gives try_next: a FAILED session's operator
+        # may not answer, and raising here would end the scheduler driver.
+        with contextlib.suppress(Exception):
+            self._final_depths = self.depths()
+        self.operator = None
+
     # ------------------------------------------------------------------
     # Results access
     # ------------------------------------------------------------------
@@ -291,7 +311,7 @@ class QuerySession:
         """Per-input depths of the underlying operator."""
         operator = self.operator
         if operator is None:
-            return []
+            return self._final_depths
         depth_report = operator.depths()
         if isinstance(depth_report, list):
             return depth_report

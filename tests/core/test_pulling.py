@@ -1,9 +1,16 @@
 """Unit tests for pulling strategies."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.bounds import LEFT, RIGHT
-from repro.core.pulling import FixedSequence, PotentialAdaptive, RoundRobin
+from repro.core.pulling import (
+    FixedSequence,
+    PotentialAdaptive,
+    RoundRobin,
+    side_labels,
+)
+from repro.obs.metrics import MetricRegistry
 
 
 class FakeView:
@@ -71,6 +78,67 @@ class TestPotentialAdaptive:
         inf = float("inf")
         view = FakeView(potentials=(inf, inf), depths=(0, 0))
         assert strategy.choose(view) == LEFT
+
+
+def ranked_choice(view, inputs):
+    """PA as it was written before the one-pass loop: rank every live
+    input by (max potential, min depth, min index) and take the head.
+    Kept here as the reference the loop is compared against."""
+    available = [s for s in range(inputs) if not view.is_exhausted(s)]
+    if not available:
+        raise RuntimeError("choose() called with every input exhausted")
+    if len(available) == 1:
+        return available[0], "only-available"
+    ranked = sorted(
+        (-view.potential(side), view.depth(side), side) for side in available
+    )
+    reason = "potential" if ranked[0][0] < ranked[1][0] else "tie-break"
+    return ranked[0][2], reason
+
+
+class DepthCountingView(FakeView):
+    depth_reads = 0
+
+    def depth(self, side):
+        self.depth_reads += 1
+        return super().depth(side)
+
+
+#: Few distinct values, so ties on potential and on depth are the norm.
+potentials = st.sampled_from([float("-inf"), 0.0, 0.5, 1.0, float("inf")])
+views = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(potentials, min_size=n, max_size=n),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+))
+
+
+class TestPotentialAdaptiveMatchesTheRanking:
+    @given(views)
+    def test_same_side_and_same_reason(self, drawn):
+        potentials, depths, exhausted = drawn
+        inputs = len(potentials)
+        view = DepthCountingView(potentials, depths, exhausted)
+        strategy = PotentialAdaptive()
+        strategy.bind(inputs)
+        metrics = MetricRegistry()
+        strategy.observe(metrics, "op")
+        if all(exhausted):
+            with pytest.raises(RuntimeError, match="every input exhausted"):
+                strategy.choose(view)
+            return
+        side, reason = ranked_choice(
+            FakeView(potentials, depths, exhausted), inputs)
+        assert strategy.choose(view) == side
+        strategy.flush_choices()
+        counted = {
+            (labels["side"], labels["reason"]): metric.value
+            for _, labels, metric in metrics.metrics_named("pull_choice_total")
+        }
+        assert counted == {(side_labels(inputs)[side], reason): 1}
+        live = [p for p, gone in zip(potentials, exhausted) if not gone]
+        if len(set(live)) == len(live):
+            assert view.depth_reads == 0, "depths are read only on a tie"
 
 
 class TestFixedSequence:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.stepping import PENDING
 from repro.data.workload import random_instance
 from repro.service import QuerySpec
 
@@ -32,3 +36,31 @@ def serial_answer(spec: QuerySpec):
     operator = spec.build_operator()
     results = operator.top_k(spec.k)
     return results, operator
+
+
+class GatedOperator:
+    """A resumable operator that proves nothing until ``open`` is set and
+    is exhausted from then on.
+
+    A session over one stays live for exactly as long as a test needs —
+    no clock, no sleep: submit it to ``service.scheduler`` *before* the
+    server thread starts (the facade is single-threaded), give it
+    ``preloaded=[RELEASED]`` so that a ``stream`` on it replays one event
+    at once (the client's proof that its handler is attached), then open
+    the gate, cancel it, or move its clock.
+    """
+
+    pulls = 0
+
+    def __init__(self) -> None:
+        self.open = threading.Event()
+
+    def try_next(self, max_pulls=None):
+        return None if self.open.is_set() else PENDING
+
+    def depths(self):
+        return [0, 0]
+
+
+#: Stands in for a result released before the stream attached.
+RELEASED = SimpleNamespace(score=0.5)

@@ -40,6 +40,20 @@ def running_fleet(workers=2, **kwargs):
 
 
 class TestFleet:
+    def test_idle_fleet_exits_after_begin_shutdown_from_another_thread(self):
+        """The front-end stops, and its workers — each parked on an event,
+        not polling a flag — are told, exit and are joined."""
+        fleet = ServeFleet(RELATIONS, workers=2, port=0)
+        thread = threading.Thread(target=fleet.run, daemon=True)
+        thread.start()
+        assert fleet.ready.wait(timeout=60.0), "fleet never became ready"
+        fleet.begin_shutdown()  # this thread is not the loop's
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "run() did not return"
+        assert fleet.draining is True
+        assert [p for p in multiprocessing.active_children()
+                if p.name.startswith("repro-fleet")] == []
+
     def test_round_trip_namespacing_and_stats(self):
         with running_fleet(workers=2) as fleet:
             with ServiceClient(fleet.host, fleet.port) as client:

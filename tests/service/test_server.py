@@ -15,13 +15,14 @@ import pytest
 from repro.obs import Observability
 from repro.service import (
     QueryService,
+    QuerySession,
     QuerySpec,
     RankJoinServer,
     ServiceClient,
     ServiceError,
 )
 
-from tests.service.conftest import make_instance
+from tests.service.conftest import GatedOperator, make_instance
 
 INSTANCE = make_instance(seed=0, n=200, num_keys=20, k=20)
 RELATIONS = {"lineitem": INSTANCE.left, "orders": INSTANCE.right}
@@ -36,9 +37,10 @@ REFERENCE_SCORES = [
 
 
 @contextlib.contextmanager
-def running_server(**service_kwargs):
-    service_kwargs.setdefault("quantum", 16)
-    service = QueryService(**service_kwargs)
+def running_server(service=None, **service_kwargs):
+    if service is None:
+        service_kwargs.setdefault("quantum", 16)
+        service = QueryService(**service_kwargs)
     server = RankJoinServer(service, RELATIONS, port=0)
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
@@ -74,12 +76,17 @@ class TestProtocol:
         assert stats["relations"] == {"lineitem": 200, "orders": 200}
 
     def test_cancel_over_the_wire(self):
-        with running_server(max_live=1) as server:
+        # A gated session holds the only slot: the query is still queued
+        # when the cancel arrives, however fast the driver is.
+        service = QueryService(max_live=1)
+        service.scheduler.submit(QuerySession("held", GatedOperator(), 1))
+        with running_server(service) as server:
             with ServiceClient(server.host, server.port) as client:
                 sid = client.submit(left="lineitem", right="orders", k=20,
                                     operator="HRJN")
                 assert client.cancel(sid) is True
                 final = client.wait(sid)
+                assert client.cancel(sid) is False
         assert final["state"] == "CANCELLED"
 
     def test_unknown_verb_is_clean_error(self):

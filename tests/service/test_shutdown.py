@@ -12,19 +12,22 @@ import pytest
 from repro.obs import Observability
 from repro.service import (
     QueryService,
+    QuerySession,
     RankJoinServer,
     ServiceClient,
     ServiceError,
     SessionState,
 )
 
+from tests.service.conftest import RELEASED, GatedOperator
 from tests.service.test_server import REFERENCE_SCORES, RELATIONS
 
 
 @contextlib.contextmanager
-def running_server(*, default_shards=1, **service_kwargs):
-    service_kwargs.setdefault("quantum", 16)
-    service = QueryService(**service_kwargs)
+def running_server(service=None, *, default_shards=1, **service_kwargs):
+    if service is None:
+        service_kwargs.setdefault("quantum", 16)
+        service = QueryService(**service_kwargs)
     server = RankJoinServer(
         service, RELATIONS, port=0, default_shards=default_shards
     )
@@ -50,13 +53,20 @@ class TestGracefulShutdown:
             assert server.draining is True
 
     def test_draining_rejects_new_submits(self):
-        with running_server(quantum=4) as (server, thread):
+        # A gated session holds the only slot until the drain has been
+        # observed, so the in-flight query cannot finish (and the server
+        # exit) before the exchanges that need it draining.
+        service = QueryService(quantum=4, max_live=1)
+        held = GatedOperator()
+        service.scheduler.submit(QuerySession("held", held, 1))
+        with running_server(service) as (server, thread):
             with ServiceClient(server.host, server.port) as client:
                 sid = client.submit(left="lineitem", right="orders", k=20)
                 server.begin_shutdown()
                 assert client.stats()["draining"] is True
                 with pytest.raises(ServiceError, match="draining"):
                     client.submit(left="lineitem", right="orders", k=3)
+                held.open.set()
                 # The in-flight session still runs to completion.  The
                 # server exits the moment it finishes, so the final poll
                 # may race the socket teardown; the authoritative check
@@ -112,6 +122,10 @@ class TestDriverDeath:
         that second session must be told the server stopped, and ``run()``
         must tear down and re-raise — not leave a socket accepting queries
         that nothing advances.
+
+        Both sessions are gated, so the order is the test's, not a
+        timer's: the first finishes only once the client has seen the
+        queued one's replayed event, i.e. once its stream is attached.
         """
         class Boom(RuntimeError):
             pass
@@ -121,6 +135,10 @@ class TestDriverDeath:
 
         service = QueryService(quantum=16, max_live=1)
         service.scheduler.on_finish(explode)
+        first = GatedOperator()
+        service.scheduler.submit(QuerySession("first", first, 1))
+        service.scheduler.submit(
+            QuerySession("queued", GatedOperator(), 2, preloaded=[RELEASED]))
         server = RankJoinServer(service, RELATIONS, port=0)
         raised = []
 
@@ -134,13 +152,13 @@ class TestDriverDeath:
         thread.start()
         assert server.ready.wait(timeout=10.0), "server never became ready"
         with ServiceClient(server.host, server.port, timeout=2.0) as client:
-            client.submit(left="lineitem", right="orders", k=3)
-            queued = client.submit(left="lineitem", right="orders", k=20,
-                                   operator="HRJN")
-            # A timeout here (the parent commit: a 50 ms wake-up, forever)
-            # surfaces as an OSError, not the ServiceError asserted.
+            events = client.stream_raw("queued")
+            assert next(events)["index"] == 0
+            first.open.set()
+            # A timeout here (a stream nothing wakes) surfaces as an
+            # OSError, not the ServiceError asserted.
             with pytest.raises(ServiceError, match="stopped mid-stream"):
-                list(client.stream_raw(queued))
+                list(events)
         thread.join(timeout=2.0)
         assert not thread.is_alive(), "run() kept serving without a driver"
         assert raised, "run() must re-raise what killed the driver"

@@ -1,17 +1,32 @@
 """The ``stream`` verb: results pushed the moment the merge gate frees them.
 
 Covers the wire contract (sequential indexes, release-order scores, the
-terminal ``done`` snapshot), cursor resume, and the client-side
-``wait``-rides-the-stream path (there is no poll-loop fallback).
+terminal ``done`` snapshot), cursor resume, the client-side
+``wait``-rides-the-stream path (there is no poll-loop fallback), and —
+over real sockets, ordered by gates instead of sleeps — every transition
+that has to wake a parked stream now that no timeout does.
 """
 
 import threading
 
 import pytest
 
-from repro.service import ServiceClient, ServiceError
+from repro.service import (
+    QueryService,
+    QuerySession,
+    QuerySpec,
+    ServiceClient,
+    ServiceError,
+)
 
-from tests.service.test_server import REFERENCE_SCORES, running_server
+from tests.resilience.test_deadlines import ManualClock
+from tests.service.conftest import RELEASED, GatedOperator
+from tests.service.test_server import (
+    INSTANCE,
+    REFERENCE_SCORES,
+    running_server,
+)
+from tests.service.test_shutdown import running_server as server_and_thread
 
 ROUNDED_REFERENCE = [round(s, 6) for s in REFERENCE_SCORES]
 
@@ -102,6 +117,124 @@ class TestStreamVerb:
                     thread.join(timeout=30.0)
         assert not errors, errors
         assert sequences[0] == sequences[1] == ROUNDED_REFERENCE[:12]
+
+
+class TestParkedStreamsAreWoken:
+    """Nothing times out in the stream relay, so each of these hangs (and
+    fails on the client's socket timeout) if its wake-up is missing.
+
+    The sessions are gated (see :class:`GatedOperator`): a stream's first,
+    replayed event proves its handler is attached before the test makes
+    the transition happen.
+    """
+
+    @staticmethod
+    def held(session_id="held", k=2, **kwargs):
+        return QuerySession(session_id, GatedOperator(), k,
+                            preloaded=[RELEASED], **kwargs)
+
+    @staticmethod
+    def attach(client, session_id):
+        """Open a stream and read its replayed event: it is parked now."""
+        events = client.stream_raw(session_id)
+        first = next(events)
+        assert (first["event"], first["index"]) == ("result", 0)
+        return events
+
+    def test_cancel_from_a_second_connection(self):
+        service = QueryService()
+        service.scheduler.submit(self.held())
+        with running_server(service) as server:
+            with ServiceClient(server.host, server.port, timeout=10.0) as a, \
+                    ServiceClient(server.host, server.port) as b:
+                events = self.attach(a, "held")
+                assert b.cancel("held") is True
+                (done,) = list(events)
+        assert (done["event"], done["state"]) == ("done", "CANCELLED")
+        assert done["results"] == 1
+
+    def test_deadline_swept_inside_a_tick(self):
+        clock = ManualClock()
+        service = QueryService()
+        service.scheduler.submit(self.held(k=3, deadline=1.0, clock=clock))
+        with running_server(service) as server:
+            with ServiceClient(server.host, server.port, timeout=10.0) as client:
+                events = self.attach(client, "held")
+                clock.now = 2.0
+                (done,) = list(events)
+        assert (done["event"], done["state"]) == ("done", "DONE")
+        assert done["deadline_exceeded"] is True and not done["complete"]
+        assert done["scores"] == [RELEASED.score]  # the partial prefix
+
+    def test_queued_session_streams_every_event_once_admitted(self):
+        operator = QuerySpec(
+            relations=(INSTANCE.left, INSTANCE.right), k=8).build_operator()
+        service = QueryService(max_live=1)
+        slot = GatedOperator()
+        service.scheduler.submit(QuerySession("slot", slot, 1))
+        service.scheduler.submit(QuerySession(
+            "queued", operator, 8, quantum=4, preloaded=operator.top_k(3)))
+        with running_server(service) as server:
+            with ServiceClient(server.host, server.port, timeout=10.0) as client:
+                events = client.stream_raw("queued")
+                replayed = [next(events) for _ in range(3)]
+                assert server.service.session("queued").state.value == "PENDING"
+                slot.open.set()  # the slot frees; the queued session runs
+                results, done = split_events(replayed + list(events))
+        assert [e["index"] for e in results] == list(range(8))
+        assert [e["score"] for e in results] == ROUNDED_REFERENCE[:8]
+        assert done["state"] == "DONE" and done["scores"] == ROUNDED_REFERENCE[:8]
+
+    def test_forced_shutdown_reaches_a_stream_on_a_queued_session(self):
+        service = QueryService(max_live=1)
+        service.scheduler.submit(QuerySession("slot", GatedOperator(), 1))
+        service.scheduler.submit(self.held("queued"))
+        with server_and_thread(service) as (server, thread):
+            with ServiceClient(server.host, server.port, timeout=10.0) as client:
+                events = self.attach(client, "queued")
+                server.begin_shutdown()
+                server.begin_shutdown()  # the second call skips the drain
+                with pytest.raises(ServiceError, match="stopped mid-stream"):
+                    list(events)
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
+    def test_two_live_sessions_wake_only_their_own_streams(self):
+        """Both sessions run interleaved (round-robin, one pull a tick);
+        each stream sees its own indexes, gap-free, and nothing else."""
+        spec = QuerySpec(relations=(INSTANCE.left, INSTANCE.right), k=12)
+        service = QueryService(max_live=2)
+        slots = GatedOperator()  # one gate under both slot holders
+        for name in ("slot-a", "slot-b"):
+            service.scheduler.submit(QuerySession(name, slots, 1))
+        wanted = {"a": 12, "b": 9}
+        for name, k in wanted.items():
+            operator = spec.build_operator()
+            service.scheduler.submit(QuerySession(
+                name, operator, k, quantum=1, preloaded=operator.top_k(1)))
+        with running_server(service) as server:
+            with ServiceClient(server.host, server.port, timeout=10.0) as a, \
+                    ServiceClient(server.host, server.port, timeout=10.0) as b:
+                streams = {"a": self.attach(a, "a"), "b": self.attach(b, "b")}
+                slots.open.set()  # both admitted in the same tick
+                seen = {}
+                consumers = [
+                    threading.Thread(
+                        target=lambda n=name: seen.update({n: list(streams[n])}))
+                    for name in streams
+                ]
+                for thread in consumers:
+                    thread.start()
+                for thread in consumers:
+                    thread.join(timeout=30.0)
+            assert not server._parked, "a finished session left an event behind"
+        for name, k in wanted.items():
+            results, done = split_events(seen[name])
+            assert {e["session"] for e in results} | {done["session"]} == {name}
+            assert [e["index"] for e in results] == list(range(1, k))
+            assert done["scores"] == ROUNDED_REFERENCE[:k]
+            assert done["steps"] > k  # it ran beside the other one, and
+            # most of its quanta released nothing (and woke nobody)
 
 
 class PollCountingClient(ServiceClient):

@@ -1,8 +1,9 @@
 """Wire-level tests for the live telemetry plane: metrics verb, SLO stats."""
 
+from tests.service.conftest import GatedOperator
 from tests.service.test_server import running_server
 
-from repro.service import ServiceClient
+from repro.service import QueryService, QuerySession, ServiceClient
 
 REQUIRED_FAMILIES = (
     "service_sessions_total",
@@ -58,15 +59,20 @@ class TestStatsTelemetry:
         assert stats["sessions"] == []  # nothing in flight after run()
 
     def test_live_sessions_listed(self):
-        with running_server() as server:
+        # A gated session holds the only slot, so the submitted query is
+        # still queued — and listed — whenever ``stats`` is answered.  (The
+        # driver starts a submitted query at once; nothing is "in flight
+        # for the next few milliseconds" by default.)
+        service = QueryService(max_live=1)
+        service.scheduler.submit(QuerySession("held", GatedOperator(), 1))
+        with running_server(service) as server:
             with ServiceClient(server.host, server.port) as client:
-                session_id = client.submit(
-                    left="lineitem", right="orders", k=5, max_pulls=1,
-                )
+                session_id = client.submit(left="lineitem", right="orders", k=5)
                 stats = client.stats()
-                client.cancel(session_id)
-        listed = {s["session"] for s in stats["sessions"]}
-        assert session_id in listed
+                assert client.cancel(session_id)
+                assert client.cancel("held")
+        listed = {s["session"]: s["state"] for s in stats["sessions"]}
+        assert listed == {"held": "RUNNING", session_id: "PENDING"}
         (brief,) = [s for s in stats["sessions"] if s["session"] == session_id]
         assert set(brief) == {"session", "state", "label", "plan", "results",
                               "k", "pulls"}
