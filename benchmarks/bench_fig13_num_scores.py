@@ -1,10 +1,11 @@
 """Figure 13: effect of the number of score attributes e.
 
 Reproduced shape: the feasible-region operators win by an order of
-magnitude at e=1 and the margin narrows as e grows; at e=4 the exact-cover
-operators (PBRJ_FR^RR, FRPA) blow their budget and are omitted — the
-paper's ">10 hours" — while a-FRPA's bounded covers let it finish with
-HRJN*-like depth.
+magnitude at e=1 and the margin narrows as e grows; at e=4 PBRJ_FR^RR blows
+its budget and is omitted — the paper's ">10 hours" — and FRPA's exact
+covers, though they now finish, cost an order of magnitude more than
+a-FRPA's bounded ones, which reach HRJN*-like depth and are never slower
+than FRPA from e=3 on: the robustness the paper's title claims.
 """
 
 import math
@@ -24,6 +25,9 @@ def test_figure_13(benchmark, figure_config, save_table):
     def depth(e, op):
         return by_e[e][headers.index(f"{op}:sumDepths")]
 
+    def seconds(e, op):
+        return by_e[e][headers.index(f"{op}:time")]
+
     # e=1: order-of-magnitude win for the feasible-region bound.
     assert depth(1, "HRJN*") / depth(1, "FRPA") > 8
     # e<=3: FRPA never deeper than PBRJ_FR^RR (Theorem 4.2) when both run.
@@ -32,10 +36,14 @@ def test_figure_13(benchmark, figure_config, save_table):
         frpa = depth(e, "FRPA")
         if not (math.isnan(fr) or math.isnan(frpa)):
             assert frpa <= fr
-    # e=4: the exact-cover operators are capped/omitted...
+    # e=4: the literal FR bound is capped/omitted...
     assert math.isnan(depth(4, "PBRJ_FR^RR"))
-    assert math.isnan(depth(4, "FRPA"))
     # ...while a-FRPA and HRJN* complete, at comparable depth.
     afrpa, corner = depth(4, "a-FRPA"), depth(4, "HRJN*")
     assert not math.isnan(afrpa) and not math.isnan(corner)
     assert afrpa <= corner * 1.05
+    # e>=3, covers past the budget: bounding them costs a-FRPA no more time
+    # than FRPA's exact ones, wherever both complete.
+    for e in (3, 4):
+        if not math.isnan(seconds(e, "FRPA")):
+            assert seconds(e, "a-FRPA") <= seconds(e, "FRPA")

@@ -2,19 +2,19 @@
 
 aFR is FR* with each exact cover ``CR_i`` replaced by an
 :class:`AdaptiveCover`: the cover is maintained exactly while small; once it
-outgrows ``max_cr_size`` it is transferred onto a :class:`GridTree`, whose
-resolution is halved as often as needed to keep the point budget.  At the
-minimum resolution the cover collapses to ``{(1, …, 1)}`` and the bound
-degenerates to HRJN*'s corner bound — the paper's gradual FRPA → HRJN*
-morphing.
+outgrows ``max_cr_size`` it moves onto a grid (the paper's grid tree — here
+the same :class:`~repro.geometry.cover.CoverRegion`, carving observations
+rounded up onto the grid), whose resolution is halved as often as needed to
+keep the point budget.  At the minimum resolution the cover collapses to
+``{(1, …, 1)}`` and the bound degenerates to HRJN*'s corner bound — the
+paper's gradual FRPA → HRJN* morphing.
 
 The two inputs adapt independently: one side can stay exact while the other
 is on a coarse grid.
 
 Every cover here is an FR* cover-bound operand: ``points``, plus — given a
-row scorer — ``best``, the maximum partial score over them.  An exact cover
-carries it across carves (:class:`~repro.geometry.cover.CoverRegion`); a
-grid rescans its marked cells after each update.
+row scorer — ``best``, the maximum partial score over them, carried across
+carves and rescored once per move onto a coarser grid.
 """
 
 from __future__ import annotations
@@ -23,23 +23,38 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.bounds import LEFT, RIGHT
 from repro.core.frstar_bound import FRStarBound
-from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
 from repro.geometry.cover import CoverRegion
-from repro.geometry.dominance import Point
-from repro.geometry.gridtree import GridTree
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
 DEFAULT_MAX_CR_SIZE = 500
 DEFAULT_RESOLUTION = 64
 
 
-class AdaptiveCover:
+def check_cover_budget(max_cr_size: int, resolution: int) -> None:
+    """Refuse a cover budget or an initial grid resolution that could only
+    fail later, at the hand-over in the middle of a query."""
+    def positive_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+    if not positive_int(max_cr_size):
+        raise ValueError(
+            f"max_cr_size must be a positive integer, got {max_cr_size!r}"
+        )
+    if not positive_int(resolution) or resolution & (resolution - 1):
+        raise ValueError(
+            f"resolution must be a positive power of two, got {resolution!r}"
+        )
+
+
+class AdaptiveCover(CoverRegion):
     """A cover of bounded size: exact first, grid-quantized when too big.
 
-    Implements ``aFR::UpdateCR`` (Figure 8).  Drop-in replacement for
-    :class:`~repro.geometry.cover.CoverRegion` in the FR*/aFR bound code.
+    Implements ``aFR::UpdateCR`` (Figure 8): a
+    :class:`~repro.geometry.cover.CoverRegion` plus the budget loop.
     """
+
+    __slots__ = ("max_size", "initial_resolution")
 
     def __init__(
         self,
@@ -51,79 +66,28 @@ class AdaptiveCover:
     ) -> None:
         if max_size < 1:
             raise ValueError("max_size must be positive")
-        self.dimension = dimension
+        super().__init__(dimension, skyline_mode=True, score=score)
         self.max_size = max_size
         self.initial_resolution = resolution
-        self._score = score
-        self._exact: CoverRegion | None = CoverRegion(
-            dimension, skyline_mode=True, score=score
-        )
-        self._grid: GridTree | None = None
-        self.best = self._exact.best
 
-    # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
         """``"exact"`` while precise, ``"grid"`` after the transfer."""
-        return "exact" if self._grid is None else "grid"
+        return "exact" if self.resolution is None else "grid"
 
-    @property
-    def resolution(self) -> int | None:
-        """Current grid resolution (cells per dimension), or None if exact."""
-        return None if self._grid is None else self._grid.resolution
-
-    @property
-    def points(self) -> list[Point]:
-        if self._grid is None:
-            assert self._exact is not None
-            return self._exact.points
-        return self._grid.cover_points()
-
-    def __len__(self) -> int:
-        if self._grid is None:
-            assert self._exact is not None
-            return len(self._exact)
-        return self._grid.num_marked
-
-    def __iter__(self):
-        return iter(self.points)
-
-    # ------------------------------------------------------------------
     def update(self, observed: Iterable[Sequence[float]]) -> None:
-        """Carve the observed vectors, then restore the size budget."""
-        batch = list(observed)
-        if self._grid is None:
-            assert self._exact is not None
-            self._exact.update(batch)
-            if len(self._exact) > self.max_size and self.dimension >= 1:
-                # Transfer the exact cover onto the grid (aFR::UpdateCR 3-7).
-                self._grid = GridTree(self.dimension, self.initial_resolution)
-                self._grid.load_points(self._exact.points)
-                self._exact = None
-        else:
-            for vector in batch:
-                self._grid.update(vector)
-        # Reduce resolution until the budget holds (aFR::UpdateCR 11-15).
-        while (
-            self._grid is not None
-            and self._grid.num_marked > self.max_size
-            and self._grid.resolution > 1
-        ):
-            self._grid.reduce_resolution()
-        self.best = (
-            self._exact.best if self._grid is None
-            else _grid_best(self._grid, self._score)
-        )
-
-    def covers(self, point: Sequence[float]) -> bool:
-        """True if some cover point weakly dominates ``point``."""
-        if self._grid is None:
-            assert self._exact is not None
-            return self._exact.covers(point)
-        return self._grid.covers(point)
+        """Carve the observed vectors, then restore the size budget: onto
+        the initial grid (aFR::UpdateCR 3-7), then one halving at a time
+        (11-15)."""
+        super().update(observed)
+        while len(self._points) > self.max_size and self.resolution != 1:
+            self.coarsen(
+                self.initial_resolution if self.resolution is None
+                else self.resolution // 2
+            )
 
 
-class FrozenCover:
+class FrozenCover(AdaptiveCover):
     """Naive alternative #1 (Section 5.1.1): stop updating once too big.
 
     Maintains the exact skyline cover while it fits the budget; after the
@@ -131,54 +95,32 @@ class FrozenCover:
     region.  Still a correct (ever looser) cover.  Ablation baseline only.
     """
 
-    def __init__(
-        self, dimension: int, *, max_size: int = DEFAULT_MAX_CR_SIZE, score=None
-    ) -> None:
-        self.dimension = dimension
-        self.max_size = max_size
-        self._exact = CoverRegion(dimension, skyline_mode=True, score=score)
-        self.frozen = False
+    __slots__ = ()
+
+    @property
+    def frozen(self) -> bool:
+        return len(self._points) > self.max_size
 
     @property
     def mode(self) -> str:
         return "frozen" if self.frozen else "exact"
 
-    @property
-    def resolution(self) -> int | None:
-        return None
-
-    @property
-    def points(self) -> list[Point]:
-        return self._exact.points
-
-    @property
-    def best(self):
-        return self._exact.best
-
-    def __len__(self) -> int:
-        return len(self._exact)
-
-    def __iter__(self):
-        return iter(self._exact)
-
     def update(self, observed: Iterable[Sequence[float]]) -> None:
-        if self.frozen:
-            return
-        self._exact.update(observed)
-        if len(self._exact) > self.max_size:
-            self.frozen = True
-
-    def covers(self, point: Sequence[float]) -> bool:
-        return self._exact.covers(point)
+        if not self.frozen:
+            CoverRegion.update(self, observed)
 
 
-class FixedGridCover:
+class FixedGridCover(AdaptiveCover):
     """Naive alternative #2 (Section 5.1.1): a grid of fixed resolution.
 
     All cover maintenance happens on the grid from the start, at a single
     coarse resolution chosen so the budget can never overflow.  Ablation
     baseline only.
     """
+
+    __slots__ = ()
+    mode = "fixed-grid"
+    update = CoverRegion.update
 
     def __init__(
         self,
@@ -188,13 +130,12 @@ class FixedGridCover:
         resolution: int | None = None,
         score=None,
     ) -> None:
-        self.dimension = dimension
-        self.max_size = max_size
         if resolution is None:
             resolution = self._safe_resolution(dimension, max_size)
-        self._score = score
-        self._grid = GridTree(dimension, resolution)
-        self.best = _grid_best(self._grid, score)
+        super().__init__(
+            dimension, max_size=max_size, resolution=resolution, score=score
+        )
+        self.resolution = resolution
 
     @staticmethod
     def _safe_resolution(dimension: int, max_size: int) -> int:
@@ -211,39 +152,6 @@ class FixedGridCover:
         while (resolution * 2) ** (dimension - 1) <= max_size:
             resolution *= 2
         return resolution
-
-    @property
-    def mode(self) -> str:
-        return "fixed-grid"
-
-    @property
-    def resolution(self) -> int:
-        return self._grid.resolution
-
-    @property
-    def points(self) -> list[Point]:
-        return self._grid.cover_points()
-
-    def __len__(self) -> int:
-        return self._grid.num_marked
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def update(self, observed: Iterable[Sequence[float]]) -> None:
-        for vector in observed:
-            self._grid.update(vector)
-        self.best = _grid_best(self._grid, self._score)
-
-    def covers(self, point: Sequence[float]) -> bool:
-        return self._grid.covers(point)
-
-
-def _grid_best(grid: GridTree, score) -> float | None:
-    """A grid-mode cover's ``best``: a rescan of its marked cells' corners."""
-    if score is None:
-        return None
-    return max(map(score, grid.cover_points()), default=NEG_INF)
 
 
 #: Cover strategies selectable on :class:`AFRBound` (ablation study).
@@ -268,6 +176,7 @@ class AFRBound(FRStarBound):
                 f"cover_strategy must be one of {COVER_STRATEGIES}, "
                 f"got {cover_strategy!r}"
             )
+        check_cover_budget(max_cr_size, resolution)
         self.max_cr_size = max_cr_size
         self.resolution = resolution
         self.cover_strategy = cover_strategy
@@ -290,16 +199,19 @@ class AFRBound(FRStarBound):
 
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         bound = super().update(side, tup, score_bound)
-        resolution = self._cr[side].resolution
+        cover = self._cr[side]
+        resolution = cover.resolution
         previous = self._last_resolution[side]
-        if resolution != previous:
+        if resolution != previous:  # only ever downwards, None first
             if previous is None:
                 # exact → grid transfer (enters at the initial resolution)
                 self._m_grid_transfers.inc()
-            if resolution is not None:
-                self._m_resolution[side].set(resolution)
-                if previous is not None and resolution < previous:
-                    self._m_resolution_drops[side].inc()
+                previous = cover.initial_resolution
+            self._m_resolution[side].set(resolution)
+            # Halvings, however many this one update took: log2 of the ratio.
+            self._m_resolution_drops[side].inc(
+                (previous // resolution).bit_length() - 1
+            )
             self._last_resolution[side] = resolution
         return bound
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.afr_bound import AdaptiveCover
+from repro.core.afr_bound import AdaptiveCover, check_cover_budget
 from repro.core.bounds import BoundContext, BoundingScheme
 from repro.core.scoring import NEG_INF
 from repro.errors import InstanceError
@@ -49,6 +49,7 @@ class MultiwayFeasibleBound(BoundingScheme):
 
     def __init__(self, *, max_cr_size: int = 500, resolution: int = 64) -> None:
         super().__init__()
+        check_cover_budget(max_cr_size, resolution)
         self.max_cr_size = max_cr_size
         self.resolution = resolution
         self._n = 0

@@ -295,9 +295,10 @@ def figure_13(
 ) -> ExperimentTable:
     """Effect of score attributes e (Figure 13); K=10, c=.5, z=.5.
 
-    At e=4 the exact-cover operators blow their time budget and are
-    reported as omitted, exactly as the paper reports ">10 hours"; a-FRPA
-    completes with HRJN*-like depth.
+    At e=4 PBRJ_FR^RR blows its time budget and is reported as omitted,
+    as the paper reports ">10 hours"; FRPA's exact covers finish but cost
+    an order of magnitude more than a-FRPA's bounded ones, which complete
+    with HRJN*-like depth.
     """
     config = config or FigureConfig(scale=0.002, num_seeds=1)
     table = _sweep(
@@ -311,8 +312,8 @@ def figure_13(
     table.notes.append(
         "expected shape: feasible-region operators win hugely at e=1 "
         "(order of magnitude), less as e grows; at e=4 exact covers "
-        "explode (capped, shown as —) while a-FRPA stays bounded and "
-        "matches HRJN*'s depth"
+        "explode (PBRJ_FR^RR capped, shown as —; FRPA an order of magnitude "
+        "slower) while a-FRPA stays bounded and matches HRJN*'s depth"
     )
     return table
 

@@ -1,10 +1,12 @@
-"""Geometric substrate: dominance relations, skylines, covers, grid trees.
+"""Geometric substrate: dominance relations, skylines, covers.
 
 These data structures implement the feasible-region machinery that the FR,
 FR* and aFR bounding schemes are built on (Sections 4 and 5 of the paper).
 ``CoverRegion`` and ``IncrementalSkyline`` are list-native: each is a
-:class:`~repro.geometry.antichain.ScoredAntichain`.  The batch forms of
-these operations live in :mod:`repro.kernels`.
+:class:`~repro.geometry.antichain.ScoredAntichain`.  The paper's grid tree
+(Section 5.1.2) is a ``CoverRegion`` with a ``resolution``: the same carve
+over observations rounded up onto the grid (:mod:`repro.geometry.cover`).
+The batch forms of these operations live in :mod:`repro.kernels`.
 """
 
 from repro.geometry.dominance import (
@@ -19,7 +21,6 @@ from repro.geometry.dominance import (
 from repro.geometry.antichain import ScoredAntichain
 from repro.geometry.skyline import IncrementalSkyline, is_skyline, skyline
 from repro.geometry.cover import CoverRegion, covers, update_cover
-from repro.geometry.gridtree import GridTree
 
 __all__ = [
     "Point",
@@ -36,5 +37,4 @@ __all__ = [
     "CoverRegion",
     "covers",
     "update_cover",
-    "GridTree",
 ]

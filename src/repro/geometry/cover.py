@@ -28,11 +28,25 @@ So the production carve never compares fresh points with survivors and
 returns a delta (kept rows plus fresh points) that :class:`CoverRegion`
 applies in place.  The loop oracle below still skylines the full union;
 ``tests/kernels/test_carve_patch.py`` is the Lemma's executable proof.
+
+**The grid is a rounding rule** (Section 5.1.2).  aFR's grid tree — marked
+cells of an ``r × … × r`` grid, each contributing its upper corner — is this
+same cover with every observation first rounded *up* onto the grid,
+``q = ⌈y·r⌉ / r`` (:func:`round_up`): ``aFR::UpdateGridCR`` unmarks the cells
+whose corner exceeds ``q`` strictly in every coordinate and slides them onto
+``q``; the carve above removes *weakly*, but a corner with a coordinate equal
+to ``q``'s is its own projection on that axis and dominates its other
+projections, so it comes straight back.  ``InitializeGridCR`` and the
+resolution drop ``L ← L − 1`` are "round the cover's own points up, skyline"
+(:meth:`CoverRegion.coarsen`).  ``r`` is a power of two, so every corner
+``k/r`` is an exact float and the two formulations agree bit for bit; the
+cell formulation lives on as the oracle in ``tests/geometry/grid_oracle.py``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from math import ceil
 
 from repro.geometry.antichain import ScoredAntichain
 from repro.geometry.dominance import (
@@ -45,6 +59,17 @@ from repro.geometry.dominance import (
 )
 from repro.geometry.skyline import skyline
 from repro.kernels.types import dimension_mismatch
+
+
+def round_up(point: Sequence[float], resolution: int) -> Point:
+    """``point`` rounded up onto the grid of ``resolution`` cells per axis.
+
+    Exact ``ceil``: the rounded vector must weakly dominate the raw one, or
+    carving it would remove feasible space (Theorem 5.1's premise).
+    """
+    return tuple(
+        min(max(ceil(v * resolution) / resolution, 0.0), 1.0) for v in point
+    )
 
 
 def covers(cover: Iterable[Sequence[float]], point: Sequence[float]) -> bool:
@@ -115,27 +140,54 @@ class CoverRegion(ScoredAntichain):
     their maximum, :attr:`best`, across carves.  The semantics are identical
     to the reference :func:`update_cover` (the test suite asserts the
     equivalence property-based).
+
+    ``resolution`` (``None``: exact; else a power of two) puts the cover on
+    the grid of that many cells per axis — the paper's grid tree at level
+    ``log2(resolution)``: observations are rounded up onto it before the
+    carve, :meth:`coarsen` moves the cover itself onto a grid, and at
+    resolution 1 the cover is pinned at ``{(1, …, 1)}``, HRJN*'s corner bound.
     """
 
-    __slots__ = ("dimension", "skyline_mode")
+    __slots__ = ("dimension", "skyline_mode", "resolution")
 
     def __init__(
-        self, dimension: int, *, skyline_mode: bool = False, score=None
+        self,
+        dimension: int,
+        *,
+        skyline_mode: bool = False,
+        score=None,
+        resolution: int | None = None,
     ) -> None:
         if dimension < 0:
             raise ValueError("dimension must be non-negative")
         super().__init__([ones(dimension)], score=score)
         self.dimension = dimension
         self.skyline_mode = skyline_mode
+        self.resolution = resolution
 
     def update(self, observed: Iterable[Sequence[float]]) -> None:
-        """Carve out the regions dominating each vector in ``observed``."""
+        """Carve out the regions dominating each vector in ``observed``
+        (``FR::UpdateCR``; on a grid, ``aFR::UpdateGridCR``)."""
+        resolution = self.resolution
+        if resolution == 1:  # one cell per axis: the corner-bound regime
+            return
         batch = [as_point(raw) for raw in observed]
         for y in batch:
             if len(y) != self.dimension:
                 raise dimension_mismatch("cover", self.dimension, len(y))
+        if resolution is not None:
+            batch = [round_up(y, resolution) for y in batch]
         if batch and self._points:
             self.carve(batch, skyline_mode=self.skyline_mode)
+
+    def coarsen(self, resolution: int) -> None:
+        """Move the cover onto the grid of ``resolution`` cells per axis:
+        its points rounded up, skylined, rescored (``aFR::InitializeGridCR``;
+        from a finer grid, the paper's ``L ← L − 1``)."""
+        self.resolution = resolution
+        self._patch(
+            [], skyline(round_up(p, resolution) for p in self._points)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CoverRegion(dim={self.dimension}, points={len(self)})"

@@ -2,28 +2,30 @@
 
 The paper's empirical finding (Figure 2(b)) is that *bound computation*
 dominates rank-join runtime.  This package is the small set of batch
-operations that computation is made of — eight plain functions
+operations that computation is made of — five plain functions
 (:data:`KERNEL_OPS`) over lists of tuples, columnar :class:`PointSet`
 storage or arrays — with one implementation per op unless numpy
 measurably wins:
 
-* ``cover_carve``, ``dominates_any``, ``skyline_filter`` and ``antichain``
-  *are* their Python loops (:mod:`repro.kernels.reference`).  The carve is
-  the one op on the FR* pull path: it answers with a *delta*
+* ``cover_carve``, ``dominates_any`` and ``skyline_filter`` *are* their
+  Python loops (:mod:`repro.kernels.reference`).  The carve is the one op
+  on the FR* pull path — aFR's grid mode included, which is the same carve
+  over observations rounded up onto the grid
+  (:mod:`repro.geometry.cover`): it answers with a *delta*
   (:func:`carve_patch`: kept row ids plus fresh points) that the geometry
   layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`
   applies in place; :func:`cover_carve` assembles it into the whole cover.
-* ``cover_corner_scores``, ``cross_product_max``, ``grid_cell_assign`` and
-  ``grid_carve`` — the bulk ops of PBRJ_FR^RR's seen columns and aFR's grid
-  mode — also have a numpy form (:mod:`repro.kernels.vectorized`, one
-  broadcast per batch, 57–89× faster on bulk, slower on a handful of rows).
-  Each call takes the numpy form from the op's size threshold up: one
-  integer comparison against the four-row table in
-  :mod:`repro.kernels.dispatch`, the only place that knows the policy.
+* ``cover_corner_scores`` and ``cross_product_max`` — the bulk ops of
+  PBRJ_FR^RR's seen columns — also have a numpy form
+  (:mod:`repro.kernels.vectorized`, one broadcast per batch, 57–89× faster
+  on bulk, slower on a handful of rows).  Each call takes the numpy form
+  from the op's size threshold up: one integer comparison against the
+  two-row table in :mod:`repro.kernels.dispatch`, the only place that
+  knows the policy.
 
-The two forms of an op are **bit-identical**: same cells, same partial
-scores (float additions happen left-to-right in both), so every
-operator-level invariant test doubles as a kernel-equivalence oracle.
+The two forms of an op are **bit-identical**: same partial scores (float
+additions happen left-to-right in both), so every operator-level invariant
+test doubles as a kernel-equivalence oracle.
 
 Selection
 ---------
@@ -65,16 +67,9 @@ from repro.kernels import reference as _loops
 from repro.kernels import vectorized as _numpy
 from repro.kernels.dispatch import set_thresholds
 from repro.kernels.pointset import PointSet
-from repro.kernels.types import (
-    Cell,
-    Point,
-    as_cell,
-    as_point,
-    ones,
-    substitute,
-)
+from repro.kernels.types import Point, as_point, ones, substitute
 
-#: The kernel operations: every one has a loop, the four named in
+#: The kernel operations: every one has a loop, the two named in
 #: :data:`repro.kernels.dispatch.SHIPPED` a numpy form as well.
 KERNEL_OPS = (
     "dominates_any",
@@ -82,9 +77,6 @@ KERNEL_OPS = (
     "cover_corner_scores",
     "cross_product_max",
     "cover_carve",
-    "grid_cell_assign",
-    "antichain",
-    "grid_carve",
 )
 
 #: Histogram boundaries for per-call kernel latencies (seconds).
@@ -185,7 +177,7 @@ def dispatch_thresholds() -> dict[str, dict[str, int]]:
 
 
 def calibrate_thresholds(*, budget: float = 0.15) -> dict[str, dict[str, int]]:
-    """Measure the four crossovers on this machine and install them, for
+    """Measure the two crossovers on this machine and install them, for
     this process only."""
     set_thresholds(_dispatch.calibrate(budget=budget))
     return dispatch_thresholds()
@@ -297,7 +289,7 @@ def _sized(fn: str, size: int, *args):
 
 
 # ----------------------------------------------------------------------
-# The eight ops
+# The five ops
 # ----------------------------------------------------------------------
 def dominates_any(points, q) -> bool:
     """True if some row of ``points`` weakly dominates ``q``."""
@@ -337,29 +329,11 @@ def cover_carve(cover, observed, *, skyline_mode: bool = False):
     return [rows[i] for i in keep] + fresh
 
 
-def grid_cell_assign(points, resolution: int):
-    """Cell containing each point (coordinates rounded up onto the grid)."""
-    return _sized("grid_cell_assign", len(points), points, resolution)
-
-
-def antichain(cells):
-    """Reduce integer grid cells to their dominance antichain."""
-    return _run("python", "antichain", _loops.antichain, cells)
-
-
-def grid_carve(cells, point, resolution: int):
-    """``aFR::UpdateGridCR`` for one vector: ``(new_cells, changed)``."""
-    return _sized("grid_carve", len(cells), cells, point, resolution)
-
-
 __all__ = [
     "BACKEND_CHOICES",
-    "Cell",
     "KERNEL_OPS",
     "Point",
     "PointSet",
-    "antichain",
-    "as_cell",
     "as_point",
     "available_backends",
     "calibrate_thresholds",
@@ -370,8 +344,6 @@ __all__ = [
     "dispatch_routes",
     "dispatch_thresholds",
     "dominates_any",
-    "grid_carve",
-    "grid_cell_assign",
     "kernel_name",
     "observe",
     "ones",

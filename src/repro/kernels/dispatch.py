@@ -1,13 +1,13 @@
-"""The routing policy: four size thresholds, and how to re-measure them.
+"""The routing policy: two size thresholds, and how to re-measure them.
 
-Four kernel ops have a numpy form beside their loop
+Two kernel ops have a numpy form beside their loop
 (:mod:`repro.kernels.vectorized`); numpy is 57–89× faster on bulk yet
 *loses* on small batches, because a broadcast pays fixed per-call overhead
 that a four-row loop never does.  :data:`table` holds, per op, the smallest
-batch the numpy form serves — rows for most ops, ``|L|·|R|`` pairs for
-``cross_product_max`` — and ``repro.kernels._sized`` is the one function
-that reads it to route a call.  The other four ops are their loops
-and have no row.
+batch the numpy form serves — rows for ``cover_corner_scores``, ``|L|·|R|``
+pairs for ``cross_product_max`` — and ``repro.kernels._sized`` is the one
+function that reads it to route a call.  The other three ops are their
+loops and have no row.
 
 The table is process state and nothing else: it starts as :data:`SHIPPED`
 (hand-set from a sweep over the probes below), :func:`set_thresholds`
@@ -32,8 +32,6 @@ NEVER = 1 << 30
 SHIPPED: dict[str, int] = {
     "cover_corner_scores": 12,
     "cross_product_max": 256,
-    "grid_cell_assign": 8,
-    "grid_carve": 64,
 }
 
 #: The live table (rebound, never mutated, by :func:`set_thresholds`).
@@ -77,12 +75,11 @@ def set_thresholds(
 # ----------------------------------------------------------------------
 # Calibration
 # ----------------------------------------------------------------------
-#: Doubling batch-size ladders; quadratic ops get capped ladders so the
-#: loop's timing stays inside the budget.
+#: Doubling batch-size ladders; the quadratic op gets a capped ladder so
+#: the loop's timing stays inside the budget.
 _DEFAULT_LADDER = (4, 16, 64, 256, 1024)
 _SIZE_LADDERS: dict[str, tuple[int, ...]] = {
     "cross_product_max": (16, 64, 256, 1024),
-    "grid_carve": (8, 32, 128, 512),
 }
 
 
@@ -105,27 +102,15 @@ def _side(n: int) -> int:
     return max(1, int(sqrt(n)))
 
 
-def _grid_carve_args(n: int) -> tuple:
-    """An ``n``-cell antichain shaped like a cover — a staircase in the
-    first two coordinates, the third free — and a step that only its two
-    middle cells dominate: a group close as production sees it."""
-    cells = [(i, n - 1 - i, (i * 7) % 11) for i in range(n)]
-    step = (n // 2, max(n - n // 2 - 2, 0), 0)
-    resolution = 1 << max(n, 16).bit_length()  # a power of two: c / r is exact
-    return cells, tuple(c / resolution for c in step), resolution
-
-
 #: op -> size -> positional argument tuple for one timed call, shaped like
-#: the calls production makes: operands are PointSets or array slices
-#: (prepared operands), a grid carve removes two cells of an antichain.
+#: the calls production makes: operands are array slices (prepared
+#: operands) or score lists.
 ARG_BUILDERS: dict[str, Callable[[int], tuple]] = {
     "cover_corner_scores": lambda n: (_point_set(n).array, (0.6, 0.3, 0.1)),
     "cross_product_max": lambda n: (
         [v / _side(n) for v in range(_side(n))],
         [v / _side(n) for v in range(_side(n))],
     ),
-    "grid_cell_assign": lambda n: (_point_set(n), 8),
-    "grid_carve": _grid_carve_args,
 }
 
 

@@ -1,14 +1,13 @@
 """The kernels as plain Python loops over canonical tuples.
 
-Four ops *are* these loops (``cover_carve``, ``dominates_any``,
-``skyline_filter``, ``antichain``: numpy never won them at any size seen);
-for the other four the loop serves the small batches and is the *semantic
-oracle* of the numpy form in :mod:`repro.kernels.vectorized`, which must
-produce bit-identical results (same point sets, same rows, same scores) —
-the property-test suite enforces it.  ``cover_carve`` is the one op on the
-FR* pull path, so it is written for speed on a list of tuples; its own
-oracle is the literal pseudo-code loop
-:func:`repro.geometry.cover.update_cover`.
+Three ops *are* these loops (``cover_carve``, ``dominates_any``,
+``skyline_filter``: numpy never won them at any size seen); for the other
+two the loop serves the small batches and is the *semantic oracle* of the
+numpy form in :mod:`repro.kernels.vectorized`, which must produce
+bit-identical results (same rows, same scores) — the property-test suite
+enforces it.  ``cover_carve`` is the one op on the FR* pull path, so it is
+written for speed on a list of tuples; its own oracle is the literal
+pseudo-code loop :func:`repro.geometry.cover.update_cover`.
 
 Floating-point discipline: partial scores are accumulated strictly
 left-to-right (``s = 0.0; s += w*x``).  The numpy forms sum the same way
@@ -17,12 +16,11 @@ left-to-right (``s = 0.0; s += w*x``).  The numpy forms sum the same way
 
 from __future__ import annotations
 
-from math import ceil
 from collections.abc import Sequence
 from operator import ge
 
 from repro.kernels.pointset import PointSet
-from repro.kernels.types import Cell, Point, as_point
+from repro.kernels.types import Point, as_point
 
 NEG_INF = float("-inf")
 
@@ -37,11 +35,6 @@ def _rows(points) -> list[Point]:
     if hasattr(points, "tolist"):  # numpy array
         return [tuple(row) for row in points.tolist()]
     return [tuple(p) for p in points]
-
-
-def _weak_dom(a: Sequence[float], b: Sequence[float]) -> bool:
-    """``a ⪰ b`` componentwise (NaN anywhere ⇒ False, like numpy ``>=``)."""
-    return all(map(ge, a, b))
 
 
 def dominates_any(points, q: Sequence[float]) -> bool:
@@ -171,78 +164,3 @@ def cover_carve(
         new.reverse()
         fresh += new
     return list(keep), fresh
-
-
-def grid_cell_assign(points, resolution: int) -> list[Cell]:
-    """Cell containing each point: coordinates rounded *up* onto the grid.
-
-    Matches ``GridTree.cell_containing``: exact ``ceil`` so float fuzz
-    can only push a corner upward (the corner keeps weakly dominating
-    the point).
-    """
-    cells: list[Cell] = []
-    for row in _rows(points):
-        cell = []
-        for value in row:
-            index = ceil(value * resolution) - 1
-            cell.append(min(max(index, 0), resolution - 1))
-        cells.append(tuple(cell))
-    return cells
-
-
-def antichain(cells) -> list[Cell]:
-    """Reduce integer cells to their dominance antichain (dedup'd).
-
-    Result is in sorted order — cell sets are order-insensitive (the
-    grid tree exposes them as a set), and sorting keeps results
-    trivially comparable.
-    """
-    unique = sorted({tuple(int(v) for v in row) for row in _rows(cells)})
-    kept = []
-    for i, cell in enumerate(unique):
-        dominated = False
-        for j, other in enumerate(unique):
-            if i != j and _weak_dom(other, cell) and other != cell:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(cell)
-    return kept
-
-
-def grid_carve(
-    cells, point: Sequence[float], resolution: int
-) -> tuple[list[Cell], bool]:
-    """``aFR::UpdateGridCR`` for one observed vector.
-
-    Returns ``(new_cells, changed)``.  The observed vector is
-    up-quantized to integer grid coordinates ``m``; a marked cell is
-    unmarked iff its corner strictly dominates the quantized point
-    (``cell >= m`` componentwise), and its replacements are the
-    single-coordinate projections onto ``m - 1``.
-    """
-    m = tuple(
-        min(max(ceil(v * resolution), 0), resolution) for v in point
-    )
-    rows = [tuple(int(v) for v in row) for row in _rows(cells)]
-    dimension = len(m)
-    removed = [c for c in rows if _weak_dom(c, m)]
-    if not removed:
-        return rows, False
-    survivors = [c for c in rows if not _weak_dom(c, m)]
-    projected: set[Cell] = set()
-    for cell in removed:
-        for axis in range(dimension):
-            slid = list(cell)
-            slid[axis] = m[axis] - 1
-            if all(coord >= 0 for coord in slid):
-                projected.add(tuple(slid))
-    # A survivor can still dominate a projection on the grid
-    # (cells=[(7,4),(5,7)], m=(2,5): fresh (5,4) sits under survivor
-    # (7,4)); the converse cannot happen over an antichain.
-    fresh = [
-        c
-        for c in antichain(sorted(projected))
-        if not any(_weak_dom(s, c) for s in survivors)
-    ]
-    return survivors + fresh, True

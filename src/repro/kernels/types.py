@@ -1,9 +1,9 @@
-"""Canonical score-vector and grid-cell types.
+"""The canonical score-vector type.
 
-This is the single home of the ``Point``/``Cell`` aliases and the tiny
-point constructors that used to be scattered across the ``geometry``
-modules.  ``repro.geometry.dominance`` and ``repro.geometry.gridtree``
-re-export everything here for backward compatibility.
+This is the single home of the ``Point`` alias and the tiny point
+constructors that used to be scattered across the ``geometry`` modules.
+``repro.geometry.dominance`` re-exports everything here for backward
+compatibility.
 
 Score vectors are plain tuples of floats in ``[0, 1]``.  Tuples are used
 for the *scalar* (one-point-at-a-time) plane because the vectors are tiny
@@ -17,17 +17,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 Point = tuple[float, ...]
-Cell = tuple[int, ...]
 
 
 def as_point(values: Sequence[float]) -> Point:
     """Normalize any sequence of floats into the canonical tuple form."""
     return tuple(map(float, values))
-
-
-def as_cell(values: Sequence[int]) -> Cell:
-    """Normalize any sequence of ints into the canonical cell form."""
-    return tuple(int(v) for v in values)
 
 
 def dimension_mismatch(kind: str, expected: int, got: int) -> ValueError:

@@ -11,6 +11,16 @@ move a depth.  ``bound_trace_golden.json`` was recorded from the commit
 (columnar ``PointSet`` storage patched through stamps), and every case runs
 under all three kernel selections.
 
+The ``GRID`` keys pin the regime those runs only graze: a-FRPA with both
+covers (or the wide one) living on the grid for most of the query —
+ROADMAP item 1's acceptance rows (TPC-H e=3 / e=4 at scale 0.002: 6 162 /
+7 121 pulls), the same two ``e`` under a 64-point budget, and the routing
+golden's staircase instance entering at resolution 1 024 — plus the final
+``cover_resolutions``.  They were recorded from the last commit whose grid
+mode was the paper's cell formulation (``GridTree`` over integer cells),
+before it became the exact carve over rounded observations, and run under
+``auto`` only: grid mode has one form.
+
 Re-record only from a commit whose bounds you trust::
 
     PYTHONPATH=<that>/src python tests/core/test_bound_trace_golden.py
@@ -24,6 +34,11 @@ import pytest
 
 from repro.core.operators import make_operator
 from repro.core.stepping import PENDING
+from repro.data.workload import (
+    WorkloadParams,
+    anti_correlated_instance,
+    lineitem_orders_instance,
+)
 from repro.kernels import use_backend
 
 from test_bound_golden import GOLDEN, INSTANCES  # same directory, no package
@@ -34,11 +49,36 @@ KEYS = sorted(GOLDEN, key=str)
 KERNELS = ("auto", "python", "numpy")
 
 
+def _tpch(e, scale, seed):
+    return lambda: lineitem_orders_instance(
+        WorkloadParams(e=e, scale=scale, seed=seed))
+
+
+#: key -> (instance, a-FRPA options, pulls, final cover_resolutions).
+GRID = {
+    "grid tpch_e3 scale=0.002": (_tpch(3, 0.002, 0), {}, 6162, (64, None)),
+    "grid tpch_e4 scale=0.002": (_tpch(4, 0.002, 0), {}, 7121, (8, 16)),
+    "grid tpch_e3 scale=0.001 budget=64": (
+        _tpch(3, 0.001, 1), {"max_cr_size": 64}, 3766, (8, 8)),
+    "grid tpch_e4 scale=0.001 budget=64": (
+        _tpch(4, 0.001, 1), {"max_cr_size": 64}, 3995, (4, 4)),
+    "grid staircases budget=70 resolution=1024": (
+        lambda: anti_correlated_instance(
+            n_left=600, n_right=600, num_keys=60, k=10, seed=1),
+        {"max_cr_size": 70, "resolution": 1024}, 606, (128, 256)),
+}
+
+
 def trace(key):
-    """One line per pull, in pull order, up to the instance's top-K."""
-    instance_name, operator_name, budget = key
-    instance = INSTANCES[instance_name]()
-    kwargs = {} if budget is None else {"max_cr_size": budget}
+    """One line per pull, in pull order, up to the instance's top-K; and
+    the bound that produced them."""
+    if key in GRID:
+        build, kwargs = GRID[key][:2]
+        instance, operator_name = build(), "a-FRPA"
+    else:
+        instance_name, operator_name, budget = key
+        instance = INSTANCES[instance_name]()
+        kwargs = {} if budget is None else {"max_cr_size": budget}
     operator = make_operator(operator_name, instance, **kwargs)
     bound = operator.bound_scheme
     depths, lines, results = [0, 0], [], 0
@@ -58,16 +98,19 @@ def trace(key):
             break
         if outcome is not PENDING:
             results += 1
-    return lines
+    return lines, bound
 
 
 def summary(key):
-    lines = trace(key)
-    return {
+    lines, bound = trace(key)
+    digest = {
         "pulls": len(lines),
         "last": lines[-1],
         "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
     }
+    if key in GRID:
+        digest["resolutions"] = list(bound.cover_resolutions)
+    return digest
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +125,23 @@ def test_per_pull_trace_matches_parent(golden, key, kernel):
         assert summary(key) == golden[str(key)]
 
 
+@pytest.mark.parametrize("key", sorted(GRID))
+def test_grid_regime_trace_matches_parent(golden, key):
+    _, _, pulls, resolutions = GRID[key]
+    measured = summary(key)
+    assert measured == golden[key]
+    assert measured["pulls"] == pulls
+    assert tuple(measured["resolutions"]) == resolutions
+
+
 def test_every_depth_golden_key_has_a_trace(golden):
-    assert sorted(golden) == sorted(str(key) for key in KEYS)
+    assert sorted(golden) == sorted([str(key) for key in KEYS] + list(GRID))
     for key in KEYS:
         assert golden[str(key)]["pulls"] == sum(GOLDEN[key][:2])
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(
-        json.dumps({str(key): summary(key) for key in KEYS}, indent=1) + "\n"
-    )
-    print(f"recorded {len(KEYS)} traces -> {GOLDEN_PATH}")
+    GOLDEN_PATH.write_text(json.dumps(
+        {str(key): summary(key) for key in KEYS + sorted(GRID)}, indent=1
+    ) + "\n")
+    print(f"recorded {len(KEYS) + len(GRID)} traces -> {GOLDEN_PATH}")

@@ -1,12 +1,11 @@
-"""Property tests: the vectorized CoverRegion matches the reference code,
-and the grid tree converges to the exact cover as resolution grows."""
+"""Property tests: the list-native CoverRegion matches the reference code,
+and a cover on the grid is the exact cover of the rounded observations."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.cover import CoverRegion, covers, update_cover
 from repro.geometry.dominance import dominates, ones
-from repro.geometry.gridtree import GridTree
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 vec2 = st.tuples(unit, unit)
@@ -51,45 +50,43 @@ class TestCoverRegionVsReference:
         assert sorted(region.points) == sorted(reference)
 
 
+def _pair(observed, resolution):
+    """The exact cover and the cover on the ``resolution`` grid, both carved
+    with ``observed`` one vector at a time."""
+    region = CoverRegion(2, skyline_mode=True)
+    grid = CoverRegion(2, skyline_mode=True, resolution=resolution)
+    for y in observed:
+        region.update([y])
+        grid.update([y])
+    return region, grid
+
+
 class TestGridTreeVsExactCover:
     @given(st.lists(grid_vec2, min_size=1, max_size=8), grid_vec2)
     @settings(max_examples=120, deadline=None)
     def test_grid_equals_exact_on_grid_aligned_data(self, observed, probe):
-        """With grid-aligned observations and probes, grid covering differs
-        from the exact cover only where the exact carve uses weak dominance
-        and the grid uses strict — the grid is never tighter."""
-        tree = GridTree(2, 8)
-        region = CoverRegion(2, skyline_mode=True)
-        for y in observed:
-            tree.update(y)
-            region.update([y])
-        if region.covers(probe):
-            assert tree.covers(probe)
+        """Grid-aligned observations round onto themselves: the grid cover
+        *is* the exact cover, point for point."""
+        region, grid = _pair(observed, 8)
+        assert grid.points == region.points
+        assert grid.covers(probe) == region.covers(probe)
 
     @given(st.lists(vec2, min_size=1, max_size=8), vec2)
     @settings(max_examples=100, deadline=None)
     def test_grid_cover_is_superset_of_exact(self, observed, probe):
         """Quantization only loosens: anything exactly covered stays
         grid-covered at any resolution."""
-        region = CoverRegion(2, skyline_mode=True)
-        tree = GridTree(2, 16)
-        for y in observed:
-            region.update([y])
-            tree.update(y)
+        region, grid = _pair(observed, 16)
         if region.covers(probe):
-            assert tree.covers(probe)
+            assert grid.covers(probe)
 
     @given(st.lists(grid_vec2, min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_feasible_probes_always_covered_both(self, observed):
         probes = [(i / 4, j / 4) for i in range(5) for j in range(5)]
-        region = CoverRegion(2, skyline_mode=True)
-        tree = GridTree(2, 8)
-        for y in observed:
-            region.update([y])
-            tree.update(y)
+        region, grid = _pair(observed, 8)
         for probe in probes:
             feasible = not any(dominates(probe, y) for y in observed)
             if feasible:
                 assert region.covers(probe)
-                assert tree.covers(probe)
+                assert grid.covers(probe)

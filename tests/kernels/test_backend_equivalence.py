@@ -5,9 +5,9 @@ pure-Python reference and each comparison kernel — ``numpy`` and the
 size-aware ``auto`` dispatcher, which must be bit-identical *by
 construction* no matter which tier each call lands on.
 Dominance tests, skyline index lists, partial scores (exact float
-equality — all tiers accumulate left-to-right), cover carves and grid
-ops must agree.  Dimensions e ∈ {2, 3, 4}, duplicate rows, and the 0/1
-boundary coordinates are all drawn deliberately.
+equality — all tiers accumulate left-to-right) and cover carves must
+agree.  Dimensions e ∈ {2, 3, 4}, duplicate rows, and the 0/1 boundary
+coordinates are all drawn deliberately.
 """
 
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ from repro.kernels import PointSet, use_backend
 COMPARE = ["numpy", "auto"]
 
 # Boundary values 0.0 and 1.0 are drawn often: they exercise the cover
-# carve's corner substitutions and the grid's edge cells.
+# carve's corner substitutions.
 coord = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
     st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
@@ -46,10 +46,6 @@ def point_sets(dims=(2, 3, 4), min_size=0, max_size=24):
 
 def _floats(values):
     return [float(v) for v in values]
-
-
-def _cells(cells):
-    return sorted(tuple(int(c) for c in cell) for cell in cells)
 
 
 def _points(points):
@@ -136,33 +132,6 @@ class TestCoverOps:
             _points, kernels.cover_carve, [kernels.ones(e)], observed
         )
         check(bool, kernels.dominates_any, list(carved), probe)
-
-
-class TestGridOps:
-    resolutions = st.sampled_from([1, 2, 4, 8, 64])
-
-    @given(point_sets(min_size=1, max_size=16), resolutions)
-    @settings(max_examples=150, deadline=None)
-    def test_grid_cell_assign_equal(self, points, resolution):
-        # Per-row assignment: order is meaningful, compare positionally.
-        check(
-            lambda cells: [tuple(int(c) for c in cell) for cell in cells],
-            kernels.grid_cell_assign, points, resolution,
-        )
-
-    @given(point_sets(min_size=2, max_size=10), resolutions, st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_grid_carve_same_cells_and_flag(self, points, resolution, data):
-        e = len(points[0])
-        vector = data.draw(st.tuples(*([coord] * e)))
-        with use_backend("python"):
-            cells = kernels.antichain(
-                kernels.grid_cell_assign(points, resolution)
-            )
-        check(
-            lambda out: (_cells(out[0]), bool(out[1])),
-            kernels.grid_carve, cells, vector, resolution,
-        )
 
 
 class TestStructureUsesKernels:

@@ -1,4 +1,4 @@
-"""Routing: four size thresholds, one selection knob, counters by form.
+"""Routing: two size thresholds, one selection knob, counters by form.
 
 * the threshold table — :func:`~repro.kernels.set_thresholds` (partial,
   strict), the explicit :func:`~repro.kernels.calibrate_thresholds`;
@@ -50,10 +50,6 @@ def _points(n, e=2):
     return [((i % 9 + 1) / 10.0,) * e for i in range(n)]
 
 
-def _staircase(n):
-    return [(i, n - 1 - i) for i in range(n)]
-
-
 def _counted(call, kernel="auto"):
     """``{(kernel, fn): calls}`` of one call under one selection."""
     metrics = MetricRegistry()
@@ -83,16 +79,6 @@ SHIPPED = {
         lambda: kernels.cross_product_max([0.5] * 15, [0.25] * 17),
         lambda: kernels.cross_product_max([0.5] * 16, [0.25] * 16),
     ),
-    "grid_cell_assign": (
-        8,
-        lambda: kernels.grid_cell_assign(_points(7), 8),
-        lambda: kernels.grid_cell_assign(_points(8), 8),
-    ),
-    "grid_carve": (
-        64,
-        lambda: kernels.grid_carve(_staircase(63), (0.5, 0.5), 64),
-        lambda: kernels.grid_carve(_staircase(64), (0.5, 0.5), 64),
-    ),
 }
 
 #: The ops that are their loops, on batches past any threshold there was.
@@ -100,8 +86,11 @@ ONE_FORM = {
     "dominates_any": lambda: kernels.dominates_any(_points(600), (0.95, 0.95)),
     "skyline_filter": lambda: kernels.skyline_filter(_points(600)),
     "cover_carve": lambda: kernels.cover_carve(_points(600), [(0.5, 0.5)]),
-    "antichain": lambda: kernels.antichain(_staircase(600)),
 }
+
+#: The cell plane's ops, retired when grid mode became the exact carve over
+#: rounded observations: no such op, so no threshold either.
+RETIRED = ("antichain", "grid_carve", "grid_cell_assign")
 
 
 # ----------------------------------------------------------------------
@@ -117,19 +106,19 @@ class TestThresholds:
             **{op: [(size, "numpy"), (0, "python")]
                for op, (size, _, _) in SHIPPED.items()},
         }
-        assert len(kernels.KERNEL_OPS) == 8
+        assert len(kernels.KERNEL_OPS) == 5
 
     def test_set_thresholds_partial_override(self):
-        kernels.set_thresholds({"grid_carve": {"numpy": 7}})
+        kernels.set_thresholds({"cross_product_max": {"numpy": 7}})
         table = kernels.dispatch_thresholds()
-        assert table["grid_carve"] == {"numpy": 7}
+        assert table["cross_product_max"] == {"numpy": 7}
         # Unnamed cells keep their shipped value.
         assert table["cover_corner_scores"] == {"numpy": 12}
 
     @pytest.mark.parametrize("restore", [{}, None])
     def test_empty_and_none_restore_the_shipped_table(self, restore):
         shipped = kernels.dispatch_thresholds()
-        kernels.set_thresholds({"grid_carve": {"numpy": 7}})
+        kernels.set_thresholds({"cross_product_max": {"numpy": 7}})
         kernels.set_thresholds(restore)
         assert kernels.dispatch_thresholds() == shipped
 
@@ -137,21 +126,21 @@ class TestThresholds:
         with pytest.raises(ValueError, match="'cover_crave'"):
             kernels.set_thresholds({"cover_crave": {"numpy": 1}})
 
-    @pytest.mark.parametrize("op", sorted(ONE_FORM))
+    @pytest.mark.parametrize("op", sorted({*ONE_FORM, *RETIRED}))
     def test_one_form_op_rejected(self, op):
         with pytest.raises(ValueError, match=repr(op)):
             kernels.set_thresholds({op: {"numpy": 1}})
 
     def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match=r"grid_carve\.numba"):
-            kernels.set_thresholds({"grid_carve": {"numba": 1}})
+        with pytest.raises(ValueError, match=r"cross_product_max\.numba"):
+            kernels.set_thresholds({"cross_product_max": {"numba": 1}})
 
     @pytest.mark.parametrize("size", [-1, 2.5, "64", None, True])
     def test_size_must_be_a_non_negative_integer(self, size):
-        with pytest.raises(ValueError, match=r"grid_carve\.numpy"):
-            kernels.set_thresholds({"grid_carve": {"numpy": size}})
+        with pytest.raises(ValueError, match=r"cross_product_max\.numpy"):
+            kernels.set_thresholds({"cross_product_max": {"numpy": size}})
         # A refused table installs nothing.
-        assert kernels.dispatch_thresholds()["grid_carve"] == {"numpy": 64}
+        assert kernels.dispatch_thresholds()["cross_product_max"] == {"numpy": 256}
 
     def test_calibrate_measures_every_op(self):
         measured = dispatch.calibrate(budget=1.0)
@@ -168,10 +157,11 @@ class TestThresholds:
 
     def test_calibrate_thresholds_installs_what_it_measured(self, monkeypatch):
         monkeypatch.setattr(
-            dispatch, "calibrate", lambda budget: {"grid_carve": {"numpy": 9}}
+            dispatch, "calibrate",
+            lambda budget: {"cross_product_max": {"numpy": 9}},
         )
-        assert kernels.calibrate_thresholds()["grid_carve"] == {"numpy": 9}
-        assert kernels.dispatch_routes()["grid_carve"][0] == (9, "numpy")
+        assert kernels.calibrate_thresholds()["cross_product_max"] == {"numpy": 9}
+        assert kernels.dispatch_routes()["cross_product_max"][0] == (9, "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +182,6 @@ class TestAutoDispatcher:
             for op, call in {
                 "cover_corner_scores": lambda: kernels.cover_corner_scores(_points(n)),
                 "cross_product_max": lambda: kernels.cross_product_max([0.5] * n, [0.25]),
-                "grid_cell_assign": lambda: kernels.grid_cell_assign(_points(n), 8),
-                "grid_carve": lambda: kernels.grid_carve(_staircase(n), (0.5, 0.5), 8),
             }.items():
                 assert _counted(call) == {("python", op): 1}, n
 
@@ -205,13 +193,13 @@ class TestAutoDispatcher:
         assert kernels.dispatch_routes()["cover_corner_scores"] == [(0, "python")]
 
     def test_threshold_change_rebuilds_live_routes(self):
-        def carve():
-            kernels.grid_carve(_staircase(10), (0.5, 0.5), 16)
+        def score():
+            kernels.cover_corner_scores(_points(10))
 
-        kernels.set_thresholds({"grid_carve": {"numpy": 5}})
-        assert _counted(carve) == {("numpy", "grid_carve"): 1}
-        kernels.set_thresholds({"grid_carve": {"numpy": NEVER}})
-        assert _counted(carve) == {("python", "grid_carve"): 1}
+        kernels.set_thresholds({"cover_corner_scores": {"numpy": 5}})
+        assert _counted(score) == {("numpy", "cover_corner_scores"): 1}
+        kernels.set_thresholds({"cover_corner_scores": {"numpy": NEVER}})
+        assert _counted(score) == {("python", "cover_corner_scores"): 1}
 
     def test_cross_product_sizer_multiplies(self):
         kernels.set_thresholds({"cross_product_max": {"numpy": 100}})
@@ -280,19 +268,20 @@ def _small():
 
 #: ``{(kernel, fn): calls}`` of one top-10, recorded from PR 19 (the last
 #: commit with the registry and the dispatchers) under ``set_thresholds({})``:
-#: (operator, instance, operator options) -> counters.
+#: (operator, instance, operator options) -> counters.  The grid row was
+#: restated when the cell plane went (361 ``cover_carve`` + 243 ``grid_carve``
+#: + 2 ``grid_cell_assign`` + 7 ``antichain`` before, same 606 pulls).
 OPERATOR_CALLS = [
     ("FRPA", _cold_fr2, {}, {("python", "cover_carve"): 380}),
     ("HRJN*", _cold_fr2, {}, {}),
     ("a-FRPA", _cold_frwide, {}, {("python", "cover_carve"): 824}),
-    # Both covers outgrow 70 points and move onto the grid, whose carves
-    # land on either side of the 64-cell threshold.
+    # Both covers outgrow 70 points and move onto the grid (1024 → 128 and
+    # 1024 → 256): still one carve per non-empty group close — 606 pulls,
+    # the first on each side closes nothing — plus one skyline per move onto
+    # a coarser grid (4 + 3), and nothing on numpy.
     ("a-FRPA", _staircases, {"max_cr_size": 70, "resolution": 1024}, {
-        ("python", "antichain"): 7,
-        ("python", "cover_carve"): 361,
-        ("numpy", "grid_carve"): 145,
-        ("python", "grid_carve"): 98,
-        ("numpy", "grid_cell_assign"): 2,
+        ("python", "cover_carve"): 604,
+        ("python", "skyline_filter"): 7,
     }),
     ("PBRJ_FR^RR", _small, {}, {
         ("python", "cover_carve"): 111,
@@ -360,7 +349,6 @@ from repro import kernels
 from repro.core.naive import naive_top_k
 from repro.core.operators import make_operator
 from repro.data.workload import anti_correlated_instance
-from repro.obs.metrics import MetricRegistry
 
 
 def unasked(*args, **kwargs):
@@ -373,10 +361,8 @@ instance = anti_correlated_instance(
     n_left=200, n_right=200, num_keys=20, k=10, seed=1)
 oracle = [r.score for r in naive_top_k(
     instance.left.tuples, instance.right.tuples, instance.scoring, 10)]
-metrics = MetricRegistry()
-kernels.observe(metrics)
-answers = [
-    [r.score for r in make_operator(name, instance, **options).top_k(10)] == oracle
+operators = [
+    make_operator(name, instance, **options)
     for name, options in (
         ("FRPA", {}),
         ("a-FRPA", {"max_cr_size": 8, "resolution": 64}),
@@ -384,10 +370,10 @@ answers = [
     )
 ]
 print(json.dumps({
-    "answers": answers, "before": before,
+    "answers": [[r.score for r in op.top_k(10)] == oracle for op in operators],
+    "before": before,
     "after": kernels.dispatch_thresholds(), "routes": repro.dispatch_routes(),
-    "grid_carves": metrics.value("kernel_calls_total",
-                                 kernel="python", fn="grid_carve"),
+    "cover_modes": operators[1].bound_scheme.cover_modes,
 }))
 """
 
@@ -424,8 +410,8 @@ def test_a_fresh_process_reads_writes_and_times_nothing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["answers"] == [True, True, True]
-    assert report["grid_carves"]  # the a-FRPA run did move onto the grid
+    assert report["cover_modes"] == ["grid", "grid"]  # a-FRPA did move over
     shipped = {op: {"numpy": size} for op, (size, _, _) in SHIPPED.items()}
     assert report["before"] == report["after"] == shipped
-    assert report["routes"]["grid_carve"] == [[64, "numpy"], [0, "python"]]
+    assert report["routes"]["cross_product_max"] == [[256, "numpy"], [0, "python"]]
     assert _tree(tmp_path) == found  # decoy byte-identical, nothing new

@@ -86,22 +86,30 @@ class TestOperatorMetrics:
         assert choices >= op.pulls
 
     def test_afr_gridtree_metrics(self):
-        # Tiny cover budget forces the exact → grid transfer + drops.
-        inst = lineitem_orders_instance(PARAMS)
-        obs = Observability()
-        op = make_operator(
-            "a-FRPA", inst, obs=obs, max_cr_size=4, resolution=8,
-        )
-        op.top_k(5)
-        transfers = metrics_value(obs, "cover_grid_transfers_total", op="a-FRPA")
-        assert transfers >= 1
-        snapshot = {
-            (r["name"], tuple(sorted(r["labels"].items()))): r
-            for r in obs.metrics.snapshot()
-        }
-        gauges = [r for (name, _), r in snapshot.items()
-                  if name == "gridtree_resolution"]
-        assert gauges and all(g["value"] >= 1 for g in gauges)
+        # Tiny cover budgets force the exact → grid transfer and then
+        # halvings — several inside one update, the hand-over's included
+        # (the last two runs counted 4 of 6 and 4 of 5 a side when an update
+        # added at most one): drops == log2(initial / final), per side.
+        for params, initial, budget, final in (
+            (PARAMS, 8, 4, 4),
+            (WorkloadParams(e=2, scale=0.0005, seed=0), 1024, 16, 16),
+            (WorkloadParams(e=3, scale=0.001, seed=1), 64, 8, 2),
+        ):
+            inst = lineitem_orders_instance(params)
+            obs = Observability()
+            op = make_operator(
+                "a-FRPA", inst, obs=obs, max_cr_size=budget, resolution=initial,
+            )
+            op.top_k(inst.k)
+            assert metrics_value(
+                obs, "cover_grid_transfers_total", op="a-FRPA") == 2
+            assert op.bound_scheme.cover_resolutions == (final, final)
+            for side in ("left", "right"):
+                assert metrics_value(
+                    obs, "gridtree_resolution", op="a-FRPA", side=side) == final
+                drops = metrics_value(
+                    obs, "gridtree_resolution_drops_total", op="a-FRPA", side=side)
+                assert 2 ** drops == initial // final
 
 
 class TestDisabledOverhead:
