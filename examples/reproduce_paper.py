@@ -1,63 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate every evaluation figure of the paper in one go.
+"""Regenerate the paper's evaluation in one go: ``python -m repro figures``.
 
-Prints the series for Figures 2, 10, 11, 12, 13, 14, 15 plus the skew
-sweep and the Section 5.1.1 cover ablation.  This is the same code the
-benchmark suite runs; here it is packaged as a single script for quick
-inspection.  Expect a few minutes of runtime with the default (reduced)
-data scale.
+Every registered experiment (Figures 2, 10-15, the skew sweep, the
+ablations and the extension studies) at the config its committed table
+under ``benchmarks/results/`` was produced with, each table followed by its
+checked shape claims (``--check``).  Arguments are the ``figures``
+subcommand's own:
 
-Run:  python examples/reproduce_paper.py [--quick]
+Run:  python examples/reproduce_paper.py [names] [--scale S --seeds N]
+      python examples/reproduce_paper.py 2 12 --scale 0.002 --seeds 1
+
+Expect 7-10 minutes for the full set at the registry configs.
 """
 
-import argparse
-import time
+import sys
 
-from repro.experiments import (
-    FigureConfig,
-    ablation_cover,
-    ablation_pulling,
-    figure_02,
-    figure_10,
-    figure_11,
-    figure_12,
-    figure_13,
-    figure_14,
-    figure_15,
-    skew_sweep,
-)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller data scale and one seed (roughly 4x faster)",
-    )
-    args = parser.parse_args()
-
-    config = FigureConfig(scale=0.002, num_seeds=1) if args.quick else None
-    experiments = [
-        ("Figure 2", lambda: figure_02(config)),
-        ("Figure 10", lambda: figure_10(config)),
-        ("Figure 11", lambda: figure_11(config)),
-        ("Figure 12", lambda: figure_12(config)),
-        ("Figure 13", lambda: figure_13(config)),
-        ("Figure 14", lambda: figure_14(config)),
-        ("Figure 15", lambda: figure_15(config)),
-        ("Skew sweep", lambda: skew_sweep(config)),
-        ("Cover ablation", lambda: ablation_cover(config)),
-        ("Pulling ablation", lambda: ablation_pulling(config)),
-    ]
-    for label, runner in experiments:
-        start = time.perf_counter()
-        table = runner()
-        elapsed = time.perf_counter() - start
-        print()
-        print(table.render())
-        print(f"[{label} regenerated in {elapsed:.1f}s]")
-
+from repro.__main__ import main
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(["figures", "--check", *sys.argv[1:]]))

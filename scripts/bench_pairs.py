@@ -17,6 +17,11 @@ parent's own inter-quartile distance; ``worse`` is a median past the
 metric's bound in ``BENCHMARK.json``; anything else is ``-``.  Nothing is
 written under either checkout but what the harness itself leaves in its
 ``.work/``.
+
+``--record PATH`` appends one JSON line per workload to a trajectory file
+(the committed one is ``benchmarks/results/trajectory.jsonl``):
+``{workload, parent_sha, change_sha, pairs, seed0, seconds, metrics: {name:
+{parent: [q1, median, q3], change: [q1, median, q3], wins}}}``.
 """
 
 from __future__ import annotations
@@ -53,21 +58,44 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(name: str, spec: dict, parent: list[float], change: list[float]) -> str:
+def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
+    """Both sides' ``[q1, median, q3]`` and the pairs the change won / lost."""
     lower = spec.get("better", "lower") == "lower"
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-    losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
-    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    return {
+        "parent": list(quartiles(parent)),
+        "change": list(quartiles(change)),
+        "wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+        "losses": sum((c > p) if lower else (c < p) for p, c in zip(parent, change)),
+    }
+
+
+def summarise(name: str, spec: dict, pairs: int, compared: dict) -> str:
+    lower = spec.get("better", "lower") == "lower"
+    (p1, pm, p3), (c1, cm, c3) = compared["parent"], compared["change"]
+    wins, losses = compared["wins"], compared["losses"]
     better = cm < pm if lower else cm > pm
     verdict = "-"
-    if better and wins >= 0.9 * len(parent) and abs(cm - pm) > p3 - p1:
+    if better and wins >= 0.9 * pairs and abs(cm - pm) > p3 - p1:
         verdict = "gain"
     bound = spec.get("bound")
     if bound is not None and not better and abs(cm - pm) > bound * abs(pm):
         verdict = "worse"
     return (f"  {name:28s} parent {pm:10.4g} [{p1:.4g}, {p3:.4g}]   "
             f"change {cm:10.4g} [{c1:.4g}, {c3:.4g}]   "
-            f"wins {wins}/{len(parent)} (lost {losses})  {verdict}")
+            f"wins {wins}/{pairs} (lost {losses})  {verdict}")
+
+
+def checkout_sha(checkout: Path) -> str:
+    """Short HEAD sha, ``-dirty`` if the tree differs; ``unknown`` outside git."""
+    def git(*command: str) -> str | None:
+        done = subprocess.run(["git", *command], cwd=checkout,
+                              capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    sha = git("rev-parse", "--short", "HEAD")
+    if sha is None:
+        return "unknown"
+    return sha + ("-dirty" if git("status", "--porcelain") else "")
 
 
 def main(argv=None) -> int:
@@ -83,6 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="0: end-to-end metrics, 1: per-layer metrics")
     parser.add_argument("--out", type=Path, help="write every run's metrics here")
+    parser.add_argument("--record", type=Path,
+                        help="append one trajectory line per workload here")
     args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -105,6 +135,7 @@ def main(argv=None) -> int:
         if args.out:  # after every workload: a long session loses nothing
             args.out.write_text(json.dumps(runs, indent=1) + "\n")
 
+    shas = {side: checkout_sha(path) for side, path in sides.items()}
     for workload in workloads:
         print(f"\n{workload}  ({args.pairs} pairs, seeds {args.seed0}.."
               f"{args.seed0 + args.pairs - 1}, {seconds:g} s, trace {args.trace})")
@@ -113,6 +144,7 @@ def main(argv=None) -> int:
             print(f"  {side}: failed {sum(r['failed'] for r in results)}"
                   f"/{sum(r['attempted'] for r in results)} operations, "
                   f"{sum(not r['correct'] for r in results)} incorrect runs")
+        compared = {}
         for name, spec in specs.items():
             columns = [
                 [r["metrics"][name]["value"] for r in runs[workload][side]
@@ -120,7 +152,20 @@ def main(argv=None) -> int:
                 for side in ("parent", "change")
             ]
             if columns[0] and len(columns[0]) == len(columns[1]):
-                print(summarise(name, spec, *columns))
+                compared[name] = compare(spec, *columns)
+                print(summarise(name, spec, len(columns[0]), compared[name]))
+        if args.record:
+            row = {
+                "workload": workload,
+                "parent_sha": shas["parent"], "change_sha": shas["change"],
+                "pairs": args.pairs, "seed0": args.seed0, "seconds": seconds,
+                "metrics": {
+                    name: {key: c[key] for key in ("parent", "change", "wins")}
+                    for name, c in compared.items()
+                },
+            }
+            with args.record.open("a") as handle:
+                handle.write(json.dumps(row) + "\n")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Commands
 --------
-``figures``   regenerate one or all of the paper's evaluation figures
+``figures``   run registered experiments (the paper's figures, ablations,
+              extensions); ``--check`` evaluates their shape claims,
+              ``--out`` rewrites the committed tables
 ``run``       run one operator on a synthetic workload and report metrics
 ``compare``   run every operator on one workload and tabulate the results
 ``trace``     run one operator with full observability and print the
@@ -27,32 +29,20 @@ offline analysis.
 from __future__ import annotations
 
 import argparse
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro import kernels
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS
 from repro.data.workload import WorkloadParams, lineitem_orders_instance, load_workload
 from repro.errors import ReproError
-from repro.experiments import figures as figure_module
-from repro.experiments.figures import FigureConfig
 from repro.experiments.harness import run_comparison, run_operator
+from repro.experiments.registry import EXPERIMENTS, Experiment
 from repro.experiments.report import ExperimentTable
 from repro.obs import JsonlExporter, Observability
 from repro.stats.trace import BoundTrace
-
-FIGURES = {
-    "2": figure_module.figure_02,
-    "10": figure_module.figure_10,
-    "11": figure_module.figure_11,
-    "12": figure_module.figure_12,
-    "13": figure_module.figure_13,
-    "14": figure_module.figure_14,
-    "15": figure_module.figure_15,
-    "skew": figure_module.skew_sweep,
-    "ablation-cover": figure_module.ablation_cover,
-    "ablation-pulling": figure_module.ablation_pulling,
-}
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +116,8 @@ def _build_obs(args: argparse.Namespace, command: str) -> Observability | None:
         return None
     obs = Observability(exporters=[JsonlExporter(args.obs_out)])
     obs.meta(command=command, argv={
-        k: v for k, v in vars(args).items() if k != "func" and v is not None
+        k: v for k, v in vars(args).items()
+        if k not in ("func", "raw_argv") and v is not None
     })
     return obs
 
@@ -139,30 +130,73 @@ def _finish_obs(obs: Observability | None, args: argparse.Namespace) -> None:
         print(f"observability events appended to {args.obs_out}")
 
 
+def _provenance(argv: list[str]) -> str:
+    """``provenance: <HEAD sha>[-dirty] · <command>``; dirty = the package
+    source differs from HEAD; ``unknown`` outside a git checkout."""
+    def git(*command: str) -> str:
+        done = subprocess.run(["git", *command], cwd=Path(__file__).parent,
+                              capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else ""
+
+    sha = git("rev-parse", "--short", "HEAD") or "unknown"
+    dirty = "-dirty" if git("status", "--porcelain", "--", ".") else ""
+    return f"provenance: {sha}{dirty} · python -m repro {' '.join(argv)}"
+
+
+def _check(name: str, experiment: Experiment, table: ExperimentTable,
+           at_registry_config: bool) -> int:
+    """Print one line per shape claim; return how many FAILED."""
+    failed = 0
+    for claim in experiment.expectations:
+        if claim.committed and not at_registry_config:
+            verdict = "skipped (needs the registry config)"
+        elif claim.holds(table):
+            verdict = "ok"
+        elif claim.not_reproduced:
+            verdict = f"not reproduced ({claim.not_reproduced})"
+        else:
+            verdict = "FAILED"
+            failed += 1
+        print(f"check [{name}] {claim.name}: {verdict}")
+    return failed
+
+
 def cmd_figures(args: argparse.Namespace) -> int:
     requested = args.name or ["all"]
-    names = list(FIGURES) if "all" in requested else list(requested)
+    names = list(EXPERIMENTS) if "all" in requested else list(requested)
     # Validate every requested name before doing any work: rejecting
     # mid-loop would leave earlier figures already run and printed.
-    unknown = [name for name in names if name not in FIGURES]
+    unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
-        for name in unknown:
-            print(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
+        print(f"error: unknown figure {', '.join(map(repr, unknown))}; "
+              f"choose from {list(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    config = FigureConfig(
-        scale=args.scale, num_seeds=args.seeds, algorithm=args.algorithm
-    )
-    if config.algorithm == "anyk" and "all" in requested:
-        # Only the operator-comparison figures have an any-k leg; the
-        # PBRJ-internal ones (strategy/cover ablations) stay pbrj-only.
-        names = [n for n in names if n in figure_module.ANYK_FIGURES]
+    if args.algorithm == "anyk":
+        if args.check:
+            print("error: --check evaluates the paper's operators; "
+                  "drop --algorithm anyk", file=sys.stderr)
+            return 2
+        if "all" in requested:
+            # Only the operator-comparison figures have an any-k leg.
+            names = [n for n in names if EXPERIMENTS[n].anyk]
+    overrides = {
+        key: value
+        for key, value in (("scale", args.scale), ("num_seeds", args.seeds))
+        if value is not None
+    }
     obs = _build_obs(args, "figures")
+    provenance = _provenance(args.raw_argv) if args.out else None
+    failed = 0
     for name in names:
-        table: ExperimentTable = FIGURES[name](config)
+        experiment = EXPERIMENTS[name]
+        config = replace(experiment.config, algorithm=args.algorithm, **overrides)
+        table = experiment.run(config)
         if obs is not None:
             obs.event("figure", figure=name, table=table.to_dict())
         print()
         print(table.render())
+        if args.check:
+            failed += _check(name, experiment, table, config == experiment.config)
         if args.chart:
             numeric = [
                 h for h in table.headers[1:]
@@ -174,10 +208,15 @@ def cmd_figures(args: argparse.Namespace) -> int:
         if args.out:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            stem = name.replace("-", "_")
-            table.save(out_dir / f"figure_{stem}.{args.format}")
+            path = out_dir / f"{experiment.out_stem}.{args.format}"
+            table.save(path)
+            if args.format == "txt":
+                with path.open("a") as handle:
+                    handle.write(provenance + "\n")
     _finish_obs(obs, args)
-    return 0
+    if failed:
+        print(f"error: {failed} shape claim(s) FAILED", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _run_sharded(args: argparse.Namespace, instance, obs, operator=None) -> int:
@@ -527,7 +566,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
     print(f"repro {__version__} — SIGMOD 2009 rank join reproduction")
     print(f"operators : {', '.join(sorted(OPERATORS))}")
-    print(f"figures   : {', '.join(sorted(FIGURES))}")
+    print(f"figures   : {', '.join(EXPERIMENTS)}")
     print(f"kernels   : {', '.join(kernels.available_backends())} "
           f"(active: {kernels.kernel_name()})")
     if kernels.kernel_name() == "auto":
@@ -545,10 +584,17 @@ def main(argv: list[str] | None = None) -> int:
 
     p_fig = sub.add_parser("figures", help="regenerate evaluation figures")
     p_fig.add_argument("name", nargs="*", default=["all"],
-                       help="figure ids (2, 10-15, skew, ablation-*) or 'all'")
-    p_fig.add_argument("--scale", type=float, default=0.002)
-    p_fig.add_argument("--seeds", type=int, default=1)
-    p_fig.add_argument("--out", help="directory to save tables into")
+                       help="experiment names (2, 10-15, skew, ablation-*, "
+                            "ext-*; see `repro info`) or 'all'")
+    p_fig.add_argument("--scale", type=float, default=None,
+                       help="data scale (default: each experiment's registry config)")
+    p_fig.add_argument("--seeds", type=int, default=None,
+                       help="instances averaged per point (default: registry config)")
+    p_fig.add_argument("--check", action="store_true",
+                       help="evaluate each experiment's shape claims under its "
+                            "table; exit 1 if one FAILED")
+    p_fig.add_argument("--out", help="directory to save tables into, under the "
+                                     "names benchmarks/results/ holds")
     p_fig.add_argument("--format", choices=["txt", "csv", "json"], default="txt")
     p_fig.add_argument("--chart", action="store_true",
                        help="also print an ASCII chart of the first series")
@@ -689,6 +735,7 @@ def main(argv: list[str] | None = None) -> int:
     p_info.set_defaults(func=cmd_info)
 
     args = parser.parse_args(argv)
+    args.raw_argv = list(sys.argv[1:] if argv is None else argv)
     if getattr(args, "kernel", None) is not None:
         kernels.set_backend(args.kernel)
     return args.func(args)

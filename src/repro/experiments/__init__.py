@@ -5,17 +5,7 @@ from repro.experiments.figures import (
     FIGURE_SCALE,
     FigureConfig,
     PIPELINE_QUERIES,
-    ablation_cover,
-    ablation_pulling,
-    figure_02,
-    figure_10,
-    figure_11,
-    figure_12,
-    figure_13,
-    figure_14,
-    figure_15,
     run_pipeline_query,
-    skew_sweep,
 )
 from repro.experiments.harness import (
     AveragedResult,
@@ -24,28 +14,27 @@ from repro.experiments.harness import (
     run_comparison,
     run_operator,
 )
+from repro.experiments.registry import EXPERIMENTS, Claim, Experiment
 from repro.experiments.report import ExperimentTable
+
+# Every registered experiment's function is exported under its own name.
+_RUNNERS = {exp.run.__name__: exp.run for exp in EXPERIMENTS.values()}
+globals().update(_RUNNERS)
 
 __all__ = [
     "ALL_OPERATORS",
     "AveragedResult",
+    "Claim",
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentTable",
     "FIGURE_SCALE",
     "FigureConfig",
     "PIPELINE_QUERIES",
     "RunResult",
-    "ablation_cover",
-    "ablation_pulling",
     "averaged_runs",
-    "figure_02",
-    "figure_10",
-    "figure_11",
-    "figure_12",
-    "figure_13",
-    "figure_14",
-    "figure_15",
     "run_comparison",
     "run_operator",
     "run_pipeline_query",
-    "skew_sweep",
 ]
+__all__ += list(_RUNNERS)

@@ -50,14 +50,6 @@ EXACT_COVER_BUDGET_S = 90.0
 ALL_OPERATORS = ["HRJN*", "PBRJ_FR^RR", "FRPA", "a-FRPA"]
 NAN = float("nan")
 
-#: Figures with an any-k leg (``--algorithm anyk``): the operator-
-#: comparison sweeps, where swapping the PBRJ operator list for the any-k
-#: core is meaningful.  Figures 10/11/15 and the ablations probe PBRJ
-#: internals (cover thresholds, pulling strategies, pipelined PBRJ plans)
-#: and stay pbrj-only.
-ANYK_FIGURES = ("2", "12", "13", "14", "skew")
-
-
 @dataclass(frozen=True)
 class FigureConfig:
     """Shared experiment knobs (scale, repetitions, modeled I/O latency)."""
@@ -68,7 +60,9 @@ class FigureConfig:
     io_latency: float = 0.0005  # modeled seconds per tuple access
     exact_budget_s: float = EXACT_COVER_BUDGET_S
     #: ``"pbrj"`` (paper operators) or ``"anyk"`` — swaps the operator
-    #: list of the comparison figures (see :data:`ANYK_FIGURES`).
+    #: list of the comparison figures (registry entries with ``anyk=True``:
+    #: Figures 10/11/15 and the ablations probe PBRJ internals and stay
+    #: pbrj-only).
     algorithm: str = "pbrj"
 
     def budgets(self) -> dict[str, dict]:

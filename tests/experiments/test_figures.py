@@ -1,52 +1,49 @@
-"""Smoke tests for figure experiments at miniature scale.
+"""The registered experiments at miniature scale, shape claims included.
 
-These verify every figure function runs end-to-end, produces the expected
-columns and rows, and flags capped runs correctly.  The real shape
-assertions live in benchmarks/ at realistic scale.
+Every entry of ``repro.experiments.EXPERIMENTS`` runs end to end at one
+small fixed config, and every shape claim that is deterministic there —
+not flagged ``time`` (reads a wall-clock column) or ``committed`` (needs the
+registry config's scale) — is asserted.  The full set, time claims
+included, at the registry configs is ``python -m repro figures --check``
+(a CI step).
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import (
-    FigureConfig,
-    ablation_cover,
-    ablation_pulling,
-    figure_02,
-    figure_10,
-    figure_11,
-    figure_12,
-    figure_13,
-    figure_14,
-    figure_15,
-    run_pipeline_query,
-    skew_sweep,
-)
 from repro.data.workload import WorkloadParams
+from repro.experiments import EXPERIMENTS, FigureConfig
+from repro.experiments.figures import figure_02, figure_13, run_pipeline_query
 
-TINY = FigureConfig(scale=0.0003, num_seeds=1)
+QUICK = FigureConfig(scale=0.0005, num_seeds=1)
+#: Sweeps cut short where the full one would dominate tier-1's wall time
+#: (PBRJ_FR^RR at e=3 alone takes 3 s, K=100 exhausts the 750-row Orders).
+QUICK_SWEEPS = {
+    "13": {"es": (1, 2)},
+    "14": {"ks": (1, 10, 50)},
+    "ext-scaling": {"scales": (0.0005, 0.001, 0.002)},
+}
+
+
+def _claims_test(name):
+    def test(self):
+        experiment = EXPERIMENTS[name]
+        table = experiment.run(QUICK, **QUICK_SWEEPS.get(name, {}))
+        assert table.rows
+        assert all(len(row) == len(table.headers) for row in table.rows)
+        failed = [
+            claim.name for claim in experiment.expectations
+            if not (claim.time or claim.committed) and not claim.holds(table)
+        ]
+        assert not failed, table.render()
+    return test
 
 
 class TestFigureSmoke:
-    def test_figure_02(self):
-        table = figure_02(TINY)
-        assert table.column("operator") == ["HRJN*", "PBRJ_FR^RR"]
-        assert all(d > 0 for d in table.column("sumDepths"))
-
-    def test_figure_10(self):
-        table = figure_10(TINY, max_cr_sizes=(4, 64))
-        assert len(table.rows) == 3  # two thresholds + FRPA reference
-        assert table.rows[-1][0] == "FRPA"
-
-    def test_figure_11(self):
-        table = figure_11(TINY, resolutions=(8, 32))
-        assert table.column("L0") == [8, 32]
-
-    def test_figure_12(self):
-        table = figure_12(TINY, cuts=(0.5, 1.0))
-        assert table.column("c") == [0.5, 1.0]
-        assert "HRJN*:sumDepths" in table.headers
+    """One generated test per registry entry, named ``test_<out_stem>``
+    (the ids the hand-written per-figure smoke tests had)."""
 
     def test_figure_13_caps_e4(self):
         config = FigureConfig(scale=0.0003, num_seeds=1, exact_budget_s=0.0)
@@ -56,27 +53,16 @@ class TestFigureSmoke:
         assert math.isnan(by_e[4][index])  # capped with a zero budget
         assert math.isnan(by_e[1][index])  # zero budget caps everything
 
-    def test_figure_14(self):
-        table = figure_14(TINY, ks=(1, 5))
-        assert table.column("K") == [1, 5]
 
-    def test_figure_15(self):
-        table = figure_15(TINY, queries=("L⋈O",))
-        assert table.column("query") == ["L⋈O"]
-        assert table.rows[0][table.headers.index("a-FRPA:sumDepths")] > 0
+for _name, _experiment in EXPERIMENTS.items():
+    setattr(TestFigureSmoke, f"test_{_experiment.out_stem}", _claims_test(_name))
 
-    def test_skew_sweep(self):
-        table = skew_sweep(TINY, zs=(0.0,))
-        assert table.column("z") == [0.0]
 
-    def test_ablation_cover(self):
-        table = ablation_cover(TINY, max_cr_size=16)
-        assert table.column("strategy") == ["adaptive", "frozen", "fixed-grid"]
-
-    def test_ablation_pulling(self):
-        table = ablation_pulling(TINY)
-        names = set(table.column("operator"))
-        assert names == {"FRPA", "FRPA_RR"}
+def test_out_stems_are_the_committed_tables():
+    results = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+    assert sorted(p.stem for p in results.glob("*.txt")) == sorted(
+        experiment.out_stem for experiment in EXPERIMENTS.values()
+    )
 
 
 class TestPipelineQueryRunner:

@@ -118,15 +118,60 @@ class TestFigures:
 
     def test_unknown_figure(self, capsys):
         assert main(["figures", "99", "--scale", "0.0003"]) == 2
-        assert "unknown figure" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown figure '99'")
+        assert captured.err.count("\n") == 1 and not captured.out
 
     def test_invalid_name_rejected_before_any_work(self, capsys):
         # One bad name in a batch aborts the whole request up front —
         # the valid figure must NOT have been generated first.
         assert main(["figures", "11", "99", "--scale", "0.0003"]) == 2
-        out = capsys.readouterr().out
-        assert "unknown figure '99'" in out
-        assert "Figure 11" not in out
+        captured = capsys.readouterr()
+        assert "unknown figure '99'" in captured.err
+        assert "Figure 11" not in captured.out
+
+    def test_check_passes_on_figure_11(self, capsys):
+        assert main([
+            "figures", "11", "--scale", "0.0003", "--seeds", "1", "--check",
+        ]) == 0
+        assert "check [11] sumDepths varies by < 10 % across L0: ok" in (
+            capsys.readouterr().out
+        )
+
+    def test_check_exits_1_and_names_the_failed_claim(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from repro.experiments import EXPERIMENTS, Claim
+
+        broken = Claim("a claim made to fail", lambda table: False)
+        monkeypatch.setitem(EXPERIMENTS, "11", replace(
+            EXPERIMENTS["11"], expectations=(broken,) + EXPERIMENTS["11"].expectations,
+        ))
+        assert main([
+            "figures", "11", "--scale", "0.0003", "--seeds", "1", "--check",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "check [11] a claim made to fail: FAILED" in captured.out
+        assert ": ok" in captured.out  # the others were still evaluated
+        assert "1 shape claim(s) FAILED" in captured.err
+
+    def test_check_refuses_the_anyk_leg(self, capsys):
+        assert main(["figures", "2", "--algorithm", "anyk", "--check"]) == 2
+        assert capsys.readouterr().err.startswith("error: --check")
+
+    def test_out_regenerates_the_committed_file_names(self, tmp_path, capsys):
+        assert main([
+            "figures", "2", "skew", "ablation-cover",
+            "--scale", "0.0003", "--seeds", "1", "--out", str(tmp_path),
+        ]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ablation_cover.txt", "figure_02.txt", "skew_sweep.txt",
+        ]
+        for path in tmp_path.iterdir():
+            last = path.read_text().splitlines()[-1]
+            assert last.startswith("provenance: ")
+            assert last.endswith(f"figures 2 skew ablation-cover --scale 0.0003 "
+                                 f"--seeds 1 --out {tmp_path}")
 
     def test_multiple_valid_names(self, capsys):
         assert main([

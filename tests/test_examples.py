@@ -1,7 +1,9 @@
 """Smoke tests: the fast example scripts run end-to-end and print sanely.
 
-The slower, experiment-scale examples (reproduce_paper, bound_evolution)
-are exercised by the benchmark suite instead.
+``reproduce_paper.py`` is a call to ``python -m repro figures --check``,
+whose experiments and claims tier-1 runs small in
+``tests/experiments/test_figures.py``; ``bound_evolution.py`` is
+experiment-scale and not run here.
 """
 
 import subprocess
