@@ -16,9 +16,10 @@ FR* keeps the tightness of FR while attacking its two cost sources:
    invalidate is refreshed in O(Δ): covers and seen skylines are list-native
    scored antichains (:mod:`repro.geometry.antichain`), the skyline insert is
    one loop, the carve one kernel call whose delta is applied in place with
-   the kept partial scores carried over, and for additive ``S`` a cover bound
-   is the sum of two maintained maxima — the cross product's bits
-   (DESIGN.md §5).
+   the kept partial scores carried over — at e=2, where an antichain is a
+   sorted staircase, each is a bisection and one slice — and for additive
+   ``S`` a cover bound is the sum of two maintained maxima — the cross
+   product's bits (DESIGN.md §5).
 
 The result is bit-identical bound values to FR (Theorem 4.1's tightness is
 preserved) at a fraction of the computation.
@@ -71,7 +72,10 @@ class FRStarBound(FRBound):
         """Cover bounds over skylines only (the FR* redefinition): the seen
         operand is ``SHR_i``, maintained incrementally, scored row by row."""
         assert self.context is not None
-        return IncrementalSkyline(score=self.context.scoring.row_scorer(offset))
+        return IncrementalSkyline(
+            score=self.context.scoring.row_scorer(offset),
+            dimension=self.context.dims[side],
+        )
 
     # ------------------------------------------------------------------
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:

@@ -78,7 +78,10 @@ class MultiwayFeasibleBound(BoundingScheme):
             )
             for d, score in zip(dims, scorers)
         ]
-        self._seen_sky = [IncrementalSkyline(score=score) for score in scorers]
+        self._seen_sky = [
+            IncrementalSkyline(score=score, dimension=d)
+            for d, score in zip(dims, scorers)
+        ]
         self._groups = [[] for __ in dims]
         self._g = [POS_INF] * self._n
 

@@ -3,7 +3,8 @@
 These data structures implement the feasible-region machinery that the FR,
 FR* and aFR bounding schemes are built on (Sections 4 and 5 of the paper).
 ``CoverRegion`` and ``IncrementalSkyline`` are list-native: each is a
-:class:`~repro.geometry.antichain.ScoredAntichain`.  The paper's grid tree
+:class:`~repro.geometry.antichain.ScoredAntichain`, kept as a sorted
+staircase at e=2.  The paper's grid tree
 (Section 5.1.2) is a ``CoverRegion`` with a ``resolution``: the same carve
 over observations rounded up onto the grid (:mod:`repro.geometry.cover`).
 The batch forms of these operations live in :mod:`repro.kernels`.

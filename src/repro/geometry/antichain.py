@@ -11,15 +11,24 @@ of partial scores and their maximum :attr:`~ScoredAntichain.best` — which
 is all an FR* cover bound reads.  A partial depends on its row alone, so
 carrying it across a mutation gives the bits a rescan would.
 
-Its two mutations: :meth:`~ScoredAntichain.add`, the skyline insert, is a
-loop with no kernel call; :meth:`~ScoredAntichain.carve`, ``FR*::UpdateCR``,
-is one :func:`repro.kernels.carve_patch` call on the list itself whose
-delta is applied in place: kept rows first, ascending, with their partials,
-then the fresh rows, scored.
+**At e=2 an antichain is a staircase.**  Two incomparable points differ in
+opposite directions on the two axes, so a 2-D antichain sorted ascending on
+axis 0 is strictly descending on axis 1.  It is kept in that order, and
+both mutations find their rows by bisection and replace one contiguous
+slice (DESIGN.md §5): :meth:`~ScoredAntichain.add`, the skyline insert,
+evicts the run just before its insertion point; :meth:`~ScoredAntichain.carve`,
+``FR*::UpdateCR``, replaces the run of rows ``⪰ y`` by at most two
+projections, in place.  The form is a function of ``(dimension == 2,
+skyline_mode)`` alone, fixed at construction.  Every other dimension — and
+FR's literal unpruned cover, which is no antichain — has no staircase and
+keeps the loops: the insert scans the list, the carve is one
+:func:`repro.kernels.carve_patch` call whose delta (kept rows, ascending,
+with their partials; then the fresh rows, scored) is applied in place.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from operator import ge
 
@@ -32,28 +41,55 @@ NEG_INF = float("-inf")
 class ScoredAntichain:
     """A small set of score vectors with carried partial scores.
 
-    ``points`` seeds the set (taken as given: the caller vouches for the
-    antichain); ``score`` maps one row to its partial score, ``None`` for
-    a scoring function that does not decompose — :attr:`partials` and
-    :attr:`best` are then ``None`` and a bound falls back to
+    ``points`` seeds the set and ``dimension`` fixes its arity (taken from
+    the first seed row when omitted; an empty set must be told).  At
+    ``dimension == 2`` the seed is sorted into the staircase and must be an
+    antichain; elsewhere it is taken as given.  ``score`` maps one row to
+    its partial score, ``None`` for a scoring function that does not
+    decompose — :attr:`partials` and :attr:`best` are then ``None`` and a
+    bound falls back to
     :meth:`~repro.core.scoring.ScoringFunction.max_combination` over
-    :attr:`points`.  A cover kept with ``skyline_mode=False`` (FR's literal
-    unpruned pseudo-code) is carved the same way without being an antichain.
+    :attr:`points`.  ``skyline_mode=False`` is FR's literal unpruned cover:
+    carved by the same loop without being an antichain, in list order at
+    every dimension.
     """
 
-    __slots__ = ("_points", "_score", "partials", "best")
+    __slots__ = (
+        "_points", "_score", "partials", "best", "dimension", "skyline_mode",
+        "_staircase",
+    )
 
     def __init__(
         self,
         points: Iterable[Sequence[float]] = (),
         *,
         score: Callable[[Point], float] | None = None,
+        dimension: int | None = None,
+        skyline_mode: bool = True,
     ) -> None:
-        self._points: list[Point] = [as_point(p) for p in points]
+        rows = [as_point(p) for p in points]
+        if dimension is None:
+            if not rows:
+                raise ValueError("an empty antichain needs its dimension")
+            dimension = len(rows[0])
+        for row in rows:
+            if len(row) != dimension:
+                raise dimension_mismatch("antichain", dimension, len(row))
+        self.dimension = dimension
+        self.skyline_mode = skyline_mode
+        self._staircase = dimension == 2 and skyline_mode
+        if self._staircase:
+            rows.sort()
+            for p, q in zip(rows, rows[1:]):
+                if not (p[0] < q[0] and p[1] > q[1]):
+                    raise ValueError(
+                        f"seed rows {p} and {q} are comparable: not an antichain"
+                    )
+        self._points: list[Point] = rows
         self._score = score
         #: ``partials[i] == score(points[i])``, bit for bit.
         self.partials: list[float] | None = (
-            None if score is None else [score(p) for p in self._points]
+            None if score is None else [score(p) for p in rows]
         )
         #: ``max(partials)``; ``-inf`` when empty.
         self.best: float | None = (
@@ -62,7 +98,8 @@ class ScoredAntichain:
 
     @property
     def points(self) -> list[Point]:
-        """The current points (a copy; safe to mutate)."""
+        """The current points (a copy; safe to mutate).  A 2-D antichain
+        lists them ascending on axis 0 — strictly descending on axis 1."""
         return list(self._points)
 
     def __len__(self) -> int:
@@ -84,13 +121,33 @@ class ScoredAntichain:
         """Skyline insert; True iff the set changed.
 
         Under decreasing-``S̄`` access a dominating point arrives early
-        (the paper's early freeze), so the common case ends at the first
-        few rows of the first loop.
+        (the paper's early freeze), so the common case is one comparison
+        after the bisection — or ends at the first few rows of the scan.
         """
         point = as_point(raw)
+        if len(point) != self.dimension:
+            raise dimension_mismatch("skyline", self.dimension, len(point))
         points = self._points
-        if points and len(point) != len(points[0]):
-            raise dimension_mismatch("skyline", len(points[0]), len(point))
+        if self._staircase:
+            a, b = point
+            # Row i is the first with axis 0 ≥ a, so the highest of them.
+            i = lo = bisect_left(points, (a,))
+            if i < len(points):
+                if points[i][1] >= b:
+                    return False
+                if points[i][0] == a:
+                    i += 1
+            # The rows ``point`` beats: the run just before i (and row i
+            # itself on an equal a).
+            while lo and points[lo - 1][1] <= b:
+                lo -= 1
+            points[lo:i] = (point,)
+            if self._score is not None:
+                self.partials[lo:i] = (partial := self._score(point),)
+                # An evicted row never outscores the point that beat it.
+                if partial > self.best:
+                    self.best = partial
+            return True
         for p in points:
             if all(map(ge, p, point)):
                 return False
@@ -101,12 +158,19 @@ class ScoredAntichain:
         )
         return True
 
-    def carve(self, observed: list[Point], *, skyline_mode: bool = True) -> None:
-        """Carve the regions dominating each observed vector out of the set
-        (``FR::UpdateCR``; ``FR*::UpdateCR`` with ``skyline_mode``)."""
-        self._patch(*kernels.carve_patch(
-            self._points, observed, skyline_mode=skyline_mode
-        ))
+    def carve(self, observed: list[Point]) -> None:
+        """Carve the regions dominating each observed vector (canonical
+        tuples of this set's dimension) out of the set — ``FR*::UpdateCR``;
+        ``FR::UpdateCR`` on a set built with ``skyline_mode=False``.  One
+        counted ``cover_carve`` kernel call either way."""
+        if self._staircase:
+            self.best = kernels.carve_staircase(
+                self._points, self.partials, self.best, observed, self._score
+            )
+        else:
+            self._patch(*kernels.carve_patch(
+                self._points, observed, skyline_mode=self.skyline_mode
+            ))
 
     def _patch(self, keep: list[int], fresh: list[Point]) -> None:
         """Keep the rows ``keep`` (ascending ids) with their partials, then

@@ -12,9 +12,12 @@ cover points dominating ``y`` are removed and replaced by their projections
 ``s[i ↦ y_i]``, clipped to ``(0, 1]^e`` (projections with a zero coordinate
 cover nothing and are dropped).  It is a deliberately loop-based oracle; the
 production path is :class:`CoverRegion`, a list-native
-:class:`~repro.geometry.antichain.ScoredAntichain` that carves through the
-batch kernel :func:`repro.kernels.carve_patch`, a loop over the list itself
-(an array form had to build its operand from the list first and never won).
+:class:`~repro.geometry.antichain.ScoredAntichain` carved by one counted
+``cover_carve`` kernel call per group close: at e=2 a skyline cover is a
+sorted staircase and the call is a bisection plus one slice replaced in
+place (:func:`repro.kernels.carve_staircase`); every other cover goes
+through :func:`repro.kernels.carve_patch`, a loop over the list itself (an
+array form had to build its operand from the list first and never won).
 
 The FR* variant additionally skylines the result, and — as the paper's
 printed ``FR*::UpdateCR`` does — skylining the new points ``S⁺`` among
@@ -24,10 +27,12 @@ carved vector, ``p = s[i ↦ y_i]`` a projection of a removed ``s ⪰ y``, and
 impossible, for *any* cover: ``t_i ≥ p_i = y_i`` forces ``k ≠ i``, and then
 ``t_k ≥ p_k = s_k ≥ y_k`` contradicts ``t_k < y_k``.  (2) ``p ≻ t`` is
 impossible: ``s ⪰ p ≻ t`` would put two comparable points in the antichain.
-So the production carve never compares fresh points with survivors and
-returns a delta (kept rows plus fresh points) that :class:`CoverRegion`
-applies in place.  The loop oracle below still skylines the full union;
-``tests/kernels/test_carve_patch.py`` is the Lemma's executable proof.
+So the production carve never compares fresh points with survivors: it is
+a delta (kept rows plus fresh points) applied in place.  The loop oracle
+below still skylines the full union; ``tests/kernels/test_carve_patch.py``
+is the Lemma's executable proof.  At e=2 the removed rows are contiguous
+and their projections' skyline is at most two points that sort where the
+rows were — the staircase lemma, DESIGN.md §5.
 
 **The grid is a rounding rule** (Section 5.1.2).  aFR's grid tree — marked
 cells of an ``r × … × r`` grid, each contributing its upper corner — is this
@@ -132,10 +137,11 @@ class CoverRegion(ScoredAntichain):
     completes — and shrinks through :meth:`update` calls.  With
     ``skyline_mode=True`` the point set is kept as a skyline (FR* behaviour).
 
-    The points live in a plain list (:class:`ScoredAntichain`) and each
-    :meth:`update` is a single :func:`repro.kernels.carve_patch` batch call
-    whose delta is applied in place — cover maintenance runs on every group
-    close of the FR-family bounds and is their hottest loop.  With a row
+    The points live in a plain list (:class:`ScoredAntichain`; at
+    ``dimension == 2`` with ``skyline_mode`` the sorted staircase) and each
+    :meth:`update` is a single counted ``cover_carve`` kernel call whose
+    delta is applied in place — cover maintenance runs on every group close
+    of the FR-family bounds and is their hottest loop.  With a row
     scorer (``score=``) the cover carries its points' partial scores and
     their maximum, :attr:`best`, across carves.  The semantics are identical
     to the reference :func:`update_cover` (the test suite asserts the
@@ -148,7 +154,7 @@ class CoverRegion(ScoredAntichain):
     resolution 1 the cover is pinned at ``{(1, …, 1)}``, HRJN*'s corner bound.
     """
 
-    __slots__ = ("dimension", "skyline_mode", "resolution")
+    __slots__ = ("resolution",)
 
     def __init__(
         self,
@@ -160,30 +166,33 @@ class CoverRegion(ScoredAntichain):
     ) -> None:
         if dimension < 0:
             raise ValueError("dimension must be non-negative")
-        super().__init__([ones(dimension)], score=score)
-        self.dimension = dimension
-        self.skyline_mode = skyline_mode
+        super().__init__(
+            [ones(dimension)], score=score, dimension=dimension,
+            skyline_mode=skyline_mode,
+        )
         self.resolution = resolution
 
     def update(self, observed: Iterable[Sequence[float]]) -> None:
         """Carve out the regions dominating each vector in ``observed``
         (``FR::UpdateCR``; on a grid, ``aFR::UpdateGridCR``)."""
-        resolution = self.resolution
-        if resolution == 1:  # one cell per axis: the corner-bound regime
-            return
         batch = [as_point(raw) for raw in observed]
         for y in batch:
             if len(y) != self.dimension:
                 raise dimension_mismatch("cover", self.dimension, len(y))
+        resolution = self.resolution
+        if resolution == 1:  # one cell per axis: the corner-bound regime
+            return
         if resolution is not None:
             batch = [round_up(y, resolution) for y in batch]
         if batch and self._points:
-            self.carve(batch, skyline_mode=self.skyline_mode)
+            self.carve(batch)
 
     def coarsen(self, resolution: int) -> None:
         """Move the cover onto the grid of ``resolution`` cells per axis:
         its points rounded up, skylined, rescored (``aFR::InitializeGridCR``;
-        from a finer grid, the paper's ``L ← L − 1``)."""
+        from a finer grid, the paper's ``L ← L − 1``).  Rounding up is
+        monotone and the skyline keeps its input's order, so a staircase
+        comes back a staircase."""
         self.resolution = resolution
         self._patch(
             [], skyline(round_up(p, resolution) for p in self._points)

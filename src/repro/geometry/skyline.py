@@ -9,8 +9,9 @@ score-bound order, dominating points tend to arrive first and the skyline
 stabilizes quickly.
 
 The data plane is list-native: :class:`IncrementalSkyline` is a
-:class:`~repro.geometry.antichain.ScoredAntichain` — a list of tuples,
-one loop per insertion, no kernel call — that also counts insertions.
+:class:`~repro.geometry.antichain.ScoredAntichain` — a list of tuples, one
+bisection per insertion at e=2 (a sorted staircase) and one loop elsewhere,
+no kernel call — that also counts insertions.
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ def is_skyline(points: Iterable[Sequence[float]]) -> bool:
 
 
 class IncrementalSkyline(ScoredAntichain):
-    """Maintains the skyline of a growing point set.
+    """Maintains the skyline of a growing point set of one ``dimension``
+    (taken from the first seed point when omitted; an empty skyline must be
+    told, so the first vector to arrive is checked like every other).
 
-    ``add`` runs in time linear to the current skyline size.  The
+    ``add`` runs in time logarithmic in the current skyline size plus the
+    rows it evicts at e=2, linear elsewhere.  The
     structure also exposes :attr:`frozen_since` — the number of
     consecutive ``add`` calls that left the skyline unchanged — which
     quantifies the paper's early-freeze property and is handy for
@@ -56,8 +60,17 @@ class IncrementalSkyline(ScoredAntichain):
 
     __slots__ = ("_inserted", "frozen_since")
 
-    def __init__(self, points: Iterable[Sequence[float]] = (), *, score=None) -> None:
-        super().__init__(score=score)
+    def __init__(
+        self,
+        points: Iterable[Sequence[float]] = (),
+        *,
+        score=None,
+        dimension: int | None = None,
+    ) -> None:
+        points = list(points)
+        if dimension is None and points:
+            dimension = len(points[0])
+        super().__init__(score=score, dimension=dimension)
         self._inserted = 0
         self.frozen_since = 0
         for point in points:

@@ -11,10 +11,13 @@ measurably wins:
   Python loops (:mod:`repro.kernels.reference`).  The carve is the one op
   on the FR* pull path — aFR's grid mode included, which is the same carve
   over observations rounded up onto the grid
-  (:mod:`repro.geometry.cover`): it answers with a *delta*
-  (:func:`carve_patch`: kept row ids plus fresh points) that the geometry
-  layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`
-  applies in place; :func:`cover_carve` assembles it into the whole cover.
+  (:mod:`repro.geometry.cover`) — and is always a *delta* on the geometry
+  layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`.
+  Its operand decides its form: a sorted 2-D antichain (a staircase) is
+  patched in place by a bisection and one slice (:func:`carve_staircase`);
+  any other cover gets kept row ids plus fresh points
+  (:func:`carve_patch`) from the loop, which :func:`cover_carve` assembles
+  into the whole cover.  Either way it is one counted ``cover_carve`` call.
 * ``cover_corner_scores`` and ``cross_product_max`` — the bulk ops of
   PBRJ_FR^RR's seen columns — also have a numpy form
   (:mod:`repro.kernels.vectorized`, one broadcast per batch, 57–89× faster
@@ -322,6 +325,17 @@ def carve_patch(cover, observed, *, skyline_mode: bool = False):
     )
 
 
+def carve_staircase(points, partials, best, observed, score):
+    """The carve's form for a sorted 2-D antichain: ``points`` (and its
+    parallel ``partials``) patched in place, the new ``best`` returned
+    (:func:`repro.kernels.reference.staircase_carve`).  Counted as
+    ``cover_carve``."""
+    return _run(
+        "python", "cover_carve", _loops.staircase_carve, points, partials,
+        best, observed, score,
+    )
+
+
 def cover_carve(cover, observed, *, skyline_mode: bool = False):
     """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points."""
     keep, fresh = carve_patch(cover, observed, skyline_mode=skyline_mode)
@@ -338,6 +352,7 @@ __all__ = [
     "available_backends",
     "calibrate_thresholds",
     "carve_patch",
+    "carve_staircase",
     "cover_carve",
     "cover_corner_scores",
     "cross_product_max",

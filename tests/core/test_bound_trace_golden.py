@@ -21,6 +21,15 @@ mode was the paper's cell formulation (``GridTree`` over integer cells),
 before it became the exact carve over rounded observations, and run under
 ``auto`` only: grid mode has one form.
 
+The ``HARNESS`` keys are the e=2 cases those miss, recorded from the last
+commit whose 2-D covers and seen skylines were unordered lists (before
+they became sorted staircases): the benchmark harness's own scoring
+``WeightedSum([1, 1, 1, 1 + 1e-6])`` on the exact ``cold_fr2`` and
+``cold_frwide`` generator settings, and a tie-and-zero-heavy instance whose
+scores come from ``{0, .25, .5, .75, 1}`` — so a projection landing on a
+neighbour's coordinate, on the carved vector's own, or on zero all occur —
+under every FR-family operator.
+
 Re-record only from a commit whose bounds you trust::
 
     PYTHONPATH=<that>/src python tests/core/test_bound_trace_golden.py
@@ -30,9 +39,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.operators import make_operator
+from repro.core.scoring import WeightedSum
 from repro.core.stepping import PENDING
 from repro.data.workload import (
     WorkloadParams,
@@ -40,6 +51,7 @@ from repro.data.workload import (
     lineitem_orders_instance,
 )
 from repro.kernels import use_backend
+from repro.relation.relation import RankJoinInstance, Relation
 
 from test_bound_golden import GOLDEN, INSTANCES  # same directory, no package
 
@@ -69,12 +81,57 @@ GRID = {
 }
 
 
+def _harness_scoring():
+    """What every cold query of ``benchmarks/harness`` asks for."""
+    return WeightedSum([1.0, 1.0, 1.0, 1.0 + 1e-6])
+
+
+def _ties_instance():
+    rng = np.random.default_rng(26)
+
+    def side(name):
+        scores = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(400, 2))
+        return Relation.from_arrays(
+            name, rng.integers(0, 2000, size=400).tolist(), scores)
+
+    # Few keys match, so the top-20 digs through most of both inputs (651
+    # pulls under FRPA) and the covers leave (1, 1) for every shape a
+    # 5-value grid allows.
+    return RankJoinInstance(side("R1"), side("R2"), _harness_scoring(), 20)
+
+
+HARNESS_INSTANCES = {
+    "cold_fr2": lambda: lineitem_orders_instance(
+        WorkloadParams(e=2, c=0.5, z=0.5, k=10, scale=0.0005, seed=0),
+        scoring=_harness_scoring()),
+    "cold_frwide": lambda: anti_correlated_instance(
+        n_left=1000, n_right=1000, num_keys=250, k=10, seed=0,
+        scoring=_harness_scoring()),
+    "ties_e2": _ties_instance,
+}
+
+#: key -> (instance name, operator, options).
+HARNESS = {
+    f"harness {name} {operator}" + "".join(
+        f" {option}={value}" for option, value in kwargs.items()
+    ): (name, operator, kwargs)
+    for name in HARNESS_INSTANCES
+    for operator, kwargs in (
+        ("FRPA", {}), ("a-FRPA", {}), ("a-FRPA", {"max_cr_size": 70}),
+        ("PBRJ_FR^RR", {}), ("FRPA_RR", {}),
+    )
+}
+
+
 def trace(key):
     """One line per pull, in pull order, up to the instance's top-K; and
     the bound that produced them."""
     if key in GRID:
         build, kwargs = GRID[key][:2]
         instance, operator_name = build(), "a-FRPA"
+    elif key in HARNESS:
+        instance_name, operator_name, kwargs = HARNESS[key]
+        instance = HARNESS_INSTANCES[instance_name]()
     else:
         instance_name, operator_name, budget = key
         instance = INSTANCES[instance_name]()
@@ -134,14 +191,24 @@ def test_grid_regime_trace_matches_parent(golden, key):
     assert tuple(measured["resolutions"]) == resolutions
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("key", sorted(HARNESS))
+def test_harness_setting_trace_matches_parent(golden, key, kernel):
+    with use_backend(kernel):
+        assert summary(key) == golden[key]
+
+
 def test_every_depth_golden_key_has_a_trace(golden):
-    assert sorted(golden) == sorted([str(key) for key in KEYS] + list(GRID))
+    assert sorted(golden) == sorted(
+        [str(key) for key in KEYS] + list(GRID) + list(HARNESS))
     for key in KEYS:
         assert golden[str(key)]["pulls"] == sum(GOLDEN[key][:2])
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(
-        {str(key): summary(key) for key in KEYS + sorted(GRID)}, indent=1
+        {str(key): summary(key)
+         for key in KEYS + sorted(GRID) + sorted(HARNESS)}, indent=1
     ) + "\n")
-    print(f"recorded {len(KEYS) + len(GRID)} traces -> {GOLDEN_PATH}")
+    print(f"recorded {len(KEYS) + len(GRID) + len(HARNESS)} traces "
+          f"-> {GOLDEN_PATH}")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.geometry import ScoredAntichain
+from repro.geometry import ScoredAntichain, skyline
 from repro.kernels import PointSet
 from repro.core.scoring import (
     NEG_INF,
@@ -24,10 +24,11 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def _cover_max(scoring, left, right):
-    """``cover_max`` over the operand kind FR* holds: scored antichains."""
+    """``cover_max`` over the operand kind FR* holds: scored antichains —
+    the skylines, which attain the maximum of a monotone ``S``."""
     return scoring.cover_max(
-        ScoredAntichain(left, score=scoring.row_scorer(0)),
-        ScoredAntichain(right, score=scoring.row_scorer(len(left[0]))),
+        ScoredAntichain(skyline(left), score=scoring.row_scorer(0)),
+        ScoredAntichain(skyline(right), score=scoring.row_scorer(len(left[0]))),
     )
 
 
@@ -239,7 +240,8 @@ class TestPatchedOperands:
             assert scoring.max_prepared(l_op, r_op) == cross
             # Operand kinds mix: plain FR pairs a cover (list-native) with
             # its seen column (prepared), FR* two list-native sets.
-            chain = ScoredAntichain(left, score=scoring.row_scorer(0))
+            chain = ScoredAntichain(
+                left, score=scoring.row_scorer(0), dimension=3)
             assert scoring.max_prepared(chain, r_op) == cross
             assert scoring.cover_max(chain, r_op) == cross
 

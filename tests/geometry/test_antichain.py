@@ -4,11 +4,16 @@
 through stamps under ``CoverRegion`` and ``IncrementalSkyline``.  The
 oracles are the plain loops ``update_cover(skyline_result=True)`` (which
 still skylines the full union) and ``skyline()``; on top of the point set
-the property pins the *row order* the patch had — kept rows ascending, then
-the fresh rows sorted per vector, so the tier-equivalence tests keep
-comparing lists — and the carried scores: ``partials[i]`` is bitwise the row
-scorer on ``points[i]`` (and the kernels' partial score of that row),
-``best`` their maximum.
+the property pins the *row order* and the carried scores:
+``partials[i]`` is bitwise the row scorer on ``points[i]`` (and the
+kernels' partial score of that row), ``best`` their maximum.
+
+The documented order has two cases.  A 2-D antichain is a *staircase*:
+ascending on axis 0, strictly descending on axis 1, every mutation one
+bisection and one slice — so at e=2 the property is set-equality with the
+oracles plus that order.  Every other dimension has no staircase and keeps
+the patch's order — kept rows ascending, then the fresh rows sorted per
+vector — row for row, so the tier-equivalence tests keep comparing lists.
 """
 
 import pytest
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.core.scoring import NEG_INF, MinScore, SumScore, WeightedSum
 from repro.geometry import CoverRegion, IncrementalSkyline, ScoredAntichain
-from repro.geometry.cover import update_cover
+from repro.geometry.cover import round_up, update_cover
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline, skyline
 from repro.kernels import PointSet, use_backend
@@ -34,29 +39,39 @@ coord = st.one_of(
 
 @st.composite
 def interleavings(draw):
-    """``(e, weights, steps)``: each step adds one vector or carves a batch
-    (several vectors, duplicates re-sampled in, the all-zero vector that
-    carves to empty among the candidates)."""
+    """``(e, weights, seed, steps)``: an antichain to start from, in any
+    order, then steps that add one vector, carve a batch (several vectors,
+    duplicates re-sampled in, the all-zero vector that carves to empty
+    among the candidates) or move the set onto a grid."""
     e = draw(st.integers(1, 4))
     vector = st.tuples(*([coord] * e))
     weights = draw(st.sampled_from([None, WEIGHTS[:e]]))
+    seed = draw(st.one_of(
+        st.just([kernels.ones(e)]),
+        st.lists(vector, max_size=6).map(skyline).flatmap(st.permutations),
+    ))
     steps = []
     for _ in range(draw(st.integers(1, 8))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["add", "add", "carve", "carve", "coarsen"]))
+        if kind == "add":
             steps.append(("add", draw(vector)))
-            continue
-        batch = draw(st.lists(st.one_of(vector, st.just((0.0,) * e)),
-                              min_size=1, max_size=4))
-        if draw(st.booleans()):
-            batch += draw(st.lists(st.sampled_from(batch), max_size=2))
-        steps.append(("carve", batch))
-    return e, weights, steps
+        elif kind == "coarsen":
+            steps.append(("coarsen", draw(st.sampled_from([1, 2, 4, 8]))))
+        else:
+            batch = draw(st.lists(st.one_of(vector, st.just((0.0,) * e)),
+                                  min_size=1, max_size=4))
+            if draw(st.booleans()):
+                batch += draw(st.lists(st.sampled_from(batch), max_size=2))
+            steps.append(("carve", batch))
+    return e, weights, seed, steps
 
 
 def oracle_step(rows, kind, payload):
     """The loop oracles, in the patch's row order."""
     if kind == "add":
         return skyline(rows + [payload])
+    if kind == "coarsen":
+        return skyline(round_up(p, payload) for p in rows)
     for y in payload:
         carved = update_cover(rows, [y], skyline_result=True)
         survivors = [p for p in rows if not dominates(p, y)]
@@ -69,22 +84,37 @@ def scorer_for(weights):
     return scoring.row_scorer(0)
 
 
+class SeededCover(CoverRegion):
+    """A cover that starts from any antichain: ``add``, ``carve`` and
+    ``coarsen`` on one object."""
+
+    __slots__ = ()
+
+    def __init__(self, seed, e, score):
+        super().__init__(e, skyline_mode=True, score=score)
+        ScoredAntichain.__init__(self, seed, score=score, dimension=e)
+
+
 class TestAgainstLoopOracles:
     @given(interleavings())
     @settings(max_examples=300, deadline=None)
     def test_any_interleaving_of_add_and_carve(self, case):
-        e, weights, steps = case
+        e, weights, seed, steps = case
         score = scorer_for(weights)
-        chains = {tier: ScoredAntichain([kernels.ones(e)], score=score)
-                  for tier in TIERS}
-        expected = [kernels.ones(e)]
-        for kind, payload in steps:
-            expected = oracle_step(expected, kind, payload)
+        chains = {tier: SeededCover(seed, e, score) for tier in TIERS}
+
+        def check(expected, *step):
             for tier, chain in chains.items():
-                with use_backend(tier):
-                    getattr(chain, kind)(payload)
-                # Row for row, on every tier.
-                assert chain.points == expected, (tier, kind, payload)
+                if e == 2:
+                    # The staircase: the oracle's set, in the one order a
+                    # 2-D antichain can be strictly monotone on both axes.
+                    assert chain.points == sorted(expected), (tier, *step)
+                    firsts, seconds = zip(*chain.points) if expected else ((), ())
+                    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+                    assert all(a > b for a, b in zip(seconds, seconds[1:]))
+                else:
+                    # Row for row, on every tier.
+                    assert chain.points == expected, (tier, *step)
                 assert chain.partials == [score(p) for p in chain.points]
                 assert chain.partials == [
                     float(v)
@@ -93,6 +123,15 @@ class TestAgainstLoopOracles:
                 assert chain.best == max(chain.partials, default=NEG_INF)
                 assert len(chain) == len(expected)
             assert is_skyline(expected)
+
+        expected = list(seed)
+        check(expected, "seed")
+        for kind, payload in steps:
+            expected = oracle_step(expected, kind, payload)
+            for tier, chain in chains.items():
+                with use_backend(tier):
+                    getattr(chain, kind)(payload)
+            check(expected, kind, payload)
 
     def test_carve_to_empty(self):
         chain = ScoredAntichain([(1.0, 1.0)], score=scorer_for(None))
@@ -121,12 +160,19 @@ class TestCarveAppliesAPatch:
     """What ``PointSet.patch`` guaranteed, at the patch's new home."""
 
     def test_keeps_ascending_then_adds_fresh_in_one_mutation(self):
-        chain = ScoredAntichain(
-            [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)], score=scorer_for(None)
-        )
+        rows = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
+        chain = ScoredAntichain(rows, score=scorer_for(None))
         chain.carve([(0.4, 0.4)])
-        assert chain.points == [(0.1, 0.9), (0.9, 0.1), (0.4, 0.5), (0.5, 0.4)]
-        assert chain.partials == [0.1 + 0.9, 0.9 + 0.1, 0.4 + 0.5, 0.5 + 0.4]
+        # At e=2 the fresh rows go where the carved run was ...
+        assert chain.points == [(0.1, 0.9), (0.4, 0.5), (0.5, 0.4), (0.9, 0.1)]
+        assert chain.partials == [0.1 + 0.9, 0.4 + 0.5, 0.5 + 0.4, 0.9 + 0.1]
+        # ... a set with no staircase keeps its rows, then appends.
+        deep = ScoredAntichain([p + (0.5,) for p in rows], score=scorer_for(None))
+        deep.carve([(0.4, 0.4, 0.25)])
+        assert deep.points == [
+            (0.1, 0.9, 0.5), (0.9, 0.1, 0.5),
+            (0.4, 0.5, 0.5), (0.5, 0.4, 0.5), (0.5, 0.5, 0.25),
+        ]
 
     def test_numpy_tier_patch_lands_as_python_tuples(self):
         start = [(i / 50, 1.0 - (i - 1) / 50) for i in range(1, 50)]
@@ -135,9 +181,12 @@ class TestCarveAppliesAPatch:
             with use_backend(tier):
                 chain = chains[tier] = ScoredAntichain(start, score=scorer_for(None))
                 chain.carve([(0.31, 0.31)])
-        chain = chains["numpy"]  # its kernel answered in arrays
+        chain = chains["numpy"]
         assert chain.points == chains["python"].points
-        assert chain.points[-2:] == [(0.31, 0.7), (0.7, 0.31)]
+        at = chain.points.index((0.31, 0.7))  # in place of the carved run
+        assert chain.points[at - 1:at + 3] == [
+            start[14], (0.31, 0.7), (0.7, 0.31), start[35],
+        ]
         assert {type(v) for p in chain.points for v in p} == {float}
         assert {type(v) for v in chain.partials} == {float}
         assert chain.partials == chains["python"].partials
@@ -146,10 +195,13 @@ class TestCarveAppliesAPatch:
         assert chain.points == [] and chain.partials == []
 
     def test_untouched_cover_changes_nothing(self):
-        chain = ScoredAntichain([(0.2, 1.0), (1.0, 0.2)], score=scorer_for(None))
-        rows, partials = chain._points, chain.partials
-        chain.carve([(0.5, 0.5)])
-        assert chain._points is rows and chain.partials is partials
+        for rows in ([(0.2, 1.0), (1.0, 0.2)],
+                     [(0.2, 1.0, 0.5), (1.0, 0.2, 0.5)]):
+            chain = ScoredAntichain(rows, score=scorer_for(None))
+            held, partials = chain._points, chain.partials
+            chain.carve([(0.5,) * len(rows[0])])
+            assert chain._points is held and chain.partials is partials
+            assert held == rows and partials == [scorer_for(None)(p) for p in rows]
 
     def test_kept_partials_are_carried_not_rescored(self):
         scored = []
@@ -163,7 +215,7 @@ class TestCarveAppliesAPatch:
         assert len(scored) == 2
         chain.carve([(0.05, 0.8)])
         assert scored[2:] == [(0.05, 0.9), (0.1, 0.8)]  # the fresh rows only
-        assert chain.points == [(0.9, 0.1), (0.05, 0.9), (0.1, 0.8)]
+        assert chain.points == [(0.05, 0.9), (0.1, 0.8), (0.9, 0.1)]
         chain.add((0.95, 0.15))  # beats (0.9, 0.1): one new row scored
         assert scored[4:] == [(0.95, 0.15)]
         assert chain.partials == [plain(p) for p in chain.points]
@@ -176,7 +228,7 @@ class TestTheStructuresOnTop:
         assert cover.best == 0.5 + 2.0
         cover.update([(0.5, 0.5)])
         assert cover.best == max(score(p) for p in cover.points) == 0.25 + 2.0
-        seen = IncrementalSkyline(score=score)
+        seen = IncrementalSkyline(score=score, dimension=2)
         assert seen.best == NEG_INF
         seen.add((0.5, 0.5))
         seen.add((0.4, 0.4))
@@ -204,3 +256,46 @@ class TestTheStructuresOnTop:
             assert str(raised.value) == wording.format(kind)
         with pytest.raises(ValueError, match="cover is 2-d, point is 3-d"):
             update_cover([(1.0, 1.0)], [vector])
+
+    def test_a_collapsed_cover_still_refuses_the_wrong_dimension(self):
+        """Resolution 1 carves nothing — after the same check as any cover."""
+        cover = CoverRegion(2, skyline_mode=True, resolution=1)
+        cover.update([(0.5, 0.5)])
+        assert cover.points == [(1.0, 1.0)]
+        with pytest.raises(ValueError) as raised:
+            cover.update([(0.5, 0.5, 0.5)])
+        assert str(raised.value) == "dimension mismatch: cover is 2-d, point is 3-d"
+
+    def test_an_empty_skyline_knows_its_dimension(self):
+        seen = IncrementalSkyline(dimension=2)
+        with pytest.raises(ValueError) as raised:
+            seen.add((0.5, 0.5, 0.5))
+        assert str(raised.value) == "dimension mismatch: skyline is 2-d, point is 3-d"
+        assert seen.points == [] and seen.inserted == 1
+        with pytest.raises(ValueError, match="needs its dimension"):
+            IncrementalSkyline()
+
+
+class TestSeedRows:
+    def test_a_2d_seed_is_sorted_into_the_staircase(self):
+        chain = ScoredAntichain(
+            [(0.9, 0.1), (0.1, 0.9), (0.5, 0.5)], score=scorer_for(None)
+        )
+        assert chain.points == [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
+        assert chain.partials == [0.1 + 0.9, 0.5 + 0.5, 0.9 + 0.1]
+
+    @pytest.mark.parametrize("seed", [
+        [(0.5, 0.5), (0.4, 0.4)],   # one strictly under the other
+        [(0.5, 0.5), (0.5, 0.4)],   # tied on an axis
+        [(0.5, 0.5), (0.5, 0.5)],   # a duplicate
+    ])
+    def test_a_comparable_2d_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="comparable: not an antichain"):
+            ScoredAntichain(seed)
+
+    def test_a_seed_row_of_the_wrong_dimension_is_refused(self):
+        with pytest.raises(ValueError) as raised:
+            ScoredAntichain([(0.5, 0.5, 0.5)], dimension=2)
+        assert str(raised.value) == (
+            "dimension mismatch: antichain is 2-d, point is 3-d"
+        )

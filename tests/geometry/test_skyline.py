@@ -84,7 +84,7 @@ class TestIncrementalSkyline:
         assert set(incremental.points) == set(skyline(points))
 
     def test_add_reports_change(self):
-        sky = IncrementalSkyline()
+        sky = IncrementalSkyline(dimension=2)
         assert sky.add((0.5, 0.5)) is True
         assert sky.add((0.4, 0.4)) is False  # dominated
         assert sky.add((0.6, 0.6)) is True  # dominates existing
@@ -109,7 +109,7 @@ class TestIncrementalSkyline:
         assert (0.1, 0.1) not in sky
 
     def test_inserted_counter(self):
-        sky = IncrementalSkyline()
+        sky = IncrementalSkyline(dimension=2)
         for _ in range(5):
             sky.add((0.1, 0.1))
         assert sky.inserted == 5
@@ -118,7 +118,7 @@ class TestIncrementalSkyline:
     @given(points_2d)
     @settings(max_examples=100, deadline=None)
     def test_incremental_equals_batch(self, points):
-        incremental = IncrementalSkyline()
+        incremental = IncrementalSkyline(dimension=2)
         for p in points:
             incremental.add(p)
         assert set(incremental.points) == set(skyline(points))
@@ -131,6 +131,6 @@ class TestIncrementalSkyline:
             key=sum,
             reverse=True,
         )
-        sky = IncrementalSkyline()
+        sky = IncrementalSkyline(dimension=2)
         changes = sum(1 for p in points if sky.add(p))
         assert changes == len(sky)  # every change added a surviving point

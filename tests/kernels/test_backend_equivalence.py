@@ -145,7 +145,7 @@ class TestStructureUsesKernels:
         results = {}
         for name in ["python"] + COMPARE:
             with use_backend(name):
-                sky = IncrementalSkyline()
+                sky = IncrementalSkyline(dimension=len(points[0]))
                 for p in points:
                     sky.add(p)
                 results[name] = sorted(sky.points)
