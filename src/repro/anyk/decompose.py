@@ -30,17 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.anyk.jointree import (
-    KEY_ATTR,
-    JoinTree,
-    JoinTreeNode,
-    NodeTuple,
-    attr_value,
-    relation_weights,
-)
+import numpy as np
+
+from repro.anyk.jointree import JoinTree, JoinTreeNode, relation_weights
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
-from repro.relation.relation import Relation
+from repro.relation.relation import (
+    KEY_ATTR, Relation, attr_value, dense_ranks, encode_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,6 @@ def _gyo_reduce(query: AnyKQuery) -> tuple[_Edge, list[tuple[_Edge, _Edge]]]:
                 if shared > best_shared:
                     best_shared = shared
                     best_pair = (e, f)
-        if best_pair is None:  # pragma: no cover - caught by the ear loop
-            raise InstanceError("query hypergraph is disconnected")
         e, f = best_pair
         merged = _Edge(e.varset | f.varset, tuple(sorted(e.members + f.members)))
         e.alias = merged
@@ -193,8 +188,9 @@ def _materialize(
     query: AnyKQuery,
     rel_vars: list[frozenset[str]],
     annotated,
-) -> list[NodeTuple]:
-    """Bag tuples: the hash join of the member relations on shared vars."""
+) -> tuple[list[tuple], np.ndarray, list[tuple], np.ndarray]:
+    """A merged bag's columns ``(rows, weights, identities, ranks)``, members
+    in query order: the hash join of the member relations on shared vars."""
     order = [members[0]]
     remaining = list(members[1:])
     acc_vars = set(rel_vars[members[0]])
@@ -240,14 +236,13 @@ def _materialize(
     # Re-emit components in query-relation order so identities and score
     # vectors are independent of the internal join order.
     reorder = sorted(range(len(order)), key=lambda pos: order[pos])
-    node_tuples = []
-    for components, weight, identities in partial:
-        node_tuples.append(NodeTuple(
-            tuple(components[pos] for pos in reorder),
-            weight,
-            tuple(identities[pos] for pos in reorder),
-        ))
-    return node_tuples
+    identities = [tuple(ids[pos] for pos in reorder) for _, _, ids in partial]
+    return (
+        [tuple(parts[pos] for pos in reorder) for parts, _, _ in partial],
+        np.array([weight for _, weight, _ in partial], dtype=float),
+        identities,
+        dense_ranks(identities),
+    )
 
 
 def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinTree:
@@ -255,15 +250,17 @@ def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinT
     scoring = scoring if scoring is not None else SumScore()
     rel_vars = query.variables()
     weights = relation_weights(scoring, query.relations)
+    materialized: dict[int, int] = {}
 
     def annotated(index: int):
-        """``(tuple, weight, identity)`` of relation ``index``, bag order:
-        weights from one column pass, identities from the relation's cache."""
+        """``(tuple, weight, identity)`` of relation ``index``, bag order —
+        the one read of a merged bag's member, counted as such."""
         relation = query.relations[index]
-        return zip(relation.tuples, weights[index], relation.identities())
+        rows = relation.scored()[0]
+        materialized[index] = len(rows)
+        return zip(rows, weights[index].tolist(), relation.identities())
 
     root_edge, ears = _gyo_reduce(query)
-
     nodes: dict[int, JoinTreeNode] = {}
 
     def node_for(edge: _Edge) -> JoinTreeNode:
@@ -273,20 +270,27 @@ def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinT
             return existing
         members = edge.members
         if len(members) == 1:
-            tuples = [
-                NodeTuple((tup,), weight, (identity,))
-                for tup, weight, identity in annotated(members[0])
-            ]
+            relation = query.relations[members[0]]
+            columns = (relation.scored()[0], weights[members[0]],
+                       relation.identities(), relation.identity_ranks())
         else:
-            tuples = _materialize(members, query, rel_vars, annotated)
-        ordered_members = tuple(sorted(members))
-        positions = {}
-        for pos, rel_index in enumerate(ordered_members):
-            for var in rel_vars[rel_index]:
-                positions.setdefault(var, pos)
-        node = JoinTreeNode(ordered_members, edge.varset, tuples, positions)
-        nodes[id(edge)] = node
+            columns = _materialize(members, query, rel_vars, annotated)
+        node = nodes[id(edge)] = JoinTreeNode(members, edge.varset, *columns)
         return node
+
+    def key_codes(node: JoinTreeNode, attrs: tuple[str, ...]):
+        """The key codes of ``node``'s rows on ``attrs`` — asked here only,
+        so the tree keeps the codes of the content it was built on."""
+        if len(node.members) == 1:
+            return query.relations[node.members[0]].key_codes(attrs)
+        providers = [
+            next(pos for pos, m in enumerate(node.members) if attr in rel_vars[m])
+            for attr in attrs
+        ]
+        return encode_keys(
+            tuple([attr_value(row[pos], attr) for pos, attr in zip(providers, attrs)])
+            for row in node.rows
+        )
 
     root = node_for(root_edge)
     # Ears removed later sit closer to the root: attach in reverse order
@@ -297,5 +301,9 @@ def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinT
         attrs = tuple(sorted(child.varset & parent.varset))
         parent.children.append(child)
         parent.child_attrs.append(attrs)
+        parent.child_keys.append(key_codes(parent, attrs))
         child.parent_attrs = attrs
-    return JoinTree(root, query.relations)
+        child.parent_keys = key_codes(child, attrs)
+    tree = JoinTree(root, query.relations)
+    tree.materialized = materialized
+    return tree

@@ -26,6 +26,7 @@ conservative and correct.
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from repro.anyk.decompose import AnyKQuery, decompose
 from repro.anyk.dp import DPState
@@ -94,7 +95,7 @@ class AnyKRankJoin(ResumableBase):
         self.tree = decompose(query, self.scoring)
         self._dp = DPState(self.tree)
         self._enum: Enumerator | None = None
-        self._batch: list = []  # buffered (exact score, tuples) pairs
+        self._batch: deque = deque()  # buffered (exact score, tuples) pairs
         self._exhausted = False
         self._pulls = 0
         self._binary = len(query.relations) == 2
@@ -136,20 +137,18 @@ class AnyKRankJoin(ResumableBase):
 
     def _step(self, max_pulls: int | None):
         if self._batch:
-            return self._emit(self._batch.pop(0))
+            return self._emit(self._batch.popleft())
         if self._exhausted:
             return None
         spent = 0
         if not self._dp.done:
-            budget = None if max_pulls is None else max_pulls - spent
-            if budget is not None and budget <= 0:
+            if max_pulls is not None and max_pulls <= 0:
                 return PENDING
             dp_started = time.perf_counter() if self._track_time else 0.0
-            consumed = self._dp.run(budget)
+            spent = self._dp.run(max_pulls)
             if self._track_time:
                 self._dp_seconds += time.perf_counter() - dp_started
-            spent += consumed
-            self._charge(consumed, self._m_dp_tuples)
+            self._charge(spent, self._m_dp_tuples)
             if not self._dp.done:
                 return PENDING
             if self.trace is not None:
@@ -179,9 +178,9 @@ class AnyKRankJoin(ResumableBase):
             for _, tuples, identity in batch
         ]
         scored.sort(key=lambda entry: (-entry[0], entry[2]))
-        self._batch = [entry[:2] for entry in scored]
+        self._batch = deque(entry[:2] for entry in scored)
         self._buffer_peak = max(self._buffer_peak, len(scored))
-        return self._emit(self._batch.pop(0))
+        return self._emit(self._batch.popleft())
 
     @property
     def pulls(self) -> int:

@@ -50,12 +50,11 @@ class GroupEnum:
     def __init__(self, group: Group) -> None:
         self.group = group
         self.solutions: list[Solution] = []
-        first = group.entries[0]
-        ranks = (1,) * len(first.child_groups)
+        ranks = (1,) * len(group.node.children)
         #: Candidate heap: (-score, entry index, ranks).  Entry index and
         #: ranks break score ties deterministically.
         self.heap: list[tuple[float, int, tuple[int, ...]]] = [
-            (-first.best, 0, ranks)
+            (-group.entry(0).best, 0, ranks)
         ]
         self.seen: set[tuple[int, tuple[int, ...]]] = {(0, ranks)}
 
@@ -87,21 +86,20 @@ class Enumerator:
         """The group's ``j``-th best solution (1-indexed), or ``None``."""
         solutions = enum.solutions
         heap = enum.heap
-        entries = enum.group.entries
+        group = enum.group
         while len(solutions) < j and heap:
             neg_score, entry_index, ranks = heappop(heap)
             self.pops += 1
             score = -neg_score
             solutions.append((score, entry_index, ranks))
-            entry = entries[entry_index]
-            if entry_index + 1 < len(entries) and all(r == 1 for r in ranks):
+            if entry_index + 1 < len(group) and all(r == 1 for r in ranks):
                 successor = (entry_index + 1, ranks)
                 if successor not in enum.seen:
                     enum.seen.add(successor)
                     heappush(
-                        heap, (-entries[entry_index + 1].best, *successor)
+                        heap, (-group.entry(entry_index + 1).best, *successor)
                     )
-            for i, child_group in enumerate(entry.child_groups):
+            for i, child_group in enumerate(group.entry(entry_index).child_groups):
                 rank = ranks[i]
                 child_enum = self._enum_for(child_group)
                 bumped = self.solution(child_enum, rank + 1)
@@ -125,7 +123,7 @@ class Enumerator:
         """Flatten the group's ``j``-th solution to (relation, tuple,
         identity) triples."""
         _, entry_index, ranks = enum.solutions[j - 1]
-        entry = enum.group.entries[entry_index]
+        entry = enum.group.entry(entry_index)
         node_tuple = entry.node_tuple
         triples = list(zip(
             enum.group.node.members, node_tuple.components, node_tuple.identity

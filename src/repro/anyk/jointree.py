@@ -2,11 +2,15 @@
 
 A :class:`JoinTree` is the evaluation plan of an any-k query: each
 :class:`JoinTreeNode` is a *bag* covering one or more input relations,
-edges are equi-joins on shared attribute names, and every node holds its
-materialized :class:`NodeTuple` list (one entry per combination of member
-tuples that agrees on the bag-internal join attributes).  Acyclic queries
-decompose into singleton bags; simple cyclic queries get one merged bag
-per broken cycle (see :mod:`repro.anyk.decompose`).
+edges are equi-joins on shared attribute names, and every node *is
+columns* over its bag tuples (one per combination of member tuples that
+agrees on the bag-internal join attributes): row snapshot, float64 weights,
+canonical identities with their dense ranks, and per tree edge the integer
+codes of the rows' join-key values — a singleton bag borrows the
+content-only ones from its :class:`~repro.relation.relation.Relation`; a
+:class:`NodeTuple` object exists only for rows an enumeration emits.
+Acyclic queries decompose into singleton bags; simple cyclic queries get
+one merged bag per broken cycle (see :mod:`repro.anyk.decompose`).
 
 Join attributes are plain names resolved against tuple payload dicts;
 the sentinel :data:`KEY_ATTR` names the :attr:`~repro.core.tuples.
@@ -33,34 +37,14 @@ import numpy as np
 from repro.core.scoring import AverageScore, ScoringFunction, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
-from repro.relation.relation import Relation
-
-#: Sentinel attribute name resolving to ``RankTuple.key`` (the binary
-#: rank join's join column, which lives outside the payload dict).
-KEY_ATTR = "@key"
-
-
-def attr_value(tup: RankTuple, attr: str):
-    """The value of join attribute ``attr`` on ``tup``.
-
-    ``KEY_ATTR`` reads the tuple key; anything else reads the payload
-    dict.  A missing attribute is a malformed query, reported eagerly.
-    """
-    if attr == KEY_ATTR:
-        return tup.key
-    payload = tup.payload
-    if isinstance(payload, dict) and attr in payload:
-        return payload[attr]
-    raise InstanceError(
-        f"tuple {tup.key!r} has no join attribute {attr!r} "
-        f"(payload keys: {sorted(payload) if isinstance(payload, dict) else 'none'})"
-    )
+from repro.relation.relation import KEY_ATTR, KeyCodes, Relation  # noqa: F401
 
 
 def relation_weights(
     scoring: ScoringFunction, relations: tuple[Relation, ...]
-) -> list[list[float]]:
-    """Per-relation lists of additive tuple weights ``w_i(τ)``, bag order.
+) -> list[np.ndarray]:
+    """Per-relation float64 vectors of additive tuple weights ``w_i(τ)``,
+    aligned with :meth:`Relation.scored`.
 
     ``w_i(τ) = S(0…0 ⊕ b(τ) ⊕ 0…0)``: one exact ``batch`` pass per relation
     over its cached score matrix, laid out at the relation's offset in the
@@ -85,7 +69,7 @@ def relation_weights(
         matrix = relation.scored()[1]
         padded = np.zeros((len(matrix), total))
         padded[:, offset:offset + relation.dimension] = matrix
-        weights.append(scoring.batch(padded).tolist())
+        weights.append(scoring.batch(padded))
         offset += relation.dimension
     return weights
 
@@ -103,61 +87,59 @@ class NodeTuple:
     ) -> None:
         self.components = components
         self.weight = weight
-        #: Deterministic tie-break key (content only, discovery-free): one
-        #: :func:`~repro.relation.relation.tuple_identity` per component,
-        #: read from :meth:`Relation.identities`, never recomputed per query.
+        #: Content-only tie-break key: one :meth:`Relation.identities` entry
+        #: per component.
         self.identity = identity
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        keys = ",".join(repr(t.key) for t in self.components)
-        return f"NodeTuple([{keys}], w={self.weight:.4f})"
 
 
 class JoinTreeNode:
-    """One bag of the join tree with its materialized tuples."""
+    """One bag of the join tree: columns over its bag tuples."""
 
     __slots__ = (
-        "members",
-        "varset",
-        "tuples",
-        "children",
-        "child_attrs",
-        "parent_attrs",
-        "_positions",
+        "members", "varset", "rows", "weights", "identities", "ranks",
+        "children", "child_attrs", "child_keys", "parent_attrs", "parent_keys",
     )
 
-    def __init__(
-        self,
-        members: tuple[int, ...],
-        varset: frozenset[str],
-        tuples: list[NodeTuple],
-        attr_positions: dict[str, int],
-    ) -> None:
+    def __init__(self, members, varset, rows, weights, identities, ranks) -> None:
         #: Relation indices this bag covers, in query order.
         self.members = members
         self.varset = varset
-        self.tuples = tuples
+        #: Per bag tuple the :class:`RankTuple` itself (singleton bag) or the
+        #: member-ordered tuple of them (merged bag); :attr:`identities`
+        #: likewise, :attr:`ranks` their dense ranks (the DP's tie-break);
+        #: :attr:`weights` and ``ranks`` are arrays.
+        self.rows = rows
+        self.weights = weights
+        self.identities = identities
+        self.ranks = ranks
         self.children: list[JoinTreeNode] = []
         #: Shared join attributes per child edge (sorted, aligned with
-        #: :attr:`children`).
+        #: :attr:`children`) and this node's key codes on each.
         self.child_attrs: list[tuple[str, ...]] = []
-        #: Shared attributes toward the parent; ``None`` for the root.
+        self.child_keys: list[KeyCodes] = []
+        #: Shared attributes toward the parent (``None`` for the root) and the
+        #: key codes on them, the DP's grouping column: one group for a root.
         self.parent_attrs: tuple[str, ...] | None = None
-        #: attr name -> component position providing it.
-        self._positions = attr_positions
+        self.parent_keys: KeyCodes = ([()], np.zeros(len(rows), dtype=np.intp))
 
-    def connection(self, node_tuple: NodeTuple, attrs: tuple[str, ...]) -> tuple:
-        """The value tuple of ``attrs`` on ``node_tuple`` (the group key)."""
-        return tuple(
-            attr_value(node_tuple.components[self._positions[attr]], attr)
-            for attr in attrs
-        )
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def node_tuple(self, row: int) -> NodeTuple:
+        """The bag tuple at ``row`` as an object — what the enumeration
+        asks for the rows it emits, and the DP never does."""
+        components, identity = self.rows[row], self.identities[row]
+        if len(self.members) == 1:
+            components, identity = (components,), (identity,)
+        return NodeTuple(components, float(self.weights[row]), identity)
+
+    @property
+    def tuples(self) -> list[NodeTuple]:
+        """Every bag tuple as an object, bag order (inspection only)."""
+        return [self.node_tuple(row) for row in range(len(self.rows))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"JoinTreeNode(members={self.members}, vars={sorted(self.varset)}, "
-            f"tuples={len(self.tuples)}, children={len(self.children)})"
-        )
+        return f"JoinTreeNode(members={self.members}, tuples={len(self.rows)})"
 
 
 class JoinTree:
@@ -166,6 +148,9 @@ class JoinTree:
     def __init__(self, root: JoinTreeNode, relations: tuple[Relation, ...]) -> None:
         self.root = root
         self.relations = relations
+        #: relation index -> tuples read while materializing a merged bag
+        #: (the one pass over a member relation; empty for acyclic queries).
+        self.materialized: dict[int, int] = {}
         #: Children-before-parents order (the DP processing order).
         self.postorder: list[JoinTreeNode] = []
         stack = [(root, False)]
@@ -182,9 +167,3 @@ class JoinTree:
     def width(self) -> int:
         """Largest bag size (1 for acyclic queries, >1 once GHD merged)."""
         return max(len(node.members) for node in self.postorder)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"JoinTree(nodes={len(self.postorder)}, width={self.width}, "
-            f"relations={len(self.relations)})"
-        )

@@ -8,10 +8,10 @@ decreasing score bound ``S̄`` (Definition 2.1's access model) through
 :class:`~repro.relation.sources.SortedScan` pairs so operators can be run
 repeatedly on identical inputs.
 
-A relation is *prepared once*: its float64 score matrix and its canonical
-tuple identities depend on content alone, so they are built on first use,
-shared by every query, and dropped by the hook that drops the cached
-fingerprint.
+A relation is *prepared once*: its float64 score matrix, its canonical
+tuple identities, their dense ranks and the integer codes of its join-key
+columns depend on content alone, so they are built on first use, shared by
+every query, and dropped by the hook that drops the cached fingerprint.
 """
 
 from __future__ import annotations
@@ -44,6 +44,44 @@ def tuple_identity(tup: RankTuple) -> tuple:
     content only, so every execution orders an exact-score tie the same
     way.  :meth:`Relation.identities` caches it per relation."""
     return (repr(tup.key), tup.scores, _canonical_payload(tup.payload))
+
+
+#: Sentinel attribute name resolving to ``RankTuple.key`` (the binary rank
+#: join's join column, which lives outside the payload dict).
+KEY_ATTR = "@key"
+
+
+def attr_value(tup: RankTuple, attr: str):
+    """The value of join attribute ``attr`` on ``tup``: the tuple key for
+    ``KEY_ATTR``, else the payload dict's entry (none is a malformed query)."""
+    if attr == KEY_ATTR:
+        return tup.key
+    payload = tup.payload
+    if isinstance(payload, dict) and attr in payload:
+        return payload[attr]
+    raise InstanceError(
+        f"tuple {tup.key!r} has no join attribute {attr!r} "
+        f"(payload keys: {sorted(payload) if isinstance(payload, dict) else 'none'})"
+    )
+
+
+def dense_ranks(values: Sequence) -> np.ndarray:
+    """The dense rank of every element (equal ones share a rank): a *stable*
+    sort on the ranks orders rows as ``list.sort`` orders the elements."""
+    rank_of = {value: rank for rank, value in enumerate(sorted(set(values)))}
+    return np.array([rank_of[value] for value in values], dtype=np.intp)
+
+
+#: ``(distinct value tuples, int code per row)`` of a join-key column.
+KeyCodes = tuple[list[tuple], np.ndarray]
+
+
+def encode_keys(values: Iterable[tuple]) -> KeyCodes:
+    """``(distinct, codes)`` with ``distinct[codes[i]] == values[i]``,
+    distinct values in first-appearance order."""
+    code_of: dict[tuple, int] = {}
+    codes = [code_of.setdefault(value, len(code_of)) for value in values]
+    return list(code_of), np.array(codes, dtype=np.intp)
 
 
 def _tuple_digest(tup: RankTuple) -> bytes:
@@ -110,6 +148,8 @@ class Relation:
         self._fingerprint: str | None = None
         self._scored: tuple[tuple[RankTuple, ...], np.ndarray] | None = None
         self._identities: list[tuple] | None = None
+        self._identity_ranks: np.ndarray | None = None
+        self._key_codes: dict[tuple[str, ...], KeyCodes] = {}
 
     @property
     def tuples(self) -> list[RankTuple]:
@@ -155,6 +195,23 @@ class Relation:
         if self._identities is None:
             self._identities = [tuple_identity(t) for t in self._tuples]
         return self._identities
+
+    def identity_ranks(self) -> np.ndarray:
+        """:func:`dense_ranks` of :meth:`identities`, cached like them."""
+        if self._identity_ranks is None:
+            self._identity_ranks = dense_ranks(self.identities())
+        return self._identity_ranks
+
+    def key_codes(self, attrs: tuple[str, ...]) -> KeyCodes:
+        """:func:`encode_keys` of every row's :func:`attr_value` tuple over
+        ``attrs``, aligned with :meth:`scored`; built per attribute tuple on
+        first use and kept until the content changes."""
+        if attrs not in self._key_codes:
+            self._key_codes[attrs] = encode_keys(
+                tuple([attr_value(tup, attr) for attr in attrs])
+                for tup in self.scored()[0]
+            )
+        return self._key_codes[attrs]
 
     def fingerprint(self) -> str:
         """Stable content hash over the bag of (key, scores, payload).

@@ -6,6 +6,7 @@ The contract every resumable operator shares is the matrix in
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.anyk import AnyKQuery, AnyKRankJoin, anyk_from_chain, anyk_operator
@@ -273,3 +274,47 @@ class TestReporting:
         op = anyk_from_chain(chain4, ["x", "y", "z"])
         op.get_next()
         assert op.depths() == [3, 3, 3, 2]
+
+    def test_merged_bag_depths_count_input_tuples_not_bag_tuples(self):
+        a = relation("A", [({"x": i % 3, "y": i % 2}, (i / 30,)) for i in range(30)])
+        b = relation("B", [({"y": i % 2, "z": i % 3}, (i / 31,)) for i in range(30)])
+        c = relation("C", [({"z": i % 3, "x": i % 3}, (i / 32,)) for i in range(30)])
+        query = AnyKQuery(
+            relations=(a, b, c),
+            join_on=((0, 1, "y"), (1, 2, "z"), (0, 2, "x")),
+        )
+        op = AnyKRankJoin(query)
+        assert op.tree.width == 2
+        # A merged bag's members are read once, while it is materialized.
+        merged = max(op.tree.postorder, key=lambda node: len(node.members))
+        assert len(merged) > 30
+        assert [op.depth(i) for i in merged.members] == [30, 30]
+        op.get_next()
+        assert op.depths() == [30, 30, 30]
+        # Bag tuples stay the unit of work.
+        assert op._dp.tuples_processed == len(merged) + 30
+        assert op.stats().io_cost == 90.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_depths_never_exceed_the_inputs_on_random_cyclic_queries(self, seed):
+        rng = np.random.default_rng(seed)
+        # A 4-cycle: GYO stalls until a pair of edges is merged into a bag.
+        attrs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        relations = tuple(
+            relation(f"R{i}", [
+                ({u: int(rng.integers(0, 3)), v: int(rng.integers(0, 3))},
+                 (float(rng.integers(0, 5)) / 4,))
+                for __ in range(int(rng.integers(5, 25)))
+            ])
+            for i, (u, v) in enumerate(attrs)
+        )
+        query = AnyKQuery(
+            relations=relations,
+            join_on=((0, 1, "b"), (1, 2, "c"), (2, 3, "d"), (3, 0, "a")),
+        )
+        op = AnyKRankJoin(query)
+        assert op.tree.width > 1
+        got = [r.score for r in op]
+        assert got == pytest.approx(brute_force(query, SumScore()))
+        for i, rel in enumerate(relations):
+            assert op.depth(i) == len(rel)

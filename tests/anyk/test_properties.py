@@ -1,9 +1,10 @@
 """Property tests: any-k enumeration vs the oracle on random workloads.
 
 The satellite contract: over random acyclic workloads *with duplicate
-scores*, the enumeration must be (a) monotone non-increasing in score,
-(b) duplicate-free, and (c) exactly equal — scores and canonical tie
-order — to the oracle's top-K.
+scores, exact ties and content-identical duplicate tuples*, driven in steps
+of a drawn pull budget, the enumeration must be (a) monotone
+non-increasing in score, (b) duplicate-free, and (c) exactly equal —
+scores and canonical tie order — to the oracle's top-K.
 """
 
 import itertools
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anyk import AnyKQuery, AnyKRankJoin
+from repro.core.naive import naive_top_k
 from repro.core.scoring import SumScore
+from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
 from repro.relation.relation import Relation, tuple_identity
 
@@ -20,6 +23,14 @@ from repro.relation.relation import Relation, tuple_identity
 # exact tie groups are the common case, not the corner case.
 score = st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0])
 small = st.integers(0, 2)
+#: ``try_next(max_pulls=...)`` step sizes; ``None`` is unbounded.
+budgets = st.one_of(st.none(), st.integers(1, 9))
+
+
+def with_repeats(draw, rows):
+    """``rows`` plus a drawn handful of them again: the same content twice
+    is two tuples, each its own join result, tied on everything."""
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=4))
 
 
 def _identity(combo):
@@ -29,9 +40,9 @@ def _identity(combo):
 
 def binary_query(draw):
     def side(name):
-        rows = draw(
+        rows = with_repeats(draw, draw(
             st.lists(st.tuples(small, score), min_size=1, max_size=12)
-        )
+        ))
         return Relation(
             name, [RankTuple(key=k, scores=(s,)) for k, s in rows]
         )
@@ -41,21 +52,21 @@ def binary_query(draw):
 
 def chain_query(draw):
     def rel(name, attrs):
-        rows = draw(
+        rows = with_repeats(draw, draw(
             st.lists(
-                st.tuples(*([small] * len(attrs)), score),
+                st.tuples(small, *([small] * len(attrs)), score),
                 min_size=1, max_size=6,
             )
-        )
+        ))
         return Relation(
             name,
             [
                 RankTuple(
-                    key=i,
+                    key=row[0],
                     scores=(row[-1],),
-                    payload=dict(zip(attrs, row[:-1])),
+                    payload=dict(zip(attrs, row[1:-1])),
                 )
-                for i, row in enumerate(rows)
+                for row in rows
             ],
         )
 
@@ -82,10 +93,21 @@ def oracle(query, scoring):
     return results
 
 
-def assert_enumeration_contract(query):
+def stepped(operator, budget):
+    """Everything ``operator`` emits when driven ``budget`` pulls a step."""
+    emitted = []
+    while True:
+        outcome = operator.try_next(max_pulls=budget)
+        if outcome is None:
+            return emitted
+        if outcome is not PENDING:
+            emitted.append(outcome)
+
+
+def assert_enumeration_contract(query, budget=None):
     scoring = SumScore()
     expected = oracle(query, scoring)
-    emitted = list(AnyKRankJoin(query, scoring))
+    emitted = stepped(AnyKRankJoin(query, scoring), budget)
 
     scores = [r.score for r in emitted]
     # (a) monotone non-increasing.
@@ -102,18 +124,24 @@ def assert_enumeration_contract(query):
     # (c) exactly the oracle: scores bit-identical, ties in canonical order.
     assert scores == [s for s, __ in expected]
     assert identities == [_identity(combo) for __, combo in expected]
+    return scores
 
 
 class TestEnumerationProperties:
-    @given(data=st.data())
+    @given(data=st.data(), budget=budgets)
     @settings(max_examples=60, deadline=None)
-    def test_binary_matches_oracle(self, data):
-        assert_enumeration_contract(binary_query(data.draw))
+    def test_binary_matches_oracle(self, data, budget):
+        query = binary_query(data.draw)
+        scores = assert_enumeration_contract(query, budget)
+        # ... and the join-and-sort oracle the PBRJ family is held to.
+        left, right = query.relations
+        naive = naive_top_k(left.tuples, right.tuples, SumScore(), len(scores) + 1)
+        assert scores == [r.score for r in naive]
 
-    @given(data=st.data())
+    @given(data=st.data(), budget=budgets)
     @settings(max_examples=40, deadline=None)
-    def test_chain3_matches_oracle(self, data):
-        assert_enumeration_contract(chain_query(data.draw))
+    def test_chain3_matches_oracle(self, data, budget):
+        assert_enumeration_contract(chain_query(data.draw), budget)
 
     @given(data=st.data(), k=st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
