@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """CI smoke test for sharded execution.
 
-Runs the same zipf-skewed top-K query serially and with 4 shards (serial
-backend, hash then skew partitioner) and asserts the answers agree
-score-for-score with ties in canonical identity order. Exits nonzero on
-any mismatch; the CI step wraps it in a hard ``timeout``.
+Runs the same zipf-skewed top-K query serially and with 4 hash-partitioned
+shards and asserts the answers agree score-for-score with ties in
+canonical identity order. Exits nonzero on any mismatch; the CI step wraps
+it in a hard ``timeout``.
 
 Usage: python scripts/shard_smoke.py [--shards 4] [--scale 0.002] [--k 20]
 """
@@ -63,40 +63,31 @@ def main() -> int:
     want = [(r.score, result_identity(r)) for r in reference]
     print(f"serial:   {len(reference)} results in {serial_seconds:.3f}s")
 
-    errors: list[str] = []
-    for partitioner in ("hash", "skew"):
-        config = ExecConfig(
-            shards=args.shards, backend="serial", partitioner=partitioner
+    config = ExecConfig(shards=args.shards, backend="serial")
+    start = time.perf_counter()
+    with ShardedRankJoin(instance, "FRPA", config=config) as engine:
+        sharded = engine.top_k(args.k)
+        got = [(r.score, result_identity(r)) for r in sharded]
+        seconds = time.perf_counter() - start
+        print(
+            f"hash x{args.shards}: {len(sharded)} results "
+            f"in {seconds:.3f}s, {engine.pulls} pulls, "
+            f"imbalance {engine.partition_stats.imbalance:.2f}"
         )
-        start = time.perf_counter()
-        with ShardedRankJoin(instance, "FRPA", config=config) as engine:
-            sharded = engine.top_k(args.k)
-            got = [(r.score, result_identity(r)) for r in sharded]
-            seconds = time.perf_counter() - start
-            print(
-                f"{partitioner:<8} x{args.shards}: {len(sharded)} results "
-                f"in {seconds:.3f}s, {engine.pulls} pulls, "
-                f"imbalance {engine.partition_stats.imbalance:.2f}"
-            )
-        if got != want:
-            diverges = next(
-                (i for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                min(len(got), len(want)),
-            )
-            errors.append(
-                f"{partitioner} x{args.shards}: diverges from serial at "
-                f"rank {diverges}: got {got[diverges:diverges + 1]}, "
-                f"want {want[diverges:diverges + 1]}"
-            )
-
-    if errors:
-        print("SMOKE FAILED:")
-        for error in errors:
-            print(f"  - {error}")
+    if got != want:
+        diverges = next(
+            (i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+            min(len(got), len(want)),
+        )
+        print(
+            f"SMOKE FAILED: x{args.shards} diverges from serial at "
+            f"rank {diverges}: got {got[diverges:diverges + 1]}, "
+            f"want {want[diverges:diverges + 1]}"
+        )
         return 1
     print(
         f"SMOKE OK: {args.shards}-shard top-{args.k} matches serial "
-        f"(scores and tie order) for hash and skew partitioners"
+        f"(scores and tie order)"
     )
     return 0
 

@@ -12,7 +12,7 @@ contributes to:
 * sorted single-pass access with simulated I/O costs (:mod:`repro.relation`);
 * the paper's synthetic skewed TPC-H workload generator (:mod:`repro.data`);
 * pipelined physical plans and a declarative query layer (:mod:`repro.plan`);
-* a skew-adaptive cost-based planner with online re-sharding
+* a cost-based planner choosing the evaluation core and the operator
   (:mod:`repro.planner`);
 * the complete experimental harness regenerating every evaluation figure
   (:mod:`repro.experiments`).
@@ -75,7 +75,6 @@ from repro.exec import (
     ShardWorker,
     partition_instance,
     partition_relation,
-    skew_aware_plan,
 )
 from repro.errors import (
     BudgetExhausted,
@@ -95,8 +94,6 @@ from repro.kernels import (
 )
 from repro.plan import Pipeline, QueryInput, RankQuery
 from repro.planner import (
-    AdaptiveConfig,
-    AdaptiveShardedRankJoin,
     CostCoefficients,
     PlanDecision,
     Planner,
@@ -119,8 +116,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AFRBound",
-    "AdaptiveConfig",
-    "AdaptiveShardedRankJoin",
     "AnyKQuery",
     "AnyKRankJoin",
     "BudgetExhausted",
@@ -197,6 +192,5 @@ __all__ = [
     "random_instance",
     "set_backend",
     "set_thresholds",
-    "skew_aware_plan",
     "__version__",
 ]

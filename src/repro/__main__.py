@@ -246,8 +246,7 @@ def _run_sharded(args: argparse.Namespace, instance, obs, operator=None) -> int:
     return 0
 
 
-def _run_planned(args: argparse.Namespace, instance, obs,
-                 algorithm: str, shards: int | str) -> int:
+def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
     """``run --plan auto``: let the planner choose, print its cost table."""
     import time
 
@@ -258,7 +257,7 @@ def _run_planned(args: argparse.Namespace, instance, obs,
         k=instance.k,
         scoring=instance.scoring,
         operator=args.operator if args.operator in OPERATORS else "FRPA",
-        algorithm=algorithm,
+        algorithm="auto",
         shards=shards,
     )
     resolved = spec.resolve(obs=obs)
@@ -268,14 +267,12 @@ def _run_planned(args: argparse.Namespace, instance, obs,
     operator = resolved.build_operator(obs=obs)
     results = operator.top_k(instance.k)
     elapsed = time.perf_counter() - started
-    reshards = getattr(operator, "reshards", 0)
     print(f"plan         : {resolved.plan_summary()} "
           f"(kernel={kernels.kernel_name()})")
     print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
           f"K={instance.k}")
     print(f"top scores   : {[round(r.score, 4) for r in results]}")
-    print(f"pulls        : {operator.pulls}"
-          + (f" (re-sharded x{reshards})" if reshards else ""))
+    print(f"pulls        : {operator.pulls}")
     print(f"time         : total={elapsed:.4f}s "
           f"(planning {resolved.decision.planning_seconds:.4f}s)")
     _finish_obs(obs, args)
@@ -290,23 +287,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         params = _workload(args)
     except ReproError as exc:
         return _fail(exc)
-    shards: int | str = args.shards
+    shards: int = args.shards
     if getattr(args, "workload", None):
         # The workload file owns the whole execution shape when given.
         algorithm = params.algorithm
         shards = params.shards
     if args.plan == "auto":
         algorithm = "auto"
-        shards = "auto"
     operator = ANYK_OPERATOR if algorithm == "anyk" else args.operator
     if algorithm == "pbrj" and args.operator not in OPERATORS:
         print(f"unknown operator {args.operator!r}; choose from {sorted(OPERATORS)}")
         return 2
     instance = lineitem_orders_instance(params)
     obs = _build_obs(args, "run")
-    if algorithm == "auto" or shards == "auto":
+    if algorithm == "auto":
         try:
-            return _run_planned(args, instance, obs, algorithm, shards)
+            return _run_planned(args, instance, obs, shards)
         except ReproError as exc:
             return _fail(exc)
     if shards > 1:
@@ -416,10 +412,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _fail(exc)
     if getattr(args, "workload", None):
         algorithm = params.algorithm
-    default_shards: int | str = args.shards
     if args.plan == "auto":
         algorithm = "auto"
-        default_shards = "auto"
     obs = _build_obs(args, "serve") or Observability()
     quotas = None
     if args.tenant_rate > 0:
@@ -463,7 +457,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     "default_max_pulls": args.max_pulls,
                 },
                 server_kwargs={
-                    "default_shards": default_shards,
+                    "default_shards": args.shards,
                     "default_algorithm": algorithm,
                 },
                 obs=obs,
@@ -489,7 +483,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         server = RankJoinServer(
             service, relations, host=args.host, port=args.port,
-            default_shards=default_shards, default_algorithm=algorithm,
+            default_shards=args.shards, default_algorithm=algorithm,
             chaos=chaos,
         )
     sizes = ", ".join(f"{name}={len(rel)}" for name, rel in relations.items())
@@ -616,9 +610,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--shards", type=int, default=1,
                        help="hash-partitioned sharded execution (1 = unsharded)")
     p_run.add_argument("--plan", choices=["static", "auto"], default="static",
-                       help="'auto' delegates algorithm/operator/shards/"
-                            "partitioner to the cost-based planner and "
-                            "prints its candidate table")
+                       help="'auto' lets the cost-based planner choose "
+                            "the core and the operator and prints its "
+                            "candidate table")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run every operator on a workload")
@@ -667,9 +661,9 @@ def main(argv: list[str] | None = None) -> int:
                               "(1 = serial; requests may override)")
     p_serve.add_argument("--plan", choices=["static", "auto"],
                          default="static",
-                         help="'auto' makes the planner choose algorithm "
-                              "and shards for every query that does not "
-                              "pin them")
+                         help="'auto' makes the planner choose the core "
+                              "and the operator of every query that does "
+                              "not name an algorithm")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="server worker processes (1 = single server; "
                               "N>1 boots a fleet behind one front-end)")

@@ -421,3 +421,33 @@ def check_monotone(
         if scoring(tuple(low)) > scoring(tuple(high)) + 1e-12:
             return False
     return True
+
+
+def scoring_fingerprint(scoring: ScoringFunction) -> str:
+    """A stable identity string for a scoring function.
+
+    Built from the class name plus every simple constructor parameter
+    (numbers, strings, tuples; numpy arrays are flattened to floats).
+    Scoring functions wrapping arbitrary callables cannot be fingerprinted
+    stably, so they fall back to ``id()`` — each instance gets a private
+    cache namespace rather than risking a false cache share.
+    """
+    params = []
+    opaque = False
+    for name, value in sorted(vars(scoring).items()):
+        if isinstance(value, np.ndarray):
+            value = tuple(float(v) for v in value.ravel())
+        if isinstance(value, (list, tuple)):
+            simple = all(isinstance(v, (int, float, str, bool)) for v in value)
+            if simple:
+                params.append((name, tuple(value)))
+                continue
+            opaque = True
+        elif isinstance(value, (int, float, str, bool)) or value is None:
+            params.append((name, value))
+        elif callable(value):
+            opaque = True
+    identity = f"{type(scoring).__name__}:{params!r}"
+    if opaque:
+        identity += f":opaque@{id(scoring)}"
+    return identity

@@ -16,8 +16,7 @@ the shared vocabulary:
   (``get_next`` / ``top_k`` / ``__iter__`` / ``emitted_results``), written
   once.  :class:`~repro.core.pbrj.PBRJ` (and through it
   :class:`~repro.core.multiway.MultiwayRankJoin`),
-  :class:`~repro.exec.engine.ShardedRankJoin`,
-  :class:`~repro.planner.adaptive.AdaptiveShardedRankJoin` and
+  :class:`~repro.exec.engine.ShardedRankJoin` and
   :class:`~repro.anyk.engine.AnyKRankJoin` inherit it and supply only
   ``try_next``.
 

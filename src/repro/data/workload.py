@@ -41,9 +41,9 @@ class WorkloadParams:
     #: Evaluation core: ``"pbrj"`` (paper default), ``"anyk"``, or
     #: ``"auto"`` (cost-based planner).
     algorithm: str = "pbrj"
-    #: Shard count for sharded execution: a positive integer, or
-    #: ``"auto"`` to let the planner choose (1 = plain serial operator).
-    shards: int | str = 1
+    #: Shard count for sharded execution: a positive integer
+    #: (1 = plain serial operator).
+    shards: int = 1
 
     def tpch_config(self) -> TPCHConfig:
         return TPCHConfig(
@@ -96,14 +96,13 @@ def load_workload(path: str | Path) -> WorkloadParams:
                 )
             continue
         if key == "shards":
-            valid = value == "auto" or (
+            if not (
                 isinstance(value, int) and not isinstance(value, bool)
                 and value >= 1
-            )
-            if not valid:
+            ):
                 raise WorkloadError(
                     f"workload file {path}: shards must be a positive "
-                    f"integer or 'auto', got {value!r}"
+                    f"integer, got {value!r}"
                 )
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):

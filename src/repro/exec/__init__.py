@@ -6,8 +6,8 @@ through a gate that releases a result only once no live shard can beat
 or tie it.  The public facade is :class:`ShardedRankJoin`, a drop-in
 :class:`~repro.core.stepping.ResumableOperator`.
 
-Correctness invariant (test-enforced): for any instance, operator, shard
-count and partitioner, the sharded top-K equals the serial top-K — same
+Correctness invariant (test-enforced): for any instance, operator and
+shard count, the sharded top-K equals the serial top-K — same
 scores bit-for-bit, ties broken by the canonical result identity of
 :func:`repro.exec.merge.result_identity`.
 """
@@ -17,17 +17,13 @@ from repro.exec.merge import GlobalTopKMerger, result_identity
 from repro.exec.partition import (
     HashPartitionPlan,
     PartitionStats,
-    SkewAwarePlan,
-    make_plan,
     partition_instance,
     partition_relation,
-    skew_aware_plan,
     stable_key_hash,
 )
 from repro.exec.worker import (
     BACKENDS,
     DEFAULT_QUANTUM,
-    PARTITIONERS,
     AdvanceOutcome,
     ExecConfig,
     ShardWorker,
@@ -40,15 +36,11 @@ __all__ = [
     "ExecConfig",
     "GlobalTopKMerger",
     "HashPartitionPlan",
-    "PARTITIONERS",
     "PartitionStats",
     "ShardWorker",
     "ShardedRankJoin",
-    "SkewAwarePlan",
-    "make_plan",
     "partition_instance",
     "partition_relation",
     "result_identity",
-    "skew_aware_plan",
     "stable_key_hash",
 ]

@@ -13,13 +13,13 @@ It satisfies :class:`repro.core.stepping.ResumableOperator` — the same
 :class:`~repro.core.stepping.ResumableBase` — so it drops into
 :class:`~repro.service.session.QuerySession` and the scheduler unchanged.
 
-Why sharding helps even on one core: the expensive part of tight bounds
-is cover/skyline maintenance, whose per-pull cost grows superlinearly
-with the discovered-region size (FR* recombination is O(|CR|·|SHR|)).
-Each shard sees ~1/S of the data, so its cover stays ~S× smaller and the
-per-pull bound cost drops ~S²× — an algorithmic speedup; there is no
-parallelism here, and none was ever measured to pay (EXPERIMENTS.md,
-"Sharding: serial vs process").
+Sharding is something a caller asks for (``shards=N``), never something
+the planner picks: splitting an input raises depth, buys no parallelism
+(every shard runs in this process) and lost every measured cell to the
+best unsharded plan (EXPERIMENTS.md, "Sharding is asked for, never
+chosen").  The one effect in its favour — each shard's covers are ~1/S the
+size, so FR* bound maintenance is cheaper per pull — only narrows FRPA's
+distance to HRJN* at e >= 3; it never closes it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ from __future__ import annotations
 from repro import kernels
 from repro.core.stepping import PENDING, ResumableBase
 from repro.exec.merge import GlobalTopKMerger
-from repro.exec.partition import PartitionStats, make_plan, partition_instance
+from repro.exec.partition import (
+    HashPartitionPlan,
+    PartitionStats,
+    partition_instance,
+)
 from repro.exec.worker import ExecConfig, ShardWorker
 from repro.obs import NULL_OBS, Observability, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
@@ -45,8 +49,8 @@ class ShardedRankJoin(ResumableBase):
         Any name from :data:`repro.core.operators.OPERATORS` — every
         shard runs a fresh instance of it.
     config:
-        :class:`~repro.exec.worker.ExecConfig` (shards, quantum,
-        partitioner).  Defaults to a single shard.
+        :class:`~repro.exec.worker.ExecConfig` (shards, quantum).
+        Defaults to a single shard.
     obs:
         Optional :class:`~repro.obs.Observability`.  Records per-shard
         pull counters (``exec_shard_pulls_total``), a merge-wait round
@@ -80,14 +84,9 @@ class ShardedRankJoin(ResumableBase):
         self.name = f"sharded[{operator}]x{self.config.shards}"
         self._obs = obs if obs is not None else NULL_OBS
 
-        plan = make_plan(
-            instance.left,
-            instance.right,
-            self.config.shards,
-            partitioner=self.config.partitioner,
-            heavy_fraction=self.config.heavy_fraction,
+        shard_instances, self._partition_stats = partition_instance(
+            instance, HashPartitionPlan(self.config.shards)
         )
-        shard_instances, self._partition_stats = partition_instance(instance, plan)
         # One trace context per execution: a child of the caller's span
         # (service session) or a fresh root for standalone runs.  Each
         # worker gets a child context its quanta parent under.
@@ -229,7 +228,6 @@ class ShardedRankJoin(ResumableBase):
             "config": {
                 "shards": self.config.shards,
                 "quantum": self.config.quantum,
-                "partitioner": self.config.partitioner,
                 "kernel": kernels.kernel_name(),
             },
             "pulls": self._pulls,

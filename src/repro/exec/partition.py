@@ -6,21 +6,11 @@ rank join into ``S`` completely independent shard-local rank joins: every
 join result lives in exactly one shard, and the global top-K is a merge of
 shard-local output streams (:mod:`repro.exec.merge`).
 
-Two partitioning plans are provided:
-
-* :class:`HashPartitionPlan` — a stable content hash of the join key
-  modulo the shard count.  Deterministic across processes and platforms
-  (it deliberately avoids Python's randomized ``hash``), so the same
-  relation always partitions the same way — a prerequisite for the
-  sharded-equals-serial correctness invariant and for cross-process
-  workers.
-* :class:`SkewAwarePlan` — the skew-resistant variant: join keys whose
-  estimated result contribution ``count_left · count_right`` exceeds an
-  average shard's share are *heavy hitters* and are split off onto
-  dedicated shards (heaviest first, cycling over the reserved shards);
-  the remaining keys hash over the unreserved shards.  Under zipfian key
-  skew this keeps the per-shard work balanced instead of letting one
-  shard serialize the whole join.
+The mapping is :class:`HashPartitionPlan` — a stable content hash of the
+join key modulo the shard count.  Deterministic across processes and
+platforms (it deliberately avoids Python's randomized ``hash``), so the
+same relation always partitions the same way — a prerequisite for the
+sharded-equals-serial correctness invariant.
 
 Partitioning preserves score-bound order: tuples are assigned in input
 order, so each shard-local relation is a subsequence of its parent and
@@ -68,96 +58,6 @@ class HashPartitionPlan:
         return f"{self.name}({self.shards})"
 
 
-class SkewAwarePlan(HashPartitionPlan):
-    """Hash partitioning with heavy-hitter keys on dedicated shards.
-
-    ``dedicated`` maps each heavy key to its shard; all other keys hash
-    over the shards not reserved for heavy hitters (or over all shards
-    when every shard is reserved).
-    """
-
-    name = "skew"
-
-    def __init__(self, shards: int, dedicated: dict[Hashable, int]) -> None:
-        super().__init__(shards)
-        self.dedicated = dict(dedicated)
-        reserved = set(self.dedicated.values())
-        self._open = [s for s in range(shards) if s not in reserved] or list(
-            range(shards)
-        )
-
-    def shard_of(self, key: Hashable) -> int:
-        if self.shards == 1:
-            return 0
-        shard = self.dedicated.get(key)
-        if shard is not None:
-            return shard
-        return self._open[stable_key_hash(key) % len(self._open)]
-
-    def describe(self) -> str:
-        return f"{self.name}({self.shards}, heavy={len(self.dedicated)})"
-
-
-def _pair_counts(left: Relation, right: Relation) -> dict[Hashable, int]:
-    """Estimated join results per key: ``count_left(key) · count_right(key)``."""
-    left_counts: dict[Hashable, int] = {}
-    for tup in left.tuples:
-        left_counts[tup.key] = left_counts.get(tup.key, 0) + 1
-    pairs: dict[Hashable, int] = {}
-    for tup in right.tuples:
-        count = left_counts.get(tup.key)
-        if count:
-            pairs[tup.key] = pairs.get(tup.key, 0) + count
-    return pairs
-
-
-def skew_plan_from_pairs(
-    pairs: dict[Hashable, int],
-    shards: int,
-    *,
-    heavy_fraction: float | None = None,
-) -> SkewAwarePlan:
-    """Build a :class:`SkewAwarePlan` from per-key pair counts.
-
-    A key is *heavy* when its estimated result contribution exceeds
-    ``heavy_fraction`` of the total (default ``1 / shards`` — more than
-    one average shard's worth of work).  Heavy keys are assigned, largest
-    first, to dedicated shards cycling over at most ``shards - 1`` of the
-    available shards (one shard always remains open for the long tail).
-    Fully deterministic: ties between equally-heavy keys break on the
-    key's stable hash.  The counts may come from the relations themselves
-    (:func:`skew_aware_plan`) or from planner statistics / runtime
-    observation — any ``key → count`` map works.
-    """
-    if shards < 1:
-        raise InstanceError("a partition plan needs at least one shard")
-    total = sum(pairs.values())
-    if shards == 1 or total == 0:
-        return SkewAwarePlan(shards, {})
-    threshold = (heavy_fraction if heavy_fraction is not None else 1.0 / shards)
-    cutoff = threshold * total
-    heavies = sorted(
-        (key for key, count in pairs.items() if count > cutoff),
-        key=lambda key: (-pairs[key], stable_key_hash(key)),
-    )
-    reserve = max(1, shards - 1)
-    dedicated = {key: index % reserve for index, key in enumerate(heavies)}
-    return SkewAwarePlan(shards, dedicated)
-
-
-def skew_aware_plan(
-    left: Relation,
-    right: Relation,
-    shards: int,
-    *,
-    heavy_fraction: float | None = None,
-) -> SkewAwarePlan:
-    """Build a :class:`SkewAwarePlan` from the observed key frequencies."""
-    return skew_plan_from_pairs(
-        _pair_counts(left, right), shards, heavy_fraction=heavy_fraction
-    )
-
-
 def partition_relation(relation: Relation, plan: HashPartitionPlan) -> list[Relation]:
     """Split ``relation`` into ``plan.shards`` shard-local relations.
 
@@ -201,24 +101,6 @@ class PartitionStats:
         if total == 0:
             return 1.0
         return max(self.pairs_per_shard) * self.shards / total
-
-
-def make_plan(
-    left: Relation,
-    right: Relation,
-    shards: int,
-    *,
-    partitioner: str = "hash",
-    heavy_fraction: float | None = None,
-) -> HashPartitionPlan:
-    """Build the requested partition plan (``"hash"`` or ``"skew"``)."""
-    if partitioner == "hash":
-        return HashPartitionPlan(shards)
-    if partitioner == "skew":
-        return skew_aware_plan(left, right, shards, heavy_fraction=heavy_fraction)
-    raise InstanceError(
-        f"unknown partitioner {partitioner!r}; choose from ('hash', 'skew')"
-    )
 
 
 def partition_instance(

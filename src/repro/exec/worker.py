@@ -36,9 +36,6 @@ from repro.relation.relation import RankJoinInstance
 #: harness-only PR removes the field and this with it.
 BACKENDS = ("serial",)
 
-#: Partitioners accepted by :class:`ExecConfig` (see repro.exec.partition).
-PARTITIONERS = ("hash", "skew")
-
 #: Default per-round pull quantum.  Small enough that shards overshoot the
 #: serial stopping depth by at most a few tuples (the sumDepths overhead),
 #: large enough to amortize scheduling.
@@ -68,23 +65,16 @@ class ExecConfig:
     Parameters
     ----------
     shards:
-        Number of hash partitions (1 = no sharding benefit, still valid).
+        Number of hash partitions (1 = one shard holding everything).
     backend:
         ``"serial"``, the only value (see :data:`BACKENDS`).
     quantum:
         Pulls granted to a shard per advance round.
-    partitioner:
-        ``"hash"`` or ``"skew"`` (heavy hitters on dedicated shards).
-    heavy_fraction:
-        Skew partitioner knob: a key is heavy when its estimated result
-        share exceeds this fraction (default ``1 / shards``).
     """
 
     shards: int = 1
     backend: str = "serial"
     quantum: int = DEFAULT_QUANTUM
-    partitioner: str = "hash"
-    heavy_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if not _positive_int(self.shards):
@@ -98,21 +88,6 @@ class ExecConfig:
         if self.backend not in BACKENDS:
             raise InstanceError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.partitioner not in PARTITIONERS:
-            raise InstanceError(
-                f"unknown partitioner {self.partitioner!r}; "
-                f"choose from {PARTITIONERS}"
-            )
-        fraction = self.heavy_fraction
-        if fraction is not None and not (
-            isinstance(fraction, (int, float))
-            and not isinstance(fraction, bool)
-            and 0.0 < fraction <= 1.0
-        ):
-            raise InstanceError(
-                f"ExecConfig.heavy_fraction must be None or in (0, 1], "
-                f"got {fraction!r}"
             )
 
 

@@ -120,17 +120,22 @@ def _depth_at_threshold(bounds_desc: np.ndarray, threshold: float) -> int:
 def estimate_binary_depths(
     instance: RankJoinInstance,
     *,
+    join_size: int | None = None,
     samples: int = 4000,
     seed: int = 0,
 ) -> DepthEstimate:
     """Corner-model depth estimate for a binary rank join instance.
+
+    ``join_size`` is the exact ``|L ⋈ R|`` when the caller already holds
+    it (the planner caches it by content); ``None`` counts it here.
 
     Degenerate instances degrade gracefully (mirroring
     :func:`estimate_chain_depths`): when the join is smaller than ``k``
     or an input is empty, any operator reads everything, so the estimate
     is the full input depths with a ``-inf`` terminal score.
     """
-    join_size = join_cardinality(instance.left, instance.right)
+    if join_size is None:
+        join_size = join_cardinality(instance.left, instance.right)
     if join_size < instance.k or not (len(instance.left) and len(instance.right)):
         return DepthEstimate(
             (len(instance.left), len(instance.right)), float("-inf"), join_size

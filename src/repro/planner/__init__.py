@@ -1,21 +1,20 @@
-"""Skew-adaptive cost-based planning for rank join evaluation.
+"""Cost-based planning for rank join evaluation: a core and an operator.
 
-The planner closes the loop the ROADMAP calls for: instead of hand-picking
-algorithm / operator / shard count / partitioner per query, a
-:class:`Planner` derives statistics from the inputs
-(:mod:`repro.planner.stats`), scores every candidate configuration with a
-calibrated cost model (:mod:`repro.planner.cost`), and returns an
-explainable :class:`PlanDecision`.  At runtime,
-:class:`AdaptiveShardedRankJoin` (:mod:`repro.planner.adaptive`) watches
-observed shard imbalance and live-migrates a running query to a
-re-partitioned layout without changing a single emitted result.
+Instead of hand-picking the evaluation core (``pbrj`` / ``anyk``) and the
+PBRJ operator per query, a :class:`Planner` counts the join once
+(:mod:`repro.planner.stats`), estimates how deep each operator would read
+(:mod:`repro.plan.estimate`), prices every candidate with a calibrated
+cost model (:mod:`repro.planner.cost`) and returns an explainable
+:class:`PlanDecision` — three candidates for a binary query, two for a
+chain.  Sharding is not on the menu: it is an explicit request
+(``QuerySpec(shards=N)``, ``--shards N``) that lost every measured cell to
+the best unsharded plan (EXPERIMENTS.md).
 
-Entry points: ``QuerySpec(algorithm="auto", shards="auto")``, the
-``--plan auto`` CLI flag on ``run``/``serve``, and the ``shards``
-workload-file key.
+Entry points: ``QuerySpec(algorithm="auto")``, the ``--plan auto`` CLI
+flag on ``run``/``serve``, and ``"algorithm": "auto"`` in a workload file
+or on the wire.
 """
 
-from repro.planner.adaptive import AdaptiveConfig, AdaptiveShardedRankJoin
 from repro.planner.cost import (
     CandidateCost,
     CostCoefficients,
@@ -30,36 +29,19 @@ from repro.planner.planner import (
     PlannerConfig,
     clear_depth_cache,
 )
-from repro.planner.stats import (
-    JoinProfile,
-    RelationProfile,
-    clear_stats_caches,
-    collect_join_stats,
-    collect_stats,
-    fit_zipf_exponent,
-    predicted_imbalance,
-    shard_shares,
-)
+from repro.planner.stats import clear_stats_caches, join_count
 
 __all__ = [
-    "AdaptiveConfig",
-    "AdaptiveShardedRankJoin",
     "CandidateCost",
     "CostCoefficients",
-    "JoinProfile",
     "PlanCandidate",
     "PlanDecision",
     "Planner",
     "PlannerConfig",
-    "RelationProfile",
     "clear_depth_cache",
     "clear_stats_caches",
     "coefficients",
-    "collect_join_stats",
-    "collect_stats",
-    "fit_zipf_exponent",
+    "join_count",
     "measure",
-    "predicted_imbalance",
     "set_coefficients",
-    "shard_shares",
 ]

@@ -1,8 +1,8 @@
 """The planner facade: enumerate candidate plans, cost them, explain.
 
-:class:`Planner` turns a query (relations + K + scoring, with any subset
-of the execution axes pinned by the caller) into a :class:`PlanDecision`:
-the chosen configuration plus the full per-candidate cost table, so every
+:class:`Planner` turns a query (relations + K + scoring, the evaluation
+core optionally pinned by the caller) into a :class:`PlanDecision`: the
+chosen core and operator plus the full per-candidate cost table, so every
 decision is explainable after the fact (``decision.table()``).
 
 Candidate enumeration is deterministic and the statistics behind it are
@@ -14,10 +14,10 @@ cache and the bit-identity acceptance tests rely on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR
-from repro.core.scoring import ScoringFunction, SumScore
+from repro.core.scoring import ScoringFunction, SumScore, scoring_fingerprint
 from repro.errors import InstanceError
 from repro.plan.estimate import (
     DepthEstimate,
@@ -33,12 +33,7 @@ from repro.planner.cost import (
     score_multiway_pbrj,
     score_pbrj_candidate,
 )
-from repro.planner.stats import (
-    JoinProfile,
-    collect_join_stats,
-    predicted_imbalance,
-    shard_shares,
-)
+from repro.planner.stats import join_count, remember
 from repro.relation.relation import RankJoinInstance, Relation
 
 _depth_cache: dict[tuple, DepthEstimate] = {}
@@ -48,11 +43,12 @@ _depth_cache: dict[tuple, DepthEstimate] = {}
 class PlannerConfig:
     """Enumeration bounds and estimator settings for a :class:`Planner`.
 
-    The kernel is not an axis: selection is process-wide
-    (:func:`repro.kernels.set_backend`), never part of a plan.
+    Neither the kernel nor sharding is an axis: kernel selection is
+    process-wide (:func:`repro.kernels.set_backend`), and sharding is
+    something a caller asks for (``QuerySpec(shards=N)``), never part of
+    a plan.
     """
 
-    shard_choices: tuple[int, ...] = (1, 2, 4, 8)
     operators: tuple[str, ...] = ("HRJN*", "FRPA")
     include_anyk: bool = True
     samples: int = 800
@@ -67,8 +63,6 @@ class PlanDecision:
     candidates: tuple[CandidateCost, ...]
     join_size: float
     depth: int
-    key_zipf: float
-    hot_share: float
     planning_seconds: float = field(compare=False, default=0.0)
 
     @property
@@ -79,19 +73,23 @@ class PlanDecision:
     def operator(self) -> str:
         return self.chosen.candidate.operator
 
+    # The three constants below are read by the frozen benchmark harness
+    # (``benchmarks/harness/layers.py``) alone; the next harness-only PR
+    # removes them together with ``ExecConfig.backend``.
+
     @property
     def shards(self) -> int:
-        return self.chosen.candidate.shards
+        """Always 1: the planner does not choose sharding."""
+        return 1
 
     @property
     def partitioner(self) -> str:
-        return self.chosen.candidate.partitioner
+        """Always ``"hash"``."""
+        return "hash"
 
     @property
     def backend(self) -> str:
-        """Always ``"serial"``.  Read by the frozen benchmark harness
-        (``benchmarks/harness/layers.py``) alone; the next harness-only PR
-        removes it together with ``ExecConfig.backend``."""
+        """Always ``"serial"``."""
         return "serial"
 
     def summary(self) -> str:
@@ -102,34 +100,21 @@ class PlanDecision:
         lines = [
             f"plan: {self.summary()}  "
             f"(join={self.join_size:.0f} depth~{self.depth} "
-            f"key-zipf={self.key_zipf:.2f} hot={self.hot_share:.2f} "
             f"planned in {self.planning_seconds * 1e3:.1f}ms)",
-            f"  {'candidate':<34} {'est cost':>10} {'depth':>8} "
-            f"{'imbal':>6}  breakdown",
+            f"  {'candidate':<16} {'est cost':>10} {'depth':>8}",
         ]
         for entry in self.candidates:
             mark = "*" if entry is self.chosen else " "
-            detail = entry.detail
             lines.append(
-                f" {mark}{entry.candidate.label():<34} "
+                f" {mark}{entry.candidate.label():<16} "
                 f"{entry.cost * 1e3:>8.2f}ms "
-                f"{detail['depth']:>8.0f} "
-                f"{detail['imbalance']:>6.2f}  "
-                f"compute {detail['compute'] * 1e3:.2f}ms"
-                f" + rounds {detail['rounds'] * 1e3:.2f}ms"
-                f" + startup {detail['startup'] * 1e3:.2f}ms"
+                f"{entry.detail['depth']:>8.0f}"
             )
         return "\n".join(lines)
 
 
-def _scoring_key(scoring: ScoringFunction) -> str:
-    state = getattr(scoring, "__dict__", {})
-    inner = ",".join(f"{k}={state[k]!r}" for k in sorted(state))
-    return f"{type(scoring).__name__}({inner})"
-
-
 class Planner:
-    """Cost-based plan selection over the planner statistics."""
+    """Cost-based choice of evaluation core and operator."""
 
     def __init__(
         self,
@@ -153,12 +138,9 @@ class Planner:
         scoring: ScoringFunction | None = None,
         *,
         algorithm: str = "auto",
-        shards: int | str = "auto",
-        operator: str | None = None,
-        partitioner: str | None = None,
         join_attrs: tuple[str, ...] = (),
     ) -> PlanDecision:
-        """Choose a plan; any non-``auto``/non-``None`` axis is pinned."""
+        """Choose a plan; a non-``auto`` ``algorithm`` pins the core."""
         if algorithm != "auto" and algorithm not in ALGORITHMS:
             raise InstanceError(
                 f"unknown algorithm {algorithm!r}; choose from "
@@ -169,29 +151,17 @@ class Planner:
         scoring = scoring or SumScore()
         started = time.perf_counter()
         if len(relations) == 2:
-            decision = self._plan_binary(
-                relations, k, scoring,
-                algorithm=algorithm, shards=shards, operator=operator,
-                partitioner=partitioner,
-            )
+            decision = self._plan_binary(relations, k, scoring, algorithm)
         else:
             decision = self._plan_multiway(
-                relations, list(join_attrs), k, scoring, algorithm=algorithm
+                relations, list(join_attrs), k, scoring, algorithm
             )
-        decision = PlanDecision(
-            chosen=decision.chosen,
-            candidates=decision.candidates,
-            join_size=decision.join_size,
-            depth=decision.depth,
-            key_zipf=decision.key_zipf,
-            hot_share=decision.hot_share,
-            planning_seconds=time.perf_counter() - started,
+        decision = replace(
+            decision, planning_seconds=time.perf_counter() - started
         )
         if self.obs is not None:
             self.obs.metrics.counter(
-                "planner_decisions_total",
-                algorithm=decision.algorithm,
-                shards=str(decision.shards),
+                "planner_decisions_total", algorithm=decision.algorithm
             ).inc()
         return decision
 
@@ -202,85 +172,31 @@ class Planner:
         relations: list[Relation],
         k: int,
         scoring: ScoringFunction,
-        *,
         algorithm: str,
-        shards: int | str,
-        operator: str | None,
-        partitioner: str | None,
     ) -> PlanDecision:
         left, right = relations
-        profile = collect_join_stats(left, right)
-        depth = self._depth_estimate(left, right, k, scoring)
-        total_tuples = profile.left.cardinality + profile.right.cardinality
+        join_size = join_count(left, right)
+        depth = self._depth_estimate(left, right, k, scoring, join_size)
         coeffs = self.coeffs
-        config = self.config
-
-        algorithms = (algorithm,) if algorithm != "auto" else (
-            ("pbrj", "anyk") if config.include_anyk else ("pbrj",)
-        )
-        shard_options: tuple[int, ...]
-        if shards == "auto":
-            shard_options = config.shard_choices
-        else:
-            shard_options = (int(shards),)
-        operators = (operator,) if operator else config.operators
-
-        shares_cache: dict[tuple[int, str], tuple[float, ...]] = {}
-
-        def shares_for(count: int, part: str) -> tuple[float, ...]:
-            cached = shares_cache.get((count, part))
-            if cached is None:
-                cached = shard_shares(profile, count, part)
-                shares_cache[(count, part)] = cached
-            return cached
-
         candidates: list[CandidateCost] = []
-        for algo in algorithms:
-            for shard_count in shard_options:
-                if shard_count == 1:
-                    partitioner_options = ("hash",)
-                else:
-                    partitioner_options = (
-                        (partitioner,) if partitioner else ("hash", "skew")
-                    )
-                for part in partitioner_options:
-                    shares = shares_for(shard_count, part)
-                    if algo == "anyk":
-                        # Sharding buys the DP nothing — only cost it
-                        # when the user pinned shards > 1.
-                        if shard_count > 1 and shards == "auto":
-                            continue
-                        candidate = PlanCandidate(
-                            algorithm="anyk",
-                            operator=ANYK_OPERATOR,
-                            shards=shard_count,
-                            partitioner=part,
-                        )
-                        candidates.append(score_anyk_candidate(
-                            candidate, coeffs=coeffs,
-                            total_tuples=total_tuples, k=k, shares=shares,
-                            join_size=float(profile.join_size),
-                        ))
-                        continue
-                    for op_name in operators:
-                        candidates.append(score_pbrj_candidate(
-                            PlanCandidate(
-                                algorithm="pbrj",
-                                operator=op_name,
-                                shards=shard_count,
-                                partitioner=part,
-                            ),
-                            coeffs=coeffs,
-                            depth=depth.sum_depths,
-                            total_tuples=total_tuples,
-                            shares=shares,
-                        ))
+        if algorithm in ("auto", "pbrj"):
+            candidates.extend(
+                score_pbrj_candidate(
+                    PlanCandidate("pbrj", operator),
+                    coeffs=coeffs, depth=depth.sum_depths,
+                )
+                for operator in self.config.operators
+            )
+        if algorithm == "anyk" or (
+            algorithm == "auto" and self.config.include_anyk
+        ):
+            candidates.append(score_anyk_candidate(
+                PlanCandidate("anyk", ANYK_OPERATOR),
+                coeffs=coeffs, total_tuples=len(left) + len(right), k=k,
+                join_size=float(join_size),
+            ))
         return self._decide(
-            candidates,
-            join_size=float(profile.join_size),
-            depth=depth.sum_depths,
-            key_zipf=profile.key_zipf,
-            hot_share=profile.hot_pair_share,
+            candidates, join_size=float(join_size), depth=depth.sum_depths
         )
 
     # -- multiway -------------------------------------------------------
@@ -291,7 +207,6 @@ class Planner:
         join_attrs: list[str],
         k: int,
         scoring: ScoringFunction,
-        *,
         algorithm: str,
     ) -> PlanDecision:
         coeffs = self.coeffs
@@ -311,26 +226,16 @@ class Planner:
         candidates: list[CandidateCost] = []
         if algorithm in ("auto", "pbrj"):
             candidates.append(score_multiway_pbrj(
-                PlanCandidate(
-                    algorithm="pbrj", operator="HRJN*", shards=1,
-                    partitioner="hash",
-                ),
+                PlanCandidate("pbrj", "HRJN*"),
                 coeffs=coeffs, depth=float(sum_depths), arity=len(relations),
             ))
         if algorithm in ("auto", "anyk") and self.config.include_anyk:
             candidates.append(score_anyk_candidate(
-                PlanCandidate(
-                    algorithm="anyk", operator=ANYK_OPERATOR, shards=1,
-                    partitioner="hash",
-                ),
+                PlanCandidate("anyk", ANYK_OPERATOR),
                 coeffs=coeffs, total_tuples=total_tuples, k=k,
             ))
         return self._decide(
-            candidates,
-            join_size=float(join_size),
-            depth=sum_depths,
-            key_zipf=0.0,
-            hot_share=0.0,
+            candidates, join_size=float(join_size), depth=sum_depths
         )
 
     # -- shared ---------------------------------------------------------
@@ -341,28 +246,25 @@ class Planner:
         right: Relation,
         k: int,
         scoring: ScoringFunction,
+        join_size: int,
     ) -> DepthEstimate:
         key = (
             left.fingerprint(), right.fingerprint(), k,
-            _scoring_key(scoring), self.config.samples, self.config.seed,
+            scoring_fingerprint(scoring), self.config.samples, self.config.seed,
         )
         cached = _depth_cache.get(key)
         if cached is None:
-            instance = RankJoinInstance(left, right, scoring, k)
             cached = estimate_binary_depths(
-                instance, samples=self.config.samples, seed=self.config.seed
+                RankJoinInstance(left, right, scoring, k),
+                join_size=join_size,
+                samples=self.config.samples, seed=self.config.seed,
             )
-            _depth_cache[key] = cached
+            remember(_depth_cache, key, cached)
         return cached
 
     @staticmethod
     def _decide(
-        candidates: list[CandidateCost],
-        *,
-        join_size: float,
-        depth: int,
-        key_zipf: float,
-        hot_share: float,
+        candidates: list[CandidateCost], *, join_size: float, depth: int
     ) -> PlanDecision:
         if not candidates:
             raise InstanceError("the pinned axes leave no candidate plans")
@@ -374,8 +276,6 @@ class Planner:
             candidates=tuple(ordered),
             join_size=join_size,
             depth=depth,
-            key_zipf=key_zipf,
-            hot_share=hot_share,
         )
 
 

@@ -1,198 +1,43 @@
-"""Statistics collection for the cost-based planner.
+"""The planner's one input statistic: the exact join cardinality.
 
-Everything the cost model needs about an input is condensed into two
-deterministic, cheaply-cached profiles:
-
-* :class:`RelationProfile` — per-relation cardinality, distinct join-key
-  count, heavy-hitter key frequencies, a fitted Zipf exponent for the key
-  distribution, and a decile sketch of per-tuple scores.  Cached process-
-  wide keyed by :meth:`Relation.fingerprint` (content-addressed, so two
-  relations with equal tuples share one profile and re-planning a cached
-  query costs a dict lookup).
-* :class:`JoinProfile` — the binary-join view: exact join cardinality,
-  per-key pair counts (``|L_k| · |R_k|``), the hottest key's result share
-  and a Zipf fit over the *pair* distribution (join skew can be much worse
-  than either input's skew — "Skew Strikes Back").
-
-The join profile also answers the planner's partitioning question
-directly: :func:`shard_shares` simulates any candidate partition plan over
-the pair counts, giving the exact per-shard result shares (and thus the
-imbalance) that a configuration would see — no sampling, no guessing.
+Counting ``|L ⋈ R|`` is a pass over every tuple of both inputs, so the
+count is cached process-wide by the pair of
+:meth:`~repro.relation.relation.Relation.fingerprint` values (content-
+addressed: re-planning a query over the same relations costs a dict
+lookup) and handed to the depth estimator instead of being recounted
+there.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable
-
-from repro.exec.partition import (
-    HashPartitionPlan,
-    skew_plan_from_pairs,
-)
+from repro.plan.estimate import join_cardinality
 from repro.relation.relation import Relation
 
-#: Heavy-hitter keys retained per profile (enough to seed a skew plan for
-#: any shard count the planner enumerates).
-MAX_HEAVY_HITTERS = 16
+#: Entries each planner cache keeps (this one and the depth-estimate cache
+#: of :mod:`repro.planner.planner`), oldest out: a serving process sees an
+#: unbounded stream of distinct relations and per-request weight vectors.
+CACHE_LIMIT = 1024
 
-#: Leading frequency ranks used in the log-log Zipf-exponent fit.
-ZIPF_FIT_RANKS = 64
-
-_relation_cache: dict[str, "RelationProfile"] = {}
-_join_cache: dict[tuple[str, str], "JoinProfile"] = {}
+_join_counts: dict[tuple[str, str], int] = {}
 
 
-def fit_zipf_exponent(counts_desc: list[int]) -> float:
-    """Least-squares slope of ``log freq`` vs ``log rank`` (negated).
-
-    0.0 means uniform; larger is more skewed.  Fewer than two distinct
-    ranks cannot constrain a slope and report 0.0.
-    """
-    ranks = [c for c in counts_desc[:ZIPF_FIT_RANKS] if c > 0]
-    if len(ranks) < 2:
-        return 0.0
-    xs = [math.log(i + 1.0) for i in range(len(ranks))]
-    ys = [math.log(c) for c in ranks]
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    if var_x == 0.0:
-        return 0.0
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return max(0.0, -cov / var_x)
+def remember(cache: dict, key, value) -> None:
+    """Insert ``key``, evicting the oldest insertions past ``CACHE_LIMIT``."""
+    cache[key] = value
+    while len(cache) > CACHE_LIMIT:
+        del cache[next(iter(cache))]
 
 
-@dataclass(frozen=True)
-class RelationProfile:
-    """Planner-facing summary of one relation's content."""
-
-    fingerprint: str
-    cardinality: int
-    dimension: int
-    distinct_keys: int
-    heavy_hitters: tuple[tuple[Hashable, int], ...]
-    zipf_exponent: float
-    score_deciles: tuple[float, ...]
-
-    @property
-    def max_key_share(self) -> float:
-        """Fraction of tuples carried by the most frequent join key."""
-        if not self.cardinality or not self.heavy_hitters:
-            return 0.0
-        return self.heavy_hitters[0][1] / self.cardinality
-
-
-def collect_stats(relation: Relation) -> RelationProfile:
-    """Profile a relation, cached by its content fingerprint."""
-    fingerprint = relation.fingerprint()
-    cached = _relation_cache.get(fingerprint)
-    if cached is not None:
-        return cached
-    counts = Counter(t.key for t in relation.tuples)
-    ordered = counts.most_common()
-    sums = sorted(sum(t.scores) for t in relation.tuples)
-    if sums:
-        last = len(sums) - 1
-        deciles = tuple(
-            sums[min(last, round(q * last / 10))] for q in range(11)
-        )
-    else:
-        deciles = ()
-    profile = RelationProfile(
-        fingerprint=fingerprint,
-        cardinality=len(relation.tuples),
-        dimension=relation.dimension,
-        distinct_keys=len(counts),
-        heavy_hitters=tuple(ordered[:MAX_HEAVY_HITTERS]),
-        zipf_exponent=fit_zipf_exponent([c for _, c in ordered]),
-        score_deciles=deciles,
-    )
-    _relation_cache[fingerprint] = profile
-    return profile
-
-
-@dataclass(frozen=True)
-class JoinProfile:
-    """Summary of one binary equi-join's key structure."""
-
-    left: RelationProfile
-    right: RelationProfile
-    join_size: int
-    pair_counts: dict[Hashable, int]
-    key_zipf: float
-
-    @property
-    def hot_pair_share(self) -> float:
-        """Result share of the hottest join key (1.0 = one key is the join)."""
-        if not self.join_size:
-            return 0.0
-        return max(self.pair_counts.values()) / self.join_size
-
-
-def collect_join_stats(left: Relation, right: Relation) -> JoinProfile:
-    """Join-level statistics, cached by the pair of fingerprints."""
+def join_count(left: Relation, right: Relation) -> int:
+    """Exact ``|left ⋈ right|`` on the tuple keys, cached by content."""
     key = (left.fingerprint(), right.fingerprint())
-    cached = _join_cache.get(key)
-    if cached is not None:
-        return cached
-    left_counts = Counter(t.key for t in left.tuples)
-    right_counts = Counter(t.key for t in right.tuples)
-    pairs = {
-        k: n * right_counts[k] for k, n in left_counts.items() if k in right_counts
-    }
-    profile = JoinProfile(
-        left=collect_stats(left),
-        right=collect_stats(right),
-        join_size=sum(pairs.values()),
-        pair_counts=pairs,
-        key_zipf=fit_zipf_exponent(sorted(pairs.values(), reverse=True)),
-    )
-    _join_cache[key] = profile
-    return profile
-
-
-def shard_shares(
-    profile: JoinProfile,
-    shards: int,
-    partitioner: str,
-    *,
-    heavy_fraction: float | None = None,
-) -> tuple[float, ...]:
-    """Exact per-shard result-share a candidate partitioning would see.
-
-    Simulates the same deterministic plan the engine would build (hash or
-    skew-aware) over the profile's pair counts.  Returns ``shards``
-    fractions summing to 1.0 (uniform shares for an empty join, so cost
-    formulas stay finite).
-    """
-    if shards == 1:
-        return (1.0,)
-    if partitioner == "skew":
-        plan = skew_plan_from_pairs(
-            profile.pair_counts, shards, heavy_fraction=heavy_fraction
-        )
-    else:
-        plan = HashPartitionPlan(shards)
-    per_shard = [0] * shards
-    for key, count in profile.pair_counts.items():
-        per_shard[plan.shard_of(key)] += count
-    total = sum(per_shard)
-    if total == 0:
-        return tuple(1.0 / shards for _ in range(shards))
-    return tuple(count / total for count in per_shard)
-
-
-def predicted_imbalance(shares: tuple[float, ...]) -> float:
-    """Max share over fair share — same scale as ``PartitionStats.imbalance``."""
-    if not shares:
-        return 1.0
-    return max(shares) * len(shares)
+    cached = _join_counts.get(key)
+    if cached is None:
+        cached = join_cardinality(left, right)
+        remember(_join_counts, key, cached)
+    return cached
 
 
 def clear_stats_caches() -> None:
-    """Drop the process-wide profile caches (tests, memory pressure)."""
-    _relation_cache.clear()
-    _join_cache.clear()
+    """Drop the join-count cache (tests, memory pressure)."""
+    _join_counts.clear()

@@ -34,7 +34,8 @@ Quickstart (in-process)::
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.fleet import ServeFleet
-from repro.service.query import QuerySpec, scoring_fingerprint
+from repro.core.scoring import scoring_fingerprint
+from repro.service.query import QuerySpec
 from repro.service.quota import TenantQuotas, TokenBucket
 from repro.service.scheduler import (
     POLICIES,

@@ -18,43 +18,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS, make_operator
 from repro.core.multiway import multiway_rank_join
-from repro.core.scoring import ScoringFunction, SumScore
+from repro.core.scoring import ScoringFunction, SumScore, scoring_fingerprint
 from repro.errors import InstanceError
 from repro.relation.relation import RankJoinInstance, Relation
-
-
-def scoring_fingerprint(scoring: ScoringFunction) -> str:
-    """A stable identity string for a scoring function.
-
-    Built from the class name plus every simple constructor parameter
-    (numbers, strings, tuples; numpy arrays are flattened to floats).
-    Scoring functions wrapping arbitrary callables cannot be fingerprinted
-    stably, so they fall back to ``id()`` — each instance gets a private
-    cache namespace rather than risking a false cache share.
-    """
-    params = []
-    opaque = False
-    for name, value in sorted(vars(scoring).items()):
-        if isinstance(value, np.ndarray):
-            value = tuple(float(v) for v in value.ravel())
-        if isinstance(value, (list, tuple)):
-            simple = all(isinstance(v, (int, float, str, bool)) for v in value)
-            if simple:
-                params.append((name, tuple(value)))
-                continue
-            opaque = True
-        elif isinstance(value, (int, float, str, bool)) or value is None:
-            params.append((name, value))
-        elif callable(value):
-            opaque = True
-    identity = f"{type(scoring).__name__}:{params!r}"
-    if opaque:
-        identity += f":opaque@{id(scoring)}"
-    return identity
 
 
 @dataclass(frozen=True)
@@ -91,19 +59,9 @@ class QuerySpec:
         entries); must be empty for binary queries.
     shards:
         Number of hash partitions for sharded execution (binary joins
-        only).  ``1`` (the default) runs the plain serial operator;
-        ``> 1`` builds a :class:`~repro.exec.engine.ShardedRankJoin`;
-        ``"auto"`` lets the planner choose the shard count and
-        partitioner.
-    partitioner:
-        ``"hash"`` (default) or ``"skew"`` — the partition plan for
-        sharded execution.  Excluded from the fingerprint: the merge gate
-        makes the emission order partition-independent (test-enforced).
-    adaptive:
-        Optional :class:`repro.planner.AdaptiveConfig` enabling online
-        re-sharding for sharded execution.  Planner-resolved sharded
-        specs get one by default.  Fingerprint-excluded: migration
-        preserves the emission sequence (test-enforced).
+        only), always an explicit request — the planner never shards.
+        ``1`` (the default) runs the plain serial operator; ``> 1``
+        builds a :class:`~repro.exec.engine.ShardedRankJoin`.
     """
 
     relations: tuple[Relation, ...]
@@ -112,9 +70,7 @@ class QuerySpec:
     operator: str = "FRPA"
     algorithm: str = "pbrj"
     join_attrs: tuple[str, ...] = ()
-    shards: int | str = 1
-    partitioner: str = "hash"
-    adaptive: object | None = None
+    shards: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", tuple(self.relations))
@@ -145,20 +101,15 @@ class QuerySpec:
                 f"need {len(self.relations) - 1} join attributes for "
                 f"{len(self.relations)} relations, got {len(self.join_attrs)}"
             )
-        if isinstance(self.shards, str):
-            if self.shards != "auto":
-                raise InstanceError(
-                    f"shards must be a positive integer or 'auto', "
-                    f"got {self.shards!r}"
-                )
-        elif self.shards < 1:
-            raise InstanceError("shards must be >= 1")
-        if self.partitioner not in ("hash", "skew"):
+        if (
+            not isinstance(self.shards, int)
+            or isinstance(self.shards, bool)
+            or self.shards < 1
+        ):
             raise InstanceError(
-                f"unknown partitioner {self.partitioner!r}; "
-                f"choose from ('hash', 'skew')"
+                f"shards must be a positive integer, got {self.shards!r}"
             )
-        if isinstance(self.shards, int) and self.shards > 1 and self.is_multiway:
+        if self.shards > 1 and self.is_multiway:
             raise InstanceError(
                 "sharded execution supports binary joins only; "
                 "multiway queries must use shards=1"
@@ -170,8 +121,8 @@ class QuerySpec:
 
     @property
     def is_auto(self) -> bool:
-        """True when at least one axis is left to the planner."""
-        return self.algorithm == "auto" or self.shards == "auto"
+        """True when the planner is to choose the core and the operator."""
+        return self.algorithm == "auto"
 
     @property
     def effective_operator(self) -> str:
@@ -189,34 +140,29 @@ class QuerySpec:
         return getattr(self, "_decision", None)
 
     def resolve(self, *, obs=None, planner=None) -> "QuerySpec":
-        """Pin every ``auto`` axis via the cost-based planner.
+        """Pin the core and the operator via the cost-based planner.
 
-        Returns ``self`` for fully static specs.  The resolution is
-        memoized on the spec (statistics are content-addressed and the
-        estimators seeded, so it is deterministic within a process) and
-        the resulting spec carries the full :class:`PlanDecision` on
-        :attr:`decision` for explainability.
+        Returns ``self`` for static specs.  The resolution is memoized on
+        the spec (the join count is content-addressed and the estimators
+        seeded, so it is deterministic within a process) and the resulting
+        spec carries the full :class:`PlanDecision` on :attr:`decision`
+        for explainability.  ``shards`` is the caller's and passes through.
         """
         if not self.is_auto:
             return self
         cached = getattr(self, "_resolved", None)
         if cached is not None:
             return cached
-        from repro.planner import AdaptiveConfig, Planner
+        from repro.planner import Planner
 
         if planner is None:
             planner = Planner(obs=obs)
-        pin_operator = self.algorithm != "auto" and not self.is_multiway
         decision = planner.plan(
             list(self.relations),
             self.k,
             self.scoring,
-            algorithm=self.algorithm,
-            shards=self.shards,
-            operator=self.operator if pin_operator else None,
             join_attrs=self.join_attrs,
         )
-        sharded = decision.shards > 1
         resolved = replace(
             self,
             algorithm=decision.algorithm,
@@ -224,11 +170,6 @@ class QuerySpec:
                 decision.operator
                 if decision.algorithm == "pbrj" and not self.is_multiway
                 else self.operator
-            ),
-            shards=decision.shards,
-            partitioner=(decision.partitioner if sharded else "hash"),
-            adaptive=(
-                (self.adaptive or AdaptiveConfig()) if sharded else None
             ),
         )
         object.__setattr__(resolved, "_decision", decision)
@@ -240,12 +181,13 @@ class QuerySpec:
         if self.is_auto:
             return "auto (unresolved)"
         if self.decision is not None:
-            return self.decision.summary()
-        if self.is_multiway:
-            return f"{self.algorithm}/multiway"
-        label = f"{self.algorithm}/{self.effective_operator}"
-        if isinstance(self.shards, int) and self.shards > 1:
-            label += f" x{self.shards} {self.partitioner}/serial"
+            label = self.decision.summary()
+        elif self.is_multiway:
+            label = f"{self.algorithm}/multiway"
+        else:
+            label = f"{self.algorithm}/{self.effective_operator}"
+        if self.shards > 1:
+            label += f" x{self.shards}"
         return label
 
     def fingerprint(self) -> str:
@@ -294,8 +236,7 @@ class QuerySpec:
         sharded engine consumes it today — serial operators are timed
         by their session span directly.
 
-        ``auto`` specs are planner-resolved first; planner-resolved
-        sharded plans run under the adaptive re-sharding wrapper.
+        ``auto`` specs are planner-resolved first.
         """
         if self.is_auto:
             return self.resolve(obs=obs).build_operator(obs=obs, trace=trace)
@@ -327,24 +268,10 @@ class QuerySpec:
         if self.shards > 1:
             from repro.exec import ExecConfig, ShardedRankJoin
 
-            config = ExecConfig(shards=self.shards, partitioner=self.partitioner)
-            if self.adaptive is not None:
-                from repro.planner import AdaptiveShardedRankJoin
-
-                engine = AdaptiveShardedRankJoin(
-                    instance,
-                    self.effective_operator,
-                    config=config,
-                    adaptive=self.adaptive,
-                    obs=obs,
-                    trace=trace,
-                )
-                engine.plan_label = self.plan_summary()
-                return engine
             return ShardedRankJoin(
                 instance,
                 self.effective_operator,
-                config=config,
+                config=ExecConfig(shards=self.shards),
                 obs=obs,
                 trace=trace,
             )
@@ -353,8 +280,6 @@ class QuerySpec:
     def describe(self) -> str:
         names = " ⋈ ".join(r.name for r in self.relations)
         label = f"{names} top-{self.k} via {self.effective_operator}"
-        if isinstance(self.shards, int) and self.shards > 1:
+        if self.shards > 1:
             label += f" x{self.shards} shards"
-        elif self.shards == "auto":
-            label += " (planned)"
         return label

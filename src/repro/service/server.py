@@ -93,7 +93,7 @@ class RankJoinServer(wire.LineServer):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        default_shards: int | str = 1,
+        default_shards: int = 1,
         default_algorithm: str = "pbrj",
         chaos=None,
     ) -> None:
@@ -103,8 +103,7 @@ class RankJoinServer(wire.LineServer):
         self.default_shards = default_shards
         #: Evaluation core applied when a request carries no
         #: ``algorithm`` field (``"pbrj"``, ``"anyk"``, or ``"auto"`` to
-        #: let the cost-based planner choose; ``default_shards`` may be
-        #: ``"auto"`` likewise — both set by ``serve --plan auto``).
+        #: let the cost-based planner choose — ``serve --plan auto``).
         self.default_algorithm = default_algorithm
         self.chaos = chaos
         #: What the idle driver sleeps on; exists whenever ``_loop`` does.
@@ -328,7 +327,7 @@ class RankJoinServer(wire.LineServer):
             scoring = SumScore()
         shards = request.get("shards") or self.default_shards
         kwargs = {}
-        if len(relations) == 2 and (shards == "auto" or shards > 1):
+        if len(relations) == 2 and shards > 1:
             kwargs["shards"] = shards
         return QuerySpec(
             relations=relations,

@@ -251,15 +251,11 @@ class QueryService:
 
     def _brief(self, session: QuerySession) -> dict:
         spec = self._specs.get(session.session_id)
-        reshards = getattr(session.operator, "reshards", 0)
-        plan = spec.plan_summary() if spec is not None else "?"
-        if reshards:
-            plan += f" (re-sharded x{reshards})"
         return {
             "session": session.session_id,
             "state": session.state.value,
             "label": session.label,
-            "plan": plan,
+            "plan": spec.plan_summary() if spec is not None else "?",
             "results": len(session.results),
             "k": session.k,
             "pulls": session.pulls,

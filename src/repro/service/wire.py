@@ -217,8 +217,7 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
         Field("algorithm", *_STR),
         Field("weights", "a list of lists of finite numbers",
               _list_of(_list_of(_is_number))),
-        Field("shards", 'a positive integer or "auto"',
-              lambda v: v == "auto" or (_is_int(v) and v >= 1)),
+        Field("shards", "a positive integer", lambda v: _is_int(v) and v >= 1),
         # One value — shards run in the server's process.  The row exists so
         # clients that send the field keep working and any other value is
         # refused here, at the edge.

@@ -32,7 +32,6 @@ from repro.core.stepping import PENDING, ResumableOperator
 from repro.core.tuples import RankTuple
 from repro.data.workload import random_instance
 from repro.exec import ExecConfig, ShardedRankJoin
-from repro.planner import AdaptiveConfig, AdaptiveShardedRankJoin
 from repro.relation.relation import Relation
 
 BINARY = random_instance(
@@ -69,10 +68,6 @@ IMPLEMENTERS = {
         *CHAIN, SumScore(), bound=MultiwayFeasibleBound()
     ),
     "sharded": partial(ShardedRankJoin, BINARY, "FRPA", config=TWO_SHARDS),
-    "adaptive": partial(
-        AdaptiveShardedRankJoin, BINARY, "FRPA", config=TWO_SHARDS,
-        adaptive=AdaptiveConfig(threshold=0.0, min_pulls=1, min_emitted=1),
-    ),
 }
 #: A pull quantum is a hard cap everywhere but any-k, whose emission may
 #: overshoot by one tie batch (documented in ``repro.anyk.engine``).

@@ -49,14 +49,6 @@ class TestShardedEqualsSerial:
             sharded = engine.top_k(instance.k)
         assert identity_view(sharded) == identity_view(reference)
 
-    def test_skew_partitioner_same_answer(self, workloads):
-        instance = workloads["zipf"]
-        reference = canonical_top_k(instance, instance.k)
-        config = ExecConfig(shards=4, backend="serial", partitioner="skew")
-        with ShardedRankJoin(instance, "FRPA", config=config) as engine:
-            sharded = engine.top_k(instance.k)
-        assert identity_view(sharded) == identity_view(reference)
-
     def test_full_drain_matches_serial(self, workloads):
         instance = workloads["uniform"]
         join_size = instance.join_size()
@@ -190,12 +182,6 @@ class TestServiceIntegration:
             relations=(instance.left, instance.right), k=8, shards=4
         )
         assert serial.fingerprint() != sharded.fingerprint()
-        # The partitioner must NOT split the cache namespace.
-        skewed = QuerySpec(
-            relations=(instance.left, instance.right), k=8, shards=4,
-            partitioner="skew",
-        )
-        assert sharded.fingerprint() == skewed.fingerprint()
 
     def test_multiway_rejects_shards(self, workloads):
         instance = workloads["uniform"]

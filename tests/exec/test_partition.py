@@ -1,4 +1,4 @@
-"""Partitioner tests: determinism, order preservation, skew handling."""
+"""Partitioner tests: determinism, order preservation, exact cover."""
 
 import subprocess
 import sys
@@ -9,16 +9,12 @@ from repro.data.workload import random_instance
 from repro.errors import InstanceError
 from repro.exec import (
     HashPartitionPlan,
-    SkewAwarePlan,
-    make_plan,
     partition_instance,
     partition_relation,
-    skew_aware_plan,
     stable_key_hash,
 )
-from repro.core.scoring import SumScore
 from repro.core.tuples import RankTuple
-from repro.relation.relation import RankJoinInstance, Relation
+from repro.relation.relation import Relation
 
 
 def make_relation(name, rows):
@@ -88,46 +84,6 @@ class TestHashPartition:
             HashPartitionPlan(0)
 
 
-class TestSkewAwarePlan:
-    def make_skewed(self):
-        # Key 0 carries ~78% of all join pairs (a zipf-style heavy hitter).
-        left = make_relation(
-            "l", [(0, (0.9, 0.1))] * 30 + [(k, (0.5, 0.5)) for k in range(1, 11)]
-        )
-        right = make_relation(
-            "r", [(0, (0.8, 0.2))] * 30 + [(k, (0.4, 0.6)) for k in range(1, 11)]
-        )
-        return left, right
-
-    def test_heavy_key_gets_dedicated_shard(self):
-        left, right = self.make_skewed()
-        plan = skew_aware_plan(left, right, 4)
-        assert 0 in plan.dedicated
-        heavy_shard = plan.shard_of(0)
-        # No light key shares the heavy hitter's shard.
-        assert all(plan.shard_of(k) != heavy_shard for k in range(1, 11))
-
-    def test_skew_plan_beats_hash_on_imbalance(self):
-        left, right = self.make_skewed()
-        instance = RankJoinInstance(left, right, SumScore(), 2)
-        _, hash_stats = partition_instance(instance, make_plan(left, right, 4))
-        _, skew_stats = partition_instance(
-            instance, make_plan(left, right, 4, partitioner="skew")
-        )
-        assert skew_stats.imbalance <= hash_stats.imbalance
-
-    def test_no_heavy_keys_degenerates_to_hash(self):
-        left = make_relation("l", [(k, (0.5, 0.5)) for k in range(40)])
-        right = make_relation("r", [(k, (0.5, 0.5)) for k in range(40)])
-        plan = skew_aware_plan(left, right, 4, heavy_fraction=0.9)
-        assert plan.dedicated == {}
-
-    def test_single_shard_trivial(self):
-        left, right = self.make_skewed()
-        plan = skew_aware_plan(left, right, 1)
-        assert plan.shard_of(0) == 0 and plan.shard_of(5) == 0
-
-
 class TestPartitionInstance:
     def test_stats_account_every_pair(self):
         instance = random_instance(
@@ -148,12 +104,5 @@ class TestPartitionInstance:
         assert all(s.scoring is instance.scoring for s in shards)
         assert all(s.k == instance.k for s in shards)
 
-    def test_unknown_partitioner_rejected(self):
-        rel = make_relation("r", [(1, (0.5, 0.5))])
-        with pytest.raises(InstanceError, match="unknown partitioner"):
-            make_plan(rel, rel, 2, partitioner="range")
-
     def test_describe(self):
-        rel = make_relation("r", [(1, (0.5, 0.5))])
-        assert make_plan(rel, rel, 4).describe() == "hash(4)"
-        assert SkewAwarePlan(4, {1: 0}).describe() == "skew(4, heavy=1)"
+        assert HashPartitionPlan(4).describe() == "hash(4)"

@@ -31,7 +31,6 @@ class TestExecConfig:
         {"shards": 0},
         {"quantum": 0},
         {"backend": "gpu"},
-        {"partitioner": "range"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InstanceError):
@@ -40,9 +39,6 @@ class TestExecConfig:
     @pytest.mark.parametrize("field, value", [
         ("shards", 2.0), ("shards", True), ("shards", "2"),
         ("quantum", True), ("quantum", 1.5),
-        ("heavy_fraction", -1.0), ("heavy_fraction", 0.0),
-        ("heavy_fraction", 2.0), ("heavy_fraction", True),
-        ("heavy_fraction", "half"),
     ])
     def test_bad_values_are_one_line_errors_naming_the_field(self, field, value):
         # At the parent all of these constructed; shards=2.0 then died with
@@ -51,12 +47,6 @@ class TestExecConfig:
             ExecConfig(**{field: value})
         message = str(err.value)
         assert f"ExecConfig.{field}" in message and "\n" not in message
-
-    @pytest.mark.parametrize("fraction", [None, 0.25, 1.0, 1])
-    def test_heavy_fraction_accepts_none_and_the_half_open_unit_interval(
-        self, fraction
-    ):
-        assert ExecConfig(heavy_fraction=fraction).heavy_fraction == fraction
 
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_retired_backends_are_a_one_line_error(self, backend):

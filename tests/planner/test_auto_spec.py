@@ -1,10 +1,10 @@
 """Auto-planned QuerySpec: resolution, fingerprints, bit-identity.
 
-The acceptance property: an ``algorithm="auto", shards="auto"`` query
-must produce the *bit-identical* result sequence (scores + tuple
-identities, in emission order) of a static spec pinned to the same
-effective plan — and of the plain serial operator, which is the global
-reference for every execution mode in this codebase.
+The acceptance property: an ``algorithm="auto"`` query must produce the
+*bit-identical* result sequence (scores + tuple identities, in emission
+order) of a static spec pinned to the same effective plan — and of the
+plain serial operator, which is the global reference for every execution
+mode in this codebase.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.operators import make_operator
 from repro.data.workload import random_instance
+from repro.errors import InstanceError
 from repro.exec import result_identity
 from repro.obs import Observability
 from repro.service.query import QuerySpec
@@ -25,7 +26,6 @@ def auto_spec(instance, **overrides):
         k=instance.k,
         scoring=instance.scoring,
         algorithm="auto",
-        shards="auto",
     )
     kwargs.update(overrides)
     return QuerySpec(**kwargs)
@@ -63,7 +63,7 @@ class TestResolution:
         )
         resolved = auto_spec(instance).resolve()
         assert resolved.algorithm in ("pbrj", "anyk")
-        assert isinstance(resolved.shards, int)
+        assert resolved.shards == 1
         assert resolved.decision is not None
         assert resolved.plan_summary() == resolved.decision.summary()
 
@@ -75,20 +75,22 @@ class TestResolution:
         spec = auto_spec(instance)
         assert spec.resolve() is spec.resolve()
 
-    def test_describe_marks_planned_specs(self):
-        instance = random_instance(
-            n_left=60, n_right=60, e_left=1, e_right=1,
-            num_keys=6, k=3, seed=3,
-        )
-        assert "(planned)" in auto_spec(instance).describe()
-
-    def test_pinned_algorithm_survives_auto_shards(self):
+    def test_requested_shards_pass_through_resolution(self):
         instance = random_instance(
             n_left=150, n_right=150, e_left=2, e_right=2,
             num_keys=15, k=5, seed=4,
         )
-        resolved = auto_spec(instance, algorithm="anyk").resolve()
-        assert resolved.algorithm == "anyk"
+        resolved = auto_spec(instance, shards=4).resolve()
+        assert resolved.shards == 4
+        assert resolved.plan_summary() == resolved.decision.summary() + " x4"
+
+    def test_shards_auto_is_refused(self):
+        instance = random_instance(
+            n_left=60, n_right=60, e_left=1, e_right=1,
+            num_keys=6, k=3, seed=3,
+        )
+        with pytest.raises(InstanceError, match="positive integer, got 'auto'"):
+            auto_spec(instance, shards="auto")
 
 
 class TestFingerprint:
@@ -105,8 +107,6 @@ class TestFingerprint:
             scoring=spec.scoring,
             operator=resolved.operator,
             algorithm=resolved.algorithm,
-            shards=resolved.shards,
-            partitioner=resolved.partitioner,
         )
         assert spec.fingerprint() == static.fingerprint()
 
@@ -126,15 +126,13 @@ class TestBitIdentity:
         spec = auto_spec(instance)
         resolved = spec.resolve()
         auto_results = run_spec(spec)
-        # Static spec of the same effective plan (no adaptive wrapper).
+        # Static spec of the same effective plan.
         static = QuerySpec(
             relations=spec.relations,
             k=spec.k,
             scoring=spec.scoring,
             operator=resolved.operator,
             algorithm=resolved.algorithm,
-            shards=resolved.shards,
-            partitioner=resolved.partitioner,
         )
         assert run_spec(static) == auto_results
         # Score agreement with the serial reference operator (identities
@@ -158,9 +156,7 @@ class TestServiceIntegration:
         # The decisions counter incremented through the service registry.
         decision = spec.resolve().decision
         assert service.obs.metrics.value(
-            "planner_decisions_total",
-            algorithm=decision.algorithm,
-            shards=str(decision.shards),
+            "planner_decisions_total", algorithm=decision.algorithm
         ) >= 1
         service.close()
 
@@ -178,3 +174,44 @@ class TestServiceIntegration:
         assert briefs[session_id]["plan"] not in ("?", "auto (unresolved)")
         service.run_until_complete()
         service.close()
+
+
+class TestNeverSharded:
+    """The four instances the parent planned as ``pbrj/HRJN* x8 hash/serial``
+    (1.8–2.6× slower than HRJN* alone, EXPERIMENTS.md) stay unsharded —
+    under ``algorithm="pbrj"`` planning and behind ``serve --plan auto``."""
+
+    @pytest.mark.parametrize(
+        "e, scale", [(1, 0.0005), (1, 0.002), (1, 0.008), (3, 0.0005)]
+    )
+    def test_pbrj_planning_and_serve_plan_auto(self, monkeypatch, e, scale):
+        from repro.__main__ import main
+        from repro.planner import Planner
+        from repro.service import RankJoinServer, wire
+
+        seen = {}
+
+        def parse_one_submit(server):
+            # In place of serving: what would a plain submit resolve to?
+            server.ready.set()
+            _, request = wire.validate({
+                "verb": "submit", "left": "lineitem", "right": "orders", "k": 10,
+            })
+            seen["relations"] = server.relations
+            seen["spec"] = server._parse_spec(request).resolve()
+
+        monkeypatch.setattr(RankJoinServer, "run", parse_one_submit)
+        assert main([
+            "serve", "--plan", "auto", "--e", str(e), "--scale", str(scale),
+        ]) == 0
+        served = seen["spec"]
+        assert served.shards == 1
+        assert served.plan_summary() == served.decision.summary()
+        assert " x" not in served.plan_summary()
+
+        relations = seen["relations"]
+        decision = Planner().plan(
+            [relations["lineitem"], relations["orders"]], 10, algorithm="pbrj"
+        )
+        assert decision.summary() == "pbrj/HRJN*"
+        assert decision.shards == 1

@@ -20,19 +20,15 @@ from repro.planner.cost import (
 COEFFS = CostCoefficients()
 
 
-def pbrj_candidate(**overrides) -> PlanCandidate:
-    base = dict(
-        algorithm="pbrj", operator="HRJN*", shards=1, partitioner="hash",
-    )
-    base.update(overrides)
-    return PlanCandidate(**base)
+def pbrj_candidate(operator="HRJN*") -> PlanCandidate:
+    return PlanCandidate(algorithm="pbrj", operator=operator)
 
 
 class TestCoefficients:
     def test_round_trip(self):
-        coeffs = CostCoefficients(pull_pbrj=1e-6, cover_exponent=0.5)
+        coeffs = CostCoefficients(pull_pbrj=1e-6, multiway_factor=0.5)
         assert CostCoefficients.from_dict(coeffs.to_dict()) == coeffs
-        assert len(coeffs.to_dict()) == 9
+        assert len(coeffs.to_dict()) == 5
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown cost coefficient"):
@@ -48,6 +44,15 @@ class TestCoefficients:
         ):
             CostCoefficients.from_dict({
                 "round_process": 3e-4, "startup_process": 4e-2, "parallelism": 2,
+            })
+        # ... or when the planner priced shard layouts.
+        with pytest.raises(
+            ValueError,
+            match="cover_exponent, partition_per_tuple, round_serial, startup_serial",
+        ):
+            CostCoefficients.from_dict({
+                "cover_exponent": 1.0, "partition_per_tuple": 4e-6,
+                "round_serial": 3e-6, "startup_serial": 2e-5,
             })
 
     def test_partial_dict_keeps_defaults(self):
@@ -75,66 +80,29 @@ class TestCoefficients:
 
 
 class TestPbrjScoring:
-    def test_partition_cost_keeps_small_joins_serial(self):
-        # Shallow query over a biggish input: the O(n) partition scan
-        # outweighs the cover shrink, so serial must be cheaper.
-        serial = score_pbrj_candidate(
-            pbrj_candidate(), coeffs=COEFFS, depth=200,
-            total_tuples=5_000, shares=(1.0,),
-        )
-        sharded = score_pbrj_candidate(
-            pbrj_candidate(shards=8),
-            coeffs=COEFFS, depth=200, total_tuples=5_000,
-            shares=(0.125,) * 8,
-        )
-        assert sharded.detail["partition"] > 0.0
-        assert serial.detail["partition"] == 0.0
-        assert serial.cost < sharded.cost
-
-    def test_balanced_sharding_beats_serial(self):
-        serial = score_pbrj_candidate(
-            pbrj_candidate(), coeffs=COEFFS, depth=10_000,
-            total_tuples=5_000, shares=(1.0,),
-        )
-        sharded = score_pbrj_candidate(
-            pbrj_candidate(shards=4),
-            coeffs=COEFFS, depth=10_000, total_tuples=5_000,
-            shares=(0.25, 0.25, 0.25, 0.25),
-        )
-        # Cover shrink: balanced shards do ~S^gamma less work.
-        assert sharded.cost < serial.cost
-
-    def test_skewed_shares_cost_more_than_balanced(self):
-        balanced = score_pbrj_candidate(
-            pbrj_candidate(shards=4), coeffs=COEFFS, depth=10_000,
-            total_tuples=5_000, shares=(0.25, 0.25, 0.25, 0.25),
-        )
-        skewed = score_pbrj_candidate(
-            pbrj_candidate(shards=4), coeffs=COEFFS, depth=10_000,
-            total_tuples=5_000, shares=(0.85, 0.05, 0.05, 0.05),
-        )
-        assert skewed.cost > balanced.cost
-        assert skewed.detail["imbalance"] > balanced.detail["imbalance"]
+    def test_cost_is_depth_times_pull_cost(self):
+        result = score_pbrj_candidate(pbrj_candidate(), coeffs=COEFFS, depth=200)
+        assert result.cost == 200 * COEFFS.pull_pbrj
+        assert result.detail == {"depth": 200.0, "compute": result.cost}
 
     def test_tighter_bound_reads_shallower_pays_more_per_pull(self):
-        kwargs = dict(coeffs=COEFFS, depth=10_000, total_tuples=5_000, shares=(1.0,))
-        hrjn = score_pbrj_candidate(pbrj_candidate(operator="HRJN*"), **kwargs)
-        frpa = score_pbrj_candidate(pbrj_candidate(operator="FRPA"), **kwargs)
+        hrjn = score_pbrj_candidate(
+            pbrj_candidate("HRJN*"), coeffs=COEFFS, depth=10_000
+        )
+        frpa = score_pbrj_candidate(
+            pbrj_candidate("FRPA"), coeffs=COEFFS, depth=10_000
+        )
         assert frpa.detail["depth"] < hrjn.detail["depth"]
+        assert frpa.cost / frpa.detail["depth"] > hrjn.cost / hrjn.detail["depth"]
 
     def test_zero_depth_clamped(self):
-        result = score_pbrj_candidate(
-            pbrj_candidate(), coeffs=COEFFS, depth=0,
-            total_tuples=0, shares=(1.0,),
-        )
+        result = score_pbrj_candidate(pbrj_candidate(), coeffs=COEFFS, depth=0)
         assert result.cost > 0
 
 
 class TestAnykScoring:
     def test_linear_in_input(self):
-        candidate = PlanCandidate(
-            algorithm="anyk", operator="AnyK", shards=1, partitioner="hash",
-        )
+        candidate = PlanCandidate(algorithm="anyk", operator="AnyK")
         small = score_anyk_candidate(candidate, coeffs=COEFFS, total_tuples=1_000, k=10)
         large = score_anyk_candidate(candidate, coeffs=COEFFS, total_tuples=10_000, k=10)
         assert large.cost > small.cost
@@ -142,14 +110,8 @@ class TestAnykScoring:
         assert large.detail["depth"] == 10_000
 
     def test_label(self):
-        candidate = PlanCandidate(
-            algorithm="anyk", operator="AnyK", shards=1, partitioner="hash",
-        )
-        assert candidate.label() == "anyk"
-        sharded = PlanCandidate(
-            algorithm="pbrj", operator="FRPA", shards=4, partitioner="skew",
-        )
-        assert sharded.label() == "pbrj/FRPA x4 skew/serial"
+        assert PlanCandidate(algorithm="anyk", operator="AnyK").label() == "anyk"
+        assert pbrj_candidate("FRPA").label() == "pbrj/FRPA"
 
 
 class TestMultiwayScoring:

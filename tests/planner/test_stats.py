@@ -1,16 +1,10 @@
-"""Tests for planner statistics collection (profiles, shares, Zipf fit)."""
+"""Tests for the planner's one statistic: the cached exact join count."""
 
 import numpy as np
-import pytest
 
 from repro.data.workload import random_instance
-from repro.planner import (
-    collect_join_stats,
-    collect_stats,
-    fit_zipf_exponent,
-    predicted_imbalance,
-    shard_shares,
-)
+from repro.plan import estimate
+from repro.planner import clear_stats_caches, join_count, stats
 from repro.relation.relation import Relation
 
 
@@ -25,121 +19,45 @@ def zipf_relation(name="Z", n=2000, num_keys=50, z=1.2, seed=0):
     return Relation.from_arrays(name, keys.tolist(), scores)
 
 
-class TestZipfFit:
-    def test_uniform_counts_fit_zero(self):
-        assert fit_zipf_exponent([10] * 20) == pytest.approx(0.0, abs=1e-12)
-
-    def test_degenerate_inputs_fit_zero(self):
-        assert fit_zipf_exponent([]) == 0.0
-        assert fit_zipf_exponent([7]) == 0.0
-        assert fit_zipf_exponent([0, 0]) == 0.0
-
-    def test_recovers_known_exponent(self):
-        # Exact Zipf counts: freq(rank) = C / rank^z.
-        for z in (0.5, 1.0, 1.5):
-            counts = [round(100000 / (r ** z)) for r in range(1, 40)]
-            assert fit_zipf_exponent(counts) == pytest.approx(z, abs=0.1)
-
-    def test_monotone_in_skew(self):
-        flat = fit_zipf_exponent([100, 95, 92, 90, 88])
-        steep = fit_zipf_exponent([100, 40, 20, 10, 5])
-        assert steep > flat
-
-
-class TestRelationProfile:
-    def test_basic_fields(self):
-        instance = random_instance(
-            n_left=300, n_right=100, e_left=2, e_right=1,
-            num_keys=20, k=5, seed=0,
-        )
-        profile = collect_stats(instance.left)
-        assert profile.cardinality == 300
-        assert profile.dimension == 2
-        assert 1 <= profile.distinct_keys <= 20
-        assert profile.fingerprint == instance.left.fingerprint()
-        assert len(profile.score_deciles) == 11
-        assert profile.score_deciles[0] <= profile.score_deciles[-1]
-
-    def test_heavy_hitters_sorted_descending(self):
-        rel = zipf_relation(n=1000, num_keys=30, z=1.5)
-        profile = collect_stats(rel)
-        counts = [c for _, c in profile.heavy_hitters]
-        assert counts == sorted(counts, reverse=True)
-        assert profile.max_key_share == counts[0] / 1000
-
-    def test_cached_by_fingerprint(self):
-        rel = zipf_relation(seed=3)
-        assert collect_stats(rel) is collect_stats(rel)
-
-    def test_empty_relation(self):
-        profile = collect_stats(Relation("E", []))
-        assert profile.cardinality == 0
-        assert profile.heavy_hitters == ()
-        assert profile.max_key_share == 0.0
-        assert profile.score_deciles == ()
-
-    def test_skewed_relation_has_larger_exponent(self):
-        flat = collect_stats(zipf_relation("F", z=0.1, seed=1))
-        steep = collect_stats(zipf_relation("S", z=1.8, seed=1))
-        assert steep.zipf_exponent > flat.zipf_exponent
-
-
 class TestJoinProfile:
+    """The join's whole profile is one number."""
+
     def test_join_size_exact(self):
         instance = random_instance(
             n_left=200, n_right=200, e_left=1, e_right=1,
             num_keys=20, k=1, seed=2,
         )
-        profile = collect_join_stats(instance.left, instance.right)
-        assert profile.join_size == instance.join_size()
-
-    def test_hot_pair_share(self):
-        left = Relation.from_arrays("L", [0] * 9 + [1], np.random.default_rng(0).random((10, 1)))
-        right = Relation.from_arrays("R", [0] * 9 + [1], np.random.default_rng(1).random((10, 1)))
-        profile = collect_join_stats(left, right)
-        assert profile.join_size == 82
-        assert profile.hot_pair_share == pytest.approx(81 / 82)
+        assert join_count(instance.left, instance.right) == instance.join_size()
 
     def test_disjoint_keys_empty_join(self):
         rng = np.random.default_rng(0)
         left = Relation.from_arrays("L", [1, 2], rng.random((2, 1)))
         right = Relation.from_arrays("R", [3, 4], rng.random((2, 1)))
-        profile = collect_join_stats(left, right)
-        assert profile.join_size == 0
-        assert profile.hot_pair_share == 0.0
+        assert join_count(left, right) == 0
 
+    def test_counted_once_per_content(self, monkeypatch):
+        calls = []
+        real = estimate.join_cardinality
+        monkeypatch.setattr(
+            "repro.planner.stats.join_cardinality",
+            lambda left, right: calls.append(1) or real(left, right),
+        )
+        left, right = zipf_relation("L", seed=3), zipf_relation("R", seed=4)
+        twin = Relation("L2", list(left.tuples))  # equal content, new object
+        assert join_count(left, right) == join_count(twin, right)
+        assert len(calls) == 1
+        clear_stats_caches()
+        join_count(left, right)
+        assert len(calls) == 2
 
-class TestShardShares:
-    def _profile(self, z=1.5, seed=0):
-        left = zipf_relation("L", n=1500, num_keys=40, z=z, seed=seed)
-        right = zipf_relation("R", n=1500, num_keys=40, z=z, seed=seed + 1)
-        return collect_join_stats(left, right)
-
-    @pytest.mark.parametrize("partitioner", ["hash", "skew"])
-    def test_shares_sum_to_one(self, partitioner):
-        profile = self._profile()
-        shares = shard_shares(profile, 4, partitioner)
-        assert len(shares) == 4
-        assert sum(shares) == pytest.approx(1.0)
-
-    def test_single_shard_trivial(self):
-        assert shard_shares(self._profile(), 1, "hash") == (1.0,)
-
-    def test_skew_partitioner_improves_predicted_imbalance(self):
-        profile = self._profile(z=1.8)
-        plain = predicted_imbalance(shard_shares(profile, 8, "hash"))
-        skew = predicted_imbalance(shard_shares(profile, 8, "skew"))
-        assert skew < plain
-
-    def test_empty_join_uniform_shares(self):
+    def test_cache_is_bounded_oldest_out(self):
         rng = np.random.default_rng(0)
-        left = Relation.from_arrays("L", [1], rng.random((1, 1)))
-        right = Relation.from_arrays("R", [2], rng.random((1, 1)))
-        profile = collect_join_stats(left, right)
-        shares = shard_shares(profile, 4, "hash")
-        assert shares == (0.25, 0.25, 0.25, 0.25)
-
-    def test_predicted_imbalance_scale(self):
-        assert predicted_imbalance((0.25, 0.25, 0.25, 0.25)) == 1.0
-        assert predicted_imbalance((1.0, 0.0)) == 2.0
-        assert predicted_imbalance(()) == 1.0
+        right = Relation.from_arrays("R", [0], rng.random((1, 1)))
+        first = Relation.from_arrays("L", [0], np.array([[0.0]]))
+        join_count(first, right)
+        first_key = (first.fingerprint(), right.fingerprint())
+        for i in range(1, stats.CACHE_LIMIT + 1):
+            left = Relation.from_arrays("L", [0], np.array([[i / (2 * stats.CACHE_LIMIT)]]))
+            assert join_count(left, right) == 1
+        assert len(stats._join_counts) == stats.CACHE_LIMIT
+        assert first_key not in stats._join_counts

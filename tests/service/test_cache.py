@@ -223,7 +223,6 @@ class TestPlanAwareCacheKeys:
             relations=(instance.left, instance.right),
             k=10,
             algorithm="auto",
-            shards="auto",
         )
         resolved = auto_spec.resolve()
         # An independent, fully static spec describing the same plan —
@@ -233,8 +232,6 @@ class TestPlanAwareCacheKeys:
             k=auto_spec.k,
             algorithm=resolved.algorithm,
             operator=resolved.operator,
-            shards=resolved.shards,
-            partitioner=resolved.partitioner,
         )
         assert not pinned.is_auto
         return auto_spec, pinned

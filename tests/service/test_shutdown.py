@@ -19,8 +19,9 @@ from repro.service import (
     SessionState,
 )
 
+from tests.exec.conftest import canonical_top_k, identity_view
 from tests.service.conftest import RELEASED, GatedOperator
-from tests.service.test_server import REFERENCE_SCORES, RELATIONS
+from tests.service.test_server import INSTANCE, REFERENCE_SCORES, RELATIONS
 
 
 @contextlib.contextmanager
@@ -171,8 +172,15 @@ class TestShardsOverTheWire:
                 final = client.run(
                     left="lineitem", right="orders", k=6, shards=4,
                 )
+            (session,) = server.service.scheduler.finished_sessions
         assert final["state"] == "DONE"
         assert final["scores"] == [round(s, 6) for s in REFERENCE_SCORES[:6]]
+        # The wire carries scores; the tie order is read off the session:
+        # bit-identical scores in canonical identity order, as the serial
+        # oracle gives them.
+        assert identity_view(session.results) == identity_view(
+            canonical_top_k(INSTANCE, 6)
+        )
 
     def test_default_shards_apply_to_every_query(self):
         with running_server(default_shards=4) as (server, _):

@@ -314,6 +314,14 @@ class TestPlanAuto:
         path.write_text(json.dumps({
             "scale": 0.0003, "k": 3, "shards": "auto", "algorithm": "auto",
         }))
+        assert main(["run", "FRPA", "--workload", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "shards must be a positive integer, got 'auto'" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        # ``auto`` is a value of ``algorithm`` alone.
+        path.write_text(json.dumps({
+            "scale": 0.0003, "k": 3, "algorithm": "auto",
+        }))
         assert main(["run", "FRPA", "--workload", str(path)]) == 0
         out = capsys.readouterr().out
         assert "top scores" in out and "planning" in out
@@ -323,7 +331,7 @@ class TestPlanAuto:
         path.write_text(json.dumps({"scale": 0.0003, "shards": 0}))
         assert main(["run", "FRPA", "--workload", str(path)]) == 2
         captured = capsys.readouterr()
-        assert "shards must be a positive integer or 'auto'" in captured.err
+        assert "shards must be a positive integer, got 0" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
 
