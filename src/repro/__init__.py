@@ -29,7 +29,6 @@ Quickstart::
 """
 
 from repro.anyk import AnyKQuery, AnyKRankJoin
-from repro.config import ReproConfig
 from repro.core import (
     AFRBound,
     CornerBound,
@@ -84,21 +83,9 @@ from repro.errors import (
     ReproError,
     WorkloadError,
 )
-from repro.kernels import (
-    PointSet,
-    available_backends,
-    dispatch_routes,
-    kernel_name,
-    set_backend,
-    set_thresholds,
-)
+from repro.kernels import PointSet, set_thresholds
 from repro.plan import Pipeline, QueryInput, RankQuery
-from repro.planner import (
-    CostCoefficients,
-    PlanDecision,
-    Planner,
-    PlannerConfig,
-)
+from repro.planner import CostCoefficients, PlanDecision, Planner
 from repro.relation import CostModel, RankJoinInstance, Relation, SortedScan
 from repro.service import (
     QueryService,
@@ -140,7 +127,6 @@ __all__ = [
     "Pipeline",
     "PlanDecision",
     "Planner",
-    "PlannerConfig",
     "PointSet",
     "PotentialAdaptive",
     "PullBudgetExceeded",
@@ -153,7 +139,6 @@ __all__ = [
     "RankQuery",
     "RankTuple",
     "Relation",
-    "ReproConfig",
     "ReproError",
     "ResultCache",
     "RoundRobin",
@@ -172,15 +157,12 @@ __all__ = [
     "WorkloadParams",
     "a_frpa",
     "anti_correlated_instance",
-    "available_backends",
     "certificate_optimal_sum_depths",
-    "dispatch_routes",
     "frpa",
     "generate_tpch",
     "hrjn",
     "hrjn_star",
     "jstar_from_instance",
-    "kernel_name",
     "lineitem_orders_instance",
     "make_operator",
     "multiway_rank_join",
@@ -190,7 +172,6 @@ __all__ = [
     "partition_relation",
     "pbrj_fr_rr",
     "random_instance",
-    "set_backend",
     "set_thresholds",
     "__version__",
 ]

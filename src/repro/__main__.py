@@ -35,12 +35,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro import kernels
-from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS
+from repro.core.operators import ANYK_OPERATOR, OPERATORS
 from repro.data.workload import WorkloadParams, lineitem_orders_instance, load_workload
 from repro.errors import ReproError
 from repro.experiments.harness import run_comparison, run_operator
 from repro.experiments.registry import EXPERIMENTS, Experiment
 from repro.experiments.report import ExperimentTable
+from repro.kernels.dispatch import NEVER
 from repro.obs import JsonlExporter, Observability
 from repro.stats.trace import BoundTrace
 
@@ -58,49 +59,31 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=kernels.BACKEND_CHOICES, default=None,
-        help="point-set kernel: 'auto' routes each call by batch size; "
-             "python/numpy pin one form, process-wide "
-             "(default: REPRO_KERNEL env or auto)",
-    )
-
-
 def _workload(args: argparse.Namespace) -> WorkloadParams:
     """Workload knobs from --workload file (wins) or individual flags.
 
-    Raises :class:`~repro.errors.WorkloadError` on a missing or malformed
-    file; command handlers turn that into a clean one-line error.
+    Either way :class:`WorkloadParams` validates them: a missing or
+    malformed file or an out-of-range knob raises
+    :class:`~repro.errors.WorkloadError`, which command handlers turn into
+    a clean one-line error.
     """
     if getattr(args, "workload", None):
         return load_workload(args.workload)
     return WorkloadParams(
-        e=args.e, c=args.c, z=args.z, k=args.k, scale=args.scale, seed=args.seed
+        e=args.e, c=args.c, z=args.z, k=args.k, scale=args.scale, seed=args.seed,
+        algorithm=getattr(args, "algorithm", "pbrj"),
+        shards=getattr(args, "shards", 1),
     )
 
 
-def _fail(exc: ReproError) -> int:
+def _fail(problem: object) -> int:
     """Print a one-line error to stderr (no traceback) and exit nonzero."""
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: {problem}", file=sys.stderr)
     return 2
 
 
-def _algorithm(args: argparse.Namespace) -> str | None:
-    """The validated ``--algorithm`` value, or None (error printed).
-
-    Same contract as :class:`~repro.errors.WorkloadError` handling: one
-    line on stderr, exit code 2 at the caller.
-    """
-    algorithm = getattr(args, "algorithm", "pbrj")
-    if algorithm not in ALGORITHMS + ("auto",):
-        print(
-            f"error: unknown algorithm {algorithm!r}; "
-            f"choose from {list(ALGORITHMS) + ['auto']}",
-            file=sys.stderr,
-        )
-        return None
-    return algorithm
+def _unknown_operator(name: str) -> int:
+    return _fail(f"unknown operator {name!r}; choose from {sorted(OPERATORS)}")
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -219,21 +202,20 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _run_sharded(args: argparse.Namespace, instance, obs, operator=None) -> int:
+def _run_sharded(args: argparse.Namespace, instance, obs, operator: str,
+                 shards: int) -> int:
     """``run --shards N``: drive the sharded engine and report."""
     import time
 
     from repro.exec import ExecConfig, ShardedRankJoin
 
-    operator = operator if operator is not None else args.operator
-    config = ExecConfig(shards=args.shards)
+    config = ExecConfig(shards=shards)
     started = time.perf_counter()
     engine = ShardedRankJoin(instance, operator, config=config, obs=obs)
     results = engine.top_k(instance.k)
     elapsed = time.perf_counter() - started
     depths = engine.depths()
-    print(f"operator     : {operator} "
-          f"(sharded x{config.shards}, kernel={kernels.kernel_name()})")
+    print(f"operator     : {operator} (sharded x{config.shards})")
     print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
           f"K={instance.k}")
     print(f"top scores   : {[round(r.score, 4) for r in results]}")
@@ -247,7 +229,8 @@ def _run_sharded(args: argparse.Namespace, instance, obs, operator=None) -> int:
 
 
 def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
-    """``run --plan auto``: let the planner choose, print its cost table."""
+    """``run --algorithm auto``: let the planner choose, print its cost
+    table."""
     import time
 
     from repro.service.query import QuerySpec
@@ -256,7 +239,7 @@ def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
         relations=(instance.left, instance.right),
         k=instance.k,
         scoring=instance.scoring,
-        operator=args.operator if args.operator in OPERATORS else "FRPA",
+        operator=args.operator,
         algorithm="auto",
         shards=shards,
     )
@@ -267,8 +250,7 @@ def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
     operator = resolved.build_operator(obs=obs)
     results = operator.top_k(instance.k)
     elapsed = time.perf_counter() - started
-    print(f"plan         : {resolved.plan_summary()} "
-          f"(kernel={kernels.kernel_name()})")
+    print(f"plan         : {resolved.plan_summary()}")
     print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
           f"K={instance.k}")
     print(f"top scores   : {[round(r.score, 4) for r in results]}")
@@ -280,24 +262,15 @@ def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    algorithm = _algorithm(args)
-    if algorithm is None:
-        return 2
     try:
         params = _workload(args)
     except ReproError as exc:
         return _fail(exc)
-    shards: int = args.shards
-    if getattr(args, "workload", None):
-        # The workload file owns the whole execution shape when given.
-        algorithm = params.algorithm
-        shards = params.shards
-    if args.plan == "auto":
-        algorithm = "auto"
+    # The workload file owns the whole execution shape when given.
+    algorithm, shards = params.algorithm, params.shards
+    if algorithm != "anyk" and args.operator not in OPERATORS:
+        return _unknown_operator(args.operator)
     operator = ANYK_OPERATOR if algorithm == "anyk" else args.operator
-    if algorithm == "pbrj" and args.operator not in OPERATORS:
-        print(f"unknown operator {args.operator!r}; choose from {sorted(OPERATORS)}")
-        return 2
     instance = lineitem_orders_instance(params)
     obs = _build_obs(args, "run")
     if algorithm == "auto":
@@ -306,11 +279,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ReproError as exc:
             return _fail(exc)
     if shards > 1:
-        args.shards = shards
-        return _run_sharded(args, instance, obs, operator)
+        return _run_sharded(args, instance, obs, operator, shards)
     result = run_operator(operator, instance, obs=obs)
     stats = result.stats
-    print(f"operator     : {operator} (kernel={kernels.kernel_name()})")
+    print(f"operator     : {operator}")
     print(f"instance     : L={len(instance.left)} O={len(instance.right)} K={instance.k}")
     print(f"top scores   : {[round(s, 4) for s in result.scores]}")
     print(f"depths       : left={stats.depths.left} right={stats.depths.right} "
@@ -351,8 +323,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one operator fully instrumented and print what it did."""
     if args.operator not in OPERATORS:
-        print(f"unknown operator {args.operator!r}; choose from {sorted(OPERATORS)}")
-        return 2
+        return _unknown_operator(args.operator)
     try:
         params = _workload(args)
     except ReproError as exc:
@@ -366,7 +337,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         args.operator, instance,
         obs=obs, operator_kwargs={"trace": trace},
     )
-    print(f"operator : {args.operator} (kernel={kernels.kernel_name()})")
+    print(f"operator : {args.operator}")
     print(f"instance : L={len(instance.left)} O={len(instance.right)} "
           f"K={instance.k}")
     print()
@@ -403,17 +374,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.data.tpch import generate_tpch
     from repro.service import QueryService, RankJoinServer
 
-    algorithm = _algorithm(args)
-    if algorithm is None:
-        return 2
     try:
         params = _workload(args)
     except ReproError as exc:
         return _fail(exc)
-    if getattr(args, "workload", None):
-        algorithm = params.algorithm
-    if args.plan == "auto":
-        algorithm = "auto"
+    algorithm = params.algorithm
     obs = _build_obs(args, "serve") or Observability()
     quotas = None
     if args.tenant_rate > 0:
@@ -457,7 +422,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     "default_max_pulls": args.max_pulls,
                 },
                 server_kwargs={
-                    "default_shards": args.shards,
+                    "default_shards": params.shards,
                     "default_algorithm": algorithm,
                 },
                 obs=obs,
@@ -483,7 +448,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         server = RankJoinServer(
             service, relations, host=args.host, port=args.port,
-            default_shards=args.shards, default_algorithm=algorithm,
+            default_shards=params.shards, default_algorithm=algorithm,
             chaos=chaos,
         )
     sizes = ", ".join(f"{name}={len(rel)}" for name, rel in relations.items())
@@ -543,8 +508,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     unknown = [w for w in args.workloads if w not in SEED_WORKLOADS]
     if unknown:
-        print(f"unknown workloads {unknown}; choose from {sorted(SEED_WORKLOADS)}")
-        return 2
+        return _fail(f"unknown workloads {unknown}; "
+                     f"choose from {sorted(SEED_WORKLOADS)}")
     cases = run_chaos_suite(
         seed=args.seed,
         workloads=tuple(args.workloads),
@@ -561,13 +526,10 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {__version__} — SIGMOD 2009 rank join reproduction")
     print(f"operators : {', '.join(sorted(OPERATORS))}")
     print(f"figures   : {', '.join(EXPERIMENTS)}")
-    print(f"kernels   : {', '.join(kernels.available_backends())} "
-          f"(active: {kernels.kernel_name()})")
-    if kernels.kernel_name() == "auto":
-        print("dispatch  : op -> [(min batch size, form)], scanned high→low")
-        for op, entries in sorted(kernels.dispatch_routes().items()):
-            table = ", ".join(f"{size}:{name}" for size, name in entries)
-            print(f"  {op:<22} {table}")
+    print("kernels   : python; numpy from the smallest batch below")
+    for op, cells in sorted(kernels.dispatch_thresholds().items()):
+        size = cells["numpy"]
+        print(f"  {op:<22} {'never' if size >= NEVER else size}")
     print("defaults  : e=2 c=.5 z=.5 K=10 (the paper's Table 2)")
     return 0
 
@@ -603,22 +565,18 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("operator", nargs="?", default="FRPA",
                        help="PBRJ operator name (ignored with --algorithm anyk)")
     p_run.add_argument("--algorithm", default="pbrj",
-                       help="evaluation core: pbrj (default) or anyk")
+                       help="evaluation core: pbrj (default), anyk, or auto "
+                            "(the cost-based planner chooses the core and "
+                            "the operator and prints its candidate table)")
     _add_workload_args(p_run)
     _add_obs_args(p_run)
-    _add_kernel_arg(p_run)
     p_run.add_argument("--shards", type=int, default=1,
                        help="hash-partitioned sharded execution (1 = unsharded)")
-    p_run.add_argument("--plan", choices=["static", "auto"], default="static",
-                       help="'auto' lets the cost-based planner choose "
-                            "the core and the operator and prints its "
-                            "candidate table")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run every operator on a workload")
     _add_workload_args(p_cmp)
     _add_obs_args(p_cmp)
-    _add_kernel_arg(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_trace = sub.add_parser(
@@ -627,7 +585,6 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.add_argument("operator")
     _add_workload_args(p_trace)
     _add_obs_args(p_trace)
-    _add_kernel_arg(p_trace)
     p_trace.add_argument(
         "--pulls", action="store_true",
         help="also stream one bound_trace event per pull to --obs-out",
@@ -655,15 +612,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="result cache TTL in seconds")
     p_serve.add_argument("--algorithm", default="pbrj",
                          help="default evaluation core for submitted "
-                              "queries: pbrj (default) or anyk")
+                              "queries: pbrj (default), anyk, or auto (the "
+                              "planner chooses per query)")
     p_serve.add_argument("--shards", type=int, default=1,
                          help="sharded execution for every binary query "
                               "(1 = serial; requests may override)")
-    p_serve.add_argument("--plan", choices=["static", "auto"],
-                         default="static",
-                         help="'auto' makes the planner choose the core "
-                              "and the operator of every query that does "
-                              "not name an algorithm")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="server worker processes (1 = single server; "
                               "N>1 boots a fleet behind one front-end)")
@@ -684,7 +637,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="delay this fraction of submit/poll requests")
     _add_workload_args(p_serve)
     _add_obs_args(p_serve)
-    _add_kernel_arg(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_metrics = sub.add_parser(
@@ -730,8 +682,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     args.raw_argv = list(sys.argv[1:] if argv is None else argv)
-    if getattr(args, "kernel", None) is not None:
-        kernels.set_backend(args.kernel)
     return args.func(args)
 
 

@@ -28,7 +28,12 @@ from repro.relation.relation import RankJoinInstance, Relation
 class WorkloadParams:
     """The knobs of Table 2, plus data scale and seed.
 
-    Defaults are the paper's defaults: ``e=2, c=.5, z=.5, K=10``.
+    Defaults are the paper's defaults: ``e=2, c=.5, z=.5, K=10``.  A knob
+    the generators or the operators cannot run — ``e < 1``, ``c`` outside
+    ``(0, 1]``, ``k < 1``, ``scale <= 0``, ``shards`` not a positive
+    integer, an unknown ``algorithm`` — is a one-line
+    :class:`~repro.errors.WorkloadError` naming the field, whether it came
+    from a flag or a workload file.
     """
 
     e: int = 2
@@ -44,6 +49,26 @@ class WorkloadParams:
     #: Shard count for sharded execution: a positive integer
     #: (1 = plain serial operator).
     shards: int = 1
+
+    def __post_init__(self) -> None:
+        for name, ok, wanted in (
+            ("e", self.e >= 1, "at least 1"),
+            ("c", 0 < self.c <= 1, "in (0, 1]"),
+            ("k", self.k >= 1, "at least 1"),
+            ("scale", self.scale > 0, "positive"),
+            ("shards", isinstance(self.shards, int)
+             and not isinstance(self.shards, bool) and self.shards >= 1,
+             "a positive integer"),
+        ):
+            if not ok:
+                raise WorkloadError(
+                    f"{name} must be {wanted}, got {getattr(self, name)!r}"
+                )
+        if self.algorithm not in ALGORITHMS + ("auto",):
+            raise WorkloadError(
+                f"unknown algorithm {self.algorithm!r}; "
+                f"choose from {list(ALGORITHMS) + ['auto']}"
+            )
 
     def tpch_config(self) -> TPCHConfig:
         return TPCHConfig(
@@ -61,8 +86,8 @@ def load_workload(path: str | Path) -> WorkloadParams:
     The file must hold one JSON object whose keys are a subset of the
     ``WorkloadParams`` fields (``e``, ``c``, ``z``, ``k``, ``scale``,
     ``join_skew``, ``seed``, ``algorithm``, ``shards``).  Any problem —
-    missing file, invalid JSON, unknown keys, non-numeric values, an
-    unknown ``algorithm``, an invalid ``shards`` — raises
+    missing file, invalid JSON, unknown keys, non-numeric values, a knob
+    :class:`WorkloadParams` refuses — raises
     :class:`~repro.errors.WorkloadError` with a one-line message suitable
     for direct CLI display (the CLI exits 2), instead of failing deep
     inside engine construction.
@@ -88,23 +113,8 @@ def load_workload(path: str | Path) -> WorkloadParams:
             f"known keys: {sorted(known)}"
         )
     for key, value in payload.items():
-        if key == "algorithm":
-            if value not in ALGORITHMS + ("auto",):
-                raise WorkloadError(
-                    f"workload file {path}: unknown algorithm {value!r}; "
-                    f"choose from {list(ALGORITHMS) + ['auto']}"
-                )
-            continue
-        if key == "shards":
-            if not (
-                isinstance(value, int) and not isinstance(value, bool)
-                and value >= 1
-            ):
-                raise WorkloadError(
-                    f"workload file {path}: shards must be a positive "
-                    f"integer, got {value!r}"
-                )
-            continue
+        if key in ("algorithm", "shards"):
+            continue  # checked, with every range, by WorkloadParams
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise WorkloadError(
                 f"workload file {path}: key {key!r} must be a number, "
@@ -112,8 +122,8 @@ def load_workload(path: str | Path) -> WorkloadParams:
             )
     try:
         return WorkloadParams(**payload)
-    except TypeError as exc:  # pragma: no cover - defensive
-        raise WorkloadError(f"workload file {path}: {exc}") from exc
+    except WorkloadError as exc:
+        raise WorkloadError(f"workload file {path}: {exc}") from None
 
 
 def lineitem_orders_instance(

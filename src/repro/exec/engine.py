@@ -24,7 +24,6 @@ distance to HRJN* at e >= 3; it never closes it.
 
 from __future__ import annotations
 
-from repro import kernels
 from repro.core.stepping import PENDING, ResumableBase
 from repro.exec.merge import GlobalTopKMerger
 from repro.exec.partition import (
@@ -228,7 +227,6 @@ class ShardedRankJoin(ResumableBase):
             "config": {
                 "shards": self.config.shards,
                 "quantum": self.config.quantum,
-                "kernel": kernels.kernel_name(),
             },
             "pulls": self._pulls,
             "rounds": self._rounds,

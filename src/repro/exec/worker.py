@@ -59,8 +59,8 @@ def _positive_int(value) -> bool:
 class ExecConfig:
     """Configuration of a sharded execution run.
 
-    The point-set kernel is not part of it: selection is process-wide
-    (:func:`repro.kernels.set_backend`).
+    The point-set kernel is not part of it: its form is the process-wide
+    threshold table's (:mod:`repro.kernels.dispatch`).
 
     Parameters
     ----------

@@ -30,39 +30,30 @@ The two forms of an op are **bit-identical**: same partial scores (float
 additions happen left-to-right in both), so every operator-level invariant
 test doubles as a kernel-equivalence oracle.
 
-Selection
----------
-Selection is **process-wide only** — no query, engine or plan carries a
-kernel of its own.  The active kernel is resolved, in priority order,
-from
-
-1. an explicit :func:`set_backend` / :func:`use_backend` call (the CLI
-   ``--kernel`` flag and :class:`repro.config.ReproConfig` end here),
-2. the ``REPRO_KERNEL`` environment variable (``auto``/``numpy``/``python``),
-3. ``auto``: each call routed by its batch size.
-
-A pin (``python``/``numpy``) forces the named form wherever an op has it —
-how the suite cross-checks the two forms and how CI runs its pure-Python
-leg.  The thresholds are the shipped ones unless :func:`set_thresholds`
-or an explicit :func:`calibrate_thresholds` call replaces them, for this
-process only: nothing is timed, read or written that was not asked for.
+Routing
+-------
+The threshold table alone decides the form of a two-form op, process-wide:
+no query, engine or plan carries a kernel of its own.  The table is the
+shipped one unless :func:`set_thresholds` or an explicit
+:func:`calibrate_thresholds` call replaces it, for this process only;
+nothing is timed, read or written that was not asked for.  Forcing one
+form everywhere is a table too: ``{op: {"numpy": dispatch.NEVER}}`` runs
+every call on the loop, ``{op: {"numpy": 0}}`` every call on numpy — how
+the suite cross-checks the two forms.
 
 Observability
 -------------
 :func:`observe` attaches a :class:`~repro.obs.metrics.MetricRegistry`;
 afterwards every kernel call increments
 ``kernel_calls_total{kernel=…, fn=…}`` labelled with the form that
-actually **ran** (so ``python -m repro trace`` shows the mix under
-``auto``), and a deterministic 1-in-16 sample of calls records wall-clock
+actually **ran** (so ``python -m repro trace`` shows the mix the table
+chose), and a deterministic 1-in-16 sample of calls records wall-clock
 in the ``bound_kernel_seconds{kernel=…}`` histogram.  Call counts are
 exact; only the latency histogram is sampled.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
 from time import perf_counter
 
 from repro.kernels import dispatch as _dispatch
@@ -92,85 +83,6 @@ _FORMS = {
     "python": {op: getattr(_loops, op) for op in _dispatch.SHIPPED},
     "numpy": {op: getattr(_numpy, op) for op in _dispatch.SHIPPED},
 }
-
-#: Names accepted by :func:`set_backend` / ``REPRO_KERNEL`` / ``--kernel``.
-BACKEND_CHOICES = ("auto", "numpy", "python")
-
-ENV_VAR = "REPRO_KERNEL"
-
-
-def available_backends() -> tuple[str, ...]:
-    """The form names (``numpy`` and ``python``, both always present)."""
-    return tuple(sorted(_FORMS))
-
-
-def _resolve(name: str | None) -> str:
-    name = "auto" if name is None else str(name).strip().lower()
-    if name not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {BACKEND_CHOICES}"
-        )
-    return name
-
-
-def _from_env() -> str:
-    raw = os.environ.get(ENV_VAR)
-    try:
-        return _resolve(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {ENV_VAR}={raw!r}; using 'auto' "
-            f"(choose from {BACKEND_CHOICES})",
-            RuntimeWarning,
-        )
-        return "auto"
-
-
-_active = _from_env()
-
-
-def set_backend(name: str | None) -> str:
-    """Select the active kernel; returns the selected name.
-
-    ``name`` is one of :data:`BACKEND_CHOICES` (``None`` means ``auto``).
-    ``auto`` routes each call by batch size; a pinned name forces that
-    form wherever an op has it.  The selection is process-wide and stays
-    until the next call — scope a temporary switch with
-    :func:`use_backend`.
-    """
-    global _active
-    _active = _resolve(name)
-    return _active
-
-
-def kernel_name() -> str:
-    """Name of the active kernel (``"auto"``, ``"numpy"`` or ``"python"``)."""
-    return _active
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch kernels (tests and benchmarks)."""
-    global _active
-    previous = _active
-    _active = _resolve(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
-
-
-def dispatch_routes() -> dict[str, list[tuple[int, str]]]:
-    """The routing table ``auto`` follows: op -> [(min_size, form)].
-
-    Entries are scanned high-to-low; the first whose ``min_size`` fits
-    the batch wins.  Shown by ``python -m repro info``.
-    """
-    routes = {op: [(0, "python")] for op in KERNEL_OPS}
-    for op, size in _dispatch.table.items():
-        if size < _dispatch.NEVER:
-            routes[op].insert(0, (size, "numpy"))
-    return routes
 
 
 def dispatch_thresholds() -> dict[str, dict[str, int]]:
@@ -282,12 +194,9 @@ def _run(form: str, fn: str, impl, *args):
 
 
 def _sized(fn: str, size: int, *args):
-    """Run a two-form op: on the pinned form, or under ``auto`` on numpy
-    from the op's threshold up — the one routing decision there is."""
-    if _active == "auto":
-        form = "numpy" if size >= _dispatch.table[fn] else "python"
-    else:
-        form = _active
+    """Run a two-form op: on numpy from the op's threshold up, on the loop
+    below it — the one routing decision there is."""
+    form = "numpy" if size >= _dispatch.table[fn] else "python"
     return _run(form, fn, _FORMS[form][fn], *args)
 
 
@@ -344,28 +253,22 @@ def cover_carve(cover, observed, *, skyline_mode: bool = False):
 
 
 __all__ = [
-    "BACKEND_CHOICES",
     "KERNEL_OPS",
     "Point",
     "PointSet",
     "as_point",
-    "available_backends",
     "calibrate_thresholds",
     "carve_patch",
     "carve_staircase",
     "cover_carve",
     "cover_corner_scores",
     "cross_product_max",
-    "dispatch_routes",
     "dispatch_thresholds",
     "dominates_any",
-    "kernel_name",
     "observe",
     "ones",
-    "set_backend",
     "set_thresholds",
     "skyline_filter",
     "substitute",
     "unobserve",
-    "use_backend",
 ]

@@ -10,9 +10,10 @@ chain.  Sharding is not on the menu: it is an explicit request
 (``QuerySpec(shards=N)``, ``--shards N``) that lost every measured cell to
 the best unsharded plan (EXPERIMENTS.md).
 
-Entry points: ``QuerySpec(algorithm="auto")``, the ``--plan auto`` CLI
-flag on ``run``/``serve``, and ``"algorithm": "auto"`` in a workload file
-or on the wire.
+Entry points: ``QuerySpec(algorithm="auto")``, ``--algorithm auto`` on
+``run``/``serve``, and ``"algorithm": "auto"`` in a workload file or on
+the wire.  :func:`set_coefficients` is the one way to fix the cost
+model's coefficients.
 """
 
 from repro.planner.cost import (
@@ -26,7 +27,6 @@ from repro.planner.cost import (
 from repro.planner.planner import (
     PlanDecision,
     Planner,
-    PlannerConfig,
     clear_depth_cache,
 )
 from repro.planner.stats import clear_stats_caches, join_count
@@ -37,7 +37,6 @@ __all__ = [
     "PlanCandidate",
     "PlanDecision",
     "Planner",
-    "PlannerConfig",
     "clear_depth_cache",
     "clear_stats_caches",
     "coefficients",

@@ -11,15 +11,14 @@ seconds for one query under one candidate from:
   for any-k the cost per input tuple, per joining pair and per result.
 
 Coefficients resolve in priority order: explicitly installed via
-:func:`set_coefficients` (or ``ReproConfig.planner_coeffs``) → a one-shot
-micro-benchmark (:func:`measure`, ~100 ms, cached for the process) →
-library defaults.
+:func:`set_coefficients` → a one-shot micro-benchmark (:func:`measure`,
+~100 ms, cached for the process) → library defaults.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 #: (depth_factor, pull_factor) per PBRJ operator, relative to the
 #: corner-model depth estimate and the HRJN* per-pull cost.  Tighter
@@ -34,6 +33,7 @@ OPERATOR_FACTORS: dict[str, tuple[float, float]] = {
 }
 DEFAULT_OPERATOR_FACTORS = (1.0, 1.2)
 
+
 @dataclass(frozen=True)
 class CostCoefficients:
     """Machine-specific unit costs, in seconds (or dimensionless factors)."""
@@ -43,17 +43,6 @@ class CostCoefficients:
     anyk_pair: float = 2.0e-7          # any-k DP cost per joining pair
     anyk_result: float = 6.0e-5        # any-k cost per emitted result
     multiway_factor: float = 1.0       # extra per-pull cost per chain edge
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CostCoefficients":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown cost coefficient(s): {', '.join(unknown)}")
-        return replace(cls(), **payload)
 
 
 def measure(*, seed: int = 0) -> CostCoefficients:

@@ -26,7 +26,6 @@ from repro.plan.estimate import (
 )
 from repro.planner.cost import (
     CandidateCost,
-    CostCoefficients,
     PlanCandidate,
     coefficients,
     score_anyk_candidate,
@@ -38,21 +37,9 @@ from repro.relation.relation import RankJoinInstance, Relation
 
 _depth_cache: dict[tuple, DepthEstimate] = {}
 
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Enumeration bounds and estimator settings for a :class:`Planner`.
-
-    Neither the kernel nor sharding is an axis: kernel selection is
-    process-wide (:func:`repro.kernels.set_backend`), and sharding is
-    something a caller asks for (``QuerySpec(shards=N)``), never part of
-    a plan.
-    """
-
-    operators: tuple[str, ...] = ("HRJN*", "FRPA")
-    include_anyk: bool = True
-    samples: int = 800
-    seed: int = 0
+#: Sample size and seed of every depth estimate (both in its cache key).
+_SAMPLES = 800
+_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -114,22 +101,17 @@ class PlanDecision:
 
 
 class Planner:
-    """Cost-based choice of evaluation core and operator."""
+    """Cost-based choice of evaluation core and operator.
 
-    def __init__(
-        self,
-        *,
-        coeffs: CostCoefficients | None = None,
-        config: PlannerConfig | None = None,
-        obs=None,
-    ) -> None:
-        self._coeffs = coeffs
-        self.config = config or PlannerConfig()
+    Neither the kernel nor sharding is an axis: the kernel form is the
+    process-wide threshold table's (:mod:`repro.kernels.dispatch`), and
+    sharding is something a caller asks for (``QuerySpec(shards=N)``).
+    Coefficients come from :func:`repro.planner.set_coefficients` or are
+    measured once per process.
+    """
+
+    def __init__(self, *, obs=None) -> None:
         self.obs = obs
-
-    @property
-    def coeffs(self) -> CostCoefficients:
-        return self._coeffs if self._coeffs is not None else coefficients()
 
     def plan(
         self,
@@ -177,7 +159,7 @@ class Planner:
         left, right = relations
         join_size = join_count(left, right)
         depth = self._depth_estimate(left, right, k, scoring, join_size)
-        coeffs = self.coeffs
+        coeffs = coefficients()
         candidates: list[CandidateCost] = []
         if algorithm in ("auto", "pbrj"):
             candidates.extend(
@@ -185,11 +167,9 @@ class Planner:
                     PlanCandidate("pbrj", operator),
                     coeffs=coeffs, depth=depth.sum_depths,
                 )
-                for operator in self.config.operators
+                for operator in ("HRJN*", "FRPA")
             )
-        if algorithm == "anyk" or (
-            algorithm == "auto" and self.config.include_anyk
-        ):
+        if algorithm in ("auto", "anyk"):
             candidates.append(score_anyk_candidate(
                 PlanCandidate("anyk", ANYK_OPERATOR),
                 coeffs=coeffs, total_tuples=len(left) + len(right), k=k,
@@ -209,12 +189,12 @@ class Planner:
         scoring: ScoringFunction,
         algorithm: str,
     ) -> PlanDecision:
-        coeffs = self.coeffs
+        coeffs = coefficients()
         total_tuples = sum(len(rel) for rel in relations)
         if len(join_attrs) == len(relations) - 1:
             depth = estimate_chain_depths(
                 relations, join_attrs, k, scoring,
-                samples=self.config.samples, seed=self.config.seed,
+                samples=_SAMPLES, seed=_SEED,
             )
             join_size = depth.join_size
             sum_depths = depth.sum_depths
@@ -229,7 +209,7 @@ class Planner:
                 PlanCandidate("pbrj", "HRJN*"),
                 coeffs=coeffs, depth=float(sum_depths), arity=len(relations),
             ))
-        if algorithm in ("auto", "anyk") and self.config.include_anyk:
+        if algorithm in ("auto", "anyk"):
             candidates.append(score_anyk_candidate(
                 PlanCandidate("anyk", ANYK_OPERATOR),
                 coeffs=coeffs, total_tuples=total_tuples, k=k,
@@ -250,14 +230,14 @@ class Planner:
     ) -> DepthEstimate:
         key = (
             left.fingerprint(), right.fingerprint(), k,
-            scoring_fingerprint(scoring), self.config.samples, self.config.seed,
+            scoring_fingerprint(scoring), _SAMPLES, _SEED,
         )
         cached = _depth_cache.get(key)
         if cached is None:
             cached = estimate_binary_depths(
                 RankJoinInstance(left, right, scoring, k),
                 join_size=join_size,
-                samples=self.config.samples, seed=self.config.seed,
+                samples=_SAMPLES, seed=_SEED,
             )
             remember(_depth_cache, key, cached)
         return cached
@@ -266,8 +246,6 @@ class Planner:
     def _decide(
         candidates: list[CandidateCost], *, join_size: float, depth: int
     ) -> PlanDecision:
-        if not candidates:
-            raise InstanceError("the pinned axes leave no candidate plans")
         ordered = sorted(
             candidates, key=lambda c: (c.cost, c.candidate.label())
         )

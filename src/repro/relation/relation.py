@@ -166,8 +166,9 @@ class Relation:
         float64 ``(n, e)`` score matrix, ``matrix[i] == rows[i].scores``.
 
         Built on first use and kept until the content changes; a query that
-        took it keeps reading the snapshot it started on.  Non-finite scores
-        are refused here — NaN has no place in a sort order.
+        took it keeps reading the snapshot it started on.  A score that is
+        not a number in ``[0, 1]`` is refused here: NaN has no place in a
+        sort order, and every bound takes 1 as a score's ceiling.
         """
         if self._scored is None:
             rows = tuple(self._tuples)
@@ -178,12 +179,13 @@ class Relation:
                 raise InstanceError(
                     f"relation {self.name!r} mixes score dimensions"
                 ) from None
-            bad = np.argwhere(~np.isfinite(matrix))
+            # NaN fails both comparisons.
+            bad = np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))
             if len(bad):
                 row, column = bad[0].tolist()
                 raise InstanceError(
-                    f"relation {self.name!r}: non-finite score "
-                    f"{matrix[row, column]} at row {row}, column {column}"
+                    f"relation {self.name!r}: score {matrix[row, column]} "
+                    f"outside [0, 1] at row {row}, column {column}"
                 )
             matrix.flags.writeable = False
             self._scored = (rows, matrix)

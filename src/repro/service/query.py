@@ -29,10 +29,10 @@ from repro.relation.relation import RankJoinInstance, Relation
 class QuerySpec:
     """One top-K rank join query over shared relations.
 
-    A spec carries no kernel selection: that is process-wide
-    (:func:`repro.kernels.set_backend`), and the two forms of a kernel
+    A spec carries no kernel form: that is the process-wide threshold
+    table's (:mod:`repro.kernels.dispatch`), and the two forms of a kernel
     op are bit-identical by contract, so a cached answer is valid
-    whatever kernel computed it.
+    whatever form computed it.
 
     Parameters
     ----------

@@ -103,7 +103,7 @@ class RankJoinServer(wire.LineServer):
         self.default_shards = default_shards
         #: Evaluation core applied when a request carries no
         #: ``algorithm`` field (``"pbrj"``, ``"anyk"``, or ``"auto"`` to
-        #: let the cost-based planner choose — ``serve --plan auto``).
+        #: let the cost-based planner choose — ``serve --algorithm auto``).
         self.default_algorithm = default_algorithm
         self.chaos = chaos
         #: What the idle driver sleeps on; exists whenever ``_loop`` does.

@@ -9,7 +9,8 @@ size that moved in the last ulp fails here even when it happened not to
 move a depth.  ``bound_trace_golden.json`` was recorded from the commit
 *before* covers and seen skylines became list-native scored antichains
 (columnar ``PointSet`` storage patched through stamps), and every case runs
-under all three kernel selections.
+under all three kernel routing tables: the shipped one, every call on the
+loop, every call on numpy.
 
 The ``GRID`` keys pin the regime those runs only graze: a-FRPA with both
 covers (or the wide one) living on the grid for most of the query —
@@ -19,7 +20,7 @@ golden's staircase instance entering at resolution 1 024 — plus the final
 ``cover_resolutions``.  They were recorded from the last commit whose grid
 mode was the paper's cell formulation (``GridTree`` over integer cells),
 before it became the exact carve over rounded observations, and run under
-``auto`` only: grid mode has one form.
+the shipped table only: grid mode has one form.
 
 The ``HARNESS`` keys are the e=2 cases those miss, recorded from the last
 commit whose 2-D covers and seen skylines were unordered lists (before
@@ -32,7 +33,7 @@ under every FR-family operator.
 
 Re-record only from a commit whose bounds you trust::
 
-    PYTHONPATH=<that>/src python tests/core/test_bound_trace_golden.py
+    PYTHONPATH=<that>/src:. python tests/core/test_bound_trace_golden.py
 """
 
 import hashlib
@@ -50,15 +51,14 @@ from repro.data.workload import (
     anti_correlated_instance,
     lineitem_orders_instance,
 )
-from repro.kernels import use_backend
 from repro.relation.relation import RankJoinInstance, Relation
 
 from test_bound_golden import GOLDEN, INSTANCES  # same directory, no package
+from tests.conftest import KERNEL_TABLES, kernel_table
 
 GOLDEN_PATH = Path(__file__).with_name("bound_trace_golden.json")
 
 KEYS = sorted(GOLDEN, key=str)
-KERNELS = ("auto", "python", "numpy")
 
 
 def _tpch(e, scale, seed):
@@ -175,10 +175,10 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_TABLES)
 @pytest.mark.parametrize("key", KEYS, ids=str)
 def test_per_pull_trace_matches_parent(golden, key, kernel):
-    with use_backend(kernel):
+    with kernel_table(kernel):
         assert summary(key) == golden[str(key)]
 
 
@@ -191,10 +191,10 @@ def test_grid_regime_trace_matches_parent(golden, key):
     assert tuple(measured["resolutions"]) == resolutions
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_TABLES)
 @pytest.mark.parametrize("key", sorted(HARNESS))
 def test_harness_setting_trace_matches_parent(golden, key, kernel):
-    with use_backend(kernel):
+    with kernel_table(kernel):
         assert summary(key) == golden[key]
 
 

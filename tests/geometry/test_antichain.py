@@ -13,7 +13,8 @@ ascending on axis 0, strictly descending on axis 1, every mutation one
 bisection and one slice — so at e=2 the property is set-equality with the
 oracles plus that order.  Every other dimension has no staircase and keeps
 the patch's order — kept rows ascending, then the fresh rows sorted per
-vector — row for row, so the tier-equivalence tests keep comparing lists.
+vector — row for row.  No mutation reaches a kernel op with a numpy form
+(:meth:`TestAgainstLoopOracles.test_no_mutation_reaches_a_two_form_op`).
 """
 
 import pytest
@@ -26,9 +27,10 @@ from repro.geometry import CoverRegion, IncrementalSkyline, ScoredAntichain
 from repro.geometry.cover import round_up, update_cover
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline, skyline
-from repro.kernels import PointSet, use_backend
+from repro.kernels import PointSet
 
-TIERS = ("python", "numpy", "auto")
+from tests.conftest import numpy_calls
+
 WEIGHTS = (0.7, 0.0, 1.3, 1.0)
 
 coord = st.one_of(
@@ -101,37 +103,44 @@ class TestAgainstLoopOracles:
     def test_any_interleaving_of_add_and_carve(self, case):
         e, weights, seed, steps = case
         score = scorer_for(weights)
-        chains = {tier: SeededCover(seed, e, score) for tier in TIERS}
+        chain = SeededCover(seed, e, score)
 
         def check(expected, *step):
-            for tier, chain in chains.items():
-                if e == 2:
-                    # The staircase: the oracle's set, in the one order a
-                    # 2-D antichain can be strictly monotone on both axes.
-                    assert chain.points == sorted(expected), (tier, *step)
-                    firsts, seconds = zip(*chain.points) if expected else ((), ())
-                    assert all(a < b for a, b in zip(firsts, firsts[1:]))
-                    assert all(a > b for a, b in zip(seconds, seconds[1:]))
-                else:
-                    # Row for row, on every tier.
-                    assert chain.points == expected, (tier, *step)
-                assert chain.partials == [score(p) for p in chain.points]
-                assert chain.partials == [
-                    float(v)
-                    for v in kernels.cover_corner_scores(chain.points, weights)
-                ]
-                assert chain.best == max(chain.partials, default=NEG_INF)
-                assert len(chain) == len(expected)
+            if e == 2:
+                # The staircase: the oracle's set, in the one order a
+                # 2-D antichain can be strictly monotone on both axes.
+                assert chain.points == sorted(expected), step
+                firsts, seconds = zip(*chain.points) if expected else ((), ())
+                assert all(a < b for a, b in zip(firsts, firsts[1:]))
+                assert all(a > b for a, b in zip(seconds, seconds[1:]))
+            else:
+                assert chain.points == expected, step  # row for row
+            assert chain.partials == [score(p) for p in chain.points]
+            assert chain.partials == [
+                float(v)
+                for v in kernels.cover_corner_scores(chain.points, weights)
+            ]
+            assert chain.best == max(chain.partials, default=NEG_INF)
+            assert len(chain) == len(expected)
             assert is_skyline(expected)
 
         expected = list(seed)
         check(expected, "seed")
         for kind, payload in steps:
             expected = oracle_step(expected, kind, payload)
-            for tier, chain in chains.items():
-                with use_backend(tier):
-                    getattr(chain, kind)(payload)
+            getattr(chain, kind)(payload)
             check(expected, kind, payload)
+
+    def test_no_mutation_reaches_a_two_form_op(self):
+        def mutations():
+            for e in (1, 2, 3):
+                for weights in (None, WEIGHTS[:e]):
+                    chain = SeededCover([kernels.ones(e)], e, scorer_for(weights))
+                    chain.add((0.5,) * e)
+                    chain.carve([(0.25,) * e, (0.5,) * (e - 1) + (0.0,)])
+                    chain.coarsen(4)
+
+        assert numpy_calls(mutations) == 0
 
     def test_carve_to_empty(self):
         chain = ScoredAntichain([(1.0, 1.0)], score=scorer_for(None))
@@ -174,24 +183,18 @@ class TestCarveAppliesAPatch:
             (0.4, 0.5, 0.5), (0.5, 0.4, 0.5), (0.5, 0.5, 0.25),
         ]
 
-    def test_numpy_tier_patch_lands_as_python_tuples(self):
+    def test_patch_lands_in_place_as_python_floats(self):
         start = [(i / 50, 1.0 - (i - 1) / 50) for i in range(1, 50)]
-        chains = {}
-        for tier in ("python", "numpy"):
-            with use_backend(tier):
-                chain = chains[tier] = ScoredAntichain(start, score=scorer_for(None))
-                chain.carve([(0.31, 0.31)])
-        chain = chains["numpy"]
-        assert chain.points == chains["python"].points
+        chain = ScoredAntichain(start, score=scorer_for(None))
+        chain.carve([(0.31, 0.31)])
         at = chain.points.index((0.31, 0.7))  # in place of the carved run
         assert chain.points[at - 1:at + 3] == [
             start[14], (0.31, 0.7), (0.7, 0.31), start[35],
         ]
         assert {type(v) for p in chain.points for v in p} == {float}
         assert {type(v) for v in chain.partials} == {float}
-        assert chain.partials == chains["python"].partials
-        with use_backend("numpy"):
-            chain.carve([(0.0, 0.0)])
+        assert chain.partials == [scorer_for(None)(p) for p in chain.points]
+        chain.carve([(0.0, 0.0)])
         assert chain.points == [] and chain.partials == []
 
     def test_untouched_cover_changes_nothing(self):

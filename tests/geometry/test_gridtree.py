@@ -11,7 +11,8 @@ checks:
 * Theorem 5.1 analogue: after any sequence of updates, every point that
   does not weakly dominate an observed vector remains covered;
 * Grid tree invariant (Lemma 5.1): the cover points stay a skyline;
-* resolution reduction coarsens but never uncovers.
+* resolution reduction coarsens but never uncovers;
+* grid mode reaches no kernel op that has a numpy form.
 """
 
 import pytest
@@ -23,16 +24,13 @@ from repro.core.scoring import WeightedSum
 from repro.geometry.cover import CoverRegion, round_up
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline
-from repro.kernels import use_backend
 
 from grid_oracle import CellGrid  # same directory, no package
+from tests.conftest import KERNEL_TABLES, kernel_table, numpy_calls
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 vec2 = st.tuples(unit, unit)
 vec3 = st.tuples(unit, unit, unit)
-
-#: Every kernel selection the grid must behave identically under.
-BACKENDS = ["python", "numpy", "auto"]
 
 
 def grid(dimension, resolution, **kwargs):
@@ -251,14 +249,14 @@ class TestResolutionReduction:
             assert is_skyline(cover.points)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_TABLES)
 class TestEdgeCasesAcrossBackends:
-    """Degenerate grids behave identically under every kernel selection."""
+    """Degenerate grids behave identically under every routing table."""
 
     def test_minimum_resolution_degenerates_to_corner_bound(self, backend):
-        # One cell per dimension (the paper's L = 0): updates are no-ops
-        # and the cover is pinned at the ideal corner — HRJN* regime.
-        with use_backend(backend):
+        with kernel_table(backend):
+            # One cell per dimension (the paper's L = 0): updates are no-ops
+            # and the cover is pinned at the ideal corner — HRJN* regime.
             cover = grid(2, 1)
             assert cover.points == [(1.0, 1.0)]
             cover.update([(0.1, 0.1), (0.0, 0.0)])
@@ -269,7 +267,7 @@ class TestEdgeCasesAcrossBackends:
             assert loaded.points == [(1.0, 1.0)]
 
     def test_duplicate_corners_collapse(self, backend):
-        with use_backend(backend):
+        with kernel_table(backend):
             # Distinct points rounding onto the same corner: one survives.
             cover = carved([(0.30, 0.30), (0.0, 0.36), (0.36, 0.0)])
             assert sorted(cover.points) == [(0.30, 0.36), (0.36, 0.30)]
@@ -277,7 +275,7 @@ class TestEdgeCasesAcrossBackends:
             assert cover.points == [(0.375, 0.375)]
 
     def test_duplicate_projected_corners_after_carve(self, backend):
-        with use_backend(backend):
+        with kernel_table(backend):
             cover = grid(2, 4)
             # Carving the top cell twice with equivalent vectors must not
             # re-introduce removed corners or duplicate the slid ones.
@@ -288,7 +286,7 @@ class TestEdgeCasesAcrossBackends:
             assert sorted(cover.points) == first
 
     def test_empty_carve_on_empty_marked_set(self, backend):
-        with use_backend(backend):
+        with kernel_table(backend):
             cover = grid(2, 2)
             cover.update([(0.0, 0.0)])  # empties the cover
             assert cover.points == []
@@ -301,5 +299,16 @@ class TestEdgeCasesAcrossBackends:
         cells = CellGrid(2, 8)
         for s in sequence:
             cells.update(s)
-        with use_backend(backend):
+        with kernel_table(backend):
             assert sorted(carved(sequence, 8).points) == cells.points()
+
+
+def test_grid_mode_reaches_no_two_form_op():
+    def walk():
+        for e in (2, 3):
+            cover = grid(e, 16, score=WeightedSum((0.5,) * e).row_scorer(0))
+            cover.update([(0.3,) * e, (0.7,) * (e - 1) + (0.1,)])
+            cover.coarsen(4)
+            cover.update([(0.2,) * e])
+
+    assert numpy_calls(walk) == 0

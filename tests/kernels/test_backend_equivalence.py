@@ -1,24 +1,24 @@
-"""Property tests: every kernel tier is bit-identical to the reference.
+"""Property tests: both forms of a two-form op are bit-identical, and the
+one-form ops are what they claim to be.
 
-Every op is driven with the same hypothesis-generated inputs under the
-pure-Python reference and each comparison kernel — ``numpy`` and the
-size-aware ``auto`` dispatcher, which must be bit-identical *by
-construction* no matter which tier each call lands on.
-Dominance tests, skyline index lists, partial scores (exact float
-equality — all tiers accumulate left-to-right) and cover carves must
-agree.  Dimensions e ∈ {2, 3, 4}, duplicate rows, and the 0/1 boundary
-coordinates are all drawn deliberately.
+The two bulk ops (partial scores, cross-product max) are driven with the
+same hypothesis-generated inputs under every routing table — all loops,
+all numpy, and the shipped size thresholds, whose per-call choice must be
+invisible in the results: exact float equality, both forms accumulate
+left-to-right.  Dominance tests, cover carves and the structures built on
+them have one form: they are checked against plain oracles, and shown to
+reach no two-form op.  Dimensions e ∈ {2, 3, 4}, duplicate rows, and the
+0/1 boundary coordinates are all drawn deliberately.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.kernels import PointSet, use_backend
+from repro.geometry.cover import update_cover
+from repro.kernels import PointSet
 
-#: Kernels compared against the "python" reference; "auto" because
-#: per-call dispatch must be invisible in the results.
-COMPARE = ["numpy", "auto"]
+from tests.conftest import KERNEL_TABLES, kernel_table, numpy_calls
 
 # Boundary values 0.0 and 1.0 are drawn often: they exercise the cover
 # carve's corner substitutions.
@@ -52,24 +52,21 @@ def _points(points):
     return sorted(tuple(float(v) for v in p) for p in points)
 
 
-def variants(fn, *args, **kwargs):
-    """(reference result, {kernel name: result}) for one op call."""
-    with use_backend("python"):
-        base = fn(*args, **kwargs)
-    others = {}
-    for name in COMPARE:
-        with use_backend(name):
-            others[name] = fn(*args, **kwargs)
-    return base, others
-
-
 def check(normalize, fn, *args, **kwargs):
-    """Assert every comparison kernel matches the reference; return it."""
-    base, others = variants(fn, *args, **kwargs)
-    expected = normalize(base)
-    for name, value in others.items():
-        assert normalize(value) == expected, f"kernel {name} diverged"
-    return base
+    """Assert ``fn`` gives one result under every routing table."""
+    results = {}
+    for name in KERNEL_TABLES:
+        with kernel_table(name):
+            results[name] = normalize(fn(*args, **kwargs))
+    for name, value in results.items():
+        assert value == results["python"], f"table {name} diverged"
+
+
+def one_form(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, asserting it reaches no two-form op."""
+    result = []
+    assert numpy_calls(lambda: result.append(fn(*args, **kwargs))) == 0
+    return result[0]
 
 
 class TestDominanceOps:
@@ -79,12 +76,12 @@ class TestDominanceOps:
         e = len(points[0])
         q = data.draw(st.tuples(*([coord] * e)))
         ps = PointSet(e, points)
-        any_dom = check(bool, kernels.dominates_any, ps, q)
+        any_dom = one_form(kernels.dominates_any, ps, q)
         assert any_dom == any(
             all(a >= b for a, b in zip(p, q)) for p in ps.tuples()
         )
         # A list of tuples — what the geometry layer holds — is an operand too.
-        assert check(bool, kernels.dominates_any, ps.tuples(), q) == any_dom
+        assert one_form(kernels.dominates_any, ps.tuples(), q) == any_dom
 
 
 class TestScoreOps:
@@ -118,9 +115,11 @@ class TestCoverOps:
     def test_cover_carve_same_point_set(self, observed, skyline_mode):
         e = len(observed[0])
         start = [kernels.ones(e)]
-        check(
-            _points,
+        carved = one_form(
             kernels.cover_carve, start, observed, skyline_mode=skyline_mode,
+        )
+        assert _points(carved) == _points(
+            update_cover(start, observed, skyline_result=skyline_mode)
         )
 
     @given(point_sets(min_size=1, max_size=12), st.data())
@@ -128,29 +127,27 @@ class TestCoverOps:
     def test_carved_covers_agree_on_probes(self, observed, data):
         e = len(observed[0])
         probe = data.draw(st.tuples(*([coord] * e)))
-        carved = check(
-            _points, kernels.cover_carve, [kernels.ones(e)], observed
+        carved = one_form(kernels.cover_carve, [kernels.ones(e)], observed)
+        assert one_form(kernels.dominates_any, list(carved), probe) == any(
+            all(a >= b for a, b in zip(p, probe)) for p in carved
         )
-        check(bool, kernels.dominates_any, list(carved), probe)
 
 
 class TestStructureUsesKernels:
-    """End-to-end geometry structures agree across every kernel."""
+    """The geometry structures equal their loop oracles, on one form."""
 
     @given(point_sets(min_size=1, max_size=16))
     @settings(max_examples=100, deadline=None)
     def test_incremental_skyline_same_points(self, points):
-        from repro.geometry.skyline import IncrementalSkyline
+        from repro.geometry.skyline import IncrementalSkyline, skyline
 
-        results = {}
-        for name in ["python"] + COMPARE:
-            with use_backend(name):
-                sky = IncrementalSkyline(dimension=len(points[0]))
-                for p in points:
-                    sky.add(p)
-                results[name] = sorted(sky.points)
-        for name in COMPARE:
-            assert results[name] == results["python"], name
+        def build():
+            sky = IncrementalSkyline(dimension=len(points[0]))
+            for p in points:
+                sky.add(p)
+            return sorted(sky.points)
+
+        assert one_form(build) == _points(skyline(points))
 
     @given(point_sets(min_size=1, max_size=12), st.data())
     @settings(max_examples=100, deadline=None)
@@ -159,11 +156,14 @@ class TestStructureUsesKernels:
 
         e = len(observed[0])
         probe = data.draw(st.tuples(*([coord] * e)))
-        results = {}
-        for name in ["python"] + COMPARE:
-            with use_backend(name):
-                region = CoverRegion(e, skyline_mode=True)
-                region.update(observed)
-                results[name] = (sorted(region.points), region.covers(probe))
-        for name in COMPARE:
-            assert results[name] == results["python"], name
+
+        def build():
+            region = CoverRegion(e, skyline_mode=True)
+            region.update(observed)
+            return sorted(region.points), region.covers(probe)
+
+        points, covered = one_form(build)
+        assert points == _points(
+            update_cover([kernels.ones(e)], observed, skyline_result=True)
+        )
+        assert covered == any(all(a >= b for a, b in zip(p, probe)) for p in points)

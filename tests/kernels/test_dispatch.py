@@ -1,13 +1,14 @@
-"""Routing: two size thresholds, one selection knob, counters by form.
+"""Routing: two size thresholds, the one knob, counters by form.
 
 * the threshold table — :func:`~repro.kernels.set_thresholds` (partial,
   strict), the explicit :func:`~repro.kernels.calibrate_thresholds`;
 * routing, observed the only way a caller can — ``kernel_calls_total``
   labels every call with the form that *ran*: at the shipped thresholds
   (the golden: a retune must fail here, the benchmark's call counts depend
-  on them), under installed thresholds, under a pin;
+  on them), under installed thresholds, under the all-loop and all-numpy
+  tables;
 * no hidden state — a fresh process reads, writes and times nothing it was
-  not asked to.
+  not asked to, and no environment variable moves a call.
 """
 
 import json
@@ -19,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro import kernels
-from repro.config import ReproConfig
 from repro.core.operators import make_operator
 from repro.core.scoring import WeightedSum
 from repro.data.workload import (
@@ -33,30 +33,34 @@ from repro.kernels.dispatch import NEVER
 from repro.obs.metrics import MetricRegistry
 from repro.relation.relation import RankJoinInstance
 
+from tests.conftest import KERNEL_TABLES, kernel_table
+
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(autouse=True)
 def _restore_dispatch_state():
-    """Leave backend selection, thresholds and obs sink as found."""
-    previous = kernels.kernel_name()
+    """Leave the thresholds and the obs sink as found."""
     yield
     kernels.set_thresholds({})
     kernels.unobserve()
-    kernels.set_backend(previous)
 
 
 def _points(n, e=2):
     return [((i % 9 + 1) / 10.0,) * e for i in range(n)]
 
 
-def _counted(call, kernel="auto"):
-    """``{(kernel, fn): calls}`` of one call under one selection."""
+def _counted(call, table=None):
+    """``{(kernel, fn): calls}`` of one call under the live table, or under
+    one of ``KERNEL_TABLES``."""
     metrics = MetricRegistry()
     kernels.observe(metrics)
     try:
-        with kernels.use_backend(kernel):
+        if table is None:
             call()
+        else:
+            with kernel_table(table):
+                call()
     finally:
         kernels.unobserve()
     return {
@@ -101,12 +105,7 @@ class TestThresholds:
         assert kernels.dispatch_thresholds() == {
             op: {"numpy": size} for op, (size, _, _) in SHIPPED.items()
         }
-        assert kernels.dispatch_routes() == {
-            **{op: [(0, "python")] for op in ONE_FORM},
-            **{op: [(size, "numpy"), (0, "python")]
-               for op, (size, _, _) in SHIPPED.items()},
-        }
-        assert len(kernels.KERNEL_OPS) == 5
+        assert sorted(kernels.KERNEL_OPS) == sorted({*SHIPPED, *ONE_FORM})
 
     def test_set_thresholds_partial_override(self):
         kernels.set_thresholds({"cross_product_max": {"numpy": 7}})
@@ -161,14 +160,16 @@ class TestThresholds:
             lambda budget: {"cross_product_max": {"numpy": 9}},
         )
         assert kernels.calibrate_thresholds()["cross_product_max"] == {"numpy": 9}
-        assert kernels.dispatch_routes()["cross_product_max"][0] == (9, "numpy")
+        assert _counted(  # 3 x 3 = 9 pairs
+            lambda: kernels.cross_product_max([0.5] * 3, [0.25] * 3)
+        ) == {("numpy", "cross_product_max"): 1}
 
 
 # ----------------------------------------------------------------------
 # Routing, by counters
 # ----------------------------------------------------------------------
 class TestAutoDispatcher:
-    """``auto``: numpy from the op's threshold up, the loop below it."""
+    """Numpy from the op's threshold up, the loop below it."""
 
     @pytest.mark.parametrize("op", sorted(SHIPPED))
     def test_shipped_threshold_is_the_boundary(self, op):
@@ -190,7 +191,6 @@ class TestAutoDispatcher:
         assert _counted(
             lambda: kernels.cover_corner_scores(_points(2_000))
         ) == {("python", "cover_corner_scores"): 1}
-        assert kernels.dispatch_routes()["cover_corner_scores"] == [(0, "python")]
 
     def test_threshold_change_rebuilds_live_routes(self):
         def score():
@@ -212,30 +212,38 @@ class TestAutoDispatcher:
         ) == {("python", "cross_product_max"): 1}
 
     def test_routes_snapshot_anchor(self):
-        routes = kernels.dispatch_routes()
-        assert set(routes) == set(kernels.KERNEL_OPS)
-        for op, entries in routes.items():
-            assert entries[-1] == (0, "python")
-            assert len(entries) == (2 if op in SHIPPED else 1)
+        # The whole shipped table in one observation: every op runs its
+        # loop below its threshold, only the two-form ops have a numpy route.
+        def every_op():
+            for _, below, at in SHIPPED.values():
+                below()
+                at()
+            for call in ONE_FORM.values():
+                call()
+
+        assert _counted(every_op) == {
+            **{("python", op): 1 for op in kernels.KERNEL_OPS},
+            **{("numpy", op): 1 for op in SHIPPED},
+        }
 
 
-class TestPinnedDispatcher:
-    """A pin forces the named form wherever an op has it."""
+class TestForcedTables:
+    """A whole table forces one form wherever an op has two."""
 
-    def test_python_pin_ignores_batch_size(self):
+    def test_all_loop_table_ignores_batch_size(self):
         for op, (_, below, at) in SHIPPED.items():
             assert _counted(below, "python") == {("python", op): 1}
             assert _counted(at, "python") == {("python", op): 1}
 
-    def test_numpy_pin_ignores_batch_size(self):
+    def test_all_numpy_table_ignores_batch_size(self):
         for op, (_, below, at) in SHIPPED.items():
             assert _counted(below, "numpy") == {("numpy", op): 1}
             assert _counted(at, "numpy") == {("numpy", op): 1}
 
     def test_one_form_ops_always_run_their_loop(self):
         for op, call in ONE_FORM.items():
-            for kernel in kernels.BACKEND_CHOICES:
-                assert _counted(call, kernel) == {("python", op): 1}, kernel
+            for table in KERNEL_TABLES:
+                assert _counted(call, table) == {("python", op): 1}, table
 
 
 def _cold(instance):
@@ -312,9 +320,8 @@ class TestDispatchObservability:
         kernels.set_thresholds({"cover_corner_scores": {"numpy": 100}})
         metrics = MetricRegistry()
         kernels.observe(metrics)
-        with kernels.use_backend("auto"):
-            kernels.cover_corner_scores(_points(4))
-            kernels.cover_corner_scores(_points(200))
+        kernels.cover_corner_scores(_points(4))
+        kernels.cover_corner_scores(_points(200))
         assert metrics.value(
             "kernel_calls_total", kernel="python", fn="cover_corner_scores"
         ) == 1
@@ -326,17 +333,10 @@ class TestDispatchObservability:
         metrics = MetricRegistry()
         kernels.observe(metrics)
         kernels.unobserve()
-        with kernels.use_backend("python"):
-            kernels.skyline_filter(_points(3))
+        kernels.skyline_filter(_points(3))
         assert metrics.value(
             "kernel_calls_total", kernel="python", fn="skyline_filter"
         ) is None
-
-
-class TestConfigWiring:
-    def test_numba_is_not_a_config_kernel(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            ReproConfig(kernel="numba")
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +344,6 @@ class TestConfigWiring:
 # ----------------------------------------------------------------------
 _FRESH_PROCESS = """
 import json
-import repro
 from repro import kernels
 from repro.core.naive import naive_top_k
 from repro.core.operators import make_operator
@@ -372,7 +371,7 @@ operators = [
 print(json.dumps({
     "answers": [[r.score for r in op.top_k(10)] == oracle for op in operators],
     "before": before,
-    "after": kernels.dispatch_thresholds(), "routes": repro.dispatch_routes(),
+    "after": kernels.dispatch_thresholds(),
     "cover_modes": operators[1].bound_scheme.cover_modes,
 }))
 """
@@ -413,5 +412,34 @@ def test_a_fresh_process_reads_writes_and_times_nothing(tmp_path):
     assert report["cover_modes"] == ["grid", "grid"]  # a-FRPA did move over
     shipped = {op: {"numpy": size} for op, (size, _, _) in SHIPPED.items()}
     assert report["before"] == report["after"] == shipped
-    assert report["routes"]["cross_product_max"] == [[256, "numpy"], [0, "python"]]
     assert _tree(tmp_path) == found  # decoy byte-identical, nothing new
+
+
+_ROUTED = """
+import json
+from repro import kernels
+from repro.obs.metrics import MetricRegistry
+
+metrics = MetricRegistry()
+kernels.observe(metrics)
+kernels.cover_corner_scores([(0.5, 0.5)] * 11)
+kernels.cover_corner_scores([(0.5, 0.5)] * 12)
+print(json.dumps(sorted(
+    (labels["kernel"], counter.value)
+    for _, labels, counter in metrics.metrics_named("kernel_calls_total")
+)))
+"""
+
+
+@pytest.mark.parametrize("value", ["python", "numpy", "numba"])
+def test_repro_kernel_is_inert(value):
+    """The retired pin's variable moves no call and warns about nothing:
+    one call below the shipped threshold runs the loop, one at it numpy."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _ROUTED],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": SRC, "PATH": os.environ.get("PATH", ""),
+             "REPRO_KERNEL": value},
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == [["numpy", 1], ["python", 1]]

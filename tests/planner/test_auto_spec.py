@@ -179,7 +179,7 @@ class TestServiceIntegration:
 class TestNeverSharded:
     """The four instances the parent planned as ``pbrj/HRJN* x8 hash/serial``
     (1.8–2.6× slower than HRJN* alone, EXPERIMENTS.md) stay unsharded —
-    under ``algorithm="pbrj"`` planning and behind ``serve --plan auto``."""
+    under ``algorithm="pbrj"`` planning and behind ``serve --algorithm auto``."""
 
     @pytest.mark.parametrize(
         "e, scale", [(1, 0.0005), (1, 0.002), (1, 0.008), (3, 0.0005)]
@@ -202,7 +202,7 @@ class TestNeverSharded:
 
         monkeypatch.setattr(RankJoinServer, "run", parse_one_submit)
         assert main([
-            "serve", "--plan", "auto", "--e", str(e), "--scale", str(scale),
+            "serve", "--algorithm", "auto", "--e", str(e), "--scale", str(scale),
         ]) == 0
         served = seen["spec"]
         assert served.shards == 1

@@ -1,11 +1,7 @@
 """Tests for the calibrated cost model (coefficients + scoring formulas)."""
 
-import json
-from dataclasses import replace
+from dataclasses import fields
 
-import pytest
-
-from repro.config import ReproConfig
 from repro.planner.cost import (
     CostCoefficients,
     PlanCandidate,
@@ -25,53 +21,17 @@ def pbrj_candidate(operator="HRJN*") -> PlanCandidate:
 
 
 class TestCoefficients:
-    def test_round_trip(self):
-        coeffs = CostCoefficients(pull_pbrj=1e-6, multiway_factor=0.5)
-        assert CostCoefficients.from_dict(coeffs.to_dict()) == coeffs
-        assert len(coeffs.to_dict()) == 5
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown cost coefficient"):
-            CostCoefficients.from_dict({"pull_pbrj": 1e-6, "warp_speed": 9})
-        # ... as a file written when the model had a kernel factor is.
-        with pytest.raises(ValueError, match="kernel_auto_bonus, kernel_crossover"):
-            CostCoefficients.from_dict(
-                {"kernel_auto_bonus": 0.95, "kernel_crossover": 2000}
-            )
-        # ... or when shards could run in forked children.
-        with pytest.raises(
-            ValueError, match="parallelism, round_process, startup_process"
-        ):
-            CostCoefficients.from_dict({
-                "round_process": 3e-4, "startup_process": 4e-2, "parallelism": 2,
-            })
-        # ... or when the planner priced shard layouts.
-        with pytest.raises(
-            ValueError,
-            match="cover_exponent, partition_per_tuple, round_serial, startup_serial",
-        ):
-            CostCoefficients.from_dict({
-                "cover_exponent": 1.0, "partition_per_tuple": 4e-6,
-                "round_serial": 3e-6, "startup_serial": 2e-5,
-            })
-
-    def test_partial_dict_keeps_defaults(self):
-        coeffs = CostCoefficients.from_dict({"pull_anyk": 5e-6})
-        assert coeffs.pull_anyk == 5e-6
-        assert coeffs.pull_pbrj == CostCoefficients().pull_pbrj
-
-    def test_config_file_resolution(self, tmp_path, monkeypatch):
-        # A coefficients file is named by ReproConfig.planner_coeffs only:
-        # the $REPRO_PLANNER_COEFFS level is retired, the variable inert.
-        path = tmp_path / "coeffs.json"
-        path.write_text(json.dumps({"pull_pbrj": 7.5e-7}))
-        monkeypatch.setenv("REPRO_PLANNER_COEFFS", str(path))
-        assert ReproConfig.from_env().planner_coeffs is None
+    def test_set_coefficients_is_the_one_seam(self):
+        # Installed coefficients win until ``None`` returns to measuring;
+        # no file or environment variable names them.
+        assert len(fields(CostCoefficients)) == 5
+        custom = CostCoefficients(pull_pbrj=7.5e-7)
         try:
-            replace(ReproConfig.current(), planner_coeffs=str(path)).apply()
-            assert coefficients().pull_pbrj == 7.5e-7
+            set_coefficients(custom)
+            assert coefficients() is custom
         finally:
             set_coefficients(CostCoefficients())
+        assert not hasattr(CostCoefficients, "from_dict")
 
     def test_measure_produces_positive_costs(self):
         measured = measure(seed=0)

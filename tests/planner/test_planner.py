@@ -8,7 +8,7 @@ from repro.core.scoring import WeightedSum
 from repro.data.workload import random_instance
 from repro.errors import InstanceError
 from repro.obs import Observability
-from repro.planner import Planner, PlannerConfig
+from repro.planner import Planner
 from repro.relation.relation import Relation
 
 
@@ -63,6 +63,15 @@ class TestPlanBinary:
             entry.candidate.algorithm == "anyk" for entry in decision.candidates
         )
 
+    def test_pin_algorithm_pbrj(self, instance):
+        # ``algorithm=`` is the one way to narrow the candidates.
+        decision = Planner().plan(
+            [instance.left, instance.right], 10, algorithm="pbrj"
+        )
+        assert sorted(e.candidate.label() for e in decision.candidates) == [
+            "pbrj/FRPA", "pbrj/HRJN*",
+        ]
+
     def test_unknown_algorithm_rejected(self, instance):
         with pytest.raises(InstanceError, match="unknown algorithm"):
             Planner().plan([instance.left, instance.right], 10, algorithm="nope")
@@ -85,18 +94,9 @@ class TestPlanBinary:
         assert decision.planning_seconds > 0
 
 
-class TestPlannerConfig:
-    def test_restricting_choices_restricts_candidates(self, instance):
-        config = PlannerConfig(operators=("HRJN*",), include_anyk=False)
-        decision = Planner(config=config).plan(
-            [instance.left, instance.right], 10
-        )
-        assert [e.candidate.label() for e in decision.candidates] == ["pbrj/HRJN*"]
-
-
 class TestCachesAreBounded:
     def test_per_request_weights_do_not_grow_the_depth_cache(self, instance):
-        # A `serve --plan auto` server sees one WeightedSum per request.
+        # A `serve --algorithm auto` server sees one WeightedSum per request.
         from repro.planner import planner as planner_module
         from repro.planner.stats import CACHE_LIMIT
 

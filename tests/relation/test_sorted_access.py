@@ -177,6 +177,25 @@ class TestVectorisedOrderIsTheSortedOrder:
         with pytest.raises(InstanceError, match="dirty"):
             AnyKRankJoin(AnyKQuery.binary(relation, relation), SumScore())
 
+    def test_out_of_range_scores_are_refused(self):
+        # Found by a seeded random search: every bound takes 1 as a score's
+        # ceiling, so with 2.0 on the right HRJN* emitted 1.9593 and 1.9033
+        # before the true top result 2.0341 — a wrong answer, silently.
+        left = Relation("L", [RankTuple(3, (0.01, 0.9)), RankTuple(1, (0.95, 0.29))])
+        right = Relation("over", [
+            RankTuple(3, (2.0, 0.08)), RankTuple(1, (1.51, 0.68)),
+            RankTuple(1, (1.71, 0.08)),
+        ])
+        scoring = WeightedSum([0.65, 0.82, 0.64, 0.12])
+        with pytest.raises(
+            InstanceError, match=r"'over': score 2\.0 outside \[0, 1\] at row 0, column 0"
+        ):
+            make_operator("HRJN*", RankJoinInstance(left, right, scoring, 3)).top_k(3)
+        with pytest.raises(InstanceError, match="score -0.5 outside"):
+            Relation("under", [RankTuple(0, (0.5, -0.5))]).scored()
+        # The bounds of the range are scores.
+        Relation("edge", [RankTuple(0, (0.0, 1.0))]).scored()
+
 
 def tie_relations():
     """Two small relations whose join is mostly exact-score ties."""

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro import kernels
 from repro.obs import Observability
 from repro.relation import Relation
 from repro.service import QueryService, QuerySpec, ResultCache, SessionState
 
+from tests.conftest import kernel_table
 from tests.service.conftest import make_instance, make_spec, serial_answer
 
 
@@ -211,9 +211,9 @@ class TestPlanAwareCacheKeys:
 
     A pinned :class:`QuerySpec` and an ``auto`` spec the planner resolves
     to the same plan must hit the same :class:`ResultCache` entry — in
-    both directions.  Likewise the process-wide kernel: every kernel tier
-    (and size-aware ``auto`` dispatch) is bit-identical by contract, so
-    the active kernel must be invisible to the cache key.
+    both directions.  Likewise the kernel routing table: both forms of a
+    kernel op are bit-identical by contract, so the table must be
+    invisible to the cache key.
     """
 
     @staticmethod
@@ -262,17 +262,21 @@ class TestPlanAwareCacheKeys:
         assert service.scheduler.stats()["pulls"] == pulls
         assert service.scheduler.finished_sessions[-1].from_cache
 
-    def test_kernel_pin_is_cache_invisible(self):
-        # Kernel tiers are bit-identical, so a run under the pinned
-        # Python reference must warm the cache for an auto-dispatch run.
+    def test_kernel_table_is_cache_invisible(self):
+        # The two forms of a kernel op are bit-identical, so a run of the
+        # one operator that calls the bulk ops, all on the loop, must warm
+        # the cache for the same query all on numpy.
         instance = make_instance()
-        spec = QuerySpec(relations=(instance.left, instance.right), k=10)
+        spec = QuerySpec(
+            relations=(instance.left, instance.right), k=10,
+            operator="PBRJ_FR^RR",
+        )
         service = QueryService()
-        with kernels.use_backend("python"):
+        with kernel_table("python"):
             fingerprint = spec.fingerprint()
             first = service.run_query(spec)
         pulls = service.scheduler.stats()["pulls"]
-        with kernels.use_backend("auto"):
+        with kernel_table("numpy"):
             assert spec.fingerprint() == fingerprint
             second = service.run_query(spec)
         assert [r.score for r in second] == [r.score for r in first]

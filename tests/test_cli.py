@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.kernels.dispatch import NEVER
 from repro.obs import read_events, reconstruct_timing
 
 
@@ -14,6 +15,21 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "FRPA" in out
         assert "repro" in out
+
+    def test_info_prints_the_thresholds(self, capsys):
+        from repro import kernels
+
+        kernels.set_thresholds({"cross_product_max": {"numpy": NEVER}})
+        try:
+            assert main(["info"]) == 0
+        finally:
+            kernels.set_thresholds({})
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        }
+        assert rows == {"cover_corner_scores": "12", "cross_product_max": "never"}
 
 
 class TestRun:
@@ -25,7 +41,16 @@ class TestRun:
 
     def test_unknown_operator(self, capsys):
         assert main(["run", "NOPE", "--scale", "0.0003"]) == 2
-        assert "unknown operator" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown operator 'NOPE'")
+        assert captured.err.count("\n") == 1 and not captured.out
+
+    def test_unknown_operator_is_refused_under_auto_too(self, capsys):
+        # The planner would have run FRPA in its place, exit 0.
+        assert main([
+            "run", "NOPE", "--algorithm", "auto", "--scale", "0.0003",
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown operator 'NOPE'")
 
     def test_obs_out_writes_event_stream(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
@@ -224,7 +249,9 @@ class TestTrace:
 
     def test_trace_unknown_operator(self, capsys):
         assert main(["trace", "NOPE", "--scale", "0.0003"]) == 2
-        assert "unknown operator" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown operator 'NOPE'")
+        assert captured.err.count("\n") == 1 and not captured.out
 
     def test_trace_pulls_streams_per_pull_events(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
@@ -301,7 +328,7 @@ class TestAlgorithm:
 class TestPlanAuto:
     def test_run_plan_auto(self, capsys):
         assert main([
-            "run", "--plan", "auto", "--scale", "0.0003", "--k", "3",
+            "run", "--algorithm", "auto", "--scale", "0.0003", "--k", "3",
         ]) == 0
         out = capsys.readouterr().out
         assert "top scores" in out
@@ -361,6 +388,19 @@ class TestPlanAuto:
         assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--kernel", "python"],
+        ["run", "--plan", "auto"],
+        ["serve", "--plan", "auto"],
+    ])
+    def test_retired_kernel_and_plan_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[1]}" in err
+        assert "Traceback" not in err
+
     def test_workload_file_static_shards_adopted(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
         path.write_text(json.dumps({
@@ -377,3 +417,48 @@ class TestPlanAuto:
             "--algorithm", "anyk",
         ]) == 0
         assert "AnyK" in capsys.readouterr().out
+
+
+class TestWorkloadKnobs:
+    """Flags and workload files share one validation: a knob no generator
+    or operator can run is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "compare", "trace"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--k", "0", "k"),
+        ("--e", "0", "e"),
+        ("--c", "2", "c"),
+        ("--c", "0", "c"),
+        ("--scale", "-1", "scale"),
+    ])
+    def test_degenerate_flag_is_one_error_line(
+        self, command, flag, value, field, capsys
+    ):
+        argv = [command, flag, value]
+        if command != "compare":
+            argv.insert(1, "FRPA")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be ")
+        assert captured.err.count("\n") == 1 and not captured.out
+
+    def test_zero_shards_flag_is_one_error_line(self, capsys):
+        assert main(["run", "FRPA", "--shards", "0", "--scale", "0.0003"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: shards must be a positive integer, got 0\n"
+
+    def test_workload_file_names_the_file_and_the_field(self, tmp_path, capsys):
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps({"scale": 0.0003, "k": 0}))
+        assert main(["compare", "--workload", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: workload file {path}: k must be at least 1, got 0\n"
+        )
+
+
+class TestChaos:
+    def test_unknown_workload_is_one_error_line(self, capsys):
+        assert main(["chaos", "--workloads", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown workloads ['nope']")
+        assert captured.err.count("\n") == 1 and not captured.out
