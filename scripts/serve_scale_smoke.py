@@ -5,7 +5,8 @@ Boots ``python -m repro serve --workers 2`` as a subprocess, drives a
 scaled-down soak (50 concurrent streaming sessions by default) through
 the front-end, and checks the streaming contract end to end: strictly
 sequential event indexes, the streamed sequence equal to the terminal
-snapshot, identical answers across sessions of the same query, fleet
+snapshot, identical answers across sessions of the same query, no
+session left outstanding by clients that submit and hang up, fleet
 stats reporting every worker alive, and a clean shutdown.  Exits
 nonzero on any failure; the CI step wraps it in a hard ``timeout``.
 
@@ -20,6 +21,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -45,6 +47,29 @@ def start_fleet(scale: float, workers: int) -> tuple[subprocess.Popen, str, int]
         if match:
             return process, match.group(1), int(match.group(2))
     raise RuntimeError(f"fleet exited (rc={process.wait()}) before listening")
+
+
+def hang_ups_settle(host: str, port: int, clients: int = 3) -> list[str]:
+    """Clients that submit three queries each and hang up unstreamed: once
+    every worker reports nothing live or queued, the front-end must count
+    nothing outstanding either."""
+    for index in range(clients):
+        with ServiceClient(host, port) as client:
+            for j in range(3):  # distinct weights: no cache hits
+                client.submit(left="lineitem", right="orders", k=5,
+                              weights=[[1.0, 2.0 + 3 * index + j], [1.0, 1.0]])
+    deadline = time.monotonic() + 60.0
+    with ServiceClient(host, port) as client:
+        while True:
+            stats = client.stats()
+            busy = stats["scheduler"]["live"] + stats["scheduler"]["queued"]
+            outstanding = stats["fleet"]["outstanding"]
+            if not busy and not any(outstanding.values()):
+                return []
+            if time.monotonic() > deadline:
+                return [f"after {clients} hang-ups: outstanding {outstanding} "
+                        f"with {busy} sessions live or queued"]
+            time.sleep(0.1)
 
 
 def main() -> int:
@@ -117,6 +142,7 @@ def main() -> int:
                 and by_k[longest][0][:k] != sequences[0]:
             errors.append(f"k={k} is not a prefix of k={longest}")
 
+    errors += hang_ups_settle(host, port)
     try:
         with ServiceClient(host, port) as client:
             stats = client.stats()

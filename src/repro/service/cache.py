@@ -28,6 +28,7 @@ worker that built them.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import time
@@ -36,7 +37,27 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.multiway import MultiwayResult
+from repro.core.tuples import JoinResult
 from repro.obs import Observability
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _well_formed(payload) -> bool:
+    """Is ``payload`` a shared-tier record as :meth:`ResultCache._shared_store`
+    writes it (and so safe to serve from)?"""
+    return (
+        type(payload) is dict
+        and type(payload.get("results")) is list
+        and all(isinstance(r, (JoinResult, MultiwayResult)) and _finite(r.score)
+                for r in payload["results"])
+        and type(payload.get("exhausted")) is bool
+        and _finite(payload.get("created_at"))
+    )
 
 
 @dataclass
@@ -244,23 +265,27 @@ class ResultCache:
         """Read the shared tier's entry for ``key`` (best effort).
 
         Missing, truncated (a concurrent writer died mid-``os.replace``
-        is impossible, but a corrupt disk is not), or expired files all
-        read as a clean miss — the shared tier only ever accelerates.
+        is impossible, but a corrupt disk is not), foreign, or expired
+        files all read as a clean miss — the shared tier only ever
+        accelerates.  A payload is taken only in the shape
+        :meth:`_shared_store` writes: ``results`` a list of join results
+        with finite scores, ``exhausted`` a bool, ``created_at`` a finite
+        number.
         """
         if self.shared_dir is None:
             return None
         path = self._shared_path(key)
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-            entry = CacheEntry(
-                results=list(payload["results"]),
-                exhausted=bool(payload["exhausted"]),
-                created_at=float(payload.get("created_at", 0.0)),
-            )
-        except (OSError, pickle.PickleError, KeyError, TypeError,
-                ValueError, EOFError, AttributeError):
+            payload = pickle.loads(path.read_bytes())
+        except Exception:  # noqa: BLE001 - any unreadable file is a miss
             return None
+        if not _well_formed(payload):
+            return None
+        entry = CacheEntry(
+            results=payload["results"],
+            exhausted=payload["exhausted"],
+            created_at=payload["created_at"],
+        )
         if self.ttl is not None and entry.created_at:
             if time.time() - entry.created_at > self.ttl:
                 with contextlib.suppress(OSError):

@@ -20,6 +20,18 @@ routing and shared state:
 * **Session ids** are namespaced on the wire: worker 2's ``s7`` is
   ``w2:s7`` to clients, so session-addressed verbs route straight back to
   the owning worker with no session table lookups.
+* **A stream is relayed as bytes.**  Its ``result`` events and its
+  ``done`` line cross as the worker's own bytes with one splice
+  (:func:`~repro.service.wire.splice_session`) putting ``w2:`` in front
+  of the id — no decode, copy and encode per released answer.  That is
+  safe because ``session`` is the first key after ``ok`` / ``event`` in
+  both frames and the encoder escapes every quote inside a string, so the
+  splice can only land on that key.  ``ok: false`` lines and the replies
+  to every other verb are decoded and rewritten.
+* **Outstanding counts are hints.**  A session counts against its worker
+  from its submit until the front-end relays its end or the connection
+  that submitted it closes — a client that hangs up never sees the end,
+  so nothing else would.  The worker's own ``max_live`` bounds real load.
 * **The result cache** spans processes through the disk-backed shared
   tier (:class:`~repro.service.cache.ResultCache` ``shared_dir``): a
   prefix computed by any worker answers the same fingerprint on every
@@ -171,8 +183,9 @@ class ServeFleet(wire.LineServer):
         self._workers: list[_Worker] = []
         #: Rotation counter for tie-breaking the least-outstanding router.
         self._rr_next = 0
-        #: Namespaced session id → owning worker index, while in flight.
-        self._pending: dict[str, int] = {}
+        #: Namespaced session id → (owning worker, the client connection
+        #: that submitted it), while in flight.
+        self._pending: dict[str, tuple[_Worker, wire.Connection]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -291,16 +304,17 @@ class ServeFleet(wire.LineServer):
             payload["session"] = f"{worker.name}:{payload['session']}"
         return payload
 
-    def _settle(self, worker: _Worker, wire_id, payload: dict) -> None:
-        """Retire an in-flight session when a relayed payload ends it."""
-        terminal = (
-            payload.get("state") in wire.TERMINAL
-            or payload.get("event") == "done"
-            or payload.get("cancelled") is True
-        )
-        if terminal and wire_id in self._pending:
-            del self._pending[wire_id]
-            worker.outstanding = max(0, worker.outstanding - 1)
+    def _settle(self, wire_id: str) -> None:
+        """Stop counting a session as in flight."""
+        pending = self._pending.pop(wire_id, None)
+        if pending is not None:
+            pending[0].outstanding -= 1
+
+    def _closed(self, conn: wire.Connection) -> None:
+        # Nobody will relay the end of what this client left unfinished.
+        for wire_id, (_, owner) in list(self._pending.items()):
+            if owner is conn:
+                self._settle(wire_id)
 
     # ------------------------------------------------------------------
     # Verbs
@@ -335,10 +349,10 @@ class ServeFleet(wire.LineServer):
             # Born DONE (cache hit): never outstanding.
             if response.get("state") not in wire.TERMINAL:
                 worker.outstanding += 1
-                self._pending[response["session"]] = worker.index
+                self._pending[response["session"]] = (worker, conn)
         return response
 
-    async def _relay(self, verb: wire.Verb, request: dict, conn) -> dict:
+    async def _relay(self, verb: wire.Verb, request: dict, conn) -> dict | None:
         """Forward a session-addressed verb to the session's owner and
         relay what comes back — one reply, or event lines to a terminal."""
         wire_id = request["session"]
@@ -359,12 +373,24 @@ class ServeFleet(wire.LineServer):
                 raw = await reader.readline()
                 if not raw:
                     raise ConnectionError
+                if verb.streams and raw.startswith(
+                    (wire.RESULT_EVENT, wire.DONE_EVENT)
+                ):
+                    # The worker's bytes, spliced (module docstring: why
+                    # that is safe).  One write and one drain per line, as
+                    # a worker sends them: merging lines lost (server.py).
+                    conn.writer.write(wire.splice_session(raw, worker.name))
+                    await conn.writer.drain()
+                    if raw.startswith(wire.DONE_EVENT):
+                        self._settle(wire_id)
+                        return None
+                    continue
+                # One reply, or the ok: false line that ends a stream.
                 reply = self._rewrite(wire.decode(raw), worker)
-                self._settle(worker, wire_id, reply)
-                ended = not reply.get("ok", False) or reply.get("event") == "done"
-                if not verb.streams or ended:
-                    return reply
-                await conn.send(reply)
+                if (reply.get("state") in wire.TERMINAL
+                        or reply.get("cancelled") is True):
+                    self._settle(wire_id)
+                return reply
         except (OSError, asyncio.TimeoutError, ValueError):
             self._drop(worker, conn)
             return wire.worker_lost(

@@ -41,7 +41,11 @@ a scan:
 * **A wake-up's frames are written one by one**, each followed by a
   drain.  Batching them into one write was measured and lost: on two
   vCPUs it serialises worker → front-end → client, which otherwise
-  overlap (EXPERIMENTS.md, "Serving loop without timers").
+  overlap (EXPERIMENTS.md, "Serving loop without timers").  Measured
+  again once the fleet relayed stream lines as bytes, on ``warm_hit``
+  ``ttk_p50_norm``: a finished session's lines in one worker write lost
+  (0.0325 → 0.0362, 0 of 6 pairs won), and merging the lines already
+  read into one front-end write gained nothing (0.0329 → 0.0325, 4 of 6).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ answers with several).  Everything that defines the protocol lives here
 and nowhere else; the prose copy is the "Wire protocol" section of
 ``docs/API.md``:
 
-* the **frame codec** — :func:`encode` / :func:`decode`;
+* the **frame codec** — :func:`encode` / :func:`decode`, and
+  :func:`splice_session`, which namespaces a stream event's session id
+  in its encoded bytes;
 * the **verb table** — :data:`VERBS`: every verb with its fields, their
   types, ranges and defaults, and the two facts a front-end routes on
   (``session_addressed``, ``streams``); :func:`validate` checks a frame
@@ -142,6 +144,27 @@ class BadFrame(ValueError):
 
 def encode(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode()
+
+
+#: How a server's ``result`` and ``done`` stream events begin, up to the
+#: first character of the session id: ``session`` is the first key after
+#: ``ok`` and ``event`` in both frames.
+RESULT_EVENT, DONE_EVENT = (
+    encode(ok(event=name, session="")).removesuffix(b'"}\n')
+    for name in ("result", "done")
+)
+_SESSION_KEY = b'"session": "'
+
+
+def splice_session(line: bytes, namespace: str) -> bytes:
+    """A ``result`` / ``done`` event line with ``namespace:`` put in front
+    of its session id, without decoding it.
+
+    ``line`` must start with :data:`RESULT_EVENT` or :data:`DONE_EVENT`, so
+    the first ``"session": "`` is that top-level key; ``json.dumps`` escapes
+    every ``"`` inside a string, so no string value can match it anyway.
+    """
+    return line.replace(_SESSION_KEY, _SESSION_KEY + namespace.encode() + b":", 1)
 
 
 def decode(line: bytes) -> dict:
@@ -303,7 +326,8 @@ class LineServer:
 
     Subclasses implement :meth:`_handle` (one validated request → its
     last reply line) and may override :meth:`_serve` (work that lives as
-    long as the socket), :meth:`_stop` and :meth:`begin_shutdown`.
+    long as the socket), :meth:`_closed` (a client hung up), :meth:`_stop`
+    and :meth:`begin_shutdown`.
     """
 
     #: Optional :class:`repro.resilience.RequestChaos` — intercepts
@@ -370,6 +394,9 @@ class LineServer:
         ``None`` when everything was already sent on ``conn``)."""
         raise NotImplementedError
 
+    def _closed(self, conn: Connection) -> None:
+        """``conn``'s client hung up: forget what was kept on its behalf."""
+
     async def _connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -406,4 +433,5 @@ class LineServer:
             # "exception in callback" for the cancelled reader.
             pass
         finally:
+            self._closed(conn)
             await conn.close()

@@ -1,13 +1,24 @@
 """ResultCache: LRU+TTL mechanics, prefix reuse, and prefix extension."""
 
+import pickle
+import random
+
 import pytest
 
+from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
 from repro.relation import Relation
-from repro.service import QueryService, QuerySpec, ResultCache, SessionState
+from repro.service import (
+    QueryService,
+    QuerySpec,
+    ResultCache,
+    ServiceClient,
+    SessionState,
+)
 
 from tests.conftest import kernel_table
 from tests.service.conftest import make_instance, make_spec, serial_answer
+from tests.service.test_server import INSTANCE, REFERENCE_SCORES, running_server
 
 
 class FakeClock:
@@ -284,29 +295,66 @@ class TestPlanAwareCacheKeys:
         assert service.scheduler.finished_sessions[-1].from_cache
 
 
+def answers(*scores):
+    """Join results with these scores: what the shared tier holds."""
+    return [JoinResult(RankTuple(0, (s,)), RankTuple(0, (s,)), s) for s in scores]
+
+
+A, B, C, D = answers(0.9, 0.8, 0.7, 0.6)
+
+
+def hostile_files():
+    """``(id, bytes)``: files a shared directory may hold that no worker
+    wrote.  At the parent the first killed the connection that looked it
+    up, the second was served as an answer, and ``MemoryError`` /
+    ``OverflowError`` escaped for some of the random ones."""
+    yield "foreign-module", b"cno_such_module\nThing\n)R."
+    well_formed = {"results": [A], "exhausted": True, "created_at": 1.0}
+    for name, payload in [
+        ("results-of-ints", {"results": [1, 2, 3], "exhausted": True}),
+        ("results-of-ints-dated", {**well_formed, "results": [1, 2, 3]}),
+        ("results-a-tuple", {**well_formed, "results": (A,)}),
+        ("score-nan", {**well_formed, "results": answers(float("nan"))}),
+        ("score-a-string", {**well_formed, "results": answers("0.9")}),
+        ("exhausted-an-int", {**well_formed, "exhausted": 1}),
+        ("created-at-missing", {"results": [A], "exhausted": True}),
+        ("created-at-inf", {**well_formed, "created_at": float("inf")}),
+        ("created-at-a-string", {**well_formed, "created_at": "1.0"}),
+        ("created-at-a-bool", {**well_formed, "created_at": True}),
+        ("not-a-dict", [A]),
+        ("none", None),
+    ]:
+        yield name, pickle.dumps(payload)
+    rng = random.Random(0)
+    for index in range(300):
+        yield f"random-{index}", bytes(
+            rng.randrange(256) for _ in range(rng.randrange(1, 40))
+        )
+
+
 class TestSharedTier:
     """The cross-process disk tier behind the serve fleet."""
 
     def test_write_through_and_cross_instance_hit(self, tmp_path):
         writer = ResultCache(capacity=4, shared_dir=tmp_path)
-        writer.store("q1", ["a", "b", "c"])
+        writer.store("q1", [A, B, C])
         # A different cache instance (another worker, in the fleet) finds
         # the prefix on disk and promotes it into its own memory.
         reader = ResultCache(capacity=4, shared_dir=tmp_path)
-        assert reader.lookup("q1", 3) == ["a", "b", "c"]
+        assert reader.lookup("q1", 3) == [A, B, C]
         assert reader.stats()["shared_hits"] == 1
         assert reader.stats()["hits"] == 1
         # Second lookup is a plain memory hit — the disk is not re-read.
-        assert reader.lookup("q1", 2) == ["a", "b"]
+        assert reader.lookup("q1", 2) == [A, B]
         assert reader.stats()["shared_hits"] == 1
 
     def test_shorter_prefix_never_overwrites_longer_on_disk(self, tmp_path):
         a = ResultCache(capacity=4, shared_dir=tmp_path)
         b = ResultCache(capacity=4, shared_dir=tmp_path)
-        a.store("q1", ["a", "b", "c"])
-        b.store("q1", ["a"])  # late short answer must not shrink the file
+        a.store("q1", [A, B, C])
+        b.store("q1", [A])  # late short answer must not shrink the file
         fresh = ResultCache(capacity=4, shared_dir=tmp_path)
-        assert fresh.lookup("q1", 3) == ["a", "b", "c"]
+        assert fresh.lookup("q1", 3) == [A, B, C]
 
     def test_promotion_drops_stale_continuation(self, tmp_path):
         """Regression: adopting a longer shared prefix must invalidate a
@@ -314,20 +362,20 @@ class TestSharedTier:
         extension re-emits results the operator already produced."""
 
         cache = ResultCache(capacity=4, shared_dir=tmp_path)
-        cache.store("q1", ["a", "b"], operator=object())
+        cache.store("q1", [A, B], operator=object())
         # Another worker publishes a longer prefix for the same query.
         other = ResultCache(capacity=4, shared_dir=tmp_path)
-        other.store("q1", ["a", "b", "c", "d"])
+        other.store("q1", [A, B, C, D])
         # This worker misses in memory for k=4, promotes the shared
         # prefix — and must NOT hand back the operator positioned at 2.
-        assert cache.lookup("q1", 4) == ["a", "b", "c", "d"]
+        assert cache.lookup("q1", 4) == [A, B, C, D]
         assert cache.take_continuation("q1") is None
 
     def test_exhausted_travels_through_the_shared_tier(self, tmp_path):
         a = ResultCache(capacity=4, shared_dir=tmp_path)
-        a.store("q1", ["a", "b"], exhausted=True)
+        a.store("q1", [A, B], exhausted=True)
         b = ResultCache(capacity=4, shared_dir=tmp_path)
-        assert b.lookup("q1", 100) == ["a", "b"]
+        assert b.lookup("q1", 100) == [A, B]
 
     def test_shared_ttl_expires_on_wall_clock(self, tmp_path, monkeypatch):
         import repro.service.cache as cache_module
@@ -335,7 +383,7 @@ class TestSharedTier:
         now = [1000.0]
         monkeypatch.setattr(cache_module.time, "time", lambda: now[0])
         a = ResultCache(capacity=4, ttl=10.0, shared_dir=tmp_path)
-        a.store("q1", ["a"])
+        a.store("q1", [A])
         now[0] = 1020.0
         b = ResultCache(capacity=4, ttl=10.0, shared_dir=tmp_path)
         assert b.lookup("q1", 1) is None
@@ -345,3 +393,42 @@ class TestSharedTier:
         (tmp_path / "q1.pkl").write_bytes(b"not a pickle")
         cache = ResultCache(capacity=4, shared_dir=tmp_path)
         assert cache.lookup("q1", 1) is None
+
+    def test_no_hostile_file_is_served_or_raises(self, tmp_path):
+        """Every file of the corpus reads as a miss, and a real answer
+        stored over it is then found."""
+        escaped, served = [], []
+        for name, data in hostile_files():
+            (tmp_path / "q1.pkl").write_bytes(data)
+            cache = ResultCache(capacity=4, shared_dir=tmp_path)
+            try:
+                if cache.lookup("q1", 1) is not None:
+                    served.append(name)
+            except Exception as exc:  # noqa: BLE001 - the finding
+                escaped.append(f"{name}: {type(exc).__name__}")
+        assert (escaped, served) == ([], [])
+        ResultCache(capacity=4, shared_dir=tmp_path).store("q1", [A, B])
+        assert ResultCache(capacity=4, shared_dir=tmp_path).lookup("q1", 2) \
+            == [A, B]
+
+    @pytest.mark.parametrize("name", ["foreign-module", "results-of-ints"])
+    def test_a_server_computes_past_a_planted_file(self, tmp_path, name):
+        """With a hostile file at the query's own key, the submit is
+        answered, the answer is computed, and the connection serves on."""
+        data = dict(hostile_files())[name]
+        spec = QuerySpec(relations=(INSTANCE.left, INSTANCE.right), k=5)
+        planted = tmp_path / f"{spec.fingerprint()}.pkl"
+        planted.write_bytes(data)
+        service = QueryService(
+            quantum=16, cache=ResultCache(shared_dir=tmp_path)
+        )
+        with running_server(service) as server:
+            with ServiceClient(server.host, server.port, timeout=20.0) as client:
+                final = client.run(left="lineitem", right="orders", k=5)
+                assert client.stats()["ok"] is True
+        assert final["state"] == "DONE"
+        assert final["from_cache"] is False and final["pulls"] > 0
+        assert final["scores"] == [round(s, 6) for s in REFERENCE_SCORES[:5]]
+        # The computed answer was written over the planted file.
+        assert pickle.loads(planted.read_bytes())["results"][0].score \
+            == REFERENCE_SCORES[0]

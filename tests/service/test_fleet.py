@@ -6,12 +6,21 @@ processes are fully reaped at teardown.
 """
 
 import contextlib
+import json
 import multiprocessing
+import socket
 import threading
+import time
 
 import pytest
 
-from repro.service import ServeFleet, ServiceClient, ServiceError, TenantQuotas
+from repro.service import (
+    ServeFleet,
+    ServiceClient,
+    ServiceError,
+    TenantQuotas,
+    wire,
+)
 
 from tests.service.test_server import REFERENCE_SCORES, RELATIONS
 
@@ -122,3 +131,60 @@ class TestFleet:
         # the front-end admits through TenantQuotas.admit(), not the
         # raw bucket, so `throttled` and the metric stay in step.
         assert stats["fleet"]["quotas"]["throttled"] == {"alice": 1}
+
+    def test_a_stream_crosses_the_front_end_undecoded(self, monkeypatch):
+        """Over one k=8 stream the front-end decodes the request and none
+        of the nine relayed lines (at the parent: all nine)."""
+        with running_fleet(workers=2) as fleet:
+            with socket.create_connection((fleet.host, fleet.port),
+                                          timeout=20.0) as sock, \
+                    sock.makefile("rwb") as raw:
+                raw.write(b'{"verb": "submit", "left": "lineitem", '
+                          b'"right": "orders", "k": 8}\n')
+                raw.flush()
+                sid = json.loads(raw.readline())["session"]
+                decoded = []
+                real = wire.decode
+                monkeypatch.setattr(  # the workers forked before this
+                    wire, "decode", lambda line: decoded.append(line) or real(line)
+                )
+                request = json.dumps({"verb": "stream", "session": sid})
+                raw.write(request.encode() + b"\n")
+                raw.flush()
+                events = [json.loads(raw.readline()) for _ in range(9)]
+                monkeypatch.undo()
+        assert decoded == [request.encode() + b"\n"]
+        assert [e["event"] for e in events] == ["result"] * 8 + ["done"]
+        assert {e["session"] for e in events} == {sid}
+        assert [e["score"] for e in events[:8]] == ROUNDED_REFERENCE[:8]
+        assert events[-1]["scores"] == ROUNDED_REFERENCE[:8]
+
+    def test_a_client_that_hangs_up_leaves_nothing_outstanding(self):
+        """Three clients each submit three queries, stream only the last
+        and hang up.  At the parent the six unstreamed sessions stayed
+        outstanding for the life of the fleet, steering placement."""
+        with running_fleet(workers=2) as fleet:
+            for client_index in range(3):
+                with ServiceClient(fleet.host, fleet.port) as client:
+                    sids = [
+                        client.submit(  # distinct weights: no cache hits
+                            left="lineitem", right="orders", k=5,
+                            weights=[[1.0, 1.0 + 3 * client_index + j],
+                                     [1.0, 1.0]],
+                        )
+                        for j in range(3)
+                    ]
+                    list(client.stream(sids[-1]))
+            with ServiceClient(fleet.host, fleet.port) as client:
+                deadline = time.monotonic() + 20.0
+                while True:
+                    stats = client.stats()
+                    idle = not (stats["scheduler"]["live"]
+                                or stats["scheduler"]["queued"])
+                    settled = not any(stats["fleet"]["outstanding"].values())
+                    if (idle and settled) or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.05)
+        assert idle
+        assert stats["fleet"]["outstanding"] == {"w0": 0, "w1": 0}
+        assert fleet._pending == {}

@@ -23,12 +23,15 @@ import pathlib
 import socket
 import tempfile
 import threading
+import types
 
 import pytest
 
 from repro.errors import QuotaExceeded
+from repro.relation import Relation
 from repro.service import (
     QueryService,
+    QuerySpec,
     RankJoinServer,
     ServeFleet,
     ServiceClient,
@@ -437,6 +440,48 @@ class TestVocabularyAndCodec:
                            "tenant": "anonymous"}
         _, stream = wire.validate({"verb": "stream", "session": "s1"})
         assert stream["from"] == 0
+
+
+#: Relation names a ``done`` line's ``label`` carries verbatim.
+AWKWARD_NAMES = ('quo"te \\ back "session": "s9"', 'new\nline, ⋈ ü 名前')
+
+
+def stream_frames():
+    """``(id, frame)``: every line a server writes in answer to ``stream``."""
+    left, right = (Relation(name, relation.tuples) for name, relation
+                   in zip(AWKWARD_NAMES, RELATIONS.values()))
+    service = QueryService(quantum=16)
+    sid = service.submit(QuerySpec(relations=(left, right), k=3))
+    while service.tick():
+        pass
+    session = service.session(sid)
+    assert all(name in session.label for name in AWKWARD_NAMES)
+    yield "result", wire.ok(event="result", session=sid, index=0,
+                            score=round(session.results[0].score, 6),
+                            ts=session.released_at[0])
+    yield "done", wire.ok(event="done", **session.snapshot())
+    yield "no_session", wire.no_session("s7")
+    yield "stopped_mid_stream", wire.stopped_mid_stream()
+    yield "injected_fault", wire.injected_fault()
+    yield "bad_request", wire.bad_request("field 'from' must be ...")
+    yield "error", wire.error('operator "x" failed')
+
+
+class TestStreamSplice:
+    """What the front-end relays as bytes reads, decoded, exactly as the
+    decode → rewrite → encode it replaces."""
+
+    @pytest.mark.parametrize(
+        "frame", [pytest.param(f, id=name) for name, f in stream_frames()]
+    )
+    def test_splice_equals_rewrite(self, frame):
+        raw = wire.encode(frame)
+        spliced = raw.startswith((wire.RESULT_EVENT, wire.DONE_EVENT))
+        assert spliced == (frame["ok"] is True)
+        if spliced:
+            worker = types.SimpleNamespace(name="w1")
+            assert wire.decode(wire.splice_session(raw, "w1")) == \
+                ServeFleet._rewrite(wire.decode(raw), worker)
 
 
 def service_sources():
