@@ -239,6 +239,10 @@ class AnyKRankJoin(ResumableBase):
             return float("inf")
         return self._enum.peek()
 
+    def best_buffered(self) -> float:
+        """Score of the next result of the buffered tie batch; ``-inf`` if none."""
+        return self._batch[0][0] if self._batch else float("-inf")
+
     def depth(self, side: int) -> int:
         """Tuples of relation ``side`` ingested by the DP so far."""
         return self._dp.ingested[side]

@@ -1,0 +1,232 @@
+"""HRJN and HRJN* as array passes over prepared sorted access.
+
+:class:`CornerRankJoin` is :class:`~repro.core.pbrj.PBRJ` with the corner
+bound and round-robin or PA pulling over a prepared instance; after every
+``try_next`` it holds what PBRJ's pull loop would hold, without the loop.
+Input ``s``'s corner potential before its pull ``i`` is ``S̄_s[i-1]`` (``+inf``
+at ``i = 0``) whatever the other input holds, so PA's pull order is the merge
+``lexsort((side, i, -key))`` and round-robin's ``lexsort((side, i))``
+(DESIGN.md §5).  A prefix of that schedule discovers one key-code equi-join,
+in (discovery pull, partner pull) order — the loop's heap sequence — scored
+by one exact ``scoring.batch``; a result comes out at the first pull count
+where the best unemitted one reaches ``t - SCORE_EPS`` (first found among
+equal scores).  The schedule doubles until it holds that point, reading
+ahead in memory only; the inputs are charged for the loop's pulls.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core.bounds import POS_INF, CornerBound
+from repro.core.pbrj import PBRJ, SCORE_EPS
+from repro.core.pulling import PotentialAdaptive, PullingStrategy
+from repro.core.scoring import NEG_INF
+from repro.core.stepping import PENDING
+from repro.core.tuples import JoinResult
+from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
+from repro.relation.relation import KEY_ATTR, RankJoinInstance, Relation
+
+#: Pulls the first read-ahead schedules; each further one doubles them.
+FIRST_WINDOW = 64
+
+#: ``pull_choice_total`` reasons by code, for PA and for round-robin.
+_REASONS = {True: ("potential", "tie-break", "only-available"),
+            False: ("alternation", None, "only-available")}
+
+
+def equijoin(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` with ``left[i] == right[j]``, by ``i`` then
+    ``j``: codes in ``[0, size)``, and ``right`` may hold ``size`` (no match)."""
+    order = np.argsort(right, kind="stable")
+    counts = np.bincount(right, minlength=size + 1)
+    low, counts = (np.cumsum(counts) - counts)[left], counts[left]
+    starts = np.cumsum(counts) - counts
+    matches = np.arange(counts.sum()) - np.repeat(starts - low, counts)
+    return np.repeat(np.arange(len(left)), counts), order[matches]
+
+
+class CornerRankJoin(PBRJ):
+    """HRJN (``RoundRobin``) or HRJN* (``PotentialAdaptive``) over an
+    instance's prepared arrays; ``options`` are :class:`PBRJ`'s keywords."""
+
+    def __init__(self, instance: RankJoinInstance, strategy: PullingStrategy,
+                 *, name: str = "HRJN*", **options) -> None:
+        super().__init__(*instance.scans(), instance.scoring, CornerBound(), strategy,
+                         name=name, **options)
+        self._adaptive = isinstance(strategy, PotentialAdaptive)
+        self._rows, self._order, bounds = zip(*map(instance.access, (0, 1)))
+        self._n = tuple(map(len, self._order))
+        # By depth: thr_s, the S̄ of the last pull, and the potential (-inf exhausted).
+        self._last = [np.concatenate(([POS_INF], b)) for b in bounds]
+        self._cap = [np.append(last[:n], NEG_INF) for last, n in zip(self._last, self._n)]
+        columns = []  # the snapshot's matrix and key codes, re-encoded if stale
+        for relation, rows in zip((instance.left, instance.right), self._rows):
+            if relation.scored()[0] is not rows:
+                relation = Relation(relation.name, rows)
+            columns.append((relation.scored()[1], relation.key_codes((KEY_ATTR,))))
+        (self._matrix, ((known, left), (values, right))) = zip(*columns)
+        # One code space; a right key no left row has is ``len(known)``.
+        missing = self._keys = len(known)
+        index = {value: code for code, value in enumerate(known)}
+        remap = np.array([index.get(value, missing) for value in values], dtype=np.intp)
+        self._codes = (left, remap[right])
+        # The schedule, ``t`` and results found after p pulls, those results.
+        self._window, self._side, self._choices = 0, np.empty(0, np.int8), None
+        self._depth = (np.zeros(1, np.intp),) * 2
+        self._t_at, self._found = np.full(1, POS_INF), np.zeros(1, np.intp)
+        self._discovered, self._scores = np.empty(0, np.intp), np.empty(0)
+        self._pairs, self._taken = (np.empty(0, np.intp),) * 2, np.empty(0, bool)
+        self._event: int | None = None  # the next emission's pull count
+
+    def _advance(self, pull_quantum: int | None):
+        if self._started_at is None:
+            self._started_at = time.perf_counter()
+        if self._event is None:
+            self._event = self._next_event()
+        target = self._event
+        if pull_quantum is not None:
+            target = min(target, self._pulls + pull_quantum)
+        if target > self._pulls:
+            self._charge(target)
+        self._refresh(self._pulls)
+        if self._pulls < self._event:
+            return PENDING
+        self._event = None
+        with self._tracer.span("emit"):
+            return self._emit()
+
+    def _next_event(self) -> int:
+        """The first pull count from here at which the loop stops pulling."""
+        while True:
+            pulls = self._pulls
+            with self._tracer.span("emit"):
+                live = np.where(self._taken, NEG_INF, self._scores)
+                best = np.concatenate(([NEG_INF], np.maximum.accumulate(live)))
+                reached = best[self._found[pulls:]] >= self._t_at[pulls:] - SCORE_EPS
+                reached[-1] |= self._window == sum(self._n)
+                hits = np.flatnonzero(reached)
+            if len(hits):
+                return pulls + int(hits[0])
+            self._extend()
+
+    def _extend(self) -> None:
+        """Schedule twice as many pulls (or all of them) and join them."""
+        with self._tracer.span("bound"):
+            lengths = [min(n, max(2 * self._window, FIRST_WINDOW)) for n in self._n]
+            side = np.repeat(np.arange(2, dtype=np.int8), lengths)
+            order = np.lexsort((side, np.concatenate([np.arange(n) for n in lengths])))
+            if self._adaptive:  # stable: ties keep round-robin's (i, side) order
+                key = np.concatenate([c[:n] for c, n in zip(self._cap, lengths)])
+                order = order[np.argsort(-key[order], kind="stable")]
+            side = side[order]
+            # Merged prefixes are the merged inputs up to a cut prefix's end.
+            cut = [s for s in (0, 1) if lengths[s] < self._n[s]]
+            window = min([len(side)] + [1 + int(np.flatnonzero(side == s)[-1]) for s in cut])
+            side = side[:window]
+            left = np.concatenate(([0], np.cumsum(side == 0)))
+            depth = (left, np.arange(window + 1) - left)
+            self._t_at = np.maximum(self._cap[0][left], self._cap[1][depth[1]])
+            if self._obs.enabled:
+                self._choices = self._choice_codes(side, [d[:-1] for d in depth])
+        with self._tracer.span("join"):
+            pulled = [np.flatnonzero(side == s) + 1 for s in (0, 1)]  # pull numbers
+            pairs = equijoin(*(codes[order[:len(at)]] for codes, order, at
+                               in zip(self._codes, self._order, pulled)), self._keys)
+            at = [numbers[index] for numbers, index in zip(pulled, pairs)]
+            found, partner = np.maximum(*at), np.minimum(*at)
+            fresh = np.flatnonzero(found > self._window)
+            fresh = fresh[np.argsort(found[fresh] * (window + 1) + partner[fresh])]
+            pairs = [index[fresh] for index in pairs]
+            if len(fresh):
+                self._scores = np.concatenate((self._scores, self.scoring.batch(np.hstack([
+                    matrix[order[index]]
+                    for matrix, order, index in zip(self._matrix, self._order, pairs)]))))
+                self._taken = np.concatenate((self._taken, np.zeros(len(fresh), bool)))
+                self._pairs = tuple(map(np.concatenate, zip(self._pairs, pairs)))
+                self._discovered = np.concatenate((self._discovered, found[fresh]))
+            self._found = np.cumsum(np.bincount(self._discovered, minlength=window + 1))
+        self._window, self._side, self._depth = window, side, depth
+
+    def _choice_codes(self, side: np.ndarray, before) -> np.ndarray:
+        """``side * 3 + reason`` (``_REASONS``) of each scheduled pull."""
+        if self._adaptive:
+            live = np.where(side == 0, before[1] < self._n[1], before[0] < self._n[0])
+            tied = self._cap[0][before[0]] == self._cap[1][before[1]]
+            reason = np.where(live, tied, 2)
+        else:
+            reason = np.where(side != np.concatenate(([1], side[:-1])), 0, 2)
+        return side * 3 + reason
+
+    def _charge(self, target: int) -> None:
+        """Make the pulls up to ``target`` as the loop would: charge the
+        inputs, then book the heap peak, trace rows and choice counts."""
+        if self._max_seconds is not None:
+            elapsed = time.perf_counter() - self._started_at
+            if elapsed > self._max_seconds:
+                raise TimeBudgetExceeded(elapsed, self._max_seconds)
+        start = self._pulls
+        over = self._max_pulls is not None and target > self._max_pulls
+        # The loop raises on the pull past its budget, before joining it.
+        done = self._max_pulls if over else target
+        target = done + over
+        with self._tracer.span("pull"):
+            for side, source in enumerate(self._sources):
+                count = int(self._depth[side][target] - self._depth[side][start])
+                if count:  # the loop's reads, without handing out the tuples
+                    source.stats.charge(source.cost_model, count)
+                self._pull_tally[side] += count
+            if done > start:
+                buffered = int(self._found[done]) - self._emitted
+                self._max_output = max(self._max_output, buffered)
+            if self._trace is not None:
+                self._record(start, done)
+            if self._choices is not None:
+                counts = np.bincount(self._choices[start:target], minlength=6)
+                for code in np.flatnonzero(counts).tolist():
+                    side, reason = divmod(code, 3)
+                    self._strategy._count_choice(
+                        side, _REASONS[self._adaptive][reason], int(counts[code]))
+            self._pulls = target
+        if over:
+            self._refresh(done)
+            raise PullBudgetExceeded(target, self._max_pulls)
+
+    def _record(self, start: int, done: int) -> None:
+        """The trace rows of pulls ``start + 1 .. done``."""
+        pulls = np.arange(start + 1, done + 1)
+        side = self._side[start:done]
+        left, right = (d[pulls] for d in self._depth)
+        own = np.where(side == 0, self._last[0][left], self._last[1][right])
+        other = np.where(side == 0, self._cap[1][right], self._cap[0][left])
+        for row in zip(pulls.tolist(), side.tolist(), np.maximum(own, other).tolist(),
+                       (self._found[pulls] - self._emitted).tolist()):
+            self._trace.record(*row, self._emitted)
+
+    def _refresh(self, pulls: int) -> None:
+        """The loop-head state after ``pulls`` pulls: thresholds, exhaustion, ``t``."""
+        thresholds = [float(cap[depth[pulls]]) for cap, depth in zip(self._cap, self._depth)]
+        self._bound._thr = thresholds  # the scheme this operator evaluates, kept current
+        self._exhausted = [thr == NEG_INF for thr in thresholds]
+        self._t = max(thresholds)
+
+    def _emit(self):
+        found = int(self._found[self._pulls])
+        if self._taken[:found].all():
+            return None  # every input exhausted, every result out
+        best = int(np.argmax(np.where(self._taken[:found], NEG_INF, self._scores[:found])))
+        self._taken[best] = True
+        left, right = (self._rows[side][self._order[side][index[best]]]
+                       for side, index in enumerate(self._pairs))
+        result = JoinResult.combine(left, right, float(self._scores[best]))
+        self._emitted += 1
+        self._m_emitted.inc()
+        self._history.append(result)
+        return result
+
+    def best_buffered(self) -> float:
+        found = int(self._found[self._pulls])
+        live = self._scores[:found][~self._taken[:found]]
+        return float(live.max()) if len(live) else NEG_INF

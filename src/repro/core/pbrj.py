@@ -256,7 +256,7 @@ class PBRJ(ResumableBase):
         pulled_here = 0
         while True:
             self._refresh_exhausted()
-            if self._output and self._peek_score() >= self._t - SCORE_EPS:
+            if self._output and -self._output[0][0] >= self._t - SCORE_EPS:
                 break
             if all(self._exhausted):
                 break
@@ -326,9 +326,6 @@ class PBRJ(ResumableBase):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _peek_score(self) -> float:
-        return -self._output[0][0]
-
     def _refresh_exhausted(self) -> None:
         for side in self._sides:
             if not self._exhausted[side] and not self._sources[side].has_next():
@@ -376,10 +373,14 @@ class PBRJ(ResumableBase):
         (:class:`repro.exec.merge.GlobalTopKMerger`) to decide when a
         candidate's score provably beats everything a shard still holds.
         """
-        best_buffered = self._peek_score() if self._output else float("-inf")
+        best_buffered = self.best_buffered()
         if all(self._exhausted):
             return best_buffered
         return max(self._t, best_buffered)
+
+    def best_buffered(self) -> float:
+        """Score of the best discovered-but-unemitted result; ``-inf`` if none."""
+        return -self._output[0][0] if self._output else float("-inf")
 
     @property
     def bound_scheme(self) -> BoundingScheme:

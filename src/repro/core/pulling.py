@@ -82,11 +82,11 @@ class PullingStrategy(ABC):
         self._choice_counters = tuple({} for _ in range(self._inputs))
         self._choice_tallies = tuple({} for _ in range(self._inputs))
 
-    def _count_choice(self, side: int, reason: str) -> None:
+    def _count_choice(self, side: int, reason: str, count: int = 1) -> None:
         if self._choice_metrics is None:
             return
         tally = self._choice_tallies[side]
-        tally[reason] = tally.get(reason, 0) + 1
+        tally[reason] = tally.get(reason, 0) + count
 
     def flush_choices(self) -> None:
         """Drain tallied choices into ``pull_choice_total`` counters.

@@ -17,8 +17,8 @@ the shared vocabulary:
   once.  :class:`~repro.core.pbrj.PBRJ` (and through it
   :class:`~repro.core.multiway.MultiwayRankJoin`),
   :class:`~repro.exec.engine.ShardedRankJoin` and
-  :class:`~repro.anyk.engine.AnyKRankJoin` inherit it and supply only
-  ``try_next``.
+  :class:`~repro.anyk.engine.AnyKRankJoin` inherit it and supply
+  ``try_next`` and ``best_buffered``.
 
 The contract in one table, for a call ``op.try_next(max_pulls=n)``:
 
@@ -79,6 +79,9 @@ class ResumableOperator(Protocol):
 
     def top_k(self, k: int) -> list:
         """The first ``k`` results overall (resumable prefix semantics)."""
+
+    def best_buffered(self) -> float:
+        """Score of the best result held but not yet emitted; ``-inf`` if none."""
 
     @property
     def pulls(self) -> int:

@@ -200,7 +200,11 @@ class ShardedRankJoin(ResumableBase):
 
     def frontier(self) -> float:
         """Best score this engine can still release (threshold vs buffer)."""
-        return max(self._merger.threshold, self._merger.best_candidate_score)
+        return max(self._merger.threshold, self.best_buffered())
+
+    def best_buffered(self) -> float:
+        """Score of the best candidate held at the merge gate; ``-inf`` if none."""
+        return self._merger.best_candidate_score
 
     def depths(self) -> DepthReport:
         """Aggregate sumDepths: per-side totals over all shards."""

@@ -56,13 +56,14 @@ class AccessStats:
     cost: float = 0.0
     touched: bool = field(default=False)
 
-    def charge(self, model: CostModel) -> None:
-        """Record one sequential access under ``model``."""
+    def charge(self, model: CostModel, n: int = 1) -> None:
+        """Record ``n`` sequential accesses under ``model`` — for the presets'
+        integral per-tuple costs, exactly what ``n`` single charges record."""
         if not self.touched:
             self.cost += model.seek
             self.touched = True
-        self.pulls += 1
-        self.cost += model.per_tuple
+        self.pulls += n
+        self.cost += model.per_tuple * n
 
     def reset(self) -> None:
         self.pulls = 0

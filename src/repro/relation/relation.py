@@ -322,6 +322,11 @@ class RankJoinInstance:
         """``S̄`` of each tuple of :meth:`sorted_tuples`, aligned with it."""
         return self._access[side][2]
 
+    def access(self, side: int) -> tuple[tuple[RankTuple, ...], np.ndarray, np.ndarray]:
+        """``side``'s ``(rows, order, bounds)`` as
+        :func:`~repro.relation.sources.sorted_access` prepared them."""
+        return self._access[side]
+
     def scans(self) -> tuple[SortedScan, SortedScan]:
         """Fresh single-pass sources over the two sorted inputs."""
         return tuple(

@@ -180,16 +180,13 @@ class QuerySession:
 
         Smaller means the next emit is closer; sessions with no buffered
         candidate report ``inf``.  Used by the shortest-remaining-bound-gap
-        scheduling policy.
+        scheduling policy; every resumable operator answers ``best_buffered``.
         """
         operator = self.operator
-        if operator is None or not getattr(operator, "_output", None):
+        best = float("-inf") if operator is None else operator.best_buffered()
+        if best == float("-inf"):
             return float("inf")
-        try:
-            best_buffered = -operator._output[0][0]
-            return max(0.0, operator.bound_value - best_buffered)
-        except (AttributeError, IndexError):  # pragma: no cover - defensive
-            return float("inf")
+        return max(0.0, operator.bound_value - best)
 
     # ------------------------------------------------------------------
     # Execution

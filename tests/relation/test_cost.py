@@ -62,6 +62,18 @@ class TestAccessStats:
         stats.charge(model)
         assert stats.cost == 101.0
 
+    @pytest.mark.parametrize("preset", [
+        CostModel(), CostModel.clustered_index(), CostModel.unclustered_index(),
+        CostModel.network_stream(), CostModel.free(),
+    ])
+    def test_a_gallop_charges_what_single_reads_charge(self, preset):
+        singles, gallop = AccessStats(), AccessStats()
+        for _ in range(1000):
+            singles.charge(preset)
+        gallop.charge(preset, 3)
+        gallop.charge(preset, 997)
+        assert (gallop.pulls, gallop.cost) == (singles.pulls, singles.cost)
+
     def test_accumulates_across_models(self):
         # One stats object can be charged under different models (e.g. a
         # source whose cost profile changes); costs simply accumulate.

@@ -9,7 +9,11 @@ import json
 
 import pytest
 
+from repro.core.operators import make_operator
+from repro.core.scoring import SumScore
+from repro.core.tuples import RankTuple
 from repro.obs import Observability
+from repro.relation.relation import RankJoinInstance, Relation
 from repro.service import (
     BoundGapPolicy,
     DeadlinePolicy,
@@ -170,6 +174,22 @@ class TestPolicies:
             advanced.step()  # has buffered/emitted progress → smaller gap
         chosen = BoundGapPolicy().choose([fresh, advanced])
         assert chosen is advanced
+
+    def test_bound_gap_reads_every_operator_buffer(self):
+        # Every join result ties, so any-k buffers them as one batch: after
+        # the first is out, the next is already proven — a gap of 0.
+        rows = [RankTuple(i % 2, (0.5, 0.5)) for i in range(4)]
+        ties = RankJoinInstance(Relation("L", rows), Relation("R", rows), SumScore(), 8)
+        anyk = QuerySession("a", make_operator("AnyK", ties), 8)
+        anyk.operator.get_next()
+        spec = make_spec(k=10, operator="HRJN*")
+        corner = QuerySession("b", spec.build_operator(), 10, quantum=4)
+        while corner.live and not 0.0 < corner.bound_gap() < float("inf"):
+            corner.step()
+        assert 0.0 < corner.bound_gap() < float("inf")
+        assert BoundGapPolicy().choose([corner, anyk]) is anyk
+        assert anyk.bound_gap() == 0.0
+        assert anyk.operator.best_buffered() == 1.0 + 1.0
 
 
 class TestObservability:
