@@ -2,13 +2,12 @@
 """CI smoke test for the live telemetry plane.
 
 Starts ``python -m repro serve`` on an ephemeral port, runs a few
-queries (serial, sharded, and a repeat for a cache hit), then checks the
+queries (FRPA, any-k, and a repeat for a cache hit), then checks the
 whole exposition surface end to end:
 
 * the ``metrics`` verb returns Prometheus text containing every core
-  metric family, SLO quantile gauges, and per-shard worker counters;
-* the ``stats`` verb carries the SLO percentile summary and per-shard
-  pull totals;
+  metric family and the SLO quantile gauges;
+* the ``stats`` verb carries the SLO percentile summary;
 * ``python -m repro metrics`` scrapes the same server from a separate
   process.
 
@@ -41,14 +40,7 @@ REQUIRED_FAMILIES = (
     "slo_session_seconds",
     "pulls_total",
     "results_emitted_total",
-)
-
-#: Families that only appear once a sharded query has run.
-SHARDED_FAMILIES = (
-    "exec_shard_pulls_total",
-    'worker_pulls_total{shard="0"}',
-    'worker_pulls_total{shard="1"}',
-    "exec_rounds_total",
+    "anyk_dp_tuples_total",
 )
 
 
@@ -95,15 +87,14 @@ def main() -> int:
             client.run(left="lineitem", right="orders", k=5,
                        operator="FRPA", timeout=60.0)
             client.run(left="lineitem", right="orders", k=5,
-                       operator="FRPA", shards=2, backend="serial",
-                       timeout=60.0)
+                       algorithm="anyk", timeout=60.0)
             repeat = client.run(left="lineitem", right="orders", k=5,
                                 operator="FRPA", timeout=60.0)
             if not repeat["from_cache"]:
                 errors.append(f"repeat query missed the cache: {repeat}")
 
             text = client.metrics()
-            for family in REQUIRED_FAMILIES + SHARDED_FAMILIES:
+            for family in REQUIRED_FAMILIES:
                 if family not in text:
                     errors.append(f"metrics verb missing {family!r}")
             for quantile in ("0.5", "0.95", "0.99"):
@@ -117,9 +108,6 @@ def main() -> int:
             for key in ("p50", "p95", "p99"):
                 if not percentiles.get(key):
                     errors.append(f"stats slo missing {key}: {slo}")
-            shards = stats.get("shards", {})
-            if set(shards) != {"0", "1"}:
-                errors.append(f"stats missing per-shard telemetry: {shards}")
 
             # The standalone CLI scraper must see the same exposition.
             scrape = subprocess.run(
@@ -152,7 +140,7 @@ def main() -> int:
         return 1
     print(
         f"SMOKE OK: telemetry plane live — "
-        f"{len(REQUIRED_FAMILIES + SHARDED_FAMILIES)} families exposed, "
+        f"{len(REQUIRED_FAMILIES)} families exposed, "
         f"SLO p95={percentiles['p95'] * 1e3:.1f}ms, clean shutdown"
     )
     return 0

@@ -65,16 +65,6 @@ from repro.data import (
     lineitem_orders_instance,
     random_instance,
 )
-from repro.exec import (
-    ExecConfig,
-    GlobalTopKMerger,
-    HashPartitionPlan,
-    PartitionStats,
-    ShardedRankJoin,
-    ShardWorker,
-    partition_instance,
-    partition_relation,
-)
 from repro.errors import (
     BudgetExhausted,
     InstanceError,
@@ -110,11 +100,8 @@ __all__ = [
     "CostCoefficients",
     "CostModel",
     "DepthReport",
-    "ExecConfig",
     "FRBound",
     "FRStarBound",
-    "GlobalTopKMerger",
-    "HashPartitionPlan",
     "InstanceError",
     "JStar",
     "JoinResult",
@@ -122,7 +109,6 @@ __all__ = [
     "NotSortedError",
     "OPERATORS",
     "OperatorStats",
-    "PartitionStats",
     "PBRJ",
     "Pipeline",
     "PlanDecision",
@@ -146,8 +132,6 @@ __all__ = [
     "ScoringFunction",
     "ServiceClient",
     "SessionState",
-    "ShardWorker",
-    "ShardedRankJoin",
     "SortedScan",
     "SumScore",
     "TimingBreakdown",
@@ -168,8 +152,6 @@ __all__ = [
     "multiway_rank_join",
     "naive_top_k",
     "oracle_operator",
-    "partition_instance",
-    "partition_relation",
     "pbrj_fr_rr",
     "random_instance",
     "set_thresholds",

@@ -14,7 +14,7 @@ Commands
 ``metrics``   scrape a running server's metric registry and print it in
               Prometheus text exposition format
 ``top``       live terminal dashboard over a running server (SLO
-              percentiles, shard pull rates, in-flight sessions)
+              percentiles, cache state, in-flight sessions)
 ``chaos``     stream the seed workloads off a server under seeded request
               faults and verify bit-identity with the fault-free run
 ``info``      print the library inventory (operators, figures, defaults)
@@ -72,7 +72,6 @@ def _workload(args: argparse.Namespace) -> WorkloadParams:
     return WorkloadParams(
         e=args.e, c=args.c, z=args.z, k=args.k, scale=args.scale, seed=args.seed,
         algorithm=getattr(args, "algorithm", "pbrj"),
-        shards=getattr(args, "shards", 1),
     )
 
 
@@ -202,33 +201,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _run_sharded(args: argparse.Namespace, instance, obs, operator: str,
-                 shards: int) -> int:
-    """``run --shards N``: drive the sharded engine and report."""
-    import time
-
-    from repro.exec import ExecConfig, ShardedRankJoin
-
-    config = ExecConfig(shards=shards)
-    started = time.perf_counter()
-    engine = ShardedRankJoin(instance, operator, config=config, obs=obs)
-    results = engine.top_k(instance.k)
-    elapsed = time.perf_counter() - started
-    depths = engine.depths()
-    print(f"operator     : {operator} (sharded x{config.shards})")
-    print(f"instance     : L={len(instance.left)} O={len(instance.right)} "
-          f"K={instance.k}")
-    print(f"top scores   : {[round(r.score, 4) for r in results]}")
-    print(f"depths       : left={depths.left} right={depths.right} "
-          f"sum={depths.left + depths.right}")
-    print(f"rounds       : {engine.rounds} "
-          f"(imbalance {engine.partition_stats.imbalance:.2f})")
-    print(f"time         : total={elapsed:.4f}s")
-    _finish_obs(obs, args)
-    return 0
-
-
-def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
+def _run_planned(args: argparse.Namespace, instance, obs) -> int:
     """``run --algorithm auto``: let the planner choose, print its cost
     table."""
     import time
@@ -241,7 +214,6 @@ def _run_planned(args: argparse.Namespace, instance, obs, shards: int) -> int:
         scoring=instance.scoring,
         operator=args.operator,
         algorithm="auto",
-        shards=shards,
     )
     resolved = spec.resolve(obs=obs)
     print(resolved.decision.table())
@@ -267,7 +239,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ReproError as exc:
         return _fail(exc)
     # The workload file owns the whole execution shape when given.
-    algorithm, shards = params.algorithm, params.shards
+    algorithm = params.algorithm
     if algorithm != "anyk" and args.operator not in OPERATORS:
         return _unknown_operator(args.operator)
     operator = ANYK_OPERATOR if algorithm == "anyk" else args.operator
@@ -275,11 +247,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     obs = _build_obs(args, "run")
     if algorithm == "auto":
         try:
-            return _run_planned(args, instance, obs, shards)
+            return _run_planned(args, instance, obs)
         except ReproError as exc:
             return _fail(exc)
-    if shards > 1:
-        return _run_sharded(args, instance, obs, operator, shards)
     result = run_operator(operator, instance, obs=obs)
     stats = result.stats
     print(f"operator     : {operator}")
@@ -421,10 +391,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     "cache_ttl": args.cache_ttl,
                     "default_max_pulls": args.max_pulls,
                 },
-                server_kwargs={
-                    "default_shards": params.shards,
-                    "default_algorithm": algorithm,
-                },
+                server_kwargs={"default_algorithm": algorithm},
                 obs=obs,
             )
         except ValueError as exc:
@@ -448,8 +415,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         server = RankJoinServer(
             service, relations, host=args.host, port=args.port,
-            default_shards=params.shards, default_algorithm=algorithm,
-            chaos=chaos,
+            default_algorithm=algorithm, chaos=chaos,
         )
     sizes = ", ".join(f"{name}={len(rel)}" for name, rel in relations.items())
     print(f"relations loaded: {sizes}", flush=True)
@@ -513,7 +479,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     cases = run_chaos_suite(
         seed=args.seed,
         workloads=tuple(args.workloads),
-        shards=tuple(args.shards),
         operator=args.operator,
     )
     print(render_report(cases))
@@ -570,8 +535,6 @@ def main(argv: list[str] | None = None) -> int:
                             "the operator and prints its candidate table)")
     _add_workload_args(p_run)
     _add_obs_args(p_run)
-    p_run.add_argument("--shards", type=int, default=1,
-                       help="hash-partitioned sharded execution (1 = unsharded)")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run every operator on a workload")
@@ -614,9 +577,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="default evaluation core for submitted "
                               "queries: pbrj (default), anyk, or auto (the "
                               "planner chooses per query)")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="sharded execution for every binary query "
-                              "(1 = serial; requests may override)")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="server worker processes (1 = single server; "
                               "N>1 boots a fleet behind one front-end)")
@@ -671,10 +631,8 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--workloads", nargs="+",
                          default=["tpch", "zipf", "uniform", "anticorrelated"],
                          help="seed workloads to run")
-    p_chaos.add_argument("--shards", nargs="+", type=int, default=[2, 4],
-                         help="shard counts in the matrix")
     p_chaos.add_argument("--operator", default="FRPA",
-                         help="operator every shard runs")
+                         help="operator every case runs")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_info = sub.add_parser("info", help="library inventory")

@@ -15,7 +15,7 @@ The package splits the construction the way the papers do:
 * :mod:`repro.anyk.enumerate` — Lawler/REA successor generation;
 * :mod:`repro.anyk.engine` — the :class:`AnyKRankJoin` facade speaking
   the :class:`~repro.core.stepping.ResumableOperator` contract, so the
-  service, sharding and telemetry layers drive it unchanged
+  service and telemetry layers drive it unchanged
   (select it with ``QuerySpec(algorithm="anyk")`` or ``--algorithm``).
 """
 

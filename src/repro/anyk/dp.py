@@ -27,8 +27,8 @@ successor generation in :mod:`repro.anyk.enumerate` walks lazily.
 The pass is *budgeted*: :meth:`DPState.run` processes at most ``budget``
 tuples (a slice that long) and leaves an explicit cursor behind — this is
 what lets :class:`~repro.anyk.engine.AnyKRankJoin` honor
-``try_next(max_pulls)`` quanta mid-build, so sessions, shard workers and
-the scheduler interleave an any-k build exactly like PBRJ pulls.
+``try_next(max_pulls)`` quanta mid-build, so sessions and the
+scheduler interleave an any-k build exactly like PBRJ pulls.
 """
 
 from __future__ import annotations

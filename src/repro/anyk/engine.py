@@ -5,9 +5,8 @@ budgeted DP pass (:mod:`repro.anyk.dp`) and ranked enumeration
 (:mod:`repro.anyk.enumerate`) into a :class:`~repro.core.stepping.
 ResumableOperator`: ``try_next(max_pulls)`` / ``get_next`` /
 history-retaining ``top_k`` / ``frontier()`` — the exact surface
-:class:`~repro.service.session.QuerySession`,
-:class:`~repro.exec.worker.ShardWorker` and the chaos harness already
-drive, so the whole service/exec stack runs any-k with zero changes.
+:class:`~repro.service.session.QuerySession` and the chaos harness
+already drive, so the whole service stack runs any-k with zero changes.
 
 Cost accounting: a *pull* is one unit of work — one bag tuple processed
 by the DP or one candidate heap pop during enumeration.  ``try_next``
@@ -19,7 +18,7 @@ exact-score tie group).
 ``frontier()`` is *exact* once the DP is complete: the engine holds the
 next tie batch buffered, so the bound equals the next emission's score
 (PBRJ's frontier is only an upper bound).  During the build it is
-``+inf`` — nothing is provable yet — which keeps the sharded merge gate
+``+inf`` — nothing is provable yet — which keeps any merge gate over it
 conservative and correct.
 """
 
@@ -62,8 +61,7 @@ class AnyKRankJoin(ResumableBase):
     name:
         Operator display name (metric/span label).
     track_time:
-        Record wall-clock timing (disabled on shard workers, which time
-        whole quanta instead).
+        Record wall-clock timing.
     max_pulls / max_seconds:
         Operator-level run budgets, raising
         :class:`~repro.errors.PullBudgetExceeded` /
@@ -170,8 +168,8 @@ class AnyKRankJoin(ResumableBase):
         # Exact re-scoring + canonical sort: DP scores order the batches,
         # the scoring function (same call as PBRJ/multiway) scores the
         # emitted results bit-identically across cores.  The identities —
-        # per tuple the fields of :func:`repro.exec.merge.result_identity`,
-        # in relation order — sort a tie the way the sharded merge does.
+        # per tuple the fields of :func:`repro.core.pbrj.result_identity`,
+        # in relation order — sort a tie in the canonical tie order.
         scored = [
             (self.scoring(tuple(s for t in tuples for s in t.scores)),
              tuples, identity)
@@ -293,8 +291,8 @@ def anyk_operator(instance: RankJoinInstance, **kwargs) -> AnyKRankJoin:
     """The binary any-k operator over a :class:`RankJoinInstance`.
 
     Signature-compatible with the PBRJ factories in
-    :data:`repro.core.operators.OPERATORS`, so shard workers, the chaos
-    harness and ``make_operator`` callers build it the same way.
+    :data:`repro.core.operators.OPERATORS`, so the chaos harness and
+    ``make_operator`` callers build it the same way.
     """
     return AnyKRankJoin(
         AnyKQuery.binary(instance.left, instance.right),

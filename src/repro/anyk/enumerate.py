@@ -20,14 +20,14 @@ it, recursing into child groups on demand.  The global priority queue of
 the construction is simply the root group's heap.
 
 **Canonical tie order.**  Emission must be deterministic and content-only
-(bit-identical across serial, sharded and fault-injected runs), while DP
+(bit-identical across cores and fault-injected runs), while DP
 scores carry float-association noise relative to the true scores.  The
 enumerator therefore releases *tie batches*: it drains every root
 solution within ``SCORE_EPS`` of the batch head (DP scores are
 non-increasing, so the batch is complete when the next one falls below),
 and the engine re-scores each batch member exactly and sorts the batch
-by ``(-score, canonical identity)`` — the same order the sharded
-merge's :func:`~repro.exec.merge.result_identity` imposes.
+by ``(-score, canonical identity)`` — the canonical tie order of
+:func:`~repro.core.pbrj.result_identity`.
 """
 
 from __future__ import annotations

@@ -120,8 +120,8 @@ ALGORITHMS = ("pbrj", "anyk")
 #: :data:`OPERATORS` — that dict enumerates the PBRJ instantiations the
 #: paper's experiments sweep (figures, ``repro compare``, parametrized
 #: suites), while any-k is a different operator family selected through
-#: ``algorithm="anyk"``.  ``make_operator`` resolves both, so shard
-#: workers and the chaos harness build either core by name.
+#: ``algorithm="anyk"``.  ``make_operator`` resolves both, so the
+#: service and the chaos harness build either core by name.
 ANYK_OPERATOR = "AnyK"
 
 
@@ -136,7 +136,7 @@ def make_operator(name: str, instance: RankJoinInstance, **kwargs):
     Resolves the PBRJ registry first, then the any-k core (imported
     lazily — :mod:`repro.anyk` sits above this module).  Both speak the
     :class:`~repro.core.stepping.ResumableOperator` contract, so callers
-    (shard workers, the service layer, the chaos harness) need not care
+    (the service layer, the chaos harness) need not care
     which family they got.
     """
     factory = OPERATORS.get(name)

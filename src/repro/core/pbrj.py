@@ -34,6 +34,7 @@ from repro.core.tuples import JoinResult, RankTuple
 from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
+from repro.relation.relation import tuple_identity
 from repro.relation.sources import TupleSource
 from repro.stats.metrics import (
     DepthReport,
@@ -44,8 +45,8 @@ from repro.stats.metrics import (
 from repro.stats.trace import BoundTrace
 
 #: Tolerance of every "does this score reach that bound" test in the
-#: package — the one definition; :mod:`repro.core.multiway`,
-#: :mod:`repro.exec.merge` and :mod:`repro.anyk.enumerate` import it.
+#: package — the one definition; :mod:`repro.core.multiway`, the sharded
+#: engine's merge gate and :mod:`repro.anyk.enumerate` import it.
 #: Scores are sums of a few floats, so genuine differences are far larger
 #: than accumulated error.  Tie semantics: two scores within ``SCORE_EPS``
 #: of each other are a tie, everywhere.  An operator emits
@@ -56,9 +57,21 @@ from repro.stats.trace import BoundTrace
 #: canonical predecessor); the any-k enumerator drains every solution
 #: within ``SCORE_EPS`` of a batch head into one tie batch.  The merge and
 #: the any-k engine order the members of a tie by content only — exact
-#: score descending, then :func:`repro.exec.merge.result_identity`; a
-#: serial operator's own heap breaks exact-score ties by arrival order.
+#: score descending, then :func:`result_identity`; a serial operator's own
+#: heap breaks exact-score ties by arrival order.
 SCORE_EPS = 1e-9
+
+
+def result_identity(result: JoinResult) -> tuple:
+    """The canonical tie order: a total order over join results that is
+    independent of discovery.
+
+    Built purely from result *content* (join keys, full-precision score
+    vectors, payloads), so any two executions — serial, sharded, any-k,
+    under request chaos — order an exact-score tie group identically.
+    """
+    return tuple_identity(result.left) + tuple_identity(result.right)
+
 
 #: Per-pull span timing: the first ``_TIMING_WARMUP`` pulls are timed
 #: exactly (small runs stay exact), after which one pull in
@@ -369,9 +382,8 @@ class PBRJ(ResumableBase):
         results with the best *buffered-but-unemitted* result.  Once every
         input is exhausted ``t`` is vacuous and only the buffer matters.
         Non-increasing over the operator's lifetime; ``-inf`` means fully
-        drained.  Used by the sharded merge gate
-        (:class:`repro.exec.merge.GlobalTopKMerger`) to decide when a
-        candidate's score provably beats everything a shard still holds.
+        drained.  Used by the sharded engine's merge gate to decide when
+        a candidate's score provably beats everything a shard still holds.
         """
         best_buffered = self.best_buffered()
         if all(self._exhausted):

@@ -16,9 +16,8 @@ the shared vocabulary:
   (``get_next`` / ``top_k`` / ``__iter__`` / ``emitted_results``), written
   once.  :class:`~repro.core.pbrj.PBRJ` (and through it
   :class:`~repro.core.multiway.MultiwayRankJoin`),
-  :class:`~repro.exec.engine.ShardedRankJoin` and
-  :class:`~repro.anyk.engine.AnyKRankJoin` inherit it and supply
-  ``try_next`` and ``best_buffered``.
+  :class:`~repro.anyk.engine.AnyKRankJoin` and the sharded engine inherit
+  it and supply ``try_next`` and ``best_buffered``.
 
 The contract in one table, for a call ``op.try_next(max_pulls=n)``:
 

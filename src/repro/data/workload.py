@@ -10,6 +10,7 @@ synthetic generator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -29,9 +30,10 @@ class WorkloadParams:
     """The knobs of Table 2, plus data scale and seed.
 
     Defaults are the paper's defaults: ``e=2, c=.5, z=.5, K=10``.  A knob
-    the generators or the operators cannot run — ``e < 1``, ``c`` outside
-    ``(0, 1]``, ``k < 1``, ``scale <= 0``, ``shards`` not a positive
-    integer, an unknown ``algorithm`` — is a one-line
+    the generators or the operators cannot run — ``e``, ``k`` or ``seed``
+    not an integer, ``e < 1``, ``k < 1``, ``seed < 0``, ``c`` outside
+    ``(0, 1]``, ``scale`` not finite and positive, ``z`` or ``join_skew``
+    not finite and non-negative, an unknown ``algorithm`` — is a one-line
     :class:`~repro.errors.WorkloadError` naming the field, whether it came
     from a flag or a workload file.
     """
@@ -46,19 +48,23 @@ class WorkloadParams:
     #: Evaluation core: ``"pbrj"`` (paper default), ``"anyk"``, or
     #: ``"auto"`` (cost-based planner).
     algorithm: str = "pbrj"
-    #: Shard count for sharded execution: a positive integer
-    #: (1 = plain serial operator).
-    shards: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("e", "k", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise WorkloadError(f"{name} must be an integer, got {value!r}")
         for name, ok, wanted in (
             ("e", self.e >= 1, "at least 1"),
             ("c", 0 < self.c <= 1, "in (0, 1]"),
             ("k", self.k >= 1, "at least 1"),
-            ("scale", self.scale > 0, "positive"),
-            ("shards", isinstance(self.shards, int)
-             and not isinstance(self.shards, bool) and self.shards >= 1,
-             "a positive integer"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("scale", math.isfinite(self.scale) and self.scale > 0,
+             "finite and positive"),
+            ("z", math.isfinite(self.z) and self.z >= 0,
+             "finite and non-negative"),
+            ("join_skew", math.isfinite(self.join_skew) and self.join_skew >= 0,
+             "finite and non-negative"),
         ):
             if not ok:
                 raise WorkloadError(
@@ -85,7 +91,7 @@ def load_workload(path: str | Path) -> WorkloadParams:
 
     The file must hold one JSON object whose keys are a subset of the
     ``WorkloadParams`` fields (``e``, ``c``, ``z``, ``k``, ``scale``,
-    ``join_skew``, ``seed``, ``algorithm``, ``shards``).  Any problem —
+    ``join_skew``, ``seed``, ``algorithm``).  Any problem —
     missing file, invalid JSON, unknown keys, non-numeric values, a knob
     :class:`WorkloadParams` refuses — raises
     :class:`~repro.errors.WorkloadError` with a one-line message suitable
@@ -113,7 +119,7 @@ def load_workload(path: str | Path) -> WorkloadParams:
             f"known keys: {sorted(known)}"
         )
     for key, value in payload.items():
-        if key in ("algorithm", "shards"):
+        if key == "algorithm":
             continue  # checked, with every range, by WorkloadParams
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise WorkloadError(

@@ -1,4 +1,4 @@
-"""`ShardedRankJoin` — the drop-in sharded rank join operator.
+"""`ShardedRankJoin` — the sharded rank join operator.
 
 The facade wires the subsystem together: partition the instance
 (:mod:`repro.exec.partition`), build one :class:`ShardWorker` per
@@ -10,29 +10,22 @@ order, in this process — and release results through the
 It satisfies :class:`repro.core.stepping.ResumableOperator` — the same
 ``get_next`` / ``try_next(max_pulls)`` / resumable ``top_k`` contract as
 :class:`~repro.core.pbrj.PBRJ`, inherited from the same
-:class:`~repro.core.stepping.ResumableBase` — so it drops into
-:class:`~repro.service.session.QuerySession` and the scheduler unchanged.
+:class:`~repro.core.stepping.ResumableBase`.
 
-Sharding is something a caller asks for (``shards=N``), never something
-the planner picks: splitting an input raises depth, buys no parallelism
-(every shard runs in this process) and lost every measured cell to the
-best unsharded plan (EXPERIMENTS.md, "Sharding is asked for, never
-chosen").  The one effect in its favour — each shard's covers are ~1/S the
-size, so FR* bound maintenance is cheaper per pull — only narrows FRPA's
-distance to HRJN* at e >= 3; it never closes it.
+No query, flag, workload file or wire request can ask for it: splitting
+an input raises depth, buys no parallelism (every shard runs in this
+process) and lost every measured cell to the best unsharded plan
+(EXPERIMENTS.md, "Sharding is asked for, never chosen").  The class is
+kept only because the frozen benchmark harness builds it directly for its
+``exec.shards2_ratio`` probe.
 """
 
 from __future__ import annotations
 
 from repro.core.stepping import PENDING, ResumableBase
 from repro.exec.merge import GlobalTopKMerger
-from repro.exec.partition import (
-    HashPartitionPlan,
-    PartitionStats,
-    partition_instance,
-)
+from repro.exec.partition import HashPartitionPlan, partition_instance
 from repro.exec.worker import ExecConfig, ShardWorker
-from repro.obs import NULL_OBS, Observability, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import DepthReport
 
@@ -50,18 +43,6 @@ class ShardedRankJoin(ResumableBase):
     config:
         :class:`~repro.exec.worker.ExecConfig` (shards, quantum).
         Defaults to a single shard.
-    obs:
-        Optional :class:`~repro.obs.Observability`.  Records per-shard
-        pull counters (``exec_shard_pulls_total``), a merge-wait round
-        histogram (``exec_merge_wait_rounds``), the partition imbalance
-        gauge (``exec_shard_imbalance``) — and, with an enabled
-        pipeline, every worker records its quanta into it (``worker_*``
-        metrics, one ``quantum`` trace record per advance).
-    trace:
-        Optional :class:`~repro.obs.TraceContext` this execution hangs
-        under (the session span, for service-submitted queries).  With
-        an enabled ``obs`` and no ``trace``, the engine roots a fresh
-        trace so standalone runs still produce a connected tree.
     operator_kwargs:
         Forwarded to the operator factory (e.g. ``max_cr_size`` for
         ``a-FRPA``).
@@ -73,68 +54,24 @@ class ShardedRankJoin(ResumableBase):
         operator: str = "FRPA",
         *,
         config: ExecConfig | None = None,
-        obs: Observability | None = None,
-        trace: TraceContext | None = None,
         **operator_kwargs,
     ) -> None:
         super().__init__()
         self.config = config or ExecConfig()
-        self.operator_name = operator
-        self.name = f"sharded[{operator}]x{self.config.shards}"
-        self._obs = obs if obs is not None else NULL_OBS
-
-        shard_instances, self._partition_stats = partition_instance(
-            instance, HashPartitionPlan(self.config.shards)
-        )
-        # One trace context per execution: a child of the caller's span
-        # (service session) or a fresh root for standalone runs.  Each
-        # worker gets a child context its quanta parent under.
-        if self._obs.enabled:
-            self.trace = trace.child() if trace is not None else TraceContext.root()
-            self._obs.trace(span_record(
-                self.trace, "exec", op=self.name, shards=self.config.shards,
-            ))
-        else:
-            self.trace = None
         # Shards with an empty side can never produce a join result; they
         # are excluded entirely (an empty relation also has no score
         # dimension, which the bound plumbing could not digest).
-        self._workers: dict[int, ShardWorker] = {}
-        for index, shard in enumerate(shard_instances):
-            if not (len(shard.left) and len(shard.right)):
-                continue
-            shard_ctx = None
-            if self.trace is not None:
-                shard_ctx = self.trace.child()
-                self._obs.trace(span_record(
-                    shard_ctx, "shard", op=self.name, shard=index,
-                    left=len(shard.left), right=len(shard.right),
-                ))
-            self._workers[index] = ShardWorker(
-                index, shard, operator, obs=self._obs, trace=shard_ctx,
-                **operator_kwargs,
-            )
+        self._workers: dict[int, ShardWorker] = {
+            index: ShardWorker(index, shard, operator, **operator_kwargs)
+            for index, shard in enumerate(partition_instance(
+                instance, HashPartitionPlan(self.config.shards)))
+            if len(shard.left) and len(shard.right)
+        }
         self._merger = GlobalTopKMerger(list(self._workers))
-
         self._pulls = 0
-        self._rounds = 0
-        self._rounds_at_last_emit = 0
         self._depths: dict[int, tuple[int, int]] = {
             shard: (0, 0) for shard in self._workers
         }
-
-        metrics = self._obs.metrics
-        self._m_shard_pulls = {
-            shard: metrics.counter(
-                "exec_shard_pulls_total", op=self.name, shard=str(shard)
-            )
-            for shard in self._workers
-        }
-        self._m_merge_wait = metrics.histogram("exec_merge_wait_rounds", op=self.name)
-        self._m_rounds = metrics.counter("exec_rounds_total", op=self.name)
-        metrics.gauge("exec_shard_imbalance", op=self.name).set(
-            self._partition_stats.imbalance
-        )
 
     # ------------------------------------------------------------------
     # ResumableOperator interface (the rest comes from ResumableBase)
@@ -153,8 +90,6 @@ class ShardedRankJoin(ResumableBase):
             ready = self._merger.pop_ready()
             if ready is not None:
                 self._history.append(ready)
-                self._m_merge_wait.observe(self._rounds - self._rounds_at_last_emit)
-                self._rounds_at_last_emit = self._rounds
                 return ready
             if self._merger.done():
                 return None
@@ -183,11 +118,8 @@ class ShardedRankJoin(ResumableBase):
             outcome = self._workers[shard].advance(quantum)
             self._merger.offer(outcome)
             self._depths[shard] = (outcome.depth_left, outcome.depth_right)
-            self._m_shard_pulls[shard].inc(outcome.pulls)
             spent += outcome.pulls
         self._pulls += spent
-        self._rounds += 1
-        self._m_rounds.inc()
         return spent
 
     # ------------------------------------------------------------------
@@ -212,33 +144,6 @@ class ShardedRankJoin(ResumableBase):
         right = sum(depth[1] for depth in self._depths.values())
         return DepthReport(left, right)
 
-    def shard_depths(self) -> dict[int, tuple[int, int]]:
-        """Per-shard (left, right) depths — the imbalance diagnostic."""
-        return dict(self._depths)
-
-    @property
-    def partition_stats(self) -> PartitionStats:
-        return self._partition_stats
-
-    @property
-    def rounds(self) -> int:
-        """Advance rounds driven so far."""
-        return self._rounds
-
-    def snapshot(self) -> dict:
-        return {
-            "operator": self.name,
-            "config": {
-                "shards": self.config.shards,
-                "quantum": self.config.quantum,
-            },
-            "pulls": self._pulls,
-            "rounds": self._rounds,
-            "emitted": len(self._history),
-            "imbalance": self._partition_stats.imbalance,
-            "merge": self._merger.snapshot(),
-        }
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -252,9 +157,3 @@ class ShardedRankJoin(ResumableBase):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedRankJoin({self.operator_name!r}, shards={self.config.shards}, "
-            f"pulls={self._pulls}, live={self._merger.live_shards})"
-        )

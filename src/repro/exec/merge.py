@@ -19,56 +19,34 @@ advancing shards whose frontier is already below the K-th score.
 The strict ``< s − ε`` gate (rather than ``≤``) is what buys deterministic
 tie order: all results tying at score ``s`` are forced into the candidate
 heap *before* the first of them is released, and the heap orders equal
-scores by a canonical result identity (join keys + score vectors +
-payloads) that is independent of shard count, discovery order, and
-backend.  That is the invariant the sharded-equals-serial test enforces.
+scores by the canonical tie order of
+:func:`repro.core.pbrj.result_identity`, which is independent of shard
+count and discovery order.  That is the invariant the
+sharded-equals-serial test enforces.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Any
 
-from repro.core.pbrj import SCORE_EPS
+from repro.core.pbrj import SCORE_EPS, result_identity
 from repro.core.tuples import JoinResult
 from repro.exec.worker import AdvanceOutcome
-from repro.relation.relation import tuple_identity
 
 NEG_INF = float("-inf")
 
 
-def result_identity(result: JoinResult) -> tuple:
-    """A total order over join results that is independent of discovery.
-
-    Built purely from result *content* (join keys, full-precision score
-    vectors, payloads), so any two executions — serial, sharded, any
-    backend — order an exact-score tie group identically.
-    """
-    return tuple_identity(result.left) + tuple_identity(result.right)
-
-
 class GlobalTopKMerger:
-    """k-heap over shard outputs with the frontier emit gate.
+    """k-heap over shard outputs with the frontier emit gate."""
 
-    ``on_release`` (optional) is invoked as ``on_release(result, moment)``
-    at the exact instant a candidate passes the gate — *the* release
-    moment the streaming serving layer pushes on, rather than waiting for
-    session DONE.  ``clock`` injects a virtual clock for tests.
-    """
-
-    def __init__(self, shards: list[int], *, on_release=None,
-                 clock=time.perf_counter) -> None:
+    def __init__(self, shards: list[int]) -> None:
         #: Candidate heap: (-score, canonical identity, result).
         self._heap: list[tuple[float, tuple, JoinResult]] = []
         #: Shard id → current frontier; removed once the shard exhausts.
         self._frontiers: dict[int, float] = {shard: float("inf") for shard in shards}
         self._offered = 0
         self._released = 0
-        self._clock = clock
-        self._on_release = on_release
-        #: Clock reading of the most recent gate release (None before any).
-        self.last_release_at: float | None = None
 
     # ------------------------------------------------------------------
     # Feeding
@@ -101,11 +79,7 @@ class GlobalTopKMerger:
         ):
             return None
         self._released += 1
-        result = heapq.heappop(self._heap)[2]
-        self.last_release_at = self._clock()
-        if self._on_release is not None:
-            self._on_release(result, self.last_release_at)
-        return result
+        return heapq.heappop(self._heap)[2]
 
     def done(self) -> bool:
         """True when no shard is live and every candidate was released."""
@@ -160,5 +134,4 @@ class GlobalTopKMerger:
             "pending_candidates": self.pending_candidates,
             "offered": self._offered,
             "released": self._released,
-            "last_release_at": self.last_release_at,
         }

@@ -21,7 +21,6 @@ stable no-op for already-sorted inputs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Hashable
 
 from repro.errors import InstanceError
@@ -77,62 +76,21 @@ def partition_relation(relation: Relation, plan: HashPartitionPlan) -> list[Rela
     return shards
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    """Balance diagnostics for one partitioning of a join."""
-
-    shards: int
-    plan: str
-    pairs_per_shard: tuple[int, ...]
-    tuples_per_shard: tuple[tuple[int, int], ...]
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(self.pairs_per_shard)
-
-    @property
-    def imbalance(self) -> float:
-        """Largest shard's estimated result share over the fair share.
-
-        1.0 is perfect balance; ``shards`` means one shard got everything.
-        Empty joins report 1.0.
-        """
-        total = self.total_pairs
-        if total == 0:
-            return 1.0
-        return max(self.pairs_per_shard) * self.shards / total
-
-
 def partition_instance(
     instance: RankJoinInstance,
     plan: HashPartitionPlan,
-) -> tuple[list[RankJoinInstance], PartitionStats]:
-    """Split a problem instance into shard-local instances plus diagnostics.
+) -> list[RankJoinInstance]:
+    """Split a problem instance into one shard-local instance per shard.
 
     Each shard instance shares the parent's scoring function, ``k`` and
     cost model; shard inputs are subsequences of the parent inputs, so
     every shard sees the access model of Definition 2.1 unchanged.
     """
-    left_shards = partition_relation(instance.left, plan)
-    right_shards = partition_relation(instance.right, plan)
-    shard_instances = []
-    pairs: list[int] = []
-    sizes: list[tuple[int, int]] = []
-    for left, right in zip(left_shards, right_shards):
-        shard = RankJoinInstance(
-            left,
-            right,
-            instance.scoring,
-            instance.k,
+    return [
+        RankJoinInstance(
+            left, right, instance.scoring, instance.k,
             cost_model=instance.cost_model,
         )
-        shard_instances.append(shard)
-        pairs.append(shard.join_size())
-        sizes.append((len(left), len(right)))
-    stats = PartitionStats(
-        shards=plan.shards,
-        plan=plan.describe(),
-        pairs_per_shard=tuple(pairs),
-        tuples_per_shard=tuple(sizes),
-    )
-    return shard_instances, stats
+        for left, right in zip(partition_relation(instance.left, plan),
+                               partition_relation(instance.right, plan))
+    ]

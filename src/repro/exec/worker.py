@@ -8,25 +8,18 @@ collects every result the operator emitted along the way, and returns an
 :class:`AdvanceOutcome` — the snapshot the merge layer consumes.
 Workers never talk to each other; all coordination happens through the
 outcomes (the global threshold is ``max`` over shard frontiers, computed
-by :class:`repro.exec.merge.GlobalTopKMerger`).
-
-A worker is an object in the engine's process.  Given the engine's
-:class:`~repro.obs.Observability` and its shard's
-:class:`~repro.obs.TraceContext` it records every advance straight into
-them: the ``worker_*`` metric families and one ``quantum`` trace record
-per advance, parented under the shard span.
+by :class:`repro.exec.merge.GlobalTopKMerger`).  A worker is an object in
+the engine's process.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.core.operators import make_operator
 from repro.core.stepping import PENDING
 from repro.core.tuples import JoinResult
 from repro.errors import InstanceError
-from repro.obs import Observability, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 
 #: Where a shard's advance runs.  There is one place — in-line in the
@@ -40,15 +33,6 @@ BACKENDS = ("serial",)
 #: serial stopping depth by at most a few tuples (the sumDepths overhead),
 #: large enough to amortize scheduling.
 DEFAULT_QUANTUM = 32
-
-#: Buckets for per-advance wall clock (seconds): quanta are sub-second.
-ADVANCE_SECONDS_BUCKETS = (
-    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-    0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
-)
-
-#: Buckets for pulls actually spent inside one advance quantum.
-QUANTUM_PULLS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 def _positive_int(value) -> bool:
@@ -112,47 +96,22 @@ class AdvanceOutcome:
 
 
 class ShardWorker:
-    """One shard's operator plus the bounded-advance protocol around it.
-
-    ``obs`` and ``trace`` (the shard's span context) arm the worker's
-    telemetry; without a ``trace`` the worker records nothing and reads
-    no clock.
-    """
+    """One shard's operator plus the bounded-advance protocol around it."""
 
     def __init__(
         self,
         shard: int,
         instance: RankJoinInstance,
         operator: str = "FRPA",
-        *,
-        obs: Observability | None = None,
-        trace: TraceContext | None = None,
         **operator_kwargs,
     ) -> None:
         self.shard = shard
-        self.instance = instance
-        self.operator_name = operator
         # ``track_time=False``: per-pull span timing on every shard is pure
-        # overhead — the worker times whole quanta instead (one clock pair
-        # per advance), and the engine reports facade-level wall clock.
+        # overhead nothing reads.
         self._operator = make_operator(
             operator, instance, track_time=False, **operator_kwargs
         )
         self._exhausted = False
-        self._obs = obs
-        self._trace = trace if obs is not None else None
-        if self._trace is not None:
-            metrics, label = obs.metrics, str(shard)
-            self._m_pulls = metrics.counter("worker_pulls_total", shard=label)
-            self._m_results = metrics.counter("worker_results_total", shard=label)
-            self._m_quanta = metrics.counter("worker_quanta_total", shard=label)
-            self._m_quantum_pulls = metrics.histogram(
-                "worker_quantum_pulls", buckets=QUANTUM_PULLS_BUCKETS, shard=label
-            )
-            self._m_advance_seconds = metrics.histogram(
-                "worker_advance_seconds", buckets=ADVANCE_SECONDS_BUCKETS,
-                shard=label,
-            )
 
     @property
     def exhausted(self) -> bool:
@@ -172,8 +131,6 @@ class ShardWorker:
         returning an empty outcome.
         """
         operator = self._operator
-        traced = self._trace is not None
-        started = time.perf_counter() if traced else 0.0
         start_pulls = operator.pulls
         results: list[JoinResult] = []
         while not self._exhausted:
@@ -185,30 +142,12 @@ class ShardWorker:
                 self._exhausted = True
                 break
             results.append(step)
-        pulls = operator.pulls - start_pulls
-        if traced:
-            self._record_quantum(
-                quantum, pulls, len(results), time.perf_counter() - started
-            )
         return AdvanceOutcome(
             shard=self.shard,
             results=tuple(results),
-            pulls=pulls,
+            pulls=operator.pulls - start_pulls,
             depth_left=operator.depth(0),
             depth_right=operator.depth(1),
             frontier=operator.frontier(),
             exhausted=self._exhausted,
         )
-
-    def _record_quantum(
-        self, quantum: int, pulls: int, results: int, seconds: float
-    ) -> None:
-        self._m_pulls.inc(pulls)
-        self._m_results.inc(results)
-        self._m_quanta.inc()
-        self._m_quantum_pulls.observe(pulls)
-        self._m_advance_seconds.observe(seconds)
-        self._obs.trace(span_record(
-            self._trace.child(), "quantum", seconds=seconds, shard=self.shard,
-            quantum=quantum, pulls=pulls, results=results,
-        ))

@@ -37,7 +37,6 @@ from repro.obs.expose import (
     compute_slos,
     render_prometheus,
     set_slo_gauges,
-    shard_pull_counts,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -70,7 +69,6 @@ __all__ = [
     "reconstruct_timing",
     "render_prometheus",
     "set_slo_gauges",
-    "shard_pull_counts",
     "span_record",
 ]
 
@@ -121,8 +119,7 @@ class Observability:
 
         Trace records are discrete occurrences like events — they go to
         every exporter immediately, so a JSONL stream interleaves spans
-        from the service, the engine, and relayed worker quanta in
-        arrival order; :class:`~repro.obs.trace.TraceTree` reassembles
+        from the service and the operators in arrival order; :class:`~repro.obs.trace.TraceTree` reassembles
         them by ids, not position.
         """
         if not self.enabled:

@@ -5,8 +5,8 @@ MetricRegistry` into the Prometheus text exposition format (``# TYPE``
 lines, cumulative ``_bucket{le=...}`` histogram series, ``_sum`` and
 ``_count``).  :func:`compute_slos` derives the serving-level objectives
 the ROADMAP's streaming item needs — p50/p95/p99 session latency, queue
-depth, cache hit ratio, worst shard imbalance — from metrics the service
-and exec layers already record, and :func:`set_slo_gauges` writes them
+depth, cache hit ratio — from metrics the service layer already records,
+and :func:`set_slo_gauges` writes them
 back into the registry as ``slo_*`` gauges so they appear in the same
 scrape.
 
@@ -123,8 +123,7 @@ def compute_slos(registry: MetricRegistry) -> dict:
         {"session_seconds": {"p50": ..., "p95": ..., "p99": ...},
          "first_result_seconds": {"p50": ..., "p95": ..., "p99": ...},
          "sessions_finished": int, "queue_depth": ..., "live_sessions": ...,
-         "cache_hit_ratio": ..., "shard_imbalance_max": ...,
-         "throttled_total": int}
+         "cache_hit_ratio": ..., "throttled_total": int}
 
     ``first_result_seconds`` is time-to-first-result — the anytime
     latency the ``stream`` verb serves; ``throttled_total`` counts
@@ -160,13 +159,6 @@ def compute_slos(registry: MetricRegistry) -> dict:
     lookups = hits + misses
     hit_ratio = (hits / lookups) if lookups else None
 
-    imbalance: float | None = None
-    for _, _, metric in registry.metrics_named("exec_shard_imbalance", kind="gauge"):
-        if metric.value is not None:
-            imbalance = (
-                metric.value if imbalance is None else max(imbalance, metric.value)
-            )
-
     return {
         "session_seconds": percentiles,
         "first_result_seconds": first_percentiles,
@@ -174,7 +166,6 @@ def compute_slos(registry: MetricRegistry) -> dict:
         "queue_depth": registry.value("service_queue_depth"),
         "live_sessions": registry.value("service_live_sessions"),
         "cache_hit_ratio": hit_ratio,
-        "shard_imbalance_max": imbalance,
         "throttled_total": throttled,
     }
 
@@ -200,24 +191,4 @@ def set_slo_gauges(registry: MetricRegistry) -> dict:
                 ).set(value)
         if slos["cache_hit_ratio"] is not None:
             registry.gauge("slo_cache_hit_ratio").set(slos["cache_hit_ratio"])
-        if slos["shard_imbalance_max"] is not None:
-            registry.gauge("slo_shard_imbalance_max").set(
-                slos["shard_imbalance_max"]
-            )
     return slos
-
-
-def shard_pull_counts(registry: MetricRegistry) -> dict[str, int]:
-    """Cumulative pulls per shard label, summed over all operators.
-
-    The ``stats`` verb's per-shard counter block: engine-side accounting
-    (``exec_shard_pulls_total``) is authoritative; worker-relayed
-    ``worker_pulls_total`` agrees with it and adds replay attribution.
-    """
-    totals: dict[str, int] = {}
-    for _, labels, metric in registry.metrics_named(
-        "exec_shard_pulls_total", kind="counter"
-    ):
-        shard = labels.get("shard", "?")
-        totals[shard] = totals.get(shard, 0) + metric.value
-    return dict(sorted(totals.items()))

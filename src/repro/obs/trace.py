@@ -8,11 +8,6 @@ the tree shape mirrors the call shape::
 
     request (client/server)                       trace=T span=a
       └─ session (scheduler)                      trace=T span=b parent=a
-           └─ exec (ShardedRankJoin)              trace=T span=c parent=b
-                ├─ shard 0 (ShardWorker)          trace=T span=d parent=c
-                │    ├─ quantum …                 trace=T span=e parent=d
-                │    └─ quantum …
-                └─ shard 1 …
 
 Span ids are random (``os.urandom``), which makes them unique across the
 client, the fleet front-end and its worker processes without any
@@ -79,9 +74,9 @@ class TraceContext:
 def span_record(ctx: TraceContext, name: str, *, seconds=None, **fields) -> dict:
     """An export-ready trace record for one span occurrence.
 
-    Structural spans (exec, shard) carry no ``seconds``; timed spans
-    (quantum, session) do.  Extra ``fields`` are free-form span
-    attributes (shard index, pull counts, session id, …).
+    Structural spans (request, anyk) carry no ``seconds``; timed spans
+    (session, anyk_dp) do.  Extra ``fields`` are free-form span
+    attributes (pull counts, session id, …).
     """
     record = {
         "type": "trace",

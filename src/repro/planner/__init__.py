@@ -6,9 +6,8 @@ PBRJ operator per query, a :class:`Planner` counts the join once
 (:mod:`repro.plan.estimate`), prices every candidate with a calibrated
 cost model (:mod:`repro.planner.cost`) and returns an explainable
 :class:`PlanDecision` — three candidates for a binary query, two for a
-chain.  Sharding is not on the menu: it is an explicit request
-(``QuerySpec(shards=N)``, ``--shards N``) that lost every measured cell to
-the best unsharded plan (EXPERIMENTS.md).
+chain.  Sharding is not on the menu: it lost every measured cell to the
+best unsharded plan (EXPERIMENTS.md), and no query can ask for it.
 
 Entry points: ``QuerySpec(algorithm="auto")``, ``--algorithm auto`` on
 ``run``/``serve``, and ``"algorithm": "auto"`` in a workload file or on

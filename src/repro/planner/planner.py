@@ -105,7 +105,7 @@ class Planner:
 
     Neither the kernel nor sharding is an axis: the kernel form is the
     process-wide threshold table's (:mod:`repro.kernels.dispatch`), and
-    sharding is something a caller asks for (``QuerySpec(shards=N)``).
+    no query can ask for sharding.
     Coefficients come from :func:`repro.planner.set_coefficients` or are
     measured once per process.
     """

@@ -19,8 +19,6 @@ The other half of riding a fault is the client's: retry with the server's
 from repro.resilience.chaos import (
     SEED_WORKLOADS,
     ChaosCase,
-    emission_view,
-    reference_run,
     render_report,
     run_chaos_suite,
     seed_instance,
@@ -32,8 +30,6 @@ __all__ = [
     "ChaosCase",
     "RequestChaos",
     "SEED_WORKLOADS",
-    "emission_view",
-    "reference_run",
     "render_report",
     "run_chaos_suite",
     "seed_instance",

@@ -8,9 +8,10 @@ checks the *resilience invariant*:
     top-K — is bit-identical to the fault-free run, and at least one
     injected fault actually fired.
 
-The fault-free reference is the sharded run with the same shard count
-(shard count fixes the canonical emission order; faults must not).
-Exposed through ``python -m repro chaos`` and the pytest suite in
+The fault-free reference is the plain operator's top-K,
+``make_operator(operator, instance).top_k(k)`` — the path
+:meth:`~repro.service.query.QuerySpec.build_operator` takes, so the
+streamed sequence must match it bit for bit.  Exposed through ``python -m repro chaos`` and the pytest suite in
 ``tests/resilience/``.
 """
 
@@ -20,14 +21,13 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core.operators import ANYK_OPERATOR
+from repro.core.operators import ANYK_OPERATOR, make_operator
 from repro.data.workload import (
     WorkloadParams,
     anti_correlated_instance,
     lineitem_orders_instance,
     random_instance,
 )
-from repro.exec import ExecConfig, ShardedRankJoin, result_identity
 from repro.resilience.faults import RequestChaos
 
 #: The four seed workloads every correctness invariant runs over (the
@@ -64,23 +64,12 @@ def seed_instance(name: str):
     return builder()
 
 
-def reference_run(instance, shards: int, operator: str = "FRPA") -> list:
-    """The fault-free sharded run (the bit-identity oracle)."""
-    engine = ShardedRankJoin(instance, operator, config=ExecConfig(shards=shards))
-    return engine.top_k(instance.k)
-
-
-def emission_view(results) -> list[tuple]:
-    """Comparable projection preserving emission order: (score, identity)."""
-    return [(r.score, result_identity(r)) for r in results]
-
-
 @dataclass(frozen=True)
 class ChaosCase:
     """Outcome of one chaos run: did faults fire, did results survive."""
 
     workload: str
-    shards: int
+    operator: str
     matched: bool
     #: Request-level injected errors ridden through.
     injected: int
@@ -94,7 +83,6 @@ class ChaosCase:
 
 def stream_chaos_run(
     workload: str,
-    shards: int,
     *,
     seed: int = 0,
     operator: str = "FRPA",
@@ -119,7 +107,8 @@ def stream_chaos_run(
 
     instance = seed_instance(workload)
     reference = [
-        round(r.score, 6) for r in reference_run(instance, shards, operator)
+        round(r.score, 6)
+        for r in make_operator(operator, instance).top_k(instance.k)
     ]
     chaos = RequestChaos(
         seed=seed,
@@ -130,7 +119,6 @@ def stream_chaos_run(
     server = RankJoinServer(
         QueryService(quantum=16),
         {"left": instance.left, "right": instance.right},
-        default_shards=shards,
         chaos=chaos,
     )
     thread = threading.Thread(target=server.run, daemon=True)
@@ -183,7 +171,7 @@ def stream_chaos_run(
 
     return ChaosCase(
         workload=workload,
-        shards=shards,
+        operator=operator,
         matched=matched,
         injected=chaos.injected_errors,
         resumed=resumed,
@@ -194,27 +182,26 @@ def run_chaos_suite(
     *,
     seed: int = 0,
     workloads: tuple[str, ...] = SEED_WORKLOADS,
-    shards: tuple[int, ...] = (2, 4),
     operator: str = "FRPA",
 ) -> list[ChaosCase]:
-    """The chaos matrix: workload × shards, streamed under request chaos."""
+    """The chaos matrix: every workload via ``operator``, streamed under
+    request chaos."""
     return [
-        stream_chaos_run(workload, n_shards, seed=seed, operator=operator)
+        stream_chaos_run(workload, seed=seed, operator=operator)
         for workload in workloads
-        for n_shards in shards
     ]
 
 
 def render_report(cases: list[ChaosCase]) -> str:
     """A fixed-width table of the suite results."""
     header = (
-        f"{'workload':<16}{'shards':>6}  {'match':<7}"
+        f"{'workload':<16}{'operator':<12}{'match':<7}"
         f"{'injected':>8}{'resumed':>8}"
     )
     lines = [header, "-" * len(header)]
     for case in cases:
         lines.append(
-            f"{case.workload:<16}{case.shards:>6}  "
+            f"{case.workload:<16}{case.operator:<12}"
             f"{'yes' if case.matched else 'NO':<7}"
             f"{case.injected:>8}{case.resumed:>8}"
         )

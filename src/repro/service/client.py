@@ -123,9 +123,9 @@ class ServiceClient:
 
         The client mints the request's :class:`~repro.obs.TraceContext`
         root here — the distributed trace starts at the caller, so every
-        span the server-side execution produces (session, exec, shards,
-        worker quanta) parents back to this submission.  The trace id is
-        kept on :attr:`last_trace` for correlation.
+        span the server-side execution produces parents back to this
+        submission.  The trace id is kept on :attr:`last_trace` for
+        correlation.
         """
         ctx = TraceContext.root()
         response = self.request({"verb": "submit", "trace": ctx.to_wire(), **query})

@@ -57,11 +57,6 @@ class QuerySpec:
     join_attrs:
         Chain attributes for multiway queries (``len(relations) - 1``
         entries); must be empty for binary queries.
-    shards:
-        Number of hash partitions for sharded execution (binary joins
-        only), always an explicit request — the planner never shards.
-        ``1`` (the default) runs the plain serial operator; ``> 1``
-        builds a :class:`~repro.exec.engine.ShardedRankJoin`.
     """
 
     relations: tuple[Relation, ...]
@@ -70,7 +65,6 @@ class QuerySpec:
     operator: str = "FRPA"
     algorithm: str = "pbrj"
     join_attrs: tuple[str, ...] = ()
-    shards: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", tuple(self.relations))
@@ -100,19 +94,6 @@ class QuerySpec:
             raise InstanceError(
                 f"need {len(self.relations) - 1} join attributes for "
                 f"{len(self.relations)} relations, got {len(self.join_attrs)}"
-            )
-        if (
-            not isinstance(self.shards, int)
-            or isinstance(self.shards, bool)
-            or self.shards < 1
-        ):
-            raise InstanceError(
-                f"shards must be a positive integer, got {self.shards!r}"
-            )
-        if self.shards > 1 and self.is_multiway:
-            raise InstanceError(
-                "sharded execution supports binary joins only; "
-                "multiway queries must use shards=1"
             )
 
     @property
@@ -146,7 +127,7 @@ class QuerySpec:
         the spec (the join count is content-addressed and the estimators
         seeded, so it is deterministic within a process) and the resulting
         spec carries the full :class:`PlanDecision` on :attr:`decision`
-        for explainability.  ``shards`` is the caller's and passes through.
+        for explainability.
         """
         if not self.is_auto:
             return self
@@ -181,14 +162,10 @@ class QuerySpec:
         if self.is_auto:
             return "auto (unresolved)"
         if self.decision is not None:
-            label = self.decision.summary()
-        elif self.is_multiway:
-            label = f"{self.algorithm}/multiway"
-        else:
-            label = f"{self.algorithm}/{self.effective_operator}"
-        if self.shards > 1:
-            label += f" x{self.shards}"
-        return label
+            return self.decision.summary()
+        if self.is_multiway:
+            return f"{self.algorithm}/multiway"
+        return f"{self.algorithm}/{self.effective_operator}"
 
     def fingerprint(self) -> str:
         """Canonical cache key: relation content + scoring + plan shape.
@@ -221,25 +198,15 @@ class QuerySpec:
             # top-K set but the cache must never serve one core's exact
             # tie order as the other's.
             digest.update(f";algorithm={self.algorithm}".encode())
-        if self.shards > 1:
-            # Sharded runs order exact-score ties canonically, which may
-            # differ from the serial operator's discovery order — keep the
-            # cache namespaces separate.
-            digest.update(f";shards={self.shards}".encode())
         return digest.hexdigest()
 
-    def build_operator(self, *, obs=None, trace=None):
+    def build_operator(self, *, obs=None):
         """A fresh resumable operator evaluating this query from scratch.
-
-        ``trace`` is an optional :class:`~repro.obs.TraceContext` the
-        execution should hang under (the session span).  Only the
-        sharded engine consumes it today — serial operators are timed
-        by their session span directly.
 
         ``auto`` specs are planner-resolved first.
         """
         if self.is_auto:
-            return self.resolve(obs=obs).build_operator(obs=obs, trace=trace)
+            return self.resolve(obs=obs).build_operator(obs=obs)
         if self.is_multiway:
             if self.algorithm == "anyk":
                 from repro.anyk import anyk_from_chain
@@ -253,7 +220,7 @@ class QuerySpec:
                 self.scoring,
                 obs=obs,
             )
-        if self.algorithm == "anyk" and self.shards == 1:
+        if self.algorithm == "anyk":
             # Any-k needs no sorted scans; skip the instance's eager sort.
             from repro.anyk import AnyKQuery, AnyKRankJoin
 
@@ -265,21 +232,8 @@ class QuerySpec:
         instance = RankJoinInstance(
             self.relations[0], self.relations[1], self.scoring, self.k
         )
-        if self.shards > 1:
-            from repro.exec import ExecConfig, ShardedRankJoin
-
-            return ShardedRankJoin(
-                instance,
-                self.effective_operator,
-                config=ExecConfig(shards=self.shards),
-                obs=obs,
-                trace=trace,
-            )
         return make_operator(self.operator, instance, obs=obs)
 
     def describe(self) -> str:
         names = " ⋈ ".join(r.name for r in self.relations)
-        label = f"{names} top-{self.k} via {self.effective_operator}"
-        if self.shards > 1:
-            label += f" x{self.shards} shards"
-        return label
+        return f"{names} top-{self.k} via {self.effective_operator}"

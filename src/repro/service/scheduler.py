@@ -353,8 +353,7 @@ class Scheduler:
             self._m_first_result.observe(session.time_to_first)
         if session.trace is not None:
             # The session span closes here: one timed record tying the
-            # whole execution subtree (exec/shards/quanta) back to the
-            # request root.
+            # execution back to the request root.
             self._obs.trace(span_record(
                 session.trace, "session",
                 seconds=session.latency,

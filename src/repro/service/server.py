@@ -10,8 +10,8 @@ events as results are released.
 Distributed tracing: a ``submit`` request may carry a ``trace`` field
 (the wire form of :class:`~repro.obs.TraceContext`, minted by
 :class:`~repro.service.client.ServiceClient`); the server threads it
-through the service so every span of the query's execution — session,
-exec, shards, worker quanta — parents back to that client request.
+through the service so the query's session span parents back to that
+client request.
 Requests without one get a server-minted root.  The submit response
 echoes the trace id.
 
@@ -65,9 +65,6 @@ from repro.service.service import QueryService
 class RankJoinServer(wire.LineServer):
     """Serves top-K rank join queries over named shared relations.
 
-    ``default_shards`` applies sharded execution to every submitted
-    binary query unless the request carries its own ``shards`` field.
-
     Shutdown is graceful: SIGINT/SIGTERM (or :meth:`begin_shutdown`)
     switches the server into *draining* — new submits are rejected with a
     clean error while live sessions run to completion, then the loop
@@ -97,14 +94,12 @@ class RankJoinServer(wire.LineServer):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        default_shards: int = 1,
         default_algorithm: str = "pbrj",
         chaos=None,
     ) -> None:
         super().__init__(host, port)
         self.service = service
         self.relations = dict(relations)
-        self.default_shards = default_shards
         #: Evaluation core applied when a request carries no
         #: ``algorithm`` field (``"pbrj"``, ``"anyk"``, or ``"auto"`` to
         #: let the cost-based planner choose — ``serve --algorithm auto``).
@@ -301,7 +296,6 @@ class RankJoinServer(wire.LineServer):
             name: len(relation) for name, relation in self.relations.items()
         }
         payload["draining"] = self.draining
-        payload["default_shards"] = self.default_shards
         payload["default_algorithm"] = self.default_algorithm
         return wire.ok(**payload)
 
@@ -329,10 +323,6 @@ class RankJoinServer(wire.LineServer):
             scoring = WeightedSum([float(w) for side in weights for w in side])
         else:
             scoring = SumScore()
-        shards = request.get("shards") or self.default_shards
-        kwargs = {}
-        if len(relations) == 2 and shards > 1:
-            kwargs["shards"] = shards
         return QuerySpec(
             relations=relations,
             k=request["k"],
@@ -340,5 +330,4 @@ class RankJoinServer(wire.LineServer):
             operator=request["operator"],
             algorithm=request.get("algorithm") or self.default_algorithm,
             join_attrs=tuple(request.get("join_attrs") or ()),
-            **kwargs,
         )

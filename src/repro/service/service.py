@@ -24,7 +24,6 @@ from repro.obs import (
     TraceContext,
     render_prometheus,
     set_slo_gauges,
-    shard_pull_counts,
     span_record,
 )
 from repro.service.cache import ResultCache
@@ -119,8 +118,7 @@ class QueryService:
 
         ``trace`` is the request's root span context (minted by the
         server/client, or here for in-process callers with an enabled
-        pipeline); the whole execution — session, exec, shards, worker
-        quanta — parents back to it.
+        pipeline); the session span parents back to it.
         """
         if self.quotas is not None:
             try:
@@ -162,7 +160,7 @@ class QueryService:
                 # Distinguish a truly-complete short answer from a prefix.
                 entry_exhausted = len(cached_answer) < spec.k
         if operator is None and cached_answer is None:
-            operator = spec.build_operator(obs=self.obs, trace=session_ctx)
+            operator = spec.build_operator(obs=self.obs)
         session = QuerySession(
             session_id,
             operator,
@@ -227,10 +225,9 @@ class QueryService:
         payload = {"scheduler": self.scheduler.stats()}
         payload["cache"] = self.cache.stats() if self.cache is not None else None
         # The live-telemetry block: computed SLOs (freshly published as
-        # slo_* gauges), per-shard pull counters, and a brief line per
-        # in-flight session — everything ``repro top`` renders.
+        # slo_* gauges) and a brief line per in-flight session —
+        # everything ``repro top`` renders.
         payload["slo"] = set_slo_gauges(self.obs.metrics)
-        payload["shards"] = shard_pull_counts(self.obs.metrics)
         payload["quotas"] = self.quotas.stats() if self.quotas is not None else None
         payload["sessions"] = [
             self._brief(session)

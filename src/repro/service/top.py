@@ -2,13 +2,12 @@
 
 Polls a running :class:`~repro.service.server.RankJoinServer`'s ``stats``
 verb and renders the live telemetry plane as plain text: SLO percentiles,
-scheduler and cache state, per-shard pull counters with rates (diffed
-between polls), and one line per in-flight session.  The screen is
-refreshed with a single ANSI clear — no curses, so it works in any
-terminal, under tee, and inside CI logs.
+scheduler and cache state, and one line per in-flight session.  The
+screen is refreshed with a single ANSI clear — no curses, so it works in
+any terminal, under tee, and inside CI logs.
 
-The renderer (:func:`render_dashboard`) is a pure function of two stats
-payloads, which is what the tests drive; :func:`run_top` owns the
+The renderer (:func:`render_dashboard`) is a pure function of one stats
+payload, which is what the tests drive; :func:`run_top` owns the
 poll-sleep-redraw loop.
 """
 
@@ -37,15 +36,8 @@ def _fmt_ratio(value) -> str:
     return "-" if value is None else f"{value * 100:.0f}%"
 
 
-def render_dashboard(
-    stats: dict, previous: dict | None = None, interval: float | None = None
-) -> str:
-    """Render one ``stats`` payload as the dashboard screen (no ANSI).
-
-    ``previous``/``interval`` enable rate columns: per-shard pull rates
-    are the diff of cumulative counters between consecutive polls
-    divided by the poll interval.
-    """
+def render_dashboard(stats: dict) -> str:
+    """Render one ``stats`` payload as the dashboard screen (no ANSI)."""
     lines: list[str] = []
     scheduler = stats.get("scheduler", {})
     slo = stats.get("slo") or {}
@@ -99,22 +91,6 @@ def render_dashboard(
             f"hits={cache.get('hits', 0)} misses={cache.get('misses', 0)} "
             f"hit-rate={_fmt_ratio(slo.get('cache_hit_ratio'))}"
         )
-    imbalance = slo.get("shard_imbalance_max")
-    if imbalance is not None:
-        lines.append(f"shards    imbalance-max={imbalance:.2f}")
-
-    shard_pulls: dict = stats.get("shards") or {}
-    if shard_pulls:
-        previous_pulls: dict = (previous or {}).get("shards") or {}
-        lines.append("")
-        lines.append(f"{'SHARD':>6} {'PULLS':>10} {'RATE':>12}")
-        for shard, pulls in shard_pulls.items():
-            if interval and shard in previous_pulls:
-                rate = (pulls - previous_pulls[shard]) / interval
-                rate_text = f"{rate:,.0f}/s"
-            else:
-                rate_text = "-"
-            lines.append(f"{shard:>6} {pulls:>10,} {rate_text:>12}")
 
     sessions = stats.get("sessions") or []
     lines.append("")
@@ -154,7 +130,6 @@ def run_top(
     down), 2 when the first poll cannot connect.
     """
     out = out if out is not None else sys.stdout
-    previous: dict | None = None
     drawn = 0
     while iterations is None or drawn < iterations:
         try:
@@ -166,14 +141,10 @@ def run_top(
                 return 2
             print("server went away; exiting", file=out)
             return 0
-        screen = render_dashboard(
-            stats, previous, interval if previous is not None else None
-        )
         if clear:
             out.write(CLEAR)
-        out.write(screen + "\n")
+        out.write(render_dashboard(stats) + "\n")
         out.flush()
-        previous = stats
         drawn += 1
         if iterations is not None and drawn >= iterations:
             break

@@ -240,10 +240,10 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
         Field("algorithm", *_STR),
         Field("weights", "a list of lists of finite numbers",
               _list_of(_list_of(_is_number))),
-        Field("shards", "a positive integer", lambda v: _is_int(v) and v >= 1),
-        # One value — shards run in the server's process.  The row exists so
-        # clients that send the field keep working and any other value is
-        # refused here, at the edge.
+        # One value each — nothing is sharded, and nothing runs outside the
+        # server's process.  The rows exist so clients that send the field
+        # keep working and any other value is refused here, at the edge.
+        Field("shards", "the integer 1", lambda v: _is_int(v) and v == 1),
         Field("backend", 'the string "serial"', lambda v: v == "serial"),
         Field("priority", *_INT, default=0),
         Field("max_pulls", *_INT),

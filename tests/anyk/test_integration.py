@@ -1,9 +1,9 @@
-"""Any-k behind the service/exec layers, with zero changes to those layers.
+"""Any-k behind the service layer, with zero changes to that layer.
 
 The tentpole contract: ``QuerySpec(algorithm="anyk")`` routes the session,
-scheduler, sharded engine and cache through :class:`AnyKRankJoin` exactly
-as they drive a PBRJ operator — same budgets, same bit-identical sharded
-answers, namespaced cache keys.
+scheduler and cache through :class:`AnyKRankJoin` exactly as they drive a
+PBRJ operator — same budgets, namespaced cache keys — and the sharded
+engine's workers run it with bit-identical answers.
 """
 
 import pytest
@@ -12,6 +12,8 @@ from repro.anyk import AnyKRankJoin
 from repro.core.operators import ANYK_OPERATOR, make_operator, operator_names
 from repro.data.workload import random_instance
 from repro.errors import InstanceError
+from repro.exec import ExecConfig, ShardedRankJoin
+from repro.relation.relation import RankJoinInstance
 from repro.service import QuerySession, QuerySpec, SessionState
 
 
@@ -112,15 +114,25 @@ class TestQuerySession:
 class TestShardedBitIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_equals_serial(self, shards):
-        serial_spec = make_spec(k=12, n=120, seed=5)
-        serial = serial_spec.build_operator().top_k(12)
-        spec = make_spec(k=12, n=120, seed=5, shards=shards)
-        results = spec.build_operator().top_k(12)
+        spec = make_spec(k=12, n=120, seed=5)
+        serial = spec.build_operator().top_k(12)
+        engine = ShardedRankJoin(
+            RankJoinInstance(*spec.relations, spec.scoring, spec.k),
+            ANYK_OPERATOR, config=ExecConfig(shards=shards),
+        )
+        results = engine.top_k(12)
         assert [r.score for r in results] == [r.score for r in serial]
 
     def test_sharded_spec_routes_anyk_to_workers(self):
-        spec = make_spec(k=6, n=60, seed=2, shards=2)
-        engine = spec.build_operator()
+        # A spec can no longer ask for shards; only the engine, built
+        # directly, routes the any-k core to its workers.
+        with pytest.raises(TypeError):
+            make_spec(k=6, n=60, seed=2, shards=2)
+        spec = make_spec(k=6, n=60, seed=2)
+        engine = ShardedRankJoin(
+            RankJoinInstance(*spec.relations, spec.scoring, spec.k),
+            ANYK_OPERATOR, config=ExecConfig(shards=2),
+        )
         results = engine.top_k(6)
         assert len(results) == 6
         scores = [r.score for r in results]

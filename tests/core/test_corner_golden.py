@@ -33,10 +33,10 @@ import pytest
 
 from repro import kernels
 from repro.core.operators import make_operator
+from repro.core.pbrj import result_identity
 from repro.core.scoring import SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
-from repro.exec.merge import result_identity
 from repro.obs import Observability
 from repro.relation.relation import RankJoinInstance, Relation
 from repro.stats.trace import BoundTrace

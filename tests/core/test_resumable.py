@@ -14,9 +14,7 @@ The contract (:mod:`repro.core.stepping`):
 
 Every in-tree implementer runs the same cases: the six PBRJ
 instantiations, any-k (binary and chain), the multiway operator under
-both bounds, the sharded engine and the self-re-sharding wrapper (forced
-to migrate after its first result, so the retained prefix is checked
-across a live migration).
+both bounds, and the sharded engine.
 """
 
 from functools import partial

@@ -29,10 +29,38 @@ class TestWorkloadParams:
         assert config.score_skew == 1.0
         assert config.join_skew == 0.8
 
+    @pytest.mark.parametrize("knob, value, wanted", [
+        ("k", 2.5, "an integer"),
+        ("e", 2.5, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("seed", -1, "non-negative"),
+        ("scale", float("inf"), "finite and positive"),
+        ("scale", float("nan"), "finite and positive"),
+        ("z", -2, "finite and non-negative"),
+        ("z", float("nan"), "finite and non-negative"),
+        ("join_skew", -3, "finite and non-negative"),
+        ("join_skew", float("inf"), "finite and non-negative"),
+    ])
+    def test_unrunnable_knob_is_one_line_naming_the_field(
+        self, tmp_path, knob, value, wanted
+    ):
+        # From a file (JSON's NaN / Infinity included) and as a flag would
+        # pass it: one WorkloadError line, never a generator's traceback.
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps({knob: value}))
+        for build in (lambda: load_workload(path),
+                      lambda: WorkloadParams(**{knob: value})):
+            with pytest.raises(WorkloadError) as info:
+                build()
+            message = str(info.value)
+            assert f"{knob} must be {wanted}, got " in message
+            assert "\n" not in message
+
 
 class TestWorkloadFileExecutionKeys:
-    """Execution-shape keys (shards / algorithm) validate
-    at load time with one-line errors — not deep inside engine setup."""
+    """The execution-shape key (algorithm) validates at load time with
+    one-line errors — not deep inside engine setup — and ``shards`` is not
+    a key at all."""
 
     def _load(self, tmp_path, payload):
         path = tmp_path / "wl.json"
@@ -40,26 +68,23 @@ class TestWorkloadFileExecutionKeys:
         return load_workload(path)
 
     def test_valid_execution_shape(self, tmp_path):
-        params = self._load(
-            tmp_path,
-            {"shards": 4, "algorithm": "anyk"},
-        )
-        assert params.shards == 4
+        params = self._load(tmp_path, {"algorithm": "anyk"})
         assert params.algorithm == "anyk"
 
     def test_auto_values_accepted(self, tmp_path):
-        # The planner chooses a core and an operator; shards are asked for.
-        params = self._load(tmp_path, {"shards": 2, "algorithm": "auto"})
-        assert params.shards == 2
+        # The planner chooses a core and an operator.
+        params = self._load(tmp_path, {"algorithm": "auto"})
         assert params.algorithm == "auto"
 
     @pytest.mark.parametrize("shards", [0, -2, 1.5, "many", "auto", True, None])
     def test_invalid_shards_rejected(self, tmp_path, shards):
-        with pytest.raises(WorkloadError) as info:
-            self._load(tmp_path, {"shards": shards})
-        message = str(info.value)
-        assert "shards must be a positive integer, got" in message
-        assert "\n" not in message  # one line, CLI-displayable
+        # Sharding cannot be asked for: every value, 1 included, is refused.
+        for value in (shards, 1):
+            with pytest.raises(WorkloadError) as info:
+                self._load(tmp_path, {"shards": value})
+            message = str(info.value)
+            assert "unknown keys ['shards']" in message
+            assert "\n" not in message  # one line, CLI-displayable
 
     def test_unknown_exec_backend_rejected(self, tmp_path):
         # The key went with the process backend; even "serial" is refused.

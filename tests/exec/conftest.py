@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pbrj import SCORE_EPS
+from repro.core.pbrj import SCORE_EPS, result_identity
 from repro.data.workload import (
     WorkloadParams,
     anti_correlated_instance,
     lineitem_orders_instance,
     random_instance,
 )
-from repro.exec import result_identity
 from repro.service import QuerySpec
 
 WORKLOAD_BUILDERS = {
@@ -54,7 +53,7 @@ def canonical_top_k(instance, k: int, operator: str = "FRPA") -> list:
 
     Pulls serial results past ``k`` until the score drops strictly below
     the k-th score (completing the boundary tie group), then sorts each
-    tie group by :func:`repro.exec.result_identity` and truncates.
+    tie group by :func:`repro.core.pbrj.result_identity` and truncates.
     """
     op = QuerySpec(
         relations=(instance.left, instance.right), k=k, operator=operator

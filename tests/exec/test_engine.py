@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.stepping import PENDING
 from repro.exec import ExecConfig, ShardedRankJoin
-from repro.obs import Observability
-from repro.service import QuerySession, QueryService, QuerySpec, SessionState
+from repro.service import QuerySession, QuerySpec, SessionState
 
 from tests.exec.conftest import SEED_WORKLOADS, canonical_top_k, identity_view
 
@@ -87,37 +86,11 @@ class TestResumableContract:
 
 class TestInstrumentation:
     def test_per_shard_pull_counters_sum_to_total(self, workloads):
-        obs = Observability()
         config = ExecConfig(shards=4, backend="serial")
-        with ShardedRankJoin(
-            workloads["uniform"], "FRPA", config=config, obs=obs
-        ) as engine:
+        with ShardedRankJoin(workloads["uniform"], "FRPA", config=config) as engine:
             engine.top_k(10)
-            total = sum(
-                obs.metrics.value(
-                    "exec_shard_pulls_total", op=engine.name, shard=str(shard)
-                ) or 0
-                for shard in range(4)
-            )
-            assert total == engine.pulls > 0
-            assert obs.metrics.value(
-                "exec_shard_imbalance", op=engine.name
-            ) == engine.partition_stats.imbalance
-            assert obs.metrics.value(
-                "exec_rounds_total", op=engine.name
-            ) == engine.rounds
-
-    def test_merge_wait_histogram_records_emissions(self, workloads):
-        obs = Observability()
-        with ShardedRankJoin(
-            workloads["uniform"], "FRPA",
-            config=ExecConfig(shards=2, backend="serial"), obs=obs,
-        ) as engine:
-            emitted = len(engine.top_k(10))
-        histogram = obs.metrics.histogram(
-            "exec_merge_wait_rounds", op=engine.name
-        )
-        assert histogram.count == emitted
+            per_shard = [worker.pulls for worker in engine._workers.values()]
+            assert sum(per_shard) == engine.pulls > 0
 
     def test_depth_reporting(self, workloads):
         with ShardedRankJoin(
@@ -127,19 +100,6 @@ class TestInstrumentation:
             engine.top_k(10)
             depths = engine.depths()
             assert depths.left + depths.right == engine.pulls
-            per_shard = engine.shard_depths()
-            assert sum(left for left, _ in per_shard.values()) == depths.left
-
-    def test_snapshot_shape(self, workloads):
-        with ShardedRankJoin(
-            workloads["uniform"], "FRPA",
-            config=ExecConfig(shards=2, backend="serial"),
-        ) as engine:
-            engine.top_k(5)
-            snap = engine.snapshot()
-        assert snap["config"]["shards"] == 2
-        assert snap["emitted"] == 5
-        assert snap["merge"]["released"] >= 5
 
 
 class TestServiceIntegration:
@@ -159,33 +119,10 @@ class TestServiceIntegration:
             assert identity_view(session.results) \
                 == identity_view(canonical_top_k(instance, k))
 
-    def test_sharded_spec_through_service(self, workloads):
-        instance = workloads["uniform"]
-        service = QueryService()
-        spec = QuerySpec(
-            relations=(instance.left, instance.right), k=8,
-            shards=4,
-        )
-        answer = service.run_query(spec)
-        assert identity_view(answer) == identity_view(canonical_top_k(instance, 8))
-        # Repeat is a cache hit (sharded specs have their own namespace).
-        again = service.run_query(QuerySpec(
-            relations=(instance.left, instance.right), k=8, shards=4,
-        ))
-        assert identity_view(again) == identity_view(answer)
-        assert service.cache.stats()["hits"] == 1
-
-    def test_sharded_and_serial_specs_do_not_share_cache(self, workloads):
-        instance = workloads["uniform"]
-        serial = QuerySpec(relations=(instance.left, instance.right), k=8)
-        sharded = QuerySpec(
-            relations=(instance.left, instance.right), k=8, shards=4
-        )
-        assert serial.fingerprint() != sharded.fingerprint()
-
     def test_multiway_rejects_shards(self, workloads):
+        # No query can ask for sharding, multiway or binary.
         instance = workloads["uniform"]
-        with pytest.raises(Exception, match="binary"):
+        with pytest.raises(TypeError, match="shards"):
             QuerySpec(
                 relations=(instance.left, instance.right, instance.left),
                 k=5, join_attrs=("a", "b"), shards=2,

@@ -1,7 +1,8 @@
 """Merger unit tests: emit gate, tie ordering, termination bookkeeping."""
 
+from repro.core.pbrj import result_identity
 from repro.core.tuples import JoinResult, RankTuple
-from repro.exec import GlobalTopKMerger, result_identity
+from repro.exec import GlobalTopKMerger
 from repro.exec.worker import AdvanceOutcome
 
 NEG_INF = float("-inf")

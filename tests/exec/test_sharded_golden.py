@@ -10,7 +10,8 @@ the skew partitioner, the rest of the file untouched) the golden holds a
 digest of the ``(score.hex(), result_identity)`` emission
 sequence plus exact ``pulls``, ``rounds`` and ``shard_depths()``, at K and
 at exhaustion, and once more for a drive through ``try_next(max_pulls)``
-under a fixed budget schedule.
+under a fixed budget schedule.  The engine no longer reports rounds or
+per-shard depths; :class:`Recorded` reads them off it for this file.
 
 Re-record only from a commit whose sharded answers you trust::
 
@@ -24,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.pbrj import result_identity
 from repro.core.stepping import PENDING
-from repro.exec import ExecConfig, ShardedRankJoin, result_identity
+from repro.exec import ExecConfig, ShardedRankJoin
 
 from tests.exec.conftest import SEED_WORKLOADS, WORKLOAD_BUILDERS
 
@@ -47,6 +49,20 @@ SURVIVING_ROWS_SHA256 = (
 BUDGETS = (0, 1, 7, 0, 64, 3, 200)
 
 
+class Recorded(ShardedRankJoin):
+    """The engine, counting its advance rounds and exposing the last
+    (left, right) depth each shard reported."""
+
+    rounds = 0
+
+    def _advance_round(self, budget):
+        self.rounds += 1
+        return super()._advance_round(budget)
+
+    def shard_depths(self):
+        return dict(self._depths)
+
+
 def checkpoint(engine, emitted):
     lines = [f"{r.score.hex()} {result_identity(r)!r}" for r in emitted]
     return {
@@ -65,12 +81,12 @@ def summary(key, instances):
     workload, shards, _, operator = key.split("/")
     instance = instances[workload]
     config = ExecConfig(shards=int(shards), backend="serial")
-    with ShardedRankJoin(instance, operator, config=config) as engine:
+    with Recorded(instance, operator, config=config) as engine:
         emitted = list(engine.top_k(instance.k))
         at_k = checkpoint(engine, emitted)
         emitted.extend(engine)
         drained = checkpoint(engine, emitted)
-    with ShardedRankJoin(instance, operator, config=config) as engine:
+    with Recorded(instance, operator, config=config) as engine:
         stepped = []
         for budget in itertools.cycle(BUDGETS):
             step = engine.try_next(max_pulls=budget)

@@ -18,7 +18,7 @@ def shard_instances():
     instance = random_instance(
         n_left=300, n_right=300, e_left=2, e_right=2, num_keys=30, k=10, seed=2
     )
-    shards, _ = partition_instance(instance, HashPartitionPlan(3))
+    shards = partition_instance(instance, HashPartitionPlan(3))
     return [s for s in shards if len(s.left) and len(s.right)]
 
 

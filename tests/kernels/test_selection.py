@@ -59,17 +59,16 @@ class TestSelectionDoesNotLeak:
         instance = _instance()
         with kernel_table(active):
             table = kernels.dispatch_thresholds()
-            for shards in (1, 2):
+            for algorithm in ("pbrj", "anyk"):
                 spec = QuerySpec(
                     relations=(instance.left, instance.right), k=3,
-                    shards=shards,
+                    algorithm=algorithm,
                 )
                 spec.build_operator().top_k(3)
                 assert kernels.dispatch_thresholds() == table
             config = ExecConfig(shards=2, backend="serial")
             with ShardedRankJoin(instance, "FRPA", config=config) as engine:
                 engine.top_k(3)
-                assert "kernel" not in engine.snapshot()["config"]
             assert kernels.dispatch_thresholds() == table
 
     def test_query_spec_has_no_kernel_field(self):

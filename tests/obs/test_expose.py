@@ -5,7 +5,6 @@ from repro.obs import (
     compute_slos,
     render_prometheus,
     set_slo_gauges,
-    shard_pull_counts,
 )
 
 
@@ -70,6 +69,7 @@ class TestComputeSlos:
         assert slos["session_seconds"] == {"p50": None, "p95": None, "p99": None}
         assert slos["sessions_finished"] == 0
         assert slos["cache_hit_ratio"] is None
+        assert "shard_imbalance_max" not in slos
 
     def test_percentiles_from_session_histogram(self):
         registry = _registry()
@@ -107,15 +107,3 @@ class TestSetSloGauges:
         assert 'slo_session_seconds{quantile="0.99"}' in text
         assert "slo_cache_hit_ratio 0.5" in text
         assert slos["cache_hit_ratio"] == 0.5
-
-
-class TestShardPullCounts:
-    def test_sums_by_shard(self):
-        registry = _registry()
-        registry.counter("exec_shard_pulls_total", op="hrjn", shard="0").inc(10)
-        registry.counter("exec_shard_pulls_total", op="hrjn", shard="1").inc(20)
-        registry.counter("exec_shard_pulls_total", op="frpa", shard="1").inc(5)
-        assert shard_pull_counts(registry) == {"0": 10, "1": 25}
-
-    def test_empty(self):
-        assert shard_pull_counts(_registry()) == {}

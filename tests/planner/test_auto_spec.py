@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.operators import make_operator
+from repro.core.pbrj import result_identity
 from repro.data.workload import random_instance
-from repro.errors import InstanceError
-from repro.exec import result_identity
 from repro.obs import Observability
 from repro.service.query import QuerySpec
 from repro.service.service import QueryService
@@ -63,7 +62,6 @@ class TestResolution:
         )
         resolved = auto_spec(instance).resolve()
         assert resolved.algorithm in ("pbrj", "anyk")
-        assert resolved.shards == 1
         assert resolved.decision is not None
         assert resolved.plan_summary() == resolved.decision.summary()
 
@@ -75,21 +73,13 @@ class TestResolution:
         spec = auto_spec(instance)
         assert spec.resolve() is spec.resolve()
 
-    def test_requested_shards_pass_through_resolution(self):
-        instance = random_instance(
-            n_left=150, n_right=150, e_left=2, e_right=2,
-            num_keys=15, k=5, seed=4,
-        )
-        resolved = auto_spec(instance, shards=4).resolve()
-        assert resolved.shards == 4
-        assert resolved.plan_summary() == resolved.decision.summary() + " x4"
-
     def test_shards_auto_is_refused(self):
+        # A spec has no shards field: any value, "auto" included, is refused.
         instance = random_instance(
             n_left=60, n_right=60, e_left=1, e_right=1,
             num_keys=6, k=3, seed=3,
         )
-        with pytest.raises(InstanceError, match="positive integer, got 'auto'"):
+        with pytest.raises(TypeError, match="shards"):
             auto_spec(instance, shards="auto")
 
 
@@ -205,7 +195,7 @@ class TestNeverSharded:
             "serve", "--algorithm", "auto", "--e", str(e), "--scale", str(scale),
         ]) == 0
         served = seen["spec"]
-        assert served.shards == 1
+        assert not hasattr(served, "shards")
         assert served.plan_summary() == served.decision.summary()
         assert " x" not in served.plan_summary()
 

@@ -18,6 +18,7 @@ from repro.anyk import AnyKQuery, AnyKRankJoin
 from repro.core.bounds import BoundContext
 from repro.core.naive import full_join, naive_top_k, top_scores
 from repro.core.operators import make_components, make_operator
+from repro.core.pbrj import result_identity
 from repro.core.scoring import (
     AverageScore,
     CallableScore,
@@ -29,7 +30,6 @@ from repro.core.scoring import (
 from repro.core.tuples import RankTuple
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.errors import InstanceError
-from repro.exec.merge import result_identity
 from repro.kernels import PointSet
 from repro.relation.relation import RankJoinInstance, Relation, tuple_identity
 from repro.relation.sources import SortedScan

@@ -14,13 +14,14 @@ from repro.resilience import (
     stream_chaos_run,
 )
 
-#: The acceptance matrix: every seed workload × shard counts {2, 4}.
+#: The acceptance matrix: every seed workload × request-chaos seeds {2, 4}
+#: (two fault schedules per workload).
 CHAOS_WORKLOADS = SEED_WORKLOADS
-CHAOS_SHARDS = (2, 4)
+CHAOS_SEEDS = (2, 4)
 
 
 def assert_chaos_case(
-    workload: str, shards: int, *, seed: int = 0, operator: str = "FRPA"
+    workload: str, *, seed: int = 0, operator: str = "FRPA"
 ) -> ChaosCase:
     """Run one chaos case and assert the resilience invariant.
 
@@ -29,15 +30,15 @@ def assert_chaos_case(
     chaos test whose fault never triggers is vacuous, so it fails loudly
     instead.
     """
-    case = stream_chaos_run(workload, shards, seed=seed, operator=operator)
+    case = stream_chaos_run(workload, seed=seed, operator=operator)
     assert case.matched, (
-        f"{workload} x{shards} via {operator}: streamed sequence diverged "
-        f"from the fault-free run (injected={case.injected}, "
+        f"{workload} via {operator}, chaos seed {seed}: streamed sequence "
+        f"diverged from the fault-free run (injected={case.injected}, "
         f"resumed={case.resumed})"
     )
     assert case.injected > 0, (
-        f"{workload} x{shards} via {operator}: no injected fault fired — "
-        f"the case is vacuous"
+        f"{workload} via {operator}, chaos seed {seed}: no injected fault "
+        f"fired — the case is vacuous"
     )
     # The client hangs up after every event: one resume per result.
     assert case.resumed >= seed_instance(workload).k

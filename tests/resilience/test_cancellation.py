@@ -1,12 +1,12 @@
-"""Cancelling a sharded session mid-flight: clean CANCELLED state, no cache
-entry, no process left behind."""
+"""Cancelling a session mid-flight: clean CANCELLED state, no cache entry,
+no process left behind."""
 
 from __future__ import annotations
 
 import multiprocessing
 
+from repro.core.operators import make_operator
 from repro.data.workload import random_instance
-from repro.exec import ExecConfig, ShardedRankJoin
 from repro.service import QueryService
 from repro.service.session import QuerySession, SessionState
 
@@ -20,7 +20,7 @@ def make_instance():
 
 def test_cancel_mid_flight_leaves_a_clean_cancelled_session():
     instance = make_instance()
-    engine = ShardedRankJoin(instance, "FRPA", config=ExecConfig(shards=2))
+    engine = make_operator("FRPA", instance)
     service = QueryService(cache_capacity=0)
     session = QuerySession("c1", engine, instance.k, quantum=8)
     service.scheduler.submit(session)
@@ -39,7 +39,7 @@ def test_cancel_mid_flight_leaves_a_clean_cancelled_session():
 def test_cancelled_session_with_results_is_not_cached():
     """A cancelled run leaves nothing behind — no cache entry."""
     instance = make_instance()
-    engine = ShardedRankJoin(instance, "FRPA", config=ExecConfig(shards=2))
+    engine = make_operator("FRPA", instance)
     service = QueryService(cache_capacity=8)
     session = QuerySession(
         "c2", engine, instance.k, quantum=4, cache_key="cancelled-query",

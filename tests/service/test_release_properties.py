@@ -3,7 +3,7 @@
 The streaming contract rests on ``QuerySession.released_at``: one stamp
 per result, nondecreasing, bounded by the session's finish time, and the
 emission (release) order equal to the serial oracle's top-k order — for
-every shard count.
+every operator.
 """
 
 from hypothesis import given, settings
@@ -18,9 +18,9 @@ from tests.service.conftest import make_instance
 @given(
     seed=st.integers(min_value=0, max_value=20),
     k=st.integers(min_value=1, max_value=12),
-    shards=st.sampled_from([1, 2, 4]),
+    operator=st.sampled_from(["FRPA", "HRJN*", "a-FRPA"]),
 )
-def test_release_moments_align_with_the_oracle(seed, k, shards):
+def test_release_moments_align_with_the_oracle(seed, k, operator):
     instance = make_instance(seed=seed, n=120, num_keys=12, k=k)
     oracle = [
         round(r.score, 6)
@@ -30,7 +30,7 @@ def test_release_moments_align_with_the_oracle(seed, k, shards):
     ]
     service = QueryService(quantum=8, cache_capacity=0)
     session_id = service.submit(QuerySpec(
-        relations=(instance.left, instance.right), k=k, shards=shards,
+        relations=(instance.left, instance.right), k=k, operator=operator,
     ))
     session = service.scheduler.drain(session_id)
     assert session.state is SessionState.DONE

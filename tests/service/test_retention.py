@@ -66,9 +66,8 @@ class TestFinishedSessionsAgeOut:
 class TestARetiredSessionKeepsItsNumbers:
     @pytest.mark.parametrize("plan", [
         {"operator": "FRPA"},
-        {"operator": "FRPA", "shards": 2},
         {"algorithm": "anyk"},
-    ], ids=["pbrj", "sharded", "anyk"])
+    ], ids=["pbrj", "anyk"])
     def test_snapshot_is_the_same_without_the_operator(self, plan):
         spec = dataclasses.replace(make_spec(k=5), **plan)
         service = QueryService()

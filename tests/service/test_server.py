@@ -107,14 +107,14 @@ class TestProtocol:
             with ServiceClient(server.host, server.port) as client:
                 with pytest.raises(ServiceError) as err:
                     client.submit(left="lineitem", right="orders", k=3,
-                                  shards=2, backend=backend)
+                                  backend=backend)
                 assert str(err.value) == (
                     "bad request: field 'backend' must be the string "
                     f"\"serial\", got {backend!r}"
                 )
                 # The rejection is an ok:false line, not a dead server.
                 final = client.run(left="lineitem", right="orders", k=3,
-                                   shards=2, backend="serial")
+                                   backend="serial")
         assert final["state"] == "DONE"
 
     def test_unknown_session_is_clean_error(self):

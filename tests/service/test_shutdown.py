@@ -1,8 +1,4 @@
-"""Graceful shutdown: drain live sessions, reject submits, flush obs.
-
-Also covers the ``shards`` field over the wire (``--shards`` on the
-serve CLI maps to ``default_shards`` here).
-"""
+"""Graceful shutdown: drain live sessions, reject submits, flush obs."""
 
 import contextlib
 import threading
@@ -19,19 +15,16 @@ from repro.service import (
     SessionState,
 )
 
-from tests.exec.conftest import canonical_top_k, identity_view
 from tests.service.conftest import RELEASED, GatedOperator
-from tests.service.test_server import INSTANCE, REFERENCE_SCORES, RELATIONS
+from tests.service.test_server import REFERENCE_SCORES, RELATIONS
 
 
 @contextlib.contextmanager
-def running_server(service=None, *, default_shards=1, **service_kwargs):
+def running_server(service=None, **service_kwargs):
     if service is None:
         service_kwargs.setdefault("quantum", 16)
         service = QueryService(**service_kwargs)
-    server = RankJoinServer(
-        service, RELATIONS, port=0, default_shards=default_shards
-    )
+    server = RankJoinServer(service, RELATIONS, port=0)
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
     assert server.ready.wait(timeout=10.0), "server never became ready"
@@ -163,37 +156,3 @@ class TestDriverDeath:
         thread.join(timeout=2.0)
         assert not thread.is_alive(), "run() kept serving without a driver"
         assert raised, "run() must re-raise what killed the driver"
-
-
-class TestShardsOverTheWire:
-    def test_request_level_shards_preserve_the_answer(self):
-        with running_server() as (server, _):
-            with ServiceClient(server.host, server.port) as client:
-                final = client.run(
-                    left="lineitem", right="orders", k=6, shards=4,
-                )
-            (session,) = server.service.scheduler.finished_sessions
-        assert final["state"] == "DONE"
-        assert final["scores"] == [round(s, 6) for s in REFERENCE_SCORES[:6]]
-        # The wire carries scores; the tie order is read off the session:
-        # bit-identical scores in canonical identity order, as the serial
-        # oracle gives them.
-        assert identity_view(session.results) == identity_view(
-            canonical_top_k(INSTANCE, 6)
-        )
-
-    def test_default_shards_apply_to_every_query(self):
-        with running_server(default_shards=4) as (server, _):
-            with ServiceClient(server.host, server.port) as client:
-                assert client.stats()["default_shards"] == 4
-                final = client.run(left="lineitem", right="orders", k=6)
-        assert final["state"] == "DONE"
-        assert final["scores"] == [round(s, 6) for s in REFERENCE_SCORES[:6]]
-
-    def test_explicit_shards_one_overrides_default(self):
-        with running_server(default_shards=4) as (server, _):
-            with ServiceClient(server.host, server.port) as client:
-                final = client.run(
-                    left="lineitem", right="orders", k=4, shards=1,
-                )
-        assert final["scores"] == [round(s, 6) for s in REFERENCE_SCORES[:4]]

@@ -24,28 +24,15 @@ class TestMetricsVerb:
             assert family in text, f"missing metric family {family}"
         assert "# TYPE service_session_seconds histogram" in text
         assert 'slo_session_seconds{quantile="0.95"}' in text
-
-    def test_sharded_query_exposes_worker_counters(self):
-        with running_server() as server:
-            with ServiceClient(server.host, server.port) as client:
-                client.run(
-                    left="lineitem", right="orders", k=5,
-                    shards=2, backend="serial",
-                )
-                text = client.metrics()
-        assert "exec_shard_pulls_total" in text
-        assert 'worker_pulls_total{shard="0"}' in text
-        assert 'worker_pulls_total{shard="1"}' in text
+        # Nothing feeds the sharded engine's families any more.
+        assert "shard" not in text and "worker_" not in text
 
 
 class TestStatsTelemetry:
-    def test_stats_carry_slo_shards_and_sessions(self):
+    def test_stats_carry_slo_and_sessions(self):
         with running_server() as server:
             with ServiceClient(server.host, server.port) as client:
-                client.run(
-                    left="lineitem", right="orders", k=5,
-                    shards=2, backend="serial",
-                )
+                client.run(left="lineitem", right="orders", k=5)
                 stats = client.stats()
         slo = stats["slo"]
         percentiles = slo["session_seconds"]
@@ -53,9 +40,8 @@ class TestStatsTelemetry:
         assert all(p is not None and p > 0 for p in percentiles.values())
         assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
         assert slo["sessions_finished"] >= 1
-        # Per-shard cumulative pull counters, keyed by shard label.
-        assert set(stats["shards"]) == {"0", "1"}
-        assert all(pulls > 0 for pulls in stats["shards"].values())
+        assert "shard_imbalance_max" not in slo
+        assert "shards" not in stats and "default_shards" not in stats
         assert stats["sessions"] == []  # nothing in flight after run()
 
     def test_live_sessions_listed(self):

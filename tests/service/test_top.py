@@ -16,14 +16,11 @@ STATS = {
         "session_seconds": {"p50": 0.002, "p95": 0.01, "p99": 1.5},
         "sessions_finished": 3,
         "cache_hit_ratio": 0.5,
-        "shard_imbalance_max": 1.25,
     },
     "cache": {"entries": 2, "capacity": 128, "hits": 3, "misses": 3},
-    "shards": {"0": 320, "1": 320},
     "sessions": [
         {"session": "q-1", "state": "RUNNING", "label": "hrjn k=10",
-         "results": 4, "k": 10, "pulls": 320,
-         "plan": "pbrj/FRPA x4 skew/serial"},
+         "results": 4, "k": 10, "pulls": 320, "plan": "pbrj/FRPA"},
     ],
 }
 
@@ -35,19 +32,8 @@ class TestRenderDashboard:
         assert "p50=2.0ms" in screen
         assert "p99=1.50s" in screen
         assert "hit-rate=50%" in screen
-        assert "imbalance-max=1.25" in screen
         assert "q-1" in screen and "degraded" not in screen
-
-    def test_rates_diffed_against_previous_poll(self):
-        previous = {"shards": {"0": 120, "1": 320}}
-        screen = render_dashboard(STATS, previous, interval=2.0)
-        assert "100/s" in screen  # (320 - 120) / 2.0
-        assert "0/s" in screen
-
-    def test_no_rate_without_previous(self):
-        screen = render_dashboard(STATS)
-        lines = [l for l in screen.splitlines() if l.strip().startswith("0 ")]
-        assert lines and lines[0].rstrip().endswith("-")
+        assert "SHARD" not in screen and "imbalance" not in screen
 
     def test_empty_stats_do_not_crash(self):
         screen = render_dashboard({})
@@ -56,7 +42,7 @@ class TestRenderDashboard:
     def test_plan_column_rendered_per_session(self):
         screen = render_dashboard(STATS)
         assert "PLAN" in screen
-        assert "pbrj/FRPA x4 skew/serial" in screen
+        assert "pbrj/FRPA" in screen
 
     def test_missing_plan_renders_placeholder(self):
         stats = dict(STATS)

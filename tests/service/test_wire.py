@@ -208,7 +208,7 @@ def hand_frames():
     yield "submit-unknown-algorithm", line({**submit, "algorithm": "nope"}), "nope"
     for backend in ("process", "thread"):  # retired; the table's own refusal
         yield (f"submit-retired-backend-{backend}",
-               line({**submit, "shards": 2, "backend": backend}),
+               line({**submit, "backend": backend}),
                f"bad request: field 'backend' must be the string \"serial\", "
                f"got {backend!r}")
     yield "submit-ragged-weights", line({**submit, "weights": [[1.0]]}), ""
@@ -269,6 +269,7 @@ class TestHostileFrames:
     @pytest.mark.parametrize("field, value", [
         ("deadline", "soon"), ("max_pulls", "many"), ("priority", True),
         ("k", "3"), ("shards", 0), ("shards", "auto"), ("deadline", -1.0),
+        ("shards", 2),
     ])
     def test_wrong_typed_submit_never_creates_a_session(
         self, target, quiet, field, value
@@ -286,6 +287,14 @@ class TestHostileFrames:
             assert sessions_ever(raw) == before
         with ServiceClient(target.host, target.port, timeout=20.0) as client:
             final = client.run(timeout=20.0, **QUERY, **pins[0])
+        assert final["state"] == "DONE"
+
+    def test_shards_one_is_still_served(self, target, quiet):
+        # Nothing is sharded (any other value is a row above), but an old
+        # client that sends the field's one value keeps working.
+        pins = [{"worker": 0}] if isinstance(target, ServeFleet) else [{}]
+        with ServiceClient(target.host, target.port, timeout=20.0) as client:
+            final = client.run(timeout=20.0, shards=1, **QUERY, **pins[0])
         assert final["state"] == "DONE"
 
 

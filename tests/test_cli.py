@@ -318,9 +318,17 @@ class TestAlgorithm:
         assert "unknown algorithm" in capsys.readouterr().err
 
     def test_sharded_anyk_run(self, capsys):
+        # ``run`` cannot shard any more: the flag is refused by argparse,
+        # and the same any-k run without it still answers.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "--algorithm", "anyk", "--scale", "0.0003", "--k", "3",
+                "--shards", "2",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
         assert main([
             "run", "--algorithm", "anyk", "--scale", "0.0003", "--k", "3",
-            "--shards", "2",
         ]) == 0
         assert "top scores" in capsys.readouterr().out
 
@@ -343,7 +351,7 @@ class TestPlanAuto:
         }))
         assert main(["run", "FRPA", "--workload", str(path)]) == 2
         captured = capsys.readouterr()
-        assert "shards must be a positive integer, got 'auto'" in captured.err
+        assert "unknown keys ['shards']" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         # ``auto`` is a value of ``algorithm`` alone.
         path.write_text(json.dumps({
@@ -355,12 +363,13 @@ class TestPlanAuto:
 
     def test_workload_file_invalid_shards_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
-        path.write_text(json.dumps({"scale": 0.0003, "shards": 0}))
-        assert main(["run", "FRPA", "--workload", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert "shards must be a positive integer, got 0" in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "Traceback" not in captured.err
+        for shards in (0, 1):  # the key is gone, whatever it says
+            path.write_text(json.dumps({"scale": 0.0003, "shards": shards}))
+            assert main(["run", "FRPA", "--workload", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert "unknown keys ['shards']" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+            assert "Traceback" not in captured.err
 
     def test_workload_file_invalid_exec_backend_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
@@ -379,6 +388,9 @@ class TestPlanAuto:
         ["chaos", "--kinds", "transient"],
         ["chaos", "--reshard"],
         ["chaos", "--stream"],
+        ["run", "FRPA", "--shards", "2"],
+        ["serve", "--shards", "2"],
+        ["chaos", "--shards", "2"],
     ])
     def test_retired_backend_and_fault_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -402,14 +414,17 @@ class TestPlanAuto:
         assert "Traceback" not in err
 
     def test_workload_file_static_shards_adopted(self, tmp_path, capsys):
+        # A static shard count is no longer adopted: the key is unknown,
+        # and the run stops at one error line before any work.
         path = tmp_path / "wl.json"
         path.write_text(json.dumps({
             "scale": 0.0003, "k": 3, "shards": 2,
         }))
-        assert main(["run", "FRPA", "--workload", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "top scores" in out
-        assert "x2" in out  # sharded plan line mentions the shard count
+        assert main(["run", "FRPA", "--workload", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown keys ['shards']" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "top scores" not in captured.out
 
     def test_figures_anyk_leg(self, capsys):
         assert main([
@@ -430,6 +445,10 @@ class TestWorkloadKnobs:
         ("--c", "2", "c"),
         ("--c", "0", "c"),
         ("--scale", "-1", "scale"),
+        ("--scale", "inf", "scale"),
+        ("--z", "-2", "z"),
+        ("--z", "nan", "z"),
+        ("--seed", "-1", "seed"),
     ])
     def test_degenerate_flag_is_one_error_line(
         self, command, flag, value, field, capsys
@@ -443,9 +462,37 @@ class TestWorkloadKnobs:
         assert captured.err.count("\n") == 1 and not captured.out
 
     def test_zero_shards_flag_is_one_error_line(self, capsys):
-        assert main(["run", "FRPA", "--shards", "0", "--scale", "0.0003"]) == 2
+        # ``--shards`` is no knob any more: argparse refuses it before the
+        # shared validation runs, so no ``shards must be`` line appears.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "FRPA", "--shards", "0", "--scale", "0.0003"])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: shards must be a positive integer, got 0\n"
+        assert "unrecognized arguments: --shards 0" in captured.err
+        assert "shards must be" not in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.parametrize("knob, value, field", [
+        ("k", 2.5, "k"),
+        ("e", 2.5, "e"),
+        ("seed", 1.5, "seed"),
+        ("scale", float("inf"), "scale"),
+        ("z", -2, "z"),
+        ("join_skew", -3, "join_skew"),
+        ("z", float("nan"), "z"),
+    ])
+    def test_degenerate_workload_file_knob_is_one_error_line(
+        self, tmp_path, knob, value, field, capsys
+    ):
+        # Each of these used to end in a traceback from the generator or an
+        # operator (or, for NaN skew, to run silently).
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps({"scale": 0.0003, knob: value}))
+        assert main(["run", "FRPA", "--workload", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: workload file {path}: {field} must be ")
+        assert captured.err.count("\n") == 1 and not captured.out
 
     def test_workload_file_names_the_file_and_the_field(self, tmp_path, capsys):
         path = tmp_path / "wl.json"
