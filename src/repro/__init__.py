@@ -69,7 +69,6 @@ from repro.errors import (
     BudgetExhausted,
     InstanceError,
     NotSortedError,
-    PullBudgetExceeded,
     ReproError,
     WorkloadError,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "Planner",
     "PointSet",
     "PotentialAdaptive",
-    "PullBudgetExceeded",
     "QueryInput",
     "QueryService",
     "QuerySession",

@@ -33,7 +33,6 @@ from repro.anyk.enumerate import Enumerator
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult
-from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import NULL_OBS, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import (
@@ -60,12 +59,6 @@ class AnyKRankJoin(ResumableBase):
         ``AverageScore``); anything else raises at construction.
     name:
         Operator display name (metric/span label).
-    track_time:
-        Record wall-clock timing.
-    max_pulls / max_seconds:
-        Operator-level run budgets, raising
-        :class:`~repro.errors.PullBudgetExceeded` /
-        :class:`~repro.errors.TimeBudgetExceeded` like PBRJ's.
     obs / trace:
         Optional observability pipeline and parent trace context.
     """
@@ -76,9 +69,6 @@ class AnyKRankJoin(ResumableBase):
         scoring: ScoringFunction | None = None,
         *,
         name: str = ANYK_OPERATOR,
-        track_time: bool = True,
-        max_pulls: int | None = None,
-        max_seconds: float | None = None,
         obs=None,
         trace=None,
     ) -> None:
@@ -87,9 +77,6 @@ class AnyKRankJoin(ResumableBase):
         self.query = query
         self.scoring = scoring if scoring is not None else SumScore()
         self._obs = obs if obs is not None else NULL_OBS
-        self._track_time = track_time
-        self._max_pulls = max_pulls
-        self._max_seconds = max_seconds
         self.tree = decompose(query, self.scoring)
         self._dp = DPState(self.tree)
         self._enum: Enumerator | None = None
@@ -97,7 +84,6 @@ class AnyKRankJoin(ResumableBase):
         self._exhausted = False
         self._pulls = 0
         self._binary = len(query.relations) == 2
-        self._started_at: float | None = None
         self._dp_seconds = 0.0
         self._total_seconds = 0.0
         self._buffer_peak = 0
@@ -126,12 +112,11 @@ class AnyKRankJoin(ResumableBase):
         batch without doing any work, mirroring the PBRJ zero-pull
         contract.
         """
-        started = time.perf_counter() if self._track_time else 0.0
+        started = time.perf_counter()
         try:
             return self._step(max_pulls)
         finally:
-            if self._track_time:
-                self._total_seconds += time.perf_counter() - started
+            self._total_seconds += time.perf_counter() - started
 
     def _step(self, max_pulls: int | None):
         if self._batch:
@@ -142,17 +127,16 @@ class AnyKRankJoin(ResumableBase):
         if not self._dp.done:
             if max_pulls is not None and max_pulls <= 0:
                 return PENDING
-            dp_started = time.perf_counter() if self._track_time else 0.0
+            dp_started = time.perf_counter()
             spent = self._dp.run(max_pulls)
-            if self._track_time:
-                self._dp_seconds += time.perf_counter() - dp_started
+            self._dp_seconds += time.perf_counter() - dp_started
             self._charge(spent, self._m_dp_tuples)
             if not self._dp.done:
                 return PENDING
             if self.trace is not None:
                 self._obs.trace(span_record(
                     self.trace.child(), "anyk_dp", op=self.name,
-                    seconds=self._dp_seconds if self._track_time else None,
+                    seconds=self._dp_seconds,
                     tuples=self._dp.tuples_processed, pruned=self._dp.pruned,
                 ))
         if self._enum is None:
@@ -201,18 +185,8 @@ class AnyKRankJoin(ResumableBase):
         return result
 
     def _charge(self, units: int, metric) -> None:
-        if not units:
-            return
         self._pulls += units
         metric.inc(units)
-        if self._max_pulls is not None and self._pulls > self._max_pulls:
-            raise PullBudgetExceeded(self._pulls, self._max_pulls)
-        if self._max_seconds is not None:
-            if self._started_at is None:
-                self._started_at = time.perf_counter()
-            elapsed = time.perf_counter() - self._started_at
-            if elapsed > self._max_seconds:
-                raise TimeBudgetExceeded(elapsed, self._max_seconds)
 
     # ------------------------------------------------------------------
     # Reporting (the PBRJ-compatible surface)

@@ -16,8 +16,6 @@ ahead in memory only; the inputs are charged for the loop's pulls.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.bounds import POS_INF, CornerBound
@@ -26,7 +24,6 @@ from repro.core.pulling import PotentialAdaptive, PullingStrategy
 from repro.core.scoring import NEG_INF
 from repro.core.stepping import PENDING
 from repro.core.tuples import JoinResult
-from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.relation.relation import KEY_ATTR, RankJoinInstance, Relation
 
 #: Pulls the first read-ahead schedules; each further one doubles them.
@@ -82,8 +79,6 @@ class CornerRankJoin(PBRJ):
         self._event: int | None = None  # the next emission's pull count
 
     def _advance(self, pull_quantum: int | None):
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
         if self._event is None:
             self._event = self._next_event()
         target = self._event
@@ -163,26 +158,17 @@ class CornerRankJoin(PBRJ):
     def _charge(self, target: int) -> None:
         """Make the pulls up to ``target`` as the loop would: charge the
         inputs, then book the heap peak, trace rows and choice counts."""
-        if self._max_seconds is not None:
-            elapsed = time.perf_counter() - self._started_at
-            if elapsed > self._max_seconds:
-                raise TimeBudgetExceeded(elapsed, self._max_seconds)
         start = self._pulls
-        over = self._max_pulls is not None and target > self._max_pulls
-        # The loop raises on the pull past its budget, before joining it.
-        done = self._max_pulls if over else target
-        target = done + over
         with self._tracer.span("pull"):
             for side, source in enumerate(self._sources):
                 count = int(self._depth[side][target] - self._depth[side][start])
                 if count:  # the loop's reads, without handing out the tuples
                     source.stats.charge(source.cost_model, count)
                 self._pull_tally[side] += count
-            if done > start:
-                buffered = int(self._found[done]) - self._emitted
-                self._max_output = max(self._max_output, buffered)
+            buffered = int(self._found[target]) - self._emitted
+            self._max_output = max(self._max_output, buffered)
             if self._trace is not None:
-                self._record(start, done)
+                self._record(start, target)
             if self._choices is not None:
                 counts = np.bincount(self._choices[start:target], minlength=6)
                 for code in np.flatnonzero(counts).tolist():
@@ -190,9 +176,6 @@ class CornerRankJoin(PBRJ):
                     self._strategy._count_choice(
                         side, _REASONS[self._adaptive][reason], int(counts[code]))
             self._pulls = target
-        if over:
-            self._refresh(done)
-            raise PullBudgetExceeded(target, self._max_pulls)
 
     def _record(self, start: int, done: int) -> None:
         """The trace rows of pulls ``start + 1 .. done``."""

@@ -9,8 +9,8 @@ PBRJ template over a chain of equi-joins:
     R_1 ⋈_{a_1} R_2 ⋈_{a_2} … ⋈_{a_{n-1}} R_n
 
 :class:`MultiwayRankJoin` *is* a :class:`~repro.core.pbrj.PBRJ`: the pull
-loop, budgets, bound refresh, emission, timers and reporting are inherited,
-and this module supplies only the **join step** — a new tuple is joined
+loop, bound refresh, emission, timers and reporting are inherited, and
+this module supplies only the **join step** — a new tuple is joined
 against the already-buffered tuples of the other relations by probing hash
 indexes along the chain in both directions.  Pulling is potential-adaptive;
 the bound is any n-ary-capable :class:`~repro.core.bounds.BoundingScheme`
@@ -86,9 +86,6 @@ class MultiwayRankJoin(PBRJ):
         *,
         bound: BoundingScheme | None = None,
         name: str = "MW-HRJN*",
-        track_time: bool = True,
-        max_pulls: int | None = None,
-        max_seconds: float | None = None,
         obs: "Observability | None" = None,
     ) -> None:
         if len(sources) < 2:
@@ -106,8 +103,7 @@ class MultiwayRankJoin(PBRJ):
         self._by_right_attr: list[dict] = [dict() for _ in range(self._n)]
         self._setup(
             sources, scoring, bound or CornerBound(), PotentialAdaptive(),
-            name=name, track_time=track_time, max_pulls=max_pulls,
-            max_seconds=max_seconds, trace=None, obs=obs,
+            name=name, trace=None, obs=obs,
         )
 
     # ------------------------------------------------------------------

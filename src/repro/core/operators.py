@@ -57,8 +57,7 @@ def build(
     """Assemble a PBRJ operator over fresh scans of ``instance``.
 
     ``pbrj_options`` are :class:`~repro.core.pbrj.PBRJ`'s own keywords
-    (``track_time``, ``max_pulls``, ``max_seconds``, ``trace``, ``obs``),
-    stated and defaulted there.
+    (``trace``, ``obs``), stated and defaulted there.
     """
     left, right = instance.scans()
     return PBRJ(

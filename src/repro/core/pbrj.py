@@ -31,7 +31,6 @@ from repro.core.pulling import PullingStrategy, side_labels
 from repro.core.scoring import ScoringFunction
 from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult, RankTuple
-from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
 from repro.relation.relation import tuple_identity
@@ -97,15 +96,6 @@ class PBRJ(ResumableBase):
         The pulling strategy ``P`` (fresh instance, not shared).
     name:
         Label used in reports.
-    track_time:
-        Record the Figure 2(b) wall-clock breakdown (small overhead).
-    max_pulls:
-        Optional pull budget; exceeding it raises
-        :class:`~repro.errors.PullBudgetExceeded` (used to reproduce the
-        paper's aborted e=4 runs).
-    max_seconds:
-        Optional wall-clock budget measured from the first ``get_next``;
-        exceeding it raises :class:`~repro.errors.TimeBudgetExceeded`.
     obs:
         Optional :class:`~repro.obs.Observability` pipeline.  When given,
         the operator registers a span tracer (``get_next`` with nested
@@ -123,17 +113,12 @@ class PBRJ(ResumableBase):
         strategy: PullingStrategy,
         *,
         name: str = "PBRJ",
-        track_time: bool = True,
-        max_pulls: int | None = None,
-        max_seconds: float | None = None,
         trace: "BoundTrace | None" = None,
         obs: "Observability | None" = None,
     ) -> None:
         self._buffers: tuple[dict, dict] = ({}, {})
         self._setup(
-            (left, right), scoring, bound, strategy, name=name,
-            track_time=track_time, max_pulls=max_pulls,
-            max_seconds=max_seconds, trace=trace, obs=obs,
+            (left, right), scoring, bound, strategy, name=name, trace=trace, obs=obs,
         )
 
     def _setup(
@@ -144,9 +129,6 @@ class PBRJ(ResumableBase):
         strategy: PullingStrategy,
         *,
         name: str,
-        track_time: bool,
-        max_pulls: int | None,
-        max_seconds: float | None,
         trace: "BoundTrace | None",
         obs: "Observability | None",
     ) -> None:
@@ -167,9 +149,6 @@ class PBRJ(ResumableBase):
         self._t = float("inf")
         self._exhausted = [False] * len(self._sources)
         self._pulls = 0
-        self._max_pulls = max_pulls
-        self._max_seconds = max_seconds
-        self._started_at: float | None = None
         self._emitted = 0
         self._max_output = 0
         self._trace = trace
@@ -184,9 +163,9 @@ class PBRJ(ResumableBase):
             # the per-backend Figure 2(b) breakdown under `repro trace`.
             kernels.observe(self._obs.metrics)
         else:
-            # Legacy timing without an observability pipeline: a private,
-            # unregistered tracer driven by ``track_time`` alone.
-            self._tracer = Tracer(enabled=track_time)
+            # Timing without an observability pipeline: a private,
+            # unregistered tracer, sampled like a registered one.
+            self._tracer = Tracer()
         metrics = self._obs.metrics
         self._m_pulls = tuple(
             metrics.counter("pulls_total", op=name, side=label)
@@ -208,15 +187,13 @@ class PBRJ(ResumableBase):
         # unbiased estimates — pull/result *counters* are exact always.
         # ``_timer_countdown`` schedules the next timed pull (1 = now);
         # ``_timer_scale`` is the weight the next sample stands in for.
-        self._timed = self._tracer.enabled
         self._timer_tick = 0
         self._timer_countdown = 1
         self._timer_scale = 1
-        if self._timed:
-            self._s_pull = self._tracer.handle(("get_next", "pull"))
-            self._s_join = self._tracer.handle(("get_next", "join"))
-            self._s_bound = self._tracer.handle(("get_next", "bound"))
-            self._s_emit = self._tracer.handle(("get_next", "emit"))
+        self._s_pull = self._tracer.handle(("get_next", "pull"))
+        self._s_join = self._tracer.handle(("get_next", "join"))
+        self._s_bound = self._tracer.handle(("get_next", "bound"))
+        self._s_emit = self._tracer.handle(("get_next", "emit"))
 
     # ------------------------------------------------------------------
     # OperatorView protocol (consumed by pulling strategies)
@@ -264,8 +241,6 @@ class PBRJ(ResumableBase):
         self._strategy.flush_choices()
 
     def _advance(self, pull_quantum: int | None):
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
         pulled_here = 0
         while True:
             self._refresh_exhausted()
@@ -275,23 +250,17 @@ class PBRJ(ResumableBase):
                 break
             if pull_quantum is not None and pulled_here >= pull_quantum:
                 return PENDING
-            if self._max_seconds is not None:
-                elapsed = time.perf_counter() - self._started_at
-                if elapsed > self._max_seconds:
-                    raise TimeBudgetExceeded(elapsed, self._max_seconds)
             side = self._strategy.choose(self)
-            timed = self._timed
-            if timed:
-                remaining = self._timer_countdown - 1
-                if remaining:  # untimed pull; counters stay exact
-                    self._timer_countdown = remaining
-                    timed = False
-                else:
-                    scale = self._timer_scale
-                    tick = self._timer_tick = self._timer_tick + 1
-                    if tick >= _TIMING_WARMUP:
-                        self._timer_scale = _TIMING_STRIDE
-                    self._timer_countdown = self._timer_scale
+            remaining = self._timer_countdown - 1
+            timed = not remaining
+            if remaining:  # untimed pull; counters stay exact
+                self._timer_countdown = remaining
+            else:
+                scale = self._timer_scale
+                tick = self._timer_tick = self._timer_tick + 1
+                if tick >= _TIMING_WARMUP:
+                    self._timer_scale = _TIMING_STRIDE
+                self._timer_countdown = self._timer_scale
             if timed:
                 started = time.perf_counter()
             pulled = self._sources[side].next_scored()
@@ -304,8 +273,6 @@ class PBRJ(ResumableBase):
             self._pulls += 1
             pulled_here += 1
             self._pull_tally[side] += 1
-            if self._max_pulls is not None and self._pulls > self._max_pulls:
-                raise PullBudgetExceeded(self._pulls, self._max_pulls)
             output = self._output
             for result in self._join(side, rho):
                 heapq.heappush(output, (-result.score, self._sequence, result))
@@ -325,14 +292,12 @@ class PBRJ(ResumableBase):
                     self._pulls, side, self._t, len(self._output), self._emitted
                 )
         if self._output:
-            if self._timed:
-                started = time.perf_counter()
+            started = time.perf_counter()
             self._emitted += 1
             self._m_emitted.inc()
             result = heapq.heappop(self._output)[2]
             self._history.append(result)
-            if self._timed:
-                self._s_emit.add(time.perf_counter() - started)
+            self._s_emit.add(time.perf_counter() - started)
             return result
         return None
 

@@ -11,34 +11,6 @@ class NotSortedError(ReproError):
     """An input violated the decreasing-``S̄`` access-order requirement."""
 
 
-class PullBudgetExceeded(ReproError):
-    """An operator exceeded its configured pull budget.
-
-    Mirrors the paper's Figure 13 situation where PBRJ_FR^RR and FRPA at
-    ``e = 4`` were aborted after exceeding a time budget.
-    """
-
-    def __init__(self, pulls: int, budget: int) -> None:
-        super().__init__(f"pull budget exceeded: {pulls} pulls > budget {budget}")
-        self.pulls = pulls
-        self.budget = budget
-
-
-class TimeBudgetExceeded(ReproError):
-    """An operator exceeded its configured wall-clock budget.
-
-    The figure harness uses this the way the paper used its ">10 hours"
-    cutoff: capped runs are reported as omitted.
-    """
-
-    def __init__(self, elapsed: float, budget: float) -> None:
-        super().__init__(
-            f"time budget exceeded: {elapsed:.1f}s elapsed > budget {budget:.1f}s"
-        )
-        self.elapsed = elapsed
-        self.budget = budget
-
-
 class InstanceError(ReproError):
     """A rank join instance is malformed (e.g. K exceeds the join size)."""
 
@@ -73,10 +45,11 @@ class QuotaExceeded(ReproError):
 class BudgetExhausted(ReproError):
     """A query session spent its pull budget before completing its top-K.
 
-    Unlike :class:`PullBudgetExceeded` (raised from inside an operator,
-    aborting the run), this is the *graceful* service-layer variant: the
-    session ends with the partial answer it had accumulated, and this error
-    is raised only when the caller explicitly demands a complete answer.
+    Operators take no budget: a run is bounded by stepping it, either with
+    a ``try_next(max_pulls=q)`` quantum or with a session's ``max_pulls``,
+    and both end gracefully.  The session ends with the partial answer it
+    had accumulated, and this error is raised only when the caller
+    explicitly demands a complete answer.
     """
 
     def __init__(self, produced: int, requested: int, budget: int) -> None:

@@ -106,11 +106,7 @@ class ShardWorker:
         **operator_kwargs,
     ) -> None:
         self.shard = shard
-        # ``track_time=False``: per-pull span timing on every shard is pure
-        # overhead nothing reads.
-        self._operator = make_operator(
-            operator, instance, track_time=False, **operator_kwargs
-        )
+        self._operator = make_operator(operator, instance, **operator_kwargs)
         self._exhausted = False
 
     @property

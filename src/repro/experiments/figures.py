@@ -23,7 +23,7 @@ Columns:
   is nearly free, so this column restores the paper's disk/network-weighted
   time shape (``io_latency`` defaults to 0.5 ms/tuple).
 
-Capped runs (pull/time budget hit — the paper's ">10 hours, omitted") are
+Capped runs (wall-clock cap hit — the paper's ">10 hours, omitted") are
 reported as NaN and rendered as "—".
 """
 
@@ -65,10 +65,9 @@ class FigureConfig:
     #: pbrj-only).
     algorithm: str = "pbrj"
 
-    def budgets(self) -> dict[str, dict]:
-        """Per-operator budgets: cap only the exact-cover operators."""
-        cap = {"max_seconds": self.exact_budget_s}
-        return {"PBRJ_FR^RR": dict(cap), "FRPA": dict(cap), "FRPA_RR": dict(cap)}
+    def budgets(self) -> dict[str, float]:
+        """Per-operator wall-clock caps: cap only the exact-cover operators."""
+        return dict.fromkeys(("PBRJ_FR^RR", "FRPA", "FRPA_RR"), self.exact_budget_s)
 
     def comparison_operators(self, default: list[str]) -> list[str]:
         """The operator list a comparison figure should sweep."""
@@ -446,7 +445,6 @@ def ablation_cover(
     config = config or FigureConfig()
     from repro.core.operators import make_operator
     from repro.data.workload import anti_correlated_instance
-    from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 
     table = ExperimentTable(
         title=f"Ablation: cover strategies (maxCRSize={max_cr_size}, "
@@ -470,10 +468,7 @@ def ablation_cover(
                 max_cr_size=max_cr_size,
                 cover_strategy=strategy,
             )
-            try:
-                operator.top_k(20)
-            except (PullBudgetExceeded, TimeBudgetExceeded):  # pragma: no cover
-                pass
+            operator.top_k(20)
             stats = operator.stats()
             depths += stats.sum_depths
             bound += stats.timing.bound

@@ -2,18 +2,21 @@
 
 The paper repeats every experiment over five random data instances
 (identical parameters, different seeds) and reports means.  The harness
-reproduces that protocol and additionally records when an operator hit its
-pull budget (the paper's ">10 hours, omitted" situations at e=4).
+reproduces that protocol and additionally records when a run hit its
+wall-clock cap (the paper's ">10 hours, omitted" situations at e=4).  The
+cap is the runner's, not the operator's: operators take no budget, and a
+capped run steps its operator through ``try_next`` and reads the clock
+between steps.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 from repro.core.operators import make_operator
-from repro.core.pbrj import PBRJ
+from repro.core.stepping import PENDING
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
-from repro.errors import PullBudgetExceeded, TimeBudgetExceeded
 from repro.obs import Observability
 from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import (
@@ -23,6 +26,15 @@ from repro.stats.metrics import (
     mean_depths,
     mean_timing,
 )
+
+#: Pulls per ``try_next`` step of a capped run.  The clock is read between
+#: steps, so a run overshoots its cap by at most one step.  Measured on a
+#: 2-vCPU Xeon: on Figure 13's e=4 cell (scale .002) a 16-pull step of
+#: PBRJ_FR^RR's exact covers takes up to 1.3 s by the 90 s mark, under
+#: 1.5 % of the cap; on the cheapest capped run, FRPA at e=2, a step's own
+#: cost (≈ 10 µs: one call, one clock read) adds ≈ 7 %.  A smaller step
+#: taxes every capped run, a larger one lets the e=4 cell run past its cap.
+CAP_QUANTUM = 16
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,7 @@ class AveragedResult:
 
     @property
     def capped(self) -> bool:
-        """True if any contributing run hit its pull budget."""
+        """True if any contributing run hit its wall-clock cap."""
         return self.capped_runs > 0
 
 
@@ -64,34 +76,36 @@ def run_operator(
     instance: RankJoinInstance,
     *,
     k: int | None = None,
-    max_pulls: int | None = None,
     max_seconds: float | None = None,
-    track_time: bool = True,
     operator_kwargs: dict | None = None,
     obs: Observability | None = None,
     run_meta: dict | None = None,
 ) -> RunResult:
-    """Run one operator to its K-th result (or its budget) and measure.
+    """Run one operator to its K-th result (or its cap) and measure.
 
-    With an observability pipeline attached, the operator registers its
-    spans/metrics on it and a per-run ``run`` event (depths, timing,
-    capped flag, any ``run_meta`` fields) is emitted when the run ends.
+    Uncapped, the operator runs as ``top_k`` would.  With ``max_seconds``
+    it advances :data:`CAP_QUANTUM` pulls per step, and a run still short
+    of K when the clock passes the cap ends ``capped`` with the prefix it
+    proved.  With an observability pipeline attached, the operator
+    registers its spans/metrics on it and a per-run ``run`` event (depths,
+    timing, capped flag, any ``run_meta`` fields) is emitted when the run
+    ends.
     """
-    operator: PBRJ = make_operator(
-        name,
-        instance,
-        track_time=track_time,
-        max_pulls=max_pulls,
-        max_seconds=max_seconds,
-        obs=obs,
-        **(operator_kwargs or {}),
-    )
+    operator = make_operator(name, instance, obs=obs, **(operator_kwargs or {}))
+    k = k if k is not None else instance.k
+    quantum = None if max_seconds is None else CAP_QUANTUM
+    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
+    results: list = []
     capped = False
-    results = []
-    try:
-        results = operator.top_k(k if k is not None else instance.k)
-    except (PullBudgetExceeded, TimeBudgetExceeded):
-        capped = True
+    while len(results) < k:
+        if deadline is not None and time.perf_counter() >= deadline:
+            capped = True
+            break
+        outcome = operator.try_next(quantum)
+        if outcome is None:
+            break
+        if outcome is not PENDING:
+            results.append(outcome)
     result = RunResult(
         stats=operator.stats(),
         scores=tuple(r.score for r in results),
@@ -119,20 +133,13 @@ def run_comparison(
     instance: RankJoinInstance,
     operators: list[str],
     *,
-    max_pulls: int | None = None,
     operator_kwargs: dict | None = None,
     obs: Observability | None = None,
 ) -> dict[str, RunResult]:
     """Run several operators on identical scans of the same instance."""
     return {
         name: run_operator(
-            name,
-            instance,
-            max_pulls=max_pulls,
-            operator_kwargs=(operator_kwargs or {}).get(name)
-            if operator_kwargs and name in operator_kwargs
-            else None,
-            obs=obs,
+            name, instance, operator_kwargs=(operator_kwargs or {}).get(name), obs=obs,
         )
         for name in operators
     }
@@ -143,19 +150,17 @@ def averaged_runs(
     operators: list[str],
     *,
     num_seeds: int = 3,
-    max_pulls: int | None = None,
-    max_seconds: float | None = None,
     operator_kwargs: dict[str, dict] | None = None,
-    operator_budgets: dict[str, dict] | None = None,
+    operator_budgets: dict[str, float] | None = None,
     obs: Observability | None = None,
 ) -> dict[str, AveragedResult]:
     """The paper's protocol: same parameters, ``num_seeds`` data instances.
 
     ``operator_kwargs`` maps operator name to factory keyword arguments
     (e.g. a-FRPA's ``max_cr_size``).  ``operator_budgets`` maps operator
-    name to per-operator budget overrides (``max_pulls`` / ``max_seconds``)
-    — used to cap the exact-cover operators the way the paper aborted its
-    e=4 runs, without touching the others.
+    name to its wall-clock cap in seconds (``run_operator``'s
+    ``max_seconds``) — used to cap the exact-cover operators the way the
+    paper aborted its e=4 runs, without touching the others.
     """
     per_operator: dict[str, list[RunResult]] = {name: [] for name in operators}
     for seed_offset in range(num_seeds):
@@ -163,15 +168,12 @@ def averaged_runs(
             replace(params, seed=params.seed + seed_offset)
         )
         for name in operators:
-            kwargs = (operator_kwargs or {}).get(name)
-            budget = (operator_budgets or {}).get(name, {})
             per_operator[name].append(
                 run_operator(
                     name,
                     instance,
-                    max_pulls=budget.get("max_pulls", max_pulls),
-                    max_seconds=budget.get("max_seconds", max_seconds),
-                    operator_kwargs=kwargs,
+                    max_seconds=(operator_budgets or {}).get(name),
+                    operator_kwargs=(operator_kwargs or {}).get(name),
                     obs=obs,
                     run_meta={
                         "seed": params.seed + seed_offset,

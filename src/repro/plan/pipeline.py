@@ -114,7 +114,6 @@ class Pipeline:
         scoring: ScoringFunction | None = None,
         cost_model: CostModel | None = None,
         operator_kwargs: dict | None = None,
-        track_time: bool = True,
         obs=None,
     ) -> None:
         if len(relations) < 2:
@@ -143,7 +142,6 @@ class Pipeline:
                 bound,
                 strategy,
                 name=f"{operator}#{index}",
-                track_time=track_time,
                 obs=obs,
             )
             self.stages.append(stage)

@@ -114,9 +114,8 @@ class SortedScan(TupleSource):
     or comes with ``order``, the row ids to visit; ``bounds`` are the ``S̄``
     values in scan order, handed out by :meth:`next_scored`.  All three
     come from :func:`sorted_access`; ``(tuple, S̄)`` pairs are materialised
-    one :attr:`chunk` at a time, so a scan costs what it reads.  The
-    constructor optionally verifies the order against a score-bound
-    function.
+    one :attr:`chunk` at a time, so a scan costs what it reads.  Wrap it
+    in a :class:`VerifyingSource` to check the order as it is read.
     """
 
     #: Pairs materialised per refill — the only per-scan Python objects, and
@@ -130,7 +129,6 @@ class SortedScan(TupleSource):
         order: np.ndarray | None = None,
         bounds: np.ndarray | None = None,
         cost_model: CostModel | None = None,
-        score_bound: Callable[[RankTuple], float] | None = None,
     ) -> None:
         dimension = tuples[0].dimension if len(tuples) else 0
         super().__init__(dimension, cost_model)
@@ -139,16 +137,6 @@ class SortedScan(TupleSource):
         self._position = 0
         self._pairs: list[tuple[RankTuple, float | None]] = []  # live chunk
         self._base = 0  # scan position of the chunk's first pair
-        if score_bound is not None:
-            previous = float("inf")
-            for position, tup in enumerate(self._rows(0, self._size)):
-                bound = score_bound(tup)
-                if bound > previous + 1e-12:
-                    raise NotSortedError(
-                        f"tuple at position {position} has S̄={bound} > "
-                        f"previous {previous}"
-                    )
-                previous = bound
 
     def _rows(self, start: int, stop: int) -> Sequence[RankTuple]:
         """The tuples at scan positions ``start .. stop - 1``."""

@@ -88,6 +88,8 @@ class ResultCache:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
+        if ttl is not None and not (_finite(ttl) and ttl > 0):
+            raise ValueError(f"ttl must be None or a finite number of seconds > 0, got {ttl!r}")
         self.capacity = capacity
         self.ttl = ttl
         self.shared_dir = Path(shared_dir) if shared_dir is not None else None

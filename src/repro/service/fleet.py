@@ -101,15 +101,7 @@ def _fleet_worker_main(
     Announces the bound (ephemeral) port back over ``conn`` as soon as
     the socket listens, then serves until the shutdown verb arrives.
     """
-    service = QueryService(
-        cache=ResultCache(
-            capacity=service_kwargs.pop("cache_capacity", 128),
-            ttl=service_kwargs.pop("cache_ttl", None),
-            shared_dir=shared_cache_dir,
-        ),
-        obs=Observability(),
-        **service_kwargs,
-    )
+    service = _worker_service(service_kwargs, shared_cache_dir)
     server = RankJoinServer(service, relations, port=0, **server_kwargs)
 
     def announce() -> None:
@@ -124,6 +116,20 @@ def _fleet_worker_main(
         server.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass
+
+
+def _worker_service(service_kwargs: dict, shared_cache_dir: str | None) -> QueryService:
+    """The service one worker runs over the shared cache tier."""
+    kwargs = dict(service_kwargs)
+    return QueryService(
+        cache=ResultCache(
+            capacity=kwargs.pop("cache_capacity", 128),
+            ttl=kwargs.pop("cache_ttl", None),
+            shared_dir=shared_cache_dir,
+        ),
+        obs=Observability(),
+        **kwargs,
+    )
 
 
 class _Worker:
@@ -167,6 +173,9 @@ class ServeFleet(wire.LineServer):
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        # Refuse a setting no worker could honour here, before any exists:
+        # build the service each worker will build.
+        _worker_service(service_kwargs or {}, None)
         super().__init__(host, port)
         self.relations = dict(relations)
         self.num_workers = workers

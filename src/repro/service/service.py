@@ -30,7 +30,12 @@ from repro.service.cache import ResultCache
 from repro.service.query import QuerySpec
 from repro.service.quota import TenantQuotas
 from repro.service.scheduler import Scheduler, SchedulingPolicy
-from repro.service.session import DEFAULT_QUANTUM, QuerySession, SessionState
+from repro.service.session import (
+    DEFAULT_QUANTUM,
+    QuerySession,
+    SessionState,
+    check_budget,
+)
 
 
 class QueryService:
@@ -43,13 +48,15 @@ class QueryService:
     max_live:
         Admission-control bound on concurrently-executing sessions.
     quantum:
-        Pulls per scheduling step for every session.
+        Pulls per scheduling step for every session (an integer ≥ 1).
     cache:
         A :class:`ResultCache`, or None to build one from
         ``cache_capacity`` / ``cache_ttl`` (pass ``cache_capacity=0`` to
         disable caching entirely).
     default_max_pulls:
-        Pull budget applied to sessions that do not specify their own.
+        Pull budget applied to sessions that do not specify their own
+        (``None`` or an integer ≥ 0).  A setting no session could honour
+        is a ``ValueError`` here, not a refusal of every later submit.
     quotas:
         Optional :class:`~repro.service.quota.TenantQuotas` — when set,
         every submission spends a token from its tenant's bucket and an
@@ -71,6 +78,7 @@ class QueryService:
         quotas: TenantQuotas | None = None,
         obs: Observability | None = None,
     ) -> None:
+        check_budget(quantum, default_max_pulls)
         # The service defaults to an *enabled* in-memory pipeline (no
         # exporters) so queue/cache/pull counters are always live; pass an
         # exporter-equipped Observability to stream them, or

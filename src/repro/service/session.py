@@ -38,6 +38,19 @@ from repro.errors import BudgetExhausted
 DEFAULT_QUANTUM = 64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_budget(quantum, max_pulls) -> None:
+    """Refuse a quantum or a pull budget no session can honour."""
+    if not _is_int(quantum) or quantum < 1:
+        raise ValueError(f"quantum must be an integer of at least 1 pull, got {quantum!r}")
+    if max_pulls is not None and (not _is_int(max_pulls) or max_pulls < 0):
+        raise ValueError(
+            f"max_pulls must be None or a non-negative integer, got {max_pulls!r}")
+
+
 class SessionState(enum.Enum):
     PENDING = "PENDING"
     RUNNING = "RUNNING"
@@ -91,8 +104,7 @@ class QuerySession:
         trace=None,
         clock=time.perf_counter,
     ) -> None:
-        if quantum < 1:
-            raise ValueError("quantum must be at least 1 pull")
+        check_budget(quantum, max_pulls)
         self.session_id = session_id
         #: Optional :class:`~repro.obs.TraceContext` — the session span
         #: of this query's trace tree; the scheduler emits the timed

@@ -225,6 +225,7 @@ class Verb:
 
 
 _INT = ("an integer", _is_int)
+_COUNT = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
 _STR = ("a string", _is_str)
 _STRS = ("a list of strings", _list_of(_is_str))
 _SESSION = Field("session", *_STR, required=True)
@@ -246,7 +247,7 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
         Field("shards", "the integer 1", lambda v: _is_int(v) and v == 1),
         Field("backend", 'the string "serial"', lambda v: v == "serial"),
         Field("priority", *_INT, default=0),
-        Field("max_pulls", *_INT),
+        Field("max_pulls", *_COUNT),
         Field("deadline", "a finite non-negative number",
               lambda v: _is_number(v) and v >= 0),
         Field("tenant", *_STR, default="anonymous"),
@@ -258,8 +259,7 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
     Verb("cancel", (_SESSION,), session_addressed=True),
     Verb("stream", (
         _SESSION,
-        Field("from", "a non-negative integer",
-              lambda v: _is_int(v) and v >= 0, default=0),
+        Field("from", *_COUNT, default=0),
     ), session_addressed=True, streams=True),
     Verb("stats"),
     Verb("metrics"),

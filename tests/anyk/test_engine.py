@@ -16,7 +16,6 @@ from repro.core.scoring import AverageScore, SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
 from repro.data.workload import random_instance
-from repro.errors import PullBudgetExceeded
 from repro.relation.relation import Relation
 
 
@@ -213,11 +212,11 @@ class TestResumability:
             if result is None:
                 break
 
-    def test_max_pulls_budget_raises(self):
-        instance, __ = self.make()
-        op = anyk_operator(instance, max_pulls=10)
-        with pytest.raises(PullBudgetExceeded):
-            op.top_k(50)
+    def test_try_next_bounds_the_build_exactly(self):
+        # The DP is bounded by the step, not by an operator budget.
+        __, op = self.make()
+        assert op.try_next(max_pulls=10) is PENDING
+        assert op.pulls == 10
 
 
 class TestFrontier:

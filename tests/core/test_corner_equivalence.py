@@ -6,10 +6,9 @@ loop with the same components over streams (what pipelined plans build)
 are driven with the same ``try_next`` quanta on drawn instances — duplicate
 keys and tuples, scores within ``SCORE_EPS`` of each other, 0 and 1
 coordinates, empty inputs, ``e`` from 1 to 3 per side, K up to past the
-join, a pull budget — and must agree on every outcome (the same tuples,
-the same score bits, ``PullBudgetExceeded`` on the same pull), on pulls,
-depths, bound, frontier and cost after every call, and on the bound trace
-and choice counters at the end.
+join — and must agree on every outcome (the same tuples, the same score
+bits), on pulls, depths, bound, frontier, best buffered score and cost
+after every call, and on the bound trace and choice counters at the end.
 """
 
 from itertools import cycle
@@ -24,7 +23,6 @@ from repro.core.pbrj import PBRJ
 from repro.core.scoring import MinScore, SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
-from repro.errors import PullBudgetExceeded
 from repro.obs import Observability
 from repro.relation.relation import RankJoinInstance, Relation
 from repro.relation.sources import StreamSource
@@ -67,23 +65,19 @@ def stream_form(name, instance, **options):
     return PBRJ(*sources, instance.scoring, *make_components(name), name=name, **options)
 
 
-def state(operator, raised):
-    """What a caller can read; past a raised budget the raising pull was
-    made but never joined, so what the operator holds is not compared."""
-    held = () if raised else (operator.frontier().hex(), operator.best_buffered().hex())
+def state(operator):
+    """What a caller can read."""
     return (
         operator.pulls, operator.depth(0), operator.depth(1),
-        operator.bound_value.hex(), *held, operator.potential(0).hex(),
+        operator.bound_value.hex(), operator.frontier().hex(),
+        operator.best_buffered().hex(), operator.potential(0).hex(),
         operator.potential(1).hex(), operator.stats().io_cost,
         operator.memory().output,
     )
 
 
 def step(operator, quantum):
-    try:
-        outcome = operator.try_next(quantum)
-    except PullBudgetExceeded as exc:
-        return str(exc)
+    outcome = operator.try_next(quantum)
     if outcome is None or outcome is PENDING:
         return outcome
     return outcome.left, outcome.right, outcome.score.hex()
@@ -93,26 +87,23 @@ def step(operator, quantum):
     instance=instances(),
     name=st.sampled_from(["HRJN", "HRJN*"]),
     quanta=st.lists(st.one_of(st.none(), st.integers(0, 9)), min_size=1, max_size=6),
-    max_pulls=st.one_of(st.none(), st.none(), st.integers(0, 30)),
 )
 @settings(max_examples=300, deadline=None)
-def test_array_passes_equal_the_pull_loop(instance, name, quanta, max_pulls):
+def test_array_passes_equal_the_pull_loop(instance, name, quanta):
     forms, traces, observed = [], [], []
     try:
         for build in (make_operator, stream_form):
             traces.append(BoundTrace())
             observed.append(Observability())
-            forms.append(build(name, instance, trace=traces[-1], obs=observed[-1],
-                               max_pulls=max_pulls))
+            forms.append(build(name, instance, trace=traces[-1], obs=observed[-1]))
         columnar, loop = forms
         assert type(columnar) is CornerRankJoin and type(loop) is PBRJ
         emitted = 0
         for quantum in cycle(quanta + [1]):  # the trailing 1 makes progress
             outcomes = [step(form, quantum) for form in forms]
             assert outcomes[0] == outcomes[1]
-            raised = isinstance(outcomes[0], str)
-            assert state(columnar, raised) == state(loop, raised)
-            if outcomes[0] is None or raised:
+            assert state(columnar) == state(loop)
+            if outcomes[0] is None:
                 break
             emitted += outcomes[0] is not PENDING
             if emitted == instance.k:

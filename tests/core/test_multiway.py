@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.multiway import MultiwayRankJoin, multiway_rank_join
 from repro.core.scoring import SumScore
+from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
-from repro.errors import InstanceError, PullBudgetExceeded
+from repro.errors import InstanceError
 from repro.relation.relation import Relation
 from repro.relation.sources import SortedScan
 
@@ -158,9 +159,9 @@ class TestEarlyTermination:
 
     def test_pull_budget(self, three_chain):
         relations, attrs = three_chain
-        operator = multiway_rank_join(relations, attrs, SumScore(), max_pulls=1)
-        with pytest.raises(PullBudgetExceeded):
-            operator.get_next()
+        operator = multiway_rank_join(relations, attrs, SumScore())
+        assert operator.try_next(max_pulls=1) is PENDING
+        assert operator.pulls == 1
 
     def test_bound_decreases(self, three_chain):
         relations, attrs = three_chain

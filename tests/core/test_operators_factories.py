@@ -81,11 +81,11 @@ class TestFactoryKwargs:
         scheme = operator.bound_scheme
         assert scheme.max_cr_size == 3
 
-    def test_budgets_forwarded(self, instance):
-        operator = make_operator("HRJN*", instance, max_pulls=5)
-        assert operator._max_pulls == 5
-
-    def test_track_time_forwarded(self, instance):
-        operator = make_operator("HRJN*", instance, track_time=False)
-        operator.top_k(1)
-        assert operator.timing().total == 0.0
+    @pytest.mark.parametrize("name", ["HRJN*", "FRPA", "AnyK"])
+    @pytest.mark.parametrize("keyword, value", [
+        ("max_pulls", 5), ("max_seconds", 1.0), ("track_time", False),
+    ])
+    def test_budget_keywords_refused(self, instance, name, keyword, value):
+        # Operators take no budget: ``try_next(max_pulls=q)`` bounds a run.
+        with pytest.raises(TypeError, match=keyword):
+            make_operator(name, instance, **{keyword: value})

@@ -8,8 +8,8 @@ from repro.core.naive import naive_top_k, top_scores
 from repro.core.pbrj import PBRJ
 from repro.core.pulling import PotentialAdaptive, RoundRobin
 from repro.core.scoring import SumScore
+from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
-from repro.errors import PullBudgetExceeded
 from repro.relation.sources import SortedScan
 
 
@@ -113,9 +113,10 @@ class TestAccounting:
     def test_pull_budget_enforced(self):
         left = [(i, (1.0 - i / 100,)) for i in range(50)]
         right = [(i + 100, (1.0 - i / 100,)) for i in range(50)]  # no matches
-        op = operator(left, right, max_pulls=10)
-        with pytest.raises(PullBudgetExceeded):
-            op.get_next()
+        op = operator(left, right)
+        assert op.try_next(max_pulls=10) is PENDING
+        assert op.pulls == 10
+        assert op.try_next(max_pulls=0) is PENDING and op.pulls == 10
 
     def test_stats_snapshot(self):
         op = operator(LEFT_PAIRS, RIGHT_PAIRS, name="probe")
@@ -130,11 +131,6 @@ class TestAccounting:
     def test_operator_name_used(self):
         op = operator(LEFT_PAIRS, RIGHT_PAIRS)
         assert op.stats().operator == "PBRJ"
-
-    def test_timing_disabled(self):
-        op = operator(LEFT_PAIRS, RIGHT_PAIRS, track_time=False)
-        op.top_k(2)
-        assert op.timing().total == 0.0
 
 
 class TestWithFRStar:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.operators import make_operator, operator_names
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.experiments.harness import (
+    CAP_QUANTUM,
     AveragedResult,
     averaged_runs,
     run_comparison,
@@ -30,14 +32,53 @@ class TestRunOperator:
         result = run_operator("HRJN*", instance, k=1)
         assert len(result.scores) == 1
 
-    def test_pull_budget_marks_capped(self, instance):
-        result = run_operator("HRJN*", instance, max_pulls=2)
+    def test_pull_budget_marks_capped(self, instance, monkeypatch):
+        # A capped run reads the clock only between steps of CAP_QUANTUM
+        # pulls: a cap that passes during the first step stops the run
+        # after exactly that many pulls, capped, with nothing proved yet.
+        readings = iter([0.0, 0.0])
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                return next(readings, 10.0)
+
+        monkeypatch.setattr("repro.experiments.harness.time", Clock)
+        result = run_operator("HRJN*", instance, max_seconds=1.0)
         assert result.capped
         assert result.scores == ()
+        assert result.stats.sum_depths == CAP_QUANTUM
 
     def test_time_budget_marks_capped(self, instance):
-        result = run_operator("PBRJ_FR^RR", instance, max_seconds=0.0)
-        assert result.capped
+        # The loop form, the corner form and any-k: the runner holds the
+        # cap, so every form is capped the same way, before any work.
+        for name in ("FRPA", "HRJN*", "AnyK"):
+            result = run_operator(name, instance, max_seconds=0.0)
+            assert result.capped and result.scores == ()
+            assert result.stats.sum_depths == 0
+
+    def test_a_cap_the_run_beats_changes_nothing(self, instance):
+        capped = run_operator("FRPA", instance, max_seconds=60.0)
+        plain = run_operator("FRPA", instance)
+        assert not capped.capped
+        assert capped.scores == plain.scores
+        assert capped.stats.depths == plain.stats.depths
+
+    @pytest.mark.parametrize("name", operator_names())
+    def test_uncapped_run_is_top_k(self, instance, name, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(make_operator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("repro.experiments.harness.make_operator", recording)
+        result = run_operator(name, instance)
+        operator = make_operator(name, instance)
+        reference = operator.top_k(TINY.k)
+        assert result.scores == tuple(r.score for r in reference)
+        assert result.stats.depths == operator.stats().depths
+        assert built[0].pulls == operator.pulls
 
     def test_operator_kwargs_forwarded(self, instance):
         result = run_operator(
@@ -72,7 +113,7 @@ class TestAveragedRuns:
             TINY,
             ["HRJN*", "FRPA"],
             num_seeds=1,
-            operator_budgets={"FRPA": {"max_pulls": 1}},
+            operator_budgets={"FRPA": 0.0},
         )
         assert results["FRPA"].capped
         assert not results["HRJN*"].capped

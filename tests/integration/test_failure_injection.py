@@ -8,10 +8,12 @@ from repro.core.operators import frpa, hrjn_star, make_operator
 from repro.core.pbrj import PBRJ
 from repro.core.pulling import RoundRobin
 from repro.core.scoring import SumScore
+from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
 from repro.data.workload import random_instance
-from repro.errors import NotSortedError, PullBudgetExceeded, TimeBudgetExceeded
+from repro.errors import BudgetExhausted, NotSortedError
 from repro.relation.sources import SortedScan, StreamSource, TupleSource, VerifyingSource
+from repro.service.session import QuerySession, SessionState
 
 
 class ExplodingSource(TupleSource):
@@ -79,20 +81,31 @@ class TestBudgetFailures:
         )
 
     def test_pull_budget_raises_not_wrong_answer(self, instance):
-        operator = hrjn_star(instance, max_pulls=5)
-        with pytest.raises(PullBudgetExceeded) as excinfo:
-            operator.top_k(1)
-        assert excinfo.value.pulls == 6
+        # A spent session budget ends in the partial answer it proved (here
+        # none), and only a caller demanding the full top-K gets an error.
+        session = QuerySession("s1", hrjn_star(instance), 1, max_pulls=5)
+        session.run_to_completion()
+        assert session.budget_exhausted and session.pulls == 5
+        assert session.answer() == []
+        with pytest.raises(BudgetExhausted) as excinfo:
+            session.answer(strict=True)
         assert excinfo.value.budget == 5
 
     def test_time_budget_raises(self, instance):
-        operator = frpa(instance, max_seconds=0.0)
-        with pytest.raises(TimeBudgetExceeded):
-            operator.top_k(1)
+        # A spent time budget ends the session DONE with the prefix it
+        # proved (here none): neither an error nor a wrong answer.
+        session = QuerySession("s1", frpa(instance), 1, deadline=0.0)
+        assert session.check_deadline()
+        assert session.state is SessionState.DONE
+        assert session.deadline_exceeded and not session.budget_exhausted
+        assert session.pulls == 0
+        assert session.answer(strict=True) == []
 
     def test_budget_not_triggered_when_cheap(self, instance):
-        operator = hrjn_star(instance, max_pulls=10_000, max_seconds=60.0)
-        operator.top_k(1)  # must not raise
+        for operator in (hrjn_star(instance), frpa(instance)):
+            result = operator.try_next(max_pulls=10_000)
+            assert result is not PENDING
+            assert result.score == operator.top_k(1)[0].score
 
 
 class TestMisuse:

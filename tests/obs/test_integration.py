@@ -115,16 +115,10 @@ class TestOperatorMetrics:
 class TestDisabledOverhead:
     def test_null_obs_registers_nothing(self, instance):
         before = len(NULL_OBS._tracers)
-        op = make_operator("FRPA", instance, track_time=False)
+        op = make_operator("FRPA", instance)
         op.top_k(2)
         assert len(NULL_OBS._tracers) == before
         assert NULL_OBS.metrics.snapshot() == []
-
-    def test_track_time_false_records_no_spans(self, instance):
-        op = make_operator("FRPA", instance, track_time=False)
-        op.top_k(2)
-        assert op.tracer.spans() == {}
-        assert op.timing().total == 0.0
 
     def test_track_time_true_without_obs_still_times(self, instance):
         op = make_operator("FRPA", instance)

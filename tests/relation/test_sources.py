@@ -71,14 +71,6 @@ class TestSortedScan:
         scan = SortedScan([RankTuple(key=1, scores=(0.1, 0.2, 0.3))])
         assert scan.dimension == 3
 
-    def test_order_verification_accepts_sorted(self):
-        SortedScan(tuples_desc(), score_bound=lambda t: t.scores[0])
-
-    def test_order_verification_rejects_unsorted(self):
-        shuffled = list(reversed(tuples_desc()))
-        with pytest.raises(NotSortedError):
-            SortedScan(shuffled, score_bound=lambda t: t.scores[0])
-
     def test_iteration(self):
         scan = SortedScan(tuples_desc(4))
         assert [t.key for t in scan] == [0, 1, 2, 3]
@@ -113,6 +105,22 @@ class TestStreamSource:
 
 
 class TestVerifyingSource:
+    """The one way to check an input's order: as it is read."""
+
+    def test_order_verification_accepts_sorted(self):
+        verified = VerifyingSource(
+            SortedScan(tuples_desc()), score_bound=lambda t: t.scores[0]
+        )
+        assert len(list(verified)) == 5
+
+    def test_order_verification_rejects_unsorted(self):
+        shuffled = list(reversed(tuples_desc()))
+        verified = VerifyingSource(
+            SortedScan(shuffled), score_bound=lambda t: t.scores[0]
+        )
+        with pytest.raises(NotSortedError):
+            list(verified)
+
     def test_passes_through_sorted_stream(self):
         inner = SortedScan(tuples_desc(4))
         verified = VerifyingSource(inner, score_bound=lambda t: t.scores[0])

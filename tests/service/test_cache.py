@@ -111,6 +111,14 @@ class TestCacheMechanics:
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
 
+    @pytest.mark.parametrize("ttl", [-1, 0, float("nan"), float("inf"), "60"])
+    def test_unservable_ttl_is_refused(self, ttl):
+        # A negative TTL would expire every entry as it is stored, NaN none.
+        with pytest.raises(ValueError, match="^ttl must be "):
+            ResultCache(ttl=ttl)
+        with pytest.raises(ValueError, match="^ttl must be "):
+            QueryService(cache_ttl=ttl)
+
 
 class TestContinuationDisposal:
     """``QueryService.close()`` stays callable and empties the cache; no

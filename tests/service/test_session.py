@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.stepping import PENDING
 from repro.errors import BudgetExhausted
-from repro.service import QuerySession, SessionState
+from repro.service import QueryService, QuerySession, SessionState
 
 from tests.service.conftest import make_spec, serial_answer
 
@@ -89,6 +89,21 @@ class TestBudget:
         session.run_to_completion()
         assert not session.budget_exhausted
         assert len(session.answer()) == spec.k
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: make_session(make_spec(), quantum=0), "quantum"),
+        (lambda: make_session(make_spec(), max_pulls=-1), "max_pulls"),
+        (lambda: QueryService(quantum=0), "quantum"),
+        (lambda: QueryService(quantum=2.5), "quantum"),
+        (lambda: QueryService(default_max_pulls=-3), "max_pulls"),
+        (lambda: QueryService(default_max_pulls=1.5), "max_pulls"),
+    ], ids=["session-quantum-0", "session-budget-negative", "service-quantum-0",
+            "service-quantum-float", "service-budget-negative", "service-budget-float"])
+    def test_unservable_setting_is_refused_at_construction(self, build, field):
+        # Refused here, or a zero quantum fails every later submit as the
+        # client's fault and a negative budget answers every query empty.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            build()
 
 
 class TestCancellation:

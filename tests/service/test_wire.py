@@ -269,7 +269,7 @@ class TestHostileFrames:
     @pytest.mark.parametrize("field, value", [
         ("deadline", "soon"), ("max_pulls", "many"), ("priority", True),
         ("k", "3"), ("shards", 0), ("shards", "auto"), ("deadline", -1.0),
-        ("shards", 2),
+        ("shards", 2), ("max_pulls", -5), ("max_pulls", 2.0),
     ])
     def test_wrong_typed_submit_never_creates_a_session(
         self, target, quiet, field, value

@@ -461,6 +461,24 @@ class TestWorkloadKnobs:
         assert captured.err.startswith(f"error: {field} must be ")
         assert captured.err.count("\n") == 1 and not captured.out
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--quantum", "0", "quantum"),
+        ("--max-pulls", "-3", "max_pulls"),
+        ("--cache-ttl", "-1", "ttl"),
+        ("--cache-ttl", "nan", "ttl"),
+    ])
+    def test_unservable_serve_setting_is_one_error_line(
+        self, flag, value, field, workers, capsys
+    ):
+        # Each would start a server that refuses or short-changes every
+        # query; with --workers 2 it is caught before any worker spawns.
+        argv = ["serve", "--scale", "0.0003", "--workers", workers, flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be ")
+        assert captured.err.count("\n") == 1 and not captured.out
+
     def test_zero_shards_flag_is_one_error_line(self, capsys):
         # ``--shards`` is no knob any more: argparse refuses it before the
         # shared validation runs, so no ``shards must be`` line appears.

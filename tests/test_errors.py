@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import (
+    BudgetExhausted,
     InstanceError,
     NotSortedError,
-    PullBudgetExceeded,
     ReproError,
-    TimeBudgetExceeded,
+    WorkloadError,
 )
 
 
@@ -16,9 +16,9 @@ class TestHierarchy:
         "exc",
         [
             NotSortedError("x"),
-            PullBudgetExceeded(10, 5),
-            TimeBudgetExceeded(1.0, 0.5),
             InstanceError("x"),
+            WorkloadError("x"),
+            BudgetExhausted(1, 10, 5),
         ],
     )
     def test_all_derive_from_repro_error(self, exc):
@@ -26,18 +26,11 @@ class TestHierarchy:
 
     def test_catchable_as_library_error(self):
         with pytest.raises(ReproError):
-            raise PullBudgetExceeded(6, 5)
+            raise BudgetExhausted(2, 10, 5)
 
 
 class TestPayloads:
     def test_pull_budget_carries_counts(self):
-        exc = PullBudgetExceeded(pulls=12, budget=10)
-        assert exc.pulls == 12
-        assert exc.budget == 10
-        assert "12" in str(exc) and "10" in str(exc)
-
-    def test_time_budget_carries_seconds(self):
-        exc = TimeBudgetExceeded(elapsed=3.2, budget=3.0)
-        assert exc.elapsed == pytest.approx(3.2)
-        assert exc.budget == pytest.approx(3.0)
-        assert "3.2" in str(exc)
+        exc = BudgetExhausted(produced=3, requested=10, budget=12)
+        assert (exc.produced, exc.requested, exc.budget) == (3, 10, 12)
+        assert "12" in str(exc) and "3 of 10" in str(exc)
