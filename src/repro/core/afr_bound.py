@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.bounds import LEFT, RIGHT
 from repro.core.frstar_bound import FRStarBound
-from repro.core.tuples import RankTuple
 from repro.geometry.cover import CoverRegion
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
@@ -197,8 +196,8 @@ class AFRBound(FRStarBound):
         )
         self._m_grid_transfers = metrics.counter("cover_grid_transfers_total", op=op)
 
-    def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
-        bound = super().update(side, tup, score_bound)
+    def _close(self, side: int, group: list) -> None:
+        super()._close(side, group)
         cover = self._cr[side]
         resolution = cover.resolution
         previous = self._last_resolution[side]
@@ -208,12 +207,11 @@ class AFRBound(FRStarBound):
                 self._m_grid_transfers.inc()
                 previous = cover.initial_resolution
             self._m_resolution[side].set(resolution)
-            # Halvings, however many this one update took: log2 of the ratio.
+            # Halvings, however many this one carve took: log2 of the ratio.
             self._m_resolution_drops[side].inc(
                 (previous // resolution).bit_length() - 1
             )
             self._last_resolution[side] = resolution
-        return bound
 
     def _make_cover(self, dimension: int, score):
         if self.cover_strategy == "frozen":

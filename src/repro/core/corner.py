@@ -1,24 +1,23 @@
 """HRJN and HRJN* as array passes over prepared sorted access.
 
-:class:`CornerRankJoin` is :class:`~repro.core.pbrj.PBRJ` with the corner
-bound and round-robin or PA pulling over a prepared instance; after every
-``try_next`` it holds what PBRJ's pull loop would hold, without the loop.
-Input ``s``'s corner potential before its pull ``i`` is ``S̄_s[i-1]`` (``+inf``
-at ``i = 0``) whatever the other input holds, so PA's pull order is the merge
-``lexsort((side, i, -key))`` and round-robin's ``lexsort((side, i))``
-(DESIGN.md §5).  A prefix of that schedule discovers one key-code equi-join,
+:class:`ArrayRankJoin` is :class:`~repro.core.pbrj.PBRJ` over a prepared
+instance without the pull loop; a subclass schedules the pulls (FR*'s is
+:mod:`repro.core.feasible`).  The pulled prefixes' key-code equi-join comes
 in (discovery pull, partner pull) order — the loop's heap sequence — scored
-by one exact ``scoring.batch``; a result comes out at the first pull count
-where the best unemitted one reaches ``t - SCORE_EPS`` (first found among
-equal scores).  The schedule doubles until it holds that point, reading
-ahead in memory only; the inputs are charged for the loop's pulls.
+by one exact ``scoring.batch``; emission takes the first best unemitted
+result, and the inputs are charged for the loop's pulls only.
+:class:`CornerRankJoin`: input ``s``'s corner potential before its pull
+``i`` is ``S̄_s[i-1]`` whatever the other input holds, so PA's pull order
+is the merge ``lexsort((side, i, -key))`` and round-robin's ``lexsort((side,
+i))`` (DESIGN.md §5).  The schedule doubles until it holds the next
+emission, reading ahead in memory only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bounds import POS_INF, CornerBound
+from repro.core.bounds import POS_INF, BoundingScheme, CornerBound
 from repro.core.pbrj import PBRJ, SCORE_EPS
 from repro.core.pulling import PotentialAdaptive, PullingStrategy
 from repro.core.scoring import NEG_INF
@@ -45,38 +44,105 @@ def equijoin(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray
     return np.repeat(np.arange(len(left)), counts), order[matches]
 
 
-class CornerRankJoin(PBRJ):
+class ArrayRankJoin(PBRJ):
+    """PBRJ over ``instance``'s prepared arrays: a subclass replaces
+    ``_advance`` and says how many joined pairs its pulls have found
+    (``_known()``); ``options`` are :class:`PBRJ`'s."""
+
+    def __init__(self, instance: RankJoinInstance, bound: BoundingScheme,
+                 strategy: PullingStrategy, *, name: str, **options) -> None:
+        super().__init__(*instance.scans(), instance.scoring, bound, strategy,
+                         name=name, **options)
+        self._adaptive = isinstance(strategy, PotentialAdaptive)
+        self._rows, self._order, self._bounds = zip(*map(instance.access, (0, 1)))
+        self._n = tuple(map(len, self._order))
+        relations = [  # the snapshots the scans read, re-encoded if stale
+            relation if relation.scored()[0] is rows else Relation(relation.name, rows)
+            for relation, rows in zip((instance.left, instance.right), self._rows)]
+        self._matrix = tuple(relation.scored()[1] for relation in relations)
+        # One code space; a right key no left row has is ``self._keys``.
+        self._keys, *codes = relations[0].joint_key_codes(relations[1], (KEY_ATTR,))
+        self._codes = tuple(codes)
+        # The pairs joined so far, in heap order: discovery pull, scores, rows.
+        self._discovered, self._scores = np.empty(0, np.intp), np.empty(0)
+        self._pairs, self._taken = (np.empty(0, np.intp),) * 2, np.empty(0, bool)
+
+    def _join(self, pulled, since: int) -> np.ndarray:
+        """Join the first ``len(pulled[s])`` tuples of each input —
+        ``pulled[s]`` their pull numbers — and append the pairs discovered
+        after pull ``since`` in heap order; returns their scores."""
+        pairs = equijoin(*(codes[order[:len(at)]] for codes, order, at
+                           in zip(self._codes, self._order, pulled)), self._keys)
+        at = [numbers[index] for numbers, index in zip(pulled, pairs)]
+        found, partner = np.maximum(*at), np.minimum(*at)
+        fresh = np.flatnonzero(found > since)
+        span = len(pulled[0]) + len(pulled[1]) + 1
+        fresh = fresh[np.argsort(found[fresh] * span + partner[fresh])]
+        if not len(fresh):
+            return np.empty(0)
+        pairs = [index[fresh] for index in pairs]
+        scores = self.scoring.batch(np.hstack([
+            matrix[order[index]] for matrix, order, index in zip(self._matrix, self._order, pairs)]))
+        self._scores = np.concatenate((self._scores, scores))
+        self._taken = np.concatenate((self._taken, np.zeros(len(fresh), bool)))
+        self._pairs = tuple(map(np.concatenate, zip(self._pairs, pairs)))
+        self._discovered = np.concatenate((self._discovered, found[fresh]))
+        return scores
+
+    def _charge(self, depths) -> None:
+        """The loop's reads up to ``depths``, without handing out the tuples."""
+        for side, source in enumerate(self._sources):
+            count = int(depths[side]) - source.depth
+            if count:
+                source.stats.charge(source.cost_model, count)
+            self._pull_tally[side] += count
+
+    def _book_choices(self, counts) -> None:
+        """``pull_choice_total`` from counts by code ``side * 3 + reason``."""
+        for code in np.flatnonzero(counts).tolist():
+            side, reason = divmod(code, 3)
+            self._strategy._count_choice(
+                side, _REASONS[self._adaptive][reason], int(counts[code]))
+
+    def _emit(self):
+        found = self._known()
+        taken = self._taken[:found]
+        if taken.all():
+            return None  # every input exhausted, every result out
+        best = int(np.argmax(np.where(taken, NEG_INF, self._scores[:found])))
+        self._taken[best] = True
+        left, right = (self._rows[side][self._order[side][index[best]]]
+                       for side, index in enumerate(self._pairs))
+        result = JoinResult.combine(left, right, float(self._scores[best]))
+        self._emitted += 1
+        self._m_emitted.inc()
+        self._history.append(result)
+        return result
+
+    def best_buffered(self) -> float:
+        found = self._known()
+        live = self._scores[:found][~self._taken[:found]]
+        return float(live.max()) if len(live) else NEG_INF
+
+
+class CornerRankJoin(ArrayRankJoin):
     """HRJN (``RoundRobin``) or HRJN* (``PotentialAdaptive``) over an
     instance's prepared arrays; ``options`` are :class:`PBRJ`'s keywords."""
 
     def __init__(self, instance: RankJoinInstance, strategy: PullingStrategy,
                  *, name: str = "HRJN*", **options) -> None:
-        super().__init__(*instance.scans(), instance.scoring, CornerBound(), strategy,
-                         name=name, **options)
-        self._adaptive = isinstance(strategy, PotentialAdaptive)
-        self._rows, self._order, bounds = zip(*map(instance.access, (0, 1)))
-        self._n = tuple(map(len, self._order))
+        super().__init__(instance, CornerBound(), strategy, name=name, **options)
         # By depth: thr_s, the S̄ of the last pull, and the potential (-inf exhausted).
-        self._last = [np.concatenate(([POS_INF], b)) for b in bounds]
+        self._last = [np.concatenate(([POS_INF], b)) for b in self._bounds]
         self._cap = [np.append(last[:n], NEG_INF) for last, n in zip(self._last, self._n)]
-        columns = []  # the snapshot's matrix and key codes, re-encoded if stale
-        for relation, rows in zip((instance.left, instance.right), self._rows):
-            if relation.scored()[0] is not rows:
-                relation = Relation(relation.name, rows)
-            columns.append((relation.scored()[1], relation.key_codes((KEY_ATTR,))))
-        (self._matrix, ((known, left), (values, right))) = zip(*columns)
-        # One code space; a right key no left row has is ``len(known)``.
-        missing = self._keys = len(known)
-        index = {value: code for code, value in enumerate(known)}
-        remap = np.array([index.get(value, missing) for value in values], dtype=np.intp)
-        self._codes = (left, remap[right])
-        # The schedule, ``t`` and results found after p pulls, those results.
+        # The schedule, ``t`` and results found after p pulls.
         self._window, self._side, self._choices = 0, np.empty(0, np.int8), None
         self._depth = (np.zeros(1, np.intp),) * 2
         self._t_at, self._found = np.full(1, POS_INF), np.zeros(1, np.intp)
-        self._discovered, self._scores = np.empty(0, np.intp), np.empty(0)
-        self._pairs, self._taken = (np.empty(0, np.intp),) * 2, np.empty(0, bool)
         self._event: int | None = None  # the next emission's pull count
+
+    def _known(self) -> int:
+        return int(self._found[self._pulls])
 
     def _advance(self, pull_quantum: int | None):
         if self._event is None:
@@ -85,7 +151,7 @@ class CornerRankJoin(PBRJ):
         if pull_quantum is not None:
             target = min(target, self._pulls + pull_quantum)
         if target > self._pulls:
-            self._charge(target)
+            self._commit(target)
         self._refresh(self._pulls)
         if self._pulls < self._event:
             return PENDING
@@ -127,21 +193,7 @@ class CornerRankJoin(PBRJ):
             if self._obs.enabled:
                 self._choices = self._choice_codes(side, [d[:-1] for d in depth])
         with self._tracer.span("join"):
-            pulled = [np.flatnonzero(side == s) + 1 for s in (0, 1)]  # pull numbers
-            pairs = equijoin(*(codes[order[:len(at)]] for codes, order, at
-                               in zip(self._codes, self._order, pulled)), self._keys)
-            at = [numbers[index] for numbers, index in zip(pulled, pairs)]
-            found, partner = np.maximum(*at), np.minimum(*at)
-            fresh = np.flatnonzero(found > self._window)
-            fresh = fresh[np.argsort(found[fresh] * (window + 1) + partner[fresh])]
-            pairs = [index[fresh] for index in pairs]
-            if len(fresh):
-                self._scores = np.concatenate((self._scores, self.scoring.batch(np.hstack([
-                    matrix[order[index]]
-                    for matrix, order, index in zip(self._matrix, self._order, pairs)]))))
-                self._taken = np.concatenate((self._taken, np.zeros(len(fresh), bool)))
-                self._pairs = tuple(map(np.concatenate, zip(self._pairs, pairs)))
-                self._discovered = np.concatenate((self._discovered, found[fresh]))
+            self._join([np.flatnonzero(side == s) + 1 for s in (0, 1)], self._window)
             self._found = np.cumsum(np.bincount(self._discovered, minlength=window + 1))
         self._window, self._side, self._depth = window, side, depth
 
@@ -155,26 +207,18 @@ class CornerRankJoin(PBRJ):
             reason = np.where(side != np.concatenate(([1], side[:-1])), 0, 2)
         return side * 3 + reason
 
-    def _charge(self, target: int) -> None:
+    def _commit(self, target: int) -> None:
         """Make the pulls up to ``target`` as the loop would: charge the
         inputs, then book the heap peak, trace rows and choice counts."""
         start = self._pulls
         with self._tracer.span("pull"):
-            for side, source in enumerate(self._sources):
-                count = int(self._depth[side][target] - self._depth[side][start])
-                if count:  # the loop's reads, without handing out the tuples
-                    source.stats.charge(source.cost_model, count)
-                self._pull_tally[side] += count
+            self._charge([depth[target] for depth in self._depth])
             buffered = int(self._found[target]) - self._emitted
             self._max_output = max(self._max_output, buffered)
             if self._trace is not None:
                 self._record(start, target)
             if self._choices is not None:
-                counts = np.bincount(self._choices[start:target], minlength=6)
-                for code in np.flatnonzero(counts).tolist():
-                    side, reason = divmod(code, 3)
-                    self._strategy._count_choice(
-                        side, _REASONS[self._adaptive][reason], int(counts[code]))
+                self._book_choices(np.bincount(self._choices[start:target], minlength=6))
             self._pulls = target
 
     def _record(self, start: int, done: int) -> None:
@@ -194,22 +238,3 @@ class CornerRankJoin(PBRJ):
         self._bound._thr = thresholds  # the scheme this operator evaluates, kept current
         self._exhausted = [thr == NEG_INF for thr in thresholds]
         self._t = max(thresholds)
-
-    def _emit(self):
-        found = int(self._found[self._pulls])
-        if self._taken[:found].all():
-            return None  # every input exhausted, every result out
-        best = int(np.argmax(np.where(self._taken[:found], NEG_INF, self._scores[:found])))
-        self._taken[best] = True
-        left, right = (self._rows[side][self._order[side][index[best]]]
-                       for side, index in enumerate(self._pairs))
-        result = JoinResult.combine(left, right, float(self._scores[best]))
-        self._emitted += 1
-        self._m_emitted.inc()
-        self._history.append(result)
-        return result
-
-    def best_buffered(self) -> float:
-        found = int(self._found[self._pulls])
-        live = self._scores[:found][~self._taken[:found]]
-        return float(live.max()) if len(live) else NEG_INF

@@ -110,13 +110,17 @@ class FRBound(BoundingScheme):
         if sbar is None:
             sbar = self.context.score_bound(side, tup.scores)
         if sbar < self._g[side]:
-            self._cr[side].update(self._group[side])
-            self._m_cover_size[side].observe(len(self._cr[side]))
+            self._close(side, self._group[side])
             self._g[side] = sbar
             self._group[side] = [tup.scores]
             return True
         self._group[side].append(tup.scores)
         return False
+
+    def _close(self, side: int, group: list) -> None:
+        """A group of ``side`` finished: carve its vectors out of ``CR_side``."""
+        self._cr[side].update(group)
+        self._m_cover_size[side].observe(len(self._cr[side]))
 
     # ------------------------------------------------------------------
     # BoundingScheme API

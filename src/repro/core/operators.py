@@ -14,6 +14,7 @@ from collections.abc import Callable
 from repro.core.afr_bound import AFRBound
 from repro.core.bounds import BoundingScheme, CornerBound
 from repro.core.corner import CornerRankJoin
+from repro.core.feasible import FeasibleRankJoin
 from repro.core.fr_bound import FRBound
 from repro.core.frstar_bound import FRStarBound
 from repro.core.pbrj import PBRJ
@@ -92,8 +93,12 @@ def _factory(name: str) -> OperatorFactory:
             key: kwargs.pop(key) for key in BOUND_OPTIONS if key in kwargs
         }
         bound, strategy = make_components(name, **bound_options)
-        if type(bound) is CornerBound:  # over prepared arrays, no pull loop
+        # Over prepared arrays, no pull loop: the corner bound, and FR* for
+        # an additive scoring.
+        if type(bound) is CornerBound:
             return CornerRankJoin(instance, strategy, name=name, **kwargs)
+        if isinstance(bound, FRStarBound) and instance.scoring.row_scorer() is not None:
+            return FeasibleRankJoin(instance, bound, strategy, name=name, **kwargs)
         return build(instance, bound, strategy, name=name, **kwargs)
 
     factory.__doc__ = COMPONENTS[name][2]

@@ -50,22 +50,31 @@ class CostModel:
 
 @dataclass
 class AccessStats:
-    """Mutable counters accumulated by a tuple source."""
+    """Mutable counters accumulated by a tuple source.  ``cost`` is derived
+    — the seek plus ``per_tuple × pulls`` under each model in turn — so ``n``
+    single charges and one charge of ``n`` agree bit for bit."""
 
     pulls: int = 0
-    cost: float = 0.0
     touched: bool = field(default=False)
+    #: The cost settled at pull ``_since`` (seek included), the rate since.
+    _settled: float = field(default=0.0, repr=False)
+    _since: int = field(default=0, repr=False)
+    _rate: float = field(default=0.0, repr=False)
+
+    @property
+    def cost(self) -> float:
+        return self._settled + self._rate * (self.pulls - self._since)
 
     def charge(self, model: CostModel, n: int = 1) -> None:
-        """Record ``n`` sequential accesses under ``model`` — for the presets'
-        integral per-tuple costs, exactly what ``n`` single charges record."""
+        """Record ``n`` sequential accesses under ``model``."""
+        if model.per_tuple != self._rate:
+            self._settled, self._since, self._rate = self.cost, self.pulls, model.per_tuple
         if not self.touched:
-            self.cost += model.seek
+            self._settled += model.seek
             self.touched = True
         self.pulls += n
-        self.cost += model.per_tuple * n
 
     def reset(self) -> None:
         self.pulls = 0
-        self.cost = 0.0
         self.touched = False
+        self._settled, self._since, self._rate = 0.0, 0, 0.0

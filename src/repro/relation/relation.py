@@ -11,7 +11,8 @@ repeatedly on identical inputs.
 A relation is *prepared once*: its float64 score matrix, its canonical
 tuple identities, their dense ranks and the integer codes of its join-key
 columns depend on content alone, so they are built on first use, shared by
-every query, and dropped by the hook that drops the cached fingerprint.
+every query, and dropped by the hook that drops the cached fingerprint —
+as is the code space it shares with the relation it was last joined to.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ class Relation:
         self._identities: list[tuple] | None = None
         self._identity_ranks: np.ndarray | None = None
         self._key_codes: dict[tuple[str, ...], KeyCodes] = {}
+        self._joint_codes: dict[tuple[str, ...], tuple] = {}
 
     @property
     def tuples(self) -> list[RankTuple]:
@@ -214,6 +216,20 @@ class Relation:
                 for tup in self.scored()[0]
             )
         return self._key_codes[attrs]
+
+    def joint_key_codes(self, other: "Relation", attrs: tuple[str, ...]
+                        ) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(size, mine, theirs)``: both relations' :meth:`key_codes` in
+        this one's code space (``size``: a value only ``other`` holds), kept
+        for the newest ``other`` per ``attrs`` until either content changes."""
+        (known, mine), (values, theirs) = self.key_codes(attrs), other.key_codes(attrs)
+        cached = self._joint_codes.get(attrs)
+        if cached is None or cached[0] is not theirs:
+            index = {value: code for code, value in enumerate(known)}
+            remap = np.array([index.get(value, len(known)) for value in values],
+                             dtype=np.intp)
+            cached = self._joint_codes[attrs] = (theirs, (len(known), mine, remap[theirs]))
+        return cached[1]
 
     def fingerprint(self) -> str:
         """Stable content hash over the bag of (key, scores, payload).
@@ -329,10 +345,13 @@ class RankJoinInstance:
 
     def scans(self) -> tuple[SortedScan, SortedScan]:
         """Fresh single-pass sources over the two sorted inputs."""
-        return tuple(
+        scans = tuple(
             SortedScan(rows, order=order, bounds=bounds, cost_model=self.cost_model)
             for rows, order, bounds in self._access
         )
+        for scan, dimension in zip(scans, self.dims):
+            scan.dimension = dimension  # an empty input keeps its side's width
+        return scans
 
     # ------------------------------------------------------------------
     def join_size(self) -> int:

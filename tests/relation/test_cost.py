@@ -65,6 +65,7 @@ class TestAccessStats:
     @pytest.mark.parametrize("preset", [
         CostModel(), CostModel.clustered_index(), CostModel.unclustered_index(),
         CostModel.network_stream(), CostModel.free(),
+        CostModel(per_tuple=0.1, seek=0.3),  # fractional: ``cost`` is derived, not summed
     ])
     def test_a_gallop_charges_what_single_reads_charge(self, preset):
         singles, gallop = AccessStats(), AccessStats()

@@ -31,7 +31,7 @@ from repro.core.tuples import RankTuple
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.errors import InstanceError
 from repro.kernels import PointSet
-from repro.relation.relation import RankJoinInstance, Relation, tuple_identity
+from repro.relation.relation import KEY_ATTR, RankJoinInstance, Relation, tuple_identity
 from repro.relation.sources import SortedScan
 
 # A coarse grid with 0/1 coordinates: duplicates and exact S̄ ties are the
@@ -272,6 +272,29 @@ class TestViewsDieWithTheContent:
         # A query in flight keeps reading the snapshot it started on.
         assert [suspended.next() for _ in range(2)] == stale_order[1:3]
         assert first.sorted_tuples(0) == stale_order
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    def test_the_joint_code_space_follows_both_contents(self, side):
+        """Built once per pair of snapshots; a mutation on either side
+        between two queries gets a fresh map, and the answers follow."""
+        left, right = tie_relations()
+        codes = left.joint_key_codes(right, (KEY_ATTR,))
+        assert left.joint_key_codes(right, (KEY_ATTR,)) is codes
+        key = max(t.key for t in left.tuples + right.tuples) + 1  # a new key value
+        (left, right)[side].tuples.append(RankTuple(key, (1.0, 1.0)))
+        (left, right)[1 - side].tuples.append(RankTuple(key, (1.0, 0.5)))
+        fresh = left.joint_key_codes(right, (KEY_ATTR,))
+        assert fresh is not codes
+        size, mine, theirs = fresh
+        known = [value for (value,) in left.key_codes((KEY_ATTR,))[0]]
+        assert size == len(known)
+        assert [t.key for t in left.scored()[0]] == [known[code] for code in mine]
+        assert [t.key for t in right.scored()[0]] == [
+            known[code] if code < size else key + 1 for code in theirs]
+        top = make_operator("FRPA", RankJoinInstance(left, right, SumScore(), 3)).top_k(3)
+        assert top_scores(top) == top_scores(
+            naive_top_k(left.tuples, right.tuples, SumScore(), 3))
+        assert top[0].key == key  # the new pair
 
 
 def cold_corner_instance(index, scoring_type=WeightedSum):
