@@ -19,8 +19,6 @@ carves and rescored once per move onto a coarser grid.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
 from repro.core.bounds import LEFT, RIGHT
 from repro.core.frstar_bound import FRStarBound
 from repro.geometry.cover import CoverRegion
@@ -74,11 +72,9 @@ class AdaptiveCover(CoverRegion):
         """``"exact"`` while precise, ``"grid"`` after the transfer."""
         return "exact" if self.resolution is None else "grid"
 
-    def update(self, observed: Iterable[Sequence[float]]) -> None:
-        """Carve the observed vectors, then restore the size budget: onto
-        the initial grid (aFR::UpdateCR 3-7), then one halving at a time
-        (11-15)."""
-        super().update(observed)
+    def _fit(self) -> None:
+        """Restore the size budget after a carve: onto the initial grid
+        (aFR::UpdateCR 3-7), then one halving at a time (11-15)."""
         while len(self._points) > self.max_size and self.resolution != 1:
             self.coarsen(
                 self.initial_resolution if self.resolution is None
@@ -104,9 +100,11 @@ class FrozenCover(AdaptiveCover):
     def mode(self) -> str:
         return "frozen" if self.frozen else "exact"
 
-    def update(self, observed: Iterable[Sequence[float]]) -> None:
+    _fit = CoverRegion._fit  # over budget: freeze where it stands
+
+    def cut(self, batch) -> None:
         if not self.frozen:
-            CoverRegion.update(self, observed)
+            CoverRegion.cut(self, batch)
 
 
 class FixedGridCover(AdaptiveCover):
@@ -119,7 +117,7 @@ class FixedGridCover(AdaptiveCover):
 
     __slots__ = ()
     mode = "fixed-grid"
-    update = CoverRegion.update
+    _fit = CoverRegion._fit  # the grid never moves
 
     def __init__(
         self,
@@ -182,7 +180,6 @@ class AFRBound(FRStarBound):
         self._m_resolution = (NULL_METRIC, NULL_METRIC)
         self._m_resolution_drops = (NULL_METRIC, NULL_METRIC)
         self._m_grid_transfers = NULL_METRIC
-        self._last_resolution: list[int | None] = [None, None]
 
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         super().observe(metrics, op)
@@ -196,22 +193,17 @@ class AFRBound(FRStarBound):
         )
         self._m_grid_transfers = metrics.counter("cover_grid_transfers_total", op=op)
 
-    def _close(self, side: int, group: list) -> None:
-        super()._close(side, group)
-        cover = self._cr[side]
-        resolution = cover.resolution
-        previous = self._last_resolution[side]
-        if resolution != previous:  # only ever downwards, None first
-            if previous is None:
-                # exact → grid transfer (enters at the initial resolution)
-                self._m_grid_transfers.inc()
-                previous = cover.initial_resolution
-            self._m_resolution[side].set(resolution)
-            # Halvings, however many this one carve took: log2 of the ratio.
-            self._m_resolution_drops[side].inc(
-                (previous // resolution).bit_length() - 1
-            )
-            self._last_resolution[side] = resolution
+    def _regrid(self, side: int, cover: AdaptiveCover) -> None:
+        """A carve moved ``cover`` onto a coarser grid: book the hand-over."""
+        resolution, previous = cover.resolution, self._grids[side]
+        if previous is None:
+            # exact → grid transfer (enters at the initial resolution)
+            self._m_grid_transfers.inc()
+            previous = cover.initial_resolution
+        self._m_resolution[side].set(resolution)
+        # Halvings, however many this one carve took: log2 of the ratio.
+        self._m_resolution_drops[side].inc((previous // resolution).bit_length() - 1)
+        self._grids[side] = resolution
 
     def _make_cover(self, dimension: int, score):
         if self.cover_strategy == "frozen":

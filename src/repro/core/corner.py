@@ -35,13 +35,17 @@ _REASONS = {True: ("potential", "tie-break", "only-available"),
 
 def equijoin(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)`` with ``left[i] == right[j]``, by ``i`` then
-    ``j``: codes in ``[0, size)``, and ``right`` may hold ``size`` (no match)."""
-    order = np.argsort(right, kind="stable")
+    ``j``: codes in ``[0, size]``, ``size`` on one side at most (no match);
+    ``right`` is the side sorted."""
+    order = right.argsort(kind="stable")
     counts = np.bincount(right, minlength=size + 1)
-    low, counts = (np.cumsum(counts) - counts)[left], counts[left]
-    starts = np.cumsum(counts) - counts
-    matches = np.arange(counts.sum()) - np.repeat(starts - low, counts)
-    return np.repeat(np.arange(len(left)), counts), order[matches]
+    low = counts.cumsum() - counts
+    probes = counts[left].nonzero()[0]  # the left rows with a partner
+    codes = left[probes]
+    counts, low = counts[codes], low[codes]
+    starts = counts.cumsum() - counts
+    matches = np.arange(counts.sum()) - (starts - low).repeat(counts)
+    return probes.repeat(counts), order[matches]
 
 
 class ArrayRankJoin(PBRJ):
@@ -63,16 +67,29 @@ class ArrayRankJoin(PBRJ):
         # One code space; a right key no left row has is ``self._keys``.
         self._keys, *codes = relations[0].joint_key_codes(relations[1], (KEY_ATTR,))
         self._codes = tuple(codes)
-        # The pairs joined so far, in heap order: discovery pull, scores, rows.
-        self._discovered, self._scores = np.empty(0, np.intp), np.empty(0)
-        self._pairs, self._taken = (np.empty(0, np.intp),) * 2, np.empty(0, bool)
+        # The pairs joined so far, in heap order: discovery pull, score
+        # (-inf once emitted), rows.
+        self._discovered, self._live = np.empty(0, np.intp), np.empty(0)
+        self._pairs = (np.empty(0, np.intp),) * 2
 
     def _join(self, pulled, since: int) -> np.ndarray:
         """Join the first ``len(pulled[s])`` tuples of each input —
-        ``pulled[s]`` their pull numbers — and append the pairs discovered
-        after pull ``since`` in heap order; returns their scores."""
-        pairs = equijoin(*(codes[order[:len(at)]] for codes, order, at
-                           in zip(self._codes, self._order, pulled)), self._keys)
+        ``pulled[s]`` their ascending pull numbers, ``1 … Σ len`` between
+        them — and append the pairs discovered after pull ``since`` in heap
+        order; returns their scores.  Mostly new rows (a doubled window):
+        one join of the prefixes.  Mostly old (a walk's next join): the new
+        left rows against the right prefix and the old left rows against
+        the new right ones, the few new rows as :func:`equijoin`'s sorted
+        side, so a large K re-sorts no prefix."""
+        left, right = (codes[order[:len(at)]] for codes, order, at
+                       in zip(self._codes, self._order, pulled))
+        if 2 * since < len(left) + len(right):
+            pairs = equijoin(left, right, self._keys)
+        else:
+            old = [int(at.searchsorted(since, "right")) for at in pulled]
+            j, i = equijoin(right, left[old[0]:], self._keys)
+            i_old, j_new = equijoin(left[:old[0]], right[old[1]:], self._keys)
+            pairs = np.concatenate((i + old[0], i_old)), np.concatenate((j, j_new + old[1]))
         at = [numbers[index] for numbers, index in zip(pulled, pairs)]
         found, partner = np.maximum(*at), np.minimum(*at)
         fresh = np.flatnonzero(found > since)
@@ -83,8 +100,7 @@ class ArrayRankJoin(PBRJ):
         pairs = [index[fresh] for index in pairs]
         scores = self.scoring.batch(np.hstack([
             matrix[order[index]] for matrix, order, index in zip(self._matrix, self._order, pairs)]))
-        self._scores = np.concatenate((self._scores, scores))
-        self._taken = np.concatenate((self._taken, np.zeros(len(fresh), bool)))
+        self._live = np.concatenate((self._live, scores))
         self._pairs = tuple(map(np.concatenate, zip(self._pairs, pairs)))
         self._discovered = np.concatenate((self._discovered, found[fresh]))
         return scores
@@ -105,15 +121,15 @@ class ArrayRankJoin(PBRJ):
                 side, _REASONS[self._adaptive][reason], int(counts[code]))
 
     def _emit(self):
-        found = self._known()
-        taken = self._taken[:found]
-        if taken.all():
+        found = self._known()  # first: a join replaces ``_live``
+        live = self._live[:found]
+        best = int(np.argmax(live)) if len(live) else -1
+        if best < 0 or live[best] == NEG_INF:
             return None  # every input exhausted, every result out
-        best = int(np.argmax(np.where(taken, NEG_INF, self._scores[:found])))
-        self._taken[best] = True
+        score, live[best] = float(live[best]), NEG_INF
         left, right = (self._rows[side][self._order[side][index[best]]]
                        for side, index in enumerate(self._pairs))
-        result = JoinResult.combine(left, right, float(self._scores[best]))
+        result = JoinResult.combine(left, right, score)
         self._emitted += 1
         self._m_emitted.inc()
         self._history.append(result)
@@ -121,7 +137,7 @@ class ArrayRankJoin(PBRJ):
 
     def best_buffered(self) -> float:
         found = self._known()
-        live = self._scores[:found][~self._taken[:found]]
+        live = self._live[:found]
         return float(live.max()) if len(live) else NEG_INF
 
 
@@ -164,8 +180,7 @@ class CornerRankJoin(ArrayRankJoin):
         while True:
             pulls = self._pulls
             with self._tracer.span("emit"):
-                live = np.where(self._taken, NEG_INF, self._scores)
-                best = np.concatenate(([NEG_INF], np.maximum.accumulate(live)))
+                best = np.concatenate(([NEG_INF], np.maximum.accumulate(self._live)))
                 reached = best[self._found[pulls:]] >= self._t_at[pulls:] - SCORE_EPS
                 reached[-1] |= self._window == sum(self._n)
                 hits = np.flatnonzero(reached)

@@ -38,8 +38,9 @@ class FeasibleRankJoin(ArrayRankJoin):
     """FRPA, FRPA_RR or a-FRPA (``bound`` an :class:`FRStarBound`) over an
     instance with an additive scoring; ``options`` are PBRJ's keywords.
 
-    A pull is a choice, a few column reads, one seen-skyline insert and, when
-    ``S̄`` drops, the bound's own group close on that side.  The join is
+    A pull is a choice, a few column reads and the bound's own side step
+    (:meth:`~repro.core.frstar_bound.FRStarBound._step`): one seen-skyline
+    insert and, when ``S̄`` drops, one group-close carve.  The join is
     per-key counts until a pull may find a pair reaching ``t`` (a pair scores
     its two partials' sum up to rounding); then the pending pairs are joined
     and scored by :class:`~repro.core.corner.ArrayRankJoin`."""
@@ -85,7 +86,8 @@ class FeasibleRankJoin(ArrayRankJoin):
         bound, trace, choices, adaptive = self._bound, self._trace, self._choices, self._adaptive
         g, depth, size, start = bound._g, self._depth, self._n, self._start
         cover_best, seen_best, exhausted = self._cover_best, self._seen_best, self._exhausted
-        columns, count, peak, at, seens = self._columns, self._count, self._peak, self._at, bound._seen
+        columns, count, peak, at = self._columns, self._count, self._peak, self._at
+        seens, covers = bound._seen, bound._cr
         pulls, found, emitted, top = self._pulls, self._found, self._emitted, self._top
         pending, t_both, last = self._pending, self._t_both, self._last_side
         limit = None if quantum is None else pulls + quantum
@@ -140,21 +142,22 @@ class FeasibleRankJoin(ArrayRankJoin):
             count[side][key] += 1
             if score > peak[side][key]:
                 peak[side][key] = score
-            seen = seens[side]
-            moved = seen.add(vectors[i])
+            group = vectors[start[side]:i] if close[i] else None
+            moved = bound._step(side, vectors[i], group)
             if moved:  # SHR_side changed: Table 1 refreshes t_other
-                seen_best[side] = seen.best
+                seen_best[side] = seens[side].best
                 changes += 1
-                bound._m_skyline_size[side].observe(len(seen))
-            if close[i]:  # a group closed: CR_side, t_side and t_both
-                bound._close(side, vectors[start[side]:i])
-                cover_best[side] = bound._cr[side].best
+            if group is not None:  # a group closed: CR_side, t_side and t_both
+                cover_best[side] = covers[side].best
                 t_both = cover_best[0] + cover_best[1]
                 g[side], start[side] = sbar[i], i
                 closes += 1
                 moved = True
-            if moved:
-                t0, t1, tb, t = _components(cover_best, seen_best, t_both, g)
+            if moved:  # _components, inline: a call here is paid on most pulls
+                t0 = min(cover_best[0] + seen_best[1], g[0])
+                t1 = min(seen_best[0] + cover_best[1], g[1])
+                tb = min(t_both, g[0], g[1])
+                t = max(t0, t1, tb)
             if trace is not None:
                 trace.record(pulls, side, t, found - emitted, emitted)
             if i + 1 == size[side]:  # so the next loop head finds it exhausted
@@ -187,16 +190,16 @@ class FeasibleRankJoin(ArrayRankJoin):
         partial.frombytes(self.scoring.batch(padded).tobytes())
         code.frombytes(self._codes[side][order].astype(np.int64).tobytes())
         rows = self._rows[side]
-        vectors.extend(rows[row].scores for row in order.tolist())
+        vectors += [rows[row].scores for row in order.tolist()]
 
     def _known(self) -> int:
-        if self._found > len(self._scores):  # join the pairs found since
+        if self._found > len(self._live):  # join the pairs found since
             with self._tracer.span("join"):
                 scores = self._join([np.array(at) for at in self._at], self._joined)
             self._joined, self._pending = self._pulls, NEG_INF
             if len(scores):
                 self._top = max(self._top, float(scores.max()))
-        return len(self._scores)
+        return len(self._live)
 
     def best_buffered(self) -> float:
         if self._pending + SCORE_EPS <= self._top:  # nothing unjoined beats it
@@ -205,6 +208,5 @@ class FeasibleRankJoin(ArrayRankJoin):
 
     def _emit(self):
         result = super()._emit()
-        live = self._scores[~self._taken]
-        self._top = float(live.max()) if len(live) else NEG_INF
+        self._top = float(self._live.max()) if len(self._live) else NEG_INF
         return result

@@ -104,18 +104,17 @@ class FRBound(BoundingScheme):
     # ------------------------------------------------------------------
     # Bookkeeping shared with subclasses
     # ------------------------------------------------------------------
-    def _absorb(self, side: int, tup: RankTuple, sbar: float | None) -> bool:
-        """Fold a pulled tuple into groups/covers; True iff a group closed."""
+    def _absorb(self, side: int, point, sbar: float | None) -> list | None:
+        """Fold a pulled score vector into its side's group; returns the
+        group its pull closed (``[]`` on a side's first pull), else None."""
         assert self.context is not None
         if sbar is None:
-            sbar = self.context.score_bound(side, tup.scores)
+            sbar = self.context.score_bound(side, point)
         if sbar < self._g[side]:
-            self._close(side, self._group[side])
-            self._g[side] = sbar
-            self._group[side] = [tup.scores]
-            return True
-        self._group[side].append(tup.scores)
-        return False
+            closed, self._group[side], self._g[side] = self._group[side], [point], sbar
+            return closed
+        self._group[side].append(point)
+        return None
 
     def _close(self, side: int, group: list) -> None:
         """A group of ``side`` finished: carve its vectors out of ``CR_side``."""
@@ -127,7 +126,9 @@ class FRBound(BoundingScheme):
     # ------------------------------------------------------------------
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
-        self._absorb(side, tup, score_bound)
+        group = self._absorb(side, tup.scores, score_bound)
+        if group is not None:
+            self._close(side, group)
         column = self._own_columns[side]
         if column is not None:
             column.append(tup.scores)

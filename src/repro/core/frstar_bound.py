@@ -17,9 +17,10 @@ FR* keeps the tightness of FR while attacking its two cost sources:
    scored antichains (:mod:`repro.geometry.antichain`), the skyline insert is
    one loop, the carve one kernel call whose delta is applied in place with
    the kept partial scores carried over — at e=2, where an antichain is a
-   sorted staircase, each is a bisection and one slice — and for additive
-   ``S`` a cover bound is the sum of two maintained maxima — the cross
-   product's bits (DESIGN.md §5).
+   sorted staircase, each is a bisection and one slice, made straight on the
+   lists by one per-pull step (:meth:`FRStarBound._step`) that the loop and
+   the walk share — and for additive ``S`` a cover bound is the sum of two
+   maintained maxima — the cross product's bits (DESIGN.md §5).
 
 The result is bit-identical bound values to FR (Theorem 4.1's tightness is
 preserved) at a fraction of the computation.
@@ -33,6 +34,7 @@ from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
 from repro.geometry.dominance import ones
 from repro.geometry.skyline import IncrementalSkyline
+from repro.kernels.types import dimension_mismatch
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
 
@@ -45,6 +47,8 @@ class FRStarBound(FRBound):
         super().__init__(prune_covers=True)
         self._t_cover = [NEG_INF, NEG_INF]
         self._t_both_cover = POS_INF
+        #: The grid each cover was last seen on (only aFR's covers move).
+        self._grids: list[int | None] = [None, None]
         self._m_cache_hit = NULL_METRIC
         self._m_cache_miss = NULL_METRIC
         self._m_skyline_size = (NULL_METRIC, NULL_METRIC)
@@ -80,10 +84,12 @@ class FRStarBound(FRBound):
     # ------------------------------------------------------------------
     def update(self, side: int, tup: RankTuple, score_bound=None) -> float:
         assert self.context is not None, "bind() must be called first"
-        skyline_changed = self._seen[side].add(tup.scores)
-        if skyline_changed:
-            self._m_skyline_size[side].observe(len(self._seen[side]))
-        group_closed = self._absorb(side, tup, score_bound)
+        point = tup.scores
+        if len(point) != self.context.dims[side]:
+            raise dimension_mismatch("skyline", self.context.dims[side], len(point))
+        group = self._absorb(side, point, score_bound)
+        skyline_changed = self._step(side, point, group)
+        group_closed = group is not None
         other = 1 - side
         # Decision matrix (Table 1): recompute only invalidated components.
         # Of the three cached components (t_cover[0], t_cover[1],
@@ -99,6 +105,25 @@ class FRStarBound(FRBound):
             self._t_both_cover = self._both_cover_bound()
         self._bound = self._recombine()
         return self._bound
+
+    def _step(self, side: int, point, group: list | None) -> bool:
+        """One pull's side work, shared by the loop (:meth:`update`) and the
+        walk (:class:`~repro.core.feasible.FeasibleRankJoin`): insert
+        ``point`` into ``SHR_side`` and, when its pull closed ``group``,
+        carve that group out of ``CR_side`` — at e=2 one bisection and one
+        slice each, straight on the side's lists.  True iff ``SHR_side``
+        changed."""
+        seen = self._seen[side]
+        moved = seen.insert(point)
+        if moved:
+            self._m_skyline_size[side].observe(len(seen._points))
+        if group is not None:
+            cover = self._cr[side]
+            cover.cut(group)
+            self._m_cover_size[side].observe(len(cover._points))
+            if cover.resolution != self._grids[side]:
+                self._regrid(side, cover)
+        return moved
 
     def notify_exhausted(self, side: int) -> float:
         self._g[side] = NEG_INF

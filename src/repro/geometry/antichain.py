@@ -15,11 +15,14 @@ carrying it across a mutation gives the bits a rescan would.
 opposite directions on the two axes, so a 2-D antichain sorted ascending on
 axis 0 is strictly descending on axis 1.  It is kept in that order, and
 both mutations find their rows by bisection and replace one contiguous
-slice (DESIGN.md §5): :meth:`~ScoredAntichain.add`, the skyline insert,
+slice (DESIGN.md §5): :meth:`~ScoredAntichain.insert`, the skyline insert,
 evicts the run just before its insertion point; :meth:`~ScoredAntichain.carve`,
 ``FR*::UpdateCR``, replaces the run of rows ``⪰ y`` by at most two
-projections, in place.  The form is a function of ``(dimension == 2,
-skyline_mode)`` alone, fixed at construction.  Every other dimension — and
+projections, in place.  Each is one call on the lists — FR*'s per-pull step
+makes exactly these two (:meth:`repro.core.frstar_bound.FRStarBound._step`);
+:meth:`~ScoredAntichain.add` is the insert behind the public checks.  The
+form is a function of ``(dimension == 2, skyline_mode)`` alone, fixed at
+construction.  Every other dimension — and
 FR's literal unpruned cover, which is no antichain — has no staircase and
 keeps the loops: the insert scans the list, the carve is one
 :func:`repro.kernels.carve_patch` call whose delta (kept rows, ascending,
@@ -33,6 +36,7 @@ from collections.abc import Callable, Iterable, Sequence
 from operator import ge
 
 from repro import kernels
+from repro.kernels.reference import staircase_carve
 from repro.kernels.types import Point, as_point, dimension_mismatch
 
 NEG_INF = float("-inf")
@@ -118,15 +122,21 @@ class ScoredAntichain:
         )
 
     def add(self, raw: Sequence[float]) -> bool:
-        """Skyline insert; True iff the set changed.
+        """Skyline insert of any sequence of this set's arity; True iff
+        the set changed (:meth:`insert` after the checks)."""
+        point = as_point(raw)
+        if len(point) != self.dimension:
+            raise dimension_mismatch("skyline", self.dimension, len(point))
+        return self.insert(point)
+
+    def insert(self, point: Point) -> bool:
+        """Skyline insert of a canonical tuple of this set's arity — FR*'s
+        per-pull step, unchecked; True iff the set changed.
 
         Under decreasing-``S̄`` access a dominating point arrives early
         (the paper's early freeze), so the common case is one comparison
         after the bisection — or ends at the first few rows of the scan.
         """
-        point = as_point(raw)
-        if len(point) != self.dimension:
-            raise dimension_mismatch("skyline", self.dimension, len(point))
         points = self._points
         if self._staircase:
             a, b = point
@@ -162,10 +172,14 @@ class ScoredAntichain:
         """Carve the regions dominating each observed vector (canonical
         tuples of this set's dimension) out of the set — ``FR*::UpdateCR``;
         ``FR::UpdateCR`` on a set built with ``skyline_mode=False``.  One
-        counted ``cover_carve`` kernel call either way."""
+        counted ``cover_carve`` kernel call either way: at e=2 a direct
+        call on the lists, booked through the kernel sink only while one is
+        registered."""
         if self._staircase:
-            self.best = kernels.carve_staircase(
-                self._points, self.partials, self.best, observed, self._score
+            args = (self._points, self.partials, self.best, observed, self._score)
+            self.best = (
+                staircase_carve(*args) if kernels._sink is None
+                else kernels._run("python", "cover_carve", staircase_carve, *args)
             )
         else:
             self._patch(*kernels.carve_patch(

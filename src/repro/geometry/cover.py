@@ -15,7 +15,8 @@ production path is :class:`CoverRegion`, a list-native
 :class:`~repro.geometry.antichain.ScoredAntichain` carved by one counted
 ``cover_carve`` kernel call per group close: at e=2 a skyline cover is a
 sorted staircase and the call is a bisection plus one slice replaced in
-place (:func:`repro.kernels.carve_staircase`); every other cover goes
+place (:func:`repro.kernels.reference.staircase_carve`, called on the
+cover's own lists); every other cover goes
 through :func:`repro.kernels.carve_patch`, a loop over the list itself (an
 array form had to build its operand from the list first and never won).
 
@@ -51,7 +52,7 @@ cell formulation lives on as the oracle in ``tests/geometry/grid_oracle.py``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import ceil
+from math import ceil, inf
 
 from repro.geometry.antichain import ScoredAntichain
 from repro.geometry.dominance import (
@@ -155,6 +156,9 @@ class CoverRegion(ScoredAntichain):
     """
 
     __slots__ = ("resolution",)
+    #: The point budget :meth:`cut` restores after a carve that outgrew it
+    #: (aFR's ``max_cr_size``); a cover without one never exceeds it.
+    max_size = inf
 
     def __init__(
         self,
@@ -174,11 +178,19 @@ class CoverRegion(ScoredAntichain):
 
     def update(self, observed: Iterable[Sequence[float]]) -> None:
         """Carve out the regions dominating each vector in ``observed``
-        (``FR::UpdateCR``; on a grid, ``aFR::UpdateGridCR``)."""
+        (``FR::UpdateCR``; on a grid, ``aFR::UpdateGridCR``): :meth:`cut`
+        after the checks."""
         batch = [as_point(raw) for raw in observed]
         for y in batch:
             if len(y) != self.dimension:
                 raise dimension_mismatch("cover", self.dimension, len(y))
+        self.cut(batch)
+
+    def cut(self, batch: list[Point]) -> None:
+        """:meth:`update` for canonical tuples of this cover's dimension —
+        FR*'s group-close step, unchecked: observations rounded up onto the
+        grid, one carve, and :meth:`_fit` only if the cover outgrew
+        :attr:`max_size`."""
         resolution = self.resolution
         if resolution == 1:  # one cell per axis: the corner-bound regime
             return
@@ -186,6 +198,12 @@ class CoverRegion(ScoredAntichain):
             batch = [round_up(y, resolution) for y in batch]
         if batch and self._points:
             self.carve(batch)
+            if len(self._points) > self.max_size:
+                self._fit()
+
+    def _fit(self) -> None:
+        """Bring an over-budget cover back under :attr:`max_size`; a cover
+        with no grid to move onto keeps its points."""
 
     def coarsen(self, resolution: int) -> None:
         """Move the cover onto the grid of ``resolution`` cells per axis:

@@ -11,7 +11,7 @@ stabilizes quickly.
 The data plane is list-native: :class:`IncrementalSkyline` is a
 :class:`~repro.geometry.antichain.ScoredAntichain` — a list of tuples, one
 bisection per insertion at e=2 (a sorted staircase) and one loop elsewhere,
-no kernel call — that also counts insertions.
+no kernel call.
 """
 
 from __future__ import annotations
@@ -50,15 +50,12 @@ class IncrementalSkyline(ScoredAntichain):
     told, so the first vector to arrive is checked like every other).
 
     ``add`` runs in time logarithmic in the current skyline size plus the
-    rows it evicts at e=2, linear elsewhere.  The
-    structure also exposes :attr:`frozen_since` — the number of
-    consecutive ``add`` calls that left the skyline unchanged — which
-    quantifies the paper's early-freeze property and is handy for
-    diagnostics.  With a row scorer (``score=``) it carries the points'
-    partial scores and their maximum, :attr:`best`.
+    rows it evicts at e=2, linear elsewhere.  With a row scorer
+    (``score=``) it carries the points' partial scores and their maximum,
+    :attr:`best`.
     """
 
-    __slots__ = ("_inserted", "frozen_since")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -71,19 +68,5 @@ class IncrementalSkyline(ScoredAntichain):
         if dimension is None and points:
             dimension = len(points[0])
         super().__init__(score=score, dimension=dimension)
-        self._inserted = 0
-        self.frozen_since = 0
         for point in points:
             self.add(point)
-
-    def add(self, raw: Sequence[float]) -> bool:
-        """Insert a point; return True iff the skyline changed."""
-        self._inserted += 1
-        changed = super().add(raw)
-        self.frozen_since = 0 if changed else self.frozen_since + 1
-        return changed
-
-    @property
-    def inserted(self) -> int:
-        """Total number of points ever inserted."""
-        return self._inserted

@@ -14,7 +14,9 @@ measurably wins:
   (:mod:`repro.geometry.cover`) — and is always a *delta* on the geometry
   layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`.
   Its operand decides its form: a sorted 2-D antichain (a staircase) is
-  patched in place by a bisection and one slice (:func:`carve_staircase`);
+  patched in place by a bisection and one slice
+  (:func:`repro.kernels.reference.staircase_carve`, which the antichain
+  calls itself, through :func:`_run` only while a sink is registered);
   any other cover gets kept row ids plus fresh points
   (:func:`carve_patch`) from the loop, which :func:`cover_carve` assembles
   into the whole cover.  Either way it is one counted ``cover_carve`` call.
@@ -121,13 +123,6 @@ class _KernelHandle:
         self.hist = hist
         self.tick = _SAMPLE - 1  # first call is sampled
 
-    def should_sample(self) -> bool:
-        self.tick += 1
-        if self.tick < _SAMPLE:
-            return False
-        self.tick = 0
-        return True
-
 
 class _InstrumentationSink:
     """Resolves and caches metric handles for kernel-call accounting.
@@ -184,8 +179,10 @@ def _run(form: str, fn: str, impl, *args):
     if handle is None:
         handle = sink.handle(form, fn)
     handle.counter.inc()
-    if not handle.should_sample():
+    handle.tick += 1
+    if handle.tick < _SAMPLE:
         return impl(*args)
+    handle.tick = 0
     start = perf_counter()
     try:
         return impl(*args)
@@ -234,17 +231,6 @@ def carve_patch(cover, observed, *, skyline_mode: bool = False):
     )
 
 
-def carve_staircase(points, partials, best, observed, score):
-    """The carve's form for a sorted 2-D antichain: ``points`` (and its
-    parallel ``partials``) patched in place, the new ``best`` returned
-    (:func:`repro.kernels.reference.staircase_carve`).  Counted as
-    ``cover_carve``."""
-    return _run(
-        "python", "cover_carve", _loops.staircase_carve, points, partials,
-        best, observed, score,
-    )
-
-
 def cover_carve(cover, observed, *, skyline_mode: bool = False):
     """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points."""
     keep, fresh = carve_patch(cover, observed, skyline_mode=skyline_mode)
@@ -259,7 +245,6 @@ __all__ = [
     "as_point",
     "calibrate_thresholds",
     "carve_patch",
-    "carve_staircase",
     "cover_carve",
     "cover_corner_scores",
     "cross_product_max",

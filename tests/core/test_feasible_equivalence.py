@@ -162,3 +162,31 @@ def test_both_forms_charge_the_same_cost_under_a_fractional_model(name):
     assert depths == loop.depths()
     assert columnar.stats().io_cost == loop.stats().io_cost == sum(
         0.3 + 0.1 * depth for depth in (depths.left, depths.right))
+
+
+def _on_a_grid(instance, cells):
+    """``instance`` with every score rounded up onto ``cells`` per axis:
+    exact ties everywhere, so the heap order decides the answer's order."""
+    return RankJoinInstance(*(
+        Relation(relation.name, [
+            RankTuple(t.key, tuple(-(-v * cells // 1) / cells for v in t.scores), t.payload)
+            for t in relation.tuples])
+        for relation in (instance.left, instance.right)), instance.scoring, instance.k)
+
+
+@pytest.mark.parametrize("cells", [None, 8])
+@pytest.mark.parametrize("name", ["FRPA", "a-FRPA"])
+def test_a_large_k_answers_as_the_loop(name, cells):
+    """Figure 14's deep end: hundreds of joins, each of the rows pulled since
+    the last one, give the loop's answers in the loop's tie order."""
+    instance = lineitem_orders_instance(WorkloadParams(k=500, scale=0.002, seed=0))
+    if cells is not None:
+        instance = _on_a_grid(instance, cells)
+    columnar = make_operator(name, instance)
+    loop = stream_form(instance, *(type(part)() for part in (
+        columnar.bound_scheme, columnar._strategy)), name=name)
+    answers = [[(r.left, r.right, r.score.hex()) for r in operator.top_k(instance.k)]
+               for operator in (columnar, loop)]
+    assert len(answers[0]) == instance.k
+    assert answers[0] == answers[1]
+    assert columnar.depths() == loop.depths()

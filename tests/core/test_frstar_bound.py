@@ -219,3 +219,112 @@ class TestRefreshIsADelta:
         assert operator.pulls > 0 and appended == []
         assert not hasattr(operator, "score_columns")
         assert operator.bound_scheme.context.columns is None
+
+
+class TestAPullPaysForOneStep:
+    """A regression to call layers on the FR* pull path fails here.
+
+    Each pull is one shared side step — a seen-skyline insert and, on a
+    group close, one carve, each straight on the side's staircase lists —
+    so the walk makes a fixed, small number of Python calls per pull.  The
+    count is deterministic: this cannot flake on timing."""
+
+    @pytest.mark.parametrize("shape, name", [
+        ("cold_fr2", "FRPA"), ("cold_frwide", "a-FRPA"),
+    ])
+    def test_python_calls_per_pull(self, shape, name):
+        import sys
+
+        from repro.core.operators import make_operator
+        from test_bound_trace_golden import HARNESS_INSTANCES  # same directory
+
+        operator = make_operator(name, HARNESS_INSTANCES[shape]())
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            results = operator.top_k(10)
+        finally:
+            sys.setprofile(None)
+        assert len(results) == 10 and operator.pulls > 500
+        assert calls <= 10 * operator.pulls
+
+
+#: Duplicates, shared coordinates on either axis, and 0 / 1 coordinates.
+step_coordinate = st.sampled_from(
+    [0.0, 1.0, 0.25, 0.5, 0.75, 0.3, 0.6, 0.5 + 1e-12, 1 / 3])
+
+
+@st.composite
+def side_steps(draw):
+    """Pulls ``("pull", side, vector, closes)`` with one move onto a grid of 2 to 64
+    cells per axis somewhere in the stream, on one side."""
+    vector = st.tuples(step_coordinate, step_coordinate)
+    pulls = draw(st.lists(st.tuples(st.just("pull"), st.integers(0, 1), vector,
+                                    st.booleans()), min_size=1, max_size=40))
+    at = draw(st.integers(0, len(pulls)))
+    grid = ("coarsen", draw(st.integers(0, 1)), 2 ** draw(st.integers(1, 6)))
+    return pulls[:at] + [grid] + pulls[at:]
+
+
+class TestTheSharedStep:
+    """``FRStarBound._step`` — what the loop's ``update`` and the walk both
+    call — against the literal oracles: the brute-force skyline of every
+    vector inserted, and ``update_cover(..., skyline_result=True)`` over
+    each closed group (rounded up onto the cover's grid once it has one)."""
+
+    @given(side_steps())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_the_step_equals_the_oracles(self, steps):
+        from repro.core.afr_bound import AFRBound
+        from repro.core.scoring import NEG_INF, WeightedSum
+        from repro.geometry.cover import round_up, update_cover
+
+        scoring = WeightedSum([0.7, 1.3, 1.0, 1.0 + 1e-6])
+        bound = AFRBound(max_cr_size=10**6)  # a grid only where it is moved onto one
+        bound.bind(BoundContext(scoring, (2, 2)))
+        scores = [scoring.row_scorer(0), scoring.row_scorer(2)]
+        inserted, covers, groups = [[], []], [[(1.0, 1.0)], [(1.0, 1.0)]], [[], []]
+        grids = [None, None]
+
+        def brute_skyline(points):
+            return sorted({p for p in points
+                           if not any(q != p and q[0] >= p[0] and q[1] >= p[1]
+                                      for q in points)})
+
+        for kind, side, payload, *closes in steps:
+            if kind == "coarsen":
+                bound._cr[side].coarsen(payload)
+                grids[side] = payload
+                covers[side] = brute_skyline([round_up(p, payload) for p in covers[side]])
+                continue
+            group = None
+            if closes[0]:
+                group, groups[side] = groups[side], [payload]
+            else:
+                groups[side].append(payload)
+            moved = bound._step(side, payload, group)
+            before = brute_skyline(inserted[side])
+            inserted[side].append(payload)
+            assert moved == (brute_skyline(inserted[side]) != before)
+            if group is not None:
+                if grids[side] is not None:
+                    group = [round_up(y, grids[side]) for y in group]
+                covers[side] = sorted(update_cover(covers[side], group,
+                                                   skyline_result=True))
+            for chain, expected, score in (
+                (bound._seen[side], brute_skyline(inserted[side]), scores[side]),
+                (bound._cr[side], covers[side], scores[side]),
+            ):
+                points = chain.points
+                assert points == expected  # the staircase order
+                assert all(p[0] < q[0] and p[1] > q[1] for p, q in zip(points, points[1:]))
+                assert chain.partials == [score(p) for p in points]
+                assert chain.best == max(chain.partials, default=NEG_INF)
+        assert bound.cover_sizes == tuple(map(len, covers))
+        assert bound.seen_skyline_sizes == tuple(len(brute_skyline(s)) for s in inserted)
+        assert bound.cover_resolutions == tuple(grids)

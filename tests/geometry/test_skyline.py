@@ -89,14 +89,6 @@ class TestIncrementalSkyline:
         assert sky.add((0.4, 0.4)) is False  # dominated
         assert sky.add((0.6, 0.6)) is True  # dominates existing
 
-    def test_frozen_since_counts_unchanged_adds(self):
-        sky = IncrementalSkyline([(0.9, 0.9)])
-        sky.add((0.1, 0.1))
-        sky.add((0.2, 0.2))
-        assert sky.frozen_since == 2
-        sky.add((0.95, 0.95))
-        assert sky.frozen_since == 0
-
     def test_covers(self):
         sky = IncrementalSkyline([(0.5, 0.9)])
         assert sky.covers((0.5, 0.5))
@@ -107,13 +99,6 @@ class TestIncrementalSkyline:
         assert len(sky) == 2
         assert (0.5, 0.9) in sky
         assert (0.1, 0.1) not in sky
-
-    def test_inserted_counter(self):
-        sky = IncrementalSkyline(dimension=2)
-        for _ in range(5):
-            sky.add((0.1, 0.1))
-        assert sky.inserted == 5
-        assert len(sky) == 1
 
     @given(points_2d)
     @settings(max_examples=100, deadline=None)
