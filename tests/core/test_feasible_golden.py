@@ -12,9 +12,9 @@ or returns ``None``, and every call leaves one line:
   which has no grid), ``stats().bound_recomputations`` — Table 1's count —
   the inputs' simulated I/O cost and ``memory().output``;
 * the :class:`~repro.stats.trace.BoundTrace` rows the call appended;
-* the registry's pull, choice, cache, recomputation, cover-size,
-  skyline-size and grid counters, gauges and histograms, and the kernel
-  call counts (``kernel_calls_total``: the carves the group closes made).
+* the registry's pull, choice, cache, recomputation, cover-size and grid
+  counters, gauges and histograms, and the kernel call counts
+  (``kernel_calls_total``: the carves the group closes made).
 
 The golden keeps the line count, the last line and a digest of them all.
 ``feasible_golden.json`` was recorded from the last commit whose FR*
@@ -22,9 +22,11 @@ operators were the per-pull PBRJ loop, before they became a walk over
 per-side bound columns, and re-recorded with the kernel call counts from
 the walk's last commit before its seen-skyline insert and group-close
 carve became the step the loop shares — every other part of every line
-came back unchanged.  The instances are the bound-trace golden's e=2 /
-e=3 ones and its tie-heavy ``ties_e2``, one with an empty input and one
-whose K exceeds the join.
+came back unchanged.  It was re-recorded once more from the last commit
+that still wrote the ``skyline_size`` histograms, with that family dropped
+from ``FAMILIES``: only its entries left the lines.  The instances are the
+bound-trace golden's e=2 / e=3 ones and its tie-heavy ``ties_e2``, one
+with an empty input and one whose K exceeds the join.
 
 Re-record only from a commit whose FR* operators you trust::
 
@@ -71,8 +73,8 @@ KEYS = [f"{instance} {operator} budget={budget}"
 #: Registry families the FR* operators write, read after every call.
 FAMILIES = (
     "pulls_total", "pull_choice_total", "bound_cache_total",
-    "bound_recompute_total", "cover_size", "skyline_size",
-    "gridtree_resolution", "gridtree_resolution_drops_total",
+    "bound_recompute_total", "cover_size", "gridtree_resolution",
+    "gridtree_resolution_drops_total",
     "cover_grid_transfers_total", "kernel_calls_total",
 )
 
