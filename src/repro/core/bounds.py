@@ -81,6 +81,9 @@ class BoundingScheme(ABC):
         scheme has nothing to record.
         """
 
+    def flush(self) -> None:
+        """Publish what was tallied since the last call (each step's end)."""
+
     @abstractmethod
     def update(
         self, side: int, tup: RankTuple, score_bound: float | None = None

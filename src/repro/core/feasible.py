@@ -63,17 +63,17 @@ class FeasibleRankJoin(ArrayRankJoin):
         # the best unemitted joined one, and the pull count joined up to.
         self._found, self._pending, self._top, self._joined = 0, NEG_INF, NEG_INF, 0
         self._last_side = 1  # round-robin starts on the left
-        self._choices = [0] * 6 if self._obs.enabled else None
+        self._choices = [0] * 6  # the step's ties and lone-input pulls, by code
 
     def _advance(self, pull_quantum: int | None):
         with self._tracer.span("bound"):
             stopped = self._walk(pull_quantum)
         with self._tracer.span("pull"):
-            self._charge(self._depth)
+            pulled = self._charge(self._depth)
+            if self._obs.enabled:
+                self._book_choices(pulled, self._choices)
+            self._choices = [0] * 6
             self._max_output = max(self._max_output, self._found - self._emitted)
-            if self._choices is not None:
-                self._book_choices(self._choices)
-                self._choices = [0] * 6
         if not stopped:
             return PENDING
         with self._tracer.span("emit"):
@@ -123,7 +123,7 @@ class FeasibleRankJoin(ArrayRankJoin):
                 stopped = False
                 break
             last = side
-            if choices is not None:
+            if reason:
                 choices[3 * side + reason] += 1
             other = 1 - side
             sbar, close, partial, code, vectors = columns[side]
@@ -167,11 +167,8 @@ class FeasibleRankJoin(ArrayRankJoin):
         self._t_both, self._last_side = t_both, last
         if pulls > begun or drained:  # else the bound reads what it read
             self._t, bound._bound, bound._components = t, t, (t0, t1, tb)
-        misses = changes + 2 * closes
-        bound._recomputations += misses
-        bound._m_recompute.inc(misses)
-        bound._m_cache_miss.inc(misses)
-        bound._m_cache_hit.inc(3 * (pulls - begun) - misses)
+        bound._recomputations += changes + 2 * closes  # Table 1's misses
+        bound._updates += pulls - begun
         return stopped
 
     def _grow(self, side: int) -> None:

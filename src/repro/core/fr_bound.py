@@ -41,6 +41,7 @@ from __future__ import annotations
 from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext, BoundingScheme
 from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
+from repro.geometry.antichain import book_carves
 from repro.geometry.cover import CoverRegion
 from repro.kernels import PointSet
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
@@ -65,6 +66,8 @@ class FRBound(BoundingScheme):
         self._components = (POS_INF, POS_INF, POS_INF)
         self._bound = POS_INF
         self._recomputations = 0
+        # Recomputations published, and cover sizes since (None: unobserved).
+        self._booked, self._sizes = 0, None
         self._m_recompute = NULL_METRIC
         self._m_cover_size = (NULL_METRIC, NULL_METRIC)
 
@@ -76,6 +79,16 @@ class FRBound(BoundingScheme):
             metrics.histogram("cover_size", op=op, side="left"),
             metrics.histogram("cover_size", op=op, side="right"),
         )
+        self._sizes = ([], [])
+
+    def flush(self) -> None:
+        self._m_recompute.inc(self._recomputations - self._booked)
+        self._booked = self._recomputations
+        if self._sizes is not None:
+            sizes, self._sizes = self._sizes, ([], [])
+            for histogram, observed in zip(self._m_cover_size, sizes):
+                histogram.observe_many(observed)
+        book_carves(self._cr)
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
@@ -119,7 +132,8 @@ class FRBound(BoundingScheme):
     def _close(self, side: int, group: list) -> None:
         """A group of ``side`` finished: carve its vectors out of ``CR_side``."""
         self._cr[side].update(group)
-        self._m_cover_size[side].observe(len(self._cr[side]))
+        if self._sizes is not None:
+            self._sizes[side].append(len(self._cr[side]))
 
     # ------------------------------------------------------------------
     # BoundingScheme API
@@ -173,14 +187,12 @@ class FRBound(BoundingScheme):
     def _cover_bound(self, unseen_side: int) -> float:
         """``t_i^cover`` where ``unseen_side`` contributes the unseen tuple."""
         self._recomputations += 1
-        self._m_recompute.inc()
         if unseen_side == LEFT:
             return self._pair_max(self._cr[LEFT], self._seen[RIGHT])
         return self._pair_max(self._seen[LEFT], self._cr[RIGHT])
 
     def _both_cover_bound(self) -> float:
         self._recomputations += 1
-        self._m_recompute.inc()
         return self._pair_max(self._cr[LEFT], self._cr[RIGHT])
 
     def _result_bound(self) -> float:

@@ -49,9 +49,9 @@ class FRStarBound(FRBound):
         self._t_both_cover = POS_INF
         #: The grid each cover was last seen on (only aFR's covers move).
         self._grids: list[int | None] = [None, None]
+        self._updates = 0  # pulls since the last flush: 3 cache reads each
         self._m_cache_hit = NULL_METRIC
         self._m_cache_miss = NULL_METRIC
-        self._m_skyline_size = (NULL_METRIC, NULL_METRIC)
 
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         super().observe(metrics, op)
@@ -61,10 +61,13 @@ class FRStarBound(FRBound):
         self._m_cache_miss = metrics.counter(
             "bound_cache_total", op=op, scheme=self.scheme_name, outcome="miss"
         )
-        self._m_skyline_size = (
-            metrics.histogram("skyline_size", op=op, side="left"),
-            metrics.histogram("skyline_size", op=op, side="right"),
-        )
+
+    def flush(self) -> None:
+        misses = self._recomputations - self._booked  # one per recomputation
+        self._m_cache_miss.inc(misses)
+        self._m_cache_hit.inc(3 * self._updates - misses)
+        self._updates = 0
+        super().flush()
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
@@ -95,9 +98,7 @@ class FRStarBound(FRBound):
         # Of the three cached components (t_cover[0], t_cover[1],
         # t_both_cover), a pull invalidates the other side's cover bound on
         # a skyline change and this side's plus t_both on a group close.
-        misses = (1 if skyline_changed else 0) + (2 if group_closed else 0)
-        self._m_cache_miss.inc(misses)
-        self._m_cache_hit.inc(3 - misses)
+        self._updates += 1
         if skyline_changed:
             self._t_cover[other] = self._cover_bound(other)
         if group_closed:
@@ -113,14 +114,12 @@ class FRStarBound(FRBound):
         carve that group out of ``CR_side`` — at e=2 one bisection and one
         slice each, straight on the side's lists.  True iff ``SHR_side``
         changed."""
-        seen = self._seen[side]
-        moved = seen.insert(point)
-        if moved:
-            self._m_skyline_size[side].observe(len(seen._points))
+        moved = self._seen[side].insert(point)
         if group is not None:
             cover = self._cr[side]
             cover.cut(group)
-            self._m_cover_size[side].observe(len(cover._points))
+            if self._sizes is not None:
+                self._sizes[side].append(len(cover._points))
             if cover.resolution != self._grids[side]:
                 self._regrid(side, cover)
         return moved

@@ -25,6 +25,7 @@ from repro.core.afr_bound import AdaptiveCover, check_cover_budget
 from repro.core.bounds import BoundContext, BoundingScheme
 from repro.core.scoring import NEG_INF
 from repro.errors import InstanceError
+from repro.geometry.antichain import book_carves
 from repro.geometry.skyline import IncrementalSkyline
 
 POS_INF = float("inf")
@@ -120,6 +121,9 @@ class MultiwayFeasibleBound(BoundingScheme):
                 self._cases[chosen] = value
                 best = max(best, value)
         return best
+
+    def flush(self) -> None:
+        book_carves(self._covers)
 
     def current(self) -> float:
         return self._bound

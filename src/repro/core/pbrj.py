@@ -229,7 +229,7 @@ class PBRJ(ResumableBase):
                 self._flush_counters()
 
     def _flush_counters(self) -> None:
-        """Ship hot-loop tallies into the metric registry."""
+        """Ship the step's tallies (pulls, heap peak, choices, the bound's)."""
         tally = self._pull_tally
         for side in self._sides:
             if tally[side]:
@@ -239,6 +239,7 @@ class PBRJ(ResumableBase):
             self._heap_peak_shipped = self._max_output
             self._m_heap_peak.set(self._max_output)
         self._strategy.flush_choices()
+        self._bound.flush()
 
     def _advance(self, pull_quantum: int | None):
         pulled_here = 0

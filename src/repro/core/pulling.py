@@ -57,6 +57,7 @@ class PullingStrategy(ABC):
     _choice_op = ""
     _choice_counters: "tuple[dict, ...] | None" = None
     _choice_tallies: "tuple[dict, ...] | None" = None
+    _tallied = False  # since the last flush
 
     def bind(self, inputs: int) -> None:
         """Attach the operator's arity; called once, before :meth:`observe`."""
@@ -87,6 +88,17 @@ class PullingStrategy(ABC):
             return
         tally = self._choice_tallies[side]
         tally[reason] = tally.get(reason, 0) + count
+        self._tallied = True
+
+    def _counter(self, side: int, reason: str):
+        """``pull_choice_total{side, reason}``, registered at first use."""
+        by_reason = self._choice_counters[side]
+        counter = by_reason.get(reason)
+        if counter is None:
+            counter = by_reason[reason] = self._choice_metrics.counter(
+                "pull_choice_total", op=self._choice_op, strategy=self.name,
+                side=side_labels(self._inputs)[side], reason=reason)
+        return counter
 
     def flush_choices(self) -> None:
         """Drain tallied choices into ``pull_choice_total`` counters.
@@ -95,24 +107,12 @@ class PullingStrategy(ABC):
         returns, so the registry is exact at every external observation
         point (quantum boundaries, snapshots, final reads).
         """
-        if self._choice_metrics is None:
+        if not self._tallied:
             return
-        labels = side_labels(self._inputs)
+        self._tallied = False
         for side, tally in enumerate(self._choice_tallies):
-            if not tally:
-                continue
-            by_reason = self._choice_counters[side]
             for reason, count in tally.items():
-                counter = by_reason.get(reason)
-                if counter is None:
-                    counter = by_reason[reason] = self._choice_metrics.counter(
-                        "pull_choice_total",
-                        op=self._choice_op,
-                        strategy=self.name,
-                        side=labels[side],
-                        reason=reason,
-                    )
-                counter.inc(count)
+                self._counter(side, reason).inc(count)
             tally.clear()
 
     def _available(self, view: OperatorView) -> list[int]:
@@ -145,6 +145,7 @@ class RoundRobin(PullingStrategy):
         if self._choice_metrics is not None:  # inlined _count_choice
             tally = self._choice_tallies[side]
             tally[reason] = tally.get(reason, 0) + 1
+            self._tallied = True
         return side
 
 
@@ -188,6 +189,7 @@ class PotentialAdaptive(PullingStrategy):
                 reason = "tie-break" if tied else "potential"
             tally = self._choice_tallies[best]  # inlined _count_choice
             tally[reason] = tally.get(reason, 0) + 1
+            self._tallied = True
         return best
 
 

@@ -25,8 +25,9 @@ form is a function of ``(dimension == 2, skyline_mode)`` alone, fixed at
 construction.  Every other dimension — and
 FR's literal unpruned cover, which is no antichain — has no staircase and
 keeps the loops: the insert scans the list, the carve is one
-:func:`repro.kernels.carve_patch` call whose delta (kept rows, ascending,
-with their partials; then the fresh rows, scored) is applied in place.
+:func:`~repro.kernels.reference.cover_carve` whose delta (kept rows,
+ascending, with their partials; then the fresh rows, scored) is applied in
+place.  The set counts its carves; its bound books them (:func:`book_carves`).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from operator import ge
+from time import perf_counter
 
 from repro import kernels
-from repro.kernels.reference import staircase_carve
+from repro.kernels.reference import cover_carve, staircase_carve
 from repro.kernels.types import Point, as_point, dimension_mismatch
 
 NEG_INF = float("-inf")
@@ -60,7 +62,7 @@ class ScoredAntichain:
 
     __slots__ = (
         "_points", "_score", "partials", "best", "dimension", "skyline_mode",
-        "_staircase",
+        "_staircase", "carves", "timed",
     )
 
     def __init__(
@@ -99,6 +101,8 @@ class ScoredAntichain:
         self.best: float | None = (
             None if score is None else max(self.partials, default=NEG_INF)
         )
+        #: Carves since the last booking, and the first one's seconds.
+        self.carves, self.timed = 0, None
 
     @property
     def points(self) -> list[Point]:
@@ -172,19 +176,17 @@ class ScoredAntichain:
         """Carve the regions dominating each observed vector (canonical
         tuples of this set's dimension) out of the set — ``FR*::UpdateCR``;
         ``FR::UpdateCR`` on a set built with ``skyline_mode=False``.  One
-        counted ``cover_carve`` kernel call either way: at e=2 a direct
-        call on the lists, booked through the kernel sink only while one is
-        registered."""
+        ``cover_carve`` kernel call either way, counted for
+        :func:`book_carves`."""
+        started = perf_counter() if self.timed is None else None
         if self._staircase:
-            args = (self._points, self.partials, self.best, observed, self._score)
-            self.best = (
-                staircase_carve(*args) if kernels._sink is None
-                else kernels._run("python", "cover_carve", staircase_carve, *args)
-            )
+            self.best = staircase_carve(
+                self._points, self.partials, self.best, observed, self._score)
         else:
-            self._patch(*kernels.carve_patch(
-                self._points, observed, skyline_mode=self.skyline_mode
-            ))
+            self._patch(*cover_carve(self._points, observed, self.skyline_mode))
+        if started is not None:
+            self.timed = perf_counter() - started
+        self.carves += 1
 
     def _patch(self, keep: list[int], fresh: list[Point]) -> None:
         """Keep the rows ``keep`` (ascending ids) with their partials, then
@@ -203,3 +205,21 @@ class ScoredAntichain:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self._points!r})"
+
+
+def book_carves(antichains) -> None:
+    """Hand the carves ``antichains`` counted since the last call to the
+    kernel sink, if one is registered: one ``cover_carve`` count, and the
+    first one's seconds as one ``bound_kernel_seconds`` sample."""
+    calls, seconds = 0, None
+    for antichain in antichains:
+        if antichain.carves:
+            calls += antichain.carves
+            seconds = antichain.timed if seconds is None else seconds
+            antichain.carves, antichain.timed = 0, None
+    sink = kernels._sink
+    if calls and sink is not None:
+        handle = sink.handles.get(("python", "cover_carve")) or sink.handle(
+            "python", "cover_carve")
+        handle.counter.inc(calls)
+        handle.hist.observe(seconds)

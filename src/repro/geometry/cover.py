@@ -17,7 +17,7 @@ production path is :class:`CoverRegion`, a list-native
 sorted staircase and the call is a bisection plus one slice replaced in
 place (:func:`repro.kernels.reference.staircase_carve`, called on the
 cover's own lists); every other cover goes
-through :func:`repro.kernels.carve_patch`, a loop over the list itself (an
+through :func:`repro.kernels.reference.cover_carve`, a loop over the list (an
 array form had to build its operand from the list first and never won).
 
 The FR* variant additionally skylines the result, and — as the paper's

@@ -15,11 +15,10 @@ measurably wins:
   layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`.
   Its operand decides its form: a sorted 2-D antichain (a staircase) is
   patched in place by a bisection and one slice
-  (:func:`repro.kernels.reference.staircase_carve`, which the antichain
-  calls itself, through :func:`_run` only while a sink is registered);
-  any other cover gets kept row ids plus fresh points
-  (:func:`carve_patch`) from the loop, which :func:`cover_carve` assembles
-  into the whole cover.  Either way it is one counted ``cover_carve`` call.
+  (:func:`repro.kernels.reference.staircase_carve`); any other cover gets
+  kept row ids plus fresh points from the loop
+  (:func:`repro.kernels.reference.cover_carve`), which :func:`cover_carve`
+  assembles into the whole cover.  Either way it is one counted call.
 * ``cover_corner_scores`` and ``cross_product_max`` — the bulk ops of
   PBRJ_FR^RR's seen columns — also have a numpy form
   (:mod:`repro.kernels.vectorized`, one broadcast per batch, 57–89× faster
@@ -50,8 +49,10 @@ afterwards every kernel call increments
 ``kernel_calls_total{kernel=…, fn=…}`` labelled with the form that
 actually **ran** (so ``python -m repro trace`` shows the mix the table
 chose), and a deterministic 1-in-16 sample of calls records wall-clock
-in the ``bound_kernel_seconds{kernel=…}`` histogram.  Call counts are
-exact; only the latency histogram is sampled.
+in the ``bound_kernel_seconds{kernel=…}`` histogram — but an antichain
+counts its own carves, and its operator books them as each ``try_next``
+returns, one timed (:func:`repro.geometry.antichain.book_carves`).  Call
+counts are exact; only the latency histogram is sampled.
 """
 
 from __future__ import annotations
@@ -105,11 +106,9 @@ def calibrate_thresholds(*, budget: float = 0.15) -> dict[str, dict[str, int]]:
 # ----------------------------------------------------------------------
 #: Latency sampling period: every call is *counted*, but only one call
 #: in ``_SAMPLE`` pays the ``perf_counter`` pair feeding the
-#: ``bound_kernel_seconds`` histogram.  Kernel calls are by far the most
-#: frequent instrumented operation on the serial hot path; deterministic
-#: sampling (first call of each series always sampled) keeps the
-#: histogram representative while holding total overhead inside the
-#: observability plane's 5% budget.
+#: ``bound_kernel_seconds`` histogram (first call of each series always
+#: sampled).  Booked this way, FR*'s carves cost 15–22 % of a query under
+#: an observability pipeline, so those are booked per step instead.
 _SAMPLE = 16
 
 
@@ -158,10 +157,12 @@ def observe(metrics) -> None:
     Called by instrumented operators (PBRJ with an observability
     pipeline).  The sink is process-global — concurrent pipelines share
     it, last registration wins — and adds one ``perf_counter`` pair per
-    sampled kernel call, nothing when never registered.
+    sampled kernel call, nothing when never registered.  The registry
+    already routed to keeps its sink.
     """
     global _sink
-    _sink = _InstrumentationSink(metrics)
+    if _sink is None or _sink._metrics is not metrics:
+        _sink = _InstrumentationSink(metrics)
 
 
 def unobserve() -> None:
@@ -221,19 +222,10 @@ def cross_product_max(left, right) -> float:
     return _sized("cross_product_max", len(left) * len(right), left, right)
 
 
-def carve_patch(cover, observed, *, skyline_mode: bool = False):
-    """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``) as a delta
-    ``(keep, fresh)`` — surviving row ids, then the new points.  Counted
-    as ``cover_carve``."""
-    return _run(
-        "python", "cover_carve", _loops.cover_carve, cover, observed,
-        skyline_mode,
-    )
-
-
 def cover_carve(cover, observed, *, skyline_mode: bool = False):
     """``FR::UpdateCR`` (``FR*`` with ``skyline_mode``): new cover points."""
-    keep, fresh = carve_patch(cover, observed, skyline_mode=skyline_mode)
+    keep, fresh = _run(
+        "python", "cover_carve", _loops.cover_carve, cover, observed, skyline_mode)
     rows = _loops._rows(cover)
     return [rows[i] for i in keep] + fresh
 
@@ -244,7 +236,6 @@ __all__ = [
     "PointSet",
     "as_point",
     "calibrate_thresholds",
-    "carve_patch",
     "cover_carve",
     "cover_corner_scores",
     "cross_product_max",

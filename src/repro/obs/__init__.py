@@ -27,6 +27,8 @@ Typical use::
 
 from __future__ import annotations
 
+import weakref
+
 from repro.obs.export import (
     ConsoleExporter,
     JsonlExporter,
@@ -80,8 +82,10 @@ class Observability:
         self.enabled = enabled
         self.metrics = MetricRegistry(enabled=enabled)
         self.exporters = list(exporters)
-        self._tracers: list[tuple[str, Tracer]] = []
-        self._flushed_events = 0
+        # Live operators' spans by (name, weak tracer); finished ones' by
+        # name, then path: [count, seconds].
+        self._tracers: dict[tuple[str, weakref.ref], dict] = {}
+        self._retired: dict[str, dict[tuple, list]] = {}
 
     # ------------------------------------------------------------------
     # Component hooks
@@ -91,12 +95,21 @@ class Observability:
 
         Each operator gets its own tracer so per-operator timings stay
         separable (pipelines nest operators inside each other's spans).
+        Held weakly: a finished operator's spans fold into its name's.
         Disabled pipelines hand out unregistered, disabled tracers.
         """
         tracer = Tracer(enabled=self.enabled)
         if self.enabled:
-            self._tracers.append((name, tracer))
+            ref = weakref.ref(tracer, lambda ref: self._retire(name, ref))
+            self._tracers[name, ref] = tracer._spans
         return tracer
+
+    def _retire(self, name: str, ref: weakref.ref) -> None:
+        folded = self._retired.setdefault(name, {})
+        for path, stats in self._tracers.pop((name, ref)).items():
+            total = folded.setdefault(path, [0, 0.0])
+            total[0] += stats.count
+            total[1] += stats.seconds
 
     def event(self, name: str, **fields) -> None:
         """Emit a discrete event to every exporter immediately."""
@@ -132,15 +145,21 @@ class Observability:
     # ------------------------------------------------------------------
     def aggregate_events(self) -> list[dict]:
         """Span and metric aggregates as export-ready dict records."""
+        live = [(name, ref()) for name, ref in list(self._tracers)]  # none retires now
+        spans = [(name, {"/".join(path): total for path, total in folded.items()})
+                 for name, folded in list(self._retired.items())]
+        spans += [(name, {path: (stats.count, stats.seconds)
+                          for path, stats in tracer.spans().items()})
+                  for name, tracer in live if tracer is not None]
         records: list[dict] = []
-        for op_name, tracer in self._tracers:
-            for path, stats in sorted(tracer.spans().items()):
+        for op_name, by_path in spans:
+            for path, (count, seconds) in sorted(by_path.items()):
                 records.append({
                     "type": "span",
                     "op": op_name,
                     "path": path,
-                    "count": stats.count,
-                    "seconds": stats.seconds,
+                    "count": count,
+                    "seconds": seconds,
                 })
         records.extend(self.metrics.snapshot())
         return records

@@ -110,8 +110,8 @@ def _merged_histogram(registry: MetricRegistry, name: str) -> Histogram | None:
             continue  # defensively skip incompatible bucket layouts
         for index, count in enumerate(metric.counts):
             merged.counts[index] += count
-        merged.sum += metric.sum
-        merged.count += metric.count
+        merged._sum += metric.sum  # ``merged`` has nothing queued
+        merged._count += metric.count
     return merged
 
 

@@ -14,7 +14,10 @@ registration.
 
 from __future__ import annotations
 
+import collections
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 
 #: Default histogram boundaries: sizes of covers/skylines/heaps are small
 #: integers that grow multiplicatively, so powers-of-two-ish edges.
@@ -57,23 +60,43 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary histogram with count/sum, cheap to update."""
+    """Fixed-boundary histogram with count/sum, cheap to update: values
+    queue, and reading ``counts``, ``sum`` or ``count`` folds them in, in
+    order — the counts and bits of observing each as it came."""
 
-    __slots__ = ("boundaries", "counts", "sum", "count")
+    __slots__ = ("boundaries", "_counts", "_sum", "_count", "_queue")
     kind = "histogram"
 
     def __init__(self, boundaries: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if list(boundaries) != sorted(boundaries):
             raise ValueError("histogram boundaries must be sorted")
         self.boundaries = tuple(boundaries)
-        self.counts = [0] * (len(self.boundaries) + 1)  # last is overflow
-        self.sum = 0.0
-        self.count = 0
+        self._counts = [0] * (len(self.boundaries) + 1)  # last is overflow
+        self._sum, self._count, self._queue = 0.0, 0, []
 
     def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.boundaries, value)] += 1
-        self.sum += value
-        self.count += 1
+        self._queue.append(value)
+        if len(self._queue) >= 4096:  # a bound on the memory of the unread
+            self._folded()
+
+    def observe_many(self, values) -> None:
+        """``observe`` each of ``values``, in order, as one update."""
+        self._queue += values
+        if len(self._queue) >= 4096:
+            self._folded()
+
+    def _folded(self) -> tuple[list[int], float, int]:
+        if self._queue:
+            queue, self._queue = self._queue, []
+            for value, times in collections.Counter(queue).items():
+                self._counts[bisect_left(self.boundaries, value)] += times
+            self._sum = reduce(add, queue, self._sum)
+            self._count += len(queue)
+        return self._counts, self._sum, self._count
+
+    counts = property(lambda self: self._folded()[0])
+    sum = property(lambda self: self._folded()[1])
+    count = property(lambda self: self._folded()[2])
 
     def bucket_pairs(self) -> list[tuple[float | None, int]]:
         """``(upper_bound, count)`` pairs; ``None`` bound = overflow."""
@@ -126,6 +149,9 @@ class _NullMetric:
     def observe(self, value: float) -> None:
         pass
 
+    def observe_many(self, values) -> None:
+        pass
+
 
 NULL_METRIC = _NullMetric()
 
@@ -136,6 +162,8 @@ class MetricRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._metrics: dict[tuple[str, str, LabelKey], object] = {}
+        # The same metrics by labels in call order: no sort on a repeat lookup.
+        self._handles: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Handle resolution
@@ -143,10 +171,11 @@ class MetricRegistry:
     def _resolve(self, kind: str, name: str, factory, labels: dict) -> object:
         if not self.enabled:
             return NULL_METRIC
-        key = (kind, name, _label_key(labels))
-        metric = self._metrics.get(key)
+        handle = (kind, name, *labels.items())
+        metric = self._handles.get(handle)
         if metric is None:
-            metric = self._metrics[key] = factory()
+            metric = self._handles[handle] = self._metrics.setdefault(
+                (kind, name, _label_key(labels)), factory())
         return metric
 
     def counter(self, name: str, **labels: str) -> Counter:
@@ -210,3 +239,4 @@ class MetricRegistry:
 
     def reset(self) -> None:
         self._metrics.clear()
+        self._handles.clear()

@@ -203,6 +203,9 @@ class Scheduler:
         self._m_deadline_expired = metrics.counter(
             "service_deadline_expirations_total"
         )
+        # Sessions with a deadline (a tick sweeps only while one lives), and
+        # the gauges' last values (set on change).
+        self._deadlines, self._exported = 0, None
 
     # ------------------------------------------------------------------
     # Admission
@@ -210,6 +213,8 @@ class Scheduler:
     def submit(self, session: QuerySession) -> QuerySession:
         """Admit a session (live if a slot is free, else queued FIFO)."""
         self._sessions[session.session_id] = session
+        if session.deadline is not None:
+            self._deadlines += 1
         if session.done:
             # Pre-answered (cache hit): bypass admission entirely.
             self._retire(session)
@@ -250,9 +255,10 @@ class Scheduler:
         """Advance one session by one quantum; False when fully idle."""
         if not self._live and not self._queue:
             return False
-        self._sweep_deadlines()
-        if not self._live and not self._queue:
-            return False
+        if self._deadlines:
+            self._sweep_deadlines()
+            if not self._live and not self._queue:
+                return False
         if not self._live:
             self._admit()
         session = self.policy.choose(self._live)
@@ -343,6 +349,8 @@ class Scheduler:
         self._admit()
 
     def _retire(self, session: QuerySession) -> None:
+        if session.deadline is not None:
+            self._deadlines -= 1
         self._finished.append(session)
         if len(self._finished) > FINISHED_RETENTION:
             self._sessions.pop(self._finished.popleft().session_id, None)
@@ -371,5 +379,8 @@ class Scheduler:
         self._export_gauges()
 
     def _export_gauges(self) -> None:
-        self._m_queue_depth.set(len(self._queue))
-        self._m_live.set(len(self._live))
+        exported = (len(self._queue), len(self._live))
+        if exported != self._exported:
+            self._exported = exported
+            self._m_queue_depth.set(exported[0])
+            self._m_live.set(exported[1])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.geometry.cover import CoverRegion, update_cover
+from repro.kernels.reference import cover_carve as carve_patch
 from repro.geometry.skyline import is_skyline
 
 from tests.conftest import numpy_calls
@@ -61,7 +62,7 @@ class TestPatchAgainstLoopOracle:
     def test_public_carve_is_the_assembled_patch(self, case):
         e, warm, batch = case
         start = update_cover([kernels.ones(e)], warm, skyline_result=True)
-        keep, fresh = kernels.carve_patch(start, batch, skyline_mode=True)
+        keep, fresh = carve_patch(start, batch, True)
         carved = kernels.cover_carve(start, batch, skyline_mode=True)
         assembled = [start[i] for i in keep] + [tuple(p) for p in fresh]
         assert [tuple(p) for p in carved] == assembled
@@ -70,15 +71,13 @@ class TestPatchAgainstLoopOracle:
     def test_later_vector_removes_an_earlier_fresh_point(self):
         # (0.5, 0.5) leaves (0.5, 1) and (1, 0.5); (0.4, 0.9) then removes
         # the first of those and projects it.
-        keep, fresh = kernels.carve_patch(
-            [(1.0, 1.0)], [(0.5, 0.5), (0.4, 0.9)], skyline_mode=True
-        )
+        keep, fresh = carve_patch([(1.0, 1.0)], [(0.5, 0.5), (0.4, 0.9)], True)
         assert len(keep) == 0
         assert [tuple(p) for p in fresh] == [(1.0, 0.5), (0.4, 1.0), (0.5, 0.9)]
 
     def test_untouched_cover_is_an_empty_patch(self):
         cover = [(0.2, 1.0), (1.0, 0.2)]
-        keep, fresh = kernels.carve_patch(cover, [(0.5, 0.5)], skyline_mode=True)
+        keep, fresh = carve_patch(cover, [(0.5, 0.5)], True)
         assert list(keep) == [0, 1] and len(fresh) == 0
 
 
@@ -92,9 +91,7 @@ class TestGridCarveFilters:
         # its projection (5, 4) sits under the surviving (7, 4).  On corners
         # (1, 5/8) ties q on the second axis, so the weak carve removes it
         # too; it is its own projection there and comes straight back.
-        keep, fresh = kernels.carve_patch(
-            [(1.0, 5 / 8), (6 / 8, 1.0)], [(2 / 8, 5 / 8)], skyline_mode=True,
-        )
+        keep, fresh = carve_patch([(1.0, 5 / 8), (6 / 8, 1.0)], [(2 / 8, 5 / 8)], True)
         assert len(keep) == 0
         assert fresh == [(2 / 8, 1.0), (1.0, 5 / 8)]
 
@@ -118,7 +115,7 @@ class TestOneForm:
             for e in (1, 2, 3, 5):
                 start = [kernels.ones(e)]
                 batch = [(0.5,) * e, (0.25,) * (e - 1) + (0.75,)]
-                kernels.carve_patch(start, batch, skyline_mode=True)
+                carve_patch(start, batch, True)
                 kernels.cover_carve(start, batch)
                 _carved(e, batch, [(0.1,) * e])
                 region = CoverRegion(e, skyline_mode=True, resolution=8)

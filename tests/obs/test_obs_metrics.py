@@ -1,8 +1,13 @@
 """Tests for the metric registry: counters, gauges, histogram bucketing."""
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     NULL_METRIC,
     Histogram,
     MetricRegistry,
@@ -74,6 +79,32 @@ class TestHistogram:
         hist.observe(3)
         assert hist.counts == [0, 1, 0]
 
+    @given(
+        start=st.floats(0, 1e6),
+        values=st.lists(st.one_of(
+            st.integers(-50, 5000), st.floats(0, 5000), st.sampled_from([1, 2.0, 64]),
+            st.integers(2 ** 52, 2 ** 53)),
+            max_size=60),
+        read_at=st.integers(0, 60),
+        repeat=st.sampled_from([1, 80]),
+    )
+    def test_bulk_update_is_the_observe_loop(self, start, values, read_at, repeat):
+        """``observe_many`` — what an operator publishes once per step —
+        leaves the per-value loop's counts, and its ``sum`` / ``count``
+        bits, whenever it is read (a long queue folds unread)."""
+        values = values * repeat
+        hist = Histogram()
+        hist.observe(start)
+        hist.observe_many(values[:read_at])
+        assert hist.count == 1 + len(values[:read_at])  # a read folds the queue
+        hist.observe_many(values[read_at:])
+        counts, total = [0] * (len(DEFAULT_BUCKETS) + 1), 0.0
+        for value in [start, *values]:
+            counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
+            total += value
+        assert hist.counts == counts
+        assert hist.count == 1 + len(values)
+        assert hist.sum.hex() == total.hex()
 
 class TestDisabledRegistry:
     def test_returns_null_metric(self):
@@ -86,6 +117,7 @@ class TestDisabledRegistry:
         NULL_METRIC.inc()
         NULL_METRIC.set(3)
         NULL_METRIC.observe(1.5)
+        NULL_METRIC.observe_many([1, 2])
         assert NULL_METRIC.value == 0
 
     def test_disabled_registry_snapshot_empty(self):

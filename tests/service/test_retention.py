@@ -13,12 +13,34 @@ import weakref
 
 import pytest
 
-from repro.service import QueryService, ServiceClient, ServiceError
+from repro.core.scoring import WeightedSum
+from repro.service import QueryService, QuerySpec, ServiceClient, ServiceError
 from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import FINISHED_RETENTION
 
 from tests.service.conftest import make_spec
 from tests.service.test_server import running_server
+
+
+class TestTracersFold:
+    def test_four_hundred_cold_queries_keep_the_live_tracers_only(self):
+        """The pipeline held one tracer per operator it ever saw: 400 after
+        400 cold queries, all flushed at shutdown.  Now a finished
+        operator's spans fold into one aggregate per operator name."""
+        base = make_spec(k=3, operator="FRPA", n=40)
+        service = QueryService(cache_capacity=8)
+        for index in range(400):
+            weights = [1.0, 1.0, 1.0, 1.0 + (index + 1) * 1e-6]
+            service.run_query(dataclasses.replace(base, scoring=WeightedSum(weights)))
+        gc.collect()
+        live = len(service.scheduler.live_sessions) + len(service.cache)
+        assert len(service.obs._tracers) <= live == 8
+        spans = [r for r in service.obs.aggregate_events() if r["type"] == "span"]
+        # Each path once for the folded operators, once per cached one.
+        paths = {r["path"] for r in spans}
+        assert len(spans) <= len(paths) * (1 + live)
+        calls = sum(r["count"] for r in spans if r["path"] == "get_next")
+        assert calls >= 400 * 3  # every query's get_next calls still counted
 
 
 class TestFinishedSessionsAgeOut:
