@@ -8,13 +8,15 @@ or returns ``None``, and every call leaves one line:
   and ``score.hex()``;
 * ``pulls``, ``depth(0)``, ``depth(1)``, ``bound_value``, ``frontier()``,
   both potentials, the inputs' simulated I/O cost and ``memory().output``;
-* the :class:`~repro.stats.trace.BoundTrace` rows the call appended;
-* the cumulative ``pull_choice_total{strategy, side, reason}`` counts.
+* the :class:`~repro.stats.trace.BoundTrace` rows the call appended.
 
 The golden keeps the line count, the last line and a digest of them all.
 ``corner_golden.json`` was recorded from the last commit whose HRJN and
 HRJN* were the per-pull PBRJ loop (corner bound + round-robin /
-potential-adaptive pulling), before they became array passes.  The
+potential-adaptive pulling), before they became array passes, and
+re-recorded from the last commit that still wrote ``pull_choice_total``,
+with the column of those counts dropped: every other part of every line
+came back unchanged.  The
 instances are the bound-trace golden's e=2 / e=3 ones, a 0.25-grid
 instance made of exact-score ties, one with an empty input and one whose
 K exceeds the join.
@@ -111,10 +113,6 @@ def calls(key):
                 shown = f"{result_identity(outcome)!r} {outcome.score.hex()}"
             appended = trace.entries[rows:]
             rows = len(trace.entries)
-            choices = sorted(
-                f"{labels['strategy']}/{labels['side']}/{labels['reason']}={counter.value}"
-                for _, labels, counter in obs.metrics.metrics_named("pull_choice_total")
-            )
             lines.append(" | ".join([
                 shown,
                 f"{operator.pulls} {operator.depth(0)} {operator.depth(1)}",
@@ -124,7 +122,6 @@ def calls(key):
                 f"{operator.stats().io_cost!r} {operator.memory().output}",
                 ";".join(f"{e.pull} {e.side} {_hex(e.bound)} {e.buffered} {e.emitted}"
                          for e in appended),
-                ",".join(choices),
             ]))
             if outcome is None:
                 break
