@@ -98,7 +98,6 @@ class AnyKRankJoin(ResumableBase):
             self.trace = None
         metrics = self._obs.metrics
         self._m_dp_tuples = metrics.counter("anyk_dp_tuples_total", op=name)
-        self._m_pops = metrics.counter("anyk_successor_pops_total", op=name)
         self._m_emitted = metrics.counter("results_emitted_total", op=name)
 
     # ------------------------------------------------------------------
@@ -130,7 +129,8 @@ class AnyKRankJoin(ResumableBase):
             dp_started = time.perf_counter()
             spent = self._dp.run(max_pulls)
             self._dp_seconds += time.perf_counter() - dp_started
-            self._charge(spent, self._m_dp_tuples)
+            self._pulls += spent
+            self._m_dp_tuples.inc(spent)
             if not self._dp.done:
                 return PENDING
             if self.trace is not None:
@@ -145,7 +145,7 @@ class AnyKRankJoin(ResumableBase):
             return PENDING
         before = self._enum.pops
         batch = self._enum.next_batch()
-        self._charge(self._enum.pops - before, self._m_pops)
+        self._pulls += self._enum.pops - before
         if not batch:
             self._exhausted = True
             return None
@@ -183,10 +183,6 @@ class AnyKRankJoin(ResumableBase):
         self._history.append(result)
         self._m_emitted.inc()
         return result
-
-    def _charge(self, units: int, metric) -> None:
-        self._pulls += units
-        metric.inc(units)
 
     # ------------------------------------------------------------------
     # Reporting (the PBRJ-compatible surface)

@@ -77,7 +77,7 @@ class BoundingScheme(ABC):
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         """Attach metric handles; called by the operator when obs is on.
 
-        Subclasses resolve their counters/histograms here — the default
+        Subclasses resolve their counters and gauges here — the default
         scheme has nothing to record.
         """
 

@@ -28,10 +28,6 @@ from repro.relation.relation import KEY_ATTR, RankJoinInstance, Relation
 #: Pulls the first read-ahead schedules; each further one doubles them.
 FIRST_WINDOW = 64
 
-#: ``pull_choice_total`` reasons by code, for PA and for round-robin.
-_REASONS = {True: ("potential", "tie-break", "only-available"),
-            False: ("alternation", None, "only-available")}
-
 
 def equijoin(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)`` with ``left[i] == right[j]``, by ``i`` then
@@ -71,10 +67,6 @@ class ArrayRankJoin(PBRJ):
         # (-inf once emitted), rows.
         self._discovered, self._live = np.empty(0, np.intp), np.empty(0)
         self._pairs = (np.empty(0, np.intp),) * 2
-        # ``pull_choice_total`` by code, each resolved at its first choice and
-        # kept for the next operators of this label on this registry.
-        self._m_choices = self._obs.metrics._handles.setdefault(
-            ("pull_choice_total", name, self._adaptive), [None] * 6)
 
     def _join(self, pulled, since: int) -> np.ndarray:
         """Join the first ``len(pulled[s])`` tuples of each input —
@@ -109,28 +101,13 @@ class ArrayRankJoin(PBRJ):
         self._discovered = np.concatenate((self._discovered, found[fresh]))
         return scores
 
-    def _charge(self, depths) -> list[int]:
+    def _charge(self, depths) -> None:
         """The loop's reads up to ``depths``, without handing out the tuples."""
-        counts = [int(depth) - source.depth for depth, source in zip(depths, self._sources)]
-        for side, source in enumerate(self._sources):
-            if counts[side]:
-                source.stats.charge(source.cost_model, counts[side])
-            self._pull_tally[side] += counts[side]
-        return counts
-
-    def _book_choices(self, pulled: list[int], counts: list[int]) -> None:
-        """``pull_choice_total`` from each side's pulls and the counts of
-        reasons 1 and 2 by code ``side * 3 + reason``: the rest are 0."""
-        counts[0] = pulled[0] - counts[1] - counts[2]
-        counts[3] = pulled[1] - counts[4] - counts[5]
-        counters = self._m_choices
-        for code, count in enumerate(counts):
+        for side, (depth, source) in enumerate(zip(depths, self._sources)):
+            count = int(depth) - source.depth
             if count:
-                counter = counters[code]
-                if counter is None:
-                    counter = counters[code] = self._strategy._counter(
-                        code // 3, _REASONS[self._adaptive][code % 3])
-                counter.value += count
+                source.stats.charge(source.cost_model, count)
+            self._pull_tally[side] += count
 
     def _emit(self):
         found = self._known()  # first: a join replaces ``_live``
@@ -165,9 +142,6 @@ class CornerRankJoin(ArrayRankJoin):
         self._cap = [np.append(last[:n], NEG_INF) for last, n in zip(self._last, self._n)]
         # The schedule, ``t`` and results found after p pulls.
         self._window, self._side = 0, np.empty(0, np.int8)
-        # Potentials before each scheduled pull (kept only to note choices),
-        # the pulls noted so far, their ties and the reason-2 run's start.
-        self._potentials, self._noted, self._ties, self._lone = None, 0, bytearray(), None
         self._depth = (np.zeros(1, np.intp),) * 2
         self._t_at, self._found = np.full(1, POS_INF), np.zeros(1, np.intp)
         self._event: int | None = None  # the next emission's pull count
@@ -219,52 +193,22 @@ class CornerRankJoin(ArrayRankJoin):
             side = side[:window]
             left = np.concatenate(([0], np.cumsum(side == 0)))
             depth = (left, np.arange(window + 1) - left)
-            potentials = (self._cap[0][left], self._cap[1][depth[1]])
-            self._t_at = np.maximum(*potentials)
-            if self._obs.enabled:  # until the first commit past the noted prefix
-                self._potentials = potentials
+            self._t_at = np.maximum(self._cap[0][left], self._cap[1][depth[1]])
         with self._tracer.span("join"):
             self._join([np.flatnonzero(side == s) + 1 for s in (0, 1)], self._window)
             self._found = np.cumsum(np.bincount(self._discovered, minlength=window + 1))
         self._window, self._side, self._depth = window, side, depth
 
-    def _note_choices(self) -> None:
-        """Note the scheduled pulls past the noted prefix: PA's ties (a byte
-        a pull: ``1 << side`` on a tie, else 0) and, once an input is
-        exhausted, where the reason-2 pulls from the other start
-        (round-robin: the second)."""
-        side, (before_left, before_right) = self._side, self._potentials
-        begin, end = self._noted, len(side)
-        if self._adaptive:
-            tied = before_left[begin:end] == before_right[begin:end]
-            self._ties += (tied.view(np.int8) << side[begin:]).tobytes()
-        (left, right), (n_left, n_right) = self._depth, self._n
-        if self._lone is None and (left[-1] == n_left or right[-1] == n_right):
-            lone = min(int(left.searchsorted(n_left)), int(right.searchsorted(n_right)))
-            live = int(left[lone] == n_left)
-            first = lone if self._adaptive else lone + 1 if lone else 1 - live
-            self._lone = first, live
-        self._noted, self._potentials = end, None
-
     def _commit(self, target: int) -> None:
         """Make the pulls up to ``target`` as the loop would: charge the
-        inputs, then book the heap peak, trace rows and choice counts."""
+        inputs, then book the heap peak and trace rows."""
         start = self._pulls
         with self._tracer.span("pull"):
-            pulled = self._charge([depth[target] for depth in self._depth])
+            self._charge([depth[target] for depth in self._depth])
             buffered = int(self._found[target]) - self._emitted
             self._max_output = max(self._max_output, buffered)
             if self._trace is not None:
                 self._record(start, target)
-            if self._obs.enabled:
-                if target > self._noted:
-                    self._note_choices()
-                ties = self._ties
-                counts = [0, ties.count(1, start, target), 0, 0, ties.count(2, start, target), 0]
-                if self._lone is not None:
-                    first, live = self._lone
-                    counts[3 * live + 2] = max(0, target - max(start, first))
-                self._book_choices(pulled, counts)
             self._pulls = target
 
     def _record(self, start: int, done: int) -> None:

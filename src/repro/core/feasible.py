@@ -63,16 +63,12 @@ class FeasibleRankJoin(ArrayRankJoin):
         # the best unemitted joined one, and the pull count joined up to.
         self._found, self._pending, self._top, self._joined = 0, NEG_INF, NEG_INF, 0
         self._last_side = 1  # round-robin starts on the left
-        self._choices = [0] * 6  # the step's ties and lone-input pulls, by code
 
     def _advance(self, pull_quantum: int | None):
         with self._tracer.span("bound"):
             stopped = self._walk(pull_quantum)
         with self._tracer.span("pull"):
-            pulled = self._charge(self._depth)
-            if self._obs.enabled:
-                self._book_choices(pulled, self._choices)
-            self._choices = [0] * 6
+            self._charge(self._depth)
             self._max_output = max(self._max_output, self._found - self._emitted)
         if not stopped:
             return PENDING
@@ -83,7 +79,7 @@ class FeasibleRankJoin(ArrayRankJoin):
         """Pull as the loop would: True at the loop head where it stops (a
         result reaches ``t``, or every input is exhausted), False once
         ``quantum`` pulls are spent."""
-        bound, trace, choices, adaptive = self._bound, self._trace, self._choices, self._adaptive
+        bound, trace, adaptive = self._bound, self._trace, self._adaptive
         g, depth, size, start = bound._g, self._depth, self._n, self._start
         cover_best, seen_best, exhausted = self._cover_best, self._seen_best, self._exhausted
         columns, count, peak, at = self._columns, self._count, self._peak, self._at
@@ -109,22 +105,17 @@ class FeasibleRankJoin(ArrayRankJoin):
                 break
             if exhausted[0] or exhausted[1]:
                 side = int(exhausted[0])
-                reason = 2 if adaptive or exhausted[1 - last] else 0
             elif adaptive:
                 p0 = t0 if t0 > tb else tb
                 p1 = t1 if t1 > tb else tb
-                if p0 != p1:
-                    side, reason = int(p1 > p0), 0
-                else:  # ties go to the lesser depth, then to the left
-                    side, reason = int(depth[1] < depth[0]), 1
+                # Ties go to the lesser depth, then to the left.
+                side = int(p1 > p0) if p0 != p1 else int(depth[1] < depth[0])
             else:
-                side, reason = 1 - last, 0
+                side = 1 - last
             if pulls == limit:
                 stopped = False
                 break
             last = side
-            if reason:
-                choices[3 * side + reason] += 1
             other = 1 - side
             sbar, close, partial, code, vectors = columns[side]
             i = depth[side]
@@ -168,7 +159,6 @@ class FeasibleRankJoin(ArrayRankJoin):
         if pulls > begun or drained:  # else the bound reads what it read
             self._t, bound._bound, bound._components = t, t, (t0, t1, tb)
         bound._recomputations += changes + 2 * closes  # Table 1's misses
-        bound._updates += pulls - begun
         return stopped
 
     def _grow(self, side: int) -> None:

@@ -66,28 +66,17 @@ class FRBound(BoundingScheme):
         self._components = (POS_INF, POS_INF, POS_INF)
         self._bound = POS_INF
         self._recomputations = 0
-        # Recomputations published, and cover sizes since (None: unobserved).
-        self._booked, self._sizes = 0, None
+        self._booked = 0  # recomputations published
         self._m_recompute = NULL_METRIC
-        self._m_cover_size = (NULL_METRIC, NULL_METRIC)
 
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         self._m_recompute = metrics.counter(
             "bound_recompute_total", op=op, scheme=self.scheme_name
         )
-        self._m_cover_size = (
-            metrics.histogram("cover_size", op=op, side="left"),
-            metrics.histogram("cover_size", op=op, side="right"),
-        )
-        self._sizes = ([], [])
 
     def flush(self) -> None:
         self._m_recompute.inc(self._recomputations - self._booked)
         self._booked = self._recomputations
-        if self._sizes is not None:
-            sizes, self._sizes = self._sizes, ([], [])
-            for histogram, observed in zip(self._m_cover_size, sizes):
-                histogram.observe_many(observed)
         book_carves(self._cr)
 
     def bind(self, context: BoundContext) -> None:
@@ -132,8 +121,6 @@ class FRBound(BoundingScheme):
     def _close(self, side: int, group: list) -> None:
         """A group of ``side`` finished: carve its vectors out of ``CR_side``."""
         self._cr[side].update(group)
-        if self._sizes is not None:
-            self._sizes[side].append(len(self._cr[side]))
 
     # ------------------------------------------------------------------
     # BoundingScheme API

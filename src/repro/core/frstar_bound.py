@@ -35,7 +35,6 @@ from repro.core.tuples import RankTuple
 from repro.geometry.dominance import ones
 from repro.geometry.skyline import IncrementalSkyline
 from repro.kernels.types import dimension_mismatch
-from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
 
 class FRStarBound(FRBound):
@@ -49,25 +48,6 @@ class FRStarBound(FRBound):
         self._t_both_cover = POS_INF
         #: The grid each cover was last seen on (only aFR's covers move).
         self._grids: list[int | None] = [None, None]
-        self._updates = 0  # pulls since the last flush: 3 cache reads each
-        self._m_cache_hit = NULL_METRIC
-        self._m_cache_miss = NULL_METRIC
-
-    def observe(self, metrics: MetricRegistry, op: str) -> None:
-        super().observe(metrics, op)
-        self._m_cache_hit = metrics.counter(
-            "bound_cache_total", op=op, scheme=self.scheme_name, outcome="hit"
-        )
-        self._m_cache_miss = metrics.counter(
-            "bound_cache_total", op=op, scheme=self.scheme_name, outcome="miss"
-        )
-
-    def flush(self) -> None:
-        misses = self._recomputations - self._booked  # one per recomputation
-        self._m_cache_miss.inc(misses)
-        self._m_cache_hit.inc(3 * self._updates - misses)
-        self._updates = 0
-        super().flush()
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
@@ -98,7 +78,6 @@ class FRStarBound(FRBound):
         # Of the three cached components (t_cover[0], t_cover[1],
         # t_both_cover), a pull invalidates the other side's cover bound on
         # a skyline change and this side's plus t_both on a group close.
-        self._updates += 1
         if skyline_changed:
             self._t_cover[other] = self._cover_bound(other)
         if group_closed:
@@ -118,8 +97,6 @@ class FRStarBound(FRBound):
         if group is not None:
             cover = self._cr[side]
             cover.cut(group)
-            if self._sizes is not None:
-                self._sizes[side].append(len(cover._points))
             if cover.resolution != self._grids[side]:
                 self._regrid(side, cover)
         return moved

@@ -100,8 +100,8 @@ class PBRJ(ResumableBase):
         Optional :class:`~repro.obs.Observability` pipeline.  When given,
         the operator registers a span tracer (``get_next`` with nested
         ``pull``/``join``/``bound``/``emit``) and records pull/emit
-        counters plus the output-heap peak; the bounding scheme and
-        pulling strategy attach their own metrics to the same registry.
+        counters; the bounding scheme attaches its own metrics to the same
+        registry, and each ``try_next`` routes kernel-call counts there.
     """
 
     def __init__(
@@ -158,10 +158,6 @@ class PBRJ(ResumableBase):
         if self._obs.enabled:
             self._tracer = self._obs.tracer(name)
             self._bound.observe(self._obs.metrics, name)
-            self._strategy.observe(self._obs.metrics, name)
-            # Per-kernel-call counters + bound_kernel_seconds histogram:
-            # the per-backend Figure 2(b) breakdown under `repro trace`.
-            kernels.observe(self._obs.metrics)
         else:
             # Timing without an observability pipeline: a private,
             # unregistered tracer, sampled like a registered one.
@@ -172,8 +168,6 @@ class PBRJ(ResumableBase):
             for label in side_labels(len(self._sources))
         )
         self._m_emitted = metrics.counter("results_emitted_total", op=name)
-        self._m_heap_peak = metrics.gauge("output_heap_peak", op=name)
-        self._heap_peak_shipped = -1
         # Pulls tally into plain ints on the hot path and flush into the
         # counters when get_next returns — the registry is exact at every
         # external observation point (quantum boundaries, snapshots).
@@ -222,6 +216,11 @@ class PBRJ(ResumableBase):
         with ``get_next`` (the resumable execution contract of
         :mod:`repro.core.stepping`); ``max_pulls=None`` is ``get_next``.
         """
+        if self._obs.enabled:
+            # Kernel-call counters (the per-form Figure 2(b) mix under
+            # `repro trace`) go to the pipeline of the operator running,
+            # not of the one built last.
+            kernels.observe(self._obs.metrics)
         with self._tracer.span("get_next"):
             try:
                 return self._advance(max_pulls)
@@ -229,16 +228,12 @@ class PBRJ(ResumableBase):
                 self._flush_counters()
 
     def _flush_counters(self) -> None:
-        """Ship the step's tallies (pulls, heap peak, choices, the bound's)."""
+        """Ship the step's tallies (pulls, the bound's)."""
         tally = self._pull_tally
         for side in self._sides:
             if tally[side]:
                 self._m_pulls[side].inc(tally[side])
                 tally[side] = 0
-        if self._max_output > self._heap_peak_shipped:
-            self._heap_peak_shipped = self._max_output
-            self._m_heap_peak.set(self._max_output)
-        self._strategy.flush_choices()
         self._bound.flush()
 
     def _advance(self, pull_quantum: int | None):
@@ -279,8 +274,6 @@ class PBRJ(ResumableBase):
                 heapq.heappush(output, (-result.score, self._sequence, result))
                 self._sequence += 1
             if len(output) > self._max_output:
-                # The gauge itself ships lazily in _flush_counters — a new
-                # peak per heap push is too frequent for a registry write.
                 self._max_output = len(output)
             if timed:
                 started = time.perf_counter()

@@ -35,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from operator import ge
-from time import perf_counter
 
 from repro import kernels
 from repro.kernels.reference import cover_carve, staircase_carve
@@ -62,7 +61,7 @@ class ScoredAntichain:
 
     __slots__ = (
         "_points", "_score", "partials", "best", "dimension", "skyline_mode",
-        "_staircase", "carves", "timed",
+        "_staircase", "carves",
     )
 
     def __init__(
@@ -101,8 +100,8 @@ class ScoredAntichain:
         self.best: float | None = (
             None if score is None else max(self.partials, default=NEG_INF)
         )
-        #: Carves since the last booking, and the first one's seconds.
-        self.carves, self.timed = 0, None
+        #: Carves since the last booking.
+        self.carves = 0
 
     @property
     def points(self) -> list[Point]:
@@ -178,14 +177,11 @@ class ScoredAntichain:
         ``FR::UpdateCR`` on a set built with ``skyline_mode=False``.  One
         ``cover_carve`` kernel call either way, counted for
         :func:`book_carves`."""
-        started = perf_counter() if self.timed is None else None
         if self._staircase:
             self.best = staircase_carve(
                 self._points, self.partials, self.best, observed, self._score)
         else:
             self._patch(*cover_carve(self._points, observed, self.skyline_mode))
-        if started is not None:
-            self.timed = perf_counter() - started
         self.carves += 1
 
     def _patch(self, keep: list[int], fresh: list[Point]) -> None:
@@ -209,17 +205,11 @@ class ScoredAntichain:
 
 def book_carves(antichains) -> None:
     """Hand the carves ``antichains`` counted since the last call to the
-    kernel sink, if one is registered: one ``cover_carve`` count, and the
-    first one's seconds as one ``bound_kernel_seconds`` sample."""
-    calls, seconds = 0, None
+    kernel sink, if one is registered, as one ``cover_carve`` count."""
+    calls = 0
     for antichain in antichains:
-        if antichain.carves:
-            calls += antichain.carves
-            seconds = antichain.timed if seconds is None else seconds
-            antichain.carves, antichain.timed = 0, None
+        calls += antichain.carves
+        antichain.carves = 0
     sink = kernels._sink
     if calls and sink is not None:
-        handle = sink.handles.get(("python", "cover_carve")) or sink.handle(
-            "python", "cover_carve")
-        handle.counter.inc(calls)
-        handle.hist.observe(seconds)
+        sink.counter("python", "cover_carve").inc(calls)

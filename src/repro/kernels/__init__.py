@@ -48,16 +48,13 @@ Observability
 afterwards every kernel call increments
 ``kernel_calls_total{kernel=…, fn=…}`` labelled with the form that
 actually **ran** (so ``python -m repro trace`` shows the mix the table
-chose), and a deterministic 1-in-16 sample of calls records wall-clock
-in the ``bound_kernel_seconds{kernel=…}`` histogram — but an antichain
-counts its own carves, and its operator books them as each ``try_next``
-returns, one timed (:func:`repro.geometry.antichain.book_carves`).  Call
-counts are exact; only the latency histogram is sampled.
+chose) — but an antichain counts its own carves, and its operator books
+them as each ``try_next`` returns
+(:func:`repro.geometry.antichain.book_carves`).  Call counts are exact;
+kernel time is the ``bound`` span's, not a per-call sample.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 from repro.kernels import dispatch as _dispatch
 from repro.kernels import reference as _loops
@@ -74,11 +71,6 @@ KERNEL_OPS = (
     "cover_corner_scores",
     "cross_product_max",
     "cover_carve",
-)
-
-#: Histogram boundaries for per-call kernel latencies (seconds).
-KERNEL_SECONDS_BUCKETS = (
-    1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 1.0,
 )
 
 #: The two forms of the bulk ops, under the names counters label them with.
@@ -104,61 +96,40 @@ def calibrate_thresholds(*, budget: float = 0.15) -> dict[str, dict[str, int]]:
 # ----------------------------------------------------------------------
 # Instrumentation
 # ----------------------------------------------------------------------
-#: Latency sampling period: every call is *counted*, but only one call
-#: in ``_SAMPLE`` pays the ``perf_counter`` pair feeding the
-#: ``bound_kernel_seconds`` histogram (first call of each series always
-#: sampled).  Booked this way, FR*'s carves cost 15–22 % of a query under
-#: an observability pipeline, so those are booked per step instead.
-_SAMPLE = 16
-
-
-class _KernelHandle:
-    """Pre-resolved metric handles for one (form, fn) series."""
-
-    __slots__ = ("counter", "hist", "tick")
-
-    def __init__(self, counter, hist) -> None:
-        self.counter = counter
-        self.hist = hist
-        self.tick = _SAMPLE - 1  # first call is sampled
-
-
 class _InstrumentationSink:
-    """Resolves and caches metric handles for kernel-call accounting.
+    """Resolves and caches the ``kernel_calls_total`` counters.
 
-    ``handles`` is keyed by the form that serves the call plus the op
-    name, and read directly by :func:`_run` — the steady-state cost of an
-    instrumented kernel call is one dict lookup plus a counter increment.
+    ``counters`` is keyed by the form that serves the call plus the op
+    name — the steady-state cost of an instrumented kernel call is one
+    dict lookup plus a counter increment.
     """
 
-    __slots__ = ("_metrics", "handles")
+    __slots__ = ("_metrics", "counters")
 
     def __init__(self, metrics) -> None:
         self._metrics = metrics
-        self.handles: dict[tuple[str, str], _KernelHandle] = {}
+        self.counters: dict[tuple[str, str], object] = {}
 
-    def handle(self, form: str, fn: str) -> _KernelHandle:
-        """Create (first call of a series) the handle of ``(form, fn)``."""
-        handle = self.handles[form, fn] = _KernelHandle(
-            self._metrics.counter("kernel_calls_total", kernel=form, fn=fn),
-            self._metrics.histogram("bound_kernel_seconds",
-                                    buckets=KERNEL_SECONDS_BUCKETS,
-                                    kernel=form),
-        )
-        return handle
+    def counter(self, form: str, fn: str):
+        """The counter of ``(form, fn)``, registered at its first call."""
+        counter = self.counters.get((form, fn))
+        if counter is None:
+            counter = self.counters[form, fn] = self._metrics.counter(
+                "kernel_calls_total", kernel=form, fn=fn)
+        return counter
 
 
 _sink: _InstrumentationSink | None = None
 
 
 def observe(metrics) -> None:
-    """Route kernel-call counters/latencies into ``metrics``.
+    """Route kernel-call counters into ``metrics``.
 
     Called by instrumented operators (PBRJ with an observability
-    pipeline).  The sink is process-global — concurrent pipelines share
-    it, last registration wins — and adds one ``perf_counter`` pair per
-    sampled kernel call, nothing when never registered.  The registry
-    already routed to keeps its sink.
+    pipeline) as each ``try_next`` starts.  The sink is process-global —
+    the last registration wins — and costs one counter increment per
+    kernel call, nothing when never registered.  The registry already
+    routed to keeps its sink.
     """
     global _sink
     if _sink is None or _sink._metrics is not metrics:
@@ -174,21 +145,9 @@ def unobserve() -> None:
 def _run(form: str, fn: str, impl, *args):
     """Call ``impl`` — op ``fn`` in form ``form`` — counted if observed."""
     sink = _sink
-    if sink is None:
-        return impl(*args)
-    handle = sink.handles.get((form, fn))
-    if handle is None:
-        handle = sink.handle(form, fn)
-    handle.counter.inc()
-    handle.tick += 1
-    if handle.tick < _SAMPLE:
-        return impl(*args)
-    handle.tick = 0
-    start = perf_counter()
-    try:
-        return impl(*args)
-    finally:
-        handle.hist.observe(perf_counter() - start)
+    if sink is not None:
+        sink.counter(form, fn).inc()
+    return impl(*args)
 
 
 def _sized(fn: str, size: int, *args):

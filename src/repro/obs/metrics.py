@@ -14,10 +14,7 @@ registration.
 
 from __future__ import annotations
 
-import collections
 from bisect import bisect_left
-from functools import reduce
-from operator import add
 
 #: Default histogram boundaries: sizes of covers/skylines/heaps are small
 #: integers that grow multiplicatively, so powers-of-two-ish edges.
@@ -60,43 +57,23 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary histogram with count/sum, cheap to update: values
-    queue, and reading ``counts``, ``sum`` or ``count`` folds them in, in
-    order — the counts and bits of observing each as it came."""
+    """Fixed-boundary histogram with count/sum, cheap to update."""
 
-    __slots__ = ("boundaries", "_counts", "_sum", "_count", "_queue")
+    __slots__ = ("boundaries", "counts", "sum", "count")
     kind = "histogram"
 
     def __init__(self, boundaries: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if list(boundaries) != sorted(boundaries):
             raise ValueError("histogram boundaries must be sorted")
         self.boundaries = tuple(boundaries)
-        self._counts = [0] * (len(self.boundaries) + 1)  # last is overflow
-        self._sum, self._count, self._queue = 0.0, 0, []
+        self.counts = [0] * (len(self.boundaries) + 1)  # last is overflow
+        self.sum = 0.0
+        self.count = 0
 
     def observe(self, value: float) -> None:
-        self._queue.append(value)
-        if len(self._queue) >= 4096:  # a bound on the memory of the unread
-            self._folded()
-
-    def observe_many(self, values) -> None:
-        """``observe`` each of ``values``, in order, as one update."""
-        self._queue += values
-        if len(self._queue) >= 4096:
-            self._folded()
-
-    def _folded(self) -> tuple[list[int], float, int]:
-        if self._queue:
-            queue, self._queue = self._queue, []
-            for value, times in collections.Counter(queue).items():
-                self._counts[bisect_left(self.boundaries, value)] += times
-            self._sum = reduce(add, queue, self._sum)
-            self._count += len(queue)
-        return self._counts, self._sum, self._count
-
-    counts = property(lambda self: self._folded()[0])
-    sum = property(lambda self: self._folded()[1])
-    count = property(lambda self: self._folded()[2])
+        self.counts[bisect_left(self.boundaries, value)] += 1
+        self.sum += value
+        self.count += 1
 
     def bucket_pairs(self) -> list[tuple[float | None, int]]:
         """``(upper_bound, count)`` pairs; ``None`` bound = overflow."""
@@ -147,9 +124,6 @@ class _NullMetric:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
         pass
 
 

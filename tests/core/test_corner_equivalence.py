@@ -8,7 +8,7 @@ keys and tuples, scores within ``SCORE_EPS`` of each other, 0 and 1
 coordinates, empty inputs, ``e`` from 1 to 3 per side, K up to past the
 join — and must agree on every outcome (the same tuples, the same score
 bits), on pulls, depths, bound, frontier, best buffered score and cost
-after every call, and on the bound trace and choice counters at the end.
+after every call, and on the bound trace — every pull's side — at the end.
 """
 
 from itertools import cycle
@@ -109,8 +109,5 @@ def test_array_passes_equal_the_pull_loop(instance, name, quanta):
             if emitted == instance.k:
                 break
         assert traces[0].entries == traces[1].entries
-        choices = [obs.metrics.metrics_named("pull_choice_total") for obs in observed]
-        assert [(labels, metric.value) for _, labels, metric in choices[0]] == [
-            (labels, metric.value) for _, labels, metric in choices[1]]
     finally:
         kernels.unobserve()  # the operators registered the kernel sink

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.bounds import LEFT, RIGHT
-from repro.core.pulling import (
-    FixedSequence,
-    PotentialAdaptive,
-    RoundRobin,
-    side_labels,
-)
-from repro.obs.metrics import MetricRegistry
+from repro.core.pulling import FixedSequence, PotentialAdaptive, RoundRobin
 
 
 class FakeView:
@@ -87,13 +81,10 @@ def ranked_choice(view, inputs):
     available = [s for s in range(inputs) if not view.is_exhausted(s)]
     if not available:
         raise RuntimeError("choose() called with every input exhausted")
-    if len(available) == 1:
-        return available[0], "only-available"
     ranked = sorted(
         (-view.potential(side), view.depth(side), side) for side in available
     )
-    reason = "potential" if ranked[0][0] < ranked[1][0] else "tie-break"
-    return ranked[0][2], reason
+    return ranked[0][2]
 
 
 class DepthCountingView(FakeView):
@@ -115,27 +106,18 @@ views = st.integers(2, 4).flatmap(lambda n: st.tuples(
 
 class TestPotentialAdaptiveMatchesTheRanking:
     @given(views)
-    def test_same_side_and_same_reason(self, drawn):
+    def test_same_side_as_the_ranking(self, drawn):
         potentials, depths, exhausted = drawn
         inputs = len(potentials)
         view = DepthCountingView(potentials, depths, exhausted)
         strategy = PotentialAdaptive()
         strategy.bind(inputs)
-        metrics = MetricRegistry()
-        strategy.observe(metrics, "op")
         if all(exhausted):
             with pytest.raises(RuntimeError, match="every input exhausted"):
                 strategy.choose(view)
             return
-        side, reason = ranked_choice(
-            FakeView(potentials, depths, exhausted), inputs)
+        side = ranked_choice(FakeView(potentials, depths, exhausted), inputs)
         assert strategy.choose(view) == side
-        strategy.flush_choices()
-        counted = {
-            (labels["side"], labels["reason"]): metric.value
-            for _, labels, metric in metrics.metrics_named("pull_choice_total")
-        }
-        assert counted == {(side_labels(inputs)[side], reason): 1}
         live = [p for p, gone in zip(potentials, exhausted) if not gone]
         if len(set(live)) == len(live):
             assert view.depth_reads == 0, "depths are read only on a tie"

@@ -7,6 +7,7 @@ legacy ``TimingBreakdown`` the operator reports directly.
 
 import pytest
 
+from repro import kernels
 from repro.core.operators import OPERATORS, make_operator
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.experiments.harness import averaged_runs, run_operator
@@ -66,24 +67,14 @@ class TestOperatorMetrics:
         obs = Observability()
         op = make_operator("FRPA", instance, obs=obs)
         op.top_k(5)
-        hits = metrics_value(obs, "bound_cache_total", op="FRPA",
-                             scheme="FR*", outcome="hit")
-        misses = metrics_value(obs, "bound_cache_total", op="FRPA",
-                               scheme="FR*", outcome="miss")
-        # Three cached components per pull, partitioned into hits + misses.
-        assert hits + misses == 3 * op.pulls
-        assert hits > 0 and misses > 0
-
-    def test_strategy_choice_counts_cover_all_pulls(self, instance):
-        obs = Observability()
-        op = make_operator("FRPA", instance, obs=obs)
-        op.top_k(5)
-        snapshot = obs.metrics.snapshot()
-        choices = sum(
-            r["value"] for r in snapshot if r["name"] == "pull_choice_total"
-        )
-        # choose() may run one extra time for a concurrently-exhausted side.
-        assert choices >= op.pulls
+        recomputations = metrics_value(obs, "bound_recompute_total", op="FRPA",
+                                       scheme="FR*")
+        pulls = sum(metrics_value(obs, "pulls_total", op="FRPA", side=side)
+                    for side in ("left", "right"))
+        # Table 1: each pull reads three cached components and recomputes
+        # only the ones it invalidated, where FR recomputes all three.
+        assert pulls == op.pulls
+        assert 0 < recomputations < 3 * pulls
 
     def test_afr_gridtree_metrics(self):
         # Tiny cover budgets force the exact → grid transfer and then
@@ -110,6 +101,28 @@ class TestOperatorMetrics:
                 drops = metrics_value(
                     obs, "gridtree_resolution_drops_total", op="a-FRPA", side=side)
                 assert 2 ** drops == initial // final
+
+    @pytest.mark.parametrize("operator, fn", [
+        ("FRPA", "cover_carve"), ("PBRJ_FR^RR", "cross_product_max")])
+    def test_kernel_calls_go_to_the_running_operators_pipeline(
+            self, instance, operator, fn):
+        """Kernel calls are booked to the pipeline of the operator making
+        them, not to the pipeline of the operator built last."""
+        try:
+            solo = Observability()
+            make_operator(operator, instance, obs=solo).top_k(5)
+            expected = kernel_calls(solo)
+            assert expected.get(fn, 0) > 0
+            first, second = Observability(), Observability()
+            built_first = make_operator(operator, instance, obs=first)
+            built_second = make_operator(operator, instance, obs=second)
+            built_first.top_k(5)
+            assert kernel_calls(first) == expected
+            assert kernel_calls(second) == {}
+            built_second.top_k(5)
+            assert kernel_calls(first) == kernel_calls(second) == expected
+        finally:
+            kernels.unobserve()
 
 
 class TestDisabledOverhead:
@@ -187,6 +200,15 @@ class TestPipelineObservability:
         assert names == ["HRJN*#1", "HRJN*#2"]
         # Per-stage timing stays separable despite the shared registry.
         assert pipeline.timing().total >= 0.0
+
+
+def kernel_calls(obs) -> dict[str, int]:
+    """``kernel_calls_total`` by op, summed over forms; booked ones only."""
+    calls: dict[str, int] = {}
+    for _, labels, counter in obs.metrics.metrics_named("kernel_calls_total"):
+        if counter.value:
+            calls[labels["fn"]] = calls.get(labels["fn"], 0) + counter.value
+    return calls
 
 
 def metrics_value(obs, name, **labels):

@@ -10,12 +10,15 @@ recorded by running this very file against the parent commit::
 
     PYTHONPATH=<parent>/src:. python tests/service/test_wire_golden.py
 
-(Three edits since: the ``degraded`` key was struck from the ten recorded
-snapshots when the field left the protocol with the process backend, and
+(Four edits since: the ``degraded`` key was struck from the ten recorded
+snapshots when the field left the protocol with the process backend;
 ``default_shards``, the ``shards`` block and the SLO block's
 ``shard_imbalance_max`` were struck from the recorded ``stats`` replies
-when no request could ask for sharding any more, and ``skyline_size`` from
-the ``metrics`` reply's family inventory when that family was deleted.)
+when no request could ask for sharding any more; ``skyline_size`` was
+struck from the ``metrics`` reply's family inventory when that family was
+deleted; and ``pull_choice_total``, ``bound_cache_total``, ``cover_size``,
+``output_heap_peak`` and ``bound_kernel_seconds`` were struck from it when
+those families were deleted.)
 
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
