@@ -1,27 +1,25 @@
 #!/usr/bin/env python3
-"""Depth estimation and join-order advice for a ranking query.
+"""Depth estimation and cost-based planning for a ranking query.
 
-Uses the estimator of :mod:`repro.plan.estimate` (after Schnaitter,
-Spiegel & Polyzotis's depth-estimation work, which the paper builds on) to
-predict how deep a rank join plan will read, compares the prediction to an
-actual run, and ranks the feasible left-deep orders of a 3-way chain.
+Uses the planner's estimator (:mod:`repro.planner.estimate`, after
+Schnaitter, Spiegel & Polyzotis's depth-estimation work, which the paper
+builds on) to predict how deep a rank join will read, compares the
+prediction to an actual run, and prints the planner's cost table for a
+binary join and a 3-way chain.
 
 Run:  python examples/plan_advisor.py
 """
 
 from repro.core.operators import hrjn_star
 from repro.data.workload import WorkloadParams, lineitem_orders_instance, pipeline_tables
-from repro.plan.estimate import (
-    estimate_binary_depths,
-    estimate_chain_depths,
-    rank_pipeline_orders,
-)
+from repro.planner import Planner, estimate_depths
 
 
 def binary_demo() -> None:
     params = WorkloadParams(e=2, c=0.5, z=0.5, k=10, scale=0.002, seed=0)
     instance = lineitem_orders_instance(params)
-    estimate = estimate_binary_depths(instance)
+    relations = [instance.left, instance.right]
+    estimate = estimate_depths(relations, params.k, instance.scoring)
     operator = hrjn_star(instance)
     operator.top_k(params.k)
     actual = operator.depths()
@@ -32,6 +30,7 @@ def binary_demo() -> None:
           f"(sum {estimate.sum_depths})")
     print(f"  actual HRJN* depths      : ({actual.left}, {actual.right}) "
           f"(sum {actual.sum_depths})")
+    print(Planner().plan(relations, params.k, instance.scoring).table())
 
 
 def chain_demo() -> None:
@@ -42,18 +41,14 @@ def chain_demo() -> None:
         tables["orders"].to_relation("orderkey"),
         tables["customer"].to_relation("custkey"),
     ]
-    names = [rel.name for rel in relations]
-    attrs = ["orderkey", "custkey"]
+    attrs = ("orderkey", "custkey")
 
-    estimate = estimate_chain_depths(relations, attrs, k=params.k)
+    estimate = estimate_depths(relations, params.k, join_attrs=attrs)
     print("\n3-way chain (L ⋈ O ⋈ C, e=1)")
     print(f"  estimated join size : {estimate.join_size:,.0f}")
-    for name, depth, size in zip(names, estimate.depths, map(len, relations)):
-        print(f"  est. depth {name:9s}: {depth:6d} / {size}")
-
-    print("\nfeasible left-deep orders, ranked by estimated weighted depth:")
-    for order, __ in rank_pipeline_orders(relations, attrs, k=params.k):
-        print("  " + " → ".join(names[i] for i in order))
+    for rel, depth in zip(relations, estimate.depths):
+        print(f"  est. depth {rel.name:9s}: {depth:6d} / {len(rel)}")
+    print(Planner().plan(relations, params.k, join_attrs=attrs).table())
 
 
 def main() -> None:

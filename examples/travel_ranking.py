@@ -7,25 +7,32 @@
     RANK BY 0.9*h.rating + 0.6*b.rating + 1.0*t.proximity
     LIMIT  5
 
-The query compiles to a pipelined plan of binary rank join operators
-(Hotels ⋈ Bars feeding (Hotels ⋈ Bars) ⋈ Theaters); the plan returns the
-top results while reading only a prefix of each input.  The same plan with
-HRJN* operators reads the *entire* input — venue quality is scarce (most
-ratings are mediocre), so the corner bound's assumption that a perfect
-partner may still appear never pays off.
+The physical plan is a pipeline of binary rank join operators (Hotels ⋈
+Bars feeding (Hotels ⋈ Bars) ⋈ Theaters) over the pre-weighted relations;
+it returns the top results while reading only a prefix of each input.  The
+same plan with HRJN* operators reads the *entire* input — venue quality is
+scarce (most ratings are mediocre), so the corner bound's assumption that a
+perfect partner may still appear never pays off.  Finally the same query
+is asked as one declarative ``QuerySpec`` (a ``WeightedSum`` over the
+chain, planned by the cost-based planner) and gives the same top-5.
 
 Run:  python examples/travel_ranking.py
 """
 
 import numpy as np
 
-from repro import QueryInput, RankQuery, RankTuple, Relation
+from repro import Pipeline, QuerySpec, RankTuple, Relation, WeightedSum
 
-WEIGHTS = {"hotels": (0.9,), "bars": (0.6,), "theaters": (1.0,)}
+WEIGHTS = {"hotels": 0.9, "bars": 0.6, "theaters": 1.0}
+SIZES = {"hotels": 1500, "bars": 2500, "theaters": 800}
+K = 5
 
 
-def make_city_relation(name: str, n: int, n_cities: int, seed: int) -> Relation:
-    """A venue relation: city join key, one quality score, a name payload."""
+def make_city_relation(
+    name: str, n: int, n_cities: int, seed: int, weight: float = 1.0
+) -> Relation:
+    """A venue relation: city join key, one quality score (times
+    ``weight``), a name payload."""
     rng = np.random.default_rng(seed)
     cities = rng.integers(0, n_cities, size=n)
     # Quality is scarce: most venues mediocre, a few excellent.
@@ -33,7 +40,7 @@ def make_city_relation(name: str, n: int, n_cities: int, seed: int) -> Relation:
     tuples = [
         RankTuple(
             key=int(city),
-            scores=(float(score),),
+            scores=(weight * float(score),),
             payload={"city": int(city), "name": f"{name}-{index}"},
         )
         for index, (city, score) in enumerate(zip(cities, scores))
@@ -41,28 +48,21 @@ def make_city_relation(name: str, n: int, n_cities: int, seed: int) -> Relation:
     return Relation(name, tuples)
 
 
-def build_query(operator: str) -> RankQuery:
-    hotels = make_city_relation("hotel", 1500, 40, seed=1)
-    bars = make_city_relation("bar", 2500, 40, seed=2)
-    theaters = make_city_relation("theater", 800, 40, seed=3)
-    return RankQuery(
-        inputs=[
-            QueryInput(hotels, weights=WEIGHTS["hotels"]),
-            QueryInput(bars, weights=WEIGHTS["bars"]),
-            QueryInput(theaters, weights=WEIGHTS["theaters"]),
-        ],
-        rekey_attrs=["city"],  # intermediate (h ⋈ b) re-keyed on city
-        k=5,
-        operator=operator,
-    )
+def venues(weighted: bool) -> list[Relation]:
+    """Hotels, bars and theaters; scores pre-scaled by ``WEIGHTS`` if
+    ``weighted``."""
+    return [
+        make_city_relation(name[:-1], SIZES[name], 40, seed=seed,
+                           weight=WEIGHTS[name] if weighted else 1.0)
+        for seed, name in enumerate(SIZES, start=1)
+    ]
 
 
 def main() -> None:
-    query = build_query("a-FRPA")
-    print(query.explain())
-
-    plan = query.compile()
-    results = plan.top_k(query.k)
+    # intermediate (h ⋈ b) re-keyed on city
+    plan = Pipeline(venues(weighted=True), ["city"], operator="a-FRPA")
+    results = plan.top_k(K)
+    print("Pipeline(a-FRPA): (hotel ⋈ bar) ⋈ theater on city")
 
     print("\ntop-5 (hotel, bar, theater) triples:")
     for rank, result in enumerate(results, start=1):
@@ -70,21 +70,26 @@ def main() -> None:
         print(f"  {rank}. score={result.score:.3f}  city={payload['city']:3d}  "
               f"last-joined venue: {payload['name']}")
 
-    names = ("hotels", "bars", "theaters")
-    sizes = dict(zip(names, (1500, 2500, 800)))
     print("\ntuples read per input (a-FRPA plan):")
-    for name, depth in zip(names, plan.base_depths()):
-        print(f"  {name:9s} {depth:5d} / {sizes[name]}")
-    total = sum(sizes.values())
+    for name, depth in zip(SIZES, plan.base_depths()):
+        print(f"  {name:9s} {depth:5d} / {SIZES[name]}")
+    total = sum(SIZES.values())
     print(f"  total    {plan.sum_depths:6d} / {total} "
           f"({100 * plan.sum_depths / total:.0f}%)")
 
-    corner_plan = build_query("HRJN*").compile()
-    corner_plan.top_k(query.k)
+    corner_plan = Pipeline(venues(weighted=True), ["city"], operator="HRJN*")
+    corner_plan.top_k(K)
     print(f"\nsame query with HRJN* operators: {corner_plan.sum_depths} / {total} "
           f"tuples read ({100 * corner_plan.sum_depths / total:.0f}%)")
     print("the feasible-region bound learns that no perfect partner exists; "
           "the corner bound keeps hoping.")
+
+    spec = QuerySpec(venues(weighted=False), K, WeightedSum(WEIGHTS.values()),
+                     algorithm="auto", join_attrs=("city", "city"))
+    answer = spec.build_operator().top_k(K)
+    assert [r.score for r in answer] == [r.score for r in results]
+    print(f"\nas one QuerySpec (planned: {spec.resolve().plan_summary()}): "
+          "the same top-5 scores")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ contributes to:
 * the named operators HRJN, HRJN*, PBRJ_FR^RR, FRPA and a-FRPA;
 * sorted single-pass access with simulated I/O costs (:mod:`repro.relation`);
 * the paper's synthetic skewed TPC-H workload generator (:mod:`repro.data`);
-* pipelined physical plans and a declarative query layer (:mod:`repro.plan`);
-* a cost-based planner choosing the evaluation core and the operator
-  (:mod:`repro.planner`);
+* pipelined physical plans (:mod:`repro.plan`);
+* a cost-based planner choosing the evaluation core and the operator,
+  with one depth estimator for every arity (:mod:`repro.planner`);
+* one query description, :class:`~repro.service.QuerySpec`, binary or
+  chain, plain or weighted (:mod:`repro.service`);
 * the complete experimental harness regenerating every evaluation figure
   (:mod:`repro.experiments`).
 
@@ -73,7 +75,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.kernels import PointSet, set_thresholds
-from repro.plan import Pipeline, QueryInput, RankQuery
+from repro.plan import Pipeline
 from repro.planner import CostCoefficients, PlanDecision, Planner
 from repro.relation import CostModel, RankJoinInstance, Relation, SortedScan
 from repro.service import (
@@ -114,13 +116,11 @@ __all__ = [
     "Planner",
     "PointSet",
     "PotentialAdaptive",
-    "QueryInput",
     "QueryService",
     "QuerySession",
     "QuerySpec",
     "RankJoinInstance",
     "RankJoinServer",
-    "RankQuery",
     "RankTuple",
     "Relation",
     "ReproError",

@@ -1,29 +1,5 @@
-"""Physical plans: pipelines, the declarative query layer, estimation."""
+"""Physical plans: left-deep pipelines of binary rank join operators."""
 
-from repro.plan.estimate import (
-    DepthEstimate,
-    chain_cardinality,
-    estimate_binary_depths,
-    estimate_chain_depths,
-    estimate_terminal_score,
-    feasible_chain_orders,
-    join_cardinality,
-    rank_pipeline_orders,
-)
 from repro.plan.pipeline import OperatorSource, Pipeline
-from repro.plan.query import QueryInput, RankQuery
 
-__all__ = [
-    "DepthEstimate",
-    "OperatorSource",
-    "Pipeline",
-    "QueryInput",
-    "RankQuery",
-    "chain_cardinality",
-    "estimate_binary_depths",
-    "estimate_chain_depths",
-    "estimate_terminal_score",
-    "feasible_chain_orders",
-    "join_cardinality",
-    "rank_pipeline_orders",
-]
+__all__ = ["OperatorSource", "Pipeline"]

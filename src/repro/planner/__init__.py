@@ -1,9 +1,9 @@
 """Cost-based planning for rank join evaluation: a core and an operator.
 
 Instead of hand-picking the evaluation core (``pbrj`` / ``anyk``) and the
-PBRJ operator per query, a :class:`Planner` counts the join once
-(:mod:`repro.planner.stats`), estimates how deep each operator would read
-(:mod:`repro.plan.estimate`), prices every candidate with a calibrated
+PBRJ operator per query, a :class:`Planner` counts the join and estimates
+how deep each operator would read (:mod:`repro.planner.estimate`, one
+estimator for every arity), prices every candidate with a calibrated
 cost model (:mod:`repro.planner.cost`) and returns an explainable
 :class:`PlanDecision` — three candidates for a binary query, two for a
 chain.  Sharding is not on the menu: it lost every measured cell to the
@@ -23,22 +23,28 @@ from repro.planner.cost import (
     measure,
     set_coefficients,
 )
-from repro.planner.planner import (
-    PlanDecision,
-    Planner,
+from repro.planner.estimate import (
+    DepthEstimate,
     clear_depth_cache,
+    clear_stats_caches,
+    estimate_depths,
+    estimate_terminal_score,
+    join_count,
 )
-from repro.planner.stats import clear_stats_caches, join_count
+from repro.planner.planner import PlanDecision, Planner
 
 __all__ = [
     "CandidateCost",
     "CostCoefficients",
+    "DepthEstimate",
     "PlanCandidate",
     "PlanDecision",
     "Planner",
     "clear_depth_cache",
     "clear_stats_caches",
     "coefficients",
+    "estimate_depths",
+    "estimate_terminal_score",
     "join_count",
     "measure",
     "set_coefficients",

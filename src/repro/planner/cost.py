@@ -3,7 +3,7 @@
 A candidate is a core and an operator.  The model predicts wall-clock
 seconds for one query under one candidate from:
 
-* a depth estimate ``D`` (:mod:`repro.plan.estimate` — the corner-model
+* a depth estimate ``D`` (:mod:`repro.planner.estimate` — the corner-model
   prediction of total pulls an operator needs), scaled per operator by
   :data:`OPERATOR_FACTORS` (tighter bounds read shallower and pay more
   per pull), and

@@ -14,16 +14,11 @@ cache and the bit-identity acceptance tests rely on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.operators import ALGORITHMS, ANYK_OPERATOR
-from repro.core.scoring import ScoringFunction, SumScore, scoring_fingerprint
+from repro.core.scoring import ScoringFunction
 from repro.errors import InstanceError
-from repro.plan.estimate import (
-    DepthEstimate,
-    estimate_binary_depths,
-    estimate_chain_depths,
-)
 from repro.planner.cost import (
     CandidateCost,
     PlanCandidate,
@@ -32,14 +27,8 @@ from repro.planner.cost import (
     score_multiway_pbrj,
     score_pbrj_candidate,
 )
-from repro.planner.stats import join_count, remember
-from repro.relation.relation import RankJoinInstance, Relation
-
-_depth_cache: dict[tuple, DepthEstimate] = {}
-
-#: Sample size and seed of every depth estimate (both in its cache key).
-_SAMPLES = 800
-_SEED = 0
+from repro.planner.estimate import estimate_depths
+from repro.relation.relation import Relation
 
 
 @dataclass(frozen=True)
@@ -122,141 +111,64 @@ class Planner:
         algorithm: str = "auto",
         join_attrs: tuple[str, ...] = (),
     ) -> PlanDecision:
-        """Choose a plan; a non-``auto`` ``algorithm`` pins the core."""
+        """Choose a plan; a non-``auto`` ``algorithm`` pins the core.
+
+        Two relations join on the tuple key; more join along the chain
+        ``join_attrs`` (without them, every input is assumed read whole).
+        """
         if algorithm != "auto" and algorithm not in ALGORITHMS:
             raise InstanceError(
                 f"unknown algorithm {algorithm!r}; choose from "
                 f"{ALGORITHMS + ('auto',)}"
             )
-        if len(relations) < 2:
+        arity = len(relations)
+        if arity < 2:
             raise InstanceError("planning needs at least two relations")
-        scoring = scoring or SumScore()
+        if arity == 2 and join_attrs:
+            raise InstanceError("binary queries join on the tuple key; "
+                                "join_attrs is for 3+ relations")
+        if k < 1:
+            raise InstanceError("K must be positive")
         started = time.perf_counter()
-        if len(relations) == 2:
-            decision = self._plan_binary(relations, k, scoring, algorithm)
+        total_tuples = sum(len(rel) for rel in relations)
+        if arity == 2 or len(join_attrs) == arity - 1:
+            estimate = estimate_depths(relations, k, scoring, join_attrs)
+            join_size, depth = estimate.join_size, estimate.sum_depths
         else:
-            decision = self._plan_multiway(
-                relations, list(join_attrs), k, scoring, algorithm
-            )
-        decision = replace(
-            decision, planning_seconds=time.perf_counter() - started
+            join_size = depth = total_tuples
+        coeffs = coefficients()
+        candidates: list[CandidateCost] = []
+        if algorithm in ("auto", "pbrj"):
+            if arity == 2:
+                candidates.extend(
+                    score_pbrj_candidate(
+                        PlanCandidate("pbrj", operator), coeffs=coeffs, depth=depth
+                    )
+                    for operator in ("HRJN*", "FRPA")
+                )
+            else:
+                candidates.append(score_multiway_pbrj(
+                    PlanCandidate("pbrj", "HRJN*"),
+                    coeffs=coeffs, depth=float(depth), arity=arity,
+                ))
+        if algorithm in ("auto", "anyk"):
+            # Only a binary any-k plan is charged for its joining pairs; a
+            # chain's is priced on its input alone (the plan golden pins both).
+            candidates.append(score_anyk_candidate(
+                PlanCandidate("anyk", ANYK_OPERATOR),
+                coeffs=coeffs, total_tuples=total_tuples, k=k,
+                join_size=float(join_size) if arity == 2 else 0.0,
+            ))
+        ordered = sorted(candidates, key=lambda c: (c.cost, c.candidate.label()))
+        decision = PlanDecision(
+            chosen=ordered[0],
+            candidates=tuple(ordered),
+            join_size=float(join_size),
+            depth=depth,
+            planning_seconds=time.perf_counter() - started,
         )
         if self.obs is not None:
             self.obs.metrics.counter(
                 "planner_decisions_total", algorithm=decision.algorithm
             ).inc()
         return decision
-
-    # -- binary ---------------------------------------------------------
-
-    def _plan_binary(
-        self,
-        relations: list[Relation],
-        k: int,
-        scoring: ScoringFunction,
-        algorithm: str,
-    ) -> PlanDecision:
-        left, right = relations
-        join_size = join_count(left, right)
-        depth = self._depth_estimate(left, right, k, scoring, join_size)
-        coeffs = coefficients()
-        candidates: list[CandidateCost] = []
-        if algorithm in ("auto", "pbrj"):
-            candidates.extend(
-                score_pbrj_candidate(
-                    PlanCandidate("pbrj", operator),
-                    coeffs=coeffs, depth=depth.sum_depths,
-                )
-                for operator in ("HRJN*", "FRPA")
-            )
-        if algorithm in ("auto", "anyk"):
-            candidates.append(score_anyk_candidate(
-                PlanCandidate("anyk", ANYK_OPERATOR),
-                coeffs=coeffs, total_tuples=len(left) + len(right), k=k,
-                join_size=float(join_size),
-            ))
-        return self._decide(
-            candidates, join_size=float(join_size), depth=depth.sum_depths
-        )
-
-    # -- multiway -------------------------------------------------------
-
-    def _plan_multiway(
-        self,
-        relations: list[Relation],
-        join_attrs: list[str],
-        k: int,
-        scoring: ScoringFunction,
-        algorithm: str,
-    ) -> PlanDecision:
-        coeffs = coefficients()
-        total_tuples = sum(len(rel) for rel in relations)
-        if len(join_attrs) == len(relations) - 1:
-            depth = estimate_chain_depths(
-                relations, join_attrs, k, scoring,
-                samples=_SAMPLES, seed=_SEED,
-            )
-            join_size = depth.join_size
-            sum_depths = depth.sum_depths
-        else:
-            # No chain attributes supplied: assume the pessimistic regime
-            # (the multiway operator reads everything).
-            join_size = float(total_tuples)
-            sum_depths = total_tuples
-        candidates: list[CandidateCost] = []
-        if algorithm in ("auto", "pbrj"):
-            candidates.append(score_multiway_pbrj(
-                PlanCandidate("pbrj", "HRJN*"),
-                coeffs=coeffs, depth=float(sum_depths), arity=len(relations),
-            ))
-        if algorithm in ("auto", "anyk"):
-            candidates.append(score_anyk_candidate(
-                PlanCandidate("anyk", ANYK_OPERATOR),
-                coeffs=coeffs, total_tuples=total_tuples, k=k,
-            ))
-        return self._decide(
-            candidates, join_size=float(join_size), depth=sum_depths
-        )
-
-    # -- shared ---------------------------------------------------------
-
-    def _depth_estimate(
-        self,
-        left: Relation,
-        right: Relation,
-        k: int,
-        scoring: ScoringFunction,
-        join_size: int,
-    ) -> DepthEstimate:
-        key = (
-            left.fingerprint(), right.fingerprint(), k,
-            scoring_fingerprint(scoring), _SAMPLES, _SEED,
-        )
-        cached = _depth_cache.get(key)
-        if cached is None:
-            cached = estimate_binary_depths(
-                RankJoinInstance(left, right, scoring, k),
-                join_size=join_size,
-                samples=_SAMPLES, seed=_SEED,
-            )
-            remember(_depth_cache, key, cached)
-        return cached
-
-    @staticmethod
-    def _decide(
-        candidates: list[CandidateCost], *, join_size: float, depth: int
-    ) -> PlanDecision:
-        ordered = sorted(
-            candidates, key=lambda c: (c.cost, c.candidate.label())
-        )
-        return PlanDecision(
-            chosen=ordered[0],
-            candidates=tuple(ordered),
-            join_size=join_size,
-            depth=depth,
-        )
-
-
-def clear_depth_cache() -> None:
-    """Drop the planner's depth-estimate cache (tests)."""
-    _depth_cache.clear()

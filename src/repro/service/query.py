@@ -1,11 +1,13 @@
-"""Query descriptions and canonical fingerprints for the service layer.
+"""The one query description, and its canonical fingerprint.
 
 A :class:`QuerySpec` is everything needed to evaluate one top-K rank join:
 the input relations (two for the binary PBRJ family, more for the multiway
 chain), the monotone scoring function, the requested ``k``, and the
-operator to run.  Specs are the unit of admission into the
-:class:`~repro.service.service.QueryService` and the source of the
-:class:`~repro.service.cache.ResultCache` key.
+operator to run.  The paper's motivating ranking query over a chain of
+equi-joins, ``RANK BY w1*R1.s + w2*R2.s + … LIMIT K``, is
+``QuerySpec(relations, K, WeightedSum(weights), join_attrs=…)``.  Specs are
+the unit of admission into the :class:`~repro.service.service.QueryService`
+and the source of the :class:`~repro.service.cache.ResultCache` key.
 
 The cache key deliberately **excludes** ``k``: two queries that differ only
 in ``k`` share one cache entry, because a retained top-K prefix answers any

@@ -9,11 +9,12 @@ family (a smoke script, the benchmark harness), or the node id of a
 behavioural test whose source names it.  A golden or an equivalence test
 pins a value without saying what it is for, so it is no reader: a family
 only those read is deleted, not listed.  A new operator family without a
-reader fails here.
+reader fails here.  An ``auto`` plan under its own
+:class:`~repro.obs.Observability` must register exactly the families of
+:data:`PLANNER_INVENTORY`, held to the same rule.
 
-The service's families (``service_*``, ``slo_*``, ``planner_*``,
-``fleet_*``) are registered per session, not per pull, and are not
-covered.
+The service's families (``service_*``, ``slo_*``, ``fleet_*``) are
+registered per session, not per pull, and are not covered.
 """
 
 import ast
@@ -25,6 +26,7 @@ from repro.core.pbrj import PBRJ
 from repro.core.scoring import MinScore
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.obs import Observability
+from repro.planner import Planner
 from repro.relation.relation import RankJoinInstance
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -43,6 +45,13 @@ INVENTORY = {
     "gridtree_resolution": _GRIDTREE,
     "gridtree_resolution_drops_total": _GRIDTREE,
     "cover_grid_transfers_total": _GRIDTREE,
+}
+
+#: Planner metric family -> its reader.
+PLANNER_INVENTORY = {
+    "planner_decisions_total":
+        "tests/planner/test_planner.py::TestPlanBinary"
+        "::test_decision_counter_increments",
 }
 
 
@@ -77,8 +86,17 @@ def test_every_operator_family_is_in_the_inventory():
     assert _operator_families() == set(INVENTORY)
 
 
+def test_every_planner_family_is_in_the_inventory():
+    instance = lineitem_orders_instance(
+        WorkloadParams(e=2, c=0.5, z=0.5, k=5, scale=0.0005, seed=0))
+    obs = Observability()
+    Planner(obs=obs).plan([instance.left, instance.right], instance.k)
+    families = {record["name"] for record in obs.metrics.snapshot()}
+    assert families == set(PLANNER_INVENTORY)
+
+
 def test_every_reader_names_its_family():
-    for family, reader in INVENTORY.items():
+    for family, reader in {**INVENTORY, **PLANNER_INVENTORY}.items():
         path = reader.split("::")[0]
         if path.startswith("tests/"):
             assert "::" in reader, f"{family}: a test reader is one test"

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core.operators import make_operator
 from repro.core.pbrj import result_identity
+from repro.core.tuples import RankTuple
 from repro.data.workload import random_instance
+from repro.errors import InstanceError
 from repro.obs import Observability
+from repro.relation.relation import Relation
 from repro.service.query import QuerySpec
 from repro.service.service import QueryService
 
@@ -72,6 +75,16 @@ class TestResolution:
         )
         spec = auto_spec(instance)
         assert spec.resolve() is spec.resolve()
+
+    @pytest.mark.parametrize("algorithm", ["pbrj", "anyk", "auto"])
+    def test_missing_chain_attribute_is_an_instance_error(self, algorithm):
+        # Every core names the malformed query the same way, the planner
+        # included: a client error, never an internal one.
+        a, b, c = (Relation(name, [RankTuple(0, (0.5,), payload)]) for name, payload
+                   in (("A", {"p": 0}), ("B", {"p": 0, "q": 0}), ("C", {"q": 0})))
+        spec = QuerySpec((a, b, c), 1, algorithm=algorithm, join_attrs=("p", "zz"))
+        with pytest.raises(InstanceError, match="'zz'"):
+            spec.build_operator().top_k(1)
 
     def test_shards_auto_is_refused(self):
         # A spec has no shards field: any value, "auto" included, is refused.

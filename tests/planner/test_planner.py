@@ -80,6 +80,12 @@ class TestPlanBinary:
         with pytest.raises(InstanceError, match="at least two"):
             Planner().plan([instance.left], 10)
 
+    def test_join_attrs_refused(self, instance):
+        # Two relations join on the tuple key; a payload join would be
+        # priced for a plan no operator runs.
+        with pytest.raises(InstanceError, match="binary queries join on the tuple key"):
+            Planner().plan([instance.left, instance.right], 10, join_attrs=("p",))
+
     def test_decision_counter_increments(self, instance):
         obs = Observability()
         planner = Planner(obs=obs)
@@ -97,8 +103,7 @@ class TestPlanBinary:
 class TestCachesAreBounded:
     def test_per_request_weights_do_not_grow_the_depth_cache(self, instance):
         # A `serve --algorithm auto` server sees one WeightedSum per request.
-        from repro.planner import planner as planner_module
-        from repro.planner.stats import CACHE_LIMIT
+        from repro.planner import estimate
 
         relations = [instance.left, instance.right]
         planner = Planner()
@@ -109,8 +114,8 @@ class TestCachesAreBounded:
         first = planner.plan(relations, 10, weights(0))
         for i in range(1, 5000):
             planner.plan(relations, 10, weights(i))
-            assert len(planner_module._depth_cache) <= CACHE_LIMIT
-        assert len(planner_module._depth_cache) == CACHE_LIMIT == 1024
+            assert len(estimate._depth_cache) <= estimate.CACHE_LIMIT
+        assert len(estimate._depth_cache) == estimate.CACHE_LIMIT == 1024
         # weights(0) was evicted long ago; planning it again recomputes the
         # same estimate and reaches the identical decision.
         assert planner.plan(relations, 10, weights(0)) == first

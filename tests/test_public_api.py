@@ -63,7 +63,7 @@ class TestUserJourney:
     def test_docstrings_on_public_classes(self):
         for name in [
             "PBRJ", "CornerBound", "FRBound", "FRStarBound", "AFRBound",
-            "RankJoinInstance", "Relation", "Pipeline", "RankQuery",
+            "RankJoinInstance", "Relation", "Pipeline",
             "SumScore", "WorkloadParams",
         ]:
             obj = getattr(repro, name)
