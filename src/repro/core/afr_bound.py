@@ -180,6 +180,8 @@ class AFRBound(FRStarBound):
         self._m_resolution = (NULL_METRIC, NULL_METRIC)
         self._m_resolution_drops = (NULL_METRIC, NULL_METRIC)
         self._m_grid_transfers = NULL_METRIC
+        #: The grid each cover was on at the last :meth:`flush`.
+        self._grids: list[int | None] = [None, None]
 
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         super().observe(metrics, op)
@@ -193,17 +195,21 @@ class AFRBound(FRStarBound):
         )
         self._m_grid_transfers = metrics.counter("cover_grid_transfers_total", op=op)
 
-    def _regrid(self, side: int, cover: AdaptiveCover) -> None:
-        """A carve moved ``cover`` onto a coarser grid: book the hand-over."""
-        resolution, previous = cover.resolution, self._grids[side]
-        if previous is None:
-            # exact → grid transfer (enters at the initial resolution)
-            self._m_grid_transfers.inc()
-            previous = cover.initial_resolution
-        self._m_resolution[side].set(resolution)
-        # Halvings, however many this one carve took: log2 of the ratio.
-        self._m_resolution_drops[side].inc((previous // resolution).bit_length() - 1)
-        self._grids[side] = resolution
+    def flush(self) -> None:
+        """Book the step's tallies and each cover's moves onto coarser grids."""
+        super().flush()
+        for side, cover in enumerate(self._cr):
+            resolution, previous = cover.resolution, self._grids[side]
+            if resolution == previous:
+                continue
+            if previous is None:
+                # exact → grid transfer (enters at the initial resolution)
+                self._m_grid_transfers.inc()
+                previous = cover.initial_resolution
+            self._m_resolution[side].set(resolution)
+            # Halvings, however many carves took them: log2 of the ratio.
+            self._m_resolution_drops[side].inc((previous // resolution).bit_length() - 1)
+            self._grids[side] = resolution
 
     def _make_cover(self, dimension: int, score):
         if self.cover_strategy == "frozen":

@@ -38,9 +38,9 @@ class FeasibleRankJoin(ArrayRankJoin):
     """FRPA, FRPA_RR or a-FRPA (``bound`` an :class:`FRStarBound`) over an
     instance with an additive scoring; ``options`` are PBRJ's keywords.
 
-    A pull is a choice, a few column reads and the bound's own side step
-    (:meth:`~repro.core.frstar_bound.FRStarBound._step`): one seen-skyline
-    insert and, when ``S̄`` drops, one group-close carve.  The join is
+    A pull is a choice, a few column reads and one call, the bound's side
+    step (at e=2 :func:`~repro.geometry.antichain.staircase_step`): one
+    seen-skyline insert and, when ``S̄`` drops, one group-close carve.  The join is
     per-key counts until a pull may find a pair reaching ``t`` (a pair scores
     its two partials' sum up to rounding); then the pending pairs are joined
     and scored by :class:`~repro.core.corner.ArrayRankJoin`."""
@@ -83,7 +83,7 @@ class FeasibleRankJoin(ArrayRankJoin):
         g, depth, size, start = bound._g, self._depth, self._n, self._start
         cover_best, seen_best, exhausted = self._cover_best, self._seen_best, self._exhausted
         columns, count, peak, at = self._columns, self._count, self._peak, self._at
-        seens, covers = bound._seen, bound._cr
+        seens, covers, steps = bound._seen, bound._cr, bound._steps
         pulls, found, emitted, top = self._pulls, self._found, self._emitted, self._top
         pending, t_both, last = self._pending, self._t_both, self._last_side
         limit = None if quantum is None else pulls + quantum
@@ -134,7 +134,7 @@ class FeasibleRankJoin(ArrayRankJoin):
             if score > peak[side][key]:
                 peak[side][key] = score
             group = vectors[start[side]:i] if close[i] else None
-            moved = bound._step(side, vectors[i], group)
+            moved = steps[side](seens[side], vectors[i], covers[side], group)
             if moved:  # SHR_side changed: Table 1 refreshes t_other
                 seen_best[side] = seens[side].best
                 changes += 1
@@ -144,11 +144,15 @@ class FeasibleRankJoin(ArrayRankJoin):
                 g[side], start[side] = sbar[i], i
                 closes += 1
                 moved = True
-            if moved:  # _components, inline: a call here is paid on most pulls
-                t0 = min(cover_best[0] + seen_best[1], g[0])
-                t1 = min(seen_best[0] + cover_best[1], g[1])
-                tb = min(t_both, g[0], g[1])
-                t = max(t0, t1, tb)
+            if moved:  # _components, inline and without min/max: most pulls
+                t0 = cover_best[0] + seen_best[1]
+                t0 = g[0] if g[0] < t0 else t0
+                t1 = seen_best[0] + cover_best[1]
+                t1 = g[1] if g[1] < t1 else t1
+                tb = g[0] if g[0] < t_both else t_both
+                tb = g[1] if g[1] < tb else tb
+                t = t1 if t1 > t0 else t0
+                t = tb if tb > t else t
             if trace is not None:
                 trace.record(pulls, side, t, found - emitted, emitted)
             if i + 1 == size[side]:  # so the next loop head finds it exhausted

@@ -18,8 +18,9 @@ FR* keeps the tightness of FR while attacking its two cost sources:
    one loop, the carve one kernel call whose delta is applied in place with
    the kept partial scores carried over — at e=2, where an antichain is a
    sorted staircase, each is a bisection and one slice, made straight on the
-   lists by one per-pull step (:meth:`FRStarBound._step`) that the loop and
-   the walk share — and for additive ``S`` a cover bound is the sum of two
+   lists by one function call per pull
+   (:func:`~repro.geometry.antichain.staircase_step`) that the loop and the
+   walk share — and for additive ``S`` a cover bound is the sum of two
    maintained maxima — the cross product's bits (DESIGN.md §5).
 
 The result is bit-identical bound values to FR (Theorem 4.1's tightness is
@@ -32,6 +33,7 @@ from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext
 from repro.core.fr_bound import FRBound
 from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
+from repro.geometry.antichain import staircase_step
 from repro.geometry.dominance import ones
 from repro.geometry.skyline import IncrementalSkyline
 from repro.kernels.types import dimension_mismatch
@@ -46,14 +48,14 @@ class FRStarBound(FRBound):
         super().__init__(prune_covers=True)
         self._t_cover = [NEG_INF, NEG_INF]
         self._t_both_cover = POS_INF
-        #: The grid each cover was last seen on (only aFR's covers move).
-        self._grids: list[int | None] = [None, None]
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
         self._t_both_cover = context.combine(
             ones(context.dims[LEFT]), ones(context.dims[RIGHT])
         )
+        #: Each side's step: the staircase's one call at e=2, else the loops.
+        self._steps = [staircase_step if e == 2 else _loop_step for e in context.dims]
 
     def _make_seen(self, side: int, offset: int) -> IncrementalSkyline:
         """Cover bounds over skylines only (the FR* redefinition): the seen
@@ -90,16 +92,10 @@ class FRStarBound(FRBound):
         """One pull's side work, shared by the loop (:meth:`update`) and the
         walk (:class:`~repro.core.feasible.FeasibleRankJoin`): insert
         ``point`` into ``SHR_side`` and, when its pull closed ``group``,
-        carve that group out of ``CR_side`` — at e=2 one bisection and one
-        slice each, straight on the side's lists.  True iff ``SHR_side``
-        changed."""
-        moved = self._seen[side].insert(point)
-        if group is not None:
-            cover = self._cr[side]
-            cover.cut(group)
-            if cover.resolution != self._grids[side]:
-                self._regrid(side, cover)
-        return moved
+        carve that group out of ``CR_side`` — at e=2 one call,
+        :func:`~repro.geometry.antichain.staircase_step`.  True iff
+        ``SHR_side`` changed."""
+        return self._steps[side](self._seen[side], point, self._cr[side], group)
 
     def notify_exhausted(self, side: int) -> float:
         self._g[side] = NEG_INF
@@ -129,3 +125,11 @@ class FRStarBound(FRBound):
     def seen_skyline_sizes(self) -> tuple[int, int]:
         """Current ``(|SHR_1|, |SHR_2|)`` — early-freeze diagnostics."""
         return (len(self._seen[LEFT]), len(self._seen[RIGHT]))
+
+
+def _loop_step(seen, point, cover, group) -> bool:
+    """``staircase_step`` off the staircase (e ≠ 2): the scan, then ``cut``."""
+    moved = seen.insert(point)
+    if group is not None:
+        cover.cut(group)
+    return moved

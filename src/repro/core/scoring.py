@@ -394,8 +394,8 @@ class ProductScore(ScoringFunction):
 class CallableScore(ScoringFunction):
     """Wrap an arbitrary user-provided monotone function.
 
-    The caller asserts monotonicity; :func:`repro.core.scoring.check_monotone`
-    offers a randomized sanity check.
+    The caller asserts monotonicity; a rank join instance refuses a
+    function that fails :func:`check_monotone` at its dimensions.
     """
 
     def __init__(self, fn: Callable[[Sequence[float]], float], name: str = "custom") -> None:

@@ -18,8 +18,8 @@ both mutations find their rows by bisection and replace one contiguous
 slice (DESIGN.md §5): :meth:`~ScoredAntichain.insert`, the skyline insert,
 evicts the run just before its insertion point; :meth:`~ScoredAntichain.carve`,
 ``FR*::UpdateCR``, replaces the run of rows ``⪰ y`` by at most two
-projections, in place.  Each is one call on the lists — FR*'s per-pull step
-makes exactly these two (:meth:`repro.core.frstar_bound.FRStarBound._step`);
+projections, in place.  Both delegate to :func:`staircase_step`, FR*'s
+per-pull side step, which the loop and the walk make as one call;
 :meth:`~ScoredAntichain.add` is the insert behind the public checks.  The
 form is a function of ``(dimension == 2, skyline_mode)`` alone, fixed at
 construction.  Every other dimension — and
@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterable, Sequence
 from operator import ge
 
 from repro import kernels
-from repro.kernels.reference import cover_carve, staircase_carve
+from repro.kernels.reference import cover_carve
 from repro.kernels.types import Point, as_point, dimension_mismatch
 
 NEG_INF = float("-inf")
@@ -61,7 +61,7 @@ class ScoredAntichain:
 
     __slots__ = (
         "_points", "_score", "partials", "best", "dimension", "skyline_mode",
-        "_staircase", "carves",
+        "_staircase", "carves", "weights",
     )
 
     def __init__(
@@ -99,6 +99,12 @@ class ScoredAntichain:
         #: ``max(partials)``; ``-inf`` when empty.
         self.best: float | None = (
             None if score is None else max(self.partials, default=NEG_INF)
+        )
+        #: A scored staircase's ``(w0, w1)``: a row scorer's values at the unit
+        #: vectors, as it is a left-to-right weighted sum (DESIGN.md §5).
+        self.weights: tuple[float, float] | None = (
+            (score((1.0, 0.0)), score((0.0, 1.0)))
+            if self._staircase and score is not None else None
         )
         #: Carves since the last booking.
         self.carves = 0
@@ -140,27 +146,9 @@ class ScoredAntichain:
         (the paper's early freeze), so the common case is one comparison
         after the bisection — or ends at the first few rows of the scan.
         """
-        points = self._points
         if self._staircase:
-            a, b = point
-            # Row i is the first with axis 0 ≥ a, so the highest of them.
-            i = lo = bisect_left(points, (a,))
-            if i < len(points):
-                if points[i][1] >= b:
-                    return False
-                if points[i][0] == a:
-                    i += 1
-            # The rows ``point`` beats: the run just before i (and row i
-            # itself on an equal a).
-            while lo and points[lo - 1][1] <= b:
-                lo -= 1
-            points[lo:i] = (point,)
-            if self._score is not None:
-                self.partials[lo:i] = (partial := self._score(point),)
-                # An evicted row never outscores the point that beat it.
-                if partial > self.best:
-                    self.best = partial
-            return True
+            return staircase_step(self, point, None, None)
+        points = self._points
         for p in points:
             if all(map(ge, p, point)):
                 return False
@@ -178,8 +166,7 @@ class ScoredAntichain:
         ``cover_carve`` kernel call either way, counted for
         :func:`book_carves`."""
         if self._staircase:
-            self.best = staircase_carve(
-                self._points, self.partials, self.best, observed, self._score)
+            staircase_step(None, None, self, observed)
         else:
             self._patch(*cover_carve(self._points, observed, self.skyline_mode))
         self.carves += 1
@@ -201,6 +188,83 @@ class ScoredAntichain:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self._points!r})"
+
+
+def staircase_step(seen, point, cover, group) -> bool:
+    """FR*'s e=2 side step in one call: insert ``point`` into the staircase
+    ``seen``; if its pull closed ``group``, ``cover.cut(group)`` — carved
+    here, counted and fitted while ``cover`` is exact and in budget, else by
+    ``cut`` itself.  True iff ``seen`` changed.  ``seen=None``: a bare carve
+    (:meth:`ScoredAntichain.carve`).  Each mutation is a bisection and one
+    slice (staircase lemma, DESIGN.md §5); a fresh partial is ``w0*u +
+    w1*v`` over the set's :attr:`~ScoredAntichain.weights`.
+    """
+    moved = False
+    if seen is not None:
+        points = seen._points
+        a, b = point
+        # Row i is the first with axis 0 ≥ a, so the highest of them.
+        i = lo = bisect_left(points, (a,))
+        n = len(points)
+        if i == n or points[i][1] < b:
+            if i < n and points[i][0] == a:
+                i += 1
+            # The rows ``point`` beats: the run just before i (and row i
+            # itself on an equal a).
+            while lo and points[lo - 1][1] <= b:
+                lo -= 1
+            points[lo:i] = (point,)
+            if seen.weights is not None:
+                w0, w1 = seen.weights
+                seen.partials[lo:i] = (partial := w0 * a + w1 * b,)
+                # An evicted row never outscores the point that beat it.
+                if partial > seen.best:
+                    seen.best = partial
+            moved = True
+        if not group or not cover._points:
+            return moved
+        if cover.resolution is not None or len(cover._points) > cover.max_size:
+            cover.cut(group)  # onto the grid first; a frozen cover stays
+            return moved
+        cover.carves += 1
+    points, partials, best = cover._points, cover.partials, cover.best
+    w0, w1 = cover.weights or (0.0, 0.0)  # an unscored set keeps no partials
+    for a, b in group:
+        # The rows ⪰ (a, b): the run [lo, hi) from the first row with axis
+        # 0 ≥ a for as long as axis 1 stays ≥ b.
+        lo = bisect_left(points, (a,))
+        n = len(points)
+        if lo == n:
+            continue
+        top = points[lo][1]
+        if top < b:
+            continue
+        hi = lo + 1
+        while hi < n and points[hi][1] >= b:
+            hi += 1
+        right = points[hi - 1][0]
+        # Their projections' skyline: (a, top) and (right, b), less the one
+        # the other contains on a tie — (right, b) wins top == b, (a, top)
+        # right == a alone — and less one with a zero coordinate.
+        fresh, scores = [], []
+        if top != b and a > 0.0 and top > 0.0:
+            fresh.append((a, top))
+            scores.append(w0 * a + w1 * top)
+        if (right != a or top == b) and right > 0.0 and b > 0.0:
+            fresh.append((right, b))
+            scores.append(w0 * right + w1 * b)
+        points[lo:hi] = fresh
+        if partials is not None:
+            # A projection never outscores its row under a monotone S, so
+            # ``best`` is rescanned only when a removed row held it.
+            held = best in partials[lo:hi]
+            partials[lo:hi] = scores
+            if held:
+                best = max(partials, default=NEG_INF)
+    cover.best = best
+    if seen is not None and len(points) > cover.max_size:
+        cover._fit()
+    return moved
 
 
 def book_carves(antichains) -> None:

@@ -15,8 +15,8 @@ production path is :class:`CoverRegion`, a list-native
 :class:`~repro.geometry.antichain.ScoredAntichain` carved by one counted
 ``cover_carve`` kernel call per group close: at e=2 a skyline cover is a
 sorted staircase and the call is a bisection plus one slice replaced in
-place (:func:`repro.kernels.reference.staircase_carve`, called on the
-cover's own lists); every other cover goes
+place (:func:`repro.geometry.antichain.staircase_step`, FR*'s side step,
+on the cover's own lists); every other cover goes
 through :func:`repro.kernels.reference.cover_carve`, a loop over the list (an
 array form had to build its operand from the list first and never won).
 

@@ -14,8 +14,8 @@ measurably wins:
   (:mod:`repro.geometry.cover`) — and is always a *delta* on the geometry
   layer's list-native :class:`~repro.geometry.antichain.ScoredAntichain`.
   Its operand decides its form: a sorted 2-D antichain (a staircase) is
-  patched in place by a bisection and one slice
-  (:func:`repro.kernels.reference.staircase_carve`); any other cover gets
+  patched in place by a bisection and one slice, inside FR*'s one e=2 side
+  step (:func:`repro.geometry.antichain.staircase_step`); any other cover gets
   kept row ids plus fresh points from the loop
   (:func:`repro.kernels.reference.cover_carve`), which :func:`cover_carve`
   assembles into the whole cover.  Either way it is one counted call.

@@ -6,9 +6,10 @@ two the loop serves the small batches and is the *semantic oracle* of the
 numpy form in :mod:`repro.kernels.vectorized`, which must produce
 bit-identical results (same rows, same scores) — the property-test suite
 enforces it.  ``cover_carve`` is the one op on the FR* pull path, so it is
-written for speed on a list of tuples — and, for the sorted 2-D antichain
-every e=2 FR* cover is, as :func:`staircase_carve`; the oracle of both is
-the literal pseudo-code loop :func:`repro.geometry.cover.update_cover`.
+written for speed on a list of tuples (the sorted 2-D antichain every
+e=2 FR* cover is gets carved by FR*'s one side step instead,
+:func:`repro.geometry.antichain.staircase_step`); the oracle of both is the
+literal pseudo-code loop :func:`repro.geometry.cover.update_cover`.
 
 Floating-point discipline: partial scores are accumulated strictly
 left-to-right (``s = 0.0; s += w*x``).  The numpy forms sum the same way
@@ -17,7 +18,6 @@ left-to-right (``s = 0.0; s += w*x``).  The numpy forms sum the same way
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from operator import ge
 
@@ -166,47 +166,3 @@ def cover_carve(
         new.reverse()
         fresh += new
     return list(keep), fresh
-
-
-def staircase_carve(points, partials, best, observed, score):
-    """:func:`cover_carve` over a *staircase* — a 2-D antichain sorted
-    ascending on axis 0, hence strictly descending on axis 1 — in place.
-
-    The rows ``⪰ y = (a, b)`` are one contiguous run ``[lo, hi)``: from the
-    first row with axis 0 ``≥ a`` for as long as axis 1 stays ``≥ b``.  The
-    skyline of all their projections is the two extremes ``(a, top)`` and
-    ``(right, b)`` — ``top`` the run's first axis-1 value, ``right`` its
-    last axis-0 value — minus the contained one on a tie and minus a
-    projection with a zero coordinate; they sort exactly where the run was
-    (staircase lemma, DESIGN.md §5).  ``partials`` (``None`` for an
-    unscored set) is patched alongside through ``score``; returns the new
-    maximum partial given the old one, ``best`` — rescanned only when a
-    removed row held it, since a projection never outscores the row it
-    came from under a monotone ``S``.
-    """
-    for a, b in observed:
-        lo = bisect_left(points, (a,))
-        n = len(points)
-        if lo == n:
-            continue
-        top = points[lo][1]
-        if top < b:
-            continue
-        hi = lo + 1
-        while hi < n and points[hi][1] >= b:
-            hi += 1
-        right = points[hi - 1][0]
-        # On a tie one projection contains the other: (right, b) wins
-        # top == b, (a, top) wins right == a alone.
-        fresh = []
-        if top != b and a > 0.0 and top > 0.0:
-            fresh.append((a, top))
-        if (right != a or top == b) and right > 0.0 and b > 0.0:
-            fresh.append((right, b))
-        points[lo:hi] = fresh
-        if partials is not None:
-            held = best in partials[lo:hi]
-            partials[lo:hi] = map(score, fresh)
-            if held:
-                best = max(partials, default=NEG_INF)
-    return best

@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.scoring import ScoringFunction
+from repro.core.scoring import CallableScore, ScoringFunction, check_monotone
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.relation.cost import CostModel
@@ -302,6 +302,10 @@ class RankJoinInstance:
     ) -> None:
         if k < 1:
             raise InstanceError("K must be positive")
+        dimension = left.dimension + right.dimension
+        if isinstance(scoring, CallableScore) and not check_monotone(scoring, dimension):
+            raise InstanceError(
+                f"scoring {scoring.name!r} is not monotone on [0, 1]^{dimension}")
         self.left = left
         self.right = right
         self.scoring = scoring

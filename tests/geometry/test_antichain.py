@@ -214,14 +214,26 @@ class TestCarveAppliesAPatch:
             scored.append(row)
             return plain(row)
 
-        chain = ScoredAntichain([(0.1, 0.9), (0.9, 0.1)], score=counting)
+        # Off the staircase the fresh rows, and only they, are scored ...
+        chain = ScoredAntichain([(0.1, 0.9, 0.5), (0.9, 0.1, 0.5)], score=counting)
         assert len(scored) == 2
-        chain.carve([(0.05, 0.8)])
-        assert scored[2:] == [(0.05, 0.9), (0.1, 0.8)]  # the fresh rows only
-        assert chain.points == [(0.05, 0.9), (0.1, 0.8), (0.9, 0.1)]
-        chain.add((0.95, 0.15))  # beats (0.9, 0.1): one new row scored
-        assert scored[4:] == [(0.95, 0.15)]
+        chain.carve([(0.05, 0.8, 0.25)])
+        fresh = [(0.05, 0.9, 0.5), (0.1, 0.8, 0.5), (0.1, 0.9, 0.25)]
+        assert scored[2:] == fresh
+        assert chain.points == [(0.9, 0.1, 0.5)] + fresh
+        chain.add((0.95, 0.15, 0.5))  # beats (0.9, 0.1, 0.5): one new row scored
+        assert scored[5:] == [(0.95, 0.15, 0.5)]
         assert chain.partials == [plain(p) for p in chain.points]
+        # ... and on it none is: the scorer's values at the unit vectors are
+        # its weights, and a fresh partial is w0*u + w1*v, the same bits.
+        scored.clear()
+        stairs = ScoredAntichain([(0.1, 0.9), (0.9, 0.1)], score=counting)
+        assert scored == [(0.1, 0.9), (0.9, 0.1), (1.0, 0.0), (0.0, 1.0)]
+        stairs.carve([(0.05, 0.8)])
+        stairs.add((0.95, 0.15))
+        assert len(scored) == 4
+        assert stairs.points == [(0.05, 0.9), (0.1, 0.8), (0.95, 0.15)]
+        assert stairs.partials == [plain(p) for p in stairs.points]
 
 
 class TestTheStructuresOnTop:

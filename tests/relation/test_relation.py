@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.scoring import SumScore, WeightedSum
+from repro.core.scoring import CallableScore, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError, NotSortedError
 from repro.relation.relation import RankJoinInstance, Relation
@@ -94,6 +94,18 @@ class TestRankJoinInstance:
     def test_k_must_be_positive(self):
         with pytest.raises(InstanceError):
             self.make(k=0)
+
+    def test_a_non_monotone_callable_is_refused(self):
+        scoring = CallableScore(lambda v: v[0] - v[2], name="left-minus-right")
+        with pytest.raises(
+            InstanceError,
+            match=r"^scoring 'left-minus-right' is not monotone on \[0, 1\]\^3$",
+        ):
+            self.make(scoring=scoring)
+
+    def test_a_monotone_callable_is_accepted(self):
+        instance = self.make(scoring=CallableScore(lambda v: max(v) * min(v)))
+        assert instance.dims == (2, 1)
 
     def test_weighted_scoring_changes_order(self):
         scoring = WeightedSum([1.0, 0.0, 0.0])  # only first left score counts
