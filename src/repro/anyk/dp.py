@@ -1,6 +1,6 @@
 """Bottom-up dynamic program over the join tree, as array passes.
 
-For every node (children before parents), each bag tuple ``t`` is scored
+For every node (children before parents), each tuple ``t`` is scored
 with its *suffix-optimal* weight::
 
     best(t) = weight(t) + Σ_child  max { best(t') : t' joins t }
@@ -19,7 +19,7 @@ associates left to right as a per-tuple loop would, so every ``best``
 carries the same bits.  When a node's last row is in, one stable
 ``lexsort`` orders the alive rows by ``(connection code, -best, identity
 rank)``: groups are the runs of equal connection code (the shared-attribute
-values toward the parent), each sorted by ``(-best, identity)`` with bag
+values toward the parent), each sorted by ``(-best, identity)`` with row
 order between equals — the "sorted list of suffix solutions" the Lawler/REA
 successor generation in :mod:`repro.anyk.enumerate` walks lazily.
 :class:`Group` and :class:`DPEntry` objects exist only where it walks.
@@ -39,8 +39,8 @@ from repro.anyk.jointree import JoinTree, JoinTreeNode, NodeTuple
 
 
 class DPEntry:
-    """One surviving bag tuple: its suffix-optimal weight, its object form
-    and the matching group in every child."""
+    """One surviving tuple: its suffix-optimal weight, its object form and
+    the matching group in every child."""
 
     __slots__ = ("best", "node_tuple", "child_groups")
 
@@ -143,12 +143,8 @@ class DPState:
     def __init__(self, tree: JoinTree) -> None:
         self.tree = tree
         self.done = False
-        #: Tuples ingested per relation index (the any-k depth metric); a
-        #: merged bag's members were read once, while it was materialized.
-        self.ingested: dict[int, int] = {
-            index: tree.materialized.get(index, 0)
-            for index in range(len(tree.relations))
-        }
+        #: Tuples ingested per relation index (the any-k depth metric).
+        self.ingested = [0] * len(tree.relations)
         #: node -> its columns, from the moment the pass reaches it.
         self._columns: dict[JoinTreeNode, _NodeColumns] = {}
         self._node_index = 0
@@ -165,7 +161,7 @@ class DPState:
         return root.group(0) if len(root.bounds) > 1 else None
 
     def run(self, budget: int | None = None) -> int:
-        """Process up to ``budget`` bag tuples (``None``: all), return how many."""
+        """Process up to ``budget`` tuples (``None``: all), return how many."""
         spent = 0
         order = self.tree.postorder
         while self._node_index < len(order):
@@ -184,8 +180,7 @@ class DPState:
                 self._tuple_index += take
                 spent += take
                 self.tuples_processed += take
-                if len(node.members) == 1:
-                    self.ingested[node.members[0]] += take
+                self.ingested[node.index] += take
             if self._tuple_index < len(node):
                 return spent
             columns.close()

@@ -8,7 +8,7 @@ history-retaining ``top_k`` / ``frontier()`` — the exact surface
 :class:`~repro.service.session.QuerySession` and the chaos harness
 already drive, so the whole service stack runs any-k with zero changes.
 
-Cost accounting: a *pull* is one unit of work — one bag tuple processed
+Cost accounting: a *pull* is one unit of work — one tuple processed
 by the DP or one candidate heap pop during enumeration.  ``try_next``
 returns :data:`~repro.core.stepping.PENDING` once its quantum is spent
 mid-build, exactly like a PBRJ pull quantum; emission may overshoot a
@@ -92,7 +92,7 @@ class AnyKRankJoin(ResumableBase):
             self.trace = trace.child() if trace is not None else TraceContext.root()
             self._obs.trace(span_record(
                 self.trace, "anyk", op=name,
-                relations=len(query.relations), width=self.tree.width,
+                relations=len(query.relations),
             ))
         else:
             self.trace = None
@@ -232,7 +232,7 @@ class AnyKRankJoin(ResumableBase):
             operator=self.name,
             depths=DepthReport(first, sum(rest)),
             timing=self.timing(),
-            io_cost=float(sum(self._dp.ingested.values())),
+            io_cost=float(sum(self._dp.ingested)),
             bound_recomputations=0,
             results=len(self._history),
             memory=MemoryHighWater(
@@ -255,7 +255,7 @@ class AnyKRankJoin(ResumableBase):
 
 
 # ----------------------------------------------------------------------
-# Factories
+# Factory
 # ----------------------------------------------------------------------
 def anyk_operator(instance: RankJoinInstance, **kwargs) -> AnyKRankJoin:
     """The binary any-k operator over a :class:`RankJoinInstance`.
@@ -270,14 +270,3 @@ def anyk_operator(instance: RankJoinInstance, **kwargs) -> AnyKRankJoin:
         **kwargs,
     )
 
-
-def anyk_from_chain(
-    relations,
-    join_attrs,
-    scoring: ScoringFunction | None = None,
-    **kwargs,
-) -> AnyKRankJoin:
-    """An any-k engine over a chain query (the multiway-operator shape)."""
-    return AnyKRankJoin(
-        AnyKQuery.chain(tuple(relations), tuple(join_attrs)), scoring, **kwargs
-    )

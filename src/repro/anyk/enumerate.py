@@ -3,7 +3,7 @@
 The classic any-k construction (Lawler procedure specialized to trees,
 a.k.a. REA / take2 in Tziavelis et al.): every connection-value group
 maintains a lazily-materialized *sorted list of suffix solutions*.  A
-suffix solution of a group is one entry (bag tuple) plus a rank choice
+suffix solution of a group is one entry (node tuple) plus a rank choice
 into each child group; its score is the entry's weight plus the chosen
 child solutions' scores.  Two successor moves generate every solution
 exactly once from the group's best one:
@@ -125,9 +125,7 @@ class Enumerator:
         _, entry_index, ranks = enum.solutions[j - 1]
         entry = enum.group.entry(entry_index)
         node_tuple = entry.node_tuple
-        triples = list(zip(
-            enum.group.node.members, node_tuple.components, node_tuple.identity
-        ))
+        triples = [(enum.group.node.index, node_tuple.tup, node_tuple.identity)]
         for i, child_group in enumerate(entry.child_groups):
             triples.extend(
                 self._assignment(self._enums[id(child_group)], ranks[i])

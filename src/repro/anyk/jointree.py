@@ -1,16 +1,13 @@
 """Join-tree representation for ranked enumeration (any-k).
 
-A :class:`JoinTree` is the evaluation plan of an any-k query: each
-:class:`JoinTreeNode` is a *bag* covering one or more input relations,
-edges are equi-joins on shared attribute names, and every node *is
-columns* over its bag tuples (one per combination of member tuples that
-agrees on the bag-internal join attributes): row snapshot, float64 weights,
-canonical identities with their dense ranks, and per tree edge the integer
-codes of the rows' join-key values — a singleton bag borrows the
-content-only ones from its :class:`~repro.relation.relation.Relation`; a
+A :class:`JoinTree` is the evaluation plan of an any-k query: the path
+of its chain, one :class:`JoinTreeNode` per input relation (see
+:mod:`repro.anyk.decompose`), edges are equi-joins on one attribute, and
+every node *is columns* over its relation's tuples: row snapshot, float64
+weights, canonical identities with their dense ranks, and per tree edge
+the integer codes of the rows' join-key values — all borrowed from the
+content-only views of its :class:`~repro.relation.relation.Relation`; a
 :class:`NodeTuple` object exists only for rows an enumeration emits.
-Acyclic queries decompose into singleton bags; simple cyclic queries get
-one merged bag per broken cycle (see :mod:`repro.anyk.decompose`).
 
 Join attributes are plain names resolved against tuple payload dicts;
 the sentinel :data:`KEY_ATTR` names the :attr:`~repro.core.tuples.
@@ -75,95 +72,64 @@ def relation_weights(
 
 
 class NodeTuple:
-    """One bag tuple: member-relation tuples plus its additive weight."""
+    """One node tuple: a relation's tuple plus its additive weight."""
 
-    __slots__ = ("components", "weight", "identity")
+    __slots__ = ("tup", "weight", "identity")
 
-    def __init__(
-        self,
-        components: tuple[RankTuple, ...],
-        weight: float,
-        identity: tuple[tuple, ...],
-    ) -> None:
-        self.components = components
+    def __init__(self, tup: RankTuple, weight: float, identity: tuple) -> None:
+        self.tup = tup
         self.weight = weight
-        #: Content-only tie-break key: one :meth:`Relation.identities` entry
-        #: per component.
+        #: Content-only tie-break key: the tuple's :meth:`Relation.identities`
+        #: entry.
         self.identity = identity
 
 
 class JoinTreeNode:
-    """One bag of the join tree: columns over its bag tuples."""
+    """One relation of the join tree: columns over its tuples."""
 
     __slots__ = (
-        "members", "varset", "rows", "weights", "identities", "ranks",
-        "children", "child_attrs", "child_keys", "parent_attrs", "parent_keys",
+        "index", "rows", "weights", "identities", "ranks",
+        "children", "child_attrs", "child_keys", "parent_keys",
     )
 
-    def __init__(self, members, varset, rows, weights, identities, ranks) -> None:
-        #: Relation indices this bag covers, in query order.
-        self.members = members
-        self.varset = varset
-        #: Per bag tuple the :class:`RankTuple` itself (singleton bag) or the
-        #: member-ordered tuple of them (merged bag); :attr:`identities`
-        #: likewise, :attr:`ranks` their dense ranks (the DP's tie-break);
-        #: :attr:`weights` and ``ranks`` are arrays.
-        self.rows = rows
+    def __init__(self, index: int, relation: Relation, weights: np.ndarray) -> None:
+        #: The relation's position in the query.
+        self.index = index
+        #: Per tuple the :class:`RankTuple` itself, its additive weight, its
+        #: identity and that identity's dense rank (the DP's tie-break).
+        self.rows = relation.scored()[0]
         self.weights = weights
-        self.identities = identities
-        self.ranks = ranks
+        self.identities = relation.identities()
+        self.ranks = relation.identity_ranks()
         self.children: list[JoinTreeNode] = []
-        #: Shared join attributes per child edge (sorted, aligned with
-        #: :attr:`children`) and this node's key codes on each.
+        #: Join attributes per child edge (aligned with :attr:`children`) and
+        #: this node's key codes on each.
         self.child_attrs: list[tuple[str, ...]] = []
         self.child_keys: list[KeyCodes] = []
-        #: Shared attributes toward the parent (``None`` for the root) and the
-        #: key codes on them, the DP's grouping column: one group for a root.
-        self.parent_attrs: tuple[str, ...] | None = None
-        self.parent_keys: KeyCodes = ([()], np.zeros(len(rows), dtype=np.intp))
+        #: The key codes toward the parent, the DP's grouping column: one
+        #: group for the root.
+        self.parent_keys: KeyCodes = ([()], np.zeros(len(self.rows), dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def node_tuple(self, row: int) -> NodeTuple:
-        """The bag tuple at ``row`` as an object — what the enumeration
-        asks for the rows it emits, and the DP never does."""
-        components, identity = self.rows[row], self.identities[row]
-        if len(self.members) == 1:
-            components, identity = (components,), (identity,)
-        return NodeTuple(components, float(self.weights[row]), identity)
-
-    @property
-    def tuples(self) -> list[NodeTuple]:
-        """Every bag tuple as an object, bag order (inspection only)."""
-        return [self.node_tuple(row) for row in range(len(self.rows))]
+        """The tuple at ``row`` as an object — what the enumeration asks
+        for the rows it emits, and the DP never does."""
+        return NodeTuple(self.rows[row], float(self.weights[row]), self.identities[row])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"JoinTreeNode(members={self.members}, tuples={len(self.rows)})"
+        return f"JoinTreeNode(index={self.index}, tuples={len(self.rows)})"
 
 
 class JoinTree:
-    """A rooted join tree over the query's relations."""
+    """The path join tree of a chain query: node ``i`` is relation ``i``,
+    the child of node ``i + 1``; the last node is the root."""
 
-    def __init__(self, root: JoinTreeNode, relations: tuple[Relation, ...]) -> None:
-        self.root = root
+    def __init__(
+        self, nodes: list[JoinTreeNode], relations: tuple[Relation, ...]
+    ) -> None:
         self.relations = relations
-        #: relation index -> tuples read while materializing a merged bag
-        #: (the one pass over a member relation; empty for acyclic queries).
-        self.materialized: dict[int, int] = {}
         #: Children-before-parents order (the DP processing order).
-        self.postorder: list[JoinTreeNode] = []
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                self.postorder.append(node)
-                continue
-            stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
-
-    @property
-    def width(self) -> int:
-        """Largest bag size (1 for acyclic queries, >1 once GHD merged)."""
-        return max(len(node.members) for node in self.postorder)
+        self.postorder = nodes
+        self.root = nodes[-1]

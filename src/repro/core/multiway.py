@@ -32,6 +32,7 @@ from repro.core.scoring import ScoringFunction
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.obs import Observability
+from repro.relation.relation import attr_value
 from repro.relation.sources import TupleSource
 
 
@@ -124,15 +125,6 @@ class MultiwayRankJoin(PBRJ):
         """Attribute linking relation ``index`` to ``index + 1``."""
         return self._join_attrs[index] if index < self._n - 1 else None
 
-    @staticmethod
-    def _attr_value(tup: RankTuple, attr: str):
-        payload = tup.payload
-        if not isinstance(payload, dict) or attr not in payload:
-            raise InstanceError(
-                f"tuple payload lacks chain attribute {attr!r}: {payload!r}"
-            )
-        return payload[attr]
-
     # ------------------------------------------------------------------
     # The join step
     # ------------------------------------------------------------------
@@ -142,11 +134,11 @@ class MultiwayRankJoin(PBRJ):
         right = self._right_attr(index)
         if left is not None:
             self._by_left_attr[index].setdefault(
-                self._attr_value(rho, left), []
+                attr_value(rho, left), []
             ).append(rho)
         if right is not None:
             self._by_right_attr[index].setdefault(
-                self._attr_value(rho, right), []
+                attr_value(rho, right), []
             ).append(rho)
         return [
             MultiwayResult(
@@ -169,7 +161,7 @@ class MultiwayRankJoin(PBRJ):
         if index == 0:
             return [[]]
         attr = self._join_attrs[index - 1]
-        value = self._attr_value(rho, attr)
+        value = attr_value(rho, attr)
         matches = self._by_right_attr[index - 1].get(value, ())
         chains = []
         for partner in matches:
@@ -182,7 +174,7 @@ class MultiwayRankJoin(PBRJ):
         if index == self._n - 1:
             return [[]]
         attr = self._join_attrs[index]
-        value = self._attr_value(rho, attr)
+        value = attr_value(rho, attr)
         matches = self._by_left_attr[index + 1].get(value, ())
         chains = []
         for partner in matches:

@@ -209,25 +209,20 @@ class QuerySpec:
         """
         if self.is_auto:
             return self.resolve(obs=obs).build_operator(obs=obs)
-        if self.is_multiway:
-            if self.algorithm == "anyk":
-                from repro.anyk import anyk_from_chain
-
-                return anyk_from_chain(
-                    self.relations, self.join_attrs, self.scoring, obs=obs
-                )
-            return multiway_rank_join(
-                list(self.relations),
-                list(self.join_attrs),
-                self.scoring,
-                obs=obs,
-            )
         if self.algorithm == "anyk":
             # Any-k needs no sorted scans; skip the instance's eager sort.
             from repro.anyk import AnyKQuery, AnyKRankJoin
 
-            return AnyKRankJoin(
-                AnyKQuery.binary(self.relations[0], self.relations[1]),
+            query = (
+                AnyKQuery.chain(self.relations, self.join_attrs)
+                if self.is_multiway
+                else AnyKQuery.binary(*self.relations)
+            )
+            return AnyKRankJoin(query, self.scoring, obs=obs)
+        if self.is_multiway:
+            return multiway_rank_join(
+                list(self.relations),
+                list(self.join_attrs),
                 self.scoring,
                 obs=obs,
             )

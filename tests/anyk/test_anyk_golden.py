@@ -8,10 +8,6 @@ and the DP's ``tuples_processed`` / ``pruned``.  Every case is replayed
 under ``try_next(max_pulls=q)`` for several ``q`` — the sequence *and* the
 final ``pulls`` are the same at every step budget.
 
-``depths`` is ``null`` for the triangle: its join tree has a merged bag, and
-the recording commit counted bag tuples as input tuples there (the bug
-``tests/anyk/test_engine.py::TestReporting`` now pins the fix of).
-
 Re-record only from a commit whose any-k answers you trust::
 
     PYTHONPATH=<that>/src python tests/anyk/test_anyk_golden.py
@@ -88,37 +84,14 @@ def _chain4():
     return AnyKQuery.chain((a, b, c, d), ["x", "y", "z"]), SumScore(), None
 
 
-def _star3():
-    center = relation(
-        "hub",
-        [({"x": 1, "y": 1}, (0.9,)), ({"x": 2, "y": 1}, (0.5,)),
-         ({"x": 1, "y": 2}, (0.3,))],
-    )
-    s1 = relation("S1", [({"x": 1}, (0.4,)), ({"x": 2}, (0.8,))])
-    s2 = relation("S2", [({"y": 1}, (0.6,)), ({"y": 2}, (0.2,))])
-    return AnyKQuery.star(center, [s1, s2], ["x", "y"]), SumScore(), None
-
-
-def _triangle():
-    a = relation("A", [({"x": i % 3, "y": i % 2}, (i / 10,)) for i in range(6)])
-    b = relation(
-        "B", [({"y": i % 2, "z": i % 3}, ((5 - i) / 10,)) for i in range(6)]
-    )
-    c = relation("C", [({"z": i % 3, "x": i % 3}, (i / 12,)) for i in range(6)])
-    query = AnyKQuery(
-        relations=(a, b, c), join_on=((0, 1, "y"), (1, 2, "z"), (0, 2, "x"))
-    )
-    return query, SumScore(), None
-
-
 def _empty_relation():
     left = Relation("L", [RankTuple(key=i % 2, scores=(i / 4,)) for i in range(4)])
     return AnyKQuery.binary(left, Relation("R", [])), SumScore(), None
 
 
 def _no_partner():
-    """The child (L, the GYO ear) shares no key with the root (R): every
-    root tuple is pruned."""
+    """The child (L) shares no key with the root (R): every root tuple is
+    pruned."""
     left = Relation("L", [RankTuple(key=i, scores=(i / 8,)) for i in range(8)])
     right = Relation(
         "R", [RankTuple(key=100 + i, scores=(i / 8,)) for i in range(5)]
@@ -138,8 +111,6 @@ CASES = {
     "harness cold_anyk top50": _harness(50),
     "ties and duplicates, full drain": _ties,
     "chain4": _chain4,
-    "star3": _star3,
-    "triangle": _triangle,
     "empty relation": _empty_relation,
     "child with no partner": _no_partner,
     "K beyond the join": _k_beyond_the_join,
@@ -173,10 +144,9 @@ def summary(case, quantum=None):
         "last": lines[-1] if lines else None,
         "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
         "pulls": operator.pulls,
-        "depths": (
-            [operator.depth(i) for i in range(len(operator.query.relations))]
-            if operator.tree.width == 1 else None
-        ),
+        "depths": [
+            operator.depth(i) for i in range(len(operator.query.relations))
+        ],
         "tuples_processed": operator._dp.tuples_processed,
         "pruned": operator._dp.pruned,
     }

@@ -1,4 +1,4 @@
-"""Join-tree decomposition: GYO ear removal, GHD bag merges, validation."""
+"""The path join tree of a chain query, and query validation."""
 
 import pytest
 
@@ -36,37 +36,28 @@ def chain3():
 class TestQueryValidation:
     def test_needs_two_relations(self):
         r = keyed("R", [(1, 0.5)])
-        with pytest.raises(InstanceError):
-            AnyKQuery(relations=(r,), join_on=((0, 0, "x"),))
+        with pytest.raises(InstanceError, match="two relations"):
+            AnyKQuery((r,), ())
 
     def test_needs_a_condition(self):
         r, s = keyed("R", [(1, 0.5)]), keyed("S", [(1, 0.5)])
-        with pytest.raises(InstanceError):
-            AnyKQuery(relations=(r, s), join_on=())
+        with pytest.raises(InstanceError, match="need 1 join attributes"):
+            AnyKQuery((r, s), ())
 
     def test_rejects_out_of_range_index(self):
+        # A second link would join S to a third relation that is not there.
         r, s = keyed("R", [(1, 0.5)]), keyed("S", [(1, 0.5)])
-        with pytest.raises(InstanceError):
-            AnyKQuery(relations=(r, s), join_on=((0, 2, "x"),))
-
-    def test_rejects_self_join_condition(self):
-        r, s = keyed("R", [(1, 0.5)]), keyed("S", [(1, 0.5)])
-        with pytest.raises(InstanceError):
-            AnyKQuery(relations=(r, s), join_on=((1, 1, "x"),))
+        with pytest.raises(InstanceError, match="need 1 join attributes"):
+            AnyKQuery((r, s), ("x", "y"))
 
     def test_rejects_empty_attribute(self):
         r, s = keyed("R", [(1, 0.5)]), keyed("S", [(1, 0.5)])
-        with pytest.raises(InstanceError):
-            AnyKQuery(relations=(r, s), join_on=((0, 1, ""),))
+        with pytest.raises(InstanceError, match="non-empty"):
+            AnyKQuery((r, s), ("",))
 
     def test_chain_arity_check(self, chain3):
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="need 2 join attributes"):
             AnyKQuery.chain(chain3, ["x"])
-
-    def test_star_arity_check(self, chain3):
-        a, b, c = chain3
-        with pytest.raises(InstanceError):
-            AnyKQuery.star(a, [b, c], ["x"])
 
 
 class TestAcyclicDecomposition:
@@ -74,47 +65,21 @@ class TestAcyclicDecomposition:
         left = keyed("L", [(1, 0.9), (2, 0.1)])
         right = keyed("R", [(1, 0.8)])
         tree = decompose(AnyKQuery.binary(left, right))
-        assert tree.width == 1
-        assert len(tree.root.children) == 1
+        assert tree.root.index == 1
+        assert [child.index for child in tree.root.children] == [0]
         assert not tree.root.children[0].children
         # Binary joins connect on the key sentinel.
         assert tree.root.child_attrs == [(KEY_ATTR,)]
 
     def test_chain_is_a_path_of_singletons(self, chain3):
         tree = decompose(AnyKQuery.chain(chain3, ["x", "y"]))
-        assert tree.width == 1
-        depth, node = 0, tree.root
+        path, node = [tree.root.index], tree.root
         while node.children:
             assert len(node.children) == 1
-            assert len(node.members) == 1
             node = node.children[0]
-            depth += 1
-        assert depth == 2
-
-    def test_star_center_has_all_satellites(self):
-        center = relation(
-            "hub", [({"x": 1, "y": 1, "z": 1}, (0.9,))]
-        )
-        sats = [
-            relation("S1", [({"x": 1}, (0.1,))]),
-            relation("S2", [({"y": 1}, (0.2,))]),
-            relation("S3", [({"z": 1}, (0.3,))]),
-        ]
-        tree = decompose(AnyKQuery.star(center, sats, ["x", "y", "z"]))
-        assert tree.width == 1
-        # The center is adjacent to every satellite, wherever the root
-        # landed: all satellite nodes are neighbours of the center node.
-        nodes, stack = [], [(tree.root, None)]
-        while stack:
-            node, parent = stack.pop()
-            nodes.append((node, parent))
-            stack.extend((child, node) for child in node.children)
-        hub = next(node for node, __ in nodes if node.members == (0,))
-        neighbours = {child.members for child in hub.children}
-        parent_of_hub = next(p for n, p in nodes if n is hub)
-        if parent_of_hub is not None:
-            neighbours.add(parent_of_hub.members)
-        assert neighbours == {(1,), (2,), (3,)}
+            path.append(node.index)
+        assert path == [2, 1, 0]
+        assert [n.index for n in tree.postorder] == [0, 1, 2]
 
     def test_every_relation_appears_exactly_once(self, chain3):
         tree = decompose(AnyKQuery.chain(chain3, ["x", "y"]))
@@ -122,53 +87,20 @@ class TestAcyclicDecomposition:
         stack = [tree.root]
         while stack:
             node = stack.pop()
-            seen.extend(node.members)
+            seen.append(node.index)
             stack.extend(node.children)
         assert sorted(seen) == [0, 1, 2]
 
-
-class TestCyclicDecomposition:
-    def triangle(self):
-        a = relation("A", [({"x": 1, "y": 1}, (0.9,)), ({"x": 2, "y": 2}, (0.5,))])
-        b = relation("B", [({"y": 1, "z": 1}, (0.8,)), ({"y": 2, "z": 2}, (0.4,))])
-        c = relation("C", [({"z": 1, "x": 1}, (0.7,)), ({"z": 2, "x": 2}, (0.3,))])
-        return AnyKQuery(
-            relations=(a, b, c),
-            join_on=((0, 1, "y"), (1, 2, "z"), (0, 2, "x")),
-        )
-
-    def test_triangle_merges_into_width_two_bag(self):
-        tree = decompose(self.triangle())
-        assert tree.width == 2
-        sizes = []
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            sizes.append(len(node.members))
-            stack.extend(node.children)
-        assert sorted(sizes) == [1, 2]
-
-    def test_bag_tuples_satisfy_the_merged_conditions(self):
-        tree = decompose(self.triangle())
-        bag = tree.root if len(tree.root.members) == 2 else tree.root.children[0]
-        assert len(bag.members) == 2
-        # Both bag tuples honour the shared variable between the members.
-        assert len(bag.tuples) == 2
+    def test_each_link_joins_on_its_own_attribute(self):
+        rows = [({"x": 1, "y": 1}, (0.5,))]
+        chain = [relation(name, rows) for name in "ABCD"]
+        tree = decompose(AnyKQuery.chain(chain, ["x", "y", "x"]))
+        assert [n.child_attrs for n in tree.postorder] == [
+            [], [("x",)], [("y",)], [("x",)],
+        ]
 
 
 class TestRejections:
-    def test_disconnected_query_is_rejected(self):
-        a = relation("A", [({"x": 1}, (0.9,))])
-        b = relation("B", [({"x": 1, "y": 1}, (0.8,))])
-        c = relation("C", [({"w": 1}, (0.7,))])
-        d = relation("D", [({"w": 1}, (0.6,))])
-        query = AnyKQuery(
-            relations=(a, b, c, d),
-            join_on=((0, 1, "x"), (2, 3, "w")),
-        )
-        with pytest.raises(InstanceError, match="disconnected"):
-            decompose(query)
-
     @pytest.mark.parametrize("scoring", [MinScore(), ProductScore()])
     def test_non_additive_scoring_is_rejected(self, scoring, chain3):
         query = AnyKQuery.chain(chain3, ["x", "y"])
@@ -177,4 +109,4 @@ class TestRejections:
 
     def test_sum_score_is_accepted(self, chain3):
         tree = decompose(AnyKQuery.chain(chain3, ["x", "y"]), SumScore())
-        assert tree.width == 1
+        assert len(tree.postorder) == 3

@@ -6,17 +6,17 @@ The contract every resumable operator shares is the matrix in
 
 import itertools
 
-import numpy as np
 import pytest
 
-from repro.anyk import AnyKQuery, AnyKRankJoin, anyk_from_chain, anyk_operator
+from repro.anyk import AnyKQuery, AnyKRankJoin, anyk_operator
 from repro.core.naive import naive_top_k, top_scores
 from repro.core.operators import make_operator
 from repro.core.scoring import AverageScore, SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
 from repro.data.workload import random_instance
-from repro.relation.relation import Relation
+from repro.relation.relation import Relation, tuple_identity
+from repro.service.query import QuerySpec
 
 
 def relation(name, rows):
@@ -29,21 +29,30 @@ def relation(name, rows):
     )
 
 
+def joined(relations, join_attrs):
+    """Every chain combination, per edge ``R_i.a_i = R_{i+1}.a_i``."""
+    def value(tup, attr):
+        return tup.key if attr == "@key" else tup.payload[attr]
+
+    return [
+        combo
+        for combo in itertools.product(*[rel.tuples for rel in relations])
+        if all(
+            value(left, attr) == value(right, attr)
+            for left, right, attr in zip(combo, combo[1:], join_attrs)
+        )
+    ]
+
+
 def brute_force(query, scoring):
     """All join results by full enumeration, scores sorted descending."""
-    results = []
-    for combo in itertools.product(*[rel.tuples for rel in query.relations]):
-        ok = True
-        for a, b, attr in query.join_on:
-            left = combo[a].key if attr == "@key" else combo[a].payload[attr]
-            right = combo[b].key if attr == "@key" else combo[b].payload[attr]
-            if left != right:
-                ok = False
-                break
-        if ok:
-            vector = tuple(s for t in combo for s in t.scores)
-            results.append(scoring(vector))
-    return sorted(results, reverse=True)
+    return sorted(
+        (
+            scoring(tuple(s for t in combo for s in t.scores))
+            for combo in joined(query.relations, query.join_attrs)
+        ),
+        reverse=True,
+    )
 
 
 @pytest.fixture
@@ -137,7 +146,7 @@ class TestBinaryCorrectness:
 class TestNaryCorrectness:
     def test_chain4_matches_multiway(self, chain4):
         attrs = ["x", "y", "z"]
-        anyk = anyk_from_chain(chain4, attrs)
+        anyk = AnyKRankJoin(AnyKQuery.chain(chain4, attrs))
         from repro.core.multiway import multiway_rank_join
 
         reference = multiway_rank_join(list(chain4), attrs, SumScore())
@@ -150,41 +159,33 @@ class TestNaryCorrectness:
         got = [r.score for r in AnyKRankJoin(query)]
         assert got == pytest.approx(brute_force(query, SumScore()))
 
-    def test_star3_matches_brute_force(self):
-        center = relation(
-            "hub",
-            [({"x": 1, "y": 1}, (0.9,)), ({"x": 2, "y": 1}, (0.5,)),
-             ({"x": 1, "y": 2}, (0.3,))],
+    def test_a_chain_that_reuses_an_attribute_gets_every_answer(self):
+        # R0.x = R1.x, R1.y = R2.y, R2.x = R3.x: each link on its own,
+        # not one variable x shared by R0, R1, R2 and R3.
+        chain = (
+            relation("R0", [({"x": 1}, (0.9,)), ({"x": 2}, (0.4,))]),
+            relation("R1", [({"x": 1, "y": 5}, (0.8,)), ({"x": 2, "y": 6}, (0.3,))]),
+            relation("R2", [({"x": 3, "y": 5}, (0.7,)), ({"x": 2, "y": 6}, (0.2,))]),
+            relation("R3", [({"x": 3}, (0.6,)), ({"x": 2}, (0.1,))]),
         )
-        s1 = relation("S1", [({"x": 1}, (0.4,)), ({"x": 2}, (0.8,))])
-        s2 = relation("S2", [({"y": 1}, (0.6,)), ({"y": 2}, (0.2,))])
-        query = AnyKQuery.star(center, [s1, s2], ["x", "y"])
-        got = [r.score for r in AnyKRankJoin(query)]
-        assert got == pytest.approx(brute_force(query, SumScore()))
-
-    def test_triangle_matches_brute_force(self):
-        a = relation(
-            "A", [({"x": i % 3, "y": i % 2}, (i / 10,)) for i in range(6)]
-        )
-        b = relation(
-            "B", [({"y": i % 2, "z": i % 3}, ((5 - i) / 10,)) for i in range(6)]
-        )
-        c = relation(
-            "C", [({"z": i % 3, "x": i % 3}, (i / 12,)) for i in range(6)]
-        )
-        query = AnyKQuery(
-            relations=(a, b, c),
-            join_on=((0, 1, "y"), (1, 2, "z"), (0, 2, "x")),
-        )
-        got = [r.score for r in AnyKRankJoin(query)]
-        assert got == pytest.approx(brute_force(query, SumScore()))
+        attrs = ("x", "y", "x")
+        combos = joined(chain, attrs)
+        expected = brute_force(AnyKQuery.chain(chain, attrs), SumScore())
+        assert expected == [3.0000000000000004, 0.9999999999999999]
+        for algorithm in ("anyk", "pbrj"):
+            spec = QuerySpec(chain, 10, join_attrs=attrs, algorithm=algorithm)
+            results = spec.build_operator().top_k(10)
+            assert [r.score for r in results] == expected, algorithm
+            assert sorted(
+                tuple(map(tuple_identity, r.tuples)) for r in results
+            ) == sorted(tuple(map(tuple_identity, combo)) for combo in combos)
 
     def test_nary_results_expose_relation_ordered_tuples(self, chain4):
-        anyk = anyk_from_chain(chain4, ["x", "y", "z"])
+        anyk = AnyKRankJoin(AnyKQuery.chain(chain4, ["x", "y", "z"]))
         result = anyk.get_next()
         assert len(result.tuples) == 4
-        # Components come back in query-relation order regardless of the
-        # internal join order the decomposition chose.
+        # Components come back in query-relation order, not in the order
+        # the enumeration walks the path from its root.
         assert [t.payload.get("x") is not None for t in result.tuples[:1]] == [True]
 
 
@@ -270,50 +271,6 @@ class TestReporting:
         assert stats.depths.sum_depths == 90
 
     def test_nary_depths_are_per_relation(self, chain4):
-        op = anyk_from_chain(chain4, ["x", "y", "z"])
+        op = AnyKRankJoin(AnyKQuery.chain(chain4, ["x", "y", "z"]))
         op.get_next()
         assert op.depths() == [3, 3, 3, 2]
-
-    def test_merged_bag_depths_count_input_tuples_not_bag_tuples(self):
-        a = relation("A", [({"x": i % 3, "y": i % 2}, (i / 30,)) for i in range(30)])
-        b = relation("B", [({"y": i % 2, "z": i % 3}, (i / 31,)) for i in range(30)])
-        c = relation("C", [({"z": i % 3, "x": i % 3}, (i / 32,)) for i in range(30)])
-        query = AnyKQuery(
-            relations=(a, b, c),
-            join_on=((0, 1, "y"), (1, 2, "z"), (0, 2, "x")),
-        )
-        op = AnyKRankJoin(query)
-        assert op.tree.width == 2
-        # A merged bag's members are read once, while it is materialized.
-        merged = max(op.tree.postorder, key=lambda node: len(node.members))
-        assert len(merged) > 30
-        assert [op.depth(i) for i in merged.members] == [30, 30]
-        op.get_next()
-        assert op.depths() == [30, 30, 30]
-        # Bag tuples stay the unit of work.
-        assert op._dp.tuples_processed == len(merged) + 30
-        assert op.stats().io_cost == 90.0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_depths_never_exceed_the_inputs_on_random_cyclic_queries(self, seed):
-        rng = np.random.default_rng(seed)
-        # A 4-cycle: GYO stalls until a pair of edges is merged into a bag.
-        attrs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
-        relations = tuple(
-            relation(f"R{i}", [
-                ({u: int(rng.integers(0, 3)), v: int(rng.integers(0, 3))},
-                 (float(rng.integers(0, 5)) / 4,))
-                for __ in range(int(rng.integers(5, 25)))
-            ])
-            for i, (u, v) in enumerate(attrs)
-        )
-        query = AnyKQuery(
-            relations=relations,
-            join_on=((0, 1, "b"), (1, 2, "c"), (2, 3, "d"), (3, 0, "a")),
-        )
-        op = AnyKRankJoin(query)
-        assert op.tree.width > 1
-        got = [r.score for r in op]
-        assert got == pytest.approx(brute_force(query, SumScore()))
-        for i, rel in enumerate(relations):
-            assert op.depth(i) == len(rel)

@@ -1,7 +1,8 @@
 """Property tests: any-k enumeration vs the oracle on random workloads.
 
-The satellite contract: over random acyclic workloads *with duplicate
-scores, exact ties and content-identical duplicate tuples*, driven in steps
+The satellite contract: over random binary joins and chains — a chain may
+reuse an attribute name on a later link — *with duplicate scores, exact
+ties and content-identical duplicate tuples*, driven in steps
 of a drawn pull budget, the enumeration must be (a) monotone
 non-increasing in score, (b) duplicate-free, and (c) exactly equal —
 scores and canonical tie order — to the oracle's top-K.
@@ -70,23 +71,29 @@ def chain_query(draw):
             ],
         )
 
-    relations = (rel("A", ["x"]), rel("B", ["x", "y"]), rel("C", ["y"]))
-    return AnyKQuery.chain(relations, ["x", "y"])
+    # Three or four relations, links on x or y with repeats: a name that
+    # comes back further down the chain still joins only its own link.
+    join_attrs = draw(st.lists(st.sampled_from(["x", "y"]), min_size=2, max_size=3))
+    links = [(), *((a,) for a in join_attrs), ()]
+    relations = tuple(
+        rel(name, sorted(set(links[i] + links[i + 1])))
+        for i, name in enumerate("ABCD"[:len(join_attrs) + 1])
+    )
+    return AnyKQuery.chain(relations, join_attrs)
 
 
 def oracle(query, scoring):
     """Full enumeration in the engine's canonical order: score desc, then
     the canonical content identity — the cross-core tie-order contract."""
+    def value(tup, attr):
+        return tup.key if attr == "@key" else tup.payload[attr]
+
     results = []
     for combo in itertools.product(*[rel.tuples for rel in query.relations]):
-        ok = True
-        for a, b, attr in query.join_on:
-            left = combo[a].key if attr == "@key" else combo[a].payload[attr]
-            right = combo[b].key if attr == "@key" else combo[b].payload[attr]
-            if left != right:
-                ok = False
-                break
-        if ok:
+        if all(
+            value(left, attr) == value(right, attr)
+            for left, right, attr in zip(combo, combo[1:], query.join_attrs)
+        ):
             vector = tuple(s for t in combo for s in t.scores)
             results.append((scoring(vector), combo))
     results.sort(key=lambda pair: (-pair[0], _identity(pair[1])))
@@ -141,6 +148,7 @@ class TestEnumerationProperties:
     @given(data=st.data(), budget=budgets)
     @settings(max_examples=40, deadline=None)
     def test_chain3_matches_oracle(self, data, budget):
+        """Chains of three or four relations (``chain_query``)."""
         assert_enumeration_contract(chain_query(data.draw), budget)
 
     @given(data=st.data(), k=st.integers(1, 8))

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.anyk import anyk_from_chain
+from repro.anyk import AnyKQuery, AnyKRankJoin
 from repro.core import OPERATORS, SumScore, make_operator, multiway_rank_join
 from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.pbrj import SCORE_EPS
@@ -60,7 +60,7 @@ TWO_SHARDS = ExecConfig(shards=2, backend="serial")
 IMPLEMENTERS = {
     **{name: partial(make_operator, name, BINARY) for name in OPERATORS},
     "AnyK": partial(make_operator, "AnyK", BINARY),
-    "AnyK-chain": partial(anyk_from_chain, *CHAIN, SumScore()),
+    "AnyK-chain": lambda: AnyKRankJoin(AnyKQuery.chain(*CHAIN), SumScore()),
     "MW-corner": partial(multiway_rank_join, *CHAIN, SumScore()),
     "MW-feasible": lambda: multiway_rank_join(
         *CHAIN, SumScore(), bound=MultiwayFeasibleBound()
