@@ -9,10 +9,11 @@ no K fixed up front, no pull-depth blowup on n-ary joins.
 
 The package splits the construction the way the papers do:
 
-* :mod:`repro.anyk.jointree` — nodes, node tuples, additive weights;
-* :mod:`repro.anyk.decompose` — the chain query and its path join tree;
-* :mod:`repro.anyk.dp` — budgeted suffix-optimal DP;
-* :mod:`repro.anyk.enumerate` — Lawler/REA successor generation;
+* :mod:`repro.anyk.jointree` — path nodes as columns, additive weights;
+* :mod:`repro.anyk.decompose` — the chain query and its path, leaf first;
+* :mod:`repro.anyk.dp` — budgeted suffix-optimal DP, one child per node;
+* :mod:`repro.anyk.enumerate` — Lawler/REA successor generation, one
+  rank per solution;
 * :mod:`repro.anyk.engine` — the :class:`AnyKRankJoin` facade speaking
   the :class:`~repro.core.stepping.ResumableOperator` contract, so the
   service and telemetry layers drive it unchanged
@@ -27,7 +28,7 @@ from repro.anyk.engine import (
     anyk_operator,
 )
 from repro.anyk.enumerate import Enumerator
-from repro.anyk.jointree import KEY_ATTR, JoinTree, JoinTreeNode, NodeTuple
+from repro.anyk.jointree import KEY_ATTR, JoinTreeNode
 
 __all__ = [
     "ANYK_OPERATOR",
@@ -35,10 +36,8 @@ __all__ = [
     "AnyKRankJoin",
     "DPState",
     "Enumerator",
-    "JoinTree",
     "JoinTreeNode",
     "KEY_ATTR",
-    "NodeTuple",
     "anyk_operator",
     "decompose",
 ]

@@ -1,4 +1,4 @@
-"""Query descriptions and the path join tree of any-k.
+"""The query description and the path join tree of any-k.
 
 An :class:`AnyKQuery` is the any-k engine's input: a chain of relations
 and one join attribute per link, ``R_i.join_attrs[i] = R_{i+1}.join_attrs[i]``
@@ -9,16 +9,16 @@ names the tuple key, which makes the paper's binary key-join a two-node
 chain.
 
 The join tree of a path query is the path itself (the acyclic case of
-"Optimal Join Algorithms Meet Top-k"): :func:`decompose` makes relation
-``i`` the child of relation ``i + 1`` on ``(join_attrs[i],)``, and the last
-relation the root.
+"Optimal Join Algorithms Meet Top-k"): :func:`decompose` lists one node
+per relation, leaf first, and node ``i`` joins its child, node ``i - 1``,
+on ``join_attrs[i - 1]``; the last node is the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.anyk.jointree import JoinTree, JoinTreeNode, relation_weights
+from repro.anyk.jointree import JoinTreeNode, relation_weights
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.errors import InstanceError
 from repro.relation.relation import KEY_ATTR, Relation
@@ -50,14 +50,11 @@ class AnyKQuery:
         """The paper's binary rank join: two relations joined on the key."""
         return cls((left, right), (KEY_ATTR,))
 
-    @classmethod
-    def chain(cls, relations, join_attrs) -> "AnyKQuery":
-        """A path query: relation ``i`` joins ``i+1`` on ``join_attrs[i]``."""
-        return cls(relations, join_attrs)
 
-
-def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinTree:
-    """The path join tree of ``query``, one node per relation."""
+def decompose(
+    query: AnyKQuery, scoring: ScoringFunction | None = None
+) -> list[JoinTreeNode]:
+    """The path of ``query``, one node per relation, leaf first."""
     scoring = scoring if scoring is not None else SumScore()
     relations = query.relations
     nodes = [
@@ -66,9 +63,6 @@ def decompose(query: AnyKQuery, scoring: ScoringFunction | None = None) -> JoinT
         in enumerate(zip(relations, relation_weights(scoring, relations)))
     ]
     for child, parent, attr in zip(nodes, nodes[1:], query.join_attrs):
-        attrs = (attr,)
-        parent.children.append(child)
-        parent.child_attrs.append(attrs)
-        parent.child_keys.append(relations[parent.index].key_codes(attrs))
-        child.parent_keys = relations[child.index].key_codes(attrs)
-    return JoinTree(nodes, relations)
+        parent.child_keys = relations[parent.index].key_codes((attr,))
+        child.parent_keys = relations[child.index].key_codes((attr,))
+    return nodes

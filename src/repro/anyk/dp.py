@@ -1,28 +1,27 @@
-"""Bottom-up dynamic program over the join tree, as array passes.
+"""Bottom-up dynamic program over the path, as array passes.
 
-For every node (children before parents), each tuple ``t`` is scored
-with its *suffix-optimal* weight::
+For every node from the leaf up, each tuple ``t`` is scored with its
+*suffix-optimal* weight::
 
-    best(t) = weight(t) + Σ_child  max { best(t') : t' joins t }
+    best(t) = weight(t) + max { best(t') : t' in the child node joins t }
 
-i.e. the best completion of ``t`` over the subtree rooted at its node.
-Tuples that find no join partner in some child are pruned — the
-full-reducer semijoin falls out of the DP for free, so enumeration never
-touches a tuple that cannot appear in a result.
+i.e. the best completion of ``t`` down to the leaf.  Tuples that find no
+join partner in the child are pruned — the full-reducer semijoin falls
+out of the DP for free, so enumeration never touches a tuple that cannot
+appear in a result.
 
 A node is columns (:class:`~repro.anyk.jointree.JoinTreeNode`) and so is
-the pass: for rows ``[i, j)`` of a node, ``best = w[i:j]``, then per child
-*in order* ``gid = map_c[codes_c[i:j]]`` (the matching child group or -1,
-``map_c`` probed once per *distinct* edge value when the node starts),
-``alive &= gid >= 0``, ``best = best + group_best_c[gid]`` — the sum
-associates left to right as a per-tuple loop would, so every ``best``
-carries the same bits.  When a node's last row is in, one stable
-``lexsort`` orders the alive rows by ``(connection code, -best, identity
-rank)``: groups are the runs of equal connection code (the shared-attribute
-values toward the parent), each sorted by ``(-best, identity)`` with row
-order between equals — the "sorted list of suffix solutions" the Lawler/REA
-successor generation in :mod:`repro.anyk.enumerate` walks lazily.
-:class:`Group` and :class:`DPEntry` objects exist only where it walks.
+the pass: for rows ``[i, j)`` of a node, ``gid = map[codes[i:j]]`` (the
+matching child group or -1, ``map`` probed once per *distinct* link value
+when the node starts), ``alive &= gid >= 0``, ``best = w[i:j] +
+group_best[gid]`` — the bits a per-tuple loop would compute.  When a
+node's last row is in, one stable ``lexsort`` orders the alive rows by
+``(connection code, -best, identity rank)``: groups are the runs of equal
+connection code (the link value toward the parent), each sorted by
+``(-best, identity)`` with row order between equals — the "sorted list of
+suffix solutions" the Lawler/REA successor generation in
+:mod:`repro.anyk.enumerate` walks lazily.  A :class:`Group` object exists
+only where it walks.
 
 The pass is *budgeted*: :meth:`DPState.run` processes at most ``budget``
 tuples (a slice that long) and leaves an explicit cursor behind — this is
@@ -35,79 +34,70 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.anyk.jointree import JoinTree, JoinTreeNode, NodeTuple
-
-
-class DPEntry:
-    """One surviving tuple: its suffix-optimal weight, its object form and
-    the matching group in every child."""
-
-    __slots__ = ("best", "node_tuple", "child_groups")
-
-    def __init__(self, best: float, node_tuple: NodeTuple, child_groups: tuple) -> None:
-        self.best = best
-        self.node_tuple = node_tuple
-        self.child_groups = child_groups
+from repro.anyk.jointree import JoinTreeNode
 
 
 class Group:
-    """One connection-value group, suffix solutions sorted best-first: a window
-    onto its node's sorted rows; :meth:`entry` builds and keeps their objects."""
+    """One connection-value group: a window onto its node's rows sorted
+    best-first, and the lazily grown list of its solutions.
 
-    __slots__ = ("node", "_columns", "_rows", "_entries")
+    A solution is ``(score, entry, rank)``: the group's ``entry``-th row and
+    the child group's ``rank``-th solution (``rank`` 0 at the leaf).
+    """
+
+    __slots__ = ("node", "rows", "solutions", "heap", "_columns")
 
     def __init__(self, columns: _NodeColumns, rows: np.ndarray) -> None:
         self.node = columns.node
         self._columns = columns
-        self._rows = rows
-        self._entries: dict[int, DPEntry] = {}
+        #: The node's rows in this group, best first.
+        self.rows = rows
+        #: Solutions popped so far, best first (the enumerator fills it).
+        self.solutions: list[tuple[float, int, int]] = []
+        #: Candidate heap ``(-score, entry, rank)``: entry and rank break
+        #: score ties deterministically.
+        self.heap = [(-self.best(0), 0, 0 if columns.child is None else 1)]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
-    def entry(self, index: int) -> DPEntry:
-        entry = self._entries.get(index)
-        if entry is None:
-            columns, row = self._columns, int(self._rows[index])
-            entry = self._entries[index] = DPEntry(
-                float(columns.best[row]),
-                self.node.node_tuple(row),
-                tuple(
-                    child.group(int(gids[row]))
-                    for child, gids in zip(columns.children, columns.child_gids)
-                ),
-            )
-        return entry
+    def best(self, entry: int) -> float:
+        """The suffix-optimal weight of the ``entry``-th row."""
+        return float(self._columns.best[self.rows[entry]])
+
+    def child(self, entry: int) -> Group:
+        """The child group the ``entry``-th row joins."""
+        columns = self._columns
+        return columns.child.group(int(columns.child_gids[self.rows[entry]]))
 
 
 class _NodeColumns:
     """The DP's columns over one node: filled by slices, then grouped."""
 
-    def __init__(self, node: JoinTreeNode, children: list[_NodeColumns]) -> None:
+    def __init__(self, node: JoinTreeNode, child: _NodeColumns | None) -> None:
         self.node = node
-        self.children = children
+        self.child = child
         self.best = np.empty(len(node))
         self.alive = np.ones(len(node), dtype=bool)
-        #: Per child edge the child group (-1: none) of each distinct edge value
-        #: and, through it, of each row.
-        self.value_gids = [
-            np.array([child.gid_of.get(v, -1) for v in values], dtype=np.intp)
-            for child, (values, _) in zip(children, node.child_keys)
-        ]
-        self.child_gids = [np.empty(len(node), dtype=np.intp) for _ in children]
+        if child is not None:
+            #: The child group (-1: none) of each distinct link value and,
+            #: through it, of each row.
+            self.value_gids = np.array(
+                [child.gid_of.get(v, -1) for v in node.child_keys[0]], dtype=np.intp
+            )
+            self.child_gids = np.empty(len(node), dtype=np.intp)
         self.groups: dict[int, Group] = {}
 
     def advance(self, start: int, stop: int) -> int:
         """Score rows ``[start, stop)``; return how many found no partner."""
         best = self.node.weights[start:stop]
         alive = self.alive[start:stop]
-        for child, value_gids, (_, codes), gids in zip(
-            self.children, self.value_gids, self.node.child_keys, self.child_gids
-        ):
-            found = gids[start:stop] = value_gids[codes[start:stop]]
+        if self.child is not None:
+            codes = self.node.child_keys[1]
+            found = self.child_gids[start:stop] = self.value_gids[codes[start:stop]]
             alive &= found >= 0
             # -1 reads the NaN that ends group_best: a pruned row has no best.
-            best = best + child.group_best[found]
+            best = best + self.child.group_best[found]
         self.best[start:stop] = best
         return (stop - start) - int(np.count_nonzero(alive))
 
@@ -129,7 +119,7 @@ class _NodeColumns:
 
     def group(self, gid: int) -> Group:
         """The ``gid``-th group — the same object every time it is reached
-        (the enumerator keys its per-group state on it)."""
+        (it carries the group's enumeration state)."""
         group = self.groups.get(gid)
         if group is None:
             start, stop = self.bounds[gid:gid + 2]
@@ -138,15 +128,15 @@ class _NodeColumns:
 
 
 class DPState:
-    """Cursor-steppable bottom-up DP over a join tree."""
+    """Cursor-steppable bottom-up DP over the path, leaf first."""
 
-    def __init__(self, tree: JoinTree) -> None:
-        self.tree = tree
+    def __init__(self, nodes: list[JoinTreeNode]) -> None:
+        self.nodes = nodes
         self.done = False
         #: Tuples ingested per relation index (the any-k depth metric).
-        self.ingested = [0] * len(tree.relations)
-        #: node -> its columns, from the moment the pass reaches it.
-        self._columns: dict[JoinTreeNode, _NodeColumns] = {}
+        self.ingested = [0] * len(nodes)
+        #: Per node its columns, from the moment the pass reaches it.
+        self._columns: list[_NodeColumns] = []
         self._node_index = 0
         self._tuple_index = 0
         self.tuples_processed = 0
@@ -157,33 +147,30 @@ class DPState:
         """The root's single (empty-connection) group; None when empty."""
         if not self.done:
             return None
-        root = self._columns[self.tree.root]
+        root = self._columns[-1]
         return root.group(0) if len(root.bounds) > 1 else None
 
     def run(self, budget: int | None = None) -> int:
         """Process up to ``budget`` tuples (``None``: all), return how many."""
         spent = 0
-        order = self.tree.postorder
-        while self._node_index < len(order):
-            node = order[self._node_index]
-            columns = self._columns.get(node)
-            if columns is None:
-                columns = self._columns[node] = _NodeColumns(
-                    node, [self._columns[child] for child in node.children]
-                )
+        nodes, columns = self.nodes, self._columns
+        while self._node_index < len(nodes):
+            node = nodes[self._node_index]
+            if len(columns) == self._node_index:
+                columns.append(_NodeColumns(node, columns[-1] if columns else None))
             start = self._tuple_index
             take = len(node) - start
             if budget is not None:
                 take = min(take, budget - spent)
             if take:
-                self.pruned += columns.advance(start, start + take)
+                self.pruned += columns[-1].advance(start, start + take)
                 self._tuple_index += take
                 spent += take
                 self.tuples_processed += take
                 self.ingested[node.index] += take
             if self._tuple_index < len(node):
                 return spent
-            columns.close()
+            columns[-1].close()
             self._node_index += 1
             self._tuple_index = 0
         self.done = True

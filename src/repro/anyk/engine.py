@@ -30,6 +30,7 @@ from collections import deque
 from repro.anyk.decompose import AnyKQuery, decompose
 from repro.anyk.dp import DPState
 from repro.anyk.enumerate import Enumerator
+from repro.core.operators import ANYK_OPERATOR
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult
@@ -41,10 +42,6 @@ from repro.stats.metrics import (
     OperatorStats,
     TimingBreakdown,
 )
-
-#: Registry name of the any-k core (resolved by
-#: :func:`repro.core.operators.make_operator` alongside the PBRJ family).
-ANYK_OPERATOR = "AnyK"
 
 
 class AnyKRankJoin(ResumableBase):
@@ -77,8 +74,7 @@ class AnyKRankJoin(ResumableBase):
         self.query = query
         self.scoring = scoring if scoring is not None else SumScore()
         self._obs = obs if obs is not None else NULL_OBS
-        self.tree = decompose(query, self.scoring)
-        self._dp = DPState(self.tree)
+        self._dp = DPState(decompose(query, self.scoring))
         self._enum: Enumerator | None = None
         self._batch: deque = deque()  # buffered (exact score, tuples) pairs
         self._exhausted = False

@@ -1,23 +1,25 @@
-"""Ranked enumeration over the DP-annotated join tree.
+"""Ranked enumeration over the DP-annotated path.
 
 The classic any-k construction (Lawler procedure specialized to trees,
-a.k.a. REA / take2 in Tziavelis et al.): every connection-value group
-maintains a lazily-materialized *sorted list of suffix solutions*.  A
-suffix solution of a group is one entry (node tuple) plus a rank choice
-into each child group; its score is the entry's weight plus the chosen
-child solutions' scores.  Two successor moves generate every solution
-exactly once from the group's best one:
+a.k.a. REA / take2 in Tziavelis et al.), on a path: every connection-value
+group keeps a lazily-materialized *sorted list of suffix solutions*.  A
+suffix solution of a group is one entry (node tuple) plus a rank into the
+child group (0 at the leaf); its score is the entry's weight plus the
+chosen child solution's score.  Two successor moves generate every
+solution exactly once from the group's best one:
 
-* advance to the *next entry* of the sorted group (only from the
-  all-ranks-1 solution of the current entry, which chains entries
-  without flooding the heap), or
-* increment a *single child rank* by one.
+* advance to the *next entry* of the sorted group (only from the rank-1
+  solution of the current entry — rank 0 at the leaf — which chains
+  entries without flooding the heap), or
+* increment the child rank by one.
 
-A per-group candidate heap ordered by ``(-score, entry, ranks)`` plus a
-seen-set makes the materialization lazy and duplicate-free; asking for a
+Each solution has exactly one predecessor — ``(e, 1)`` comes only from
+``(e - 1, 1)`` and ``(e, r + 1)`` only from ``(e, r)`` — so a per-group
+candidate heap ordered by ``(-score, entry, rank)`` makes the
+materialization lazy and duplicate-free with no seen-set; asking for a
 group's ``j``-th solution pops at most the candidates needed to reach
-it, recursing into child groups on demand.  The global priority queue of
-the construction is simply the root group's heap.
+it, recursing into the child group on demand.  The global priority queue
+of the construction is simply the root group's heap.
 
 **Canonical tie order.**  Emission must be deterministic and content-only
 (bit-identical across cores and fault-injected runs), while DP
@@ -38,26 +40,6 @@ from repro.anyk.dp import DPState, Group
 from repro.core.pbrj import SCORE_EPS
 from repro.core.tuples import RankTuple
 
-#: One group solution: (DP score, entry index, child rank vector).
-Solution = tuple[float, int, tuple[int, ...]]
-
-
-class GroupEnum:
-    """Lazy sorted solution list of one (node, connection-value) group."""
-
-    __slots__ = ("group", "solutions", "heap", "seen")
-
-    def __init__(self, group: Group) -> None:
-        self.group = group
-        self.solutions: list[Solution] = []
-        ranks = (1,) * len(group.node.children)
-        #: Candidate heap: (-score, entry index, ranks).  Entry index and
-        #: ranks break score ties deterministically.
-        self.heap: list[tuple[float, int, tuple[int, ...]]] = [
-            (-group.entry(0).best, 0, ranks)
-        ]
-        self.seen: set[tuple[int, tuple[int, ...]]] = {(0, ranks)}
-
 
 class Enumerator:
     """Global ranked enumeration driven from the root group."""
@@ -65,76 +47,47 @@ class Enumerator:
     def __init__(self, dp: DPState) -> None:
         if not dp.done:
             raise RuntimeError("enumeration needs a completed DP pass")
-        self.dp = dp
         #: Heap pops performed (the enumeration work counter).
         self.pops = 0
-        self._enums: dict[int, GroupEnum] = {}
-        root_group = dp.root_group
-        self._root = self._enum_for(root_group) if root_group is not None else None
+        self._root = dp.root_group
         self._next_rank = 1
 
-    # ------------------------------------------------------------------
-    # Lazy per-group solution lists
-    # ------------------------------------------------------------------
-    def _enum_for(self, group: Group) -> GroupEnum:
-        enum = self._enums.get(id(group))
-        if enum is None:
-            enum = self._enums[id(group)] = GroupEnum(group)
-        return enum
-
-    def solution(self, enum: GroupEnum, j: int) -> Solution | None:
+    def solution(self, group: Group, j: int) -> tuple[float, int, int] | None:
         """The group's ``j``-th best solution (1-indexed), or ``None``."""
-        solutions = enum.solutions
-        heap = enum.heap
-        group = enum.group
+        solutions = group.solutions
+        heap = group.heap
         while len(solutions) < j and heap:
-            neg_score, entry_index, ranks = heappop(heap)
+            neg_score, entry, rank = heappop(heap)
             self.pops += 1
             score = -neg_score
-            solutions.append((score, entry_index, ranks))
-            if entry_index + 1 < len(group) and all(r == 1 for r in ranks):
-                successor = (entry_index + 1, ranks)
-                if successor not in enum.seen:
-                    enum.seen.add(successor)
+            solutions.append((score, entry, rank))
+            if rank <= 1 and entry + 1 < len(group):
+                heappush(heap, (-group.best(entry + 1), entry + 1, rank))
+            if rank:
+                child = group.child(entry)
+                bumped = self.solution(child, rank + 1)
+                if bumped is not None:
+                    current = child.solutions[rank - 1]
                     heappush(
-                        heap, (-group.entry(entry_index + 1).best, *successor)
+                        heap, (-(score - current[0] + bumped[0]), entry, rank + 1)
                     )
-            for i, child_group in enumerate(group.entry(entry_index).child_groups):
-                rank = ranks[i]
-                child_enum = self._enum_for(child_group)
-                bumped = self.solution(child_enum, rank + 1)
-                if bumped is None:
-                    continue
-                next_ranks = ranks[:i] + (rank + 1,) + ranks[i + 1:]
-                successor = (entry_index, next_ranks)
-                if successor in enum.seen:
-                    continue
-                enum.seen.add(successor)
-                current = child_enum.solutions[rank - 1]
-                heappush(
-                    heap,
-                    (-(score - current[0] + bumped[0]), *successor),
-                )
         return solutions[j - 1] if len(solutions) >= j else None
 
     def _assignment(
-        self, enum: GroupEnum, j: int
-    ) -> list[tuple[int, RankTuple, tuple]]:
-        """Flatten the group's ``j``-th solution to (relation, tuple,
-        identity) triples."""
-        _, entry_index, ranks = enum.solutions[j - 1]
-        entry = enum.group.entry(entry_index)
-        node_tuple = entry.node_tuple
-        triples = [(enum.group.node.index, node_tuple.tup, node_tuple.identity)]
-        for i, child_group in enumerate(entry.child_groups):
-            triples.extend(
-                self._assignment(self._enums[id(child_group)], ranks[i])
-            )
-        return triples
+        self, group: Group, j: int
+    ) -> tuple[tuple[RankTuple, ...], tuple]:
+        """The group's ``j``-th solution as its tuples and their identities,
+        in relation order."""
+        tuples, identities = [], []
+        while True:
+            _, entry, rank = group.solutions[j - 1]
+            node, row = group.node, group.rows[entry]
+            tuples.append(node.rows[row])
+            identities.append(node.identities[row])
+            if not rank:
+                return tuple(reversed(tuples)), tuple(reversed(identities))
+            group, j = group.child(entry), rank
 
-    # ------------------------------------------------------------------
-    # Root enumeration
-    # ------------------------------------------------------------------
     def next_batch(self) -> list[tuple[float, tuple[RankTuple, ...], tuple]]:
         """The next tie batch: (DP score, relation-ordered tuples, their
         canonical identities) triples.
@@ -155,15 +108,10 @@ class Enumerator:
             if follower is None or follower[0] < head[0] - SCORE_EPS:
                 break
             count += 1
-        batch = []
-        for rank in range(self._next_rank, self._next_rank + count):
-            triples = self._assignment(self._root, rank)
-            triples.sort(key=lambda triple: triple[0])
-            batch.append((
-                self._root.solutions[rank - 1][0],
-                tuple(tup for _, tup, _ in triples),
-                tuple(identity for _, _, identity in triples),
-            ))
+        batch = [
+            (self._root.solutions[rank - 1][0], *self._assignment(self._root, rank))
+            for rank in range(self._next_rank, self._next_rank + count)
+        ]
         self._next_rank += count
         return batch
 

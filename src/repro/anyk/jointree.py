@@ -1,13 +1,13 @@
-"""Join-tree representation for ranked enumeration (any-k).
+"""Join-tree nodes for ranked enumeration (any-k).
 
-A :class:`JoinTree` is the evaluation plan of an any-k query: the path
-of its chain, one :class:`JoinTreeNode` per input relation (see
-:mod:`repro.anyk.decompose`), edges are equi-joins on one attribute, and
-every node *is columns* over its relation's tuples: row snapshot, float64
-weights, canonical identities with their dense ranks, and per tree edge
-the integer codes of the rows' join-key values — all borrowed from the
-content-only views of its :class:`~repro.relation.relation.Relation`; a
-:class:`NodeTuple` object exists only for rows an enumeration emits.
+The evaluation plan of an any-k query is the path of its chain, one
+:class:`JoinTreeNode` per input relation, leaf first (see
+:mod:`repro.anyk.decompose`): node ``i``'s only child is node ``i - 1``,
+and each link is an equi-join on one attribute.  Every node *is columns*
+over its relation's tuples: row snapshot, float64 weights, canonical
+identities with their dense ranks, and the integer codes of the rows'
+join-key values toward the child and the parent — all borrowed from the
+content-only views of its :class:`~repro.relation.relation.Relation`.
 
 Join attributes are plain names resolved against tuple payload dicts;
 the sentinel :data:`KEY_ATTR` names the :attr:`~repro.core.tuples.
@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.scoring import AverageScore, ScoringFunction, SumScore, WeightedSum
-from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.relation.relation import KEY_ATTR, KeyCodes, Relation  # noqa: F401
 
@@ -71,29 +70,16 @@ def relation_weights(
     return weights
 
 
-class NodeTuple:
-    """One node tuple: a relation's tuple plus its additive weight."""
-
-    __slots__ = ("tup", "weight", "identity")
-
-    def __init__(self, tup: RankTuple, weight: float, identity: tuple) -> None:
-        self.tup = tup
-        self.weight = weight
-        #: Content-only tie-break key: the tuple's :meth:`Relation.identities`
-        #: entry.
-        self.identity = identity
-
-
 class JoinTreeNode:
-    """One relation of the join tree: columns over its tuples."""
+    """One relation of the path: columns over its tuples."""
 
     __slots__ = (
         "index", "rows", "weights", "identities", "ranks",
-        "children", "child_attrs", "child_keys", "parent_keys",
+        "child_keys", "parent_keys",
     )
 
     def __init__(self, index: int, relation: Relation, weights: np.ndarray) -> None:
-        #: The relation's position in the query.
+        #: The relation's position in the query (and in the path).
         self.index = index
         #: Per tuple the :class:`RankTuple` itself, its additive weight, its
         #: identity and that identity's dense rank (the DP's tie-break).
@@ -101,11 +87,9 @@ class JoinTreeNode:
         self.weights = weights
         self.identities = relation.identities()
         self.ranks = relation.identity_ranks()
-        self.children: list[JoinTreeNode] = []
-        #: Join attributes per child edge (aligned with :attr:`children`) and
-        #: this node's key codes on each.
-        self.child_attrs: list[tuple[str, ...]] = []
-        self.child_keys: list[KeyCodes] = []
+        #: The key codes toward the child, node ``index - 1`` (``None`` at
+        #: the leaf).
+        self.child_keys: KeyCodes | None = None
         #: The key codes toward the parent, the DP's grouping column: one
         #: group for the root.
         self.parent_keys: KeyCodes = ([()], np.zeros(len(self.rows), dtype=np.intp))
@@ -113,23 +97,5 @@ class JoinTreeNode:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def node_tuple(self, row: int) -> NodeTuple:
-        """The tuple at ``row`` as an object — what the enumeration asks
-        for the rows it emits, and the DP never does."""
-        return NodeTuple(self.rows[row], float(self.weights[row]), self.identities[row])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JoinTreeNode(index={self.index}, tuples={len(self.rows)})"
-
-
-class JoinTree:
-    """The path join tree of a chain query: node ``i`` is relation ``i``,
-    the child of node ``i + 1``; the last node is the root."""
-
-    def __init__(
-        self, nodes: list[JoinTreeNode], relations: tuple[Relation, ...]
-    ) -> None:
-        self.relations = relations
-        #: Children-before-parents order (the DP processing order).
-        self.postorder = nodes
-        self.root = nodes[-1]

@@ -214,7 +214,7 @@ class QuerySpec:
             from repro.anyk import AnyKQuery, AnyKRankJoin
 
             query = (
-                AnyKQuery.chain(self.relations, self.join_attrs)
+                AnyKQuery(self.relations, self.join_attrs)
                 if self.is_multiway
                 else AnyKQuery.binary(*self.relations)
             )

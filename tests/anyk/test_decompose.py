@@ -57,56 +57,66 @@ class TestQueryValidation:
 
     def test_chain_arity_check(self, chain3):
         with pytest.raises(InstanceError, match="need 2 join attributes"):
-            AnyKQuery.chain(chain3, ["x"])
+            AnyKQuery(chain3, ["x"])
+
+
+def codes(relation, attr):
+    """``relation``'s key codes on ``attr``, as plain lists."""
+    values, row_codes = relation.key_codes((attr,))
+    return values, row_codes.tolist()
+
+
+def as_lists(keys):
+    return None if keys is None else (keys[0], keys[1].tolist())
 
 
 class TestAcyclicDecomposition:
     def test_binary_is_two_nodes_width_one(self):
         left = keyed("L", [(1, 0.9), (2, 0.1)])
         right = keyed("R", [(1, 0.8)])
-        tree = decompose(AnyKQuery.binary(left, right))
-        assert tree.root.index == 1
-        assert [child.index for child in tree.root.children] == [0]
-        assert not tree.root.children[0].children
+        leaf, root = decompose(AnyKQuery.binary(left, right))
+        assert (leaf.index, root.index) == (0, 1)
         # Binary joins connect on the key sentinel.
-        assert tree.root.child_attrs == [(KEY_ATTR,)]
+        assert leaf.child_keys is None
+        assert as_lists(root.child_keys) == codes(right, KEY_ATTR)
+        assert as_lists(leaf.parent_keys) == codes(left, KEY_ATTR)
+        # The root's parent keys are one empty connection value.
+        assert as_lists(root.parent_keys) == ([()], [0])
 
     def test_chain_is_a_path_of_singletons(self, chain3):
-        tree = decompose(AnyKQuery.chain(chain3, ["x", "y"]))
-        path, node = [tree.root.index], tree.root
-        while node.children:
-            assert len(node.children) == 1
-            node = node.children[0]
-            path.append(node.index)
-        assert path == [2, 1, 0]
-        assert [n.index for n in tree.postorder] == [0, 1, 2]
+        nodes = decompose(AnyKQuery(chain3, ["x", "y"]))
+        assert [n.index for n in nodes] == [0, 1, 2]
+        for node, relation in zip(nodes, chain3):
+            assert len(node) == len(relation.tuples)
+            assert node.rows == relation.scored()[0]
 
     def test_every_relation_appears_exactly_once(self, chain3):
-        tree = decompose(AnyKQuery.chain(chain3, ["x", "y"]))
-        seen = []
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            seen.append(node.index)
-            stack.extend(node.children)
-        assert sorted(seen) == [0, 1, 2]
+        nodes = decompose(AnyKQuery(chain3, ["x", "y"]))
+        assert len({id(node) for node in nodes}) == 3
+        assert sorted(node.index for node in nodes) == [0, 1, 2]
 
     def test_each_link_joins_on_its_own_attribute(self):
-        rows = [({"x": 1, "y": 1}, (0.5,))]
+        rows = [({"x": 1, "y": 2}, (0.5,)), ({"x": 3, "y": 2}, (0.4,))]
         chain = [relation(name, rows) for name in "ABCD"]
-        tree = decompose(AnyKQuery.chain(chain, ["x", "y", "x"]))
-        assert [n.child_attrs for n in tree.postorder] == [
-            [], [("x",)], [("y",)], [("x",)],
-        ]
+        assert codes(chain[0], "x") != codes(chain[0], "y")
+        attrs = ["x", "y", "x"]
+        nodes = decompose(AnyKQuery(chain, attrs))
+        assert nodes[0].child_keys is None
+        for i in (1, 2, 3):
+            # Node i's codes toward node i - 1 are relation i's on link i - 1,
+            # and node i - 1's toward its parent are its own on that link.
+            assert as_lists(nodes[i].child_keys) == codes(chain[i], attrs[i - 1])
+            assert as_lists(nodes[i - 1].parent_keys) == codes(
+                chain[i - 1], attrs[i - 1])
 
 
 class TestRejections:
     @pytest.mark.parametrize("scoring", [MinScore(), ProductScore()])
     def test_non_additive_scoring_is_rejected(self, scoring, chain3):
-        query = AnyKQuery.chain(chain3, ["x", "y"])
+        query = AnyKQuery(chain3, ["x", "y"])
         with pytest.raises(InstanceError, match="additive"):
             decompose(query, scoring)
 
     def test_sum_score_is_accepted(self, chain3):
-        tree = decompose(AnyKQuery.chain(chain3, ["x", "y"]), SumScore())
-        assert len(tree.postorder) == 3
+        nodes = decompose(AnyKQuery(chain3, ["x", "y"]), SumScore())
+        assert len(nodes) == 3

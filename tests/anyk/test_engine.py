@@ -146,7 +146,7 @@ class TestBinaryCorrectness:
 class TestNaryCorrectness:
     def test_chain4_matches_multiway(self, chain4):
         attrs = ["x", "y", "z"]
-        anyk = AnyKRankJoin(AnyKQuery.chain(chain4, attrs))
+        anyk = AnyKRankJoin(AnyKQuery(chain4, attrs))
         from repro.core.multiway import multiway_rank_join
 
         reference = multiway_rank_join(list(chain4), attrs, SumScore())
@@ -155,7 +155,7 @@ class TestNaryCorrectness:
         assert anyk_scores == ref_scores
 
     def test_chain4_matches_brute_force(self, chain4):
-        query = AnyKQuery.chain(chain4, ["x", "y", "z"])
+        query = AnyKQuery(chain4, ["x", "y", "z"])
         got = [r.score for r in AnyKRankJoin(query)]
         assert got == pytest.approx(brute_force(query, SumScore()))
 
@@ -170,7 +170,7 @@ class TestNaryCorrectness:
         )
         attrs = ("x", "y", "x")
         combos = joined(chain, attrs)
-        expected = brute_force(AnyKQuery.chain(chain, attrs), SumScore())
+        expected = brute_force(AnyKQuery(chain, attrs), SumScore())
         assert expected == [3.0000000000000004, 0.9999999999999999]
         for algorithm in ("anyk", "pbrj"):
             spec = QuerySpec(chain, 10, join_attrs=attrs, algorithm=algorithm)
@@ -181,7 +181,7 @@ class TestNaryCorrectness:
             ) == sorted(tuple(map(tuple_identity, combo)) for combo in combos)
 
     def test_nary_results_expose_relation_ordered_tuples(self, chain4):
-        anyk = AnyKRankJoin(AnyKQuery.chain(chain4, ["x", "y", "z"]))
+        anyk = AnyKRankJoin(AnyKQuery(chain4, ["x", "y", "z"]))
         result = anyk.get_next()
         assert len(result.tuples) == 4
         # Components come back in query-relation order, not in the order
@@ -271,6 +271,6 @@ class TestReporting:
         assert stats.depths.sum_depths == 90
 
     def test_nary_depths_are_per_relation(self, chain4):
-        op = AnyKRankJoin(AnyKQuery.chain(chain4, ["x", "y", "z"]))
+        op = AnyKRankJoin(AnyKQuery(chain4, ["x", "y", "z"]))
         op.get_next()
         assert op.depths() == [3, 3, 3, 2]

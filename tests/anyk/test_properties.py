@@ -79,7 +79,7 @@ def chain_query(draw):
         rel(name, sorted(set(links[i] + links[i + 1])))
         for i, name in enumerate("ABCD"[:len(join_attrs) + 1])
     )
-    return AnyKQuery.chain(relations, join_attrs)
+    return AnyKQuery(relations, join_attrs)
 
 
 def oracle(query, scoring):

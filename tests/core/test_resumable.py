@@ -60,7 +60,7 @@ TWO_SHARDS = ExecConfig(shards=2, backend="serial")
 IMPLEMENTERS = {
     **{name: partial(make_operator, name, BINARY) for name in OPERATORS},
     "AnyK": partial(make_operator, "AnyK", BINARY),
-    "AnyK-chain": lambda: AnyKRankJoin(AnyKQuery.chain(*CHAIN), SumScore()),
+    "AnyK-chain": lambda: AnyKRankJoin(AnyKQuery(*CHAIN), SumScore()),
     "MW-corner": partial(multiway_rank_join, *CHAIN, SumScore()),
     "MW-feasible": lambda: multiway_rank_join(
         *CHAIN, SumScore(), bound=MultiwayFeasibleBound()
