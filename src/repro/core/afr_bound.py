@@ -9,8 +9,10 @@ keep the point budget.  At the minimum resolution the cover collapses to
 ``{(1, …, 1)}`` and the bound degenerates to HRJN*'s corner bound — the
 paper's gradual FRPA → HRJN* morphing.
 
-The two inputs adapt independently: one side can stay exact while the other
-is on a coarse grid.
+The inputs adapt independently: one can stay exact while another is on a
+coarse grid.  Like FR*, aFR takes any number of inputs under an additive
+``S`` — it is the n-ary feasible bound of
+:class:`~repro.core.multiway.MultiwayRankJoin` too.
 
 Every cover here is an FR* cover-bound operand: ``points``, plus — given a
 row scorer — ``best``, the maximum partial score over them, carried across
@@ -19,8 +21,9 @@ carves and rescored once per move onto a coarser grid.
 
 from __future__ import annotations
 
-from repro.core.bounds import LEFT, RIGHT
+from repro.core.bounds import BoundContext
 from repro.core.frstar_bound import FRStarBound
+from repro.core.pulling import side_labels
 from repro.geometry.cover import CoverRegion
 from repro.obs.metrics import NULL_METRIC, MetricRegistry
 
@@ -177,21 +180,25 @@ class AFRBound(FRStarBound):
         self.max_cr_size = max_cr_size
         self.resolution = resolution
         self.cover_strategy = cover_strategy
-        self._m_resolution = (NULL_METRIC, NULL_METRIC)
-        self._m_resolution_drops = (NULL_METRIC, NULL_METRIC)
         self._m_grid_transfers = NULL_METRIC
+
+    def bind(self, context: BoundContext) -> None:
+        super().bind(context)
+        n = len(context.dims)
+        self._m_resolution = self._m_resolution_drops = (NULL_METRIC,) * n
         #: The grid each cover was on at the last :meth:`flush`.
-        self._grids: list[int | None] = [None, None]
+        self._grids: list[int | None] = [None] * n
 
     def observe(self, metrics: MetricRegistry, op: str) -> None:
         super().observe(metrics, op)
-        self._m_resolution = (
-            metrics.gauge("gridtree_resolution", op=op, side="left"),
-            metrics.gauge("gridtree_resolution", op=op, side="right"),
+        labels = side_labels(len(self._cr))
+        self._m_resolution = tuple(
+            metrics.gauge("gridtree_resolution", op=op, side=label)
+            for label in labels
         )
-        self._m_resolution_drops = (
-            metrics.counter("gridtree_resolution_drops_total", op=op, side="left"),
-            metrics.counter("gridtree_resolution_drops_total", op=op, side="right"),
+        self._m_resolution_drops = tuple(
+            metrics.counter("gridtree_resolution_drops_total", op=op, side=label)
+            for label in labels
         )
         self._m_grid_transfers = metrics.counter("cover_grid_transfers_total", op=op)
 
@@ -222,11 +229,11 @@ class AFRBound(FRStarBound):
         )
 
     @property
-    def cover_modes(self) -> tuple[str, str]:
+    def cover_modes(self) -> tuple[str, ...]:
         """Per-input cover mode: ``exact`` or ``grid``."""
-        return (self._cr[LEFT].mode, self._cr[RIGHT].mode)
+        return tuple(cover.mode for cover in self._cr)
 
     @property
-    def cover_resolutions(self) -> tuple[int | None, int | None]:
+    def cover_resolutions(self) -> tuple[int | None, ...]:
         """Per-input grid resolution (None while exact)."""
-        return (self._cr[LEFT].resolution, self._cr[RIGHT].resolution)
+        return tuple(cover.resolution for cover in self._cr)

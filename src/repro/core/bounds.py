@@ -15,8 +15,8 @@ which is what makes HRJN* non-robust on inputs with a score cut.
 The interface is arity-free: ``side`` indexes one of ``len(context.dims)``
 inputs, so the same scheme serves the binary operators and the n-ary
 :class:`~repro.core.multiway.MultiwayRankJoin` (Section 2.1).  The corner
-bound and :class:`~repro.core.multiway_fr.MultiwayFeasibleBound` accept any
-arity; the FR family is defined for two inputs.
+bound accepts any arity, and so do FR* and aFR under an additive scoring;
+the literal FR bound of PBRJ_FR^RR is defined for two inputs.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class BoundContext:
     def score_bound(self, side: int, scores: tuple[float, ...]) -> float:
         """``S̄`` of a tuple from ``side``: substitute 1 for missing scores."""
         return sources.score_bound(self.scoring, self.dims, side, scores)
-
-    def combine(self, left_scores, right_scores) -> float:
-        """Score of a (possibly hypothetical) combined vector."""
-        return self.scoring(tuple(left_scores) + tuple(right_scores))
 
 
 class BoundingScheme(ABC):

@@ -54,7 +54,7 @@ class FeasibleRankJoin(ArrayRankJoin):
                          for _ in (0, 1)]
         self._depth, self._start = [0, 0], [0, 0]  # and the open group's first
         self._cover_best, self._seen_best = [cover.best for cover in bound._cr], [NEG_INF] * 2
-        self._t_both = bound._t_both_cover  # S(1…1) until a group closes
+        self._t_both = bound._t_cover[-1]  # S(1…1) until a group closes
         # Per side and key code: tuples pulled, their best partial score.
         self._count = [array("q", [0]) * (self._keys + 1) for _ in (0, 1)]
         self._peak = [array("d", [NEG_INF]) * (self._keys + 1) for _ in (0, 1)]

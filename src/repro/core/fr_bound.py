@@ -8,10 +8,16 @@ The FR bound maintains, per input ``R_i``:
 
 When a tuple with a strictly smaller score bound arrives, the finished
 group's vectors certify carved regions and ``CR_i`` is updated.  The bound
-is the maximum of three cases for an undiscovered result ``τ1 ⋈ τ2``
-(Figure 3): unseen-right (``t_2``), unseen-left (``t_1``), both unseen
-(``t_both``); each case takes the minimum of a *cover bound* (cross-product
-maximum over covers / seen vectors) and an *order bound* (the ``g_i``).
+is the maximum over the *cases* of an undiscovered result: a case is the
+non-empty set ``U`` of inputs whose tuple is unseen (Figure 3's three for
+``τ1 ⋈ τ2``: unseen-left ``t_1``, unseen-right ``t_2``, both ``t_both``).
+A case is the minimum of a *cover bound* — the maximum of ``S`` over the
+cross product of ``CR_i`` for ``i ∈ U`` and the seen vectors of every other
+input — and an *order bound* ``min_{i∈U} g_i``.  The bookkeeping here is
+written once over ``len(context.dims)`` inputs (Section 2.1's n-ary rank
+join), cases in bit-mask order: ``(t_1, t_2, t_both)`` for two.  This
+literal bound takes two; FR* and aFR take any number under an additive
+``S``.
 
 This implementation keeps the paper's cost profile: every ``update``
 recomputes all three cover bounds as **full cross products over all seen
@@ -38,9 +44,10 @@ engineering concessions to pure Python (documented in DESIGN.md):
 
 from __future__ import annotations
 
-from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext, BoundingScheme
+from repro.core.bounds import POS_INF, BoundContext, BoundingScheme
 from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
+from repro.errors import InstanceError
 from repro.geometry.antichain import book_carves
 from repro.geometry.cover import CoverRegion
 from repro.kernels import PointSet
@@ -57,13 +64,6 @@ class FRBound(BoundingScheme):
         self.prune_covers = prune_covers
         self._cr: list = []
         self._seen: list = []
-        self._group: list[list[tuple[float, ...]]] = [[], []]
-        self._g: list[float] = [POS_INF, POS_INF]
-        #: Seen score columns this bound appends to itself (``None`` for a
-        #: side whose column the caller maintains; FR* keeps none).
-        self._own_columns: list[PointSet | None] = [None, None]
-        #: Last computed ``(t0, t1, t_both)``.
-        self._components = (POS_INF, POS_INF, POS_INF)
         self._bound = POS_INF
         self._recomputations = 0
         self._booked = 0  # recomputations published
@@ -80,13 +80,44 @@ class FRBound(BoundingScheme):
         book_carves(self._cr)
 
     def bind(self, context: BoundContext) -> None:
+        self._check_arity(context)
         super().bind(context)
-        sides = ((LEFT, 0), (RIGHT, context.dims[LEFT]))
+        dims, scoring = context.dims, context.scoring
+        n = len(dims)
+        offsets = [sum(dims[:i]) for i in range(n)]
         self._cr = [
-            self._make_cover(context.dims[side], context.scoring.row_scorer(offset))
-            for side, offset in sides
+            self._make_cover(e, scoring.row_scorer(offset))
+            for e, offset in zip(dims, offsets)
         ]
-        self._seen = [self._make_seen(side, offset) for side, offset in sides]
+        #: Seen score columns this bound appends to itself (``None`` for an
+        #: input whose column the caller maintains; FR* keeps none).
+        self._own_columns: list[PointSet | None] = [None] * n
+        self._seen = [self._make_seen(i, offset) for i, offset in enumerate(offsets)]
+        self._group: list[list] = [[] for _ in dims]
+        self._g = [POS_INF] * n
+        # Case ``mask - 1`` has input i unseen iff bit i of ``mask`` is set.
+        # Per case: its cover-bound operands, cover bound, order bound and
+        # value (their minimum); per input i: the cases that read ``CR_i``
+        # (i unseen) and those that read its seen set.
+        masks = range(1, 1 << n)
+        self._operands = [
+            tuple(self._cr[i] if mask >> i & 1 else self._seen[i] for i in range(n))
+            for mask in masks
+        ]
+        self._by_cover = [[m - 1 for m in masks if m >> i & 1] for i in range(n)]
+        self._by_seen = [[m - 1 for m in masks if not m >> i & 1] for i in range(n)]
+        self._t_cover = [NEG_INF] * len(masks)
+        self._order = [POS_INF] * len(masks)
+        self._components: tuple[float, ...] = (POS_INF,) * len(masks)
+        self._cover_max = scoring.max_prepared
+
+    def _check_arity(self, context: BoundContext) -> None:
+        """The literal cross product is FR's over two inputs."""
+        if len(context.dims) != 2:
+            raise InstanceError(
+                f"the {self.scheme_name} bound joins two inputs, "
+                f"got {len(context.dims)}"
+            )
 
     def _make_cover(self, dimension: int, score):
         """The cover ``CR_i`` of one input (aFR substitutes a bounded one)."""
@@ -113,14 +144,41 @@ class FRBound(BoundingScheme):
         if sbar is None:
             sbar = self.context.score_bound(side, point)
         if sbar < self._g[side]:
-            closed, self._group[side], self._g[side] = self._group[side], [point], sbar
+            closed, self._group[side] = self._group[side], [point]
+            self._lower(side, sbar)
             return closed
         self._group[side].append(point)
         return None
 
-    def _close(self, side: int, group: list) -> None:
-        """A group of ``side`` finished: carve its vectors out of ``CR_side``."""
-        self._cr[side].update(group)
+    def _lower(self, side: int, g: float) -> None:
+        """``g_side`` drops to ``g``, and with it the order bound of every
+        case ``side`` is unseen in (``g_i`` never rises, so a min suffices)."""
+        self._g[side] = g
+        order = self._order
+        for case in self._by_cover[side]:
+            if g < order[case]:
+                order[case] = g
+
+    def _refresh(self, cases) -> None:
+        """Recompute the cover bounds of ``cases``: ``max S`` over the cross
+        product of each one's operands (the literal one here, the cheapest
+        exact route in FR*)."""
+        cover_max, operands, t_cover = self._cover_max, self._operands, self._t_cover
+        for case in cases:
+            t_cover[case] = cover_max(*operands[case])
+        self._recomputations += len(cases)
+
+    def _recombine(self) -> float:
+        """Each case is the lesser of its cover and order bounds; ``t`` is
+        the greatest case."""
+        self._components = components = tuple(map(min, self._t_cover, self._order))
+        self._bound = max(components)
+        return self._bound
+
+    def _result_bound(self) -> float:
+        """Figure 3's ``FR::ResultBound``: every cover bound afresh."""
+        self._refresh(range(len(self._operands)))
+        return self._recombine()
 
     # ------------------------------------------------------------------
     # BoundingScheme API
@@ -129,62 +187,38 @@ class FRBound(BoundingScheme):
         assert self.context is not None, "bind() must be called first"
         group = self._absorb(side, tup.scores, score_bound)
         if group is not None:
-            self._close(side, group)
+            self._cr[side].update(group)
         column = self._own_columns[side]
         if column is not None:
             column.append(tup.scores)
-        self._bound = self._result_bound()
-        return self._bound
+        return self._result_bound()
 
     def current(self) -> float:
         return self._bound
 
     def potential(self, side: int) -> float:
-        """``pot_i = max(t_i, t_both)`` — score potential of input ``side``."""
-        return max(self._components[side], self._components[2])
+        """``pot_i``: the greatest case with input ``side`` unseen —
+        ``max(t_i, t_both)`` for two inputs."""
+        components = self._components
+        return max([components[case] for case in self._by_cover[side]])
 
     def notify_exhausted(self, side: int) -> float:
-        self._g[side] = NEG_INF
-        self._bound = self._result_bound()
-        return self._bound
+        self._lower(side, NEG_INF)
+        return self._result_bound()
 
     @property
     def cover_recomputations(self) -> int:
         return self._recomputations
 
     @property
-    def cover_sizes(self) -> tuple[int, int]:
-        """Current ``(|CR_1|, |CR_2|)`` — the paper's complexity driver."""
-        return (len(self._cr[LEFT]), len(self._cr[RIGHT]))
+    def cover_sizes(self) -> tuple[int, ...]:
+        """Current ``(|CR_1|, …, |CR_n|)`` — the paper's complexity driver."""
+        return tuple(len(cover) for cover in self._cr)
 
     @property
-    def components(self) -> dict[str, float]:
-        """Last computed bound components (t0, t1, t_both)."""
-        return dict(zip(("t0", "t1", "t_both"), self._components))
-
-    # ------------------------------------------------------------------
-    # Bound computation (Figure 3, Function FR::ResultBound)
-    # ------------------------------------------------------------------
-    def _pair_max(self, left, right) -> float:
-        """``max S(c1 ⊕ c2)`` as the literal cross product — the cost the
-        paper's Figure 2 measures on PBRJ_FR^RR; FR* overrides this."""
-        assert self.context is not None
-        return self.context.scoring.max_prepared(left, right)
-
-    def _cover_bound(self, unseen_side: int) -> float:
-        """``t_i^cover`` where ``unseen_side`` contributes the unseen tuple."""
-        self._recomputations += 1
-        if unseen_side == LEFT:
-            return self._pair_max(self._cr[LEFT], self._seen[RIGHT])
-        return self._pair_max(self._seen[LEFT], self._cr[RIGHT])
-
-    def _both_cover_bound(self) -> float:
-        self._recomputations += 1
-        return self._pair_max(self._cr[LEFT], self._cr[RIGHT])
-
-    def _result_bound(self) -> float:
-        t0 = min(self._cover_bound(LEFT), self._g[LEFT])
-        t1 = min(self._cover_bound(RIGHT), self._g[RIGHT])
-        t_both = min(self._both_cover_bound(), min(self._g[LEFT], self._g[RIGHT]))
-        self._components = (t0, t1, t_both)
-        return max(t0, t1, t_both)
+    def components(self) -> dict:
+        """Last computed cases: ``t0``, ``t1``, ``t_both`` for two inputs,
+        else keyed by bit mask (bit ``i`` set: input ``i`` unseen)."""
+        n = len(self._components)
+        names = ("t0", "t1", "t_both") if n == 3 else range(1, n + 1)
+        return dict(zip(names, self._components))

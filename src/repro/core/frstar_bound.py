@@ -10,7 +10,9 @@ FR* keeps the tightness of FR while attacking its two cost sources:
 2. **Caching via the decision matrix (Table 1).**  A pulled tuple ``ρ_i``
    can invalidate ``t_ī^cover`` only if it changed ``SHR_i``, and can
    invalidate ``t_i^cover`` / ``t_both^cover`` only if it closed a group
-   (changing ``CR_i`` and ``g_i``).  Everything else is reused.
+   (changing ``CR_i`` and ``g_i``).  Everything else is reused.  Over ``n``
+   inputs that is one rule: a change of ``SHR_i`` refreshes the cases that
+   read input ``i`` as seen, a group close the cases that read ``CR_i``.
 
 3. **Patch, don't recompute — and no array on the way.**  What a pull did
    invalidate is refreshed in O(Δ): covers and seen skylines are list-native
@@ -20,19 +22,23 @@ FR* keeps the tightness of FR while attacking its two cost sources:
    sorted staircase, each is a bisection and one slice, made straight on the
    lists by one function call per pull
    (:func:`~repro.geometry.antichain.staircase_step`) that the loop and the
-   walk share — and for additive ``S`` a cover bound is the sum of two
-   maintained maxima — the cross product's bits (DESIGN.md §5).
+   walk share — and for additive ``S`` a cover bound is the left-to-right
+   sum of the operands' maintained maxima — the cross product's bits
+   (DESIGN.md §5).
 
 The result is bit-identical bound values to FR (Theorem 4.1's tightness is
-preserved) at a fraction of the computation.
+preserved) at a fraction of the computation.  FR* takes any number of
+inputs (the n-ary rank join of Section 2.1) under an additive ``S``; a
+non-additive one it takes over two, through the cross product.
 """
 
 from __future__ import annotations
 
-from repro.core.bounds import LEFT, RIGHT, POS_INF, BoundContext
+from repro.core.bounds import BoundContext
 from repro.core.fr_bound import FRBound
 from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
+from repro.errors import InstanceError
 from repro.geometry.antichain import staircase_step
 from repro.geometry.dominance import ones
 from repro.geometry.skyline import IncrementalSkyline
@@ -46,16 +52,22 @@ class FRStarBound(FRBound):
 
     def __init__(self) -> None:
         super().__init__(prune_covers=True)
-        self._t_cover = [NEG_INF, NEG_INF]
-        self._t_both_cover = POS_INF
 
     def bind(self, context: BoundContext) -> None:
         super().bind(context)
-        self._t_both_cover = context.combine(
-            ones(context.dims[LEFT]), ones(context.dims[RIGHT])
-        )
+        self._cover_max = context.scoring.cover_max
+        self._t_cover[-1] = context.scoring(ones(sum(context.dims)))  # S(1…1)
         #: Each side's step: the staircase's one call at e=2, else the loops.
         self._steps = [staircase_step if e == 2 else _loop_step for e in context.dims]
+
+    def _check_arity(self, context: BoundContext) -> None:
+        """Beyond two inputs a cover bound is a sum of maxima, not a cross
+        product: ``S`` must be additive."""
+        if len(context.dims) > 2 and context.scoring.row_scorer() is None:
+            raise InstanceError(
+                f"the {self.scheme_name} bound over {len(context.dims)} inputs "
+                "requires an additive scoring function"
+            )
 
     def _make_seen(self, side: int, offset: int) -> IncrementalSkyline:
         """Cover bounds over skylines only (the FR* redefinition): the seen
@@ -73,20 +85,12 @@ class FRStarBound(FRBound):
         if len(point) != self.context.dims[side]:
             raise dimension_mismatch("skyline", self.context.dims[side], len(point))
         group = self._absorb(side, point, score_bound)
-        skyline_changed = self._step(side, point, group)
-        group_closed = group is not None
-        other = 1 - side
-        # Decision matrix (Table 1): recompute only invalidated components.
-        # Of the three cached components (t_cover[0], t_cover[1],
-        # t_both_cover), a pull invalidates the other side's cover bound on
-        # a skyline change and this side's plus t_both on a group close.
-        if skyline_changed:
-            self._t_cover[other] = self._cover_bound(other)
-        if group_closed:
-            self._t_cover[side] = self._cover_bound(side)
-            self._t_both_cover = self._both_cover_bound()
-        self._bound = self._recombine()
-        return self._bound
+        # Decision matrix (Table 1): refresh only the invalidated cases.
+        if self._step(side, point, group):
+            self._refresh(self._by_seen[side])
+        if group is not None:
+            self._refresh(self._by_cover[side])
+        return self._recombine()
 
     def _step(self, side: int, point, group: list | None) -> bool:
         """One pull's side work, shared by the loop (:meth:`update`) and the
@@ -98,33 +102,13 @@ class FRStarBound(FRBound):
         return self._steps[side](self._seen[side], point, self._cr[side], group)
 
     def notify_exhausted(self, side: int) -> float:
-        self._g[side] = NEG_INF
-        self._bound = self._recombine()
-        return self._bound
-
-    # ------------------------------------------------------------------
-    def _pair_max(self, left, right) -> float:
-        """The cross-product maximum without the cross product where ``S``
-        allows: two maintained maxima for additive ``S``, same bits."""
-        assert self.context is not None
-        return self.context.scoring.cover_max(left, right)
-
-    def _recombine(self) -> float:
-        """Assemble the bound from cached covers and current order bounds."""
-        t0 = min(self._t_cover[LEFT], self._g[LEFT])
-        t1 = min(self._t_cover[RIGHT], self._g[RIGHT])
-        t_both = min(self._t_both_cover, min(self._g[LEFT], self._g[RIGHT]))
-        self._components = (t0, t1, t_both)
-        return max(t0, t1, t_both)
-
-    # FR* never calls the eager full recomputation of the parent class.
-    def _result_bound(self) -> float:  # pragma: no cover - defensive
-        raise AssertionError("FR* recombines cached components; see update()")
+        self._lower(side, NEG_INF)
+        return self._recombine()
 
     @property
-    def seen_skyline_sizes(self) -> tuple[int, int]:
-        """Current ``(|SHR_1|, |SHR_2|)`` — early-freeze diagnostics."""
-        return (len(self._seen[LEFT]), len(self._seen[RIGHT]))
+    def seen_skyline_sizes(self) -> tuple[int, ...]:
+        """Current ``(|SHR_1|, …, |SHR_n|)`` — early-freeze diagnostics."""
+        return tuple(len(seen) for seen in self._seen)
 
 
 def _loop_step(seen, point, cover, group) -> bool:

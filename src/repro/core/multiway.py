@@ -16,7 +16,9 @@ indexes along the chain in both directions.  Pulling is potential-adaptive;
 the bound is any n-ary-capable :class:`~repro.core.bounds.BoundingScheme`
 — by default the corner bound (``thr_i`` substitutes 1 for every other
 relation's score attributes), which makes this the HRJN*-style member of
-the multiway family.  It is exact (tested against the brute-force oracle)
+the multiway family; under an additive scoring, a-FRPA's
+:class:`~repro.core.afr_bound.AFRBound` is the tight feasible-region one
+(its ``2^n − 1`` cases are the binary bound's three).  It is exact (tested against the brute-force oracle)
 and incremental, and the accompanying benchmark compares it against
 pipelines of binary operators.
 """

@@ -140,10 +140,11 @@ class ScoringFunction(ABC):
         """``max_combination`` over two operands; ``-inf`` if empty."""
         return self.max_combination(left.points, right.points)
 
-    def cover_max(self, left, right) -> float:
+    def cover_max(self, *operands) -> float:
         """The value of :meth:`max_prepared` by the cheapest exact route:
-        the cross product in general; additive functions override it."""
-        return self.max_prepared(left, right)
+        the cross product of two operands in general; additive functions
+        override it, for any number of operands."""
+        return self.max_prepared(*operands)
 
 
 class PreparedPoints:
@@ -250,13 +251,17 @@ class _AdditiveScore(ScoringFunction):
         # the paper ascribes to FR's cover bounds, kernel-backed constants.
         return kernels.cross_product_max(lefts, rights)
 
-    def cover_max(self, left, right) -> float:
-        if left.best is None or right.best is None:
-            return super().cover_max(left, right)
-        # IEEE-754 addition is monotone in each argument, so
-        # max_ij fl(l_i + r_j) == fl(max l + max r): the cross product's
-        # bits from two maintained maxima.
-        return left.best + right.best
+    def cover_max(self, *operands) -> float:
+        # IEEE-754 addition is monotone in each argument, so the cross
+        # product's maximum of left-to-right sums, max fl(fl(a + b) + c)…,
+        # is the left-to-right sum of the operands' maintained maxima.
+        total = 0.0
+        for operand in operands:
+            best = operand.best
+            if best is None:
+                return super().cover_max(*operands)
+            total += best
+        return total
 
 
 class SumScore(_AdditiveScore):

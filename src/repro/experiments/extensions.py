@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.core.afr_bound import AFRBound
 from repro.core.bounds import CornerBound
 from repro.core.jstar import jstar_from_instance
 from repro.core.multiway import multiway_rank_join
-from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.operators import make_operator
 from repro.core.oracle import certificate_optimal_sum_depths
 from repro.core.scoring import SumScore
@@ -126,7 +126,7 @@ def ext_multiway(config: FigureConfig) -> ExperimentTable:
     relations = [tables[name].to_relation(key) for name, key in specs]
     multiway = partial(multiway_rank_join, relations, ["orderkey", "custkey"], SumScore())
     plans = [
-        ("multiway FR (n-ary feasible bound)", multiway(bound=MultiwayFeasibleBound())),
+        ("multiway FR (n-ary feasible bound)", multiway(bound=AFRBound())),
         ("multiway corner", multiway(bound=CornerBound())),
         ("binary pipeline (a-FRPA)", Pipeline(relations, rekeys, operator="a-FRPA")),
         ("binary pipeline (HRJN*)", Pipeline(relations, rekeys, operator="HRJN*")),

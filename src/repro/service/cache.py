@@ -28,6 +28,7 @@ worker that built them.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import pickle
@@ -38,8 +39,27 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.multiway import MultiwayResult
-from repro.core.tuples import JoinResult
+from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
+
+#: The only globals a shared-tier record names.  Unpickling any other one
+#: could run code from a file no worker wrote, so it is refused.
+_RECORD_CLASSES = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in (JoinResult, RankTuple, MultiwayResult)
+}
+
+
+class _RecordUnpickler(pickle.Unpickler):
+    """An unpickler that resolves the result classes and nothing else."""
+
+    def find_class(self, module: str, name: str):
+        try:
+            return _RECORD_CLASSES[module, name]
+        except KeyError:
+            raise pickle.UnpicklingError(
+                f"{module}.{name} is not a shared-tier record class"
+            ) from None
 
 
 def _finite(value) -> bool:
@@ -269,7 +289,9 @@ class ResultCache:
         Missing, truncated (a concurrent writer died mid-``os.replace``
         is impossible, but a corrupt disk is not), foreign, or expired
         files all read as a clean miss — the shared tier only ever
-        accelerates.  A payload is taken only in the shape
+        accelerates.  Unpickling resolves only the result classes, so a
+        file naming any other global runs nothing and is a miss too.  A
+        payload is taken only in the shape
         :meth:`_shared_store` writes: ``results`` a list of join results
         with finite scores, ``exhausted`` a bool, ``created_at`` a finite
         number.
@@ -278,7 +300,7 @@ class ResultCache:
             return None
         path = self._shared_path(key)
         try:
-            payload = pickle.loads(path.read_bytes())
+            payload = _RecordUnpickler(io.BytesIO(path.read_bytes())).load()
         except Exception:  # noqa: BLE001 - any unreadable file is a miss
             return None
         if not _well_formed(payload):

@@ -27,10 +27,6 @@ class TestBoundContext:
         ctx = BoundContext(SumScore(), (2, 3))
         assert ctx.score_bound(RIGHT, (0.1, 0.1, 0.1)) == pytest.approx(2.3)
 
-    def test_combine(self):
-        ctx = BoundContext(SumScore(), (1, 1))
-        assert ctx.combine((0.5,), (0.25,)) == pytest.approx(0.75)
-
 
 class TestCornerBound:
     def test_initial_bound_is_infinite(self):

@@ -2,18 +2,18 @@
 
 ``resolution`` only matters once a cover outgrows ``max_cr_size``, which is
 in the middle of a query: a bad value used to construct, answer while the
-cover fit, and then die inside ``try_next``.  Both bounds that take the pair
-refuse it in their constructors, in one line naming the field and the value.
+cover fit, and then die inside ``try_next``.  The bound that takes the pair
+(a-FRPA's, at any arity) refuses it in its constructor, in one line naming
+the field and the value.
 """
 
 import pytest
 
 from repro.core.afr_bound import AFRBound
-from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.operators import make_operator
 from repro.data.workload import WorkloadParams, lineitem_orders_instance
 
-BOUNDS = [AFRBound, MultiwayFeasibleBound]
+BOUNDS = [AFRBound]
 
 
 @pytest.fixture(scope="module")

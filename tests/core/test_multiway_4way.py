@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.afr_bound import AFRBound
 from repro.core.multiway import multiway_rank_join
-from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.scoring import SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.relation.relation import Relation
@@ -65,7 +65,7 @@ class TestFourWayCorrectness:
     def test_feasible_bound(self, seed):
         relations, attrs = random_4chain(seed)
         operator = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
+            relations, attrs, SumScore(), bound=AFRBound()
         )
         got = [r.score for r in operator]
         assert got == pytest.approx(brute_force(relations, attrs, SumScore()))
@@ -76,7 +76,7 @@ class TestWeightedMultiway:
         relations, attrs = random_4chain(5)
         scoring = WeightedSum([0.4, 0.3, 0.2, 0.1])
         operator = multiway_rank_join(
-            relations, attrs, scoring, bound=MultiwayFeasibleBound()
+            relations, attrs, scoring, bound=AFRBound()
         )
         got = [r.score for r in operator.top_k(6)]
         expected = brute_force(relations, attrs, scoring)[: len(got)]

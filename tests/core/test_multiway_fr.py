@@ -1,16 +1,23 @@
-"""Tests for the multiway feasible-region bound (additive scoring)."""
+"""The feasible-region bound over n inputs: a-FRPA's ``AFRBound`` on a chain.
+
+FR* and aFR keep their cases over ``len(context.dims)`` inputs, so the
+n-ary operator takes the binary operators' bound; beyond two inputs it
+needs an additive scoring, and the literal FR bound stays binary.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.core.bounds import CornerBound
+from repro.core.afr_bound import AFRBound
+from repro.core.bounds import BoundContext, CornerBound
+from repro.core.fr_bound import FRBound
 from repro.core.multiway import multiway_rank_join
-from repro.core.multiway_fr import MultiwayFeasibleBound
 from repro.core.scoring import MinScore, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
+from repro.obs import Observability
 from repro.relation.relation import Relation
 
 
@@ -24,7 +31,7 @@ def relation(name, rows, key_attr):
     )
 
 
-def random_chain(seed, n=15, keys=4):
+def random_chain(seed, n=15, keys=4, dims=1):
     rng = np.random.default_rng(seed)
 
     def mk(name, left, right):
@@ -35,7 +42,7 @@ def random_chain(seed, n=15, keys=4):
                 payload[left] = int(rng.integers(0, keys))
             if right:
                 payload[right] = int(rng.integers(0, keys))
-            rows.append((payload, (float(rng.random()),)))
+            rows.append((payload, tuple(float(x) for x in rng.random(dims))))
         return relation(name, rows, left or right)
 
     return [mk("A", None, "p"), mk("B", "p", "q"), mk("C", "q", None)], ["p", "q"]
@@ -54,13 +61,33 @@ def brute_force(relations, attrs, scoring):
 
 class TestConstruction:
     def test_rejects_non_additive_scoring(self):
-        bound = MultiwayFeasibleBound()
-        with pytest.raises(InstanceError):
-            bound.bind([1, 1], MinScore())
+        # Over two inputs FR* takes MinScore through the cross product.
+        bound = AFRBound()
+        with pytest.raises(InstanceError, match="additive"):
+            bound.bind(BoundContext(MinScore(), (1, 1, 1)))
 
     def test_accepts_weighted_sum(self):
-        bound = MultiwayFeasibleBound()
-        bound.bind([1, 2], WeightedSum([0.5, 0.2, 0.3]))
+        bound = AFRBound()
+        bound.bind(BoundContext(WeightedSum([0.5, 0.2, 0.3, 0.4]), (1, 2, 1)))
+        assert bound.cover_sizes == (1, 1, 1)
+
+    def test_literal_fr_bound_refuses_three_inputs(self):
+        with pytest.raises(InstanceError, match="two inputs, got 3"):
+            FRBound().bind(BoundContext(SumScore(), (1, 1, 1)))
+
+    def test_grid_metrics_are_labelled_by_input(self):
+        relations, attrs = random_chain(0, n=40, dims=2)
+        obs = Observability()
+        operator = multiway_rank_join(
+            relations, attrs, SumScore(), obs=obs,
+            bound=AFRBound(max_cr_size=2, resolution=8),
+        )
+        operator.top_k(5)
+        series = obs.metrics.metrics_named("gridtree_resolution")
+        assert [labels["side"] for _, labels, _ in series] == ["0", "1", "2"]
+        resolutions = operator.bound_scheme.cover_resolutions
+        assert None not in resolutions
+        assert [metric.value for _, _, metric in series] == list(resolutions)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -69,7 +96,7 @@ class TestCorrectness:
         relations, attrs = random_chain(seed)
         operator = multiway_rank_join(
             relations, attrs, SumScore(),
-            bound=MultiwayFeasibleBound(), name="MW-FR",
+            bound=AFRBound(), name="MW-FR",
         )
         got = [r.score for r in operator]
         expected = brute_force(relations, attrs, SumScore())
@@ -78,7 +105,7 @@ class TestCorrectness:
     def test_agrees_with_corner_variant(self, seed):
         relations, attrs = random_chain(seed)
         fr = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
+            relations, attrs, SumScore(), bound=AFRBound()
         )
         corner = multiway_rank_join(
             relations, attrs, SumScore(), bound=CornerBound()
@@ -109,7 +136,7 @@ class TestDepthAdvantage:
     def test_feasible_bound_never_deeper_than_corner(self):
         relations, attrs = self._cut_chain()
         fr = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
+            relations, attrs, SumScore(), bound=AFRBound()
         )
         corner = multiway_rank_join(
             relations, attrs, SumScore(), bound=CornerBound()
@@ -121,7 +148,7 @@ class TestDepthAdvantage:
     def test_feasible_bound_wins_big_under_cut(self):
         relations, attrs = self._cut_chain()
         fr = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
+            relations, attrs, SumScore(), bound=AFRBound()
         )
         corner = multiway_rank_join(
             relations, attrs, SumScore(), bound=CornerBound()
@@ -139,7 +166,7 @@ class TestBoundSemantics:
     def test_bound_decreases(self):
         relations, attrs = random_chain(0)
         operator = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
+            relations, attrs, SumScore(), bound=AFRBound()
         )
         previous = float("inf")
         for __ in range(10):
@@ -151,7 +178,7 @@ class TestBoundSemantics:
     def test_potential_finite_after_updates(self):
         relations, attrs = random_chain(1)
         operator = multiway_rank_join(
-            relations, attrs, SumScore(), bound=MultiwayFeasibleBound()
+            relations, attrs, SumScore(), bound=AFRBound()
         )
         operator.get_next()
         for index in range(3):

@@ -24,7 +24,7 @@ import pytest
 
 from repro.anyk import AnyKQuery, AnyKRankJoin
 from repro.core import OPERATORS, SumScore, make_operator, multiway_rank_join
-from repro.core.multiway_fr import MultiwayFeasibleBound
+from repro.core.afr_bound import AFRBound
 from repro.core.pbrj import SCORE_EPS
 from repro.core.stepping import PENDING, ResumableOperator
 from repro.core.tuples import RankTuple
@@ -63,7 +63,7 @@ IMPLEMENTERS = {
     "AnyK-chain": lambda: AnyKRankJoin(AnyKQuery(*CHAIN), SumScore()),
     "MW-corner": partial(multiway_rank_join, *CHAIN, SumScore()),
     "MW-feasible": lambda: multiway_rank_join(
-        *CHAIN, SumScore(), bound=MultiwayFeasibleBound()
+        *CHAIN, SumScore(), bound=AFRBound()
     ),
     "sharded": partial(ShardedRankJoin, BINARY, "FRPA", config=TWO_SHARDS),
 }

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.multiway import MultiwayResult
 from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
 from repro.relation import Relation
@@ -311,6 +312,16 @@ def answers(*scores):
 A, B, C, D = answers(0.9, 0.8, 0.7, 0.6)
 
 
+class OpensForWriting:
+    """Pickles as a call to ``open(path, "w")``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return open, (str(self.path), "w")
+
+
 def hostile_files():
     """``(id, bytes)``: files a shared directory may hold that no worker
     wrote.  At the parent the first killed the connection that looked it
@@ -401,6 +412,28 @@ class TestSharedTier:
         (tmp_path / "q1.pkl").write_bytes(b"not a pickle")
         cache = ResultCache(capacity=4, shared_dir=tmp_path)
         assert cache.lookup("q1", 1) is None
+
+    def test_a_shared_file_runs_no_code(self, tmp_path):
+        """A file whose unpickling would open a path for writing opens
+        nothing: only the result classes resolve, so it is a plain miss."""
+        target = tmp_path / "written"
+        (tmp_path / "q1.pkl").write_bytes(pickle.dumps(OpensForWriting(target)))
+        cache = ResultCache(capacity=4, shared_dir=tmp_path)
+        assert cache.lookup("q1", 1) is None
+        assert not target.exists()
+
+    def test_binary_and_nary_records_still_hit(self, tmp_path):
+        left, right = RankTuple(key=1, scores=(0.5,)), RankTuple(key=1, scores=(0.25,))
+        chain = [MultiwayResult((left, right, left), 1.25)]
+        writer = ResultCache(capacity=4, shared_dir=tmp_path)
+        writer.store("binary", [A, B])
+        writer.store("chain", chain)
+        obs = Observability()
+        reader = ResultCache(capacity=4, shared_dir=tmp_path, obs=obs)
+        assert reader.lookup("binary", 2) == [A, B]
+        found = reader.lookup("chain", 1)
+        assert [(r.score, r.tuples) for r in found] == [(1.25, (left, right, left))]
+        assert obs.metrics.value("service_cache_shared_hits_total") == 2
 
     def test_no_hostile_file_is_served_or_raises(self, tmp_path):
         """Every file of the corpus reads as a miss, and a real answer
