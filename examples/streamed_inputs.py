@@ -56,7 +56,7 @@ def build_operator(bound, n=50_000):
         ),
         score_bound=lambda t: 1.0 + t.scores[0],
     )
-    return PBRJ(left, right, SumScore(), bound, PotentialAdaptive(),
+    return PBRJ((left, right), SumScore(), bound, PotentialAdaptive(),
                 name=type(bound).__name__)
 
 

@@ -35,7 +35,6 @@ from repro.core import (
     AFRBound,
     CornerBound,
     JStar,
-    MultiwayRankJoin,
     certificate_optimal_sum_depths,
     jstar_from_instance,
     multiway_rank_join,
@@ -106,7 +105,6 @@ __all__ = [
     "InstanceError",
     "JStar",
     "JoinResult",
-    "MultiwayRankJoin",
     "NotSortedError",
     "OPERATORS",
     "OperatorStats",

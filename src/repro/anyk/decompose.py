@@ -3,7 +3,7 @@
 An :class:`AnyKQuery` is the any-k engine's input: a chain of relations
 and one join attribute per link, ``R_i.join_attrs[i] = R_{i+1}.join_attrs[i]``
 — the per-edge semantics of :class:`~repro.service.query.QuerySpec` and
-the multiway operator, so a chain that reuses an attribute name joins
+PBRJ's ``join_attrs``, so a chain that reuses an attribute name joins
 each link on its own.  The sentinel :data:`~repro.anyk.jointree.KEY_ATTR`
 names the tuple key, which makes the paper's binary key-join a two-node
 chain.

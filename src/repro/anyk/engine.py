@@ -33,7 +33,7 @@ from repro.anyk.enumerate import Enumerator
 from repro.core.operators import ANYK_OPERATOR
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.core.stepping import PENDING, ResumableBase
-from repro.core.tuples import JoinResult
+from repro.core.tuples import chain_result
 from repro.obs import NULL_OBS, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import (
@@ -80,6 +80,7 @@ class AnyKRankJoin(ResumableBase):
         self._exhausted = False
         self._pulls = 0
         self._binary = len(query.relations) == 2
+        self._result = chain_result(len(query.relations))
         self._dp_seconds = 0.0
         self._total_seconds = 0.0
         self._buffer_peak = 0
@@ -146,7 +147,7 @@ class AnyKRankJoin(ResumableBase):
             self._exhausted = True
             return None
         # Exact re-scoring + canonical sort: DP scores order the batches,
-        # the scoring function (same call as PBRJ/multiway) scores the
+        # the scoring function (same call as PBRJ) scores the
         # emitted results bit-identically across cores.  The identities —
         # per tuple the fields of :func:`repro.core.pbrj.result_identity`,
         # in relation order — sort a tie in the canonical tie order.
@@ -170,12 +171,7 @@ class AnyKRankJoin(ResumableBase):
     # ------------------------------------------------------------------
     def _emit(self, pair):
         score, tuples = pair
-        if self._binary:
-            result = JoinResult.combine(tuples[0], tuples[1], score)
-        else:
-            from repro.core.multiway import MultiwayResult
-
-            result = MultiwayResult(tuples, score)
+        result = self._result(tuples, score)
         self._history.append(result)
         self._m_emitted.inc()
         return result

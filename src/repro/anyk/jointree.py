@@ -12,8 +12,8 @@ content-only views of its :class:`~repro.relation.relation.Relation`.
 Join attributes are plain names resolved against tuple payload dicts;
 the sentinel :data:`KEY_ATTR` names the :attr:`~repro.core.tuples.
 RankTuple.key` column, so the paper's binary key-join is expressible in
-the same vocabulary as the payload-attribute chains of the multiway
-operator.
+the same vocabulary as the payload-attribute chains of
+:class:`~repro.core.pbrj.PBRJ`, whose default link it is.
 
 Scores: any-k's dynamic program needs the aggregate to *decompose* over
 the inputs — ``S(b(τ1) ⊕ … ⊕ b(τn)) = Σ_i w_i(τ_i)`` up to float
@@ -23,7 +23,7 @@ the additive family (:class:`~repro.core.scoring.SumScore`,
 :class:`~repro.core.scoring.AverageScore`) and rejects everything else
 with a clear error.  DP weights order the enumeration only; every emitted
 result recomputes its score through the scoring function on the full
-concatenated vector, exactly like PBRJ and the multiway operator, so
+concatenated vector, exactly like PBRJ, so
 scores are bit-identical across cores.
 """
 

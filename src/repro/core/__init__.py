@@ -6,7 +6,6 @@ from repro.core.fr_bound import FRBound
 from repro.core.frstar_bound import FRStarBound
 from repro.core.afr_bound import FixedGridCover, FrozenCover
 from repro.core.jstar import JStar, jstar_from_instance
-from repro.core.multiway import MultiwayRankJoin, MultiwayResult, multiway_rank_join
 from repro.core.naive import full_join, naive_top_k, top_scores
 from repro.core.oracle import (
     OracleBound,
@@ -23,6 +22,7 @@ from repro.core.operators import (
     hrjn,
     hrjn_star,
     make_operator,
+    multiway_rank_join,
     pbrj_fr_rr,
 )
 from repro.core.pbrj import PBRJ
@@ -43,7 +43,7 @@ from repro.core.scoring import (
     WeightedSum,
     check_monotone,
 )
-from repro.core.tuples import JoinResult, RankTuple
+from repro.core.tuples import JoinResult, MultiwayResult, RankTuple
 
 __all__ = [
     "AFRBound",
@@ -59,7 +59,6 @@ __all__ = [
     "FixedSequence",
     "FrozenCover",
     "JStar",
-    "MultiwayRankJoin",
     "MultiwayResult",
     "OracleBound",
     "certificate_optimal_sum_depths",

@@ -12,7 +12,7 @@ paper's gradual FRPA → HRJN* morphing.
 The inputs adapt independently: one can stay exact while another is on a
 coarse grid.  Like FR*, aFR takes any number of inputs under an additive
 ``S`` — it is the n-ary feasible bound of
-:class:`~repro.core.multiway.MultiwayRankJoin` too.
+:class:`~repro.core.pbrj.PBRJ` over a chain too.
 
 Every cover here is an FR* cover-bound operand: ``points``, plus — given a
 row scorer — ``best``, the maximum partial score over them, carried across

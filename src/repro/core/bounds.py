@@ -13,8 +13,8 @@ implicitly assumes the ideal vector ``(1, …, 1)`` may appear in each input,
 which is what makes HRJN* non-robust on inputs with a score cut.
 
 The interface is arity-free: ``side`` indexes one of ``len(context.dims)``
-inputs, so the same scheme serves the binary operators and the n-ary
-:class:`~repro.core.multiway.MultiwayRankJoin` (Section 2.1).  The corner
+inputs, so the same scheme serves the binary operators and
+:class:`~repro.core.pbrj.PBRJ` over a longer chain (Section 2.1).  The corner
 bound accepts any arity, and so do FR* and aFR under an additive scoring;
 the literal FR bound of PBRJ_FR^RR is defined for two inputs.
 """

@@ -51,7 +51,7 @@ class ArrayRankJoin(PBRJ):
 
     def __init__(self, instance: RankJoinInstance, bound: BoundingScheme,
                  strategy: PullingStrategy, *, name: str, **options) -> None:
-        super().__init__(*instance.scans(), instance.scoring, bound, strategy,
+        super().__init__(instance.scans(), instance.scoring, bound, strategy,
                          name=name, **options)
         self._adaptive = isinstance(strategy, PotentialAdaptive)
         self._rows, self._order, self._bounds = zip(*map(instance.access, (0, 1)))

@@ -4,12 +4,13 @@ Each operator the paper studies is one row of :data:`COMPONENTS` — a
 bounding scheme and a pulling strategy plugged into the
 :class:`~repro.core.pbrj.PBRJ` template.  The factories build an operator
 from a :class:`~repro.relation.relation.RankJoinInstance` (fresh scans
-every call, so repeated runs are independent).
+every call, so repeated runs are independent).  :func:`multiway_rank_join`
+builds the n-ary member over a chain of relations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.core.afr_bound import AFRBound
 from repro.core.bounds import BoundingScheme, CornerBound
@@ -19,7 +20,11 @@ from repro.core.fr_bound import FRBound
 from repro.core.frstar_bound import FRStarBound
 from repro.core.pbrj import PBRJ
 from repro.core.pulling import PotentialAdaptive, PullingStrategy, RoundRobin
-from repro.relation.relation import RankJoinInstance
+from repro.core.scoring import ScoringFunction
+from repro.obs import Observability
+from repro.relation.cost import CostModel
+from repro.relation.relation import RankJoinInstance, Relation
+from repro.relation.sources import SortedScan, sorted_access
 
 OperatorFactory = Callable[..., PBRJ]
 
@@ -60,10 +65,38 @@ def build(
     ``pbrj_options`` are :class:`~repro.core.pbrj.PBRJ`'s own keywords
     (``trace``, ``obs``), stated and defaulted there.
     """
-    left, right = instance.scans()
     return PBRJ(
-        left, right, instance.scoring, bound, strategy, name=name, **pbrj_options
+        instance.scans(), instance.scoring, bound, strategy, name=name, **pbrj_options
     )
+
+
+def multiway_rank_join(
+    relations: Sequence[Relation],
+    join_attrs: Sequence[str],
+    scoring: ScoringFunction,
+    *,
+    cost_model: CostModel | None = None,
+    bound: BoundingScheme | None = None,
+    name: str = "MW-HRJN*",
+    obs: "Observability | None" = None,
+) -> PBRJ:
+    """The chain ``R_1 ⋈_{a_1} R_2 ⋈ … ⋈_{a_{n-1}} R_n`` under PA pulling
+    and ``bound`` (default :class:`~repro.core.bounds.CornerBound`, the
+    HRJN*-style member; :class:`~repro.core.afr_bound.AFRBound` is the
+    tight one under an additive scoring).
+
+    Each relation is sorted in decreasing order of its score bound
+    (1-substitution for every other relation's attributes) and wrapped in a
+    fresh single-pass scan.
+    """
+    cost_model = cost_model or CostModel.clustered_index()
+    dims = [rel.dimension for rel in relations]
+    sources = []
+    for index, rel in enumerate(relations):
+        rows, order, bounds = sorted_access(scoring, dims, index, rel)
+        sources.append(SortedScan(rows, order=order, bounds=bounds, cost_model=cost_model))
+    return PBRJ(sources, scoring, bound or CornerBound(), PotentialAdaptive(),
+                join_attrs=join_attrs, name=name, obs=obs)
 
 
 def make_components(

@@ -80,10 +80,8 @@ def oracle_operator(
     **kwargs,
 ) -> PBRJ:
     """PBRJ with the oracle bound — the empirical OPT reference."""
-    left, right = instance.scans()
     return PBRJ(
-        left,
-        right,
+        instance.scans(),
         instance.scoring,
         OracleBound(instance),
         strategy or PotentialAdaptive(),

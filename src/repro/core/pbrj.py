@@ -12,11 +12,10 @@ against the buffered tuples of the other inputs, the new results enter the
 ordered output buffer, and ``B`` refreshes the bound ``t`` on undiscovered
 results.  The buffered top is emitted once its score reaches ``t``.
 
-The loop is written once, over ``n`` inputs.  The *join step* —
-:meth:`PBRJ._join`, "buffer this tuple and return the results it completes"
-— is the only per-arity code: :class:`PBRJ` joins two inputs on the tuple
-key, :class:`~repro.core.multiway.MultiwayRankJoin` overrides it to join a
-chain on payload attributes (the paper's Section 2.1 extension).
+The loop and its *join step* — :meth:`PBRJ._join`, "buffer this tuple and
+return the results it completes" — are written once, over a chain of ``n``
+inputs joined link by link (the paper's Section 2.1 extension).  The binary
+rank join is the two-input chain on the tuple key.
 """
 
 from __future__ import annotations
@@ -24,16 +23,19 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Sequence
+from functools import partial
+from operator import attrgetter
 
 from repro import kernels
-from repro.core.bounds import LEFT, BoundContext, BoundingScheme
+from repro.core.bounds import BoundContext, BoundingScheme
 from repro.core.pulling import PullingStrategy, side_labels
 from repro.core.scoring import ScoringFunction
 from repro.core.stepping import PENDING, ResumableBase
-from repro.core.tuples import JoinResult, RankTuple
+from repro.core.tuples import JoinResult, RankTuple, chain_result
+from repro.errors import InstanceError
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
-from repro.relation.relation import tuple_identity
+from repro.relation.relation import KEY_ATTR, attr_value, tuple_identity
 from repro.relation.sources import TupleSource
 from repro.stats.metrics import (
     DepthReport,
@@ -44,8 +46,8 @@ from repro.stats.metrics import (
 from repro.stats.trace import BoundTrace
 
 #: Tolerance of every "does this score reach that bound" test in the
-#: package — the one definition; :mod:`repro.core.multiway`, the sharded
-#: engine's merge gate and :mod:`repro.anyk.enumerate` import it.
+#: package — the one definition; the sharded engine's merge gate and
+#: :mod:`repro.anyk.enumerate` import it.
 #: Scores are sums of a few floats, so genuine differences are far larger
 #: than accumulated error.  Tie semantics: two scores within ``SCORE_EPS``
 #: of each other are a tie, everywhere.  An operator emits
@@ -86,14 +88,24 @@ class PBRJ(ResumableBase):
 
     Parameters
     ----------
-    left, right:
-        Sequential sources sorted in decreasing ``S̄`` order.
+    sources:
+        ``n >= 2`` sequential sources, each sorted in decreasing ``S̄``
+        order (``S̄`` substitutes 1 for every other input's scores).
     scoring:
-        Monotone aggregate over the concatenated score vector.
+        Monotone aggregate over the concatenation of all score vectors in
+        input order.
     bound:
-        The bounding scheme ``B`` (fresh instance, not shared).
+        The bounding scheme ``B`` (fresh instance, not shared); any scheme
+        that accepts ``n`` inputs.
     strategy:
         The pulling strategy ``P`` (fresh instance, not shared).
+    join_attrs:
+        ``n - 1`` join attribute names; ``join_attrs[i]`` links input ``i``
+        to input ``i + 1`` (:func:`~repro.relation.relation.attr_value`:
+        ``KEY_ATTR`` is the tuple key, any other name a payload entry).
+        ``None`` joins every link on the tuple key.  Results are
+        :class:`~repro.core.tuples.JoinResult` s for two inputs and
+        :class:`~repro.core.tuples.MultiwayResult` s for more.
     name:
         Label used in reports.
     obs:
@@ -106,38 +118,44 @@ class PBRJ(ResumableBase):
 
     def __init__(
         self,
-        left: TupleSource,
-        right: TupleSource,
-        scoring: ScoringFunction,
-        bound: BoundingScheme,
-        strategy: PullingStrategy,
-        *,
-        name: str = "PBRJ",
-        trace: "BoundTrace | None" = None,
-        obs: "Observability | None" = None,
-    ) -> None:
-        self._buffers: tuple[dict, dict] = ({}, {})
-        self._setup(
-            (left, right), scoring, bound, strategy, name=name, trace=trace, obs=obs,
-        )
-
-    def _setup(
-        self,
         sources: Sequence[TupleSource],
         scoring: ScoringFunction,
         bound: BoundingScheme,
         strategy: PullingStrategy,
         *,
-        name: str,
-        trace: "BoundTrace | None",
-        obs: "Observability | None",
+        join_attrs: Sequence[str] | None = None,
+        name: str = "PBRJ",
+        trace: "BoundTrace | None" = None,
+        obs: "Observability | None" = None,
     ) -> None:
-        """Wire the loop over ``sources``; every constructor ends here."""
         super().__init__()
+        self._sources = tuple(sources)
+        arity = len(self._sources)
+        if arity < 2:
+            raise InstanceError("a rank join needs at least two inputs")
+        links = (KEY_ATTR,) * (arity - 1) if join_attrs is None else tuple(join_attrs)
+        if len(links) != arity - 1:
+            raise InstanceError(
+                f"need {arity - 1} join attributes for {arity} inputs, got {len(links)}"
+            )
+        # Per link, the buffered tuples of its two ends keyed by its value;
+        # per input, its links down to input 0 and up to input n - 1, each
+        # as (value of a tuple, this side's buffer, the far side's).
+        tables = [({}, {}) for _ in links]
+        value_of = [
+            attrgetter("key") if attr == KEY_ATTR else partial(attr_value, attr=attr)
+            for attr in links
+        ]
+        self._links = tuple(
+            (tuple((value_of[link], tables[link][1], tables[link][0])
+                   for link in range(side - 1, -1, -1)),
+             tuple((value_of[link], *tables[link]) for link in range(side, arity - 1)))
+            for side in range(arity)
+        )
+        self._result = chain_result(arity)
         self.name = name
         self.scoring = scoring
-        self._sources = tuple(sources)
-        self._sides = tuple(range(len(self._sources)))
+        self._sides = tuple(range(arity))
         self._bound = bound
         self._strategy = strategy
         self._bound.bind(
@@ -308,23 +326,47 @@ class PBRJ(ResumableBase):
     def _join(self, side: int, rho: RankTuple) -> Sequence:
         """The join step: buffer ``rho``, return the results it completes.
 
+        ``rho`` is buffered at its end of each link it sits on, keyed by
+        that link's value, and its neighbours' buffers are probed on the
+        same values: a pull that completes nothing stops there.  Otherwise
+        the chains through ``rho`` grow from it link by link, down to input
+        0 and then up to input ``n - 1``, each carrying its score vector;
+        they come out ordered by partner arrival, nearer inputs first.
         Each result carries its ``score``; the loop owns the output heap.
-        This is the binary equi-join on the tuple key.
+        (Loops, not comprehensions: a comprehension's closure would cost
+        every pull.)
         """
-        matches = self._buffers[1 - side].get(rho.key, ())
-        self._buffers[side].setdefault(rho.key, []).append(rho)
-        if not matches:
+        downs, ups = self._links[side]
+        below = above = True
+        if downs:
+            value_of, here, there = downs[0]
+            value = value_of(rho)
+            here.setdefault(value, []).append(rho)
+            below = there.get(value)
+        if ups:
+            value_of, here, there = ups[0]
+            value = value_of(rho)
+            here.setdefault(value, []).append(rho)
+            above = there.get(value)
+        if not below or not above:
             return ()
-        scoring = self.scoring
-        if side == LEFT:
-            return [
-                JoinResult.combine(rho, partner, scoring(rho.scores + partner.scores))
-                for partner in matches
-            ]
-        return [
-            JoinResult.combine(partner, rho, scoring(partner.scores + rho.scores))
-            for partner in matches
-        ]
+        chains = [((rho,), rho.scores)]
+        for value_of, _, there in downs:
+            grown = []
+            for chain, scores in chains:
+                for partner in there.get(value_of(chain[0]), ()):
+                    grown.append(((partner,) + chain, partner.scores + scores))
+            chains = grown
+        for value_of, _, there in ups:
+            grown = []
+            for chain, scores in chains:
+                for partner in there.get(value_of(chain[-1]), ()):
+                    grown.append((chain + (partner,), scores + partner.scores))
+            chains = grown
+        build, scoring, results = self._result, self.scoring, []
+        for chain, scores in chains:
+            results.append(build(chain, scoring(scores)))
+        return results
 
     # ------------------------------------------------------------------
     # Reporting
@@ -366,8 +408,16 @@ class PBRJ(ResumableBase):
     def pulls(self) -> int:
         return self._pulls
 
-    def depths(self) -> DepthReport:
-        return self._depth_report()
+    def depths(self) -> "DepthReport | list[int]":
+        """Tuples pulled per input: a :class:`DepthReport` for two inputs,
+        a list for more."""
+        if len(self._sources) == 2:
+            return self._depth_report()
+        return [source.depth for source in self._sources]
+
+    @property
+    def sum_depths(self) -> int:
+        return sum(source.depth for source in self._sources)
 
     def _depth_report(self) -> DepthReport:
         """Depths in the reports' two-column vocabulary: the first input,

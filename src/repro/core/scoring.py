@@ -91,15 +91,6 @@ class ScoringFunction(ABC):
                     best = value
         return best
 
-    def bound_with_ones(self, vector: Sequence[float], missing: int) -> float:
-        """The score bound ``S̄``: evaluate with ``missing`` 1-coordinates.
-
-        ``vector`` supplies the known coordinates (as a prefix — valid for
-        the symmetric functions used here; order-sensitive functions should
-        override).
-        """
-        return self(tuple(vector) + (1.0,) * missing)
-
     # ------------------------------------------------------------------
     # Prepared point sets: cached representations for repeated cross
     # products.  The FR-family bounds evaluate max S(c1 ⊕ c2) over the same

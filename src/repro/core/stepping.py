@@ -14,8 +14,7 @@ the shared vocabulary:
   programs against.
 * :class:`ResumableBase` — the history-retaining half of that protocol
   (``get_next`` / ``top_k`` / ``__iter__`` / ``emitted_results``), written
-  once.  :class:`~repro.core.pbrj.PBRJ` (and through it
-  :class:`~repro.core.multiway.MultiwayRankJoin`),
+  once.  :class:`~repro.core.pbrj.PBRJ` (over any chain),
   :class:`~repro.anyk.engine.AnyKRankJoin` and the sharded engine inherit
   it and supply ``try_next`` and ``best_buffered``.
 

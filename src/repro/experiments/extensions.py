@@ -12,8 +12,7 @@ from functools import partial
 from repro.core.afr_bound import AFRBound
 from repro.core.bounds import CornerBound
 from repro.core.jstar import jstar_from_instance
-from repro.core.multiway import multiway_rank_join
-from repro.core.operators import make_operator
+from repro.core.operators import make_operator, multiway_rank_join
 from repro.core.oracle import certificate_optimal_sum_depths
 from repro.core.scoring import SumScore
 from repro.data.workload import (

@@ -136,8 +136,7 @@ class Pipeline:
         for index in range(1, len(relations)):
             bound, strategy = make_components(operator, **operator_kwargs)
             stage = PBRJ(
-                left,
-                self.base_scans[index],
+                (left, self.base_scans[index]),
                 self.scoring,
                 bound,
                 strategy,

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.multiway import MultiwayResult
-from repro.core.tuples import JoinResult, RankTuple
+from repro.core.tuples import JoinResult, MultiwayResult, RankTuple
 from repro.obs import Observability
 
 #: The only globals a shared-tier record names.  Unpickling any other one

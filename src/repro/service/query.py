@@ -1,9 +1,9 @@
 """The one query description, and its canonical fingerprint.
 
 A :class:`QuerySpec` is everything needed to evaluate one top-K rank join:
-the input relations (two for the binary PBRJ family, more for the multiway
-chain), the monotone scoring function, the requested ``k``, and the
-operator to run.  The paper's motivating ranking query over a chain of
+the input relations (two for the binary PBRJ family, more for a chain),
+the monotone scoring function, the requested ``k``, and the operator to
+run.  The paper's motivating ranking query over a chain of
 equi-joins, ``RANK BY w1*R1.s + w2*R2.s + … LIMIT K``, is
 ``QuerySpec(relations, K, WeightedSum(weights), join_attrs=…)``.  Specs are
 the unit of admission into the :class:`~repro.service.service.QueryService`
@@ -20,8 +20,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from repro.core.operators import ALGORITHMS, ANYK_OPERATOR, OPERATORS, make_operator
-from repro.core.multiway import multiway_rank_join
+from repro.core.operators import (
+    ALGORITHMS,
+    ANYK_OPERATOR,
+    OPERATORS,
+    make_operator,
+    multiway_rank_join,
+)
 from repro.core.scoring import ScoringFunction, SumScore, scoring_fingerprint
 from repro.errors import InstanceError
 from repro.relation.relation import RankJoinInstance, Relation
@@ -46,10 +51,10 @@ class QuerySpec:
     scoring:
         Monotone aggregate (default :class:`~repro.core.scoring.SumScore`).
     operator:
-        Registry name from :data:`~repro.core.operators.OPERATORS` for
-        binary joins (default ``"FRPA"``); multiway queries always run the
-        multiway HRJN*-style operator.  Ignored when ``algorithm`` is
-        ``"anyk"``.
+        Registry name from :data:`~repro.core.operators.OPERATORS`
+        (default ``"FRPA"``), checked for every arity; binary joins run it,
+        multiway queries always run the multiway HRJN*-style operator.
+        Ignored when ``algorithm`` is ``"anyk"``.
     algorithm:
         Evaluation core: ``"pbrj"`` (default, the paper's pull-bounded
         family), ``"anyk"`` (ranked enumeration, :mod:`repro.anyk`), or
@@ -80,18 +85,15 @@ class QuerySpec:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {ALGORITHMS + ('auto',)}"
             )
+        if self.algorithm in ("pbrj", "auto") and self.operator not in OPERATORS:
+            raise InstanceError(
+                f"unknown operator {self.operator!r}; "
+                f"choose from {sorted(OPERATORS)}"
+            )
         if len(self.relations) == 2:
             if self.join_attrs:
                 raise InstanceError("binary queries join on the tuple key; "
                                     "join_attrs is for 3+ relations")
-            if (
-                self.algorithm in ("pbrj", "auto")
-                and self.operator not in OPERATORS
-            ):
-                raise InstanceError(
-                    f"unknown operator {self.operator!r}; "
-                    f"choose from {sorted(OPERATORS)}"
-                )
         elif len(self.join_attrs) != len(self.relations) - 1:
             raise InstanceError(
                 f"need {len(self.relations) - 1} join attributes for "

@@ -4,19 +4,18 @@ The contract every resumable operator shares is the matrix in
 ``tests/core/test_resumable.py`` (rows ``AnyK`` and ``AnyK-chain``).
 """
 
-import itertools
-
 import pytest
 
 from repro.anyk import AnyKQuery, AnyKRankJoin, anyk_operator
 from repro.core.naive import naive_top_k, top_scores
-from repro.core.operators import make_operator
+from repro.core.operators import make_operator, multiway_rank_join
 from repro.core.scoring import AverageScore, SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
 from repro.data.workload import random_instance
 from repro.relation.relation import Relation, tuple_identity
 from repro.service.query import QuerySpec
+from tests.chain_oracle import brute_force, chain_combos
 
 
 def relation(name, rows):
@@ -26,32 +25,6 @@ def relation(name, rows):
             RankTuple(key=i, scores=scores, payload=dict(payload))
             for i, (payload, scores) in enumerate(rows)
         ],
-    )
-
-
-def joined(relations, join_attrs):
-    """Every chain combination, per edge ``R_i.a_i = R_{i+1}.a_i``."""
-    def value(tup, attr):
-        return tup.key if attr == "@key" else tup.payload[attr]
-
-    return [
-        combo
-        for combo in itertools.product(*[rel.tuples for rel in relations])
-        if all(
-            value(left, attr) == value(right, attr)
-            for left, right, attr in zip(combo, combo[1:], join_attrs)
-        )
-    ]
-
-
-def brute_force(query, scoring):
-    """All join results by full enumeration, scores sorted descending."""
-    return sorted(
-        (
-            scoring(tuple(s for t in combo for s in t.scores))
-            for combo in joined(query.relations, query.join_attrs)
-        ),
-        reverse=True,
     )
 
 
@@ -147,8 +120,6 @@ class TestNaryCorrectness:
     def test_chain4_matches_multiway(self, chain4):
         attrs = ["x", "y", "z"]
         anyk = AnyKRankJoin(AnyKQuery(chain4, attrs))
-        from repro.core.multiway import multiway_rank_join
-
         reference = multiway_rank_join(list(chain4), attrs, SumScore())
         anyk_scores = [r.score for r in anyk]
         ref_scores = [r.score for r in reference]
@@ -157,7 +128,8 @@ class TestNaryCorrectness:
     def test_chain4_matches_brute_force(self, chain4):
         query = AnyKQuery(chain4, ["x", "y", "z"])
         got = [r.score for r in AnyKRankJoin(query)]
-        assert got == pytest.approx(brute_force(query, SumScore()))
+        expected = brute_force(query.relations, query.join_attrs, SumScore())
+        assert got == pytest.approx(expected)
 
     def test_a_chain_that_reuses_an_attribute_gets_every_answer(self):
         # R0.x = R1.x, R1.y = R2.y, R2.x = R3.x: each link on its own,
@@ -169,8 +141,8 @@ class TestNaryCorrectness:
             relation("R3", [({"x": 3}, (0.6,)), ({"x": 2}, (0.1,))]),
         )
         attrs = ("x", "y", "x")
-        combos = joined(chain, attrs)
-        expected = brute_force(AnyKQuery(chain, attrs), SumScore())
+        combos = chain_combos(chain, attrs)
+        expected = brute_force(chain, attrs, SumScore())
         assert expected == [3.0000000000000004, 0.9999999999999999]
         for algorithm in ("anyk", "pbrj"):
             spec = QuerySpec(chain, 10, join_attrs=attrs, algorithm=algorithm)

@@ -62,7 +62,7 @@ def stream_form(name, instance, **options):
                      cost_model=instance.cost_model)
         for side in (0, 1)
     ]
-    return PBRJ(*sources, instance.scoring, *make_components(name), name=name, **options)
+    return PBRJ(sources, instance.scoring, *make_components(name), name=name, **options)
 
 
 def state(operator):

@@ -76,7 +76,7 @@ def stream_form(instance, bound, strategy, **options):
                      cost_model=instance.cost_model)
         for side in (0, 1)
     ]
-    return PBRJ(*sources, instance.scoring, bound, strategy, **options)
+    return PBRJ(sources, instance.scoring, bound, strategy, **options)
 
 
 def state(operator):

@@ -1,17 +1,20 @@
-"""Tests for the multiway (n-ary) rank join operator."""
-
-import itertools
+"""Tests for the multiway (n-ary) rank join: PBRJ over a chain."""
 
 import numpy as np
 import pytest
 
-from repro.core.multiway import MultiwayRankJoin, multiway_rank_join
+from repro.core.bounds import CornerBound
+from repro.core.operators import multiway_rank_join
+from repro.core.pbrj import PBRJ
+from repro.core.pulling import PotentialAdaptive
 from repro.core.scoring import SumScore
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.relation.relation import Relation
 from repro.relation.sources import SortedScan
+from repro.service.query import QuerySpec
+from tests.chain_oracle import brute_force
 
 
 def relation(name, rows, key_attr):
@@ -22,20 +25,6 @@ def relation(name, rows, key_attr):
             for payload, scores in rows
         ],
     )
-
-
-def brute_force_chain(relations, join_attrs, scoring):
-    """All chain-join results by full enumeration, sorted by score desc."""
-    results = []
-    for combo in itertools.product(*[rel.tuples for rel in relations]):
-        ok = all(
-            combo[i].payload[attr] == combo[i + 1].payload[attr]
-            for i, attr in enumerate(join_attrs)
-        )
-        if ok:
-            vector = tuple(s for t in combo for s in t.scores)
-            results.append(scoring(vector))
-    return sorted(results, reverse=True)
 
 
 @pytest.fixture
@@ -62,7 +51,8 @@ def three_chain():
 class TestConstruction:
     def test_needs_two_inputs(self):
         with pytest.raises(InstanceError):
-            MultiwayRankJoin([SortedScan([])], [], SumScore())
+            PBRJ([SortedScan([])], SumScore(), CornerBound(), PotentialAdaptive(),
+                 join_attrs=[])
 
     def test_join_attr_arity(self, three_chain):
         relations, __ = three_chain
@@ -77,12 +67,29 @@ class TestConstruction:
             operator.get_next()
 
 
+class TestQuerySpec:
+    @pytest.mark.parametrize("algorithm", ["pbrj", "auto"])
+    def test_unknown_operator_is_refused_for_every_arity(self, three_chain, algorithm):
+        relations, attrs = three_chain
+        for chain, links in ((relations, attrs), (relations[:2], ())):
+            with pytest.raises(InstanceError, match="unknown operator 'nope'"):
+                QuerySpec(chain, 3, operator="nope", algorithm=algorithm,
+                          join_attrs=links)
+
+    def test_a_known_name_on_a_chain_runs_mw_hrjn_star(self, three_chain):
+        relations, attrs = three_chain
+        spec = QuerySpec(relations, 3, operator="a-FRPA", join_attrs=attrs)
+        assert spec.build_operator().name == "MW-HRJN*"
+        # any-k takes no operator name, known or not.
+        QuerySpec(relations, 3, operator="nope", algorithm="anyk", join_attrs=attrs)
+
+
 class TestCorrectness:
     def test_matches_bruteforce_3way(self, three_chain):
         relations, attrs = three_chain
         operator = multiway_rank_join(relations, attrs, SumScore())
         got = [r.score for r in operator]
-        expected = brute_force_chain(relations, attrs, SumScore())
+        expected = brute_force(relations, attrs, SumScore())
         assert got == pytest.approx(expected)
 
     def test_2way_matches_binary_semantics(self):
@@ -124,7 +131,7 @@ class TestCorrectness:
         attrs = ["p", "q"]
         operator = multiway_rank_join(relations, attrs, SumScore())
         got = [r.score for r in operator]
-        expected = brute_force_chain(relations, attrs, SumScore())
+        expected = brute_force(relations, attrs, SumScore())
         assert got == pytest.approx(expected)
 
 
@@ -174,10 +181,9 @@ class TestExhaustion:
     def test_empty_relation_gives_empty_output(self):
         a = relation("A", [({"x": 1}, (0.9,))], "x")
         b = Relation("B", [])
-        operator = MultiwayRankJoin(
+        operator = PBRJ(
             [SortedScan(a.tuples), SortedScan([], cost_model=None)],
-            ["x"],
-            SumScore(),
+            SumScore(), CornerBound(), PotentialAdaptive(), join_attrs=["x"],
         )
         assert operator.get_next() is None
 

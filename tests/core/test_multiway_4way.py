@@ -1,15 +1,14 @@
 """4-relation multiway chains: correctness and weighted scoring."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from repro.core.afr_bound import AFRBound
-from repro.core.multiway import multiway_rank_join
+from repro.core.operators import multiway_rank_join
 from repro.core.scoring import SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.relation.relation import Relation
+from tests.chain_oracle import brute_force
 
 
 def relation(name, rows, key_attr):
@@ -41,17 +40,6 @@ def random_4chain(seed, n=10, keys=3):
         mk("D", "r", None),
     ]
     return relations, attrs
-
-
-def brute_force(relations, attrs, scoring):
-    results = []
-    for combo in itertools.product(*[rel.tuples for rel in relations]):
-        if all(
-            combo[i].payload[attr] == combo[i + 1].payload[attr]
-            for i, attr in enumerate(attrs)
-        ):
-            results.append(scoring(tuple(s for t in combo for s in t.scores)))
-    return sorted(results, reverse=True)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

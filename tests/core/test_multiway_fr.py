@@ -5,20 +5,19 @@ n-ary operator takes the binary operators' bound; beyond two inputs it
 needs an additive scoring, and the literal FR bound stays binary.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
 from repro.core.afr_bound import AFRBound
 from repro.core.bounds import BoundContext, CornerBound
 from repro.core.fr_bound import FRBound
-from repro.core.multiway import multiway_rank_join
+from repro.core.operators import multiway_rank_join
 from repro.core.scoring import MinScore, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.obs import Observability
 from repro.relation.relation import Relation
+from tests.chain_oracle import brute_force
 
 
 def relation(name, rows, key_attr):
@@ -46,17 +45,6 @@ def random_chain(seed, n=15, keys=4, dims=1):
         return relation(name, rows, left or right)
 
     return [mk("A", None, "p"), mk("B", "p", "q"), mk("C", "q", None)], ["p", "q"]
-
-
-def brute_force(relations, attrs, scoring):
-    results = []
-    for combo in itertools.product(*[rel.tuples for rel in relations]):
-        if all(
-            combo[i].payload[attr] == combo[i + 1].payload[attr]
-            for i, attr in enumerate(attrs)
-        ):
-            results.append(scoring(tuple(s for t in combo for s in t.scores)))
-    return sorted(results, reverse=True)
 
 
 class TestConstruction:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.afr_bound import AFRBound
-from repro.core.multiway import multiway_rank_join
+from repro.core.operators import multiway_rank_join
 from repro.core.scoring import SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple

@@ -23,8 +23,7 @@ def operator(left_pairs, right_pairs, bound=None, strategy=None, **kwargs):
     left = SortedScan(rows(left_pairs))
     right = SortedScan(rows(right_pairs))
     return PBRJ(
-        left,
-        right,
+        (left, right),
         SumScore(),
         bound or CornerBound(),
         strategy or RoundRobin(),

@@ -46,9 +46,6 @@ class TestSumScore:
             scoring(tuple(v)) for v in vectors.tolist()
         ]
 
-    def test_bound_with_ones(self):
-        assert SumScore().bound_with_ones((0.3, 0.4), 2) == pytest.approx(2.7)
-
     def test_max_combination_empty_sets(self):
         scoring = SumScore()
         assert scoring.max_combination([], [(0.5,)]) == NEG_INF

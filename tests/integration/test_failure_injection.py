@@ -45,14 +45,14 @@ class TestSourceFailures:
     def test_io_error_propagates(self):
         left = ExplodingSource(sorted_rows([(i, 1 - i / 10) for i in range(8)]), 2)
         right = SortedScan(sorted_rows([(i, 1 - i / 10) for i in range(8)]))
-        operator = PBRJ(left, right, SumScore(), CornerBound(), RoundRobin())
+        operator = PBRJ((left, right), SumScore(), CornerBound(), RoundRobin())
         with pytest.raises(IOError):
             operator.top_k(8)
 
     def test_partial_state_remains_inspectable(self):
         left = ExplodingSource(sorted_rows([(i, 1 - i / 10) for i in range(8)]), 2)
         right = SortedScan(sorted_rows([(i, 1 - i / 10) for i in range(8)]))
-        operator = PBRJ(left, right, SumScore(), CornerBound(), RoundRobin())
+        operator = PBRJ((left, right), SumScore(), CornerBound(), RoundRobin())
         with pytest.raises(IOError):
             operator.top_k(8)
         # Depth counters reflect the accesses attempted (the failing access
@@ -67,7 +67,7 @@ class TestSourceFailures:
             score_bound=lambda t: t.scores[0] + 1,
         )
         right = SortedScan(sorted_rows([(0, 0.5), (1, 0.4)]))
-        operator = PBRJ(left, right, SumScore(), CornerBound(), RoundRobin())
+        operator = PBRJ((left, right), SumScore(), CornerBound(), RoundRobin())
         with pytest.raises(NotSortedError):
             operator.top_k(5)
 

@@ -1,14 +1,14 @@
 """Randomized pipeline correctness: 3-way chains vs brute force."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+from repro.core.operators import multiway_rank_join
 from repro.core.scoring import SumScore
 from repro.core.tuples import RankTuple
 from repro.plan.pipeline import Pipeline
 from repro.relation.relation import Relation
+from tests.chain_oracle import brute_force
 
 
 def random_chain(seed, sizes=(40, 40, 40), keys=6):
@@ -36,18 +36,6 @@ def random_chain(seed, sizes=(40, 40, 40), keys=6):
         ],
         ["p", "q"],
     )
-
-
-def brute_force(relations, attrs, k):
-    scoring = SumScore()
-    results = []
-    for combo in itertools.product(*[rel.tuples for rel in relations]):
-        if all(
-            combo[i].payload[attr] == combo[i + 1].payload[attr]
-            for i, attr in enumerate(attrs)
-        ):
-            results.append(scoring(tuple(s for t in combo for s in t.scores)))
-    return sorted(results, reverse=True)[:k]
 
 
 def rekeyed(relations, attrs):
@@ -79,16 +67,14 @@ class TestRandomPipelines:
         keyed = rekeyed(relations, attrs)
         pipeline = Pipeline(keyed, [attrs[1]], operator=operator)
         got = [r.score for r in pipeline.top_k(10)]
-        expected = brute_force(relations, attrs, 10)[: len(got)]
-        assert got == pytest.approx(expected)
-        assert len(got) == len(brute_force(relations, attrs, 10))
+        expected = brute_force(relations, attrs, SumScore())[:10]
+        assert got == pytest.approx(expected[: len(got)])
+        assert len(got) == len(expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 class TestPipelineVsMultiway:
     def test_same_answers(self, seed):
-        from repro.core.multiway import multiway_rank_join
-
         relations, attrs = random_chain(seed, sizes=(30, 30, 30))
         keyed = rekeyed(relations, attrs)
         pipeline = Pipeline(keyed, [attrs[1]], operator="FRPA")

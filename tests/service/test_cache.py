@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from repro.core.multiway import MultiwayResult
-from repro.core.tuples import JoinResult, RankTuple
+from repro.core.tuples import JoinResult, MultiwayResult, RankTuple
 from repro.obs import Observability
 from repro.relation import Relation
 from repro.service import (

@@ -101,6 +101,13 @@ class TestProtocol:
                 with pytest.raises(ServiceError, match="unknown relations"):
                     client.submit(left="nope", right="orders", k=3)
 
+    def test_unknown_operator_on_a_chain_is_clean_error(self):
+        with running_server() as server:
+            with ServiceClient(server.host, server.port) as client:
+                with pytest.raises(ServiceError, match="unknown operator 'nope'"):
+                    client.submit(relations=["lineitem", "orders", "lineitem"],
+                                  join_attrs=["a", "b"], k=3, operator="nope")
+
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_retired_backends_are_the_tables_bad_request(self, backend):
         with running_server() as server:
