@@ -74,7 +74,7 @@ def main() -> None:
     for label, factory in contenders:
         op = factory()
         op.top_k(20)
-        print(f"  {label:24s} sumDepths={op.depths().sum_depths:6d} "
+        print(f"  {label:24s} sumDepths={op.sum_depths:6d} "
               f"time={op.timing().total:.3f}s")
     print("\nshrinking the cover budget morphs a-FRPA from the instance-"
           "optimal FRPA\ntoward the corner-bound HRJN*, trading I/O for "

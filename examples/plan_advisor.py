@@ -22,14 +22,13 @@ def binary_demo() -> None:
     estimate = estimate_depths(relations, params.k, instance.scoring)
     operator = hrjn_star(instance)
     operator.top_k(params.k)
-    actual = operator.depths()
     print("binary instance (Lineitem ⋈ Orders, e=2, c=.5, K=10)")
     print(f"  estimated terminal score : {estimate.terminal_score:.3f}")
     print(f"  estimated join size      : {estimate.join_size:,.0f}")
     print(f"  estimated depths         : {estimate.depths} "
           f"(sum {estimate.sum_depths})")
-    print(f"  actual HRJN* depths      : ({actual.left}, {actual.right}) "
-          f"(sum {actual.sum_depths})")
+    print(f"  actual HRJN* depths      : {operator.depths()} "
+          f"(sum {operator.sum_depths})")
     print(Planner().plan(relations, params.k, instance.scoring).table())
 
 

@@ -34,11 +34,11 @@ def main() -> None:
         operator = make_operator(name, instance)
         results = operator.top_k(instance.k)
         correct = top_scores(results) == top_scores(expected)
-        depths = operator.depths()
+        left, right = operator.depths()
         timing = operator.timing()
         print(
-            f"{name:12s} {str(correct):>8s} {depths.left:>7d} "
-            f"{depths.right:>7d} {depths.sum_depths:>10d} {timing.total:>9.3f}"
+            f"{name:12s} {str(correct):>8s} {left:>7d} "
+            f"{right:>7d} {operator.sum_depths:>10d} {timing.total:>9.3f}"
         )
 
     total = len(instance.left) + len(instance.right)

@@ -71,7 +71,7 @@ def main() -> None:
               f"last-joined venue: {payload['name']}")
 
     print("\ntuples read per input (a-FRPA plan):")
-    for name, depth in zip(SIZES, plan.base_depths()):
+    for name, depth in zip(SIZES, plan.depths()):
         print(f"  {name:9s} {depth:5d} / {SIZES[name]}")
     total = sum(SIZES.values())
     print(f"  total    {plan.sum_depths:6d} / {total} "

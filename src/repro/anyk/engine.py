@@ -33,7 +33,7 @@ from repro.anyk.enumerate import Enumerator
 from repro.core.operators import ANYK_OPERATOR
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.core.stepping import PENDING, ResumableBase
-from repro.core.tuples import chain_result
+from repro.core.tuples import JoinResult
 from repro.obs import NULL_OBS, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
 from repro.stats.metrics import (
@@ -76,11 +76,9 @@ class AnyKRankJoin(ResumableBase):
         self._obs = obs if obs is not None else NULL_OBS
         self._dp = DPState(decompose(query, self.scoring))
         self._enum: Enumerator | None = None
-        self._batch: deque = deque()  # buffered (exact score, tuples) pairs
+        self._batch: deque = deque()  # the buffered tie batch's results
         self._exhausted = False
         self._pulls = 0
-        self._binary = len(query.relations) == 2
-        self._result = chain_result(len(query.relations))
         self._dp_seconds = 0.0
         self._total_seconds = 0.0
         self._buffer_peak = 0
@@ -151,13 +149,12 @@ class AnyKRankJoin(ResumableBase):
         # emitted results bit-identically across cores.  The identities —
         # per tuple the fields of :func:`repro.core.pbrj.result_identity`,
         # in relation order — sort a tie in the canonical tie order.
-        scored = [
-            (self.scoring(tuple(s for t in tuples for s in t.scores)),
-             tuples, identity)
-            for _, tuples, identity in batch
-        ]
-        scored.sort(key=lambda entry: (-entry[0], entry[2]))
-        self._batch = deque(entry[:2] for entry in scored)
+        scored = []
+        for _, tuples, identity in batch:
+            scores = tuple(s for t in tuples for s in t.scores)
+            scored.append((JoinResult(tuples, self.scoring(scores), scores), identity))
+        scored.sort(key=lambda entry: (-entry[0].score, entry[1]))
+        self._batch = deque(result for result, _ in scored)
         self._buffer_peak = max(self._buffer_peak, len(scored))
         return self._emit(self._batch.popleft())
 
@@ -169,9 +166,7 @@ class AnyKRankJoin(ResumableBase):
     # ------------------------------------------------------------------
     # Emission and accounting
     # ------------------------------------------------------------------
-    def _emit(self, pair):
-        score, tuples = pair
-        result = self._result(tuples, score)
+    def _emit(self, result: JoinResult) -> JoinResult:
         self._history.append(result)
         self._m_emitted.inc()
         return result
@@ -192,7 +187,7 @@ class AnyKRankJoin(ResumableBase):
         live (exact), ``-inf`` when drained.
         """
         if self._batch:
-            return self._batch[0][0]
+            return self._batch[0].score
         if self._exhausted:
             return float("-inf")
         if not self._dp.done or self._enum is None:
@@ -201,16 +196,19 @@ class AnyKRankJoin(ResumableBase):
 
     def best_buffered(self) -> float:
         """Score of the next result of the buffered tie batch; ``-inf`` if none."""
-        return self._batch[0][0] if self._batch else float("-inf")
+        return self._batch[0].score if self._batch else float("-inf")
 
     def depth(self, side: int) -> int:
         """Tuples of relation ``side`` ingested by the DP so far."""
         return self._dp.ingested[side]
 
-    def depths(self):
-        """Per-input depths: a DepthReport (binary) or list (n-ary)."""
-        counts = [self.depth(i) for i in range(len(self.query.relations))]
-        return DepthReport(*counts) if self._binary else counts
+    def depths(self) -> list[int]:
+        """Tuples of each relation ingested by the DP, in relation order."""
+        return list(self._dp.ingested)
+
+    @property
+    def sum_depths(self) -> int:
+        return sum(self._dp.ingested)
 
     def stats(self) -> OperatorStats:
         """Measurement snapshot in the harness's PBRJ vocabulary.
@@ -219,12 +217,11 @@ class AnyKRankJoin(ResumableBase):
         the DP build (the analogue of bound maintenance); ``io_cost`` is
         the ingested-tuple count (unit cost per tuple read).
         """
-        first, *rest = (self.depth(i) for i in range(len(self.query.relations)))
         return OperatorStats(
             operator=self.name,
-            depths=DepthReport(first, sum(rest)),
+            depths=DepthReport.of(self._dp.ingested),
             timing=self.timing(),
-            io_cost=float(sum(self._dp.ingested)),
+            io_cost=float(self.sum_depths),
             bound_recomputations=0,
             results=len(self._history),
             memory=MemoryHighWater(

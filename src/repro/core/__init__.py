@@ -43,7 +43,7 @@ from repro.core.scoring import (
     WeightedSum,
     check_monotone,
 )
-from repro.core.tuples import JoinResult, MultiwayResult, RankTuple
+from repro.core.tuples import JoinResult, RankTuple
 
 __all__ = [
     "AFRBound",
@@ -59,7 +59,6 @@ __all__ = [
     "FixedSequence",
     "FrozenCover",
     "JStar",
-    "MultiwayResult",
     "OracleBound",
     "certificate_optimal_sum_depths",
     "multiway_rank_join",

@@ -116,9 +116,9 @@ class ArrayRankJoin(PBRJ):
         if best < 0 or live[best] == NEG_INF:
             return None  # every input exhausted, every result out
         score, live[best] = float(live[best]), NEG_INF
-        left, right = (self._rows[side][self._order[side][index[best]]]
-                       for side, index in enumerate(self._pairs))
-        result = JoinResult.combine(left, right, score)
+        result = JoinResult.combine(tuple(
+            self._rows[side][self._order[side][index[best]]]
+            for side, index in enumerate(self._pairs)), score)
         self._emitted += 1
         self._m_emitted.inc()
         self._history.append(result)

@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from repro.core.scoring import ScoringFunction, SumScore
 from repro.core.tuples import JoinResult, RankTuple
 from repro.errors import InstanceError
-from repro.stats.metrics import DepthReport
 
 
 class JStar:
@@ -92,7 +91,7 @@ class JStar:
             self._push(i, j + 1)
             left, right = self._left[i], self._right[j]
             if left.key == right.key:
-                return JoinResult.combine(left, right, -neg_score)
+                return JoinResult.combine((left, right), -neg_score)
         return None
 
     def top_k(self, k: int) -> list[JoinResult]:
@@ -114,9 +113,13 @@ class JStar:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def depths(self) -> DepthReport:
+    def depths(self) -> list[int]:
         """Deepest index touched per input (positional-access I/O model)."""
-        return DepthReport(self._max_i + 1, self._max_j + 1)
+        return [self._max_i + 1, self._max_j + 1]
+
+    @property
+    def sum_depths(self) -> int:
+        return sum(self.depths())
 
     @property
     def states_popped(self) -> int:

@@ -26,8 +26,8 @@ def full_join(
     results = []
     for rtup in right:
         for ltup in buckets.get(rtup.key, ()):
-            score = scoring(ltup.scores + rtup.scores)
-            results.append(JoinResult.combine(ltup, rtup, score))
+            scores = ltup.scores + rtup.scores
+            results.append(JoinResult((ltup, rtup), scoring(scores), scores))
     return results
 
 

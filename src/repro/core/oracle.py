@@ -103,7 +103,7 @@ def optimal_sum_depths(instance: RankJoinInstance, k: int | None = None) -> int:
     for strategy in (PotentialAdaptive(), RoundRobin()):
         operator = oracle_operator(instance, strategy)
         operator.top_k(k)
-        depths = operator.depths().sum_depths
+        depths = operator.sum_depths
         best = depths if best is None else min(best, depths)
     return best
 

@@ -31,7 +31,7 @@ from repro.core.bounds import BoundContext, BoundingScheme
 from repro.core.pulling import PullingStrategy, side_labels
 from repro.core.scoring import ScoringFunction
 from repro.core.stepping import PENDING, ResumableBase
-from repro.core.tuples import JoinResult, RankTuple, chain_result
+from repro.core.tuples import JoinResult, RankTuple
 from repro.errors import InstanceError
 from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
@@ -68,10 +68,11 @@ def result_identity(result: JoinResult) -> tuple:
     independent of discovery.
 
     Built purely from result *content* (join keys, full-precision score
-    vectors, payloads), so any two executions — serial, sharded, any-k,
-    under request chaos — order an exact-score tie group identically.
+    vectors, payloads) — the :func:`tuple_identity` of each constituent in
+    input order — so any two executions — serial, sharded, any-k, under
+    request chaos — order an exact-score tie group identically.
     """
-    return tuple_identity(result.left) + tuple_identity(result.right)
+    return sum(map(tuple_identity, result.tuples), ())
 
 
 #: Per-pull span timing: the first ``_TIMING_WARMUP`` pulls are timed
@@ -104,8 +105,7 @@ class PBRJ(ResumableBase):
         to input ``i + 1`` (:func:`~repro.relation.relation.attr_value`:
         ``KEY_ATTR`` is the tuple key, any other name a payload entry).
         ``None`` joins every link on the tuple key.  Results are
-        :class:`~repro.core.tuples.JoinResult` s for two inputs and
-        :class:`~repro.core.tuples.MultiwayResult` s for more.
+        :class:`~repro.core.tuples.JoinResult` s, one tuple per input.
     name:
         Label used in reports.
     obs:
@@ -152,7 +152,6 @@ class PBRJ(ResumableBase):
              tuple((value_of[link], *tables[link]) for link in range(side, arity - 1)))
             for side in range(arity)
         )
-        self._result = chain_result(arity)
         self.name = name
         self.scoring = scoring
         self._sides = tuple(range(arity))
@@ -332,7 +331,8 @@ class PBRJ(ResumableBase):
         the chains through ``rho`` grow from it link by link, down to input
         0 and then up to input ``n - 1``, each carrying its score vector;
         they come out ordered by partner arrival, nearer inputs first.
-        Each result carries its ``score``; the loop owns the output heap.
+        Each result carries its ``score`` and the vector it was scored
+        from; the loop owns the output heap.
         (Loops, not comprehensions: a comprehension's closure would cost
         every pull.)
         """
@@ -363,9 +363,9 @@ class PBRJ(ResumableBase):
                 for partner in there.get(value_of(chain[-1]), ()):
                     grown.append((chain + (partner,), scores + partner.scores))
             chains = grown
-        build, scoring, results = self._result, self.scoring, []
+        scoring, results = self.scoring, []
         for chain, scores in chains:
-            results.append(build(chain, scoring(scores)))
+            results.append(JoinResult(chain, scoring(scores), scores))
         return results
 
     # ------------------------------------------------------------------
@@ -408,22 +408,13 @@ class PBRJ(ResumableBase):
     def pulls(self) -> int:
         return self._pulls
 
-    def depths(self) -> "DepthReport | list[int]":
-        """Tuples pulled per input: a :class:`DepthReport` for two inputs,
-        a list for more."""
-        if len(self._sources) == 2:
-            return self._depth_report()
+    def depths(self) -> list[int]:
+        """Tuples pulled per input, in input order."""
         return [source.depth for source in self._sources]
 
     @property
     def sum_depths(self) -> int:
         return sum(source.depth for source in self._sources)
-
-    def _depth_report(self) -> DepthReport:
-        """Depths in the reports' two-column vocabulary: the first input,
-        then every other input together (for the binary join: left, right)."""
-        first, *rest = (source.depth for source in self._sources)
-        return DepthReport(first, sum(rest))
 
     def timing(self) -> TimingBreakdown:
         return TimingBreakdown(
@@ -435,7 +426,7 @@ class PBRJ(ResumableBase):
     def memory(self) -> MemoryHighWater:
         """Peak buffer occupancy: hash tables grow with depth, the output
         heap with generated-but-unemitted results."""
-        depths = self._depth_report()
+        depths = DepthReport.of(self.depths())
         return MemoryHighWater(
             hash_left=depths.left, hash_right=depths.right, output=self._max_output
         )
@@ -444,7 +435,7 @@ class PBRJ(ResumableBase):
         """Snapshot of all measurements, suitable for reports."""
         return OperatorStats(
             operator=self.name,
-            depths=self._depth_report(),
+            depths=DepthReport.of(self.depths()),
             timing=self.timing(),
             io_cost=sum(source.cost for source in self._sources),
             bound_recomputations=self._bound.cover_recomputations,

@@ -2,16 +2,16 @@
 
 A :class:`RankTuple` is one input tuple: a join-attribute value ``key``, a
 base-score vector ``scores`` (the paper's ``b(τ)``), and an opaque payload of
-attribute values.  A :class:`JoinResult` is one output tuple of a binary rank
-join: it carries the two constituents, the concatenated score vector, and the
-aggregated score ``S(b(τ1) ⊕ b(τ2))``; a :class:`MultiwayResult` is the same
-for a chain of three or more inputs.  :func:`chain_result` picks between them.
+attribute values.  A :class:`JoinResult` is one output tuple of a rank join
+over ``n >= 2`` inputs — the binary join is ``n = 2``: it carries one
+constituent per input, the concatenated score vector, and the aggregated
+score ``S(b(τ1) ⊕ … ⊕ b(τn))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from dataclasses import dataclass
+from typing import Any, Hashable
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,60 +42,40 @@ class RankTuple:
 
 @dataclass(frozen=True, slots=True)
 class JoinResult:
-    """A join result ``τ = τ1 ⋈ τ2`` with its aggregated score."""
+    """A join result ``τ = τ1 ⋈ … ⋈ τn``: one tuple per input in input
+    order, the aggregated score ``S(b(τ1) ⊕ … ⊕ b(τn))`` and the
+    concatenated score vector it was computed from."""
 
-    left: RankTuple
-    right: RankTuple
+    tuples: tuple[RankTuple, ...]
     score: float
-    scores: tuple[float, ...] = field(default=())
+    scores: tuple[float, ...]
 
     @classmethod
-    def combine(cls, left: RankTuple, right: RankTuple, score: float) -> "JoinResult":
-        """Build a result whose score vector concatenates the operand vectors."""
-        return cls(left=left, right=right, score=score, scores=left.scores + right.scores)
+    def combine(cls, tuples: tuple[RankTuple, ...], score: float) -> "JoinResult":
+        """Build a result whose score vector concatenates the tuples' vectors."""
+        return cls(tuples, score, tuple(s for tup in tuples for s in tup.scores))
+
+    @property
+    def left(self) -> RankTuple:
+        """The first input's constituent."""
+        return self.tuples[0]
+
+    @property
+    def right(self) -> RankTuple:
+        """The last input's constituent."""
+        return self.tuples[-1]
 
     @property
     def key(self) -> Hashable:
-        """The shared join-attribute value."""
-        return self.left.key
+        """The first constituent's join-attribute value (the binary join's
+        shared key)."""
+        return self.tuples[0].key
 
     def merged_payload(self) -> dict:
-        """Merge dict payloads of both sides (used by pipelined plans)."""
-        merged: dict = {}
-        for part in (self.left.payload, self.right.payload):
-            if isinstance(part, dict):
-                merged.update(part)
-        return merged
-
-
-class MultiwayResult:
-    """A complete n-way join result."""
-
-    __slots__ = ("tuples", "score", "scores")
-
-    def __init__(self, tuples: tuple[RankTuple, ...], score: float) -> None:
-        self.tuples = tuples
-        self.score = score
-        self.scores = tuple(s for t in tuples for s in t.scores)
-
-    def merged_payload(self) -> dict:
+        """Merge the dict payloads of all constituents, later inputs winning
+        (used by pipelined plans)."""
         merged: dict = {}
         for tup in self.tuples:
             if isinstance(tup.payload, dict):
                 merged.update(tup.payload)
         return merged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MultiwayResult(score={self.score:.4f}, n={len(self.tuples)})"
-
-
-def _pair(tuples: tuple[RankTuple, RankTuple], score: float) -> JoinResult:
-    left, right = tuples
-    return JoinResult(left, right, score, left.scores + right.scores)
-
-
-def chain_result(arity: int) -> Callable[[tuple[RankTuple, ...], float], Any]:
-    """The result constructor of an ``arity``-input join, called as
-    ``build(tuples, score)`` with one tuple per input in input order: a
-    :class:`JoinResult` for two inputs, a :class:`MultiwayResult` for more."""
-    return _pair if arity == 2 else MultiwayResult

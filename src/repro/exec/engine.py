@@ -27,7 +27,6 @@ from repro.exec.merge import GlobalTopKMerger
 from repro.exec.partition import HashPartitionPlan, partition_instance
 from repro.exec.worker import ExecConfig, ShardWorker
 from repro.relation.relation import RankJoinInstance
-from repro.stats.metrics import DepthReport
 
 
 class ShardedRankJoin(ResumableBase):
@@ -69,7 +68,7 @@ class ShardedRankJoin(ResumableBase):
         }
         self._merger = GlobalTopKMerger(list(self._workers))
         self._pulls = 0
-        self._depths: dict[int, tuple[int, int]] = {
+        self._depths: dict[int, tuple[int, ...]] = {
             shard: (0, 0) for shard in self._workers
         }
 
@@ -117,7 +116,7 @@ class ShardedRankJoin(ResumableBase):
             granted += quantum
             outcome = self._workers[shard].advance(quantum)
             self._merger.offer(outcome)
-            self._depths[shard] = (outcome.depth_left, outcome.depth_right)
+            self._depths[shard] = outcome.depths
             spent += outcome.pulls
         self._pulls += spent
         return spent
@@ -138,11 +137,13 @@ class ShardedRankJoin(ResumableBase):
         """Score of the best candidate held at the merge gate; ``-inf`` if none."""
         return self._merger.best_candidate_score
 
-    def depths(self) -> DepthReport:
-        """Aggregate sumDepths: per-side totals over all shards."""
-        left = sum(depth[0] for depth in self._depths.values())
-        right = sum(depth[1] for depth in self._depths.values())
-        return DepthReport(left, right)
+    def depths(self) -> list[int]:
+        """Per-input totals over all shards."""
+        return [sum(depth[side] for depth in self._depths.values()) for side in (0, 1)]
+
+    @property
+    def sum_depths(self) -> int:
+        return sum(map(sum, self._depths.values()))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -89,8 +89,7 @@ class AdvanceOutcome:
     shard: int
     results: tuple[JoinResult, ...]
     pulls: int
-    depth_left: int
-    depth_right: int
+    depths: tuple[int, ...]
     frontier: float
     exhausted: bool = field(default=False)
 
@@ -142,8 +141,7 @@ class ShardWorker:
             shard=self.shard,
             results=tuple(results),
             pulls=operator.pulls - start_pulls,
-            depth_left=operator.depth(0),
-            depth_right=operator.depth(1),
+            depths=tuple(operator.depths()),
             frontier=operator.frontier(),
             exhausted=self._exhausted,
         )

@@ -75,7 +75,7 @@ def ext_baselines_e1(config: FigureConfig) -> ExperimentTable:
     )
     jstar = jstar_from_instance(instance)
     jstar.top_k(instance.k)
-    table.add_row("J*", jstar.depths().sum_depths, "positional (random)")
+    table.add_row("J*", jstar.sum_depths, "positional (random)")
     for name in ALL_OPERATORS:
         result = run_operator(name, instance)
         table.add_row(name, result.sum_depths, "sequential (streamed)")
@@ -164,7 +164,7 @@ def ext_optimality_ratio(config: FigureConfig) -> ExperimentTable:
         for name in operators:
             operator = make_operator(name, instance)
             operator.top_k(instance.k)
-            ratios[name].append(operator.depths().sum_depths / opt)
+            ratios[name].append(operator.sum_depths / opt)
     table = ExperimentTable(
         title="Extension: measured optimality ratios (sumDepths / legal OPT)",
         headers=["operator", "max_ratio", "mean_ratio"],

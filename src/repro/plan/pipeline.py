@@ -24,7 +24,7 @@ from repro.errors import InstanceError
 from repro.relation.cost import CostModel
 from repro.relation.relation import Relation
 from repro.relation.sources import SortedScan, TupleSource, sorted_access
-from repro.stats.metrics import DepthReport, TimingBreakdown
+from repro.stats.metrics import TimingBreakdown
 
 
 class OperatorSource(TupleSource):
@@ -168,24 +168,19 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def base_depths(self) -> list[int]:
-        """Tuples pulled from each base relation."""
+    def depths(self) -> list[int]:
+        """Tuples pulled from each base relation, in join order."""
         return [scan.depth for scan in self.base_scans]
 
     @property
     def sum_depths(self) -> int:
         """Total base-relation tuples pulled — the paper's plan I/O metric."""
-        return sum(self.base_depths())
+        return sum(self.depths())
 
     @property
     def io_cost(self) -> float:
         """Total simulated I/O cost across base relations."""
         return sum(scan.cost for scan in self.base_scans)
-
-    def depths(self) -> DepthReport:
-        """Two-way summary: left = first relation, right = all others."""
-        base = self.base_depths()
-        return DepthReport(base[0], sum(base[1:]))
 
     def timing(self) -> TimingBreakdown:
         """Pipeline-level breakdown.

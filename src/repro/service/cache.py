@@ -38,14 +38,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.tuples import JoinResult, MultiwayResult, RankTuple
+from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
 
 #: The only globals a shared-tier record names.  Unpickling any other one
 #: could run code from a file no worker wrote, so it is refused.
 _RECORD_CLASSES = {
     (cls.__module__, cls.__qualname__): cls
-    for cls in (JoinResult, RankTuple, MultiwayResult)
+    for cls in (JoinResult, RankTuple)
 }
 
 
@@ -68,11 +68,15 @@ def _finite(value) -> bool:
 
 def _well_formed(payload) -> bool:
     """Is ``payload`` a shared-tier record as :meth:`ResultCache._shared_store`
-    writes it (and so safe to serve from)?"""
+    writes it (and so safe to serve from)?  Each result is checked against
+    this layout: a record of an older one fills the wrong slots, or leaves
+    one unset, which raises here — a miss for the caller."""
     return (
         type(payload) is dict
         and type(payload.get("results")) is list
-        and all(isinstance(r, (JoinResult, MultiwayResult)) and _finite(r.score)
+        and all(type(r) is JoinResult and type(r.tuples) is tuple
+                and all(type(t) is RankTuple for t in r.tuples)
+                and _finite(r.score) and type(r.scores) is tuple
                 for r in payload["results"])
         and type(payload.get("exhausted")) is bool
         and _finite(payload.get("created_at"))
@@ -300,9 +304,9 @@ class ResultCache:
         path = self._shared_path(key)
         try:
             payload = _RecordUnpickler(io.BytesIO(path.read_bytes())).load()
+            if not _well_formed(payload):
+                return None
         except Exception:  # noqa: BLE001 - any unreadable file is a miss
-            return None
-        if not _well_formed(payload):
             return None
         entry = CacheEntry(
             results=payload["results"],

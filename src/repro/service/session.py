@@ -319,12 +319,7 @@ class QuerySession:
     def depths(self) -> list[int]:
         """Per-input depths of the underlying operator."""
         operator = self.operator
-        if operator is None:
-            return self._final_depths
-        depth_report = operator.depths()
-        if isinstance(depth_report, list):
-            return depth_report
-        return [depth_report.left, depth_report.right]
+        return self._final_depths if operator is None else operator.depths()
 
     def snapshot(self) -> dict:
         """A JSON-friendly view of the session (the ``poll`` payload)."""

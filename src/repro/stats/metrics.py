@@ -8,15 +8,24 @@ time with its breakdown into I/O, bound computation, and other work
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class DepthReport:
-    """Input depths after answering the K getNext calls."""
+    """Input depths after answering the K getNext calls, in the reports'
+    two columns: the first input, then every other input together (for the
+    binary join: left, right)."""
 
     left: int
     right: int
+
+    @classmethod
+    def of(cls, depths: Sequence[int]) -> "DepthReport":
+        """The two columns of an operator's per-input ``depths()``."""
+        first, *rest = depths
+        return cls(first, sum(rest))
 
     @property
     def sum_depths(self) -> int:

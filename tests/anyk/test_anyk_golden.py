@@ -149,10 +149,9 @@ def run(case, quantum):
             break
         if outcome is PENDING:
             continue
-        tuples = getattr(outcome, "tuples", None) or (outcome.left, outcome.right)
         lines.append("{} {}".format(
             float(outcome.score).hex(),
-            [tuple_identity(tup) for tup in tuples],
+            [tuple_identity(tup) for tup in outcome.tuples],
         ))
     return operator, lines
 

@@ -124,7 +124,7 @@ class TestSnapshotIsolation:
             emitted = drain(operator, quantum=7, limit=3)
         self.mutate(left, right)
         assert emitted + drain(operator, quantum=7) == reference
-        assert operator.depths().left == len(untouched[0])
+        assert operator.depths()[0] == len(untouched[0])
 
         # The next query reads the new content through fresh views.
         fresh = AnyKRankJoin(AnyKQuery.binary(left, right), self.SCORING)
@@ -132,7 +132,7 @@ class TestSnapshotIsolation:
         assert answer == top_scores(
             naive_top_k(left.tuples, right.tuples, self.SCORING, 5))
         assert answer != [score for score, _ in reference[:5]]
-        assert fresh.depths().left == len(untouched[0]) + 1
+        assert fresh.depths()[0] == len(untouched[0]) + 1
 
 
 def harness_query():

@@ -12,6 +12,9 @@ bit and the same results as a multiset: it breaks exact ties by arrival,
 so its order inside a tie is not compared.
 """
 
+import itertools
+from operator import attrgetter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +23,7 @@ from repro.core.afr_bound import AFRBound
 from repro.core.bounds import CornerBound
 from repro.core.naive import naive_top_k
 from repro.core.operators import multiway_rank_join
-from repro.core.pbrj import SCORE_EPS
+from repro.core.pbrj import SCORE_EPS, result_identity
 from repro.core.scoring import SumScore
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
@@ -134,9 +137,7 @@ def assert_enumeration_contract(query, budget=None, engine="anyk"):
     # (b) duplicate-free: no input-tuple combination emitted twice.  (By
     # object identity — relations may hold content-identical tuples, and
     # each occurrence is its own join result.)
-    combos = [
-        tuple(getattr(r, "tuples", None) or (r.left, r.right)) for r in emitted
-    ]
+    combos = [r.tuples for r in emitted]
     object_ids = [tuple(id(t) for t in combo) for combo in combos]
     assert len(set(object_ids)) == len(object_ids)
     identities = [_identity(combo) for combo in combos]
@@ -167,6 +168,21 @@ class TestEnumerationProperties:
     def test_chain3_matches_oracle(self, data, budget, engine):
         """Chains of three or four relations (``chain_query``)."""
         assert_enumeration_contract(chain_query(data.draw), budget, engine)
+
+    @given(data=st.data(), engine=st.sampled_from(["corner", "afr"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_tie_order_at_every_arity(self, data, engine):
+        """On chains of three or four relations, :func:`result_identity`
+        is the tie order: any-k emits each exact-score tie sorted by it, and
+        the loop's results, sorted by score then by it, are any-k's."""
+        query = chain_query(data.draw)
+        anyk = list(AnyKRankJoin(query))
+        for _, tie in itertools.groupby(anyk, key=attrgetter("score")):
+            tie = list(tie)
+            assert tie == sorted(tie, key=result_identity)
+        loop = list(ENGINES[engine](query, SumScore()))
+        loop.sort(key=lambda r: (-r.score, result_identity(r)))
+        assert loop == anyk
 
     @given(data=st.data(), k=st.integers(1, 8))
     @settings(max_examples=30, deadline=None)

@@ -76,10 +76,9 @@ def run_case(instance_name, operator_name, kwargs):
     instance = INSTANCES[instance_name]()
     operator = make_operator(operator_name, instance, **kwargs)
     results = operator.top_k(instance.k)
-    depths = operator.depths()
     return (
         (instance, operator, results),
-        depths.left, depths.right, operator.stats().bound_recomputations,
+        *operator.depths(), operator.stats().bound_recomputations,
     )
 
 

@@ -159,7 +159,7 @@ def test_both_forms_charge_the_same_cost_under_a_fractional_model(name):
     depths = columnar.depths()
     assert depths == loop.depths()
     assert columnar.stats().io_cost == loop.stats().io_cost == sum(
-        0.3 + 0.1 * depth for depth in (depths.left, depths.right))
+        0.3 + 0.1 * depth for depth in depths)
 
 
 def _on_a_grid(instance, cells):

@@ -188,7 +188,7 @@ class TestRefreshIsADelta:
         context = BoundContext(instance.scoring, instance.dims)
         depths = operator.depths()
         closed = 0
-        for side, depth in ((LEFT, depths.left), (RIGHT, depths.right)):
+        for side, depth in zip((LEFT, RIGHT), depths):
             bounds = [
                 context.score_bound(side, t.scores)
                 for t in instance.sorted_tuples(side)[:depth]

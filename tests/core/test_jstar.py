@@ -82,9 +82,9 @@ class TestCostAccounting:
         )
         operator = jstar_from_instance(instance)
         operator.top_k(5)
-        depths = operator.depths()
-        assert depths.left <= 100
-        assert depths.right <= 100
+        left, right = operator.depths()
+        assert left <= 100
+        assert right <= 100
         assert operator.states_popped >= 5
 
     def test_early_termination_on_top_heavy_input(self):
@@ -95,7 +95,7 @@ class TestCostAccounting:
         top = operator.get_next()
         assert top is not None
         assert top.score == pytest.approx(2.0)
-        assert operator.depths().sum_depths < 20
+        assert operator.sum_depths < 20
 
     def test_lattice_states_can_exceed_depths(self):
         """J* pays CPU for non-matching pairs between matches."""
@@ -106,4 +106,4 @@ class TestCostAccounting:
         operator = JStar(left, right)
         result = operator.get_next()
         assert result is not None
-        assert operator.states_popped > operator.depths().left
+        assert operator.states_popped > operator.depths()[0]

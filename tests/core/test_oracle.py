@@ -107,7 +107,7 @@ class TestOracleOperator:
         other.top_k(5)
         # Strategy differences allow small deviations per input, but the
         # oracle's sumDepths is a valid lower-ish reference.
-        assert oracle.depths().sum_depths <= other.depths().sum_depths + 2
+        assert oracle.sum_depths <= other.sum_depths + 2
 
     def test_clairvoyant_oracle_below_certificate_opt(self):
         """The clairvoyant reference is a strict lower bound on legal OPT."""
@@ -126,7 +126,7 @@ class TestCertificateOpt:
         opt = certificate_optimal_sum_depths(instance)
         frpa = make_operator("FRPA", instance)
         frpa.top_k(instance.k)
-        assert frpa.depths().sum_depths <= 2 * opt + 4
+        assert frpa.sum_depths <= 2 * opt + 4
 
     def test_certificate_requires_k_results(self):
         instance = tiny_instance(seed=0, n_left=5, n_right=5, num_keys=500, k=3)
@@ -140,4 +140,4 @@ class TestCertificateOpt:
         for name in sorted(OPERATORS):
             operator = make_operator(name, instance)
             operator.top_k(instance.k)
-            assert opt <= operator.depths().sum_depths
+            assert opt <= operator.sum_depths

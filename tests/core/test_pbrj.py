@@ -86,7 +86,7 @@ class TestEarlyTermination:
         first = op.get_next()
         assert first is not None
         assert first.score == pytest.approx(2.0)  # key 0 joins key 0
-        assert op.depths().sum_depths < 50
+        assert op.sum_depths < 50
 
     def test_adaptive_strategy_can_beat_round_robin(self):
         # Left input's scores plummet: adaptive pulling should hammer the
@@ -99,15 +99,14 @@ class TestEarlyTermination:
         )
         rr.top_k(1)
         ad.top_k(1)
-        assert ad.depths().sum_depths <= rr.depths().sum_depths
+        assert ad.sum_depths <= rr.sum_depths
 
 
 class TestAccounting:
     def test_depths_match_sources(self):
         op = operator(LEFT_PAIRS, RIGHT_PAIRS)
         op.top_k(1)
-        depths = op.depths()
-        assert depths.left + depths.right == op.pulls
+        assert sum(op.depths()) == op.pulls
 
     def test_pull_budget_enforced(self):
         left = [(i, (1.0 - i / 100,)) for i in range(50)]

@@ -90,7 +90,7 @@ class TestDepthMonotonicity:
         for k in (1, 3, 10, 30):
             op = make_operator(operator, instance)
             op.top_k(k)
-            depths = op.depths().sum_depths
+            depths = op.sum_depths
             assert depths >= previous
             previous = depths
 
@@ -117,8 +117,7 @@ class TestMemoryAccounting:
         op = make_operator("FRPA", instance)
         op.top_k(10)
         memory = op.memory()
-        assert memory.hash_left == op.depths().left
-        assert memory.hash_right == op.depths().right
+        assert [memory.hash_left, memory.hash_right] == op.depths()
         assert memory.output >= 10
         assert memory.total == (
             memory.hash_left + memory.hash_right + memory.output

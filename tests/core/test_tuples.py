@@ -27,7 +27,7 @@ class TestJoinResult:
     def test_combine_concatenates_scores(self):
         left = RankTuple(key=1, scores=(0.2, 0.3))
         right = RankTuple(key=1, scores=(0.9,))
-        result = JoinResult.combine(left, right, score=1.4)
+        result = JoinResult.combine((left, right), score=1.4)
         assert result.scores == (0.2, 0.3, 0.9)
         assert result.score == 1.4
         assert result.key == 1
@@ -35,16 +35,16 @@ class TestJoinResult:
     def test_merged_payload_combines_dicts(self):
         left = RankTuple(key=1, scores=(0.2,), payload={"orderkey": 1, "partkey": 7})
         right = RankTuple(key=1, scores=(0.9,), payload={"custkey": 3})
-        result = JoinResult.combine(left, right, score=1.1)
+        result = JoinResult.combine((left, right), score=1.1)
         assert result.merged_payload() == {"orderkey": 1, "partkey": 7, "custkey": 3}
 
     def test_merged_payload_ignores_non_dicts(self):
         left = RankTuple(key=1, scores=(0.2,), payload="opaque")
         right = RankTuple(key=1, scores=(0.9,), payload={"custkey": 3})
-        result = JoinResult.combine(left, right, score=1.1)
+        result = JoinResult.combine((left, right), score=1.1)
         assert result.merged_payload() == {"custkey": 3}
 
     def test_right_payload_wins_on_collision(self):
         left = RankTuple(key=1, scores=(0.2,), payload={"k": 1})
         right = RankTuple(key=1, scores=(0.9,), payload={"k": 2})
-        assert JoinResult.combine(left, right, 1.1).merged_payload() == {"k": 2}
+        assert JoinResult.combine((left, right), 1.1).merged_payload() == {"k": 2}

@@ -98,8 +98,7 @@ class TestInstrumentation:
             config=ExecConfig(shards=4, backend="serial"),
         ) as engine:
             engine.top_k(10)
-            depths = engine.depths()
-            assert depths.left + depths.right == engine.pulls
+            assert sum(engine.depths()) == engine.sum_depths == engine.pulls
 
 
 class TestServiceIntegration:

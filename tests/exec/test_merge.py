@@ -11,13 +11,13 @@ NEG_INF = float("-inf")
 def make_result(key, score, left_scores=(0.5, 0.5), right_scores=(0.5, 0.5)):
     left = RankTuple(key=key, scores=tuple(left_scores), payload=None)
     right = RankTuple(key=key, scores=tuple(right_scores), payload=None)
-    return JoinResult.combine(left, right, score)
+    return JoinResult.combine((left, right), score)
 
 
 def outcome(shard, results=(), frontier=NEG_INF, pulls=0, exhausted=False):
     return AdvanceOutcome(
         shard=shard, results=tuple(results), pulls=pulls,
-        depth_left=0, depth_right=0, frontier=frontier, exhausted=exhausted,
+        depths=(0, 0), frontier=frontier, exhausted=exhausted,
     )
 
 

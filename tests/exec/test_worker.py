@@ -62,7 +62,7 @@ class TestShardWorker:
         worker = ShardWorker(0, shard_instances[0], "FRPA")
         outcome = worker.advance(10)
         assert outcome.pulls <= 10
-        assert outcome.depth_left + outcome.depth_right == outcome.pulls
+        assert sum(outcome.depths) == outcome.pulls
 
     def test_results_in_decreasing_score_order(self, shard_instances):
         worker = ShardWorker(0, shard_instances[0], "FRPA")

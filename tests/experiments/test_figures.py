@@ -70,7 +70,7 @@ class TestPipelineQueryRunner:
         params = WorkloadParams(e=1, c=0.5, z=0.5, k=2, scale=0.0003, seed=0)
         pipeline = run_pipeline_query("L⋈O⋈C", "a-FRPA", params)
         assert pipeline.sum_depths > 0
-        assert len(pipeline.base_depths()) == 3
+        assert len(pipeline.depths()) == 3
 
     def test_unknown_query_rejected(self):
         params = WorkloadParams(scale=0.0003)

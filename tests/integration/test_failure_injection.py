@@ -57,7 +57,7 @@ class TestSourceFailures:
             operator.top_k(8)
         # Depth counters reflect the accesses attempted (the failing access
         # was charged before it raised — like a failed disk read).
-        assert operator.depths().left == 3
+        assert operator.depths()[0] == 3
         assert operator.pulls >= 2
 
     def test_unsorted_stream_detected_by_verifier(self):

@@ -57,4 +57,4 @@ def test_depth_sanity_across_scorings(label, scoring):
     for operator in ("FRPA", "a-FRPA"):
         op = make_operator(operator, instance)
         op.top_k(5)
-        assert op.depths().sum_depths <= total
+        assert op.sum_depths <= total

@@ -38,8 +38,7 @@ class TestTheorem42:
         b = pbrj_fr_rr(instance)
         a.top_k(spec["k"])
         b.top_k(spec["k"])
-        assert a.depths().left <= b.depths().left
-        assert a.depths().right <= b.depths().right
+        assert all(d <= e for d, e in zip(a.depths(), b.depths()))
 
     def test_frpa_sum_depths_never_worse(self, spec):
         instance = random_instance(**spec)
@@ -47,7 +46,7 @@ class TestTheorem42:
         b = pbrj_fr_rr(instance)
         a.top_k(spec["k"])
         b.top_k(spec["k"])
-        assert a.depths().sum_depths <= b.depths().sum_depths
+        assert a.sum_depths <= b.sum_depths
 
 
 @pytest.mark.parametrize("spec", INSTANCE_GRID)
@@ -63,9 +62,9 @@ class TestBoundDominance:
         adaptive.top_k(spec["k"])
         corner.top_k(spec["k"])
         assert (
-            tight.depths().sum_depths
-            <= adaptive.depths().sum_depths
-            <= corner.depths().sum_depths
+            tight.sum_depths
+            <= adaptive.sum_depths
+            <= corner.sum_depths
         )
 
     def test_large_budget_afr_equals_frpa(self, spec):
@@ -98,6 +97,6 @@ class TestInstanceOptimalityRatio:
         for name in ["HRJN*", "HRJN", "PBRJ_FR^RR", "FRPA", "a-FRPA"]:
             op = make_operator(name, instance)
             op.top_k(5)
-            depths[name] = op.depths().sum_depths
+            depths[name] = op.sum_depths
         best = min(depths.values())
         assert depths["FRPA"] <= 2 * best + 2

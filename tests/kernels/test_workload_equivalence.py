@@ -27,10 +27,9 @@ def _run(workload_name, operator_name):
     instance = WORKLOAD_BUILDERS[workload_name]()
     operator = make_operator(operator_name, instance)
     results = operator.top_k(instance.k)
-    depths = operator.depths()
     return (
         [(r.score, r.left.key, r.right.key) for r in results],
-        (depths.left, depths.right),
+        operator.depths(),
     )
 
 

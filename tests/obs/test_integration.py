@@ -50,10 +50,8 @@ class TestOperatorMetrics:
         op = make_operator("FRPA", instance, obs=obs)
         op.top_k(5)
         metrics = obs.metrics
-        assert metrics.value("pulls_total", op="FRPA", side="left") == \
-            op.depths().left
-        assert metrics.value("pulls_total", op="FRPA", side="right") == \
-            op.depths().right
+        assert [metrics.value("pulls_total", op="FRPA", side=side)
+                for side in ("left", "right")] == op.depths()
         assert metrics.value("results_emitted_total", op="FRPA") == 5
 
     def test_bound_recompute_counter_matches_scheme(self, instance):

@@ -107,7 +107,7 @@ class TestPipelineMetrics:
     def test_base_depths_tracked(self, three_relations):
         pipeline = Pipeline(list(three_relations), ["custkey"], operator="a-FRPA")
         pipeline.top_k(1)
-        depths = pipeline.base_depths()
+        depths = pipeline.depths()
         assert len(depths) == 3
         assert all(d >= 0 for d in depths)
         assert pipeline.sum_depths == sum(depths)

@@ -156,7 +156,7 @@ class TestBinaryDepths:
         predicted = estimate_depths([instance.left, instance.right], 10)
         operator = hrjn_star(instance)
         operator.top_k(10)
-        actual = operator.depths().sum_depths
+        actual = operator.sum_depths
         # Corner-model estimates track HRJN* within a small factor.
         assert predicted.sum_depths <= 5 * actual
         assert actual <= 5 * predicted.sum_depths + 50

@@ -23,8 +23,7 @@ class TestInstanceCosts:
         )
         operator = frpa(instance)
         operator.top_k(PARAMS.k)
-        depths = operator.depths()
-        expected = depths.sum_depths * 10.0 + 2 * 100.0  # both seeks paid
+        expected = operator.sum_depths * 10.0 + 2 * 100.0  # both seeks paid
         assert operator.stats().io_cost == pytest.approx(expected)
 
     def test_costlier_access_scales_io_cost_not_depth(self):

@@ -333,10 +333,10 @@ class TestAQueryPaysForWhatItReads:
         depths = operator.depths()
         seen = [
             Counter(t.key for t in instance.sorted_tuples(side)[:depth])
-            for side, depth in enumerate((depths.left, depths.right))
+            for side, depth in enumerate(depths)
         ]
         formed = sum(count * seen[1][key] for key, count in seen[0].items())
-        assert len(results) == 10 and depths.left + depths.right > formed > 10
+        assert len(results) == 10 and sum(depths) > formed > 10
         # 0 per pull; pairs read ahead by the last gallop at most 4x over.
         assert scoring.calls == 0
         assert formed <= scoring.rows <= 4 * formed

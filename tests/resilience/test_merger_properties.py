@@ -25,8 +25,7 @@ from repro.exec.worker import AdvanceOutcome
 def make_result(score: float, tag: int) -> JoinResult:
     half = score / 2.0
     return JoinResult.combine(
-        RankTuple(key=tag, scores=(half,)),
-        RankTuple(key=tag, scores=(score - half,)),
+        (RankTuple(key=tag, scores=(half,)), RankTuple(key=tag, scores=(score - half,))),
         score,
     )
 
@@ -37,8 +36,7 @@ def make_outcome(shard: int, scores, frontier: float,
         shard=shard,
         results=tuple(make_result(s, i) for i, s in enumerate(scores)),
         pulls=max(1, len(scores)),
-        depth_left=1,
-        depth_right=1,
+        depths=(1, 1),
         frontier=frontier,
         exhausted=exhausted,
     )

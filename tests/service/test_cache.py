@@ -1,11 +1,14 @@
 """ResultCache: LRU+TTL mechanics, prefix reuse, and prefix extension."""
 
+import copyreg
+import io
 import pickle
 import random
 
 import pytest
 
-from repro.core.tuples import JoinResult, MultiwayResult, RankTuple
+from repro.core import tuples as tuples_module
+from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
 from repro.relation import Relation
 from repro.service import (
@@ -305,7 +308,8 @@ class TestPlanAwareCacheKeys:
 
 def answers(*scores):
     """Join results with these scores: what the shared tier holds."""
-    return [JoinResult(RankTuple(0, (s,)), RankTuple(0, (s,)), s) for s in scores]
+    return [JoinResult.combine((RankTuple(0, (s,)), RankTuple(0, (s,))), s)
+            for s in scores]
 
 
 A, B, C, D = answers(0.9, 0.8, 0.7, 0.6)
@@ -423,7 +427,7 @@ class TestSharedTier:
 
     def test_binary_and_nary_records_still_hit(self, tmp_path):
         left, right = RankTuple(key=1, scores=(0.5,)), RankTuple(key=1, scores=(0.25,))
-        chain = [MultiwayResult((left, right, left), 1.25)]
+        chain = [JoinResult.combine((left, right, left), 1.25)]
         writer = ResultCache(capacity=4, shared_dir=tmp_path)
         writer.store("binary", [A, B])
         writer.store("chain", chain)
@@ -433,6 +437,39 @@ class TestSharedTier:
         found = reader.lookup("chain", 1)
         assert [(r.score, r.tuples) for r in found] == [(1.25, (left, right, left))]
         assert obs.metrics.value("service_cache_shared_hits_total") == 2
+
+    @pytest.mark.parametrize("layout", ["two-constituent", "multiway"])
+    def test_an_older_layout_record_is_a_clean_miss(self, tmp_path, monkeypatch, layout):
+        """A record written before every result held one tuple per input
+        misses: a ``JoinResult`` whose state is ``[left, right, score,
+        scores]`` fills the wrong slots, and ``MultiwayResult`` no longer
+        resolves."""
+        left, right = RankTuple(key=1, scores=(0.5,)), RankTuple(key=1, scores=(0.25,))
+
+        class Older(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is JoinResult:
+                    state = [obj.left, obj.right, obj.score, obj.scores]
+                    return copyreg.__newobj__, (JoinResult,), state
+                return NotImplemented
+
+        class MultiwayResult:
+            __slots__ = ("tuples", "score", "scores")
+            __module__, __qualname__ = "repro.core.tuples", "MultiwayResult"
+
+        if layout == "multiway":
+            result = MultiwayResult()
+            result.tuples, result.score = (left, right, left), 1.25
+            result.scores = (0.5, 0.25, 0.5)
+            monkeypatch.setattr(tuples_module, "MultiwayResult", MultiwayResult,
+                                raising=False)
+        else:
+            result = JoinResult.combine((left, right), 0.75)
+        buffer = io.BytesIO()
+        Older(buffer).dump({"results": [result], "exhausted": True, "created_at": 1.0})
+        monkeypatch.delattr(tuples_module, "MultiwayResult", raising=False)
+        (tmp_path / "q1.pkl").write_bytes(buffer.getvalue())
+        assert ResultCache(capacity=4, shared_dir=tmp_path).lookup("q1", 1) is None
 
     def test_no_hostile_file_is_served_or_raises(self, tmp_path):
         """Every file of the corpus reads as a miss, and a real answer

@@ -37,8 +37,7 @@ class TestBoundTrace:
         operator = hrjn_star(instance, trace=trace)
         operator.top_k(5)
         left, right = trace.pulls_per_side()
-        assert left == operator.depths().left
-        assert right == operator.depths().right
+        assert [left, right] == operator.depths()
 
     def test_bound_at_emission(self, instance):
         trace = BoundTrace()

@@ -3,7 +3,7 @@
 backticked dotted ``repro.…`` name (README.md, ``docs/*.md``) and a
 backticked ``repro/….py`` path (those and DESIGN.md).  A documented module,
 name or file that was renamed or deleted fails here, not in a reader's
-session."""
+session.  README.md's Quickstart block is also run."""
 
 import importlib
 import re
@@ -89,3 +89,11 @@ def test_documented_name_resolves(name):
 @pytest.mark.parametrize("path", [case[1] for case in PATHS], ids=[case[0] for case in PATHS])
 def test_documented_path_exists(path):
     assert (ROOT / "src" / path).is_file()
+
+
+def test_the_readme_quickstart_runs():
+    """README.md's Quickstart block runs as written, so a renamed attribute
+    it reads fails here too, not only its imports."""
+    text = (ROOT / "README.md").read_text()
+    block = BLOCK.search(text, text.index("## Quickstart")).group(1)
+    exec(compile(block, "README.md:Quickstart", "exec"), {})
