@@ -11,12 +11,17 @@ chain.
 The join tree of a path query is the path itself (the acyclic case of
 "Optimal Join Algorithms Meet Top-k"): :func:`decompose` lists one node
 per relation, leaf first, and node ``i`` joins its child, node ``i - 1``,
-on ``join_attrs[i - 1]``; the last node is the root.
+on ``join_attrs[i - 1]``; the last node is the root.  The semijoin
+reduction and the grouping of every link depend on content alone, so
+each comes from its relation's cached :meth:`~repro.relation.relation.
+Relation.link`; a query only scores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.anyk.jointree import JoinTreeNode, relation_weights
 from repro.core.scoring import ScoringFunction, SumScore
@@ -65,4 +70,12 @@ def decompose(
     for child, parent, attr in zip(nodes, nodes[1:], query.join_attrs):
         parent.child_keys = relations[parent.index].key_codes((attr,))
         child.parent_keys = relations[child.index].key_codes((attr,))
+        link = relations[child.index].link(
+            relations[parent.index], (attr,), child.child_gids)
+        child.rows_by_group, child.bounds = link.rows, link.bounds
+        parent.child_gids = link.parent_gids
+    # The root is one group: its surviving rows.
+    root = nodes[-1]
+    root.rows_by_group = survivors = np.flatnonzero(root.child_gids >= 0)
+    root.bounds = np.array([0, len(survivors)] if len(survivors) else [0])
     return nodes

@@ -11,17 +11,19 @@ out of the DP for free, so enumeration never touches a tuple that cannot
 appear in a result.
 
 A node is columns (:class:`~repro.anyk.jointree.JoinTreeNode`) and so is
-the pass: for rows ``[i, j)`` of a node, ``gid = map[codes[i:j]]`` (the
-matching child group or -1, ``map`` probed once per *distinct* link value
-when the node starts), ``alive &= gid >= 0``, ``best = w[i:j] +
-group_best[gid]`` — the bits a per-tuple loop would compute.  When a
-node's last row is in, one stable ``lexsort`` orders the alive rows by
-``(connection code, -best, identity rank)``: groups are the runs of equal
-connection code (the link value toward the parent), each sorted by
-``(-best, identity)`` with row order between equals — the "sorted list of
-suffix solutions" the Lawler/REA successor generation in
-:mod:`repro.anyk.enumerate` walks lazily.  A :class:`Group` object exists
-only where it walks.
+the pass: for rows ``[i, j)`` of a node, ``gid = child_gids[i:j]`` (the
+matching child group or -1), ``best = w[i:j] + group_best[gid]`` — the
+bits a per-tuple loop would compute.  Which rows survive and how they
+group toward the parent depend on content alone, so the node borrows
+them from :meth:`~repro.relation.relation.Relation.link`, prepared once
+per relation pair and link attribute: groups are the runs of equal
+connection code (the link value toward the parent), in code order.  When
+a node's last row is in, one ``np.maximum.reduceat`` gives every group
+its best; a group's rows are sorted by ``(-best, identity rank)``, with
+row order between equals, only when the enumeration first reaches it —
+the "sorted list of suffix solutions" the Lawler/REA successor generation
+in :mod:`repro.anyk.enumerate` walks lazily.  Nothing else is sorted, and
+a :class:`Group` object exists only where the enumeration walks.
 
 The pass is *budgeted*: :meth:`DPState.run` processes at most ``budget``
 tuples (a slice that long) and leaves an explicit cursor behind — this is
@@ -78,52 +80,37 @@ class _NodeColumns:
         self.node = node
         self.child = child
         self.best = np.empty(len(node))
-        self.alive = np.ones(len(node), dtype=bool)
-        if child is not None:
-            #: The child group (-1: none) of each distinct link value and,
-            #: through it, of each row.
-            self.value_gids = np.array(
-                [child.gid_of.get(v, -1) for v in node.child_keys[0]], dtype=np.intp
-            )
-            self.child_gids = np.empty(len(node), dtype=np.intp)
+        #: Per row the child group it joins (-1: none; ``None`` at the leaf).
+        self.child_gids = node.child_gids
         self.groups: dict[int, Group] = {}
 
     def advance(self, start: int, stop: int) -> int:
         """Score rows ``[start, stop)``; return how many found no partner."""
         best = self.node.weights[start:stop]
-        alive = self.alive[start:stop]
-        if self.child is not None:
-            codes = self.node.child_keys[1]
-            found = self.child_gids[start:stop] = self.value_gids[codes[start:stop]]
-            alive &= found >= 0
-            # -1 reads the NaN that ends group_best: a pruned row has no best.
-            best = best + self.child.group_best[found]
-        self.best[start:stop] = best
-        return (stop - start) - int(np.count_nonzero(alive))
+        if self.child is None:
+            self.best[start:stop] = best
+            return 0
+        found = self.child_gids[start:stop]
+        # -1 reads the NaN that ends group_best: a pruned row has no best.
+        self.best[start:stop] = best + self.child.group_best[found]
+        return int(np.count_nonzero(found < 0))
 
     def close(self) -> None:
-        """Every row is in: order the survivors and cut them into groups."""
-        values, codes = self.node.parent_keys
-        rows = np.flatnonzero(self.alive)
-        self.order = rows[
-            np.lexsort((self.node.ranks[rows], -self.best[rows], codes[rows]))
-        ]
-        codes = codes[self.order]
-        heads = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]][:len(codes)])
-        #: Group ``g`` is ``order[bounds[g]:bounds[g + 1]]``.
-        self.bounds = np.append(heads, len(codes))
-        self.group_best = np.append(self.best[self.order[heads]], np.nan)
-        self.gid_of = {
-            values[code]: gid for gid, code in enumerate(codes[heads].tolist())
-        }
+        """Every row is in: each group's best, in one pass and no sort."""
+        rows, bounds = self.node.rows_by_group, self.node.bounds
+        self.group_best = np.append(
+            np.maximum.reduceat(self.best[rows], bounds[:-1]), np.nan)
 
     def group(self, gid: int) -> Group:
-        """The ``gid``-th group — the same object every time it is reached
-        (it carries the group's enumeration state)."""
+        """The ``gid``-th group — sorted best first when first reached, and
+        the same object every time after (it carries the group's
+        enumeration state)."""
         group = self.groups.get(gid)
         if group is None:
-            start, stop = self.bounds[gid:gid + 2]
-            group = self.groups[gid] = Group(self, self.order[start:stop])
+            start, stop = self.node.bounds[gid:gid + 2]
+            rows = self.node.rows_by_group[start:stop]
+            rows = rows[np.lexsort((self.node.ranks[rows], -self.best[rows]))]
+            group = self.groups[gid] = Group(self, rows)
         return group
 
 
@@ -148,7 +135,7 @@ class DPState:
         if not self.done:
             return None
         root = self._columns[-1]
-        return root.group(0) if len(root.bounds) > 1 else None
+        return root.group(0) if len(root.group_best) > 1 else None
 
     def run(self, budget: int | None = None) -> int:
         """Process up to ``budget`` tuples (``None``: all), return how many."""

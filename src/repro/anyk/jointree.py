@@ -5,9 +5,11 @@ The evaluation plan of an any-k query is the path of its chain, one
 :mod:`repro.anyk.decompose`): node ``i``'s only child is node ``i - 1``,
 and each link is an equi-join on one attribute.  Every node *is columns*
 over its relation's tuples: row snapshot, float64 weights, canonical
-identities with their dense ranks, and the integer codes of the rows'
-join-key values toward the child and the parent — all borrowed from the
-content-only views of its :class:`~repro.relation.relation.Relation`.
+identities with their dense ranks, the integer codes of the rows'
+join-key values toward the child and the parent, and the join structure
+of the path (per row its child group, the surviving rows grouped toward
+the parent) — all borrowed from the content-only views of its
+:class:`~repro.relation.relation.Relation`.
 
 Join attributes are plain names resolved against tuple payload dicts;
 the sentinel :data:`KEY_ATTR` names the :attr:`~repro.core.tuples.
@@ -75,7 +77,7 @@ class JoinTreeNode:
 
     __slots__ = (
         "index", "rows", "weights", "identities", "ranks",
-        "child_keys", "parent_keys",
+        "child_keys", "parent_keys", "child_gids", "rows_by_group", "bounds",
     )
 
     def __init__(self, index: int, relation: Relation, weights: np.ndarray) -> None:
@@ -93,6 +95,14 @@ class JoinTreeNode:
         #: The key codes toward the parent, the DP's grouping column: one
         #: group for the root.
         self.parent_keys: KeyCodes = ([()], np.zeros(len(self.rows), dtype=np.intp))
+        #: Per row the child group it joins, -1 for none (``None`` at the
+        #: leaf, where every row survives).
+        self.child_gids: np.ndarray | None = None
+        #: The surviving rows grouped by parent key code, code order: group
+        #: ``g`` is ``rows_by_group[bounds[g]:bounds[g + 1]]`` (see
+        #: :meth:`Relation.link`).
+        self.rows_by_group: np.ndarray | None = None
+        self.bounds: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -12,14 +12,15 @@ A relation is *prepared once*: its float64 score matrix, its canonical
 tuple identities, their dense ranks and the integer codes of its join-key
 columns depend on content alone, so they are built on first use, shared by
 every query, and dropped by the hook that drops the cached fingerprint —
-as is the code space it shares with the relation it was last joined to.
+as are the code space it shares with the relation it was last joined to
+and the join structure of that link (:meth:`Relation.link`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -83,6 +84,17 @@ def encode_keys(values: Iterable[tuple]) -> KeyCodes:
     code_of: dict[tuple, int] = {}
     codes = [code_of.setdefault(value, len(code_of)) for value in values]
     return list(code_of), np.array(codes, dtype=np.intp)
+
+
+class Link(NamedTuple):
+    """One link of a chain, seen from its lower relation: content only."""
+
+    #: The surviving rows, grouped by join-key code (code order) and in row
+    #: order inside a group; group ``g`` is ``rows[bounds[g]:bounds[g + 1]]``.
+    rows: np.ndarray
+    bounds: np.ndarray
+    #: Per row of the upper relation, the group it joins (-1: none).
+    parent_gids: np.ndarray
 
 
 def _tuple_digest(tup: RankTuple) -> bytes:
@@ -152,6 +164,7 @@ class Relation:
         self._identity_ranks: np.ndarray | None = None
         self._key_codes: dict[tuple[str, ...], KeyCodes] = {}
         self._joint_codes: dict[tuple[str, ...], tuple] = {}
+        self._links: dict[tuple[str, ...], tuple] = {}
 
     @property
     def tuples(self) -> list[RankTuple]:
@@ -230,6 +243,32 @@ class Relation:
                              dtype=np.intp)
             cached = self._joint_codes[attrs] = (theirs, (len(known), mine, remap[theirs]))
         return cached[1]
+
+    def link(self, parent: "Relation", attrs: tuple[str, ...],
+             gids: np.ndarray | None = None) -> Link:
+        """The join structure of this relation toward ``parent`` on ``attrs``.
+
+        ``gids`` marks the rows that survive from below (``-1``: no partner
+        there; ``None``: every row survives).  The survivors are grouped by
+        their :meth:`key_codes` in code order, row order inside a group, and
+        every ``parent`` row gets the group it joins.  Kept for the newest
+        ``parent`` and ``gids`` per ``attrs`` until either content changes:
+        a caller passes the ``parent_gids`` of the link below, which that
+        link replaces when any relation under it changes.
+        """
+        joint = self.joint_key_codes(parent, attrs)
+        cached = self._links.get(attrs)
+        if cached is None or cached[0] is not joint or cached[1] is not gids:
+            size, mine, theirs = joint
+            rows = np.arange(len(mine)) if gids is None else np.flatnonzero(gids >= 0)
+            rows = rows[np.argsort(mine[rows], kind="stable")]
+            codes = mine[rows]
+            heads = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]][:len(codes)])
+            gid_of_code = np.full(size + 1, -1, dtype=np.intp)
+            gid_of_code[codes[heads]] = np.arange(len(heads))
+            link = Link(rows, np.append(heads, len(rows)), gid_of_code[theirs])
+            cached = self._links[attrs] = (joint, gids, link)
+        return cached[2]
 
     def fingerprint(self) -> str:
         """Stable content hash over the bag of (key, scores, payload).

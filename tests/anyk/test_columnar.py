@@ -20,7 +20,9 @@ from repro.data.workload import (
     lineitem_orders_instance,
     random_instance,
 )
+from repro.relation import relation as relation_module
 from repro.relation.relation import Relation, tuple_identity
+from tests.chain_oracle import brute_force
 
 
 def drain(operator, quantum=None, limit=None):
@@ -37,6 +39,14 @@ def drain(operator, quantum=None, limit=None):
                 (tuple_identity(outcome.left), tuple_identity(outcome.right)),
             ))
     return emitted
+
+
+MUTATIONS = [
+    lambda rel, tup: rel.tuples.append(tup),
+    lambda rel, tup: rel.tuples.__setitem__(0, tup),
+    lambda rel, tup: setattr(rel, "tuples", [tup, *rel.tuples[1:]]),
+]
+MUTATION_IDS = ["append", "setitem", "reassign"]
 
 
 class TestRelationViews:
@@ -69,26 +79,96 @@ class TestRelationViews:
         assert relation.key_codes(("@key",))[0] == [(2,), (1,)]
         assert relation.key_codes(())[0] == [()]
 
-    @pytest.mark.parametrize("mutate", [
-        lambda rel, tup: rel.tuples.append(tup),
-        lambda rel, tup: rel.tuples.__setitem__(0, tup),
-        lambda rel, tup: setattr(rel, "tuples", [tup, *rel.tuples[1:]]),
-    ], ids=["append", "setitem", "reassign"])
+    def partner(self):
+        return Relation("P", [
+            RankTuple(key=0, scores=(0.5,), payload={"x": 1}),
+            RankTuple(key=1, scores=(0.5,), payload={"x": 3}),
+            RankTuple(key=2, scores=(0.5,), payload={"x": 2}),
+        ])
+
+    def test_a_link_groups_the_survivors_and_points_the_parent_at_them(self):
+        relation, partner = self.relation(), self.partner()
+        link = relation.link(partner, ("x",))
+        assert relation.link(partner, ("x",)) is link
+        # Codes of x: 1 -> 0 (rows 0, 2, 3), 2 -> 1 (row 1).
+        assert link.rows.tolist() == [0, 2, 3, 1]
+        assert link.bounds.tolist() == [0, 3, 4]
+        assert link.parent_gids.tolist() == [0, -1, 1]
+        # Rows that found no partner below are left out.
+        survivors = relation.link(partner, ("x",), np.array([-1, 0, 4, -1]))
+        assert survivors.rows.tolist() == [2, 1]
+        assert survivors.bounds.tolist() == [0, 1, 2]
+        assert relation.link(partner, ("x",)) is not link  # the newest only
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
     def test_one_hook_drops_all_four_views(self, mutate):
-        relation = self.relation()
+        relation, partner = self.relation(), self.partner()
         held = (relation.scored(), relation.identities(),
-                relation.identity_ranks(), relation.key_codes(("x",)))
-        before = [np.array(held[2]), np.array(held[3][1])]
+                relation.identity_ranks(), relation.key_codes(("x",)),
+                relation.link(partner, ("x",)))
+        before = [np.array(held[2]), np.array(held[3][1]), np.array(held[4].rows)]
         mutate(relation, RankTuple(key=9, scores=(1.0,), payload={"x": 7, "y": "c"}))
         assert relation.scored() is not held[0]
         assert relation.identities() is not held[1]
         assert relation.identity_ranks() is not held[2]
         assert relation.key_codes(("x",)) is not held[3]
+        assert relation.link(partner, ("x",)) is not held[4]
         assert (7,) in relation.key_codes(("x",))[0]
         assert len(relation.identity_ranks()) == len(relation.tuples)
         # What a running query holds is replaced, never edited.
         assert held[2].tolist() == before[0].tolist()
         assert held[3][1].tolist() == before[1].tolist()
+        assert held[4].rows.tolist() == before[2].tolist()
+
+        # The link depends on its parent too: a change there drops it.
+        relation, partner = self.relation(), self.partner()
+        held = relation.link(partner, ("x",))
+        before = held.parent_gids.tolist()
+        mutate(partner, RankTuple(key=9, scores=(1.0,), payload={"x": 2}))
+        fresh = relation.link(partner, ("x",))
+        assert fresh is not held
+        assert held.parent_gids.tolist() == before
+        assert fresh.parent_gids.tolist() == [
+            {1: 0, 2: 1}.get(t.payload["x"], -1) for t in partner.tuples]
+
+
+class TestQueriesAfterAMutation:
+    """A query reads the link structure of the content it starts on."""
+
+    SCORING = SumScore()
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
+    def test_a_binary_query_answers_like_the_naive_join(self, mutate, side):
+        instance = random_instance(
+            n_left=40, n_right=40, e_left=1, e_right=1, num_keys=5, k=5,
+            seed=4, scoring=self.SCORING,
+        )
+        relations = [instance.left, instance.right]
+        AnyKRankJoin(AnyKQuery.binary(*relations), self.SCORING).top_k(5)
+        key = relations[1 - side].tuples[0].key
+        mutate(relations[side], RankTuple(key=key, scores=(1.0,)))
+        everything = len(relations[0]) * len(relations[1])
+        answer = AnyKRankJoin(AnyKQuery.binary(*relations), self.SCORING).top_k(everything)
+        assert [r.score for r in answer] == top_scores(naive_top_k(
+            relations[0].tuples, relations[1].tuples, self.SCORING, everything))
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
+    def test_a_change_at_the_leaf_regroups_every_link_above(self, mutate):
+        def rel(name, rows):
+            return Relation(name, [RankTuple(key=i, scores=(s,), payload=p)
+                                   for i, (p, s) in enumerate(rows)])
+
+        a = rel("A", [({"x": 1}, 0.9), ({"x": 1}, 0.2)])
+        b = rel("B", [({"x": 1, "y": 7}, 0.8), ({"x": 2, "y": 8}, 0.6)])
+        c = rel("C", [({"y": 7}, 0.4), ({"y": 8}, 0.3)])
+        query = AnyKQuery((a, b, c), ("x", "y"))
+        assert len(AnyKRankJoin(query, self.SCORING).top_k(10)) == 2
+        # B's x = 2 row finds a partner now, so C's y = 8 row does too.
+        mutate(a, RankTuple(key=5, scores=(0.5,), payload={"x": 2}))
+        answer = AnyKRankJoin(query, self.SCORING).top_k(10)
+        assert [r.score for r in answer] == brute_force((a, b, c), ("x", "y"), self.SCORING)
+        assert any(r.tuples[2].payload == {"y": 8} for r in answer)
 
 
 class TestSnapshotIsolation:
@@ -115,6 +195,10 @@ class TestSnapshotIsolation:
         reference = drain(AnyKRankJoin(AnyKQuery.binary(*untouched), self.SCORING))
 
         operator = AnyKRankJoin(AnyKQuery.binary(left, right), self.SCORING)
+        structure = [(node.rows_by_group, node.bounds, node.child_gids)
+                     for node in operator._dp.nodes]
+        copies = [[None if a is None else a.tolist() for a in arrays]
+                  for arrays in structure]
         emitted = []
         if suspend_after == "mid-DP":
             for _ in range(5):
@@ -125,6 +209,10 @@ class TestSnapshotIsolation:
         self.mutate(left, right)
         assert emitted + drain(operator, quantum=7) == reference
         assert operator.depths()[0] == len(untouched[0])
+        # It kept the join structure of its own snapshot, unedited.
+        for node, arrays, copy in zip(operator._dp.nodes, structure, copies):
+            assert (node.rows_by_group, node.bounds, node.child_gids) == arrays
+            assert [None if a is None else a.tolist() for a in arrays] == copy
 
         # The next query reads the new content through fresh views.
         fresh = AnyKRankJoin(AnyKQuery.binary(left, right), self.SCORING)
@@ -133,6 +221,8 @@ class TestSnapshotIsolation:
             naive_top_k(left.tuples, right.tuples, self.SCORING, 5))
         assert answer != [score for score, _ in reference[:5]]
         assert fresh.depths()[0] == len(untouched[0]) + 1
+        assert fresh._dp.nodes[0].rows_by_group is not structure[0][0]
+        assert fresh._dp.nodes[1].child_gids is not structure[1][2]
 
 
 def harness_query():
@@ -165,6 +255,46 @@ class TestObjectsFollowTheEnumeration:
         assert len(operator.top_k(k)) == k
         assert operator._dp.tuples_processed == 3750
         assert 0 < built <= 4 * k
+
+    def test_a_query_prepares_nothing_twice_and_orders_only_what_it_walks(
+            self, monkeypatch):
+        links, groups, orderings = 0, 0, []
+        link, init, lexsort = relation_module.Link, Group.__init__, np.lexsort
+
+        def counting_link(*args):
+            nonlocal links
+            links += 1
+            return link(*args)
+
+        def counting_init(self, *args):
+            nonlocal groups
+            groups += 1
+            init(self, *args)
+
+        def counting_lexsort(keys, *args, **kwargs):
+            orderings.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(relation_module, "Link", counting_link)
+        monkeypatch.setattr(Group, "__init__", counting_init)
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        query, scoring = harness_query()
+        operator = AnyKRankJoin(query, scoring)
+        assert len(operator.top_k(10)) == 10
+        assert links == 1
+        # One ordering per group the enumeration reached (9 lineitem
+        # groups and the orders root), none of a whole node.
+        assert len(orderings) == groups == 10
+        leaf, root = operator._dp.nodes
+        assert max(orderings) < len(root) < len(leaf)
+
+        # A second cold top-10 over the same pair, new weights.
+        links, groups, orderings = 0, 0, []
+        operator = AnyKRankJoin(query, WeightedSum([1.0, 0.5, 1.0, 2.0]))
+        assert len(operator.top_k(10)) == 10
+        assert links == 0
+        assert len(orderings) == groups <= 10
+        assert max(orderings) < len(root)
 
     def test_a_group_is_the_same_object_every_time_it_is_reached(self):
         query, scoring = harness_query()
