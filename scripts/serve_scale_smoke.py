@@ -7,7 +7,8 @@ the front-end, and checks the streaming contract end to end: strictly
 sequential event indexes, the streamed sequence equal to the terminal
 snapshot, identical answers across sessions of the same query, no
 session left outstanding by clients that submit and hang up, fleet
-stats reporting every worker alive, and a clean shutdown.  Exits
+stats reporting every worker alive and, for a worker with shared-tier
+hits, a cache hit ratio, and a clean shutdown.  Exits
 nonzero on any failure; the CI step wraps it in a hard ``timeout``.
 
 Usage: python scripts/serve_scale_smoke.py [--sessions 50] [--workers 2]
@@ -70,6 +71,18 @@ def hang_ups_settle(host: str, port: int, clients: int = 3) -> list[str]:
                 return [f"after {clients} hang-ups: outstanding {outstanding} "
                         f"with {busy} sessions live or queued"]
             time.sleep(0.1)
+
+
+def hit_ratios_reported(stats: dict) -> list[str]:
+    """A worker that served shared-tier hits must report the ratio its
+    SLO block computes from them, not ``null``."""
+    return [
+        f"worker {name}: {worker['cache']['shared_hits']} shared-tier hits "
+        f"but slo.cache_hit_ratio null"
+        for name, worker in sorted(stats["workers"].items())
+        if (worker.get("cache") or {}).get("shared_hits")
+        and worker["slo"]["cache_hit_ratio"] is None
+    ]
 
 
 def main() -> int:
@@ -148,6 +161,7 @@ def main() -> int:
             stats = client.stats()
             if stats["fleet"]["alive"] != args.workers:
                 errors.append(f"fleet degraded: {stats['fleet']}")
+            errors += hit_ratios_reported(stats)
             client.shutdown()
         returncode = process.wait(timeout=60.0)
     except Exception as exc:  # noqa: BLE001 - reported below

@@ -323,22 +323,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cache(args: argparse.Namespace, obs):
-    """A shared-dir-backed ResultCache for single-server serve, or None.
-
-    None lets :class:`QueryService` build its plain in-memory cache from
-    ``cache_capacity``/``cache_ttl`` as before.
-    """
-    if args.shared_cache_dir is None or args.cache_capacity < 1:
-        return None
-    from repro.service import ResultCache
-
-    return ResultCache(
-        capacity=args.cache_capacity, ttl=args.cache_ttl,
-        shared_dir=args.shared_cache_dir, obs=obs,
-    )
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Start the concurrent query service over shared synthetic relations."""
     from repro.data.tpch import generate_tpch
@@ -384,7 +368,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 quotas=quotas,
                 shared_cache_dir=args.shared_cache_dir,
                 service_kwargs={
-                    "policy": args.policy,
                     "max_live": args.max_sessions,
                     "quantum": args.quantum,
                     "cache_capacity": args.cache_capacity,
@@ -400,12 +383,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         try:
             service = QueryService(
-                policy=args.policy,
                 max_live=args.max_sessions,
                 quantum=args.quantum,
-                cache=_serve_cache(args, obs),
                 cache_capacity=args.cache_capacity,
                 cache_ttl=args.cache_ttl,
+                shared_cache_dir=args.shared_cache_dir,
                 default_max_pulls=args.max_pulls,
                 quotas=quotas,
                 obs=obs,
@@ -560,9 +542,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0,
                          help="TCP port (0 picks an ephemeral port)")
-    p_serve.add_argument("--policy", default="round-robin",
-                         choices=["round-robin", "deadline", "bound-gap"],
-                         help="scheduling policy")
     p_serve.add_argument("--max-sessions", type=int, default=16,
                          help="admission-control bound on live sessions")
     p_serve.add_argument("--quantum", type=int, default=64,

@@ -19,8 +19,8 @@ them from :meth:`~repro.relation.relation.Relation.link`, prepared once
 per relation pair and link attribute: groups are the runs of equal
 connection code (the link value toward the parent), in code order.  When
 a node's last row is in, one ``np.maximum.reduceat`` gives every group
-its best; a group's rows are sorted by ``(-best, identity rank)``, with
-row order between equals, only when the enumeration first reaches it —
+its best; a group's rows are sorted by ``-best``, stably (row order
+between equals), only when the enumeration first reaches it —
 the "sorted list of suffix solutions" the Lawler/REA successor generation
 in :mod:`repro.anyk.enumerate` walks lazily.  Nothing else is sorted, and
 a :class:`Group` object exists only where the enumeration walks.
@@ -109,7 +109,7 @@ class _NodeColumns:
         if group is None:
             start, stop = self.node.bounds[gid:gid + 2]
             rows = self.node.rows_by_group[start:stop]
-            rows = rows[np.lexsort((self.node.ranks[rows], -self.best[rows]))]
+            rows = rows[np.argsort(-self.best[rows], kind="stable")]
             group = self.groups[gid] = Group(self, rows)
         return group
 

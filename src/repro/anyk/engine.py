@@ -36,12 +36,7 @@ from repro.core.stepping import PENDING, ResumableBase
 from repro.core.tuples import JoinResult
 from repro.obs import NULL_OBS, TraceContext, span_record
 from repro.relation.relation import RankJoinInstance
-from repro.stats.metrics import (
-    DepthReport,
-    MemoryHighWater,
-    OperatorStats,
-    TimingBreakdown,
-)
+from repro.stats.metrics import DepthReport, OperatorStats, TimingBreakdown
 
 
 class AnyKRankJoin(ResumableBase):
@@ -81,7 +76,6 @@ class AnyKRankJoin(ResumableBase):
         self._pulls = 0
         self._dp_seconds = 0.0
         self._total_seconds = 0.0
-        self._buffer_peak = 0
 
         if self._obs.enabled:
             self.trace = trace.child() if trace is not None else TraceContext.root()
@@ -155,7 +149,6 @@ class AnyKRankJoin(ResumableBase):
             scored.append((JoinResult(tuples, self.scoring(scores), scores), identity))
         scored.sort(key=lambda entry: (-entry[0].score, entry[1]))
         self._batch = deque(result for result, _ in scored)
-        self._buffer_peak = max(self._buffer_peak, len(scored))
         return self._emit(self._batch.popleft())
 
     @property
@@ -194,10 +187,6 @@ class AnyKRankJoin(ResumableBase):
             return float("inf")
         return self._enum.peek()
 
-    def best_buffered(self) -> float:
-        """Score of the next result of the buffered tie batch; ``-inf`` if none."""
-        return self._batch[0].score if self._batch else float("-inf")
-
     def depth(self, side: int) -> int:
         """Tuples of relation ``side`` ingested by the DP so far."""
         return self._dp.ingested[side]
@@ -224,11 +213,6 @@ class AnyKRankJoin(ResumableBase):
             io_cost=float(self.sum_depths),
             bound_recomputations=0,
             results=len(self._history),
-            memory=MemoryHighWater(
-                hash_left=self._dp.tuples_processed,
-                hash_right=0,
-                output=self._buffer_peak,
-            ),
         )
 
     def timing(self) -> TimingBreakdown:

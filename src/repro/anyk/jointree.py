@@ -5,10 +5,10 @@ The evaluation plan of an any-k query is the path of its chain, one
 :mod:`repro.anyk.decompose`): node ``i``'s only child is node ``i - 1``,
 and each link is an equi-join on one attribute.  Every node *is columns*
 over its relation's tuples: row snapshot, float64 weights, canonical
-identities with their dense ranks, the integer codes of the rows'
-join-key values toward the child and the parent, and the join structure
-of the path (per row its child group, the surviving rows grouped toward
-the parent) — all borrowed from the content-only views of its
+identities, the integer codes of the rows' join-key values toward the
+child and the parent, and the join structure of the path (per row its
+child group, the surviving rows grouped toward the parent) — all
+borrowed from the content-only views of its
 :class:`~repro.relation.relation.Relation`.
 
 Join attributes are plain names resolved against tuple payload dicts;
@@ -76,19 +76,18 @@ class JoinTreeNode:
     """One relation of the path: columns over its tuples."""
 
     __slots__ = (
-        "index", "rows", "weights", "identities", "ranks",
+        "index", "rows", "weights", "identities",
         "child_keys", "parent_keys", "child_gids", "rows_by_group", "bounds",
     )
 
     def __init__(self, index: int, relation: Relation, weights: np.ndarray) -> None:
         #: The relation's position in the query (and in the path).
         self.index = index
-        #: Per tuple the :class:`RankTuple` itself, its additive weight, its
-        #: identity and that identity's dense rank (the DP's tie-break).
+        #: Per tuple the :class:`RankTuple` itself, its additive weight and
+        #: its identity.
         self.rows = relation.scored()[0]
         self.weights = weights
         self.identities = relation.identities()
-        self.ranks = relation.identity_ranks()
         #: The key codes toward the child, node ``index - 1`` (``None`` at
         #: the leaf).
         self.child_keys: KeyCodes | None = None

@@ -201,12 +201,10 @@ class CornerRankJoin(ArrayRankJoin):
 
     def _commit(self, target: int) -> None:
         """Make the pulls up to ``target`` as the loop would: charge the
-        inputs, then book the heap peak and trace rows."""
+        inputs, then book the trace rows."""
         start = self._pulls
         with self._tracer.span("pull"):
             self._charge([depth[target] for depth in self._depth])
-            buffered = int(self._found[target]) - self._emitted
-            self._max_output = max(self._max_output, buffered)
             if self._trace is not None:
                 self._record(start, target)
             self._pulls = target

@@ -69,7 +69,6 @@ class FeasibleRankJoin(ArrayRankJoin):
             stopped = self._walk(pull_quantum)
         with self._tracer.span("pull"):
             self._charge(self._depth)
-            self._max_output = max(self._max_output, self._found - self._emitted)
         if not stopped:
             return PENDING
         with self._tracer.span("emit"):

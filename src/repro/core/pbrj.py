@@ -37,12 +37,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.obs.span import Tracer
 from repro.relation.relation import KEY_ATTR, attr_value, tuple_identity
 from repro.relation.sources import TupleSource
-from repro.stats.metrics import (
-    DepthReport,
-    MemoryHighWater,
-    OperatorStats,
-    TimingBreakdown,
-)
+from repro.stats.metrics import DepthReport, OperatorStats, TimingBreakdown
 from repro.stats.trace import BoundTrace
 
 #: Tolerance of every "does this score reach that bound" test in the
@@ -167,7 +162,6 @@ class PBRJ(ResumableBase):
         self._exhausted = [False] * len(self._sources)
         self._pulls = 0
         self._emitted = 0
-        self._max_output = 0
         self._trace = trace
         if trace is not None and not trace.operator:
             trace.operator = name
@@ -290,8 +284,6 @@ class PBRJ(ResumableBase):
             for result in self._join(side, rho):
                 heapq.heappush(output, (-result.score, self._sequence, result))
                 self._sequence += 1
-            if len(output) > self._max_output:
-                self._max_output = len(output)
             if timed:
                 started = time.perf_counter()
                 self._s_join.add_scaled(started - now, scale)
@@ -423,14 +415,6 @@ class PBRJ(ResumableBase):
             total=self._tracer.seconds("get_next"),
         )
 
-    def memory(self) -> MemoryHighWater:
-        """Peak buffer occupancy: hash tables grow with depth, the output
-        heap with generated-but-unemitted results."""
-        depths = DepthReport.of(self.depths())
-        return MemoryHighWater(
-            hash_left=depths.left, hash_right=depths.right, output=self._max_output
-        )
-
     def stats(self) -> OperatorStats:
         """Snapshot of all measurements, suitable for reports."""
         return OperatorStats(
@@ -440,7 +424,6 @@ class PBRJ(ResumableBase):
             io_cost=sum(source.cost for source in self._sources),
             bound_recomputations=self._bound.cover_recomputations,
             results=self._emitted,
-            memory=self.memory(),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,7 +16,7 @@ the shared vocabulary:
   (``get_next`` / ``top_k`` / ``__iter__`` / ``emitted_results``), written
   once.  :class:`~repro.core.pbrj.PBRJ` (over any chain),
   :class:`~repro.anyk.engine.AnyKRankJoin` and the sharded engine inherit
-  it and supply ``try_next`` and ``best_buffered``.
+  it and supply ``try_next``.
 
 The contract in one table, for a call ``op.try_next(max_pulls=n)``:
 
@@ -77,9 +77,6 @@ class ResumableOperator(Protocol):
 
     def top_k(self, k: int) -> list:
         """The first ``k`` results overall (resumable prefix semantics)."""
-
-    def best_buffered(self) -> float:
-        """Score of the best result held but not yet emitted; ``-inf`` if none."""
 
     @property
     def pulls(self) -> int:

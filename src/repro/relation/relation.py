@@ -9,11 +9,11 @@ decreasing score bound ``S̄`` (Definition 2.1's access model) through
 repeatedly on identical inputs.
 
 A relation is *prepared once*: its float64 score matrix, its canonical
-tuple identities, their dense ranks and the integer codes of its join-key
-columns depend on content alone, so they are built on first use, shared by
-every query, and dropped by the hook that drops the cached fingerprint —
-as are the code space it shares with the relation it was last joined to
-and the join structure of that link (:meth:`Relation.link`).
+tuple identities and the integer codes of its join-key columns depend on
+content alone, so they are built on first use, shared by every query, and
+dropped by the hook that drops the cached fingerprint — as are the code
+space it shares with the relation it was last joined to and the join
+structure of that link (:meth:`Relation.link`).
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ def attr_value(tup: RankTuple, attr: str):
         f"tuple {tup.key!r} has no join attribute {attr!r} "
         f"(payload keys: {sorted(payload) if isinstance(payload, dict) else 'none'})"
     )
-
-
-def dense_ranks(values: Sequence) -> np.ndarray:
-    """The dense rank of every element (equal ones share a rank): a *stable*
-    sort on the ranks orders rows as ``list.sort`` orders the elements."""
-    rank_of = {value: rank for rank, value in enumerate(sorted(set(values)))}
-    return np.array([rank_of[value] for value in values], dtype=np.intp)
 
 
 #: ``(distinct value tuples, int code per row)`` of a join-key column.
@@ -161,7 +154,6 @@ class Relation:
         self._fingerprint: str | None = None
         self._scored: tuple[tuple[RankTuple, ...], np.ndarray] | None = None
         self._identities: list[tuple] | None = None
-        self._identity_ranks: np.ndarray | None = None
         self._key_codes: dict[tuple[str, ...], KeyCodes] = {}
         self._joint_codes: dict[tuple[str, ...], tuple] = {}
         self._links: dict[tuple[str, ...], tuple] = {}
@@ -212,12 +204,6 @@ class Relation:
         if self._identities is None:
             self._identities = [tuple_identity(t) for t in self._tuples]
         return self._identities
-
-    def identity_ranks(self) -> np.ndarray:
-        """:func:`dense_ranks` of :meth:`identities`, cached like them."""
-        if self._identity_ranks is None:
-            self._identity_ranks = dense_ranks(self.identities())
-        return self._identity_ranks
 
     def key_codes(self, attrs: tuple[str, ...]) -> KeyCodes:
         """:func:`encode_keys` of every row's :func:`attr_value` tuple over

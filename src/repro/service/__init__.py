@@ -7,9 +7,8 @@ multi-query serving layer:
   relations, with a canonical content fingerprint;
 * :class:`~repro.service.session.QuerySession` — a suspendable execution
   advancing in bounded pull-quantum steps;
-* :class:`~repro.service.scheduler.Scheduler` — cooperative multiplexing
-  under pluggable policies (round-robin, deadline/priority, shortest
-  remaining bound gap) with admission control and pull budgets;
+* :class:`~repro.service.scheduler.Scheduler` — cooperative round-robin
+  multiplexing with admission control and pull budgets;
 * :class:`~repro.service.cache.ResultCache` — LRU + TTL top-K prefix
   cache with reuse (``k' <= K`` answered with zero pulls) and extension
   (``k' > K`` resumes the suspended operator);
@@ -25,7 +24,7 @@ Quickstart (in-process)::
 
     instance = random_instance(n_left=500, n_right=500, e_left=2,
                                e_right=2, num_keys=50, k=10)
-    service = QueryService(policy="round-robin", max_live=4)
+    service = QueryService(max_live=4)
     spec = QuerySpec(relations=(instance.left, instance.right), k=10)
     results = service.run_query(spec)        # computes
     results = service.run_query(spec)        # served from cache, 0 pulls
@@ -37,15 +36,7 @@ from repro.service.fleet import ServeFleet
 from repro.core.scoring import scoring_fingerprint
 from repro.service.query import QuerySpec
 from repro.service.quota import TenantQuotas, TokenBucket
-from repro.service.scheduler import (
-    POLICIES,
-    BoundGapPolicy,
-    DeadlinePolicy,
-    RoundRobinPolicy,
-    Scheduler,
-    SchedulingPolicy,
-    make_policy,
-)
+from repro.service.scheduler import Scheduler
 from repro.service.server import RankJoinServer
 from repro.service.service import QueryService
 from repro.service.session import (
@@ -56,26 +47,20 @@ from repro.service.session import (
 from repro.service.top import render_dashboard, run_top
 
 __all__ = [
-    "BoundGapPolicy",
     "CacheEntry",
     "DEFAULT_QUANTUM",
-    "DeadlinePolicy",
-    "POLICIES",
     "QueryService",
     "QuerySession",
     "QuerySpec",
     "RankJoinServer",
     "ResultCache",
-    "RoundRobinPolicy",
     "Scheduler",
-    "SchedulingPolicy",
     "ServeFleet",
     "ServiceClient",
     "ServiceError",
     "SessionState",
     "TenantQuotas",
     "TokenBucket",
-    "make_policy",
     "render_dashboard",
     "run_top",
     "scoring_fingerprint",

@@ -56,7 +56,6 @@ import threading
 from repro.errors import QuotaExceeded
 from repro.obs import Observability, render_prometheus
 from repro.service import wire
-from repro.service.cache import ResultCache
 from repro.service.quota import TenantQuotas
 from repro.service.server import RankJoinServer
 from repro.service.service import QueryService
@@ -120,16 +119,7 @@ def _fleet_worker_main(
 
 def _worker_service(service_kwargs: dict, shared_cache_dir: str | None) -> QueryService:
     """The service one worker runs over the shared cache tier."""
-    kwargs = dict(service_kwargs)
-    return QueryService(
-        cache=ResultCache(
-            capacity=kwargs.pop("cache_capacity", 128),
-            ttl=kwargs.pop("cache_ttl", None),
-            shared_dir=shared_cache_dir,
-        ),
-        obs=Observability(),
-        **kwargs,
-    )
+    return QueryService(shared_cache_dir=shared_cache_dir, **service_kwargs)
 
 
 class _Worker:
@@ -450,6 +440,9 @@ class ServeFleet(wire.LineServer):
                 sessions.append(self._rewrite(brief, worker))
         total = cache["hits"] + cache["misses"]
         cache["hit_rate"] = cache["hits"] / total if total else 0.0
+        # A ratio does not merge by max: the fleet's is its summed hits
+        # over its summed lookups (None before any, as compute_slos has it).
+        slo["cache_hit_ratio"] = cache["hits"] / total if total else None
         merged["scheduler"] = scheduler
         merged["cache"] = cache
         merged["slo"] = slo

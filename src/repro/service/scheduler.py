@@ -1,12 +1,14 @@
 """Cooperative scheduling of concurrent query sessions.
 
 The :class:`Scheduler` multiplexes many :class:`~repro.service.session.
-QuerySession` objects over one thread of control: each :meth:`tick` picks
-one live session under a pluggable :class:`SchedulingPolicy` and advances
-it by one pull quantum.  Because every session owns its operator and its
-sources, interleaving **cannot** change any query's answer or its depths
-relative to serial execution — the scheduler only changes *when* work
-happens, never *what* work happens (asserted by the determinism tests).
+QuerySession` objects over one thread of control: each :meth:`tick`
+advances the next live session, in admission order round-robin, by one
+pull quantum.  Because every session owns its operator and its sources,
+interleaving **cannot** change any query's answer or its depths relative
+to serial execution — the scheduler only changes *when* work happens,
+never *what* work happens (asserted by the determinism tests).  So there
+is one schedule and no per-session priority: every operator is anytime,
+and another order would only move *when* an answer arrives.
 
 Admission control bounds memory: at most ``max_live`` sessions hold live
 operator state; further submissions queue FIFO and are admitted as live
@@ -24,25 +26,11 @@ operator — it keeps its answer, its release times and its final
 ``stream`` read exactly what a client attached at the finish saw.  Only
 the newest :data:`FINISHED_RETENTION` retired sessions stay in the
 table; an older id is unknown again (the wire's ``no_session`` reply).
-
-Policies
---------
-``round-robin``
-    Cycle through live sessions in admission order (fair, deterministic).
-``deadline``
-    Earliest deadline first, then highest priority (lower number wins),
-    then admission order — sessions without deadlines sort last.
-``bound-gap``
-    Shortest remaining bound gap first: favours sessions whose next result
-    is almost provable, minimizing mean completion latency (the rank-join
-    analogue of shortest-remaining-time-first).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import deque
-from collections.abc import Sequence
 
 from repro.obs import Observability, span_record
 from repro.service.session import QuerySession, SessionState
@@ -63,117 +51,34 @@ LATENCY_BUCKETS = (
 )
 
 
-class SchedulingPolicy(ABC):
-    """Chooses which live session receives the next pull quantum."""
-
-    name: str = "policy"
-
-    @abstractmethod
-    def choose(self, sessions: Sequence[QuerySession]) -> QuerySession:
-        """Pick one of ``sessions`` (all live, never empty)."""
-
-
-class RoundRobinPolicy(SchedulingPolicy):
-    """Fair rotation in admission order."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def choose(self, sessions: Sequence[QuerySession]) -> QuerySession:
-        session = sessions[self._cursor % len(sessions)]
-        self._cursor += 1
-        return session
-
-
-class DeadlinePolicy(SchedulingPolicy):
-    """Earliest deadline, then priority, then admission order."""
-
-    name = "deadline"
-
-    def choose(self, sessions: Sequence[QuerySession]) -> QuerySession:
-        return min(
-            sessions,
-            key=lambda s: (
-                s.deadline if s.deadline is not None else float("inf"),
-                s.priority,
-                s.submitted_at,
-                s.session_id,
-            ),
-        )
-
-
-class BoundGapPolicy(SchedulingPolicy):
-    """Shortest remaining bound gap (closest-to-emitting) first.
-
-    Sessions that have buffered a candidate close to the current bound get
-    priority; among gapless sessions, the one missing the fewest results
-    wins.  Deterministic: ties break on session id.
-    """
-
-    name = "bound-gap"
-
-    def choose(self, sessions: Sequence[QuerySession]) -> QuerySession:
-        return min(
-            sessions,
-            key=lambda s: (
-                s.bound_gap(),
-                s.k - len(s.results),
-                s.session_id,
-            ),
-        )
-
-
-POLICIES: dict[str, type[SchedulingPolicy]] = {
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    DeadlinePolicy.name: DeadlinePolicy,
-    BoundGapPolicy.name: BoundGapPolicy,
-}
-
-
-def make_policy(policy: str | SchedulingPolicy) -> SchedulingPolicy:
-    if isinstance(policy, SchedulingPolicy):
-        return policy
-    try:
-        return POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling policy {policy!r}; choose from {sorted(POLICIES)}"
-        ) from None
-
-
 class Scheduler:
     """Cooperative multiplexer with admission control.
 
     Parameters
     ----------
-    policy:
-        Policy name or instance (default round-robin).
     max_live:
         Maximum sessions holding live operator state; excess submissions
         queue FIFO.
     obs:
         Optional observability pipeline: queue-depth / live-session
-        gauges, per-policy pull counters, per-state session counters, and
-        a session latency histogram.
+        gauges, a pull counter, per-state session counters, and a session
+        latency histogram.
     """
 
     def __init__(
         self,
         *,
-        policy: str | SchedulingPolicy = "round-robin",
         max_live: int = 8,
         obs: Observability | None = None,
     ) -> None:
         if max_live < 1:
             raise ValueError("max_live must be at least 1")
-        self.policy = make_policy(policy)
         self.max_live = max_live
         #: Every session the scheduler can still answer for, by id: the
         #: live, the queued and the retained retired ones.
         self._sessions: dict[str, QuerySession] = {}
         self._live: list[QuerySession] = []
+        self._cursor = 0  # the round-robin rotation over _live
         self._queue: deque[QuerySession] = deque()
         self._finished: deque[QuerySession] = deque()  # retire order
         self._on_finish = []
@@ -184,17 +89,15 @@ class Scheduler:
         metrics = self._obs.metrics
         self._m_queue_depth = metrics.gauge("service_queue_depth")
         self._m_live = metrics.gauge("service_live_sessions")
-        self._m_pulls = metrics.counter("service_pulls_total", policy=self.policy.name)
+        self._m_pulls = metrics.counter("service_pulls_total")
         self._m_latency = metrics.histogram(
-            "service_session_seconds", buckets=LATENCY_BUCKETS,
-            policy=self.policy.name,
+            "service_session_seconds", buckets=LATENCY_BUCKETS
         )
         # Time-to-first-result: the anytime metric incremental streaming
         # optimizes for (submit → first released result), alongside the
         # submit → DONE latency above.
         self._m_first_result = metrics.histogram(
-            "service_first_result_seconds", buckets=LATENCY_BUCKETS,
-            policy=self.policy.name,
+            "service_first_result_seconds", buckets=LATENCY_BUCKETS
         )
         self._m_finished = {
             state: metrics.counter("service_sessions_total", state=state.value)
@@ -261,7 +164,8 @@ class Scheduler:
                 return False
         if not self._live:
             self._admit()
-        session = self.policy.choose(self._live)
+        session = self._live[self._cursor % len(self._live)]
+        self._cursor += 1
         pulls_before = session.pulls
         released_before = len(session.results)
         session.step()
@@ -309,7 +213,6 @@ class Scheduler:
 
     def stats(self) -> dict:
         return {
-            "policy": self.policy.name,
             "max_live": self.max_live,
             "live": len(self._live),
             "queued": len(self._queue),

@@ -217,7 +217,6 @@ class RankJoinServer(wire.LineServer):
         try:
             session_id = self.service.submit(
                 spec,
-                priority=request["priority"],
                 deadline=request.get("deadline"),
                 max_pulls=request.get("max_pulls"),
                 tenant=request["tenant"],

@@ -29,7 +29,7 @@ from repro.obs import (
 from repro.service.cache import ResultCache
 from repro.service.query import QuerySpec
 from repro.service.quota import TenantQuotas
-from repro.service.scheduler import Scheduler, SchedulingPolicy
+from repro.service.scheduler import Scheduler
 from repro.service.session import (
     DEFAULT_QUANTUM,
     QuerySession,
@@ -43,16 +43,17 @@ class QueryService:
 
     Parameters
     ----------
-    policy:
-        Scheduling policy name or instance (default round-robin).
     max_live:
         Admission-control bound on concurrently-executing sessions.
     quantum:
         Pulls per scheduling step for every session (an integer ≥ 1).
-    cache:
-        A :class:`ResultCache`, or None to build one from
-        ``cache_capacity`` / ``cache_ttl`` (pass ``cache_capacity=0`` to
-        disable caching entirely).
+    cache_capacity / cache_ttl:
+        Entries and optional TTL (seconds) of the service's own
+        :class:`ResultCache`, which counts on this service's ``obs``;
+        ``cache_capacity=0`` means no cache.
+    shared_cache_dir:
+        The cache's cross-process tier (a directory the serve fleet's
+        workers share), or None for a memory-only cache.
     default_max_pulls:
         Pull budget applied to sessions that do not specify their own
         (``None`` or an integer ≥ 0).  A setting no session could honour
@@ -68,12 +69,11 @@ class QueryService:
     def __init__(
         self,
         *,
-        policy: str | SchedulingPolicy = "round-robin",
         max_live: int = 8,
         quantum: int = DEFAULT_QUANTUM,
-        cache: ResultCache | None = None,
         cache_capacity: int = 128,
         cache_ttl: float | None = None,
+        shared_cache_dir: str | None = None,
         default_max_pulls: int | None = None,
         quotas: TenantQuotas | None = None,
         obs: Observability | None = None,
@@ -84,15 +84,13 @@ class QueryService:
         # exporter-equipped Observability to stream them, or
         # ``repro.obs.NULL_OBS`` to disable instrumentation entirely.
         self.obs = obs if obs is not None else Observability()
-        self.scheduler = Scheduler(policy=policy, max_live=max_live, obs=self.obs)
-        if cache is not None:
-            self.cache = cache
-        elif cache_capacity > 0:
+        self.scheduler = Scheduler(max_live=max_live, obs=self.obs)
+        self.cache = None
+        if cache_capacity > 0:
             self.cache = ResultCache(
-                capacity=cache_capacity, ttl=cache_ttl, obs=self.obs
+                capacity=cache_capacity, ttl=cache_ttl,
+                shared_dir=shared_cache_dir, obs=self.obs,
             )
-        else:
-            self.cache = None
         self.quantum = quantum
         self.default_max_pulls = default_max_pulls
         self.quotas = quotas
@@ -109,10 +107,8 @@ class QueryService:
         self,
         spec: QuerySpec,
         *,
-        priority: int = 0,
         deadline: float | None = None,
         max_pulls: int | None = None,
-        quantum: int | None = None,
         tenant: str = "anonymous",
         trace: TraceContext | None = None,
     ) -> str:
@@ -173,9 +169,8 @@ class QueryService:
             session_id,
             operator,
             spec.k,
-            quantum=quantum if quantum is not None else self.quantum,
+            quantum=self.quantum,
             max_pulls=max_pulls,
-            priority=priority,
             deadline=deadline,
             preloaded=cached_answer if cached_answer is not None else preloaded,
             cache_key=key,

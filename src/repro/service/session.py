@@ -95,7 +95,6 @@ class QuerySession:
         *,
         quantum: int = DEFAULT_QUANTUM,
         max_pulls: int | None = None,
-        priority: int = 0,
         deadline: float | None = None,
         preloaded: list | None = None,
         cache_key: str | None = None,
@@ -114,7 +113,6 @@ class QuerySession:
         self.k = k
         self.quantum = quantum
         self.max_pulls = max_pulls
-        self.priority = priority
         self.deadline = deadline
         self.cache_key = cache_key
         self.label = label
@@ -186,19 +184,6 @@ class QuerySession:
         if not self.released_at:
             return None
         return max(0.0, self.released_at[0] - self.submitted_at)
-
-    def bound_gap(self) -> float:
-        """Distance from proving the next result: bound minus best buffered.
-
-        Smaller means the next emit is closer; sessions with no buffered
-        candidate report ``inf``.  Used by the shortest-remaining-bound-gap
-        scheduling policy; every resumable operator answers ``best_buffered``.
-        """
-        operator = self.operator
-        best = float("-inf") if operator is None else operator.best_buffered()
-        if best == float("-inf"):
-            return float("inf")
-        return max(0.0, operator.bound_value - best)
 
     # ------------------------------------------------------------------
     # Execution

@@ -52,7 +52,6 @@ def render_dashboard(stats: dict) -> str:
     lines.append(
         f"sessions  live={scheduler.get('live', 0)} "
         f"queued={scheduler.get('queued', 0)} finished={done} "
-        f"policy={scheduler.get('policy', '?')} "
         f"pulls={scheduler.get('pulls', 0)}"
     )
     lines.append(

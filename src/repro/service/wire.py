@@ -246,6 +246,7 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
         # keep working and any other value is refused here, at the edge.
         Field("shards", "the integer 1", lambda v: _is_int(v) and v == 1),
         Field("backend", 'the string "serial"', lambda v: v == "serial"),
+        # Checked, then ignored: every session is scheduled round-robin.
         Field("priority", *_INT, default=0),
         Field("max_pulls", *_COUNT),
         Field("deadline", "a finite non-negative number",

@@ -2,7 +2,6 @@
 
 from repro.stats.metrics import (
     DepthReport,
-    MemoryHighWater,
     OperatorStats,
     TimingBreakdown,
     mean_depths,
@@ -14,7 +13,6 @@ __all__ = [
     "BoundTrace",
     "TraceEntry",
     "DepthReport",
-    "MemoryHighWater",
     "OperatorStats",
     "TimingBreakdown",
     "mean_depths",

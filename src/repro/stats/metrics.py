@@ -59,24 +59,6 @@ class TimingBreakdown:
 
 
 @dataclass(frozen=True)
-class MemoryHighWater:
-    """Peak buffer sizes over a run (tuple counts, not bytes).
-
-    Rank join operators buffer every pulled tuple (the hash tables
-    ``HR_i``) plus the not-yet-emitted results (the ordered buffer ``O``);
-    the related work (Agrawal & Widom) targets precisely this footprint.
-    """
-
-    hash_left: int = 0
-    hash_right: int = 0
-    output: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.hash_left + self.hash_right + self.output
-
-
-@dataclass(frozen=True)
 class OperatorStats:
     """Everything measured about one operator run."""
 
@@ -86,7 +68,6 @@ class OperatorStats:
     io_cost: float
     bound_recomputations: int
     results: int
-    memory: MemoryHighWater = MemoryHighWater()
 
     @property
     def sum_depths(self) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.anyk import AnyKQuery, AnyKRankJoin
+from repro.anyk import dp as dp_module
 from repro.anyk.dp import Group
 from repro.core.naive import naive_top_k, top_scores
 from repro.core.scoring import SumScore, WeightedSum
@@ -58,15 +59,6 @@ class TestRelationViews:
             RankTuple(key=1, scores=(0.25,), payload={"x": 1.0, "y": "b"}),
         ])
 
-    def test_identity_ranks_are_dense_and_shared_by_equal_identities(self):
-        relation = self.relation()
-        ranks = relation.identity_ranks()
-        assert ranks is relation.identity_ranks()
-        assert ranks.tolist() == [2, 1, 2, 0]
-        identities = relation.identities()
-        by_rank = sorted(range(4), key=lambda row: (ranks[row], row))
-        assert by_rank == sorted(range(4), key=identities.__getitem__)
-
     def test_key_codes_decode_to_the_rows_values(self):
         relation = self.relation()
         values, codes = relation.key_codes(("x", "y"))
@@ -104,21 +96,19 @@ class TestRelationViews:
     def test_one_hook_drops_all_four_views(self, mutate):
         relation, partner = self.relation(), self.partner()
         held = (relation.scored(), relation.identities(),
-                relation.identity_ranks(), relation.key_codes(("x",)),
-                relation.link(partner, ("x",)))
-        before = [np.array(held[2]), np.array(held[3][1]), np.array(held[4].rows)]
+                relation.key_codes(("x",)), relation.link(partner, ("x",)))
+        before = [list(held[1]), np.array(held[2][1]), np.array(held[3].rows)]
         mutate(relation, RankTuple(key=9, scores=(1.0,), payload={"x": 7, "y": "c"}))
         assert relation.scored() is not held[0]
         assert relation.identities() is not held[1]
-        assert relation.identity_ranks() is not held[2]
-        assert relation.key_codes(("x",)) is not held[3]
-        assert relation.link(partner, ("x",)) is not held[4]
+        assert relation.key_codes(("x",)) is not held[2]
+        assert relation.link(partner, ("x",)) is not held[3]
         assert (7,) in relation.key_codes(("x",))[0]
-        assert len(relation.identity_ranks()) == len(relation.tuples)
+        assert len(relation.identities()) == len(relation.tuples)
         # What a running query holds is replaced, never edited.
-        assert held[2].tolist() == before[0].tolist()
-        assert held[3][1].tolist() == before[1].tolist()
-        assert held[4].rows.tolist() == before[2].tolist()
+        assert held[1] == before[0]
+        assert held[2][1].tolist() == before[1].tolist()
+        assert held[3].rows.tolist() == before[2].tolist()
 
         # The link depends on its parent too: a change there drops it.
         relation, partner = self.relation(), self.partner()
@@ -259,7 +249,7 @@ class TestObjectsFollowTheEnumeration:
     def test_a_query_prepares_nothing_twice_and_orders_only_what_it_walks(
             self, monkeypatch):
         links, groups, orderings = 0, 0, []
-        link, init, lexsort = relation_module.Link, Group.__init__, np.lexsort
+        link, init = relation_module.Link, Group.__init__
 
         def counting_link(*args):
             nonlocal links
@@ -271,13 +261,19 @@ class TestObjectsFollowTheEnumeration:
             groups += 1
             init(self, *args)
 
-        def counting_lexsort(keys, *args, **kwargs):
-            orderings.append(len(keys[0]))
-            return lexsort(keys, *args, **kwargs)
+        class CountingNumpy:
+            """numpy as the DP sees it, counting the orderings it makes."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, keys, *args, **kwargs):
+                orderings.append(len(keys))
+                return np.argsort(keys, *args, **kwargs)
 
         monkeypatch.setattr(relation_module, "Link", counting_link)
         monkeypatch.setattr(Group, "__init__", counting_init)
-        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        monkeypatch.setattr(dp_module, "np", CountingNumpy())
         query, scoring = harness_query()
         operator = AnyKRankJoin(query, scoring)
         assert len(operator.top_k(10)) == 10

@@ -1,13 +1,17 @@
 """Lazy group order ≡ eager group order.
 
 The DP orders a group's rows only when the enumeration first reaches it,
-over a grouping its relations prepared once (``Relation.link``).  The
-oracle here is the close it replaced: a dict probe per distinct link
-value, then one stable ``lexsort`` of every surviving row by
-``(connection code, -best, identity rank)`` cut into groups.  Both are
-drained to exhaustion (K beyond the join) at several step budgets; the
-emitted ``(float.hex(score), identities)`` sequence, ``pulls``,
-``depths()`` and ``pruned`` must be equal.
+over a grouping its relations prepared once (``Relation.link``), by
+``-best`` alone with row order between equals.  The oracle here is the
+close it replaced: a dict probe per distinct link value, then one stable
+``lexsort`` of every surviving row by ``(connection code, -best,
+identity rank)`` cut into groups — so equal-``best`` rows come in
+identity order there, and the equality below is also the check that the
+tie order inside a group cannot be seen from outside (the engine sorts
+every tie batch by identity).  Both are drained to exhaustion (K beyond
+the join) at several step budgets; the emitted ``(float.hex(score),
+identities)`` sequence, ``pulls``, ``depths()`` and ``pruned`` must be
+equal.
 """
 
 import numpy as np
@@ -23,12 +27,19 @@ from tests.chain_oracle import chain_combos
 QUANTA = (1, 7, 64, None)
 
 
+def identity_ranks(identities):
+    """The dense rank of every identity (equal ones share a rank)."""
+    rank_of = {value: rank for rank, value in enumerate(sorted(set(identities)))}
+    return np.array([rank_of[value] for value in identities], dtype=np.intp)
+
+
 class EagerColumns:
     """The DP's node columns with every group ordered at close."""
 
     def __init__(self, node, child):
         self.node = node
         self.child = child
+        self.ranks = identity_ranks(node.identities)
         self.best = np.empty(len(node))
         self.alive = np.ones(len(node), dtype=bool)
         if child is not None:
@@ -53,7 +64,7 @@ class EagerColumns:
         values, codes = self.node.parent_keys
         rows = np.flatnonzero(self.alive)
         self.order = rows[
-            np.lexsort((self.node.ranks[rows], -self.best[rows], codes[rows]))
+            np.lexsort((self.ranks[rows], -self.best[rows], codes[rows]))
         ]
         codes = codes[self.order]
         heads = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]][:len(codes)])

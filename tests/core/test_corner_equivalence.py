@@ -72,7 +72,6 @@ def state(operator):
         operator.bound_value.hex(), operator.frontier().hex(),
         operator.best_buffered().hex(), operator.potential(0).hex(),
         operator.potential(1).hex(), operator.stats().io_cost,
-        operator.memory().output,
     )
 
 

@@ -7,7 +7,7 @@ or returns ``None``, and every call leaves one line:
 * the outcome — ``PENDING``, ``None``, or the result's content identity
   and ``score.hex()``;
 * ``pulls``, ``depth(0)``, ``depth(1)``, ``bound_value``, ``frontier()``,
-  both potentials, the inputs' simulated I/O cost and ``memory().output``;
+  both potentials and the inputs' simulated I/O cost;
 * the :class:`~repro.stats.trace.BoundTrace` rows the call appended.
 
 The golden keeps the line count, the last line and a digest of them all.
@@ -16,7 +16,9 @@ HRJN* were the per-pull PBRJ loop (corner bound + round-robin /
 potential-adaptive pulling), before they became array passes, and
 re-recorded from the last commit that still wrote ``pull_choice_total``,
 with the column of those counts dropped: every other part of every line
-came back unchanged.  The
+came back unchanged.  It was re-recorded once more, the same way, from
+the last commit that still had ``memory()``, with its output-heap peak
+dropped.  The
 instances are the bound-trace golden's e=2 / e=3 ones, a 0.25-grid
 instance made of exact-score ties, one with an empty input and one whose
 K exceeds the join.
@@ -119,7 +121,7 @@ def calls(key):
                 " ".join(_hex(value) for value in (
                     operator.bound_value, operator.frontier(),
                     operator.potential(0), operator.potential(1))),
-                f"{operator.stats().io_cost!r} {operator.memory().output}",
+                f"{operator.stats().io_cost!r}",
                 ";".join(f"{e.pull} {e.side} {_hex(e.bound)} {e.buffered} {e.emitted}"
                          for e in appended),
             ]))

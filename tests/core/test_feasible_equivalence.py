@@ -87,7 +87,7 @@ def state(operator):
         operator.bound_value.hex(), operator.frontier().hex(),
         operator.best_buffered().hex(), operator.potential(0).hex(),
         operator.potential(1).hex(), operator.stats().io_cost,
-        operator.memory().output, bound.cover_sizes, bound.seen_skyline_sizes,
+        bound.cover_sizes, bound.seen_skyline_sizes,
         operator.stats().bound_recomputations,
     )
 

@@ -10,7 +10,7 @@ or returns ``None``, and every call leaves one line:
   ``frontier()`` and ``best_buffered()``;
 * the bound's ``cover_sizes`` and ``cover_resolutions`` (``-`` for FR*,
   which has no grid), ``stats().bound_recomputations`` — Table 1's count —
-  the inputs' simulated I/O cost and ``memory().output``;
+  and the inputs' simulated I/O cost;
 * the :class:`~repro.stats.trace.BoundTrace` rows the call appended;
 * the registry's pull, recomputation and grid counters and gauges, and
   the kernel call counts (``kernel_calls_total``: the carves the group
@@ -27,7 +27,9 @@ that still wrote the ``skyline_size`` histograms, with that family dropped
 from ``FAMILIES``: only its entries left the lines.  It was re-recorded
 again from the last commit that still wrote ``pull_choice_total``,
 ``bound_cache_total`` and ``cover_size``, with those three dropped from
-``FAMILIES`` in the same way.  The instances are the
+``FAMILIES`` in the same way, and from the last commit that still had
+``memory()``, with its output-heap peak dropped from each line: every
+line's other fields came back unchanged.  The instances are the
 bound-trace golden's e=2 / e=3 ones and its tie-heavy ``ties_e2``, one
 with an empty input and one whose K exceeds the join.
 
@@ -120,7 +122,7 @@ def calls(key):
                     operator.frontier(), operator.best_buffered())),
                 f"{bound.cover_sizes} {getattr(bound, 'cover_resolutions', '-')} "
                 f"{operator.stats().bound_recomputations}",
-                f"{operator.stats().io_cost!r} {operator.memory().output}",
+                f"{operator.stats().io_cost!r}",
                 ";".join(f"{e.pull} {e.side} {_hex(e.bound)} {e.buffered} {e.emitted}"
                          for e in appended),
                 _registry(obs.metrics),

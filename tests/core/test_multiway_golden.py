@@ -119,7 +119,7 @@ def test_reporting_surface_is_inherited_from_the_one_loop():
     assert not any(operator.is_exhausted(i) for i in range(3))
     stats = operator.stats()
     assert stats.sum_depths == operator.sum_depths == operator.pulls
-    assert stats.results == k and stats.memory.total > 0
+    assert stats.results == k
     assert 0.0 < operator.timing().total
 
 

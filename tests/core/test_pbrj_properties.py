@@ -107,39 +107,3 @@ class TestDepthMonotonicity:
             top_scores([r for r in incremental if r])
         )
 
-
-class TestMemoryAccounting:
-    def test_high_water_marks(self):
-        instance = random_instance(
-            n_left=300, n_right=300, e_left=1, e_right=1,
-            num_keys=10, k=10, cut=1.0, seed=1,
-        )
-        op = make_operator("FRPA", instance)
-        op.top_k(10)
-        memory = op.memory()
-        assert [memory.hash_left, memory.hash_right] == op.depths()
-        assert memory.output >= 10
-        assert memory.total == (
-            memory.hash_left + memory.hash_right + memory.output
-        )
-
-    def test_memory_in_stats(self):
-        instance = random_instance(
-            n_left=100, n_right=100, e_left=1, e_right=1,
-            num_keys=10, k=3, seed=0,
-        )
-        op = make_operator("HRJN*", instance)
-        op.top_k(3)
-        assert op.stats().memory.total > 0
-
-    def test_shallow_operator_buffers_less(self):
-        instance = random_instance(
-            n_left=500, n_right=500, e_left=1, e_right=1,
-            num_keys=25, k=5, cut=0.25, seed=3,
-        )
-        frpa = make_operator("FRPA", instance)
-        corner = make_operator("HRJN*", instance)
-        frpa.top_k(5)
-        corner.top_k(5)
-        # Less I/O also means a smaller footprint — the robustness bonus.
-        assert frpa.memory().total <= corner.memory().total

@@ -496,9 +496,7 @@ class TestSharedTier:
         spec = QuerySpec(relations=(INSTANCE.left, INSTANCE.right), k=5)
         planted = tmp_path / f"{spec.fingerprint()}.pkl"
         planted.write_bytes(data)
-        service = QueryService(
-            quantum=16, cache=ResultCache(shared_dir=tmp_path)
-        )
+        service = QueryService(quantum=16, shared_cache_dir=tmp_path)
         with running_server(service) as server:
             with ServiceClient(server.host, server.port, timeout=20.0) as client:
                 final = client.run(left="lineitem", right="orders", k=5)

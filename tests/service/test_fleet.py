@@ -21,7 +21,9 @@ from repro.service import (
     TenantQuotas,
     wire,
 )
+from repro.service.fleet import _worker_service
 
+from tests.service.conftest import make_spec
 from tests.service.test_server import REFERENCE_SCORES, RELATIONS
 
 ROUNDED_REFERENCE = [round(s, 6) for s in REFERENCE_SCORES]
@@ -188,3 +190,24 @@ class TestFleet:
         assert idle
         assert stats["fleet"]["outstanding"] == {"w0": 0, "w1": 0}
         assert fleet._pending == {}
+
+
+class TestWorkerService:
+    """The service a worker runs, built without forking one.  At the parent
+    the worker's cache counted hits on a registry of its own, so every
+    worker reported ``cache_hit_ratio: null``, and a fleet refused
+    ``cache_capacity=0`` that a single server took."""
+
+    def test_a_worker_counts_its_cache_where_its_slos_read(self, tmp_path):
+        service = _worker_service({"quantum": 16}, str(tmp_path))
+        spec = make_spec(k=5)
+        assert service.run_query(spec) == service.run_query(spec)
+        assert service.stats()["cache"]["hits"] == 1
+        assert service.stats()["slo"]["cache_hit_ratio"] == 0.5
+        assert "service_cache_hits_total" in service.metrics_text()
+
+    def test_a_zero_capacity_fleet_has_no_cache(self, tmp_path):
+        fleet = ServeFleet(RELATIONS, workers=2, port=0,
+                           shared_cache_dir=str(tmp_path),
+                           service_kwargs={"cache_capacity": 0})
+        assert _worker_service(fleet.service_kwargs, str(tmp_path)).cache is None

@@ -71,7 +71,7 @@ class TestProtocol:
             with ServiceClient(server.host, server.port) as client:
                 client.run(left="lineitem", right="orders", k=3)
                 stats = client.stats()
-        assert stats["scheduler"]["policy"] == "round-robin"
+        assert stats["scheduler"]["max_live"] == 8
         assert stats["cache"]["entries"] == 1
         assert stats["relations"] == {"lineitem": 200, "orders": 200}
 

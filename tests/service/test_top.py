@@ -10,7 +10,6 @@ from repro.service.top import render_dashboard, run_top
 STATS = {
     "scheduler": {
         "live": 1, "queued": 2, "finished": {"DONE": 3}, "pulls": 640,
-        "policy": "round-robin",
     },
     "slo": {
         "session_seconds": {"p50": 0.002, "p95": 0.01, "p99": 1.5},

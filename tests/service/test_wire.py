@@ -291,10 +291,13 @@ class TestHostileFrames:
 
     def test_shards_one_is_still_served(self, target, quiet):
         # Nothing is sharded (any other value is a row above), but an old
-        # client that sends the field's one value keeps working.
+        # client that sends the field's one value keeps working — as does
+        # one that sends a priority: every session is scheduled
+        # round-robin, so an integer is checked and ignored.
         pins = [{"worker": 0}] if isinstance(target, ServeFleet) else [{}]
         with ServiceClient(target.host, target.port, timeout=20.0) as client:
-            final = client.run(timeout=20.0, shards=1, **QUERY, **pins[0])
+            final = client.run(timeout=20.0, shards=1, priority=5,
+                               **QUERY, **pins[0])
         assert final["state"] == "DONE"
 
 

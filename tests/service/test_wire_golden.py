@@ -10,15 +10,20 @@ recorded by running this very file against the parent commit::
 
     PYTHONPATH=<parent>/src:. python tests/service/test_wire_golden.py
 
-(Four edits since: the ``degraded`` key was struck from the ten recorded
+(Six edits since: the ``degraded`` key was struck from the ten recorded
 snapshots when the field left the protocol with the process backend;
 ``default_shards``, the ``shards`` block and the SLO block's
 ``shard_imbalance_max`` were struck from the recorded ``stats`` replies
 when no request could ask for sharding any more; ``skyline_size`` was
 struck from the ``metrics`` reply's family inventory when that family was
-deleted; and ``pull_choice_total``, ``bound_cache_total``, ``cover_size``,
+deleted; ``pull_choice_total``, ``bound_cache_total``, ``cover_size``,
 ``output_heap_peak`` and ``bound_kernel_seconds`` were struck from it when
-those families were deleted.)
+those families were deleted; the scheduler block's ``policy`` was struck
+from every recorded ``stats`` reply when the service kept one schedule;
+and each fleet worker's ``slo.cache_hit_ratio`` in both fleet ``stats``
+replies was set to what its own ``cache`` block implies — a fleet worker
+now counts its cache on the registry its SLOs read — with the front-end's
+set to its summed hits over summed lookups, as its ``cache.hit_rate``.)
 
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
