@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """CI smoke test for the live telemetry plane.
 
-Starts ``python -m repro serve`` on an ephemeral port, runs a few
-queries (FRPA, any-k, and a repeat for a cache hit), then checks the
-whole exposition surface end to end:
+Starts ``python -m repro serve`` on an ephemeral port, checks that the
+idle server's ``stats`` reports its live-session and queue-depth gauges as
+0, runs a few queries (FRPA, any-k, and a repeat for a cache hit), then
+checks the whole exposition surface end to end:
 
 * the ``metrics`` verb returns Prometheus text containing every core
   metric family and the SLO quantile gauges;
@@ -84,6 +85,11 @@ def main() -> int:
     errors: list[str] = []
     try:
         with ServiceClient(host, port, timeout=60.0) as client:
+            # An idle server's gauges read 0, not "never set".
+            idle = client.stats().get("slo", {})
+            for gauge in ("live_sessions", "queue_depth"):
+                if idle.get(gauge) != 0:
+                    errors.append(f"idle stats slo.{gauge} is {idle.get(gauge)!r}, not 0")
             client.run(left="lineitem", right="orders", k=5,
                        operator="FRPA", timeout=60.0)
             client.run(left="lineitem", right="orders", k=5,

@@ -12,9 +12,9 @@ The join tree of a path query is the path itself (the acyclic case of
 "Optimal Join Algorithms Meet Top-k"): :func:`decompose` lists one node
 per relation, leaf first, and node ``i`` joins its child, node ``i - 1``,
 on ``join_attrs[i - 1]``; the last node is the root.  The semijoin
-reduction and the grouping of every link depend on content alone, so
-each comes from its relation's cached :meth:`~repro.relation.relation.
-Relation.link`; a query only scores them.
+reduction and the grouping of every link depend on the rows alone, which
+never change, so each comes from its relation's cached
+:meth:`~repro.relation.relation.Relation.link`; a query only scores them.
 """
 
 from __future__ import annotations

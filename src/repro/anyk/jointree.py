@@ -4,7 +4,7 @@ The evaluation plan of an any-k query is the path of its chain, one
 :class:`JoinTreeNode` per input relation, leaf first (see
 :mod:`repro.anyk.decompose`): node ``i``'s only child is node ``i - 1``,
 and each link is an equi-join on one attribute.  Every node *is columns*
-over its relation's tuples: row snapshot, float64 weights, canonical
+over its relation's tuples: the rows, float64 weights, canonical
 identities, the integer codes of the rows' join-key values toward the
 child and the parent, and the join structure of the path (per row its
 child group, the surviving rows grouped toward the parent) — all

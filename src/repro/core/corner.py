@@ -23,7 +23,7 @@ from repro.core.pulling import PotentialAdaptive, PullingStrategy
 from repro.core.scoring import NEG_INF
 from repro.core.stepping import PENDING
 from repro.core.tuples import JoinResult
-from repro.relation.relation import KEY_ATTR, RankJoinInstance, Relation
+from repro.relation.relation import KEY_ATTR, RankJoinInstance
 
 #: Pulls the first read-ahead schedules; each further one doubles them.
 FIRST_WINDOW = 64
@@ -56,12 +56,9 @@ class ArrayRankJoin(PBRJ):
         self._adaptive = isinstance(strategy, PotentialAdaptive)
         self._rows, self._order, self._bounds = zip(*map(instance.access, (0, 1)))
         self._n = tuple(map(len, self._order))
-        relations = [  # the snapshots the scans read, re-encoded if stale
-            relation if relation.scored()[0] is rows else Relation(relation.name, rows)
-            for relation, rows in zip((instance.left, instance.right), self._rows)]
-        self._matrix = tuple(relation.scored()[1] for relation in relations)
+        self._matrix = (instance.left.scored()[1], instance.right.scored()[1])
         # One code space; a right key no left row has is ``self._keys``.
-        self._keys, *codes = relations[0].joint_key_codes(relations[1], (KEY_ATTR,))
+        self._keys, *codes = instance.left.joint_key_codes(instance.right, (KEY_ATTR,))
         self._codes = tuple(codes)
         # The pairs joined so far, in heap order: discovery pull, score
         # (-inf once emitted), rows.

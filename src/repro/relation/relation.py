@@ -8,12 +8,12 @@ decreasing score bound ``S̄`` (Definition 2.1's access model) through
 :class:`~repro.relation.sources.SortedScan` pairs so operators can be run
 repeatedly on identical inputs.
 
-A relation is *prepared once*: its float64 score matrix, its canonical
-tuple identities and the integer codes of its join-key columns depend on
-content alone, so they are built on first use, shared by every query, and
-dropped by the hook that drops the cached fingerprint — as are the code
-space it shares with the relation it was last joined to and the join
-structure of that link (:meth:`Relation.link`).
+A relation is a value, *prepared once*: its rows are a ``tuple`` fixed at
+construction, so its float64 score matrix, its canonical tuple identities,
+the integer codes of its join-key columns, the code space it shares with
+the relation it was last joined to and the join structure of that link
+(:meth:`Relation.link`) are built on first use and shared by every query
+for the life of the object.
 """
 
 from __future__ import annotations
@@ -100,57 +100,22 @@ def _tuple_digest(tup: RankTuple) -> bytes:
     return hashlib.sha256("\x1f".join(parts).encode()).digest()
 
 
-class _TrackedTuples(list):
-    """A tuple list that invalidates what its relation derived from it.
-
-    Every mutating list operation clears the owner's cached digest and
-    views, so a relation edited in place (appends during data loading, test
-    fixtures patching a score) re-fingerprints and re-prepares on next use
-    instead of serving stale state to the result cache or a query.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "Relation", iterable: Iterable[RankTuple] = ()):
-        super().__init__(iterable)
-        self._owner = owner
-
-    def _dirty(self) -> None:
-        self._owner._invalidate()
-
-
-def _tracked_mutator(method_name: str):
-    base = getattr(list, method_name)
-
-    def mutate(self, *args, **kwargs):
-        self._dirty()
-        return base(self, *args, **kwargs)
-
-    mutate.__name__ = method_name
-    return mutate
-
-
-for _name in ("append", "extend", "insert", "remove", "pop", "clear", "sort",
-              "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__"):
-    setattr(_TrackedTuples, _name, _tracked_mutator(_name))
-
-
 class Relation:
-    """A named, unordered collection of rank tuples of equal dimension."""
+    """A named, unordered collection of rank tuples of equal dimension.
+
+    A value: its rows are fixed at construction, so every view derived
+    from them is built on first use and kept for the life of the object.
+    """
 
     def __init__(self, name: str, tuples: Iterable[RankTuple]) -> None:
         self.name = name
-        self._invalidate()
-        self._tuples = _TrackedTuples(self, tuples)
+        self._tuples = tuple(tuples)
         dims = {t.dimension for t in self._tuples}
         if len(dims) > 1:
             raise InstanceError(
                 f"relation {name!r} mixes score dimensions: {sorted(dims)}"
             )
         self.dimension = dims.pop() if dims else 0
-
-    def _invalidate(self) -> None:
-        """The content changed: drop everything derived from it."""
         self._fingerprint: str | None = None
         self._scored: tuple[tuple[RankTuple, ...], np.ndarray] | None = None
         self._identities: list[tuple] | None = None
@@ -159,33 +124,21 @@ class Relation:
         self._links: dict[tuple[str, ...], tuple] = {}
 
     @property
-    def tuples(self) -> list[RankTuple]:
-        """The tuple bag.  Mutations invalidate the fingerprint and views."""
+    def tuples(self) -> tuple[RankTuple, ...]:
+        """The rows, in the order the relation was built from."""
         return self._tuples
 
-    @tuples.setter
-    def tuples(self, tuples: Iterable[RankTuple]) -> None:
-        self._tuples = _TrackedTuples(self, tuples)
-        self._invalidate()
-
     def scored(self) -> tuple[tuple[RankTuple, ...], np.ndarray]:
-        """``(rows, matrix)``: a snapshot of the bag and its read-only
-        float64 ``(n, e)`` score matrix, ``matrix[i] == rows[i].scores``.
-
-        Built on first use and kept until the content changes; a query that
-        took it keeps reading the snapshot it started on.  A score that is
-        not a number in ``[0, 1]`` is refused here: NaN has no place in a
-        sort order, and every bound takes 1 as a score's ceiling.
+        """``(rows, matrix)``: :attr:`tuples` itself and its read-only
+        float64 ``(n, e)`` score matrix, ``matrix[i] == rows[i].scores``,
+        built on first use.  A score that is not a number in ``[0, 1]`` is
+        refused here: NaN has no place in a sort order, and every bound
+        takes 1 as a score's ceiling.
         """
         if self._scored is None:
-            rows = tuple(self._tuples)
-            try:
-                matrix = np.array([t.scores for t in rows], dtype=float)
-                matrix = matrix.reshape(len(rows), self.dimension)
-            except ValueError:
-                raise InstanceError(
-                    f"relation {self.name!r} mixes score dimensions"
-                ) from None
+            rows = self._tuples
+            matrix = np.array([t.scores for t in rows], dtype=float)
+            matrix = matrix.reshape(len(rows), self.dimension)
             # NaN fails both comparisons.
             bad = np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))
             if len(bad):
@@ -199,8 +152,8 @@ class Relation:
         return self._scored
 
     def identities(self) -> list[tuple]:
-        """:func:`tuple_identity` of every tuple, in bag order; built on
-        first use and kept until the content changes."""
+        """:func:`tuple_identity` of every tuple, in row order; built on
+        first use."""
         if self._identities is None:
             self._identities = [tuple_identity(t) for t in self._tuples]
         return self._identities
@@ -208,7 +161,7 @@ class Relation:
     def key_codes(self, attrs: tuple[str, ...]) -> KeyCodes:
         """:func:`encode_keys` of every row's :func:`attr_value` tuple over
         ``attrs``, aligned with :meth:`scored`; built per attribute tuple on
-        first use and kept until the content changes."""
+        first use."""
         if attrs not in self._key_codes:
             self._key_codes[attrs] = encode_keys(
                 tuple([attr_value(tup, attr) for attr in attrs])
@@ -220,7 +173,7 @@ class Relation:
                         ) -> tuple[int, np.ndarray, np.ndarray]:
         """``(size, mine, theirs)``: both relations' :meth:`key_codes` in
         this one's code space (``size``: a value only ``other`` holds), kept
-        for the newest ``other`` per ``attrs`` until either content changes."""
+        for the newest ``other`` per ``attrs``."""
         (known, mine), (values, theirs) = self.key_codes(attrs), other.key_codes(attrs)
         cached = self._joint_codes.get(attrs)
         if cached is None or cached[0] is not theirs:
@@ -238,9 +191,9 @@ class Relation:
         there; ``None``: every row survives).  The survivors are grouped by
         their :meth:`key_codes` in code order, row order inside a group, and
         every ``parent`` row gets the group it joins.  Kept for the newest
-        ``parent`` and ``gids`` per ``attrs`` until either content changes:
-        a caller passes the ``parent_gids`` of the link below, which that
-        link replaces when any relation under it changes.
+        ``parent`` and ``gids`` per ``attrs``: a caller passes the
+        ``parent_gids`` of the link below, the same array for as long as
+        that link is kept.
         """
         joint = self.joint_key_codes(parent, attrs)
         cached = self._links.get(attrs)
@@ -263,9 +216,7 @@ class Relation:
         change to a key, a score (at full float precision), or a payload
         changes the digest.  The relation *name* is deliberately excluded —
         two differently-named copies of the same data are the same content.
-        The digest is computed once and cached; mutating ``tuples`` (in
-        place or by reassignment) invalidates the cache, so the next call
-        rehashes the current content.
+        Computed on first use.
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()
@@ -310,7 +261,7 @@ class RankJoinInstance:
 
     Inputs are ordered once at construction — per side one
     ``(rows, order, bounds)`` triple, two compact arrays over the
-    relation's shared snapshot; :meth:`scans` returns fresh single-pass
+    relation's rows; :meth:`scans` returns fresh single-pass
     sources over them, so the same instance can be evaluated by many
     operators under identical conditions.
     """

@@ -39,7 +39,7 @@ def score_bound(scoring, dims: Sequence[int], index: int, scores) -> float:
 
 def sorted_access(scoring, dims: Sequence[int], index: int, relation):
     """Definition 2.1's order for ``relation`` as input ``index``:
-    ``(rows, order, bounds)`` — the relation's row snapshot, its row ids in
+    ``(rows, order, bounds)`` — the relation's rows, its row ids in
     decreasing ``S̄``, and the ``S̄`` values in that order.  One exact
     ``batch`` pass over ``[1…1 | matrix | 1…1]`` (bit for bit
     :func:`score_bound` of each row) and a stable argsort of the negation —

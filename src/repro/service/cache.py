@@ -14,8 +14,10 @@ longest top-K prefix computed so far for each distinct query:
   cost new pulls.  The continuation is checked out exclusively; it is
   returned — with the longer prefix — when the extending session ends.
 
-Eviction is LRU over a bounded number of entries, with an optional TTL so
-long-lived servers do not serve stale answers after relation reloads.
+Eviction is LRU over a bounded number of entries, with an optional TTL
+that only bounds how long an entry lives: the key holds every relation's
+content fingerprint, so a reloaded relation with new rows is a new key and
+can never be answered from an entry built on the old ones.
 
 A second, *shared* tier (``shared_dir``) backs the in-memory cache with
 one pickle file per fingerprint, written atomically — the cross-process

@@ -107,8 +107,9 @@ class Scheduler:
             "service_deadline_expirations_total"
         )
         # Sessions with a deadline (a tick sweeps only while one lives), and
-        # the gauges' last values (set on change).
+        # the gauges' last values (set on change; an idle scheduler reads 0).
         self._deadlines, self._exported = 0, None
+        self._export_gauges()
 
     # ------------------------------------------------------------------
     # Admission

@@ -1,4 +1,4 @@
-"""What the columnar DP added: content-only views with snapshot lifetime,
+"""What the columnar DP added: content-only views built once per relation,
 objects only where the enumeration walks, an O(1) tie-batch head.
 
 Bit-identity with the per-tuple DP is ``test_anyk_golden.py``'s job.
@@ -7,23 +7,16 @@ Bit-identity with the per-tuple DP is ``test_anyk_golden.py``'s job.
 from collections import deque
 
 import numpy as np
-import pytest
 
 from repro.anyk import AnyKQuery, AnyKRankJoin
 from repro.anyk import dp as dp_module
 from repro.anyk.dp import Group
-from repro.core.naive import naive_top_k, top_scores
 from repro.core.scoring import SumScore, WeightedSum
 from repro.core.stepping import PENDING
 from repro.core.tuples import RankTuple
-from repro.data.workload import (
-    WorkloadParams,
-    lineitem_orders_instance,
-    random_instance,
-)
+from repro.data.workload import WorkloadParams, lineitem_orders_instance
 from repro.relation import relation as relation_module
 from repro.relation.relation import Relation, tuple_identity
-from tests.chain_oracle import brute_force
 
 
 def drain(operator, quantum=None, limit=None):
@@ -40,14 +33,6 @@ def drain(operator, quantum=None, limit=None):
                 (tuple_identity(outcome.left), tuple_identity(outcome.right)),
             ))
     return emitted
-
-
-MUTATIONS = [
-    lambda rel, tup: rel.tuples.append(tup),
-    lambda rel, tup: rel.tuples.__setitem__(0, tup),
-    lambda rel, tup: setattr(rel, "tuples", [tup, *rel.tuples[1:]]),
-]
-MUTATION_IDS = ["append", "setitem", "reassign"]
 
 
 class TestRelationViews:
@@ -92,127 +77,17 @@ class TestRelationViews:
         assert survivors.bounds.tolist() == [0, 1, 2]
         assert relation.link(partner, ("x",)) is not link  # the newest only
 
-    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
-    def test_one_hook_drops_all_four_views(self, mutate):
+    def test_every_view_is_the_same_object_on_every_call(self):
         relation, partner = self.relation(), self.partner()
-        held = (relation.scored(), relation.identities(),
-                relation.key_codes(("x",)), relation.link(partner, ("x",)))
-        before = [list(held[1]), np.array(held[2][1]), np.array(held[3].rows)]
-        mutate(relation, RankTuple(key=9, scores=(1.0,), payload={"x": 7, "y": "c"}))
-        assert relation.scored() is not held[0]
-        assert relation.identities() is not held[1]
-        assert relation.key_codes(("x",)) is not held[2]
-        assert relation.link(partner, ("x",)) is not held[3]
-        assert (7,) in relation.key_codes(("x",))[0]
-        assert len(relation.identities()) == len(relation.tuples)
-        # What a running query holds is replaced, never edited.
-        assert held[1] == before[0]
-        assert held[2][1].tolist() == before[1].tolist()
-        assert held[3].rows.tolist() == before[2].tolist()
-
-        # The link depends on its parent too: a change there drops it.
-        relation, partner = self.relation(), self.partner()
-        held = relation.link(partner, ("x",))
-        before = held.parent_gids.tolist()
-        mutate(partner, RankTuple(key=9, scores=(1.0,), payload={"x": 2}))
-        fresh = relation.link(partner, ("x",))
-        assert fresh is not held
-        assert held.parent_gids.tolist() == before
-        assert fresh.parent_gids.tolist() == [
-            {1: 0, 2: 1}.get(t.payload["x"], -1) for t in partner.tuples]
-
-
-class TestQueriesAfterAMutation:
-    """A query reads the link structure of the content it starts on."""
-
-    SCORING = SumScore()
-
-    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
-    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
-    def test_a_binary_query_answers_like_the_naive_join(self, mutate, side):
-        instance = random_instance(
-            n_left=40, n_right=40, e_left=1, e_right=1, num_keys=5, k=5,
-            seed=4, scoring=self.SCORING,
-        )
-        relations = [instance.left, instance.right]
-        AnyKRankJoin(AnyKQuery.binary(*relations), self.SCORING).top_k(5)
-        key = relations[1 - side].tuples[0].key
-        mutate(relations[side], RankTuple(key=key, scores=(1.0,)))
-        everything = len(relations[0]) * len(relations[1])
-        answer = AnyKRankJoin(AnyKQuery.binary(*relations), self.SCORING).top_k(everything)
-        assert [r.score for r in answer] == top_scores(naive_top_k(
-            relations[0].tuples, relations[1].tuples, self.SCORING, everything))
-
-    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
-    def test_a_change_at_the_leaf_regroups_every_link_above(self, mutate):
-        def rel(name, rows):
-            return Relation(name, [RankTuple(key=i, scores=(s,), payload=p)
-                                   for i, (p, s) in enumerate(rows)])
-
-        a = rel("A", [({"x": 1}, 0.9), ({"x": 1}, 0.2)])
-        b = rel("B", [({"x": 1, "y": 7}, 0.8), ({"x": 2, "y": 8}, 0.6)])
-        c = rel("C", [({"y": 7}, 0.4), ({"y": 8}, 0.3)])
-        query = AnyKQuery((a, b, c), ("x", "y"))
-        assert len(AnyKRankJoin(query, self.SCORING).top_k(10)) == 2
-        # B's x = 2 row finds a partner now, so C's y = 8 row does too.
-        mutate(a, RankTuple(key=5, scores=(0.5,), payload={"x": 2}))
-        answer = AnyKRankJoin(query, self.SCORING).top_k(10)
-        assert [r.score for r in answer] == brute_force((a, b, c), ("x", "y"), self.SCORING)
-        assert any(r.tuples[2].payload == {"y": 8} for r in answer)
-
-
-class TestSnapshotIsolation:
-    """A suspended operator finishes on the content it started on."""
-
-    SCORING = WeightedSum([1.0, 1.0 + 1e-6])
-
-    def relations(self):
-        instance = random_instance(
-            n_left=60, n_right=60, e_left=1, e_right=1, num_keys=6, k=5,
-            seed=11, scoring=self.SCORING,
-        )
-        return instance.left, instance.right
-
-    def mutate(self, left, right):
-        left.tuples.append(RankTuple(key=right.tuples[0].key, scores=(1.0,)))
-        patched = right.tuples[3]
-        right.tuples[3] = RankTuple(patched.key, (0.999,), patched.payload)
-
-    @pytest.mark.parametrize("suspend_after", ["mid-DP", "mid-enumeration"])
-    def test_suspended_operator_keeps_its_snapshot(self, suspend_after):
-        left, right = self.relations()
-        untouched = [Relation(rel.name, list(rel.tuples)) for rel in (left, right)]
-        reference = drain(AnyKRankJoin(AnyKQuery.binary(*untouched), self.SCORING))
-
-        operator = AnyKRankJoin(AnyKQuery.binary(left, right), self.SCORING)
-        structure = [(node.rows_by_group, node.bounds, node.child_gids)
-                     for node in operator._dp.nodes]
-        copies = [[None if a is None else a.tolist() for a in arrays]
-                  for arrays in structure]
-        emitted = []
-        if suspend_after == "mid-DP":
-            for _ in range(5):
-                assert operator.try_next(max_pulls=7) is PENDING
-            assert 0 < operator._dp.tuples_processed < len(left) + len(right)
-        else:
-            emitted = drain(operator, quantum=7, limit=3)
-        self.mutate(left, right)
-        assert emitted + drain(operator, quantum=7) == reference
-        assert operator.depths()[0] == len(untouched[0])
-        # It kept the join structure of its own snapshot, unedited.
-        for node, arrays, copy in zip(operator._dp.nodes, structure, copies):
-            assert (node.rows_by_group, node.bounds, node.child_gids) == arrays
-            assert [None if a is None else a.tolist() for a in arrays] == copy
-
-        # The next query reads the new content through fresh views.
-        fresh = AnyKRankJoin(AnyKQuery.binary(left, right), self.SCORING)
-        answer = [r.score for r in fresh.top_k(5)]
-        assert answer == top_scores(
-            naive_top_k(left.tuples, right.tuples, self.SCORING, 5))
-        assert answer != [score for score, _ in reference[:5]]
-        assert fresh.depths()[0] == len(untouched[0]) + 1
-        assert fresh._dp.nodes[0].rows_by_group is not structure[0][0]
-        assert fresh._dp.nodes[1].child_gids is not structure[1][2]
+        views = [
+            relation.scored, relation.identities, relation.fingerprint,
+            lambda: relation.key_codes(("x",)),
+            lambda: relation.joint_key_codes(partner, ("x",)),
+            lambda: relation.link(partner, ("x",)),
+        ]
+        first = [view() for view in views]
+        assert all(view() is held for view, held in zip(views, first))
+        assert relation.scored()[0] is relation.tuples
 
 
 def harness_query():

@@ -74,70 +74,6 @@ class TestContentHash:
         assert relation.fingerprint() is relation.fingerprint()
 
 
-class TestMutationInvalidation:
-    """In-place edits must invalidate the cached digest, not serve it stale."""
-
-    def test_append_invalidates(self):
-        relation = Relation("r", rows(BASE))
-        before = relation.fingerprint()
-        relation.tuples.append(RankTuple(key=9, scores=(0.2, 0.2), payload=None))
-        after = relation.fingerprint()
-        assert after != before
-        assert after == Relation("r", list(relation.tuples)).fingerprint()
-
-    def test_pop_restores_original_digest(self):
-        relation = Relation("r", rows(BASE))
-        before = relation.fingerprint()
-        relation.tuples.append(RankTuple(key=9, scores=(0.2, 0.2), payload=None))
-        relation.tuples.pop()
-        assert relation.fingerprint() == before
-
-    def test_setitem_and_delitem_invalidate(self):
-        relation = Relation("r", rows(BASE))
-        before = relation.fingerprint()
-        relation.tuples[0] = RankTuple(key=1, scores=(0.95, 0.5), payload=None)
-        changed = relation.fingerprint()
-        assert changed != before
-        del relation.tuples[0]
-        assert relation.fingerprint() != changed
-
-    def test_extend_remove_clear_invalidate(self):
-        relation = Relation("r", rows(BASE))
-        extra = RankTuple(key=8, scores=(0.4, 0.4), payload=None)
-        before = relation.fingerprint()
-        relation.tuples.extend([extra])
-        assert relation.fingerprint() != before
-        relation.tuples.remove(extra)
-        assert relation.fingerprint() == before
-        relation.tuples.clear()
-        assert relation.fingerprint() != before
-
-    def test_reorder_keeps_digest(self):
-        # sort/reverse invalidate the cache, but the digest is
-        # order-insensitive so the recomputed value is unchanged.
-        relation = Relation("r", rows(BASE))
-        before = relation.fingerprint()
-        relation.tuples.reverse()
-        assert relation._fingerprint is None
-        assert relation.fingerprint() == before
-
-    def test_reassignment_invalidates(self):
-        relation = Relation("r", rows(BASE))
-        before = relation.fingerprint()
-        relation.tuples = rows(BASE[:2])
-        assert relation.fingerprint() != before
-        # The new list is tracked too.
-        follow_up = relation.fingerprint()
-        relation.tuples.append(rows(BASE)[2])
-        assert relation.fingerprint() != follow_up
-
-    def test_unmutated_relation_still_caches(self):
-        relation = Relation("r", rows(BASE))
-        relation.fingerprint()
-        assert relation._fingerprint is not None
-        assert relation.fingerprint() is relation.fingerprint()
-
-
 class TestQueryFingerprint:
     def make_specs(self, **b_kwargs):
         left = Relation("L", rows(BASE))

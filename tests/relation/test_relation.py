@@ -28,6 +28,21 @@ class TestRelation:
         with pytest.raises(InstanceError):
             simple_relation("R", [(1, (0.5,)), (2, (0.5, 0.5))])
 
+    def test_a_relation_refuses_every_edit(self):
+        rows = [RankTuple(key=1, scores=(0.5,)), RankTuple(key=2, scores=(0.25,))]
+        rel = Relation("R", rows)
+        extra = RankTuple(key=3, scores=(1.0,))
+        rows.append(extra)  # the caller's list is not the relation's rows
+        assert type(rel.tuples) is tuple and len(rel) == 2
+        with pytest.raises(AttributeError):
+            rel.tuples.append(extra)
+        with pytest.raises(TypeError):
+            rel.tuples[0] = extra
+        with pytest.raises(AttributeError):
+            rel.tuples = [extra]
+        assert rel.tuples == tuple(rows[:2])
+        assert rel.scored()[0] is rel.tuples
+
     def test_from_arrays(self):
         rel = Relation.from_arrays(
             "R", [1, 2], np.array([[0.1, 0.2], [0.3, 0.4]]), payloads=["a", "b"]

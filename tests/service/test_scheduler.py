@@ -125,6 +125,10 @@ class TestAdmissionControl:
 
 
 class TestObservability:
+    def test_an_idle_service_reports_zero_gauges(self):
+        slo = QueryService().stats()["slo"]
+        assert (slo["live_sessions"], slo["queue_depth"]) == (0, 0)
+
     def test_scheduler_metrics(self):
         obs = Observability()
         service = QueryService(max_live=2, quantum=8, cache_capacity=0, obs=obs)
