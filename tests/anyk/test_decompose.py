@@ -1,9 +1,17 @@
 """The path join tree of a chain query, and query validation."""
 
+import numpy as np
 import pytest
 
 from repro.anyk import AnyKQuery, KEY_ATTR, decompose
-from repro.core.scoring import MinScore, ProductScore, SumScore
+from repro.anyk.jointree import relation_weights
+from repro.core.scoring import (
+    AverageScore,
+    MinScore,
+    ProductScore,
+    SumScore,
+    WeightedSum,
+)
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError
 from repro.relation.relation import Relation
@@ -120,3 +128,43 @@ class TestRejections:
     def test_sum_score_is_accepted(self, chain3):
         nodes = decompose(AnyKQuery(chain3, ["x", "y"]), SumScore())
         assert len(nodes) == 3
+
+
+class TestRelationWeights:
+    """Each relation's weights are ``S`` of its rows padded with zeros."""
+
+    @staticmethod
+    def padded_batch(scoring, relations):
+        """The definition: ``S(0…0 ⊕ b(τ) ⊕ 0…0)`` through ``batch``."""
+        total = sum(r.dimension for r in relations)
+        out, offset = [], 0
+        for r in relations:
+            matrix = r.scored()[1]
+            padded = np.zeros((len(matrix), total))
+            padded[:, offset:offset + r.dimension] = matrix
+            out.append(scoring.batch(padded))
+            offset += r.dimension
+        return out
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["sum", "weighted", "average"])
+    def test_bit_identical_to_the_padded_batch(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 4, size=rng.integers(2, 5))
+        relations = tuple(
+            Relation(f"R{i}", [
+                RankTuple(key=j, scores=tuple(rng.random(dim)))
+                for j in range(int(rng.integers(1, 40)))
+            ])
+            for i, dim in enumerate(dims)
+        )
+        scoring = {
+            "sum": SumScore(),
+            "weighted": WeightedSum(rng.random(int(dims.sum())) * 3.0),
+            "average": AverageScore(),
+        }[kind]
+        ours = relation_weights(scoring, relations)
+        expected = self.padded_batch(scoring, relations)
+        assert [w.view(np.int64).tolist() for w in ours] == [
+            w.view(np.int64).tolist() for w in expected
+        ]

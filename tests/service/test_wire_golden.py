@@ -10,7 +10,7 @@ recorded by running this very file against the parent commit::
 
     PYTHONPATH=<parent>/src:. python tests/service/test_wire_golden.py
 
-(Seven edits since: the ``degraded`` key was struck from the ten recorded
+(Eight edits since: the ``degraded`` key was struck from the ten recorded
 snapshots when the field left the protocol with the process backend;
 ``default_shards``, the ``shards`` block and the SLO block's
 ``shard_imbalance_max`` were struck from the recorded ``stats`` replies
@@ -26,7 +26,10 @@ now counts its cache on the registry its SLOs read — with the front-end's
 set to its summed hits over summed lookups, as its ``cache.hit_rate``;
 and worker ``w0``'s ``slo.live_sessions`` and ``slo.queue_depth`` in the
 later fleet ``stats`` reply went from ``null`` to ``0`` when an idle
-scheduler started exporting its gauges.)
+scheduler started exporting its gauges; and ``steps`` in the four
+snapshots of finished sessions per kind (4 → 6, 2 → 4) was re-recorded
+when a step came to end at its first release — answers, pulls and depths
+unchanged.)
 
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
