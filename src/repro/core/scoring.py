@@ -70,6 +70,18 @@ class ScoringFunction(ABC):
         rows = np.asarray(vectors, dtype=float).tolist()
         return np.array([self(tuple(row)) for row in rows], dtype=float)
 
+    def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
+        """:meth:`batch` of ``vectors`` laid at coordinate ``offset`` of
+        ``width``-wide rows, zeros elsewhere: ``S(0…0 ⊕ v ⊕ 0…0)``, what a
+        row scores on its own within a concatenated vector.  Additive
+        functions override it without building the padding — adding
+        ``0.0`` (or ``w · 0.0``) is exact, so the bits are the same.
+        """
+        vectors = np.asarray(vectors, dtype=float)
+        padded = np.zeros((len(vectors), width))
+        padded[:, offset:offset + vectors.shape[1]] = vectors
+        return self.batch(padded)
+
     def max_combination(
         self,
         left: Sequence[Sequence[float]],
@@ -264,6 +276,9 @@ class SumScore(_AdditiveScore):
     def batch(self, vectors: np.ndarray) -> np.ndarray:
         return column_sum(np.asarray(vectors, dtype=float), None)
 
+    def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
+        return column_sum(np.asarray(vectors, dtype=float), None)
+
     def max_combination(self, left, right) -> float:
         if not left or not right:
             return NEG_INF
@@ -310,6 +325,12 @@ class WeightedSum(_AdditiveScore):
             )
         return column_sum(vectors, self.weights)
 
+    def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
+        vectors = np.asarray(vectors, dtype=float)
+        if width != len(self.weights):
+            raise ValueError(f"expected {len(self.weights)} coordinates, got {width}")
+        return column_sum(vectors, self.weights[offset:offset + vectors.shape[1]])
+
     def max_combination(self, left, right) -> float:
         if not left or not right:
             return NEG_INF
@@ -349,6 +370,9 @@ class AverageScore(ScoringFunction):
     def batch(self, vectors: np.ndarray) -> np.ndarray:
         vectors = np.asarray(vectors, dtype=float)
         return column_sum(vectors, None) / max(vectors.shape[1], 1)
+
+    def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
+        return column_sum(np.asarray(vectors, dtype=float), None) / max(width, 1)
 
 
 class MinScore(ScoringFunction):
