@@ -33,6 +33,10 @@ class ServiceClient:
         self._file = None
         #: Trace id of the most recent submit (for log correlation).
         self.last_trace: str | None = None
+        #: ``(session id, events)`` of the latest submit whose reply
+        #: carried its stream (a session terminal on admission, such as a
+        #: cache hit) until :meth:`stream` replays it.
+        self._inline: tuple[str, list[dict]] | None = None
 
     # ------------------------------------------------------------------
     # Connection management
@@ -125,11 +129,14 @@ class ServiceClient:
         root here — the distributed trace starts at the caller, so every
         span the server-side execution produces parents back to this
         submission.  The trace id is kept on :attr:`last_trace` for
-        correlation.
+        correlation.  A reply that carries the session's stream (a cache
+        hit) is kept too, for the next :meth:`stream` of that session.
         """
         ctx = TraceContext.root()
         response = self.request({"verb": "submit", "trace": ctx.to_wire(), **query})
         self.last_trace = response.get("trace", ctx.trace_id)
+        events = response.get("events")
+        self._inline = None if events is None else (response["session"], events)
         return response["session"]
 
     def poll(self, session_id: str) -> dict:
@@ -189,7 +196,17 @@ class ServiceClient:
         at the next unseen index; replayed results below the cursor are
         dropped, so consumers see a clean exactly-once sequence even
         while the request layer is faulting.
+
+        The stream of the latest submitted session, when its submit reply
+        carried it, is replayed from there without a request, once; a
+        later ``stream`` of that session goes to the server.
         """
+        if self._inline is not None and self._inline[0] == session_id:
+            events, self._inline = self._inline[1], None
+            for event in events:
+                if event.get("event") != "result" or event["index"] >= from_index:
+                    yield event
+            return
         cursor = from_index
         attempt = 0
         while True:
@@ -216,9 +233,10 @@ class ServiceClient:
     def wait(self, session_id: str, *, timeout: float = 30.0) -> dict:
         """Block until the session reaches a terminal state.
 
-        Rides the ``stream`` verb: one request, zero polls — the server
-        pushes the ``done`` snapshot the moment the session ends, so
-        completion latency is wire latency, not a poll interval.
+        Rides :meth:`stream`: one request, zero polls — the server pushes
+        the ``done`` snapshot the moment the session ends, so completion
+        latency is wire latency, not a poll interval; a cache hit's
+        submit reply already held it, so that takes zero requests.
 
         Returns the final snapshot; raises ``TimeoutError`` if the
         session is still live after ``timeout`` seconds (the check runs

@@ -19,7 +19,9 @@ routing and shared state:
   deterministic).  Tests may pin a submit with a ``"worker": n`` field.
 * **Session ids** are namespaced on the wire: worker 2's ``s7`` is
   ``w2:s7`` to clients, so session-addressed verbs route straight back to
-  the owning worker with no session table lookups.
+  the owning worker with no session table lookups.  That includes the
+  ``result`` / ``done`` frames a submit reply carries in ``events`` when
+  its session is terminal on admission (a cache hit).
 * **A stream is relayed as bytes.**  Its ``result`` events and its
   ``done`` line cross as the worker's own bytes with one splice
   (:func:`~repro.service.wire.splice_session`) putting ``w2:`` in front
@@ -27,7 +29,9 @@ routing and shared state:
   safe because ``session`` is the first key after ``ok`` / ``event`` in
   both frames and the encoder escapes every quote inside a string, so the
   splice can only land on that key.  ``ok: false`` lines and the replies
-  to every other verb are decoded and rewritten.
+  to every other verb are decoded and rewritten.  A worker's line is read
+  whole however long it is (:func:`~repro.service.wire.read_line`): the
+  ``done`` frame of a large ``k`` carries every score.
 * **Outstanding counts are hints.**  A session counts against its worker
   from its submit until the front-end relays its end or the connection
   that submitted it closes — a client that hangs up never sees the end,
@@ -341,6 +345,10 @@ class ServeFleet(wire.LineServer):
         if response is None:
             return wire.worker_lost(worker.index, " mid-submit")
         response = self._rewrite(response, worker)
+        if "events" in response:  # born terminal: its stream rides along
+            response["events"] = [
+                self._rewrite(event, worker) for event in response["events"]
+            ]
         if response.get("ok") and "session" in response:
             self.obs.metrics.counter(
                 "fleet_routed_total", worker=str(worker.index)
@@ -369,7 +377,7 @@ class ServeFleet(wire.LineServer):
             # K+1 lines per request and a coroutine per line shows up in
             # the benchmark's all-wire workload.
             while True:
-                raw = await reader.readline()
+                raw = await wire.read_line(reader)
                 if not raw:
                     raise ConnectionError
                 if verb.streams and raw.startswith(
@@ -489,7 +497,7 @@ class ServeFleet(wire.LineServer):
             reader, writer = await self._upstream(worker, conn)
             writer.write(wire.encode(request))
             await writer.drain()
-            raw = await reader.readline()
+            raw = await wire.read_line(reader)
             if not raw:
                 raise ConnectionError
             return wire.decode(raw)

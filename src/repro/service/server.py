@@ -5,7 +5,11 @@ The protocol — verbs, fields, replies, the connection loop — is
 ``docs/API.md``).  This file adds what a single server does with a
 validated request: build the :class:`~repro.service.query.QuerySpec`,
 call the :class:`~repro.service.service.QueryService`, push ``stream``
-events as results are released.
+events as results are released.  A session that is terminal when
+``submit`` admits it — a cache hit, born ``DONE`` — has nothing left to
+wait for, so the submit reply carries its whole stream in ``events``:
+the frames a ``stream`` from 0 would send, built by the same
+:func:`stream_frames`, and a client needs no second round trip.
 
 Distributed tracing: a ``submit`` request may carry a ``trace`` field
 (the wire form of :class:`~repro.obs.TraceContext`, minted by
@@ -61,6 +65,26 @@ from repro.relation.relation import Relation
 from repro.service import wire
 from repro.service.query import QuerySpec
 from repro.service.service import QueryService
+
+
+def stream_frames(session, cursor: int):
+    """The ``stream`` frames of ``session`` from index ``cursor``: each
+    result released so far, then ``done`` if the session is terminal.
+
+    The prefix is read afresh for every frame, so a result released
+    while the caller awaits between two frames is yielded too.
+    """
+    while cursor < min(len(session.results), session.k):
+        yield wire.ok(
+            event="result",
+            session=session.session_id,
+            index=cursor,
+            score=round(session.results[cursor].score, 6),
+            ts=session.released_at[cursor],
+        )
+        cursor += 1
+    if session.done:
+        yield wire.ok(event="done", **session.snapshot())
 
 
 class RankJoinServer(wire.LineServer):
@@ -235,6 +259,8 @@ class RankJoinServer(wire.LineServer):
         )
         if ctx is not None:
             response["trace"] = ctx.trace_id
+        if session.done:  # its whole stream is known: it rides along
+            response["events"] = list(stream_frames(session, 0))
         return response
 
     def _verb_poll(self, request: dict) -> dict:
@@ -266,17 +292,11 @@ class RankJoinServer(wire.LineServer):
             while True:
                 # The prefix is re-read after every send: results released
                 # during one are emitted here, not waited for below.
-                while cursor < min(len(session.results), session.k):
-                    await conn.send(wire.ok(
-                        event="result",
-                        session=session_id,
-                        index=cursor,
-                        score=round(session.results[cursor].score, 6),
-                        ts=session.released_at[cursor],
-                    ))
+                for frame in stream_frames(session, cursor):
+                    if frame["event"] == "done":
+                        return frame
+                    await conn.send(frame)
                     cursor += 1
-                if session.done:
-                    return wire.ok(event="done", **session.snapshot())
                 if self._shutdown.is_set():
                     # Sent here, not returned: the line must be out before
                     # ``finished`` lets the shutdown proceed.

@@ -5,7 +5,8 @@ answers with several).  Everything that defines the protocol lives here
 and nowhere else; the prose copy is the "Wire protocol" section of
 ``docs/API.md``:
 
-* the **frame codec** — :func:`encode` / :func:`decode`, and
+* the **frame codec** — :func:`encode` / :func:`decode`,
+  :func:`read_line`, which reads a frame of any length, and
   :func:`splice_session`, which namespaces a stream event's session id
   in its encoded bytes;
 * the **verb table** — :data:`VERBS`: every verb with its fields, their
@@ -165,6 +166,25 @@ def splice_session(line: bytes, namespace: str) -> bytes:
     every ``"`` inside a string, so no string value can match it anyway.
     """
     return line.replace(_SESSION_KEY, _SESSION_KEY + namespace.encode() + b":", 1)
+
+
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next line from ``reader``, however long; ``b""`` at EOF.
+
+    ``StreamReader.readline`` refuses a line longer than the reader's
+    limit and drops it.  This reads such a line in pieces, so the limit
+    keeps bounding only what is buffered ahead of the reader.
+    """
+    pieces = []
+    while True:
+        try:
+            pieces.append(await reader.readuntil(b"\n"))
+        except asyncio.LimitOverrunError as exc:
+            pieces.append(await reader.readexactly(exc.consumed))
+            continue
+        except asyncio.IncompleteReadError as exc:  # EOF, maybe mid-line
+            pieces.append(exc.partial)
+        return b"".join(pieces)
 
 
 def decode(line: bytes) -> dict:

@@ -23,16 +23,25 @@ from repro.service import (
 )
 from repro.service.fleet import _worker_service
 
-from tests.service.conftest import make_spec
-from tests.service.test_server import REFERENCE_SCORES, RELATIONS
+from tests.service.conftest import make_instance, make_spec
+from tests.service.test_server import (
+    REFERENCE_SCORES,
+    RELATIONS,
+    running_server,
+)
 
 ROUNDED_REFERENCE = [round(s, 6) for s in REFERENCE_SCORES]
 
+#: Two 200-row relations on 2 keys: 20 000 join results, so a top-12000
+#: answer's ``done`` frame (every score) is far past ``wire.LINE_LIMIT``.
+WIDE = make_instance(seed=0, n=200, num_keys=2)
+WIDE_RELATIONS = {"left": WIDE.left, "right": WIDE.right}
+
 
 @contextlib.contextmanager
-def running_fleet(workers=2, **kwargs):
+def running_fleet(workers=2, relations=RELATIONS, **kwargs):
     kwargs.setdefault("service_kwargs", {"quantum": 16})
-    fleet = ServeFleet(RELATIONS, workers=workers, port=0, **kwargs)
+    fleet = ServeFleet(relations, workers=workers, port=0, **kwargs)
     thread = threading.Thread(target=fleet.run, daemon=True)
     thread.start()
     assert fleet.ready.wait(timeout=60.0), "fleet never became ready"
@@ -111,6 +120,28 @@ class TestFleet:
         assert second["from_cache"] is True
         assert second["pulls"] == 0
         assert stats["cache"]["shared_hits"] >= 1
+
+    def test_a_worker_frame_past_the_line_limit_is_relayed(self):
+        """A top-12000 answer crosses the front-end whole: streamed, polled
+        and — from the other worker — as a cache hit whose submit reply
+        holds all of it.  At the parent the front-end read each worker
+        line under the request line limit, and every one of these failed
+        as ``worker N lost``."""
+        k = 12000
+        query = dict(left="left", right="right", k=k, algorithm="anyk")
+        with running_fleet(workers=2, relations=WIDE_RELATIONS) as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                sid = client.submit(worker=0, **query)
+                events = list(client.stream(sid))
+                polled = client.poll(sid)
+                hit = client.run(worker=1, **query)
+        done = events[-1]
+        assert len(wire.encode(done)) > wire.LINE_LIMIT
+        assert [e["index"] for e in events[:-1]] == list(range(k))
+        assert done["state"] == polled["state"] == hit["state"] == "DONE"
+        assert polled["scores"] == done["scores"] == hit["scores"]
+        assert [e["score"] for e in events[:-1]] == done["scores"]
+        assert hit["from_cache"] is True
 
     def test_front_end_quotas_throttle_before_routing(self):
         quotas = TenantQuotas(rate=0.5, burst=2)
@@ -211,3 +242,31 @@ class TestWorkerService:
                            shared_cache_dir=str(tmp_path),
                            service_kwargs={"cache_capacity": 0})
         assert _worker_service(fleet.service_kwargs, str(tmp_path)).cache is None
+
+
+class TestReadYourWrites:
+    """A client that has a worker's ``done`` frame may submit the same
+    query anywhere in the fleet and hit the cache: the worker's write to
+    the shared tier comes before that frame.  Checked as an order inside
+    one server, not a race between two workers, which passes whenever the
+    write is late by less than the next request takes to arrive."""
+
+    def test_the_shared_tier_write_precedes_the_done_frame(
+        self, tmp_path, monkeypatch
+    ):
+        published = []  # the shared tier's records as each done frame goes out
+        real_send = wire.Connection.send
+
+        async def send(conn, payload):
+            if payload.get("event") == "done":
+                published.append(sorted(p.name for p in tmp_path.iterdir()))
+            await real_send(conn, payload)
+
+        monkeypatch.setattr(wire.Connection, "send", send)
+        service = _worker_service({"quantum": 16}, str(tmp_path))
+        with running_server(service) as server:
+            with ServiceClient(server.host, server.port) as client:
+                final = client.run(left="lineitem", right="orders", k=5)
+        assert final["from_cache"] is False
+        key = service.session(final["session"]).cache_key
+        assert published == [[f"{key}.pkl"]]

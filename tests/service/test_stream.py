@@ -2,11 +2,13 @@
 
 Covers the wire contract (sequential indexes, release-order scores, the
 terminal ``done`` snapshot), cursor resume, the client-side
-``wait``-rides-the-stream path (there is no poll-loop fallback), and —
+``wait``-rides-the-stream path (there is no poll-loop fallback), a cache
+hit's stream riding its submit reply, and —
 over real sockets, ordered by gates instead of sleeps — every transition
 that has to wake a parked stream now that no timeout does.
 """
 
+import contextlib
 import threading
 
 import pytest
@@ -17,6 +19,7 @@ from repro.service import (
     QuerySpec,
     ServiceClient,
     ServiceError,
+    wire,
 )
 
 from tests.resilience.test_deadlines import ManualClock
@@ -26,6 +29,7 @@ from tests.service.test_server import (
     REFERENCE_SCORES,
     running_server,
 )
+from tests.service.test_fleet import running_fleet
 from tests.service.test_shutdown import running_server as server_and_thread
 
 ROUNDED_REFERENCE = [round(s, 6) for s in REFERENCE_SCORES]
@@ -235,6 +239,99 @@ class TestParkedStreamsAreWoken:
             assert done["scores"] == ROUNDED_REFERENCE[:k]
             assert done["steps"] > k  # it ran beside the other one, and
             # most of its quanta released nothing (and woke nobody)
+
+
+class RequestCountingClient(ServiceClient):
+    """Records the verb of every request it puts on the wire."""
+
+    def __init__(self, host, port):
+        super().__init__(host, port)
+        self.verbs = []
+
+    def _send(self, payload):
+        self.verbs.append(payload["verb"])
+        super()._send(payload)
+
+
+@contextlib.contextmanager
+def cache_hit(kind, k=6, **query):
+    """A client and the id of a cache hit it just submitted, on a server or
+    on a 2-worker fleet (there computed on ``w0``, hit on ``w1``)."""
+    serving = running_server() if kind == "server" else running_fleet()
+    pins = ({}, {}) if kind == "server" else ({"worker": 0}, {"worker": 1})
+    query = dict(left="lineitem", right="orders", k=k, **query)
+    with serving as target:
+        with RequestCountingClient(target.host, target.port) as client:
+            assert client.run(**query, **pins[0])["from_cache"] is False
+            sid = client.submit(**query, **pins[1])
+            client.verbs.clear()
+            yield client, sid
+
+
+@pytest.mark.parametrize("kind", ["server", "fleet"])
+class TestACacheHitStreamsFromItsSubmitReply:
+    """A session born ``DONE`` gets its stream in the submit reply: the
+    client streams it with no second round trip."""
+
+    def test_its_stream_is_the_wire_stream_with_no_request(self, kind):
+        with cache_hit(kind) as (client, sid):
+            inline = list(client.stream(sid))
+            assert client.verbs == []
+            sent = list(client.stream_raw(sid))
+            assert client.verbs == ["stream"]
+            polled = client.poll(sid)
+        assert inline == sent
+        results, done = split_events(inline)
+        assert [e["index"] for e in results] == list(range(6))
+        assert [e["score"] for e in results] == ROUNDED_REFERENCE[:6]
+        assert {e["session"] for e in inline} == {sid}
+        assert done["from_cache"] is True and done["pulls"] == 0
+        assert done == dict(polled, event="done")
+
+    def test_it_replays_from_the_cursor(self, kind):
+        with cache_hit(kind) as (client, sid):
+            tail = list(client.stream(sid, from_index=4))
+            assert client.verbs == []
+            assert tail == list(client.stream_raw(sid, from_index=4))
+        assert [e.get("index") for e in tail] == [4, 5, None]
+
+    def test_a_second_stream_goes_to_the_wire(self, kind):
+        with cache_hit(kind) as (client, sid):
+            first = list(client.stream(sid))
+            assert client.verbs == []
+            again = list(client.stream(sid))
+            assert client.verbs == ["stream"]
+        assert again == first
+
+    def test_run_takes_one_request(self, kind):
+        with cache_hit(kind) as (client, sid):
+            final = client.run(left="lineitem", right="orders", k=6)
+            assert client.verbs == ["submit"]
+        assert final["from_cache"] is True
+        assert final["scores"] == ROUNDED_REFERENCE[:6]
+
+    def test_a_live_submit_reply_carries_no_events(self, kind):
+        with cache_hit(kind) as (client, _):
+            live = client.request({"verb": "submit", "left": "lineitem",
+                                   "right": "orders", "k": 7})
+            hit = client.request({"verb": "submit", "left": "lineitem",
+                                  "right": "orders", "k": 3})
+        assert live["state"] not in wire.TERMINAL and "events" not in live
+        assert hit["state"] == "DONE"
+        assert [e["event"] for e in hit["events"]] == ["result"] * 3 + ["done"]
+
+
+def test_a_cache_hit_past_the_line_limit_crosses_the_fleet():
+    """A top-1000 cache hit's submit reply is longer than a request may
+    be; the front-end reads and relays it whole."""
+    with cache_hit("fleet", k=1000, algorithm="anyk") as (client, sid):
+        events = list(client.stream(sid))
+        assert client.verbs == []
+    results, done = split_events(events)
+    assert len(wire.encode({"events": events})) > wire.LINE_LIMIT
+    assert [e["index"] for e in results] == list(range(1000))
+    assert [e["score"] for e in results] == done["scores"]
+    assert done["from_cache"] is True
 
 
 class PollCountingClient(ServiceClient):

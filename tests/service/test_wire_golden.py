@@ -10,7 +10,7 @@ recorded by running this very file against the parent commit::
 
     PYTHONPATH=<parent>/src:. python tests/service/test_wire_golden.py
 
-(Eight edits since: the ``degraded`` key was struck from the ten recorded
+(Nine edits since: the ``degraded`` key was struck from the ten recorded
 snapshots when the field left the protocol with the process backend;
 ``default_shards``, the ``shards`` block and the SLO block's
 ``shard_imbalance_max`` were struck from the recorded ``stats`` replies
@@ -29,7 +29,9 @@ later fleet ``stats`` reply went from ``null`` to ``0`` when an idle
 scheduler started exporting its gauges; and ``steps`` in the four
 snapshots of finished sessions per kind (4 → 6, 2 → 4) was re-recorded
 when a step came to end at its first release — answers, pulls and depths
-unchanged.)
+unchanged; and the cache-hit submit reply of each kind gained ``events``,
+its four ``result`` frames and its ``done`` frame, when a session that is
+terminal on admission came to carry its stream in the submit reply.)
 
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
