@@ -332,6 +332,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         params = _workload(args)
     except ReproError as exc:
         return _fail(exc)
+    chaos_flags = (args.chaos_seed, args.chaos_error_rate, args.chaos_delay_rate)
+    if args.workers > 1 and any(chaos_flags):
+        return _fail("request chaos runs on a single server; "
+                     "--chaos-* cannot be used with --workers > 1")
     algorithm = params.algorithm
     obs = _build_obs(args, "serve") or Observability()
     quotas = None
@@ -356,9 +360,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1:
         from repro.service import ServeFleet
 
-        if chaos is not None:
-            print("note: request chaos applies to single-server mode only; "
-                  "ignoring --chaos-* with --workers > 1", file=sys.stderr)
         try:
             server = ServeFleet(
                 relations,

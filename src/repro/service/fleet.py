@@ -18,20 +18,16 @@ routing and shared state:
   with the fewest in-flight sessions (ties to the lowest index —
   deterministic).  Tests may pin a submit with a ``"worker": n`` field.
 * **Session ids** are namespaced on the wire: worker 2's ``s7`` is
-  ``w2:s7`` to clients, so session-addressed verbs route straight back to
-  the owning worker with no session table lookups.  That includes the
-  ``result`` / ``done`` frames a submit reply carries in ``events`` when
-  its session is terminal on admission (a cache hit).
-* **A stream is relayed as bytes.**  Its ``result`` events and its
-  ``done`` line cross as the worker's own bytes with one splice
-  (:func:`~repro.service.wire.splice_session`) putting ``w2:`` in front
-  of the id — no decode, copy and encode per released answer.  That is
-  safe because ``session`` is the first key after ``ok`` / ``event`` in
-  both frames and the encoder escapes every quote inside a string, so the
-  splice can only land on that key.  ``ok: false`` lines and the replies
-  to every other verb are decoded and rewritten.  A worker's line is read
-  whole however long it is (:func:`~repro.service.wire.read_line`): the
-  ``done`` frame of a large ``k`` carries every score.
+  ``w2:s7`` to clients in every line (a hit's ``events`` and ``stats``
+  included), so a session-addressed verb routes straight back to the
+  owning worker with no session table lookups.
+* **Every forwarded line is relayed as bytes**, after one splice
+  (:func:`~repro.service.wire.splice_session`) putting ``w2:`` in front of
+  each session id in it: the encoder escapes every quote inside a string,
+  so the splice can only land on a ``session`` key.  A reply is decoded
+  only for what routing reads, a ``result`` line not at all, and none is
+  encoded again.  A worker's line is read whole however long it is
+  (:func:`~repro.service.wire.read_line`).
 * **Outstanding counts are hints.**  A session counts against its worker
   from its submit until the front-end relays its end or the connection
   that submitted it closes — a client that hangs up never sees the end,
@@ -299,14 +295,6 @@ class ServeFleet(wire.LineServer):
                 return worker, local
         return None
 
-    @staticmethod
-    def _rewrite(payload: dict, worker: _Worker) -> dict:
-        """Namespace any session id in a relayed worker payload."""
-        if isinstance(payload.get("session"), str):
-            payload = dict(payload)
-            payload["session"] = f"{worker.name}:{payload['session']}"
-        return payload
-
     def _settle(self, wire_id: str) -> None:
         """Stop counting a session as in flight."""
         pending = self._pending.pop(wire_id, None)
@@ -323,11 +311,20 @@ class ServeFleet(wire.LineServer):
     # Verbs
     # ------------------------------------------------------------------
     async def _handle(self, verb: wire.Verb, request: dict, conn):
-        if verb.session_addressed:
-            return await self._relay(verb, request, conn)
-        return await getattr(self, f"_verb_{verb.name}")(request, conn)
+        if not verb.session_addressed:
+            return await getattr(self, f"_verb_{verb.name}")(request, conn)
+        wire_id = request["session"]
+        routed = self._route_session(wire_id)
+        if routed is None:
+            return wire.no_session(wire_id)
+        worker, local = routed
+        if not worker.alive:
+            return wire.worker_lost(worker.index)
+        return await self._forward(
+            verb, worker, dict(request, session=local), conn, wire_id
+        )
 
-    async def _verb_submit(self, request: dict, conn) -> dict:
+    async def _verb_submit(self, request: dict, conn) -> dict | None:
         if self.draining:
             return wire.draining("fleet")
         if self.quotas is not None:
@@ -341,68 +338,53 @@ class ServeFleet(wire.LineServer):
         worker = self._pick_worker(request.pop("worker", None))
         if worker is None:
             return wire.no_live_worker()
-        response = await self._exchange(worker, request, conn)
-        if response is None:
-            return wire.worker_lost(worker.index, " mid-submit")
-        response = self._rewrite(response, worker)
-        if "events" in response:  # born terminal: its stream rides along
-            response["events"] = [
-                self._rewrite(event, worker) for event in response["events"]
-            ]
-        if response.get("ok") and "session" in response:
-            self.obs.metrics.counter(
-                "fleet_routed_total", worker=str(worker.index)
-            ).inc()
-            # Born DONE (cache hit): never outstanding.
-            if response.get("state") not in wire.TERMINAL:
-                worker.outstanding += 1
-                self._pending[response["session"]] = (worker, conn)
-        return response
+        return await self._forward(
+            wire.VERBS["submit"], worker, request, conn, None
+        )
 
-    async def _relay(self, verb: wire.Verb, request: dict, conn) -> dict | None:
-        """Forward a session-addressed verb to the session's owner and
-        relay what comes back — one reply, or event lines to a terminal."""
-        wire_id = request["session"]
-        routed = self._route_session(wire_id)
-        if routed is None:
-            return wire.no_session(wire_id)
-        worker, local = routed
-        if not worker.alive:
-            return wire.worker_lost(worker.index)
+    async def _forward(
+        self, verb: wire.Verb, worker: _Worker, request: dict,
+        conn: wire.Connection, wire_id: str | None,
+    ) -> dict | None:
+        """Send ``request`` to ``worker``; relay its reply, or a stream's
+        lines up to the terminal one, to ``conn`` as the worker's bytes.
+
+        ``wire_id`` is the session's fleet id, None for a submit (its reply
+        names it).  Routing reads a reply before it is written.
+        """
         try:
-            reader, writer = await self._upstream(worker, conn)
-            writer.write(wire.encode(dict(request, session=local)))
-            await writer.drain()
-            # Read in place rather than through _exchange: a stream relays
-            # K+1 lines per request and a coroutine per line shows up in
-            # the benchmark's all-wire workload.
+            reader = await self._upstream(worker, request, conn)
             while True:
                 raw = await wire.read_line(reader)
-                if not raw:
-                    raise ConnectionError
-                if verb.streams and raw.startswith(
-                    (wire.RESULT_EVENT, wire.DONE_EVENT)
-                ):
-                    # The worker's bytes, spliced (module docstring: why
-                    # that is safe).  One write and one drain per line, as
-                    # a worker sends them: merging lines lost (server.py).
-                    conn.writer.write(wire.splice_session(raw, worker.name))
-                    await conn.writer.drain()
-                    if raw.startswith(wire.DONE_EVENT):
-                        self._settle(wire_id)
-                        return None
-                    continue
-                # One reply, or the ok: false line that ends a stream.
-                reply = self._rewrite(wire.decode(raw), worker)
-                if (reply.get("state") in wire.TERMINAL
-                        or reply.get("cancelled") is True):
+                line = wire.splice_session(raw, worker.name)
+                last = not raw.startswith(wire.RESULT_EVENT)
+                if raw.startswith(wire.DONE_EVENT):
                     self._settle(wire_id)
-                return reply
+                elif last:
+                    reply = wire.decode(line)
+                    if wire_id is None and "session" in reply:  # admitted
+                        self.obs.metrics.counter(
+                            "fleet_routed_total", worker=str(worker.index)
+                        ).inc()
+                        # Born DONE (cache hit): never outstanding.
+                        if reply.get("state") not in wire.TERMINAL:
+                            worker.outstanding += 1
+                            self._pending[reply["session"]] = (worker, conn)
+                    elif (reply.get("state") in wire.TERMINAL
+                            or reply.get("cancelled") is True):
+                        self._settle(wire_id)
+                # One write and one drain per line, as a worker sends them:
+                # merging lines lost (server.py).
+                conn.writer.write(line)
+                await conn.writer.drain()
+                if last:
+                    return None
         except (OSError, asyncio.TimeoutError, ValueError):
+            # ValueError: EOF, or a reply that is not one JSON object.
             self._drop(worker, conn)
-            return wire.worker_lost(
-                worker.index, " mid-stream" if verb.streams else ""
-            )
+            during = (" mid-stream" if verb.streams
+                      else " mid-submit" if wire_id is None else "")
+            return wire.worker_lost(worker.index, during)
 
     async def _verb_stats(self, request: dict, conn) -> dict:
         merged = {
@@ -427,7 +409,7 @@ class ServeFleet(wire.LineServer):
         for worker in self._workers:
             stats = None
             if worker.alive:
-                stats = await self._exchange(worker, {"verb": "stats"}, conn)
+                stats = await self._exchange(worker, conn)
             if stats is None:
                 merged["workers"][worker.name] = {"alive": False}
                 continue
@@ -444,8 +426,7 @@ class ServeFleet(wire.LineServer):
             for field in cache:
                 cache[field] += wcache.get(field, 0) or 0
             _merge_slo(slo, stats.get("slo") or {})
-            for brief in stats.get("sessions") or []:
-                sessions.append(self._rewrite(brief, worker))
+            sessions.extend(stats.get("sessions") or [])
         total = cache["hits"] + cache["misses"]
         cache["hit_rate"] = cache["hits"] / total if total else 0.0
         # A ratio does not merge by max: the fleet's is its summed hits
@@ -470,16 +451,23 @@ class ServeFleet(wire.LineServer):
     # ------------------------------------------------------------------
     # Upstream plumbing
     # ------------------------------------------------------------------
-    async def _upstream(self, worker: _Worker, conn: wire.Connection):
-        """The (reader, writer) to a worker: opened lazily, one per worker,
-        and owned by the client connection — requests on one client socket
-        are serial, so relays never interleave on an upstream."""
+    async def _upstream(
+        self, worker: _Worker, request: dict, conn: wire.Connection
+    ) -> asyncio.StreamReader:
+        """Send ``request`` to a worker; return the reader of its reply.
+
+        The upstream is opened lazily, one per worker, and owned by the
+        client connection: requests on one client socket are serial, so
+        relays never interleave on an upstream.
+        """
         pair = conn.peers.get(worker.index)
         if pair is None:
             pair = conn.peers[worker.index] = await asyncio.wait_for(
                 asyncio.open_connection(self.host, worker.port), timeout=10.0
             )
-        return pair
+        pair[1].write(wire.encode(request))
+        await pair[1].drain()
+        return pair[0]
 
     def _drop(self, worker: _Worker, conn: wire.Connection) -> None:
         """An upstream failed: forget it, and the worker too if it died."""
@@ -490,18 +478,14 @@ class ServeFleet(wire.LineServer):
             pair[1].close()
 
     async def _exchange(
-        self, worker: _Worker, request: dict, conn: wire.Connection
+        self, worker: _Worker, conn: wire.Connection
     ) -> dict | None:
-        """One request/response round trip to a worker; None if it died."""
+        """A worker's ``stats``, its session ids spliced; None if it died."""
         try:
-            reader, writer = await self._upstream(worker, conn)
-            writer.write(wire.encode(request))
-            await writer.drain()
+            reader = await self._upstream(worker, {"verb": "stats"}, conn)
             raw = await wire.read_line(reader)
-            if not raw:
-                raise ConnectionError
-            return wire.decode(raw)
+            return wire.decode(wire.splice_session(raw, worker.name))
         except (OSError, asyncio.TimeoutError, ValueError):
-            # ValueError: a reply that is not one JSON object on one line.
+            # ValueError: EOF, or a reply that is not one JSON object.
             self._drop(worker, conn)
             return None

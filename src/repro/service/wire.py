@@ -7,8 +7,8 @@ and nowhere else; the prose copy is the "Wire protocol" section of
 
 * the **frame codec** — :func:`encode` / :func:`decode`,
   :func:`read_line`, which reads a frame of any length, and
-  :func:`splice_session`, which namespaces a stream event's session id
-  in its encoded bytes;
+  :func:`splice_session`, which namespaces every session id in an
+  encoded line;
 * the **verb table** — :data:`VERBS`: every verb with its fields, their
   types, ranges and defaults, and the two facts a front-end routes on
   (``session_addressed``, ``streams``); :func:`validate` checks a frame
@@ -148,8 +148,8 @@ def encode(payload: dict) -> bytes:
 
 
 #: How a server's ``result`` and ``done`` stream events begin, up to the
-#: first character of the session id: ``session`` is the first key after
-#: ``ok`` and ``event`` in both frames.
+#: first character of the session id: a front-end tells them from a
+#: reply by these prefixes, without decoding them.
 RESULT_EVENT, DONE_EVENT = (
     encode(ok(event=name, session="")).removesuffix(b'"}\n')
     for name in ("result", "done")
@@ -158,14 +158,15 @@ _SESSION_KEY = b'"session": "'
 
 
 def splice_session(line: bytes, namespace: str) -> bytes:
-    """A ``result`` / ``done`` event line with ``namespace:`` put in front
-    of its session id, without decoding it.
+    """An encoded line with ``namespace:`` put in front of every session id
+    it carries — the string under a ``session`` key, at any depth — without
+    decoding it.
 
-    ``line`` must start with :data:`RESULT_EVENT` or :data:`DONE_EVENT`, so
-    the first ``"session": "`` is that top-level key; ``json.dumps`` escapes
-    every ``"`` inside a string, so no string value can match it anyway.
+    ``json.dumps`` escapes every ``"`` inside a string, so the bytes
+    ``"session": "`` can only be a key opening its string value: the key
+    ``session``, or one ending in ``"session``, which no server writes.
     """
-    return line.replace(_SESSION_KEY, _SESSION_KEY + namespace.encode() + b":", 1)
+    return line.replace(_SESSION_KEY, _SESSION_KEY + namespace.encode() + b":")
 
 
 async def read_line(reader: asyncio.StreamReader) -> bytes:

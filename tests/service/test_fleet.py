@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.service import (
+    QuerySpec,
     ServeFleet,
     ServiceClient,
     ServiceError,
@@ -23,7 +24,7 @@ from repro.service import (
 )
 from repro.service.fleet import _worker_service
 
-from tests.service.conftest import make_instance, make_spec
+from tests.service.conftest import GatedOperator, make_instance, make_spec
 from tests.service.test_server import (
     REFERENCE_SCORES,
     RELATIONS,
@@ -191,6 +192,58 @@ class TestFleet:
         assert {e["session"] for e in events} == {sid}
         assert [e["score"] for e in events[:8]] == ROUNDED_REFERENCE[:8]
         assert events[-1]["scores"] == ROUNDED_REFERENCE[:8]
+
+    def test_a_cache_hit_crosses_the_front_end_unencoded(self, monkeypatch):
+        """Over one cache-hit submit the front-end encodes the request it
+        sends upstream and nothing else: the reply, its ``events`` with it,
+        crosses as the worker's bytes (at the parent: decoded, rewritten
+        and encoded again)."""
+        query = dict(left="lineitem", right="orders", k=8, worker=0)
+        with running_fleet(workers=2) as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                cold = client.run(**query)
+            with socket.create_connection((fleet.host, fleet.port),
+                                          timeout=20.0) as sock, \
+                    sock.makefile("rwb") as raw:
+                encoded = []
+                real = wire.encode
+                monkeypatch.setattr(  # the workers forked before this
+                    wire, "encode",
+                    lambda payload: encoded.append(payload) or real(payload),
+                )
+                raw.write(json.dumps({"verb": "submit", **query}).encode()
+                          + b"\n")
+                raw.flush()
+                hit = json.loads(raw.readline())
+                monkeypatch.undo()
+        assert [payload.get("verb") for payload in encoded] == ["submit"]
+        assert hit["from_cache"] is True and hit["session"].startswith("w0:")
+        assert {e["session"] for e in hit["events"]} == {hit["session"]}
+        assert [e["score"] for e in hit["events"][:-1]] == ROUNDED_REFERENCE[:8]
+        assert hit["events"][-1]["scores"] == cold["scores"]
+
+    def test_every_session_id_in_stats_is_addressable(self, monkeypatch):
+        """A live session's brief in its worker's ``stats`` block carries
+        the fleet id, and ``poll`` takes it.  At the parent that block
+        carried the worker's own ``s1``: ``no session`` at the front-end."""
+        # The workers fork with this patch: their sessions never finish.
+        monkeypatch.setattr(QuerySpec, "build_operator",
+                            lambda spec, *, obs=None: GatedOperator())
+        with running_fleet(workers=2) as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                sid = client.submit(left="lineitem", right="orders", k=3,
+                                    worker=1)
+                try:
+                    stats = client.stats()
+                    ids = [brief["session"]
+                           for block in stats["workers"].values()
+                           for brief in block["sessions"]]
+                    states = [client.poll(wire_id)["state"] for wire_id in ids]
+                finally:
+                    assert client.cancel(sid) is True  # lets the fleet drain
+        assert sid.startswith("w1:")
+        assert ids == [sid] == [brief["session"] for brief in stats["sessions"]]
+        assert states[0] not in wire.TERMINAL
 
     def test_a_client_that_hangs_up_leaves_nothing_outstanding(self):
         """Three clients each submit three queries, stream only the last

@@ -13,6 +13,7 @@ added later is fuzzed without touching this file.
 """
 
 import ast
+import asyncio
 import contextlib
 import inspect
 import json
@@ -23,7 +24,6 @@ import pathlib
 import socket
 import tempfile
 import threading
-import types
 
 import pytest
 
@@ -31,13 +31,13 @@ from repro.errors import QuotaExceeded
 from repro.relation import Relation
 from repro.service import (
     QueryService,
-    QuerySpec,
     RankJoinServer,
     ServeFleet,
     ServiceClient,
     ServiceError,
     wire,
 )
+from repro.service.server import stream_frames
 
 from tests.service.test_server import RELATIONS
 
@@ -458,42 +458,66 @@ class TestVocabularyAndCodec:
 AWKWARD_NAMES = ('quo"te \\ back "session": "s9"', 'new\nline, ⋈ ü 名前')
 
 
-def stream_frames():
-    """``(id, frame)``: every line a server writes in answer to ``stream``."""
-    left, right = (Relation(name, relation.tuples) for name, relation
-                   in zip(AWKWARD_NAMES, RELATIONS.values()))
-    service = QueryService(quantum=16)
-    sid = service.submit(QuerySpec(relations=(left, right), k=3))
-    while service.tick():
+def worker_lines():
+    """``(id, frame)``: every line a worker writes, each built by the
+    server's own handler — submit (cold, and a hit carrying ``events``),
+    ``stats`` with a session live, poll, cancel, stream ``result`` /
+    ``done`` — and every ``ok: false`` shape."""
+    relations = {name: Relation(name, relation.tuples) for name, relation
+                 in zip(AWKWARD_NAMES, RELATIONS.values())}
+    server = RankJoinServer(QueryService(quantum=16), relations)
+    server._wake = asyncio.Event()  # what run() makes; only submit sets it
+    _, submit = wire.validate({"verb": "submit", "left": AWKWARD_NAMES[0],
+                               "right": AWKWARD_NAMES[1], "k": 3})
+    cold = server._verb_submit(dict(submit))
+    stats = server._verb_stats({})
+    assert [brief["session"] for brief in stats["sessions"]] == [cold["session"]]
+    while server.service.tick():
         pass
-    session = service.session(sid)
+    session = server.service.session(cold["session"])
     assert all(name in session.label for name in AWKWARD_NAMES)
-    yield "result", wire.ok(event="result", session=sid, index=0,
-                            score=round(session.results[0].score, 6),
-                            ts=session.released_at[0])
-    yield "done", wire.ok(event="done", **session.snapshot())
-    yield "no_session", wire.no_session("s7")
-    yield "stopped_mid_stream", wire.stopped_mid_stream()
-    yield "injected_fault", wire.injected_fault()
-    yield "bad_request", wire.bad_request("field 'from' must be ...")
+    result, *_, done = stream_frames(session, 0)
+    hit = server._verb_submit(dict(submit))
+    assert hit["from_cache"] is True and len(hit["events"]) == 4
+    yield "submit_cold", cold
+    yield "submit_hit", hit
+    yield "stats_live", stats
+    yield "poll", server._verb_poll({"session": cold["session"]})
+    yield "cancel", server._verb_cancel({"session": cold["session"]})
+    yield "result", result
+    yield "done", done
     yield "error", wire.error('operator "x" failed')
+    for name, (reply, _) in REPLIES.items():
+        if reply["ok"] is False and name != "error":
+            yield name, reply
+
+
+def rewrite(value, namespace: str):
+    """The splice's reference: ``value`` with ``namespace:`` put in front
+    of the string under every ``session`` key, at any depth."""
+    if isinstance(value, list):
+        return [rewrite(item, namespace) for item in value]
+    if not isinstance(value, dict):
+        return value
+    return {
+        key: f"{namespace}:{item}" if key == "session" and isinstance(item, str)
+        else rewrite(item, namespace)
+        for key, item in value.items()
+    }
 
 
 class TestStreamSplice:
     """What the front-end relays as bytes reads, decoded, exactly as the
-    decode → rewrite → encode it replaces."""
+    worker's line decoded and rewritten by the reference."""
 
     @pytest.mark.parametrize(
-        "frame", [pytest.param(f, id=name) for name, f in stream_frames()]
+        "frame", [pytest.param(f, id=name) for name, f in worker_lines()]
     )
     def test_splice_equals_rewrite(self, frame):
         raw = wire.encode(frame)
-        spliced = raw.startswith((wire.RESULT_EVENT, wire.DONE_EVENT))
-        assert spliced == (frame["ok"] is True)
-        if spliced:
-            worker = types.SimpleNamespace(name="w1")
-            assert wire.decode(wire.splice_session(raw, "w1")) == \
-                ServeFleet._rewrite(wire.decode(raw), worker)
+        spliced = wire.decode(wire.splice_session(raw, "w1"))
+        assert spliced == rewrite(frame, "w1")
+        assert list(spliced) == list(frame)  # key order is wire order
 
 
 def service_sources():

@@ -479,6 +479,19 @@ class TestWorkloadKnobs:
         assert captured.err.startswith(f"error: {field} must be ")
         assert captured.err.count("\n") == 1 and not captured.out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--chaos-error-rate", "0.1"),
+        ("--chaos-delay-rate", "0.1"),
+        ("--chaos-seed", "3"),
+    ])
+    def test_chaos_with_a_fleet_is_one_error_line(self, flag, value, capsys):
+        # At the parent this printed a note and served with no chaos.
+        argv = ["serve", "--scale", "0.0003", "--workers", "2", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: request chaos runs on a single")
+        assert captured.err.count("\n") == 1 and not captured.out
+
     def test_zero_shards_flag_is_one_error_line(self, capsys):
         # ``--shards`` is no knob any more: argparse refuses it before the
         # shared validation runs, so no ``shards must be`` line appears.
