@@ -8,7 +8,7 @@ query, so nothing is a cache hit) through one in-process ``QueryService``
 of ``CHECKOUT`` (default: this one) and prints the resident set size every
 ``--every`` queries, with what the service still holds.  With the result
 cache pinned at its 128 entries the only thing that can keep growing is
-what the scheduler retains per finished session — EXPERIMENTS.md, "Serving
+what the service retains per finished session — EXPERIMENTS.md, "Serving
 loop without timers", has the before / after.
 """
 
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"query {done} came back short")
         if done % args.every == 0:
             print(f"  {done:6d} queries: rss {rss_mb():7.1f} MB   "
-                  f"finished sessions held {len(service.scheduler.finished_sessions):5d}   "
+                  f"finished sessions held {len(service.finished_sessions):5d}   "
                   f"cache entries {service.cache.stats()['entries']}")
     print(f"  {time.perf_counter() - started:.1f} s")
     service.close()

@@ -83,7 +83,6 @@ from repro.service import (
     QuerySpec,
     RankJoinServer,
     ResultCache,
-    Scheduler,
     ServiceClient,
     SessionState,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "ReproError",
     "ResultCache",
     "RoundRobin",
-    "Scheduler",
     "ScoringFunction",
     "ServiceClient",
     "SessionState",

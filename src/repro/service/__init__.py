@@ -7,13 +7,13 @@ multi-query serving layer:
   relations, with a canonical content fingerprint;
 * :class:`~repro.service.session.QuerySession` — a suspendable execution
   advancing in bounded pull-quantum steps;
-* :class:`~repro.service.scheduler.Scheduler` — cooperative round-robin
-  multiplexing with admission control and pull budgets;
 * :class:`~repro.service.cache.ResultCache` — LRU + TTL top-K prefix
   cache with reuse (``k' <= K`` answered with zero pulls) and extension
   (``k' > K`` resumes the suspended operator);
-* :class:`~repro.service.service.QueryService` — the facade gluing the
-  above together;
+* :class:`~repro.service.service.QueryService` — owns every session:
+  admits it through the cache, steps the live ones round-robin under
+  admission control, and retires each (count, cache store, listeners,
+  operator released);
 * :class:`~repro.service.server.RankJoinServer` and
   :class:`~repro.service.client.ServiceClient` — an asyncio JSON-lines
   protocol served by ``python -m repro serve``.
@@ -36,7 +36,6 @@ from repro.service.fleet import ServeFleet
 from repro.core.scoring import scoring_fingerprint
 from repro.service.query import QuerySpec
 from repro.service.quota import TenantQuotas, TokenBucket
-from repro.service.scheduler import Scheduler
 from repro.service.server import RankJoinServer
 from repro.service.service import QueryService
 from repro.service.session import (
@@ -54,7 +53,6 @@ __all__ = [
     "QuerySpec",
     "RankJoinServer",
     "ResultCache",
-    "Scheduler",
     "ServeFleet",
     "ServiceClient",
     "ServiceError",

@@ -173,6 +173,8 @@ class ServeFleet(wire.LineServer):
         self.service_kwargs = dict(service_kwargs or {})
         self.server_kwargs = dict(server_kwargs or {})
         self.obs = obs if obs is not None else Observability()
+        if quotas is not None:
+            quotas.observe(self.obs.metrics)
         self._owns_cache_dir = shared_cache_dir is None
         self.shared_cache_dir = (
             shared_cache_dir
@@ -331,9 +333,6 @@ class ServeFleet(wire.LineServer):
             try:
                 self.quotas.admit(request["tenant"])
             except QuotaExceeded as exc:
-                self.obs.metrics.counter(
-                    "service_throttled_total", tenant=exc.tenant
-                ).inc()
                 return wire.throttled(exc)
         worker = self._pick_worker(request.pop("worker", None))
         if worker is None:

@@ -9,10 +9,12 @@ precisely instead of hammering the server.
 
 :class:`TenantQuotas` manages the per-tenant buckets lazily (a tenant's
 bucket is created full on first sight) and is wired into
-:class:`~repro.service.service.QueryService` — admission control lives
-at the scheduler boundary, in front of any operator work, so a
-throttled submission costs O(1).  Rejections increment
-``service_throttled_total{tenant}``.
+:class:`~repro.service.service.QueryService` (and the fleet's
+front-end) — admission control lives in front of any operator work, so
+a throttled submission costs O(1).  Each rejection is counted once, as
+``service_throttled_total{tenant}`` on the owner's registry (bound by
+:meth:`TenantQuotas.observe`), and the ``throttled`` stats block reads
+that counter.
 
 Clocks are injectable throughout, so quota behaviour is testable under
 virtual time.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import time
 
 from repro.errors import QuotaExceeded
+from repro.obs.metrics import MetricRegistry
 
 
 class TokenBucket:
@@ -97,7 +100,12 @@ class TenantQuotas:
         self.overrides = dict(overrides or {})
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
-        self._throttled: dict[str, int] = {}
+        self._metrics = MetricRegistry()
+
+    def observe(self, metrics: MetricRegistry) -> None:
+        """Count rejections on ``metrics``; called by the service or
+        fleet that owns these quotas, before its first submit."""
+        self._metrics = metrics
 
     def bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -111,12 +119,11 @@ class TenantQuotas:
         """Spend one of ``tenant``'s tokens or raise :class:`QuotaExceeded`.
 
         The raised error carries the precise ``retry_after`` hint; the
-        caller is responsible for counting the rejection (the service
-        labels ``service_throttled_total`` by tenant).
+        rejection is counted in ``service_throttled_total{tenant}``.
         """
         retry_after = self.bucket(tenant).try_acquire()
         if retry_after > 0.0:
-            self._throttled[tenant] = self._throttled.get(tenant, 0) + 1
+            self._metrics.counter("service_throttled_total", tenant=tenant).inc()
             raise QuotaExceeded(tenant, retry_after)
 
     def stats(self) -> dict:
@@ -128,5 +135,9 @@ class TenantQuotas:
                 tenant: round(bucket.tokens, 3)
                 for tenant, bucket in sorted(self._buckets.items())
             },
-            "throttled": dict(sorted(self._throttled.items())),
+            "throttled": {
+                labels["tenant"]: counter.value
+                for _, labels, counter in self._metrics.metrics_named(
+                    "service_throttled_total", kind="counter")
+            },
         }

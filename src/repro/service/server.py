@@ -16,10 +16,10 @@ Distributed tracing: a ``submit`` request may carry a ``trace`` field
 :class:`~repro.service.client.ServiceClient`); the server threads it
 through the service so the query's session span parents back to that
 client request.
-Requests without one get a server-minted root.  The submit response
-echoes the trace id.
+Requests without one get a root minted by the service.  The submit
+response echoes the session's trace id.
 
-The server drives the scheduler from a single background task — one
+The server drives the service from a single background task — one
 session step (a pull quantum, ended early by a release) per loop
 iteration, yielding to the event loop between steps — so any number of
 client connections share one cooperative executor and results stay
@@ -35,14 +35,14 @@ a scan:
   can end that state, so the submit that admits a live or queued session
   sets the event (as does :meth:`RankJoinServer.begin_shutdown`, which
   the parked driver has to notice); an idle server executes nothing.
-* **Streams wake on release and on finish, per session.**  The scheduler
-  reports both (``on_release`` / ``on_finish``); the server keeps one
-  edge-triggered event per *streamed* session, popped and set by those
-  callbacks.  A step that releases nothing wakes nobody, a release
-  wakes only its own session's streams, and every other way a session
-  can end — ``cancel`` from another connection, a deadline swept inside
-  ``tick`` — goes through the scheduler's retire step and so through
-  ``on_finish``; shutdown sets every event.
+* **Streams wake on release and on finish, per session.**  The service
+  reports both to its one listener; the server keeps one edge-triggered
+  event per *streamed* session, popped and set by that listener.  A
+  step that releases nothing wakes nobody, a release wakes only its own
+  session's streams, and every other way a session can end — ``cancel``
+  from another connection, a deadline swept inside ``tick`` — goes
+  through the service's retire step and so through the listener;
+  shutdown sets every event.
 * **A wake-up's frames are written one by one**, each followed by a
   drain.  Batching them into one write was measured and lost: on two
   vCPUs it serialises worker → front-end → client, which otherwise
@@ -96,16 +96,16 @@ class RankJoinServer(wire.LineServer):
     stops and observability exporters are flushed.  A second signal skips
     the drain and stops immediately.
 
-    The scheduler driver is the server: anything that escapes
+    The driver is the server: anything that escapes
     ``service.tick()`` ends :meth:`run` — open streams are told
     ``server stopped mid-stream``, the teardown runs, and the exception is
     re-raised to the caller — instead of leaving a socket that accepts
     queries nothing will ever advance.
 
-    The driver ticks while the scheduler has work and otherwise sleeps on
+    The driver ticks while the service has work and otherwise sleeps on
     an event set by the next admitting ``submit`` or by
     :meth:`begin_shutdown`; ``stream`` handlers sleep on their session's
-    event, set by the scheduler's release / finish callbacks and by
+    event, set by the service's listener (a release or a retire) and by
     shutdown (module docstring: the wake-up rules, and why result frames
     are not batched).  The service must not be ticked or submitted to
     from another thread while the server runs — a session admitted
@@ -137,8 +137,7 @@ class RankJoinServer(wire.LineServer):
         #: it, and a handler registers a fresh one in the same no-``await``
         #: stretch as its scan, so no wake-up falls between the two.
         self._parked: dict[str, asyncio.Event] = {}
-        service.scheduler.on_release(self._wake_streams)
-        service.scheduler.on_finish(self._wake_streams)
+        service.listen(self._wake_streams)
         #: One future per ``stream`` request in flight, resolved when its
         #: handler has sent its last line — what shutdown waits on.
         self._streams: set[asyncio.Future] = set()
@@ -179,7 +178,7 @@ class RankJoinServer(wire.LineServer):
             driver.cancel()
 
     async def _drive(self) -> None:
-        """Advance the scheduler one step at a time, cooperatively."""
+        """Advance the service one step at a time, cooperatively."""
         while True:
             if self.service.tick():
                 # Yield to the event loop after every step.
@@ -194,7 +193,7 @@ class RankJoinServer(wire.LineServer):
                 await self._wake.wait()
 
     def _wake_streams(self, session) -> None:
-        """Scheduler callback: ``session`` released a result or ended."""
+        """Service listener: ``session`` released a result or retired."""
         parked = self._parked.pop(session.session_id, None)
         if parked is not None:
             parked.set()
@@ -233,19 +232,14 @@ class RankJoinServer(wire.LineServer):
         if self.draining:
             return wire.draining("server")
         spec = self._parse_spec(request)
-        if request.get("trace") is not None:
-            ctx = TraceContext.from_wire(request["trace"])
-        elif self.service.obs.enabled:
-            ctx = TraceContext.root()
-        else:
-            ctx = None
+        trace = request.get("trace")
         try:
             session_id = self.service.submit(
                 spec,
                 deadline=request.get("deadline"),
                 max_pulls=request.get("max_pulls"),
                 tenant=request["tenant"],
-                trace=ctx,
+                trace=None if trace is None else TraceContext.from_wire(trace),
             )
         except QuotaExceeded as exc:
             return wire.throttled(exc)
@@ -257,8 +251,8 @@ class RankJoinServer(wire.LineServer):
             state=session.state.value,
             from_cache=session.from_cache,
         )
-        if ctx is not None:
-            response["trace"] = ctx.trace_id
+        if session.trace is not None:
+            response["trace"] = session.trace.trace_id
         if session.done:  # its whole stream is known: it rides along
             response["events"] = list(stream_frames(session, 0))
         return response
@@ -278,7 +272,7 @@ class RankJoinServer(wire.LineServer):
         The handler races nothing: it scans the session's result prefix
         from a cursor (so reattaching clients replay instantly and never
         see duplicates), emits anything new, and parks on the session's
-        event until the scheduler reports a release or the finish.  There
+        event until the service reports a release or the finish.  There
         is no ``await`` from the last look at the prefix to the park, so a
         terminal session always gets its ``done`` line.
         """

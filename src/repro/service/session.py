@@ -5,9 +5,8 @@ A :class:`QuerySession` wraps any resumable operator (the
 in bounded *pull-quantum* steps: each :meth:`step` spends at most
 ``quantum`` pulls, releases at most one result, and returns — leaving the
 operator suspended mid-query with all state retained, so a result leaves
-in the step that proves it.  The cooperative
-:class:`~repro.service.scheduler.Scheduler` interleaves many sessions by
-calling ``step`` on one session at a time.
+in the step that proves it.  :class:`~repro.service.service.QueryService`
+interleaves many sessions by calling ``step`` on one session at a time.
 
 Sessions move through a small state machine::
 
@@ -72,7 +71,7 @@ class QuerySession:
     Parameters
     ----------
     session_id:
-        Identifier assigned by the service (unique per scheduler).
+        Identifier assigned by the service (unique per service).
     operator:
         A resumable operator (``try_next``/``pulls``).  May already carry
         retained state — cache prefix-extension hands a continued operator
@@ -86,6 +85,8 @@ class QuerySession:
         are not billed for pulls a previous session already spent).
     preloaded:
         Results already known for this query's prefix (cache reuse).
+    label / plan:
+        The query and its effective plan, as ``stats`` briefs show them.
     """
 
     def __init__(
@@ -100,6 +101,7 @@ class QuerySession:
         preloaded: list | None = None,
         cache_key: str | None = None,
         label: str = "",
+        plan: str = "?",
         tenant: str = "anonymous",
         trace=None,
         clock=time.perf_counter,
@@ -107,7 +109,7 @@ class QuerySession:
         check_budget(quantum, max_pulls)
         self.session_id = session_id
         #: Optional :class:`~repro.obs.TraceContext` — the session span
-        #: of this query's trace tree; the scheduler emits the timed
+        #: of this query's trace tree; the service emits the timed
         #: span record when the session retires.
         self.trace = trace
         self.operator = operator
@@ -117,6 +119,7 @@ class QuerySession:
         self.deadline = deadline
         self.cache_key = cache_key
         self.label = label
+        self.plan = plan
         #: Client id this session is billed to (per-tenant quotas).
         self.tenant = tenant
         self.results: list = list(preloaded) if preloaded else []
@@ -256,7 +259,7 @@ class QuerySession:
         ``deadline`` is relative seconds from submission.  An expired
         session ends gracefully in ``DONE`` with whatever prefix it has —
         a deadline asks for the best answer available *by* a time, which
-        is exactly what the resumable prefix is.  The scheduler checks
+        is exactly what the resumable prefix is.  The service checks
         between steps, so an expiry is seen up to one step late.
         """
         if self.done or self.deadline is None:
@@ -274,14 +277,14 @@ class QuerySession:
     def release_operator(self) -> None:
         """Freeze :attr:`pulls` and :meth:`depths` and let the operator go.
 
-        The scheduler calls this once a finished session's operator has
+        The service calls this once a finished session's operator has
         been offered to the cache: the session keeps its answer and its
         final numbers, while the operator — and everything it buffered —
         is the cache's to keep, extend under a later session, or free.
         """
         self._final_pulls = self.pulls
         # The isolation step() gives try_next: a FAILED session's operator
-        # may not answer, and raising here would end the scheduler driver.
+        # may not answer, and raising here would end the server's driver.
         with contextlib.suppress(Exception):
             self._final_depths = self.depths()
         self.operator = None

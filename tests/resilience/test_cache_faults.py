@@ -44,7 +44,7 @@ def test_failed_session_writes_nothing_to_the_cache():
 
     dying = DyingOperator(spec.build_operator(), die_after=3)
     session = QuerySession("f1", dying, spec.k, quantum=16, cache_key=key)
-    service.scheduler.submit(session)
+    service.admit(session)
     while session.live:
         service.tick()
 
@@ -62,7 +62,7 @@ def test_retried_query_caches_only_the_clean_run():
 
     dying = DyingOperator(spec.build_operator(), die_after=2)
     failed = QuerySession("f2", dying, spec.k, quantum=16, cache_key=key)
-    service.scheduler.submit(failed)
+    service.admit(failed)
     while failed.live:
         service.tick()
     assert failed.state is SessionState.FAILED
@@ -71,7 +71,7 @@ def test_retried_query_caches_only_the_clean_run():
     # The retry goes through the normal submission path: a cache miss, a
     # fresh operator, a clean run to DONE — and only then a cache write.
     retry_id = service.submit(spec)
-    retried = service.scheduler.drain(retry_id)
+    retried = service.drain(retry_id)
     assert retried.state is SessionState.DONE
     assert not retried.from_cache
     assert len(service.cache) == 1
@@ -85,7 +85,7 @@ def test_retried_query_caches_only_the_clean_run():
 
     # Third submission: a pure cache hit, zero pulls.
     hit_id = service.submit(spec)
-    hit = service.scheduler.find(hit_id)
+    hit = service.session(hit_id)
     assert hit.from_cache and hit.state is SessionState.DONE
     assert hit.pulls == 0
     assert [r.score for r in hit.answer()] == [r.score for r in cached]
@@ -101,7 +101,7 @@ def test_budget_exhausted_done_prefix_still_caches():
     spec = make_spec()
     service = QueryService(cache_capacity=8, quantum=16)
     sid = service.submit(spec, max_pulls=24)
-    session = service.scheduler.drain(sid)
+    session = service.drain(sid)
     assert session.state is SessionState.DONE
     assert session.budget_exhausted
     assert len(service.cache) == 1

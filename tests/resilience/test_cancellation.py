@@ -23,7 +23,7 @@ def test_cancel_mid_flight_leaves_a_clean_cancelled_session():
     engine = make_operator("FRPA", instance)
     service = QueryService(cache_capacity=0)
     session = QuerySession("c1", engine, instance.k, quantum=8)
-    service.scheduler.submit(session)
+    service.admit(session)
 
     for _ in range(3):
         assert service.tick()
@@ -44,7 +44,7 @@ def test_cancelled_session_with_results_is_not_cached():
     session = QuerySession(
         "c2", engine, instance.k, quantum=4, cache_key="cancelled-query",
     )
-    service.scheduler.submit(session)
+    service.admit(session)
     while session.live and not session.results:
         service.tick()
     assert session.results and session.live

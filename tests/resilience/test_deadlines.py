@@ -1,9 +1,9 @@
-"""Session-level deadlines: graceful expiry swept by the scheduler."""
+"""Session-level deadlines: graceful expiry swept by the query service."""
 
 from __future__ import annotations
 
 from repro.obs import Observability
-from repro.service.scheduler import Scheduler
+from repro.service.service import QueryService
 from repro.service.session import QuerySession, SessionState
 from tests.service.conftest import make_spec
 
@@ -68,55 +68,55 @@ class TestSchedulerSweep:
     def test_sweep_expires_live_sessions(self):
         clock = ManualClock()
         obs = Observability()
-        scheduler = Scheduler(obs=obs)
+        service = QueryService(obs=obs)
         doomed = make_session("doomed", clock, deadline=1.0)
         steady = make_session("steady", clock)
-        scheduler.submit(doomed)
-        scheduler.submit(steady)
+        service.admit(doomed)
+        service.admit(steady)
         clock.now = 2.0
-        scheduler.tick()
+        service.tick()
         assert doomed.state is SessionState.DONE
         assert doomed.deadline_exceeded
-        assert doomed in scheduler.finished_sessions
-        assert steady in scheduler.live_sessions
+        assert doomed in service.finished_sessions
+        assert steady in service.live_sessions
         assert obs.metrics.value("service_deadline_expirations_total") == 1
 
     def test_sweep_expires_queued_sessions_too(self):
         clock = ManualClock()
-        scheduler = Scheduler(max_live=1)
+        service = QueryService(max_live=1)
         live = make_session("live", clock)
         queued = make_session("queued", clock, deadline=0.5)
-        scheduler.submit(live)
-        scheduler.submit(queued)
-        assert scheduler.queued_sessions == [queued]
+        service.admit(live)
+        service.admit(queued)
+        assert service.queued_sessions == [queued]
         clock.now = 1.0
-        scheduler.tick()
+        service.tick()
         assert queued.state is SessionState.DONE
         assert queued.deadline_exceeded
-        assert not scheduler.queued_sessions
+        assert not service.queued_sessions
         # The expired queued session never consumed a pull.
         assert queued.pulls == 0
 
     def test_expired_sessions_free_admission_slots(self):
         clock = ManualClock()
-        scheduler = Scheduler(max_live=1)
+        service = QueryService(max_live=1)
         doomed = make_session("doomed", clock, deadline=1.0)
         waiting = make_session("waiting", clock)
-        scheduler.submit(doomed)
-        scheduler.submit(waiting)
+        service.admit(doomed)
+        service.admit(waiting)
         clock.now = 2.0
-        scheduler.tick()
-        assert waiting in scheduler.live_sessions
+        service.tick()
+        assert waiting in service.live_sessions
 
     def test_run_until_complete_with_mixed_deadlines(self):
         clock = ManualClock()
-        scheduler = Scheduler()
+        service = QueryService()
         expired = make_session("expired", clock, deadline=0.0)
         normal = make_session("normal", clock, k=5)
         clock.now = 0.5
-        scheduler.submit(expired)
-        scheduler.submit(normal)
-        finished = scheduler.run_until_complete()
+        service.admit(expired)
+        service.admit(normal)
+        finished = service.run_until_complete()
         assert set(finished) == {expired, normal}
         assert expired.deadline_exceeded
         assert not normal.deadline_exceeded

@@ -43,7 +43,7 @@ class GatedOperator:
     is exhausted from then on.
 
     A session over one stays live for exactly as long as a test needs —
-    no clock, no sleep: submit it to ``service.scheduler`` *before* the
+    no clock, no sleep: hand it to ``service.admit`` *before* the
     server thread starts (the facade is single-threaded), give it
     ``preloaded=[RELEASED]`` so that a ``stream`` on it replays one event
     at once (the client's proof that its handler is attached), then open

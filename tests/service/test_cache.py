@@ -146,13 +146,13 @@ class TestServiceCaching:
         obs = Observability()
         service = QueryService(obs=obs)
         first = service.run_query(spec)
-        pulls_after_first = service.scheduler.stats()["pulls"]
+        pulls_after_first = service.stats()["scheduler"]["pulls"]
         second = service.run_query(spec)
         assert [r.score for r in second] == [r.score for r in first]
         # The repeat cost zero pulls and registered as a cache hit.
-        assert service.scheduler.stats()["pulls"] == pulls_after_first
+        assert service.stats()["scheduler"]["pulls"] == pulls_after_first
         assert obs.metrics.value("service_cache_hits_total") == 1
-        session = service.scheduler.finished_sessions[-1]
+        session = service.finished_sessions[-1]
         assert session.from_cache and session.pulls == 0
 
     def test_prefix_reuse_smaller_k_through_service(self):
@@ -161,10 +161,10 @@ class TestServiceCaching:
         small = QuerySpec(relations=(instance.left, instance.right), k=4)
         service = QueryService()
         full = service.run_query(big)
-        pulls = service.scheduler.stats()["pulls"]
+        pulls = service.stats()["scheduler"]["pulls"]
         head = service.run_query(small)
         assert [r.score for r in head] == [r.score for r in full[:4]]
-        assert service.scheduler.stats()["pulls"] == pulls  # zero new pulls
+        assert service.stats()["scheduler"]["pulls"] == pulls  # zero new pulls
 
     def test_prefix_extension_resumes_suspended_operator(self):
         instance = make_instance()
@@ -172,18 +172,18 @@ class TestServiceCaching:
         wider = QuerySpec(relations=(instance.left, instance.right), k=15)
         service = QueryService()
         service.run_query(base)
-        pulls_for_base = service.scheduler.stats()["pulls"]
+        pulls_for_base = service.stats()["scheduler"]["pulls"]
         extended = service.run_query(wider)
-        marginal = service.scheduler.stats()["pulls"] - pulls_for_base
+        marginal = service.stats()["scheduler"]["pulls"] - pulls_for_base
         # Correct answer…
         expected, reference = serial_answer(wider)
         assert [r.score for r in extended] == [r.score for r in expected]
         # …for strictly fewer pulls than computing k=15 from scratch.
         assert 0 < marginal < reference.pulls
         # The longer prefix is cached now: the k=15 repeat is free.
-        before = service.scheduler.stats()["pulls"]
+        before = service.stats()["scheduler"]["pulls"]
         service.run_query(wider)
-        assert service.scheduler.stats()["pulls"] == before
+        assert service.stats()["scheduler"]["pulls"] == before
 
     def test_permuted_relations_share_cache_entry(self):
         instance = make_instance()
@@ -197,16 +197,16 @@ class TestServiceCaching:
         first = service.run_query(spec_a)
         second = service.run_query(spec_b)
         assert [r.score for r in second] == [r.score for r in first]
-        session = service.scheduler.finished_sessions[-1]
+        session = service.finished_sessions[-1]
         assert session.from_cache
 
     def test_cache_disabled_recomputes(self):
         spec = make_spec()
         service = QueryService(cache_capacity=0)
         service.run_query(spec)
-        pulls = service.scheduler.stats()["pulls"]
+        pulls = service.stats()["scheduler"]["pulls"]
         service.run_query(spec)
-        assert service.scheduler.stats()["pulls"] == 2 * pulls
+        assert service.stats()["scheduler"]["pulls"] == 2 * pulls
 
     def test_failed_sessions_are_not_cached(self):
         spec = make_spec()
@@ -267,22 +267,22 @@ class TestPlanAwareCacheKeys:
         obs = Observability()
         service = QueryService(obs=obs)
         first = service.run_query(pinned)
-        pulls = service.scheduler.stats()["pulls"]
+        pulls = service.stats()["scheduler"]["pulls"]
         second = service.run_query(auto_spec)
         assert [r.score for r in second] == [r.score for r in first]
-        assert service.scheduler.stats()["pulls"] == pulls  # zero new pulls
+        assert service.stats()["scheduler"]["pulls"] == pulls  # zero new pulls
         assert obs.metrics.value("service_cache_hits_total") == 1
-        assert service.scheduler.finished_sessions[-1].from_cache
+        assert service.finished_sessions[-1].from_cache
 
     def test_auto_run_warms_cache_for_pinned(self):
         auto_spec, pinned = self._auto_and_pinned()
         service = QueryService()
         first = service.run_query(auto_spec)
-        pulls = service.scheduler.stats()["pulls"]
+        pulls = service.stats()["scheduler"]["pulls"]
         second = service.run_query(pinned)
         assert [r.score for r in second] == [r.score for r in first]
-        assert service.scheduler.stats()["pulls"] == pulls
-        assert service.scheduler.finished_sessions[-1].from_cache
+        assert service.stats()["scheduler"]["pulls"] == pulls
+        assert service.finished_sessions[-1].from_cache
 
     def test_kernel_table_is_cache_invisible(self):
         # The two forms of a kernel op are bit-identical, so a run of the
@@ -297,13 +297,13 @@ class TestPlanAwareCacheKeys:
         with kernel_table("python"):
             fingerprint = spec.fingerprint()
             first = service.run_query(spec)
-        pulls = service.scheduler.stats()["pulls"]
+        pulls = service.stats()["scheduler"]["pulls"]
         with kernel_table("numpy"):
             assert spec.fingerprint() == fingerprint
             second = service.run_query(spec)
         assert [r.score for r in second] == [r.score for r in first]
-        assert service.scheduler.stats()["pulls"] == pulls
-        assert service.scheduler.finished_sessions[-1].from_cache
+        assert service.stats()["scheduler"]["pulls"] == pulls
+        assert service.finished_sessions[-1].from_cache
 
 
 def answers(*scores):

@@ -32,7 +32,7 @@ def test_release_moments_align_with_the_oracle(seed, k, operator):
     session_id = service.submit(QuerySpec(
         relations=(instance.left, instance.right), k=k, operator=operator,
     ))
-    session = service.scheduler.drain(session_id)
+    session = service.drain(session_id)
     assert session.state is SessionState.DONE
 
     # Release order IS the oracle order: the streamed sequence equals

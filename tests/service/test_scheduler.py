@@ -1,7 +1,7 @@
-"""Scheduler: round-robin, admission control, fairness and determinism.
+"""The query service's schedule: round-robin, admission control, fairness and determinism.
 
 The load-bearing property (ISSUE acceptance): interleaving N sessions
-under the scheduler never changes any query's top-K answer or its
+under the service never changes any query's top-K answer or its
 sumDepths relative to running the same queries serially.
 """
 
@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro.core.stepping import PENDING
 from repro.obs import Observability
-from repro.service import QueryService, QuerySession, Scheduler, SessionState
+from repro.service import QueryService, QuerySession, SessionState
 
 from tests.service.conftest import make_spec, serial_answer
 
@@ -66,16 +66,16 @@ class TestFairness:
         # With equal quanta, no session should finish only after every
         # other session has fully finished pulling — progress alternates.
         specs = [make_spec(seed=s, k=10) for s in range(3)]
-        scheduler = Scheduler(max_live=3)
+        service = QueryService(max_live=3)
         sessions = [
             QuerySession(f"s{i}", spec.build_operator(), spec.k, quantum=4)
             for i, spec in enumerate(specs)
         ]
         for session in sessions:
-            scheduler.submit(session)
+            service.admit(session)
         # After 3 ticks every session has been stepped exactly once.
         for _ in range(3):
-            scheduler.tick()
+            service.tick()
         stepped = [s.steps for s in sessions]
         assert stepped == [1, 1, 1]
 
@@ -99,12 +99,12 @@ class TestFairness:
             def depths(self):
                 return [0, 0]
 
-        scheduler = Scheduler(max_live=4)
+        service = QueryService(max_live=4)
         for name in "ABCD":
             operator = Stub(name, ends_at=2 if name == "C" else None)
-            scheduler.submit(QuerySession(name, operator, 1, quantum=1))
+            service.admit(QuerySession(name, operator, 1, quantum=1))
         for _ in range(12):
-            scheduler.tick()
+            service.tick()
         assert "".join(order) == "ABCDABCDABDA"
 
     def test_a_step_is_bounded_by_one_quantum(self):
@@ -182,8 +182,8 @@ class TestAdmissionControl:
         service = QueryService(max_live=2, quantum=8, cache_capacity=0)
         for spec in specs:
             service.submit(spec)
-        assert len(service.scheduler.live_sessions) == 2
-        assert len(service.scheduler.queued_sessions) == 2
+        assert len(service.live_sessions) == 2
+        assert len(service.queued_sessions) == 2
 
     def test_queue_drains_as_sessions_finish(self):
         specs = [make_spec(seed=s, k=3) for s in range(4)]
@@ -199,10 +199,10 @@ class TestAdmissionControl:
         service = QueryService(max_live=1, quantum=4, cache_capacity=0)
         first, second = (service.submit(spec) for spec in specs)
         service.tick()  # first session starts running
-        assert service.session(second) in service.scheduler.queued_sessions
+        assert service.session(second) in service.queued_sessions
         assert service.cancel(first)
         # The queued session was admitted by the cancellation.
-        assert service.session(second) in service.scheduler.live_sessions
+        assert service.session(second) in service.live_sessions
         service.run_until_complete()
         assert service.session(first).state is SessionState.CANCELLED
         assert service.session(second).state is SessionState.DONE

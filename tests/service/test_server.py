@@ -79,7 +79,7 @@ class TestProtocol:
         # A gated session holds the only slot: the query is still queued
         # when the cancel arrives, however fast the driver is.
         service = QueryService(max_live=1)
-        service.scheduler.submit(QuerySession("held", GatedOperator(), 1))
+        service.admit(QuerySession("held", GatedOperator(), 1))
         with running_server(service) as server:
             with ServiceClient(server.host, server.port) as client:
                 sid = client.submit(left="lineitem", right="orders", k=20,
@@ -141,6 +141,25 @@ class TestProtocol:
                 response = json.loads(handle.readline())
         assert response["ok"] is False
         assert "invalid JSON" in response["error"]
+
+    def test_a_submit_without_trace_gets_the_sessions_trace(self):
+        # One mint: the service's root, echoed by the reply and the poll.
+        with running_server() as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10.0
+            ) as sock:
+                handle = sock.makefile("rwb")
+
+                def ask(frame):
+                    handle.write(json.dumps(frame).encode() + b"\n")
+                    handle.flush()
+                    return json.loads(handle.readline())
+
+                reply = ask({"verb": "submit", "left": "lineitem",
+                             "right": "orders", "k": 3})
+                polled = ask({"verb": "poll", "session": reply["session"]})
+        assert reply["ok"] and reply["trace"] is not None
+        assert reply["trace"] == polled["trace"]
 
     def test_weighted_scoring_over_the_wire(self):
         with running_server() as server:

@@ -1,8 +1,8 @@
 """Nothing between the socket and the operator runs on a timer.
 
-The scheduler driver sleeps on an event and streams wake on release, so
+The server's driver sleeps on an event and streams wake on release, so
 an idle server executes nothing at all — asserted here as a *count* of
-scheduler ticks, which a clock-based CPU reading on a shared box could
+service ticks, which a clock-based CPU reading on a shared box could
 not pin — and the mechanisms this replaced are kept out at source level.
 """
 
@@ -11,7 +11,6 @@ import re
 import time
 
 from repro.service import QueryService, ServiceClient, server
-from repro.service.scheduler import Scheduler
 
 from tests.service.test_server import running_server
 
@@ -58,7 +57,7 @@ class TestTheReplacedMechanismsStayOut:
         assert sleeps == ["0"], "the driver's yield is the only sleep"
 
     def test_no_walk_over_finished_sessions_in_find_or_stats(self):
-        for method in (Scheduler.find, Scheduler.stats):
+        for method in (QueryService.session, QueryService.stats):
             source = inspect.getsource(method)
             assert not re.search(r"self\._finished\b", source), method.__name__
-        assert "for " not in inspect.getsource(Scheduler.find)
+        assert "for " not in inspect.getsource(QueryService.session)

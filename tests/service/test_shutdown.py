@@ -52,7 +52,7 @@ class TestGracefulShutdown:
         # exit) before the exchanges that need it draining.
         service = QueryService(quantum=4, max_live=1)
         held = GatedOperator()
-        service.scheduler.submit(QuerySession("held", held, 1))
+        service.admit(QuerySession("held", held, 1))
         with running_server(service) as (server, thread):
             with ServiceClient(server.host, server.port) as client:
                 sid = client.submit(left="lineitem", right="orders", k=20)
@@ -71,7 +71,7 @@ class TestGracefulShutdown:
                     final = client.wait(sid, timeout=30.0)
             thread.join(timeout=30.0)
             assert not thread.is_alive()
-            session = server.service.scheduler.find(sid)
+            session = server.service.session(sid)
             assert session is not None
             assert session.state is SessionState.DONE
             assert [round(r.score, 6) for r in session.results] \
@@ -111,11 +111,11 @@ class TestDriverDeath:
     def test_a_dead_scheduler_driver_ends_the_server_loudly(self):
         """Anything escaping ``service.tick()`` must end ``run()``.
 
-        The first session finishing fires a raising ``on_finish`` callback
-        while a second one is still queued (``max_live=1``); the stream on
-        that second session must be told the server stopped, and ``run()``
-        must tear down and re-raise — not leave a socket accepting queries
-        that nothing advances.
+        The first session finishing fires a raising listener while a
+        second one is still queued (``max_live=1``); the stream on that
+        second session must be told the server stopped, and ``run()`` must
+        tear down and re-raise — not leave a socket accepting queries that
+        nothing advances.
 
         Both sessions are gated, so the order is the test's, not a
         timer's: the first finishes only once the client has seen the
@@ -125,13 +125,13 @@ class TestDriverDeath:
             pass
 
         def explode(session):
-            raise Boom("on_finish callback failed")
+            raise Boom("listener failed")
 
         service = QueryService(quantum=16, max_live=1)
-        service.scheduler.on_finish(explode)
+        service.listen(explode)
         first = GatedOperator()
-        service.scheduler.submit(QuerySession("first", first, 1))
-        service.scheduler.submit(
+        service.admit(QuerySession("first", first, 1))
+        service.admit(
             QuerySession("queued", GatedOperator(), 2, preloaded=[RELEASED]))
         server = RankJoinServer(service, RELATIONS, port=0)
         raised = []

@@ -147,7 +147,7 @@ class TestParkedStreamsAreWoken:
 
     def test_cancel_from_a_second_connection(self):
         service = QueryService()
-        service.scheduler.submit(self.held())
+        service.admit(self.held())
         with running_server(service) as server:
             with ServiceClient(server.host, server.port, timeout=10.0) as a, \
                     ServiceClient(server.host, server.port) as b:
@@ -160,7 +160,7 @@ class TestParkedStreamsAreWoken:
     def test_deadline_swept_inside_a_tick(self):
         clock = ManualClock()
         service = QueryService()
-        service.scheduler.submit(self.held(k=3, deadline=1.0, clock=clock))
+        service.admit(self.held(k=3, deadline=1.0, clock=clock))
         with running_server(service) as server:
             with ServiceClient(server.host, server.port, timeout=10.0) as client:
                 events = self.attach(client, "held")
@@ -175,8 +175,8 @@ class TestParkedStreamsAreWoken:
             relations=(INSTANCE.left, INSTANCE.right), k=8).build_operator()
         service = QueryService(max_live=1)
         slot = GatedOperator()
-        service.scheduler.submit(QuerySession("slot", slot, 1))
-        service.scheduler.submit(QuerySession(
+        service.admit(QuerySession("slot", slot, 1))
+        service.admit(QuerySession(
             "queued", operator, 8, quantum=4, preloaded=operator.top_k(3)))
         with running_server(service) as server:
             with ServiceClient(server.host, server.port, timeout=10.0) as client:
@@ -191,8 +191,8 @@ class TestParkedStreamsAreWoken:
 
     def test_forced_shutdown_reaches_a_stream_on_a_queued_session(self):
         service = QueryService(max_live=1)
-        service.scheduler.submit(QuerySession("slot", GatedOperator(), 1))
-        service.scheduler.submit(self.held("queued"))
+        service.admit(QuerySession("slot", GatedOperator(), 1))
+        service.admit(self.held("queued"))
         with server_and_thread(service) as (server, thread):
             with ServiceClient(server.host, server.port, timeout=10.0) as client:
                 events = self.attach(client, "queued")
@@ -210,11 +210,11 @@ class TestParkedStreamsAreWoken:
         service = QueryService(max_live=2)
         slots = GatedOperator()  # one gate under both slot holders
         for name in ("slot-a", "slot-b"):
-            service.scheduler.submit(QuerySession(name, slots, 1))
+            service.admit(QuerySession(name, slots, 1))
         wanted = {"a": 12, "b": 9}
         for name, k in wanted.items():
             operator = spec.build_operator()
-            service.scheduler.submit(QuerySession(
+            service.admit(QuerySession(
                 name, operator, k, quantum=1, preloaded=operator.top_k(1)))
         with running_server(service) as server:
             with ServiceClient(server.host, server.port, timeout=10.0) as a, \

@@ -50,7 +50,7 @@ class TestStatsTelemetry:
         # driver starts a submitted query at once; nothing is "in flight
         # for the next few milliseconds" by default.)
         service = QueryService(max_live=1)
-        service.scheduler.submit(QuerySession("held", GatedOperator(), 1))
+        service.admit(QuerySession("held", GatedOperator(), 1))
         with running_server(service) as server:
             with ServiceClient(server.host, server.port) as client:
                 session_id = client.submit(left="lineitem", right="orders", k=5)
