@@ -3,6 +3,7 @@
 import copyreg
 import io
 import pickle
+import pickletools
 import random
 
 import pytest
@@ -347,6 +348,24 @@ def hostile_files():
         ("none", None),
     ]:
         yield name, pickle.dumps(payload)
+    # Plain-data records of the wrong shape.
+    row = (0.9, (0.9, 0.9), ((0, (0.9,), None), (0, (0.9,), None)))
+    for name, record in [
+        ("record-foreign-version", (2, 1.0, True, (row,))),
+        ("record-version-a-float", (1.0, 1.0, True, (row,))),
+        ("record-score-nan", (1, 1.0, True, ((float("nan"), *row[1:]),))),
+        ("record-row-not-a-triple", (1, 1.0, True, (row[:2],))),
+        ("record-constituent-not-a-triple",
+         (1, 1.0, True, ((*row[:2], ((0, (0.9,)),)),))),
+        ("record-rows-a-list", (1, 1.0, True, [row])),
+        ("record-scores-of-ints", (1, 1.0, True, ((0.9, (1, 1), row[2]),))),
+        ("record-too-long", (1, 1.0, True, (row,), None)),
+    ]:
+        yield name, pickle.dumps(record)
+    # A payload that needs a global: the record names one, so it is refused.
+    yield "record-payload-a-global", pickle.dumps(
+        (1, 1.0, True, ((0.9, (0.9, 0.9), ((0, (0.9,), OpensForWriting("x")),
+                                          (0, (0.9,), None))),)))
     rng = random.Random(0)
     for index in range(300):
         yield f"random-{index}", bytes(
@@ -424,6 +443,34 @@ class TestSharedTier:
         cache = ResultCache(capacity=4, shared_dir=tmp_path)
         assert cache.lookup("q1", 1) is None
         assert not target.exists()
+
+    def test_a_record_is_plain_data(self, tmp_path):
+        """The file holds builtins only — no opcode that names or calls a
+        global — in the documented layout, and a record written by hand in
+        that layout is served: the corpus's near misses miss on shape."""
+        ResultCache(capacity=4, shared_dir=tmp_path).store("q1", [A, B])
+        data = (tmp_path / "q1.pkl").read_bytes()
+        opcodes = {op.name for op, _, _ in pickletools.genops(data)}
+        assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "INST", "OBJ",
+                              "NEWOBJ", "NEWOBJ_EX", "REDUCE", "BUILD"}
+        version, created_at, exhausted, rows = pickle.loads(data)
+        assert (version, exhausted) == (1, False) and created_at > 0
+        assert rows == tuple(
+            (r.score, r.scores, tuple((t.key, t.scores, t.payload)
+                                      for t in r.tuples))
+            for r in (A, B))
+        row = (0.9, (0.9, 0.9), ((0, (0.9,), None), (0, (0.9,), None)))
+        (tmp_path / "q2.pkl").write_bytes(pickle.dumps((1, 1.0, True, (row,))))
+        assert ResultCache(capacity=4, shared_dir=tmp_path).lookup("q2", 5) == [A]
+
+    def test_a_result_that_is_not_plain_data_is_not_published(self, tmp_path):
+        odd = JoinResult.combine((RankTuple(0, (0.5,), payload=object()),
+                                  RankTuple(0, (0.5,))), 1.0)
+        cache = ResultCache(capacity=4, shared_dir=tmp_path)
+        cache.store("q1", [odd])
+        assert not list(tmp_path.iterdir())
+        assert cache.lookup("q1", 1) == [odd]  # the memory tier still holds it
+        assert cache.stats()["shared_stores"] == 0
 
     def test_binary_and_nary_records_still_hit(self, tmp_path):
         left, right = RankTuple(key=1, scores=(0.5,)), RankTuple(key=1, scores=(0.25,))
@@ -505,5 +552,6 @@ class TestSharedTier:
         assert final["from_cache"] is False and final["pulls"] > 0
         assert final["scores"] == [round(s, 6) for s in REFERENCE_SCORES[:5]]
         # The computed answer was written over the planted file.
-        assert pickle.loads(planted.read_bytes())["results"][0].score \
-            == REFERENCE_SCORES[0]
+        fresh = ResultCache(capacity=4, shared_dir=tmp_path)
+        assert [r.score for r in fresh.lookup(spec.fingerprint(), 5)] \
+            == REFERENCE_SCORES[:5]
