@@ -386,12 +386,13 @@ class ServeFleet(wire.LineServer):
             return wire.worker_lost(worker.index, during)
 
     async def _verb_stats(self, request: dict, conn) -> dict:
+        quotas = self.quotas.stats() if self.quotas else None
         merged = {
             "fleet": {
                 "workers": self.num_workers,
                 "alive": sum(1 for w in self._workers if w.alive),
                 "outstanding": {w.name: w.outstanding for w in self._workers},
-                "quotas": self.quotas.stats() if self.quotas else None,
+                "quotas": quotas,
                 "shared_cache_dir": self.shared_cache_dir,
             },
             "workers": {},
@@ -431,6 +432,11 @@ class ServeFleet(wire.LineServer):
         # A ratio does not merge by max: the fleet's is its summed hits
         # over its summed lookups (None before any, as compute_slos has it).
         slo["cache_hit_ratio"] = cache["hits"] / total if total else None
+        if quotas is not None:
+            # The front-end throttles before any worker sees the submit:
+            # those rejections are on its own registry, in no worker's SLOs.
+            slo["throttled_total"] = (slo.get("throttled_total") or 0) \
+                + sum(quotas["throttled"].values())
         merged["scheduler"] = scheduler
         merged["cache"] = cache
         merged["slo"] = slo

@@ -166,6 +166,24 @@ class TestFleet:
         # raw bucket, so `throttled` and the metric stay in step.
         assert stats["fleet"]["quotas"]["throttled"] == {"alice": 1}
 
+    def test_a_front_end_throttle_counts_in_the_fleet_slo(self):
+        """The merged ``slo.throttled_total`` counts the rejections the
+        front-end made itself (at the parent: 0 beside ``{"alice": 1}``)."""
+        quotas = TenantQuotas(rate=0.01, burst=1)
+        with running_fleet(workers=2, quotas=quotas) as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                client.submit(left="lineitem", right="orders", k=2,
+                              tenant="alice")
+                for _ in range(2):
+                    with pytest.raises(ServiceError, match="quota"):
+                        client.request({
+                            "verb": "submit", "left": "lineitem",
+                            "right": "orders", "k": 2, "tenant": "alice",
+                        }, max_retries=0)
+                stats = client.stats()
+        assert stats["fleet"]["quotas"]["throttled"] == {"alice": 2}
+        assert stats["slo"]["throttled_total"] == 2
+
     def test_a_stream_crosses_the_front_end_undecoded(self, monkeypatch):
         """Over one k=8 stream the front-end decodes the request and none
         of the nine relayed lines (at the parent: all nine)."""
