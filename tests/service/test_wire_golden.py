@@ -10,7 +10,7 @@ recorded by running this very file against the parent commit::
 
     PYTHONPATH=<parent>/src:. python tests/service/test_wire_golden.py
 
-(Nine edits since: the ``degraded`` key was struck from the ten recorded
+(Ten edits since: the ``degraded`` key was struck from the ten recorded
 snapshots when the field left the protocol with the process backend;
 ``default_shards``, the ``shards`` block and the SLO block's
 ``shard_imbalance_max`` were struck from the recorded ``stats`` replies
@@ -31,7 +31,10 @@ snapshots of finished sessions per kind (4 → 6, 2 → 4) was re-recorded
 when a step came to end at its first release — answers, pulls and depths
 unchanged; and the cache-hit submit reply of each kind gained ``events``,
 its four ``result`` frames and its ``done`` frame, when a session that is
-terminal on admission came to carry its stream in the submit reply.)
+terminal on admission came to carry its stream in the submit reply; and
+the fleet ``stats`` reply after the throttled submit had its merged
+``slo.throttled_total`` go 0 → 1 when the front-end's own rejections
+came to be counted there.)
 
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
