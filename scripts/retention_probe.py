@@ -9,7 +9,9 @@ of ``CHECKOUT`` (default: this one) and prints the resident set size every
 ``--every`` queries, with what the service still holds.  With the result
 cache pinned at its 128 entries the only thing that can keep growing is
 what the service retains per finished session — EXPERIMENTS.md, "Serving
-loop without timers", has the before / after.
+loop without timers" and "The result cache holds answers", has the
+before / after.  Exits 1 when the final RSS exceeds the first reading by
+more than ``MAX_GROWTH_MB``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ import resource
 import sys
 import time
 from pathlib import Path
+
+#: RSS a run may gain over its first reading.  1 200 cold queries, with
+#: 1 024 finished sessions retained, gain ≈ 6 MB; a cache that kept each
+#: entry's operator gained ≈ 36 MB by 200 queries.
+MAX_GROWTH_MB = 10
 
 
 def rss_mb() -> float:
@@ -42,7 +49,8 @@ def main(argv=None) -> int:
     workload = WORKLOADS["cold_corner"]
     relations = build_relations(workload, 0, {})
     service = QueryService()
-    print(f"{checkout}: rss {rss_mb():.1f} MB before the first query")
+    start = rss_mb()
+    print(f"{checkout}: rss {start:.1f} MB before the first query")
     started = time.perf_counter()
     for done, query in enumerate(timed_queries(workload, args.queries, 0), 1):
         spec = QuerySpec(
@@ -57,7 +65,13 @@ def main(argv=None) -> int:
                   f"finished sessions held {len(service.finished_sessions):5d}   "
                   f"cache entries {service.cache.stats()['entries']}")
     print(f"  {time.perf_counter() - started:.1f} s")
+    growth = rss_mb() - start
     service.close()
+    if growth > MAX_GROWTH_MB:
+        print(f"error: rss grew {growth:.1f} MB, more than {MAX_GROWTH_MB} MB",
+              file=sys.stderr)
+        return 1
+    print(f"  rss grew {growth:.1f} MB (at most {MAX_GROWTH_MB} MB)")
     return 0
 
 

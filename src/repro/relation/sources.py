@@ -44,9 +44,9 @@ def sorted_access(scoring, dims: Sequence[int], index: int, relation):
     ``batch`` pass over ``[1…1 | matrix | 1…1]`` (bit for bit
     :func:`score_bound` of each row) and a stable argsort of the negation —
     ties stay in relation order, the order
-    ``sorted(key=score_bound, reverse=True)`` gives.  Suspended operators
-    keep both arrays alive long after their query, one pair per query
-    served, hence the narrow row ids."""
+    ``sorted(key=score_bound, reverse=True)`` gives.  Every live operator
+    keeps both arrays, one pair per query in flight, hence the narrow row
+    ids."""
     rows, matrix = relation.scored()
     before = sum(dims[:index])
     padded = np.ones((len(rows), sum(dims)))

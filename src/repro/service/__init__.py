@@ -8,8 +8,8 @@ multi-query serving layer:
 * :class:`~repro.service.session.QuerySession` — a suspendable execution
   advancing in bounded pull-quantum steps;
 * :class:`~repro.service.cache.ResultCache` — LRU + TTL top-K prefix
-  cache with reuse (``k' <= K`` answered with zero pulls) and extension
-  (``k' > K`` resumes the suspended operator);
+  cache: ``k' <= K`` is answered with zero pulls, ``k' > K`` is a miss
+  computed afresh;
 * :class:`~repro.service.service.QueryService` — owns every session:
   admits it through the cache, steps the live ones round-robin under
   admission control, and retires each (count, cache store, listeners,

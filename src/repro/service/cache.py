@@ -1,18 +1,13 @@
-"""Result cache for top-K answers, with prefix reuse and extension.
+"""Result cache for top-K answers, with prefix reuse.
 
 Keyed by the canonical query fingerprint (relation content hashes +
 scoring identity + plan shape — see
 :meth:`repro.service.query.QuerySpec.fingerprint`), the cache stores the
-longest top-K prefix computed so far for each distinct query:
-
-* **Prefix reuse** — a cached top-K answers any ``k' <= K`` request (and
-  any ``k'`` at all once the join output is known exhausted) without
-  touching an operator: zero pulls, counted as a hit.
-* **Prefix extension** — for ``k' > K`` the cache can hand back the
-  *suspended operator* that produced the prefix (resumable ``top_k``
-  retains all operator state), so only the ``k' - K`` marginal results
-  cost new pulls.  The continuation is checked out exclusively; it is
-  returned — with the longer prefix — when the extending session ends.
+longest top-K prefix computed so far for each distinct query.  A cached
+top-K answers any ``k' <= K`` request (and any ``k'`` at all once the
+join output is known exhausted) without touching an operator: zero
+pulls, counted as a hit.  A ``k' > K`` request is a miss and computes
+afresh; the cache holds answers, never an operator.
 
 Eviction is LRU over a bounded number of entries, with an optional TTL
 that only bounds how long an entry lives: the key holds every relation's
@@ -22,9 +17,7 @@ can never be answered from an entry built on the old ones.
 A second, *shared* tier (``shared_dir``) backs the in-memory cache with
 one pickle file per fingerprint, written atomically — the cross-process
 tier the serve fleet uses so a prefix computed by any worker answers the
-same query on every other worker.  Only the answer prefix travels through
-the shared tier; suspended continuation operators stay memory-local to the
-worker that built them.
+same query on every other worker.
 
 A shared-tier record is plain data: builtins only, no class and no
 function, so reading one can run no code whoever wrote the file::
@@ -51,7 +44,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
@@ -141,13 +133,11 @@ def _results(rows: tuple) -> list:
 
 @dataclass
 class CacheEntry:
-    """The retained answer prefix (and optional continuation) for one query."""
+    """The retained answer prefix for one query."""
 
     results: list = field(default_factory=list)
     exhausted: bool = False
-    operator: Any = None
     created_at: float = 0.0
-    hits: int = 0
 
     def covers(self, k: int) -> bool:
         return self.exhausted or len(self.results) >= k
@@ -202,7 +192,6 @@ class ResultCache:
         """
         entry = self._fresh_entry(key)
         if entry is not None and entry.covers(k):
-            entry.hits += 1
             self._entries.move_to_end(key)
             self._m_hits.inc()
             return list(entry.results[:k])
@@ -217,13 +206,7 @@ class ResultCache:
                 self._entries[key] = entry
             if len(shared.results) > len(entry.results):
                 entry.results = list(shared.results)
-                # Any checked-in continuation is suspended at the *old*
-                # shorter prefix; extending from it after adopting the
-                # longer shared prefix would re-emit results it already
-                # produced.  Drop it — correctness over resumability.
-                entry.operator = None
             entry.exhausted = entry.exhausted or shared.exhausted
-            entry.hits += 1
             self._entries.move_to_end(key)
             self._trim()
             self._m_shared_hits.inc()
@@ -232,39 +215,14 @@ class ResultCache:
         self._m_misses.inc()
         return None
 
-    def take_continuation(self, key: str) -> tuple[list, Any] | None:
-        """Check out the suspended operator for prefix extension.
-
-        Returns ``(prefix_results, operator)`` and removes the operator
-        from the entry so concurrent sessions cannot share live operator
-        state; the prefix results stay behind for ``k' <= K`` hits.  None
-        when there is no entry or its continuation is already checked out.
-        """
-        entry = self._fresh_entry(key)
-        if entry is None or entry.operator is None or entry.exhausted:
-            return None
-        operator = entry.operator
-        entry.operator = None
-        self._entries.move_to_end(key)
-        return list(entry.results), operator
-
     # ------------------------------------------------------------------
     # Store
     # ------------------------------------------------------------------
-    def store(
-        self,
-        key: str,
-        results: list,
-        *,
-        exhausted: bool = False,
-        operator: Any = None,
-    ) -> None:
+    def store(self, key: str, results: list, *, exhausted: bool = False) -> None:
         """Retain ``results`` for ``key`` if they improve on what is held.
 
         A shorter prefix never overwrites a longer one (a concurrent
-        ``k' < K`` session finishing late must not shrink the entry);
-        the continuation operator is (re)attached whenever the stored
-        prefix is the one it produced.
+        ``k' < K`` session finishing late must not shrink the entry).
         """
         now = self._clock()
         entry = self._fresh_entry(key)
@@ -274,10 +232,6 @@ class ResultCache:
         if len(results) > len(entry.results) or exhausted:
             entry.results = list(results)
             entry.exhausted = entry.exhausted or exhausted
-            entry.operator = None if exhausted else operator
-        elif entry.operator is None and operator is not None \
-                and len(results) == len(entry.results) and not entry.exhausted:
-            entry.operator = operator
         self._entries.move_to_end(key)
         self._trim()
         self._shared_store(key, entry)
@@ -294,10 +248,6 @@ class ResultCache:
     def clear(self) -> None:
         self._entries.clear()
         self._m_size.set(0)
-
-    def close(self) -> None:
-        """Empty the cache (continuations included)."""
-        self.clear()
 
     # ------------------------------------------------------------------
     # Introspection

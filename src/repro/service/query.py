@@ -11,8 +11,7 @@ and the source of the :class:`~repro.service.cache.ResultCache` key.
 
 The cache key deliberately **excludes** ``k``: two queries that differ only
 in ``k`` share one cache entry, because a retained top-K prefix answers any
-``k' <= k`` request directly and — thanks to resumable ``top_k`` — can be
-*extended* in place for ``k' > k``.
+``k' <= k`` request directly; a ``k' > k`` request computes afresh.
 """
 
 from __future__ import annotations

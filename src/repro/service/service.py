@@ -2,9 +2,8 @@
 
 :class:`QueryService` owns every session it serves.  :meth:`~QueryService.
 submit` fingerprints an incoming :class:`~repro.service.query.QuerySpec`
-and consults the :class:`~repro.service.cache.ResultCache` (full hit →
-the session is born ``DONE`` with zero pulls; partial hit → the
-suspended operator is checked out and extended), otherwise builds a fresh
+and consults the :class:`~repro.service.cache.ResultCache` (a hit → the
+session is born ``DONE`` with zero pulls), otherwise builds a fresh
 operator, and hands the session to :meth:`~QueryService.admit`.
 
 Execution is cooperative: each :meth:`~QueryService.tick` advances the
@@ -25,11 +24,11 @@ Every session sits in one ``id → session`` table, so :meth:`~QueryService.
 session` is a dict lookup whatever its state.  A session that ends is
 *retired* by one method, in this order: it is counted in the cumulative
 ``service_sessions_total{state}`` counters (which is what ``stats()``
-reports — a tally, not a scan); a ``DONE`` session's prefix and
-continuation are stored in the cache; the listeners are told; and the
-session lets its operator go — it keeps its answer, its release times and
-its final ``pulls`` / ``depths()``, frozen at that moment, so ``poll`` and
-a late ``stream`` read exactly what a client attached at the finish saw.
+reports — a tally, not a scan); a ``DONE`` session's prefix is stored
+in the cache; the listeners are told; and the session lets its operator
+go — it keeps its answer, its release times and its final ``pulls`` /
+``depths()``, frozen at that moment, so ``poll`` and a late ``stream``
+read exactly what a client attached at the finish saw.
 Only the newest :data:`FINISHED_RETENTION` retired sessions stay in the
 table; an older id is unknown again (the wire's ``no_session`` reply).
 
@@ -218,21 +217,11 @@ class QueryService:
             session_ctx = ctx.child()
         if max_pulls is None:
             max_pulls = self.default_max_pulls
-        key = spec.fingerprint() if self.cache is not None else None
-        operator = None
-        preloaded: list | None = None
-        cached_answer: list | None = None
-        entry_exhausted = False
+        key = cached_answer = operator = None
         if self.cache is not None:
+            key = spec.fingerprint()
             cached_answer = self.cache.lookup(key, spec.k)
-            if cached_answer is None:
-                continuation = self.cache.take_continuation(key)
-                if continuation is not None:
-                    preloaded, operator = continuation
-            else:
-                # Distinguish a truly-complete short answer from a prefix.
-                entry_exhausted = len(cached_answer) < spec.k
-        if operator is None and cached_answer is None:
+        if cached_answer is None:
             operator = spec.build_operator(obs=self.obs)
         session = QuerySession(
             session_id,
@@ -241,7 +230,7 @@ class QueryService:
             quantum=self.quantum,
             max_pulls=max_pulls,
             deadline=deadline,
-            preloaded=cached_answer if cached_answer is not None else preloaded,
+            preloaded=cached_answer,
             cache_key=key,
             label=spec.describe(),
             plan=spec.plan_summary(),
@@ -250,7 +239,8 @@ class QueryService:
         )
         if cached_answer is not None:
             session.from_cache = True
-            session.exhausted = entry_exhausted
+            # Distinguish a truly-complete short answer from a prefix.
+            session.exhausted = len(cached_answer) < spec.k
             session._finish(SessionState.DONE)
         return self.admit(session).session_id
 
@@ -469,7 +459,7 @@ class QueryService:
                 results=len(session.results),
                 from_cache=session.from_cache,
             ))
-        # 2. Store its prefix and continuation.  Only DONE sessions write:
+        # 2. Store its prefix.  Only DONE sessions write:
         # a FAILED session may hold a prefix computed by an operator that
         # died mid-advance, and a CANCELLED one was abandoned before its
         # prefix was proven useful — caching either could poison later
@@ -484,12 +474,11 @@ class QueryService:
                 session.cache_key,
                 session.results,
                 exhausted=session.exhausted,
-                operator=session.operator,
             )
         # 3. Tell the listeners: the answer is final and already cached.
         for callback in self._listeners:
             callback(session)
-        # 4. The operator is the cache's now; the session keeps only its
+        # 4. Let the operator go: the session keeps only its answer and its
         # final numbers.
         session.release_operator()
         self._export_gauges()
@@ -505,7 +494,7 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop every cached answer and continuation.  Live and queued
-        sessions are not touched: they keep running under :meth:`tick`."""
+        """Drop every cached answer.  Live and queued sessions are not
+        touched: they keep running under :meth:`tick`."""
         if self.cache is not None:
-            self.cache.close()
+            self.cache.clear()

@@ -73,16 +73,14 @@ class QuerySession:
     session_id:
         Identifier assigned by the service (unique per service).
     operator:
-        A resumable operator (``try_next``/``pulls``).  May already carry
-        retained state — cache prefix-extension hands a continued operator
-        plus its previously-emitted ``preloaded`` results.
+        A fresh resumable operator (``try_next``/``pulls``), or None for
+        a session answered from the cache.
     k:
         Results requested; the session completes as soon as it holds ``k``.
     quantum:
         Maximum pulls per :meth:`step`.
     max_pulls:
-        Optional budget on pulls *charged to this session* (continuations
-        are not billed for pulls a previous session already spent).
+        Optional budget on the pulls this session spends.
     preloaded:
         Results already known for this query's prefix (cache reuse).
     label / plan:
@@ -139,7 +137,6 @@ class QuerySession:
         self.released_at: list[float] = [self.submitted_at] * len(self.results)
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        self._pulls_at_attach = operator.pulls if operator is not None else 0
         #: What :attr:`pulls` and :meth:`depths` answer once the operator
         #: is gone (:meth:`release_operator`, or a cache hit's None).
         self._final_pulls = 0
@@ -149,20 +146,22 @@ class QuerySession:
     # ------------------------------------------------------------------
     # State predicates
     # ------------------------------------------------------------------
+    # ``_finish`` is the only writer of a terminal state, and it always
+    # stamps ``finished_at``.
     @property
     def live(self) -> bool:
-        return self.state not in TERMINAL_STATES
+        return self.finished_at is None
 
     @property
     def done(self) -> bool:
-        return self.state in TERMINAL_STATES
+        return self.finished_at is not None
 
     @property
     def pulls(self) -> int:
-        """Pulls charged to this session (excludes inherited prefix work)."""
+        """Pulls this session's operator has spent."""
         if self.operator is None:
             return self._final_pulls
-        return self.operator.pulls - self._pulls_at_attach
+        return self.operator.pulls
 
     @property
     def remaining_budget(self) -> int | None:
@@ -277,10 +276,10 @@ class QuerySession:
     def release_operator(self) -> None:
         """Freeze :attr:`pulls` and :meth:`depths` and let the operator go.
 
-        The service calls this once a finished session's operator has
-        been offered to the cache: the session keeps its answer and its
-        final numbers, while the operator — and everything it buffered —
-        is the cache's to keep, extend under a later session, or free.
+        The service calls this when it retires a session, after the
+        answer is cached and the listeners are told: the session keeps
+        its answer and its final numbers, and the operator — with
+        everything it buffered — is freed.
         """
         self._final_pulls = self.pulls
         # The isolation step() gives try_next: a FAILED session's operator

@@ -1,4 +1,4 @@
-"""ResultCache: LRU+TTL mechanics, prefix reuse, and prefix extension."""
+"""ResultCache: LRU+TTL mechanics, prefix reuse, and the shared tier."""
 
 import copyreg
 import io
@@ -9,6 +9,8 @@ import random
 import pytest
 
 from repro.core import tuples as tuples_module
+from repro.core.naive import naive_top_k
+from repro.core.scoring import SumScore
 from repro.core.tuples import JoinResult, RankTuple
 from repro.obs import Observability
 from repro.relation import Relation
@@ -77,22 +79,6 @@ class TestCacheMechanics:
         assert cache.lookup("q1", 1) is None
         assert cache.stats()["expirations"] == 1
 
-    def test_continuation_exclusive_checkout(self):
-        cache = ResultCache(capacity=4)
-        operator = object()
-        cache.store("q1", ["a", "b"], operator=operator)
-        prefix, checked_out = cache.take_continuation("q1")
-        assert prefix == ["a", "b"] and checked_out is operator
-        # Second checkout fails — the operator is gone from the entry…
-        assert cache.take_continuation("q1") is None
-        # …but prefix hits still work.
-        assert cache.lookup("q1", 2) == ["a", "b"]
-
-    def test_no_continuation_when_exhausted(self):
-        cache = ResultCache(capacity=4)
-        cache.store("q1", ["a"], exhausted=True, operator=object())
-        assert cache.take_continuation("q1") is None
-
     def test_stats_and_hit_rate(self):
         cache = ResultCache(capacity=4)
         cache.store("q1", ["a"])
@@ -124,23 +110,6 @@ class TestCacheMechanics:
             QueryService(cache_ttl=ttl)
 
 
-class TestContinuationDisposal:
-    """``QueryService.close()`` stays callable and empties the cache; no
-    operator owns anything that would need closing first."""
-
-    def test_service_close_disposes_cached_continuation(self):
-        service = QueryService(quantum=64)
-        spec = make_spec(k=4)
-        service.run_query(spec)
-        key = spec.fingerprint()
-        peeked = service.cache.take_continuation(key)
-        assert peeked is not None, "run left no continuation to protect"
-        # Park it back, then close the service: the cache is emptied.
-        service.cache.store(key, peeked[0], operator=peeked[1])
-        service.close()
-        assert len(service.cache) == 0
-
-
 class TestServiceCaching:
     def test_repeat_query_served_with_zero_pulls(self):
         spec = make_spec()
@@ -167,24 +136,37 @@ class TestServiceCaching:
         assert [r.score for r in head] == [r.score for r in full[:4]]
         assert service.stats()["scheduler"]["pulls"] == pulls  # zero new pulls
 
-    def test_prefix_extension_resumes_suspended_operator(self):
+    def test_a_wider_k_is_a_miss_computed_afresh(self):
         instance = make_instance()
         base = QuerySpec(relations=(instance.left, instance.right), k=10)
         wider = QuerySpec(relations=(instance.left, instance.right), k=15)
-        service = QueryService()
+        obs = Observability()
+        service = QueryService(obs=obs)
         service.run_query(base)
         pulls_for_base = service.stats()["scheduler"]["pulls"]
         extended = service.run_query(wider)
+        # A miss, charged exactly what a fresh operator spends on k=15…
+        assert obs.metrics.value("service_cache_misses_total") == 2
+        assert not service.finished_sessions[-1].from_cache
+        _, reference = serial_answer(wider)
         marginal = service.stats()["scheduler"]["pulls"] - pulls_for_base
-        # Correct answer…
-        expected, reference = serial_answer(wider)
+        assert marginal == service.finished_sessions[-1].pulls == reference.pulls
+        # …for the right answer.
+        expected = naive_top_k(instance.left.tuples, instance.right.tuples,
+                               SumScore(), 15)
         assert [r.score for r in extended] == [r.score for r in expected]
-        # …for strictly fewer pulls than computing k=15 from scratch.
-        assert 0 < marginal < reference.pulls
         # The longer prefix is cached now: the k=15 repeat is free.
         before = service.stats()["scheduler"]["pulls"]
         service.run_query(wider)
         assert service.stats()["scheduler"]["pulls"] == before
+        assert service.finished_sessions[-1].from_cache
+
+    def test_service_close_empties_the_cache(self):
+        service = QueryService()
+        service.run_query(make_spec(k=4))
+        assert len(service.cache) == 1
+        service.close()
+        assert len(service.cache) == 0
 
     def test_permuted_relations_share_cache_entry(self):
         instance = make_instance()
@@ -397,20 +379,17 @@ class TestSharedTier:
         fresh = ResultCache(capacity=4, shared_dir=tmp_path)
         assert fresh.lookup("q1", 3) == [A, B, C]
 
-    def test_promotion_drops_stale_continuation(self, tmp_path):
-        """Regression: adopting a longer shared prefix must invalidate a
-        continuation suspended at the old shorter prefix, or a later
-        extension re-emits results the operator already produced."""
-
+    def test_promotion_adopts_a_longer_shared_prefix(self, tmp_path):
         cache = ResultCache(capacity=4, shared_dir=tmp_path)
-        cache.store("q1", [A, B], operator=object())
+        cache.store("q1", [A, B])
         # Another worker publishes a longer prefix for the same query.
         other = ResultCache(capacity=4, shared_dir=tmp_path)
         other.store("q1", [A, B, C, D])
-        # This worker misses in memory for k=4, promotes the shared
-        # prefix — and must NOT hand back the operator positioned at 2.
-        assert cache.lookup("q1", 4) == [A, B, C, D]
-        assert cache.take_continuation("q1") is None
+        # This worker misses in memory for k=4 and promotes the shared
+        # prefix into its own entry: the repeat is a memory hit.
+        for _ in range(2):
+            assert cache.lookup("q1", 4) == [A, B, C, D]
+        assert cache.stats()["shared_hits"] == 1
 
     def test_exhausted_travels_through_the_shared_tier(self, tmp_path):
         a = ResultCache(capacity=4, shared_dir=tmp_path)

@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 from repro.core.scoring import WeightedSum
-from repro.service import QueryService, ServiceClient, ServiceError
+from repro.service import QueryService, ServiceClient, ServiceError, SessionState
 from repro.service import service as service_module
 from repro.service.service import FINISHED_RETENTION
 
@@ -33,12 +33,13 @@ class TestTracersFold:
             weights = [1.0, 1.0, 1.0, 1.0 + (index + 1) * 1e-6]
             service.run_query(dataclasses.replace(base, scoring=WeightedSum(weights)))
         gc.collect()
-        live = len(service.live_sessions) + len(service.cache)
-        assert len(service.obs._tracers) <= live == 8
+        # The cache holds answers only, so no cached entry keeps a tracer.
+        assert len(service.cache) == 8
+        assert len(service.obs._tracers) <= len(service.live_sessions) == 0
         spans = [r for r in service.obs.aggregate_events() if r["type"] == "span"]
-        # Each path once for the folded operators, once per cached one.
+        # Each path once: every operator has folded.
         paths = {r["path"] for r in spans}
-        assert len(spans) <= len(paths) * (1 + live)
+        assert len(spans) == len(paths)
         calls = sum(r["count"] for r in spans if r["path"] == "get_next")
         assert calls >= 400 * 3  # every query's get_next calls still counted
 
@@ -65,6 +66,17 @@ class TestFinishedSessionsAgeOut:
         assert operator() is None, "a retired session still pins its operator"
         # Cumulative, not what the table still holds.
         assert service.stats()["scheduler"]["finished"] == {"DONE": submitted}
+
+    def test_a_cached_answer_pins_no_operator(self):
+        spec = make_spec(k=5)
+        service = QueryService()
+        sid = service.submit(spec)
+        operator = weakref.ref(service.session(sid).operator)
+        session = service.drain(sid)
+        assert session.state is SessionState.DONE
+        assert service.cache.lookup(spec.fingerprint(), 5) == session.answer()
+        gc.collect()
+        assert operator() is None, "the cache pins a retired session's operator"
 
     def test_cancelled_sessions_are_counted_and_age_out_too(
         self, monkeypatch
@@ -102,8 +114,8 @@ class TestARetiredSessionKeepsItsNumbers:
         # Every field: pulls, depths, steps, scores, latency,
         # first_result_latency, complete, ...
         assert service.poll(sid) == before
-        # A wider repeat takes the suspended operator further; the retired
-        # session's numbers are its own, not the operator's running totals.
+        # A wider repeat is computed afresh; the retired session's numbers
+        # stay its own.
         wider = service.drain(
             service.submit(dataclasses.replace(spec, k=15)))
         assert wider.pulls > 0 and not wider.from_cache
