@@ -19,11 +19,11 @@ the same vocabulary as the payload-attribute chains of
 
 Scores: any-k's dynamic program needs the aggregate to *decompose* over
 the inputs — ``S(b(τ1) ⊕ … ⊕ b(τn)) = Σ_i w_i(τ_i)`` up to float
-rounding.  :func:`relation_weights` derives the per-tuple weights for
-the additive family (:class:`~repro.core.scoring.SumScore`,
-:class:`~repro.core.scoring.WeightedSum`,
-:class:`~repro.core.scoring.AverageScore`) and rejects everything else
-with a clear error.  DP weights order the enumeration only; every emitted
+rounding.  :func:`relation_weights` derives the per-tuple weights for a
+weighted sum (any ``S`` with
+:meth:`~repro.core.scoring.ScoringFunction.row_weights`) and the mean
+(:class:`~repro.core.scoring.AverageScore`, the sum scaled) and rejects
+everything else with a clear error.  DP weights order the enumeration only; every emitted
 result recomputes its score through the scoring function on the full
 concatenated vector, exactly like PBRJ, so
 scores are bit-identical across cores.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.scoring import AverageScore, ScoringFunction, SumScore, WeightedSum
+from repro.core.scoring import AverageScore, ScoringFunction
 from repro.errors import InstanceError
 from repro.relation.relation import KEY_ATTR, KeyCodes, Relation  # noqa: F401
 
@@ -47,22 +47,20 @@ def relation_weights(
     ``w_i(τ) = S(0…0 ⊕ b(τ) ⊕ 0…0)``: one exact
     :meth:`~ScoringFunction.padded_batch` pass per relation over its cached
     score matrix, laid out at the relation's offset in the concatenated
-    vector (which fixes the weight slice it owns under
-    :class:`WeightedSum`).  The additive functions score the relation's own
-    columns alone, without building the zero padding.
+    vector (which fixes the weights it owns under
+    :meth:`~ScoringFunction.row_weights`).  The additive functions score
+    the relation's own columns alone, without building the zero padding.
     """
     total = sum(relation.dimension for relation in relations)
-    if isinstance(scoring, WeightedSum):
-        if len(scoring.weights) != total:
-            raise InstanceError(
-                f"WeightedSum has {len(scoring.weights)} weights but the "
-                f"query concatenates {total} score coordinates"
-            )
-    elif not isinstance(scoring, (SumScore, AverageScore)):
+    if scoring.row_weights(0, total) is None and not isinstance(scoring, AverageScore):
         raise InstanceError(
-            f"any-k needs an additive scoring function (SumScore, WeightedSum "
-            f"or AverageScore); got {type(scoring).__name__}"
+            f"any-k needs an additive scoring function (a weighted sum or "
+            f"AverageScore); got {type(scoring).__name__}"
         )
+    try:  # S must take the whole vector: too few or too many weights fail
+        scoring((0.0,) * total)
+    except ValueError as exc:
+        raise InstanceError(f"any-k cannot score the query's vector: {exc}") from None
     weights, offset = [], 0
     for relation in relations:
         weights.append(scoring.padded_batch(relation.scored()[1], offset, total))

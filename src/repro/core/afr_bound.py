@@ -14,9 +14,9 @@ coarse grid.  Like FR*, aFR takes any number of inputs under an additive
 ``S`` — it is the n-ary feasible bound of
 :class:`~repro.core.pbrj.PBRJ` over a chain too.
 
-Every cover here is an FR* cover-bound operand: ``points``, plus — given a
-row scorer — ``best``, the maximum partial score over them, carried across
-carves and rescored once per move onto a coarser grid.
+Every cover here is an FR* cover-bound operand: ``points``, plus — given
+its coordinates' weights — ``best``, the maximum partial score over them,
+carried across carves and rescored once per move onto a coarser grid.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ class AdaptiveCover(CoverRegion):
         *,
         max_size: int = DEFAULT_MAX_CR_SIZE,
         resolution: int = DEFAULT_RESOLUTION,
-        score=None,
+        weights=None,
     ) -> None:
         if max_size < 1:
             raise ValueError("max_size must be positive")
-        super().__init__(dimension, skyline_mode=True, score=score)
+        super().__init__(dimension, skyline_mode=True, weights=weights)
         self.max_size = max_size
         self.initial_resolution = resolution
 
@@ -128,12 +128,12 @@ class FixedGridCover(AdaptiveCover):
         *,
         max_size: int = DEFAULT_MAX_CR_SIZE,
         resolution: int | None = None,
-        score=None,
+        weights=None,
     ) -> None:
         if resolution is None:
             resolution = self._safe_resolution(dimension, max_size)
         super().__init__(
-            dimension, max_size=max_size, resolution=resolution, score=score
+            dimension, max_size=max_size, resolution=resolution, weights=weights
         )
         self.resolution = resolution
 
@@ -218,14 +218,16 @@ class AFRBound(FRStarBound):
             self._m_resolution_drops[side].inc((previous // resolution).bit_length() - 1)
             self._grids[side] = resolution
 
-    def _make_cover(self, dimension: int, score):
+    def _make_cover(self, dimension: int, weights):
         if self.cover_strategy == "frozen":
-            return FrozenCover(dimension, max_size=self.max_cr_size, score=score)
+            return FrozenCover(dimension, max_size=self.max_cr_size, weights=weights)
         if self.cover_strategy == "fixed-grid":
-            return FixedGridCover(dimension, max_size=self.max_cr_size, score=score)
+            return FixedGridCover(
+                dimension, max_size=self.max_cr_size, weights=weights
+            )
         return AdaptiveCover(
             dimension, max_size=self.max_cr_size, resolution=self.resolution,
-            score=score,
+            weights=weights,
         )
 
     @property

@@ -172,12 +172,13 @@ class FeasibleRankJoin(ArrayRankJoin):
         bounds = self._bounds[side][done:done + BLOCK]
         # The partial score: S on the row with 0 for the other input's scores.
         widths = [matrix.shape[1] for matrix in self._matrix]
-        padded = np.zeros((len(order), sum(widths)))
-        padded[:, side * widths[0]:][:, :widths[side]] = self._matrix[side][order]
+        partials = self.scoring.padded_batch(
+            self._matrix[side][order], side * widths[0], sum(widths)
+        )
         previous = np.concatenate(([sbar[-1] if done else POS_INF], bounds[:-1]))
         close += (bounds < previous).tobytes()  # columns grow by their raw bytes
         sbar.frombytes(bounds.tobytes())
-        partial.frombytes(self.scoring.batch(padded).tobytes())
+        partial.frombytes(partials.tobytes())
         code.frombytes(self._codes[side][order].astype(np.int64).tobytes())
         rows = self._rows[side]
         vectors += [rows[row].scores for row in order.tolist()]

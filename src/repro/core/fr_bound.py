@@ -30,12 +30,14 @@ engineering concessions to pure Python (documented in DESIGN.md):
   monotone ``S``, so bound values — and therefore operator depths — are
   bit-identical (the test suite verifies this equivalence).  Set
   ``prune_covers=False`` for the literal unpruned pseudo-code.
-* Cross-product operands carry their partial scores, so each recomputation
-  is one O(n·m) batch kernel call (:func:`repro.kernels.cross_product_max`)
-  instead of a Python loop, mirroring the paper's compiled C++ constants.
-  The "seen" operands are *prepared* operands over columnar
-  :class:`~repro.kernels.PointSet` columns — the bound's own, or
-  caller-maintained ones handed in as
+* Under a weighted-sum ``S`` — one whose
+  :meth:`~repro.core.scoring.ScoringFunction.row_weights` are not ``None``,
+  which hand each operand its coordinates' weights — cross-product operands
+  carry their partial scores, so each recomputation is one O(n·m) batch
+  kernel call (:func:`repro.kernels.cross_product_max`) instead of a Python
+  loop, mirroring the paper's compiled C++ constants.  The "seen" operands
+  are *prepared* operands over columnar :class:`~repro.kernels.PointSet`
+  columns — the bound's own, or caller-maintained ones handed in as
   :attr:`~repro.core.bounds.BoundContext.columns` — synced incrementally via
   the column's mutation stamp; the cover operands are the covers themselves
   (:class:`~repro.geometry.cover.CoverRegion`, a list-native scored
@@ -86,7 +88,7 @@ class FRBound(BoundingScheme):
         n = len(dims)
         offsets = [sum(dims[:i]) for i in range(n)]
         self._cr = [
-            self._make_cover(e, scoring.row_scorer(offset))
+            self._make_cover(e, scoring.row_weights(offset, e))
             for e, offset in zip(dims, offsets)
         ]
         #: Seen score columns this bound appends to itself (``None`` for an
@@ -119,9 +121,9 @@ class FRBound(BoundingScheme):
                 f"got {len(context.dims)}"
             )
 
-    def _make_cover(self, dimension: int, score):
+    def _make_cover(self, dimension: int, weights):
         """The cover ``CR_i`` of one input (aFR substitutes a bounded one)."""
-        return CoverRegion(dimension, skyline_mode=self.prune_covers, score=score)
+        return CoverRegion(dimension, skyline_mode=self.prune_covers, weights=weights)
 
     def _make_seen(self, side: int, offset: int):
         """The seen operand of one input: every seen vector, as a prepared
@@ -129,10 +131,10 @@ class FRBound(BoundingScheme):
         the caller maintains one (FR* substitutes the seen skyline)."""
         assert self.context is not None
         if self.context.columns is None:
-            column = self._own_columns[side] = PointSet()
+            column = self._own_columns[side] = PointSet(self.context.dims[side])
         else:
             column = self.context.columns[side]
-        return self.context.scoring.prepare(offset=offset, source=column)
+        return self.context.scoring.prepare(column, offset)
 
     # ------------------------------------------------------------------
     # Bookkeeping shared with subclasses

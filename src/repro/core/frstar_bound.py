@@ -63,7 +63,8 @@ class FRStarBound(FRBound):
     def _check_arity(self, context: BoundContext) -> None:
         """Beyond two inputs a cover bound is a sum of maxima, not a cross
         product: ``S`` must be additive."""
-        if len(context.dims) > 2 and context.scoring.row_scorer() is None:
+        additive = context.scoring.row_weights(0, sum(context.dims)) is not None
+        if len(context.dims) > 2 and not additive:
             raise InstanceError(
                 f"the {self.scheme_name} bound over {len(context.dims)} inputs "
                 "requires an additive scoring function"
@@ -73,9 +74,10 @@ class FRStarBound(FRBound):
         """Cover bounds over skylines only (the FR* redefinition): the seen
         operand is ``SHR_i``, maintained incrementally, scored row by row."""
         assert self.context is not None
+        dimension = self.context.dims[side]
         return IncrementalSkyline(
-            score=self.context.scoring.row_scorer(offset),
-            dimension=self.context.dims[side],
+            weights=self.context.scoring.row_weights(offset, dimension),
+            dimension=dimension,
         )
 
     # ------------------------------------------------------------------

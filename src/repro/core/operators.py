@@ -130,7 +130,8 @@ def _factory(name: str) -> OperatorFactory:
         # an additive scoring.
         if type(bound) is CornerBound:
             return CornerRankJoin(instance, strategy, name=name, **kwargs)
-        if isinstance(bound, FRStarBound) and instance.scoring.row_scorer() is not None:
+        additive = instance.scoring.row_weights(0, sum(instance.dims)) is not None
+        if isinstance(bound, FRStarBound) and additive:
             return FeasibleRankJoin(instance, bound, strategy, name=name, **kwargs)
         return build(instance, bound, strategy, name=name, **kwargs)
 

@@ -6,25 +6,24 @@ and must be **monotone**: ``S(x) <= S(y)`` whenever ``x_i <= y_i`` for all
 
 Besides pointwise evaluation, the bounding schemes need the maximum of ``S``
 over a cross product of two point sets (the paper's *cover bounds*,
-``max S(c1 ⊕ c2)``).  :meth:`ScoringFunction.max_combination` provides that;
-the default implementation enumerates all pairs (exactly the combinatorial
-cost the paper attributes to the FR bound), and additive functions route
-the partial scores and the cross-product maximum through
-:mod:`repro.kernels` (vectorized under the numpy backend) for reasonable
-constants — mirroring the paper's compiled C++ implementation.
+``max S(c1 ⊕ c2)``): :meth:`ScoringFunction.max_combination`, in general
+all pairs (the combinatorial cost the paper attributes to the FR bound).
+Whether ``S`` decomposes is one method, :meth:`ScoringFunction.row_weights`:
+the weights of a left-to-right weighted sum (:class:`SumScore`,
+:class:`WeightedSum`), ``None`` otherwise.  The base class derives
+everything additive from it: a row's *partial score* is its weighted sum
+(:func:`repro.kernels.cover_corner_scores`), and the cross product runs over
+partials on the kernel layer — mirroring the paper's compiled C++ constants.
 
-A cross-product *operand* is anything with ``points`` and, for an additive
-``S``, ``partials`` and their maximum ``best``: a bulk, append-only set (the
-seen columns of PBRJ_FR^RR) is a :class:`PreparedPoints` on columnar
-:class:`~repro.kernels.PointSet` storage, synced through the set's size
-stamp; the small, constantly mutated sets of FR* (covers, seen skylines) are
-list-native (:class:`~repro.geometry.antichain.ScoredAntichain`) and score
-a row at a time with :meth:`ScoringFunction.row_scorer`.  The literal cross
-product (:meth:`ScoringFunction.max_prepared`) is what PBRJ_FR^RR — the
-paper's slow baseline — pays on every pull; FR* asks
-:meth:`ScoringFunction.cover_max`, for additive functions the sum of the
-operands' maintained maxima and bit-identical to the cross product
-(DESIGN.md §5).
+A cross-product *operand* is anything with ``points`` and, under weights,
+``partials`` and their maximum ``best``: a bulk, append-only set (the seen
+columns of PBRJ_FR^RR) is a :class:`PreparedPoints` over a columnar
+:class:`~repro.kernels.PointSet`, synced through its stamp; the small,
+constantly mutated sets of FR* are list-native
+(:class:`~repro.geometry.antichain.ScoredAntichain`).  PBRJ_FR^RR pays the
+literal cross product (:meth:`ScoringFunction.max_prepared`) on every pull;
+FR* asks :meth:`ScoringFunction.cover_max`, under weights the sum of the
+operands' maxima, bit-identical to the cross product (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -70,14 +69,24 @@ class ScoringFunction(ABC):
         rows = np.asarray(vectors, dtype=float).tolist()
         return np.array([self(tuple(row)) for row in rows], dtype=float)
 
+    def row_weights(self, offset: int, width: int) -> tuple[float, ...] | None:
+        """The weights ``S`` gives coordinates ``offset … offset+width-1`` of
+        the concatenated vector when ``S`` is the left-to-right weighted sum
+        ``Σ w_i x_i``, ``None`` (the default) otherwise.  Under weights a
+        row's partial score — ``S`` of the row, zeros elsewhere — is its own
+        weighted sum, since adding ``w · 0.0`` is exact."""
+        return None
+
     def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
         """:meth:`batch` of ``vectors`` laid at coordinate ``offset`` of
         ``width``-wide rows, zeros elsewhere: ``S(0…0 ⊕ v ⊕ 0…0)``, what a
-        row scores on its own within a concatenated vector.  Additive
-        functions override it without building the padding — adding
-        ``0.0`` (or ``w · 0.0``) is exact, so the bits are the same.
+        row scores on its own within a concatenated vector.  Under
+        :meth:`row_weights` the padding is not built: the bits are the same.
         """
         vectors = np.asarray(vectors, dtype=float)
+        weights = self.row_weights(offset, vectors.shape[1])
+        if weights is not None:
+            return column_sum(vectors, weights)
         padded = np.zeros((len(vectors), width))
         padded[:, offset:offset + vectors.shape[1]] = vectors
         return self.batch(padded)
@@ -90,10 +99,22 @@ class ScoringFunction(ABC):
         """``max { S(c1 ⊕ c2) : c1 ∈ left, c2 ∈ right }``; ``-inf`` if empty.
 
         Either operand may hold 0-dimensional (empty) points, in which case
-        the concatenation degenerates gracefully.
+        the concatenation degenerates gracefully.  Under :meth:`row_weights`
+        the full cross product runs over the rows' partial scores on the
+        kernel layer (see module docstring); the separable identity is
+        :meth:`cover_max`, over operands that carry their partials.
         """
         if not left or not right:
             return NEG_INF
+        split = len(left[0])
+        weights = self.row_weights(0, split)
+        if weights is not None:
+            return kernels.cross_product_max(
+                kernels.cover_corner_scores(list(left), weights),
+                kernels.cover_corner_scores(
+                    list(right), self.row_weights(split, len(right[0]))
+                ),
+            )
         best = NEG_INF
         for c1 in left:
             prefix = tuple(c1)
@@ -111,70 +132,57 @@ class ScoringFunction(ABC):
     # itself (the cost the paper ascribes to FR) intact; cover_max is what
     # FR* calls and may skip it.
     # ------------------------------------------------------------------
-    def prepare(
-        self,
-        points: Sequence[Sequence[float]] = (),
-        *,
-        offset: int = 0,
-        source: PointSet | None = None,
-    ) -> "PreparedPoints":
-        """Build a cached representation of one cross-product operand.
-
-        ``offset`` is the starting coordinate of these points within the
-        concatenated score vector (0 for left-input sets, ``e_1`` for
-        right-input sets); additive functions use it to select weights.
-        ``source`` binds the operand to an externally maintained columnar
-        :class:`~repro.kernels.PointSet` (e.g. a PBRJ score column): the
-        operand tracks the set through its stamp instead of
-        keeping its own copy.
-        """
-        return PreparedPoints(self, points, source=source)
-
-    def row_scorer(self, offset: int = 0) -> Callable[[Sequence[float]], float] | None:
-        """The partial score of one operand row starting at coordinate
-        ``offset`` of the concatenated vector, as a function of the row —
-        or ``None`` (the default) if ``S`` does not decompose into a sum of
-        per-operand partials.  Must repeat the kernels' arithmetic (a
-        left-to-right weighted sum) so a carried partial has a rescan's bits.
-        """
-        return None
+    def prepare(self, source: PointSet, offset: int = 0) -> "PreparedPoints":
+        """One cross-product operand over the externally maintained
+        columnar ``source`` (e.g. a PBRJ score column, of known dimension),
+        tracked through its stamp.  ``offset`` is the operand's starting
+        coordinate within the concatenated score vector (0 for left-input
+        sets, ``e_1`` for right-input sets): it selects the operand's
+        :meth:`row_weights`."""
+        return PreparedPoints(source, self.row_weights(offset, source.dimension))
 
     def max_prepared(self, left, right) -> float:
         """``max_combination`` over two operands; ``-inf`` if empty."""
-        return self.max_combination(left.points, right.points)
+        lefts, rights = left.partials, right.partials
+        if lefts is None or rights is None:
+            return self.max_combination(left.points, right.points)
+        # Full cross product over cached partials — the combinatorial work
+        # the paper ascribes to FR's cover bounds, kernel-backed constants.
+        return kernels.cross_product_max(lefts, rights)
 
     def cover_max(self, *operands) -> float:
         """The value of :meth:`max_prepared` by the cheapest exact route:
-        the cross product of two operands in general; additive functions
-        override it, for any number of operands."""
-        return self.max_prepared(*operands)
+        over operands with partials, any number of them, the left-to-right
+        sum of their maxima — IEEE-754 addition is monotone in each
+        argument, so ``max fl(fl(a + b) + c)…`` is that sum."""
+        total = 0.0
+        for operand in operands:
+            best = operand.best
+            if best is None:
+                return self.max_prepared(*operands)
+            total += best
+        return total
 
 
 class PreparedPoints:
-    """Generic prepared operand: a columnar point source (no acceleration).
+    """A prepared operand: a view of an append-only columnar
+    :class:`~repro.kernels.PointSet` that some other component appends to.
 
-    Either owns a private :class:`~repro.kernels.PointSet` (built from
-    ``points``) or aliases an external one (``source``) that some other
-    component appends to.
+    With ``weights`` (an ``S`` with :meth:`~ScoringFunction.row_weights`)
+    it carries a capacity-doubling buffer of per-point partial scores and
+    their maximum, lazily synchronized with the source through its stamp:
+    the rows appended since the last read extend the buffer (one batch
+    :func:`repro.kernels.cover_corner_scores` call over the new slice).  A
+    partial depends on its row alone: the bits of a from-scratch pass.
+    Without weights :attr:`partials` and :attr:`best` are ``None``.
     """
 
-    #: Partial scores and their maximum: additive operands only.
-    partials = best = None
-
-    def __init__(
-        self,
-        scoring: "ScoringFunction",
-        points: Sequence[Sequence[float]] = (),
-        *,
-        source: PointSet | None = None,
-    ) -> None:
-        self._scoring = scoring
-        self._source = PointSet(points=points) if source is None else source
-
-    @property
-    def pointset(self) -> PointSet:
-        """The backing columnar store (shared when built with ``source``)."""
-        return self._source
+    def __init__(self, source: PointSet, weights: tuple[float, ...] | None) -> None:
+        self._source = source
+        self._weights = weights
+        self._buffer = np.empty(16, dtype=float)
+        self._size = 0
+        self._best = NEG_INF
 
     @property
     def points(self) -> list[tuple[float, ...]]:
@@ -183,35 +191,6 @@ class PreparedPoints:
 
     def __len__(self) -> int:
         return len(self._source)
-
-
-class _AdditivePrepared(PreparedPoints):
-    """Prepared operand for additive functions: cached partial scores.
-
-    Keeps a capacity-doubling buffer of per-point partial scores and
-    their maximum, lazily synchronized with the append-only columnar
-    source through its stamp: the rows appended since the last read extend
-    the buffer (one batch :func:`repro.kernels.cover_corner_scores` call
-    over the new slice).  A partial depends on its row alone: the bits of
-    a from-scratch pass.
-    """
-
-    def __init__(
-        self,
-        scoring,
-        points=(),
-        *,
-        weights: Sequence[float] | None = None,
-        source: PointSet | None = None,
-    ) -> None:
-        super().__init__(scoring, points, source=source)
-        # None means plain sum; partials always accumulate left-to-right.
-        self._weights = (
-            None if weights is None else tuple(float(w) for w in weights)
-        )
-        self._buffer = np.empty(16, dtype=float)
-        self._size = 0
-        self._best = NEG_INF
 
     def _sync(self) -> None:
         size = self._source.stamp
@@ -231,43 +210,24 @@ class _AdditivePrepared(PreparedPoints):
 
     @property
     def partials(self):
-        """Per-point partial scores, synced with the source (1-D view)."""
+        """Per-point partial scores, synced with the source (1-D view);
+        ``None`` without weights."""
+        if self._weights is None:
+            return None
         self._sync()
         return self._buffer[: self._size]
 
     @property
-    def best(self) -> float:
-        """``max`` of :attr:`partials`; ``-inf`` on an empty operand."""
+    def best(self) -> float | None:
+        """``max`` of :attr:`partials`; ``-inf`` on an empty operand,
+        ``None`` without weights."""
+        if self._weights is None:
+            return None
         self._sync()
         return self._best
 
 
-class _AdditiveScore(ScoringFunction):
-    """What :class:`SumScore` and :class:`WeightedSum` share: cover
-    bounds over carried partial scores."""
-
-    def max_prepared(self, left, right) -> float:
-        lefts, rights = left.partials, right.partials
-        if lefts is None or rights is None:
-            return super().max_prepared(left, right)
-        # Full cross product over cached partials — the combinatorial work
-        # the paper ascribes to FR's cover bounds, kernel-backed constants.
-        return kernels.cross_product_max(lefts, rights)
-
-    def cover_max(self, *operands) -> float:
-        # IEEE-754 addition is monotone in each argument, so the cross
-        # product's maximum of left-to-right sums, max fl(fl(a + b) + c)…,
-        # is the left-to-right sum of the operands' maintained maxima.
-        total = 0.0
-        for operand in operands:
-            best = operand.best
-            if best is None:
-                return super().cover_max(*operands)
-            total += best
-        return total
-
-
-class SumScore(_AdditiveScore):
+class SumScore(ScoringFunction):
     """``S(x) = Σ x_i`` — the function used throughout the paper's study."""
 
     def __call__(self, vector: Sequence[float]) -> float:
@@ -276,30 +236,11 @@ class SumScore(_AdditiveScore):
     def batch(self, vectors: np.ndarray) -> np.ndarray:
         return column_sum(np.asarray(vectors, dtype=float), None)
 
-    def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
-        return column_sum(np.asarray(vectors, dtype=float), None)
-
-    def max_combination(self, left, right) -> float:
-        if not left or not right:
-            return NEG_INF
-        # Full cross product via the kernel layer: faithful to the paper's
-        # general implementation (see module docstring); the separable
-        # identity is cover_max, over operands that carry their partials.
-        return kernels.cross_product_max(
-            kernels.cover_corner_scores(list(left)),
-            kernels.cover_corner_scores(list(right)),
-        )
-
-    def prepare(
-        self, points=(), *, offset: int = 0, source: PointSet | None = None
-    ) -> PreparedPoints:
-        return _AdditivePrepared(self, points, source=source)
-
-    def row_scorer(self, offset: int = 0):
-        return _sum
+    def row_weights(self, offset: int, width: int) -> tuple[float, ...]:
+        return (1.0,) * width  # 1.0 * x == x: the plain sum's bits
 
 
-class WeightedSum(_AdditiveScore):
+class WeightedSum(ScoringFunction):
     """``S(x) = Σ w_i x_i`` with non-negative weights (monotone)."""
 
     def __init__(self, weights: Sequence[float]) -> None:
@@ -325,38 +266,8 @@ class WeightedSum(_AdditiveScore):
             )
         return column_sum(vectors, self.weights)
 
-    def padded_batch(self, vectors: np.ndarray, offset: int, width: int) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=float)
-        if width != len(self.weights):
-            raise ValueError(f"expected {len(self.weights)} coordinates, got {width}")
-        return column_sum(vectors, self.weights[offset:offset + vectors.shape[1]])
-
-    def max_combination(self, left, right) -> float:
-        if not left or not right:
-            return NEG_INF
-        split = len(left[0]) if left else 0
-        return kernels.cross_product_max(
-            kernels.cover_corner_scores(list(left), self.weights[:split]),
-            kernels.cover_corner_scores(list(right), self.weights[split:]),
-        )
-
-    def prepare(
-        self, points=(), *, offset: int = 0, source: PointSet | None = None
-    ) -> PreparedPoints:
-        return _AdditivePrepared(
-            self, points, weights=self.weights[offset:], source=source
-        )
-
-    def row_scorer(self, offset: int = 0):
-        weights = self.weights[offset:]
-
-        def score(row: Sequence[float]) -> float:
-            total = 0.0  # left to right, as the kernels' partial scores
-            for w, x in zip(weights, row):
-                total += w * x
-            return total
-
-        return score
+    def row_weights(self, offset: int, width: int) -> tuple[float, ...]:
+        return self.weights[offset:offset + width]
 
 
 class AverageScore(ScoringFunction):

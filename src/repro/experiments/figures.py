@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.operators import ANYK_OPERATOR
 from repro.data.workload import WorkloadParams, pipeline_tables
 from repro.experiments.harness import AveragedResult, averaged_runs
 from repro.experiments.report import ExperimentTable
@@ -71,7 +72,7 @@ class FigureConfig:
 
     def comparison_operators(self, default: list[str]) -> list[str]:
         """The operator list a comparison figure should sweep."""
-        return ["AnyK"] if self.algorithm == "anyk" else default
+        return [ANYK_OPERATOR] if self.algorithm == "anyk" else default
 
 
 def _depth(result: AveragedResult) -> float:

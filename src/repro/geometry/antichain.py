@@ -5,11 +5,12 @@ the seen score vectors (``SHR_i``, one insert per pull) and the cover of
 the unseen ones (``CR_i``, one carve per closed group).  Both hold tens of
 points, rarely more than 150 — sizes at which a loop over tuples beats any
 array round trip.  :class:`ScoredAntichain` therefore keeps the points as
-a plain list of tuples and, when the additive ``S`` hands it a row scorer
-(:meth:`repro.core.scoring.ScoringFunction.row_scorer`), a parallel list
-of partial scores and their maximum :attr:`~ScoredAntichain.best` — which
-is all an FR* cover bound reads.  A partial depends on its row alone, so
-carrying it across a mutation gives the bits a rescan would.
+a plain list of tuples and, when the additive ``S`` hands it the weights of
+its coordinates (:meth:`repro.core.scoring.ScoringFunction.row_weights`), a
+parallel list of partial scores (:func:`partial`) and their maximum
+:attr:`~ScoredAntichain.best` — which is all an FR* cover bound reads.  A
+partial depends on its row alone, so carrying it across a mutation gives
+the bits a rescan would.
 
 **At e=2 an antichain is a staircase.**  Two incomparable points differ in
 opposite directions on the two axes, so a 2-D antichain sorted ascending on
@@ -33,7 +34,7 @@ place.  The set counts its carves; its bound books them (:func:`book_carves`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from operator import ge
 
 from repro import kernels
@@ -43,14 +44,25 @@ from repro.kernels.types import Point, as_point, dimension_mismatch
 NEG_INF = float("-inf")
 
 
+def partial(row: Sequence[float], weights: Sequence[float]) -> float:
+    """``row``'s partial score under ``weights``: the left-to-right weighted
+    sum, :func:`repro.kernels.cover_corner_scores`'s arithmetic bit for bit."""
+    total = 0.0
+    for w, x in zip(weights, row):
+        total += w * x
+    return total
+
+
 class ScoredAntichain:
     """A small set of score vectors with carried partial scores.
 
     ``points`` seeds the set and ``dimension`` fixes its arity (taken from
     the first seed row when omitted; an empty set must be told).  At
     ``dimension == 2`` the seed is sorted into the staircase and must be an
-    antichain; elsewhere it is taken as given.  ``score`` maps one row to
-    its partial score, ``None`` for a scoring function that does not
+    antichain; elsewhere it is taken as given.  ``weights`` are the
+    set's coordinates' weights under a weighted-sum ``S``
+    (:meth:`~repro.core.scoring.ScoringFunction.row_weights`), which score
+    a row by :func:`partial`; ``None`` for a scoring function that does not
     decompose — :attr:`partials` and :attr:`best` are then ``None`` and a
     bound falls back to
     :meth:`~repro.core.scoring.ScoringFunction.max_combination` over
@@ -60,15 +72,15 @@ class ScoredAntichain:
     """
 
     __slots__ = (
-        "_points", "_score", "partials", "best", "dimension", "skyline_mode",
-        "_staircase", "carves", "weights",
+        "_points", "weights", "partials", "best", "dimension", "skyline_mode",
+        "_staircase", "carves",
     )
 
     def __init__(
         self,
         points: Iterable[Sequence[float]] = (),
         *,
-        score: Callable[[Point], float] | None = None,
+        weights: Sequence[float] | None = None,
         dimension: int | None = None,
         skyline_mode: bool = True,
     ) -> None:
@@ -91,20 +103,15 @@ class ScoredAntichain:
                         f"seed rows {p} and {q} are comparable: not an antichain"
                     )
         self._points: list[Point] = rows
-        self._score = score
-        #: ``partials[i] == score(points[i])``, bit for bit.
+        #: The coordinates' weights: a scored staircase's ``(w0, w1)``.
+        self.weights = weights
+        #: ``partials[i] == partial(points[i], weights)``, bit for bit.
         self.partials: list[float] | None = (
-            None if score is None else [score(p) for p in rows]
+            None if weights is None else [partial(p, weights) for p in rows]
         )
         #: ``max(partials)``; ``-inf`` when empty.
         self.best: float | None = (
-            None if score is None else max(self.partials, default=NEG_INF)
-        )
-        #: A scored staircase's ``(w0, w1)``: a row scorer's values at the unit
-        #: vectors, as it is a left-to-right weighted sum (DESIGN.md §5).
-        self.weights: tuple[float, float] | None = (
-            (score((1.0, 0.0)), score((0.0, 1.0)))
-            if self._staircase and score is not None else None
+            None if weights is None else max(self.partials, default=NEG_INF)
         )
         #: Carves since the last booking.
         self.carves = 0
@@ -179,10 +186,11 @@ class ScoredAntichain:
         if len(keep) == len(points) and not fresh:
             return
         self._points = [points[i] for i in keep] + fresh
-        if self._score is not None:
+        weights = self.weights
+        if weights is not None:
             partials = self.partials
             self.partials = [partials[i] for i in keep] + [
-                self._score(p) for p in fresh
+                partial(p, weights) for p in fresh
             ]
             self.best = max(self.partials, default=NEG_INF)
 
@@ -216,10 +224,10 @@ def staircase_step(seen, point, cover, group) -> bool:
             points[lo:i] = (point,)
             if seen.weights is not None:
                 w0, w1 = seen.weights
-                seen.partials[lo:i] = (partial := w0 * a + w1 * b,)
+                seen.partials[lo:i] = (score := w0 * a + w1 * b,)
                 # An evicted row never outscores the point that beat it.
-                if partial > seen.best:
-                    seen.best = partial
+                if score > seen.best:
+                    seen.best = score
             moved = True
         if not group or not cover._points:
             return moved

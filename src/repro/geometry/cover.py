@@ -142,11 +142,12 @@ class CoverRegion(ScoredAntichain):
     ``dimension == 2`` with ``skyline_mode`` the sorted staircase) and each
     :meth:`update` is a single counted ``cover_carve`` kernel call whose
     delta is applied in place — cover maintenance runs on every group close
-    of the FR-family bounds and is their hottest loop.  With a row
-    scorer (``score=``) the cover carries its points' partial scores and
-    their maximum, :attr:`best`, across carves.  The semantics are identical
-    to the reference :func:`update_cover` (the test suite asserts the
-    equivalence property-based).
+    of the FR-family bounds and is their hottest loop.  With ``weights=``
+    (:meth:`~repro.core.scoring.ScoringFunction.row_weights`) the cover
+    carries its points' partial scores and their maximum, :attr:`best`,
+    across carves.  The semantics are identical to the reference
+    :func:`update_cover` (the test suite asserts the equivalence
+    property-based).
 
     ``resolution`` (``None``: exact; else a power of two) puts the cover on
     the grid of that many cells per axis — the paper's grid tree at level
@@ -165,13 +166,13 @@ class CoverRegion(ScoredAntichain):
         dimension: int,
         *,
         skyline_mode: bool = False,
-        score=None,
+        weights=None,
         resolution: int | None = None,
     ) -> None:
         if dimension < 0:
             raise ValueError("dimension must be non-negative")
         super().__init__(
-            [ones(dimension)], score=score, dimension=dimension,
+            [ones(dimension)], weights=weights, dimension=dimension,
             skyline_mode=skyline_mode,
         )
         self.resolution = resolution

@@ -50,9 +50,8 @@ class IncrementalSkyline(ScoredAntichain):
     told, so the first vector to arrive is checked like every other).
 
     ``add`` runs in time logarithmic in the current skyline size plus the
-    rows it evicts at e=2, linear elsewhere.  With a row scorer
-    (``score=``) it carries the points' partial scores and their maximum,
-    :attr:`best`.
+    rows it evicts at e=2, linear elsewhere.  With ``weights=`` it carries
+    the points' partial scores and their maximum, :attr:`best`.
     """
 
     __slots__ = ()
@@ -61,12 +60,12 @@ class IncrementalSkyline(ScoredAntichain):
         self,
         points: Iterable[Sequence[float]] = (),
         *,
-        score=None,
+        weights=None,
         dimension: int | None = None,
     ) -> None:
         points = list(points)
         if dimension is None and points:
             dimension = len(points[0])
-        super().__init__(score=score, dimension=dimension)
+        super().__init__(weights=weights, dimension=dimension)
         for point in points:
             self.add(point)

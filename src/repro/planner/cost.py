@@ -51,7 +51,7 @@ def measure(*, seed: int = 0) -> CostCoefficients:
     Times an HRJN* run and an any-k run over one small synthetic instance
     (~600 tuples per side) — roughly 100 ms total.
     """
-    from repro.core.operators import make_operator
+    from repro.core.operators import ANYK_OPERATOR, make_operator
     from repro.data.workload import random_instance
 
     instance = random_instance(
@@ -68,7 +68,7 @@ def measure(*, seed: int = 0) -> CostCoefficients:
 
     hrjn_seconds, hrjn = timed("HRJN*")
     pull_pbrj = max(hrjn_seconds / max(hrjn.pulls, 1), 1e-8)
-    anyk_seconds, _ = timed("AnyK")
+    anyk_seconds, _ = timed(ANYK_OPERATOR)
     total = len(instance.left) + len(instance.right)
     pairs = instance.join_size() * coeffs.anyk_pair
     pull_anyk = max(

@@ -15,6 +15,7 @@ from repro.core.bounds import LEFT, RIGHT, BoundContext
 from repro.core.frstar_bound import FRStarBound
 from repro.core.scoring import SumScore, WeightedSum
 from repro.core.tuples import RankTuple
+from repro.geometry.antichain import partial
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline
 
@@ -82,15 +83,15 @@ class TestAdaptiveCover:
 
     def test_best_matches_points_through_transition(self):
         """Carried while exact, a rescan of the marked cells on the grid."""
-        score = WeightedSum((0.5, 2.0)).row_scorer(0)
-        cover = AdaptiveCover(2, max_size=3, resolution=8, score=score)
+        weights = WeightedSum((0.5, 2.0)).row_weights(0, 2)
+        cover = AdaptiveCover(2, max_size=3, resolution=8, weights=weights)
         modes = set()
         for i in range(1, 8):
             cover.update([(i / 9, 1.0 - i / 9)])
             modes.add(cover.mode)
-            assert cover.best == max(score(p) for p in cover.points)
+            assert cover.best == max(partial(p, weights) for p in cover.points)
         assert modes == {"exact", "grid"}
-        assert AdaptiveCover(2, max_size=3).best is None  # no scorer, no best
+        assert AdaptiveCover(2, max_size=3).best is None  # no weights, no best
 
 
 class TestFrozenCover:

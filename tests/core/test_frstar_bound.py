@@ -9,6 +9,7 @@ from repro.core.fr_bound import FRBound
 from repro.core.frstar_bound import FRStarBound
 from repro.core.scoring import MinScore, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
+from repro.geometry.antichain import partial
 
 unit = st.floats(0, 1, allow_nan=False)
 
@@ -274,7 +275,7 @@ def side_steps(draw):
 
 
 #: Every additive scoring: the step's ``w0*u + w1*v`` must be each one's
-#: row scorer, bit for bit — a zero weight included.
+#: ``partial`` over its row weights, bit for bit — a zero weight included.
 step_scorings = st.sampled_from([
     SumScore(),
     WeightedSum([0.0, 1.3, 0.7, 0.0]),
@@ -288,7 +289,7 @@ class TestTheSharedStep:
     oracles: the brute-force skyline of every vector inserted, and
     ``update_cover(..., skyline_result=True)`` over each closed group
     (rounded up onto the cover's grid once it has one).  Every partial the
-    step inserts or carves in is the row scorer's, bit for bit."""
+    step inserts or carves in is ``partial``'s, bit for bit."""
 
     @given(side_steps(), step_scorings)
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -299,7 +300,7 @@ class TestTheSharedStep:
 
         bound = AFRBound(max_cr_size=10**6)  # a grid only where it is moved onto one
         bound.bind(BoundContext(scoring, (2, 2)))
-        scores = [scoring.row_scorer(0), scoring.row_scorer(2)]
+        weights = [scoring.row_weights(0, 2), scoring.row_weights(2, 2)]
         inserted, covers, groups = [[], []], [[(1.0, 1.0)], [(1.0, 1.0)]], [[], []]
         grids = [None, None]
 
@@ -328,15 +329,15 @@ class TestTheSharedStep:
                     group = [round_up(y, grids[side]) for y in group]
                 covers[side] = sorted(update_cover(covers[side], group,
                                                    skyline_result=True))
-            for chain, expected, score in (
-                (bound._seen[side], brute_skyline(inserted[side]), scores[side]),
-                (bound._cr[side], covers[side], scores[side]),
+            for chain, expected in (
+                (bound._seen[side], brute_skyline(inserted[side])),
+                (bound._cr[side], covers[side]),
             ):
                 points = chain.points
                 assert points == expected  # the staircase order
                 assert all(p[0] < q[0] and p[1] > q[1] for p, q in zip(points, points[1:]))
                 assert [v.hex() for v in chain.partials] == [
-                    score(p).hex() for p in points]
+                    partial(p, weights[side]).hex() for p in points]
                 assert chain.best == max(chain.partials, default=NEG_INF)
         assert bound.cover_sizes == tuple(map(len, covers))
         assert bound.seen_skyline_sizes == tuple(len(brute_skyline(s)) for s in inserted)

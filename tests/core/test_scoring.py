@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.geometry import ScoredAntichain, skyline
+from repro.geometry.antichain import partial
 from repro.kernels import PointSet
 from repro.core.scoring import (
     NEG_INF,
@@ -26,10 +27,32 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 def _cover_max(scoring, left, right):
     """``cover_max`` over the operand kind FR* holds: scored antichains —
     the skylines, which attain the maximum of a monotone ``S``."""
+    split, width = len(left[0]), len(right[0])
     return scoring.cover_max(
-        ScoredAntichain(skyline(left), score=scoring.row_scorer(0)),
-        ScoredAntichain(skyline(right), score=scoring.row_scorer(len(left[0]))),
+        ScoredAntichain(skyline(left), weights=scoring.row_weights(0, split)),
+        ScoredAntichain(
+            skyline(right), weights=scoring.row_weights(split, width)
+        ),
     )
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+#: Every built-in scoring over 5-coordinate vectors; only the first two are
+#: weighted sums.
+SCORINGS = {
+    "sum": SumScore(),
+    "weighted": WeightedSum([0.7, 1.0, 1.3, 0.25, 2.0]),
+    "average": AverageScore(),
+    "min": MinScore(),
+    "product": ProductScore(),
+    "callable": CallableScore(lambda v: max(v, default=0.0), name="max"),
+}
+WIDTH = 5
+#: ``(offset, width)``: runs of the 5-wide vector an operand may own.
+RUNS = [(0, 2), (2, 3), (1, 1), (4, 1), (0, 5), (3, 0)]
 
 
 class TestSumScore:
@@ -149,6 +172,48 @@ class TestOtherAggregates:
         assert not check_monotone(bad, 2)
 
 
+class TestDecomposition:
+    """``row_weights`` alone says whether ``S`` decomposes, and what is
+    derived from it keeps the bits of the definitions."""
+
+    @pytest.mark.parametrize("offset, width", RUNS)
+    @pytest.mark.parametrize("name", SCORINGS)
+    def test_padded_batch_is_the_batch_of_the_zero_padding(
+        self, name, offset, width
+    ):
+        scoring = SCORINGS[name]
+        rows = np.random.default_rng(10 * offset + width).random((9, width))
+        rows[0], rows[1] = 0.0, 1.0
+        padded = np.zeros((len(rows), WIDTH))
+        padded[:, offset:offset + width] = rows
+        got = scoring.padded_batch(rows, offset, WIDTH)
+        assert bits(got) == bits(scoring.batch(padded))
+        weights = scoring.row_weights(offset, width)
+        if weights is not None:
+            assert len(weights) == width
+            assert bits(partial(row, weights) for row in rows.tolist()) == bits(got)
+
+    @pytest.mark.parametrize("name", SCORINGS)
+    def test_only_the_weighted_sums_have_row_weights(self, name):
+        weighted = name in ("sum", "weighted")
+        for run in RUNS:
+            assert (SCORINGS[name].row_weights(*run) is not None) == weighted
+
+    @pytest.mark.parametrize("split", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", SCORINGS)
+    def test_cover_max_over_scored_antichains_is_max_combination(
+        self, name, split
+    ):
+        scoring = SCORINGS[name]
+        rng = np.random.default_rng(split)
+        left = [tuple(row) for row in rng.random((12, split)).tolist()]
+        right = [tuple(row) for row in rng.random((12, WIDTH - split)).tolist()]
+        left, right = skyline(left), skyline(right)
+        assert _cover_max(scoring, left, right) == scoring.max_combination(
+            left, right
+        )
+
+
 class TestGenericMaxCombination:
     """The default pairwise enumeration used by non-additive aggregates."""
 
@@ -238,7 +303,7 @@ class TestPatchedOperands:
             # Operand kinds mix: plain FR pairs a cover (list-native) with
             # its seen column (prepared), FR* two list-native sets.
             chain = ScoredAntichain(
-                left, score=scoring.row_scorer(0), dimension=3)
+                left, weights=scoring.row_weights(0, 3), dimension=3)
             assert scoring.max_prepared(chain, r_op) == cross
             assert scoring.cover_max(chain, r_op) == cross
 

@@ -5,7 +5,7 @@ through stamps under ``CoverRegion`` and ``IncrementalSkyline``.  The
 oracles are the plain loops ``update_cover(skyline_result=True)`` (which
 still skylines the full union) and ``skyline()``; on top of the point set
 the property pins the *row order* and the carried scores:
-``partials[i]`` is bitwise the row scorer on ``points[i]`` (and the
+``partials[i]`` is bitwise ``partial(points[i], weights)`` (and the
 kernels' partial score of that row), ``best`` their maximum.
 
 The documented order has two cases.  A 2-D antichain is a *staircase*:
@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.core.scoring import NEG_INF, MinScore, SumScore, WeightedSum
 from repro.geometry import CoverRegion, IncrementalSkyline, ScoredAntichain
+from repro.geometry import antichain
+from repro.geometry.antichain import partial
 from repro.geometry.cover import round_up, update_cover
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline, skyline
@@ -81,9 +83,11 @@ def oracle_step(rows, kind, payload):
     return rows
 
 
-def scorer_for(weights):
+def weights_for(weights, e=2):
+    """A scored set's weights: ``WeightedSum(weights)``'s, or the plain
+    sum's for ``None``."""
     scoring = SumScore() if weights is None else WeightedSum(weights)
-    return scoring.row_scorer(0)
+    return scoring.row_weights(0, e)
 
 
 class SeededCover(CoverRegion):
@@ -92,9 +96,9 @@ class SeededCover(CoverRegion):
 
     __slots__ = ()
 
-    def __init__(self, seed, e, score):
-        super().__init__(e, skyline_mode=True, score=score)
-        ScoredAntichain.__init__(self, seed, score=score, dimension=e)
+    def __init__(self, seed, e, weights):
+        super().__init__(e, skyline_mode=True, weights=weights)
+        ScoredAntichain.__init__(self, seed, weights=weights, dimension=e)
 
 
 class TestAgainstLoopOracles:
@@ -102,8 +106,8 @@ class TestAgainstLoopOracles:
     @settings(max_examples=300, deadline=None)
     def test_any_interleaving_of_add_and_carve(self, case):
         e, weights, seed, steps = case
-        score = scorer_for(weights)
-        chain = SeededCover(seed, e, score)
+        scored = weights_for(weights, e)
+        chain = SeededCover(seed, e, scored)
 
         def check(expected, *step):
             if e == 2:
@@ -115,7 +119,7 @@ class TestAgainstLoopOracles:
                 assert all(a > b for a, b in zip(seconds, seconds[1:]))
             else:
                 assert chain.points == expected, step  # row for row
-            assert chain.partials == [score(p) for p in chain.points]
+            assert chain.partials == [partial(p, scored) for p in chain.points]
             assert chain.partials == [
                 float(v)
                 for v in kernels.cover_corner_scores(chain.points, weights)
@@ -135,7 +139,8 @@ class TestAgainstLoopOracles:
         def mutations():
             for e in (1, 2, 3):
                 for weights in (None, WEIGHTS[:e]):
-                    chain = SeededCover([kernels.ones(e)], e, scorer_for(weights))
+                    chain = SeededCover(
+                        [kernels.ones(e)], e, weights_for(weights, e))
                     chain.add((0.5,) * e)
                     chain.carve([(0.25,) * e, (0.5,) * (e - 1) + (0.0,)])
                     chain.coarsen(4)
@@ -143,7 +148,7 @@ class TestAgainstLoopOracles:
         assert numpy_calls(mutations) == 0
 
     def test_carve_to_empty(self):
-        chain = ScoredAntichain([(1.0, 1.0)], score=scorer_for(None))
+        chain = ScoredAntichain([(1.0, 1.0)], weights=weights_for(None))
         chain.carve([(0.0, 0.0)])
         assert chain.points == [] and chain.partials == []
         assert chain.best == NEG_INF
@@ -152,12 +157,12 @@ class TestAgainstLoopOracles:
         assert chain.add((0.2, 0.3)) and chain.best == 0.2 + 0.3
 
     def test_zero_coordinate_projection_dropped(self):
-        chain = ScoredAntichain([(1.0, 1.0)], score=scorer_for(None))
+        chain = ScoredAntichain([(1.0, 1.0)], weights=weights_for(None))
         chain.carve([(0.0, 0.5)])
         assert chain.points == [(1.0, 0.5)] and chain.best == 1.5
 
     def test_unscored_chain_keeps_points_only(self):
-        assert MinScore().row_scorer(0) is None
+        assert MinScore().row_weights(0, 2) is None
         chain = ScoredAntichain([(1.0, 1.0)])
         chain.carve([(0.5, 0.5)])
         assert chain.add((0.2, 0.2)) is False  # inside the cover
@@ -170,13 +175,14 @@ class TestCarveAppliesAPatch:
 
     def test_keeps_ascending_then_adds_fresh_in_one_mutation(self):
         rows = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
-        chain = ScoredAntichain(rows, score=scorer_for(None))
+        chain = ScoredAntichain(rows, weights=weights_for(None))
         chain.carve([(0.4, 0.4)])
         # At e=2 the fresh rows go where the carved run was ...
         assert chain.points == [(0.1, 0.9), (0.4, 0.5), (0.5, 0.4), (0.9, 0.1)]
         assert chain.partials == [0.1 + 0.9, 0.4 + 0.5, 0.5 + 0.4, 0.9 + 0.1]
         # ... a set with no staircase keeps its rows, then appends.
-        deep = ScoredAntichain([p + (0.5,) for p in rows], score=scorer_for(None))
+        deep = ScoredAntichain(
+            [p + (0.5,) for p in rows], weights=weights_for(None, 3))
         deep.carve([(0.4, 0.4, 0.25)])
         assert deep.points == [
             (0.1, 0.9, 0.5), (0.9, 0.1, 0.5),
@@ -185,7 +191,7 @@ class TestCarveAppliesAPatch:
 
     def test_patch_lands_in_place_as_python_floats(self):
         start = [(i / 50, 1.0 - (i - 1) / 50) for i in range(1, 50)]
-        chain = ScoredAntichain(start, score=scorer_for(None))
+        chain = ScoredAntichain(start, weights=weights_for(None))
         chain.carve([(0.31, 0.31)])
         at = chain.points.index((0.31, 0.7))  # in place of the carved run
         assert chain.points[at - 1:at + 3] == [
@@ -193,29 +199,31 @@ class TestCarveAppliesAPatch:
         ]
         assert {type(v) for p in chain.points for v in p} == {float}
         assert {type(v) for v in chain.partials} == {float}
-        assert chain.partials == [scorer_for(None)(p) for p in chain.points]
+        assert chain.partials == [partial(p, weights_for(None)) for p in chain.points]
         chain.carve([(0.0, 0.0)])
         assert chain.points == [] and chain.partials == []
 
     def test_untouched_cover_changes_nothing(self):
         for rows in ([(0.2, 1.0), (1.0, 0.2)],
                      [(0.2, 1.0, 0.5), (1.0, 0.2, 0.5)]):
-            chain = ScoredAntichain(rows, score=scorer_for(None))
+            weights = weights_for(None, len(rows[0]))
+            chain = ScoredAntichain(rows, weights=weights)
             held, partials = chain._points, chain.partials
             chain.carve([(0.5,) * len(rows[0])])
             assert chain._points is held and chain.partials is partials
-            assert held == rows and partials == [scorer_for(None)(p) for p in rows]
+            assert held == rows and partials == [partial(p, weights) for p in rows]
 
-    def test_kept_partials_are_carried_not_rescored(self):
+    def test_kept_partials_are_carried_not_rescored(self, monkeypatch):
         scored = []
-        plain = scorer_for(None)
 
-        def counting(row):
+        def counting(row, weights):
             scored.append(row)
-            return plain(row)
+            return partial(row, weights)
 
+        monkeypatch.setattr(antichain, "partial", counting)
         # Off the staircase the fresh rows, and only they, are scored ...
-        chain = ScoredAntichain([(0.1, 0.9, 0.5), (0.9, 0.1, 0.5)], score=counting)
+        chain = ScoredAntichain(
+            [(0.1, 0.9, 0.5), (0.9, 0.1, 0.5)], weights=weights_for(None, 3))
         assert len(scored) == 2
         chain.carve([(0.05, 0.8, 0.25)])
         fresh = [(0.05, 0.9, 0.5), (0.1, 0.8, 0.5), (0.1, 0.9, 0.25)]
@@ -223,37 +231,40 @@ class TestCarveAppliesAPatch:
         assert chain.points == [(0.9, 0.1, 0.5)] + fresh
         chain.add((0.95, 0.15, 0.5))  # beats (0.9, 0.1, 0.5): one new row scored
         assert scored[5:] == [(0.95, 0.15, 0.5)]
-        assert chain.partials == [plain(p) for p in chain.points]
-        # ... and on it none is: the scorer's values at the unit vectors are
-        # its weights, and a fresh partial is w0*u + w1*v, the same bits.
+        assert chain.partials == [partial(p, chain.weights) for p in chain.points]
+        # ... and on it none is: a fresh partial is w0*u + w1*v straight
+        # off the weights, the same bits.
         scored.clear()
-        stairs = ScoredAntichain([(0.1, 0.9), (0.9, 0.1)], score=counting)
-        assert scored == [(0.1, 0.9), (0.9, 0.1), (1.0, 0.0), (0.0, 1.0)]
+        stairs = ScoredAntichain([(0.1, 0.9), (0.9, 0.1)], weights=weights_for(None))
+        assert scored == [(0.1, 0.9), (0.9, 0.1)]
         stairs.carve([(0.05, 0.8)])
         stairs.add((0.95, 0.15))
-        assert len(scored) == 4
+        assert len(scored) == 2
         assert stairs.points == [(0.05, 0.9), (0.1, 0.8), (0.95, 0.15)]
-        assert stairs.partials == [plain(p) for p in stairs.points]
+        assert stairs.partials == [partial(p, stairs.weights) for p in stairs.points]
 
 
 class TestTheStructuresOnTop:
     def test_cover_and_skyline_are_scored_antichains(self):
-        score = WeightedSum((0.5, 2.0)).row_scorer(0)
-        cover = CoverRegion(2, skyline_mode=True, score=score)
+        weights = WeightedSum((0.5, 2.0)).row_weights(0, 2)
+        cover = CoverRegion(2, skyline_mode=True, weights=weights)
         assert cover.best == 0.5 + 2.0
         cover.update([(0.5, 0.5)])
-        assert cover.best == max(score(p) for p in cover.points) == 0.25 + 2.0
-        seen = IncrementalSkyline(score=score, dimension=2)
+        assert cover.best == max(
+            partial(p, weights) for p in cover.points) == 0.25 + 2.0
+        seen = IncrementalSkyline(weights=weights, dimension=2)
         assert seen.best == NEG_INF
         seen.add((0.5, 0.5))
         seen.add((0.4, 0.4))
-        assert seen.best == score((0.5, 0.5)) and seen.points == [(0.5, 0.5)]
+        assert seen.best == partial((0.5, 0.5), weights)
+        assert seen.points == [(0.5, 0.5)]
 
-    def test_row_scorer_takes_the_operand_offset(self):
+    def test_row_weights_take_the_operand_offset(self):
         weighted = WeightedSum((0.5, 2.0, 3.0))
-        assert weighted.row_scorer(1)((1.0, 1.0)) == 2.0 + 3.0
-        assert weighted.row_scorer(0)((1.0,)) == 0.5
-        assert SumScore().row_scorer(2)((0.25, 0.5)) == 0.75
+        assert weighted.row_weights(1, 2) == (2.0, 3.0)
+        assert partial((1.0, 1.0), weighted.row_weights(1, 2)) == 2.0 + 3.0
+        assert partial((1.0,), weighted.row_weights(0, 1)) == 0.5
+        assert partial((0.25, 0.5), SumScore().row_weights(2, 2)) == 0.75
 
     def test_one_wording_for_a_dimension_mismatch(self):
         """Cover, skyline and ``PointSet`` say it the same way — and say
@@ -294,7 +305,7 @@ class TestTheStructuresOnTop:
 class TestSeedRows:
     def test_a_2d_seed_is_sorted_into_the_staircase(self):
         chain = ScoredAntichain(
-            [(0.9, 0.1), (0.1, 0.9), (0.5, 0.5)], score=scorer_for(None)
+            [(0.9, 0.1), (0.1, 0.9), (0.5, 0.5)], weights=weights_for(None)
         )
         assert chain.points == [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
         assert chain.partials == [0.1 + 0.9, 0.5 + 0.5, 0.9 + 0.1]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.afr_bound import AFRBound
 from repro.core.scoring import WeightedSum
+from repro.geometry.antichain import partial
 from repro.geometry.cover import CoverRegion, round_up
 from repro.geometry.dominance import dominates
 from repro.geometry.skyline import is_skyline
@@ -73,8 +74,8 @@ class TestAgainstTheCellFormulation:
     @settings(max_examples=400, deadline=None)
     def test_same_points_size_and_best_after_every_step(self, walk):
         e, r, steps = walk
-        score = WeightedSum((0.5, 2.0, 1.0, 0.25)[:e]).row_scorer(0)
-        cover, cells = grid(e, r, score=score), CellGrid(e, r)
+        weights = WeightedSum((0.5, 2.0, 1.0, 0.25)[:e]).row_weights(0, e)
+        cover, cells = grid(e, r, weights=weights), CellGrid(e, r)
         for kind, vectors in steps:
             if kind == "carve":
                 cover.update(vectors)
@@ -86,13 +87,13 @@ class TestAgainstTheCellFormulation:
                 cover.coarsen(cover.resolution // 2)
                 cells.halve()
             else:
-                cover = CoverRegion(e, skyline_mode=True, score=score)
+                cover = CoverRegion(e, skyline_mode=True, weights=weights)
                 cover.update(vectors)
                 cells.load(cover.points)
                 cover.coarsen(cells.resolution)
             assert sorted(cover.points) == cells.points()
             assert len(cover) == len(cells.cells)
-            assert cover.best == cells.best(score)
+            assert cover.best == cells.best(lambda p: partial(p, weights))
 
     def test_weak_carve_returns_the_boundary_corner(self):
         # Cells (7,4), (5,7) at r=8, m=(2,5): on cells (7,4) survives and
@@ -306,7 +307,7 @@ class TestEdgeCasesAcrossBackends:
 def test_grid_mode_reaches_no_two_form_op():
     def walk():
         for e in (2, 3):
-            cover = grid(e, 16, score=WeightedSum((0.5,) * e).row_scorer(0))
+            cover = grid(e, 16, weights=(0.5,) * e)
             cover.update([(0.3,) * e, (0.7,) * (e - 1) + (0.1,)])
             cover.coarsen(4)
             cover.update([(0.2,) * e])

@@ -27,10 +27,12 @@ import threading
 
 import pytest
 
-from repro.errors import QuotaExceeded
+from repro.core.scoring import WeightedSum
+from repro.errors import InstanceError, QuotaExceeded
 from repro.relation import Relation
 from repro.service import (
     QueryService,
+    QuerySpec,
     RankJoinServer,
     ServeFleet,
     ServiceClient,
@@ -44,6 +46,13 @@ from tests.service.test_server import RELATIONS
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 QUERY = {"left": "lineitem", "right": "orders", "k": 3}
 KINDS = ["server", "fleet"]
+#: Three and five weights for the four coordinates of lineitem ⋈ orders:
+#: each core must refuse them at submit.
+WRONG_WEIGHTS = {
+    "too-few": [[1.0, 1.0], [1.0]],
+    "too-many": [[1.0, 1.0], [1.0, 1.0, 1.0]],
+}
+ALGORITHMS = ["pbrj", "anyk", "auto"]
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +223,11 @@ def hand_frames():
     yield "submit-ragged-weights", line({**submit, "weights": [[1.0]]}), ""
     yield ("submit-negative-weights",
            line({**submit, "weights": [[-1.0, 1.0], [1.0, 1.0]]}), "")
+    for algorithm in ALGORITHMS:  # refused by the submit, not a FAILED session
+        for name, weights in WRONG_WEIGHTS.items():
+            yield (f"submit-{name}-weights-{algorithm}",
+                   line({**submit, "algorithm": algorithm, "weights": weights}),
+                   "")
     yield "submit-empty-trace", line({**submit, "trace": {}}), "bad request"
     for session in ("s999", "w9:s1", "w:", "wx:s1", ":s1", "w0:", "w-1:s1",
                     "w0:s999", "w1:", "", "w" + "9" * 5000 + ":s1"):
@@ -299,6 +313,23 @@ class TestHostileFrames:
             final = client.run(timeout=20.0, shards=1, priority=5,
                                **QUERY, **pins[0])
         assert final["state"] == "DONE"
+
+
+@pytest.mark.parametrize("weights", WRONG_WEIGHTS.values(), ids=WRONG_WEIGHTS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_wrong_length_weight_vector_is_refused_in_process(algorithm, weights):
+    # The wire's twin is the corpus's ``submit-*-weights-*`` frames.
+    spec = QuerySpec(
+        relations=(RELATIONS["lineitem"], RELATIONS["orders"]), k=3,
+        scoring=WeightedSum([w for side in weights for w in side]),
+        algorithm=algorithm,
+    )
+    service = QueryService()
+    with pytest.raises((InstanceError, ValueError)) as refused:
+        service.submit(spec)
+    assert str(refused.value).strip() and "\n" not in str(refused.value)
+    assert not (service.live_sessions or service.queued_sessions
+                or service.finished_sessions)
 
 
 class TestFleetWorkerPin:
