@@ -13,7 +13,8 @@ construction, so its float64 score matrix, its canonical tuple identities,
 the integer codes of its join-key columns, the code space it shares with
 the relation it was last joined to and the join structure of that link
 (:meth:`Relation.link`) are built on first use and shared by every query
-for the life of the object.
+for the life of the object.  A server builds the views every query reads
+when it is constructed (:func:`repro.service.server.prepare_relations`).
 """
 
 from __future__ import annotations
@@ -90,14 +91,12 @@ class Link(NamedTuple):
     parent_gids: np.ndarray
 
 
-def _tuple_digest(tup: RankTuple) -> bytes:
-    """A per-tuple content digest: join key, full-precision scores, payload."""
-    parts = (
-        repr(tup.key),
-        ",".join(repr(float(s)) for s in tup.scores),
-        _canonical_payload(tup.payload),
-    )
-    return hashlib.sha256("\x1f".join(parts).encode()).digest()
+def _tuple_digest(identity: tuple) -> bytes:
+    """The content digest of one :func:`tuple_identity`: join key,
+    full-precision scores, payload."""
+    key, scores, payload = identity
+    text = "\x1f".join((key, ",".join(repr(float(s)) for s in scores), payload))
+    return hashlib.sha256(text.encode()).digest()
 
 
 class Relation:
@@ -122,6 +121,13 @@ class Relation:
         self._key_codes: dict[tuple[str, ...], KeyCodes] = {}
         self._joint_codes: dict[tuple[str, ...], tuple] = {}
         self._links: dict[tuple[str, ...], tuple] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickled numpy array comes back writeable: a copy of a relation
+        # keeps its views, and its score matrix stays read-only.
+        self.__dict__.update(state)
+        if self._scored is not None:
+            self._scored[1].flags.writeable = False
 
     @property
     def tuples(self) -> tuple[RankTuple, ...]:
@@ -216,12 +222,14 @@ class Relation:
         change to a key, a score (at full float precision), or a payload
         changes the digest.  The relation *name* is deliberately excluded —
         two differently-named copies of the same data are the same content.
-        Computed on first use.
+        Computed on first use; a server computes it when it is constructed
+        (:func:`repro.service.server.prepare_relations`), so no query pays.
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()
             digest.update(f"e={self.dimension};n={len(self.tuples)};".encode())
-            for tuple_digest in sorted(_tuple_digest(t) for t in self.tuples):
+            for tuple_digest in sorted(_tuple_digest(tuple_identity(t))
+                                       for t in self._tuples):
                 digest.update(tuple_digest)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint

@@ -292,8 +292,8 @@ class ResultCache:
     def _shared_path(self, key: str) -> Path:
         return self.shared_dir / f"{key}.pkl"
 
-    def _shared_load(self, key: str) -> CacheEntry | None:
-        """Read the shared tier's entry for ``key`` (best effort).
+    def _shared_record(self, key: str) -> tuple | None:
+        """The shared tier's record for ``key`` (best effort).
 
         Missing, truncated (a concurrent writer died mid-``os.replace``
         is impossible, but a corrupt disk is not), foreign, or expired
@@ -307,19 +307,26 @@ class ResultCache:
         path = self._shared_path(key)
         try:
             record = _PlainUnpickler(io.BytesIO(path.read_bytes())).load()
-            if not _well_formed(record):
-                return None
-            _, created_at, exhausted, rows = record
-            entry = CacheEntry(results=_results(rows), exhausted=exhausted,
-                               created_at=created_at)
         except Exception:  # noqa: BLE001 - any unreadable file is a miss
             return None
-        if self.ttl is not None and entry.created_at:
-            if time.time() - entry.created_at > self.ttl:
+        if not _well_formed(record):
+            return None
+        created_at = record[1]
+        if self.ttl is not None and created_at:
+            if time.time() - created_at > self.ttl:
                 with contextlib.suppress(OSError):
                     path.unlink()
                 return None
-        return entry
+        return record
+
+    def _shared_load(self, key: str) -> CacheEntry | None:
+        """The shared tier's entry for ``key``, its results rebuilt."""
+        record = self._shared_record(key)
+        if record is None:
+            return None
+        _, created_at, exhausted, rows = record
+        return CacheEntry(results=_results(rows), exhausted=exhausted,
+                          created_at=created_at)
 
     def _shared_store(self, key: str, entry: CacheEntry) -> None:
         """Write ``entry``'s prefix through to the shared tier if longer.
@@ -327,16 +334,16 @@ class ResultCache:
         Atomic publish: write the record to a pid-suffixed temp file, then
         ``os.replace`` — concurrent workers racing on the same key each
         publish a complete file and last-writer-wins is safe because the
-        check below only lets a strictly-improving prefix overwrite.
+        check below only lets a strictly-improving prefix overwrite.  The
+        check reads the record as it lies, rebuilding no result.
         """
         if self.shared_dir is None:
             return
-        existing = self._shared_load(key)
-        if existing is not None and (
-            len(existing.results) >= len(entry.results)
-            and existing.exhausted >= entry.exhausted
-        ):
-            return
+        existing = self._shared_record(key)
+        if existing is not None:
+            _, _, exhausted, rows = existing
+            if len(rows) >= len(entry.results) and exhausted >= entry.exhausted:
+                return
         buffer = io.BytesIO()
         try:
             _PlainPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(_record(entry))

@@ -57,7 +57,7 @@ from repro.errors import QuotaExceeded
 from repro.obs import Observability, render_prometheus
 from repro.service import wire
 from repro.service.quota import TenantQuotas
-from repro.service.server import RankJoinServer
+from repro.service.server import RankJoinServer, prepare_relations
 from repro.service.service import QueryService
 
 
@@ -164,8 +164,10 @@ class ServeFleet(wire.LineServer):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         # Refuse a setting no worker could honour here, before any exists:
-        # build the service each worker will build.
+        # build the service each worker will build.  Build, once, the views
+        # each worker would build on its first query: they fork with them.
         _worker_service(service_kwargs or {}, None)
+        prepare_relations(relations)
         super().__init__(host, port)
         self.relations = dict(relations)
         self.num_workers = workers

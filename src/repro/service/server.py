@@ -79,7 +79,7 @@ import time
 from repro.core.scoring import SumScore, WeightedSum
 from repro.errors import QuotaExceeded, ReproError
 from repro.obs import TraceContext
-from repro.relation.relation import Relation
+from repro.relation.relation import KEY_ATTR, Relation
 from repro.service import wire
 from repro.service.query import QuerySpec
 from repro.service.service import QueryService
@@ -88,6 +88,23 @@ from repro.service.service import QueryService
 #: when no step released or retired anything.  A request that arrives
 #: meanwhile waits at most this plus one step (module docstring).
 HOLD = 0.0005
+
+
+def prepare_relations(relations: dict[str, Relation]) -> None:
+    """Build the views every query of a served relation reads: the content
+    fingerprint in every cache key, and the score matrix and tuple-key codes
+    of every binary query.
+
+    A server calls it when it is constructed, and a fleet before its workers
+    fork, so each worker inherits them and no first query builds them.  A
+    relation no query could read (a score outside ``[0, 1]``) is refused
+    here, with :meth:`~repro.relation.relation.Relation.scored`'s
+    ``InstanceError``.  Views that depend on which relations a query joins
+    stay lazy.
+    """
+    for relation in relations.values():
+        relation.fingerprint()
+        relation.key_codes((KEY_ATTR,))  # builds scored() first
 
 
 def stream_frames(session, cursor: int):
@@ -145,6 +162,7 @@ class RankJoinServer(wire.LineServer):
         default_algorithm: str = "pbrj",
         chaos=None,
     ) -> None:
+        prepare_relations(relations)
         super().__init__(host, port)
         self.service = service
         self.relations = dict(relations)

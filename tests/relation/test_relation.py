@@ -1,12 +1,15 @@
 """Tests for relations and problem instances."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.scoring import CallableScore, SumScore, WeightedSum
 from repro.core.tuples import RankTuple
 from repro.errors import InstanceError, NotSortedError
-from repro.relation.relation import RankJoinInstance, Relation
+from repro.relation import relation as relation_module
+from repro.relation.relation import KEY_ATTR, RankJoinInstance, Relation
 from repro.relation.sources import VerifyingSource
 
 
@@ -42,6 +45,31 @@ class TestRelation:
             rel.tuples = [extra]
         assert rel.tuples == tuple(rows[:2])
         assert rel.scored()[0] is rel.tuples
+
+    def test_a_pickled_relation_keeps_its_views_read_only(self, monkeypatch):
+        """A fleet started by ``spawn`` or ``forkserver`` hands each worker
+        its relations pickled.  The copy has the same fingerprint and codes
+        without building either, and its score matrix is still read-only
+        (at the parent a pickled matrix came back writeable)."""
+        rel = Relation("R", [RankTuple(key=k, scores=(k / 4, 0.5), payload={"p": k})
+                             for k in (3, 1, 3, 2)])
+        fingerprint, (values, codes) = rel.fingerprint(), rel.key_codes((KEY_ATTR,))
+
+        def rebuilt(*args):
+            raise AssertionError("a pickled relation rebuilt a view")
+
+        copy = pickle.loads(pickle.dumps(rel))
+        monkeypatch.setattr(relation_module, "_tuple_digest", rebuilt)
+        monkeypatch.setattr(relation_module, "encode_keys", rebuilt)
+        rows, matrix = copy.scored()
+        assert copy.fingerprint() == fingerprint
+        copy_values, copy_codes = copy.key_codes((KEY_ATTR,))
+        assert copy_values == values and np.array_equal(copy_codes, codes)
+        assert rows is copy.tuples and rows == rel.tuples
+        assert np.array_equal(matrix, rel.scored()[1])
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
     def test_from_arrays(self):
         rel = Relation.from_arrays(

@@ -14,6 +14,10 @@ import time
 
 import pytest
 
+from repro.core.scoring import WeightedSum
+from repro.core.tuples import RankTuple
+from repro.errors import InstanceError
+from repro.relation.relation import Relation
 from repro.service import (
     QuerySpec,
     ServeFleet,
@@ -28,6 +32,9 @@ from tests.service.conftest import GatedOperator, make_instance, make_spec
 from tests.service.test_server import (
     REFERENCE_SCORES,
     RELATIONS,
+    fresh_relations,
+    naive_scores,
+    refuse_rebuilds,
     running_server,
 )
 
@@ -42,7 +49,13 @@ WIDE_RELATIONS = {"left": WIDE.left, "right": WIDE.right}
 @contextlib.contextmanager
 def running_fleet(workers=2, relations=RELATIONS, **kwargs):
     kwargs.setdefault("service_kwargs", {"quantum": 16})
-    fleet = ServeFleet(relations, workers=workers, port=0, **kwargs)
+    with serving_fleet(ServeFleet(relations, workers=workers, port=0,
+                                  **kwargs)) as fleet:
+        yield fleet
+
+
+@contextlib.contextmanager
+def serving_fleet(fleet):
     thread = threading.Thread(target=fleet.run, daemon=True)
     thread.start()
     assert fleet.ready.wait(timeout=60.0), "fleet never became ready"
@@ -292,6 +305,45 @@ class TestFleet:
         assert idle
         assert stats["fleet"]["outstanding"] == {"w0": 0, "w1": 0}
         assert fleet._pending == {}
+
+
+class TestViewsAreBuiltBeforeTheWorkersFork:
+    """The fleet builds every served relation's fingerprint, score matrix
+    and tuple-key codes when it is constructed, and its workers fork with
+    them.  These guards rely on the fleet forking, the default start method
+    on Linux before Python 3.14; under ``spawn`` a worker unpickles the
+    views and never sees the patched builders."""
+
+    def test_no_worker_rebuilds_a_view(self, monkeypatch):
+        """A cold query pinned to each worker ends DONE without building a
+        view.  At the parent each worker's first query computed the
+        fingerprint, and its connection died."""
+        relations = fresh_relations()
+        fleet = ServeFleet(relations, workers=2, port=0,
+                           service_kwargs={"quantum": 16})
+        refuse_rebuilds(monkeypatch)
+        weights = [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0]]  # no shared hit
+        with serving_fleet(fleet):
+            with ServiceClient(fleet.host, fleet.port) as client:
+                finals = [client.run(left="lineitem", right="orders", k=5,
+                                     weights=[w[:2], w[2:]], worker=worker)
+                          for worker, w in enumerate(weights)]
+        assert [f["session"].split(":")[0] for f in finals] == ["w0", "w1"]
+        assert [f["state"] for f in finals] == ["DONE", "DONE"]
+        assert not any(f["from_cache"] for f in finals)
+        assert [f["scores"] for f in finals] == [
+            naive_scores(relations, 5, WeightedSum(w)) for w in weights]
+
+    def test_an_unservable_relation_is_refused_before_any_worker(self):
+        """A score outside [0, 1] is the one-line error a worker's first
+        query used to raise, and no worker process starts."""
+        bad = {**fresh_relations(),
+               "bad": Relation("bad", [RankTuple(1, (-0.25, 0.5))])}
+        with pytest.raises(InstanceError) as refused:
+            ServeFleet(bad, workers=2, port=0)
+        assert str(refused.value) == (
+            "relation 'bad': score -0.25 outside [0, 1] at row 0, column 0")
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerService:

@@ -12,7 +12,13 @@ import threading
 
 import pytest
 
+from repro.core.naive import naive_top_k
+from repro.core.scoring import SumScore
+from repro.core.tuples import RankTuple
+from repro.errors import InstanceError
 from repro.obs import Observability
+from repro.relation import relation as relation_module
+from repro.relation.relation import Relation
 from repro.service import (
     QueryService,
     QuerySession,
@@ -36,12 +42,38 @@ REFERENCE_SCORES = [
 ]
 
 
+def fresh_relations():
+    """Copies of :data:`RELATIONS` with no view built yet."""
+    return {name: Relation(name, rel.tuples) for name, rel in RELATIONS.items()}
+
+
+def refuse_rebuilds(monkeypatch) -> None:
+    """Make the per-tuple fingerprint digest and the key-code builder raise:
+    from here on, a view that was not built already cannot be."""
+    def rebuilt(*args):
+        raise AssertionError("a served relation rebuilt a view")
+
+    monkeypatch.setattr(relation_module, "_tuple_digest", rebuilt)
+    monkeypatch.setattr(relation_module, "encode_keys", rebuilt)
+
+
+def naive_scores(relations, k, scoring=SumScore()):
+    """The reference top-``k`` scores of lineitem ⋈ orders, wire-rounded."""
+    return [round(r.score, 6) for r in naive_top_k(
+        relations["lineitem"].tuples, relations["orders"].tuples, scoring, k)]
+
+
 @contextlib.contextmanager
 def running_server(service=None, **service_kwargs):
     if service is None:
         service_kwargs.setdefault("quantum", 16)
         service = QueryService(**service_kwargs)
-    server = RankJoinServer(service, RELATIONS, port=0)
+    with serving(RankJoinServer(service, RELATIONS, port=0)) as server:
+        yield server
+
+
+@contextlib.contextmanager
+def serving(server):
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
     assert server.ready.wait(timeout=10.0), "server never became ready"
@@ -54,6 +86,33 @@ def running_server(service=None, **service_kwargs):
                     client.shutdown()
         thread.join(timeout=10.0)
         assert not thread.is_alive(), "server thread failed to shut down"
+
+
+class TestViewsAreBuiltAtConstruction:
+    """A server builds the views every query reads when it is constructed:
+    the fingerprint, the score matrix and the tuple-key codes."""
+
+    def test_a_first_query_rebuilds_no_view(self, monkeypatch):
+        """At the parent the first query computed the fingerprint, and the
+        submit failed."""
+        relations = fresh_relations()
+        server = RankJoinServer(QueryService(quantum=16), relations, port=0)
+        refuse_rebuilds(monkeypatch)
+        with serving(server):
+            with ServiceClient(server.host, server.port) as client:
+                final = client.run(left="lineitem", right="orders", k=5)
+        assert final["state"] == "DONE"
+        assert final["scores"] == naive_scores(relations, 5)
+
+    def test_an_unservable_relation_is_refused_at_construction(self):
+        """A score outside [0, 1] is the one-line error the first query
+        used to raise, before anything listens."""
+        bad = {**fresh_relations(),
+               "bad": Relation("bad", [RankTuple(1, (0.5, 1.5))])}
+        with pytest.raises(InstanceError) as refused:
+            RankJoinServer(QueryService(), bad, port=0)
+        assert str(refused.value) == (
+            "relation 'bad': score 1.5 outside [0, 1] at row 0, column 1")
 
 
 class TestProtocol:
