@@ -6,10 +6,12 @@ scaled-down soak (50 concurrent streaming sessions by default) through
 the front-end, and checks the streaming contract end to end: strictly
 sequential event indexes, the streamed sequence equal to the terminal
 snapshot, identical answers across sessions of the same query, no
-session left outstanding by clients that submit and hang up, fleet
-stats reporting every worker alive and, for a worker with shared-tier
-hits, a cache hit ratio, and a clean shutdown.  Exits
-nonzero on any failure; the CI step wraps it in a hard ``timeout``.
+session left outstanding by clients that submit and hang up, an unpinned
+repeat answered by the front-end itself (an ``fe:`` session from its
+cache), fleet stats reporting every worker alive, a fleet-level cache hit
+ratio above 0 and, for a worker with shared-tier hits, its own ratio, and
+a clean shutdown.  Exits nonzero on any failure; the CI step wraps it in
+a hard ``timeout``.
 
 Usage: python scripts/serve_scale_smoke.py [--sessions 50] [--workers 2]
 """
@@ -71,6 +73,20 @@ def hang_ups_settle(host: str, port: int, clients: int = 3) -> list[str]:
                 return [f"after {clients} hang-ups: outstanding {outstanding} "
                         f"with {busy} sessions live or queued"]
             time.sleep(0.1)
+
+
+def repeat_answered_by_the_front_end(host: str, port: int) -> list[str]:
+    """One query submitted twice, unpinned: the front-end answers the
+    second itself, from the answer it relayed for the first."""
+    query = dict(left="lineitem", right="orders", k=4,
+                 weights=[[1.0, 1.5], [1.0, 1.0]])  # no other step asks it
+    with ServiceClient(host, port) as client:
+        client.run(**query)
+        reply = client.request({"verb": "submit", **query})
+    if reply.get("from_cache") is True and reply["session"].startswith("fe:"):
+        return []
+    return [f"an unpinned repeat reached a worker: {reply['session']} "
+            f"from_cache={reply.get('from_cache')}"]
 
 
 def hit_ratios_reported(stats: dict) -> list[str]:
@@ -156,11 +172,15 @@ def main() -> int:
             errors.append(f"k={k} is not a prefix of k={longest}")
 
     errors += hang_ups_settle(host, port)
+    errors += repeat_answered_by_the_front_end(host, port)
     try:
         with ServiceClient(host, port) as client:
             stats = client.stats()
             if stats["fleet"]["alive"] != args.workers:
                 errors.append(f"fleet degraded: {stats['fleet']}")
+            if not (stats["slo"]["cache_hit_ratio"] or 0.0) > 0.0:
+                errors.append("fleet slo.cache_hit_ratio is "
+                              f"{stats['slo']['cache_hit_ratio']}, not above 0")
             errors += hit_ratios_reported(stats)
             client.shutdown()
         returncode = process.wait(timeout=60.0)

@@ -37,6 +37,7 @@ from repro.obs.export import (
 )
 from repro.obs.expose import (
     compute_slos,
+    publish_slos,
     render_prometheus,
     set_slo_gauges,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "TraceTree",
     "Tracer",
     "compute_slos",
+    "publish_slos",
     "read_events",
     "reconstruct_timing",
     "render_prometheus",

@@ -178,6 +178,14 @@ def set_slo_gauges(registry: MetricRegistry) -> dict:
     block of the ``stats`` verb payload).
     """
     slos = compute_slos(registry)
+    publish_slos(registry, slos)
+    return slos
+
+
+def publish_slos(registry: MetricRegistry, slos: dict) -> None:
+    """Set the ``slo_*`` gauges of ``registry`` to ``slos`` (a
+    :func:`compute_slos` dict, or one merged from several, as a fleet's
+    front-end merges its workers'); a ``None`` value sets nothing."""
     if registry.enabled:
         for key, value in slos["session_seconds"].items():
             if value is not None:
@@ -191,4 +199,3 @@ def set_slo_gauges(registry: MetricRegistry) -> dict:
                 ).set(value)
         if slos["cache_hit_ratio"] is not None:
             registry.gauge("slo_cache_hit_ratio").set(slos["cache_hit_ratio"])
-    return slos

@@ -42,6 +42,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,7 +145,11 @@ class CacheEntry:
 
 
 class ResultCache:
-    """LRU + TTL cache of top-K prefixes keyed by query fingerprint."""
+    """LRU + TTL cache of top-K prefixes keyed by query fingerprint.
+
+    A memory-only cache takes any hashable key (a fleet's front-end keys
+    its answers by the request); the shared tier names a file by the key,
+    a fingerprint string."""
 
     def __init__(
         self,
@@ -165,7 +170,7 @@ class ResultCache:
         if self.shared_dir is not None:
             self.shared_dir.mkdir(parents=True, exist_ok=True)
         self._clock = clock
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, CacheEntry]" = OrderedDict()
         # Default to an enabled exporter-less pipeline so hit/miss/eviction
         # counters (and therefore stats()/hit_rate()) work standalone.
         self._obs = obs if obs is not None else Observability()
@@ -184,7 +189,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, key: str, k: int) -> list | None:
+    def lookup(self, key: Hashable, k: int) -> list | None:
         """The cached top-``k`` if fully answerable, else None.
 
         Counts exactly one hit or one miss per call and refreshes LRU
@@ -218,7 +223,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Store
     # ------------------------------------------------------------------
-    def store(self, key: str, results: list, *, exhausted: bool = False) -> None:
+    def store(self, key: Hashable, results: list, *, exhausted: bool = False) -> None:
         """Retain ``results`` for ``key`` if they improve on what is held.
 
         A shorter prefix never overwrites a longer one (a concurrent
@@ -242,7 +247,7 @@ class ResultCache:
             self._m_evictions.inc()
         self._m_size.set(len(self._entries))
 
-    def invalidate(self, key: str) -> bool:
+    def invalidate(self, key: Hashable) -> bool:
         return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
@@ -274,7 +279,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _fresh_entry(self, key: str) -> CacheEntry | None:
+    def _fresh_entry(self, key: Hashable) -> CacheEntry | None:
         """The entry for ``key`` after TTL expiry, or None."""
         entry = self._entries.get(key)
         if entry is None:

@@ -13,7 +13,7 @@ routing and shared state:
 * **Admission** is shared: per-tenant token-bucket quotas
   (:class:`~repro.service.quota.TenantQuotas`) are enforced once, at the
   front-end, so a tenant's budget spans the whole fleet rather than
-  multiplying by N.
+  multiplying by N (a ``quotas`` entry in ``service_kwargs`` is refused).
 * **Placement** is least-outstanding: a submit goes to the live worker
   with the fewest in-flight sessions (ties to the lowest index —
   deterministic).  Tests may pin a submit with a ``"worker": n`` field.
@@ -37,6 +37,31 @@ routing and shared state:
   prefix computed by any worker answers the same fingerprint on every
   other worker, preserving the single-server cache semantics (prefix
   reuse included) fleet-wide.
+* **The front-end answers repeats itself**, from the answers it has
+  already relayed: a hit skips the worker hop.  Its answer table is the
+  memory-only cache of a :class:`~repro.service.service.QueryService` of
+  its own (the workers' ``cache_capacity`` / ``cache_ttl``), which never
+  runs an operator; it holds scores only, as the wire carries nothing
+  else.  The key is the request as a worker's server reads it
+  (:func:`~repro.service.server.normalised`, one function for both):
+  relation names, weights, operator, algorithm with the fleet's default
+  applied, and ``join_attrs`` (an ``auto`` request is always forwarded:
+  its label names the plan a worker's planner picks).  The table learns
+  from the ``done`` frames it relays — a streamed one, decoded only after
+  it is written, or the last event of a worker's hit reply — and keeps a
+  ``DONE`` answer with no error, exhausted only when it is ``complete``
+  with fewer than ``k`` scores.  An unpinned submit it covers is answered
+  by a born-``DONE`` session with an ``fe:`` id, built as a worker builds
+  a hit; ``poll``, ``stream`` and ``cancel`` address it there, and
+  ``stats`` lists the front-end's service under ``fe`` beside the
+  workers, merging its answers and its table's hits (a table miss is
+  forwarded, and the worker's lookup counts it).  The key is not the
+  spec fingerprint on purpose: it is finer, so every answer served here
+  is one a worker would also serve, and it costs a cold submit a tuple
+  and one dict probe, where hashing relation content and reading the
+  shared tier on the critical path measured 4-10 % slower on
+  ``cold_anyk`` (EXPERIMENTS.md, "The fleet's front-end answers
+  repeats").
 
 A worker that dies is marked dead; requests routed at it fail with a
 *retryable* ``worker lost`` error so clients resubmit (landing on a live
@@ -48,17 +73,39 @@ front-end stop.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import multiprocessing as mp
 import shutil
 import tempfile
 import threading
+from typing import NamedTuple
 
 from repro.errors import QuotaExceeded
-from repro.obs import Observability, render_prometheus
+from repro.obs import Observability, TraceContext, publish_slos, render_prometheus
 from repro.service import wire
 from repro.service.quota import TenantQuotas
-from repro.service.server import RankJoinServer, prepare_relations
+from repro.service.server import (
+    DEFAULT_ALGORITHM,
+    Normalised,
+    RankJoinServer,
+    normalised,
+    prepare_relations,
+    query_spec,
+    stream_frames,
+    submit_reply,
+)
 from repro.service.service import QueryService
+from repro.service.session import QuerySession
+
+#: The session-id namespace of the sessions the front-end answers itself.
+FRONT_END = "fe"
+
+
+class _Relayed(NamedTuple):
+    """One result of an answer the front-end relayed: the wire carried
+    its score and nothing else."""
+
+    score: float
 
 
 def _merge_slo(into: dict, worker_slo: dict) -> None:
@@ -163,40 +210,51 @@ class ServeFleet(wire.LineServer):
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        # Refuse a setting no worker could honour here, before any exists:
-        # build the service each worker will build.  Build, once, the views
-        # each worker would build on its first query: they fork with them.
-        _worker_service(service_kwargs or {}, None)
+        self.obs = obs if obs is not None else Observability()
+        self.service_kwargs = dict(service_kwargs or {})
+        if "quotas" in self.service_kwargs:
+            # Admission is the front-end's, once for the fleet; a worker's
+            # own quotas would never see a submit the front-end answers.
+            raise ValueError("a fleet's quotas are its quotas= argument, "
+                             "not a service_kwargs entry")
+        # The front-end's own service, built with the settings every worker
+        # will take, so a setting no worker could honour is refused here,
+        # before any exists.  It runs no operator: its cache is the answer
+        # table, its session table the sessions answered from it.
+        self.answers = QueryService(obs=self.obs, **self.service_kwargs)
+        # Build, once, the views each worker would build on its first
+        # query: they fork with them.
         prepare_relations(relations)
         super().__init__(host, port)
         self.relations = dict(relations)
         self.num_workers = workers
         self.quotas = quotas
-        self.service_kwargs = dict(service_kwargs or {})
         self.server_kwargs = dict(server_kwargs or {})
-        self.obs = obs if obs is not None else Observability()
+        self.default_algorithm = self.server_kwargs.get(
+            "default_algorithm", DEFAULT_ALGORITHM)
         if quotas is not None:
             quotas.observe(self.obs.metrics)
+        #: Made by :meth:`run` when None was given, and removed there.
+        self.shared_cache_dir = shared_cache_dir
         self._owns_cache_dir = shared_cache_dir is None
-        self.shared_cache_dir = (
-            shared_cache_dir
-            if shared_cache_dir is not None
-            else tempfile.mkdtemp(prefix="repro-fleet-cache-")
-        )
+        self._answered_ids = itertools.count(1)
         self._workers: list[_Worker] = []
         #: Rotation counter for tie-breaking the least-outstanding router.
         self._rr_next = 0
         #: Namespaced session id → (owning worker, the client connection
-        #: that submitted it), while in flight.
-        self._pending: dict[str, tuple[_Worker, wire.Connection]] = {}
+        #: that submitted it, its answer-table key), while in flight.
+        self._pending: dict[
+            str, tuple[_Worker, wire.Connection, Normalised | None]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Spawn the workers, serve until shutdown, tear down (blocking)."""
-        self._spawn_workers()
+        if self._owns_cache_dir:
+            self.shared_cache_dir = tempfile.mkdtemp(prefix="repro-fleet-cache-")
         try:
+            self._spawn_workers()
             super().run()
         finally:
             self.obs.flush()
@@ -299,17 +357,87 @@ class ServeFleet(wire.LineServer):
                 return worker, local
         return None
 
-    def _settle(self, wire_id: str) -> None:
-        """Stop counting a session as in flight."""
+    def _settle(self, wire_id: str | None) -> Normalised | None:
+        """Stop counting a session as in flight; its answer-table key."""
         pending = self._pending.pop(wire_id, None)
-        if pending is not None:
-            pending[0].outstanding -= 1
+        if pending is None:
+            return None
+        pending[0].outstanding -= 1
+        return pending[2]
 
     def _closed(self, conn: wire.Connection) -> None:
         # Nobody will relay the end of what this client left unfinished.
-        for wire_id, (_, owner) in list(self._pending.items()):
+        for wire_id, (_, owner, _) in list(self._pending.items()):
             if owner is conn:
                 self._settle(wire_id)
+
+    # ------------------------------------------------------------------
+    # The answer table
+    # ------------------------------------------------------------------
+    def _answer_key(self, request: dict) -> Normalised | None:
+        """A submit's answer-table key: the request as a worker's server
+        reads it (:func:`~repro.service.server.normalised`), without
+        ``k``.  None when the table may not hold its answer: no table, an
+        ``auto`` plan (the worker's planner picks it), or a request a
+        worker refuses."""
+        if self.answers.cache is None or request["k"] < 1:
+            return None
+        try:
+            key = normalised(request, self.default_algorithm)
+        except KeyError:  # no relations named: the worker says so
+            return None
+        return None if key.algorithm == "auto" else key
+
+    def _learn(self, key: Normalised, done: dict) -> None:
+        """Keep the answer of a relayed ``done`` frame under ``key``.
+
+        Only a ``DONE`` session with no error has one, and it is the whole
+        join output only if ``complete`` with fewer than ``k`` scores (a
+        budget or a deadline cuts a partial one short)."""
+        if done["state"] != "DONE" or done["error"] is not None:
+            return
+        scores = done["scores"]
+        self.answers.cache.store(
+            key, list(map(_Relayed, scores)),
+            exhausted=done["complete"] and len(scores) < done["k"])
+
+    def _answer(self, request: dict, key: Normalised, answer: list) -> dict:
+        """Answer a submit from the table: a session born ``DONE``, its
+        reply built as a worker builds a hit's."""
+        trace = request.get("trace")
+        try:
+            ctx = (TraceContext.root() if trace is None
+                   else TraceContext.from_wire(trace))
+        except (KeyError, TypeError, ValueError) as exc:
+            return wire.bad_request(exc)  # as a worker refuses it
+        spec = query_spec(key, request["k"], self.relations)
+        session = QuerySession.answered(
+            f"{FRONT_END}:s{next(self._answered_ids)}", spec.k, answer,
+            label=spec.describe(), plan=spec.plan_summary(),
+            tenant=request["tenant"], trace=ctx.child(),
+        )
+        self.answers.admit(session)
+        return submit_reply(session)
+
+    async def _answered_verb(self, verb: wire.Verb, request: dict,
+                             conn: wire.Connection) -> dict | None:
+        """``poll``, ``cancel`` or ``stream`` of a session the front-end
+        answered: it is finished, so each answers at once."""
+        session = self.answers.session(request["session"])
+        if session is None:
+            return wire.no_session(request["session"])
+        if not verb.streams:  # by name, as every verb is dispatched
+            return getattr(self, f"_answered_{verb.name}")(session)
+        *results, done = stream_frames(session, request["from"])
+        for frame in results:
+            await conn.send(frame)
+        return done
+
+    def _answered_poll(self, session: QuerySession) -> dict:
+        return wire.ok(**session.snapshot())
+
+    def _answered_cancel(self, session: QuerySession) -> dict:
+        return wire.ok(cancelled=False)  # born DONE: nothing to cancel
 
     # ------------------------------------------------------------------
     # Verbs
@@ -318,6 +446,8 @@ class ServeFleet(wire.LineServer):
         if not verb.session_addressed:
             return await getattr(self, f"_verb_{verb.name}")(request, conn)
         wire_id = request["session"]
+        if wire_id.startswith(FRONT_END + ":"):
+            return await self._answered_verb(verb, request, conn)
         routed = self._route_session(wire_id)
         if routed is None:
             return wire.no_session(wire_id)
@@ -336,22 +466,31 @@ class ServeFleet(wire.LineServer):
                 self.quotas.admit(request["tenant"])
             except QuotaExceeded as exc:
                 return wire.throttled(exc)
-        worker = self._pick_worker(request.pop("worker", None))
+        pinned = request.pop("worker", None)
+        key = self._answer_key(request)
+        if pinned is None and key is not None:
+            answer = self.answers.cache.lookup(key, request["k"])
+            if answer is not None:
+                return self._answer(request, key, answer)
+        worker = self._pick_worker(pinned)
         if worker is None:
             return wire.no_live_worker()
         return await self._forward(
-            wire.VERBS["submit"], worker, request, conn, None
+            wire.VERBS["submit"], worker, request, conn, None, key
         )
 
     async def _forward(
         self, verb: wire.Verb, worker: _Worker, request: dict,
         conn: wire.Connection, wire_id: str | None,
+        key: Normalised | None = None,
     ) -> dict | None:
         """Send ``request`` to ``worker``; relay its reply, or a stream's
         lines up to the terminal one, to ``conn`` as the worker's bytes.
 
         ``wire_id`` is the session's fleet id, None for a submit (its reply
-        names it).  Routing reads a reply before it is written.
+        names it), and ``key`` a submit's answer-table key.  Routing reads
+        a reply before it is written; the table learns a ``done`` frame
+        after.
         """
         try:
             reader = await self._upstream(worker, request, conn)
@@ -359,8 +498,11 @@ class ServeFleet(wire.LineServer):
                 raw = await wire.read_line(reader)
                 line = wire.splice_session(raw, worker.name)
                 last = not raw.startswith(wire.RESULT_EVENT)
+                # The table key of a done frame to learn, and the frame
+                # if it is already decoded.
+                learn_key = done = None
                 if raw.startswith(wire.DONE_EVENT):
-                    self._settle(wire_id)
+                    learn_key = self._settle(wire_id)
                 elif last:
                     reply = wire.decode(line)
                     if wire_id is None and "session" in reply:  # admitted
@@ -370,7 +512,10 @@ class ServeFleet(wire.LineServer):
                         # Born DONE (cache hit): never outstanding.
                         if reply.get("state") not in wire.TERMINAL:
                             worker.outstanding += 1
-                            self._pending[reply["session"]] = (worker, conn)
+                            self._pending[reply["session"]] = (
+                                worker, conn, key)
+                        elif key is not None:  # a hit: its last event
+                            learn_key, done = key, reply["events"][-1]
                     elif (reply.get("state") in wire.TERMINAL
                             or reply.get("cancelled") is True):
                         self._settle(wire_id)
@@ -378,6 +523,8 @@ class ServeFleet(wire.LineServer):
                 # merging lines lost (server.py).
                 conn.writer.write(line)
                 await conn.writer.drain()
+                if learn_key is not None:
+                    self._learn(learn_key, done or wire.decode(line))
                 if last:
                     return None
         except (OSError, asyncio.TimeoutError, ValueError):
@@ -388,6 +535,12 @@ class ServeFleet(wire.LineServer):
             return wire.worker_lost(worker.index, during)
 
     async def _verb_stats(self, request: dict, conn) -> dict:
+        return wire.ok(**await self._merged_stats(conn))
+
+    async def _merged_stats(self, conn: wire.Connection) -> dict:
+        """The fleet's ``stats``: a block per session namespace — each
+        worker's, and the front-end's own service's under ``fe`` — and
+        their merged scheduler, cache and SLO views."""
         quotas = self.quotas.stats() if self.quotas else None
         merged = {
             "fleet": {
@@ -408,6 +561,10 @@ class ServeFleet(wire.LineServer):
                  "shared_hits": 0, "shared_stores": 0}
         slo: dict = {}
         sessions: list = []
+        # The front-end's own service merges like a worker: its answers,
+        # its table's hits, and (on the same registry) its throttles.
+        front = merged["workers"][FRONT_END] = self.answers.stats()
+        blocks = [front]
         for worker in self._workers:
             stats = None
             if worker.alive:
@@ -416,6 +573,8 @@ class ServeFleet(wire.LineServer):
                 merged["workers"][worker.name] = {"alive": False}
                 continue
             merged["workers"][worker.name] = stats
+            blocks.append(stats)
+        for stats in blocks:
             wsched = stats.get("scheduler") or {}
             scheduler["live"] += wsched.get("live", 0)
             scheduler["queued"] += wsched.get("queued", 0)
@@ -426,6 +585,8 @@ class ServeFleet(wire.LineServer):
                 )
             wcache = stats.get("cache") or {}
             for field in cache:
+                if stats is front and field == "misses":
+                    continue  # forwarded: the worker's lookup counts it
                 cache[field] += wcache.get(field, 0) or 0
             _merge_slo(slo, stats.get("slo") or {})
             sessions.extend(stats.get("sessions") or [])
@@ -434,22 +595,19 @@ class ServeFleet(wire.LineServer):
         # A ratio does not merge by max: the fleet's is its summed hits
         # over its summed lookups (None before any, as compute_slos has it).
         slo["cache_hit_ratio"] = cache["hits"] / total if total else None
-        if quotas is not None:
-            # The front-end throttles before any worker sees the submit:
-            # those rejections are on its own registry, in no worker's SLOs.
-            slo["throttled_total"] = (slo.get("throttled_total") or 0) \
-                + sum(quotas["throttled"].values())
         merged["scheduler"] = scheduler
         merged["cache"] = cache
         merged["slo"] = slo
         merged["sessions"] = sessions
-        return wire.ok(**merged)
+        return merged
 
     async def _verb_metrics(self, request: dict, conn) -> dict:
-        # The front-end's own registry: throttle counters and routing
-        # counts.  Per-worker execution metrics are on each worker's own
-        # endpoint (and aggregated numerically by the stats verb) —
+        # The front-end's own registry: throttle counters, routing counts,
+        # and its own service's answers and answer-table lookups, with the
+        # slo_* gauges the fleet's, as the stats verb merges them.
+        # Per-worker execution metrics are on each worker's own endpoint —
         # concatenating N registries would emit duplicate series.
+        publish_slos(self.obs.metrics, (await self._merged_stats(conn))["slo"])
         return wire.ok(text=render_prometheus(self.obs.metrics))
 
     async def _verb_shutdown(self, request: dict, conn) -> dict:

@@ -75,6 +75,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from typing import NamedTuple
 
 from repro.core.scoring import SumScore, WeightedSum
 from repro.errors import QuotaExceeded, ReproError
@@ -88,6 +89,59 @@ from repro.service.service import QueryService
 #: when no step released or retired anything.  A request that arrives
 #: meanwhile waits at most this plus one step (module docstring).
 HOLD = 0.0005
+
+#: The evaluation core a ``submit`` with no ``algorithm`` field runs.
+DEFAULT_ALGORITHM = "pbrj"
+
+
+class Normalised(NamedTuple):
+    """What of a ``submit`` request decides its answer, ``k`` aside — the
+    query a server builds and a fleet's front-end keys its answers by.
+    Hashable; equal numbers compare and hash equal, so weight ``1`` is
+    ``1.0``."""
+
+    names: tuple
+    weights: tuple | None
+    operator: str
+    algorithm: str
+    join_attrs: tuple
+
+
+def normalised(request: dict, default_algorithm: str) -> Normalised:
+    """The query ``request`` asks, ``default_algorithm`` applied when it
+    names none.  Raises ``KeyError`` when it names no relations."""
+    names = request.get("relations")
+    weights = request.get("weights")
+    return Normalised(
+        tuple(names) if names is not None
+        else (request["left"], request["right"]),
+        weights if weights is None else tuple(map(tuple, weights)),
+        request["operator"],
+        request.get("algorithm") or default_algorithm,
+        tuple(request.get("join_attrs") or ()),
+    )
+
+
+def query_spec(query: Normalised, k: int,
+               relations: dict[str, Relation]) -> QuerySpec:
+    """The spec of top-``k`` of ``query`` over the served ``relations``."""
+    missing = [name for name in query.names if name not in relations]
+    if missing:
+        raise ValueError(
+            f"unknown relations {missing}; registered: {sorted(relations)}"
+        )
+    if query.weights is not None:
+        scoring = WeightedSum([float(w) for side in query.weights for w in side])
+    else:
+        scoring = SumScore()
+    return QuerySpec(
+        relations=tuple(relations[name] for name in query.names),
+        k=k,
+        scoring=scoring,
+        operator=query.operator,
+        algorithm=query.algorithm,
+        join_attrs=query.join_attrs,
+    )
 
 
 def prepare_relations(relations: dict[str, Relation]) -> None:
@@ -127,6 +181,21 @@ def stream_frames(session, cursor: int):
         yield wire.ok(event="done", **session.snapshot())
 
 
+def submit_reply(session) -> dict:
+    """The reply to the ``submit`` that admitted ``session``; one terminal
+    on admission (a cache hit, born ``DONE``) carries its whole stream."""
+    response = wire.ok(
+        session=session.session_id,
+        state=session.state.value,
+        from_cache=session.from_cache,
+    )
+    if session.trace is not None:
+        response["trace"] = session.trace.trace_id
+    if session.done:  # its whole stream is known: it rides along
+        response["events"] = list(stream_frames(session, 0))
+    return response
+
+
 class RankJoinServer(wire.LineServer):
     """Serves top-K rank join queries over named shared relations.
 
@@ -159,7 +228,7 @@ class RankJoinServer(wire.LineServer):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        default_algorithm: str = "pbrj",
+        default_algorithm: str = DEFAULT_ALGORITHM,
         chaos=None,
     ) -> None:
         prepare_relations(relations)
@@ -305,16 +374,7 @@ class RankJoinServer(wire.LineServer):
         session = self.service.session(session_id)
         if session.live:  # not a cache hit, born DONE: there is work
             self._wake.set()
-        response = wire.ok(
-            session=session_id,
-            state=session.state.value,
-            from_cache=session.from_cache,
-        )
-        if session.trace is not None:
-            response["trace"] = session.trace.trace_id
-        if session.done:  # its whole stream is known: it rides along
-            response["events"] = list(stream_frames(session, 0))
-        return response
+        return submit_reply(session)
 
     def _verb_poll(self, request: dict) -> dict:
         snapshot = self.service.poll(request["session"])
@@ -382,25 +442,5 @@ class RankJoinServer(wire.LineServer):
     # Request parsing
     # ------------------------------------------------------------------
     def _parse_spec(self, request: dict) -> QuerySpec:
-        names = request.get("relations")
-        if names is None:
-            names = [request["left"], request["right"]]
-        missing = [n for n in names if n not in self.relations]
-        if missing:
-            raise ValueError(
-                f"unknown relations {missing}; registered: {sorted(self.relations)}"
-            )
-        relations = tuple(self.relations[n] for n in names)
-        weights = request.get("weights")
-        if weights is not None:
-            scoring = WeightedSum([float(w) for side in weights for w in side])
-        else:
-            scoring = SumScore()
-        return QuerySpec(
-            relations=relations,
-            k=request["k"],
-            scoring=scoring,
-            operator=request["operator"],
-            algorithm=request.get("algorithm") or self.default_algorithm,
-            join_attrs=tuple(request.get("join_attrs") or ()),
-        )
+        return query_spec(normalised(request, self.default_algorithm),
+                          request["k"], self.relations)

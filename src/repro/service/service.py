@@ -217,31 +217,26 @@ class QueryService:
             session_ctx = ctx.child()
         if max_pulls is None:
             max_pulls = self.default_max_pulls
-        key = cached_answer = operator = None
+        key = cached_answer = None
         if self.cache is not None:
             key = spec.fingerprint()
             cached_answer = self.cache.lookup(key, spec.k)
-        if cached_answer is None:
-            operator = spec.build_operator(obs=self.obs)
-        session = QuerySession(
-            session_id,
-            operator,
-            spec.k,
+        settings = dict(
             quantum=self.quantum,
             max_pulls=max_pulls,
             deadline=deadline,
-            preloaded=cached_answer,
             cache_key=key,
             label=spec.describe(),
             plan=spec.plan_summary(),
             tenant=tenant,
             trace=session_ctx,
         )
-        if cached_answer is not None:
-            session.from_cache = True
-            # Distinguish a truly-complete short answer from a prefix.
-            session.exhausted = len(cached_answer) < spec.k
-            session._finish(SessionState.DONE)
+        if cached_answer is None:
+            session = QuerySession(session_id, spec.build_operator(obs=self.obs),
+                                   spec.k, **settings)
+        else:
+            session = QuerySession.answered(session_id, spec.k, cached_answer,
+                                            **settings)
         return self.admit(session).session_id
 
     def admit(self, session: QuerySession) -> QuerySession:

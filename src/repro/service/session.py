@@ -143,6 +143,18 @@ class QuerySession:
         self._final_depths: list[int] = []
         self.steps = 0
 
+    @classmethod
+    def answered(cls, session_id: str, k: int, answer: list,
+                 **kwargs) -> "QuerySession":
+        """A session born ``DONE`` from a cached ``answer`` (at most ``k``
+        results): no operator, zero pulls.  An answer shorter than ``k``
+        is the whole join output."""
+        session = cls(session_id, None, k, preloaded=answer, **kwargs)
+        session.from_cache = True
+        session.exhausted = len(answer) < k
+        session._finish(SessionState.DONE)
+        return session
+
     # ------------------------------------------------------------------
     # State predicates
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ import contextlib
 import json
 import multiprocessing
 import socket
+import tempfile
 import threading
 import time
 
@@ -27,6 +28,8 @@ from repro.service import (
     wire,
 )
 from repro.service.fleet import _worker_service
+from repro.service.server import normalised
+from repro.service.top import render_dashboard
 
 from tests.service.conftest import GatedOperator, make_instance, make_spec
 from tests.service.test_server import (
@@ -104,7 +107,9 @@ class TestFleet:
             assert final["scores"] == ROUNDED_REFERENCE[:5]
         assert stats["fleet"]["workers"] == 2
         assert stats["fleet"]["alive"] == 2
-        assert len(stats["workers"]) == 2
+        # A block per session namespace: the front-end's own, then each
+        # worker's.
+        assert list(stats["workers"]) == ["fe", "w0", "w1"]
         # Merged view: both workers' retired sessions are counted.
         assert stats["slo"]["sessions_finished"] == 2
 
@@ -197,9 +202,17 @@ class TestFleet:
         assert stats["fleet"]["quotas"]["throttled"] == {"alice": 2}
         assert stats["slo"]["throttled_total"] == 2
 
+    def test_a_service_level_quota_is_refused(self):
+        """Admission is the front-end's: a worker's own quotas would never
+        see a submit the front-end answers from its table."""
+        with pytest.raises(ValueError, match="quotas="):
+            ServeFleet(RELATIONS, port=0, service_kwargs={
+                "quotas": TenantQuotas(rate=1.0, burst=1)})
+
     def test_a_stream_crosses_the_front_end_undecoded(self, monkeypatch):
-        """Over one k=8 stream the front-end decodes the request and none
-        of the nine relayed lines (at the parent: all nine)."""
+        """Over one k=8 stream the front-end decodes the request and, once
+        it is written, the ``done`` line the answer table learns from, but
+        none of the eight result lines (it once decoded all nine)."""
         with running_fleet(workers=2) as fleet:
             with socket.create_connection((fleet.host, fleet.port),
                                           timeout=20.0) as sock, \
@@ -216,9 +229,15 @@ class TestFleet:
                 request = json.dumps({"verb": "stream", "session": sid})
                 raw.write(request.encode() + b"\n")
                 raw.flush()
-                events = [json.loads(raw.readline()) for _ in range(9)]
+                lines = [raw.readline() for _ in range(9)]
+                # One more exchange: the stream's handler has returned.
+                raw.write(b'{"verb": "shutdown"}\n')
+                raw.flush()
+                raw.readline()
                 monkeypatch.undo()
-        assert decoded == [request.encode() + b"\n"]
+        events = [json.loads(line) for line in lines]
+        assert decoded == [request.encode() + b"\n", lines[-1],
+                           b'{"verb": "shutdown"}\n']
         assert [e["event"] for e in events] == ["result"] * 8 + ["done"]
         assert {e["session"] for e in events} == {sid}
         assert [e["score"] for e in events[:8]] == ROUNDED_REFERENCE[:8]
@@ -305,6 +324,311 @@ class TestFleet:
         assert idle
         assert stats["fleet"]["outstanding"] == {"w0": 0, "w1": 0}
         assert fleet._pending == {}
+
+
+#: Fields that differ between two answers of one query: ids and clocks.
+VARYING = {"session", "trace", "ts", "latency", "first_result_latency"}
+
+
+def masked(value):
+    if isinstance(value, dict):
+        return {key: "<varies>" if key in VARYING else masked(item)
+                for key, item in value.items()}
+    if isinstance(value, list):
+        return [masked(item) for item in value]
+    return value
+
+
+class FailingOperator:
+    """A resumable operator whose first step raises: its session FAILS."""
+
+    pulls = 0
+
+    def try_next(self, max_pulls=None):
+        raise RuntimeError("operator broke")
+
+    def depths(self):
+        return [0, 0]
+
+
+class TestTheFrontEndAnswersRepeats:
+    """The front-end keeps the answers it relays and answers an unpinned
+    repeat itself, with an ``fe:`` session.  At the parent every repeat
+    made the hop to a worker and back."""
+
+    QUERY = dict(left="lineitem", right="orders", k=6)
+
+    def test_its_reply_is_a_worker_hit_reply(self):
+        """Field by field, but for ids and clocks: the reply, its events
+        and their ``done`` snapshot, at the learned k and below it, of a
+        plain query and of a weighted one repeated with integer weights."""
+        weighted = dict(self.QUERY, operator="HRJN*",
+                        weights=[[2.0, 1.0], [1.0, 0.5]])
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                assert client.run(worker=0, **self.QUERY)["from_cache"] is False
+                assert client.run(worker=0, **weighted)["from_cache"] is False
+                pairs = [
+                    [client.request({"verb": "submit", **query, "k": k,
+                                     **pin}) for pin in ({"worker": 1}, {})]
+                    for query in (self.QUERY,
+                                  dict(weighted, weights=[[2, 1], [1, 0.5]]))
+                    for k in (6, 4)
+                ]
+        for worker_hit, front_hit in pairs:
+            assert worker_hit["session"].startswith("w1:")
+            assert front_hit["session"].startswith("fe:")
+            assert {e["session"] for e in front_hit["events"]} \
+                == {front_hit["session"]}
+            assert masked(front_hit) == masked(worker_hit)
+        assert pairs[1][1]["events"][-1]["scores"] == ROUNDED_REFERENCE[:4]
+
+    def test_fe_ids_answer_poll_stream_and_cancel(self):
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                client.run(**self.QUERY)  # learned from the streamed done
+                sid = client.submit(**self.QUERY)
+                inline = list(client.stream(sid))
+                polled = client.poll(sid)
+                streamed = {cursor: list(client.stream_raw(sid, from_index=cursor))
+                            for cursor in (0, 2, 6, 9)}
+                cancelled = client.cancel(sid)
+                refusals = []
+                for ask in (client.poll, client.cancel,
+                            lambda s: list(client.stream_raw(s))):
+                    with pytest.raises(ServiceError) as refused:
+                        ask("fe:s99")
+                    refusals.append(str(refused.value))
+        assert sid.startswith("fe:")
+        assert polled == {k: v for k, v in inline[-1].items() if k != "event"}
+        assert polled["from_cache"] is True and polled["pulls"] == 0
+        assert streamed[0] == inline
+        for cursor, events in streamed.items():
+            assert [e.get("index") for e in events] \
+                == [*range(cursor, 6), None]
+            assert events[-1] == inline[-1]
+        assert cancelled is False
+        assert refusals == [str(wire.no_session("fe:s99")["error"])] * 3
+
+    def test_a_cold_submit_costs_the_front_end_a_key_and_a_probe(
+        self, monkeypatch
+    ):
+        """No fingerprint, and no decode but the request's and the reply's
+        (which routing reads): the table is keyed by the request."""
+        with running_fleet() as fleet:
+            with socket.create_connection((fleet.host, fleet.port),
+                                          timeout=20.0) as sock, \
+                    sock.makefile("rwb") as raw:
+                decoded = []
+                real = wire.decode
+                # The workers forked before these.
+                monkeypatch.setattr(
+                    wire, "decode", lambda line: decoded.append(line) or real(line))
+                monkeypatch.setattr(Relation, "fingerprint", None)
+                monkeypatch.setattr(QuerySpec, "fingerprint", None)
+                request = b'{"verb": "submit", "left": "lineitem", ' \
+                          b'"right": "orders", "k": 3}\n'
+                raw.write(request)
+                raw.flush()
+                reply = raw.readline()
+                monkeypatch.undo()
+        assert json.loads(reply)["session"].startswith("w")
+        assert decoded == [request, reply]
+
+    def test_a_pinned_submit_always_reaches_its_worker(self):
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                client.run(**self.QUERY)
+                replies = [client.request({"verb": "submit", "worker": w,
+                                           **self.QUERY}) for w in (0, 1, 0, 1)]
+        assert [r["session"].split(":")[0] for r in replies] \
+            == ["w0", "w1", "w0", "w1"]
+        assert all(r["from_cache"] for r in replies)
+
+    def test_a_budget_exhausted_answer_is_served_up_to_its_length(self):
+        query = dict(left="lineitem", right="orders")
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                partial = client.run(k=8, max_pulls=40, **query)
+                short = client.request({"verb": "submit", "k": 3, **query})
+                longer = client.request({"verb": "submit", "k": 4, **query})
+                final = client.wait(longer["session"])
+        assert partial["budget_exhausted"] and not partial["complete"]
+        assert partial["scores"] == ROUNDED_REFERENCE[:3]
+        assert short["session"].startswith("fe:")
+        assert short["events"][-1]["scores"] == ROUNDED_REFERENCE[:3]
+        assert short["events"][-1]["complete"] is True
+        assert longer["session"].startswith("w")
+        assert final["from_cache"] is False
+        assert final["scores"] == ROUNDED_REFERENCE[:4]
+
+    def test_a_failed_or_cancelled_answer_is_never_served(self, monkeypatch):
+        # The workers fork with this patch: k=5 fails, any other k hangs.
+        monkeypatch.setattr(
+            QuerySpec, "build_operator",
+            lambda spec, *, obs=None:
+                FailingOperator() if spec.k == 5 else GatedOperator())
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                failed = [client.run(left="lineitem", right="orders", k=5)
+                          for _ in range(2)]
+                query = dict(left="lineitem", right="orders", k=3)
+                sid = client.submit(**query)
+                assert client.cancel(sid) is True
+                cancelled = client.wait(sid)
+                again = client.submit(**query)
+                assert client.cancel(again) is True
+        assert [f["state"] for f in failed] == ["FAILED", "FAILED"]
+        assert all(f["session"].startswith("w") for f in failed)
+        assert cancelled["state"] == "CANCELLED"
+        assert again.startswith("w")
+
+    def test_only_a_done_answer_without_error_is_kept(self):
+        """The rule the table learns by, frame by frame, on a fleet never
+        run."""
+        fleet = ServeFleet(RELATIONS, workers=2, port=0)
+        table = fleet.answers.cache
+        done = dict(state="DONE", error=None, scores=[0.9, 0.8], k=2,
+                    complete=True)
+        for frame in (dict(done, state="FAILED"), dict(done, state="CANCELLED"),
+                      dict(done, error="RuntimeError: x")):
+            fleet._learn("refused", frame)
+            assert table.lookup("refused", 1) is None
+        fleet._learn("prefix", done)  # k scores: a prefix
+        fleet._learn("whole", dict(done, k=5))  # fewer than k: the join
+        fleet._learn("partial", dict(done, k=5, complete=False))  # budget
+        assert [r.score for r in table.lookup("prefix", 2)] == [0.9, 0.8]
+        assert table.lookup("prefix", 3) is None
+        assert [r.score for r in table.lookup("whole", 9)] == [0.9, 0.8]
+        assert table.lookup("partial", 3) is None
+        assert [r.score for r in table.lookup("partial", 2)] == [0.9, 0.8]
+
+    def test_a_zero_capacity_front_end_never_answers(self):
+        with running_fleet(service_kwargs={"quantum": 16,
+                                           "cache_capacity": 0}) as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                finals = [client.run(**self.QUERY) for _ in range(3)]
+        assert fleet.answers.cache is None
+        assert [f["session"][0] for f in finals] == ["w"] * 3
+        assert not any(f["from_cache"] for f in finals)
+
+    def test_cache_ttl_expires_an_answer(self, monkeypatch):
+        fleet = ServeFleet(RELATIONS, workers=2, port=0,
+                           service_kwargs={"quantum": 16, "cache_ttl": 60.0})
+        now = [0.0]
+        monkeypatch.setattr(fleet.answers.cache, "_clock", lambda: now[0])
+        with serving_fleet(fleet):
+            with ServiceClient(fleet.host, fleet.port) as client:
+                client.run(**self.QUERY)
+                # The table learns after it writes the done line; this
+                # connection's next request is read once it has: at 0 s.
+                client.stats()
+                ids = []
+                for clock in (59.0, 61.0, 62.0):
+                    now[0] = clock
+                    ids.append(client.submit(**self.QUERY))
+        # At 61 s the answer has expired: a worker's hit answers, and the
+        # table learns it again from that reply.
+        assert [i[:2] for i in ids] == ["fe", ids[1][:2], "fe"]
+        assert ids[1][0] == "w"
+
+    def test_a_front_end_answer_counts_in_stats_top_and_metrics(self):
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                client.run(**self.QUERY)
+                before = client.stats()
+                hit = client.run(**self.QUERY)
+                after = client.stats()
+                metrics = client.metrics()
+        assert hit["session"].startswith("fe:")
+        # One lookup per submit: the cold one missed in the table and on
+        # a worker, and counts once.
+        assert (before["cache"]["hits"], before["cache"]["misses"]) == (0, 1)
+        assert after["cache"]["hits"] == before["cache"]["hits"] + 1
+        assert after["cache"]["misses"] == before["cache"]["misses"]
+        assert after["slo"]["cache_hit_ratio"] == after["cache"]["hit_rate"] \
+            == 0.5
+        assert f"slo_cache_hit_ratio {after['slo']['cache_hit_ratio']}" \
+            in metrics.splitlines()
+        assert after["workers"]["fe"]["scheduler"]["finished"] == {"DONE": 1}
+        # One entry on the worker that computed it, one in the front-end.
+        assert before["cache"]["entries"] == after["cache"]["entries"] == 2
+        assert after["scheduler"]["finished"]["DONE"] \
+            == before["scheduler"]["finished"]["DONE"] + 1
+        assert after["slo"]["cache_hit_ratio"] \
+            > (before["slo"]["cache_hit_ratio"] or 0.0)
+        assert f"hits={after['cache']['hits']}" in render_dashboard(after)
+        assert "service_cache_hits_total 1" in metrics
+        # Only the cold submit was routed to a worker.
+        routed = [line for line in metrics.splitlines()
+                  if line.startswith("fleet_routed_total{")]
+        assert sum(float(line.split()[-1]) for line in routed) == 1
+
+
+class TestTheAnswerKey:
+    """The front-end keys an answer by :func:`server.normalised`, the
+    function a worker's server reads the request by, so a submit field
+    that changes the answer changes the key."""
+
+    #: Submit fields that cannot change an answer served from a cache:
+    #: a worker's hit ignores them too.
+    NEUTRAL = {"k", "shards", "backend", "priority", "max_pulls", "deadline",
+               "tenant", "trace", "worker"}
+    #: Each other field, with a value that asks another query.
+    OTHER = {"left": "orders", "right": "lineitem",
+             "relations": ["lineitem", "orders", "orders"],
+             "join_attrs": ["@key", "@key"], "operator": "HRJN*",
+             "algorithm": "anyk", "weights": [[1.0, 2.0], [1.0, 1.0]]}
+
+    def test_every_submit_field_is_in_the_key_or_neutral(self):
+        fields = {field.name for field in wire.VERBS["submit"].fields}
+        assert fields == self.NEUTRAL | set(self.OTHER)
+        base = wire.validate({"verb": "submit", "k": 3,
+                              "left": "lineitem", "right": "orders"})[1]
+        key = normalised(base, "pbrj")
+        for name, value in self.OTHER.items():
+            assert normalised(dict(base, **{name: value}), "pbrj") != key, name
+        for name, value in dict(k=4, max_pulls=1, deadline=0.0, priority=2,
+                                tenant="t", trace={}, worker=1).items():
+            assert normalised(dict(base, **{name: value}), "pbrj") == key, name
+
+    def test_the_fleet_keys_as_its_workers_default(self):
+        fleet = ServeFleet(RELATIONS, port=0,
+                           server_kwargs={"default_algorithm": "anyk"})
+        request = {"k": 3, "left": "lineitem", "right": "orders",
+                   "operator": "FRPA"}
+        assert fleet._answer_key(request).algorithm == "anyk"
+        assert fleet._answer_key(dict(request, algorithm="auto")) is None
+        assert fleet._answer_key({"k": 3, "operator": "FRPA"}) is None
+
+
+class TestTheSharedCacheDir:
+    def test_a_fleet_never_run_or_refused_leaves_no_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """At the parent a constructed fleet made ``repro-fleet-cache-*``
+        and only ``run()`` removed it."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        ServeFleet(RELATIONS, workers=2, port=0)
+        for refused in (dict(workers=0),
+                        dict(service_kwargs={"cache_ttl": -1.0})):
+            with pytest.raises(ValueError):
+                ServeFleet(RELATIONS, port=0, **refused)
+        with pytest.raises(InstanceError):
+            ServeFleet({"bad": Relation("bad", [RankTuple(1, (2.0, 0.5))])},
+                       port=0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_fleet_that_ran_removes_its_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        with running_fleet() as fleet:
+            made = fleet.shared_cache_dir
+            assert made.startswith(str(tmp_path))
+            assert [p.name for p in tmp_path.iterdir()] \
+                == [made.rsplit("/", 1)[-1]]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestViewsAreBuiltBeforeTheWorkersFork:

@@ -34,7 +34,14 @@ its four ``result`` frames and its ``done`` frame, when a session that is
 terminal on admission came to carry its stream in the submit reply; and
 the fleet ``stats`` reply after the throttled submit had its merged
 ``slo.throttled_total`` go 0 → 1 when the front-end's own rejections
-came to be counted there.)
+came to be counted there; and when the front-end came to answer repeats
+from the answers it relays, both fleet ``stats`` replies gained its
+service's block under ``workers.fe`` beside the workers', the first's
+merged ``cache.entries`` went 3 → 5 (the two answers its table learned;
+hits and misses unchanged, as a table miss is forwarded and counted by
+the worker's lookup), and the fleet ``metrics`` reply's family inventory
+gained that service's ``service_*`` families and the fleet-wide
+``slo_*`` gauges.)
 
 The script uses only constructors and attributes that exist on both
 sides, so it can be re-recorded from any commit that speaks the protocol.
