@@ -138,11 +138,9 @@ class AnyKRankJoin(ResumableBase):
         if not batch:
             self._exhausted = True
             return None
-        # Exact re-scoring + canonical sort: DP scores order the batches,
-        # the scoring function (same call as PBRJ) scores the
-        # emitted results bit-identically across cores.  The identities —
-        # per tuple the fields of :func:`repro.core.pbrj.result_identity`,
-        # in relation order — sort a tie in the canonical tie order.
+        # DP scores order the batches; the scoring function (PBRJ's call)
+        # scores each result bit-identically across cores, and the
+        # identities (:func:`repro.core.pbrj.result_identity`) order a tie.
         scored = []
         for _, tuples, identity in batch:
             scores = tuple(s for t in tuples for s in t.scores)

@@ -21,15 +21,12 @@ group's ``j``-th solution pops at most the candidates needed to reach
 it, recursing into the child group on demand.  The global priority queue
 of the construction is simply the root group's heap.
 
-**Canonical tie order.**  Emission must be deterministic and content-only
-(bit-identical across cores and fault-injected runs), while DP
-scores carry float-association noise relative to the true scores.  The
-enumerator therefore releases *tie batches*: it drains every root
-solution within ``SCORE_EPS`` of the batch head (DP scores are
-non-increasing, so the batch is complete when the next one falls below),
-and the engine re-scores each batch member exactly and sorts the batch
-by ``(-score, canonical identity)`` — the canonical tie order of
-:func:`~repro.core.pbrj.result_identity`.
+**Canonical tie order.**  DP scores carry float-association noise, so
+the enumerator releases *tie batches*: every root solution within
+``SCORE_EPS`` of the batch head (DP scores are non-increasing, so the
+batch is complete when the next falls below); the engine re-scores each
+member exactly and sorts the batch by ``(-score, identity)``, the order
+every release site keeps (:func:`~repro.core.pbrj.order_tie`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@
 instance without the pull loop; a subclass schedules the pulls (FR*'s is
 :mod:`repro.core.feasible`).  The pulled prefixes' key-code equi-join comes
 in (discovery pull, partner pull) order — the loop's heap sequence — scored
-by one exact ``scoring.batch``; emission takes the first best unemitted
-result, and the inputs are charged for the loop's pulls only.
+by one exact ``scoring.batch``; emission takes the best unemitted result
+(an exact tie by :func:`~repro.core.pbrj.order_tie`), and the inputs are
+charged for the loop's pulls only.
 :class:`CornerRankJoin`: input ``s``'s corner potential before its pull
 ``i`` is ``S̄_s[i-1]`` whatever the other input holds, so PA's pull order
 is the merge ``lexsort((side, i, -key))`` and round-robin's ``lexsort((side,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bounds import POS_INF, BoundingScheme, CornerBound
-from repro.core.pbrj import PBRJ, SCORE_EPS
+from repro.core.pbrj import PBRJ, order_tie, releasable
 from repro.core.pulling import PotentialAdaptive, PullingStrategy
 from repro.core.scoring import NEG_INF
 from repro.core.stepping import PENDING
@@ -64,6 +65,7 @@ class ArrayRankJoin(PBRJ):
         # (-inf once emitted), rows.
         self._discovered, self._live = np.empty(0, np.intp), np.empty(0)
         self._pairs = (np.empty(0, np.intp),) * 2
+        self._tie, self._tied = [], None  # a released tie's rest (last first), its rows
 
     def _join(self, pulled, since: int) -> np.ndarray:
         """Join the first ``len(pulled[s])`` tuples of each input —
@@ -108,14 +110,20 @@ class ArrayRankJoin(PBRJ):
 
     def _emit(self):
         found = self._known()  # first: a join replaces ``_live``
-        live = self._live[:found]
-        best = int(np.argmax(live)) if len(live) else -1
-        if best < 0 or live[best] == NEG_INF:
-            return None  # every input exhausted, every result out
-        score, live[best] = float(live[best]), NEG_INF
-        result = JoinResult.combine(tuple(
-            self._rows[side][self._order[side][index[best]]]
-            for side, index in enumerate(self._pairs)), score)
+        if not self._tie:
+            live = self._live[:found]
+            best = int(np.argmax(live)) if len(live) else -1
+            if best < 0 or live[best] == NEG_INF:
+                return None  # every input exhausted, every result out
+            # The rule has buffered the whole exact tie; it leaves from ``_tie``.
+            self._tied = (live == live[best]).nonzero()[0]
+            self._tie = order_tie([JoinResult.combine(tuple(
+                self._rows[side][self._order[side][pairs[index]]]
+                for side, pairs in enumerate(self._pairs)), float(live[index]))
+                for index in self._tied.tolist()])
+        result = self._tie.pop()
+        if not self._tie:
+            self._live[self._tied] = NEG_INF
         self._emitted += 1
         self._m_emitted.inc()
         self._history.append(result)
@@ -167,9 +175,8 @@ class CornerRankJoin(ArrayRankJoin):
             pulls = self._pulls
             with self._tracer.span("emit"):
                 best = np.concatenate(([NEG_INF], np.maximum.accumulate(self._live)))
-                reached = best[self._found[pulls:]] >= self._t_at[pulls:] - SCORE_EPS
-                reached[-1] |= self._window == sum(self._n)
-                hits = np.flatnonzero(reached)
+                t = self._t_at[pulls:]  # -inf once every input is exhausted
+                hits = np.flatnonzero(releasable(best[self._found[pulls:]], t, t == NEG_INF))
             if len(hits):
                 return pulls + int(hits[0])
             self._extend()

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.bounds import POS_INF
 from repro.core.corner import ArrayRankJoin
 from repro.core.frstar_bound import FRStarBound
-from repro.core.pbrj import SCORE_EPS
+from repro.core.pbrj import SCORE_EPS, release_bar
 from repro.core.pulling import PullingStrategy
 from repro.core.scoring import NEG_INF
 from repro.core.stepping import PENDING
@@ -41,7 +41,7 @@ class FeasibleRankJoin(ArrayRankJoin):
     A pull is a choice, a few column reads and one call, the bound's side
     step (at e=2 :func:`~repro.geometry.antichain.staircase_step`): one
     seen-skyline insert and, when ``S̄`` drops, one group-close carve.  The join is
-    per-key counts until a pull may find a pair reaching ``t`` (a pair scores
+    per-key counts until a pull may find a pair the gate releases (a pair scores
     its two partials' sum up to rounding); then the pending pairs are joined
     and scored by :class:`~repro.core.corner.ArrayRankJoin`."""
 
@@ -76,17 +76,20 @@ class FeasibleRankJoin(ArrayRankJoin):
 
     def _walk(self, quantum: int | None) -> bool:
         """Pull as the loop would: True at the loop head where it stops (a
-        result reaches ``t``, or every input is exhausted), False once
+        result may be released, or every input is exhausted), False once
         ``quantum`` pulls are spent."""
         bound, trace, adaptive = self._bound, self._trace, self._adaptive
         g, depth, size, start = bound._g, self._depth, self._n, self._start
         cover_best, seen_best, exhausted = self._cover_best, self._seen_best, self._exhausted
         columns, count, peak, at = self._columns, self._count, self._peak, self._at
         seens, covers, steps = bound._seen, bound._cr, bound._steps
-        pulls, found, emitted, top = self._pulls, self._found, self._emitted, self._top
+        pulls, found, emitted = self._pulls, self._found, self._emitted
         pending, t_both, last = self._pending, self._t_both, self._last_side
         limit = None if quantum is None else pulls + quantum
         begun, changes, closes, drained = pulls, 0, 0, False
+        # The gate as bars ``t`` must fall below, re-read when a score moves:
+        # the best joined result's and the best unjoined pair's (± rounding).
+        bar, pending_bar = release_bar(self._top), release_bar(pending + SCORE_EPS)
         for side in (0, 1):  # the loop head: a drained input is exhausted
             if not exhausted[side] and depth[side] == size[side]:
                 exhausted[side], g[side], drained = True, NEG_INF, True
@@ -94,11 +97,11 @@ class FeasibleRankJoin(ArrayRankJoin):
         stopped = True
         while True:
             if found > emitted:
-                if pending >= t - 2 * SCORE_EPS:  # a pair not joined yet may reach t
+                if t < pending_bar:  # a pair not joined yet may be released
                     self._pulls, self._found = pulls, found
                     self._known()
-                    pending, top = NEG_INF, self._top
-                if top >= t - SCORE_EPS:
+                    pending, pending_bar, bar = NEG_INF, NEG_INF, release_bar(self._top)
+                if t < bar:
                     break
             if exhausted[0] and exhausted[1]:
                 break
@@ -129,6 +132,7 @@ class FeasibleRankJoin(ArrayRankJoin):
                 found += partners
                 if score + peak[other][key] > pending:
                     pending = score + peak[other][key]
+                    pending_bar = release_bar(pending + SCORE_EPS)
             count[side][key] += 1
             if score > peak[side][key]:
                 peak[side][key] = score
@@ -191,11 +195,6 @@ class FeasibleRankJoin(ArrayRankJoin):
             if len(scores):
                 self._top = max(self._top, float(scores.max()))
         return len(self._live)
-
-    def best_buffered(self) -> float:
-        if self._pending + SCORE_EPS <= self._top:  # nothing unjoined beats it
-            return self._top
-        return super().best_buffered()
 
     def _emit(self):
         result = super()._emit()

@@ -7,9 +7,9 @@ operators against (it always reads both inputs completely).
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable
 
+from repro.core.pbrj import Released
 from repro.core.scoring import ScoringFunction
 from repro.core.tuples import JoinResult, RankTuple
 
@@ -37,16 +37,18 @@ def naive_top_k(
     scoring: ScoringFunction,
     k: int,
 ) -> list[JoinResult]:
-    """The top ``k`` join results in decreasing score order.
-
-    Ties are broken arbitrarily but deterministically; callers comparing
-    against incremental operators should compare score sequences, which
-    Definition 2.1 notes are fully determined by the instance.
+    """The top ``k`` join results in the order every operator releases them
+    (:class:`~repro.core.pbrj.Released`): decreasing score, an exact-score
+    tie by :func:`~repro.core.pbrj.result_identity`.  So the whole list,
+    not only its scores, is the one answer every operator, core and shard
+    count must return.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    everything = full_join(left, right, scoring)
-    return heapq.nlargest(k, everything, key=lambda r: r.score)
+    output = Released()
+    for result in full_join(left, right, scoring):
+        output.push(result)
+    return [output.pop() for _ in range(min(k, len(output)))]
 
 
 def top_scores(results: Iterable[JoinResult]) -> list[float]:

@@ -21,7 +21,7 @@ tagged with its operands' positions, and two suffix-maximum arrays answer
 from __future__ import annotations
 
 from repro.core.bounds import BoundingScheme
-from repro.core.pbrj import PBRJ
+from repro.core.pbrj import PBRJ, releasable
 from repro.core.pulling import PotentialAdaptive, PullingStrategy, RoundRobin
 from repro.core.scoring import NEG_INF
 from repro.core.tuples import RankTuple
@@ -116,8 +116,9 @@ def _certificate_holds(
     True iff (a) at least K join results lie inside the prefix and (b) the
     tight feasible-region bound computed from the prefix does not exceed
     the K-th best discovered score — i.e. a correct deterministic operator
-    could stop here (this is exactly PBRJ's emission test, with the tight
-    FR bound standing in for "any correct bound").
+    could stop here (this is exactly PBRJ's release rule,
+    :func:`~repro.core.pbrj.releasable`, with the tight FR bound standing in
+    for "any correct bound").
     """
     from repro.core.bounds import BoundContext
     from repro.core.frstar_bound import FRStarBound
@@ -147,7 +148,7 @@ def _certificate_holds(
         t = bound.notify_exhausted(0)
     if d_right >= len(instance.sorted_tuples(1)):
         t = bound.notify_exhausted(1)
-    return kth >= t - 1e-9
+    return releasable(kth, t)  # t is -inf once both inputs are exhausted
 
 
 def certificate_optimal_sum_depths(

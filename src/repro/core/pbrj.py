@@ -10,7 +10,8 @@ order, or ``None`` when the output is exhausted.
 Per loop iteration: ``P`` chooses an input, one tuple is pulled, joined
 against the buffered tuples of the other inputs, the new results enter the
 ordered output buffer, and ``B`` refreshes the bound ``t`` on undiscovered
-results.  The buffered top is emitted once its score reaches ``t``.
+results.  The buffered top is emitted once nothing unseen can tie it
+(:func:`releasable`; Figure 1's "reaches ``t``" leaves a tie to chance).
 
 The loop and its *join step* — :meth:`PBRJ._join`, "buffer this tuple and
 return the results it completes" — are written once, over a chain of ``n``
@@ -41,21 +42,30 @@ from repro.stats.metrics import DepthReport, OperatorStats, TimingBreakdown
 from repro.stats.trace import BoundTrace
 
 #: Tolerance of every "does this score reach that bound" test in the
-#: package — the one definition; the sharded engine's merge gate and
-#: :mod:`repro.anyk.enumerate` import it.
-#: Scores are sums of a few floats, so genuine differences are far larger
-#: than accumulated error.  Tie semantics: two scores within ``SCORE_EPS``
-#: of each other are a tie, everywhere.  An operator emits
-#: ``O.top()`` once ``S(O.top()) >= t - SCORE_EPS`` (a result tying the
-#: threshold is safe to emit — nothing unseen can beat it); the sharded
-#: merge gate holds a candidate back while any live shard's frontier is
-#: ``>= score - SCORE_EPS`` (a shard that can still tie it may own the
-#: canonical predecessor); the any-k enumerator drains every solution
-#: within ``SCORE_EPS`` of a batch head into one tie batch.  The merge and
-#: the any-k engine order the members of a tie by content only — exact
-#: score descending, then :func:`result_identity`; a serial operator's own
-#: heap breaks exact-score ties by arrival order.
+#: package — the one definition.  Scores are sums of a few floats, so
+#: genuine differences are far larger than accumulated error: two scores
+#: within ``SCORE_EPS`` of each other are a tie, everywhere.
+#:
+#: The one release rule, every path's (the loop, both array forms, the
+#: sharded merge, :mod:`repro.core.oracle`'s certificate and
+#: :func:`~repro.core.naive.naive_top_k`): a result leaves only once
+#: nothing unseen can tie it (:func:`releasable`), and an exact-score tie,
+#: then all buffered, leaves in :func:`result_identity` order
+#: (:func:`order_tie`).  So every operator, core and shard count emits one
+#: list, ties included (any-k drains a tie batch into that order).
 SCORE_EPS = 1e-9
+
+
+def releasable(score, t, exhausted=False):
+    """The release rule: may a buffered result scoring ``score`` leave, with
+    ``t`` bounding every undiscovered result (``exhausted``: every input is)?
+    Elementwise over numpy arrays."""
+    return (t < score - SCORE_EPS) | exhausted
+
+
+def release_bar(score: float) -> float:
+    """:func:`releasable` as the bound ``t`` must fall below (exhausted aside)."""
+    return score - SCORE_EPS
 
 
 def result_identity(result: JoinResult) -> tuple:
@@ -68,6 +78,43 @@ def result_identity(result: JoinResult) -> tuple:
     request chaos — order an exact-score tie group identically.
     """
     return sum(map(tuple_identity, result.tuples), ())
+
+
+def order_tie(tie: list) -> list:
+    """An exact tie's members, last to leave first: only a tie reads identities."""
+    if len(tie) > 1:
+        tie.sort(key=result_identity, reverse=True)
+    return tie
+
+
+class Released:
+    """An output buffer: best score first, an exact tie by :func:`order_tie`,
+    whose first release takes every member (all buffered, by the rule)."""
+
+    def __init__(self) -> None:
+        self.heap: list[tuple[float, int, JoinResult]] = []  # (-score, id, result)
+        self.tie: list[JoinResult] = []
+
+    def __len__(self) -> int:
+        return len(self.heap) + len(self.tie)
+
+    def push(self, result: JoinResult) -> None:
+        heapq.heappush(self.heap, (-result.score, id(result), result))
+
+    def best(self) -> float:
+        """The best buffered score; ``-inf`` if none."""
+        if self.tie:
+            return self.tie[-1].score
+        return -self.heap[0][0] if self.heap else float("-inf")
+
+    def pop(self) -> JoinResult:
+        """Release the next result (the caller has passed the gate)."""
+        if not self.tie:
+            heap, score = self.heap, self.heap[0][0]
+            while heap and heap[0][0] == score:
+                self.tie.append(heapq.heappop(heap)[2])
+            order_tie(self.tie)
+        return self.tie.pop()
 
 
 #: Per-pull span timing: the first ``_TIMING_WARMUP`` pulls are timed
@@ -156,8 +203,7 @@ class PBRJ(ResumableBase):
             BoundContext(scoring, tuple(source.dimension for source in self._sources))
         )
         self._strategy.bind(len(self._sources))
-        self._output: list[tuple[float, int, object]] = []
-        self._sequence = 0
+        self._output = Released()
         self._t = float("inf")
         self._exhausted = [False] * len(self._sources)
         self._pulls = 0
@@ -251,9 +297,7 @@ class PBRJ(ResumableBase):
         pulled_here = 0
         while True:
             self._refresh_exhausted()
-            if self._output and -self._output[0][0] >= self._t - SCORE_EPS:
-                break
-            if all(self._exhausted):
+            if releasable(self._output.best(), self._t, all(self._exhausted)):
                 break
             if pull_quantum is not None and pulled_here >= pull_quantum:
                 return PENDING
@@ -280,10 +324,8 @@ class PBRJ(ResumableBase):
             self._pulls += 1
             pulled_here += 1
             self._pull_tally[side] += 1
-            output = self._output
             for result in self._join(side, rho):
-                heapq.heappush(output, (-result.score, self._sequence, result))
-                self._sequence += 1
+                self._output.push(result)
             if timed:
                 started = time.perf_counter()
                 self._s_join.add_scaled(started - now, scale)
@@ -298,7 +340,7 @@ class PBRJ(ResumableBase):
             started = time.perf_counter()
             self._emitted += 1
             self._m_emitted.inc()
-            result = heapq.heappop(self._output)[2]
+            result = self._output.pop()
             self._history.append(result)
             self._s_emit.add(time.perf_counter() - started)
             return result
@@ -385,7 +427,7 @@ class PBRJ(ResumableBase):
 
     def best_buffered(self) -> float:
         """Score of the best discovered-but-unemitted result; ``-inf`` if none."""
-        return -self._output[0][0] if self._output else float("-inf")
+        return self._output.best()
 
     @property
     def bound_scheme(self) -> BoundingScheme:

@@ -135,7 +135,7 @@ class ShardedRankJoin(ResumableBase):
 
     def best_buffered(self) -> float:
         """Score of the best candidate held at the merge gate; ``-inf`` if none."""
-        return self._merger.best_candidate_score
+        return self._merger.candidates.best()
 
     def depths(self) -> list[int]:
         """Per-input totals over all shards."""

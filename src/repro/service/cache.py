@@ -1,7 +1,7 @@
 """Result cache for top-K answers, with prefix reuse.
 
 Keyed by the canonical query fingerprint (relation content hashes +
-scoring identity + plan shape — see
+scoring identity + join attributes, no plan — see
 :meth:`repro.service.query.QuerySpec.fingerprint`), the cache stores the
 longest top-K prefix computed so far for each distinct query.  A cached
 top-K answers any ``k' <= K`` request (and any ``k'`` at all once the

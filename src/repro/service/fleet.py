@@ -43,25 +43,24 @@ routing and shared state:
   its own (the workers' ``cache_capacity`` / ``cache_ttl``), which never
   runs an operator; it holds scores only, as the wire carries nothing
   else.  The key is the request as a worker's server reads it
-  (:func:`~repro.service.server.normalised`, one function for both):
-  relation names, weights, operator, algorithm with the fleet's default
-  applied, and ``join_attrs`` (an ``auto`` request is always forwarded:
-  its label names the plan a worker's planner picks).  The table learns
-  from the ``done`` frames it relays — a streamed one, decoded only after
-  it is written, or the last event of a worker's hit reply — and keeps a
-  ``DONE`` answer with no error, exhausted only when it is ``complete``
-  with fewer than ``k`` scores.  An unpinned submit it covers is answered
-  by a born-``DONE`` session with an ``fe:`` id, built as a worker builds
-  a hit; ``poll``, ``stream`` and ``cancel`` address it there, and
-  ``stats`` lists the front-end's service under ``fe`` beside the
-  workers, merging its answers and its table's hits (a table miss is
-  forwarded, and the worker's lookup counts it).  The key is not the
-  spec fingerprint on purpose: it is finer, so every answer served here
-  is one a worker would also serve, and it costs a cold submit a tuple
-  and one dict probe, where hashing relation content and reading the
-  shared tier on the critical path measured 4-10 % slower on
-  ``cold_anyk`` (EXPERIMENTS.md, "The fleet's front-end answers
-  repeats").
+  (:func:`~repro.service.server.normalised`): relation names, weights and
+  ``join_attrs``, no operator and no core, since every plan returns the
+  one answer the release rule fixes (:func:`~repro.core.pbrj.releasable`).
+  So one entry answers FRPA, HRJN*, HRJN, any-k and ``auto`` alike, and an
+  ``auto`` repeat runs no planner.  The table learns from the ``done``
+  frames it relays — a streamed one, decoded only after it is written, or
+  the last event of a worker's hit reply — and keeps a ``DONE`` answer
+  with no error, exhausted only when it is ``complete`` with fewer than
+  ``k`` scores.  An unpinned submit it covers is answered by a
+  born-``DONE`` session with an ``fe:`` id, built as a worker builds a
+  hit; ``poll``, ``stream`` and ``cancel`` address it there, and ``stats``
+  lists the front-end's service under ``fe`` beside the workers, merging
+  its answers and its table's hits (a table miss is forwarded, and the
+  worker's lookup counts it).  The key names the served relations where
+  the spec fingerprint hashes their content: a cold submit pays a tuple
+  and one dict probe, where hashing content and reading the shared tier
+  on the critical path measured 4-10 % slower on ``cold_anyk``
+  (EXPERIMENTS.md, "The fleet's front-end answers repeats").
 
 A worker that dies is marked dead; requests routed at it fail with a
 *retryable* ``worker lost`` error so clients resubmit (landing on a live
@@ -80,7 +79,7 @@ import tempfile
 import threading
 from typing import NamedTuple
 
-from repro.errors import QuotaExceeded
+from repro.errors import QuotaExceeded, ReproError
 from repro.obs import Observability, TraceContext, publish_slos, render_prometheus
 from repro.service import wire
 from repro.service.quota import TenantQuotas
@@ -376,17 +375,15 @@ class ServeFleet(wire.LineServer):
     # ------------------------------------------------------------------
     def _answer_key(self, request: dict) -> Normalised | None:
         """A submit's answer-table key: the request as a worker's server
-        reads it (:func:`~repro.service.server.normalised`), without
-        ``k``.  None when the table may not hold its answer: no table, an
-        ``auto`` plan (the worker's planner picks it), or a request a
-        worker refuses."""
+        reads it (:func:`~repro.service.server.normalised`), so without
+        ``k``, the operator and the core.  None when the table may not hold
+        its answer: no table, or a request a worker refuses."""
         if self.answers.cache is None or request["k"] < 1:
             return None
         try:
-            key = normalised(request, self.default_algorithm)
+            return normalised(request)
         except KeyError:  # no relations named: the worker says so
             return None
-        return None if key.algorithm == "auto" else key
 
     def _learn(self, key: Normalised, done: dict) -> None:
         """Keep the answer of a relayed ``done`` frame under ``key``.
@@ -401,16 +398,18 @@ class ServeFleet(wire.LineServer):
             key, list(map(_Relayed, scores)),
             exhausted=done["complete"] and len(scores) < done["k"])
 
-    def _answer(self, request: dict, key: Normalised, answer: list) -> dict:
+    def _answer(self, request: dict, answer: list) -> dict:
         """Answer a submit from the table: a session born ``DONE``, its
         reply built as a worker builds a hit's."""
         trace = request.get("trace")
-        try:
+        try:  # refused as a worker refuses it: an unknown operator, say
+            spec = query_spec(request, self.relations, self.default_algorithm)
             ctx = (TraceContext.root() if trace is None
                    else TraceContext.from_wire(trace))
+        except ReproError as exc:
+            return wire.error(str(exc))
         except (KeyError, TypeError, ValueError) as exc:
-            return wire.bad_request(exc)  # as a worker refuses it
-        spec = query_spec(key, request["k"], self.relations)
+            return wire.bad_request(exc)
         session = QuerySession.answered(
             f"{FRONT_END}:s{next(self._answered_ids)}", spec.k, answer,
             label=spec.describe(), plan=spec.plan_summary(),
@@ -471,7 +470,7 @@ class ServeFleet(wire.LineServer):
         if pinned is None and key is not None:
             answer = self.answers.cache.lookup(key, request["k"])
             if answer is not None:
-                return self._answer(request, key, answer)
+                return self._answer(request, answer)
         worker = self._pick_worker(pinned)
         if worker is None:
             return wire.no_live_worker()
@@ -557,7 +556,7 @@ class ServeFleet(wire.LineServer):
             },
         }
         scheduler = {"live": 0, "queued": 0, "pulls": 0, "finished": {}}
-        cache = {"hits": 0, "misses": 0, "entries": 0,
+        cache = {"hits": 0, "misses": 0, "entries": 0, "capacity": 0,
                  "shared_hits": 0, "shared_stores": 0}
         slo: dict = {}
         sessions: list = []

@@ -9,9 +9,9 @@ equi-joins, ``RANK BY w1*R1.s + w2*R2.s + … LIMIT K``, is
 the unit of admission into the :class:`~repro.service.service.QueryService`
 and the source of the :class:`~repro.service.cache.ResultCache` key.
 
-The cache key deliberately **excludes** ``k``: two queries that differ only
-in ``k`` share one cache entry, because a retained top-K prefix answers any
-``k' <= k`` request directly; a ``k' > k`` request computes afresh.
+The cache key deliberately **excludes** ``k`` and the plan: a retained
+top-K prefix answers any ``k' <= k`` request directly (``k' > k`` computes
+afresh), and every operator and core return one answer.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class QuerySpec:
         Evaluation core: ``"pbrj"`` (default, the paper's pull-bounded
         family), ``"anyk"`` (ranked enumeration, :mod:`repro.anyk`), or
         ``"auto"`` — let the cost-based planner (:mod:`repro.planner`)
-        choose the core *and* the operator.  Fingerprint-namespaced, so
-        cached answers never mix cores.
+        choose the core *and* the operator.  Every choice returns the same
+        answer, so none is in the fingerprint.
     join_attrs:
         Chain attributes for multiway queries (``len(relations) - 1``
         entries); must be empty for binary queries.
@@ -171,36 +171,18 @@ class QuerySpec:
         return f"{self.algorithm}/{self.effective_operator}"
 
     def fingerprint(self) -> str:
-        """Canonical cache key: relation content + scoring + plan shape.
-
-        Excludes ``k`` (prefix reuse) but includes the operator name so a
-        cached answer is byte-identical to what the same query would
-        produce when run serially — operators agree on the top-K *set* but
-        may order exact score ties differently.
-
-        ``auto`` specs fingerprint as their planner-resolved spec, so an
-        auto query and the equivalent static query share one cache entry
-        (safe because auto execution is bit-identical to static execution
-        of the same effective plan — test-enforced).
-        """
-        if self.is_auto:
-            return self.resolve().fingerprint()
+        """Canonical cache key: relation content, scoring and join
+        attributes.  Not ``k`` (prefix reuse), nor the plan — operator,
+        core, ``auto``: each returns the one answer the release rule fixes,
+        ties included (:func:`~repro.core.pbrj.releasable`), so a cached
+        answer serves every plan and an ``auto`` lookup plans nothing."""
         digest = hashlib.sha256()
         for relation in self.relations:
             digest.update(relation.fingerprint().encode())
             digest.update(b";")
         digest.update(scoring_fingerprint(self.scoring).encode())
         digest.update(b";")
-        digest.update(
-            self.effective_operator.encode() if not self.is_multiway else b"multiway"
-        )
-        digest.update(b";")
         digest.update(",".join(self.join_attrs).encode())
-        if self.algorithm != "pbrj":
-            # Namespace non-default cores: any-k agrees with PBRJ on the
-            # top-K set but the cache must never serve one core's exact
-            # tie order as the other's.
-            digest.update(f";algorithm={self.algorithm}".encode())
         return digest.hexdigest()
 
     def build_operator(self, *, obs=None):

@@ -95,36 +95,35 @@ DEFAULT_ALGORITHM = "pbrj"
 
 
 class Normalised(NamedTuple):
-    """What of a ``submit`` request decides its answer, ``k`` aside — the
-    query a server builds and a fleet's front-end keys its answers by.
-    Hashable; equal numbers compare and hash equal, so weight ``1`` is
-    ``1.0``."""
+    """What of a ``submit`` request decides its answer, ``k`` aside: not the
+    operator or the core, as each returns the one answer the release rule
+    fixes (:func:`~repro.core.pbrj.releasable`).  A fleet's front-end keys
+    its answers by it.  Hashable; equal numbers compare and hash equal, so
+    weight ``1`` is ``1.0``."""
 
     names: tuple
     weights: tuple | None
-    operator: str
-    algorithm: str
     join_attrs: tuple
 
 
-def normalised(request: dict, default_algorithm: str) -> Normalised:
-    """The query ``request`` asks, ``default_algorithm`` applied when it
-    names none.  Raises ``KeyError`` when it names no relations."""
+def normalised(request: dict) -> Normalised:
+    """The query ``request`` asks.  Raises ``KeyError`` when it names no
+    relations."""
     names = request.get("relations")
     weights = request.get("weights")
     return Normalised(
         tuple(names) if names is not None
         else (request["left"], request["right"]),
         weights if weights is None else tuple(map(tuple, weights)),
-        request["operator"],
-        request.get("algorithm") or default_algorithm,
         tuple(request.get("join_attrs") or ()),
     )
 
 
-def query_spec(query: Normalised, k: int,
-               relations: dict[str, Relation]) -> QuerySpec:
-    """The spec of top-``k`` of ``query`` over the served ``relations``."""
+def query_spec(request: dict, relations: dict[str, Relation],
+               default_algorithm: str) -> QuerySpec:
+    """The spec ``request`` asks over the served ``relations``, with
+    ``default_algorithm`` applied when it names none."""
+    query = normalised(request)
     missing = [name for name in query.names if name not in relations]
     if missing:
         raise ValueError(
@@ -136,10 +135,10 @@ def query_spec(query: Normalised, k: int,
         scoring = SumScore()
     return QuerySpec(
         relations=tuple(relations[name] for name in query.names),
-        k=k,
+        k=request["k"],
         scoring=scoring,
-        operator=query.operator,
-        algorithm=query.algorithm,
+        operator=request["operator"],
+        algorithm=request.get("algorithm") or default_algorithm,
         join_attrs=query.join_attrs,
     )
 
@@ -442,5 +441,4 @@ class RankJoinServer(wire.LineServer):
     # Request parsing
     # ------------------------------------------------------------------
     def _parse_spec(self, request: dict) -> QuerySpec:
-        return query_spec(normalised(request, self.default_algorithm),
-                          request["k"], self.relations)
+        return query_spec(request, self.relations, self.default_algorithm)

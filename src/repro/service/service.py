@@ -201,11 +201,12 @@ class QueryService:
         if self.quotas is not None:
             self.quotas.admit(tenant)
         session_id = f"s{next(self._ids)}"
-        # Resolve any planner-delegated axes up front: the fingerprint,
-        # cache entry, session label and telemetry all describe the
-        # *effective* plan (and the planner's decision counter increments
-        # through this service's metrics registry).
-        spec = spec.resolve(obs=self.obs)
+        key = cached_answer = None
+        if self.cache is not None:
+            key = spec.fingerprint()  # names no plan: a hit plans nothing
+            cached_answer = self.cache.lookup(key, spec.k)
+        if cached_answer is None:  # a miss plans: its label names the plan run
+            spec = spec.resolve(obs=self.obs)
         ctx = trace
         if ctx is None and self.obs.enabled:
             ctx = TraceContext.root()
@@ -217,10 +218,6 @@ class QueryService:
             session_ctx = ctx.child()
         if max_pulls is None:
             max_pulls = self.default_max_pulls
-        key = cached_answer = None
-        if self.cache is not None:
-            key = spec.fingerprint()
-            cached_answer = self.cache.lookup(key, spec.k)
         settings = dict(
             quantum=self.quantum,
             max_pulls=max_pulls,

@@ -43,16 +43,17 @@ class TestQuerySpec:
         assert make_spec().effective_operator == ANYK_OPERATOR
         assert make_spec(algorithm="pbrj").effective_operator == "FRPA"
 
-    def test_fingerprint_namespaces_the_core(self):
+    def test_every_core_shares_one_fingerprint(self):
+        """The cores return one answer, so a cached one serves both (and
+        ``auto``, whose lookup runs no planner)."""
         anyk = make_spec()
-        pbrj = make_spec(algorithm="pbrj")
-        assert anyk.fingerprint() != pbrj.fingerprint()
+        assert anyk.fingerprint() == make_spec(algorithm="pbrj").fingerprint() \
+            == make_spec(algorithm="auto").fingerprint()
         # ... and is stable for equal specs.
         assert anyk.fingerprint() == make_spec().fingerprint()
 
     def test_pbrj_fingerprints_unchanged_by_the_new_field(self):
-        # Default-algorithm specs must keep their pre-anyk digests: the
-        # algorithm marker is only appended for non-default cores.
+        # The label names no algorithm marker, and equal specs digest equal.
         explicit = make_spec(algorithm="pbrj")
         assert ";algorithm" not in explicit.describe()
         assert explicit.fingerprint() == make_spec(algorithm="pbrj").fingerprint()

@@ -42,7 +42,9 @@ RUNS = (
 )
 
 #: (instance, operator, max_cr_size) -> (depth_left, depth_right,
-#: bound_recomputations), from the parent commit.
+#: bound_recomputations), from the parent commit; the ten rows whose K-th
+#: result tied ``t`` within ``SCORE_EPS`` there were re-recorded when the
+#: release rule became strict (one to three tie-closing pulls each).
 GOLDEN = {
     ("anticorrelated_e2", "FRPA", None): (233, 139, 826),
     ("anticorrelated_e2", "PBRJ_FR^RR", None): (233, 232, 1395),
@@ -52,23 +54,23 @@ GOLDEN = {
     ("tpch_e2", "FRPA", None): (405, 137, 773),
     ("tpch_e2", "PBRJ_FR^RR", None): (405, 404, 2427),
     ("tpch_e2", "a-FRPA", None): (405, 137, 773),
-    ("tpch_e2", "a-FRPA", 4): (1677, 388, 2165),
+    ("tpch_e2", "a-FRPA", 4): (1679, 389, 2169),
     ("tpch_e2", "a-FRPA", 16): (473, 184, 919),
     ("tpch_e3", "FRPA", None): (882, 236, 1870),
     ("tpch_e3", "PBRJ_FR^RR", None): (882, 300, 3549),
     ("tpch_e3", "a-FRPA", None): (882, 236, 1870),
     ("tpch_e3", "a-FRPA", 4): (882, 236, 1870),
     ("tpch_e3", "a-FRPA", 16): (882, 236, 1870),
-    ("uniform_e2", "FRPA", None): (84, 106, 376),
-    ("uniform_e2", "PBRJ_FR^RR", None): (106, 106, 636),
-    ("uniform_e2", "a-FRPA", None): (84, 106, 376),
-    ("uniform_e2", "a-FRPA", 4): (84, 106, 376),
-    ("uniform_e2", "a-FRPA", 16): (84, 106, 376),
-    ("uniform_e3", "FRPA", None): (96, 92, 380),
+    ("uniform_e2", "FRPA", None): (84, 107, 378),
+    ("uniform_e2", "PBRJ_FR^RR", None): (107, 107, 642),
+    ("uniform_e2", "a-FRPA", None): (84, 107, 378),
+    ("uniform_e2", "a-FRPA", 4): (84, 107, 378),
+    ("uniform_e2", "a-FRPA", 16): (84, 107, 378),
+    ("uniform_e3", "FRPA", None): (96, 93, 382),
     ("uniform_e3", "PBRJ_FR^RR", None): (96, 95, 573),
-    ("uniform_e3", "a-FRPA", None): (96, 92, 380),
-    ("uniform_e3", "a-FRPA", 4): (96, 92, 380),
-    ("uniform_e3", "a-FRPA", 16): (96, 92, 380),
+    ("uniform_e3", "a-FRPA", None): (96, 93, 382),
+    ("uniform_e3", "a-FRPA", 4): (96, 93, 382),
+    ("uniform_e3", "a-FRPA", 16): (96, 93, 382),
 }
 
 

@@ -21,7 +21,9 @@ the last commit that still had ``memory()``, with its output-heap peak
 dropped.  The
 instances are the bound-trace golden's e=2 / e=3 ones, a 0.25-grid
 instance made of exact-score ties, one with an empty input and one whose
-K exceeds the join.
+K exceeds the join.  The 32 keys whose runs released a result while ``t``
+was within ``SCORE_EPS`` of its score were re-recorded when the release
+rule became strict; the other 24 came back unchanged.
 
 Re-record only from a commit whose corner operators you trust::
 

@@ -31,7 +31,11 @@ again from the last commit that still wrote ``pull_choice_total``,
 ``memory()``, with its output-heap peak dropped from each line: every
 line's other fields came back unchanged.  The instances are the
 bound-trace golden's e=2 / e=3 ones and its tie-heavy ``ties_e2``, one
-with an empty input and one whose K exceeds the join.
+with an empty input and one whose K exceeds the join.  The 112 keys whose
+runs released a result while ``t`` was within ``SCORE_EPS`` of its score
+were re-recorded when the release rule became strict (it holds such a
+result until nothing unseen can tie it, and leaves an exact tie in
+``result_identity`` order); the other 80 came back unchanged.
 
 Re-record only from a commit whose FR* operators you trust::
 

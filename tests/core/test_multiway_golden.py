@@ -10,7 +10,9 @@ shows up here, straight and quantum-stepped alike.  The ``weighted`` cases,
 recorded later from the last commit with a separate n-ary feasible bound,
 run the same chains under a :class:`~repro.core.scoring.WeightedSum` and
 also pin the final bound's bits: weighted partial scores are where the
-order of a left-to-right sum shows.
+order of a left-to-right sum shows.  ``3way-feasible-weighted-seed1``,
+whose K-th result tied ``t`` within ``SCORE_EPS``, was re-recorded when the
+release rule became strict (51 -> 52 pulls).
 
 Re-record only from a commit whose answers you trust::
 

@@ -2,18 +2,16 @@
 
 ``SEED_WORKLOADS`` is the matrix the correctness invariant runs over:
 TPC-H-style, zipf join skew, uniform synthetic, and anti-correlated
-scores.  ``canonical_top_k`` computes the *canonical* serial top-k — the
-serial operator orders exact-score ties by discovery sequence, which is
-an implementation accident; the sharded engine orders them by content
-identity, so the reference must be canonicalized the same way (extend
-through the K-boundary tie group, sort tie groups by identity, truncate).
+scores.  ``canonical_top_k`` is the serial top-k: the serial operators
+release an exact-score tie in canonical identity order, as the sharded
+engine's merge does, so the two lists must be equal as they come.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.pbrj import SCORE_EPS, result_identity
+from repro.core.pbrj import result_identity
 from repro.data.workload import (
     WorkloadParams,
     anti_correlated_instance,
@@ -49,25 +47,10 @@ def workloads():
 
 
 def canonical_top_k(instance, k: int, operator: str = "FRPA") -> list:
-    """The serial top-k with exact-score ties in canonical identity order.
-
-    Pulls serial results past ``k`` until the score drops strictly below
-    the k-th score (completing the boundary tie group), then sorts each
-    tie group by :func:`repro.core.pbrj.result_identity` and truncates.
-    """
-    op = QuerySpec(
+    """The serial top-k, exact-score ties in canonical identity order."""
+    return QuerySpec(
         relations=(instance.left, instance.right), k=k, operator=operator
-    ).build_operator()
-    results = []
-    while True:
-        result = op.get_next()
-        if result is None:
-            break
-        results.append(result)
-        if len(results) >= k and result.score < results[k - 1].score - SCORE_EPS:
-            break
-    results.sort(key=lambda r: (-r.score, result_identity(r)))
-    return results[:k]
+    ).build_operator().top_k(k)
 
 
 def identity_view(results) -> list[tuple]:

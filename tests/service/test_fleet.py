@@ -435,6 +435,50 @@ class TestTheFrontEndAnswersRepeats:
         assert json.loads(reply)["session"].startswith("w")
         assert decoded == [request, reply]
 
+    def test_one_answer_serves_every_operator_and_auto(self):
+        """FRPA computes the answer; HRJN* and ``auto`` repeats of the same
+        query are front-end hits with it.  At the parent the key named the
+        operator and the core, and an ``auto`` request was always
+        forwarded."""
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                finals = [client.run(operator=operator, algorithm=algorithm,
+                                     **self.QUERY)
+                          for operator, algorithm in (("FRPA", "pbrj"),
+                                                      ("HRJN*", "pbrj"),
+                                                      ("FRPA", "auto"))]
+        assert [f["session"][:3] for f in finals[1:]] == ["fe:", "fe:"]
+        assert finals[0]["session"][0] == "w" and not finals[0]["from_cache"]
+        assert [f["scores"] for f in finals] == [ROUNDED_REFERENCE[:6]] * 3
+
+    def test_a_covered_query_with_an_unknown_plan_is_refused_as_a_worker_would(self):
+        """The key names no operator or core, so a covered query asking for
+        an unknown one reaches the table: it is refused there, with the
+        reply a worker gives, not answered."""
+        refusals = []
+        with running_fleet() as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                client.run(**self.QUERY)
+                for plan in ({"operator": "NOPE"}, {"algorithm": "nope"}):
+                    for pin in ({"worker": 0}, {}):
+                        with pytest.raises(ServiceError) as refused:
+                            client.request({"verb": "submit", **self.QUERY,
+                                            **plan, **pin})
+                        refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1] and refusals[2] == refusals[3]
+        assert "unknown operator" in refusals[0]
+        assert "unknown algorithm" in refusals[2]
+
+    def test_the_merged_cache_states_its_capacity(self):
+        """The front-end's table and each worker's cache, summed as their
+        entries are.  At the parent ``top`` read ``entries=0/0``."""
+        with running_fleet(service_kwargs={"quantum": 16,
+                                           "cache_capacity": 7}) as fleet:
+            with ServiceClient(fleet.host, fleet.port) as client:
+                stats = client.stats()
+        assert stats["cache"]["capacity"] == 3 * 7
+        assert "cache     entries=0/21 " in render_dashboard(stats)
+
     def test_a_pinned_submit_always_reaches_its_worker(self):
         with running_fleet() as fleet:
             with ServiceClient(fleet.host, fleet.port) as client:
@@ -572,33 +616,40 @@ class TestTheAnswerKey:
 
     #: Submit fields that cannot change an answer served from a cache:
     #: a worker's hit ignores them too.
+    #: ``operator`` and ``algorithm`` too: every plan returns one answer.
     NEUTRAL = {"k", "shards", "backend", "priority", "max_pulls", "deadline",
-               "tenant", "trace", "worker"}
+               "tenant", "trace", "worker", "operator", "algorithm"}
     #: Each other field, with a value that asks another query.
     OTHER = {"left": "orders", "right": "lineitem",
              "relations": ["lineitem", "orders", "orders"],
-             "join_attrs": ["@key", "@key"], "operator": "HRJN*",
-             "algorithm": "anyk", "weights": [[1.0, 2.0], [1.0, 1.0]]}
+             "join_attrs": ["@key", "@key"],
+             "weights": [[1.0, 2.0], [1.0, 1.0]]}
 
     def test_every_submit_field_is_in_the_key_or_neutral(self):
         fields = {field.name for field in wire.VERBS["submit"].fields}
         assert fields == self.NEUTRAL | set(self.OTHER)
         base = wire.validate({"verb": "submit", "k": 3,
                               "left": "lineitem", "right": "orders"})[1]
-        key = normalised(base, "pbrj")
+        key = normalised(base)
         for name, value in self.OTHER.items():
-            assert normalised(dict(base, **{name: value}), "pbrj") != key, name
+            assert normalised(dict(base, **{name: value})) != key, name
         for name, value in dict(k=4, max_pulls=1, deadline=0.0, priority=2,
-                                tenant="t", trace={}, worker=1).items():
-            assert normalised(dict(base, **{name: value}), "pbrj") == key, name
+                                tenant="t", trace={}, worker=1,
+                                operator="HRJN*", algorithm="auto").items():
+            assert normalised(dict(base, **{name: value})) == key, name
 
     def test_the_fleet_keys_as_its_workers_default(self):
+        """Whatever the workers' default core, every plan of one query has
+        one key, ``auto`` included: it is keyed, not forwarded."""
         fleet = ServeFleet(RELATIONS, port=0,
                            server_kwargs={"default_algorithm": "anyk"})
         request = {"k": 3, "left": "lineitem", "right": "orders",
                    "operator": "FRPA"}
-        assert fleet._answer_key(request).algorithm == "anyk"
-        assert fleet._answer_key(dict(request, algorithm="auto")) is None
+        key = fleet._answer_key(request)
+        assert key is not None
+        for plan in ({"algorithm": "auto"}, {"algorithm": "pbrj"},
+                     {"operator": "HRJN*"}):
+            assert fleet._answer_key(dict(request, **plan)) == key
         assert fleet._answer_key({"k": 3, "operator": "FRPA"}) is None
 
 
